@@ -6,12 +6,9 @@
 //	reprobench -fig all            # every figure, full workloads
 //	reprobench -fig 3 -quick      # one figure, reduced workload
 //	reprobench -fig all -csv out/  # also write out/fig3.csv …
-//	reprobench -incrbench          # incremental engine vs recompute (JSON)
-//	reprobench -batchbench         # assess.batch vs N single assess (JSON)
-//	reprobench -clusterbench       # forwarded+merged vs local assess (JSON)
-//	reprobench -bootbench          # snapshot+tail boot vs full JSON replay (JSON)
-//	reprobench -membench           # bounded-memory lifecycle + fault-in (JSON)
-//	reprobench -submitbench        # group-commit write path vs single submits (JSON)
+//
+// Serving-path performance is measured by bench/ (see BENCHMARK.json), not
+// here.
 package main
 
 import (
@@ -42,43 +39,9 @@ func run(args []string, out *os.File) error {
 		csvDir = fs.String("csv", "", "directory to write <fig>.csv files into (optional)")
 		plot   = fs.Bool("plot", false, "also render an ASCII plot of each figure")
 		asJSON = fs.Bool("json", false, "emit JSON instead of tables")
-		incr   = fs.Bool("incrbench", false, "benchmark the incremental assessment engine against the cache-invalidated recompute path and emit a JSON report")
-		batch  = fs.Bool("batchbench", false, "benchmark one assess.batch round-trip against N sequential assess round-trips and emit a JSON report")
-		minSp  = fs.Float64("batch-min-speedup", 0, "with -batchbench: fail unless every size reaches this speedup with matching assessments (0 disables the gate)")
-		wireb  = fs.Bool("wirebench", false, "benchmark the pipelined binary v2 transport against the JSON lock-step transport on the same assess workload and emit a JSON report")
-		wireSp = fs.Float64("wire-min-speedup", 0, "with -wirebench: fail unless every size reaches this speedup with matching assessments (0 disables the gate)")
-		clb    = fs.Bool("clusterbench", false, "benchmark a forwarded+merged assess against a local one on a 3-node cluster and emit a JSON report; mismatching verdicts always fail")
-		clOv   = fs.Float64("cluster-max-overhead", 0, "with -clusterbench: fail if the forwarding overhead ratio exceeds this at any size (0 disables the gate)")
-		bootb  = fs.Bool("bootbench", false, "benchmark a snapshot+tail-replay boot against a full JSON replay of the same history and emit a JSON report; diverging store state always fails")
-		bootSp = fs.Float64("boot-min-speedup", 0, "with -bootbench: fail unless every size boots from a real snapshot at this speedup or better (0 disables the gate)")
-		memb   = fs.Bool("membench", false, "benchmark the resident-state lifecycle: load servers through a memory-budgeted store, fault evicted ones back in through the serving path, and emit a JSON report; exceeding the budget or a diverging verdict always fails")
-		subb   = fs.Bool("submitbench", false, "benchmark 8 concurrent submit.batch clients against sequential single-record submits on a ledger-backed server and emit a JSON report; diverging store state or an idle group-commit path always fails")
-		subSp  = fs.Float64("submit-min-speedup", 0, "with -submitbench: fail unless both engines reach this throughput speedup (0 disables the gate)")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
-	}
-
-	if *incr {
-		return runIncrBench(out, *seed, *quick)
-	}
-	if *batch {
-		return runBatchBench(out, *quick, *minSp)
-	}
-	if *wireb {
-		return runWireBench(out, *quick, *wireSp)
-	}
-	if *clb {
-		return runClusterBench(out, *quick, *clOv)
-	}
-	if *bootb {
-		return runBootBench(out, *quick, *bootSp)
-	}
-	if *memb {
-		return runMemBench(out, *quick)
-	}
-	if *subb {
-		return runSubmitBench(out, *quick, *subSp)
 	}
 
 	ids, err := selectFigures(*fig)

@@ -1,61 +1,6 @@
 package main
 
-import (
-	"bytes"
-	"encoding/json"
-	"testing"
-)
-
-func TestRunIncrBenchQuick(t *testing.T) {
-	var buf bytes.Buffer
-	if err := runIncrBench(&buf, 1, true); err != nil {
-		t.Fatal(err)
-	}
-	var report incrBenchReport
-	if err := json.Unmarshal(buf.Bytes(), &report); err != nil {
-		t.Fatalf("invalid JSON: %v\n%s", err, buf.String())
-	}
-	if len(report.Sizes) != 1 {
-		t.Fatalf("sizes = %+v", report.Sizes)
-	}
-	r := report.Sizes[0]
-	if r.History != 1000 || r.RecomputeNsOp <= 0 || r.IncrementalNsOp <= 0 {
-		t.Fatalf("result = %+v", r)
-	}
-	// The speedup varies with machine and history size; what must always
-	// hold is the differential guarantee.
-	if !r.AssessmentsMatch {
-		t.Fatalf("incremental and recompute assessments diverged: %+v", r)
-	}
-}
-
-func TestRunBootBenchQuick(t *testing.T) {
-	var buf bytes.Buffer
-	if err := runBootBench(&buf, true, 0); err != nil {
-		t.Fatal(err)
-	}
-	var report bootBenchReport
-	if err := json.Unmarshal(buf.Bytes(), &report); err != nil {
-		t.Fatalf("invalid JSON: %v\n%s", err, buf.String())
-	}
-	if len(report.Sizes) != 2 {
-		t.Fatalf("sizes = %+v", report.Sizes)
-	}
-	for _, r := range report.Sizes {
-		if r.Records != 20000 || r.ReplayBootMs <= 0 || r.SnapshotBootMs <= 0 {
-			t.Fatalf("result = %+v", r)
-		}
-		// Timing varies with the machine; the differential guarantees —
-		// identical store state and a boot that really used the snapshot —
-		// must always hold.
-		if !r.StateMatch {
-			t.Fatalf("snapshot boot diverged from full replay: %+v", r)
-		}
-		if r.SnapshotBootMode != "snapshot" {
-			t.Fatalf("boot mode = %q, want snapshot: %+v", r.SnapshotBootMode, r)
-		}
-	}
-}
+import "testing"
 
 func TestSelectFigures(t *testing.T) {
 	all, err := selectFigures("all")

@@ -86,7 +86,6 @@ func run(ctx context.Context, args []string) error {
 		metricsAddr  = fs.String("metrics-addr", "", "HTTP listen address serving GET /metricz stats (empty disables)")
 		incremental  = fs.Bool("incremental", false, "serve assessments from per-server incremental accumulators (O(windows) per assess, bit-identical to a full recompute; replayed ledgers are folded in at startup)")
 		batchWorkers = fs.Int("batch-workers", 0, "worker pool size for assess.batch shard fan-out (0 = GOMAXPROCS)")
-		arenaCap     = fs.Int("arena-cap", 0, "per-server incremental PMF-arena cap in entries per generation (0 = default 32768; superseded by -mem-budget, which accounts arena memory globally)")
 		memBudget    = fs.String("mem-budget", "", "node-wide resident memory budget for server state, e.g. 512MiB or 1G (empty disables; requires -ledger): idle servers are evicted to stubs and rebuilt on demand")
 		wireV2       = fs.Bool("wire-v2", true, "accept the pipelined binary v2 framing alongside JSON on the same listener (false restores the JSON-only pre-v2 server)")
 	)
@@ -106,7 +105,7 @@ func run(ctx context.Context, args []string) error {
 	if err != nil {
 		return err
 	}
-	tester, err := tester(*scheme, *window, *seed, *arenaCap)
+	tester, err := tester(*scheme, *window, *seed)
 	if err != nil {
 		return err
 	}
@@ -183,9 +182,6 @@ func run(ctx context.Context, args []string) error {
 			life := st.Lifecycle()
 			logger.Printf("memory budget %d bytes: %d servers resident (%d bytes), %d evicted",
 				budgetBytes, life.Resident, life.ResidentBytes, life.Evicted)
-			if *arenaCap != 0 {
-				logger.Printf("note: -arena-cap is folded into the -mem-budget accounting; the cap still bounds per-server arena growth, but -mem-budget is the memory control")
-			}
 		}
 		lst := ps.Stats()
 		logger.Printf("ledger %s: %d records in store (boot mode %s, %d segments)",
@@ -365,11 +361,10 @@ func trustFunc(name string, lambda float64) (trust.Func, error) {
 	}
 }
 
-func tester(scheme string, window int, seed uint64, arenaCap int) (behavior.Tester, error) {
+func tester(scheme string, window int, seed uint64) (behavior.Tester, error) {
 	cfg := behavior.Config{
 		WindowSize: window,
 		Calibrator: stats.NewCalibrator(stats.CalibrationConfig{Seed: seed}, 0),
-		ArenaCap:   arenaCap,
 	}
 	switch scheme {
 	case "none":

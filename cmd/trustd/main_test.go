@@ -4,8 +4,6 @@ import (
 	"context"
 	"testing"
 	"time"
-
-	"honestplayer/internal/behavior"
 )
 
 func TestTrustFunc(t *testing.T) {
@@ -25,19 +23,19 @@ func TestTrustFunc(t *testing.T) {
 
 func TestTesterSelection(t *testing.T) {
 	for _, scheme := range []string{"single", "multi", "collusion", "collusion-multi"} {
-		ts, err := tester(scheme, 10, 1, 0)
+		ts, err := tester(scheme, 10, 1)
 		if err != nil || ts == nil {
 			t.Errorf("tester(%q) = %v, %v", scheme, ts, err)
 		}
 	}
-	ts, err := tester("none", 10, 1, 0)
+	ts, err := tester("none", 10, 1)
 	if err != nil || ts != nil {
 		t.Errorf("tester(none) = %v, %v", ts, err)
 	}
-	if _, err := tester("bogus", 10, 1, 0); err == nil {
+	if _, err := tester("bogus", 10, 1); err == nil {
 		t.Error("unknown scheme must fail")
 	}
-	if _, err := tester("single", -1, 1, 0); err == nil {
+	if _, err := tester("single", -1, 1); err == nil {
 		t.Error("invalid window must fail")
 	}
 }
@@ -50,18 +48,5 @@ func TestRunIncremental(t *testing.T) {
 	defer cancel()
 	if err := run(ctx, []string{"-addr", "127.0.0.1:0", "-scheme", "multi", "-incremental"}); err != nil {
 		t.Fatalf("run: %v", err)
-	}
-}
-
-func TestTesterArenaCap(t *testing.T) {
-	if _, err := tester("multi", 10, 1, -1); err == nil {
-		t.Error("negative arena cap must fail")
-	}
-	ts, err := tester("multi", 10, 1, 64)
-	if err != nil {
-		t.Fatalf("tester with arena cap: %v", err)
-	}
-	if got := ts.(*behavior.Multi).Config().ArenaCap; got != 64 {
-		t.Errorf("ArenaCap = %d, want 64", got)
 	}
 }

@@ -269,21 +269,6 @@ func (c *Cluster) ForwardAssess(ctx context.Context, node string, server feedbac
 	return resp, err
 }
 
-// ForwardSubmit hands one record to node.
-func (c *Cluster) ForwardSubmit(ctx context.Context, node string, f feedback.Feedback, replica bool) (bool, error) {
-	cl, err := c.Peer(node)
-	if err != nil {
-		c.forwardErrors.Add(1)
-		return false, err
-	}
-	ctx, cancel := c.callCtx(ctx)
-	defer cancel()
-	c.forwarded.Add(1)
-	stored, err := cl.ForwardSubmitCtx(ctx, c.self.ID, f, replica)
-	c.noteErr(node, err)
-	return stored, err
-}
-
 // ForwardBatch hands records to node in one frame.
 func (c *Cluster) ForwardBatch(ctx context.Context, node string, recs []feedback.Feedback, replica bool) (wire.BatchResponse, error) {
 	cl, err := c.Peer(node)

@@ -14,9 +14,9 @@
 // Sealed segments are immutable and independently verifiable, which is what
 // lets boot replay them in parallel. Legacy single-file JSON-lines ledgers
 // (the PR-7 format) migrate in place: the file becomes segment 1 of a new
-// ledger directory, its content byte-for-byte unchanged, and keeps receiving
-// JSON appends until its first roll-over; segments created after that are
-// binary (see segment.go for both layouts).
+// ledger directory, its content byte-for-byte unchanged, and is sealed at
+// that first open; appends go to a binary segment 2 (see segment.go for both
+// layouts). JSON is a format the ledger reads, never one it writes.
 package ledger
 
 import (
@@ -52,8 +52,7 @@ type Ledger struct {
 	segIndex uint64
 	segSize  int64 // bytes written to the active segment (incl. header)
 	segRecs  uint64
-	segKind  segKind
-	chain    uint32 // crc chain over the active segment's records (binary)
+	chain    uint32 // crc chain over the active segment's records
 
 	records     uint64 // intact records ledger-wide (replayed + appended)
 	sealedSegs  int
@@ -235,8 +234,33 @@ func (l *Ledger) createSegment(idx uint64) error {
 	l.segIndex = idx
 	l.segSize = int64(len(segMagic))
 	l.segRecs = 0
-	l.segKind = segBinary
 	l.chain = 0
+	return nil
+}
+
+// retireJSONSegment cuts a legacy JSON-lines segment back to its intact
+// prefix, leaves it behind as a sealed segment — JSON segments carry no
+// footer; not being the highest-numbered segment is what seals them — and
+// starts the binary segment that receives appends from here on.
+func (l *Ledger) retireJSONSegment(idx uint64, intact int64) error {
+	path := l.segPath(idx)
+	f, err := os.OpenFile(path, os.O_RDWR, 0o644)
+	if err != nil {
+		return fmt.Errorf("ledger: open segment %s: %w", path, err)
+	}
+	// The cut must be durable before a later segment exists: a torn tail
+	// under a later segment reads as corruption and drops everything after.
+	terr := f.Truncate(intact)
+	if terr == nil {
+		terr = f.Sync()
+	}
+	if err := errors.Join(terr, f.Close()); err != nil {
+		return fmt.Errorf("ledger: seal legacy segment %s: %w", path, err)
+	}
+	if err := l.createSegment(idx + 1); err != nil {
+		return err
+	}
+	syncDir(l.dir)
 	return nil
 }
 
@@ -244,7 +268,7 @@ func (l *Ledger) createSegment(idx uint64) error {
 // file structurally (no record emission), truncates anything past the intact
 // prefix, and seeks to the end. A fully-sealed highest segment — the
 // kill-during-roll-over case — is left untouched and a fresh segment is
-// created after it.
+// created after it; so is a legacy JSON segment, cut to its intact prefix.
 func (l *Ledger) openActive(idx uint64) error {
 	path := l.segPath(idx)
 	data, err := readSegmentFile(path)
@@ -261,14 +285,17 @@ func (l *Ledger) openActive(idx uint64) error {
 		l.truncatedSegments++
 		l.truncatedBytes += sc.truncated
 	}
+	if sc.kind == segJSON && sc.intact > 0 {
+		return l.retireJSONSegment(idx, sc.intact)
+	}
 	f, err := os.OpenFile(path, os.O_RDWR, 0o644)
 	if err != nil {
 		return fmt.Errorf("ledger: open segment %s: %w", path, err)
 	}
 	intact := sc.intact
-	kind := sc.kind
-	if kind == segBinary && intact < int64(len(segMagic)) {
-		// Torn or absent header: rewrite the segment from scratch.
+	if intact < int64(len(segMagic)) {
+		// Torn or absent header, or a legacy file without one intact line:
+		// rewrite the segment from scratch.
 		if err := f.Truncate(0); err != nil {
 			cerr := f.Close()
 			return errors.Join(fmt.Errorf("ledger: truncate %s: %w", path, err), cerr)
@@ -294,7 +321,6 @@ func (l *Ledger) openActive(idx uint64) error {
 	l.segIndex = idx
 	l.segSize = intact
 	l.segRecs = sc.records
-	l.segKind = kind
 	l.chain = sc.chain
 	return nil
 }
@@ -377,11 +403,7 @@ func (l *Ledger) commitGroup(group []*commitWaiter) error {
 	l.buf = l.buf[:0]
 	for _, w := range group {
 		for _, rec := range w.recs {
-			if l.segKind == segJSON {
-				l.buf, err = appendJSONLine(l.buf, rec)
-			} else {
-				l.buf, chain, err = appendRecord(l.buf, rec, chain)
-			}
+			l.buf, chain, err = appendRecord(l.buf, rec, chain)
 			if err != nil {
 				return fmt.Errorf("ledger: encode: %w", err)
 			}
@@ -482,21 +504,16 @@ func groupQuantile(buckets *[groupBuckets]uint64, total uint64, pct uint64) uint
 }
 
 // rollOverLocked seals the active segment — footer, fsync, close — and
-// starts the next one. A legacy JSON segment has no footer slot; it is
-// sealed implicitly by no longer being the highest-numbered segment, which
-// is also what upgrades a migrated ledger to the binary format: every
-// segment after the roll-over is binary. Callers hold l.mu.
+// starts the next one. Callers hold l.mu.
 func (l *Ledger) rollOverLocked() error {
 	if err := l.w.Flush(); err != nil {
 		return fmt.Errorf("ledger: roll-over flush: %w", err)
 	}
-	if l.segKind == segBinary {
-		footer := appendFooter(nil, l.segRecs, uint64(l.segSize)-uint64(len(segMagic)), l.chain)
-		if _, err := l.f.Write(footer); err != nil {
-			return fmt.Errorf("ledger: seal segment %d: %w", l.segIndex, err)
-		}
-		l.segSize += int64(len(footer))
+	footer := appendFooter(nil, l.segRecs, uint64(l.segSize)-uint64(len(segMagic)), l.chain)
+	if _, err := l.f.Write(footer); err != nil {
+		return fmt.Errorf("ledger: seal segment %d: %w", l.segIndex, err)
 	}
+	l.segSize += int64(len(footer))
 	if err := l.f.Sync(); err != nil {
 		return fmt.Errorf("ledger: seal sync: %w", err)
 	}
@@ -511,16 +528,6 @@ func (l *Ledger) rollOverLocked() error {
 	}
 	syncDir(l.dir)
 	return nil
-}
-
-// appendJSONLine appends the legacy JSON-lines encoding of rec.
-func appendJSONLine(buf []byte, rec feedback.Feedback) ([]byte, error) {
-	raw, err := encodeJSONRecord(rec)
-	if err != nil {
-		return buf, err
-	}
-	buf = append(buf, raw...)
-	return append(buf, '\n'), nil
 }
 
 // Sync flushes buffered data and fsyncs the active segment.

@@ -2,6 +2,7 @@ package ledger
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"os"
 	"path/filepath"
@@ -319,7 +320,7 @@ func TestPersistentStoreInvalidRecord(t *testing.T) {
 // single-file ledgers.
 func legacyLine(t *testing.T, f feedback.Feedback) []byte {
 	t.Helper()
-	raw, err := encodeJSONRecord(f)
+	raw, err := json.Marshal(f)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -356,8 +357,8 @@ func TestLegacyEmptyLinesSkipped(t *testing.T) {
 }
 
 // TestLegacyMigration proves a PR-7 single-file JSON ledger opens unchanged:
-// the file becomes segment 1 of a directory with its bytes intact, replays
-// fully, and keeps accepting (JSON) appends until its first roll-over.
+// the file becomes segment 1 of a directory with its bytes intact and replays
+// fully; it is sealed at that open, so appends land in a binary segment 2.
 func TestLegacyMigration(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "legacy.jsonl")
 	var want []byte
@@ -389,7 +390,7 @@ func TestLegacyMigration(t *testing.T) {
 		t.Fatal("migration altered the legacy file's bytes")
 	}
 
-	// Appends continue in the legacy JSON encoding until roll-over.
+	// The writer never appends JSON: the legacy segment stays as it was.
 	if err := l.Append(rec("d", true, 4)); err != nil {
 		t.Fatal(err)
 	}
@@ -400,11 +401,15 @@ func TestLegacyMigration(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if string(data[:len(want)]) != string(want) {
-		t.Fatal("append rewrote existing legacy bytes")
+	if string(data) != string(want) {
+		t.Fatal("append touched the legacy segment")
 	}
-	if data[len(data)-1] != '\n' {
-		t.Fatal("legacy segment append was not a JSON line")
+	data, err = os.ReadFile(filepath.Join(path, segmentName(2)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sc, _ := scanSegment(data, nil); sc.kind != segBinary || sc.records != 1 {
+		t.Fatalf("segment 2 scan = %+v, want one binary record", sc)
 	}
 
 	_, got, err = Open(path)
@@ -476,34 +481,38 @@ func TestRollOverSealsAndUpgrades(t *testing.T) {
 	}
 }
 
-// TestMigratedLedgerUpgradesOnRollOver: after a migrated JSON segment rolls
-// over, new segments are binary and the full history still replays.
+// TestMigratedLedgerUpgradesOnRollOver: a migrated JSON segment is rolled
+// over when the ledger opens — torn tail cut, counted as sealed once — new
+// segments are binary and the full history still replays.
 func TestMigratedLedgerUpgradesOnRollOver(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "upg.jsonl")
 	var data []byte
 	for i := 0; i < 5; i++ {
 		data = append(data, legacyLine(t, rec("a", true, int64(i+1)))...)
 	}
+	intact := int64(len(data))
+	data = append(data, `{"time":"2024-01-01T00:00:`...) // torn final line
 	if err := os.WriteFile(path, data, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	l, err := openLedger(path, 64) // below the existing file size: first append rolls over
+	l, err := openLedger(path, 1<<20)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if err := l.replayFrom(context.Background(), 0, nil); err != nil {
 		t.Fatal(err)
 	}
-	if l.segKind != segJSON {
-		t.Fatal("migrated active segment should still be JSON")
+	if l.segIndex != 2 || l.segRecs != 0 || l.sealedSegs != 1 || l.sealedBytes != intact || l.records != 5 {
+		t.Fatalf("after open: active %d with %d records, %d sealed (%d bytes), %d records; want 2, 0, 1 (%d), 5",
+			l.segIndex, l.segRecs, l.sealedSegs, l.sealedBytes, l.records, intact)
+	}
+	if fi, err := os.Stat(l.segPath(1)); err != nil || fi.Size() != intact {
+		t.Fatalf("legacy segment not cut to its intact prefix: %v %v", fi, err)
 	}
 	for i := 5; i < 10; i++ {
 		if err := l.Append(rec("a", true, int64(i+1))); err != nil {
 			t.Fatal(err)
 		}
-	}
-	if l.segKind != segBinary {
-		t.Fatal("post-roll-over segment should be binary")
 	}
 	if err := l.Close(); err != nil {
 		t.Fatal(err)
@@ -596,6 +605,64 @@ func TestCorruptSealedSegmentTruncatesSuffix(t *testing.T) {
 	}
 	if uint64(len(got2)) != want+1 {
 		t.Fatalf("after repair+append: %d records, want %d", len(got2), want+1)
+	}
+}
+
+// TestCorruptLegacySegmentRetires: corruption inside a migrated JSON segment
+// that already has binary successors degrades like any sealed segment — the
+// intact prefix is kept, later segments dropped — except that the legacy
+// file is not re-adopted for appends: a binary segment takes over after it.
+func TestCorruptLegacySegmentRetires(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "legacy.jsonl")
+	var data []byte
+	var cut int
+	for i := 0; i < 5; i++ {
+		if i == 3 {
+			cut = len(data)
+		}
+		data = append(data, legacyLine(t, rec("a", true, int64(i+1)))...)
+	}
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	l, _, err := Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := l.Append(rec("a", true, 6)); err != nil {
+		t.Fatal(err)
+	}
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	seg1 := filepath.Join(path, segmentName(1))
+	data[cut] = '#' // the fourth line no longer parses
+	if err := os.WriteFile(seg1, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	l2, got, err := Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(got) != 3 {
+		t.Fatalf("replayed %d records, want the 3 before the corruption", len(got))
+	}
+	if l2.segIndex != 2 || l2.segRecs != 0 || l2.sealedSegs != 1 || l2.truncatedSegments != 1 {
+		t.Fatalf("active %d with %d records, %d sealed, %d truncated; want 2, 0, 1, 1",
+			l2.segIndex, l2.segRecs, l2.sealedSegs, l2.truncatedSegments)
+	}
+	if fi, err := os.Stat(seg1); err != nil || fi.Size() != int64(cut) {
+		t.Fatalf("legacy segment not cut to its intact prefix: %v %v", fi, err)
+	}
+	if err := l2.Append(rec("a", true, 7)); err != nil {
+		t.Fatal(err)
+	}
+	if err := l2.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if _, got, err = Open(path); err != nil || len(got) != 4 {
+		t.Fatalf("after recovery + append: replayed %d (%v), want 4", len(got), err)
 	}
 }
 

@@ -221,13 +221,22 @@ func (l *Ledger) adoptTruncated(idx uint64, sc segScan, later []uint64) error {
 			return fmt.Errorf("ledger: drop segment %d: %w", j, err)
 		}
 	}
+	l.truncatedSegments++
+	l.truncatedBytes += discarded
+	if sc.kind == segJSON && sc.intact > 0 {
+		// A legacy segment is never appended to again: its intact prefix
+		// stays behind sealed and a binary segment takes over.
+		l.sealedSegs++
+		l.sealedBytes += sc.intact
+		return l.retireJSONSegment(idx, sc.intact)
+	}
 	path := l.segPath(idx)
 	f, err := os.OpenFile(path, os.O_RDWR, 0o644)
 	if err != nil {
 		return fmt.Errorf("ledger: reopen segment %s: %w", path, err)
 	}
 	intact := sc.intact
-	if sc.kind == segBinary && intact < int64(len(segMagic)) {
+	if intact < int64(len(segMagic)) {
 		intact = 0
 	}
 	if err := f.Truncate(intact); err != nil {
@@ -249,10 +258,7 @@ func (l *Ledger) adoptTruncated(idx uint64, sc segScan, later []uint64) error {
 	l.segIndex = idx
 	l.segSize = intact
 	l.segRecs = sc.records
-	l.segKind = sc.kind
 	l.chain = sc.chain
-	l.truncatedSegments++
-	l.truncatedBytes += discarded
 	syncDir(l.dir)
 	return nil
 }

@@ -224,11 +224,6 @@ func scanJSONSegment(data []byte, emit func(feedback.Feedback) error) (segScan, 
 	return sc, nil
 }
 
-// encodeJSONRecord marshals one record in the legacy JSON-lines encoding.
-func encodeJSONRecord(rec feedback.Feedback) ([]byte, error) {
-	return json.Marshal(rec)
-}
-
 // decodeJSONRecord unmarshals and validates one JSON line.
 func decodeJSONRecord(line []byte) (feedback.Feedback, bool) {
 	var f feedback.Feedback

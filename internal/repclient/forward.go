@@ -25,19 +25,9 @@ func (c *Client) ForwardAssessCtx(ctx context.Context, node string, server feedb
 	return resp, err
 }
 
-// ForwardSubmitCtx hands one feedback record to the peer. Replica marks a
-// replication write (stored without further fan-out).
-func (c *Client) ForwardSubmitCtx(ctx context.Context, node string, f feedback.Feedback, replica bool) (bool, error) {
-	var resp wire.SubmitResponse
-	req := wire.FwdSubmitRequest{Node: node, Feedback: f, Replica: replica}
-	if err := roundTrip(c, ctx, wire.TypeFwdSubmit, wire.TypeFwdSubmitR, req, &resp); err != nil {
-		return false, err
-	}
-	return resp.Stored, nil
-}
-
 // ForwardBatchCtx hands a slice of records to the peer in one frame, with
-// the same per-record report as a client batch submit.
+// the same per-record report as a client batch submit. Replica marks a
+// replication write (stored without further fan-out).
 func (c *Client) ForwardBatchCtx(ctx context.Context, node string, recs []feedback.Feedback, replica bool) (wire.BatchResponse, error) {
 	var resp wire.BatchResponse
 	req := wire.FwdBatchRequest{Node: node, Records: recs, Replica: replica}

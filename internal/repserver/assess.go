@@ -1,0 +1,242 @@
+package repserver
+
+import (
+	"context"
+	"fmt"
+	"runtime"
+	"sync"
+	"sync/atomic"
+
+	"honestplayer/internal/assesscache"
+	"honestplayer/internal/cluster"
+	"honestplayer/internal/core"
+	"honestplayer/internal/feedback"
+	"honestplayer/internal/service"
+	"honestplayer/internal/store"
+	"honestplayer/internal/wire"
+)
+
+// The assess path. Every verdict this node computes — single assess,
+// assess.batch, and their fwd.* twins — comes out of assessGroup, which
+// serves each item in the same order: incremental accumulator, then
+// version-stamped cache, then two-phase recompute. A single assess is a
+// group of one, so its verdict is bit-identical to the same server's item in
+// a batch.
+
+// routeAssess serves TypeAssess: from local state when this node holds the
+// server, by digest-verified fan-out to its replica set when it does not.
+func (s *Server) routeAssess(ctx context.Context, req wire.AssessRequest) (wire.AssessResponse, error) {
+	if cl := s.clusterRef.Load(); cl != nil && req.Server != "" && !cl.Owns(req.Server) {
+		return s.clusterAssess(ctx, cl, req)
+	}
+	return s.Assess(ctx, req)
+}
+
+// Assess runs one assessment against local state, exactly as a TypeAssess
+// request would be served minus the wire decode and socket I/O. It is the
+// entry point for embedders and benchmark harnesses that need the serving
+// semantics — incremental accumulator, cache, version checks — without a
+// network round trip.
+func (s *Server) Assess(ctx context.Context, req wire.AssessRequest) (wire.AssessResponse, error) {
+	if req.Server == "" {
+		return wire.AssessResponse{}, service.Errorf(wire.CodeBadRequest, "missing server")
+	}
+	if err := ctx.Err(); err != nil {
+		return wire.AssessResponse{}, err
+	}
+	item := [1]wire.AssessBatchItem{{Server: req.Server}}
+	g := shardGroup{shard: s.cfg.Store.ShardIndex(req.Server), pos: []int{0}, servers: []feedback.EntityID{req.Server}}
+	s.assessGroup(ctx, req.Threshold, &g, item[:])
+	// assessGroup stops early on an expired context, leaving the item blank.
+	if err := ctx.Err(); err != nil {
+		return wire.AssessResponse{}, err
+	}
+	if item[0].Error != nil {
+		return wire.AssessResponse{}, item[0].Error
+	}
+	return item[0].AssessResponse, nil
+}
+
+func (s *Server) routeAssessBatch(ctx context.Context, req wire.AssessBatchRequest) (wire.AssessBatchResponse, error) {
+	return s.assessBatch(ctx, s.clusterRef.Load(), req)
+}
+
+// AssessBatch runs one batch assessment against local state, exactly as a
+// TypeAssessB request would be served on a single node minus the wire decode
+// and socket I/O — the batch counterpart of Assess.
+func (s *Server) AssessBatch(ctx context.Context, req wire.AssessBatchRequest) (wire.AssessBatchResponse, error) {
+	return s.assessBatch(ctx, nil, req)
+}
+
+// assessBatch serves one assess batch: through the cluster split when cl
+// names more than one node, from local state otherwise. Per-server failures
+// (unknown server, assessment error, unreachable owner) land in their item's
+// error slot; only request-level problems — empty or oversized batch,
+// expired context — fail the request. Items[i] always answers Servers[i];
+// len(Items) == len(Servers).
+func (s *Server) assessBatch(ctx context.Context, cl *cluster.Cluster, req wire.AssessBatchRequest) (wire.AssessBatchResponse, error) {
+	n := len(req.Servers)
+	if n == 0 {
+		return wire.AssessBatchResponse{}, service.Errorf(wire.CodeBadRequest, "empty batch")
+	}
+	if n > wire.MaxAssessBatch {
+		return wire.AssessBatchResponse{}, service.Errorf(wire.CodeBadRequest,
+			"batch of %d servers exceeds max %d", n, wire.MaxAssessBatch)
+	}
+	if err := ctx.Err(); err != nil {
+		return wire.AssessBatchResponse{}, err
+	}
+	var items []wire.AssessBatchItem
+	if cl != nil && cl.Size() > 1 {
+		items = s.clusterAssessItems(ctx, cl, req)
+	} else {
+		items = s.assessItems(ctx, req.Servers, req.Threshold)
+	}
+	// A batch cut short by deadline or shutdown fails whole: a half-filled
+	// response would be indistinguishable from per-item failures.
+	if err := ctx.Err(); err != nil {
+		return wire.AssessBatchResponse{}, err
+	}
+	s.nBatchItems.Add(uint64(n))
+	return wire.AssessBatchResponse{Items: items}, nil
+}
+
+// shardGroup is the unit of batch fan-out: the request positions of all
+// items living on one store shard. Grouping is what lets the pool serve a
+// whole shard's items under a single read-lock acquisition.
+type shardGroup struct {
+	shard   int
+	pos     []int               // positions into the request's Servers
+	servers []feedback.EntityID // aligned with pos
+}
+
+// assessItems assesses servers from local state: items are grouped by store
+// shard and the groups fanned out across a bounded worker pool
+// (Config.BatchWorkers, default GOMAXPROCS), each served by assessGroup.
+func (s *Server) assessItems(ctx context.Context, servers []feedback.EntityID, threshold float64) []wire.AssessBatchItem {
+	items := make([]wire.AssessBatchItem, len(servers))
+	byShard := make(map[int]*shardGroup)
+	groups := make([]*shardGroup, 0, s.cfg.Store.NumShards())
+	for i, srv := range servers {
+		items[i].Server = srv
+		if srv == "" {
+			items[i].Error = &wire.ErrorResponse{Code: wire.CodeBadRequest, Message: "missing server"}
+			continue
+		}
+		idx := s.cfg.Store.ShardIndex(srv)
+		g := byShard[idx]
+		if g == nil {
+			g = &shardGroup{shard: idx}
+			byShard[idx] = g
+			groups = append(groups, g)
+		}
+		g.pos = append(g.pos, i)
+		g.servers = append(g.servers, srv)
+	}
+
+	workers := s.cfg.BatchWorkers
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
+	}
+	if workers > len(groups) {
+		workers = len(groups)
+	}
+	if workers <= 1 {
+		for _, g := range groups {
+			s.assessGroup(ctx, threshold, g, items)
+		}
+		return items
+	}
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	wg.Add(workers)
+	for w := 0; w < workers; w++ {
+		go func() {
+			defer wg.Done()
+			for {
+				i := int(next.Add(1)) - 1
+				if i >= len(groups) {
+					return
+				}
+				s.assessGroup(ctx, threshold, groups[i], items)
+			}
+		}()
+	}
+	wg.Wait()
+	return items
+}
+
+// assessGroup serves one shard group in two passes. Pass one holds the shard
+// read lock once for the whole group (evicted servers are faulted in and
+// viewed again, see viewResident): items with a live incremental accumulator
+// are answered in place — each read is O(windows), takes no further locks and
+// allocates nothing per item — everything else just captures its snapshot
+// and version. Pass two runs the cache probes and two-phase recomputes for
+// the captured items after the lock is released, so they never stall the
+// shard's writers.
+//
+// The cache key carries the store's per-server version, read atomically with
+// the history snapshot. Any accepted write bumps the version, so a stale
+// cached assessment can never be served: its version no longer matches and
+// the lookup falls through to recomputation.
+func (s *Server) assessGroup(ctx context.Context, threshold float64, g *shardGroup, items []wire.AssessBatchItem) {
+	type fallback struct {
+		pos     int
+		snap    *feedback.History
+		version uint64
+	}
+	var falls []fallback
+	var served uint64
+	s.viewResident(ctx, g.shard, g.servers,
+		func(i int, acc store.Accumulator, snap *feedback.History, version uint64) {
+			item := &items[g.pos[i]]
+			sa, ok := acc.(*core.ServerAccumulator)
+			if !ok || !s.cfg.Incremental {
+				falls = append(falls, fallback{pos: g.pos[i], snap: snap, version: version})
+				return
+			}
+			accept, a, err := sa.Accept(threshold)
+			if err != nil {
+				item.Error = &wire.ErrorResponse{Code: wire.CodeAssessmentFailed, Message: err.Error()}
+				return
+			}
+			item.AssessResponse = wire.AssessResponse{Assessment: a, Accept: accept, Incremental: true}
+			served++
+		},
+		func(i int, err error) { items[g.pos[i]].Error = service.ErrorResponseFrom(err) })
+	s.nIncremental.Add(served)
+
+	for _, f := range falls {
+		item := &items[f.pos]
+		if ctx.Err() != nil {
+			// The request-level check reports the expiry; no point starting
+			// more recomputes for a response nobody will see.
+			return
+		}
+		if f.snap == nil || f.snap.Len() == 0 {
+			item.Error = &wire.ErrorResponse{
+				Code:    wire.CodeUnknownServer,
+				Message: fmt.Sprintf("no records for %q", item.Server),
+			}
+			continue
+		}
+		if s.cfg.Incremental {
+			s.nFallback.Add(1)
+		}
+		if s.cache != nil {
+			if res, ok := s.cache.Get(item.Server, f.version, threshold); ok {
+				item.AssessResponse = wire.AssessResponse{Assessment: res.Assessment, Accept: res.Accept, Cached: true}
+				continue
+			}
+		}
+		accept, a, err := s.cfg.Assessor.Accept(f.snap, threshold)
+		if err != nil {
+			item.Error = &wire.ErrorResponse{Code: wire.CodeAssessmentFailed, Message: err.Error()}
+			continue
+		}
+		if s.cache != nil {
+			s.cache.Put(item.Server, f.version, threshold, assesscache.Result{Assessment: a, Accept: accept})
+		}
+		item.AssessResponse = wire.AssessResponse{Assessment: a, Accept: accept}
+	}
+}

@@ -76,7 +76,7 @@ func TestAssessBatchMatchesSequential(t *testing.T) {
 			req := wire.AssessBatchRequest{Servers: servers, Threshold: 0.7}
 			for round := 0; round < 20; round++ {
 				world.Lock()
-				got, err := srv.assessBatch(ctx, req)
+				got, err := srv.AssessBatch(ctx, req)
 				if err != nil {
 					world.Unlock()
 					t.Fatalf("round %d: batch: %v", round, err)
@@ -90,7 +90,7 @@ func TestAssessBatchMatchesSequential(t *testing.T) {
 						world.Unlock()
 						t.Fatalf("round %d: item %d answers %q, want %q", round, i, item.Server, servers[i])
 					}
-					single, serr := srv.assess(ctx, wire.AssessRequest{Server: servers[i], Threshold: 0.7})
+					single, serr := srv.Assess(ctx, wire.AssessRequest{Server: servers[i], Threshold: 0.7})
 					if serr != nil {
 						var proto *wire.ErrorResponse
 						if !errors.As(serr, &proto) {
@@ -188,7 +188,7 @@ func TestAssessBatchNeverStale(t *testing.T) {
 		for i := range servers {
 			doneBefore[i] = done[i].Load()
 		}
-		resp, err := srv.assessBatch(ctx, req)
+		resp, err := srv.AssessBatch(ctx, req)
 		if err != nil {
 			t.Fatalf("round %d: %v", round, err)
 		}
@@ -230,7 +230,7 @@ func TestAssessBatchFlags(t *testing.T) {
 	}
 	batchFlags := func(t *testing.T, srv *Server, servers []feedback.EntityID) []wire.AssessResponse {
 		t.Helper()
-		resp, err := srv.assessBatch(ctx, wire.AssessBatchRequest{Servers: servers, Threshold: 0.5})
+		resp, err := srv.AssessBatch(ctx, wire.AssessBatchRequest{Servers: servers, Threshold: 0.5})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -257,7 +257,7 @@ func TestAssessBatchFlags(t *testing.T) {
 				t.Fatalf("accumulator-served batch item flags = incremental:%v cached:%v", got.Incremental, got.Cached)
 			}
 		}
-		single, err := srv.assess(ctx, wire.AssessRequest{Server: "a", Threshold: 0.5})
+		single, err := srv.Assess(ctx, wire.AssessRequest{Server: "a", Threshold: 0.5})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -277,7 +277,7 @@ func TestAssessBatchFlags(t *testing.T) {
 
 		// First serve of "a" is a single-path recompute that populates the
 		// cache; "b" has never been assessed.
-		single, err := srv.assess(ctx, wire.AssessRequest{Server: "a", Threshold: 0.5})
+		single, err := srv.Assess(ctx, wire.AssessRequest{Server: "a", Threshold: 0.5})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -309,7 +309,7 @@ func TestAssessBatchFlags(t *testing.T) {
 		if !got[1].Cached {
 			t.Fatalf("unwritten server lost its cache entry: %+v", got[1])
 		}
-		single, err = srv.assess(ctx, wire.AssessRequest{Server: "a", Threshold: 0.5})
+		single, err = srv.Assess(ctx, wire.AssessRequest{Server: "a", Threshold: 0.5})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -325,14 +325,14 @@ func TestAssessBatchValidation(t *testing.T) {
 	srv := startServer(t)
 	ctx := context.Background()
 
-	if _, err := srv.assessBatch(ctx, wire.AssessBatchRequest{Threshold: 0.5}); err == nil {
+	if _, err := srv.AssessBatch(ctx, wire.AssessBatchRequest{Threshold: 0.5}); err == nil {
 		t.Fatal("empty batch must fail")
 	}
 	big := make([]feedback.EntityID, wire.MaxAssessBatch+1)
 	for i := range big {
 		big[i] = feedback.EntityID(fmt.Sprintf("s%d", i))
 	}
-	_, err := srv.assessBatch(ctx, wire.AssessBatchRequest{Servers: big, Threshold: 0.5})
+	_, err := srv.AssessBatch(ctx, wire.AssessBatchRequest{Servers: big, Threshold: 0.5})
 	var proto *wire.ErrorResponse
 	if !errors.As(err, &proto) || proto.Code != wire.CodeBadRequest {
 		t.Fatalf("oversized batch error = %v", err)
@@ -341,7 +341,7 @@ func TestAssessBatchValidation(t *testing.T) {
 	if _, err := srv.cfg.Recorder.Add(rec("known", "c", true, 1)); err != nil {
 		t.Fatal(err)
 	}
-	resp, err := srv.assessBatch(ctx, wire.AssessBatchRequest{
+	resp, err := srv.AssessBatch(ctx, wire.AssessBatchRequest{
 		Servers: []feedback.EntityID{"known", "", "ghost"}, Threshold: 0.5,
 	})
 	if err != nil {

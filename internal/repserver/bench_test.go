@@ -92,13 +92,13 @@ func benchAssess(b *testing.B, cacheSize int) {
 	req := wire.AssessRequest{Server: "srv", Threshold: 0.9}
 	ctx := context.Background()
 	// Warm up calibration (and the cache, when enabled) outside the timer.
-	if _, err := srv.assess(ctx, req); err != nil {
+	if _, err := srv.Assess(ctx, req); err != nil {
 		b.Fatalf("assess: %v", err)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := srv.assess(ctx, req); err != nil {
+		if _, err := srv.Assess(ctx, req); err != nil {
 			b.Fatalf("assess: %v", err)
 		}
 	}
@@ -126,7 +126,7 @@ func BenchmarkAssessMixed(b *testing.B) {
 				if _, err := srv.Seed(benchHistoryRecs(name, 2000)); err != nil {
 					b.Fatal(err)
 				}
-				if _, err := srv.assess(ctx, wire.AssessRequest{Server: name, Threshold: 0.9}); err != nil {
+				if _, err := srv.Assess(ctx, wire.AssessRequest{Server: name, Threshold: 0.9}); err != nil {
 					b.Fatalf("assess: %v", err)
 				}
 			}
@@ -148,7 +148,7 @@ func BenchmarkAssessMixed(b *testing.B) {
 					}
 					continue
 				}
-				if _, err := srv.assess(ctx, wire.AssessRequest{Server: name, Threshold: 0.9}); err != nil {
+				if _, err := srv.Assess(ctx, wire.AssessRequest{Server: name, Threshold: 0.9}); err != nil {
 					b.Fatalf("assess: %v", err)
 				}
 			}
@@ -202,7 +202,7 @@ func BenchmarkAssessAfterAppend(b *testing.B) {
 				if _, err := srv.cfg.Recorder.Add(f); err != nil {
 					b.Fatal(err)
 				}
-				if _, err := srv.assess(ctx, req); err != nil {
+				if _, err := srv.Assess(ctx, req); err != nil {
 					b.Fatalf("assess: %v", err)
 				}
 			}
@@ -219,7 +219,7 @@ func BenchmarkAssessAfterAppend(b *testing.B) {
 				if _, err := srv.cfg.Recorder.Add(f); err != nil {
 					b.Fatal(err)
 				}
-				if _, err := srv.assess(ctx, req); err != nil {
+				if _, err := srv.Assess(ctx, req); err != nil {
 					b.Fatalf("assess: %v", err)
 				}
 			}

@@ -25,12 +25,12 @@ import (
 // client should see: a typed error relayed from the peer keeps its code
 // (unknown_server stays unknown_server), a transport failure becomes
 // unavailable.
-func forwardedErr(err error) error {
+func forwardedErr(err error) *wire.ErrorResponse {
 	var typed *wire.ErrorResponse
 	if errors.As(err, &typed) {
 		return typed
 	}
-	return service.Errorf(wire.CodeUnavailable, "%v", err)
+	return &wire.ErrorResponse{Code: wire.CodeUnavailable, Message: err.Error()}
 }
 
 // nodeID names the local node in forwarded responses; empty on a
@@ -79,73 +79,79 @@ func (s *Server) replicate(ctx context.Context, recs []feedback.Feedback) {
 
 // acceptedRecords filters out the records a batch apply rejected, so
 // replication only carries records the owner actually holds.
-func acceptedRecords(recs []feedback.Feedback, rejected []wire.BatchReject) []feedback.Feedback {
-	if len(rejected) == 0 {
+func acceptedRecords(recs []feedback.Feedback, resp wire.BatchResponse) []feedback.Feedback {
+	if len(resp.Rejected) == 0 {
 		return recs
 	}
-	drop := make(map[int]struct{}, len(rejected))
-	for _, r := range rejected {
-		drop[r.Index] = struct{}{}
-	}
-	out := make([]feedback.Feedback, 0, len(recs)-len(rejected))
+	out := make([]feedback.Feedback, 0, len(recs)-len(resp.Rejected))
 	for i, rec := range recs {
-		if _, bad := drop[i]; !bad {
+		if resp.Items[i].Error == nil {
 			out = append(out, rec)
 		}
 	}
 	return out
 }
 
-// batchGroup is one owner's slice of a batch request, with the original
-// request positions for remapping the per-record report.
-type batchGroup struct {
-	recs []feedback.Feedback
-	idx  []int
+// ownerGroup is one node's slice of a batch request, with the original
+// request positions for remapping the per-item report.
+type ownerGroup[T any] struct {
+	items []T
+	idx   []int
 }
 
-// clusterBatch serves a submit.batch on a clustered node: records are split
-// by owner, the local group applied (and replicated) in place, the remote
-// groups forwarded to their owners concurrently. Per-record rejections are
-// remapped to request positions; an unreachable owner rejects its whole
-// group with an unavailable reason, preserving the batch invariant
+// splitByOwner splits a batch into the group this node serves itself and one
+// group per owner of the rest; route says, per item, which of the two it is
+// and names the owner.
+func splitByOwner[T any](items []T, route func(T) (owner string, here bool)) (local ownerGroup[T], remote map[string]*ownerGroup[T]) {
+	remote = make(map[string]*ownerGroup[T])
+	for i, item := range items {
+		g := &local
+		if owner, here := route(item); !here {
+			if g = remote[owner]; g == nil {
+				g = &ownerGroup[T]{}
+				remote[owner] = g
+			}
+		}
+		g.items = append(g.items, item)
+		g.idx = append(g.idx, i)
+	}
+	return local, remote
+}
+
+// clusterBatch serves submitted records on a clustered node: records are
+// split by owner, the local group applied (and replicated) in place, the
+// remote groups forwarded to their owners concurrently as fwd.submit.batch
+// frames. Per-record rejections are remapped to request positions; an owner
+// that is unreachable, or answers without one item per record, rejects its
+// whole group, preserving the batch invariant
 // Stored + Duplicates + len(Rejected) == len(Records).
-func (s *Server) clusterBatch(ctx context.Context, cl *cluster.Cluster, req wire.BatchRequest) (wire.BatchResponse, error) {
+func (s *Server) clusterBatch(ctx context.Context, cl *cluster.Cluster, recs []feedback.Feedback, batchFrame bool) (wire.BatchResponse, error) {
 	if err := ctx.Err(); err != nil {
 		return wire.BatchResponse{}, err
 	}
-	var local batchGroup
-	remote := make(map[string]*batchGroup)
-	for i, rec := range req.Records {
+	local, remote := splitByOwner(recs, func(rec feedback.Feedback) (string, bool) {
 		owner := cl.Owner(rec.Server)
-		if owner == cl.Self() {
-			local.recs = append(local.recs, rec)
-			local.idx = append(local.idx, i)
-			continue
-		}
-		g := remote[owner]
-		if g == nil {
-			g = &batchGroup{}
-			remote[owner] = g
-		}
-		g.recs = append(g.recs, rec)
-		g.idx = append(g.idx, i)
-	}
+		return owner, owner == cl.Self()
+	})
 
 	type result struct {
-		g    *batchGroup
+		g    *ownerGroup[feedback.Feedback]
 		resp wire.BatchResponse
 		err  error
 	}
 	results := make([]result, 0, len(remote)+1)
 	resCh := make(chan result, len(remote))
 	for owner, g := range remote {
-		go func(owner string, g *batchGroup) {
-			resp, err := cl.ForwardBatch(ctx, owner, g.recs, false)
+		go func(owner string, g *ownerGroup[feedback.Feedback]) {
+			resp, err := cl.ForwardBatch(ctx, owner, g.items, false)
+			if err == nil && len(resp.Items) != len(g.items) {
+				err = fmt.Errorf("owner %s returned %d items for %d records", owner, len(resp.Items), len(g.items))
+			}
 			resCh <- result{g: g, resp: resp, err: err}
 		}(owner, g)
 	}
-	if len(local.recs) > 0 {
-		resp, err := s.applyBatch(ctx, local.recs)
+	if len(local.items) > 0 {
+		resp, err := s.applyBatch(ctx, local.items, batchFrame)
 		if err != nil {
 			// Only context expiry aborts applyBatch; drain the fan-out before
 			// reporting it.
@@ -154,26 +160,23 @@ func (s *Server) clusterBatch(ctx context.Context, cl *cluster.Cluster, req wire
 			}
 			return wire.BatchResponse{}, err
 		}
-		s.replicate(ctx, acceptedRecords(local.recs, resp.Rejected))
+		s.replicate(ctx, acceptedRecords(local.items, resp))
 		results = append(results, result{g: &local, resp: resp})
 	}
 	for range remote {
 		results = append(results, <-resCh)
 	}
 
-	out := wire.BatchResponse{Items: make([]wire.SubmitBatchItem, len(req.Records))}
+	out := wire.BatchResponse{Items: make([]wire.SubmitBatchItem, len(recs))}
 	for _, r := range results {
 		if r.err != nil {
-			// The whole group failed to reach its owner: report every record
-			// as rejected so the response still accounts for each one.
-			reason := fmt.Sprintf("%s: %v", wire.CodeUnavailable, r.err)
-			var typed *wire.ErrorResponse
-			if errors.As(r.err, &typed) {
-				reason = typed.Error()
-			}
+			// The whole group failed at its owner: report every record as
+			// rejected so the response still accounts for each one.
+			e := forwardedErr(r.err)
+			reason := fmt.Sprintf("%s: %s", e.Code, e.Message)
 			for _, pos := range r.g.idx {
 				out.Rejected = append(out.Rejected, wire.BatchReject{Index: pos, Reason: reason})
-				out.Items[pos].Error = &wire.ErrorResponse{Code: wire.CodeUnavailable, Message: reason}
+				out.Items[pos].Error = e
 			}
 			continue
 		}
@@ -182,26 +185,8 @@ func (s *Server) clusterBatch(ctx context.Context, cl *cluster.Cluster, req wire
 		for _, rej := range r.resp.Rejected {
 			out.Rejected = append(out.Rejected, wire.BatchReject{Index: r.g.idx[rej.Index], Reason: rej.Reason})
 		}
-		if len(r.resp.Items) == len(r.g.recs) {
-			for i, item := range r.resp.Items {
-				out.Items[r.g.idx[i]] = item
-			}
-			continue
-		}
-		// A peer that answered without a per-item report (it should not —
-		// every node of a cluster runs the same build): synthesize the items
-		// from the aggregate counters. Rejected slots are exact; the rest can
-		// only be told apart when the group had no duplicates at all.
-		rejected := make(map[int]string, len(r.resp.Rejected))
-		for _, rej := range r.resp.Rejected {
-			rejected[rej.Index] = rej.Reason
-		}
-		for i, pos := range r.g.idx {
-			if reason, bad := rejected[i]; bad {
-				out.Items[pos].Error = &wire.ErrorResponse{Code: wire.CodeInvalidFeedback, Message: reason}
-				continue
-			}
-			out.Items[pos].Stored = r.resp.Duplicates == 0
+		for i, item := range r.resp.Items {
+			out.Items[r.g.idx[i]] = item
 		}
 	}
 	sortRejected(out.Rejected)
@@ -332,86 +317,47 @@ func fetchFull(ctx context.Context, cl *cluster.Cluster, req wire.AssessRequest,
 	return live
 }
 
-// clusterAssessBatch serves an assess.batch on a clustered node: servers
-// split by routing — locally held ones through the normal shard-grouped
-// pool, the rest forwarded to their owners concurrently — and the items
-// remapped to request order. An unreachable owner fails only its own items
-// (unavailable), matching the batch's per-item error contract.
-func (s *Server) clusterAssessBatch(ctx context.Context, cl *cluster.Cluster, req wire.AssessBatchRequest) (wire.AssessBatchResponse, error) {
-	n := len(req.Servers)
-	if n == 0 {
-		return wire.AssessBatchResponse{}, service.Errorf(wire.CodeBadRequest, "empty batch")
-	}
-	if n > wire.MaxAssessBatch {
-		return wire.AssessBatchResponse{}, service.Errorf(wire.CodeBadRequest,
-			"batch of %d servers exceeds max %d", n, wire.MaxAssessBatch)
-	}
-	if err := ctx.Err(); err != nil {
-		return wire.AssessBatchResponse{}, err
-	}
-
-	type assessGroup struct {
-		servers []feedback.EntityID
-		idx     []int
-	}
-	var local assessGroup
-	remote := make(map[string]*assessGroup)
-	for i, srv := range req.Servers {
-		// Local state wins (owner or replica); empty IDs go through the
-		// local path for its standard missing-server item error.
+// clusterAssessItems assesses the servers of a batch on a clustered node:
+// servers split by routing — locally held ones through the normal
+// shard-grouped pool, the rest forwarded to their owners concurrently — and
+// the items remapped to request order. An owner that is unreachable, or
+// answers without one item per server, fails only its own items, matching
+// the batch's per-item error contract.
+func (s *Server) clusterAssessItems(ctx context.Context, cl *cluster.Cluster, req wire.AssessBatchRequest) []wire.AssessBatchItem {
+	// Local state wins (owner or replica); empty IDs go through the local
+	// path for its standard missing-server item error.
+	local, remote := splitByOwner(req.Servers, func(srv feedback.EntityID) (string, bool) {
 		if srv == "" || cl.Owns(srv) {
-			local.servers = append(local.servers, srv)
-			local.idx = append(local.idx, i)
-			continue
+			return "", true
 		}
-		owner := cl.Owner(srv)
-		g := remote[owner]
-		if g == nil {
-			g = &assessGroup{}
-			remote[owner] = g
-		}
-		g.servers = append(g.servers, srv)
-		g.idx = append(g.idx, i)
-	}
+		return cl.Owner(srv), false
+	})
 
-	items := make([]wire.AssessBatchItem, n)
+	items := make([]wire.AssessBatchItem, len(req.Servers))
 	type result struct {
-		g     *assessGroup
+		g     *ownerGroup[feedback.EntityID]
 		items []wire.AssessBatchItem
 		err   error
 	}
 	resCh := make(chan result, len(remote))
 	for owner, g := range remote {
-		go func(owner string, g *assessGroup) {
-			got, err := cl.ForwardAssessBatch(ctx, owner, g.servers, req.Threshold)
-			if err == nil && len(got) != len(g.servers) {
-				err = fmt.Errorf("owner %s returned %d items for %d servers", owner, len(got), len(g.servers))
+		go func(owner string, g *ownerGroup[feedback.EntityID]) {
+			got, err := cl.ForwardAssessBatch(ctx, owner, g.items, req.Threshold)
+			if err == nil && len(got) != len(g.items) {
+				err = fmt.Errorf("owner %s returned %d items for %d servers", owner, len(got), len(g.items))
 			}
 			resCh <- result{g: g, items: got, err: err}
 		}(owner, g)
 	}
-	if len(local.servers) > 0 {
-		resp, err := s.assessBatch(ctx, wire.AssessBatchRequest{Servers: local.servers, Threshold: req.Threshold})
-		if err != nil {
-			for range remote {
-				<-resCh
-			}
-			return wire.AssessBatchResponse{}, err
-		}
-		for i, item := range resp.Items {
-			items[local.idx[i]] = item
-		}
+	for i, item := range s.assessItems(ctx, local.items, req.Threshold) {
+		items[local.idx[i]] = item
 	}
 	for range remote {
 		r := <-resCh
 		if r.err != nil {
-			e := &wire.ErrorResponse{Code: wire.CodeUnavailable, Message: r.err.Error()}
-			var typed *wire.ErrorResponse
-			if errors.As(r.err, &typed) {
-				e = typed
-			}
+			e := forwardedErr(r.err)
 			for i, pos := range r.g.idx {
-				items[pos] = wire.AssessBatchItem{Server: r.g.servers[i], Error: e}
+				items[pos] = wire.AssessBatchItem{Server: r.g.items[i], Error: e}
 			}
 			continue
 		}
@@ -419,77 +365,48 @@ func (s *Server) clusterAssessBatch(ctx context.Context, cl *cluster.Cluster, re
 			items[r.g.idx[i]] = item
 		}
 	}
-	s.nBatchItems.Add(uint64(len(remote)))
-	return wire.AssessBatchResponse{Items: items}, nil
+	return items
 }
 
 // Node-to-node handlers. Every fwd.* request is answered from local state
 // only.
 
-func (s *Server) handleFwdAssess(ctx context.Context, env wire.Envelope) (wire.Envelope, error) {
-	var req wire.FwdAssessRequest
-	if err := wire.DecodePayload(env, &req); err != nil {
-		return wire.Envelope{}, service.Errorf(wire.CodeBadRequest, "%v", err)
-	}
+func (s *Server) fwdAssess(ctx context.Context, req wire.FwdAssessRequest) (wire.NodeAssessment, error) {
 	_, version := s.cfg.Store.Snapshot(req.Server)
 	sum := s.cfg.Store.ServerChecksum(req.Server)
 	na := wire.NodeAssessment{Node: s.nodeID(), Records: sum.Count, Version: version, XOR: sum.XOR}
 	if !req.DigestOnly {
-		resp, err := s.assess(ctx, wire.AssessRequest{Server: req.Server, Threshold: req.Threshold})
+		resp, err := s.Assess(ctx, wire.AssessRequest{Server: req.Server, Threshold: req.Threshold})
 		if err != nil {
-			return wire.Envelope{}, err
+			return wire.NodeAssessment{}, err
 		}
 		na.AssessResponse = resp
 	}
-	return service.CodecFrom(ctx).Encode(wire.TypeFwdAssessR, env.ID, na)
+	return na, nil
 }
 
-func (s *Server) handleFwdSubmit(ctx context.Context, env wire.Envelope) (wire.Envelope, error) {
-	var req wire.FwdSubmitRequest
-	if err := wire.DecodePayload(env, &req); err != nil {
-		return wire.Envelope{}, service.Errorf(wire.CodeBadRequest, "%v", err)
-	}
-	if err := ctx.Err(); err != nil {
-		return wire.Envelope{}, err
-	}
-	stored, err := s.cfg.Recorder.Add(req.Feedback)
+// fwdBatch applies records a peer handed over: a client batch's slice for
+// this owner, a non-owner's single submit as a batch of one, or a
+// replication write.
+func (s *Server) fwdBatch(ctx context.Context, req wire.FwdBatchRequest) (wire.BatchResponse, error) {
+	resp, err := s.applyBatch(ctx, req.Records, true)
 	if err != nil {
-		return wire.Envelope{}, service.Errorf(wire.CodeInvalidFeedback, "%v", err)
-	}
-	if stored && !req.Replica {
-		// We are the owner of a forwarded write: fan it out to the replica
-		// set. Replica writes stop here by construction.
-		s.replicate(ctx, []feedback.Feedback{req.Feedback})
-	}
-	return service.CodecFrom(ctx).Encode(wire.TypeFwdSubmitR, env.ID, wire.SubmitResponse{Stored: stored})
-}
-
-func (s *Server) handleFwdBatch(ctx context.Context, env wire.Envelope) (wire.Envelope, error) {
-	var req wire.FwdBatchRequest
-	if err := wire.DecodePayload(env, &req); err != nil {
-		return wire.Envelope{}, service.Errorf(wire.CodeBadRequest, "%v", err)
-	}
-	resp, err := s.applyBatch(ctx, req.Records)
-	if err != nil {
-		return wire.Envelope{}, err
+		return wire.BatchResponse{}, err
 	}
 	if !req.Replica {
-		s.replicate(ctx, acceptedRecords(req.Records, resp.Rejected))
+		// We are the owner of forwarded writes: fan them out to the replica
+		// set. Replica writes stop here by construction.
+		s.replicate(ctx, acceptedRecords(req.Records, resp))
 	}
-	return service.CodecFrom(ctx).Encode(wire.TypeFwdBatchR, env.ID, resp)
+	return resp, nil
 }
 
-func (s *Server) handleFwdAssessBatch(ctx context.Context, env wire.Envelope) (wire.Envelope, error) {
-	var req wire.FwdAssessBatchRequest
-	if err := wire.DecodePayload(env, &req); err != nil {
-		return wire.Envelope{}, service.Errorf(wire.CodeBadRequest, "%v", err)
-	}
-	resp, err := s.assessBatch(ctx, wire.AssessBatchRequest{Servers: req.Servers, Threshold: req.Threshold})
+func (s *Server) fwdAssessBatch(ctx context.Context, req wire.FwdAssessBatchRequest) (wire.FwdAssessBatchResponse, error) {
+	resp, err := s.AssessBatch(ctx, wire.AssessBatchRequest{Servers: req.Servers, Threshold: req.Threshold})
 	if err != nil {
-		return wire.Envelope{}, err
+		return wire.FwdAssessBatchResponse{}, err
 	}
-	out := wire.FwdAssessBatchResponse{Node: s.nodeID(), Items: resp.Items}
-	return service.CodecFrom(ctx).Encode(wire.TypeFwdAssessBR, env.ID, out)
+	return wire.FwdAssessBatchResponse{Node: s.nodeID(), Items: resp.Items}, nil
 }
 
 func (s *Server) handleClusterInfo(ctx context.Context, env wire.Envelope) (wire.Envelope, error) {

@@ -1,14 +1,17 @@
 package repserver
 
 import (
+	"bufio"
 	"errors"
 	"fmt"
+	"net"
 	"reflect"
 	"testing"
 	"time"
 
 	"honestplayer/internal/cluster"
 	"honestplayer/internal/feedback"
+	"honestplayer/internal/service"
 	"honestplayer/internal/wire"
 )
 
@@ -356,5 +359,162 @@ func TestClusterDigestVerifiedReads(t *testing.T) {
 	}
 	if got, want := stripRouting(got2), stripRouting(want); !reflect.DeepEqual(got, want) {
 		t.Fatalf("merged verdict diverges from hand merge:\n got %+v\nwant %+v", got, want)
+	}
+}
+
+// TestClusterBatchCounters: the door of an assess.batch counts every item of
+// the frame — forwarded ones included — and a single submit through a
+// non-owner door reaches the owner as a fwd.submit.batch frame without
+// moving the door's batch counters.
+func TestClusterBatchCounters(t *testing.T) {
+	servers := startCluster(t, 3, 1, func() Config { return Config{Assessor: testAssessor(t)} })
+	door, cl := servers[0], servers[0].Cluster()
+	c := dial(t, door)
+
+	var ids []feedback.EntityID
+	remote := 0
+	for i := 0; i < 12; i++ {
+		id := feedback.EntityID(fmt.Sprintf("counted-%02d", i))
+		ids = append(ids, id)
+		if !cl.IsOwner(id) {
+			remote++
+		}
+		if stored, err := c.Submit(rec(id, "alice", true, int64(i+1))); err != nil || !stored {
+			t.Fatalf("single submit of %q through the door: stored=%v err=%v", id, stored, err)
+		}
+	}
+	if remote == 0 || remote == len(ids) {
+		t.Fatalf("%d of %d servers are remote to the door; the test needs both kinds", remote, len(ids))
+	}
+	if st := door.Stats(); st.SubmitBatches != 0 || st.SubmitBatchItems != 0 {
+		t.Fatalf("single submits moved the door's batch counters: %d/%d", st.SubmitBatches, st.SubmitBatchItems)
+	}
+	var fwdFrames uint64
+	for _, srv := range servers[1:] {
+		per := srv.Stats().PerType
+		fwdFrames += per[string(wire.TypeFwdBatch)].Requests
+		if _, ok := per["fwd.submit"]; ok {
+			t.Fatal("a node served the retired fwd.submit type")
+		}
+	}
+	if fwdFrames != uint64(remote) {
+		t.Fatalf("owners served %d fwd.submit.batch frames, want one per remote single submit (%d)", fwdFrames, remote)
+	}
+
+	items, err := c.AssessBatch(ids, 0.5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, item := range items {
+		if item.Error != nil {
+			t.Fatalf("item %q: %v", item.Server, item.Error)
+		}
+	}
+	if got := door.Stats().BatchItems; got != uint64(len(ids)) {
+		t.Fatalf("door batch_items = %d, want every item of the frame (%d)", got, len(ids))
+	}
+}
+
+// shortPeer is a cluster member that answers fwd.*.batch frames without the
+// per-item report: a stand-in for a peer the door cannot align with its
+// request. It speaks JSON only, so the door's client falls back from v2.
+func shortPeer(t *testing.T) string {
+	t.Helper()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = ln.Close() })
+	go func() {
+		for {
+			nc, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			go func() {
+				defer func() { _ = nc.Close() }()
+				r := bufio.NewReader(nc)
+				for {
+					env, err := wire.Read(r)
+					if err != nil {
+						_ = wire.Write(nc, service.ErrorEnvelope(wire.UnattributableID, err))
+						return
+					}
+					var resp wire.Envelope
+					switch env.Type {
+					case wire.TypeFwdBatch:
+						resp, _ = wire.Encode(wire.TypeFwdBatchR, env.ID, wire.BatchResponse{Stored: 1})
+					case wire.TypeFwdAssessB:
+						resp, _ = wire.Encode(wire.TypeFwdAssessBR, env.ID, wire.FwdAssessBatchResponse{Node: "n2"})
+					default:
+						resp, _ = wire.Encode(wire.TypePong, env.ID, nil)
+					}
+					if wire.Write(nc, resp) != nil {
+						return
+					}
+				}
+			}()
+		}
+	}()
+	return ln.Addr().String()
+}
+
+// TestClusterShortPeerReportFailsItsGroup: an owner answering a forwarded
+// batch without one item per record (or server) fails exactly its own
+// group; the door's own items are served and the response still accounts
+// for every request position.
+func TestClusterShortPeerReportFailsItsGroup(t *testing.T) {
+	door, err := New("127.0.0.1:0", Config{Assessor: testAssessor(t)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cl, err := cluster.New(cluster.Config{
+		Self:     "n1",
+		Nodes:    []cluster.Node{{ID: "n1", Addr: door.Addr()}, {ID: "n2", Addr: shortPeer(t)}},
+		Replicas: 1, DialTimeout: 3 * time.Second,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	door.SetCluster(cl)
+	door.Start()
+	t.Cleanup(func() {
+		_ = cl.Close()
+		_ = door.Close()
+	})
+
+	var mine, theirs feedback.EntityID
+	for i := 0; mine == "" || theirs == ""; i++ {
+		id := feedback.EntityID(fmt.Sprintf("short-%d", i))
+		if cl.IsOwner(id) {
+			mine = id
+		} else {
+			theirs = id
+		}
+	}
+	c := dial(t, door)
+	resp, err := c.SubmitBatchReport([]feedback.Feedback{rec(theirs, "a", true, 1), rec(mine, "a", true, 2)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp.Stored != 1 || resp.Duplicates != 0 || len(resp.Rejected) != 1 || resp.Rejected[0].Index != 0 {
+		t.Fatalf("report = %+v, want the door's record stored and the peer's rejected", resp)
+	}
+	if e := resp.Items[0].Error; e == nil || e.Code != wire.CodeUnavailable {
+		t.Fatalf("peer's item = %+v, want unavailable", resp.Items[0])
+	}
+	if !resp.Items[1].Stored {
+		t.Fatalf("door's item = %+v, want stored", resp.Items[1])
+	}
+
+	items, err := c.AssessBatch([]feedback.EntityID{theirs, mine}, 0.5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if e := items[0].Error; e == nil || e.Code != wire.CodeUnavailable || items[0].Server != theirs {
+		t.Fatalf("peer's assess item = %+v, want unavailable", items[0])
+	}
+	if items[1].Error != nil || items[1].Server != mine {
+		t.Fatalf("door's assess item = %+v, want a verdict", items[1])
 	}
 }

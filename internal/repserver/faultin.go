@@ -10,10 +10,10 @@ package repserver
 
 import (
 	"context"
-	"errors"
 
 	"honestplayer/internal/feedback"
 	"honestplayer/internal/service"
+	"honestplayer/internal/store"
 	"honestplayer/internal/wire"
 )
 
@@ -76,38 +76,41 @@ func (s *Server) faultIn(ctx context.Context, server feedback.EntityID) error {
 	return nil
 }
 
-// residentSnapshot is Store.Snapshot with fault-in: evicted servers are
-// rebuilt and the read retried, up to maxFaultAttempts. The returned history
-// is non-nil — empty (version 0) for unknown servers, resident otherwise.
-func (s *Server) residentSnapshot(ctx context.Context, server feedback.EntityID) (*feedback.History, uint64, error) {
-	for attempt := 0; ; attempt++ {
-		h, version := s.cfg.Store.Snapshot(server)
-		if h != nil {
-			return h, version, nil
+// viewResident is Store.ViewShard with fault-in: view never sees an evicted
+// server. Evicted servers are rebuilt and viewed again, up to
+// maxFaultAttempts; one that cannot be made resident goes to fail instead.
+// Both callbacks get the server's position in servers, and view runs under
+// the shard read lock with ViewShard's contract.
+func (s *Server) viewResident(ctx context.Context, shard int, servers []feedback.EntityID,
+	view func(i int, acc store.Accumulator, snap *feedback.History, version uint64),
+	fail func(i int, err error)) {
+	var pos []int // pos[j] is where the round's j-th server sits in servers; nil on the first round (identity)
+	round := servers
+	for attempt := 0; len(round) > 0; attempt++ {
+		var evicted []int
+		s.cfg.Store.ViewShard(shard, round, func(j int, acc store.Accumulator, snap *feedback.History, version uint64) {
+			if pos != nil {
+				j = pos[j]
+			}
+			if snap == nil && version > 0 {
+				evicted = append(evicted, j)
+				return
+			}
+			view(j, acc, snap, version)
+		})
+		var again []int
+		round = nil
+		for _, i := range evicted {
+			if attempt == maxFaultAttempts {
+				fail(i, service.Errorf(wire.CodeUnavailable,
+					"server %q: evicted again after %d rebuilds (memory budget too small for working set)",
+					servers[i], attempt))
+			} else if err := s.faultIn(ctx, servers[i]); err != nil {
+				fail(i, err)
+			} else {
+				again, round = append(again, i), append(round, servers[i])
+			}
 		}
-		if attempt == maxFaultAttempts {
-			return nil, 0, service.Errorf(wire.CodeUnavailable,
-				"server %q: evicted again after %d rebuilds (memory budget too small for working set)",
-				server, attempt)
-		}
-		if err := s.faultIn(ctx, server); err != nil {
-			return nil, 0, err
-		}
-	}
-}
-
-// errorResponseFrom converts a handler error into the per-item error form of
-// a batch response, mirroring ErrorEnvelopeCodec's code mapping.
-func errorResponseFrom(err error) *wire.ErrorResponse {
-	var proto *wire.ErrorResponse
-	switch {
-	case errors.As(err, &proto):
-		return proto
-	case errors.Is(err, context.DeadlineExceeded):
-		return &wire.ErrorResponse{Code: wire.CodeDeadlineExceeded, Message: err.Error()}
-	case errors.Is(err, context.Canceled):
-		return &wire.ErrorResponse{Code: wire.CodeCanceled, Message: err.Error()}
-	default:
-		return &wire.ErrorResponse{Code: wire.CodeInternal, Message: err.Error()}
+		pos = again
 	}
 }

@@ -51,8 +51,8 @@ func TestAssessIncrementalMatchesBatch(t *testing.T) {
 			continue
 		}
 		req := wire.AssessRequest{Server: server, Threshold: 0.7}
-		got, gotErr := incrSrv.assess(ctx, req)
-		want, wantErr := batchSrv.assess(ctx, req)
+		got, gotErr := incrSrv.Assess(ctx, req)
+		want, wantErr := batchSrv.Assess(ctx, req)
 		if (gotErr == nil) != (wantErr == nil) {
 			t.Fatalf("n=%d: error mismatch: incremental=%v batch=%v", i+1, gotErr, wantErr)
 		}
@@ -117,7 +117,7 @@ func TestAssessIncrementalUnknownServer(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { _ = srv.Close() })
-	_, aerr := srv.assess(context.Background(), wire.AssessRequest{Server: "ghost"})
+	_, aerr := srv.Assess(context.Background(), wire.AssessRequest{Server: "ghost"})
 	if aerr == nil || !strings.Contains(aerr.Error(), "no records") {
 		t.Fatalf("unknown server error = %v", aerr)
 	}

@@ -347,15 +347,14 @@ func (s *Server) Cluster() *cluster.Cluster { return s.clusterRef.Load() }
 func (s *Server) buildPipeline() service.Handler {
 	reg := service.NewRegistry()
 	reg.Register(wire.TypePing, s.handlePing)
-	reg.Register(wire.TypeSubmit, s.handleSubmit)
-	reg.Register(wire.TypeSubmitB, s.handleBatch)
-	reg.Register(wire.TypeHistory, s.handleHistory)
-	reg.Register(wire.TypeAssess, s.handleAssess)
-	reg.Register(wire.TypeAssessB, s.handleAssessBatch)
-	reg.Register(wire.TypeFwdAssess, s.handleFwdAssess)
-	reg.Register(wire.TypeFwdSubmit, s.handleFwdSubmit)
-	reg.Register(wire.TypeFwdBatch, s.handleFwdBatch)
-	reg.Register(wire.TypeFwdAssessB, s.handleFwdAssessBatch)
+	reg.Register(wire.TypeSubmit, typed(wire.TypeSubmitR, s.submit))
+	reg.Register(wire.TypeSubmitB, typed(wire.TypeSubmitBR, s.submitBatch))
+	reg.Register(wire.TypeHistory, typed(wire.TypeHistoryR, s.history))
+	reg.Register(wire.TypeAssess, typed(wire.TypeAssessR, s.routeAssess))
+	reg.Register(wire.TypeAssessB, typed(wire.TypeAssessBR, s.routeAssessBatch))
+	reg.Register(wire.TypeFwdAssess, typed(wire.TypeFwdAssessR, s.fwdAssess))
+	reg.Register(wire.TypeFwdBatch, typed(wire.TypeFwdBatchR, s.fwdBatch))
+	reg.Register(wire.TypeFwdAssessB, typed(wire.TypeFwdAssessBR, s.fwdAssessBatch))
 	reg.Register(wire.TypeClusterInfo, s.handleClusterInfo)
 
 	dispatch := func(ctx context.Context, env wire.Envelope) (wire.Envelope, error) {
@@ -537,10 +536,28 @@ func (s *Server) logf(format string, args ...any) {
 	}
 }
 
-// v2BufSize sizes the per-connection bufio reader and writer on v2
-// connections: large enough that a pipelined burst of frames is absorbed in
-// one syscall each way.
+// v2BufSize sizes the per-connection bufio writer on v2 connections: large
+// enough that the responses to a pipelined burst of frames leave in one
+// syscall.
 const v2BufSize = 256 << 10
+
+// framing is everything the connection loop needs to know about the protocol
+// a connection speaks.
+type framing struct {
+	// codec encodes error frames, and rides the request context so handlers
+	// answer in the connection's encoding.
+	codec wire.Codec
+	// read returns the next request frame. keep is set when the previous
+	// request's handler was abandoned by the deadline interceptor and may
+	// still be reading its payload on its own goroutine: a reader that
+	// recycles its frame buffer must then start a fresh one.
+	read func(keep bool) (wire.Envelope, error)
+	// write queues one response frame.
+	write func(wire.Envelope) error
+	// flush pushes queued responses to the socket if the next read may
+	// block; a framing that writes through has nothing to do.
+	flush func() error
+}
 
 // handle serves one connection. The first byte selects the framing: 0xB2
 // opens the v2 hello handshake, anything else (a '{' in practice) is the
@@ -565,19 +582,81 @@ func (s *Server) handle(c *conn) {
 			return
 		}
 	}
-	s.handleJSON(c, reader)
+	s.serve(c, framing{
+		codec: wire.JSONCodec,
+		read:  func(bool) (wire.Envelope, error) { return wire.Read(reader) },
+		write: func(env wire.Envelope) error { return wire.Write(c.nc, env) },
+		flush: func() error { return nil },
+	})
 }
 
-// handleJSON serves one JSON-framed connection's request loop. Each request
-// runs through the service pipeline with the server's base context; handler
-// errors become error frames (the connection survives them), write failures
-// end the connection.
-func (s *Server) handleJSON(c *conn, reader *bufio.Reader) {
+// handleV2 completes the hello handshake and serves one binary-framed
+// connection. Responses go through a large buffered writer that is flushed
+// only when no further request is already buffered — a pipelined burst of N
+// requests costs ~one write syscall, not N — and once more when the loop
+// ends, whatever ended it.
+//
+// The read buffer is reused across frames (wire.ReadV2Into): the envelope's
+// payload aliases it and every handler fully decodes the payload before
+// returning. The one exception is a handler abandoned by the deadline
+// interceptor; the loop reports it through read's keep argument and the
+// buffer is surrendered to that handler.
+func (s *Server) handleV2(c *conn, reader *bufio.Reader) {
+	if _, err := wire.ReadHello(reader); err != nil {
+		// The magic byte matched but the hello didn't. Answer with the JSON
+		// id-0 error frame — the peer has not completed the v2 handshake, so
+		// JSON is the only framing it can be assumed to parse — and close.
+		s.nErrors.Add(1)
+		_ = wire.Write(c.nc, service.ErrorEnvelope(wire.UnattributableID,
+			service.Errorf(wire.CodeBadRequest, "%v", err)))
+		return
+	}
+	if err := wire.WriteHelloAck(c.nc); err != nil {
+		return
+	}
+	s.nV2Conns.Add(1)
+	bw := bufio.NewWriterSize(c.nc, v2BufSize)
+	defer func() { _ = bw.Flush() }()
+	var frameBuf []byte
+	s.serve(c, framing{
+		codec: wire.V2Codec,
+		read: func(keep bool) (wire.Envelope, error) {
+			if keep {
+				frameBuf = nil
+			}
+			env, buf, err := wire.ReadV2Into(reader, frameBuf)
+			frameBuf = buf
+			return env, err
+		},
+		write: func(env wire.Envelope) error { return wire.WriteV2(bw, env) },
+		flush: func() error {
+			// Flush before a read that may block: the client's pipeline stays
+			// full only while responses keep flowing.
+			if reader.Buffered() > 0 {
+				return nil
+			}
+			return bw.Flush()
+		},
+	})
+}
+
+// serve is the request loop of one connection, in either framing. Each
+// request runs through the service pipeline with the server's base context;
+// handler errors become error frames (the connection survives them), write
+// failures end the connection.
+func (s *Server) serve(c *conn, f framing) {
+	ctx := service.WithCodec(s.baseCtx, f.codec)
+	abandoned := false
 	for {
 		if c.setBusy(false) {
 			return // draining and idle: stop before reading another request
 		}
-		env, err := wire.Read(reader)
+		if err := f.flush(); err != nil {
+			s.nErrors.Add(1)
+			return
+		}
+		env, err := f.read(abandoned)
+		abandoned = false
 		if err != nil {
 			// EOF and closed connections are normal terminations; protocol
 			// violations get a best-effort error frame. The frame is forced
@@ -589,7 +668,7 @@ func (s *Server) handleJSON(c *conn, reader *bufio.Reader) {
 			if errors.Is(err, wire.ErrBadMessage) || errors.Is(err, wire.ErrBadVersion) ||
 				errors.Is(err, wire.ErrFrameTooLarge) {
 				s.nErrors.Add(1)
-				_ = wire.Write(c.nc, service.ErrorEnvelope(wire.UnattributableID,
+				_ = f.write(service.ErrorEnvelopeCodec(f.codec, wire.UnattributableID,
 					service.Errorf(wire.CodeBadRequest, "%v", err)))
 			}
 			return
@@ -606,12 +685,16 @@ func (s *Server) handleJSON(c *conn, reader *bufio.Reader) {
 		c.busy = true
 		c.mu.Unlock()
 		s.nRequests.Add(1)
-		resp, herr := s.pipeline(s.baseCtx, env)
+		resp, herr := s.pipeline(ctx, env)
 		if herr != nil {
 			s.nErrors.Add(1)
-			resp = service.ErrorEnvelope(env.ID, herr)
+			resp = service.ErrorEnvelopeCodec(f.codec, env.ID, herr)
+			// A deadline or cancellation error means the interceptor gave up
+			// on a handler that may still be running (TestRequestDeadlineExceeded
+			// pins the buffer hand-over under -race).
+			abandoned = errors.Is(herr, context.DeadlineExceeded) || errors.Is(herr, context.Canceled)
 		}
-		if err := wire.Write(c.nc, resp); err != nil {
+		if err := f.write(resp); err != nil {
 			s.nErrors.Add(1)
 			s.logf("conn %s: write %s response: %v", c.nc.RemoteAddr(), env.Type, err)
 			return
@@ -619,151 +702,59 @@ func (s *Server) handleJSON(c *conn, reader *bufio.Reader) {
 	}
 }
 
-// handleV2 completes the hello handshake and serves one binary-framed
-// connection. Requests run through the same pipeline as JSON connections,
-// with the v2 codec threaded through the request context so handlers (and
-// the error-frame path) answer in binary. Responses are written through a
-// large buffered writer that is flushed only when no further request is
-// already buffered — a pipelined burst of N requests costs ~one write
-// syscall, not N.
-//
-// Unlike the JSON loop, the read buffer is reused across frames
-// (wire.ReadV2Into): the envelope's payload aliases it and every handler
-// fully decodes the payload before returning. The one exception is a
-// handler abandoned by the deadline interceptor, which may still be reading
-// the payload on its own goroutine — the loop surrenders the buffer to it
-// and starts a fresh one (see the deadline-error branch below).
-func (s *Server) handleV2(c *conn, reader *bufio.Reader) {
-	if _, err := wire.ReadHello(reader); err != nil {
-		// The magic byte matched but the hello didn't. Answer with the JSON
-		// id-0 error frame — the peer has not completed the v2 handshake, so
-		// JSON is the only framing it can be assumed to parse — and close.
-		s.nErrors.Add(1)
-		_ = wire.Write(c.nc, service.ErrorEnvelope(wire.UnattributableID,
-			service.Errorf(wire.CodeBadRequest, "%v", err)))
-		return
-	}
-	if err := wire.WriteHelloAck(c.nc); err != nil {
-		return
-	}
-	s.nV2Conns.Add(1)
-	connCtx := service.WithCodec(s.baseCtx, wire.V2Codec)
-	bw := bufio.NewWriterSize(c.nc, v2BufSize)
-	var frameBuf []byte
-	for {
-		if c.setBusy(false) {
-			_ = bw.Flush()
-			return // draining and idle: stop before reading another request
+// typed adapts a function from a decoded request payload to a response
+// payload into a service.Handler: a payload that does not decode is a
+// bad_request, fn's error becomes the error frame, and its response is
+// encoded in the connection's codec under respType.
+func typed[Req, Resp any](respType wire.MsgType, fn func(context.Context, Req) (Resp, error)) service.Handler {
+	return func(ctx context.Context, env wire.Envelope) (wire.Envelope, error) {
+		var req Req
+		if err := wire.DecodePayload(env, &req); err != nil {
+			return wire.Envelope{}, service.Errorf(wire.CodeBadRequest, "%v", err)
 		}
-		// Flush buffered responses before a read that may block: the
-		// client's pipeline stays full only while responses keep flowing.
-		if reader.Buffered() == 0 {
-			if err := bw.Flush(); err != nil {
-				s.nErrors.Add(1)
-				return
-			}
-		}
-		env, buf, err := wire.ReadV2Into(reader, frameBuf)
-		frameBuf = buf
+		resp, err := fn(ctx, req)
 		if err != nil {
-			// EOF and closed connections are normal terminations; protocol
-			// violations get a best-effort id-0 error frame (connection-fatal
-			// for the client, matching the JSON loop's semantics).
-			if errors.Is(err, wire.ErrBadMessage) || errors.Is(err, wire.ErrBadVersion) ||
-				errors.Is(err, wire.ErrFrameTooLarge) {
-				s.nErrors.Add(1)
-				_ = wire.WriteV2(bw, service.ErrorEnvelopeCodec(wire.V2Codec, wire.UnattributableID,
-					service.Errorf(wire.CodeBadRequest, "%v", err)))
-				_ = bw.Flush()
-			}
-			return
+			return wire.Envelope{}, err
 		}
-		c.mu.Lock()
-		if c.closing {
-			c.mu.Unlock()
-			return
-		}
-		c.busy = true
-		c.mu.Unlock()
-		s.nRequests.Add(1)
-		resp, herr := s.pipeline(connCtx, env)
-		if herr != nil {
-			s.nErrors.Add(1)
-			resp = service.ErrorEnvelopeCodec(wire.V2Codec, env.ID, herr)
-			if errors.Is(herr, context.DeadlineExceeded) || errors.Is(herr, context.Canceled) {
-				// The deadline interceptor abandoned the handler mid-flight;
-				// it may still read env.Payload on its own goroutine. Give
-				// the buffer up instead of overwriting it with the next
-				// frame (the aliasing regression in repserver tests pins
-				// this under -race).
-				frameBuf = nil
-			}
-		}
-		if err := wire.WriteV2(bw, resp); err != nil {
-			s.nErrors.Add(1)
-			s.logf("conn %s: write %s response: %v", c.nc.RemoteAddr(), env.Type, err)
-			return
-		}
+		return service.CodecFrom(ctx).Encode(respType, env.ID, resp)
 	}
 }
-
-// Per-type handlers. Each takes the request context threaded from the
-// accept loop (bounded by the deadline interceptor) and returns either a
-// response envelope or an error the transport converts to an error frame.
 
 func (s *Server) handlePing(ctx context.Context, env wire.Envelope) (wire.Envelope, error) {
 	return service.CodecFrom(ctx).Encode(wire.TypePong, env.ID, nil)
 }
 
-func (s *Server) handleSubmit(ctx context.Context, env wire.Envelope) (wire.Envelope, error) {
-	var req wire.SubmitRequest
-	if err := wire.DecodePayload(env, &req); err != nil {
-		return wire.Envelope{}, service.Errorf(wire.CodeBadRequest, "%v", err)
-	}
-	if err := ctx.Err(); err != nil {
-		return wire.Envelope{}, err
-	}
-	if cl := s.clusterRef.Load(); cl != nil && !cl.IsOwner(req.Feedback.Server) {
-		// Not the owner: the owner applies the write (and replicates it); we
-		// relay its answer. Validation happens there too, so a bad record
-		// comes back as the same typed invalid_feedback error.
-		stored, err := cl.ForwardSubmit(ctx, cl.Owner(req.Feedback.Server), req.Feedback, false)
-		if err != nil {
-			return wire.Envelope{}, forwardedErr(err)
-		}
-		return service.CodecFrom(ctx).Encode(wire.TypeSubmitR, env.ID, wire.SubmitResponse{Stored: stored})
-	}
-	stored, err := s.cfg.Recorder.Add(req.Feedback)
+// submit serves a single submit as a batch of one: same routing, same
+// fault-in retry, same error codes as the record would get in a submit.batch
+// frame, with its item slot unwrapped into the single response.
+func (s *Server) submit(ctx context.Context, req wire.SubmitRequest) (wire.SubmitResponse, error) {
+	resp, err := s.routeSubmit(ctx, []feedback.Feedback{req.Feedback}, false)
 	if err != nil {
-		return wire.Envelope{}, service.Errorf(wire.CodeInvalidFeedback, "%v", err)
+		return wire.SubmitResponse{}, err
 	}
-	if stored {
-		s.replicate(ctx, []feedback.Feedback{req.Feedback})
+	if e := resp.Items[0].Error; e != nil {
+		return wire.SubmitResponse{}, e
 	}
-	return service.CodecFrom(ctx).Encode(wire.TypeSubmitR, env.ID, wire.SubmitResponse{Stored: stored})
+	return wire.SubmitResponse{Stored: resp.Items[0].Stored}, nil
 }
 
-func (s *Server) handleBatch(ctx context.Context, env wire.Envelope) (wire.Envelope, error) {
-	var req wire.BatchRequest
-	if err := wire.DecodePayload(env, &req); err != nil {
-		return wire.Envelope{}, service.Errorf(wire.CodeBadRequest, "%v", err)
-	}
+func (s *Server) submitBatch(ctx context.Context, req wire.BatchRequest) (wire.BatchResponse, error) {
 	if len(req.Records) > wire.MaxSubmitBatch {
-		return wire.Envelope{}, service.Errorf(wire.CodeBadRequest,
+		return wire.BatchResponse{}, service.Errorf(wire.CodeBadRequest,
 			"batch of %d records exceeds max %d", len(req.Records), wire.MaxSubmitBatch)
 	}
+	return s.routeSubmit(ctx, req.Records, true)
+}
+
+// routeSubmit applies client-submitted records: split by owner on a
+// clustered node, stored in place otherwise. batchFrame says whether the
+// records arrived in a batch frame, which is what the submit_batch* counters
+// count.
+func (s *Server) routeSubmit(ctx context.Context, recs []feedback.Feedback, batchFrame bool) (wire.BatchResponse, error) {
 	if cl := s.clusterRef.Load(); cl != nil && cl.Size() > 1 {
-		resp, err := s.clusterBatch(ctx, cl, req)
-		if err != nil {
-			return wire.Envelope{}, err
-		}
-		return service.CodecFrom(ctx).Encode(wire.TypeSubmitBR, env.ID, resp)
+		return s.clusterBatch(ctx, cl, recs, batchFrame)
 	}
-	resp, err := s.applyBatch(ctx, req.Records)
-	if err != nil {
-		return wire.Envelope{}, err
-	}
-	return service.CodecFrom(ctx).Encode(wire.TypeSubmitBR, env.ID, resp)
+	return s.applyBatch(ctx, recs, batchFrame)
 }
 
 // applyBatch stores records locally with the per-record report semantics of
@@ -772,7 +763,7 @@ func (s *Server) handleBatch(ctx context.Context, env wire.Envelope) (wire.Envel
 // shard-grouped insertion over the bounded worker pool plus one ledger group
 // commit; anything else is served record by record with identical results.
 // Items[i] always answers Records[i]; len(Items) == len(Records).
-func (s *Server) applyBatch(ctx context.Context, recs []feedback.Feedback) (wire.BatchResponse, error) {
+func (s *Server) applyBatch(ctx context.Context, recs []feedback.Feedback, batchFrame bool) (wire.BatchResponse, error) {
 	resp := wire.BatchResponse{Items: make([]wire.SubmitBatchItem, len(recs))}
 	if err := ctx.Err(); err != nil {
 		return wire.BatchResponse{}, err
@@ -812,9 +803,8 @@ func (s *Server) applyBatch(ctx context.Context, recs []feedback.Feedback) (wire
 	for i, r := range results {
 		if r.Err != nil {
 			// Typed errors (fault-in failures above all) keep their code;
-			// plain validation errors report as invalid_feedback, matching
-			// the single-submit path.
-			er := errorResponseFrom(r.Err)
+			// plain validation errors report as invalid_feedback.
+			er := service.ErrorResponseFrom(r.Err)
 			if er.Code == wire.CodeInternal {
 				er = &wire.ErrorResponse{Code: wire.CodeInvalidFeedback, Message: r.Err.Error()}
 			}
@@ -829,28 +819,35 @@ func (s *Server) applyBatch(ctx context.Context, recs []feedback.Feedback) (wire
 			resp.Duplicates++
 		}
 	}
-	s.nSubBatches.Add(1)
-	s.nSubItems.Add(uint64(len(recs)))
-	s.nSubRejects.Add(uint64(len(resp.Rejected)))
+	if batchFrame {
+		s.nSubBatches.Add(1)
+		s.nSubItems.Add(uint64(len(recs)))
+		s.nSubRejects.Add(uint64(len(resp.Rejected)))
+	}
 	return resp, nil
 }
 
-func (s *Server) handleHistory(ctx context.Context, env wire.Envelope) (wire.Envelope, error) {
-	var req wire.HistoryRequest
-	if err := wire.DecodePayload(env, &req); err != nil {
-		return wire.Envelope{}, service.Errorf(wire.CodeBadRequest, "%v", err)
-	}
+func (s *Server) history(ctx context.Context, req wire.HistoryRequest) (wire.HistoryResponse, error) {
 	if req.Server == "" {
-		return wire.Envelope{}, service.Errorf(wire.CodeBadRequest, "missing server")
+		return wire.HistoryResponse{}, service.Errorf(wire.CodeBadRequest, "missing server")
 	}
 	if err := ctx.Err(); err != nil {
-		return wire.Envelope{}, err
+		return wire.HistoryResponse{}, err
 	}
 	// Read through the fault-in path: an evicted server is rebuilt rather
 	// than reported empty (Records alone cannot tell evicted from unknown).
-	h, _, err := s.residentSnapshot(ctx, req.Server)
-	if err != nil {
-		return wire.Envelope{}, err
+	var (
+		h    *feedback.History
+		herr error
+	)
+	s.viewResident(ctx, s.cfg.Store.ShardIndex(req.Server), []feedback.EntityID{req.Server},
+		func(_ int, _ store.Accumulator, snap *feedback.History, _ uint64) { h = snap },
+		func(_ int, err error) { herr = err })
+	if herr != nil {
+		return wire.HistoryResponse{}, herr
+	}
+	if h == nil {
+		h = feedback.NewHistory(req.Server) // unknown server: an empty history
 	}
 	recs := h.Records()
 	total := len(recs)
@@ -861,114 +858,7 @@ func (s *Server) handleHistory(ctx context.Context, env wire.Envelope) (wire.Env
 	if len(recs) > limit {
 		recs = recs[len(recs)-limit:]
 	}
-	return service.CodecFrom(ctx).Encode(wire.TypeHistoryR, env.ID, wire.HistoryResponse{Records: recs, Total: total})
-}
-
-func (s *Server) handleAssess(ctx context.Context, env wire.Envelope) (wire.Envelope, error) {
-	var req wire.AssessRequest
-	if err := wire.DecodePayload(env, &req); err != nil {
-		return wire.Envelope{}, service.Errorf(wire.CodeBadRequest, "%v", err)
-	}
-	if cl := s.clusterRef.Load(); cl != nil && req.Server != "" && !cl.Owns(req.Server) {
-		// The local node holds no state for this server: fan out to its
-		// replica set and weight-merge the per-node views.
-		resp, err := s.clusterAssess(ctx, cl, req)
-		if err != nil {
-			return wire.Envelope{}, err
-		}
-		return service.CodecFrom(ctx).Encode(wire.TypeAssessR, env.ID, resp)
-	}
-	resp, err := s.assess(ctx, req)
-	if err != nil {
-		return wire.Envelope{}, err
-	}
-	return service.CodecFrom(ctx).Encode(wire.TypeAssessR, env.ID, resp)
-}
-
-// Assess runs one assessment in process, exactly as a TypeAssess request
-// would be served minus the wire decode and socket I/O. It is the entry
-// point for embedders and benchmark harnesses (cmd/reprobench) that need
-// the serving semantics — incremental accumulator, cache, version checks —
-// without a network round trip.
-func (s *Server) Assess(ctx context.Context, req wire.AssessRequest) (wire.AssessResponse, error) {
-	return s.assess(ctx, req)
-}
-
-// assess serves one TypeAssess request: incremental accumulator first when
-// the engine is on, otherwise history snapshot, cache probe, and two-phase
-// assessment on miss.
-//
-// The incremental path reads the per-server accumulator under the shard
-// read lock and costs O(windows) regardless of history length; its result
-// is bit-identical to the batch recompute (the accumulator's differential
-// guarantee), so the two paths are interchangeable per request.
-//
-// On the fallback path the cache key carries the store's per-server
-// version, read atomically with the history snapshot. Any accepted write
-// bumps the version, so a stale cached assessment can never be served: its
-// version no longer matches and the lookup falls through to recomputation.
-func (s *Server) assess(ctx context.Context, req wire.AssessRequest) (wire.AssessResponse, error) {
-	var resp wire.AssessResponse
-	if req.Server == "" {
-		return resp, service.Errorf(wire.CodeBadRequest, "missing server")
-	}
-	if s.cfg.Incremental {
-		if err := ctx.Err(); err != nil {
-			return resp, err
-		}
-		var (
-			served bool
-			ierr   error
-		)
-		s.cfg.Store.ViewAccumulator(req.Server, func(acc store.Accumulator, _ uint64) {
-			sa, ok := acc.(*core.ServerAccumulator)
-			if !ok {
-				return // foreign accumulator installed on the store; fall back
-			}
-			served = true
-			accept, a, err := sa.Accept(req.Threshold)
-			if err != nil {
-				ierr = service.Errorf(wire.CodeAssessmentFailed, "%v", err)
-				return
-			}
-			resp = wire.AssessResponse{Assessment: a, Accept: accept, Incremental: true}
-		})
-		if served {
-			if ierr != nil {
-				return wire.AssessResponse{}, ierr
-			}
-			s.nIncremental.Add(1)
-			return resp, nil
-		}
-	}
-	h, version, err := s.residentSnapshot(ctx, req.Server)
-	if err != nil {
-		return resp, err
-	}
-	if h.Len() == 0 {
-		return resp, service.Errorf(wire.CodeUnknownServer, "no records for %q", req.Server)
-	}
-	if s.cfg.Incremental {
-		s.nFallback.Add(1)
-	}
-	if s.cache != nil {
-		if res, ok := s.cache.Get(req.Server, version, req.Threshold); ok {
-			return wire.AssessResponse{Assessment: res.Assessment, Accept: res.Accept, Cached: true}, nil
-		}
-	}
-	// The two-phase computation is the expensive part; don't start it for a
-	// request whose deadline already expired.
-	if err := ctx.Err(); err != nil {
-		return resp, err
-	}
-	accept, a, err := s.cfg.Assessor.Accept(h, req.Threshold)
-	if err != nil {
-		return resp, service.Errorf(wire.CodeAssessmentFailed, "%v", err)
-	}
-	if s.cache != nil {
-		s.cache.Put(req.Server, version, req.Threshold, assesscache.Result{Assessment: a, Accept: accept})
-	}
-	return wire.AssessResponse{Assessment: a, Accept: accept}, nil
+	return wire.HistoryResponse{Records: recs, Total: total}, nil
 }
 
 // Seed loads records into the store directly (bypassing the network), for

@@ -3,6 +3,7 @@ package repserver
 import (
 	"bufio"
 	"context"
+	"encoding/json"
 	"errors"
 	"net"
 	"path/filepath"
@@ -88,14 +89,22 @@ func startServer(t *testing.T) *Server {
 	return srv
 }
 
-func dial(t *testing.T, srv *Server) *repclient.Client {
+func dial(t *testing.T, srv *Server, opts ...repclient.Option) *repclient.Client {
 	t.Helper()
-	c, err := repclient.Dial(srv.Addr(), repclient.WithTimeout(3*time.Second))
+	c, err := repclient.Dial(srv.Addr(), append([]repclient.Option{repclient.WithTimeout(3 * time.Second)}, opts...)...)
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { _ = c.Close() })
 	return c
+}
+
+// eachFraming runs fn once per client protocol. Both framings are served by
+// the same connection loop, so whatever that loop guarantees — draining,
+// deadlines, forced shutdown — must hold on each.
+func eachFraming(t *testing.T, fn func(t *testing.T, proto repclient.Option)) {
+	t.Run("json", func(t *testing.T) { fn(t, repclient.WithProtocol(repclient.ProtoJSON)) })
+	t.Run("v2", func(t *testing.T) { fn(t, repclient.WithProtocol(repclient.ProtoV2)) })
 }
 
 func rec(s, c feedback.EntityID, good bool, at int64) feedback.Feedback {
@@ -453,6 +462,9 @@ func TestOversizedFrameRejected(t *testing.T) {
 	}
 }
 
+// TestStatsCounters pins the /metricz keys and what the batch counters
+// count: single submit and assess frames, although served as batches of one,
+// move none of them; batch frames move them by their items.
 func TestStatsCounters(t *testing.T) {
 	srv := startServer(t)
 	c := dial(t, srv)
@@ -460,9 +472,56 @@ func TestStatsCounters(t *testing.T) {
 		t.Fatal(err)
 	}
 	_, _ = c.Submit(feedback.Feedback{}) // invalid -> error counter
+	if _, err := c.Submit(rec("counted", "alice", true, 1)); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.Assess("counted", 0.5); err != nil {
+		t.Fatal(err)
+	}
 	st := srv.Stats()
-	if st.Connections == 0 || st.Requests < 2 {
-		t.Fatalf("stats = %+v", st)
+	if st.Connections != 1 || st.Requests != 4 || st.Errors != 1 {
+		t.Fatalf("connections/requests/errors = %d/%d/%d, want 1/4/1", st.Connections, st.Requests, st.Errors)
+	}
+	if st.SubmitBatches != 0 || st.SubmitBatchItems != 0 || st.SubmitBatchRejects != 0 || st.BatchItems != 0 {
+		t.Fatalf("single frames moved the batch counters: %+v", st)
+	}
+
+	if _, err := c.SubmitBatchReport([]feedback.Feedback{rec("counted", "bob", true, 2), {}, rec("counted", "eve", false, 3)}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.AssessBatch([]feedback.EntityID{"counted", "ghost"}, 0.5); err != nil {
+		t.Fatal(err)
+	}
+	st = srv.Stats()
+	if st.SubmitBatches != 1 || st.SubmitBatchItems != 3 || st.SubmitBatchRejects != 1 || st.BatchItems != 2 {
+		t.Fatalf("batch counters = %d/%d/%d/%d, want 1/3/1/2",
+			st.SubmitBatches, st.SubmitBatchItems, st.SubmitBatchRejects, st.BatchItems)
+	}
+	for typ, want := range map[wire.MsgType]uint64{
+		wire.TypePing: 1, wire.TypeSubmit: 2, wire.TypeAssess: 1, wire.TypeSubmitB: 1, wire.TypeAssessB: 1,
+	} {
+		if got := st.PerType[string(typ)].Requests; got != want {
+			t.Errorf("per_type[%s].requests = %d, want %d", typ, got, want)
+		}
+	}
+
+	raw, err := json.Marshal(st)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var keys map[string]json.RawMessage
+	if err := json.Unmarshal(raw, &keys); err != nil {
+		t.Fatal(err)
+	}
+	for _, k := range []string{"connections", "requests", "errors", "cache", "per_type", "incremental", "batch_items",
+		"submit_batches", "submit_batch_items", "submit_batch_rejects", "v2_connections", "cluster", "lifecycle"} {
+		if _, ok := keys[k]; !ok {
+			t.Errorf("stats lost key %q", k)
+		}
+		delete(keys, k)
+	}
+	if len(keys) != 0 {
+		t.Errorf("stats grew keys %v", keys)
 	}
 }
 
@@ -750,7 +809,9 @@ func TestAssessCacheEndToEnd(t *testing.T) {
 // TypeAssess request whose handler stalls past RequestTimeout must yield a
 // deadline_exceeded error frame — not a hung connection — and the
 // connection must stay usable afterwards.
-func TestRequestDeadlineExceeded(t *testing.T) {
+func TestRequestDeadlineExceeded(t *testing.T) { eachFraming(t, testRequestDeadlineExceeded) }
+
+func testRequestDeadlineExceeded(t *testing.T, proto repclient.Option) {
 	srv, bt := blockingServer(t, Config{RequestTimeout: 80 * time.Millisecond})
 	t.Cleanup(func() {
 		close(bt.release) // let the abandoned handler goroutine finish
@@ -758,7 +819,7 @@ func TestRequestDeadlineExceeded(t *testing.T) {
 			t.Errorf("close: %v", err)
 		}
 	})
-	c := dial(t, srv)
+	c := dial(t, srv, proto)
 	if _, err := c.Submit(rec("slow", "alice", true, 1)); err != nil {
 		t.Fatal(err)
 	}
@@ -792,8 +853,12 @@ func TestRequestDeadlineExceeded(t *testing.T) {
 // flight when Close starts completes and its response is delivered, while
 // the listener refuses new connections.
 func TestGracefulShutdownDrainsInFlight(t *testing.T) {
+	eachFraming(t, testGracefulShutdownDrainsInFlight)
+}
+
+func testGracefulShutdownDrainsInFlight(t *testing.T, proto repclient.Option) {
 	srv, bt := blockingServer(t, Config{DrainTimeout: 5 * time.Second})
-	c := dial(t, srv)
+	c := dial(t, srv, proto)
 	if _, err := c.Submit(rec("srv", "alice", true, 1)); err != nil {
 		t.Fatal(err)
 	}
@@ -858,9 +923,13 @@ func TestGracefulShutdownDrainsInFlight(t *testing.T) {
 // a client that never hangs up) must not hold Close past the drain grace
 // period — the base context is cancelled and the connection force-closed.
 func TestCloseForceTerminatesStalledRequest(t *testing.T) {
+	eachFraming(t, testCloseForceTerminatesStalledRequest)
+}
+
+func testCloseForceTerminatesStalledRequest(t *testing.T, proto repclient.Option) {
 	srv, bt := blockingServer(t, Config{DrainTimeout: 150 * time.Millisecond})
 	t.Cleanup(func() { close(bt.release) })
-	c := dial(t, srv)
+	c := dial(t, srv, proto)
 	if _, err := c.Submit(rec("srv", "alice", true, 1)); err != nil {
 		t.Fatal(err)
 	}
@@ -891,10 +960,12 @@ func TestCloseForceTerminatesStalledRequest(t *testing.T) {
 
 // TestShutdownHonoursCallerContext: Shutdown with an already-expired
 // context still waits for handlers but force-closes immediately.
-func TestShutdownHonoursCallerContext(t *testing.T) {
+func TestShutdownHonoursCallerContext(t *testing.T) { eachFraming(t, testShutdownHonoursCallerContext) }
+
+func testShutdownHonoursCallerContext(t *testing.T, proto repclient.Option) {
 	srv, bt := blockingServer(t, Config{})
 	t.Cleanup(func() { close(bt.release) })
-	c := dial(t, srv)
+	c := dial(t, srv, proto)
 	if _, err := c.Submit(rec("srv", "alice", true, 1)); err != nil {
 		t.Fatal(err)
 	}
@@ -917,8 +988,12 @@ func TestShutdownHonoursCallerContext(t *testing.T) {
 // context has already expired must return ctx.Err() promptly instead of
 // blocking unboundedly on the drain.
 func TestConcurrentShutdownHonoursOwnContext(t *testing.T) {
+	eachFraming(t, testConcurrentShutdownHonoursOwnContext)
+}
+
+func testConcurrentShutdownHonoursOwnContext(t *testing.T, proto repclient.Option) {
 	srv, bt := blockingServer(t, Config{DrainTimeout: 10 * time.Second})
-	c := dial(t, srv)
+	c := dial(t, srv, proto)
 	if _, err := c.Submit(rec("srv", "alice", true, 1)); err != nil {
 		t.Fatal(err)
 	}

@@ -111,22 +111,28 @@ func ErrorEnvelope(id uint64, err error) wire.Envelope {
 	return ErrorEnvelopeCodec(wire.JSONCodec, id, err)
 }
 
-// ErrorEnvelopeCodec converts a handler error into a TypeError envelope in
-// the given codec. Protocol errors (*wire.ErrorResponse) keep their code;
-// context expiry maps to wire.CodeDeadlineExceeded / wire.CodeCanceled;
-// everything else is wire.CodeInternal.
-func ErrorEnvelopeCodec(c wire.Codec, id uint64, err error) wire.Envelope {
-	resp := wire.ErrorResponse{Code: wire.CodeInternal, Message: err.Error()}
+// ErrorResponseFrom converts a handler error into its protocol form.
+// Protocol errors (*wire.ErrorResponse) keep their code; context expiry maps
+// to wire.CodeDeadlineExceeded / wire.CodeCanceled; everything else is
+// wire.CodeInternal.
+func ErrorResponseFrom(err error) *wire.ErrorResponse {
 	var proto *wire.ErrorResponse
 	switch {
 	case errors.As(err, &proto):
-		resp = *proto
+		return proto
 	case errors.Is(err, context.DeadlineExceeded):
-		resp.Code = wire.CodeDeadlineExceeded
+		return &wire.ErrorResponse{Code: wire.CodeDeadlineExceeded, Message: err.Error()}
 	case errors.Is(err, context.Canceled):
-		resp.Code = wire.CodeCanceled
+		return &wire.ErrorResponse{Code: wire.CodeCanceled, Message: err.Error()}
+	default:
+		return &wire.ErrorResponse{Code: wire.CodeInternal, Message: err.Error()}
 	}
-	env, encErr := c.Encode(wire.TypeError, id, resp)
+}
+
+// ErrorEnvelopeCodec converts a handler error into a TypeError envelope in
+// the given codec, with ErrorResponseFrom's code mapping.
+func ErrorEnvelopeCodec(c wire.Codec, id uint64, err error) wire.Envelope {
+	env, encErr := c.Encode(wire.TypeError, id, ErrorResponseFrom(err))
 	if encErr != nil {
 		// An ErrorResponse always encodes; this is unreachable, but never
 		// return a zero envelope from an error path.

@@ -85,12 +85,6 @@ func appendBinaryPayload(buf []byte, payload any) ([]byte, bool, error) {
 		return appendNodeAssessment(buf, p), true, nil
 	case *NodeAssessment:
 		return appendNodeAssessment(buf, *p), true, nil
-	case FwdSubmitRequest:
-		b, err := appendFwdSubmitRequest(buf, p)
-		return b, true, err
-	case *FwdSubmitRequest:
-		b, err := appendFwdSubmitRequest(buf, *p)
-		return b, true, err
 	case FwdBatchRequest:
 		b, err := appendFwdBatchRequest(buf, p)
 		return b, true, err
@@ -142,8 +136,6 @@ func decodeBinaryPayload(t MsgType, buf []byte, out any) error {
 		err = r.fwdAssessRequest(o)
 	case *NodeAssessment:
 		err = r.nodeAssessment(o)
-	case *FwdSubmitRequest:
-		err = r.fwdSubmitRequest(o)
 	case *FwdBatchRequest:
 		err = r.fwdBatchRequest(o)
 	case *FwdAssessBatchRequest:
@@ -365,15 +357,6 @@ func appendNodeAssessment(buf []byte, p NodeAssessment) []byte {
 	buf = binary.AppendUvarint(buf, p.Version)
 	buf = binary.AppendUvarint(buf, p.XOR)
 	return appendAssessResponse(buf, p.AssessResponse)
-}
-
-func appendFwdSubmitRequest(buf []byte, p FwdSubmitRequest) ([]byte, error) {
-	buf = appendString(buf, p.Node)
-	buf, err := feedback.AppendBinary(buf, p.Feedback)
-	if err != nil {
-		return nil, err
-	}
-	return appendBool(buf, p.Replica), nil
 }
 
 func appendFwdBatchRequest(buf []byte, p FwdBatchRequest) ([]byte, error) {
@@ -767,18 +750,6 @@ func (r *breader) nodeAssessment(o *NodeAssessment) error {
 		return err
 	}
 	return r.assessResponse(&o.AssessResponse)
-}
-
-func (r *breader) fwdSubmitRequest(o *FwdSubmitRequest) error {
-	var err error
-	if o.Node, err = r.string(); err != nil {
-		return err
-	}
-	if o.Feedback, err = r.record(); err != nil {
-		return err
-	}
-	o.Replica, err = r.bool()
-	return err
 }
 
 func (r *breader) fwdBatchRequest(o *FwdBatchRequest) error {

@@ -44,23 +44,16 @@ type NodeAssessment struct {
 	AssessResponse
 }
 
-// FwdSubmitRequest hands one feedback record to a peer node.
-type FwdSubmitRequest struct {
-	Node     string            `json:"node"`
-	Feedback feedback.Feedback `json:"feedback"`
-	// Replica marks a replication write: the receiver stores the record
-	// because it is in the server's replica set, and must not replicate it
-	// onward (only the owner fans out to replicas, exactly once).
-	Replica bool `json:"replica,omitempty"`
-}
-
 // FwdBatchRequest hands a slice of feedback records to a peer node, all
-// owned (or replicated) by that peer. Same Replica semantics as
-// FwdSubmitRequest.
+// owned (or replicated) by that peer; a single forwarded submit is a batch
+// of one.
 type FwdBatchRequest struct {
 	Node    string              `json:"node"`
 	Records []feedback.Feedback `json:"records"`
-	Replica bool                `json:"replica,omitempty"`
+	// Replica marks a replication write: the receiver stores the records
+	// because it is in the servers' replica sets, and must not replicate
+	// them onward (only the owner fans out to replicas, exactly once).
+	Replica bool `json:"replica,omitempty"`
 }
 
 // FwdAssessBatchRequest asks a peer node to assess a subset of a batch —

@@ -88,10 +88,10 @@ var v2Codes = map[MsgType]byte{
 	// Cluster forwarding. The fwd.* payloads have binary codecs (their
 	// responses carry full verdict tables, far too hot for JSON); the
 	// cluster.info pair is cold and rides as JSON via flagJSONPayload.
+	// Codes 20 and 21 belonged to the retired single-record fwd.submit pair
+	// and stay reserved.
 	TypeFwdAssess:    18,
 	TypeFwdAssessR:   19,
-	TypeFwdSubmit:    20,
-	TypeFwdSubmitR:   21,
 	TypeFwdBatch:     22,
 	TypeFwdBatchR:    23,
 	TypeFwdAssessB:   24,

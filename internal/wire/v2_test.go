@@ -75,8 +75,6 @@ func v2Payloads() map[MsgType]any {
 		TypeFwdAssessR: NodeAssessment{Node: "n1", Records: 4200, Version: 77, XOR: 0xdeadbeefcafe, AssessResponse: AssessResponse{
 			Assessment: testAssessment(), Accept: true, Incremental: true,
 		}},
-		TypeFwdSubmit:  FwdSubmitRequest{Node: "n3", Feedback: testRecord(2), Replica: true},
-		TypeFwdSubmitR: SubmitResponse{Stored: true},
 		TypeFwdBatch:   FwdBatchRequest{Node: "n2", Records: []feedback.Feedback{testRecord(1), testRecord(2)}},
 		TypeFwdBatchR:  BatchResponse{Stored: 2},
 		TypeFwdAssessB: FwdAssessBatchRequest{Node: "n1", Servers: []feedback.EntityID{"a", "b"}, Threshold: 0.9},
@@ -360,5 +358,19 @@ func TestWriteV2RejectsUnknownType(t *testing.T) {
 	err := WriteV2(io.Discard, Envelope{V: VersionV2, Type: "nonsense", ID: 1})
 	if err == nil {
 		t.Fatal("unknown type accepted")
+	}
+}
+
+// The retired fwd.submit pair held codes 20 and 21. A frame carrying either
+// must be refused, and the codes after them must not have shifted down.
+func TestV2RetiredCodesStayReserved(t *testing.T) {
+	for _, code := range []byte{20, 21} {
+		frame := []byte{0, 0, 0, v2BodyMin, code, 0, 0, 0, 0, 0, 0, 0, 0, 1}
+		if _, err := ReadV2(bytes.NewReader(frame)); !errors.Is(err, ErrBadMessage) {
+			t.Errorf("code %d: got %v, want ErrBadMessage", code, err)
+		}
+	}
+	if got := v2Codes[TypeFwdBatch]; got != 22 {
+		t.Errorf("fwd.submit.batch code = %d, want 22", got)
 	}
 }

@@ -74,8 +74,6 @@ const (
 const (
 	TypeFwdAssess    MsgType = "fwd.assess"
 	TypeFwdAssessR   MsgType = "fwd.assess.resp"
-	TypeFwdSubmit    MsgType = "fwd.submit"
-	TypeFwdSubmitR   MsgType = "fwd.submit.resp"
 	TypeFwdBatch     MsgType = "fwd.submit.batch"
 	TypeFwdBatchR    MsgType = "fwd.submit.batch.resp"
 	TypeFwdAssessB   MsgType = "fwd.assess.batch"
