@@ -356,6 +356,8 @@ func memStatus(args []string, out io.Writer) error {
 	fmt.Fprintf(out, "memory budget: %s\n", fmtBytes(l.BudgetBytes))
 	fmt.Fprintf(out, "  resident: %d servers, %s accounted (%.1f%% of budget)\n",
 		l.Resident, fmtBytes(l.ResidentBytes), 100*float64(l.ResidentBytes)/float64(max64(l.BudgetBytes, 1)))
+	fmt.Fprintf(out, "  shared:   %s memo state, charged once (%.1f%% of budget)\n",
+		fmtBytes(l.SharedBytes), 100*float64(l.SharedBytes)/float64(max64(l.BudgetBytes, 1)))
 	fmt.Fprintf(out, "  evicted:  %d servers\n", l.Evicted)
 	fmt.Fprintf(out, "  evictions %d, reinstates %d\n", l.Evictions, l.Reinstates)
 	fmt.Fprintf(out, "  fault-ins %d (waited %d, errors %d)\n", l.FaultIns, l.FaultWaits, l.FaultErrors)

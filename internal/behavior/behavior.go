@@ -64,17 +64,18 @@ type Config struct {
 	// Calibrator supplies the distance threshold ε. Nil means a private
 	// calibrator with default settings.
 	Calibrator *stats.Calibrator
-	// ArenaCap caps the incremental accumulator's binomial PMF arena, in
-	// entries per generation (rounded up to a power of two, minimum 16).
-	// Zero means DefaultArenaCap; negative is invalid. The cap bounds
-	// per-server memory: at the default cap of 32768 entries and m = 10 a
-	// slot is m+1 = 11 float64s, so one generation is 32768 × 11 × 8 B ≈
-	// 2.9 MiB and a server whose p̂ churn keeps both generations live tops
-	// out near 6 MiB. Smaller caps trade recompute churn (generation
+	// ArenaCap caps the tester's binomial PMF memo, in entries per
+	// generation (rounded up to a power of two, minimum 16). Zero means
+	// DefaultArenaCap; negative is invalid. The memo belongs to the tester
+	// and is shared by every accumulator minted from it, so the cap is a
+	// node-wide bound, paid once however many servers the node tracks: at
+	// the default cap of 32768 entries and m = 10 a slot is one key plus
+	// m+1 = 11 float64s, so one generation is 32768 × 96 B = 3 MiB and a
+	// node whose p̂ churn keeps both generations live tops out at 6 MiB.
+	// The memo starts at 1024 slots (96 KiB) on the first incremental read
+	// and doubles on demand. Smaller caps trade recompute churn (generation
 	// rotation) for memory; results are unaffected either way, since the
-	// cached PMF is a pure function of its key. Only the Single, Multi and
-	// MultiNaive accumulators carry an arena; the collusion testers use a
-	// separate memo with its own fixed bound.
+	// cached PMF is a pure function of its key.
 	ArenaCap int
 	// FamilywiseCorrection applies a Bonferroni correction across the
 	// suffixes of a multi-test: with k suffixes each individual test runs at
@@ -228,7 +229,7 @@ func (c Config) suffixConfidence(numSuffixes int) float64 {
 // Single implements Scheme 1: one distribution test over the whole history
 // (Fig. 2 of the paper).
 type Single struct {
-	cfg Config
+	*accShared
 }
 
 var _ Tester = (*Single)(nil)
@@ -239,11 +240,11 @@ func NewSingle(cfg Config) (*Single, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Single{cfg: cfg}, nil
+	return &Single{newAccShared(cfg, accSingle, "single")}, nil
 }
 
 // Name implements Tester.
-func (s *Single) Name() string { return "single" }
+func (s *Single) Name() string { return s.name }
 
 // Config returns the effective configuration.
 func (s *Single) Config() Config { return s.cfg }
@@ -277,7 +278,7 @@ func (s *Single) Test(h *feedback.History) (Verdict, error) {
 // passes. Window counts are computed once; each suffix reuses the suffix of
 // that table, so the whole run costs O(n) for constant window size.
 type Multi struct {
-	cfg Config
+	*accShared
 }
 
 var _ Tester = (*Multi)(nil)
@@ -288,11 +289,11 @@ func NewMulti(cfg Config) (*Multi, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Multi{cfg: cfg}, nil
+	return &Multi{newAccShared(cfg, accMulti, "multi")}, nil
 }
 
 // Name implements Tester.
-func (m *Multi) Name() string { return "multi" }
+func (m *Multi) Name() string { return m.name }
 
 // Config returns the effective configuration.
 func (m *Multi) Config() Config { return m.cfg }
@@ -354,7 +355,7 @@ func (m *Multi) Test(h *feedback.History) (Verdict, error) {
 // reference implementation for equivalence testing and as the ablation
 // baseline of the Fig. 9 performance experiment.
 type MultiNaive struct {
-	cfg    Config
+	*accShared
 	single *Single
 }
 
@@ -370,11 +371,11 @@ func NewMultiNaive(cfg Config) (*MultiNaive, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &MultiNaive{cfg: cfg, single: single}, nil
+	return &MultiNaive{newAccShared(cfg, accMultiNaive, "multi-naive"), single}, nil
 }
 
 // Name implements Tester.
-func (m *MultiNaive) Name() string { return "multi-naive" }
+func (m *MultiNaive) Name() string { return m.name }
 
 // Test implements Tester.
 func (m *MultiNaive) Test(h *feedback.History) (Verdict, error) {

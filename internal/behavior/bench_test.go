@@ -168,3 +168,31 @@ func BenchmarkCollusionTest(b *testing.B) {
 		})
 	}
 }
+
+// BenchmarkAccumulatorTest measures the incremental read: one Test over an
+// n-record accumulator whose tester's memo and calibrator grid are warm.
+func BenchmarkAccumulatorTest(b *testing.B) {
+	for _, n := range []int{200, 5000, 100000} {
+		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
+			tester, err := NewMulti(Config{Calibrator: benchCal})
+			if err != nil {
+				b.Fatal(err)
+			}
+			h := benchHistory(b, n)
+			acc, _ := NewAccumulatorFor(tester)
+			for i := 0; i < h.Len(); i++ {
+				acc.Append(h.At(i))
+			}
+			if _, err := acc.Test(); err != nil {
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := acc.Test(); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}

@@ -18,9 +18,8 @@ import (
 // all-positive windows (the colluders' groups) followed by the windows
 // holding the cheated clients' feedback, which deviates from B(m, p̂).
 type Collusion struct {
+	*accShared
 	inner Tester
-	multi bool
-	cfg   Config
 }
 
 var _ Tester = (*Collusion)(nil)
@@ -32,7 +31,7 @@ func NewCollusion(cfg Config) (*Collusion, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Collusion{inner: single, cfg: single.Config()}, nil
+	return &Collusion{newAccShared(single.cfg, accCollusion, "collusion"), single}, nil
 }
 
 // NewCollusionMulti returns a collusion-resilient multi-tester: suffixes of
@@ -43,20 +42,15 @@ func NewCollusionMulti(cfg Config) (*Collusion, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Collusion{inner: single, multi: true, cfg: single.Config()}, nil
+	return &Collusion{newAccShared(single.cfg, accCollusionMulti, "collusion-multi"), single}, nil
 }
 
 // Name implements Tester.
-func (c *Collusion) Name() string {
-	if c.multi {
-		return "collusion-multi"
-	}
-	return "collusion"
-}
+func (c *Collusion) Name() string { return c.name }
 
 // Test implements Tester.
 func (c *Collusion) Test(h *feedback.History) (Verdict, error) {
-	if !c.multi {
+	if c.mode == accCollusion {
 		return c.inner.Test(h.CollusionOrder())
 	}
 	cfg := c.cfg

@@ -2,16 +2,14 @@ package behavior
 
 import (
 	"fmt"
-	"math"
 	"sort"
-	"sync"
 
 	"honestplayer/internal/feedback"
 	"honestplayer/internal/stats"
 )
 
 // This file implements the incremental assessment engine's phase-1 side: an
-// Accumulator that consumes one feedback at a time in amortised O(1) and can
+// Accumulator that consumes one feedback at a time in O(1) and can
 // reproduce, bit for bit, what the batch testers would compute over the same
 // history — without ever walking the history again.
 //
@@ -21,17 +19,18 @@ import (
 // are only m possible alignments ("phases") and that each append completes
 // exactly one window — the window [n−m, n) of phase n mod m. Maintaining all
 // m phase families therefore costs O(1) per append: one histogram bump in
-// one phase, plus a checkpoint copy of that phase's running histogram every
-// stride boundary (amortised O(m/strideWindows)).
+// one phase, plus the window's good count appended to the window string.
 //
 // At read time the phase selected by the current length holds exactly the
-// window table the batch tester would have built, and every multi-test
-// suffix starts at a stride boundary of that phase, so its histogram is the
-// O(m) difference between the running histogram and a checkpoint. The
+// window histogram the batch tester would have built. A multi-test starts
+// from a copy of it and, walking suffixes longest-first, takes out the
+// windows that leave each next suffix — they sit m apart in the window
+// string — so every suffix histogram costs O(stride windows) to reach. The
 // per-suffix distribution test then reuses the exact arithmetic of
-// testHistogram, with the two expensive pure steps (binomial PMF
-// construction and threshold calibration) memoised on their exact inputs so
-// repeated reads over a drifting p̂ skip the Lgamma-heavy rebuilds.
+// testHistogram, with the two expensive pure steps memoised outside the
+// accumulator, on their exact inputs: binomial PMF construction in the
+// tester's shared memo (memo.go), threshold calibration on the calibrator's
+// grid. The accumulator itself holds nothing but history-dependent counters.
 //
 // The collusion testers re-order each suffix by feedback issuer before
 // windowing, which no fixed window table survives. For those the accumulator
@@ -51,179 +50,32 @@ const (
 	accCollusionMulti
 )
 
-// Binomial PMF cache geometry. The cache is an open-addressing table whose
-// payloads live in one flat float64 arena (slot i's PMF occupies the i-th
-// stride), so it carries no pointers for the garbage collector to scan and a
-// hit is one key probe plus a contiguous slice view. A read over a w-window
-// history touches ≈w distinct p̂ values and the drift of p̂ under appends
-// keeps minting nearby ones, so the table grows (doubling up to the
-// Config.ArenaCap-derived size, DefaultArenaCap entries unless overridden)
-// while its load stays under half. At the size cap the table runs two
-// generations instead of overwriting in place: when load would pass half, the
-// current generation retires to prev and lookups that miss the fresh table
-// migrate their entry back with a copy — an order of magnitude cheaper than a
-// Lgamma/Exp refill — while entries idle for a whole generation fall off.
-// The cached PMF is a pure function of its key, so any eviction or migration
-// policy is result-neutral.
-// DefaultArenaCap is the default PMF-arena size cap in entries per
-// generation (2^15), the size the engine shipped with before the cap became
-// configurable. See Config.ArenaCap for the memory arithmetic.
-const DefaultArenaCap = 1 << 15
-
-const (
-	binoMinBits = 10
-	// binoCapMinBits floors the configured cap: a generation never runs
-	// smaller than one probe window, or every miss would thrash the whole
-	// table.
-	binoCapMinBits = 4
-	binoProbeLimit = 16
-
-	// binoEmptyKey marks a free slot. Keys are Float64bits of p̂ ∈ [0, 1],
-	// whose bit patterns never exceed 0x3FF0…0, so all-ones cannot collide
-	// with a real key.
-	binoEmptyKey = ^uint64(0)
-
-	// collusionMemoLimit bounds the collusion paths' *Binomial memo map;
-	// at the limit it is dropped and rebuilt (plain epoch reset).
-	collusionMemoLimit = 1 << 15
-)
-
-// binoCache is the PMF arena (see the geometry comment above the constants).
-type binoCache struct {
-	bits    int
-	maxBits int       // size cap from Config.ArenaCap; grow stops here
-	stride  int       // m + 1 floats per slot
-	keys    []uint64  // len 1<<bits; binoEmptyKey marks empty
-	pmfs    []float64 // len (1<<bits)·stride
-	used    int
-
-	// Previous generation, populated only once the table reaches maxBits
-	// (both generations then share the cap size, so home() addresses either).
-	prevKeys []uint64
-	prevPmfs []float64
+// accShared is what a tester and all accumulators minted from it have in
+// common: the configuration and identity, and the PMF memo.
+type accShared struct {
+	cfg  Config
+	mode accMode
+	name string
+	memo *pmfMemo
 }
 
-// arenaBits converts an entry cap into table bits: the smallest power of two
-// holding cap entries, floored at binoCapMinBits.
-func arenaBits(cap int) int {
-	bits := binoCapMinBits
-	for 1<<bits < cap {
-		bits++
-	}
-	return bits
+func newAccShared(cfg Config, mode accMode, name string) *accShared {
+	return &accShared{cfg: cfg, mode: mode, name: name, memo: newPMFMemo(cfg.WindowSize, cfg.ArenaCap)}
 }
 
-func newBinoCache(m, arenaCap int) *binoCache {
-	if arenaCap <= 0 {
-		arenaCap = DefaultArenaCap
-	}
-	c := &binoCache{bits: binoMinBits, maxBits: arenaBits(arenaCap), stride: m + 1}
-	if c.bits > c.maxBits {
-		c.bits = c.maxBits
-	}
-	c.keys = make([]uint64, 1<<c.bits)
-	for i := range c.keys {
-		c.keys[i] = binoEmptyKey
-	}
-	c.pmfs = make([]float64, (1<<c.bits)*c.stride)
-	return c
-}
-
-func (c *binoCache) slot(i uint64) []float64 {
-	off := int(i) * c.stride
-	return c.pmfs[off : off+c.stride : off+c.stride]
-}
-
-func (c *binoCache) home(key uint64) uint64 {
-	return (key * 0x9e3779b97f4a7c15) >> (64 - uint(c.bits))
-}
-
-// grow doubles the table and reinserts every occupied slot. Entries that
-// lose the probe race after rehashing are dropped (result-neutral: the PMF
-// is a pure function of its key and would simply be refilled).
-func (c *binoCache) grow() {
-	old := *c
-	c.bits++
-	c.keys = make([]uint64, 1<<c.bits)
-	for i := range c.keys {
-		c.keys[i] = binoEmptyKey
-	}
-	c.pmfs = make([]float64, (1<<c.bits)*c.stride)
-	c.used = 0
-	mask := uint64(len(c.keys) - 1)
-	for i, key := range old.keys {
-		if key == binoEmptyKey {
-			continue
-		}
-		base := c.home(key)
-		for probe := uint64(0); probe < binoProbeLimit; probe++ {
-			j := (base + probe) & mask
-			if c.keys[j] == binoEmptyKey {
-				c.keys[j] = key
-				copy(c.slot(j), old.slot(uint64(i)))
-				c.used++
-				break
-			}
-		}
-	}
-}
-
-// rotate retires the current generation into prev and starts an empty one,
-// reusing the retired prev generation's buffers. Entries still in use migrate
-// back on their next lookup (a stride-sized copy instead of a Lgamma/Exp
-// refill); entries idle for a full generation fall off. This keeps the load
-// under half at the size cap without the eviction thrash of overwriting a
-// saturated table in place.
-func (c *binoCache) rotate() {
-	if c.prevKeys == nil {
-		c.prevKeys = make([]uint64, len(c.keys))
-		c.prevPmfs = make([]float64, len(c.pmfs))
-	}
-	c.keys, c.prevKeys = c.prevKeys, c.keys
-	c.pmfs, c.prevPmfs = c.prevPmfs, c.pmfs
-	for i := range c.keys {
-		c.keys[i] = binoEmptyKey
-	}
-	c.used = 0
-}
-
-// prevLookup probes the previous generation for key, returning its PMF slot
-// or nil on a miss.
-func (c *binoCache) prevLookup(key uint64) []float64 {
-	if c.prevKeys == nil {
-		return nil
-	}
-	mask := uint64(len(c.prevKeys) - 1)
-	base := c.home(key)
-	for probe := uint64(0); probe < binoProbeLimit; probe++ {
-		i := (base + probe) & mask
-		switch c.prevKeys[i] {
-		case key:
-			off := int(i) * c.stride
-			return c.prevPmfs[off : off+c.stride : off+c.stride]
-		case binoEmptyKey:
-			return nil
-		}
+// sharedOf returns the accumulator side of a built-in tester, or nil.
+func sharedOf(t Tester) *accShared {
+	switch tt := t.(type) {
+	case *Single:
+		return tt.accShared
+	case *Multi:
+		return tt.accShared
+	case *MultiNaive:
+		return tt.accShared
+	case *Collusion:
+		return tt.accShared
 	}
 	return nil
-}
-
-// checkpoint freezes one phase's running window-count histogram at a stride
-// boundary: the state after exactly j·strideWindows windows. Suffix j of a
-// multi-test starts there, so its histogram is cum − checkpoint[j].
-type checkpoint struct {
-	counts []int32 // per-bucket window counts, len m+1
-	sum    int64   // sum of window good-counts, for O(1) suffix p̂
-}
-
-// accPhase is one window alignment: the windows [φ + i·m, φ + (i+1)·m) for a
-// fixed residue φ = n mod m. The phase gains a window exactly when the
-// history length n satisfies n ≡ φ (mod m).
-type accPhase struct {
-	counts      []int64 // running per-bucket window counts, len m+1
-	sum         int64   // running sum of window good-counts
-	windows     int     // windows completed in this phase
-	checkpoints []checkpoint
 }
 
 // clientSeries is one feedback issuer's records: global history positions in
@@ -234,112 +86,63 @@ type clientSeries struct {
 	good []int // good[i] = good records among idx[:i]; len(good) == len(idx)+1
 }
 
-// kGridEntry caches how one window count resolves on the calibrator's grid:
-// the dense index of its windows bucket and the 1/√w extrapolation scale.
-// Both depend only on the window count. A zero scale marks an empty entry
-// (real scales lie in (0, 1]).
-type kGridEntry struct {
-	wbIdx int32
-	scale float64
-}
-
-// confTable is one confidence bucket's threshold table, direct-indexed by
-// wbIdx·pbStride + pBucket. NaN marks an empty slot. The table mirrors the
-// calibrator's own grid cache, minus its mutex and hashing: in steady state
-// a suffix threshold is one slice load and one multiply.
-type confTable struct {
-	tbl []float64
-}
-
 // Accumulator maintains per-server behaviour statistics incrementally:
-// Append consumes one feedback in amortised O(1), and Test reproduces the
+// Append consumes one feedback in O(1), and Test reproduces the
 // corresponding batch tester's Verdict — Honest flag, per-suffix p̂,
 // distances, thresholds, and errors — bit-identically, at a read cost of
 // O(m · #suffixes) independent of the history length.
 //
 // Concurrency contract: Append must not run concurrently with anything, and
-// Test must not run concurrently with Append; concurrent Tests are
-// serialised internally. The store layer provides exactly this — Append runs
-// under the shard write lock, Test under the shard read lock.
+// Test must not run concurrently with Append; Test never writes accumulator
+// state, so concurrent Tests need no serialisation. The store layer provides
+// exactly this — Append runs under the shard write lock, Test under the shard
+// read lock.
 type Accumulator struct {
-	cfg  Config
-	mode accMode
-	name string
+	*accShared
 
-	n         int   // records consumed
-	goodTotal int   // running good count ΣG
-	prefRing  []int // good-count prefix over the last m+1 positions (ring)
+	n         int // records consumed
+	goodTotal int // running good count ΣG
 
-	phases []accPhase // single/multi modes; indexed by n mod m
+	// Single/multi modes. Phase φ = n mod m owns the windows ending at
+	// φ+m, φ+2m, …; the window ending at record j is wins entry j−m, so a
+	// phase's windows sit m entries apart starting at entry φ.
+	prefRing []int   // good-count prefix over the last m+1 positions (ring)
+	counts   []int64 // per-phase window histograms: m rows of m+1 buckets
+	sums     []int64 // per-phase sum of window good-counts
+	wins     []byte  // good count of every completed window, winWidth bytes each
 
 	clients map[feedback.EntityID]*clientSeries // collusion modes
-
-	mu       sync.Mutex // guards scratch and the memo state during Test
-	scratch  *stats.Histogram
-	bino     *binoCache                 // single/multi modes: B(m, p̂) PMF arena
-	binoObjs map[uint64]*stats.Binomial // collusion modes: L1HistDistance needs *Binomial
-
-	// Threshold memoisation on the calibrator's grid coordinates (window
-	// bucket, p̂ bucket, confidence bucket) rather than exact float inputs:
-	// the coordinate space is tiny, so the tables stay cache-resident and
-	// hit near-always, where exact-input keys mostly miss and fall through
-	// to the calibrator's locked cache.
-	kGrid     []kGridEntry       // per window count: bucket index + scale
-	wbIndex   map[int]int        // windows bucket -> dense index
-	pbStride  int                // table row width: max p̂ bucket + 1
-	threshTab map[int]*confTable // confidence bucket -> threshold table
 }
 
 // SupportsAccumulator reports whether NewAccumulatorFor can mirror t.
-func SupportsAccumulator(t Tester) bool {
-	switch t.(type) {
-	case *Single, *Multi, *MultiNaive, *Collusion:
-		return true
+func SupportsAccumulator(t Tester) bool { return sharedOf(t) != nil }
+
+// MemoStatsFor reports the shared PMF memo of t, zero for a tester without
+// an incremental form.
+func MemoStatsFor(t Tester) MemoStats {
+	if sh := sharedOf(t); sh != nil {
+		return sh.memo.stats()
 	}
-	return false
+	return MemoStats{}
 }
 
 // NewAccumulatorFor returns an accumulator that reproduces t.Test
 // incrementally, or (nil, false) when t's scheme has no incremental form.
-// All built-in testers are supported.
+// All built-in testers are supported. Accumulators of one tester share its
+// PMF memo; what is allocated here is a function of the window size alone.
 func NewAccumulatorFor(t Tester) (*Accumulator, bool) {
-	var (
-		cfg  Config
-		mode accMode
-	)
-	switch tt := t.(type) {
-	case *Single:
-		cfg, mode = tt.cfg, accSingle
-	case *Multi:
-		cfg, mode = tt.cfg, accMulti
-	case *MultiNaive:
-		cfg, mode = tt.cfg, accMultiNaive
-	case *Collusion:
-		cfg, mode = tt.cfg, accCollusion
-		if tt.multi {
-			mode = accCollusionMulti
-		}
-	default:
+	sh := sharedOf(t)
+	if sh == nil {
 		return nil, false
 	}
-	a := &Accumulator{cfg: cfg, mode: mode, name: t.Name()}
-	m := cfg.WindowSize
-	switch mode {
-	case accCollusion, accCollusionMulti:
+	a := &Accumulator{accShared: sh}
+	if m := sh.cfg.WindowSize; sh.mode == accCollusion || sh.mode == accCollusionMulti {
 		a.clients = make(map[feedback.EntityID]*clientSeries)
-		a.binoObjs = make(map[uint64]*stats.Binomial)
-	default:
-		a.bino = newBinoCache(m, cfg.ArenaCap)
+	} else {
 		a.prefRing = make([]int, m+1)
-		a.phases = make([]accPhase, m)
-		for i := range a.phases {
-			a.phases[i].counts = make([]int64, m+1)
-		}
+		a.counts = make([]int64, m*(m+1))
+		a.sums = make([]int64, m)
 	}
-	a.scratch = stats.MustHistogram(m)
-	a.wbIndex = make(map[int]int)
-	a.pbStride = cfg.Calibrator.PBucket(1) + 1
-	a.threshTab = make(map[int]*confTable)
 	return a, true
 }
 
@@ -355,9 +158,39 @@ func (a *Accumulator) Len() int { return a.n }
 // GoodCount returns the running number of good transactions ΣG.
 func (a *Accumulator) GoodCount() int { return a.goodTotal }
 
-// Append consumes the next feedback record in amortised O(1). Records must
-// arrive in history (time) order; the store rebuilds the accumulator on its
-// rare out-of-order insert path. See the type comment for the concurrency
+// winWidth is the bytes one window good-count (≤ m) takes in a window
+// string: one byte at every practical window size.
+func winWidth(m int) int {
+	switch {
+	case m < 1<<8:
+		return 1
+	case m < 1<<16:
+		return 2
+	}
+	return 4
+}
+
+// winAt reads entry i of a window string of the given width (little endian).
+func winAt(wins []byte, width, i int) int {
+	if width == 1 {
+		return int(wins[i])
+	}
+	v := 0
+	for b := width - 1; b >= 0; b-- {
+		v = v<<8 | int(wins[i*width+b])
+	}
+	return v
+}
+
+// phase returns the window histogram of phase φ.
+func (a *Accumulator) phase(phi int) []int64 {
+	stride := a.cfg.WindowSize + 1
+	return a.counts[phi*stride : (phi+1)*stride]
+}
+
+// Append consumes the next feedback record in O(1). Records must arrive in
+// history (time) order; the store rebuilds the accumulator on its rare
+// out-of-order insert path. See the type comment for the concurrency
 // contract.
 func (a *Accumulator) Append(f feedback.Feedback) {
 	a.n++
@@ -386,27 +219,19 @@ func (a *Accumulator) Append(f feedback.Feedback) {
 	// The append completed the window [n−m, n) of phase n mod m; its good
 	// count is a ring-prefix difference.
 	c := a.goodTotal - a.prefRing[(a.n-m)%(m+1)]
-	ph := &a.phases[a.n%m]
-	ws := a.cfg.Stride / m
-	if ph.windows%ws == 0 {
-		cp := checkpoint{counts: make([]int32, m+1), sum: ph.sum}
-		for i, v := range ph.counts {
-			cp.counts[i] = int32(v)
-		}
-		ph.checkpoints = append(ph.checkpoints, cp)
+	a.phase(a.n % m)[c]++
+	a.sums[a.n%m] += int64(c)
+	for w := winWidth(m); w > 0; w-- {
+		a.wins = append(a.wins, byte(c))
+		c >>= 8
 	}
-	ph.counts[c]++
-	ph.sum += int64(c)
-	ph.windows++
 }
 
 // Test evaluates the maintained statistics exactly as the corresponding
 // batch tester would evaluate the full history, including its
 // ErrInsufficientHistory behaviour. It is read-only with respect to the
-// appended records and safe for concurrent use with itself.
+// accumulator and safe for concurrent use with itself.
 func (a *Accumulator) Test() (Verdict, error) {
-	a.mu.Lock()
-	defer a.mu.Unlock()
 	switch a.mode {
 	case accSingle:
 		return a.testSingle()
@@ -423,14 +248,15 @@ func (a *Accumulator) Test() (Verdict, error) {
 	}
 }
 
-// effectiveConfidence resolves the per-suffix confidence the way the batch
-// testHistogram does: zero selects the calibrator's configured level (the
-// Threshold shorthand), anything else is used as-is (ThresholdAt).
-func (a *Accumulator) effectiveConfidence(confidence float64) float64 {
+// plane resolves the calibrator's threshold plane for a per-suffix
+// confidence the way the batch testHistogram does: zero selects the
+// calibrator's configured level (the Threshold shorthand), anything else is
+// used as-is (ThresholdAt).
+func (a *Accumulator) plane(confidence float64) (stats.Plane, error) {
 	if confidence == 0 {
-		return a.cfg.Calibrator.Config().Confidence
+		confidence = a.cfg.Calibrator.Config().Confidence
 	}
-	return confidence
+	return a.cfg.Calibrator.Plane(a.cfg.WindowSize, confidence)
 }
 
 // testSingle mirrors Single.Test: one test over all end-aligned windows.
@@ -440,18 +266,20 @@ func (a *Accumulator) testSingle() (Verdict, error) {
 	if k < a.cfg.MinWindows {
 		return Verdict{}, fmt.Errorf("%w: %d windows < %d", ErrInsufficientHistory, k, a.cfg.MinWindows)
 	}
-	ph := &a.phases[a.n%m]
-	effConf := a.effectiveConfidence(0)
+	plane, err := a.plane(0)
+	if err != nil {
+		return Verdict{}, err
+	}
 	var res SuffixResult
-	if err := a.testDiff(&res, ph.counts, nil, k, ph.sum, effConf, a.confTab(effConf)); err != nil {
+	if err := a.testCounts(&res, a.phase(a.n%m), k, a.sums[a.n%m], plane); err != nil {
 		return Verdict{}, err
 	}
 	return Verdict{Honest: res.Pass, Suffixes: []SuffixResult{res}}, nil
 }
 
 // testMulti mirrors Multi.Test (corrected=true) and MultiNaive.Test
-// (corrected=false): suffix i covers the most recent k − i·ws windows and
-// starts at checkpoint i of the current phase.
+// (corrected=false): suffix i covers the most recent k − i·ws windows of the
+// current phase.
 func (a *Accumulator) testMulti(corrected bool) (Verdict, error) {
 	m := a.cfg.WindowSize
 	k := a.n / m
@@ -459,80 +287,36 @@ func (a *Accumulator) testMulti(corrected bool) (Verdict, error) {
 		return Verdict{}, fmt.Errorf("%w: %d windows < %d", ErrInsufficientHistory, k, a.cfg.MinWindows)
 	}
 	ws := a.cfg.Stride / m
-	ph := &a.phases[a.n%m]
 	numSuffixes := (k-a.cfg.MinWindows)/ws + 1
 	confidence := 0.0
 	if corrected {
 		confidence = a.cfg.suffixConfidence(numSuffixes)
 	}
-	effConf := a.effectiveConfidence(confidence)
-	ct := a.confTab(effConf)
+	plane, err := a.plane(confidence)
+	if err != nil {
+		return Verdict{}, err
+	}
+	phi := a.n % m
+	hist := append([]int64(nil), a.phase(phi)...)
+	sum := a.sums[phi]
+	width := winWidth(m)
+	oldest := phi // window-string entry of the oldest window still in hist
 	v := Verdict{Honest: true, Suffixes: make([]SuffixResult, numSuffixes)}
-	// The loop body is testDiff with its loop-invariant state hoisted out of
-	// the per-suffix call: ~10³ suffixes per read make the call boundary's
-	// argument traffic and field reloads measurable. Every arithmetic step
-	// matches testDiff (and through it the batch testHistogram) exactly.
-	cal := a.cfg.Calibrator
-	kGrid, tbl, pbStride := a.kGrid, ct.tbl, a.pbStride
-	cum, sum := ph.counts, ph.sum
-	c := a.bino
-	keys, mask, shift := c.keys, uint64(len(c.keys)-1), 64-uint(c.bits)
-	for i := 0; i < numSuffixes; i++ {
-		cp := &ph.checkpoints[i]
+	for i := range v.Suffixes {
 		res := &v.Suffixes[i]
-		kk := k - i*ws
-		res.Transactions = kk * m
-		res.Windows = kk
-		pHat := float64(sum-cp.sum) / float64(m*kk)
-		res.PHat = pHat
-		// Inlined binomialPMF probe: a steady-state hit is one hashed probe
-		// into the arena. Misses delegate and reload the hoisted table views,
-		// which grow/rotate may have swapped.
-		key := math.Float64bits(pHat)
-		base := (key * 0x9e3779b97f4a7c15) >> shift
-		var pmf []float64
-		var err error
-		for probe := uint64(0); ; probe++ {
-			if probe == binoProbeLimit || keys[(base+probe)&mask] == binoEmptyKey {
-				if pmf, err = a.binomialPMFMiss(key, pHat); err != nil {
-					return Verdict{}, err
-				}
-				keys, mask, shift = c.keys, uint64(len(c.keys)-1), 64-uint(c.bits)
-				break
-			}
-			if j := (base + probe) & mask; keys[j] == key {
-				pmf = c.slot(j)
-				break
-			}
-		}
-		d, err := stats.L1DiffDistance(cum, cp.counts, int64(kk), pmf)
-		if err != nil {
+		if err := a.testCounts(res, hist, k-i*ws, sum, plane); err != nil {
 			return Verdict{}, err
 		}
-		res.Distance = d
-		if kk < len(kGrid) {
-			if kg := kGrid[kk]; kg.scale != 0 {
-				if idx := int(kg.wbIdx)*pbStride + cal.PBucket(pHat); idx < len(tbl) {
-					if eps := tbl[idx]; eps == eps { // non-NaN: filled
-						res.Threshold = eps * kg.scale
-						if res.Pass = d <= res.Threshold; !res.Pass {
-							v.Honest = false
-						}
-						continue
-					}
-				}
-			}
-		}
-		// Grid slot not resolved yet: take the calibrating slow path, then
-		// reload the views it may have grown.
-		thr, err := a.gridThreshold(kk, pHat, effConf, ct)
-		if err != nil {
-			return Verdict{}, err
-		}
-		kGrid, tbl = a.kGrid, ct.tbl
-		res.Threshold = thr
-		if res.Pass = d <= thr; !res.Pass {
+		if !res.Pass {
 			v.Honest = false
+		}
+		if i+1 == numSuffixes {
+			break
+		}
+		for end := oldest + ws*m; oldest < end; oldest += m {
+			c := winAt(a.wins, width, oldest)
+			hist[c]--
+			sum -= int64(c)
 		}
 	}
 	return v, nil
@@ -546,14 +330,12 @@ func (a *Accumulator) testCollusion() (Verdict, error) {
 	if k < a.cfg.MinWindows {
 		return Verdict{}, fmt.Errorf("%w: %d windows < %d", ErrInsufficientHistory, k, a.cfg.MinWindows)
 	}
-	counts := a.collusionCounts(0, make([]int, 0, k))
-	a.scratch.Reset()
-	for _, c := range counts {
-		_ = a.scratch.Add(c)
-	}
-	effConf := a.effectiveConfidence(0)
-	res, err := a.testHistogramMemo(a.scratch, effConf, a.confTab(effConf))
+	plane, err := a.plane(0)
 	if err != nil {
+		return Verdict{}, err
+	}
+	var res SuffixResult
+	if err := a.testReordered(&res, 0, make([]int, 0, k), make([]int64, m+1), plane); err != nil {
 		return Verdict{}, err
 	}
 	return Verdict{Honest: res.Pass, Suffixes: []SuffixResult{res}}, nil
@@ -572,18 +354,15 @@ func (a *Accumulator) testCollusionMulti() (Verdict, error) {
 	}
 	strideWindows := cfg.Stride / m
 	numSuffixes := (usableWindows-cfg.MinWindows)/strideWindows + 1
-	effConf := a.effectiveConfidence(cfg.suffixConfidence(numSuffixes))
-	ct := a.confTab(effConf)
+	plane, err := a.plane(cfg.suffixConfidence(numSuffixes))
+	if err != nil {
+		return Verdict{}, err
+	}
 	v := Verdict{Honest: true}
-	buf := make([]int, 0, usableWindows)
+	buf, hist := make([]int, 0, usableWindows), make([]int64, m+1)
 	for np := usable; np/m >= cfg.MinWindows; np -= cfg.Stride {
-		counts := a.collusionCounts(a.n-np, buf[:0])
-		a.scratch.Reset()
-		for _, c := range counts {
-			_ = a.scratch.Add(c)
-		}
-		res, err := a.testHistogramMemo(a.scratch, effConf, ct)
-		if err != nil {
+		var res SuffixResult
+		if err := a.testReordered(&res, a.n-np, buf, hist, plane); err != nil {
 			return Verdict{}, err
 		}
 		v.Suffixes = append(v.Suffixes, res)
@@ -592,6 +371,19 @@ func (a *Accumulator) testCollusionMulti() (Verdict, error) {
 		}
 	}
 	return v, nil
+}
+
+// testReordered runs the distribution test over the issuer-re-ordered suffix
+// starting at global record index s. buf and hist are the caller's scratch.
+func (a *Accumulator) testReordered(res *SuffixResult, s int, buf []int, hist []int64, plane stats.Plane) error {
+	counts := a.collusionCounts(s, buf[:0])
+	clear(hist)
+	var sum int64
+	for _, c := range counts {
+		hist[c]++
+		sum += int64(c)
+	}
+	return a.testCounts(res, hist, len(counts), sum, plane)
 }
 
 // collusionCounts computes the end-aligned window good-counts of the
@@ -656,211 +448,28 @@ func (a *Accumulator) collusionCounts(s int, counts []int) []int {
 	return counts
 }
 
-// testDiff is testHistogram over one suffix's window-count vector, read as
-// the difference cum − sub without ever materialising it (sub is nil for the
-// whole-phase single test): k is the suffix's window count and sum its
-// good-count total, both known O(1) from the phase and checkpoint running
-// sums. The result is written in place so multi-tests fill their suffix
-// slice without copying. The expensive pure steps — B(m, p̂) construction
-// and threshold calibration — are memoised (see binomial and gridThreshold);
-// every arithmetic step mirrors testHistogram, so the result is
-// bit-identical to the batch tester's. Callers hold a.mu.
-func (a *Accumulator) testDiff(res *SuffixResult, cum []int64, sub []int32, k int, sum int64, effConf float64, ct *confTable) error {
+// testCounts is testHistogram over one suffix's window histogram: k is the
+// suffix's window count and sum its good-count total. The result is written
+// in place so multi-tests fill their suffix slice without copying. The
+// expensive pure steps — B(m, p̂) construction and threshold calibration —
+// come from the shared memo and the calibrator's grid; every arithmetic step
+// mirrors testHistogram, so the result is bit-identical to the batch
+// tester's.
+func (a *Accumulator) testCounts(res *SuffixResult, hist []int64, k int, sum int64, plane stats.Plane) error {
 	m := a.cfg.WindowSize
 	res.Transactions = k * m
 	res.Windows = k
 	res.PHat = float64(sum) / float64(m*k)
-	pmf, err := a.binomialPMF(res.PHat)
+	pmf, err := a.memo.get(res.PHat)
 	if err != nil {
 		return err
 	}
-	res.Distance, err = stats.L1DiffDistance(cum, sub, int64(k), pmf)
-	if err != nil {
+	if res.Distance, err = stats.L1CountsDistance(hist, int64(k), pmf); err != nil {
 		return err
 	}
-	// Steady-state threshold fast path, hand-inlined from gridThreshold: one
-	// slice load resolves k to its grid bucket and scale, one table slot
-	// holds the calibrated eps.
-	if k < len(a.kGrid) {
-		if kg := a.kGrid[k]; kg.scale != 0 {
-			if idx := int(kg.wbIdx)*a.pbStride + a.cfg.Calibrator.PBucket(res.PHat); idx < len(ct.tbl) {
-				if eps := ct.tbl[idx]; eps == eps { // non-NaN: filled
-					res.Threshold = eps * kg.scale
-					res.Pass = res.Distance <= res.Threshold
-					return nil
-				}
-			}
-		}
-	}
-	res.Threshold, err = a.gridThreshold(k, res.PHat, effConf, ct)
-	if err != nil {
+	if res.Threshold, err = plane.Threshold(k, res.PHat); err != nil {
 		return err
 	}
 	res.Pass = res.Distance <= res.Threshold
 	return nil
-}
-
-// testHistogramMemo is testDiff for the collusion paths, which build
-// their re-ordered window histograms explicitly. Callers hold a.mu.
-func (a *Accumulator) testHistogramMemo(h *stats.Histogram, effConf float64, ct *confTable) (SuffixResult, error) {
-	m := a.cfg.WindowSize
-	k := int(h.Total())
-	res := SuffixResult{Transactions: k * m, Windows: k}
-	res.PHat = float64(h.Sum()) / float64(m*k)
-	ref, err := a.binomial(res.PHat)
-	if err != nil {
-		return res, err
-	}
-	res.Distance, err = stats.L1HistDistance(h, ref)
-	if err != nil {
-		return res, err
-	}
-	res.Threshold, err = a.gridThreshold(k, res.PHat, effConf, ct)
-	if err != nil {
-		return res, err
-	}
-	res.Pass = res.Distance <= res.Threshold
-	return res, nil
-}
-
-// binomialPMF returns the cached PMF table of B(m, p̂) from the arena. The
-// fill is a pure function of (m, p̂) — stats.BinomialPMFInto, the same code
-// path NewBinomial uses — so caching on the exact p̂ bits changes nothing
-// about results; it skips the Lgamma/Exp-heavy construction when a p̂ recurs
-// across reads. Equal good-count ratios over different suffix lengths divide
-// to the same float64 (IEEE division is correctly rounded), so the cache
-// unifies far more suffixes than exact (sum, windows) pairs would suggest.
-func (a *Accumulator) binomialPMF(pHat float64) ([]float64, error) {
-	c := a.bino
-	key := math.Float64bits(pHat)
-	mask := uint64(len(c.keys) - 1)
-	base := c.home(key)
-	for probe := uint64(0); probe < binoProbeLimit; probe++ {
-		i := (base + probe) & mask
-		switch c.keys[i] {
-		case key:
-			return c.slot(i), nil
-		case binoEmptyKey:
-			return a.binomialPMFMiss(key, pHat)
-		}
-	}
-	return a.binomialPMFMiss(key, pHat)
-}
-
-// binomialPMFMiss resolves a current-generation miss: it keeps the load under
-// half (growing below the cap, rotating generations at it), migrates the
-// entry from the previous generation when present, and fills afresh
-// otherwise.
-func (a *Accumulator) binomialPMFMiss(key uint64, pHat float64) ([]float64, error) {
-	c := a.bino
-	if c.used > len(c.keys)/2 {
-		if c.bits < c.maxBits {
-			c.grow()
-		} else {
-			c.rotate()
-		}
-	}
-	mask := uint64(len(c.keys) - 1)
-	base := c.home(key)
-	i := base & mask // overwrite the home slot if the probe window is full
-	fresh := false
-	for probe := uint64(0); probe < binoProbeLimit; probe++ {
-		j := (base + probe) & mask
-		if c.keys[j] == binoEmptyKey {
-			i, fresh = j, true
-			break
-		}
-	}
-	dst := c.slot(i)
-	if prev := c.prevLookup(key); prev != nil {
-		copy(dst, prev)
-	} else if err := stats.BinomialPMFInto(dst, a.cfg.WindowSize, pHat); err != nil {
-		return nil, err
-	}
-	c.keys[i] = key
-	if fresh {
-		c.used++
-	}
-	return dst, nil
-}
-
-// binomial is the collusion paths' memoised B(m, p̂): those paths feed
-// stats.L1HistDistance, which wants the constructed object rather than a
-// bare PMF table.
-func (a *Accumulator) binomial(pHat float64) (*stats.Binomial, error) {
-	pBits := math.Float64bits(pHat)
-	if ref, ok := a.binoObjs[pBits]; ok {
-		return ref, nil
-	}
-	ref, err := stats.NewBinomial(a.cfg.WindowSize, pHat)
-	if err != nil {
-		return nil, err
-	}
-	if len(a.binoObjs) >= collusionMemoLimit {
-		a.binoObjs = make(map[uint64]*stats.Binomial)
-	}
-	a.binoObjs[pBits] = ref
-	return ref, nil
-}
-
-// confTab returns the threshold table of effConf's confidence bucket.
-func (a *Accumulator) confTab(effConf float64) *confTable {
-	cb := int(math.Round(effConf * 1e4))
-	ct := a.threshTab[cb]
-	if ct == nil {
-		ct = &confTable{}
-		a.threshTab[cb] = ct
-	}
-	return ct
-}
-
-// gridThreshold returns the calibrated threshold for a k-window suffix with
-// estimate pHat at confidence effConf, exactly as the batch tester's
-// Threshold/ThresholdAt call would. The calibrator quantises queries to a
-// grid and scales the grid threshold by a factor depending only on k
-// (stats.GridThreshold), so the steady-state lookup here is a direct slice
-// index: kGrid resolves k to its bucket index and scale, the table slot
-// holds the grid eps. Misses delegate to the calibrator and backfill.
-func (a *Accumulator) gridThreshold(k int, pHat, effConf float64, ct *confTable) (float64, error) {
-	cal := a.cfg.Calibrator
-	if k < len(a.kGrid) {
-		if kg := a.kGrid[k]; kg.scale != 0 {
-			idx := int(kg.wbIdx)*a.pbStride + cal.PBucket(pHat)
-			if idx < len(ct.tbl) {
-				if eps := ct.tbl[idx]; eps == eps { // non-NaN: filled
-					return eps * kg.scale, nil
-				}
-			}
-			g, err := cal.ThresholdGrid(a.cfg.WindowSize, k, pHat, effConf)
-			if err != nil {
-				return 0, err
-			}
-			a.fillSlot(ct, idx, g.Eps)
-			return g.Eps * g.Scale, nil
-		}
-	}
-	// First sight of this window count: resolve its grid coordinates once.
-	g, err := cal.ThresholdGrid(a.cfg.WindowSize, k, pHat, effConf)
-	if err != nil {
-		return 0, err
-	}
-	wbIdx, ok := a.wbIndex[g.WindowsBucket]
-	if !ok {
-		wbIdx = len(a.wbIndex)
-		a.wbIndex[g.WindowsBucket] = wbIdx
-	}
-	if k >= len(a.kGrid) {
-		a.kGrid = append(a.kGrid, make([]kGridEntry, k+1-len(a.kGrid))...)
-	}
-	a.kGrid[k] = kGridEntry{wbIdx: int32(wbIdx), scale: g.Scale}
-	a.fillSlot(ct, wbIdx*a.pbStride+g.PBucket, g.Eps)
-	return g.Eps * g.Scale, nil
-}
-
-// fillSlot stores eps at idx, growing the table with NaN fill as needed.
-func (a *Accumulator) fillSlot(ct *confTable, idx int, eps float64) {
-	for len(ct.tbl) <= idx {
-		ct.tbl = append(ct.tbl, math.NaN())
-	}
-	ct.tbl[idx] = eps
 }

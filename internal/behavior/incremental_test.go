@@ -6,6 +6,7 @@ package behavior_test
 // and the ErrInsufficientHistory message — at every prefix length.
 
 import (
+	"bytes"
 	"reflect"
 	"testing"
 	"time"
@@ -146,8 +147,8 @@ func TestAccumulatorMatchesBatchEveryPrefix(t *testing.T) {
 	}
 }
 
-// TestAccumulatorMatchesBatchLongHistory spot-checks a longer stream so the
-// checkpoint table grows past a handful of stride anchors.
+// TestAccumulatorMatchesBatchLongHistory spot-checks a longer stream so a
+// read walks the window string through a hundred suffixes.
 func TestAccumulatorMatchesBatchLongHistory(t *testing.T) {
 	if testing.Short() {
 		t.Skip("long differential sweep")
@@ -177,12 +178,16 @@ func TestAccumulatorMatchesBatchLongHistory(t *testing.T) {
 }
 
 // FuzzIncrementalDifferential fuzzes outcome bit-streams, issuer choices and
-// tester geometry, asserting the accumulator is identical to the batch Multi
-// and CollusionMulti testers at a mid point and at the end of the stream.
+// tester geometry — strides of up to eight windows, so the window-string walk
+// drops several windows between suffixes — asserting the accumulator is
+// identical to the batch Multi, MultiNaive and CollusionMulti testers at
+// every quarter of the stream.
 func FuzzIncrementalDifferential(f *testing.F) {
 	f.Add([]byte{0xff, 0x0f, 0xa5, 0x00, 0x3c}, uint8(10), uint8(1), uint8(4), false)
 	f.Add([]byte{0x00, 0x00, 0xff, 0xff, 0x81, 0x42}, uint8(5), uint8(2), uint8(2), true)
 	f.Add([]byte{0xde, 0xad, 0xbe, 0xef}, uint8(3), uint8(3), uint8(1), false)
+	f.Add(bytes.Repeat([]byte{0xf7, 0x3e, 0xdb, 0x6f, 0xbd}, 8), uint8(1), uint8(5), uint8(0), true)
+	f.Add(bytes.Repeat([]byte{0xff, 0xfe, 0x7f}, 20), uint8(2), uint8(7), uint8(2), false)
 	cal := fastCalibrator(42)
 	f.Fuzz(func(t *testing.T, data []byte, mSel, strideSel, minSel uint8, fam bool) {
 		if len(data) == 0 {
@@ -195,7 +200,7 @@ func FuzzIncrementalDifferential(f *testing.F) {
 		cfg := behavior.Config{
 			WindowSize:           m,
 			MinWindows:           1 + int(minSel)%5,
-			Stride:               m * (1 + int(strideSel)%4),
+			Stride:               m * (1 + int(strideSel)%8),
 			Calibrator:           cal,
 			FamilywiseCorrection: fam,
 		}
@@ -203,11 +208,15 @@ func FuzzIncrementalDifferential(f *testing.F) {
 		if err != nil {
 			t.Fatalf("NewMulti: %v", err)
 		}
+		naive, err := behavior.NewMultiNaive(cfg)
+		if err != nil {
+			t.Fatalf("NewMultiNaive: %v", err)
+		}
 		collMulti, err := behavior.NewCollusionMulti(cfg)
 		if err != nil {
 			t.Fatalf("NewCollusionMulti: %v", err)
 		}
-		testers := []behavior.Tester{multi, collMulti}
+		testers := []behavior.Tester{multi, naive, collMulti}
 		accs := make([]*behavior.Accumulator, len(testers))
 		for i, tester := range testers {
 			acc, ok := behavior.NewAccumulatorFor(tester)
@@ -239,7 +248,7 @@ func FuzzIncrementalDifferential(f *testing.F) {
 			for _, acc := range accs {
 				acc.Append(rec)
 			}
-			if i+1 != n/2 && i+1 != n {
+			if (i+1)%(n/4) != 0 {
 				continue
 			}
 			for j, tester := range testers {

@@ -1,0 +1,220 @@
+package behavior_test
+
+// Tests for what accumulators of one tester share (the PMF memo) and for what
+// each keeps to itself (counters only).
+
+import (
+	"fmt"
+	"reflect"
+	"runtime"
+	"sync"
+	"testing"
+
+	"honestplayer/internal/attack"
+	"honestplayer/internal/behavior"
+	"honestplayer/internal/feedback"
+	"honestplayer/internal/stats"
+)
+
+// honestHistory generates one honest server's history, seeded by i.
+func honestHistory(t testing.TB, i, n int) *feedback.History {
+	t.Helper()
+	h, err := attack.GenHonest(feedback.EntityID(fmt.Sprintf("srv-%d", i)), n, 0.8+float64(i%19)/100, 5, stats.NewRNG(uint64(100+i)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return h
+}
+
+// TestSharedMemoConcurrent hammers one tester's memo from every side at
+// once: with ArenaCap 16 almost every miss rotates generations, 8 goroutines
+// read 64 accumulators, and further accumulators of the same tester take
+// appends meanwhile. Every verdict must equal the batch tester's.
+func TestSharedMemoConcurrent(t *testing.T) {
+	tester, err := behavior.NewMulti(behavior.Config{ArenaCap: 16, Calibrator: fastCalibrator(51), FamilywiseCorrection: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const readers, accs, records = 8, 64, 130
+	hists := make([]*feedback.History, accs)
+	readAccs := make([]*behavior.Accumulator, accs)
+	want := make([]behavior.Verdict, accs)
+	for i := range hists {
+		hists[i] = honestHistory(t, i, records)
+		readAccs[i], _ = behavior.NewAccumulatorFor(tester)
+		for j := 0; j < records; j++ {
+			readAccs[i].Append(hists[i].At(j))
+		}
+		if want[i], err = tester.Test(hists[i]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < readers; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for round := 0; round < 4; round++ {
+				for i := range readAccs {
+					i = (i + g*accs/readers) % accs
+					got, err := readAccs[i].Test()
+					if err != nil || !reflect.DeepEqual(got, want[i]) {
+						t.Errorf("reader %d, accumulator %d: verdict %+v (%v), batch %+v", g, i, got, err, want[i])
+						return
+					}
+				}
+			}
+		}(g)
+	}
+	// Writers own their accumulators (the store's contract: one writer per
+	// accumulator, no reads meanwhile) but share the tester's memo.
+	for g := 0; g < 2; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			acc, _ := behavior.NewAccumulatorFor(tester)
+			prefix := feedback.NewHistory(hists[g].Server())
+			for j := 0; j < records; j++ {
+				rec := hists[g].At(j)
+				acc.Append(rec)
+				if err := prefix.Append(rec); err != nil {
+					t.Error(err)
+					return
+				}
+				got, gotErr := acc.Test()
+				wantV, wantErr := tester.Test(prefix)
+				if (gotErr == nil) != (wantErr == nil) || !reflect.DeepEqual(got, wantV) {
+					t.Errorf("writer %d at n=%d: verdict %+v (%v), batch %+v (%v)", g, j+1, got, gotErr, wantV, wantErr)
+					return
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+	if st := behavior.MemoStatsFor(tester); st.Rotations == 0 || st.Entries == 0 || st.Bytes == 0 {
+		t.Fatalf("memo never rotated under a 16-entry cap: %+v", st)
+	}
+}
+
+// TestConcurrentTestSameAccumulator: Test writes nothing, so two calls on
+// one accumulator may overlap and must agree.
+func TestConcurrentTestSameAccumulator(t *testing.T) {
+	for name, tester := range diffTesters(t, behavior.Config{Calibrator: fastCalibrator(52)}) {
+		h := honestHistory(t, 3, 170)
+		acc, _ := behavior.NewAccumulatorFor(tester)
+		for j := 0; j < h.Len(); j++ {
+			acc.Append(h.At(j))
+		}
+		want, err := tester.Test(h)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var wg sync.WaitGroup
+		for g := 0; g < 2; g++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for round := 0; round < 20; round++ {
+					if got, err := acc.Test(); err != nil || !reflect.DeepEqual(got, want) {
+						t.Errorf("%s: verdict %+v (%v), batch %+v", name, got, err, want)
+						return
+					}
+				}
+			}()
+		}
+		wg.Wait()
+	}
+}
+
+// heapAlloc returns the live heap after a forced collection.
+func heapAlloc() uint64 {
+	runtime.GC()
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	return ms.HeapAlloc
+}
+
+// TestSizeBytesTracksHeap: the accounted size of a population of
+// accumulators is what the heap actually grew by, within a quarter — with
+// the memo out of the per-server figure, nothing large is left to mis-state.
+func TestSizeBytesTracksHeap(t *testing.T) {
+	tester, err := behavior.NewMulti(behavior.Config{Calibrator: fastCalibrator(53)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const servers, records = 1000, 200
+	h := honestHistory(t, 1, records)
+	warm, _ := behavior.NewAccumulatorFor(tester)
+	for j := 0; j < records; j++ {
+		warm.Append(h.At(j))
+	}
+	if _, err := warm.Test(); err != nil { // allocate the memo before measuring
+		t.Fatal(err)
+	}
+	accs := make([]*behavior.Accumulator, servers)
+	before := heapAlloc()
+	for i := range accs {
+		accs[i], _ = behavior.NewAccumulatorFor(tester)
+		for j := 0; j < records; j++ {
+			accs[i].Append(h.At(j))
+		}
+	}
+	grown := float64(heapAlloc() - before)
+	accounted := 0
+	for _, a := range accs {
+		accounted += a.SizeBytes()
+	}
+	t.Logf("accounted %d B, heap grew %.0f B", accounted, grown)
+	if ratio := float64(accounted) / grown; ratio < 0.75 || ratio > 1.25 {
+		t.Fatalf("accounted %d B for %d accumulators, heap grew %.0f B (ratio %.2f)", accounted, servers, grown, ratio)
+	}
+	if per := accounted / servers; per > 4096 {
+		t.Fatalf("%d B accounted per %d-record accumulator", per, records)
+	}
+	runtime.KeepAlive(accs)
+}
+
+// TestNewAccumulatorAllocation: minting an accumulator on a warm tester
+// allocates the fixed phase tables and nothing that scales with a memo.
+func TestNewAccumulatorAllocation(t *testing.T) {
+	tester, err := behavior.NewMulti(behavior.Config{Calibrator: fastCalibrator(54)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const mints = 200
+	var before, after runtime.MemStats
+	keep := make([]*behavior.Accumulator, mints)
+	runtime.ReadMemStats(&before)
+	for i := range keep {
+		keep[i], _ = behavior.NewAccumulatorFor(tester)
+	}
+	runtime.ReadMemStats(&after)
+	if per := (after.TotalAlloc - before.TotalAlloc) / mints; per >= 4096 {
+		t.Fatalf("NewAccumulatorFor allocates %d B", per)
+	}
+	runtime.KeepAlive(keep)
+}
+
+// TestWideWindowString covers window good-counts that need two bytes each
+// (m > 255), through appends, a state round trip, and reads.
+func TestWideWindowString(t *testing.T) {
+	cfg := behavior.Config{WindowSize: 300, MinWindows: 2, Stride: 600, Calibrator: fastCalibrator(55)}
+	tester, err := behavior.NewMulti(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := honestHistory(t, 7, 2500)
+	acc, _ := behavior.NewAccumulatorFor(tester)
+	for j := 0; j < h.Len(); j++ {
+		acc.Append(h.At(j))
+	}
+	restored, _ := behavior.NewAccumulatorFor(tester)
+	if err := restored.RestoreState(acc.AppendState(nil)); err != nil {
+		t.Fatal(err)
+	}
+	want, wantErr := tester.Test(h)
+	for _, a := range []*behavior.Accumulator{acc, restored} {
+		got, gotErr := a.Test()
+		requireSameOutcome(t, "wide", h.Len(), got, gotErr, want, wantErr)
+	}
+}

@@ -3,63 +3,36 @@ package behavior
 // Resident-size self-reporting for the memory-budget governor. SizeBytes must
 // be cheap enough to run on every accepted write (the store recomputes a
 // server's accounted size under the shard lock after each append), so it
-// derives the footprint from lengths and capacities in O(m) — it never walks
-// checkpoint or client collections, whose element sizes are uniform.
+// derives the footprint from lengths and capacities in O(1) — it never walks
+// the client collections, whose element sizes are uniform.
 
 const (
-	szAccStruct     = 280 // Accumulator struct itself (headers, maps, mutex)
-	szCheckpoint    = 32  // checkpoint struct: slice header + sum
+	szAccStruct     = 128 // Accumulator struct itself (counters, slice headers)
 	szClientSeries  = 56  // clientSeries struct + map entry overhead
 	szMapEntry      = 48  // approximate per-entry overhead of a small map
-	szBinomialObj   = 120 // stats.Binomial + its boxed map slot
-	szConfTable     = 32  // confTable struct + map slot
-	szHistScratch   = 96  // stats.Histogram scratch (counts slice accounted below)
-	szKGridEntry    = 16  // kGridEntry: int32 (padded) + float64
 	szIntSliceEntry = 8
 )
 
 // SizeBytes returns the approximate resident heap footprint of the
-// accumulator: phase window tables and their checkpoint ladders, the binomial
-// PMF arena (both generations once rotation starts), the collusion modes'
-// per-client index, and the threshold memo tables. The estimate is computed
-// from element counts — all variable-size members grow in uniform strides —
-// so the cost is O(m) regardless of how much history the accumulator has
-// consumed. It is an accounting figure, not an exact allocator measurement:
-// the governor compares these figures against a byte budget, and a uniform
-// small bias cancels out of that comparison.
+// accumulator: the per-phase window histograms and sums, the window string
+// (one byte per record at m ≤ 255), and the collusion modes' per-client
+// index. Memo state is not in it — the PMF memo belongs to the tester and
+// the threshold grid to the calibrator, each reported once (MemoStatsFor).
+// The estimate is computed from capacities — all variable-size members grow
+// in uniform strides — so the cost is O(1) regardless of how much history
+// the accumulator has consumed. It is an accounting figure, not an exact
+// allocator measurement: the governor compares these figures against a byte
+// budget, and a uniform small bias cancels out of that comparison.
 func (a *Accumulator) SizeBytes() int {
-	m := a.cfg.WindowSize
 	size := szAccStruct
-	size += cap(a.prefRing) * szIntSliceEntry
-	// Phase families: running counts plus a checkpoint every strideWindows
-	// windows, each checkpoint carrying an m+1 int32 histogram.
-	cpBytes := szCheckpoint + (m+1)*4
-	for i := range a.phases {
-		ph := &a.phases[i]
-		size += 64 + cap(ph.counts)*8
-		size += cap(ph.checkpoints) * cpBytes
-	}
-	if a.bino != nil {
-		size += len(a.bino.keys)*8 + len(a.bino.pmfs)*8
-		size += len(a.bino.prevKeys)*8 + len(a.bino.prevPmfs)*8
-	}
+	size += (cap(a.prefRing) + cap(a.counts) + cap(a.sums)) * szIntSliceEntry
+	size += cap(a.wins)
 	if a.clients != nil {
 		// Each record contributes one idx entry and one good entry to exactly
 		// one client's series, so the series payloads sum to ~2 ints per
 		// record; per-client struct overhead is uniform.
 		size += len(a.clients) * (szClientSeries + szMapEntry + 2*szIntSliceEntry)
 		size += a.n * 2 * szIntSliceEntry
-	}
-	if a.binoObjs != nil {
-		size += len(a.binoObjs) * (szBinomialObj + (m+1)*8)
-	}
-	if a.scratch != nil {
-		size += szHistScratch + (m+1)*8
-	}
-	size += cap(a.kGrid) * szKGridEntry
-	size += len(a.wbIndex) * szMapEntry
-	for _, t := range a.threshTab {
-		size += szConfTable + szMapEntry + cap(t.tbl)*8
 	}
 	return size
 }

@@ -1,13 +1,28 @@
 package behavior
 
 // Incremental-state serialization for the assessment accumulator: the
-// history-dependent counters — phase window histograms, stride checkpoints,
-// the good-count prefix ring, and the per-issuer series of the collusion
-// modes — freeze into a compact varint blob and restore exactly. The memo
-// structures (the PMF arena, threshold grids, collusion Binomial memo) are
-// pure caches over those counters and are deliberately NOT serialized: a
-// restored accumulator rebuilds them lazily, and because every cached value
-// is a pure function of its key the verdicts are unaffected.
+// history-dependent counters — phase window histograms and sums, the window
+// string, the good-count prefix ring, and the per-issuer series of the
+// collusion modes — freeze into a compact blob and restore exactly. That is
+// all an accumulator holds: the PMF memo lives in the tester and the
+// threshold grid in the calibrator, so a restored accumulator reads through
+// the same memo state as one fed record by record.
+//
+// Layout (version 2; uvarints unless noted):
+//
+//	byte version, byte mode, m, stride, minWindows, n, goodTotal
+//	single/multi modes:
+//	  m+1 prefix-ring entries
+//	  per phase φ = 0..m−1: sum, m+1 histogram buckets
+//	  window string: max(0, n−m+1) entries of winWidth(m) raw bytes
+//	collusion modes:
+//	  client count, then per client (ascending ID): ID length, ID bytes,
+//	  record count, index deltas, good bitset
+//
+// The histograms and sums are redundant with the window string; restore
+// re-derives them from it and rejects a blob where they disagree. Version 1
+// (stride checkpoints instead of the window string) is rejected like any
+// unknown version; the ledger answers that by re-deriving from records.
 //
 // A node snapshot persists one blob per server so a rebooting -incremental
 // node resumes assessment state directly instead of re-feeding millions of
@@ -17,6 +32,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 
 	"honestplayer/internal/feedback"
@@ -27,7 +43,7 @@ import (
 var ErrBadState = errors.New("behavior: bad accumulator state")
 
 // accStateVersion tags the blob layout; bump on incompatible change.
-const accStateVersion = 1
+const accStateVersion = 2
 
 // AppendState appends the accumulator's serialized essential state to buf.
 // The caller must ensure Append is not running concurrently (the store's
@@ -50,22 +66,13 @@ func (a *Accumulator) appendPhaseState(buf []byte) []byte {
 	for _, v := range a.prefRing {
 		buf = binary.AppendUvarint(buf, uint64(v))
 	}
-	for i := range a.phases {
-		ph := &a.phases[i]
-		buf = binary.AppendUvarint(buf, uint64(ph.windows))
-		buf = binary.AppendUvarint(buf, uint64(ph.sum))
-		for _, c := range ph.counts {
+	for phi, sum := range a.sums {
+		buf = binary.AppendUvarint(buf, uint64(sum))
+		for _, c := range a.phase(phi) {
 			buf = binary.AppendUvarint(buf, uint64(c))
 		}
-		buf = binary.AppendUvarint(buf, uint64(len(ph.checkpoints)))
-		for _, cp := range ph.checkpoints {
-			buf = binary.AppendUvarint(buf, uint64(cp.sum))
-			for _, c := range cp.counts {
-				buf = binary.AppendUvarint(buf, uint64(c))
-			}
-		}
 	}
-	return buf
+	return append(buf, a.wins...)
 }
 
 func (a *Accumulator) appendClientState(buf []byte) []byte {
@@ -133,107 +140,106 @@ func (a *Accumulator) RestoreState(data []byte) error {
 		return fmt.Errorf("%w: state for m=%d stride=%d minWindows=%d, accumulator has m=%d stride=%d minWindows=%d",
 			ErrBadState, fields[0], fields[1], fields[2], a.cfg.WindowSize, a.cfg.Stride, a.cfg.MinWindows)
 	}
-	n, goodTotal := int(fields[3]), int(fields[4])
-	if goodTotal > n {
-		return fmt.Errorf("%w: good %d > n %d", ErrBadState, goodTotal, n)
+	// Every record costs the blob at least a bit, which bounds n (and with it
+	// every allocation below) by the blob's length.
+	if fields[4] > fields[3] || fields[3] > uint64(a.cfg.WindowSize)+8*uint64(len(data)) {
+		return fmt.Errorf("%w: %d good of %d records in %d bytes", ErrBadState, fields[4], fields[3], len(data))
 	}
+	n, goodTotal := int(fields[3]), int(fields[4])
 	if a.clients != nil {
-		if err := a.restoreClientState(data, n); err != nil {
+		if err := a.restoreClientState(data, n, goodTotal); err != nil {
 			return err
 		}
-	} else {
-		if err := a.restorePhaseState(data, n); err != nil {
-			return err
-		}
+	} else if err := a.restorePhaseState(data, n, goodTotal); err != nil {
+		return err
 	}
 	a.n, a.goodTotal = n, goodTotal
 	return nil
 }
 
-func (a *Accumulator) restorePhaseState(data []byte, n int) error {
+func (a *Accumulator) restorePhaseState(data []byte, n, goodTotal int) error {
 	m := a.cfg.WindowSize
-	prefRing := make([]int, m+1)
 	var err error
 	var v uint64
+	prefRing := make([]int, m+1)
 	for i := range prefRing {
 		if v, data, err = readUvarint(data); err != nil {
 			return err
 		}
 		prefRing[i] = int(v)
 	}
-	phases := make([]accPhase, m)
-	totalWindows := 0
-	for i := range phases {
-		ph := &phases[i]
+	// The ring holds the good-count prefix G(j) at j mod (m+1) for the last
+	// m+1 positions j ≤ n (zero where j would be negative): it ends at the
+	// total and steps by one record's outcome.
+	prev := goodTotal
+	for j := n; j >= 0 && j >= n-m; j-- {
+		g := prefRing[j%(m+1)]
+		if g > prev || prev-g > 1 || (j == n && g != goodTotal) || (j == 0 && g != 0) {
+			return fmt.Errorf("%w: prefix ring entry %d for position %d of %d", ErrBadState, g, j, n)
+		}
+		prev = g
+	}
+	counts, sums := make([]int64, m*(m+1)), make([]int64, m)
+	for phi := range sums {
 		if v, data, err = readUvarint(data); err != nil {
 			return err
 		}
-		ph.windows = int(v)
-		totalWindows += ph.windows
-		if v, data, err = readUvarint(data); err != nil {
-			return err
-		}
-		ph.sum = int64(v)
-		ph.counts = make([]int64, m+1)
-		var sum int64
-		for j := range ph.counts {
+		sums[phi] = int64(v)
+		for j := 0; j <= m; j++ {
 			if v, data, err = readUvarint(data); err != nil {
 				return err
 			}
-			ph.counts[j] = int64(v)
-			sum += int64(v)
-		}
-		if sum != int64(ph.windows) {
-			return fmt.Errorf("%w: phase %d counts sum %d, windows %d", ErrBadState, i, sum, ph.windows)
-		}
-		if v, data, err = readUvarint(data); err != nil {
-			return err
-		}
-		numCP := int(v)
-		ws := a.cfg.Stride / m
-		if wantCP := (ph.windows + ws - 1) / ws; numCP != wantCP && !(ph.windows == 0 && numCP == 0) {
-			return fmt.Errorf("%w: phase %d has %d checkpoints, want %d", ErrBadState, i, numCP, wantCP)
-		}
-		ph.checkpoints = make([]checkpoint, numCP)
-		for c := range ph.checkpoints {
-			cp := &ph.checkpoints[c]
-			if v, data, err = readUvarint(data); err != nil {
-				return err
-			}
-			cp.sum = int64(v)
-			cp.counts = make([]int32, m+1)
-			for j := range cp.counts {
-				if v, data, err = readUvarint(data); err != nil {
-					return err
-				}
-				cp.counts[j] = int32(v)
-			}
+			counts[phi*(m+1)+j] = int64(v)
 		}
 	}
-	// Every append past the first m-1 records completes exactly one window.
-	if n >= m && totalWindows != n-m+1 {
-		return fmt.Errorf("%w: %d windows across phases, want %d for n=%d", ErrBadState, totalWindows, n-m+1, n)
+	// Every append past the first m−1 records completed exactly one window;
+	// the window ending at record j belongs to phase j mod m.
+	width := winWidth(m)
+	windows := 0
+	if n >= m {
+		windows = n - m + 1
 	}
-	if n < m && totalWindows != 0 {
-		return fmt.Errorf("%w: %d windows for n=%d < m=%d", ErrBadState, totalWindows, n, m)
+	switch {
+	case len(data) < windows*width:
+		return fmt.Errorf("%w: window string of %d bytes, want %d for n=%d", ErrBadState, len(data), windows*width, n)
+	case len(data) > windows*width:
+		return fmt.Errorf("%w: %d trailing bytes", ErrBadState, len(data)-windows*width)
 	}
-	if len(data) != 0 {
-		return fmt.Errorf("%w: %d trailing bytes", ErrBadState, len(data))
+	derived, derivedSums := make([]int64, len(counts)), make([]int64, m)
+	for i := 0; i < windows; i++ {
+		c := winAt(data, width, i)
+		if c > m {
+			return fmt.Errorf("%w: window %d holds %d good of %d", ErrBadState, i, c, m)
+		}
+		derived[(i%m)*(m+1)+c]++
+		derivedSums[i%m] += int64(c)
 	}
-	a.prefRing = prefRing
-	a.phases = phases
+	if !slices.Equal(counts, derived) || !slices.Equal(sums, derivedSums) {
+		return fmt.Errorf("%w: phase histograms or sums disagree with the window string", ErrBadState)
+	}
+	if windows > 0 && winAt(data, width, windows-1) != goodTotal-prefRing[(n-m)%(m+1)] {
+		return fmt.Errorf("%w: newest window disagrees with the prefix ring", ErrBadState)
+	}
+	a.prefRing, a.counts, a.sums = prefRing, counts, sums
+	a.wins = append([]byte(nil), data...)
 	return nil
 }
 
-func (a *Accumulator) restoreClientState(data []byte, n int) error {
+func (a *Accumulator) restoreClientState(data []byte, n, goodTotal int) error {
 	var err error
 	var v uint64
 	if v, data, err = readUvarint(data); err != nil {
 		return err
 	}
+	if v > uint64(n) { // every client issued at least one record
+		return fmt.Errorf("%w: %d clients for %d records", ErrBadState, v, n)
+	}
 	numClients := int(v)
 	clients := make(map[feedback.EntityID]*clientSeries, numClients)
-	total := 0
+	// The series must partition the record positions [0, n) and hold the
+	// good total between them.
+	taken := make([]bool, n)
+	total, good := 0, 0
 	for c := 0; c < numClients; c++ {
 		if v, data, err = readUvarint(data); err != nil {
 			return err
@@ -251,7 +257,7 @@ func (a *Accumulator) restoreClientState(data []byte, n int) error {
 			return err
 		}
 		cnt := int(v)
-		if cnt <= 0 || cnt > n-total {
+		if cnt <= 0 || cnt > n-total || cnt > len(data) { // an index delta is at least a byte
 			return fmt.Errorf("%w: client %q has %d records of %d remaining", ErrBadState, id, cnt, n-total)
 		}
 		total += cnt
@@ -265,9 +271,10 @@ func (a *Accumulator) restoreClientState(data []byte, n int) error {
 			if i == 0 {
 				idx = int(v)
 			}
-			if idx <= prev || idx >= n {
-				return fmt.Errorf("%w: client %q index %d out of order or range", ErrBadState, id, idx)
+			if idx <= prev || idx >= n || taken[idx] {
+				return fmt.Errorf("%w: client %q index %d out of order, out of range or taken", ErrBadState, id, idx)
 			}
+			taken[idx] = true
 			cs.idx[i] = idx
 			prev = idx
 		}
@@ -282,10 +289,11 @@ func (a *Accumulator) restoreClientState(data []byte, n int) error {
 			}
 		}
 		data = data[nBytes:]
+		good += cs.good[cnt]
 		clients[id] = cs
 	}
-	if total != n {
-		return fmt.Errorf("%w: client series cover %d records, want %d", ErrBadState, total, n)
+	if total != n || good != goodTotal {
+		return fmt.Errorf("%w: client series cover %d records (%d good), want %d (%d good)", ErrBadState, total, good, n, goodTotal)
 	}
 	if len(data) != 0 {
 		return fmt.Errorf("%w: %d trailing bytes", ErrBadState, len(data))

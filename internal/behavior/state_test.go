@@ -6,6 +6,9 @@ package behavior_test
 // both keep consuming feedback.
 
 import (
+	"bytes"
+	"errors"
+	"fmt"
 	"reflect"
 	"testing"
 
@@ -112,15 +115,102 @@ func TestAccumulatorStateRejects(t *testing.T) {
 	if err := busy.RestoreState(blob); err == nil {
 		t.Fatal("restore into non-empty accumulator accepted")
 	}
-	// Truncations must never panic and never half-apply: a failed restore
-	// leaves the accumulator usable and empty.
-	for cut := 0; cut < len(blob); cut++ {
+	// rejects restores bad into a fresh accumulator: it must fail with
+	// ErrBadState and never half-apply — the accumulator stays empty and
+	// still restores the good blob afterwards.
+	rejects := func(what string, bad []byte) {
+		t.Helper()
 		fresh, _ := behavior.NewAccumulatorFor(testers["multi"])
-		if err := fresh.RestoreState(blob[:cut]); err == nil {
-			t.Fatalf("truncated blob (%d of %d bytes) accepted", cut, len(blob))
+		if err := fresh.RestoreState(bad); !errors.Is(err, behavior.ErrBadState) {
+			t.Fatalf("%s: RestoreState = %v, want ErrBadState", what, err)
 		}
 		if fresh.Len() != 0 {
-			t.Fatalf("failed restore mutated accumulator (n=%d)", fresh.Len())
+			t.Fatalf("%s: failed restore mutated accumulator (n=%d)", what, fresh.Len())
+		}
+		if err := fresh.RestoreState(blob); err != nil {
+			t.Fatalf("%s: accumulator unusable after failed restore: %v", what, err)
+		}
+		requireSameTest(t, h.Len(), orig, fresh)
+	}
+	// Truncations, the window string cut short among them.
+	for cut := 0; cut < len(blob); cut++ {
+		rejects(fmt.Sprintf("truncated to %d of %d bytes", cut, len(blob)), blob[:cut])
+	}
+	rejects("trailing byte", append(append([]byte(nil), blob...), 0))
+	tampered := func(i int, v byte) []byte {
+		bad := append([]byte(nil), blob...)
+		bad[i] = v
+		return bad
+	}
+	// Version 1 (the checkpoint-ladder layout) is not decoded.
+	rejects("version 1", tampered(0, 1))
+	// The blob ends with the window string: n−m+1 one-byte good counts.
+	last := len(blob) - 1
+	rejects("window above m", tampered(last, byte(cfg.WindowSize+1)))
+	// A changed window no longer matches the stored histograms and sums.
+	rejects("window disagreeing with histogram and sum", tampered(last-1, blob[last-1]^1))
+	// After the two header bytes and five single-byte fields come the m+1
+	// ring entries, then phase 0: its sum, then its histogram.
+	phase0 := 2 + 5 + cfg.WindowSize + 1
+	rejects("sum disagreeing with window string", tampered(phase0, blob[phase0]^1))
+	rejects("histogram disagreeing with window string", tampered(phase0+1, blob[phase0+1]^1))
+}
+
+// FuzzAccumulatorState feeds arbitrary bytes to RestoreState for every mode:
+// it must reject or restore, never panic or allocate past the blob's size,
+// and whatever it accepts must be a consistent state — Test runs and the
+// state survives another round trip.
+func FuzzAccumulatorState(f *testing.F) {
+	cfg := behavior.Config{WindowSize: 5, MinWindows: 2, Stride: 10, Calibrator: fastCalibrator(33)}
+	multi, err := behavior.NewMulti(cfg)
+	if err != nil {
+		f.Fatal(err)
+	}
+	collMulti, err := behavior.NewCollusionMulti(cfg)
+	if err != nil {
+		f.Fatal(err)
+	}
+	testers := []behavior.Tester{multi, collMulti}
+	h, err := attack.PrepareByColluders("srv-fuzz", 60, 0.9, []feedback.EntityID{"col-a", "col-b"}, stats.NewRNG(34))
+	if err != nil {
+		f.Fatal(err)
+	}
+	for _, tester := range testers {
+		acc, _ := behavior.NewAccumulatorFor(tester)
+		f.Add(acc.AppendState(nil))
+		for i := 0; i < h.Len(); i++ {
+			acc.Append(h.At(i))
+			if i == 3 || i == 27 || i == h.Len()-1 {
+				f.Add(acc.AppendState(nil))
+			}
 		}
 	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		for _, tester := range testers {
+			acc, _ := behavior.NewAccumulatorFor(tester)
+			if err := acc.RestoreState(data); err != nil {
+				if !errors.Is(err, behavior.ErrBadState) {
+					t.Fatalf("RestoreState error %v does not wrap ErrBadState", err)
+				}
+				if acc.Len() != 0 {
+					t.Fatalf("failed restore left %d records", acc.Len())
+				}
+				continue
+			}
+			if _, err := acc.Test(); err != nil && !errors.Is(err, behavior.ErrInsufficientHistory) {
+				t.Fatalf("restored state does not test: %v", err)
+			}
+			// Not necessarily data itself (varints need not be minimal), but
+			// what it re-encodes to is a fixed point.
+			again := acc.AppendState(nil)
+			twin, _ := behavior.NewAccumulatorFor(tester)
+			if err := twin.RestoreState(again); err != nil {
+				t.Fatalf("re-encoded state rejected: %v", err)
+			}
+			if !bytes.Equal(twin.AppendState(nil), again) {
+				t.Fatalf("re-encoding is not canonical: %x", again)
+			}
+			requireSameTest(t, acc.Len(), acc, twin)
+		}
+	})
 }

@@ -38,6 +38,11 @@ func (tp *TwoPhase) SupportsIncremental() bool {
 	return tp.tester == nil || behavior.SupportsAccumulator(tp.tester)
 }
 
+// MemoStats reports the memo state all of this assessor's accumulators share
+// — the tester's PMF memo — which no ServerAccumulator.SizeBytes includes.
+// It is zero when phase 1 is disabled.
+func (tp *TwoPhase) MemoStats() behavior.MemoStats { return behavior.MemoStatsFor(tp.tester) }
+
 // NewServerAccumulator mints an empty incremental assessment state for one
 // server. It fails when the assessor's components have no incremental form;
 // use SupportsIncremental to check up front.
@@ -68,9 +73,10 @@ func (sa *ServerAccumulator) Len() int {
 
 // SizeBytes returns the approximate resident heap footprint of the
 // accumulator's state: the wrapper plus its trust tracker and (when phase 1
-// is enabled) the behaviour accumulator, whose PMF arena dominates. The
-// memory-budget governor charges this against the node-wide budget as the
-// accumulator half of a server's resident size.
+// is enabled) the behaviour accumulator's counters. The memory-budget
+// governor charges this against the node-wide budget as the accumulator half
+// of a server's resident size; the memo state the accumulators share is
+// charged once (MemoStats).
 func (sa *ServerAccumulator) SizeBytes() int {
 	const saStruct = 48 // ServerAccumulator struct: 3 pointers + string header
 	size := saStruct + sa.tr.SizeBytes()

@@ -1,15 +1,19 @@
 package ledger
 
 import (
+	"bytes"
 	"context"
+	"errors"
 	"os"
 	"path/filepath"
 	"reflect"
 	"sort"
 	"testing"
 
+	"honestplayer/internal/behavior"
 	"honestplayer/internal/core"
 	"honestplayer/internal/feedback"
+	"honestplayer/internal/stats"
 	"honestplayer/internal/store"
 	"honestplayer/internal/trust"
 )
@@ -162,6 +166,89 @@ func TestSnapshotBootMatchesFullReplay(t *testing.T) {
 		t.Fatal("full replay diverges from snapshot+tail state")
 	}
 	if err := fullBoot.Close(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestSnapshotWithV1AccumulatorBlobs: a snapshot written before behaviour
+// accumulator state became version 2 carries version-1 blobs. Boot must not
+// decode them: every accumulator is re-derived from the snapshot's records,
+// and the node serves the verdicts a full replay would.
+func TestSnapshotWithV1AccumulatorBlobs(t *testing.T) {
+	dir := filepath.Join(t.TempDir(), "led")
+	tester, err := behavior.NewMulti(behavior.Config{
+		Calibrator: stats.NewCalibrator(stats.CalibrationConfig{Replicates: 100, Seed: 3}, 0)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	tp, err := core.NewTwoPhase(tester, trust.Average{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts, _ := incrementalOptions(t, 4, 2048, 0)
+	opts.AccumulatorFactory = func(server feedback.EntityID) store.Accumulator {
+		acc, err := tp.NewServerAccumulator(server)
+		if err != nil {
+			return nil
+		}
+		return acc
+	}
+	// The behaviour blob opens with version, mode (multi = 1), m, stride and
+	// minimum windows; its first occurrence in the state is that header.
+	// Stamping version 1 there is what an old snapshot holds, as far as the
+	// decoder looks.
+	header := []byte{2, 1, 10, 10, 4}
+	opts.EncodeAccumulator = func(acc store.Accumulator) ([]byte, bool) {
+		state, ok := acc.(*core.ServerAccumulator).AppendState(nil)
+		at := bytes.Index(state, header)
+		if !ok || at < 0 {
+			t.Errorf("no behaviour state header in %x", state)
+			return nil, false
+		}
+		state[at] = 1
+		return state, true
+	}
+	rejected := 0
+	opts.RestoreAccumulator = func(server feedback.EntityID, state []byte) (store.Accumulator, int, error) {
+		sa, n, err := tp.RestoreServerAccumulator(server, state)
+		if err != nil {
+			if !errors.Is(err, core.ErrBadState) {
+				t.Errorf("restore %q: %v, want ErrBadState", server, err)
+			}
+			rejected++
+			return nil, 0, err
+		}
+		return sa, n, nil
+	}
+
+	ps, err := OpenStoreOptions(context.Background(), dir, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	workload(t, ps, 500, 0)
+	if _, err := ps.Snapshot(); err != nil {
+		t.Fatal(err)
+	}
+	workload(t, ps, 77, 500) // tail past the snapshot
+	want := storeFingerprint(t, ps.Store(), tp)
+	if err := ps.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	snapBoot, err := OpenStoreOptions(context.Background(), dir, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if snapBoot.Stats().BootMode != "snapshot" {
+		t.Fatalf("boot mode = %q, want snapshot", snapBoot.Stats().BootMode)
+	}
+	if servers := len(snapBoot.Store().Servers()); rejected != servers {
+		t.Fatalf("%d of %d version-1 blobs rejected", rejected, servers)
+	}
+	if got := storeFingerprint(t, snapBoot.Store(), tp); !reflect.DeepEqual(want, got) {
+		t.Fatal("boot over version-1 accumulator blobs diverges from the state a replay builds")
+	}
+	if err := snapBoot.Close(); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -28,6 +28,7 @@ import (
 	"time"
 
 	"honestplayer/internal/assesscache"
+	"honestplayer/internal/behavior"
 	"honestplayer/internal/cluster"
 	"honestplayer/internal/core"
 	"honestplayer/internal/feedback"
@@ -179,6 +180,10 @@ type IncrementalStats struct {
 	// could not answer and the batch path (cache or recompute) served
 	// instead while the engine was enabled.
 	Fallbacks uint64 `json:"fallbacks"`
+	// MemoStats describes the PMF memo all accumulators share (memo_bytes,
+	// memo_entries, memo_rotations). No server's accounted size includes it;
+	// under a memory budget it is charged once, as lifecycle.shared_bytes.
+	behavior.MemoStats
 }
 
 // conn wraps one accepted connection with its drain state: Close shuts an
@@ -304,6 +309,7 @@ func New(addr string, cfg Config) (*Server, error) {
 			}
 			return sa
 		})
+		cfg.Store.SetSharedBytes(func() int64 { return assessor.MemoStats().Bytes })
 	}
 	srv.pipeline = srv.buildPipeline()
 	return srv, nil
@@ -400,6 +406,7 @@ func (s *Server) Stats() Stats {
 		ServersTracked: s.cfg.Store.AccumulatorsTracked(),
 		Served:         s.nIncremental.Load(),
 		Fallbacks:      s.nFallback.Load(),
+		MemoStats:      s.cfg.Assessor.MemoStats(),
 	}
 	if cl := s.clusterRef.Load(); cl != nil {
 		st.Cluster = cl.Stats()

@@ -509,20 +509,26 @@ func TestStatsCounters(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var keys map[string]json.RawMessage
-	if err := json.Unmarshal(raw, &keys); err != nil {
-		t.Fatal(err)
-	}
-	for _, k := range []string{"connections", "requests", "errors", "cache", "per_type", "incremental", "batch_items",
-		"submit_batches", "submit_batch_items", "submit_batch_rejects", "v2_connections", "cluster", "lifecycle"} {
-		if _, ok := keys[k]; !ok {
-			t.Errorf("stats lost key %q", k)
+	exactKeys := func(what string, raw []byte, want ...string) map[string]json.RawMessage {
+		t.Helper()
+		var keys map[string]json.RawMessage
+		if err := json.Unmarshal(raw, &keys); err != nil {
+			t.Fatal(err)
 		}
-		delete(keys, k)
+		for _, k := range want {
+			if _, ok := keys[k]; !ok {
+				t.Errorf("%s lost key %q", what, k)
+			}
+		}
+		if len(keys) > len(want) {
+			t.Errorf("%s grew keys: %d, want the %d of %v", what, len(keys), len(want), want)
+		}
+		return keys
 	}
-	if len(keys) != 0 {
-		t.Errorf("stats grew keys %v", keys)
-	}
+	keys := exactKeys("stats", raw, "connections", "requests", "errors", "cache", "per_type", "incremental", "batch_items",
+		"submit_batches", "submit_batch_items", "submit_batch_rejects", "v2_connections", "cluster", "lifecycle")
+	exactKeys("stats.incremental", keys["incremental"], "enabled", "servers_tracked", "served", "fallbacks",
+		"memo_bytes", "memo_entries", "memo_rotations")
 }
 
 func TestPersistentRecorderSurvivesRestart(t *testing.T) {

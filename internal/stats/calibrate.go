@@ -1,10 +1,12 @@
 package stats
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"sort"
 	"sync"
+	"sync/atomic"
 )
 
 // Default calibration parameters. The paper selects ε as the 95 % confidence
@@ -113,14 +115,27 @@ func calibSeed(seed uint64, m, numWindows int, pHat float64) uint64 {
 // geometrically and pHat to a fixed resolution, trading a small threshold
 // discretisation for amortised O(1) lookups.
 //
+// The grid is direct-indexed and lock-free on a hit: a window count resolves
+// to its bucket through a table built once, a (m, confidence bucket) pair to
+// its plane through a copy-on-write map, and a grid point to one atomic
+// slot. A miss calibrates the point exactly once — concurrent askers of the
+// same point park on the first one's Monte-Carlo run instead of repeating it.
+//
 // Calibrator is safe for concurrent use.
 type Calibrator struct {
 	cfg         CalibrationConfig
 	pResolution float64
-	maxWindows  int
+	pStride     int // p̂ buckets per plane row: bucketP(1) + 1
 
-	mu    sync.Mutex
-	cache map[calibKey]float64
+	maxWindows int
+	wIndex     []uint8 // window count (≤ maxWindows) -> dense bucket index
+	wBuckets   []int   // dense bucket index -> bucket representative
+
+	planes atomic.Pointer[map[planeKey]*gridPlane]
+	points atomic.Int64 // grid points calibrated so far
+
+	mu       sync.Mutex // guards plane/row creation and inflight
+	inflight map[calibKey]*calibCall
 }
 
 // DefaultMaxCalibrationWindows bounds the window count that is calibrated by
@@ -131,11 +146,33 @@ type Calibrator struct {
 // minutes per grid point for a threshold change within estimation noise.
 const DefaultMaxCalibrationWindows = 4096
 
-type calibKey struct {
+type planeKey struct {
 	m          int
-	windows    int
-	pBucket    int
 	confBucket int
+}
+
+type calibKey struct {
+	planeKey
+	wIdx    int
+	pBucket int
+}
+
+// gridPlane holds the thresholds of one (m, confidence bucket) pair: one row
+// per windows bucket, allocated on first touch, of pStride slots. A slot
+// holds the bitwise complement of the threshold's float64 bits, so the zero
+// value marks "not calibrated yet" (no threshold complements to zero: that
+// would be a NaN the quantile of finite distances never yields).
+type gridPlane struct {
+	rows []atomic.Pointer[[]atomic.Uint64]
+}
+
+var errCalibrationAborted = errors.New("stats: calibration aborted")
+
+// calibCall is one in-flight grid-point calibration other askers wait on.
+type calibCall struct {
+	done chan struct{}
+	eps  float64
+	err  error
 }
 
 // NewCalibrator returns a Calibrator with the given Monte-Carlo
@@ -144,11 +181,27 @@ func NewCalibrator(cfg CalibrationConfig, pResolution float64) *Calibrator {
 	if pResolution <= 0 {
 		pResolution = 0.01
 	}
-	return &Calibrator{
+	c := &Calibrator{
 		cfg:         cfg.withDefaults(),
 		pResolution: pResolution,
-		maxWindows:  DefaultMaxCalibrationWindows,
-		cache:       make(map[calibKey]float64),
+		inflight:    make(map[calibKey]*calibCall),
+	}
+	c.pStride = c.bucketP(1) + 1
+	c.setMaxWindows(DefaultMaxCalibrationWindows)
+	return c
+}
+
+// setMaxWindows builds the window-count → bucket table up to max. It must
+// run before the first query.
+func (c *Calibrator) setMaxWindows(max int) {
+	c.maxWindows = max
+	c.wIndex = make([]uint8, max+1)
+	c.wBuckets = c.wBuckets[:0]
+	for w := 1; w <= max; w++ {
+		if b := bucketWindows(w); len(c.wBuckets) == 0 || b != c.wBuckets[len(c.wBuckets)-1] {
+			c.wBuckets = append(c.wBuckets, b)
+		}
+		c.wIndex[w] = uint8(len(c.wBuckets) - 1)
 	}
 }
 
@@ -167,93 +220,143 @@ func (c *Calibrator) Threshold(m, numWindows int, pHat float64) (float64, error)
 // achievable quantile resolution is limited by the replicate count;
 // confidences beyond it degrade to the sample maximum.
 func (c *Calibrator) ThresholdAt(m, numWindows int, pHat, confidence float64) (float64, error) {
-	g, err := c.ThresholdGrid(m, numWindows, pHat, confidence)
+	p, err := c.Plane(m, confidence)
 	if err != nil {
 		return 0, err
 	}
-	return g.Eps * g.Scale, nil
+	return p.Threshold(numWindows, pHat)
 }
 
-// GridThreshold is a threshold query resolved onto the calibrator's
-// discretisation grid. ThresholdAt returns exactly Eps·Scale: Eps is the
-// cached Monte-Carlo threshold at the grid point (WindowsBucket, PBucket,
-// ConfBucket) and Scale is the 1/√w extrapolation factor, which depends only
-// on the queried window count. Two queries resolving to the same grid point
-// share Eps bit for bit, which hot read paths exploit to memoise thresholds
-// on the small grid coordinates instead of exact float inputs.
-type GridThreshold struct {
-	Eps           float64
-	Scale         float64
-	WindowsBucket int
-	PBucket       int
-	ConfBucket    int
+// Plane is the calibrator's grid restricted to one window size and one
+// confidence level. A multi-test resolves it once and then asks it for every
+// suffix's threshold, which in steady state is two table loads and a
+// multiply. The zero value is not useful; obtain one from Calibrator.Plane.
+type Plane struct {
+	c          *Calibrator
+	grid       *gridPlane
+	key        planeKey
+	confidence float64 // exact level, used when a point must be calibrated
 }
 
-// ThresholdGrid resolves a threshold query to its grid point, computing and
-// caching the grid threshold if it is not yet calibrated. It is the
-// decomposed form of ThresholdAt; see GridThreshold.
-func (c *Calibrator) ThresholdGrid(m, numWindows int, pHat, confidence float64) (GridThreshold, error) {
-	if numWindows <= 0 {
-		return GridThreshold{}, fmt.Errorf("%w: windows=%d", ErrInvalidDistribution, numWindows)
-	}
+// Plane resolves (m, confidence) to its grid plane. Confidences are
+// bucketed to 1e-4; all levels in a bucket share its thresholds.
+func (c *Calibrator) Plane(m int, confidence float64) (Plane, error) {
 	if math.IsNaN(confidence) || confidence <= 0 || confidence >= 1 {
-		return GridThreshold{}, fmt.Errorf("%w: confidence=%v", ErrInvalidDistribution, confidence)
+		return Plane{}, fmt.Errorf("%w: confidence=%v", ErrInvalidDistribution, confidence)
+	}
+	key := planeKey{m: m, confBucket: int(math.Round(confidence * 1e4))}
+	var grid *gridPlane
+	if planes := c.planes.Load(); planes != nil {
+		grid = (*planes)[key]
+	}
+	if grid == nil {
+		grid = c.addPlane(key)
+	}
+	return Plane{c: c, grid: grid, key: key, confidence: confidence}, nil
+}
+
+// addPlane publishes a plane for key by copy-on-write, so readers never
+// lock: planes are few (one per window size and confidence bucket in use).
+func (c *Calibrator) addPlane(key planeKey) *gridPlane {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	var old map[planeKey]*gridPlane
+	if planes := c.planes.Load(); planes != nil {
+		old = *planes
+	}
+	if grid := old[key]; grid != nil {
+		return grid
+	}
+	next := make(map[planeKey]*gridPlane, len(old)+1)
+	for k, v := range old {
+		next[k] = v
+	}
+	grid := &gridPlane{rows: make([]atomic.Pointer[[]atomic.Uint64], len(c.wBuckets))}
+	next[key] = grid
+	c.planes.Store(&next)
+	return grid
+}
+
+// Threshold returns ε for a test over numWindows windows with estimated
+// trustworthiness pHat: the Monte-Carlo threshold of the grid point the
+// query falls on, times the 1/√w extrapolation factor beyond the calibrated
+// range. Queries resolving to the same grid point share the grid threshold
+// bit for bit.
+func (p Plane) Threshold(numWindows int, pHat float64) (float64, error) {
+	c := p.c
+	if numWindows <= 0 || math.IsNaN(pHat) {
+		return 0, fmt.Errorf("%w: windows=%d pHat=%v", ErrInvalidDistribution, numWindows, pHat)
 	}
 	// Beyond the Monte-Carlo budget, calibrate at maxWindows and apply the
 	// 1/√w extrapolation.
 	scale := 1.0
-	effective := numWindows
-	if effective > c.maxWindows {
-		scale = math.Sqrt(float64(c.maxWindows) / float64(effective))
-		effective = c.maxWindows
+	if numWindows > c.maxWindows {
+		scale = math.Sqrt(float64(c.maxWindows) / float64(numWindows))
+		numWindows = c.maxWindows
 	}
-	key := calibKey{
-		m:          m,
-		windows:    bucketWindows(effective),
-		pBucket:    c.bucketP(pHat),
-		confBucket: int(math.Round(confidence * 1e4)),
+	wIdx, pBucket := int(c.wIndex[numWindows]), c.bucketP(pHat)
+	if row := p.grid.rows[wIdx].Load(); row != nil {
+		if v := (*row)[pBucket].Load(); v != 0 {
+			return math.Float64frombits(^v) * scale, nil
+		}
 	}
-	g := GridThreshold{
-		Scale:         scale,
-		WindowsBucket: key.windows,
-		PBucket:       key.pBucket,
-		ConfBucket:    key.confBucket,
+	eps, err := c.calibrate(p, wIdx, pBucket)
+	if err != nil {
+		return 0, err
 	}
+	return eps * scale, nil
+}
+
+// calibrate fills one grid point, single-flight: the first asker runs the
+// Monte-Carlo estimate, concurrent askers of the same point wait for it.
+// Errors are not cached.
+func (c *Calibrator) calibrate(p Plane, wIdx, pBucket int) (float64, error) {
+	key := calibKey{planeKey: p.key, wIdx: wIdx, pBucket: pBucket}
 	c.mu.Lock()
-	eps, ok := c.cache[key]
-	c.mu.Unlock()
-	if ok {
-		g.Eps = eps
-		return g, nil
+	row := p.grid.rows[wIdx].Load()
+	if row == nil {
+		r := make([]atomic.Uint64, c.pStride)
+		row = &r
+		p.grid.rows[wIdx].Store(row)
 	}
-	p := float64(key.pBucket) * c.pResolution
-	if p > 1 {
-		p = 1
+	slot := &(*row)[pBucket]
+	if v := slot.Load(); v != 0 {
+		c.mu.Unlock()
+		return math.Float64frombits(^v), nil
+	}
+	if call := c.inflight[key]; call != nil {
+		c.mu.Unlock()
+		<-call.done
+		return call.eps, call.err
+	}
+	// The error stands until the estimate returns, so waiters of a run that
+	// panicked are released with it instead of with a zero threshold.
+	call := &calibCall{done: make(chan struct{}), err: errCalibrationAborted}
+	c.inflight[key] = call
+	c.mu.Unlock()
+
+	defer func() {
+		c.mu.Lock()
+		if call.err == nil {
+			slot.Store(^math.Float64bits(call.eps))
+			c.points.Add(1)
+		}
+		delete(c.inflight, key)
+		c.mu.Unlock()
+		close(call.done)
+	}()
+	pGrid := float64(pBucket) * c.pResolution
+	if pGrid > 1 {
+		pGrid = 1
 	}
 	cfg := c.cfg
-	cfg.Confidence = confidence
-	eps, err := CalibrateL1(key.m, key.windows, p, cfg)
-	if err != nil {
-		return GridThreshold{}, err
-	}
-	c.mu.Lock()
-	c.cache[key] = eps
-	c.mu.Unlock()
-	g.Eps = eps
-	return g, nil
+	cfg.Confidence = p.confidence
+	call.eps, call.err = CalibrateL1(p.key.m, c.wBuckets[wIdx], pGrid, cfg)
+	return call.eps, call.err
 }
 
 // CacheSize returns the number of grid points calibrated so far.
-func (c *Calibrator) CacheSize() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return len(c.cache)
-}
-
-// PBucket returns the grid bucket pHat falls in — the PBucket coordinate
-// ThresholdGrid would report for it. It lets hot read paths index local
-// threshold tables without taking the calibrator lock.
-func (c *Calibrator) PBucket(pHat float64) int { return c.bucketP(pHat) }
+func (c *Calibrator) CacheSize() int { return int(c.points.Load()) }
 
 func (c *Calibrator) bucketP(pHat float64) int {
 	if pHat < 0 {

@@ -138,10 +138,47 @@ func TestCalibratorConcurrent(t *testing.T) {
 	}
 }
 
+// TestCalibratorSingleFlight: askers that miss the same grid point together
+// share one Monte-Carlo run — exactly one calibration completes — and get
+// the same threshold.
+func TestCalibratorSingleFlight(t *testing.T) {
+	c := NewCalibrator(CalibrationConfig{Seed: 9, Replicates: 20000}, 0)
+	const askers = 8
+	start := make(chan struct{})
+	got := make(chan float64, askers) // one send per asker
+	for g := 0; g < askers; g++ {
+		go func(g int) {
+			<-start
+			// Different queries, one grid point.
+			eps, err := c.Threshold(10, 50+g%2, 0.9+float64(g)*1e-4)
+			if err != nil {
+				t.Error(err)
+			}
+			got <- eps
+		}(g)
+	}
+	close(start)
+	first := <-got
+	for g := 1; g < askers; g++ {
+		if eps := <-got; eps != first {
+			t.Fatalf("asker got %v, another %v", eps, first)
+		}
+	}
+	if c.CacheSize() != 1 {
+		t.Fatalf("%d calibrations completed for one grid point", c.CacheSize())
+	}
+}
+
 func TestCalibratorInvalidWindows(t *testing.T) {
 	c := NewCalibrator(CalibrationConfig{Replicates: 10}, 0)
 	if _, err := c.Threshold(10, 0, 0.9); err == nil {
 		t.Fatal("windows=0 must fail")
+	}
+	if _, err := c.Threshold(10, 5, math.NaN()); err == nil {
+		t.Fatal("pHat=NaN must fail")
+	}
+	if _, err := c.ThresholdAt(10, 5, 0.9, 1); err == nil {
+		t.Fatal("confidence=1 must fail")
 	}
 }
 
@@ -189,7 +226,7 @@ func TestCalibrateReestimateP(t *testing.T) {
 
 func TestCalibratorLargeWindowExtrapolation(t *testing.T) {
 	c := NewCalibrator(CalibrationConfig{Seed: 7, Replicates: 100}, 0)
-	c.maxWindows = 64
+	c.setMaxWindows(64)
 	base, err := c.Threshold(10, 64, 0.9)
 	if err != nil {
 		t.Fatal(err)

@@ -107,39 +107,27 @@ func L1HistDistance(h *Histogram, b *Binomial) (float64, error) {
 	return d, nil
 }
 
-// L1DiffDistance returns the L¹ distance between a binomial PMF table (as
+// L1CountsDistance returns the L¹ distance between a binomial PMF table (as
 // filled by BinomialPMFInto) and the empirical frequency distribution of the
-// per-bucket window counts cum[k] − sub[k] (a running histogram minus a
-// checkpoint; sub may be nil to use cum alone), totalling total windows. It
-// is the fused form of L1HistDistance used by the incremental behaviour
-// accumulator: no Histogram is materialised, and the floating-point
-// evaluation order matches L1HistDistance term for term, so equal inputs
-// yield bit-identical distances. Empty buckets take a division-free
-// shortcut: 0/t is exactly +0, so |0/t − pmf| is pmf itself bit for bit
-// (PMF entries are never negative).
-func L1DiffDistance(cum []int64, sub []int32, total int64, pmf []float64) (float64, error) {
-	if len(cum) != len(pmf) || (sub != nil && len(sub) != len(pmf)) {
-		return 0, fmt.Errorf("%w: histogram support [0,%d] vs B(%d,·)", ErrInvalidDistribution, len(cum)-1, len(pmf)-1)
+// per-bucket window counts, totalling total windows. It is L1HistDistance
+// for the incremental behaviour accumulator, which keeps bare count vectors
+// and shared PMF tables instead of Histogram and Binomial objects; the
+// floating-point evaluation order matches L1HistDistance term for term, so
+// equal inputs yield bit-identical distances. Empty buckets take a
+// division-free shortcut: 0/t is exactly +0, so |0/t − pmf| is pmf itself bit
+// for bit (PMF entries are never negative).
+func L1CountsDistance(counts []int64, total int64, pmf []float64) (float64, error) {
+	if len(counts) != len(pmf) {
+		return 0, fmt.Errorf("%w: histogram support [0,%d] vs B(%d,·)", ErrInvalidDistribution, len(counts)-1, len(pmf)-1)
 	}
 	if total == 0 {
 		return 0, fmt.Errorf("%w: empty sample", ErrInvalidDistribution)
 	}
 	tf := float64(total)
 	d := 0.0
-	pmf = pmf[:len(cum)] // bounds-check elimination in the loops below
-	if sub == nil {
-		for k, c := range cum {
-			if c == 0 {
-				d += pmf[k]
-			} else {
-				d += math.Abs(float64(c)/tf - pmf[k])
-			}
-		}
-		return d, nil
-	}
-	sub = sub[:len(cum)]
-	for k, c := range cum {
-		if c -= int64(sub[k]); c == 0 {
+	pmf = pmf[:len(counts)] // bounds-check elimination in the loop below
+	for k, c := range counts {
+		if c == 0 {
 			d += pmf[k]
 		} else {
 			d += math.Abs(float64(c)/tf - pmf[k])

@@ -110,12 +110,14 @@ func DecodeStub(buf []byte) (Stub, int, error) {
 
 // LifecycleStats is the governor's view of the store for /metricz and
 // mem-status: how many servers are resident vs evicted, the accounted
-// resident bytes against the budget (0 = unlimited), and the cumulative
-// eviction/reinstate counters.
+// resident bytes and the shared (not per-server) bytes that together count
+// against the budget (0 = unlimited), and the cumulative eviction/reinstate
+// counters.
 type LifecycleStats struct {
 	Resident      int    `json:"resident"`
 	Evicted       int    `json:"evicted"`
 	ResidentBytes int64  `json:"resident_bytes"`
+	SharedBytes   int64  `json:"shared_bytes"`
 	BudgetBytes   int64  `json:"budget_bytes"`
 	Evictions     uint64 `json:"evictions"`
 	Reinstates    uint64 `json:"reinstates"`
@@ -127,6 +129,7 @@ func (s *Store) Lifecycle() LifecycleStats {
 		Resident:      int(s.residentCount.Load()),
 		Evicted:       int(s.evictedCount.Load()),
 		ResidentBytes: s.residentBytes.Load(),
+		SharedBytes:   s.sharedBytes(),
 		BudgetBytes:   s.budget.Load(),
 		Evictions:     s.evictions.Load(),
 		Reinstates:    s.reinstates.Load(),
@@ -145,6 +148,26 @@ func (s *Store) ResidentBytes() int64 { return s.residentBytes.Load() }
 func (s *Store) SetBudget(bytes int64) {
 	s.budget.Store(bytes)
 	s.maybeEvict()
+}
+
+// SetSharedBytes installs the reporter of memory that serves every resident
+// server at once — the assessor's memo state — and therefore sits in no
+// server's accounted size. The governor charges it against the budget as a
+// term eviction cannot shrink: servers are evicted until their accounted
+// bytes fit in what the shared bytes leave. A nil reporter charges nothing.
+func (s *Store) SetSharedBytes(fn func() int64) {
+	if fn == nil {
+		s.shared.Store(nil)
+		return
+	}
+	s.shared.Store(&fn)
+}
+
+func (s *Store) sharedBytes() int64 {
+	if fn := s.shared.Load(); fn != nil {
+		return (*fn)()
+	}
+	return 0
 }
 
 // SetEvictGuard installs the pin check consulted (under the shard lock)
@@ -178,10 +201,12 @@ func (s *Store) SetSnapshotSeq(seq uint64) { s.snapSeq.Store(seq) }
 // instead of racing it.
 func (s *Store) maybeEvict() {
 	b := s.budget.Load()
-	if b <= 0 || s.residentBytes.Load() <= b {
+	if b <= 0 {
 		return
 	}
-	s.EvictUntil(b)
+	if b -= s.sharedBytes(); s.residentBytes.Load() > b {
+		s.EvictUntil(b)
+	}
 }
 
 // EvictUntil evicts idle servers until the accounted resident footprint is

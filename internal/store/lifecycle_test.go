@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"reflect"
+	"sync/atomic"
 	"testing"
 
 	"honestplayer/internal/feedback"
@@ -138,6 +139,34 @@ func TestBudgetEnforced(t *testing.T) {
 	}
 	if len(st.Stubs()) != st.Lifecycle().Evicted {
 		t.Fatalf("Stubs() length %d != evicted count %d", len(st.Stubs()), st.Lifecycle().Evicted)
+	}
+}
+
+// TestBudgetChargesSharedBytes: memory that serves every server at once is
+// charged to the budget as a term eviction cannot shrink — the servers get
+// what it leaves, and a growing shared term evicts them on the next write.
+func TestBudgetChargesSharedBytes(t *testing.T) {
+	st := NewSharded(4)
+	for i := 0; i < 64; i++ {
+		fillServer(t, st, feedback.EntityID(fmt.Sprintf("s%02d", i)), 6)
+	}
+	budget := st.ResidentBytes() // everything fits, exactly
+	var shared atomic.Int64
+	st.SetSharedBytes(shared.Load)
+	st.SetBudget(budget)
+	if life := st.Lifecycle(); life.Evicted != 0 || life.SharedBytes != 0 {
+		t.Fatalf("nothing shared yet, lifecycle = %+v", life)
+	}
+	shared.Store(budget / 2)
+	for i := 0; st.Lifecycle().Evicted == 0 && i < 64; i++ {
+		id := feedback.EntityID(fmt.Sprintf("s%02d", i))
+		if _, err := st.Add(rec(id, "cx", true, 1000+int64(i))); err != nil && !errors.Is(err, ErrEvicted) {
+			t.Fatalf("add: %v", err)
+		}
+	}
+	life := st.Lifecycle()
+	if life.SharedBytes != budget/2 || life.Evicted == 0 || life.ResidentBytes+life.SharedBytes > budget {
+		t.Fatalf("resident + shared over budget %d, lifecycle = %+v", budget, life)
 	}
 }
 

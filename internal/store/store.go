@@ -149,6 +149,7 @@ type Store struct {
 	// counters, the pin/preference hooks, and the sweep's clock hand.
 	residentBytes atomic.Int64
 	budget        atomic.Int64
+	shared        atomic.Pointer[func() int64] // see SetSharedBytes
 	residentCount atomic.Int64
 	evictedCount  atomic.Int64
 	evictions     atomic.Uint64
