@@ -1,6 +1,6 @@
 // Command trustd runs a reputation node: a TCP reputation server with a
-// configurable two-phase assessor, optionally gossiping its feedback store
-// with peer nodes for decentralised deployments.
+// configurable two-phase assessor, optionally reconciling its feedback store
+// with peer nodes by anti-entropy for decentralised deployments.
 //
 // Requests are deadline-bounded (-request-timeout); shutdown on
 // SIGINT/SIGTERM is graceful, draining in-flight requests for up to
@@ -10,19 +10,24 @@
 // items, and rejects, and (with -ledger) the group-commit flush counters
 // with their group-size p50/p99.
 //
+// A node has one listener (-addr): client frames, fwd.* hops between
+// cluster members and the anti-entropy exchange all arrive on it. With
+// -interval the node also initiates anti-entropy rounds, pulling records it
+// is missing from the serving addresses in -peers.
+//
 // With -node-id the node joins a static cluster: -peers is then the full
-// membership as id=addr[~gossipaddr] pairs, server ownership is partitioned
-// over a consistent-hash ring, non-owners forward requests to owners, and
-// gossip (if enabled) is scoped to ring neighbours and owned servers.
+// membership as id=addr pairs, server ownership is partitioned over a
+// consistent-hash ring, non-owners forward requests to owners, and
+// anti-entropy (if enabled) is scoped to ring neighbours and owned servers.
 //
 // Usage:
 //
 //	trustd -addr 127.0.0.1:7700 -scheme multi -trust average
-//	trustd -addr :7700 -gossip :7701 -peers host2:7701,host3:7701
+//	trustd -addr :7700 -peers host2:7700,host3:7700 -interval 1s
 //	trustd -addr :7700 -request-timeout 2s -drain-timeout 10s -metrics-addr 127.0.0.1:7780
 //	trustd -addr :7700 -incremental        # O(windows) assessments under writes
-//	trustd -addr :7700 -node-id a -replicas 2 \
-//	    -peers a=host1:7700~host1:7701,b=host2:7700~host2:7701,c=host3:7700~host3:7701
+//	trustd -addr :7700 -node-id a -replicas 2 -interval 1s \
+//	    -peers a=host1:7700,b=host2:7700,c=host3:7700
 package main
 
 import (
@@ -67,12 +72,10 @@ func run(ctx context.Context, args []string) error {
 		trustName    = fs.String("trust", "average", "trust function: average | weighted | beta")
 		lambda       = fs.Float64("lambda", 0.5, "lambda for the weighted trust function")
 		window       = fs.Int("window", 10, "transaction window size m")
-		gossipAddr   = fs.String("gossip", "", "gossip listen address (empty disables gossip)")
-		peersArg     = fs.String("peers", "", "comma-separated gossip peer addresses; with -node-id, the full cluster membership as id=addr[~gossipaddr] pairs")
+		peersArg     = fs.String("peers", "", "comma-separated serving addresses of the nodes to reconcile with; with -node-id, the full cluster membership as id=addr pairs")
 		nodeID       = fs.String("node-id", "", "this node's ID in a static cluster (empty = single-node mode; requires -peers membership including this ID)")
 		replicas     = fs.Int("replicas", cluster.DefaultReplicas, "replica count per server ID when clustered (owner + R-1 ring successors)")
-		interval     = fs.Duration("interval", time.Second, "gossip round interval")
-		name         = fs.String("name", "node", "node name used in gossip digests")
+		interval     = fs.Duration("interval", 0, "anti-entropy round interval: pull missing records from a random peer this often (0 = never initiate; the node still answers its peers' rounds)")
 		ledgerPath   = fs.String("ledger", "", "segmented ledger directory for durable feedback storage (a legacy single-file ledger migrates in place; empty = in-memory only)")
 		segmentBytes = fs.Int64("segment-bytes", ledger.DefaultSegmentBytes, "ledger segment roll-over threshold in bytes")
 		snapEvery    = fs.Uint64("snapshot-every", 0, "write a store snapshot after this many durable appends, bounding boot-time replay (0 disables)")
@@ -196,25 +199,25 @@ func run(ctx context.Context, args []string) error {
 		return err
 	}
 
+	// abort closes the bound server when the rest of start-up fails.
+	abort := func(err error) error {
+		if closeErr := srv.Close(); closeErr != nil {
+			logger.Printf("close server: %v", closeErr)
+		}
+		return err
+	}
+
 	var cl *cluster.Cluster
 	if *nodeID != "" {
 		nodes, err := cluster.ParseNodes(*peersArg)
 		if err != nil {
-			closeErr := srv.Close()
-			if closeErr != nil {
-				logger.Printf("close server: %v", closeErr)
-			}
-			return fmt.Errorf("-peers: %w", err)
+			return abort(fmt.Errorf("-peers: %w", err))
 		}
 		cl, err = cluster.New(cluster.Config{
 			Self: *nodeID, Nodes: nodes, Replicas: *replicas, Logger: logger,
 		})
 		if err != nil {
-			closeErr := srv.Close()
-			if closeErr != nil {
-				logger.Printf("close server: %v", closeErr)
-			}
-			return err
+			return abort(err)
 		}
 		srv.SetCluster(cl)
 	}
@@ -258,34 +261,24 @@ func run(ctx context.Context, args []string) error {
 		logger.Printf("metrics on http://%s/metricz", *metricsAddr)
 	}
 
-	var node *gossip.Node
-	if *gossipAddr != "" {
-		var peers []string
+	var reconciler *gossip.Reconciler
+	if *interval > 0 {
 		gcfg := gossip.Config{
-			Name: *name, Store: st, Interval: *interval, Seed: *seed, Logger: logger,
+			Name: srv.Addr(), Node: srv, Interval: *interval, Seed: *seed, Logger: logger,
 		}
 		if cl != nil {
 			// Clustered: anti-entropy runs against ring neighbours only and
-			// repairs only the servers this node's replica set covers.
-			peers = cl.GossipPeers()
-			gcfg.Owned = cl.Owns
-			if gcfg.Name == "node" {
-				gcfg.Name = cl.Self()
-			}
+			// repairs only the servers this node's replica sets cover.
+			gcfg.Name = cl.Self()
 		} else if *peersArg != "" {
-			peers = strings.Split(*peersArg, ",")
+			gcfg.Peers = strings.Split(*peersArg, ",")
 		}
-		gcfg.Peers = peers
-		node, err = gossip.New(*gossipAddr, gcfg)
+		reconciler, err = gossip.New(gcfg)
 		if err != nil {
-			closeErr := srv.Close()
-			if closeErr != nil {
-				logger.Printf("close server: %v", closeErr)
-			}
-			return err
+			return abort(err)
 		}
-		node.Start()
-		logger.Printf("gossip node %q on %s (peers: %v)", *name, node.Addr(), peers)
+		reconciler.Start()
+		logger.Printf("anti-entropy as %q every %s", gcfg.Name, *interval)
 	}
 
 	<-ctx.Done()
@@ -297,9 +290,9 @@ func run(ctx context.Context, args []string) error {
 		}
 		cancel()
 	}
-	if node != nil {
-		if err := node.Close(); err != nil {
-			logger.Printf("close gossip: %v", err)
+	if reconciler != nil {
+		if err := reconciler.Close(); err != nil {
+			logger.Printf("close reconciler: %v", err)
 		}
 	}
 	if cl != nil {

@@ -340,9 +340,11 @@ type (
 	// context-taking variant (PingCtx, AssessCtx, …) that derives the
 	// round-trip deadline from the context.
 	Client = repclient.Client
-	// GossipNode disseminates feedback by anti-entropy (P2P deployment).
-	GossipNode = gossip.Node
-	// GossipConfig parameterises a gossip node.
+	// GossipNode reconciles a Server's feedback store with its peers by
+	// anti-entropy (P2P deployment): a peer is a Server plus a GossipNode.
+	GossipNode = gossip.Reconciler
+	// GossipConfig parameterises a gossip node; Node is the Server it
+	// repairs, Peers the serving addresses of the other peers.
 	GossipConfig = gossip.Config
 	// ServiceMetrics aggregates per-request-type counters and latency
 	// histograms for any transport built on the service layer.
@@ -397,7 +399,9 @@ func DialServer(addr string, opts ...repclient.Option) (*Client, error) {
 	return repclient.Dial(addr, opts...)
 }
 
-// NewGossipNode creates a gossip node listening on addr.
-func NewGossipNode(addr string, cfg GossipConfig) (*GossipNode, error) {
-	return gossip.New(addr, cfg)
+// NewGossipNode creates the anti-entropy reconciler of the Server in
+// cfg.Node. It listens nowhere: peers answer its rounds on their serving
+// listeners, as cfg.Node answers theirs.
+func NewGossipNode(cfg GossipConfig) (*GossipNode, error) {
+	return gossip.New(cfg)
 }

@@ -241,25 +241,33 @@ func TestFacadePartitionedTester(t *testing.T) {
 }
 
 func TestFacadeGossipPair(t *testing.T) {
-	a, err := honestplayer.NewGossipNode("127.0.0.1:0", honestplayer.GossipConfig{Name: "a", Seed: 1})
+	assessor, err := honestplayer.NewTwoPhase(nil, honestplayer.Average{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer func() { _ = a.Close() }()
-	b, err := honestplayer.NewGossipNode("127.0.0.1:0", honestplayer.GossipConfig{Name: "b", Seed: 2})
-	if err != nil {
-		t.Fatal(err)
+	peer := func(name string, seed uint64) (*honestplayer.Server, *honestplayer.GossipNode) {
+		srv, err := honestplayer.NewServer("127.0.0.1:0", honestplayer.ServerConfig{Assessor: assessor})
+		if err != nil {
+			t.Fatal(err)
+		}
+		srv.Start()
+		t.Cleanup(func() { _ = srv.Close() })
+		g, err := honestplayer.NewGossipNode(honestplayer.GossipConfig{Name: name, Node: srv, Seed: seed})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { _ = g.Close() })
+		return srv, g
 	}
-	defer func() { _ = b.Close() }()
-	a.AddPeer(b.Addr())
-	b.Start()
-	if _, err := b.Store().Add(honestplayer.Feedback{
+	a, ga := peer("a", 1)
+	b, _ := peer("b", 2)
+	ga.AddPeer(b.Addr())
+	if _, err := b.Seed([]honestplayer.Feedback{{
 		Time: time.Unix(1, 0).UTC(), Server: "s", Client: "c", Rating: honestplayer.Positive,
-	}); err != nil {
+	}}); err != nil {
 		t.Fatal(err)
 	}
-	a.Start()
-	if err := a.RoundOnce(); err != nil {
+	if err := ga.RoundOnce(); err != nil {
 		t.Fatal(err)
 	}
 	if a.Store().Len() != 1 {

@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"log"
 	"sort"
@@ -17,12 +18,11 @@ import (
 )
 
 // Node is one cluster member: its stable ID and the address its serving
-// listener binds. Gossip optionally names a separate gossip listener
-// address; empty means the node does not gossip.
+// listener binds — the one address every kind of node traffic (client
+// frames, fwd.* hops, anti-entropy) arrives on.
 type Node struct {
-	ID     string
-	Addr   string
-	Gossip string
+	ID   string
+	Addr string
 }
 
 // Config configures a node's view of its cluster. The same Nodes list (any
@@ -166,7 +166,8 @@ func (c *Cluster) IsOwner(server feedback.EntityID) bool {
 
 // Owns reports whether the local node is in server's replica set — i.e.
 // whether local state for server should exist at all. It is the predicate
-// behind store scoping, accumulator materialization, and gossip filtering.
+// behind store scoping, accumulator materialization, and anti-entropy
+// scoping.
 func (c *Cluster) Owns(server feedback.EntityID) bool {
 	for _, id := range c.ReplicaSet(server) {
 		if id == c.self.ID {
@@ -176,18 +177,11 @@ func (c *Cluster) Owns(server feedback.EntityID) bool {
 	return false
 }
 
-// GossipPeers returns the gossip addresses of the local node's ring
-// successors — the members sharing replica sets with it, which is where
-// anti-entropy repairs converge. Members without a gossip listener are
-// skipped.
-func (c *Cluster) GossipPeers() []string {
-	var out []string
-	for _, id := range c.ring.Successors(c.self.ID, 0) {
-		if g := c.nodes[id].Gossip; g != "" {
-			out = append(out, g)
-		}
-	}
-	return out
+// Neighbours returns the IDs of the local node's ring successors — the
+// members sharing replica sets with it, which is where anti-entropy repairs
+// converge.
+func (c *Cluster) Neighbours() []string {
+	return c.ring.Successors(c.self.ID, 0)
 }
 
 // Peer returns a (cached) client connection to the given node, dialing and
@@ -250,53 +244,47 @@ func (c *Cluster) callCtx(ctx context.Context) (context.Context, context.CancelF
 	return context.WithTimeout(ctx, c.timeout)
 }
 
-// ForwardAssess asks node for its local view of server; with digestOnly it
-// asks only for the node's O(1) state digest (no assessment computed).
-// Transport failures count as forward errors; a typed *wire.ErrorResponse
-// (e.g. the peer holds no records) is returned to the caller to relay and
-// does not.
-func (c *Cluster) ForwardAssess(ctx context.Context, node string, server feedback.EntityID, threshold float64, digestOnly bool) (wire.NodeAssessment, error) {
+// Forward runs one node-to-node call over node's pooled connection, bounded
+// by the cluster's per-call deadline when ctx carries none. Every call
+// counts as forwarded; transport failures count as forward errors, while a
+// typed *wire.ErrorResponse (e.g. the peer holds no records) is returned to
+// the caller to relay and does not. It is a package function only because
+// methods cannot have type parameters.
+func Forward[T any](ctx context.Context, c *Cluster, node string, call func(context.Context, *repclient.Client) (T, error)) (T, error) {
 	cl, err := c.Peer(node)
 	if err != nil {
 		c.forwardErrors.Add(1)
-		return wire.NodeAssessment{}, err
+		var zero T
+		return zero, err
 	}
 	ctx, cancel := c.callCtx(ctx)
 	defer cancel()
 	c.forwarded.Add(1)
-	resp, err := cl.ForwardAssessCtx(ctx, c.self.ID, server, threshold, digestOnly)
+	resp, err := call(ctx, cl)
 	c.noteErr(node, err)
 	return resp, err
+}
+
+// ForwardAssess asks node for its local view of server; with digestOnly it
+// asks only for the node's O(1) state digest (no assessment computed).
+func (c *Cluster) ForwardAssess(ctx context.Context, node string, server feedback.EntityID, threshold float64, digestOnly bool) (wire.NodeAssessment, error) {
+	return Forward(ctx, c, node, func(ctx context.Context, cl *repclient.Client) (wire.NodeAssessment, error) {
+		return cl.ForwardAssessCtx(ctx, c.self.ID, server, threshold, digestOnly)
+	})
 }
 
 // ForwardBatch hands records to node in one frame.
 func (c *Cluster) ForwardBatch(ctx context.Context, node string, recs []feedback.Feedback, replica bool) (wire.BatchResponse, error) {
-	cl, err := c.Peer(node)
-	if err != nil {
-		c.forwardErrors.Add(1)
-		return wire.BatchResponse{}, err
-	}
-	ctx, cancel := c.callCtx(ctx)
-	defer cancel()
-	c.forwarded.Add(1)
-	resp, err := cl.ForwardBatchCtx(ctx, c.self.ID, recs, replica)
-	c.noteErr(node, err)
-	return resp, err
+	return Forward(ctx, c, node, func(ctx context.Context, cl *repclient.Client) (wire.BatchResponse, error) {
+		return cl.ForwardBatchCtx(ctx, c.self.ID, recs, replica)
+	})
 }
 
 // ForwardAssessBatch asks node to assess servers from local state.
 func (c *Cluster) ForwardAssessBatch(ctx context.Context, node string, servers []feedback.EntityID, threshold float64) ([]wire.AssessBatchItem, error) {
-	cl, err := c.Peer(node)
-	if err != nil {
-		c.forwardErrors.Add(1)
-		return nil, err
-	}
-	ctx, cancel := c.callCtx(ctx)
-	defer cancel()
-	c.forwarded.Add(1)
-	items, err := cl.ForwardAssessBatchCtx(ctx, c.self.ID, servers, threshold)
-	c.noteErr(node, err)
-	return items, err
+	return Forward(ctx, c, node, func(ctx context.Context, cl *repclient.Client) ([]wire.AssessBatchItem, error) {
+		return cl.ForwardAssessBatchCtx(ctx, c.self.ID, servers, threshold)
+	})
 }
 
 // noteErr classifies a forwarded call's outcome: transport failures bump
@@ -307,29 +295,13 @@ func (c *Cluster) noteErr(node string, err error) {
 		return
 	}
 	var typed *wire.ErrorResponse
-	if isTyped := asErrorResponse(err, &typed); isTyped {
+	if errors.As(err, &typed) {
 		return
 	}
 	c.forwardErrors.Add(1)
 	if c.logger != nil {
 		c.logger.Printf("cluster: forward to %s failed: %v", node, err)
 	}
-}
-
-// asErrorResponse reports whether err is (or wraps) a typed wire error.
-func asErrorResponse(err error, out **wire.ErrorResponse) bool {
-	for err != nil {
-		if e, ok := err.(*wire.ErrorResponse); ok {
-			*out = e
-			return true
-		}
-		u, ok := err.(interface{ Unwrap() error })
-		if !ok {
-			return false
-		}
-		err = u.Unwrap()
-	}
-	return false
 }
 
 // CountMerge records one weight-merged assessment.
@@ -386,10 +358,10 @@ func (c *Cluster) Status(ownedServers int) wire.ClusterStatusResponse {
 	return resp
 }
 
-// ParseNodes parses a `-peers` membership spec: comma-separated
-// `id=addr` or `id=addr~gossipaddr` entries, e.g.
+// ParseNodes parses a `-peers` membership spec: comma-separated `id=addr`
+// entries, e.g.
 //
-//	n1=10.0.0.1:7700~10.0.0.1:7800,n2=10.0.0.2:7700,n3=10.0.0.3:7700
+//	n1=10.0.0.1:7700,n2=10.0.0.2:7700,n3=10.0.0.3:7700
 func ParseNodes(spec string) ([]Node, error) {
 	if strings.TrimSpace(spec) == "" {
 		return nil, fmt.Errorf("cluster: empty membership spec")
@@ -402,14 +374,12 @@ func ParseNodes(spec string) ([]Node, error) {
 		}
 		id, addr, ok := strings.Cut(part, "=")
 		if !ok || id == "" || addr == "" {
-			return nil, fmt.Errorf("cluster: bad membership entry %q (want id=addr[~gossipaddr])", part)
+			return nil, fmt.Errorf("cluster: bad membership entry %q (want id=addr)", part)
 		}
-		n := Node{ID: id}
-		n.Addr, n.Gossip, _ = strings.Cut(addr, "~")
-		if n.Addr == "" {
-			return nil, fmt.Errorf("cluster: bad membership entry %q (empty addr)", part)
+		if strings.Contains(addr, "~") {
+			return nil, fmt.Errorf("cluster: bad membership entry %q: the id=addr~gossipaddr form is retired — anti-entropy rides the serving listener, so list id=addr only (docs/adr/0003-one-door-into-a-node.md)", part)
 		}
-		out = append(out, n)
+		out = append(out, Node{ID: id, Addr: addr})
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
 	return out, nil

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"reflect"
+	"strings"
 	"testing"
 
 	"honestplayer/internal/core"
@@ -13,8 +14,8 @@ import (
 
 func testMembership() []Node {
 	return []Node{
-		{ID: "a", Addr: "127.0.0.1:7700", Gossip: "127.0.0.1:7800"},
-		{ID: "b", Addr: "127.0.0.1:7710", Gossip: "127.0.0.1:7810"},
+		{ID: "a", Addr: "127.0.0.1:7700"},
+		{ID: "b", Addr: "127.0.0.1:7710"},
 		{ID: "c", Addr: "127.0.0.1:7720"},
 	}
 }
@@ -81,15 +82,16 @@ func TestClusterAgreement(t *testing.T) {
 	}
 }
 
-func TestGossipPeersSkipsNonGossipers(t *testing.T) {
+// TestNeighboursAreTheOtherReplicaHolders: a node's anti-entropy peers are
+// its ring successors — never itself, and with one vnode-spread ring of
+// three members, both others.
+func TestNeighboursAreTheOtherReplicaHolders(t *testing.T) {
 	cl, err := New(Config{Self: "c", Nodes: testMembership(), Replicas: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, addr := range cl.GossipPeers() {
-		if addr != "127.0.0.1:7800" && addr != "127.0.0.1:7810" {
-			t.Fatalf("GossipPeers() returned %q, not a configured gossip listener", addr)
-		}
+	if got, want := cl.Neighbours(), []string{"a", "b"}; !reflect.DeepEqual(got, want) {
+		t.Fatalf("Neighbours() = %v; want %v", got, want)
 	}
 }
 
@@ -107,12 +109,12 @@ func TestSingleNodeOwnsEverything(t *testing.T) {
 }
 
 func TestParseNodes(t *testing.T) {
-	nodes, err := ParseNodes("b=10.0.0.2:7700, a=10.0.0.1:7700~10.0.0.1:7800 ,c=10.0.0.3:7700")
+	nodes, err := ParseNodes("b=10.0.0.2:7700, a=10.0.0.1:7700 ,c=10.0.0.3:7700")
 	if err != nil {
 		t.Fatal(err)
 	}
 	want := []Node{
-		{ID: "a", Addr: "10.0.0.1:7700", Gossip: "10.0.0.1:7800"},
+		{ID: "a", Addr: "10.0.0.1:7700"},
 		{ID: "b", Addr: "10.0.0.2:7700"},
 		{ID: "c", Addr: "10.0.0.3:7700"},
 	}
@@ -123,6 +125,12 @@ func TestParseNodes(t *testing.T) {
 		if _, err := ParseNodes(bad); err == nil {
 			t.Fatalf("ParseNodes(%q) accepted", bad)
 		}
+	}
+	// The retired id=addr~gossipaddr form is refused by name, not parsed as
+	// an address.
+	_, err = ParseNodes("a=10.0.0.1:7700~10.0.0.1:7800,b=10.0.0.2:7700")
+	if err == nil || !strings.Contains(err.Error(), "retired") || !strings.Contains(err.Error(), "0003") {
+		t.Fatalf("ParseNodes with a ~gossipaddr: err = %v; want the retirement notice", err)
 	}
 }
 

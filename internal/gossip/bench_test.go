@@ -5,34 +5,45 @@ import (
 	"testing"
 	"time"
 
+	"honestplayer/internal/core"
 	"honestplayer/internal/feedback"
+	"honestplayer/internal/repserver"
+	"honestplayer/internal/trust"
 )
 
 // BenchmarkRoundInSync measures the steady-state cost of a gossip round:
 // one summary round trip, no record transfer.
 func BenchmarkRoundInSync(b *testing.B) {
-	mk := func(name string) *Node {
-		n, err := New("127.0.0.1:0", Config{Name: name, Seed: 1})
+	tp, err := core.NewTwoPhase(nil, trust.Average{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	mk := func(name string) (*repserver.Server, *Reconciler) {
+		srv, err := repserver.New("127.0.0.1:0", repserver.Config{Assessor: tp})
 		if err != nil {
 			b.Fatal(err)
 		}
-		return n
+		srv.Start()
+		n, err := New(Config{Name: name, Node: srv, Seed: 1})
+		if err != nil {
+			b.Fatal(err)
+		}
+		return srv, n
 	}
-	a, peer := mk("a"), mk("b")
-	defer func() { _ = a.Close() }()
-	defer func() { _ = peer.Close() }()
-	a.AddPeer(peer.Addr())
-	peer.Start()
-	a.Start()
-	for i := 0; i < 1000; i++ {
-		r := feedback.Feedback{
+	srvA, a := mk("a")
+	srvB, peer := mk("b")
+	defer func() { _ = a.Close(); _ = srvA.Close() }()
+	defer func() { _ = peer.Close(); _ = srvB.Close() }()
+	a.AddPeer(srvB.Addr())
+	recs := make([]feedback.Feedback, 1000)
+	for i := range recs {
+		recs[i] = feedback.Feedback{
 			Time: time.Unix(int64(i), 0).UTC(), Server: "srv",
 			Client: feedback.EntityID(fmt.Sprintf("c%d", i%50)), Rating: feedback.Positive,
 		}
-		if _, err := a.Store().Add(r); err != nil {
-			b.Fatal(err)
-		}
-		if _, err := peer.Store().Add(r); err != nil {
+	}
+	for _, srv := range []*repserver.Server{srvA, srvB} {
+		if _, err := srv.Seed(recs); err != nil {
 			b.Fatal(err)
 		}
 	}

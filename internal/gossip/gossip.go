@@ -5,318 +5,171 @@
 // eventually holds every record and can run two-phase trust assessment
 // locally.
 //
-// Reconciliation is a two-phase pull over the wire protocol. The initiator
-// first sends per-server checksums (TypeSummary); the peer answers with the
-// servers whose record sets differ (TypeSummaryR). Only for those does the
-// initiator send the full hash digest (TypeDigest, scoped), receiving the
-// records it is missing (TypeDelta). After convergence a round costs one
-// summary round trip. The initiator learns, the responder doesn't —
-// convergence comes from every node initiating rounds. Records are
-// content-addressed, so the exchange is idempotent and commutative:
-// histories converge to the same time-ordered sequence on every node
-// regardless of delivery order.
+// Reconciliation is a two-phase pull between reputation nodes. The
+// initiator — a Reconciler, an ordinary client of its peers' serving
+// listeners — first sends per-server checksums (gossip.summary); the peer
+// answers with the servers whose record sets differ (gossip.summary.resp).
+// Only for those does the initiator send the full hash digest
+// (gossip.digest, scoped), receiving the records it is missing
+// (gossip.delta), which it stores through its own node's write path. After
+// convergence a round costs one summary round trip. The initiator learns,
+// the responder doesn't — convergence comes from every node initiating
+// rounds. Records are content-addressed, so the exchange is idempotent and
+// commutative: histories converge to the same time-ordered sequence on
+// every node regardless of delivery order.
+//
+// The responder half is two request handlers in internal/repserver.
 package gossip
 
 import (
-	"bufio"
 	"context"
 	"errors"
 	"fmt"
 	"log"
-	"net"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
 
+	"honestplayer/internal/cluster"
 	"honestplayer/internal/feedback"
+	"honestplayer/internal/repclient"
 	"honestplayer/internal/stats"
-	"honestplayer/internal/store"
 	"honestplayer/internal/wire"
 )
 
-// Config parameterises a Node.
+// Node is the local reputation node a Reconciler repairs, reached in
+// process; *repserver.Server implements it.
+type Node interface {
+	// Summary returns the node's per-server checksums in wire form, scoped
+	// to its replica sets when clustered. The map is shared: read-only.
+	Summary() map[string]wire.ServerSum
+	// Hashes returns the content hashes of the records the node holds for
+	// servers, faulting evicted servers in.
+	Hashes(ctx context.Context, servers []string) ([]uint64, error)
+	// Seed stores records through the node's one write path, returning how
+	// many were new. A rejected record is reported as the error without
+	// discarding the rest.
+	Seed(recs []feedback.Feedback) (int, error)
+	// Cluster returns the node's cluster view; nil on a single node.
+	Cluster() *cluster.Cluster
+}
+
+// Config parameterises a Reconciler.
 type Config struct {
 	// Name identifies the node in digests and logs.
 	Name string
-	// Store is the node's feedback store; nil means a fresh one.
-	Store *store.Store
-	// Peers are the addresses of other nodes to gossip with.
+	// Node is the local node whose store the reconciler repairs.
+	Node Node
+	// Peers are the serving addresses of the nodes to reconcile with; every
+	// record then converges to every node. A clustered Node ignores them:
+	// it reconciles with its ring neighbours over the cluster's pooled
+	// connections and pulls only servers in its own replica sets, so
+	// partitioned ownership is preserved under repair.
 	Peers []string
-	// Interval between gossip rounds; zero means 200ms.
+	// Interval between background rounds; zero means 200ms.
 	Interval time.Duration
 	// Seed drives peer selection.
 	Seed uint64
 	// Logger receives round errors; nil disables logging.
 	Logger *log.Logger
-	// DialTimeout bounds connecting to a peer; zero means 2s.
-	DialTimeout time.Duration
-	// Owned optionally scopes anti-entropy to the servers the local node is
-	// responsible for (a clustered node passes its replica-set predicate).
-	// The node then only advertises owned servers in its summaries and only
-	// pulls records for owned servers, so partitioned ownership is preserved
-	// under gossip repair. Nil means unscoped: every record converges to
-	// every node (the pre-cluster behaviour).
-	Owned func(feedback.EntityID) bool
 }
 
-// Node is a gossiping feedback store. Create with New, start the
-// anti-entropy loop with Start, and stop everything with Close.
-type Node struct {
-	cfg      Config
-	listener net.Listener
-	rng      *stats.RNG
-
-	// baseCtx is cancelled by Close so an in-flight anti-entropy round
-	// aborts instead of riding out its dial/IO deadlines.
+// Reconciler runs anti-entropy rounds on behalf of one node. Create with
+// New, start the background loop with Start (or drive rounds with
+// RoundOnce), and stop with Close.
+type Reconciler struct {
+	cfg Config
+	// baseCtx is cancelled by Close so an in-flight round aborts instead of
+	// riding out its round-trip deadlines.
 	baseCtx context.Context
 	cancel  context.CancelFunc
+	wg      sync.WaitGroup
 
-	mu     sync.Mutex
-	peers  []string
-	closed bool
-
-	stop chan struct{}
-	wg   sync.WaitGroup
-
-	// Cached wire-form summary of the store, keyed by the store's global
-	// version: after convergence every round reuses it instead of walking
-	// the store.
-	sumMu      sync.Mutex
-	sumVersion uint64
-	sumCache   map[string]wire.ServerSum
-	sumValid   bool
+	mu    sync.Mutex
+	rng   *stats.RNG
+	peers []string
 
 	rounds   atomic.Uint64
 	received atomic.Uint64
 	inSync   atomic.Uint64
 }
 
-// New creates a node listening on addr.
-func New(addr string, cfg Config) (*Node, error) {
+// New creates a reconciler for cfg.Node. It opens no connection and starts
+// no goroutine.
+func New(cfg Config) (*Reconciler, error) {
 	if cfg.Name == "" {
 		return nil, errors.New("gossip: node needs a name")
 	}
-	if cfg.Store == nil {
-		cfg.Store = store.New()
+	if cfg.Node == nil {
+		return nil, errors.New("gossip: nil node")
 	}
 	if cfg.Interval == 0 {
 		cfg.Interval = 200 * time.Millisecond
 	}
-	if cfg.DialTimeout == 0 {
-		cfg.DialTimeout = 2 * time.Second
-	}
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		return nil, fmt.Errorf("gossip: listen %s: %w", addr, err)
-	}
 	ctx, cancel := context.WithCancel(context.Background())
-	n := &Node{
-		cfg:      cfg,
-		listener: ln,
-		rng:      stats.NewRNG(cfg.Seed),
-		baseCtx:  ctx,
-		cancel:   cancel,
-		peers:    append([]string(nil), cfg.Peers...),
-		stop:     make(chan struct{}),
-	}
-	return n, nil
+	return &Reconciler{
+		cfg:     cfg,
+		baseCtx: ctx,
+		cancel:  cancel,
+		rng:     stats.NewRNG(cfg.Seed),
+		peers:   append([]string(nil), cfg.Peers...),
+	}, nil
 }
 
-// Addr returns the node's listen address.
-func (n *Node) Addr() string { return n.listener.Addr().String() }
-
-// Store returns the node's feedback store.
-func (n *Node) Store() *store.Store { return n.cfg.Store }
-
-// Rounds returns the number of completed gossip rounds.
-func (n *Node) Rounds() uint64 { return n.rounds.Load() }
+// Rounds returns the number of completed rounds.
+func (n *Reconciler) Rounds() uint64 { return n.rounds.Load() }
 
 // Received returns the number of records learned from peers.
-func (n *Node) Received() uint64 { return n.received.Load() }
+func (n *Reconciler) Received() uint64 { return n.received.Load() }
 
 // InSyncRounds returns the number of rounds that ended after the summary
 // exchange because nothing differed — the cheap steady-state case.
-func (n *Node) InSyncRounds() uint64 { return n.inSync.Load() }
+func (n *Reconciler) InSyncRounds() uint64 { return n.inSync.Load() }
 
-// AddPeer registers another peer address.
-func (n *Node) AddPeer(addr string) {
+// AddPeer registers another peer's serving address.
+func (n *Reconciler) AddPeer(addr string) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	n.peers = append(n.peers, addr)
 }
 
-// Start launches the accept loop and the periodic anti-entropy loop.
-func (n *Node) Start() {
-	n.wg.Add(2)
+// Start launches the periodic anti-entropy loop.
+func (n *Reconciler) Start() {
+	n.wg.Add(1)
 	go func() {
 		defer n.wg.Done()
-		n.acceptLoop()
-	}()
-	go func() {
-		defer n.wg.Done()
-		n.gossipLoop()
+		ticker := time.NewTicker(n.cfg.Interval)
+		defer ticker.Stop()
+		for {
+			select {
+			case <-n.baseCtx.Done():
+				return
+			case <-ticker.C:
+				err := n.RoundOnce()
+				if err != nil && n.baseCtx.Err() == nil && n.cfg.Logger != nil {
+					n.cfg.Logger.Printf("%s: gossip round: %v", n.cfg.Name, err)
+				}
+			}
+		}
 	}()
 }
 
-// Close stops the loops and the listener, then waits for them to exit. It
-// is idempotent.
-func (n *Node) Close() error {
-	n.mu.Lock()
-	if n.closed {
-		n.mu.Unlock()
-		n.wg.Wait()
-		return nil
-	}
-	n.closed = true
+// Close aborts any in-flight round and waits for the loop to exit. It is
+// idempotent.
+func (n *Reconciler) Close() error {
 	n.cancel()
-	close(n.stop)
-	err := n.listener.Close()
-	n.mu.Unlock()
 	n.wg.Wait()
-	return err
+	return nil
 }
 
-func (n *Node) logf(format string, args ...any) {
-	if n.cfg.Logger != nil {
-		n.cfg.Logger.Printf(format, args...)
+// exchange runs one call of a round: against the cluster's pooled
+// connection to the peer node, counted with its forwards, when cl is set,
+// and against the round's own connection otherwise.
+func exchange[T any](ctx context.Context, cl *cluster.Cluster, peer string, own *repclient.Client, call func(context.Context, *repclient.Client) (T, error)) (T, error) {
+	if cl != nil {
+		return cluster.Forward(ctx, cl, peer, call)
 	}
-}
-
-// summary returns the store's per-server checksums in wire form. The store
-// bumps its global version on every accepted write, so an unchanged version
-// means the previous summary is still exact and is returned as-is — the
-// steady-state (converged) case. The returned map is shared; treat it as
-// read-only.
-func (n *Node) summary() map[string]wire.ServerSum {
-	v := n.cfg.Store.GlobalVersion()
-	n.sumMu.Lock()
-	defer n.sumMu.Unlock()
-	if n.sumValid && n.sumVersion == v {
-		return n.sumCache
-	}
-	sums := n.cfg.Store.Checksums()
-	m := make(map[string]wire.ServerSum, len(sums))
-	for srv, cs := range sums {
-		if n.cfg.Owned != nil && !n.cfg.Owned(srv) {
-			continue
-		}
-		m[string(srv)] = wire.ServerSum{Count: cs.Count, XOR: cs.XOR}
-	}
-	// Writes that landed while we walked the store make the summary fresher
-	// than v; stamping v just means the next call recomputes. Conservative
-	// and correct.
-	n.sumVersion, n.sumCache, n.sumValid = v, m, true
-	return m
-}
-
-func (n *Node) isClosed() bool {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	return n.closed
-}
-
-func (n *Node) acceptLoop() {
-	for {
-		conn, err := n.listener.Accept()
-		if err != nil {
-			if n.isClosed() {
-				return
-			}
-			n.logf("%s: accept: %v", n.cfg.Name, err)
-			return
-		}
-		n.wg.Add(1)
-		go func() {
-			defer n.wg.Done()
-			n.serveConn(conn)
-		}()
-	}
-}
-
-// serveConn answers an anti-entropy exchange. A round is up to two
-// request/response pairs on one connection: a summary (per-server
-// checksums → list of out-of-sync servers), then a digest scoped to those
-// servers (hashes → missing records). A bare unscoped digest is also
-// answered, as the fallback protocol.
-func (n *Node) serveConn(conn net.Conn) {
-	defer func() { _ = conn.Close() }()
-	_ = conn.SetDeadline(time.Now().Add(n.cfg.DialTimeout * 2))
-	reader := bufio.NewReader(conn)
-	for {
-		env, err := wire.Read(reader)
-		if err != nil {
-			return
-		}
-		switch env.Type {
-		case wire.TypeSummary:
-			var summary wire.SummaryMsg
-			if err := wire.DecodePayload(env, &summary); err != nil {
-				return
-			}
-			local := n.summary()
-			var stale []string
-			for srv, sum := range local {
-				if remote, ok := summary.Servers[srv]; !ok || remote != sum {
-					stale = append(stale, srv)
-				}
-			}
-			sort.Strings(stale)
-			resp, err := wire.Encode(wire.TypeSummaryR, env.ID, wire.SummaryResp{Stale: stale})
-			if err != nil {
-				n.logf("%s: encode summary resp: %v", n.cfg.Name, err)
-				return
-			}
-			if err := wire.Write(conn, resp); err != nil {
-				n.logf("%s: write summary resp to %s: %v", n.cfg.Name, summary.Node, err)
-				return
-			}
-		case wire.TypeDigest:
-			var digest wire.DigestMsg
-			if err := wire.DecodePayload(env, &digest); err != nil {
-				return
-			}
-			hashes := make([]store.Hash, len(digest.Hashes))
-			for i, h := range digest.Hashes {
-				hashes[i] = store.Hash(h)
-			}
-			var missing []feedback.Feedback
-			if len(digest.Servers) == 0 {
-				missing = n.cfg.Store.MissingFrom(hashes)
-			} else {
-				for _, srv := range digest.Servers {
-					missing = append(missing,
-						n.cfg.Store.ServerMissingFrom(feedback.EntityID(srv), hashes)...)
-				}
-			}
-			resp, err := wire.Encode(wire.TypeDelta, env.ID, wire.DeltaMsg{Records: missing})
-			if err != nil {
-				n.logf("%s: encode delta: %v", n.cfg.Name, err)
-				return
-			}
-			if err := wire.Write(conn, resp); err != nil {
-				n.logf("%s: write delta to %s: %v", n.cfg.Name, digest.Node, err)
-				return
-			}
-		default:
-			return
-		}
-	}
-}
-
-func (n *Node) gossipLoop() {
-	ticker := time.NewTicker(n.cfg.Interval)
-	defer ticker.Stop()
-	for {
-		select {
-		case <-n.stop:
-			return
-		case <-ticker.C:
-			if err := n.RoundOnceCtx(n.baseCtx); err != nil && n.baseCtx.Err() == nil {
-				n.logf("%s: gossip round: %v", n.cfg.Name, err)
-			}
-		}
-	}
+	return call(ctx, own)
 }
 
 // RoundOnce performs one anti-entropy exchange with a random peer. It
@@ -325,67 +178,52 @@ func (n *Node) gossipLoop() {
 // the missing records. After convergence a round therefore costs one
 // summary round trip. It is exported so tests and tools can drive
 // convergence deterministically.
-func (n *Node) RoundOnce() error { return n.RoundOnceCtx(n.baseCtx) }
+func (n *Reconciler) RoundOnce() error { return n.RoundOnceCtx(n.baseCtx) }
 
-// RoundOnceCtx is RoundOnce bounded by ctx: the dial respects ctx, the
-// exchange deadline is the earlier of ctx's deadline and the node's IO
-// deadline, and cancellation (e.g. Close) aborts a round mid-exchange.
-func (n *Node) RoundOnceCtx(ctx context.Context) error {
+// RoundOnceCtx is RoundOnce bounded by ctx: its deadline bounds each round
+// trip, and cancellation (e.g. Close) aborts a round mid-exchange.
+func (n *Reconciler) RoundOnceCtx(ctx context.Context) error {
+	cl := n.cfg.Node.Cluster()
 	n.mu.Lock()
-	if len(n.peers) == 0 {
+	peers := n.peers
+	if cl != nil {
+		peers = cl.Neighbours()
+	}
+	if len(peers) == 0 {
 		n.mu.Unlock()
 		return nil
 	}
-	peer := n.peers[n.rng.Intn(len(n.peers))]
+	peer := peers[n.rng.Intn(len(peers))]
 	n.mu.Unlock()
 	if err := ctx.Err(); err != nil {
 		return err
 	}
-
-	dialer := net.Dialer{Timeout: n.cfg.DialTimeout}
-	conn, err := dialer.DialContext(ctx, "tcp", peer)
-	if err != nil {
-		return fmt.Errorf("dial %s: %w", peer, err)
+	var own *repclient.Client
+	if cl == nil {
+		// Two lock-step calls whose payloads are JSON in either framing: skip
+		// the v2 handshake and its per-connection pipelining buffers.
+		var err error
+		if own, err = repclient.Dial(peer, repclient.WithProtocol(repclient.ProtoJSON)); err != nil {
+			return err
+		}
+		defer func() { _ = own.Close() }()
 	}
-	defer func() { _ = conn.Close() }()
-	deadline := time.Now().Add(n.cfg.DialTimeout * 2)
-	if d, ok := ctx.Deadline(); ok && d.Before(deadline) {
-		deadline = d
-	}
-	_ = conn.SetDeadline(deadline)
-	// Cancellation must interrupt a blocked read: close the conn when ctx
-	// fires mid-round.
-	stopWatch := context.AfterFunc(ctx, func() { _ = conn.Close() })
-	defer stopWatch()
-	reader := bufio.NewReader(conn)
 
 	// Phase 1: summary exchange.
-	servers := n.summary()
-	req, err := wire.Encode(wire.TypeSummary, 1, wire.SummaryMsg{Node: n.cfg.Name, Servers: servers})
+	summary := wire.SummaryMsg{Node: n.cfg.Name, Servers: n.cfg.Node.Summary()}
+	sr, err := exchange(ctx, cl, peer, own, func(ctx context.Context, pc *repclient.Client) (wire.SummaryResp, error) {
+		return pc.GossipSummaryCtx(ctx, summary)
+	})
 	if err != nil {
-		return err
+		return fmt.Errorf("summary exchange with %s: %w", peer, err)
 	}
-	if err := wire.Write(conn, req); err != nil {
-		return fmt.Errorf("send summary to %s: %w", peer, err)
-	}
-	resp, err := wire.Read(reader)
-	if err != nil {
-		return fmt.Errorf("read summary resp from %s: %w", peer, err)
-	}
-	if resp.Type != wire.TypeSummaryR {
-		return fmt.Errorf("%w: expected summary resp, got %s", wire.ErrBadMessage, resp.Type)
-	}
-	var sr wire.SummaryResp
-	if err := wire.DecodePayload(resp, &sr); err != nil {
-		return err
-	}
-	if n.cfg.Owned != nil {
+	if cl != nil {
 		// The peer reports every server whose record set differs from our
 		// (owned-only) summary — including servers we are not responsible
 		// for. Pull only our own.
 		kept := sr.Stale[:0]
 		for _, srv := range sr.Stale {
-			if n.cfg.Owned(feedback.EntityID(srv)) {
+			if cl.Owns(feedback.EntityID(srv)) {
 				kept = append(kept, srv)
 			}
 		}
@@ -398,50 +236,22 @@ func (n *Node) RoundOnceCtx(ctx context.Context) error {
 	}
 
 	// Phase 2: scoped digest for the out-of-sync servers.
-	var hashes []uint64
-	for _, srv := range sr.Stale {
-		for _, h := range n.cfg.Store.ServerHashes(feedback.EntityID(srv)) {
-			hashes = append(hashes, uint64(h))
-		}
+	hashes, err := n.cfg.Node.Hashes(ctx, sr.Stale)
+	if err != nil {
+		return fmt.Errorf("digest for %s: %w", peer, err)
 	}
-	req, err = wire.Encode(wire.TypeDigest, 2, wire.DigestMsg{
-		Node: n.cfg.Name, Servers: sr.Stale, Hashes: hashes,
+	digest := wire.DigestMsg{Node: n.cfg.Name, Servers: sr.Stale, Hashes: hashes}
+	delta, err := exchange(ctx, cl, peer, own, func(ctx context.Context, pc *repclient.Client) (wire.DeltaMsg, error) {
+		return pc.GossipDigestCtx(ctx, digest)
 	})
 	if err != nil {
-		return err
+		return fmt.Errorf("digest exchange with %s: %w", peer, err)
 	}
-	if err := wire.Write(conn, req); err != nil {
-		return fmt.Errorf("send digest to %s: %w", peer, err)
-	}
-	resp, err = wire.Read(reader)
-	if err != nil {
-		return fmt.Errorf("read delta from %s: %w", peer, err)
-	}
-	if resp.Type != wire.TypeDelta {
-		return fmt.Errorf("%w: expected delta, got %s", wire.ErrBadMessage, resp.Type)
-	}
-	var delta wire.DeltaMsg
-	if err := wire.DecodePayload(resp, &delta); err != nil {
-		return err
-	}
-	// Apply per record so one bad record doesn't discard the rest. Records
-	// for servers evicted under a memory budget are skipped, not fatal:
-	// they are already durable on the peer and will be pulled again once
-	// the server is resident here.
-	added := 0
-	for _, rec := range delta.Records {
-		ok, err := n.cfg.Store.Add(rec)
-		if err != nil {
-			if errors.Is(err, store.ErrEvicted) {
-				continue
-			}
-			return fmt.Errorf("store delta from %s: %w", peer, err)
-		}
-		if ok {
-			added++
-		}
-	}
+	added, err := n.cfg.Node.Seed(delta.Records)
 	n.received.Add(uint64(added))
+	if err != nil {
+		return fmt.Errorf("store delta from %s: %w", peer, err)
+	}
 	n.rounds.Add(1)
 	return nil
 }

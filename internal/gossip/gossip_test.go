@@ -1,15 +1,19 @@
 package gossip
 
 import (
-	"bufio"
-	"net"
+	"context"
+	"path/filepath"
 	"testing"
 	"time"
 
+	"honestplayer/internal/core"
 	"honestplayer/internal/feedback"
+	"honestplayer/internal/ledger"
+	"honestplayer/internal/repclient"
+	"honestplayer/internal/repserver"
 	"honestplayer/internal/stats"
 	"honestplayer/internal/store"
-	"honestplayer/internal/wire"
+	"honestplayer/internal/trust"
 )
 
 func rec(s, c feedback.EntityID, good bool, at int64) feedback.Feedback {
@@ -20,23 +24,65 @@ func rec(s, c feedback.EntityID, good bool, at int64) feedback.Feedback {
 	return feedback.Feedback{Time: time.Unix(at, 0).UTC(), Server: s, Client: c, Rating: r}
 }
 
-func newNode(t *testing.T, name string, peers ...string) *Node {
+// node is a P2P peer as deployed: a serving reputation node plus the
+// reconciler repairing it.
+type node struct {
+	*Reconciler
+	srv *repserver.Server
+}
+
+func (n node) Addr() string        { return n.srv.Addr() }
+func (n node) Store() *store.Store { return n.srv.Store() }
+
+// seed stores records through the node's own write path.
+func (n node) seed(t *testing.T, recs ...feedback.Feedback) {
 	t.Helper()
-	n, err := New("127.0.0.1:0", Config{Name: name, Peers: peers, Seed: 1})
+	if _, err := n.srv.Seed(recs); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// startNode starts a serving node (scfg.Assessor is filled in) and creates
+// its reconciler; only RoundOnce or Start make it gossip.
+func startNode(t *testing.T, name string, scfg repserver.Config, gcfg Config) node {
+	t.Helper()
+	tp, err := core.NewTwoPhase(nil, trust.Average{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	scfg.Assessor = tp
+	srv, err := repserver.New("127.0.0.1:0", scfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv.Start()
+	gcfg.Name, gcfg.Node = name, srv
+	r, err := New(gcfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() {
-		if err := n.Close(); err != nil {
-			t.Errorf("close %s: %v", name, err)
+		if err := r.Close(); err != nil {
+			t.Errorf("close reconciler %s: %v", name, err)
+		}
+		if err := srv.Close(); err != nil {
+			t.Errorf("close server %s: %v", name, err)
 		}
 	})
-	return n
+	return node{Reconciler: r, srv: srv}
+}
+
+func newNode(t *testing.T, name string) node {
+	return startNode(t, name, repserver.Config{}, Config{Seed: 1})
 }
 
 func TestNewValidation(t *testing.T) {
-	if _, err := New("127.0.0.1:0", Config{}); err == nil {
+	n := newNode(t, "a")
+	if _, err := New(Config{Node: n.srv}); err == nil {
 		t.Fatal("missing name must fail")
+	}
+	if _, err := New(Config{Name: "x"}); err == nil {
+		t.Fatal("missing node must fail")
 	}
 }
 
@@ -45,20 +91,12 @@ func TestTwoNodeConvergenceManualRounds(t *testing.T) {
 	b := newNode(t, "b")
 	a.AddPeer(b.Addr())
 	b.AddPeer(a.Addr())
-	// Only the accept loops run; rounds are driven manually for
-	// determinism.
-	a.Start()
-	b.Start()
-
+	// Only the servers run; rounds are driven manually for determinism.
 	for i := 0; i < 20; i++ {
-		if _, err := a.Store().Add(rec("srv", "ca", i%5 != 0, int64(i))); err != nil {
-			t.Fatal(err)
-		}
+		a.seed(t, rec("srv", "ca", i%5 != 0, int64(i)))
 	}
 	for i := 20; i < 40; i++ {
-		if _, err := b.Store().Add(rec("srv", "cb", i%4 != 0, int64(i))); err != nil {
-			t.Fatal(err)
-		}
+		b.seed(t, rec("srv", "cb", i%4 != 0, int64(i)))
 	}
 
 	// a pulls from b, then b pulls from a.
@@ -81,6 +119,10 @@ func TestTwoNodeConvergenceManualRounds(t *testing.T) {
 	if a.Received() == 0 || b.Received() == 0 {
 		t.Fatal("received counters did not move")
 	}
+	// The exchange was served by the ordinary request pipeline.
+	if pt := b.srv.Stats().PerType; pt["gossip.summary"].Requests == 0 || pt["gossip.digest"].Requests == 0 {
+		t.Fatalf("responder metrics missing the exchange: %+v", pt)
+	}
 }
 
 func TestThreeNodeConvergenceBackground(t *testing.T) {
@@ -98,9 +140,7 @@ func TestThreeNodeConvergenceBackground(t *testing.T) {
 
 	rng := stats.NewRNG(7)
 	for i := 0; i < 30; i++ {
-		if _, err := a.Store().Add(rec("srv", "ca", rng.Bernoulli(0.9), int64(i))); err != nil {
-			t.Fatal(err)
-		}
+		a.seed(t, rec("srv", "ca", rng.Bernoulli(0.9), int64(i)))
 	}
 
 	deadline := time.Now().Add(10 * time.Second)
@@ -125,7 +165,7 @@ func TestRoundOnceDeadPeer(t *testing.T) {
 	// Reserve an address then close it so the dial fails fast.
 	dead := newNode(t, "dead")
 	addr := dead.Addr()
-	if err := dead.Close(); err != nil {
+	if err := dead.srv.Close(); err != nil {
 		t.Fatal(err)
 	}
 	a.AddPeer(addr)
@@ -139,10 +179,7 @@ func TestRoundOnceDeadPeer(t *testing.T) {
 }
 
 func TestCloseIdempotent(t *testing.T) {
-	n, err := New("127.0.0.1:0", Config{Name: "x"})
-	if err != nil {
-		t.Fatal(err)
-	}
+	n := newNode(t, "x")
 	n.Start()
 	if err := n.Close(); err != nil {
 		t.Fatal(err)
@@ -150,21 +187,17 @@ func TestCloseIdempotent(t *testing.T) {
 	if err := n.Close(); err != nil {
 		t.Fatalf("second close: %v", err)
 	}
+	if err := n.RoundOnce(); err != nil {
+		t.Fatalf("round with no peers after close: %v", err)
+	}
 }
 
 func TestBackgroundLoopGossips(t *testing.T) {
-	a, err := New("127.0.0.1:0", Config{Name: "a", Interval: 20 * time.Millisecond, Seed: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { _ = a.Close() })
+	a := startNode(t, "a", repserver.Config{}, Config{Interval: 20 * time.Millisecond, Seed: 3})
 	b := newNode(t, "b")
 	a.AddPeer(b.Addr())
 	a.Start()
-	b.Start()
-	if _, err := b.Store().Add(rec("srv", "c", true, 1)); err != nil {
-		t.Fatal(err)
-	}
+	b.seed(t, rec("srv", "c", true, 1))
 	deadline := time.Now().Add(5 * time.Second)
 	for time.Now().Before(deadline) {
 		if a.Store().Len() == 1 && a.Rounds() > 0 {
@@ -175,67 +208,12 @@ func TestBackgroundLoopGossips(t *testing.T) {
 	t.Fatalf("background gossip never delivered the record (rounds=%d)", a.Rounds())
 }
 
-func TestServeConnIgnoresGarbage(t *testing.T) {
-	n := newNode(t, "a")
-	n.Start()
-	conn, err := net.Dial("tcp", n.Addr())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := conn.Write([]byte("garbage\n")); err != nil {
-		t.Fatal(err)
-	}
-	_ = conn.Close()
-	// A second, valid exchange still works.
-	b := newNode(t, "b")
-	b.Start()
-	if _, err := n.Store().Add(rec("srv", "c", true, 1)); err != nil {
-		t.Fatal(err)
-	}
-	b.AddPeer(n.Addr())
-	if err := b.RoundOnce(); err != nil {
-		t.Fatal(err)
-	}
-	if b.Store().Len() != 1 {
-		t.Fatal("valid exchange failed after garbage")
-	}
-}
-
-func TestServeConnWrongType(t *testing.T) {
-	n := newNode(t, "a")
-	n.Start()
-	conn, err := net.Dial("tcp", n.Addr())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer func() { _ = conn.Close() }()
-	env, err := wire.Encode(wire.TypePing, 1, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := wire.Write(conn, env); err != nil {
-		t.Fatal(err)
-	}
-	// The node silently drops non-digest messages; the connection closes.
-	_ = conn.SetReadDeadline(time.Now().Add(2 * time.Second))
-	buf := make([]byte, 1)
-	if _, err := conn.Read(buf); err == nil {
-		t.Fatal("expected connection close for wrong message type")
-	}
-}
-
 func TestSummaryShortCircuitWhenInSync(t *testing.T) {
 	a := newNode(t, "a")
 	b := newNode(t, "b")
-	a.AddPeer(b.Addr())
 	b.AddPeer(a.Addr())
-	a.Start()
-	b.Start()
 	for i := 0; i < 10; i++ {
-		r := rec("srv", "c", i%3 != 0, int64(i))
-		if _, err := a.Store().Add(r); err != nil {
-			t.Fatal(err)
-		}
+		a.seed(t, rec("srv", "c", i%3 != 0, int64(i)))
 	}
 	// First round transfers; second round is summary-only.
 	if err := b.RoundOnce(); err != nil {
@@ -256,28 +234,20 @@ func TestSummaryShortCircuitWhenInSync(t *testing.T) {
 	if b.Store().Len() != 10 {
 		t.Fatalf("in-sync round changed the store: %d", b.Store().Len())
 	}
+	if got := a.srv.Stats().PerType["gossip.digest"].Requests; got != 1 {
+		t.Fatalf("responder served %d digests over two rounds, want 1", got)
+	}
 }
 
 func TestScopedDigestOnlyTouchesStaleServers(t *testing.T) {
 	a := newNode(t, "a")
 	b := newNode(t, "b")
 	a.AddPeer(b.Addr())
-	b.AddPeer(a.Addr())
-	a.Start()
-	b.Start()
 	// Both share srv1 exactly; b additionally has srv2.
 	shared := []feedback.Feedback{rec("srv1", "c", true, 1), rec("srv1", "d", false, 2)}
-	for _, r := range shared {
-		if _, err := a.Store().Add(r); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := b.Store().Add(r); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if _, err := b.Store().Add(rec("srv2", "e", true, 3)); err != nil {
-		t.Fatal(err)
-	}
+	a.seed(t, shared...)
+	b.seed(t, shared...)
+	b.seed(t, rec("srv2", "e", true, 3))
 	if err := a.RoundOnce(); err != nil {
 		t.Fatal(err)
 	}
@@ -290,37 +260,131 @@ func TestScopedDigestOnlyTouchesStaleServers(t *testing.T) {
 	}
 }
 
-func TestLegacyUnscopedDigestStillServed(t *testing.T) {
-	n := newNode(t, "a")
-	n.Start()
-	if _, err := n.Store().Add(rec("srv", "c", true, 1)); err != nil {
-		t.Fatal(err)
-	}
-	conn, err := net.Dial("tcp", n.Addr())
+// durableNode starts a node on a ledger under dir, with the resident-state
+// lifecycle on when budget is positive.
+func durableNode(t *testing.T, name, dir string, budget int64) (node, *ledger.PersistentStore) {
+	t.Helper()
+	ps, err := ledger.OpenStoreOptions(context.Background(), dir, ledger.Options{Shards: 2, MemBudget: budget})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer func() { _ = conn.Close() }()
-	env, err := wire.Encode(wire.TypeDigest, 1, wire.DigestMsg{Node: "legacy"})
+	scfg := repserver.Config{Store: ps.Store(), Recorder: ps}
+	if budget > 0 {
+		scfg.Rebuilder = ps
+	}
+	n := startNode(t, name, scfg, Config{Seed: 1})
+	t.Cleanup(func() { _ = ps.Close() }) // after the node's own cleanup
+	return n, ps
+}
+
+// TestAntiEntropyWriteIsDurable: a record a reconcile round pulls into a
+// ledger-backed node is acknowledged under the same contract as a submitted
+// one — it is in the ledger, so it survives close + reopen. (The repaired
+// record used to be written to the store behind the ledger's back.)
+func TestAntiEntropyWriteIsDurable(t *testing.T) {
+	dir := filepath.Join(t.TempDir(), "led")
+	a, ps := durableNode(t, "a", dir, 0)
+	b := newNode(t, "b")
+	a.AddPeer(b.Addr())
+	a.seed(t, rec("srv", "own", true, 1))
+	b.seed(t, rec("srv", "own", true, 1), rec("srv", "pulled", false, 2))
+
+	if err := a.RoundOnce(); err != nil {
+		t.Fatal(err)
+	}
+	if a.Received() != 1 || a.Store().Len() != 2 {
+		t.Fatalf("round pulled %d records into a store of %d, want 1 into 2", a.Received(), a.Store().Len())
+	}
+	if err := a.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := a.srv.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := ps.Close(); err != nil {
+		t.Fatal(err)
+	}
+	reopened, err := ledger.OpenStore(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := wire.Write(conn, env); err != nil {
+	defer reopened.Close()
+	if got := reopened.Store().Len(); got != 2 {
+		t.Fatalf("%d records after reopen, want 2: the pulled record never reached the ledger", got)
+	}
+}
+
+// TestAntiEntropyWriteSurvivesEviction: under a memory budget a pulled
+// record must be rebuildable like any other. Pulled into a resident server
+// it used to bypass the tail index, so the next eviction minted a stub the
+// ledger could not reproduce and every later read failed its fault-in;
+// pulled for a server evicted on the initiator it was skipped outright and
+// pulled again every round.
+func TestAntiEntropyWriteSurvivesEviction(t *testing.T) {
+	a, ps := durableNode(t, "a", filepath.Join(t.TempDir(), "led"), 1<<40)
+	b := newNode(t, "b")
+	a.AddPeer(b.Addr())
+	var base []feedback.Feedback
+	for i := 0; i < 30; i++ {
+		base = append(base, rec("sa", feedback.EntityID("c"+string(rune('a'+i%7))), i%4 != 0, int64(i+1)))
+	}
+	a.seed(t, base...)
+	b.seed(t, base...)
+	if _, err := ps.Snapshot(); err != nil {
 		t.Fatal(err)
 	}
-	_ = conn.SetReadDeadline(time.Now().Add(2 * time.Second))
-	resp, err := wire.Read(bufio.NewReader(conn))
+	client, err := repclient.Dial(a.Addr())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if resp.Type != wire.TypeDelta {
-		t.Fatalf("type = %s", resp.Type)
+	defer client.Close()
+	assessThroughRPC := func(want int) {
+		t.Helper()
+		if _, err := client.Assess("sa", 0.5); err != nil {
+			t.Fatalf("assess after eviction: %v", err)
+		}
+		if _, total, err := client.History("sa", 1); err != nil || total != want {
+			t.Fatalf("history after eviction: total=%d err=%v, want %d", total, err, want)
+		}
+		if lc := a.srv.Stats().Lifecycle; lc.FaultErrors != 0 {
+			t.Fatalf("lifecycle.fault_errors = %d, want 0", lc.FaultErrors)
+		}
 	}
-	var delta wire.DeltaMsg
-	if err := wire.DecodePayload(resp, &delta); err != nil {
+
+	// Pulled into a resident server, then evicted.
+	b.seed(t, rec("sa", "late", false, 1000))
+	if err := a.RoundOnce(); err != nil {
 		t.Fatal(err)
 	}
-	if len(delta.Records) != 1 {
-		t.Fatalf("delta = %d records", len(delta.Records))
+	if a.Received() != 1 {
+		t.Fatalf("received = %d, want 1", a.Received())
 	}
+	if !a.Store().EvictServer("sa") {
+		t.Fatal("server did not evict")
+	}
+	assessThroughRPC(31)
+	if a.srv.Stats().Lifecycle.FaultIns == 0 {
+		t.Fatal("read of the evicted server did not fault it in")
+	}
+
+	// Pulled for a server that is evicted on the initiator.
+	b.seed(t, rec("sa", "later", true, 1001))
+	if !a.Store().EvictServer("sa") {
+		t.Fatal("server did not evict again")
+	}
+	if err := a.RoundOnce(); err != nil {
+		t.Fatal(err)
+	}
+	if a.Received() != 2 || a.Store().ServerLen("sa") != 32 {
+		t.Fatalf("delta for an evicted server: received=%d len=%d, want 2 and 32",
+			a.Received(), a.Store().ServerLen("sa"))
+	}
+	if err := a.RoundOnce(); err != nil {
+		t.Fatal(err)
+	}
+	if a.InSyncRounds() != 1 {
+		t.Fatalf("in-sync rounds = %d, want 1: the delta is being pulled again", a.InSyncRounds())
+	}
+	a.Store().EvictServer("sa")
+	assessThroughRPC(32)
 }

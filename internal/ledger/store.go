@@ -245,55 +245,30 @@ func (ps *PersistentStore) seedFromSnapshot(sd *snapshotData, shards int) (*stor
 }
 
 // Store returns the in-memory store (for read paths and for wiring into
-// repserver; writes that should be durable must go through Add).
+// repserver; writes that should be durable must go through AddBatch).
 func (ps *PersistentStore) Store() *store.Store { return ps.store }
 
-// Add stores the record and, when it is new, appends it to the ledger,
-// kicking off a background snapshot when the configured interval is due.
-// With the lifecycle enabled, the record's server is pinned against
-// eviction from before the store accepts the write until the record is both
-// in the ledger and in the tail index — evicting inside that window would
-// mint a stub whose records cannot all be rebuilt yet.
+// Add stores one record as an AddBatch of one and reports whether it was
+// new.
 func (ps *PersistentStore) Add(rec feedback.Feedback) (bool, error) {
-	lifecycle := ps.opts.MemBudget > 0
-	if lifecycle {
-		ps.pin(rec.Server)
-		defer ps.unpin(rec.Server)
-	}
-	stored, err := ps.store.Add(rec)
-	if lifecycle && errors.Is(err, store.ErrEvicted) {
-		// Write to an evicted server: fault it in and retry. The pin taken
-		// above keeps the rebuilt state resident until the retry lands.
-		if rerr := ps.RebuildServer(rec.Server); rerr != nil {
-			return false, fmt.Errorf("fault-in for write to %q: %w", rec.Server, rerr)
-		}
-		stored, err = ps.store.Add(rec)
-	}
-	if err != nil || !stored {
-		return stored, err
-	}
-	if err := ps.ledger.Append(rec); err != nil {
-		return true, fmt.Errorf("stored in memory but not persisted: %w", err)
-	}
-	if lifecycle {
-		ps.tailAdd(rec)
-	}
-	if every := ps.opts.SnapshotEvery; every > 0 && ps.sinceSnap.Add(1) >= every {
-		ps.snapshotAsync()
-	}
-	return true, nil
+	r := ps.AddBatch([]feedback.Feedback{rec}, 1)[0]
+	return r.Stored, r.Err
 }
 
-// AddBatch is the batch form of Add: records are inserted into the store
-// shard-grouped (one shard-lock acquisition per shard, fanned over at most
-// workers goroutines), and everything newly stored is appended to the
+// AddBatch is the one durable write path: records are inserted into the
+// store shard-grouped (one shard-lock acquisition per shard, fanned over at
+// most workers goroutines), and everything newly stored is appended to the
 // ledger as one group commit — one encode pass, one Write+Flush — instead
-// of one flush per record. Results[i] reports recs[i]'s outcome with Add's
-// exact semantics, including the "stored in memory but not persisted" error
-// shape when the ledger append fails after the store accepted the records.
+// of one flush per record, kicking off a background snapshot when the
+// configured interval is due. Results[i] reports recs[i]'s outcome: stored
+// or duplicate, its validation error, or "stored in memory but not
+// persisted" when the ledger append fails after the store accepted it.
 // With the lifecycle enabled, every distinct server in the batch is pinned
-// for the duration, and a write that hits an evicted server triggers one
-// fault-in per server for the whole batch before its records are retried.
+// against eviction from before the store accepts the write until its
+// records are both in the ledger and in the tail index — evicting inside
+// that window would mint a stub whose records cannot all be rebuilt yet —
+// and a write that hits an evicted server triggers one fault-in per server
+// for the whole batch before its records are retried.
 func (ps *PersistentStore) AddBatch(recs []feedback.Feedback, workers int) []store.AddResult {
 	if len(recs) == 0 {
 		return nil

@@ -7,9 +7,10 @@ import (
 	"honestplayer/internal/wire"
 )
 
-// Node-to-node forwarding calls. These are the cluster's internal RPC
-// surface (wire types fwd.* and cluster.info): trustd nodes use them to
-// route requests to the owner of a server's history, and trustctl uses
+// Node-to-node calls. These are the internal RPC surface between trustd
+// nodes (wire types fwd.*, gossip.* and cluster.info): nodes use the fwd.*
+// calls to route requests to the owner of a server's history and the
+// gossip.* pair to pull records a replica missed, and trustctl uses
 // ClusterStatusCtx for `cluster-status`. They share the client's normal
 // transport — pipelining, poisoning, redial — so a node-to-node link gets
 // the same failure semantics as a client link.
@@ -44,6 +45,24 @@ func (c *Client) ForwardAssessBatchCtx(ctx context.Context, node string, servers
 		return nil, err
 	}
 	return resp.Items, nil
+}
+
+// GossipSummaryCtx opens an anti-entropy exchange: it sends the caller's
+// per-server checksums and returns the servers whose record sets differ on
+// the peer.
+func (c *Client) GossipSummaryCtx(ctx context.Context, msg wire.SummaryMsg) (wire.SummaryResp, error) {
+	var resp wire.SummaryResp
+	err := roundTrip(c, ctx, wire.TypeSummary, wire.TypeSummaryR, msg, &resp)
+	return resp, err
+}
+
+// GossipDigestCtx sends the content hashes the caller holds for the listed
+// servers and returns the peer's records of those servers that are missing
+// from them.
+func (c *Client) GossipDigestCtx(ctx context.Context, msg wire.DigestMsg) (wire.DeltaMsg, error) {
+	var resp wire.DeltaMsg
+	err := roundTrip(c, ctx, wire.TypeDigest, wire.TypeDelta, msg, &resp)
+	return resp, err
 }
 
 // ClusterStatusCtx fetches the peer's view of its cluster. Single-node

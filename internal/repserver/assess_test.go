@@ -64,7 +64,7 @@ func TestAssessBatchMatchesSequential(t *testing.T) {
 						}
 						world.RLock()
 						f := rec(servers[k%10], client, k%7 != 0, int64(10000*(w+1)+k))
-						if _, err := srv.cfg.Recorder.Add(f); err != nil {
+						if _, err := srv.Seed([]feedback.Feedback{f}); err != nil {
 							t.Errorf("add: %v", err)
 						}
 						world.RUnlock()
@@ -148,7 +148,7 @@ func TestAssessBatchNeverStale(t *testing.T) {
 	servers := []feedback.EntityID{"st-0", "st-1", "st-2", "st-3"}
 	for _, s := range servers {
 		for i := 0; i < seedPositives; i++ {
-			if _, err := srv.cfg.Recorder.Add(rec(s, "seed", true, int64(i)+1)); err != nil {
+			if _, err := srv.Seed([]feedback.Feedback{rec(s, "seed", true, int64(i)+1)}); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -173,7 +173,7 @@ func TestAssessBatchNeverStale(t *testing.T) {
 				}
 				si := k % len(servers)
 				started[si].Add(1)
-				if _, err := srv.cfg.Recorder.Add(rec(servers[si], client, false, int64(100000*(w+1)+k))); err != nil {
+				if _, err := srv.Seed([]feedback.Feedback{rec(servers[si], client, false, int64(100000*(w+1)+k))}); err != nil {
 					t.Errorf("add: %v", err)
 				}
 				done[si].Add(1)
@@ -223,7 +223,7 @@ func TestAssessBatchFlags(t *testing.T) {
 	seed := func(t *testing.T, srv *Server, s feedback.EntityID) {
 		t.Helper()
 		for i := 0; i < 60; i++ {
-			if _, err := srv.cfg.Recorder.Add(rec(s, feedback.EntityID(rune('a'+i%4)), true, int64(i)+1)); err != nil {
+			if _, err := srv.Seed([]feedback.Feedback{rec(s, feedback.EntityID(rune('a'+i%4)), true, int64(i)+1)}); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -299,7 +299,7 @@ func TestAssessBatchFlags(t *testing.T) {
 			t.Fatalf("second batch flags = %+v", got)
 		}
 		// ...and a write to "a" invalidates exactly "a".
-		if _, err := srv.cfg.Recorder.Add(rec("a", "z", false, 1000)); err != nil {
+		if _, err := srv.Seed([]feedback.Feedback{rec("a", "z", false, 1000)}); err != nil {
 			t.Fatal(err)
 		}
 		got = batchFlags(t, srv, []feedback.EntityID{"a", "b"})
@@ -338,7 +338,7 @@ func TestAssessBatchValidation(t *testing.T) {
 		t.Fatalf("oversized batch error = %v", err)
 	}
 
-	if _, err := srv.cfg.Recorder.Add(rec("known", "c", true, 1)); err != nil {
+	if _, err := srv.Seed([]feedback.Feedback{rec("known", "c", true, 1)}); err != nil {
 		t.Fatal(err)
 	}
 	resp, err := srv.AssessBatch(ctx, wire.AssessBatchRequest{
@@ -365,7 +365,7 @@ func TestAssessBatchValidation(t *testing.T) {
 func TestAssessBatchOverWire(t *testing.T) {
 	srv := startServer(t)
 	for i := 0; i < 30; i++ {
-		if _, err := srv.cfg.Recorder.Add(rec("wired", "c", true, int64(i)+1)); err != nil {
+		if _, err := srv.Seed([]feedback.Feedback{rec("wired", "c", true, int64(i)+1)}); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -143,7 +143,7 @@ func BenchmarkAssessMixed(b *testing.B) {
 						Client: feedback.EntityID(fmt.Sprintf("c%d", i%25)),
 						Rating: feedback.Positive,
 					}
-					if _, err := srv.cfg.Recorder.Add(f); err != nil {
+					if _, err := srv.Seed([]feedback.Feedback{f}); err != nil {
 						b.Fatal(err)
 					}
 					continue
@@ -199,7 +199,7 @@ func BenchmarkAssessAfterAppend(b *testing.B) {
 					Client: feedback.EntityID(fmt.Sprintf("c%d", i%25)),
 					Rating: feedback.Positive,
 				}
-				if _, err := srv.cfg.Recorder.Add(f); err != nil {
+				if _, err := srv.Seed([]feedback.Feedback{f}); err != nil {
 					b.Fatal(err)
 				}
 				if _, err := srv.Assess(ctx, req); err != nil {
@@ -216,7 +216,7 @@ func BenchmarkAssessAfterAppend(b *testing.B) {
 					Client: feedback.EntityID(fmt.Sprintf("c%d", i%25)),
 					Rating: feedback.Positive,
 				}
-				if _, err := srv.cfg.Recorder.Add(f); err != nil {
+				if _, err := srv.Seed([]feedback.Feedback{f}); err != nil {
 					b.Fatal(err)
 				}
 				if _, err := srv.Assess(ctx, req); err != nil {

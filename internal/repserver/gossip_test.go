@@ -1,0 +1,231 @@
+package repserver
+
+import (
+	"context"
+	"errors"
+	"fmt"
+	"reflect"
+	"testing"
+	"time"
+
+	"honestplayer/internal/feedback"
+	"honestplayer/internal/gossip"
+	"honestplayer/internal/repclient"
+	"honestplayer/internal/store"
+	"honestplayer/internal/wire"
+)
+
+// TestClusterRepairEndToEnd loses one fwd.submit.batch replica push (the
+// replica's listener is down for the write), shows a forwarded read
+// noticing the divergence, and lets anti-entropy — riding the same
+// listeners and pooled connections as the fwd.* hops — repair it: digests
+// agree again, reads stop escalating, and the node outside the replica set
+// pulls nothing.
+func TestClusterRepairEndToEnd(t *testing.T) {
+	const id = feedback.EntityID("repair-server")
+	stores := []*store.Store{store.New(), store.New(), store.New()}
+	next := 0
+	servers := startCluster(t, 3, 2, func() Config {
+		next++
+		return Config{Assessor: testAssessor(t), Store: stores[next-1]}
+	})
+	index := map[string]int{"n1": 0, "n2": 1, "n3": 2}
+	set := servers[0].Cluster().ReplicaSet(id)
+	owner, replica := index[set[0]], index[set[1]]
+	outside := 3 - owner - replica
+
+	var base []feedback.Feedback
+	for j := 0; j < 30; j++ {
+		base = append(base, rec(id, feedback.EntityID(fmt.Sprintf("c%d", j)), j%4 != 0, int64(j)))
+	}
+	if _, _, err := dial(t, servers[outside]).SubmitBatch(base); err != nil {
+		t.Fatal(err)
+	}
+	if got := stores[replica].ServerLen(id); got != 30 {
+		t.Fatalf("replica holds %d records before the fault, want 30", got)
+	}
+
+	// The replica's listener goes away for one write, then comes back on
+	// the same address with the same store.
+	addr, view := servers[replica].Addr(), servers[replica].Cluster()
+	if err := servers[replica].Close(); err != nil {
+		t.Fatal(err)
+	}
+	if ok, err := dial(t, servers[owner]).Submit(rec(id, "lost-push", false, 999)); err != nil || !ok {
+		t.Fatalf("submit at the owner with its replica down: stored=%v err=%v", ok, err)
+	}
+	reopened, err := New(addr, Config{Assessor: testAssessor(t), Store: stores[replica]})
+	if err != nil {
+		t.Fatal(err)
+	}
+	reopened.SetCluster(view)
+	reopened.Start()
+	t.Cleanup(func() { _ = reopened.Close() })
+	servers[replica] = reopened
+	if o, r := stores[owner].ServerChecksum(id), stores[replica].ServerChecksum(id); o.Count != 31 || r.Count != 30 {
+		t.Fatalf("after the lost push: owner %+v replica %+v, want 31 and 30 records", o, r)
+	}
+
+	door := dial(t, servers[outside])
+	if _, err := door.Assess(id, 0.6); err != nil {
+		t.Fatal(err)
+	}
+	if got := servers[outside].Cluster().Stats().DigestMismatch; got != 1 {
+		t.Fatalf("digest_mismatch = %d after reading a diverged replica set, want 1", got)
+	}
+
+	recons := make([]*gossip.Reconciler, len(servers))
+	for i, srv := range servers {
+		r, err := gossip.New(gossip.Config{Name: fmt.Sprintf("n%d", i+1), Node: srv, Seed: uint64(i + 1)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { _ = r.Close() })
+		recons[i] = r
+	}
+	forwardedBefore := servers[replica].Cluster().Stats().Forwarded
+	for round := 0; round < 40 && stores[owner].ServerChecksum(id) != stores[replica].ServerChecksum(id); round++ {
+		for _, r := range recons {
+			if err := r.RoundOnce(); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if o, r := stores[owner].ServerChecksum(id), stores[replica].ServerChecksum(id); o != r || r.Count != 31 {
+		t.Fatalf("replica set did not converge: owner %+v replica %+v", o, r)
+	}
+	if got := recons[replica].Received(); got != 1 {
+		t.Fatalf("replica pulled %d records, want the 1 it missed", got)
+	}
+	if recons[outside].Received() != 0 || stores[outside].Len() != 0 {
+		t.Fatalf("node outside the replica set pulled %d records and holds %d, want none",
+			recons[outside].Received(), stores[outside].Len())
+	}
+	// Repair traffic is cluster traffic: it rode the pooled connections and
+	// moved their counters.
+	if got := servers[replica].Cluster().Stats().Forwarded; got == forwardedBefore {
+		t.Fatal("anti-entropy rounds did not count as forwarded calls")
+	}
+
+	got, err := door.Assess(id, 0.6)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !got.Merged || len(got.MergedFrom) != 2 {
+		t.Fatalf("repaired forwarded assess: Merged=%v MergedFrom=%v; want the verified set of 2", got.Merged, got.MergedFrom)
+	}
+	if got := servers[outside].Cluster().Stats().DigestMismatch; got != 1 {
+		t.Fatalf("digest_mismatch moved to %d after repair, want it to stay at 1", got)
+	}
+}
+
+// TestGossipExchangeSameOverEitherFraming: the anti-entropy pair is served
+// by the ordinary pipeline, so a JSON client and a v2 client get the same
+// stale list and the same delta, an unscoped digest is a bad request on
+// both, and the exchange shows up in the per-type metrics.
+func TestGossipExchangeSameOverEitherFraming(t *testing.T) {
+	srv := startServer(t)
+	var held []feedback.Feedback
+	for i := 0; i < 12; i++ {
+		held = append(held, rec("s1", feedback.EntityID(fmt.Sprintf("c%d", i)), i%3 != 0, int64(i+1)))
+	}
+	held = append(held, rec("s2", "c", true, 1))
+	if _, err := srv.Seed(held); err != nil {
+		t.Fatal(err)
+	}
+	// The caller holds s1's first five records and s2 exactly.
+	have := []uint64{}
+	for _, f := range held[:5] {
+		have = append(have, uint64(store.HashOf(f)))
+	}
+	summary := wire.SummaryMsg{Node: "peer", Servers: map[string]wire.ServerSum{
+		"s1": {Count: 5, XOR: 1},
+		"s2": srv.Summary()["s2"],
+	}}
+	digest := wire.DigestMsg{Node: "peer", Servers: []string{"s1"}, Hashes: have}
+
+	type answer struct {
+		Stale []string
+		Delta []feedback.Feedback
+		Code  string
+	}
+	var answers []answer
+	eachFraming(t, func(t *testing.T, proto repclient.Option) {
+		c := dial(t, srv, proto)
+		ctx := context.Background()
+		sr, err := c.GossipSummaryCtx(ctx, summary)
+		if err != nil {
+			t.Fatal(err)
+		}
+		delta, err := c.GossipDigestCtx(ctx, digest)
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, err = c.GossipDigestCtx(ctx, wire.DigestMsg{Node: "legacy"})
+		answers = append(answers, answer{Stale: sr.Stale, Delta: delta.Records, Code: codeOf(t, err)})
+	})
+	want := answer{Stale: []string{"s1"}, Delta: held[5:12], Code: wire.CodeBadRequest}
+	for i, got := range answers {
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("framing %d answered\n %+v\nwant\n %+v", i, got, want)
+		}
+	}
+	pt := srv.Stats().PerType
+	if s, d := pt[string(wire.TypeSummary)], pt[string(wire.TypeDigest)]; s.Requests != 2 || d.Requests != 4 || d.Errors != 2 {
+		t.Fatalf("per_type rows: summary %+v digest %+v", s, d)
+	}
+}
+
+// stallingRebuilder blocks every rebuild until released.
+type stallingRebuilder struct{ release chan struct{} }
+
+func (r stallingRebuilder) RebuildServer(feedback.EntityID) error {
+	<-r.release
+	return errors.New("released without rebuilding")
+}
+
+// TestGossipDigestDeadline: a gossip.digest whose handler outlives
+// RequestTimeout — here stuck faulting an evicted server in — is answered
+// deadline_exceeded like any other request, and the connection stays usable.
+func TestGossipDigestDeadline(t *testing.T) { eachFraming(t, testGossipDigestDeadline) }
+
+func testGossipDigestDeadline(t *testing.T, proto repclient.Option) {
+	st := store.New()
+	st.SetBudget(1 << 30)
+	rb := stallingRebuilder{release: make(chan struct{})}
+	srv, err := New("127.0.0.1:0", Config{
+		Assessor: testAssessor(t), Store: st, Rebuilder: rb, RequestTimeout: 80 * time.Millisecond,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv.Start()
+	t.Cleanup(func() {
+		close(rb.release) // let the abandoned handler goroutine finish
+		if err := srv.Close(); err != nil {
+			t.Errorf("close: %v", err)
+		}
+	})
+	if _, err := srv.Seed([]feedback.Feedback{rec("cold", "alice", true, 1)}); err != nil {
+		t.Fatal(err)
+	}
+	if !st.EvictServer("cold") {
+		t.Fatal("server did not evict")
+	}
+
+	c := dial(t, srv, proto)
+	start := time.Now()
+	_, err = c.GossipDigestCtx(context.Background(), wire.DigestMsg{Node: "peer", Servers: []string{"cold"}})
+	if code := codeOf(t, err); code != wire.CodeDeadlineExceeded {
+		t.Fatalf("stalled digest answered %q, want %s", code, wire.CodeDeadlineExceeded)
+	}
+	if elapsed := time.Since(start); elapsed > 2*time.Second {
+		t.Fatalf("deadline reply took %s", elapsed)
+	}
+	if err := c.Ping(); err != nil {
+		t.Fatalf("ping after deadline error: %v", err)
+	}
+	if d := srv.Stats().PerType[string(wire.TypeDigest)]; d.Requests != 1 || d.Errors != 1 {
+		t.Fatalf("digest metrics = %+v", d)
+	}
+}

@@ -43,7 +43,7 @@ func TestAssessIncrementalMatchesBatch(t *testing.T) {
 	for i := 0; i < 90; i++ {
 		f := rec(server, feedback.EntityID(rune('a'+i%5)), i%10 != 9, int64(i)+1)
 		for _, srv := range []*Server{incrSrv, batchSrv} {
-			if _, err := srv.cfg.Recorder.Add(f); err != nil {
+			if _, err := srv.Seed([]feedback.Feedback{f}); err != nil {
 				t.Fatalf("add: %v", err)
 			}
 		}

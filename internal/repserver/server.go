@@ -41,24 +41,14 @@ import (
 // before force-closing their connections.
 const DefaultDrainTimeout = 5 * time.Second
 
-// Recorder is the write path for incoming feedback. The default writes to
-// the in-memory store; deployments wanting durability pass a
-// ledger.PersistentStore (whose Store() must also back Config.Store so
-// reads see the writes).
+// Recorder is the write path every record entering the node takes (see
+// applyBatch). The default writes to the in-memory store; deployments
+// wanting durability pass a ledger.PersistentStore (whose Store() must also
+// back Config.Store so reads see the writes).
 type Recorder interface {
-	// Add stores one record, reporting whether it was new.
-	Add(feedback.Feedback) (bool, error)
-}
-
-// BatchRecorder is the optional batch write path: recorders implementing it
-// get submit.batch requests as one call — shard-grouped store insertion and
-// one ledger group commit instead of a per-record store+append+flush cycle.
-// Both *store.Store and *ledger.PersistentStore implement it; recorders that
-// don't are served record by record through Add with identical results.
-type BatchRecorder interface {
 	// AddBatch stores records with at most workers concurrent shard groups
-	// (workers <= 0 means GOMAXPROCS); result i reports record i's outcome
-	// with Add's exact semantics.
+	// (workers <= 0 means GOMAXPROCS); result i reports whether record i was
+	// new, or why it was not stored.
 	AddBatch(recs []feedback.Feedback, workers int) []store.AddResult
 }
 
@@ -234,6 +224,12 @@ type Server struct {
 	// local path.
 	clusterRef atomic.Pointer[cluster.Cluster]
 
+	// Cached anti-entropy summary (see gossip.go), valid while sumVersion is
+	// the store's global version.
+	sumMu      sync.Mutex
+	sumVersion uint64
+	sums       map[string]wire.ServerSum
+
 	// Single-flight fault-in state (see faultin.go): at most one rebuild
 	// per server runs at a time, with concurrent requests waiting on its
 	// channel.
@@ -322,6 +318,9 @@ func New(addr string, cfg Config) (*Server, error) {
 // the local replica set.
 func (s *Server) SetCluster(cl *cluster.Cluster) {
 	s.clusterRef.Store(cl)
+	s.sumMu.Lock()
+	s.sums = nil // scoped to the previous ownership
+	s.sumMu.Unlock()
 	if s.cfg.Incremental && cl != nil {
 		s.cfg.Store.RetainAccumulators(func(server feedback.EntityID) bool {
 			return cl.Owns(server)
@@ -362,6 +361,8 @@ func (s *Server) buildPipeline() service.Handler {
 	reg.Register(wire.TypeFwdBatch, typed(wire.TypeFwdBatchR, s.fwdBatch))
 	reg.Register(wire.TypeFwdAssessB, typed(wire.TypeFwdAssessBR, s.fwdAssessBatch))
 	reg.Register(wire.TypeClusterInfo, s.handleClusterInfo)
+	reg.Register(wire.TypeSummary, typed(wire.TypeSummaryR, s.gossipSummary))
+	reg.Register(wire.TypeDigest, typed(wire.TypeDelta, s.gossipDigest))
 
 	dispatch := func(ctx context.Context, env wire.Envelope) (wire.Envelope, error) {
 		h, ok := reg.Lookup(env.Type)
@@ -764,38 +765,25 @@ func (s *Server) routeSubmit(ctx context.Context, recs []feedback.Feedback, batc
 	return s.applyBatch(ctx, recs, batchFrame)
 }
 
-// applyBatch stores records locally with the per-record report semantics of
-// a batch submit: bad records fail their own item slot, never the batch.
-// Recorders implementing BatchRecorder get the whole batch as one call —
-// shard-grouped insertion over the bounded worker pool plus one ledger group
-// commit; anything else is served record by record with identical results.
+// applyBatch is the one door records enter a node through — client frames,
+// fwd.submit.batch hand-overs and replica pushes, anti-entropy deltas and
+// Seed alike: one Recorder.AddBatch call, so every record is shard-grouped
+// over the bounded worker pool and, on a durable node, pinned,
+// group-committed and tail-indexed. It reports per record with the semantics
+// of a batch submit: bad records fail their own item slot, never the batch.
 // Items[i] always answers Records[i]; len(Items) == len(Records).
 func (s *Server) applyBatch(ctx context.Context, recs []feedback.Feedback, batchFrame bool) (wire.BatchResponse, error) {
 	resp := wire.BatchResponse{Items: make([]wire.SubmitBatchItem, len(recs))}
 	if err := ctx.Err(); err != nil {
 		return wire.BatchResponse{}, err
 	}
-	var results []store.AddResult
-	if br, ok := s.cfg.Recorder.(BatchRecorder); ok {
-		results = br.AddBatch(recs, s.cfg.BatchWorkers)
-	} else {
-		results = make([]store.AddResult, len(recs))
-		for i, rec := range recs {
-			// A cancelled request must stop writing, but records already
-			// stored stay stored — the client learns how far it got from
-			// the error.
-			if err := ctx.Err(); err != nil {
-				return wire.BatchResponse{}, err
-			}
-			results[i].Stored, results[i].Err = s.cfg.Recorder.Add(rec)
-		}
-	}
+	results := s.cfg.Recorder.AddBatch(recs, s.cfg.BatchWorkers)
 
-	// Items that hit evicted state: fault each distinct server in once —
-	// single-flighted server-wide via faultIn, so concurrent batches (and
-	// reads) share one rebuild — then retry those records. Recorders with
-	// their own fault-in (ledger.PersistentStore) never surface ErrEvicted
-	// here; this covers a store-only recorder running under a budget.
+	// Items that hit evicted state: fault the server in — single-flighted
+	// server-wide via faultIn, so concurrent batches (and reads) share one
+	// rebuild — then retry the record. Recorders with their own fault-in
+	// (ledger.PersistentStore) never surface ErrEvicted here; this covers a
+	// store-only recorder running under a budget.
 	for i := range results {
 		if !errors.Is(results[i].Err, store.ErrEvicted) {
 			continue
@@ -804,7 +792,7 @@ func (s *Server) applyBatch(ctx context.Context, recs []feedback.Feedback, batch
 			results[i] = store.AddResult{Err: err}
 			continue
 		}
-		results[i].Stored, results[i].Err = s.cfg.Recorder.Add(recs[i])
+		results[i] = s.cfg.Recorder.AddBatch(recs[i:i+1], 1)[0]
 	}
 
 	for i, r := range results {
@@ -841,17 +829,9 @@ func (s *Server) history(ctx context.Context, req wire.HistoryRequest) (wire.His
 	if err := ctx.Err(); err != nil {
 		return wire.HistoryResponse{}, err
 	}
-	// Read through the fault-in path: an evicted server is rebuilt rather
-	// than reported empty (Records alone cannot tell evicted from unknown).
-	var (
-		h    *feedback.History
-		herr error
-	)
-	s.viewResident(ctx, s.cfg.Store.ShardIndex(req.Server), []feedback.EntityID{req.Server},
-		func(_ int, _ store.Accumulator, snap *feedback.History, _ uint64) { h = snap },
-		func(_ int, err error) { herr = err })
-	if herr != nil {
-		return wire.HistoryResponse{}, herr
+	h, err := s.residentHistory(ctx, req.Server)
+	if err != nil {
+		return wire.HistoryResponse{}, err
 	}
 	if h == nil {
 		h = feedback.NewHistory(req.Server) // unknown server: an empty history
@@ -868,8 +848,30 @@ func (s *Server) history(ctx context.Context, req wire.HistoryRequest) (wire.His
 	return wire.HistoryResponse{Records: recs, Total: total}, nil
 }
 
-// Seed loads records into the store directly (bypassing the network), for
-// bootstrapping servers from a ledger file.
+// residentHistory returns server's history snapshot, read through the
+// fault-in path: an evicted server is rebuilt rather than reported empty
+// (Records alone cannot tell evicted from unknown). Nil means unknown.
+func (s *Server) residentHistory(ctx context.Context, server feedback.EntityID) (h *feedback.History, err error) {
+	s.viewResident(ctx, s.cfg.Store.ShardIndex(server), []feedback.EntityID{server},
+		func(_ int, _ store.Accumulator, snap *feedback.History, _ uint64) { h = snap },
+		func(_ int, ferr error) { err = ferr })
+	return h, err
+}
+
+// Seed loads records into the local store without a network hop or cluster
+// routing — bootstrapping from a file, or the records an anti-entropy round
+// pulled — through the same applyBatch as a submitted frame. It returns how
+// many were new; a rejected record is reported as the error, and does not
+// keep the others from being stored.
 func (s *Server) Seed(recs []feedback.Feedback) (int, error) {
-	return s.cfg.Store.AddAll(recs)
+	resp, err := s.applyBatch(s.baseCtx, recs, false)
+	if err != nil {
+		return 0, err
+	}
+	if len(resp.Rejected) > 0 {
+		r := resp.Rejected[0]
+		return resp.Stored, fmt.Errorf("repserver: seed rejected %d of %d records (first: record %d: %s)",
+			len(resp.Rejected), len(recs), r.Index, r.Reason)
+	}
+	return resp.Stored, nil
 }

@@ -402,6 +402,12 @@ func TestSeed(t *testing.T) {
 	if srv.Store().ServerLen("s") != 2 {
 		t.Fatal("seeded records missing")
 	}
+	// Seed enters through applyBatch: a bad record is reported, its
+	// siblings (one new, one duplicate) are not discarded.
+	n, err = srv.Seed([]feedback.Feedback{rec("s", "d", true, 3), {Server: "s"}, rec("s", "c", true, 1)})
+	if err == nil || n != 1 || srv.Store().ServerLen("s") != 3 {
+		t.Fatalf("seed with a bad record: stored %d (server holds %d), err %v", n, srv.Store().ServerLen("s"), err)
+	}
 }
 
 func TestConcurrentClients(t *testing.T) {

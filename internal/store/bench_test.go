@@ -79,19 +79,6 @@ func BenchmarkStoreAddParallel(b *testing.B) {
 	}
 }
 
-func BenchmarkStoreMissingFrom(b *testing.B) {
-	s := New()
-	if _, err := s.AddAll(benchRecs(5000)); err != nil {
-		b.Fatal(err)
-	}
-	digest := s.Hashes()[:2500]
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_ = s.MissingFrom(digest)
-	}
-}
-
 // BenchmarkStoreHistory exercises the read hot path: since histories are
 // maintained incrementally and returned as shared snapshots, this is O(1)
 // regardless of history length.

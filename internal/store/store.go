@@ -1,6 +1,6 @@
-// Package store provides the concurrent feedback store shared by the
-// reputation server (the paper's central-collector deployment) and the
-// gossip layer (the P2P deployment): per-server transaction histories with
+// Package store provides the concurrent feedback store behind a reputation
+// node, in the paper's central-collector deployment and, kept in step by
+// anti-entropy, in the P2P one: per-server transaction histories with
 // duplicate suppression and deterministic time ordering.
 //
 // The store is sharded by server ID, so writes against different servers
@@ -641,22 +641,6 @@ func (s *Store) ServerLen(server feedback.EntityID) int {
 	return s.ServerChecksum(server).Count
 }
 
-// Hashes returns the content hashes of all stored records, sorted. It is
-// the digest the gossip layer exchanges.
-func (s *Store) Hashes() []Hash {
-	var out []Hash
-	for i := range s.shards {
-		sh := &s.shards[i]
-		sh.mu.RLock()
-		for h := range sh.seen {
-			out = append(out, h)
-		}
-		sh.mu.RUnlock()
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
-}
-
 // Checksum summarises one server's records: the count and the XOR of all
 // content hashes. Equal checksums mean (up to hash collisions) equal record
 // sets, letting gossip peers skip servers that are already in sync.
@@ -704,73 +688,4 @@ func (s *Store) ServerChecksum(server feedback.EntityID) Checksum {
 		return Checksum{}
 	}
 	return Checksum{Count: e.countLocked(), XOR: e.xor}
-}
-
-// ServerHashes returns the content hashes of one server's records, sorted;
-// nil when the server's state is evicted (the per-record hashes follow the
-// history out of memory).
-func (s *Store) ServerHashes(server feedback.EntityID) []Hash {
-	h, _ := s.Snapshot(server)
-	if h == nil {
-		return nil
-	}
-	out := make([]Hash, 0, h.Len())
-	for i := 0; i < h.Len(); i++ {
-		out = append(out, HashOf(h.At(i)))
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
-}
-
-// ServerMissingFrom returns one server's records whose hashes are absent
-// from the digest.
-func (s *Store) ServerMissingFrom(server feedback.EntityID, digest []Hash) []feedback.Feedback {
-	have := make(map[Hash]struct{}, len(digest))
-	for _, h := range digest {
-		have[h] = struct{}{}
-	}
-	hist, _ := s.Snapshot(server)
-	if hist == nil {
-		return nil
-	}
-	var out []feedback.Feedback
-	for i := 0; i < hist.Len(); i++ {
-		if f := hist.At(i); !inDigest(have, f) {
-			out = append(out, f)
-		}
-	}
-	return out
-}
-
-// MissingFrom returns the stored records whose hashes are absent from the
-// given digest — the records a gossip peer with that digest still needs.
-func (s *Store) MissingFrom(digest []Hash) []feedback.Feedback {
-	have := make(map[Hash]struct{}, len(digest))
-	for _, h := range digest {
-		have[h] = struct{}{}
-	}
-	var out []feedback.Feedback
-	for i := range s.shards {
-		sh := &s.shards[i]
-		sh.mu.RLock()
-		for _, e := range sh.byServ {
-			hist := e.hist
-			if hist == nil {
-				continue // evicted: records are durable, not servable from RAM
-			}
-			for j := 0; j < hist.Len(); j++ {
-				if f := hist.At(j); !inDigest(have, f) {
-					out = append(out, f)
-				}
-			}
-		}
-		sh.mu.RUnlock()
-	}
-	sort.Slice(out, func(i, j int) bool { return lessRecord(out[i], out[j]) })
-	return out
-}
-
-func inDigest(have map[Hash]struct{}, f feedback.Feedback) bool {
-	_, ok := have[HashOf(f)]
-	return ok
 }

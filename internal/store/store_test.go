@@ -1,6 +1,7 @@
 package store
 
 import (
+	"reflect"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -107,24 +108,6 @@ func TestStoreServers(t *testing.T) {
 	got := s.Servers()
 	if len(got) != 2 || got[0] != "a" || got[1] != "b" {
 		t.Fatalf("Servers = %v", got)
-	}
-}
-
-func TestStoreMissingFrom(t *testing.T) {
-	s := New()
-	r1 := rec("srv", "c1", true, 1)
-	r2 := rec("srv", "c2", false, 2)
-	_, _ = s.Add(r1)
-	_, _ = s.Add(r2)
-	missing := s.MissingFrom([]Hash{HashOf(r1)})
-	if len(missing) != 1 || HashOf(missing[0]) != HashOf(r2) {
-		t.Fatalf("MissingFrom = %v", missing)
-	}
-	if got := s.MissingFrom(s.Hashes()); len(got) != 0 {
-		t.Fatalf("nothing should be missing: %v", got)
-	}
-	if got := s.MissingFrom(nil); len(got) != 2 {
-		t.Fatalf("everything should be missing: %v", got)
 	}
 }
 
@@ -387,11 +370,8 @@ func TestStoreShardCountInvariance(t *testing.T) {
 		if len(gotServers) != len(wantServers) {
 			t.Fatalf("shards=%d: servers %v vs %v", shards, gotServers, wantServers)
 		}
-		gotHashes, wantHashes := s.Hashes(), ref.Hashes()
-		for i := range wantHashes {
-			if gotHashes[i] != wantHashes[i] {
-				t.Fatalf("shards=%d: hash digest differs at %d", shards, i)
-			}
+		if got, want := s.Checksums(), ref.Checksums(); !reflect.DeepEqual(got, want) {
+			t.Fatalf("shards=%d: checksums %v vs %v", shards, got, want)
 		}
 	}
 }

@@ -339,9 +339,8 @@ type SummaryResp struct {
 }
 
 // DigestMsg carries a gossip digest: the content hashes of the records the
-// sender holds. When Servers is non-empty the digest (and the resulting
-// delta) is scoped to those servers only; empty means the whole store —
-// the unscoped protocol used as a fallback.
+// sender holds for Servers, which scopes the digest and the resulting delta.
+// A digest that names no servers is a bad request.
 type DigestMsg struct {
 	Node    string   `json:"node"`
 	Servers []string `json:"servers,omitempty"`

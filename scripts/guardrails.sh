@@ -1,0 +1,76 @@
+#!/usr/bin/env bash
+# =============================================================================
+# Repository guardrails: the design invariants ROADMAP.md and docs/adr/ state,
+# as greps that fail CI when one stops holding.
+#
+#   - stdlib only: neither go.mod requires a third-party module
+#   - the pure packages (stats, feedback, trust, behavior, core) read no wall
+#     clock and start no goroutine, so same inputs => same outputs
+#   - dependency direction: core/behavior never import wire/repserver/ledger,
+#     and nothing outside bench/ imports bench
+#   - what an ADR deleted stays deleted
+#   - one door into a node (ADR 0003): only internal/repserver listens
+#
+# Run from anywhere: bash scripts/guardrails.sh
+# =============================================================================
+
+set -euo pipefail
+
+cd "$(dirname "${BASH_SOURCE[0]}")/.."
+FAILED=0
+
+check() {
+    if eval "$2"; then
+        echo "ok   $1"
+    else
+        echo "FAIL $1"
+        FAILED=$((FAILED + 1))
+    fi
+}
+
+# Non-test Go sources outside the benchmark module, optionally under one dir.
+sources() { find "${1:-.}" -name '*.go' ! -name '*_test.go' ! -path './bench/*'; }
+# absent PATTERN [DIR]: no source line matches the extended regex.
+absent() { ! sources "${2:-.}" | xargs grep -nE -- "$1" | grep -q .; }
+
+# --- stdlib only -------------------------------------------------------------
+check "go.mod requires nothing" \
+    "! grep -qE '^(require|replace)' go.mod"
+check "bench/go.mod requires only the root module" \
+    "! grep -E '^require|^\s+[a-z].* v[0-9]' bench/go.mod | grep -vq 'honestplayer v0.0.0'"
+
+# --- pure packages -----------------------------------------------------------
+for pkg in stats feedback trust behavior core; do
+    check "no time.Now() in internal/$pkg" "absent 'time\.Now\(\)' internal/$pkg"
+    check "no go statement in internal/$pkg" "absent '^\s*go (func\b|[A-Za-z_.]+\()' internal/$pkg"
+done
+
+# --- dependency direction ----------------------------------------------------
+for pkg in core behavior; do
+    check "internal/$pkg imports none of wire, repserver, ledger" \
+        "absent '\"honestplayer/internal/(wire|repserver|ledger)\"' internal/$pkg"
+done
+check "nothing outside bench/ imports it" \
+    "! find . -name '*.go' ! -path './bench/*' | xargs grep -n '\"honestplayer/bench' | grep -q ."
+
+# --- ADR-deleted symbols stay deleted ----------------------------------------
+# 0001: fwd.submit, appendJSONLine, -arena-cap. 0002: kGrid.
+# 0003: BatchRecorder, GossipPeers, MissingFrom.
+check "wire type fwd.submit stays deleted (ADR 0001)" "absent '\"fwd\.submit\"'"
+check "flag -arena-cap stays deleted (ADR 0001)" "absent '\"arena-cap\"'"
+for sym in appendJSONLine kGrid BatchRecorder GossipPeers MissingFrom; do
+    check "$sym stays deleted" "absent '\b$sym\b'"
+done
+
+# --- one door into a node (ADR 0003) -----------------------------------------
+check "net.Listen only in internal/repserver" \
+    "! sources | grep -v '^./internal/repserver/' | xargs grep -n 'net\.Listen\b' | grep -q ."
+check "internal/gossip imports neither net nor bufio" \
+    "absent '^\s*\"(net|bufio)\"' internal/gossip"
+
+echo
+if [ "$FAILED" -gt 0 ]; then
+    echo "$FAILED guardrail(s) failed"
+    exit 1
+fi
+echo "all guardrails hold"
