@@ -1,0 +1,253 @@
+package feedback
+
+import (
+	"errors"
+	"reflect"
+	"sort"
+	"sync"
+	"testing"
+	"time"
+)
+
+// naiveGroups is GroupByIssuer over a plain record slice: a map of index
+// lists, sorted by size descending, then client.
+func naiveGroups(ref []Feedback) []IssuerGroup {
+	by := make(map[EntityID][]int)
+	for i, f := range ref {
+		by[f.Client] = append(by[f.Client], i)
+	}
+	var out []IssuerGroup
+	for c, idx := range by {
+		out = append(out, IssuerGroup{Client: c, Indices: idx})
+	}
+	sort.Slice(out, func(i, j int) bool {
+		if len(out[i].Indices) != len(out[j].Indices) {
+			return len(out[i].Indices) > len(out[j].Indices)
+		}
+		return out[i].Client < out[j].Client
+	})
+	return out
+}
+
+// naiveWindows is WindowCounts[FromEnd] over a plain record slice.
+func naiveWindows(ref []Feedback, m int, fromEnd bool) []int {
+	k := len(ref) / m
+	start := 0
+	if fromEnd {
+		start = len(ref) - k*m
+	}
+	out := make([]int, 0, k)
+	for w := 0; w < k; w++ {
+		good := 0
+		for _, f := range ref[start+w*m : start+(w+1)*m] {
+			if f.Good() {
+				good++
+			}
+		}
+		out = append(out, good)
+	}
+	return out
+}
+
+// sameAs holds every read accessor of h against the reference slice.
+func sameAs(t *testing.T, what string, h *History, ref []Feedback) {
+	t.Helper()
+	if h.Len() != len(ref) {
+		t.Fatalf("%s: Len %d, want %d", what, h.Len(), len(ref))
+	}
+	recs, outcomes := h.Records(), h.Outcomes()
+	good := 0
+	clients := make(map[EntityID]struct{})
+	for i, want := range ref {
+		if got := h.At(i); got != want || recs[i] != want {
+			t.Fatalf("%s: record %d is %v (Records: %v), want %v", what, i, got, recs[i], want)
+		}
+		if h.NanosAt(i) != want.Time.UnixNano() || h.ClientAt(i) != want.Client || h.RatingAt(i) != want.Rating {
+			t.Fatalf("%s: column accessors disagree with At(%d)", what, i)
+		}
+		if outcomes[i] != want.Good() {
+			t.Fatalf("%s: outcome %d", what, i)
+		}
+		if want.Good() {
+			good++
+		}
+		if got := h.GoodInRange(0, i+1); got != good {
+			t.Fatalf("%s: GoodInRange(0,%d) = %d, want %d", what, i+1, got, good)
+		}
+		clients[want.Client] = struct{}{}
+	}
+	if h.GoodCount() != good || h.DistinctClients() != len(clients) {
+		t.Fatalf("%s: GoodCount %d DistinctClients %d, want %d and %d", what, h.GoodCount(), h.DistinctClients(), good, len(clients))
+	}
+	groups := naiveGroups(ref)
+	if got := h.GroupByIssuer(); len(got)+len(groups) > 0 && !reflect.DeepEqual(got, groups) {
+		t.Fatalf("%s: GroupByIssuer %v, want %v", what, got, groups)
+	}
+	var ordered []Feedback
+	for _, g := range groups {
+		for _, i := range g.Indices {
+			ordered = append(ordered, ref[i])
+		}
+	}
+	if got := h.CollusionOrder().Records(); len(got)+len(ordered) > 0 && !reflect.DeepEqual(got, ordered) {
+		t.Fatalf("%s: CollusionOrder %v, want %v", what, got, ordered)
+	}
+	for _, m := range []int{1, 3, 10} {
+		for _, fromEnd := range []bool{false, true} {
+			got, err := h.windowCounts(m, fromEnd)
+			if err != nil || !reflect.DeepEqual(got, naiveWindows(ref, m, fromEnd)) {
+				t.Fatalf("%s: windows m=%d fromEnd=%v: %v (%v), want %v", what, m, fromEnd, got, err, naiveWindows(ref, m, fromEnd))
+			}
+		}
+	}
+}
+
+// FuzzHistoryOps drives the columnar history and a naive []Feedback side by
+// side through every mutating and view-taking operation; each byte of the
+// input is one operation. Views taken along the way are re-checked at the
+// end, after the owner has grown past them.
+func FuzzHistoryOps(f *testing.F) {
+	f.Add([]byte{0, 1, 2, 3, 4, 5, 6, 7, 0x80, 0x81, 0x82, 0x83, 0x84, 9, 10})
+	f.Add([]byte{0, 0, 0, 0x83, 0x83, 0x83, 0x83, 1})
+	f.Add([]byte{0x80, 0x81, 0x82, 0x84})
+	f.Add([]byte{8, 17, 26, 35, 0x81, 44, 53, 0x82, 0x82, 62, 0x80, 0x84, 7})
+	f.Fuzz(func(t *testing.T, ops []byte) {
+		h := NewHistory("srv")
+		var ref []Feedback
+		type frozen struct {
+			view *History
+			ref  []Feedback
+		}
+		var views []frozen
+		at := time.Unix(1_700_000_000, 0).UTC()
+		for _, op := range ops {
+			if op < 0x80 { // append: client from the low bits, rating from bit 3
+				at = at.Add(time.Duration(op%3) * time.Millisecond) // equal times included
+				rec := Feedback{Time: at, Server: "srv", Client: EntityID([]string{"a", "b", "cc", "d", "e", "f", "g"}[op%7]), Rating: Negative}
+				if op&8 == 0 {
+					rec.Rating = Positive
+				}
+				if err := h.Append(rec); err != nil {
+					t.Fatal(err)
+				}
+				ref = append(ref, rec)
+				continue
+			}
+			switch op % 5 {
+			case 0:
+				views = append(views, frozen{h.SnapshotView(), ref[:len(ref):len(ref)]})
+			case 1:
+				n := int(op>>3) % (len(ref) + 2)
+				sameAs(t, "suffix view", h.SuffixView(n), ref[max(0, len(ref)-n):])
+			case 2:
+				c := h.Clone()
+				sameAs(t, "clone", c, ref)
+				if err := c.AppendOutcome("only-in-clone", true, at); err != nil {
+					t.Fatal(err)
+				}
+				sameAs(t, "owner after clone grew", h, ref)
+			case 3:
+				err := h.RemoveLast()
+				if len(ref) == 0 {
+					if !errors.Is(err, ErrEmptyHistory) {
+						t.Fatalf("RemoveLast on empty: %v", err)
+					}
+					continue
+				}
+				if err != nil {
+					t.Fatal(err)
+				}
+				ref = ref[: len(ref)-1 : len(ref)-1]
+				views = nil // RemoveLast then Append invalidates earlier views
+			case 4:
+				sameAs(t, "owner", h, ref)
+			}
+		}
+		sameAs(t, "owner at end", h, ref)
+		for _, v := range views {
+			sameAs(t, "snapshot view", v.view, v.ref)
+		}
+		re, err := NewHistoryFromRecords("srv", ref)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sameAs(t, "rebuilt from records", re, ref)
+	})
+}
+
+// TestSnapshotViewsUnderAppend: readers walk earlier snapshot views — the
+// columns and the client dictionary — while the owner keeps appending new
+// records and new clients. Run under -race.
+func TestSnapshotViewsUnderAppend(t *testing.T) {
+	h := NewHistory("srv")
+	var ref []Feedback
+	var wg sync.WaitGroup
+	for i := 0; i < 2000; i++ {
+		rec := Feedback{
+			Time:   time.Unix(int64(i), 0).UTC(),
+			Server: "srv",
+			Client: EntityID("c" + string(rune('a'+i%26)) + string(rune('a'+i/26%26))),
+			Rating: Rating(1 + i%2),
+		}
+		if err := h.Append(rec); err != nil {
+			t.Fatal(err)
+		}
+		ref = append(ref, rec)
+		if i%100 != 0 {
+			continue
+		}
+		view, want := h.SnapshotView(), ref[:len(ref):len(ref)]
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for j, f := range want {
+				if got := view.At(j); got != f {
+					t.Errorf("view of %d: record %d is %v, want %v", len(want), j, got, f)
+					return
+				}
+			}
+			if got := len(view.GroupByIssuer()); got != view.DistinctClients() {
+				t.Errorf("view of %d: %d groups, %d distinct clients", len(want), got, view.DistinctClients())
+			}
+			if view.SuffixView(len(want)/2).CollusionOrder().Len() != len(want)/2 {
+				t.Errorf("view of %d: suffix collusion order lost records", len(want))
+			}
+		}()
+	}
+	wg.Wait()
+}
+
+// TestValidateTimeRange: a time that unix nanoseconds cannot carry would be
+// hashed, ordered and persisted as a different instant than it was
+// submitted with, so it is not a valid record.
+func TestValidateTimeRange(t *testing.T) {
+	ok := Feedback{Server: "s", Client: "c", Rating: Positive}
+	for _, at := range []time.Time{
+		time.Unix(0, 0),
+		time.Date(1700, 1, 1, 0, 0, 0, 0, time.UTC),
+		time.Date(2262, 4, 11, 23, 47, 16, 854775807, time.UTC),
+		time.Date(2024, 5, 6, 7, 8, 9, 10, time.FixedZone("x", 3600)),
+	} {
+		ok.Time = at
+		if err := ok.Validate(); err != nil {
+			t.Errorf("%v rejected: %v", at, err)
+		}
+	}
+	for _, at := range []time.Time{
+		{},
+		time.Date(2300, 1, 1, 0, 0, 0, 0, time.UTC),
+		time.Date(2262, 4, 11, 23, 47, 16, 854775808, time.UTC),
+		time.Date(1600, 1, 1, 0, 0, 0, 0, time.UTC),
+	} {
+		ok.Time = at
+		if err := ok.Validate(); !errors.Is(err, ErrTimeRange) {
+			t.Errorf("%v: Validate = %v, want ErrTimeRange", at, err)
+		}
+		if err := NewHistory("s").Append(ok); !errors.Is(err, ErrTimeRange) {
+			t.Errorf("%v: Append = %v, want ErrTimeRange", at, err)
+		}
+		if _, err := AppendBinary(nil, ok); !errors.Is(err, ErrTimeRange) {
+			t.Errorf("%v: AppendBinary = %v, want ErrTimeRange", at, err)
+		}
+	}
+}

@@ -60,6 +60,10 @@ type Feedback struct {
 var (
 	ErrInvalidRating = errors.New("feedback: invalid rating")
 	ErrEmptyEntity   = errors.New("feedback: empty entity id")
+	// ErrTimeRange reports a time outside what unix nanoseconds — the form
+	// every record is hashed, ordered and stored in — can represent
+	// (1677-09-21 … 2262-04-11); the zero time.Time is outside it.
+	ErrTimeRange = errors.New("feedback: time out of range")
 )
 
 // Validate reports whether the feedback record is well-formed.
@@ -72,6 +76,9 @@ func (f Feedback) Validate() error {
 	}
 	if f.Client == "" {
 		return fmt.Errorf("%w: client", ErrEmptyEntity)
+	}
+	if !time.Unix(0, f.Time.UnixNano()).Equal(f.Time) {
+		return fmt.Errorf("%w: %s", ErrTimeRange, f.Time.Format(time.RFC3339))
 	}
 	return nil
 }

@@ -20,53 +20,76 @@ var (
 )
 
 // History is the append-only transaction history of a single server: the
-// time-ordered sequence of feedbacks its transactions received. It maintains
-// a prefix-sum index of good transactions so that range statistics — the
+// time-ordered sequence of feedbacks its transactions received. Records are
+// held as parallel columns — 17 B each — with the server ID stored once and
+// client IDs interned in a per-history dictionary (ADR 0004). It maintains a
+// prefix-sum index of good transactions so that range statistics — the
 // foundation of both trust functions and behaviour tests — cost O(1).
 //
 // History is not safe for concurrent use; the store layer serialises access.
 type History struct {
 	server EntityID
-	recs   []Feedback
-	// goodPrefix[i] is the number of good transactions among the first i
-	// records; len(goodPrefix) == len(recs)+1.
-	goodPrefix []int
+	// One element per record. Columns are append-only, which is what keeps
+	// views O(1) and append-safe.
+	nanos  []int64  // transaction time, unix nanoseconds
+	client []uint32 // index into clients
+	rating []uint8
+	// good[i]-good[0] is the number of good transactions among the first i
+	// records; len(good) == Len()+1. A suffix view keeps its parent's
+	// running values, so only differences are meaningful — and, unsigned,
+	// they are exact for any history of fewer than 2³² records.
+	good []uint32
+	// clients is the client dictionary in first-appearance order, shared
+	// with views like the columns. A view may see entries none of its
+	// records use (a suffix, or after RemoveLast).
+	clients []EntityID
+	// clientBytes is the heap held by the dictionary's string data.
+	clientBytes int
+	// index maps a client to its dictionary slot. Writer-only: built on the
+	// first append, never handed to a view.
+	index map[EntityID]uint32
 }
 
 // NewHistory returns an empty history for the given server.
 func NewHistory(server EntityID) *History {
-	return &History{server: server, goodPrefix: []int{0}}
+	return &History{server: server, good: []uint32{0}}
 }
 
 // Server returns the server this history belongs to.
 func (h *History) Server() EntityID { return h.server }
 
 // Len returns the number of recorded transactions.
-func (h *History) Len() int { return len(h.recs) }
+func (h *History) Len() int { return len(h.nanos) }
 
-// At returns the i-th record (0 = oldest). It panics on out-of-range i,
-// matching slice semantics.
-func (h *History) At(i int) Feedback { return h.recs[i] }
+// At returns the i-th record (0 = oldest), its time in UTC as every decoded
+// record's is. It panics on out-of-range i, matching slice semantics.
+func (h *History) At(i int) Feedback {
+	return Feedback{
+		Time:   time.Unix(0, h.nanos[i]).UTC(),
+		Server: h.server,
+		Client: h.clients[h.client[i]],
+		Rating: Rating(h.rating[i]),
+	}
+}
+
+// NanosAt, ClientAt and RatingAt read one field of the i-th record without
+// materialising the rest.
+func (h *History) NanosAt(i int) int64     { return h.nanos[i] }
+func (h *History) ClientAt(i int) EntityID { return h.clients[h.client[i]] }
+func (h *History) RatingAt(i int) Rating   { return Rating(h.rating[i]) }
 
 // NewHistoryFromRecords builds a history over recs in one pass, validating
-// every record and its server. The history takes ownership of recs — the
-// caller must not modify the slice afterwards. Bulk loaders (snapshot
-// seeding) use this to avoid re-copying records one Append at a time.
+// every record and its server. Bulk loaders (snapshot seeding) use it; the
+// result carries no client index until its first Append.
 func NewHistoryFromRecords(server EntityID, recs []Feedback) (*History, error) {
-	h := &History{server: server, recs: recs, goodPrefix: make([]int, len(recs)+1)}
+	h := NewHistory(server)
+	h.Grow(len(recs))
 	for i, f := range recs {
-		if err := f.Validate(); err != nil {
+		if err := h.Append(f); err != nil {
 			return nil, fmt.Errorf("record %d: %w", i, err)
 		}
-		if f.Server != server {
-			return nil, fmt.Errorf("record %d: %w: history %q, feedback %q", i, ErrServerMismatch, server, f.Server)
-		}
-		good := 0
-		if f.Good() {
-			good = 1
-		}
-		h.goodPrefix[i+1] = h.goodPrefix[i] + good
 	}
+	h.index = nil
 	return h, nil
 }
 
@@ -76,8 +99,10 @@ func (h *History) Grow(n int) {
 	if n <= 0 {
 		return
 	}
-	h.recs = slices.Grow(h.recs, n)
-	h.goodPrefix = slices.Grow(h.goodPrefix, n)
+	h.nanos = slices.Grow(h.nanos, n)
+	h.client = slices.Grow(h.client, n)
+	h.rating = slices.Grow(h.rating, n)
+	h.good = slices.Grow(h.good, n)
 }
 
 // Append validates f and adds it as the newest record.
@@ -88,13 +113,37 @@ func (h *History) Append(f Feedback) error {
 	if f.Server != h.server {
 		return fmt.Errorf("%w: history %q, feedback %q", ErrServerMismatch, h.server, f.Server)
 	}
-	h.recs = append(h.recs, f)
-	good := 0
-	if f.Good() {
-		good = 1
-	}
-	h.goodPrefix = append(h.goodPrefix, h.goodPrefix[len(h.goodPrefix)-1]+good)
+	h.push(f.Time.UnixNano(), h.intern(f.Client), uint8(f.Rating))
 	return nil
+}
+
+// intern returns c's dictionary slot, adding it on first appearance.
+func (h *History) intern(c EntityID) uint32 {
+	if h.index == nil {
+		h.index = make(map[EntityID]uint32, len(h.clients))
+		for i, id := range h.clients {
+			h.index[id] = uint32(i)
+		}
+	}
+	slot, ok := h.index[c]
+	if !ok {
+		slot = uint32(len(h.clients))
+		h.clients = append(h.clients, c)
+		h.clientBytes += (len(c) + 7) &^ 7 // malloc rounds small strings up to 8
+		h.index[c] = slot
+	}
+	return slot
+}
+
+func (h *History) push(nanos int64, client uint32, rating uint8) {
+	h.nanos = append(h.nanos, nanos)
+	h.client = append(h.client, client)
+	h.rating = append(h.rating, rating)
+	good := h.good[len(h.good)-1]
+	if Rating(rating).Good() {
+		good++
+	}
+	h.good = append(h.good, good)
 }
 
 // AppendOutcome adds a synthetic record with the given client and outcome,
@@ -108,6 +157,20 @@ func (h *History) AppendOutcome(client EntityID, good bool, at time.Time) error 
 	return h.Append(Feedback{Time: at, Server: h.server, Client: client, Rating: r})
 }
 
+// view returns a read-only history over records [lo, Len()) that shares the
+// columns and the dictionary and carries no client index.
+func (h *History) view(lo int) *History {
+	return &History{
+		server:      h.server,
+		nanos:       h.nanos[lo:],
+		client:      h.client[lo:],
+		rating:      h.rating[lo:],
+		good:        h.good[lo:],
+		clients:     h.clients,
+		clientBytes: h.clientBytes,
+	}
+}
+
 // SnapshotView returns an immutable view of h at its current length,
 // sharing the underlying storage — an O(1) alternative to Clone for
 // append-only producers. Appending to h afterwards leaves the view
@@ -115,78 +178,91 @@ func (h *History) AppendOutcome(client EntityID, good bool, at time.Time) error 
 // and existing elements are never rewritten. The view is invalidated only
 // if h is mutated non-monotonically (RemoveLast followed by Append); the
 // store layer, the intended producer, never does that.
-func (h *History) SnapshotView() *History {
-	return &History{server: h.server, recs: h.recs, goodPrefix: h.goodPrefix}
-}
+func (h *History) SnapshotView() *History { return h.view(0) }
 
 // RemoveLast removes the newest record. It supports the strategic attacker's
 // hypothesis testing (append a candidate transaction, test, roll back). It
-// returns ErrEmptyHistory when there is nothing to remove.
+// returns ErrEmptyHistory when there is nothing to remove. The record's
+// client stays in the dictionary.
 func (h *History) RemoveLast() error {
-	if len(h.recs) == 0 {
+	n := len(h.nanos)
+	if n == 0 {
 		return ErrEmptyHistory
 	}
-	h.recs = h.recs[:len(h.recs)-1]
-	h.goodPrefix = h.goodPrefix[:len(h.goodPrefix)-1]
+	h.nanos, h.client, h.rating, h.good = h.nanos[:n-1], h.client[:n-1], h.rating[:n-1], h.good[:n]
 	return nil
 }
 
 // SizeBytes returns the approximate resident heap footprint of this history:
-// the struct itself plus the capacity of its record and prefix-sum arrays.
-// Entity ID string bytes are not counted — client IDs are interned and shared
-// across records, so charging them per record would overcount — and shared
-// snapshot views alias the owner's arrays, so the store accounts each backing
+// the struct, the capacity of its columns, and the client dictionary — slice
+// headers, string bytes and, once an Append has built it, the lookup map.
+// Shared views alias the owner's arrays, so the store accounts each backing
 // array exactly once (at its owning working history). The memory-budget
 // governor uses this as the history half of a server's resident size.
 func (h *History) SizeBytes() int {
 	const (
-		histStruct = 72 // History struct: string header + 2 slice headers
-		recSize    = 64 // Feedback: Time (24) + 2 string headers + padded Rating
+		histStruct = 160 // string header, 5 slice headers, int, map pointer
+		idHeader   = 16
+		mapHeader  = 48
+		mapSlot    = 25 // a 16 B key and a 4 B value padded to 24, plus a control byte
 	)
-	return histStruct + cap(h.recs)*recSize + cap(h.goodPrefix)*8
+	n := histStruct + cap(h.nanos)*8 + cap(h.client)*4 + cap(h.rating) + cap(h.good)*4 +
+		cap(h.clients)*idHeader + h.clientBytes
+	if h.index != nil {
+		// A map doubles its slots, eight at the least, to stay at most 7/8 full.
+		slots := 8
+		for slots*7/8 < len(h.index) {
+			slots *= 2
+		}
+		n += mapHeader + mapSlot*slots
+	}
+	return n
 }
 
 // GoodCount returns the number of good transactions in the whole history.
-func (h *History) GoodCount() int { return h.goodPrefix[len(h.recs)] }
+func (h *History) GoodCount() int { return h.GoodInRange(0, len(h.nanos)) }
 
 // GoodInRange returns the number of good transactions among records
 // [lo, hi). It panics when the range is invalid, matching slice semantics.
 func (h *History) GoodInRange(lo, hi int) int {
-	return h.goodPrefix[hi] - h.goodPrefix[lo]
+	return int(h.good[hi] - h.good[lo])
 }
 
 // GoodRatio returns the fraction of good transactions (the average trust
 // value), or 0 for an empty history.
 func (h *History) GoodRatio() float64 {
-	if len(h.recs) == 0 {
+	if len(h.nanos) == 0 {
 		return 0
 	}
-	return float64(h.GoodCount()) / float64(len(h.recs))
+	return float64(h.GoodCount()) / float64(len(h.nanos))
 }
 
 // Outcomes returns the good/bad sequence as booleans, oldest first.
 func (h *History) Outcomes() []bool {
-	out := make([]bool, len(h.recs))
-	for i, r := range h.recs {
-		out[i] = r.Good()
+	out := make([]bool, len(h.rating))
+	for i, r := range h.rating {
+		out[i] = Rating(r).Good()
 	}
 	return out
 }
 
 // Records returns a copy of all feedback records, oldest first.
 func (h *History) Records() []Feedback {
-	out := make([]Feedback, len(h.recs))
-	copy(out, h.recs)
+	out := make([]Feedback, len(h.nanos))
+	for i := range out {
+		out[i] = h.At(i)
+	}
 	return out
 }
 
 // Clone returns an independent deep copy.
 func (h *History) Clone() *History {
-	c := &History{server: h.server}
-	c.recs = make([]Feedback, len(h.recs))
-	copy(c.recs, h.recs)
-	c.goodPrefix = make([]int, len(h.goodPrefix))
-	copy(c.goodPrefix, h.goodPrefix)
+	c := h.view(0)
+	c.nanos = slices.Clone(c.nanos)
+	c.client = slices.Clone(c.client)
+	c.rating = slices.Clone(c.rating)
+	c.good = slices.Clone(c.good)
+	c.clients = slices.Clone(c.clients)
 	return c
 }
 
@@ -210,11 +286,11 @@ func (h *History) windowCounts(m int, fromEnd bool) ([]int, error) {
 	if m <= 0 {
 		return nil, fmt.Errorf("%w: %d", ErrBadWindow, m)
 	}
-	k := len(h.recs) / m
+	k := h.Len() / m
 	counts := make([]int, 0, k)
 	start := 0
 	if fromEnd {
-		start = len(h.recs) - k*m
+		start = h.Len() - k*m
 	}
 	for i := 0; i < k; i++ {
 		lo := start + i*m
@@ -228,24 +304,10 @@ func (h *History) windowCounts(m int, fromEnd bool) ([]int, error) {
 // view invalidates the view. It returns the whole history when n exceeds its
 // length.
 func (h *History) SuffixView(n int) *History {
-	if n >= len(h.recs) {
+	if n >= h.Len() {
 		return h
 	}
-	lo := len(h.recs) - n
-	return &History{
-		server:     h.server,
-		recs:       h.recs[lo:],
-		goodPrefix: rebasePrefix(h.goodPrefix[lo:]),
-	}
-}
-
-func rebasePrefix(p []int) []int {
-	out := make([]int, len(p))
-	base := p[0]
-	for i, v := range p {
-		out[i] = v - base
-	}
-	return out
+	return h.view(h.Len() - n)
 }
 
 // IssuerGroup is the set of feedbacks a single client issued, in time order.
@@ -259,13 +321,24 @@ type IssuerGroup struct {
 // client ID for determinism. This is the re-ordering key of the
 // collusion-resilient test (§4).
 func (h *History) GroupByIssuer() []IssuerGroup {
-	byClient := make(map[EntityID][]int)
-	for i, r := range h.recs {
-		byClient[r.Client] = append(byClient[r.Client], i)
+	sizes, distinct := h.clientCounts()
+	// One backing array holds every group's indices; slot maps a dictionary
+	// entry to its group.
+	indices := make([]int, len(h.client))
+	slot := make([]int, len(sizes))
+	groups := make([]IssuerGroup, 0, distinct)
+	off := 0
+	for c, n := range sizes {
+		if n == 0 {
+			continue // in the dictionary, but not in this view
+		}
+		slot[c] = len(groups)
+		groups = append(groups, IssuerGroup{Client: h.clients[c], Indices: indices[off : off : off+n]})
+		off += n
 	}
-	groups := make([]IssuerGroup, 0, len(byClient))
-	for c, idx := range byClient {
-		groups = append(groups, IssuerGroup{Client: c, Indices: idx})
+	for i, c := range h.client {
+		g := &groups[slot[c]]
+		g.Indices = append(g.Indices, i)
 	}
 	sort.Slice(groups, func(i, j int) bool {
 		if len(groups[i].Indices) != len(groups[j].Indices) {
@@ -283,23 +356,34 @@ func (h *History) GroupByIssuer() []IssuerGroup {
 // history).
 func (h *History) CollusionOrder() *History {
 	out := NewHistory(h.server)
+	out.Grow(h.Len())
 	for _, g := range h.GroupByIssuer() {
+		c := out.intern(g.Client)
 		for _, i := range g.Indices {
-			// Records came from this history, so re-appending cannot fail.
-			_ = out.Append(h.recs[i])
+			out.push(h.nanos[i], c, h.rating[i])
 		}
 	}
 	return out
 }
 
+// clientCounts returns how many records each dictionary entry issued, and
+// how many entries issued any.
+func (h *History) clientCounts() (sizes []int, distinct int) {
+	sizes = make([]int, len(h.clients))
+	for _, c := range h.client {
+		if sizes[c] == 0 {
+			distinct++
+		}
+		sizes[c]++
+	}
+	return sizes, distinct
+}
+
 // DistinctClients returns the number of distinct feedback issuers (the size
 // of the supporter base plus detractors).
 func (h *History) DistinctClients() int {
-	seen := make(map[EntityID]struct{})
-	for _, r := range h.recs {
-		seen[r.Client] = struct{}{}
-	}
-	return len(seen)
+	_, distinct := h.clientCounts()
+	return distinct
 }
 
 // String implements fmt.Stringer.

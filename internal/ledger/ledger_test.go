@@ -6,6 +6,7 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
+	"reflect"
 	"sync"
 	"testing"
 	"time"
@@ -313,6 +314,40 @@ func TestPersistentStoreInvalidRecord(t *testing.T) {
 	defer func() { _ = ps.Close() }()
 	if _, err := ps.Add(feedback.Feedback{}); err == nil {
 		t.Fatal("invalid record must fail")
+	}
+}
+
+// TestOutOfRangeTimeSameAcrossReopen: a time unix nanoseconds cannot carry
+// used to be accepted, ordered by its time.Time while resident and by its
+// wrapped nanoseconds after the next boot — one history, two orders. It is
+// refused now, so what a reopen replays is what was served before it.
+func TestOutOfRangeTimeSameAcrossReopen(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "l")
+	ps, err := OpenStore(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	y2300 := rec("b", true, 0)
+	y2300.Time = time.Date(2300, 1, 1, 0, 0, 0, 0, time.UTC)
+	zero := rec("c", true, 0)
+	zero.Time = time.Time{}
+	res := ps.AddBatch([]feedback.Feedback{rec("a", true, 1_700_000_000), y2300, zero, rec("d", false, 1_700_000_001)}, 1)
+	for i, wantErr := range []bool{false, true, true, false} {
+		if res[i].Stored == wantErr || errors.Is(res[i].Err, feedback.ErrTimeRange) != wantErr {
+			t.Fatalf("record %d: %+v, want rejected=%v", i, res[i], wantErr)
+		}
+	}
+	before := ps.Store().Records("srv")
+	if err := ps.Close(); err != nil {
+		t.Fatal(err)
+	}
+	ps2, err := OpenStore(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() { _ = ps2.Close() }()
+	if after := ps2.Store().Records("srv"); len(after) != 2 || !reflect.DeepEqual(after, before) {
+		t.Fatalf("history after reopen %v, before %v", after, before)
 	}
 }
 

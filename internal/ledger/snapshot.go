@@ -149,12 +149,12 @@ func (sw *snapWriter) server(id feedback.EntityID, hist *feedback.History, accSt
 		return err
 	}
 	for i := 0; i < n; i++ {
-		f := hist.At(i)
+		client := hist.ClientAt(i)
 		buf = sw.scratch[:0]
-		buf = binary.BigEndian.AppendUint64(buf, uint64(f.Time.UnixNano()))
-		buf = append(buf, byte(f.Rating))
-		buf = binary.AppendUvarint(buf, uint64(len(f.Client)))
-		buf = append(buf, f.Client...)
+		buf = binary.BigEndian.AppendUint64(buf, uint64(hist.NanosAt(i)))
+		buf = append(buf, byte(hist.RatingAt(i)))
+		buf = binary.AppendUvarint(buf, uint64(len(client)))
+		buf = append(buf, client...)
 		if err := sw.write(buf); err != nil {
 			return err
 		}

@@ -211,19 +211,8 @@ func (ps *PersistentStore) seedFromSnapshot(sd *snapshotData, shards int) (*stor
 	if ps.opts.AccumulatorFactory != nil {
 		cand.SetAccumulatorFactory(ps.opts.AccumulatorFactory)
 	}
-	// Pre-size each shard's dedup index for the records about to land in it;
-	// one reservation per shard, via any server that shard holds.
-	shardTotal := make(map[int]int)
-	shardRep := make(map[int]feedback.EntityID)
-	for _, srv := range sd.servers {
-		idx := cand.ShardIndex(srv.id)
-		shardTotal[idx] += len(srv.recs)
-		shardRep[idx] = srv.id
-	}
-	for idx, n := range shardTotal {
-		cand.ReserveFor(shardRep[idx], n)
-	}
-	for _, srv := range sd.servers {
+	for i := range sd.servers {
+		srv := &sd.servers[i]
 		var acc store.Accumulator
 		if len(srv.accState) > 0 && ps.opts.RestoreAccumulator != nil {
 			a, n, err := ps.opts.RestoreAccumulator(srv.id, srv.accState)
@@ -240,6 +229,9 @@ func (ps *PersistentStore) seedFromSnapshot(sd *snapshotData, shards int) (*stor
 			ps.logf("ledger: snapshot %d rejected: %v", sd.seq, err)
 			return nil, false
 		}
+		// The store copied the records into its columns; letting the decoded
+		// form go now keeps boot's peak near one copy, not two.
+		srv.recs = nil
 	}
 	return cand, true
 }

@@ -47,15 +47,16 @@ func (s *Server) Summary() map[string]wire.ServerSum {
 	return m
 }
 
-// eachRecord visits every record held for servers, in history order.
-func (s *Server) eachRecord(ctx context.Context, servers []string, visit func(feedback.Feedback)) error {
+// eachRecord visits every record held for servers, in history order, as a
+// history and an index into it.
+func (s *Server) eachRecord(ctx context.Context, servers []string, visit func(h *feedback.History, i int)) error {
 	for _, srv := range servers {
 		h, err := s.residentHistory(ctx, feedback.EntityID(srv))
 		if err != nil {
 			return err
 		}
 		for i := 0; h != nil && i < h.Len(); i++ {
-			visit(h.At(i))
+			visit(h, i)
 		}
 	}
 	return nil
@@ -65,8 +66,8 @@ func (s *Server) eachRecord(ctx context.Context, servers []string, visit func(fe
 // digest an anti-entropy round sends for the servers a peer reported stale.
 func (s *Server) Hashes(ctx context.Context, servers []string) ([]uint64, error) {
 	var hashes []uint64
-	err := s.eachRecord(ctx, servers, func(f feedback.Feedback) {
-		hashes = append(hashes, uint64(store.HashOf(f)))
+	err := s.eachRecord(ctx, servers, func(h *feedback.History, i int) {
+		hashes = append(hashes, uint64(store.HashAt(h, i)))
 	})
 	return hashes, err
 }
@@ -96,9 +97,9 @@ func (s *Server) gossipDigest(ctx context.Context, req wire.DigestMsg) (wire.Del
 		have[store.Hash(h)] = struct{}{}
 	}
 	var missing []feedback.Feedback
-	err := s.eachRecord(ctx, req.Servers, func(f feedback.Feedback) {
-		if _, ok := have[store.HashOf(f)]; !ok {
-			missing = append(missing, f)
+	err := s.eachRecord(ctx, req.Servers, func(h *feedback.History, i int) {
+		if _, ok := have[store.HashAt(h, i)]; !ok {
+			missing = append(missing, h.At(i))
 		}
 	})
 	return wire.DeltaMsg{Records: missing}, err

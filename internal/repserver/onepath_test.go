@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"reflect"
 	"testing"
+	"time"
 
 	"honestplayer/internal/feedback"
 	"honestplayer/internal/repclient"
@@ -89,6 +90,11 @@ var onePathSteps = []struct {
 	{name: "submit fresh", server: "warm", rec: func(s feedback.EntityID) feedback.Feedback { return rec(s, "zed", false, 5000) }},
 	{name: "submit duplicate", server: "warm", rec: func(s feedback.EntityID) feedback.Feedback { return rec(s, "zed", false, 5000) }},
 	{name: "submit invalid", server: "warm", rec: func(s feedback.EntityID) feedback.Feedback { return feedback.Feedback{Server: s, Client: "zed"} }, want: wire.CodeInvalidFeedback},
+	// Unix nanoseconds cannot carry year 2300: stored, it would be hashed and
+	// persisted as 1715 yet ordered as 2300 until the next restart.
+	{name: "submit out-of-range time", server: "warm", rec: func(s feedback.EntityID) feedback.Feedback {
+		return feedback.Feedback{Time: time.Date(2300, 1, 1, 0, 0, 0, 0, time.UTC), Server: s, Client: "zed", Rating: feedback.Positive}
+	}, want: wire.CodeInvalidFeedback},
 	{name: "submit evicted, no rebuilder", server: "cold", rec: func(s feedback.EntityID) feedback.Feedback { return rec(s, "zed", true, 5001) }, want: wire.CodeUnavailable},
 	{name: "assess known", assess: true, server: "warm"},
 	{name: "assess unknown", assess: true, server: "ghost", want: wire.CodeUnknownServer},

@@ -2,6 +2,7 @@ package store
 
 import (
 	"fmt"
+	"runtime"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -46,6 +47,70 @@ func BenchmarkStoreAddAppendOrder(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+}
+
+// BenchmarkAddBatchInOrder is the ingest path: 64-record batches, one record
+// per server, each newer than what its server holds, so every insert is the
+// append that needs no lookup. B/record is the live heap one resident record
+// then costs — the accounted figure is ResidentBytes()/Len().
+func BenchmarkAddBatchInOrder(b *testing.B) {
+	const servers = 64
+	proto := benchRecsMulti(servers, servers)
+	before := heapAlloc()
+	s := New()
+	batch := make([]feedback.Feedback, servers)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for j := range batch {
+			batch[j] = proto[j]
+			batch[j].Time = time.Unix(int64(i), 0)
+			batch[j].Client = proto[(i+j)%servers].Client
+		}
+		for _, r := range s.AddBatch(batch, 1) {
+			if r.Err != nil || !r.Stored {
+				b.Fatalf("AddBatch: %+v", r)
+			}
+		}
+	}
+	b.StopTimer()
+	reportBytesPerRecord(b, s, before)
+}
+
+// reportBytesPerRecord reports what a resident record of s costs: in live
+// heap beyond base, and as the budget governor accounts it.
+func reportBytesPerRecord(b *testing.B, s *Store, base uint64) {
+	b.ReportMetric(float64(int64(heapAlloc()-base))/float64(s.Len()), "B/record")
+	b.ReportMetric(float64(s.ResidentBytes())/float64(s.Len()), "accountedB/record")
+	runtime.KeepAlive(s)
+}
+
+// BenchmarkAddOutOfOrder is the other path: every record shares its time
+// with records already stored mid-history, so the insert searches the time
+// column, compares hashes over the equal-time run, and rebuilds the history.
+func BenchmarkAddOutOfOrder(b *testing.B) {
+	const resident = 1000
+	before := heapAlloc()
+	s := New()
+	if _, err := s.AddAll(benchRecs(resident)); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		f := feedback.Feedback{
+			Time:   time.Unix(int64(i%resident), 0),
+			Server: "server",
+			Client: feedback.EntityID(fmt.Sprintf("late%d", i%100)),
+			Rating: feedback.Rating(1 + i/100%2),
+		}
+		f.Time = f.Time.Add(time.Duration(i / 200 % 1000)) // a fresh hash each lap
+		if ok, err := s.Add(f); err != nil || !ok {
+			b.Fatalf("Add: %v %v", ok, err)
+		}
+	}
+	b.StopTimer()
+	reportBytesPerRecord(b, s, before)
 }
 
 // BenchmarkStoreAddParallel measures concurrent writes to distinct servers

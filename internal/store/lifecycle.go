@@ -33,10 +33,11 @@ import (
 // ReinstateServer) and retry; the serving layer does this transparently.
 var ErrEvicted = errors.New("store: server state evicted")
 
-// entryOverhead is the accounted fixed cost of one resident entry: the entry
-// struct, its map slot, and the dedup-index hashes of its records are all
-// charged per server via this constant plus the self-reported sizes.
-const entryOverhead = 128
+// entryOverhead is the accounted fixed cost of one resident entry beyond the
+// self-reported sizes: the entry struct (80 B), its byServ map slot (~40 B),
+// the server ID's bytes, and the memoized read view (160 B). Dedup costs
+// nothing extra — the history is the index.
+const entryOverhead = 288
 
 // EvictGuard reports whether a server is temporarily unevictable. The
 // persistence layer pins servers between accepting a write into the store
@@ -211,8 +212,8 @@ func (s *Store) maybeEvict() {
 
 // EvictUntil evicts idle servers until the accounted resident footprint is
 // at most budget, returning how many servers it evicted. Victims drop their
-// history, memoized snapshot, accumulator, and dedup-index hashes, keeping
-// only the compact stub. The sweep escalates through three passes — idle
+// history (with it, their dedup index), memoized snapshot and accumulator,
+// keeping only the compact stub. The sweep escalates through three passes — idle
 // preferred victims, any idle server, then any unpinned server — and walks
 // shards in rotation from where the previous sweep stopped, clearing touched
 // bits as it passes (clock / second chance).
@@ -261,7 +262,7 @@ func (s *Store) EvictUntil(budget int64) int {
 						continue
 					}
 				}
-				s.evictLocked(sh, e)
+				s.evictLocked(e)
 				evicted++
 			}
 			sh.mu.Unlock()
@@ -271,17 +272,12 @@ func (s *Store) EvictUntil(budget int64) int {
 	return evicted
 }
 
-// evictLocked drops e to a stub. The caller holds sh's write lock and e must
-// be resident. The dedup-index hashes are removed (and restored on
-// reinstate) so the index's memory follows the history out; duplicate
-// suppression stays airtight because writes against a stub are refused with
-// ErrEvicted until the server is faulted back in.
-func (s *Store) evictLocked(sh *shard, e *entry) {
-	n := e.hist.Len()
-	for i := 0; i < n; i++ {
-		delete(sh.seen, HashOf(e.hist.At(i)))
-	}
-	e.count = n
+// evictLocked drops e to a stub. The caller holds the shard's write lock and
+// e must be resident. The history is the server's dedup index, so that goes
+// with it; duplicate suppression stays airtight because writes against a
+// stub are refused with ErrEvicted until the server is faulted back in.
+func (s *Store) evictLocked(e *entry) {
+	e.count = e.hist.Len()
 	e.stubSnapSeq = s.snapSeq.Load()
 	e.hist = nil
 	e.snap.Store(nil)
@@ -312,7 +308,7 @@ func (s *Store) EvictServer(server feedback.EntityID) bool {
 	if e == nil || e.hist == nil || (guard != nil && guard(server)) {
 		return false
 	}
-	s.evictLocked(sh, e)
+	s.evictLocked(e)
 	return true
 }
 
@@ -357,7 +353,7 @@ func (s *Store) Stubs() []Stub {
 // fault-ins race benignly); reinstating an unknown server is an error.
 //
 // recs must be sorted by (time, hash) and duplicate-free, as Add would have
-// stored them; the store takes ownership of the slice.
+// stored them.
 func (s *Store) ReinstateServer(server feedback.EntityID, recs []feedback.Feedback, acc Accumulator) error {
 	sh := s.shardOf(server)
 	sh.mu.Lock()
@@ -374,27 +370,14 @@ func (s *Store) ReinstateServer(server feedback.EntityID, recs []feedback.Feedba
 		sh.mu.Unlock()
 		return fmt.Errorf("store: reinstate of %q: rebuilt %d records, stub has %d", server, len(recs), e.count)
 	}
-	hist, err := feedback.NewHistoryFromRecords(server, recs)
+	hist, xor, err := loadSorted(server, recs)
 	if err != nil {
 		sh.mu.Unlock()
 		return fmt.Errorf("store: reinstate of %q: %w", server, err)
 	}
-	var xor uint64
-	hashes := make([]Hash, len(recs))
-	for i, f := range recs {
-		if i > 0 && !lessRecord(recs[i-1], f) {
-			sh.mu.Unlock()
-			return fmt.Errorf("store: reinstate of %q record %d: out of order", server, i)
-		}
-		hashes[i] = HashOf(f)
-		xor ^= uint64(hashes[i])
-	}
 	if xor != e.xor {
 		sh.mu.Unlock()
 		return fmt.Errorf("store: reinstate of %q: digest mismatch (rebuilt %x, stub %x)", server, xor, e.xor)
-	}
-	for _, h := range hashes {
-		sh.seen[h] = struct{}{}
 	}
 	e.hist = hist
 	e.count = 0

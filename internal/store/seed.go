@@ -15,8 +15,8 @@ import (
 // SeedServer bulk-loads one server's complete history, as restored from a
 // verified snapshot. recs must be sorted by (time, hash) and duplicate-free —
 // the order and uniqueness Add would have produced — and the server must not
-// already hold records; violations are reported as errors so the caller can
-// fall back to a full replay.
+// already hold records; violations are reported as errors, and leave the
+// store as it was, so the caller can fall back to a full replay.
 //
 // acc, when non-nil, becomes the server's incremental accumulator: its state
 // must already cover exactly recs. When acc is nil and an accumulator factory
@@ -32,45 +32,9 @@ func (s *Store) SeedServer(server feedback.EntityID, recs []feedback.Feedback, a
 	if sh.byServ[server] != nil {
 		return fmt.Errorf("store: seed of %q: server already has records", server)
 	}
-	// Build the history first: validates every record and its server without
-	// touching shard state, and takes ownership of recs instead of re-copying
-	// them one Append at a time.
-	hist, err := feedback.NewHistoryFromRecords(server, recs)
+	hist, xor, err := loadSorted(server, recs)
 	if err != nil {
 		return fmt.Errorf("store: seed of %q: %w", server, err)
-	}
-	// Index in one pass, inserting each hash as it checks out (one map probe
-	// per record instead of a check pass plus a commit pass). On any failure,
-	// deleting exactly the hashes this call inserted — each one grew the map,
-	// so none existed before — restores the index; the entry itself is only
-	// committed at the end, so a failed seed leaves the store exactly as it
-	// was.
-	hashes := make([]Hash, len(recs))
-	inserted := 0
-	rollback := func() {
-		for _, h := range hashes[:inserted] {
-			delete(sh.seen, h)
-		}
-	}
-	var xor uint64
-	for i, f := range recs {
-		if i > 0 && !lessRecord(recs[i-1], f) {
-			rollback()
-			return fmt.Errorf("store: seed of %q record %d: out of order", server, i)
-		}
-		h := HashOf(f)
-		before := len(sh.seen)
-		sh.seen[h] = struct{}{}
-		if len(sh.seen) == before {
-			// h was already present — either stored earlier or a duplicate
-			// within this batch; both leave the map unchanged, so rollback
-			// of the genuinely-new hashes is exact either way.
-			rollback()
-			return fmt.Errorf("store: seed of %q record %d: duplicate hash", server, i)
-		}
-		hashes[i] = h
-		inserted++
-		xor ^= uint64(h)
 	}
 	e := &entry{hist: hist}
 	e.version = uint64(len(recs))
@@ -94,22 +58,28 @@ func (s *Store) SeedServer(server feedback.EntityID, recs []feedback.Feedback, a
 	return nil
 }
 
-// ReserveFor pre-sizes the dedup index of server's shard for about n more
-// records, so a bulk seed inserts into a right-sized map instead of paying
-// incremental rehashing. Purely a capacity hint — correctness never depends
-// on it being called.
-func (s *Store) ReserveFor(server feedback.EntityID, n int) {
-	if n <= 0 {
-		return
+// loadSorted builds server's history from recs and returns it with the XOR
+// of its content hashes. Every record is validated, and (time, hash) must
+// strictly increase from one record to the next: what Add guarantees —
+// sorted, and no record twice — checked without a dedup set.
+func loadSorted(server feedback.EntityID, recs []feedback.Feedback) (*feedback.History, uint64, error) {
+	hist, err := feedback.NewHistoryFromRecords(server, recs)
+	if err != nil {
+		return nil, 0, err
 	}
-	sh := s.shardOf(server)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	grown := make(map[Hash]struct{}, len(sh.seen)+n)
-	for h := range sh.seen {
-		grown[h] = struct{}{}
+	var xor uint64
+	var prev Hash
+	for i := range recs {
+		h := HashAt(hist, i)
+		if i > 0 {
+			if a, b := hist.NanosAt(i-1), hist.NanosAt(i); a > b || a == b && prev >= h {
+				return nil, 0, fmt.Errorf("record %d: out of order or duplicate", i)
+			}
+		}
+		xor ^= uint64(h)
+		prev = h
 	}
-	sh.seen = grown
+	return hist, xor, nil
 }
 
 // ShardEntry is one server's state as seen by a SnapshotShard walk. Snap is

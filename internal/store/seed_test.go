@@ -9,7 +9,7 @@ import (
 )
 
 func seedRecs(server feedback.EntityID, n int) []feedback.Feedback {
-	base := time.Unix(1700000000, 0)
+	base := time.Unix(1700000000, 0).UTC()
 	out := make([]feedback.Feedback, n)
 	for i := range out {
 		r := feedback.Negative

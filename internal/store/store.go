@@ -33,17 +33,26 @@ type Hash uint64
 
 // HashOf returns the content hash of a feedback record.
 func HashOf(f feedback.Feedback) Hash {
+	return hashRecord(f.Time.UnixNano(), f.Rating, f.Server, f.Client)
+}
+
+// HashAt returns the content hash of h's i-th record, HashOf(h.At(i)),
+// straight from the columns.
+func HashAt(h *feedback.History, i int) Hash {
+	return hashRecord(h.NanosAt(i), h.RatingAt(i), h.Server(), h.ClientAt(i))
+}
+
+func hashRecord(nanos int64, r feedback.Rating, server, client feedback.EntityID) Hash {
 	h := fnv.New64a()
 	var buf [8]byte
-	n := f.Time.UnixNano()
 	for i := 0; i < 8; i++ {
-		buf[i] = byte(n >> (8 * i))
+		buf[i] = byte(nanos >> (8 * i))
 	}
 	_, _ = h.Write(buf[:])
-	_, _ = h.Write([]byte{byte(f.Rating)})
-	_, _ = h.Write([]byte(f.Server))
+	_, _ = h.Write([]byte{byte(r)})
+	_, _ = h.Write([]byte(server))
 	_, _ = h.Write([]byte{0})
-	_, _ = h.Write([]byte(f.Client))
+	_, _ = h.Write([]byte(client))
 	return Hash(h.Sum64())
 }
 
@@ -122,8 +131,7 @@ func (e *entry) snapshot() *feedback.History {
 type shard struct {
 	mu     sync.RWMutex
 	byServ map[feedback.EntityID]*entry
-	seen   map[Hash]struct{}
-	_      [24]byte
+	_      [32]byte
 }
 
 // Store is a concurrent, deduplicating feedback store. Records are kept
@@ -172,7 +180,6 @@ func NewSharded(n int) *Store {
 	s := &Store{shards: make([]shard, n)}
 	for i := range s.shards {
 		s.shards[i].byServ = make(map[feedback.EntityID]*entry)
-		s.shards[i].seen = make(map[Hash]struct{})
 	}
 	return s
 }
@@ -220,22 +227,22 @@ func (s *Store) add(f feedback.Feedback) (bool, error) {
 // addLocked is the insert body shared by add and AddBatch. The caller holds
 // sh's write lock and has already validated f and computed its hash.
 func (s *Store) addLocked(sh *shard, f feedback.Feedback, h Hash) (bool, error) {
-	if _, dup := sh.seen[h]; dup {
-		return false, nil
-	}
 	e := sh.byServ[f.Server]
 	if e == nil {
 		e = &entry{hist: feedback.NewHistory(f.Server)}
 		sh.byServ[f.Server] = e
 		s.residentCount.Add(1)
 	} else if e.hist == nil {
-		// A stub cannot accept writes: its dedup hashes are gone and its
-		// accumulator would silently miss the record. The serving layer
-		// rebuilds the server and retries.
+		// A stub cannot accept writes: its records, which are the dedup
+		// index, are gone and its accumulator would silently miss the
+		// record. The serving layer rebuilds the server and retries.
 		return false, fmt.Errorf("%w: %q", ErrEvicted, f.Server)
 	}
-	n := e.hist.Len()
-	inOrder := n == 0 || lessRecord(e.hist.At(n-1), f)
+	pos, dup := locate(e.hist, f.Time.UnixNano(), h)
+	if dup {
+		return false, nil
+	}
+	inOrder := pos == e.hist.Len()
 	if inOrder {
 		// Append fast path: in-place, amortised O(1). Outstanding snapshots
 		// are unaffected — the append writes past their length.
@@ -243,7 +250,7 @@ func (s *Store) addLocked(sh *shard, f feedback.Feedback, h Hash) (bool, error) 
 			return false, err
 		}
 	} else {
-		e.hist = insertSorted(e.hist, f)
+		e.hist = insertSorted(e.hist, pos, f)
 	}
 	fp := s.accFactory.Load()
 	switch {
@@ -281,7 +288,6 @@ func (s *Store) addLocked(sh *shard, f feedback.Feedback, h Hash) (bool, error) 
 		}
 	}
 	e.snap.Store(nil)
-	sh.seen[h] = struct{}{}
 	e.version++
 	e.xor ^= uint64(h)
 	e.touched.Store(true)
@@ -291,32 +297,38 @@ func (s *Store) addLocked(sh *shard, f feedback.Feedback, h Hash) (bool, error) 
 	return true, nil
 }
 
-// insertSorted rebuilds a history with f inserted at its (time, hash)
-// position. Out-of-order arrivals are the rare path (gossip deltas, ledger
-// replays of interleaved servers), so the O(n) rebuild is acceptable; a
-// fresh backing array (rather than an in-place shift) keeps old snapshots
-// untouched.
-func insertSorted(h *feedback.History, f feedback.Feedback) *feedback.History {
+// locate finds where a record with the given time and content hash belongs
+// in h, which is sorted by (time, hash), and whether h already holds it —
+// the history is its own dedup index. A record newer than the newest one
+// costs one comparison; anything else, three binary searches.
+func locate(h *feedback.History, nanos int64, hash Hash) (pos int, dup bool) {
 	n := h.Len()
-	idx := sort.Search(n, func(i int) bool { return lessRecord(f, h.At(i)) })
+	if n == 0 || h.NanosAt(n-1) < nanos {
+		return n, false
+	}
+	lo := sort.Search(n, func(i int) bool { return h.NanosAt(i) >= nanos })
+	hi := lo + sort.Search(n-lo, func(i int) bool { return h.NanosAt(lo+i) > nanos })
+	pos = lo + sort.Search(hi-lo, func(i int) bool { return HashAt(h, lo+i) >= hash })
+	return pos, pos < hi && HashAt(h, pos) == hash
+}
+
+// insertSorted rebuilds a history with f inserted at position pos.
+// Out-of-order arrivals are the rare path (gossip deltas, ledger replays of
+// interleaved servers), so the O(n) rebuild is acceptable; a fresh backing
+// array (rather than an in-place shift) keeps old snapshots untouched.
+func insertSorted(h *feedback.History, pos int, f feedback.Feedback) *feedback.History {
+	n := h.Len()
 	out := feedback.NewHistory(h.Server())
-	for i := 0; i < idx; i++ {
+	out.Grow(n + 1)
+	for i := 0; i < pos; i++ {
 		// Records re-appended from a valid history cannot fail.
 		_ = out.Append(h.At(i))
 	}
 	_ = out.Append(f)
-	for i := idx; i < n; i++ {
+	for i := pos; i < n; i++ {
 		_ = out.Append(h.At(i))
 	}
 	return out
-}
-
-// lessRecord orders records by time, then content hash.
-func lessRecord(a, b feedback.Feedback) bool {
-	if !a.Time.Equal(b.Time) {
-		return a.Time.Before(b.Time)
-	}
-	return HashOf(a) < HashOf(b)
 }
 
 // AddAll inserts records, returning how many were new.

@@ -29,7 +29,7 @@ func accFeedback(server, client feedback.EntityID, i int, good bool) feedback.Fe
 	if good {
 		rating = feedback.Positive
 	}
-	return feedback.Feedback{Time: time.Unix(int64(i)+1, 0), Server: server, Client: client, Rating: rating}
+	return feedback.Feedback{Time: time.Unix(int64(i)+1, 0).UTC(), Server: server, Client: client, Rating: rating}
 }
 
 // TestAccumulatorFactoryFeedsInOrder installs the factory before writing and

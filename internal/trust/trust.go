@@ -132,7 +132,7 @@ func (w Weighted) Evaluate(h *feedback.History) (float64, error) {
 	}
 	t := w.NewTracker()
 	for i := 0; i < h.Len(); i++ {
-		t.Update(h.At(i).Good())
+		t.Update(h.RatingAt(i).Good())
 	}
 	return t.Value(), nil
 }
@@ -235,7 +235,7 @@ func (d TimeDecay) Evaluate(h *feedback.History) (float64, error) {
 	}
 	t := d.NewTracker()
 	for i := 0; i < h.Len(); i++ {
-		t.Update(h.At(i).Good())
+		t.Update(h.RatingAt(i).Good())
 	}
 	return t.Value(), nil
 }

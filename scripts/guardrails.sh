@@ -9,6 +9,7 @@
 #   - dependency direction: core/behavior never import wire/repserver/ledger,
 #     and nothing outside bench/ imports bench
 #   - what an ADR deleted stays deleted
+#   - histories are columnar and are their own dedup index (ADR 0004)
 #   - one door into a node (ADR 0003): only internal/repserver listens
 #
 # Run from anywhere: bash scripts/guardrails.sh
@@ -56,11 +57,16 @@ check "nothing outside bench/ imports it" \
 # --- ADR-deleted symbols stay deleted ----------------------------------------
 # 0001: fwd.submit, appendJSONLine, -arena-cap. 0002: kGrid.
 # 0003: BatchRecorder, GossipPeers, MissingFrom.
+# 0004: ReserveFor, a seen map[Hash] dedup set, []Feedback inside History.
 check "wire type fwd.submit stays deleted (ADR 0001)" "absent '\"fwd\.submit\"'"
 check "flag -arena-cap stays deleted (ADR 0001)" "absent '\"arena-cap\"'"
-for sym in appendJSONLine kGrid BatchRecorder GossipPeers MissingFrom; do
+for sym in appendJSONLine kGrid BatchRecorder GossipPeers MissingFrom ReserveFor; do
     check "$sym stays deleted" "absent '\b$sym\b'"
 done
+check "no seen map[Hash] dedup set in internal/store (ADR 0004)" \
+    "absent '\bseen\s+map\[Hash\]' internal/store"
+check "no []Feedback struct field in internal/feedback (ADR 0004)" \
+    "absent '^\s+\w+\s+\[\]Feedback\b' internal/feedback"
 
 # --- one door into a node (ADR 0003) -----------------------------------------
 check "net.Listen only in internal/repserver" \
