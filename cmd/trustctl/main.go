@@ -571,10 +571,10 @@ func ledgerInfo(args []string, out io.Writer) error {
 		}
 		for _, sn := range info.Snapshots {
 			if sn.Valid {
-				fmt.Fprintf(out, "    snapshot %d: valid, %d bytes, %d servers, %d records, %d accumulators\n",
-					sn.Seq, sn.Size, sn.Servers, sn.Records, sn.Accumulators)
+				fmt.Fprintf(out, "    snapshot %d: version %d, valid, %d bytes, %d servers, %d records (%.1f section bytes each), %d accumulators\n",
+					sn.Seq, sn.Version, sn.Size, sn.Servers, sn.Records, sn.SectionBytesPerRecord, sn.Accumulators)
 			} else {
-				fmt.Fprintf(out, "    snapshot %d: INVALID (%s)\n", sn.Seq, sn.Error)
+				fmt.Fprintf(out, "    snapshot %d: version %d, INVALID (%s)\n", sn.Seq, sn.Version, sn.Error)
 			}
 		}
 	}

@@ -323,7 +323,7 @@ func TestLedgerInfo(t *testing.T) {
 		t.Fatal(err)
 	}
 	text := out.String()
-	for _, want := range []string{"segmented ledger", "records: 20 verified", "all segments verify", "snapshots: 1"} {
+	for _, want := range []string{"segmented ledger", "records: 20 verified", "all segments verify", "snapshots: 1", "snapshot 1: version 2, valid", "section bytes each"} {
 		if !strings.Contains(text, want) {
 			t.Fatalf("output missing %q:\n%s", want, text)
 		}

@@ -251,3 +251,42 @@ func TestValidateTimeRange(t *testing.T) {
 		}
 	}
 }
+
+// TestDecodedColumnsTakeAppends: a history decoded from its columns is a
+// working history — the next Append finds its old clients in the dictionary
+// instead of adding them twice, and leaves earlier views alone.
+func TestDecodedColumnsTakeAppends(t *testing.T) {
+	h := NewHistory("srv")
+	var ref []Feedback
+	add := func(h *History, at int64, c EntityID, r Rating) {
+		t.Helper()
+		f := Feedback{Time: time.Unix(at, 0).UTC(), Server: "srv", Client: c, Rating: r}
+		if err := h.Append(f); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < 20; i++ {
+		add(h, int64(i), EntityID("c"+string(rune('a'+i%3))), Rating(1+i%2))
+	}
+	ref = h.Records()
+	got, rest, err := DecodeColumns("srv", h.AppendColumns([]byte("prefix"))[len("prefix"):])
+	if err != nil || len(rest) != 0 {
+		t.Fatalf("decode: %v, %d bytes left", err, len(rest))
+	}
+	if got.SizeBytes() > h.SizeBytes() {
+		t.Fatalf("decoded history accounts %d B, the appended one %d B", got.SizeBytes(), h.SizeBytes())
+	}
+	view := got.SnapshotView()
+	add(got, 20, "ca", Positive)
+	add(got, 21, "cz", Negative)
+	add(h, 20, "ca", Positive)
+	add(h, 21, "cz", Negative)
+	sameAs(t, "decoded then appended", got, h.Records())
+	sameAs(t, "view from before the appends", view, ref)
+	if !reflect.DeepEqual(got.AppendColumns(nil), h.AppendColumns(nil)) {
+		t.Fatal("decoded-then-appended history encodes differently from the appended one")
+	}
+	if _, _, err := DecodeColumns("", h.AppendColumns(nil)); !errors.Is(err, ErrEmptyEntity) {
+		t.Fatalf("decode for an empty server: %v", err)
+	}
+}

@@ -79,8 +79,8 @@ func (h *History) ClientAt(i int) EntityID { return h.clients[h.client[i]] }
 func (h *History) RatingAt(i int) Rating   { return Rating(h.rating[i]) }
 
 // NewHistoryFromRecords builds a history over recs in one pass, validating
-// every record and its server. Bulk loaders (snapshot seeding) use it; the
-// result carries no client index until its first Append.
+// every record and its server. The result carries no client index until its
+// first Append.
 func NewHistoryFromRecords(server EntityID, recs []Feedback) (*History, error) {
 	h := NewHistory(server)
 	h.Grow(len(recs))
@@ -94,7 +94,7 @@ func NewHistoryFromRecords(server EntityID, recs []Feedback) (*History, error) {
 }
 
 // Grow pre-allocates capacity for n additional records, so bulk loaders
-// (snapshot seeding, replay) don't pay incremental reallocation.
+// don't pay incremental reallocation.
 func (h *History) Grow(n int) {
 	if n <= 0 {
 		return

@@ -103,27 +103,38 @@ func FuzzSegmentReplay(f *testing.F) {
 // corruption must be rejected with an error — never a panic, never a
 // half-decoded result with invalid records.
 func FuzzSnapshotLoad(f *testing.F) {
-	// A minimal valid snapshot as a seed.
-	dir := f.TempDir()
-	sw, err := beginSnapshot(dir, 1, 1, 2)
-	if err != nil {
-		f.Fatal(err)
+	// Valid version-2 snapshots as seeds: two servers with repeated clients,
+	// equal times and accumulator state, then an empty store.
+	snapshot := func(hists ...*feedback.History) []byte {
+		dir := f.TempDir()
+		sw, err := beginSnapshot(dir, 1, 1, 2)
+		if err != nil {
+			f.Fatal(err)
+		}
+		for _, h := range hists {
+			if err := sw.server(h, []byte{1, 2, 3}); err != nil {
+				f.Fatal(err)
+			}
+		}
+		if _, err := sw.finish(1); err != nil {
+			f.Fatal(err)
+		}
+		data, err := os.ReadFile(filepath.Join(dir, snapshotName(1)))
+		if err != nil {
+			f.Fatal(err)
+		}
+		return data
 	}
-	hist := feedback.NewHistory("s")
-	_ = hist.Append(feedback.Feedback{Server: "s", Client: "c", Rating: feedback.Positive, Time: time.Unix(1, 0).UTC()})
-	_ = hist.Append(feedback.Feedback{Server: "s", Client: "d", Rating: feedback.Negative, Time: time.Unix(2, 0).UTC()})
-	if err := sw.server("s", hist, []byte{1, 2, 3}); err != nil {
-		f.Fatal(err)
+	s, u := feedback.NewHistory("s"), feedback.NewHistory("u")
+	for i, c := range []feedback.EntityID{"c", "d", "c", "e", "d", "c", "c", "d", "e"} {
+		_ = s.Append(feedback.Feedback{Server: "s", Client: c, Rating: feedback.Rating(1 + i%2), Time: time.Unix(int64(1+i/2), 0).UTC()})
 	}
-	if err := sw.finish(1); err != nil {
-		f.Fatal(err)
-	}
-	valid, err := os.ReadFile(filepath.Join(dir, snapshotName(1)))
-	if err != nil {
-		f.Fatal(err)
-	}
+	_ = u.Append(feedback.Feedback{Server: "u", Client: "c", Rating: feedback.Negative, Time: time.Unix(-5, 7).UTC()})
+	valid := snapshot(s, u)
 	f.Add(valid)
 	f.Add(valid[:len(valid)-5])
+	f.Add(snapshot())
+	f.Add(v1Snapshot(1, 1, s, u))
 	f.Add([]byte{})
 	f.Add(snapMagic[:])
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -131,13 +142,17 @@ func FuzzSnapshotLoad(f *testing.F) {
 		if err != nil {
 			return // rejected, as corruption should be
 		}
+		if len(sd.sections) != len(sd.servers) {
+			t.Fatalf("%d sections indexed for %d servers", len(sd.sections), len(sd.servers))
+		}
 		for _, srv := range sd.servers {
-			for _, r := range srv.recs {
+			r, ok := sd.sections[string(srv.hist.Server())]
+			if !ok || r.off <= 0 || r.end <= r.off || r.end > int64(len(data)) {
+				t.Fatalf("section of %q indexed at %+v in %d bytes", srv.hist.Server(), r, len(data))
+			}
+			for _, r := range srv.hist.Records() {
 				if verr := r.Validate(); verr != nil {
 					t.Fatalf("accepted snapshot holds invalid record: %v", verr)
-				}
-				if r.Server != srv.id {
-					t.Fatalf("record server %q under section %q", r.Server, srv.id)
 				}
 			}
 		}

@@ -27,14 +27,20 @@ type SegmentInfo struct {
 
 // SnapshotFileInfo describes one snapshot file and its verification result.
 type SnapshotFileInfo struct {
-	Seq            uint64 `json:"seq"`
-	Size           int64  `json:"size"`
+	Seq  uint64 `json:"seq"`
+	Size int64  `json:"size"`
+	// Version is the file's format version (0 when unreadable); only the
+	// current one decodes — an older file costs boot a fallback, see Error.
+	Version        uint64 `json:"version"`
 	Valid          bool   `json:"valid"`
 	Error          string `json:"error,omitempty"`
 	Servers        int    `json:"servers,omitempty"`
 	Records        uint64 `json:"records,omitempty"`
 	CoveredSegment uint64 `json:"covered_segment,omitempty"`
 	Accumulators   int    `json:"accumulators,omitempty"`
+	// SectionBytesPerRecord is the server sections' size (ids, history
+	// columns, accumulator state) over the records they hold.
+	SectionBytesPerRecord float64 `json:"section_bytes_per_record,omitempty"`
 }
 
 // Info is the result of inspecting a ledger directory.
@@ -94,23 +100,30 @@ func Inspect(path string) (*Info, error) {
 		return nil, err
 	}
 	for _, seq := range seqs {
-		sp := filepath.Join(path, snapshotName(seq))
 		si := SnapshotFileInfo{Seq: seq}
-		if fi, err := os.Stat(sp); err == nil {
-			si.Size = fi.Size()
+		var sd *snapshotData
+		data, err := os.ReadFile(filepath.Join(path, snapshotName(seq)))
+		if err == nil {
+			si.Size, si.Version = int64(len(data)), snapshotVersion(data)
+			sd, err = decodeSnapshot(data)
 		}
-		sd, err := loadSnapshot(sp)
 		if err != nil {
 			si.Error = err.Error()
 		} else {
 			si.Valid = true
 			si.Servers = len(sd.servers)
 			si.CoveredSegment = sd.covered
+			var sectionBytes int64
 			for _, srv := range sd.servers {
-				si.Records += uint64(len(srv.recs))
+				r := sd.sections[string(srv.hist.Server())]
+				sectionBytes += r.end - r.off
+				si.Records += uint64(srv.hist.Len())
 				if len(srv.accState) > 0 {
 					si.Accumulators++
 				}
+			}
+			if si.Records > 0 {
+				si.SectionBytesPerRecord = float64(sectionBytes) / float64(si.Records)
 			}
 		}
 		info.Snapshots = append(info.Snapshots, si)

@@ -5,9 +5,10 @@ package ledger
 // published snapshot, read by per-server byte range through the section
 // index kept since boot or the last snapshot write, and (b) the tail index —
 // an in-memory per-server map of every record appended since the segment the
-// snapshot covers. Records from both sources are deduplicated by content
-// hash (the snapshot scan and the tail overlap by design, exactly like boot)
-// and sorted into store order; store.ReinstateServer then verifies the
+// snapshot covers. The section decodes straight into a history and the tail
+// records merge into it the way a write would (store.Merge: the snapshot scan
+// and the tail overlap by design, exactly like boot, and the history's own
+// order finds the duplicates); store.ReinstateServer then verifies the
 // result against the evicted stub's count and XOR digest before swapping it
 // in, so a corrupt section read or a lost record can never silently resurface
 // as wrong state — it surfaces as a rebuild error.
@@ -30,7 +31,6 @@ import (
 	"hash/crc32"
 	"os"
 	"path/filepath"
-	"sort"
 
 	"honestplayer/internal/feedback"
 	"honestplayer/internal/store"
@@ -92,7 +92,7 @@ func (ps *PersistentStore) tailAdd(f feedback.Feedback) {
 // rotateTail moves the tail index into the pending generation at snapshot
 // seal time. Pending survives a failed snapshot, so rotation merges rather
 // than replaces: pending records are older than tail records by
-// construction, and the rebuild sort does not depend on it anyway.
+// construction, and the rebuild merge does not depend on it anyway.
 func (ps *PersistentStore) rotateTail() {
 	ps.tailMu.Lock()
 	if ps.pendingTail == nil {
@@ -145,73 +145,42 @@ func (c *sectionFiles) close() {
 }
 
 // gatherServer collects every known record of one server — newest snapshot
-// section plus both tail generations — deduplicated by content hash and
-// sorted into store order. includeTail is false for the snapshot writer,
-// whose sections must cover exactly the pre-seal state; cache, when non-nil,
-// reuses open snapshot files across calls.
+// section plus both tail generations — into one history in store order;
+// cache, when non-nil, reuses open snapshot files across calls.
 //
 // When the snapshot section's records survive as an untouched prefix of the
-// merged result (nothing deduplicated, no tail record sorted into the
-// prefix), the section's serialized accumulator state is returned alongside
-// the count of records it covers; restoring it and appending recs[accCount:]
-// then reproduces a never-evicted accumulator exactly. Otherwise accState is
-// nil and the caller re-derives by replay.
-func (ps *PersistentStore) gatherServer(id feedback.EntityID, includeTail bool, cache *sectionFiles) (recs []feedback.Feedback, accState []byte, accCount int, err error) {
+// result (every tail record was new and landed at the end), the section's
+// serialized accumulator state is returned alongside the count of records it
+// covers; restoring it and appending the records from accCount on then
+// reproduces a never-evicted accumulator exactly. Otherwise accState is nil
+// and the caller re-derives by replay.
+func (ps *PersistentStore) gatherServer(id feedback.EntityID, cache *sectionFiles) (hist *feedback.History, accState []byte, accCount int, err error) {
 	ps.tailMu.Lock()
 	idx := ps.snapIdx
-	var raw []feedback.Feedback
-	raw = append(raw, ps.pendingTail[string(id)]...)
-	if includeTail {
-		raw = append(raw, ps.tailIdx[string(id)]...)
-	}
+	tail := append(append([]feedback.Feedback(nil), ps.pendingTail[string(id)]...), ps.tailIdx[string(id)]...)
 	ps.tailMu.Unlock()
 
-	snapCount := 0
+	hist = feedback.NewHistory(id)
 	if idx != nil {
 		if r, ok := idx.sections[string(id)]; ok {
 			sec, err := readSnapshotSection(idx.path, r, id, cache)
 			if err != nil {
 				return nil, nil, 0, err
 			}
-			snapCount = len(sec.recs)
-			accState = sec.accState
-			raw = append(sec.recs, raw...)
+			hist, accState, accCount = sec.hist, sec.accState, sec.hist.Len()
 		}
 	}
-	if len(raw) == 0 {
-		return nil, nil, 0, nil
-	}
-	seen := make(map[store.Hash]struct{}, len(raw))
-	recs = raw[:0]
-	dropped := false
-	for i, f := range raw {
-		h := store.HashOf(f)
-		if _, dup := seen[h]; dup {
-			if i < snapCount {
-				return nil, nil, 0, fmt.Errorf("duplicate record inside snapshot section")
-			}
-			dropped = true
-			continue
+	for _, f := range tail {
+		merged, inOrder, dup, err := store.Merge(hist, f)
+		if err != nil {
+			return nil, nil, 0, err
 		}
-		seen[h] = struct{}{}
-		recs = append(recs, f)
+		hist = merged
+		if dup || !inOrder {
+			accState, accCount = nil, 0
+		}
 	}
-	sorted := sort.SliceIsSorted(recs, func(i, j int) bool { return lessFeedback(recs[i], recs[j]) })
-	if !sorted {
-		sort.Slice(recs, func(i, j int) bool { return lessFeedback(recs[i], recs[j]) })
-	}
-	if dropped || !sorted {
-		return recs, nil, 0, nil
-	}
-	return recs, accState, snapCount, nil
-}
-
-// lessFeedback is the store's record order: time, then content hash.
-func lessFeedback(a, b feedback.Feedback) bool {
-	if !a.Time.Equal(b.Time) {
-		return a.Time.Before(b.Time)
-	}
-	return store.HashOf(a) < store.HashOf(b)
+	return hist, accState, accCount, nil
 }
 
 // RebuildServer reconstructs one evicted server's history and accumulator
@@ -233,25 +202,25 @@ func (ps *PersistentStore) RebuildServer(id feedback.EntityID) error {
 		}
 		return nil
 	}
-	recs, accState, accCount, err := ps.gatherServer(id, true, nil)
+	hist, accState, accCount, err := ps.gatherServer(id, nil)
 	if err != nil {
 		ps.rebuildErrors.Add(1)
 		return fmt.Errorf("ledger: rebuild %q: %w", id, err)
 	}
 	var acc store.Accumulator
 	if len(accState) > 0 && ps.opts.RestoreAccumulator != nil {
-		if a, n, err := ps.opts.RestoreAccumulator(id, accState); err == nil && n == accCount && n <= len(recs) {
+		if a, n, err := ps.opts.RestoreAccumulator(id, accState); err == nil && n == accCount {
 			// The serialized state covers the snapshot-section prefix
 			// (gatherServer guarantees it survived the merge untouched);
 			// feeding it the suffix yields exactly the accumulator a
 			// never-evicted server would hold.
-			for _, f := range recs[n:] {
-				a.Append(f)
+			for i := n; i < hist.Len(); i++ {
+				a.Append(hist.At(i))
 			}
 			acc = a
 		}
 	}
-	if err := ps.store.ReinstateServer(id, recs, acc); err != nil {
+	if err := ps.store.ReinstateServer(hist, acc); err != nil {
 		ps.rebuildErrors.Add(1)
 		return err
 	}
@@ -283,15 +252,15 @@ func readSnapshotSection(path string, r secRange, id feedback.EntityID, cache *s
 	if _, err := f.ReadAt(buf, r.off); err != nil {
 		return snapServer{}, fmt.Errorf("ledger: read section of %q: %w", id, err)
 	}
-	sec, rest, err := decodeServerSection(buf, make(map[string]feedback.EntityID))
+	sec, rest, err := decodeServerSection(buf)
 	if err != nil {
 		return snapServer{}, fmt.Errorf("ledger: decode section of %q: %w", id, err)
 	}
 	if len(rest) != 0 {
 		return snapServer{}, fmt.Errorf("ledger: section of %q: %d trailing bytes", id, len(rest))
 	}
-	if string(sec.id) != string(id) {
-		return snapServer{}, fmt.Errorf("ledger: section range for %q holds %q", id, sec.id)
+	if sec.hist.Server() != id {
+		return snapServer{}, fmt.Errorf("ledger: section range for %q holds %q", id, sec.hist.Server())
 	}
 	return sec, nil
 }

@@ -9,27 +9,31 @@ package ledger
 // File layout (all integers uvarint unless noted):
 //
 //	magic        8 bytes {0xB6, 'H','P','S','N','A','P','1'}
-//	version      uvarint (currently 1)
+//	version      uvarint (currently 2; a version-1 file is unsupported)
 //	seq          uvarint — snapshot sequence number
 //	covered      uvarint — tail replay starts at this segment index
 //	records      uvarint — ledger record count at capture (informational)
 //	servers:     repeated until a zero-length id
 //	  id         uvarint length, bytes
-//	  count      uvarint — records for this server
-//	  records    count × (8 bytes big-endian unixnano, 1 byte rating,
-//	             uvarint client length, client bytes); server is implied
+//	  history    the server's feedback.History in its column encoding
+//	             (feedback.AppendColumns): counts, the client dictionary,
+//	             then time-delta, dictionary-slot and good-bit columns
 //	  acc        uvarint length, bytes — serialized accumulator state
 //	             (zero length = none; boot re-derives from history)
 //	terminator   uvarint 0
 //	crc32c       4 bytes little-endian, over everything above
 //	"HPSNPEND"   8 bytes
 //
+// A section is the serialized form of the resident history (ADR 0005): the
+// writer copies columns out, boot and rebuild-on-demand decode columns in,
+// and no per-record struct exists on either side.
+//
 // Snapshots are written to snapshot.tmp and renamed into place
 // (snapshot.<seq>, zero-padded), so a crash mid-write leaves at worst a
-// stale temp file and never a half-valid snapshot under the real name. Any
-// verification or decode failure makes boot fall back to the next older
-// snapshot, and past those to a full replay — a bad snapshot can cost boot
-// time, never correctness.
+// stale temp file — removed at the next open — and never a half-valid
+// snapshot under the real name. Any verification or decode failure makes
+// boot fall back to the next older snapshot, and past those to a full
+// replay — a bad snapshot can cost boot time, never correctness.
 
 import (
 	"bufio"
@@ -40,7 +44,6 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
-	"time"
 
 	"honestplayer/internal/feedback"
 )
@@ -52,7 +55,7 @@ var snapMagic = [8]byte{0xB6, 'H', 'P', 'S', 'N', 'A', 'P', '1'}
 
 const (
 	snapEnd     = "HPSNPEND"
-	snapVersion = 1
+	snapVersion = 2
 	snapTmpName = "snapshot.tmp"
 	// snapKeep is how many verified snapshots are retained; older ones are
 	// pruned after each successful write.
@@ -134,71 +137,58 @@ func (sw *snapWriter) write(b []byte) error {
 	return nil
 }
 
-// server streams one server's section from an immutable history view,
-// record by record — no intermediate slice.
-func (sw *snapWriter) server(id feedback.EntityID, hist *feedback.History, accState []byte) error {
+// server writes one server's section from an immutable history view.
+func (sw *snapWriter) server(hist *feedback.History, accState []byte) error {
+	id := hist.Server()
 	if len(id) == 0 {
 		return fmt.Errorf("%w: empty server id", ErrBadSnapshot)
 	}
-	n := hist.Len()
-	buf := sw.scratch[:0]
-	buf = binary.AppendUvarint(buf, uint64(len(id)))
+	buf := binary.AppendUvarint(sw.scratch[:0], uint64(len(id)))
 	buf = append(buf, id...)
-	buf = binary.AppendUvarint(buf, uint64(n))
-	if err := sw.write(buf); err != nil {
-		return err
-	}
-	for i := 0; i < n; i++ {
-		client := hist.ClientAt(i)
-		buf = sw.scratch[:0]
-		buf = binary.BigEndian.AppendUint64(buf, uint64(hist.NanosAt(i)))
-		buf = append(buf, byte(hist.RatingAt(i)))
-		buf = binary.AppendUvarint(buf, uint64(len(client)))
-		buf = append(buf, client...)
-		if err := sw.write(buf); err != nil {
-			return err
-		}
-	}
-	buf = sw.scratch[:0]
+	buf = hist.AppendColumns(buf)
 	buf = binary.AppendUvarint(buf, uint64(len(accState)))
 	buf = append(buf, accState...)
 	return sw.write(buf)
 }
 
 // finish writes the terminator and trailer, fsyncs, and renames the temp
-// file to snapshot.<seq>. The rename is the commit point.
-func (sw *snapWriter) finish(seq uint64) error {
+// file to snapshot.<seq>, returning the published file's size. The rename is
+// the commit point; on any failure the temp file is removed.
+func (sw *snapWriter) finish(seq uint64) (int64, error) {
 	buf := binary.AppendUvarint(sw.scratch[:0], 0)
 	if err := sw.write(buf); err != nil {
 		sw.abort()
-		return err
+		return 0, err
 	}
 	trailer := binary.LittleEndian.AppendUint32(nil, sw.crc)
 	trailer = append(trailer, snapEnd...)
 	if _, err := sw.w.Write(trailer); err != nil {
 		sw.abort()
-		return fmt.Errorf("ledger: snapshot trailer: %w", err)
+		return 0, fmt.Errorf("ledger: snapshot trailer: %w", err)
 	}
 	if err := sw.w.Flush(); err != nil {
 		sw.abort()
-		return fmt.Errorf("ledger: snapshot flush: %w", err)
+		return 0, fmt.Errorf("ledger: snapshot flush: %w", err)
 	}
 	if err := sw.f.Sync(); err != nil {
 		sw.abort()
-		return fmt.Errorf("ledger: snapshot sync: %w", err)
+		return 0, fmt.Errorf("ledger: snapshot sync: %w", err)
 	}
 	if err := sw.f.Close(); err != nil {
-		return fmt.Errorf("ledger: snapshot close: %w", err)
+		sw.abort()
+		return 0, fmt.Errorf("ledger: snapshot close: %w", err)
 	}
 	tmp := filepath.Join(sw.dir, snapTmpName)
 	if err := os.Rename(tmp, filepath.Join(sw.dir, snapshotName(seq))); err != nil {
-		return fmt.Errorf("ledger: snapshot publish: %w", err)
+		sw.abort()
+		return 0, fmt.Errorf("ledger: snapshot publish: %w", err)
 	}
 	syncDir(sw.dir)
-	return nil
+	return sw.pos + int64(len(trailer)), nil
 }
 
-// abort closes and removes the temp file.
+// abort closes (again, harmlessly, if finish already had) and removes the
+// temp file.
 func (sw *snapWriter) abort() {
 	_ = sw.f.Close()
 	_ = os.Remove(filepath.Join(sw.dir, snapTmpName))
@@ -219,8 +209,7 @@ func pruneSnapshots(dir string) {
 
 // snapServer is one server's decoded snapshot section.
 type snapServer struct {
-	id       feedback.EntityID
-	recs     []feedback.Feedback
+	hist     *feedback.History
 	accState []byte
 }
 
@@ -243,6 +232,19 @@ func loadSnapshot(path string) (*snapshotData, error) {
 		return nil, fmt.Errorf("ledger: read snapshot %s: %w", path, err)
 	}
 	return decodeSnapshot(data)
+}
+
+// snapshotVersion reads the format version of a snapshot image, 0 when the
+// image is too damaged to carry one.
+func snapshotVersion(data []byte) uint64 {
+	if len(data) < len(snapMagic) || string(data[:len(snapMagic)]) != string(snapMagic[:]) {
+		return 0
+	}
+	v, n := binary.Uvarint(data[len(snapMagic):])
+	if n <= 0 {
+		return 0
+	}
+	return v
 }
 
 // decodeSnapshot verifies and decodes a snapshot image.
@@ -280,11 +282,7 @@ func decodeSnapshot(data []byte) (*snapshotData, error) {
 	if sd.records, rest, err = snapUvarint(rest); err != nil {
 		return nil, err
 	}
-	seen := make(map[string]struct{})
 	sd.sections = make(map[string]secRange)
-	// Client IDs repeat heavily across a server's records; interning them
-	// makes decode allocate each distinct ID once instead of per record.
-	clients := make(map[string]feedback.EntityID)
 	for {
 		peek, n := binary.Uvarint(rest)
 		if n <= 0 {
@@ -296,16 +294,16 @@ func decodeSnapshot(data []byte) (*snapshotData, error) {
 		}
 		// Section offsets are relative to the file start; body starts at 0.
 		start := int64(len(body) - len(rest))
-		srv, remainder, err := decodeServerSection(rest, clients)
+		srv, remainder, err := decodeServerSection(rest)
 		if err != nil {
 			return nil, err
 		}
 		rest = remainder
-		if _, dup := seen[string(srv.id)]; dup {
-			return nil, fmt.Errorf("%w: duplicate server %q", ErrBadSnapshot, srv.id)
+		id := string(srv.hist.Server())
+		if _, dup := sd.sections[id]; dup {
+			return nil, fmt.Errorf("%w: duplicate server %q", ErrBadSnapshot, id)
 		}
-		seen[string(srv.id)] = struct{}{}
-		sd.sections[string(srv.id)] = secRange{off: start, end: int64(len(body) - len(rest))}
+		sd.sections[id] = secRange{off: start, end: int64(len(body) - len(rest))}
 		sd.servers = append(sd.servers, srv)
 	}
 	if len(rest) != 0 {
@@ -318,7 +316,7 @@ func decodeSnapshot(data []byte) (*snapshotData, error) {
 // uvarint through its accumulator state — returning the remainder. It is
 // shared between whole-file decode (boot) and by-range section reads
 // (rebuild-on-demand).
-func decodeServerSection(rest []byte, clients map[string]feedback.EntityID) (snapServer, []byte, error) {
+func decodeServerSection(rest []byte) (snapServer, []byte, error) {
 	var srv snapServer
 	idLen, rest, err := snapUvarint(rest)
 	if err != nil {
@@ -327,48 +325,9 @@ func decodeServerSection(rest []byte, clients map[string]feedback.EntityID) (sna
 	if idLen == 0 || idLen > maxRecordLen || uint64(len(rest)) < idLen {
 		return srv, rest, fmt.Errorf("%w: server id overruns file", ErrBadSnapshot)
 	}
-	srv.id = feedback.EntityID(rest[:idLen])
-	rest = rest[idLen:]
-	var count uint64
-	if count, rest, err = snapUvarint(rest); err != nil {
-		return srv, rest, err
-	}
-	// Each record costs at least 10 bytes; cap the preallocation by what
-	// the remaining bytes could actually hold.
-	if count > uint64(len(rest))/10+1 {
-		return srv, rest, fmt.Errorf("%w: record count overruns file", ErrBadSnapshot)
-	}
-	srv.recs = make([]feedback.Feedback, 0, count)
-	for i := uint64(0); i < count; i++ {
-		if len(rest) < 9 {
-			return srv, rest, fmt.Errorf("%w: truncated record", ErrBadSnapshot)
-		}
-		nano := int64(binary.BigEndian.Uint64(rest))
-		rating := feedback.Rating(rest[8])
-		rest = rest[9:]
-		var cLen uint64
-		if cLen, rest, err = snapUvarint(rest); err != nil {
-			return srv, rest, err
-		}
-		if cLen > maxRecordLen || uint64(len(rest)) < cLen {
-			return srv, rest, fmt.Errorf("%w: client id overruns file", ErrBadSnapshot)
-		}
-		client, ok := clients[string(rest[:cLen])]
-		if !ok {
-			client = feedback.EntityID(rest[:cLen])
-			clients[string(client)] = client
-		}
-		f := feedback.Feedback{
-			Server: srv.id,
-			Client: client,
-			Rating: rating,
-			Time:   time.Unix(0, nano).UTC(), // matches feedback.DecodeBinary
-		}
-		rest = rest[cLen:]
-		if err := f.Validate(); err != nil {
-			return srv, rest, fmt.Errorf("%w: invalid record: %v", ErrBadSnapshot, err)
-		}
-		srv.recs = append(srv.recs, f)
+	id := feedback.EntityID(rest[:idLen])
+	if srv.hist, rest, err = feedback.DecodeColumns(id, rest[idLen:]); err != nil {
+		return srv, rest, fmt.Errorf("%w: history of %q: %v", ErrBadSnapshot, id, err)
 	}
 	var accLen uint64
 	if accLen, rest, err = snapUvarint(rest); err != nil {

@@ -3,12 +3,17 @@ package ledger
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
 	"errors"
+	"fmt"
+	"hash/crc32"
 	"os"
 	"path/filepath"
 	"reflect"
 	"sort"
+	"strings"
 	"testing"
+	"time"
 
 	"honestplayer/internal/behavior"
 	"honestplayer/internal/core"
@@ -304,6 +309,10 @@ func TestKillDuringSnapshotFallsBack(t *testing.T) {
 	if got := storeFingerprint(t, boot.Store(), tp); !reflect.DeepEqual(want, got) {
 		t.Fatal("fallback boot diverges from true state")
 	}
+	// Nothing else would ever remove the dead snapshot's temp file.
+	if _, err := os.Stat(filepath.Join(dir, snapTmpName)); !errors.Is(err, os.ErrNotExist) {
+		t.Fatalf("temp file survived the reopen: %v", err)
+	}
 	if err := boot.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -326,6 +335,188 @@ func TestKillDuringSnapshotFallsBack(t *testing.T) {
 	if err := boot2.Close(); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// TestSnapshotPublishFailureLeavesNoTemp: a snapshot that is fully written
+// but cannot be renamed into place removes its temp file, like every earlier
+// failure does.
+func TestSnapshotPublishFailureLeavesNoTemp(t *testing.T) {
+	dir := filepath.Join(t.TempDir(), "led")
+	ps, err := OpenStoreOptions(context.Background(), dir, Options{Shards: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ps.Close()
+	workload(t, ps, 40, 0)
+	// A non-empty directory under the next snapshot's name: rename fails.
+	if err := os.MkdirAll(filepath.Join(dir, snapshotName(1), "x"), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ps.Snapshot(); err == nil {
+		t.Fatal("snapshot published over a directory")
+	}
+	if _, err := os.Stat(filepath.Join(dir, snapTmpName)); !errors.Is(err, os.ErrNotExist) {
+		t.Fatalf("temp file survived the failed publish: %v", err)
+	}
+	if st := ps.Stats(); st.SnapshotsFailed != 1 || st.SnapshotBytes != 0 {
+		t.Fatalf("stats after a failed publish: %+v", st)
+	}
+}
+
+// v1Snapshot encodes hists in the retired version-1 layout — per record 8 B
+// big-endian nanos, 1 B rating and a length-prefixed client — which nothing
+// outside this test can read or write any more.
+func v1Snapshot(seq, covered uint64, hists ...*feedback.History) []byte {
+	buf := append([]byte(nil), snapMagic[:]...)
+	for _, v := range []uint64{1, seq, covered, 0} {
+		buf = binary.AppendUvarint(buf, v)
+	}
+	for _, h := range hists {
+		buf = binary.AppendUvarint(buf, uint64(len(h.Server())))
+		buf = append(buf, h.Server()...)
+		buf = binary.AppendUvarint(buf, uint64(h.Len()))
+		for i := 0; i < h.Len(); i++ {
+			buf = binary.BigEndian.AppendUint64(buf, uint64(h.NanosAt(i)))
+			buf = append(buf, byte(h.RatingAt(i)))
+			buf = binary.AppendUvarint(buf, uint64(len(h.ClientAt(i))))
+			buf = append(buf, h.ClientAt(i)...)
+		}
+		buf = binary.AppendUvarint(buf, 0) // no accumulator state
+	}
+	buf = binary.AppendUvarint(buf, 0)
+	buf = binary.LittleEndian.AppendUint32(buf, crc32.Checksum(buf, castagnoli))
+	return append(buf, snapEnd...)
+}
+
+// TestSnapshotV1FallsBackToReplay: the first boot after the upgrade finds a
+// version-1 snapshot. It is not decoded: ledger-info lists it as unsupported,
+// boot replays the segments to the same state, and the next snapshot is
+// version 2, from which the boot after that starts.
+func TestSnapshotV1FallsBackToReplay(t *testing.T) {
+	dir := filepath.Join(t.TempDir(), "led")
+	opts, tp := incrementalOptions(t, 4, 2048, 0)
+	ps, err := OpenStoreOptions(context.Background(), dir, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	workload(t, ps, 300, 0)
+	seq, err := ps.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var hists []*feedback.History
+	for _, srv := range ps.Store().Servers() {
+		h, err := ps.Store().History(srv)
+		if err != nil {
+			t.Fatal(err)
+		}
+		hists = append(hists, h)
+	}
+	workload(t, ps, 77, 300) // tail past the snapshot
+	want := storeFingerprint(t, ps.Store(), tp)
+	if err := ps.Close(); err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(dir, snapshotName(seq))
+	sd, err := loadSnapshot(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(path, v1Snapshot(seq, sd.covered, hists...), 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	info, err := Inspect(dir)
+	if err != nil {
+		t.Fatalf("ledger-info over a version-1 snapshot: %v", err)
+	}
+	if si := info.Snapshots[0]; si.Version != 1 || si.Valid || !strings.Contains(si.Error, "unsupported version 1") {
+		t.Fatalf("version-1 snapshot listed as %+v", si)
+	}
+
+	boot, err := OpenStoreOptions(context.Background(), dir, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if mode := boot.Stats().BootMode; mode != "replay" {
+		t.Fatalf("boot mode over a version-1 snapshot = %q, want replay", mode)
+	}
+	if got := storeFingerprint(t, boot.Store(), tp); !reflect.DeepEqual(want, got) {
+		t.Fatal("replay past a version-1 snapshot diverges from the pre-restart state")
+	}
+	next, err := boot.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := boot.Close(); err != nil {
+		t.Fatal(err)
+	}
+	data, err := os.ReadFile(filepath.Join(dir, snapshotName(next)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if v := snapshotVersion(data); v != 2 {
+		t.Fatalf("snapshot written after the upgrade has version %d, want 2", v)
+	}
+	again, err := OpenStoreOptions(context.Background(), dir, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer again.Close()
+	if st := again.Stats(); st.BootMode != "snapshot" || st.BootSnapshot != next {
+		t.Fatalf("second boot = %q from snapshot %d, want snapshot %d", st.BootMode, st.BootSnapshot, next)
+	}
+	if got := storeFingerprint(t, again.Store(), tp); !reflect.DeepEqual(want, got) {
+		t.Fatal("boot from the version-2 snapshot diverges")
+	}
+}
+
+// TestSnapshotSectionBytesPerRecord pins what a stored record costs in a
+// snapshot at the benchmark's shape — 512 servers of 1074 records one second
+// apart, from a pool of 100 clients, no accumulator state: at most 8 B, where
+// version 1 took 15.9 B.
+func TestSnapshotSectionBytesPerRecord(t *testing.T) {
+	const servers, perServer = 512, 1074
+	dir := filepath.Join(t.TempDir(), "led")
+	ps, err := OpenStoreOptions(context.Background(), dir, Options{SegmentBytes: 1 << 30})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ps.Close()
+	batch := make([]feedback.Feedback, perServer)
+	for s := 0; s < servers; s++ {
+		for i := range batch {
+			batch[i] = feedback.Feedback{
+				Server: feedback.EntityID(fmt.Sprintf("srv-%04d", s)),
+				Client: feedback.EntityID(fmt.Sprintf("cli-%d", (i*7919+s*31)%100)),
+				Rating: feedback.Rating(1 + (i+s)%2),
+				Time:   time.Unix(1_700_000_000+int64(i), 0),
+			}
+		}
+		for i, r := range ps.AddBatch(batch, 1) {
+			if !r.Stored || r.Err != nil {
+				t.Fatalf("server %d record %d: %+v", s, i, r)
+			}
+		}
+	}
+	if _, err := ps.Snapshot(); err != nil {
+		t.Fatal(err)
+	}
+	info, err := Inspect(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	si := info.Snapshots[0]
+	if !si.Valid || si.Version != snapVersion || si.Records != servers*perServer {
+		t.Fatalf("snapshot info: %+v", si)
+	}
+	if si.SectionBytesPerRecord > 8 {
+		t.Fatalf("a snapshot section takes %.2f B per record, want at most 8", si.SectionBytesPerRecord)
+	}
+	if got := ps.Stats().SnapshotBytes; got != uint64(si.Size) {
+		t.Fatalf("stats count %d snapshot bytes, the file has %d", got, si.Size)
+	}
+	t.Logf("%.2f B per record, %d B file", si.SectionBytesPerRecord, si.Size)
 }
 
 // TestKillDuringRollOverStoreState: crash between sealing a segment and
@@ -462,6 +653,9 @@ func TestLedgerInfo(t *testing.T) {
 	}
 	if info.Snapshots[0].Accumulators == 0 {
 		t.Fatal("snapshot carries no accumulator state")
+	}
+	if si := info.Snapshots[0]; si.Version != snapVersion || si.Records != 120 || si.SectionBytesPerRecord <= 0 {
+		t.Fatalf("snapshot info: %+v", si)
 	}
 	// Legacy single file.
 	legacy := filepath.Join(t.TempDir(), "legacy.jsonl")

@@ -12,6 +12,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"os"
 	"path/filepath"
 	"sync"
 	"sync/atomic"
@@ -71,6 +72,7 @@ type PersistentStore struct {
 	lastSnapSeq atomic.Uint64
 	snapsTaken  atomic.Uint64
 	snapsFailed atomic.Uint64
+	snapBytes   atomic.Uint64
 	sinceSnap   atomic.Uint64
 	wg          sync.WaitGroup
 
@@ -127,6 +129,11 @@ func OpenStoreOptions(ctx context.Context, path string, opts Options) (*Persiste
 	ps := &PersistentStore{ledger: l, opts: opts, logf: opts.Logf}
 	if ps.logf == nil {
 		ps.logf = func(string, ...any) {}
+	}
+	// A crash mid-snapshot leaves the temp file, as large as the store, and
+	// only the next snapshot — which may never come — would truncate it.
+	if err := os.Remove(filepath.Join(l.dir, snapTmpName)); err != nil && !errors.Is(err, os.ErrNotExist) {
+		ps.logf("ledger: stale snapshot temp file not removed: %v", err)
 	}
 
 	seqs, err := listSnapshots(l.dir)
@@ -211,27 +218,24 @@ func (ps *PersistentStore) seedFromSnapshot(sd *snapshotData, shards int) (*stor
 	if ps.opts.AccumulatorFactory != nil {
 		cand.SetAccumulatorFactory(ps.opts.AccumulatorFactory)
 	}
-	for i := range sd.servers {
-		srv := &sd.servers[i]
+	for _, srv := range sd.servers {
+		id := srv.hist.Server()
 		var acc store.Accumulator
 		if len(srv.accState) > 0 && ps.opts.RestoreAccumulator != nil {
-			a, n, err := ps.opts.RestoreAccumulator(srv.id, srv.accState)
+			a, n, err := ps.opts.RestoreAccumulator(id, srv.accState)
 			switch {
 			case err != nil:
-				ps.logf("ledger: snapshot %d: accumulator for %q not restored (re-deriving): %v", sd.seq, srv.id, err)
-			case n != len(srv.recs):
-				ps.logf("ledger: snapshot %d: accumulator for %q covers %d of %d records (re-deriving)", sd.seq, srv.id, n, len(srv.recs))
+				ps.logf("ledger: snapshot %d: accumulator for %q not restored (re-deriving): %v", sd.seq, id, err)
+			case n != srv.hist.Len():
+				ps.logf("ledger: snapshot %d: accumulator for %q covers %d of %d records (re-deriving)", sd.seq, id, n, srv.hist.Len())
 			default:
 				acc = a
 			}
 		}
-		if err := cand.SeedServer(srv.id, srv.recs, acc); err != nil {
+		if err := cand.SeedServer(srv.hist, acc); err != nil {
 			ps.logf("ledger: snapshot %d rejected: %v", sd.seq, err)
 			return nil, false
 		}
-		// The store copied the records into its columns; letting the decoded
-		// form go now keeps boot's peak near one copy, not two.
-		srv.recs = nil
 	}
 	return cand, true
 }
@@ -434,39 +438,36 @@ func (ps *PersistentStore) Snapshot() (uint64, error) {
 				// and those live only in the tail index. Extra records
 				// beyond the stub's count are harmless (boot dedups), but
 				// fewer means the section would forget history — abort.
-				recs, _, _, err := ps.gatherServer(sec.id, true, &secFiles)
+				var err error
+				if hist, _, _, err = ps.gatherServer(sec.id, &secFiles); err != nil {
+					return fail(fmt.Errorf("ledger: snapshot: evicted section %q: %w", sec.id, err))
+				}
+				if hist.Len() < sec.stub.Count {
+					return fail(fmt.Errorf("ledger: snapshot: evicted section %q: rebuilt %d of %d records", sec.id, hist.Len(), sec.stub.Count))
+				}
+				xor, err := store.DigestSorted(hist)
 				if err != nil {
 					return fail(fmt.Errorf("ledger: snapshot: evicted section %q: %w", sec.id, err))
 				}
-				if len(recs) < sec.stub.Count {
-					return fail(fmt.Errorf("ledger: snapshot: evicted section %q: rebuilt %d of %d records", sec.id, len(recs), sec.stub.Count))
-				}
-				if len(recs) == sec.stub.Count {
-					var xor uint64
-					for _, f := range recs {
-						xor ^= uint64(store.HashOf(f))
-					}
-					if xor != sec.stub.XOR {
-						return fail(fmt.Errorf("ledger: snapshot: evicted section %q: digest mismatch (rebuilt %x, stub %x)", sec.id, xor, sec.stub.XOR))
-					}
-				}
-				if hist, err = feedback.NewHistoryFromRecords(sec.id, recs); err != nil {
-					return fail(fmt.Errorf("ledger: snapshot: evicted section %q: %w", sec.id, err))
+				if hist.Len() == sec.stub.Count && xor != sec.stub.XOR {
+					return fail(fmt.Errorf("ledger: snapshot: evicted section %q: digest mismatch (rebuilt %x, stub %x)", sec.id, xor, sec.stub.XOR))
 				}
 			}
 			start := sw.pos
-			if err := sw.server(sec.id, hist, sec.accState); err != nil {
+			if err := sw.server(hist, sec.accState); err != nil {
 				return fail(err)
 			}
 			sections[string(sec.id)] = secRange{off: start, end: sw.pos}
 		}
 	}
-	if err := sw.finish(seq); err != nil {
+	size, err := sw.finish(seq)
+	if err != nil {
 		ps.snapsFailed.Add(1)
 		return 0, err
 	}
 	ps.lastSnapSeq.Store(seq)
 	ps.snapsTaken.Add(1)
+	ps.snapBytes.Add(uint64(size))
 	if lifecycle {
 		ps.dropPendingTail(seq, sections)
 		ps.store.SetSnapshotSeq(seq)
@@ -500,6 +501,7 @@ type Stats struct {
 	SnapshotSeq      uint64 `json:"snapshot_seq"`
 	SnapshotsTaken   uint64 `json:"snapshots_taken"`
 	SnapshotsFailed  uint64 `json:"snapshots_failed"`
+	SnapshotBytes    uint64 `json:"snapshot_bytes"` // size of every snapshot published since open, summed
 	BootMode         string `json:"boot_mode"`
 	BootSnapshot     uint64 `json:"boot_snapshot,omitempty"`
 	RecordsSinceSnap uint64 `json:"records_since_snapshot"`
@@ -534,6 +536,7 @@ func (ps *PersistentStore) Stats() Stats {
 	s.SnapshotSeq = ps.lastSnapSeq.Load()
 	s.SnapshotsTaken = ps.snapsTaken.Load()
 	s.SnapshotsFailed = ps.snapsFailed.Load()
+	s.SnapshotBytes = ps.snapBytes.Load()
 	s.BootMode = ps.bootMode
 	s.BootSnapshot = ps.bootSnapshot
 	s.RecordsSinceSnap = ps.sinceSnap.Load()

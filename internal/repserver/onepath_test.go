@@ -21,7 +21,11 @@ type memRebuilder struct {
 }
 
 func (m *memRebuilder) RebuildServer(id feedback.EntityID) error {
-	return m.st.ReinstateServer(id, append([]feedback.Feedback(nil), m.recs[id]...), nil)
+	hist, err := feedback.NewHistoryFromRecords(id, m.recs[id])
+	if err != nil {
+		return err
+	}
+	return m.st.ReinstateServer(hist, nil)
 }
 
 // TestSingleSubmitFaultsIn: a single submit to an evicted server is stored

@@ -535,6 +535,14 @@ func TestStatsCounters(t *testing.T) {
 		"submit_batches", "submit_batch_items", "submit_batch_rejects", "v2_connections", "cluster", "lifecycle")
 	exactKeys("stats.incremental", keys["incremental"], "enabled", "servers_tracked", "served", "fallbacks",
 		"memo_bytes", "memo_entries", "memo_rotations")
+	// /metricz shows ledger.Stats beside these under "ledger".
+	raw, err = json.Marshal(ledger.Stats{BootSnapshot: 1, Rebuilds: 1, RebuildErrors: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	exactKeys("ledger stats", raw, "segments", "active_segment", "active_bytes", "sealed_bytes", "records", "roll_overs",
+		"ledger_truncations", "truncated_bytes", "snapshot_seq", "snapshots_taken", "snapshots_failed", "snapshot_bytes",
+		"boot_mode", "boot_snapshot", "records_since_snapshot", "rebuilds", "rebuild_errors", "group_commit")
 }
 
 func TestPersistentRecorderSurvivesRestart(t *testing.T) {

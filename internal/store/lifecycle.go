@@ -344,60 +344,51 @@ func (s *Store) Stubs() []Stub {
 }
 
 // ReinstateServer swaps a rebuilt history (and optionally its accumulator,
-// with state covering exactly recs) back into an evicted server's slot. The
-// rebuild is verified against the stub before anything is committed: the
-// record count and XOR digest must match what was evicted, making a
-// reinstated server bit-identical to one that never left. The preserved
-// version counter keeps assessment-cache entries valid across the
-// round-trip. Reinstating an already-resident server is a no-op (concurrent
-// fault-ins race benignly); reinstating an unknown server is an error.
+// with state covering exactly hist) back into an evicted server's slot,
+// taking ownership of it. The rebuild is verified against the stub before
+// anything is committed: the record count and XOR digest must match what was
+// evicted, making a reinstated server bit-identical to one that never left.
+// The preserved version counter keeps assessment-cache entries valid across
+// the round-trip. Reinstating an already-resident server is a no-op
+// (concurrent fault-ins race benignly); reinstating an unknown server is an
+// error.
 //
-// recs must be sorted by (time, hash) and duplicate-free, as Add would have
+// hist's records must strictly increase in (time, hash), as Add would have
 // stored them.
-func (s *Store) ReinstateServer(server feedback.EntityID, recs []feedback.Feedback, acc Accumulator) error {
-	sh := s.shardOf(server)
+func (s *Store) ReinstateServer(hist *feedback.History, acc Accumulator) error {
+	if err := s.reinstate(hist, acc); err != nil {
+		return fmt.Errorf("store: reinstate of %q: %w", hist.Server(), err)
+	}
+	s.maybeEvict()
+	return nil
+}
+
+func (s *Store) reinstate(hist *feedback.History, acc Accumulator) error {
+	sh := s.shardOf(hist.Server())
 	sh.mu.Lock()
-	e := sh.byServ[server]
+	defer sh.mu.Unlock()
+	e := sh.byServ[hist.Server()]
 	if e == nil {
-		sh.mu.Unlock()
-		return fmt.Errorf("store: reinstate of %q: unknown server", server)
+		return errors.New("unknown server")
 	}
 	if e.hist != nil {
-		sh.mu.Unlock()
 		return nil // already resident
 	}
-	if len(recs) != e.count {
-		sh.mu.Unlock()
-		return fmt.Errorf("store: reinstate of %q: rebuilt %d records, stub has %d", server, len(recs), e.count)
+	if hist.Len() != e.count {
+		return fmt.Errorf("rebuilt %d records, stub has %d", hist.Len(), e.count)
 	}
-	hist, xor, err := loadSorted(server, recs)
+	xor, err := DigestSorted(hist)
 	if err != nil {
-		sh.mu.Unlock()
-		return fmt.Errorf("store: reinstate of %q: %w", server, err)
+		return err
 	}
 	if xor != e.xor {
-		sh.mu.Unlock()
-		return fmt.Errorf("store: reinstate of %q: digest mismatch (rebuilt %x, stub %x)", server, xor, e.xor)
+		return fmt.Errorf("digest mismatch (rebuilt %x, stub %x)", xor, e.xor)
 	}
 	e.hist = hist
 	e.count = 0
-	if acc != nil {
-		e.acc = acc
-		s.accTracked.Add(1)
-	} else if fp := s.accFactory.Load(); fp != nil {
-		if a := (*fp)(server); a != nil {
-			e.acc = a
-			s.accTracked.Add(1)
-			replayAccumulator(e.acc, e.hist)
-		}
-	}
-	e.touched.Store(true)
-	s.resizeLocked(e)
-	s.residentCount.Add(1)
+	s.adoptLocked(e, acc)
 	s.evictedCount.Add(-1)
 	s.reinstates.Add(1)
-	sh.mu.Unlock()
-	s.maybeEvict()
 	return nil
 }
 

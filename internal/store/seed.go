@@ -12,74 +12,77 @@ import (
 	"honestplayer/internal/feedback"
 )
 
-// SeedServer bulk-loads one server's complete history, as restored from a
-// verified snapshot. recs must be sorted by (time, hash) and duplicate-free —
-// the order and uniqueness Add would have produced — and the server must not
-// already hold records; violations are reported as errors, and leave the
-// store as it was, so the caller can fall back to a full replay.
+// SeedServer bulk-loads one server's complete history, as decoded from a
+// verified snapshot, and takes ownership of it. Its records must strictly
+// increase in (time, hash) — the order and uniqueness Add would have
+// produced — and the server must not already hold records; violations are
+// reported as errors, and leave the store as it was, so the caller can fall
+// back to a full replay.
 //
 // acc, when non-nil, becomes the server's incremental accumulator: its state
-// must already cover exactly recs. When acc is nil and an accumulator factory
+// must already cover exactly hist. When acc is nil and an accumulator factory
 // is installed, a fresh accumulator is minted and replayed, matching what the
 // equivalent Add sequence would have built.
-func (s *Store) SeedServer(server feedback.EntityID, recs []feedback.Feedback, acc Accumulator) error {
-	if len(recs) == 0 {
+func (s *Store) SeedServer(hist *feedback.History, acc Accumulator) error {
+	if hist.Len() == 0 {
 		return nil
 	}
+	server := hist.Server()
 	sh := s.shardOf(server)
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
 	if sh.byServ[server] != nil {
 		return fmt.Errorf("store: seed of %q: server already has records", server)
 	}
-	hist, xor, err := loadSorted(server, recs)
+	xor, err := DigestSorted(hist)
 	if err != nil {
 		return fmt.Errorf("store: seed of %q: %w", server, err)
 	}
-	e := &entry{hist: hist}
-	e.version = uint64(len(recs))
-	e.xor = xor
-	if acc != nil {
-		e.acc = acc
-		s.accTracked.Add(1)
-	} else if fp := s.accFactory.Load(); fp != nil {
-		if a := (*fp)(server); a != nil {
-			e.acc = a
-			s.accTracked.Add(1)
-			replayAccumulator(e.acc, e.hist)
-		}
-	}
-	e.touched.Store(true)
+	e := &entry{hist: hist, version: uint64(hist.Len()), xor: xor}
+	s.adoptLocked(e, acc)
 	sh.byServ[server] = e
-	s.resizeLocked(e)
-	s.residentCount.Add(1)
-	s.total.Add(int64(len(recs)))
-	s.global.Add(uint64(len(recs)))
+	s.total.Add(int64(hist.Len()))
+	s.global.Add(uint64(hist.Len()))
 	return nil
 }
 
-// loadSorted builds server's history from recs and returns it with the XOR
-// of its content hashes. Every record is validated, and (time, hash) must
-// strictly increase from one record to the next: what Add guarantees —
-// sorted, and no record twice — checked without a dedup set.
-func loadSorted(server feedback.EntityID, recs []feedback.Feedback) (*feedback.History, uint64, error) {
-	hist, err := feedback.NewHistoryFromRecords(server, recs)
-	if err != nil {
-		return nil, 0, err
-	}
-	var xor uint64
-	var prev Hash
-	for i := range recs {
-		h := HashAt(hist, i)
-		if i > 0 {
-			if a, b := hist.NanosAt(i-1), hist.NanosAt(i); a > b || a == b && prev >= h {
-				return nil, 0, fmt.Errorf("record %d: out of order or duplicate", i)
+// adoptLocked makes e, whose history was just loaded whole, resident: acc or,
+// without one, a factory-minted accumulator replayed over the history.
+func (s *Store) adoptLocked(e *entry, acc Accumulator) {
+	if acc == nil {
+		if fp := s.accFactory.Load(); fp != nil {
+			if acc = (*fp)(e.hist.Server()); acc != nil {
+				replayAccumulator(acc, e.hist)
 			}
 		}
-		xor ^= uint64(h)
-		prev = h
 	}
-	return hist, xor, nil
+	if acc != nil {
+		e.acc = acc
+		s.accTracked.Add(1)
+	}
+	e.touched.Store(true)
+	s.resizeLocked(e)
+	s.residentCount.Add(1)
+}
+
+// DigestSorted returns the XOR of h's content hashes — a server's
+// Checksum.XOR — after checking that (time, hash) strictly increases from one
+// record to the next: what Add guarantees, sorted and no record twice,
+// verified over the columns without a dedup set.
+func DigestSorted(h *feedback.History) (uint64, error) {
+	var xor uint64
+	var prev Hash
+	for i := 0; i < h.Len(); i++ {
+		hash := HashAt(h, i)
+		if i > 0 {
+			if a, b := h.NanosAt(i-1), h.NanosAt(i); a > b || a == b && prev >= hash {
+				return 0, fmt.Errorf("record %d: out of order or duplicate", i)
+			}
+		}
+		xor ^= uint64(hash)
+		prev = hash
+	}
+	return xor, nil
 }
 
 // ShardEntry is one server's state as seen by a SnapshotShard walk. Snap is

@@ -26,6 +26,17 @@ func seedRecs(server feedback.EntityID, n int) []feedback.Feedback {
 	return out
 }
 
+// histOf is recs, all of one server, as the history a snapshot section
+// decodes to.
+func histOf(t *testing.T, server feedback.EntityID, recs []feedback.Feedback) *feedback.History {
+	t.Helper()
+	h, err := feedback.NewHistoryFromRecords(server, recs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return h
+}
+
 // TestSeedServerMatchesAdd proves a seeded store is indistinguishable from
 // one built through Add: same histories, versions, checksums, dedup state,
 // and accumulator feed.
@@ -47,7 +58,7 @@ func TestSeedServerMatchesAdd(t *testing.T) {
 	seeded.SetAccumulatorFactory(func(feedback.EntityID) Accumulator {
 		return accFn(func(f feedback.Feedback) { seedFeed = append(seedFeed, f) })
 	})
-	if err := seeded.SeedServer("srv-seed", recs, nil); err != nil {
+	if err := seeded.SeedServer(histOf(t, "srv-seed", recs), nil); err != nil {
 		t.Fatalf("SeedServer: %v", err)
 	}
 
@@ -79,7 +90,7 @@ func TestSeedServerWithAccumulator(t *testing.T) {
 	s := NewSharded(2)
 	var feed []feedback.Feedback
 	acc := accFn(func(f feedback.Feedback) { feed = append(feed, f) })
-	if err := s.SeedServer("srv-acc", recs, acc); err != nil {
+	if err := s.SeedServer(histOf(t, "srv-acc", recs), acc); err != nil {
 		t.Fatal(err)
 	}
 	if len(feed) != 0 {
@@ -98,30 +109,25 @@ func TestSeedServerWithAccumulator(t *testing.T) {
 }
 
 // TestSeedServerRejects checks the strict preconditions: out-of-order or
-// duplicate records, wrong server, and double seeding all fail atomically.
+// duplicate records and double seeding fail atomically. (A record of another
+// server cannot be in the history to begin with: Append refuses it.)
 func TestSeedServerRejects(t *testing.T) {
 	recs := seedRecs("srv-rej", 5)
 	s := NewSharded(2)
 
 	swapped := append([]feedback.Feedback(nil), recs...)
 	swapped[1], swapped[2] = swapped[2], swapped[1]
-	if err := s.SeedServer("srv-rej", swapped, nil); err == nil {
+	if err := s.SeedServer(histOf(t, "srv-rej", swapped), nil); err == nil {
 		t.Fatal("out-of-order seed accepted")
 	}
 	if s.Len() != 0 || s.Version("srv-rej") != 0 {
 		t.Fatal("failed seed left state behind")
 	}
 
-	wrong := append([]feedback.Feedback(nil), recs...)
-	wrong[4].Server = "other"
-	if err := s.SeedServer("srv-rej", wrong, nil); err == nil {
-		t.Fatal("wrong-server record accepted")
-	}
-
-	if err := s.SeedServer("srv-rej", recs, nil); err != nil {
+	if err := s.SeedServer(histOf(t, "srv-rej", recs), nil); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.SeedServer("srv-rej", recs, nil); err == nil {
+	if err := s.SeedServer(histOf(t, "srv-rej", recs), nil); err == nil {
 		t.Fatal("double seed accepted")
 	}
 	if s.Len() != len(recs) {

@@ -238,20 +238,11 @@ func (s *Store) addLocked(sh *shard, f feedback.Feedback, h Hash) (bool, error) 
 		// record. The serving layer rebuilds the server and retries.
 		return false, fmt.Errorf("%w: %q", ErrEvicted, f.Server)
 	}
-	pos, dup := locate(e.hist, f.Time.UnixNano(), h)
-	if dup {
-		return false, nil
+	hist, inOrder, dup, err := merge(e.hist, f, h)
+	if dup || err != nil {
+		return false, err
 	}
-	inOrder := pos == e.hist.Len()
-	if inOrder {
-		// Append fast path: in-place, amortised O(1). Outstanding snapshots
-		// are unaffected — the append writes past their length.
-		if err := e.hist.Append(f); err != nil {
-			return false, err
-		}
-	} else {
-		e.hist = insertSorted(e.hist, pos, f)
-	}
+	e.hist = hist
 	fp := s.accFactory.Load()
 	switch {
 	case e.acc == nil:
@@ -297,6 +288,30 @@ func (s *Store) addLocked(sh *shard, f feedback.Feedback, h Hash) (bool, error) 
 	return true, nil
 }
 
+// Merge puts f where it belongs in h, which is sorted by (time, hash), and
+// returns the history that holds it: h itself, appended in place, when f is
+// newer than every record of h (inOrder), else a rebuilt copy. dup reports
+// that h already holds f and is returned untouched; an invalid f, or one for
+// another server, is an error. The persistence layer merges a rebuilt
+// server's tail records with it.
+func Merge(h *feedback.History, f feedback.Feedback) (out *feedback.History, inOrder, dup bool, err error) {
+	return merge(h, f, HashOf(f))
+}
+
+func merge(h *feedback.History, f feedback.Feedback, hash Hash) (out *feedback.History, inOrder, dup bool, err error) {
+	pos, dup := locate(h, f.Time.UnixNano(), hash)
+	if dup {
+		return h, false, true, nil
+	}
+	if pos < h.Len() {
+		out, err = insertSorted(h, pos, f)
+		return out, false, false, err
+	}
+	// Append fast path: in-place, amortised O(1). Outstanding snapshots are
+	// unaffected — the append writes past their length.
+	return h, true, false, h.Append(f)
+}
+
 // locate finds where a record with the given time and content hash belongs
 // in h, which is sorted by (time, hash), and whether h already holds it —
 // the history is its own dedup index. A record newer than the newest one
@@ -316,7 +331,7 @@ func locate(h *feedback.History, nanos int64, hash Hash) (pos int, dup bool) {
 // Out-of-order arrivals are the rare path (gossip deltas, ledger replays of
 // interleaved servers), so the O(n) rebuild is acceptable; a fresh backing
 // array (rather than an in-place shift) keeps old snapshots untouched.
-func insertSorted(h *feedback.History, pos int, f feedback.Feedback) *feedback.History {
+func insertSorted(h *feedback.History, pos int, f feedback.Feedback) (*feedback.History, error) {
 	n := h.Len()
 	out := feedback.NewHistory(h.Server())
 	out.Grow(n + 1)
@@ -324,11 +339,13 @@ func insertSorted(h *feedback.History, pos int, f feedback.Feedback) *feedback.H
 		// Records re-appended from a valid history cannot fail.
 		_ = out.Append(h.At(i))
 	}
-	_ = out.Append(f)
+	if err := out.Append(f); err != nil {
+		return nil, err
+	}
 	for i := pos; i < n; i++ {
 		_ = out.Append(h.At(i))
 	}
-	return out
+	return out, nil
 }
 
 // AddAll inserts records, returning how many were new.

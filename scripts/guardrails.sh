@@ -10,6 +10,7 @@
 #     and nothing outside bench/ imports bench
 #   - what an ADR deleted stays deleted
 #   - histories are columnar and are their own dedup index (ADR 0004)
+#   - a snapshot section is a history's columns, never records (ADR 0005)
 #   - one door into a node (ADR 0003): only internal/repserver listens
 #
 # Run from anywhere: bash scripts/guardrails.sh
@@ -58,15 +59,21 @@ check "nothing outside bench/ imports it" \
 # 0001: fwd.submit, appendJSONLine, -arena-cap. 0002: kGrid.
 # 0003: BatchRecorder, GossipPeers, MissingFrom.
 # 0004: ReserveFor, a seen map[Hash] dedup set, []Feedback inside History.
+# 0005: loadSorted, lessFeedback, snapServer.recs, []Feedback in snapshot.go.
 check "wire type fwd.submit stays deleted (ADR 0001)" "absent '\"fwd\.submit\"'"
 check "flag -arena-cap stays deleted (ADR 0001)" "absent '\"arena-cap\"'"
-for sym in appendJSONLine kGrid BatchRecorder GossipPeers MissingFrom ReserveFor; do
+for sym in appendJSONLine kGrid BatchRecorder GossipPeers MissingFrom ReserveFor loadSorted lessFeedback; do
     check "$sym stays deleted" "absent '\b$sym\b'"
 done
 check "no seen map[Hash] dedup set in internal/store (ADR 0004)" \
     "absent '\bseen\s+map\[Hash\]' internal/store"
 check "no []Feedback struct field in internal/feedback (ADR 0004)" \
     "absent '^\s+\w+\s+\[\]Feedback\b' internal/feedback"
+
+check "no []feedback.Feedback in internal/ledger/snapshot.go (ADR 0005)" \
+    "! grep -nE '\[\]feedback\.Feedback' internal/ledger/snapshot.go | grep -q ."
+check "snapServer holds no record slice (ADR 0005)" \
+    "absent '^\s+recs\s+\[\]' internal/ledger/snapshot.go"
 
 # --- one door into a node (ADR 0003) -----------------------------------------
 check "net.Listen only in internal/repserver" \
