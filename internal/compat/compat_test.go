@@ -1,9 +1,11 @@
 package compat
 
 import (
+	"bufio"
 	"context"
 	"errors"
 	"fmt"
+	"net"
 	"os"
 	"reflect"
 	"testing"
@@ -246,4 +248,103 @@ func runCell(t *testing.T, cm clientMode, sm serverMode) {
 	if want == "json" && st.V2Connections != 0 {
 		t.Fatalf("server counted %d v2 connections for a JSON client", st.V2Connections)
 	}
+}
+
+// previousVersionServer is a node built before the last codec revision, as
+// far as a handshake can tell: it acks a hello with the version before
+// wire.VersionV2 — the old ReadHello accepted any offer at or above its own —
+// and serves JSON connections.
+func previousVersionServer(t *testing.T) string {
+	t.Helper()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = ln.Close() })
+	go func() {
+		for {
+			conn, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			go func() {
+				defer func() { _ = conn.Close() }()
+				r := bufio.NewReader(conn)
+				if first, err := r.Peek(1); err != nil {
+					return
+				} else if first[0] == wire.HelloMagic {
+					if _, err := r.Discard(5); err == nil {
+						_, _ = conn.Write([]byte{wire.HelloMagic, 'W', '2', wire.VersionV2 - 1})
+						_, _ = r.ReadByte() // a client that goes on would get rows; wait for it to hang up
+					}
+					return
+				}
+				for {
+					env, err := wire.Read(r)
+					if err != nil {
+						return
+					}
+					pong, _ := wire.Encode(wire.TypePong, env.ID, nil)
+					if wire.Write(conn, pong) != nil {
+						return
+					}
+				}
+			}()
+		}
+	}()
+	return ln.Addr().String()
+}
+
+// TestPreviousVersionPeers: wire.VersionV2 changed what an assessment looks
+// like on a binary frame and kept no reader for the old layout, so peers one
+// version apart must part at the handshake — in both directions, and never
+// by way of a decode error.
+func TestPreviousVersionPeers(t *testing.T) {
+	t.Run("old_client_vs_this_server", func(t *testing.T) {
+		srv, _ := startServer(t, serverMode{name: "v2"})
+		conn, err := net.Dial("tcp", srv.Addr())
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer func() { _ = conn.Close() }()
+		_ = conn.SetDeadline(time.Now().Add(3 * time.Second))
+		if _, err := conn.Write([]byte{wire.HelloMagic, 'W', '2', wire.VersionV2 - 1, '\n'}); err != nil {
+			t.Fatal(err)
+		}
+		// Refused like any too-old hello: the JSON id-0 error frame, which an
+		// old client's ReadHelloAck reports as ErrNotV2 (auto falls back to
+		// JSON on it, v2 fails the dial), and then the connection closes.
+		r := bufio.NewReader(conn)
+		if err := wire.ReadHelloAck(r); !errors.Is(err, wire.ErrNotV2) {
+			t.Fatalf("ack to an old hello: %v, want wire.ErrNotV2", err)
+		}
+		if _, err := r.ReadBytes('\n'); err != nil {
+			t.Fatalf("rest of the error frame: %v", err)
+		}
+		if _, err := r.ReadByte(); err == nil {
+			t.Fatal("connection still open after the refused hello")
+		}
+		if got := srv.Stats().V2Connections; got != 0 {
+			t.Fatalf("server counts %d v2 connections", got)
+		}
+	})
+	t.Run("auto_client_vs_old_server", func(t *testing.T) {
+		c, err := repclient.Dial(previousVersionServer(t), repclient.WithProtocol(repclient.ProtoAuto), repclient.WithTimeout(3*time.Second))
+		if err != nil {
+			t.Fatalf("dial: %v", err)
+		}
+		defer func() { _ = c.Close() }()
+		if got := c.Protocol(); got != "json" {
+			t.Fatalf("negotiated %q, want the JSON fallback", got)
+		}
+		if err := c.Ping(); err != nil {
+			t.Fatalf("ping over the fallback: %v", err)
+		}
+	})
+	t.Run("v2_client_vs_old_server", func(t *testing.T) {
+		_, err := repclient.Dial(previousVersionServer(t), repclient.WithProtocol(repclient.ProtoV2), repclient.WithTimeout(3*time.Second))
+		if !errors.Is(err, wire.ErrBadVersion) || errors.Is(err, wire.ErrBadMessage) {
+			t.Fatalf("dial err = %v, want wire.ErrBadVersion", err)
+		}
+	})
 }

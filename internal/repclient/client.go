@@ -50,14 +50,16 @@ type Proto int
 
 const (
 	// ProtoAuto attempts the v2 handshake and falls back to JSON when the
-	// server does not speak v2. The fallback is sticky: once a server
-	// answers in JSON, redials skip the handshake.
+	// server does not speak v2, or acks a version of it this client does not
+	// (wire.VersionV2). The fallback is sticky: once a server answers in
+	// JSON, redials skip the handshake.
 	ProtoAuto Proto = iota
 	// ProtoJSON speaks the v1 JSON protocol only — byte-for-byte the
 	// pre-v2 client, lock-step over one connection.
 	ProtoJSON
 	// ProtoV2 requires the binary v2 protocol; dialing a JSON-only server
-	// fails with an error matching wire.ErrNotV2.
+	// fails with an error matching wire.ErrNotV2, one that acks another
+	// version with wire.ErrBadVersion.
 	ProtoV2
 )
 
@@ -159,11 +161,13 @@ func (c *Client) connectLocked(ctx context.Context) error {
 			return nil
 		}
 		_ = nc.Close()
-		if c.proto == ProtoV2 || !errors.Is(nerr, wire.ErrNotV2) {
+		if c.proto == ProtoV2 || !errors.Is(nerr, wire.ErrNotV2) && !errors.Is(nerr, wire.ErrBadVersion) {
 			return nerr
 		}
-		// ProtoAuto against a JSON-only server: it answered the hello with
-		// its id-0 error frame and closed, so redial and speak JSON. Pin
+		// ProtoAuto against a server without this client's binary protocol:
+		// a JSON-only one answered the hello with its id-0 error frame and
+		// closed, one built before a codec revision acked a version this
+		// client has no decoder for. Either way redial and speak JSON. Pin
 		// the choice so redials skip the wasted handshake round trip.
 		c.proto = ProtoJSON
 		if nc, err = d.DialContext(ctx, "tcp", c.addr); err != nil {

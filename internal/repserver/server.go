@@ -650,8 +650,9 @@ func (s *Server) handleV2(c *conn, reader *bufio.Reader) {
 
 // serve is the request loop of one connection, in either framing. Each
 // request runs through the service pipeline with the server's base context;
-// handler errors become error frames (the connection survives them), write
-// failures end the connection.
+// handler errors become error frames (the connection survives them), and so
+// does a response too large to frame; other write failures end the
+// connection.
 func (s *Server) serve(c *conn, f framing) {
 	ctx := service.WithCodec(s.baseCtx, f.codec)
 	abandoned := false
@@ -702,7 +703,16 @@ func (s *Server) serve(c *conn, f framing) {
 			// pins the buffer hand-over under -race).
 			abandoned = errors.Is(herr, context.DeadlineExceeded) || errors.Is(herr, context.Canceled)
 		}
-		if err := f.write(resp); err != nil {
+		err = f.write(resp)
+		if errors.Is(err, wire.ErrFrameTooLarge) {
+			// Both framings check the size before the first byte, so nothing
+			// of the response is on the wire: the request is answered with
+			// an error it can be matched to, and the connection lives on.
+			s.nErrors.Add(1)
+			err = f.write(service.ErrorEnvelopeCodec(f.codec, env.ID,
+				service.Errorf(wire.CodeResponseTooLarge, "%s response: %v (limit %d)", resp.Type, err, wire.MaxFrame)))
+		}
+		if err != nil {
 			s.nErrors.Add(1)
 			s.logf("conn %s: write %s response: %v", c.nc.RemoteAddr(), env.Type, err)
 			return

@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"net"
 	"path/filepath"
 	"strings"
@@ -466,6 +467,38 @@ func TestOversizedFrameRejected(t *testing.T) {
 			return // EOF/reset: connection terminated as required
 		}
 	}
+}
+
+// TestResponseTooLargeIsAnErrorFrame: a response that encodes above
+// wire.MaxFrame used to fail the write and drop the connection, taking every
+// pipelined request with it and telling the client nothing. It must come back
+// as an error frame for that request, and the same connection must keep
+// serving. Unknown servers make the cheapest oversized response — each error
+// slot names its server twice, so 256 ids of 9 KB fit a request frame and
+// overflow the response.
+func TestResponseTooLargeIsAnErrorFrame(t *testing.T) {
+	eachFraming(t, func(t *testing.T, proto repclient.Option) {
+		srv := startServer(t)
+		c := dial(t, srv, proto)
+		ids := make([]feedback.EntityID, wire.MaxAssessBatch)
+		for i := range ids {
+			ids[i] = feedback.EntityID(fmt.Sprintf("%03d%s", i, strings.Repeat("x", 9000)))
+		}
+		_, err := c.AssessBatch(ids, 0.5)
+		var typed *wire.ErrorResponse
+		if !errors.As(err, &typed) || typed.Code != wire.CodeResponseTooLarge {
+			t.Fatalf("oversized response: err = %v, want a %s error frame", err, wire.CodeResponseTooLarge)
+		}
+		if err := c.Ping(); err != nil {
+			t.Fatalf("ping after the oversized response: %v", err)
+		}
+		if items, err := c.AssessBatch(ids[:8], 0.5); err != nil || len(items) != 8 {
+			t.Fatalf("smaller batch afterwards: %d items, err %v", len(items), err)
+		}
+		if got := srv.Stats().Connections; got != 1 {
+			t.Fatalf("server accepted %d connections, want 1: the client had to redial", got)
+		}
+	})
 }
 
 // TestStatsCounters pins the /metricz keys and what the batch counters

@@ -7,9 +7,11 @@
 // binary codec ride v2 frames with JSON payload bytes and the
 // flagJSONPayload bit set, so every type can cross a v2 connection.
 //
-// Encodings are strict on decode: trailing bytes, oversized counts, and
-// truncated fields all fail with ErrBadMessage — the decoder never trusts a
-// count further than the bytes backing it.
+// Encodings are strict on decode: trailing bytes, oversized counts,
+// non-shortest varints, unknown flag bits and truncated fields all fail with
+// ErrBadMessage — the decoder never trusts a count further than the bytes
+// backing it (every count is bounded by its element's smallest encoding, and
+// by the protocol's batch caps, before anything is allocated).
 package wire
 
 import (
@@ -62,9 +64,9 @@ func appendBinaryPayload(buf []byte, payload any) ([]byte, bool, error) {
 	case *AssessRequest:
 		return appendAssessRequest(buf, *p), true, nil
 	case AssessResponse:
-		return appendAssessResponse(buf, p), true, nil
+		return appendAssessResponse(buf, p, ""), true, nil
 	case *AssessResponse:
-		return appendAssessResponse(buf, *p), true, nil
+		return appendAssessResponse(buf, *p, ""), true, nil
 	case AssessBatchRequest:
 		return appendAssessBatchRequest(buf, p), true, nil
 	case *AssessBatchRequest:
@@ -125,7 +127,7 @@ func decodeBinaryPayload(t MsgType, buf []byte, out any) error {
 	case *AssessRequest:
 		err = r.assessRequest(o)
 	case *AssessResponse:
-		err = r.assessResponse(o)
+		err = r.assessResponse(o, "")
 	case *AssessBatchRequest:
 		err = r.assessBatchRequest(o)
 	case *AssessBatchResponse:
@@ -239,20 +241,30 @@ const (
 	assessFlagCached      byte = 1 << 1
 	assessFlagIncremental byte = 1 << 2
 	assessFlagMerged      byte = 1 << 3
+	assessFlagsKnown           = assessFlagAccept | assessFlagCached | assessFlagIncremental | assessFlagMerged
 
 	asmtFlagSuspicious   byte = 1 << 0
 	asmtFlagShortHistory byte = 1 << 1
 	asmtFlagVerdict      byte = 1 << 2
 	asmtFlagHonest       byte = 1 << 3
+	// asmtFlagServer: the assessed server is not the enclosing batch item's
+	// and rides explicitly. A batch item names its server once.
+	asmtFlagServer byte = 1 << 4
+	asmtFlagsKnown      = asmtFlagSuspicious | asmtFlagShortHistory | asmtFlagVerdict | asmtFlagHonest | asmtFlagServer
 )
 
-func appendAssessment(buf []byte, a core.Assessment) []byte {
+// appendAssessment encodes a inside an item that already named the server
+// item ("" outside a batch).
+func appendAssessment(buf []byte, a core.Assessment, item feedback.EntityID) []byte {
 	var flags byte
 	if a.Suspicious {
 		flags |= asmtFlagSuspicious
 	}
 	if a.ShortHistory {
 		flags |= asmtFlagShortHistory
+	}
+	if a.Server != item {
+		flags |= asmtFlagServer
 	}
 	hasVerdict := a.Verdict.Honest || len(a.Verdict.Suffixes) > 0
 	if hasVerdict {
@@ -262,27 +274,21 @@ func appendAssessment(buf []byte, a core.Assessment) []byte {
 		}
 	}
 	buf = append(buf, flags)
-	buf = appendString(buf, string(a.Server))
+	if a.Server != item {
+		buf = appendString(buf, string(a.Server))
+	}
 	buf = appendFloat(buf, a.Trust)
 	buf = appendFloat(buf, a.TrustLow)
 	buf = appendFloat(buf, a.TrustHigh)
 	buf = appendString(buf, a.Tester)
 	buf = appendString(buf, a.TrustFunc)
 	if hasVerdict {
-		buf = binary.AppendUvarint(buf, uint64(len(a.Verdict.Suffixes)))
-		for _, s := range a.Verdict.Suffixes {
-			buf = binary.AppendUvarint(buf, uint64(s.Transactions))
-			buf = binary.AppendUvarint(buf, uint64(s.Windows))
-			buf = appendFloat(buf, s.PHat)
-			buf = appendFloat(buf, s.Distance)
-			buf = appendFloat(buf, s.Threshold)
-			buf = appendBool(buf, s.Pass)
-		}
+		buf = appendVerdictTable(buf, a.Verdict.Suffixes)
 	}
 	return buf
 }
 
-func appendAssessResponse(buf []byte, p AssessResponse) []byte {
+func appendAssessResponse(buf []byte, p AssessResponse, item feedback.EntityID) []byte {
 	var flags byte
 	if p.Accept {
 		flags |= assessFlagAccept
@@ -297,7 +303,7 @@ func appendAssessResponse(buf []byte, p AssessResponse) []byte {
 		flags |= assessFlagMerged
 	}
 	buf = append(buf, flags)
-	buf = appendAssessment(buf, p.Assessment)
+	buf = appendAssessment(buf, p.Assessment, item)
 	if p.Merged {
 		buf = binary.AppendUvarint(buf, uint64(len(p.MergedFrom)))
 		for _, n := range p.MergedFrom {
@@ -324,7 +330,7 @@ func appendAssessBatchResponse(buf []byte, p AssessBatchResponse) []byte {
 			buf = appendErrorResponse(buf, *item.Error)
 		} else {
 			buf = append(buf, 0)
-			buf = appendAssessResponse(buf, item.AssessResponse)
+			buf = appendAssessResponse(buf, item.AssessResponse, item.Server)
 		}
 	}
 	return buf
@@ -356,7 +362,7 @@ func appendNodeAssessment(buf []byte, p NodeAssessment) []byte {
 	buf = binary.AppendUvarint(buf, uint64(records))
 	buf = binary.AppendUvarint(buf, p.Version)
 	buf = binary.AppendUvarint(buf, p.XOR)
-	return appendAssessResponse(buf, p.AssessResponse)
+	return appendAssessResponse(buf, p.AssessResponse, "")
 }
 
 func appendFwdBatchRequest(buf []byte, p FwdBatchRequest) ([]byte, error) {
@@ -406,26 +412,38 @@ func (r *breader) byte() (byte, error) {
 	return b, nil
 }
 
+// uvarint reads one uvarint in its shortest form, the only one an encoder
+// writes.
 func (r *breader) uvarint() (uint64, error) {
 	v, n := binary.Uvarint(r.buf)
-	if n <= 0 {
+	if n <= 0 || n > 1 && r.buf[n-1] == 0 {
 		return 0, fmt.Errorf("bad uvarint")
 	}
 	r.buf = r.buf[n:]
 	return v, nil
 }
 
-// count reads a collection count and rejects any value that could not be
-// backed by the remaining bytes (each element occupies at least one byte).
-func (r *breader) count() (int, error) {
+// count reads a collection count and rejects any value the remaining bytes
+// could not back at elemMin bytes — the element's smallest encoding — each,
+// so what a caller allocates for the count stays proportional to the frame.
+func (r *breader) count(elemMin int) (int, error) {
 	v, err := r.uvarint()
 	if err != nil {
 		return 0, err
 	}
-	if v > uint64(len(r.buf)) {
-		return 0, fmt.Errorf("count %d exceeds %d remaining bytes", v, len(r.buf))
+	if v > uint64(len(r.buf)/elemMin) {
+		return 0, fmt.Errorf("count %d exceeds %d remaining bytes at %d each", v, len(r.buf), elemMin)
 	}
 	return int(v), nil
+}
+
+// batchCount is count for a collection the protocol caps.
+func (r *breader) batchCount(elemMin, most int) (int, error) {
+	n, err := r.count(elemMin)
+	if err == nil && n > most {
+		err = fmt.Errorf("count %d exceeds the protocol's cap of %d", n, most)
+	}
+	return n, err
 }
 
 func (r *breader) int() (int, error) {
@@ -449,7 +467,7 @@ func (r *breader) float() (float64, error) {
 }
 
 func (r *breader) string() (string, error) {
-	n, err := r.count()
+	n, err := r.count(1)
 	if err != nil {
 		return "", err
 	}
@@ -468,7 +486,9 @@ func (r *breader) record() (feedback.Feedback, error) {
 }
 
 func (r *breader) records() ([]feedback.Feedback, error) {
-	n, err := r.count()
+	// feedback.AppendBinary: 8 B time, 1 B rating, two 2 B lengths, two
+	// non-empty IDs.
+	n, err := r.count(8 + 1 + 2 + 1 + 2 + 1)
 	if err != nil {
 		return nil, err
 	}
@@ -492,7 +512,7 @@ func (r *breader) batchResponse(o *BatchResponse) error {
 	if o.Duplicates, err = r.int(); err != nil {
 		return err
 	}
-	n, err := r.count()
+	n, err := r.batchCount(2, MaxSubmitBatch) // an index byte and an empty reason
 	if err != nil {
 		return err
 	}
@@ -506,7 +526,7 @@ func (r *breader) batchResponse(o *BatchResponse) error {
 		}
 		o.Rejected = append(o.Rejected, rej)
 	}
-	ni, err := r.count()
+	ni, err := r.batchCount(1, MaxSubmitBatch) // a kind byte
 	if err != nil {
 		return err
 	}
@@ -564,18 +584,28 @@ func (r *breader) assessRequest(o *AssessRequest) error {
 	return err
 }
 
-func (r *breader) assessment(o *core.Assessment) error {
+// assessment decodes what appendAssessment wrote inside an item naming the
+// server item ("" outside a batch).
+func (r *breader) assessment(o *core.Assessment, item feedback.EntityID) error {
 	flags, err := r.byte()
 	if err != nil {
 		return err
 	}
+	if flags&^asmtFlagsKnown != 0 || flags&(asmtFlagVerdict|asmtFlagHonest) == asmtFlagHonest {
+		return fmt.Errorf("assessment flags %#x", flags)
+	}
 	o.Suspicious = flags&asmtFlagSuspicious != 0
 	o.ShortHistory = flags&asmtFlagShortHistory != 0
-	s, err := r.string()
-	if err != nil {
-		return err
+	o.Server = item
+	if flags&asmtFlagServer != 0 {
+		s, err := r.string()
+		if err != nil {
+			return err
+		}
+		if o.Server = feedback.EntityID(s); o.Server == item {
+			return fmt.Errorf("assessment repeats its item's server")
+		}
 	}
-	o.Server = feedback.EntityID(s)
 	if o.Trust, err = r.float(); err != nil {
 		return err
 	}
@@ -591,57 +621,38 @@ func (r *breader) assessment(o *core.Assessment) error {
 	if o.TrustFunc, err = r.string(); err != nil {
 		return err
 	}
+	o.Verdict = behavior.Verdict{Honest: flags&asmtFlagHonest != 0}
 	if flags&asmtFlagVerdict == 0 {
-		o.Verdict = behavior.Verdict{}
 		return nil
 	}
-	o.Verdict.Honest = flags&asmtFlagHonest != 0
-	n, err := r.count()
-	if err != nil {
+	if o.Verdict.Suffixes, err = r.verdictTable(); err != nil {
 		return err
 	}
-	o.Verdict.Suffixes = nil
-	for i := 0; i < n; i++ {
-		var sr behavior.SuffixResult
-		if sr.Transactions, err = r.int(); err != nil {
-			return err
-		}
-		if sr.Windows, err = r.int(); err != nil {
-			return err
-		}
-		if sr.PHat, err = r.float(); err != nil {
-			return err
-		}
-		if sr.Distance, err = r.float(); err != nil {
-			return err
-		}
-		if sr.Threshold, err = r.float(); err != nil {
-			return err
-		}
-		if sr.Pass, err = r.bool(); err != nil {
-			return err
-		}
-		o.Verdict.Suffixes = append(o.Verdict.Suffixes, sr)
+	if !o.Verdict.Honest && o.Verdict.Suffixes == nil {
+		return fmt.Errorf("verdict flag on an empty verdict")
 	}
 	return nil
 }
 
-func (r *breader) assessResponse(o *AssessResponse) error {
+func (r *breader) assessResponse(o *AssessResponse, item feedback.EntityID) error {
 	flags, err := r.byte()
 	if err != nil {
 		return err
+	}
+	if flags&^assessFlagsKnown != 0 {
+		return fmt.Errorf("assess response flags %#x", flags)
 	}
 	o.Accept = flags&assessFlagAccept != 0
 	o.Cached = flags&assessFlagCached != 0
 	o.Incremental = flags&assessFlagIncremental != 0
 	o.Merged = flags&assessFlagMerged != 0
-	if err := r.assessment(&o.Assessment); err != nil {
+	if err := r.assessment(&o.Assessment, item); err != nil {
 		return err
 	}
 	if !o.Merged {
 		return nil
 	}
-	n, err := r.count()
+	n, err := r.count(1)
 	if err != nil {
 		return err
 	}
@@ -656,7 +667,7 @@ func (r *breader) assessResponse(o *AssessResponse) error {
 }
 
 func (r *breader) assessBatchRequest(o *AssessBatchRequest) error {
-	n, err := r.count()
+	n, err := r.batchCount(1, MaxAssessBatch)
 	if err != nil {
 		return err
 	}
@@ -673,7 +684,9 @@ func (r *breader) assessBatchRequest(o *AssessBatchRequest) error {
 }
 
 func (r *breader) assessBatchResponse(o *AssessBatchResponse) error {
-	n, err := r.count()
+	// The smallest item is an error slot: an empty server, the kind byte and
+	// two empty strings.
+	n, err := r.batchCount(4, MaxAssessBatch)
 	if err != nil {
 		return err
 	}
@@ -694,7 +707,7 @@ func (r *breader) assessBatchResponse(o *AssessBatchResponse) error {
 		}
 		switch kind {
 		case 0:
-			if err := r.assessResponse(&item.AssessResponse); err != nil {
+			if err := r.assessResponse(&item.AssessResponse, item.Server); err != nil {
 				return err
 			}
 		case 1:
@@ -749,7 +762,7 @@ func (r *breader) nodeAssessment(o *NodeAssessment) error {
 	if o.XOR, err = r.uvarint(); err != nil {
 		return err
 	}
-	return r.assessResponse(&o.AssessResponse)
+	return r.assessResponse(&o.AssessResponse, "")
 }
 
 func (r *breader) fwdBatchRequest(o *FwdBatchRequest) error {

@@ -3,11 +3,14 @@ package wire
 import (
 	"bufio"
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"io"
+	"math"
 	"reflect"
 	"testing"
 
+	"honestplayer/internal/behavior"
 	"honestplayer/internal/feedback"
 )
 
@@ -172,6 +175,109 @@ func FuzzSubmitBatch(f *testing.F) {
 		}
 		if !reflect.DeepEqual(dest, dest2) {
 			t.Fatalf("%s payload not lossless:\n first: %+v\nsecond: %+v", typ, dest, dest2)
+		}
+	})
+}
+
+// fuzzRows builds a verdict table from fuzz bytes, 28 per row: a control
+// byte steers each field between what a tester writes (counts in step, PHat
+// on the g/Transactions grid, thresholds in runs, Pass following from the
+// floats) and arbitrary bit patterns, so the fuzzer reaches every mix of
+// derived and explicit columns.
+func fuzzRows(data []byte) []behavior.SuffixResult {
+	var rows []behavior.SuffixResult
+	var prev behavior.SuffixResult
+	for ; len(data) >= 28; data = data[28:] {
+		ctl := data[0]
+		raw := func(at int) float64 { return math.Float64frombits(binary.BigEndian.Uint64(data[at:])) }
+		s := behavior.SuffixResult{
+			Transactions: prev.Transactions + int(int16(binary.BigEndian.Uint16(data[1:]))),
+			Windows:      int(int8(data[3])),
+			PHat:         raw(4),
+			Distance:     raw(12),
+			Threshold:    raw(20),
+			Pass:         ctl&16 != 0,
+		}
+		if ctl&32 != 0 {
+			s.Transactions = int(int64(binary.BigEndian.Uint64(data[4:])))
+		}
+		if ctl&1 != 0 {
+			s.Windows = s.Transactions / 10
+		}
+		if ctl&2 != 0 && s.Transactions > 0 {
+			s.PHat = float64(int(data[4])%(s.Transactions+1)) / float64(s.Transactions)
+		}
+		if ctl&4 != 0 {
+			s.Threshold = prev.Threshold
+		}
+		if ctl&8 != 0 {
+			s.Pass = s.Distance <= s.Threshold
+		}
+		rows = append(rows, s)
+		prev = s
+	}
+	return rows
+}
+
+// FuzzVerdictTable drives the verdict-table codec from both ends. As bytes
+// off the wire: no panic, no more rows than the bytes could back, and
+// anything accepted re-encodes to the bytes it came from. As rows to send:
+// whatever the floats and counts hold, the table that arrives has the same
+// bits in every field.
+func FuzzVerdictTable(f *testing.F) {
+	f.Add(appendVerdictTable(nil, testAssessment().Verdict.Suffixes))
+	f.Add(appendVerdictTable(nil, []behavior.SuffixResult{
+		{Transactions: 7, Windows: 3, PHat: math.NaN(), Distance: math.Inf(1), Threshold: math.Copysign(0, -1), Pass: true},
+	}))
+	f.Add(bytes.Repeat([]byte{0x0f, 0xff, 0xf6, 0, 7}, 40)) // rows in step, on the grid
+	f.Add(bytes.Repeat([]byte{0x20, 0x7f, 0xf8, 1}, 21))
+	f.Add([]byte{0xff, 0xff, 0xff, 0xff, 0x0f, 0})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		r := &breader{buf: data}
+		if rows, err := r.verdictTable(); err == nil {
+			used := data[:len(data)-len(r.buf)]
+			if len(rows)*10 > len(used) {
+				t.Fatalf("%d rows out of %d bytes", len(rows), len(used))
+			}
+			if again := appendVerdictTable(nil, rows); !bytes.Equal(again, used) {
+				t.Fatalf("accepted %x, which encodes as %x", used, again)
+			}
+		}
+		checkTable(t, fuzzRows(data))
+	})
+}
+
+// FuzzAssessBatchResponse drives the two batch-response decoders — on a door
+// node the second reads whatever a peer sends — over arbitrary payload bytes:
+// no panic, never more items than the protocol's cap, and a payload is
+// accepted only in the one form the encoder writes.
+func FuzzAssessBatchResponse(f *testing.F) {
+	for typ, payload := range v2Payloads() {
+		if typ == TypeAssessBR || typ == TypeFwdAssessBR {
+			env, err := V2Codec.Encode(typ, 1, payload)
+			if err != nil {
+				f.Fatal(err)
+			}
+			f.Add(typ == TypeFwdAssessBR, []byte(env.Payload))
+		}
+	}
+	f.Add(false, binary.AppendUvarint(nil, MaxFrame))
+	f.Add(true, []byte{1, 'n', 0xff, 0x01, 0, 0})
+	f.Fuzz(func(t *testing.T, fwd bool, data []byte) {
+		typ, dest := TypeAssessBR, any(new(AssessBatchResponse))
+		if fwd {
+			typ, dest = TypeFwdAssessBR, new(FwdAssessBatchResponse)
+		}
+		if err := decodeBinaryPayload(typ, data, dest); err != nil {
+			return
+		}
+		items := reflect.ValueOf(dest).Elem().FieldByName("Items").Len()
+		if items > MaxAssessBatch || items*4 > len(data) {
+			t.Fatalf("%d items out of %d bytes", items, len(data))
+		}
+		again, ok, err := appendBinaryPayload(nil, dest)
+		if !ok || err != nil || !bytes.Equal(again, data) {
+			t.Fatalf("accepted %x, which encodes as %x (%v)", data, again, err)
 		}
 	})
 }

@@ -126,6 +126,11 @@ func TestReadHelloRejectsGarbage(t *testing.T) {
 	if _, err := ReadHello(strings.NewReader("\xb2W2\x01\n")); !errors.Is(err, ErrBadVersion) {
 		t.Fatalf("old version: got %v, want ErrBadVersion", err)
 	}
+	// So is the version before this one, which wrote verdicts as rows: the
+	// refusal at the hello is what keeps its frames from being mis-decoded.
+	if _, err := ReadHello(bytes.NewReader([]byte{HelloMagic, 'W', '2', VersionV2 - 1, '\n'})); !errors.Is(err, ErrBadVersion) {
+		t.Fatalf("previous version: got %v, want ErrBadVersion", err)
+	}
 	// Future versions are accepted and reported.
 	ver, err := ReadHello(strings.NewReader("\xb2W2\x07\n"))
 	if err != nil || ver != 7 {
@@ -137,6 +142,17 @@ func TestReadHelloAckDetectsJSONFallback(t *testing.T) {
 	err := ReadHelloAck(strings.NewReader(`{"v":1,"type":"error","id":0,"payload":{}}` + "\n"))
 	if !errors.Is(err, ErrNotV2) {
 		t.Fatalf("got %v, want ErrNotV2", err)
+	}
+}
+
+// TestReadHelloAckRefusesPreviousVersion: a server built before the codec
+// revision acks its own version, and the client must stop there — a version
+// error, distinct from "not v2 at all" — rather than go on to decode frames
+// in a layout it has no reader for.
+func TestReadHelloAckRefusesPreviousVersion(t *testing.T) {
+	err := ReadHelloAck(bytes.NewReader([]byte{HelloMagic, 'W', '2', VersionV2 - 1}))
+	if !errors.Is(err, ErrBadVersion) || errors.Is(err, ErrNotV2) {
+		t.Fatalf("got %v, want ErrBadVersion", err)
 	}
 }
 

@@ -1,0 +1,443 @@
+package wire
+
+import (
+	"encoding/binary"
+	"fmt"
+	"math"
+	"math/rand"
+	"reflect"
+	"runtime"
+	"strings"
+	"testing"
+	"time"
+
+	"honestplayer/internal/behavior"
+	"honestplayer/internal/core"
+	"honestplayer/internal/feedback"
+	"honestplayer/internal/stats"
+	"honestplayer/internal/trust"
+)
+
+// honestHistory is n transactions of a server that is good with probability
+// p, rated by a pool of clients — the shape the benchmark's histories have.
+func honestHistory(t testing.TB, server feedback.EntityID, n int, p float64, seed int64) *feedback.History {
+	t.Helper()
+	rng := rand.New(rand.NewSource(seed))
+	h := feedback.NewHistory(server)
+	for i := 0; i < n; i++ {
+		client := feedback.EntityID(fmt.Sprintf("c%02d", rng.Intn(40)))
+		if err := h.AppendOutcome(client, rng.Float64() < p, time.Unix(int64(1000+i), 0)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return h
+}
+
+func testCalibrator() *stats.Calibrator {
+	return stats.NewCalibrator(stats.CalibrationConfig{Seed: 1, Replicates: 200}, 0)
+}
+
+// testerVerdicts is one assessment per tester in internal/behavior, plus the
+// two shapes that carry no verdict table.
+func testerVerdicts(t *testing.T) map[string]core.Assessment {
+	t.Helper()
+	cfg := behavior.Config{Calibrator: testCalibrator()}
+	family := cfg
+	family.FamilywiseCorrection = true
+	must := func(tester behavior.Tester, err error) behavior.Tester {
+		t.Helper()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return tester
+	}
+	single := must(behavior.NewSingle(cfg))
+	multi := must(behavior.NewMulti(cfg))
+	testers := map[string]behavior.Tester{
+		"single":           single,
+		"multi":            multi,
+		"multi+familywise": must(behavior.NewMulti(family)),
+		"collusion":        must(behavior.NewCollusion(cfg)),
+		"collusion-multi":  must(behavior.NewCollusionMulti(cfg)),
+		"piecewise":        must(behavior.NewPiecewise(cfg, 200)),
+		// Categories of unequal length: the merged table's Transactions
+		// column restarts at each category.
+		"partition-merged": must(behavior.NewPartitioned(multi, func(f feedback.Feedback) string {
+			return []string{"day", "day", "night"}[f.Time.Unix()%3]
+		})),
+	}
+	hist := honestHistory(t, "srv", 1230, 0.93, 7)
+	out := make(map[string]core.Assessment)
+	for name, tester := range testers {
+		tp, err := core.NewTwoPhase(tester, trust.Average{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		a, err := tp.Assess(hist)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if len(a.Verdict.Suffixes) == 0 {
+			t.Fatalf("%s: no suffixes to carry", name)
+		}
+		out[name] = a
+	}
+
+	mv, err := behavior.NewMultiValue(cfg, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(3))
+	levels := make([]int, 600)
+	for i := range levels {
+		levels[i] = rng.Intn(3)
+	}
+	v, err := mv.TestLevels(levels)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out["multivalue"] = core.Assessment{Server: "srv", Trust: 0.5, Tester: mv.Name(), TrustFunc: "average", Verdict: v, Suspicious: !v.Honest}
+
+	tp, err := core.NewTwoPhase(multi, trust.Average{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if out["short-history"], err = tp.Assess(honestHistory(t, "srv", 12, 0.9, 1)); err != nil {
+		t.Fatal(err)
+	}
+	if !out["short-history"].ShortHistory || out["short-history"].Verdict.Suffixes != nil {
+		t.Fatalf("short history assessed as %+v", out["short-history"])
+	}
+	out["no-verdict"] = core.Assessment{Server: "srv", Trust: 0.75, TrustLow: 0.5, TrustHigh: 0.9, TrustFunc: "average"}
+	return out
+}
+
+// roundTrip sends payload through the binary codec as a frame of type typ
+// and returns what the far side decodes, with the payload's size.
+func roundTrip(t testing.TB, typ MsgType, payload any) (any, int) {
+	t.Helper()
+	env, err := V2Codec.Encode(typ, 1, payload)
+	if err != nil || !env.Binary {
+		t.Fatalf("%s: encode: binary=%v err=%v", typ, env.Binary, err)
+	}
+	got := newPayload(payload)
+	if err := DecodePayload(env, got); err != nil {
+		t.Fatalf("%s: decode: %v", typ, err)
+	}
+	return reflect.ValueOf(got).Elem().Interface(), len(env.Payload)
+}
+
+// TestVerdictTableEveryTester is the lossless claim on real verdicts: what
+// every tester produces arrives DeepEqual through each response that carries
+// an assessment.
+func TestVerdictTableEveryTester(t *testing.T) {
+	for name, a := range testerVerdicts(t) {
+		resp := AssessResponse{Assessment: a, Accept: !a.Suspicious}
+		other := resp
+		other.Assessment.Server = "elsewhere" // an item whose assessment names another server
+		items := []AssessBatchItem{
+			{Server: a.Server, AssessResponse: resp},
+			{Server: "ghost", Error: &ErrorResponse{Code: CodeUnknownServer, Message: "no records"}},
+			{Server: a.Server, AssessResponse: other},
+		}
+		for typ, payload := range map[MsgType]any{
+			TypeAssessR:     resp,
+			TypeAssessBR:    AssessBatchResponse{Items: items},
+			TypeFwdAssessR:  NodeAssessment{Node: "n1", Records: 1230, Version: 9, XOR: 77, AssessResponse: resp},
+			TypeFwdAssessBR: FwdAssessBatchResponse{Node: "n2", Items: items},
+		} {
+			if got, _ := roundTrip(t, typ, payload); !reflect.DeepEqual(got, payload) {
+				t.Errorf("%s through %s:\n got %+v\nwant %+v", name, typ, got, payload)
+			}
+		}
+		if rows := a.Verdict.Suffixes; len(rows) > 0 {
+			if shape, _ := tableShape(rows); shape != 0 {
+				t.Errorf("%s: shape %#x: a tester's table should derive Windows, PHat and Pass", name, shape)
+			}
+		}
+	}
+}
+
+// TestVerdictTableBytes pins what the columns buy on seeded honest histories
+// spread over the benchmark's range of p: the row layout took 28.7 B per
+// suffix at any depth. A short table pays more per
+// suffix because its thresholds change bucket nearly every row.
+func TestVerdictTableBytes(t *testing.T) {
+	multi, err := behavior.NewMulti(behavior.Config{Calibrator: testCalibrator()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ps := []float64{0.90, 0.93, 0.95, 0.97, 0.99}
+	for _, tc := range []struct {
+		records, suffixes int
+		most              float64
+	}{{5000, 497, 12}, {200, 17, 17}} {
+		total := 0
+		for _, p := range ps {
+			v, err := multi.Test(honestHistory(t, "srv", tc.records, p, 1))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(v.Suffixes) != tc.suffixes {
+				t.Fatalf("%d records: %d suffixes, want %d", tc.records, len(v.Suffixes), tc.suffixes)
+			}
+			total += len(appendVerdictTable(nil, v.Suffixes))
+		}
+		per := float64(total) / float64(tc.suffixes*len(ps))
+		t.Logf("%d suffixes: %.1f B per suffix", tc.suffixes, per)
+		if per > tc.most {
+			t.Errorf("%d suffixes: %.1f B per suffix, want <= %.0f", tc.suffixes, per, tc.most)
+		}
+	}
+}
+
+// sameBits compares two tables field by field at the bit level, which
+// DeepEqual cannot do for NaN.
+func sameBits(a, b []behavior.SuffixResult) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		x, y := a[i], b[i]
+		if x.Transactions != y.Transactions || x.Windows != y.Windows || x.Pass != y.Pass ||
+			math.Float64bits(x.PHat) != math.Float64bits(y.PHat) ||
+			math.Float64bits(x.Distance) != math.Float64bits(y.Distance) ||
+			math.Float64bits(x.Threshold) != math.Float64bits(y.Threshold) {
+			return false
+		}
+	}
+	return true
+}
+
+// checkTable encodes rows, decodes them back bit for bit, and returns the
+// shape the encoder chose.
+func checkTable(t testing.TB, rows []behavior.SuffixResult) byte {
+	t.Helper()
+	enc := appendVerdictTable(nil, rows)
+	r := &breader{buf: enc}
+	got, err := r.verdictTable()
+	if err != nil || len(r.buf) != 0 {
+		t.Fatalf("decode of %+v: err %v, %d bytes left", rows, err, len(r.buf))
+	}
+	if len(rows) == 0 {
+		if got != nil {
+			t.Fatalf("an empty table decoded to %#v, want nil", got)
+		}
+		return 0
+	}
+	if !sameBits(got, rows) {
+		t.Fatalf("table changed on the wire:\n got %+v\nwant %+v", got, rows)
+	}
+	_, count := binary.Uvarint(enc)
+	return enc[count] // the shape byte follows the row count
+}
+
+// TestVerdictTableFallbacks: the encoder checks every row before deriving a
+// column, so tables no tester writes still arrive intact — each the long way
+// round for exactly the columns that needed it.
+func TestVerdictTableFallbacks(t *testing.T) {
+	nan := math.Float64frombits(0x7ff8000000000123)
+	row := behavior.SuffixResult{Transactions: 40, Windows: 4, PHat: 0.95, Distance: 0.1, Threshold: 0.2, Pass: true}
+	with := func(edit func(*behavior.SuffixResult)) []behavior.SuffixResult {
+		rows := []behavior.SuffixResult{row, row, row}
+		rows[0].Transactions, rows[0].Windows, rows[0].PHat = 60, 6, 0.9
+		edit(&rows[1])
+		return rows
+	}
+	for _, tc := range []struct {
+		name string
+		rows []behavior.SuffixResult
+		want byte
+	}{
+		{"empty", nil, 0},
+		{"empty non-nil", []behavior.SuffixResult{}, 0},
+		{"derived", with(func(*behavior.SuffixResult) {}), 0},
+		{"windows not a multiple", with(func(s *behavior.SuffixResult) { s.Windows = 5 }), tableWindows},
+		{"ragged transactions", with(func(s *behavior.SuffixResult) { s.Transactions = 41 }), tableWindows | tablePHat},
+		{"zero windows first", []behavior.SuffixResult{{Transactions: 10, PHat: 0.5, Pass: true}}, tableWindows},
+		{"negative counts", with(func(s *behavior.SuffixResult) { s.Transactions, s.Windows = -40, -4 }), tablePHat},
+		{"huge counts", with(func(s *behavior.SuffixResult) { s.Transactions, s.Windows = math.MaxInt64, math.MinInt64 }), tableWindows | tablePHat},
+		{"phat off the grid", with(func(s *behavior.SuffixResult) { s.PHat = 0.95000001 }), tablePHat},
+		{"phat nan", with(func(s *behavior.SuffixResult) { s.PHat = nan }), tablePHat},
+		{"phat -0", with(func(s *behavior.SuffixResult) { s.PHat = math.Copysign(0, -1) }), tablePHat},
+		{"phat above one", with(func(s *behavior.SuffixResult) { s.PHat = 1.5 }), tablePHat},
+		{"zero transactions", with(func(s *behavior.SuffixResult) { s.Transactions, s.Windows, s.PHat = 0, 0, nan }), tablePHat},
+		{"pass disagrees", with(func(s *behavior.SuffixResult) { s.Pass = false }), tablePass},
+		{"distance nan", with(func(s *behavior.SuffixResult) { s.Distance, s.Pass = nan, false }), 0},
+		{"distance nan passing", with(func(s *behavior.SuffixResult) { s.Distance = nan }), tablePass},
+		{"threshold inf and -0", with(func(s *behavior.SuffixResult) {
+			s.Threshold, s.Distance = math.Inf(1), math.Copysign(0, -1)
+		}), 0},
+		{"everything", with(func(s *behavior.SuffixResult) {
+			*s = behavior.SuffixResult{Transactions: 7, Windows: 3, PHat: math.Inf(-1), Distance: nan, Threshold: nan, Pass: true}
+		}), tableWindows | tablePHat | tablePass},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			if got := checkTable(t, tc.rows); got != tc.want {
+				t.Errorf("shape %#x, want %#x", got, tc.want)
+			}
+		})
+	}
+	// Nine rows, so the pass bitmap has a second byte and padding bits.
+	nine := make([]behavior.SuffixResult, 9)
+	for i := range nine {
+		nine[i] = row
+		nine[i].Pass = i%2 == 0
+	}
+	if got := checkTable(t, nine); got != tablePass {
+		t.Errorf("nine rows: shape %#x, want %#x", got, tablePass)
+	}
+}
+
+// TestVerdictTableStrict: the decoder takes the encoder's output and nothing
+// that merely means the same.
+func TestVerdictTableStrict(t *testing.T) {
+	f := func(v float64) []byte { return appendFloat(nil, v) }
+	cat := func(parts ...[]byte) []byte {
+		var out []byte
+		for _, p := range parts {
+			out = append(out, p...)
+		}
+		return out
+	}
+	// Two rows: Transactions 40, 20; Windows 4, 2; good 38, 18.
+	good := cat([]byte{2, 0, 80, 39, 10, 76, 39}, f(0.1), f(0.3), f(0.2), []byte{2})
+	if rows, err := (&breader{buf: good}).verdictTable(); err != nil || len(rows) != 2 || rows[1].PHat != 0.9 || rows[1].Pass {
+		t.Fatalf("reference table: %+v, %v", rows, err)
+	}
+	for name, bad := range map[string][]byte{
+		"truncated":              good[:len(good)-1],
+		"unknown shape bit":      cat([]byte{2, 8, 80, 39, 10, 76, 39}, f(0.1), f(0.3), f(0.2), []byte{2}),
+		"windows the long way":   cat([]byte{2, tableWindows, 80, 39, 8, 3, 76, 39}, f(0.1), f(0.3), f(0.2), []byte{2}),
+		"phat the long way":      cat([]byte{2, tablePHat, 80, 39, 10}, f(0.95), f(0.9), f(0.1), f(0.3), f(0.2), []byte{2}),
+		"pass the long way":      cat([]byte{2, tablePass, 80, 39, 10, 76, 39}, f(0.1), f(0.3), f(0.2), []byte{2, 1}),
+		"window size zero":       cat([]byte{2, 0, 80, 39, 0, 76, 39}, f(0.1), f(0.3), f(0.2), []byte{2}),
+		"window size not exact":  cat([]byte{2, 0, 80, 39, 7, 76, 39}, f(0.1), f(0.3), f(0.2), []byte{2}),
+		"good above transaction": cat([]byte{2, 0, 80, 39, 10, 90, 39}, f(0.1), f(0.3), f(0.2), []byte{2}),
+		"threshold runs split":   cat([]byte{2, 0, 80, 39, 10, 76, 39}, f(0.1), f(0.3), f(0.2), []byte{1}, f(0.2), []byte{1}),
+		"threshold run of zero":  cat([]byte{2, 0, 80, 39, 10, 76, 39}, f(0.1), f(0.3), f(0.2), []byte{0}),
+		"threshold run too long": cat([]byte{2, 0, 80, 39, 10, 76, 39}, f(0.1), f(0.3), f(0.2), []byte{3}),
+		"long varint":            cat([]byte{2, 0, 0xd0, 0x00, 39, 10, 76, 39}, f(0.1), f(0.3), f(0.2), []byte{2}),
+		"count beyond the bytes": {200, 0, 80, 39},
+	} {
+		if rows, err := (&breader{buf: bad}).verdictTable(); err == nil {
+			t.Errorf("%s: accepted as %+v", name, rows)
+		}
+	}
+	// Padding bits of the pass bitmap.
+	odd := []behavior.SuffixResult{{Transactions: 10, Windows: 1, PHat: 0.5, Distance: 1}}
+	enc := appendVerdictTable(nil, odd)
+	odd[0].Pass = true
+	enc = appendVerdictTable(enc[:0], odd)
+	enc[len(enc)-1] |= 0x80
+	if _, err := (&breader{buf: enc}).verdictTable(); err == nil {
+		t.Error("set padding bits accepted")
+	}
+}
+
+// allocatedBy reports the bytes fn allocates.
+func allocatedBy(fn func()) uint64 {
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	fn()
+	runtime.ReadMemStats(&after)
+	return after.TotalAlloc - before.TotalAlloc
+}
+
+// TestHostileCountsAllocateWithinFrame: a count is believed only as far as
+// the bytes behind it go at the element's smallest encoding, and no further
+// than the protocol's batch caps. A 4 MiB assess.batch.resp of zeros behind
+// a large count used to allocate 671 MiB before its first field failed.
+func TestHostileCountsAllocateWithinFrame(t *testing.T) {
+	frame := func(head ...byte) []byte { return append(head, make([]byte, MaxFrame-64)...) }
+	count := binary.AppendUvarint(nil, MaxFrame-100)
+	asmt := func(table ...byte) []byte {
+		// assess.resp up to its verdict table: flags, assessment flags,
+		// three floats, two empty strings.
+		return append(append([]byte{0, asmtFlagVerdict | asmtFlagHonest}, make([]byte, 26)...), table...)
+	}
+	for name, tc := range map[string]struct {
+		typ   MsgType
+		dest  any
+		frame []byte
+		most  uint64
+	}{
+		"assess.batch.resp items":   {TypeAssessBR, new(AssessBatchResponse), frame(count...), 64 << 10},
+		"assess.batch.resp at cap":  {TypeAssessBR, new(AssessBatchResponse), frame(binary.AppendUvarint(nil, MaxAssessBatch)...), 128 << 10},
+		"fwd.assess.batch.resp":     {TypeFwdAssessBR, new(FwdAssessBatchResponse), frame(append([]byte{1, 'n'}, count...)...), 64 << 10},
+		"assess.batch servers":      {TypeAssessB, new(AssessBatchRequest), frame(count...), 64 << 10},
+		"submit.batch.resp items":   {TypeSubmitBR, new(BatchResponse), frame(append([]byte{0, 0, 0}, count...)...), 64 << 10},
+		"submit.batch.resp rejects": {TypeSubmitBR, new(BatchResponse), frame(append([]byte{0, 0}, count...)...), 64 << 10},
+		"submit.batch records":      {TypeSubmitB, new(BatchRequest), frame(count...), 64 << 10},
+		// Rows are 48 B in memory and at least 10 B on the wire.
+		"verdict table rows": {TypeAssessR, new(AssessResponse), frame(asmt(binary.AppendUvarint(nil, (MaxFrame-200)/10)...)...), 6 * MaxFrame},
+		"verdict table lies": {TypeAssessR, new(AssessResponse), frame(asmt(count...)...), 64 << 10},
+	} {
+		var err error
+		got := allocatedBy(func() { err = decodeBinaryPayload(tc.typ, tc.frame, tc.dest) })
+		if err == nil {
+			t.Errorf("%s: hostile frame accepted", name)
+		}
+		if got > tc.most {
+			t.Errorf("%s: decoding a %d B frame allocated %d B, want <= %d", name, len(tc.frame), got, tc.most)
+		}
+	}
+}
+
+// TestBatchCapsOnDecode: the protocol's caps hold on the decode side too.
+func TestBatchCapsOnDecode(t *testing.T) {
+	servers := make([]feedback.EntityID, MaxAssessBatch+1)
+	items := make([]AssessBatchItem, MaxAssessBatch+1)
+	for i := range servers {
+		servers[i] = feedback.EntityID(fmt.Sprintf("s%d", i))
+		items[i] = AssessBatchItem{Server: servers[i], Error: &ErrorResponse{Code: CodeUnknownServer}}
+	}
+	for typ, over := range map[MsgType]any{
+		TypeAssessB:  AssessBatchRequest{Servers: servers},
+		TypeAssessBR: AssessBatchResponse{Items: items},
+		TypeSubmitBR: BatchResponse{Items: make([]SubmitBatchItem, MaxSubmitBatch+1)},
+	} {
+		env, err := V2Codec.Encode(typ, 1, over)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := DecodePayload(env, newPayload(over)); err == nil || !strings.Contains(err.Error(), "cap") {
+			t.Errorf("%s above its cap: err = %v", typ, err)
+		}
+	}
+	atCap := AssessBatchResponse{Items: items[:MaxAssessBatch]}
+	if got, _ := roundTrip(t, TypeAssessBR, atCap); !reflect.DeepEqual(got, atCap) {
+		t.Error("a batch at the cap did not round-trip")
+	}
+}
+
+// TestFullBatchFitsFrame is PROTOCOL.md's MaxFrame arithmetic: a full
+// assess.batch over 14 000-record histories (1397 suffixes each) frames; at
+// the row layout's 28.7 B per suffix it stopped fitting near 5 600 records.
+func TestFullBatchFitsFrame(t *testing.T) {
+	if testing.Short() {
+		t.Skip("assesses a 14 000-record history")
+	}
+	multi, err := behavior.NewMulti(behavior.Config{Calibrator: testCalibrator()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	tp, err := core.NewTwoPhase(multi, trust.Average{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	a, err := tp.Assess(honestHistory(t, "server-0000", 14000, 0.95, 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	items := make([]AssessBatchItem, MaxAssessBatch)
+	for i := range items {
+		items[i] = AssessBatchItem{Server: a.Server, AssessResponse: AssessResponse{Assessment: a, Accept: true}}
+	}
+	_, size := roundTrip(t, TypeAssessBR, AssessBatchResponse{Items: items})
+	t.Logf("256 x %d suffixes: %d B, %.1f%% of MaxFrame", len(a.Verdict.Suffixes), size, 100*float64(size)/MaxFrame)
+	if size+v2BodyMin > MaxFrame {
+		t.Errorf("full batch is %d B, above MaxFrame", size)
+	}
+}

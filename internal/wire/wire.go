@@ -103,6 +103,12 @@ const (
 	CodeCanceled = "canceled"
 	// CodeInternal reports an unexpected server-side failure.
 	CodeInternal = "internal"
+	// CodeResponseTooLarge reports that the answer to a well-formed request
+	// encodes above MaxFrame and cannot be framed — an assess.batch over very
+	// long histories, typically. Nothing was sent but this error; the
+	// connection stays usable and a smaller request (fewer servers per batch)
+	// succeeds.
+	CodeResponseTooLarge = "response_too_large"
 	// CodeUnavailable reports that a cluster peer needed to answer the
 	// request could not be reached. The request may succeed on retry once
 	// the peer recovers; the connection that reported it stays usable.

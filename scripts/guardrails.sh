@@ -11,6 +11,8 @@
 #   - what an ADR deleted stays deleted
 #   - histories are columnar and are their own dedup index (ADR 0004)
 #   - a snapshot section is a history's columns, never records (ADR 0005)
+#   - a verdict's suffix results cross the wire as columns, through one
+#     assessment codec (ADR 0006)
 #   - one door into a node (ADR 0003): only internal/repserver listens
 #
 # Run from anywhere: bash scripts/guardrails.sh
@@ -74,6 +76,20 @@ check "no []feedback.Feedback in internal/ledger/snapshot.go (ADR 0005)" \
     "! grep -nE '\[\]feedback\.Feedback' internal/ledger/snapshot.go | grep -q ."
 check "snapServer holds no record slice (ADR 0005)" \
     "absent '^\s+recs\s+\[\]' internal/ledger/snapshot.go"
+
+# --- one assessment codec, verdict tables as columns (ADR 0006) ---------------
+# The row layout wrote three floats and a bool per suffix in a loop over s;
+# the column codec writes Pass not at all (or as a bitmap) and is the only
+# code in internal/wire that touches a SuffixResult.
+check "no per-row float loop over a verdict's suffixes (ADR 0006)" \
+    "absent 'appendFloat\(buf, s\.(PHat|Distance|Threshold)\)' internal/wire"
+check "no per-row Pass bool on the wire (ADR 0006)" \
+    "absent '(appendBool\(buf, [^)]*\.Pass\)|\.Pass, err = r\.bool\(\))' internal/wire"
+check "behavior.SuffixResult stays inside internal/wire/verdict.go (ADR 0006)" \
+    "! sources internal/wire | grep -v '/verdict\.go\$' | xargs grep -n 'SuffixResult' | grep -q ."
+check "one verdict-table decoder and one assessment decoder (ADR 0006)" \
+    "[ \"\$(sources | xargs grep -hE 'func \(r \*breader\) (verdictTable|assessment)\(' | wc -l)\" -eq 2 ] \
+     && absent 'Verdict\.Suffixes\s*=\s*append' internal/wire"
 
 # --- one door into a node (ADR 0003) -----------------------------------------
 check "net.Listen only in internal/repserver" \
