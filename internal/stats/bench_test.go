@@ -64,6 +64,10 @@ func BenchmarkL1HistDistance(b *testing.B) {
 
 // BenchmarkCalibrateL1 is the ablation for the calibration-replicates
 // design choice: threshold estimation cost scales linearly in replicates.
+// The windows= cases (default 1000 replicates, m = 10) report ns/window, the
+// unit of the cost model in CalibrateL1's comment: 10 generator steps, a
+// tally increment and 1/windows of a distance — the floor ADR 0007 records
+// is ~16.6 ns.
 func BenchmarkCalibrateL1(b *testing.B) {
 	for _, replicates := range []int{100, 500, 1000} {
 		b.Run(fmt.Sprintf("replicates=%d", replicates), func(b *testing.B) {
@@ -71,6 +75,34 @@ func BenchmarkCalibrateL1(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				if _, err := CalibrateL1(10, 50, 0.9, cfg); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+	for _, windows := range []int{50, 542, 4096} {
+		b.Run(fmt.Sprintf("windows=%d", windows), func(b *testing.B) {
+			cfg := CalibrationConfig{Seed: 1}
+			for i := 0; i < b.N; i++ {
+				if _, err := CalibrateL1(10, windows, 0.9, cfg); err != nil {
+					b.Fatal(err)
+				}
+			}
+			perWindow := float64(b.N) * DefaultReplicates * float64(windows)
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/perWindow, "ns/window")
+		})
+	}
+}
+
+// BenchmarkBinomialPMFInto is one PMF fill at the default window size: what
+// a miss in the accumulators' PMF memo, and every ReestimateP replicate, pays.
+func BenchmarkBinomialPMFInto(b *testing.B) {
+	for _, n := range []int{10, 64} {
+		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
+			dst := make([]float64, n+1)
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if err := BinomialPMFInto(dst, n, 0.9); err != nil {
 					b.Fatal(err)
 				}
 			}

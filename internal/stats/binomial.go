@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"sync/atomic"
 )
 
 // ErrInvalidDistribution reports parameters outside the valid domain of a
@@ -67,15 +68,40 @@ func BinomialPMFInto(dst []float64, n int, p float64) error {
 		dst[n] = 1
 	default:
 		logP, logQ := math.Log(p), math.Log1p(-p)
-		lgN, _ := math.Lgamma(float64(n) + 1)
-		for k := 0; k <= n; k++ {
-			lgK, _ := math.Lgamma(float64(k) + 1)
-			lgNK, _ := math.Lgamma(float64(n-k) + 1)
-			logPMF := lgN - lgK - lgNK + float64(k)*logP + float64(n-k)*logQ
-			dst[k] = math.Exp(logPMF)
+		for k, lc := range logChoose(n) {
+			dst[k] = math.Exp(lc + float64(k)*logP + float64(n-k)*logQ)
 		}
 	}
 	return nil
+}
+
+// logChooseTables caches logChoose(n) for the window sizes in use: the three
+// Lgamma terms of a PMF entry depend on (n, k) only, and were two thirds of
+// a fill's time. A pure function of n, so racing builders publish equal
+// tables and a hit is one atomic load — no lock, nothing per server (ADR
+// 0002). Larger n are computed per call, as every n used to be.
+var logChooseTables [257]atomic.Pointer[[]float64]
+
+// logChoose returns log C(n, k) for k = 0..n, each as (lgN − lgK) − lgNK in
+// that order, so BinomialPMFInto's sum reproduces the uncached expression
+// lgN − lgK − lgNK + k·logP + (n−k)·logQ bit for bit.
+func logChoose(n int) []float64 {
+	if n < len(logChooseTables) {
+		if lc := logChooseTables[n].Load(); lc != nil {
+			return *lc
+		}
+	}
+	lc := make([]float64, n+1)
+	lgN, _ := math.Lgamma(float64(n) + 1)
+	for k := range lc {
+		lgK, _ := math.Lgamma(float64(k) + 1)
+		lgNK, _ := math.Lgamma(float64(n-k) + 1)
+		lc[k] = lgN - lgK - lgNK
+	}
+	if n < len(logChooseTables) {
+		logChooseTables[n].Store(&lc)
+	}
+	return lc
 }
 
 // N returns the number of trials.

@@ -3,6 +3,7 @@ package stats
 import (
 	"errors"
 	"math"
+	"sync"
 	"testing"
 	"testing/quick"
 )
@@ -241,4 +242,72 @@ func TestMustBinomialPanics(t *testing.T) {
 		}
 	}()
 	MustBinomial(-1, 0.5)
+}
+
+// pmfByLgammaPerK is BinomialPMFInto's fill as it stood before the
+// log-choose table: three Lgamma calls per entry, one expression.
+func pmfByLgammaPerK(dst []float64, n int, p float64) {
+	logP, logQ := math.Log(p), math.Log1p(-p)
+	lgN, _ := math.Lgamma(float64(n) + 1)
+	for k := 0; k <= n; k++ {
+		lgK, _ := math.Lgamma(float64(k) + 1)
+		lgNK, _ := math.Lgamma(float64(n-k) + 1)
+		logPMF := lgN - lgK - lgNK + float64(k)*logP + float64(n-k)*logQ
+		dst[k] = math.Exp(logPMF)
+	}
+}
+
+// TestBinomialPMFIntoBits holds the cached fill to the uncached one bit for
+// bit — every distance, threshold and verdict downstream is a sum of these
+// entries — for cached n (first touch and hit) and n beyond the table.
+func TestBinomialPMFIntoBits(t *testing.T) {
+	r := NewRNG(31)
+	for _, n := range []int{1, 5, 10, 20, 64, 100, len(logChooseTables) - 1, len(logChooseTables), 300} {
+		got, want := make([]float64, n+1), make([]float64, n+1)
+		ps := []float64{math.SmallestNonzeroFloat64, 0x1p-53, 0.01, 0.5, 0.9, 0.99, 1 - 0x1p-53}
+		for i := 0; i < 2000; i++ {
+			ps = append(ps, r.Float64())
+		}
+		for _, p := range ps {
+			if p == 0 {
+				continue
+			}
+			if err := BinomialPMFInto(got, n, p); err != nil {
+				t.Fatal(err)
+			}
+			pmfByLgammaPerK(want, n, p)
+			for k := range want {
+				if math.Float64bits(got[k]) != math.Float64bits(want[k]) {
+					t.Fatalf("B(%d, %v) pmf[%d] = %#x (%v), uncached fill = %#x (%v)",
+						n, p, k, math.Float64bits(got[k]), got[k], math.Float64bits(want[k]), want[k])
+				}
+			}
+		}
+	}
+}
+
+// TestLogChooseConcurrentFirstTouch races first touches of one table (run
+// under -race): every caller must see a complete table equal to the rest.
+func TestLogChooseConcurrentFirstTouch(t *testing.T) {
+	const n = 77 // no other test in the package uses it
+	var wg sync.WaitGroup
+	tables := make([][]float64, 8)
+	for i := range tables {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			tables[i] = logChoose(n)
+		}(i)
+	}
+	wg.Wait()
+	for i, lc := range tables {
+		if len(lc) != n+1 {
+			t.Fatalf("caller %d: table length %d, want %d", i, len(lc), n+1)
+		}
+		for k := range lc {
+			if math.Float64bits(lc[k]) != math.Float64bits(tables[0][k]) {
+				t.Fatalf("caller %d: lc[%d] = %v, caller 0 saw %v", i, k, lc[k], tables[0][k])
+			}
+		}
+	}
 }

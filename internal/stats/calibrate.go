@@ -53,38 +53,33 @@ func (c CalibrationConfig) withDefaults() CalibrationConfig {
 // B(m, pHat), measures each set's L¹ distance, and returns the
 // cfg.Confidence quantile. An honest player therefore fails the test with
 // probability ≈ 1 − cfg.Confidence.
+//
+// Cost model: a call draws Replicates × numWindows × m uniforms (m ≤ 64; none
+// at pHat 0 or 1) at ~1.7 ns each, which is all of its time — a default
+// 500-window point at m = 10 is 5 M uniforms, ~8 ms. Which uniforms, and in
+// which order, is part of the reproduction contract (ADR 0007).
 func CalibrateL1(m, numWindows int, pHat float64, cfg CalibrationConfig) (float64, error) {
 	cfg = cfg.withDefaults()
 	if m <= 0 || numWindows <= 0 {
 		return 0, fmt.Errorf("%w: m=%d windows=%d", ErrInvalidDistribution, m, numWindows)
 	}
-	if math.IsNaN(pHat) || pHat < 0 || pHat > 1 {
-		return 0, fmt.Errorf("%w: pHat=%v", ErrInvalidDistribution, pHat)
-	}
-	ref, err := NewBinomial(m, pHat)
-	if err != nil {
+	pmf := make([]float64, m+1)
+	if err := BinomialPMFInto(pmf, m, pHat); err != nil {
 		return 0, err
 	}
 	rng := NewRNG(calibSeed(cfg.Seed, m, numWindows, pHat))
 	dists := make([]float64, cfg.Replicates)
-	h := MustHistogram(m)
-	counts := make([]int, numWindows)
-	for r := 0; r < cfg.Replicates; r++ {
-		h.Reset()
-		for i := 0; i < numWindows; i++ {
-			counts[i] = ref.Sample(rng)
-			// Support is [0, m] by construction; Add cannot fail.
-			_ = h.Add(counts[i])
-		}
-		cmp := ref
+	tally := make([]int64, m+1)
+	for r := range dists {
+		clear(tally)
+		sum := rng.BinomialTally(tally, m, pHat, numWindows)
 		if cfg.ReestimateP {
-			pr := float64(h.Sum()) / float64(m*numWindows)
-			cmp, err = NewBinomial(m, pr)
-			if err != nil {
+			pr := float64(sum) / float64(m*numWindows)
+			if err := BinomialPMFInto(pmf, m, pr); err != nil {
 				return 0, err
 			}
 		}
-		d, err := L1HistDistance(h, cmp)
+		d, err := L1CountsDistance(tally, int64(numWindows), pmf)
 		if err != nil {
 			return 0, err
 		}
@@ -120,6 +115,9 @@ func calibSeed(seed uint64, m, numWindows int, pHat float64) uint64 {
 // its plane through a copy-on-write map, and a grid point to one atomic
 // slot. A miss calibrates the point exactly once — concurrent askers of the
 // same point park on the first one's Monte-Carlo run instead of repeating it.
+// That run is CalibrateL1 at the bucket representative — Replicates × windows
+// × m uniforms at ~1.7 ns — so a cold grid costs the sum of its points'
+// windows times that: the first request to touch a point pays it inline.
 //
 // Calibrator is safe for concurrent use.
 type Calibrator struct {

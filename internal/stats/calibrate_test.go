@@ -244,3 +244,81 @@ func TestCalibratorLargeWindowExtrapolation(t *testing.T) {
 		t.Fatalf("cache size = %d, want 1", c.CacheSize())
 	}
 }
+
+// TestCalibrateL1GoldenBits pins ε bit for bit. The values were recorded on
+// the commit before the tally kernel (ref.Sample per window into a Histogram,
+// L1HistDistance): the calibration stream is part of the reproduction
+// contract (ADR 0007), so a cheaper kernel must land on the same bits.
+func TestCalibrateL1GoldenBits(t *testing.T) {
+	def := CalibrationConfig{Seed: 1}
+	cases := []struct {
+		m, windows int
+		p          float64
+		cfg        CalibrationConfig
+		want       uint64
+	}{
+		{10, 4, 0, def, 0x0},
+		{10, 4, 0.01, def, 0x3fea274b187171fe},
+		{10, 4, 0.37, def, 0x3ff5e317c820ca76},
+		{10, 4, 0.9, def, 0x3ff30170f4b837e7},
+		{10, 4, 0.99, def, 0x3fdf77ef8ddbc48d},
+		{10, 4, 1, def, 0x0},
+		{10, 5, 0, def, 0x0},
+		{10, 5, 0.01, def, 0x3fe3c0e4b20b0b98},
+		{10, 5, 0.37, def, 0x3ff47f7b094e5777},
+		{10, 5, 0.9, def, 0x3ff16aa2efbaaab7},
+		{10, 5, 0.99, def, 0x3fe3c0e4b20b0b95},
+		{10, 5, 1, def, 0x0},
+		{10, 47, 0, def, 0x0},
+		{10, 47, 0.01, def, 0x3fc4303cb8ebe8a2},
+		{10, 47, 0.37, def, 0x3fdc164c8513a355},
+		{10, 47, 0.9, def, 0x3fd65a48c7341d41},
+		{10, 47, 0.99, def, 0x3fc4303cb8ebe89c},
+		{10, 47, 1, def, 0x0},
+		{10, 542, 0, def, 0x0},
+		{10, 542, 0.01, def, 0x3fa97b4e56e9c7fc},
+		{10, 542, 0.37, def, 0x3fc087a3e9db0d67},
+		{10, 542, 0.9, def, 0x3fbb437b2e3b1404},
+		{10, 542, 0.99, def, 0x3fa9a55f6fad7102},
+		{10, 542, 1, def, 0x0},
+		{10, 4096, 0, def, 0x0},
+		{10, 4096, 0.01, def, 0x3f9218c3df277346},
+		{10, 4096, 0.37, def, 0x3fa878c6c489d8f4},
+		{10, 4096, 0.9, def, 0x3fa3a81147bdbc1e},
+		{10, 4096, 0.99, def, 0x3f932dc51d73294e},
+		{10, 4096, 1, def, 0x0},
+		{10, 47, 0.9, CalibrationConfig{Seed: 1, ReestimateP: true}, 0x3fd415991bda9df4},
+		{10, 47, 0.9, CalibrationConfig{Seed: 1, Confidence: 0.999}, 0x3fe039637c48612f},
+		{64, 20, 0.37, def, 0x3fedf6af205c980c}, // largest n drawn by direct simulation
+		{70, 47, 0.9, def, 0x3fe0f1e9fe5c6ca1},  // n > 64: CDF inversion per variate
+	}
+	for _, c := range cases {
+		eps, err := CalibrateL1(c.m, c.windows, c.p, c.cfg)
+		if err != nil {
+			t.Fatalf("CalibrateL1(%d, %d, %v, %+v): %v", c.m, c.windows, c.p, c.cfg, err)
+		}
+		if got := math.Float64bits(eps); got != c.want {
+			t.Errorf("CalibrateL1(%d, %d, %v, %+v) = %#x (%v), want %#x (%v)",
+				c.m, c.windows, c.p, c.cfg, got, eps, c.want, math.Float64frombits(c.want))
+		}
+	}
+
+	// Through the grid: beyond DefaultMaxCalibrationWindows (the 4096-window
+	// point times the 1/√w factor), and a query that buckets to (47, 0.9).
+	cal := NewCalibrator(def, 0)
+	for _, c := range []struct {
+		windows int
+		want    uint64
+	}{
+		{3*DefaultMaxCalibrationWindows + 17, 0x3f96dc1d1e0e0f9d},
+		{49, 0x3fd65a48c7341d41},
+	} {
+		eps, err := cal.Threshold(10, c.windows, 0.9)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := math.Float64bits(eps); got != c.want {
+			t.Errorf("Threshold(10, %d, 0.9) = %#x (%v), want %#x", c.windows, got, eps, c.want)
+		}
+	}
+}

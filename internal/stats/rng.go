@@ -52,17 +52,27 @@ func (r *RNG) Split() *RNG {
 
 func rotl(x uint64, k uint) uint64 { return (x << k) | (x >> (64 - k)) }
 
+// step is one xoshiro256** transition on explicit state words: the output
+// and the next state. It is the only definition of the generator; it is
+// small enough to inline, so a loop that keeps the four words in locals
+// (countBelow) runs at the generator's own latency.
+func step(s0, s1, s2, s3 uint64) (out, n0, n1, n2, n3 uint64) {
+	out = rotl(s1*5, 7) * 9
+	t := s1 << 17
+	s2 ^= s0
+	s3 ^= s1
+	s1 ^= s2
+	s0 ^= s3
+	s2 ^= t
+	s3 = rotl(s3, 45)
+	return out, s0, s1, s2, s3
+}
+
 // Uint64 returns the next 64 uniformly distributed bits.
 func (r *RNG) Uint64() uint64 {
-	result := rotl(r.s[1]*5, 7) * 9
-	t := r.s[1] << 17
-	r.s[2] ^= r.s[0]
-	r.s[3] ^= r.s[1]
-	r.s[1] ^= r.s[2]
-	r.s[0] ^= r.s[3]
-	r.s[2] ^= t
-	r.s[3] = rotl(r.s[3], 45)
-	return result
+	var out uint64
+	out, r.s[0], r.s[1], r.s[2], r.s[3] = step(r.s[0], r.s[1], r.s[2], r.s[3])
+	return out
 }
 
 // Float64 returns a uniformly distributed float in [0, 1).
@@ -118,26 +128,49 @@ func (r *RNG) Bernoulli(p float64) bool {
 	return r.Float64() < p
 }
 
+// uniformThreshold returns, for p in (0, 1), the integer t with
+// Float64() < p ⇔ Uint64()>>11 < t on the same draw. Float64 is v/2^53 for the
+// 53-bit integer v, and both v/2^53 and p·2^53 are exact in float64, so
+// v/2^53 < p ⇔ v < p·2^53 ⇔ v < ceil(p·2^53): the integer compare yields the
+// same bit as the float compare, uniform for uniform.
+func uniformThreshold(p float64) uint64 { return uint64(math.Ceil(p * (1 << 53))) }
+
+// countBelow consumes n uniforms and returns how many fell below thr (as
+// given by uniformThreshold): one B(n, p) variate by direct simulation. The
+// state lives in locals for the n steps and the count is branch-free — v and
+// thr are below 2^53, so v − thr wraps to a set top bit exactly when v < thr.
+func (r *RNG) countBelow(n int, thr uint64) int {
+	s0, s1, s2, s3 := r.s[0], r.s[1], r.s[2], r.s[3]
+	k := 0
+	for i := 0; i < n; i++ {
+		var u uint64
+		u, s0, s1, s2, s3 = step(s0, s1, s2, s3)
+		k += int((u>>11 - thr) >> 63)
+	}
+	r.s = [4]uint64{s0, s1, s2, s3}
+	return k
+}
+
 // Binomial draws a sample from B(n, p): the number of successes in n
 // independent Bernoulli(p) trials. For the small n used by transaction
-// windows (n <= ~64) direct simulation is both exact and fast; for large n
-// it uses the BTRS transformation-rejection algorithm boundary-free fallback
-// of inversion on the CDF, which is exact as well.
+// windows (n <= 64) it is direct simulation, one uniform per trial; for
+// larger n it inverts the CDF from one uniform (splitting n in halves while
+// (1−p)^n underflows). Both are exact.
+//
+// The stream position after a draw is part of the contract (ADR 0007): n
+// uniforms for n <= 64, and none at all when n <= 0, p <= 0, p >= 1 or p is
+// NaN, which return 0, 0, n and 0. Every calibrated ε and every figure is a
+// function of that stream, so a cheaper draw must consume the same uniforms
+// and map them to the same variate.
 func (r *RNG) Binomial(n int, p float64) int {
-	if n <= 0 || p <= 0 {
+	if n <= 0 || !(p > 0) { // !(p > 0) is p <= 0 or NaN
 		return 0
 	}
 	if p >= 1 {
 		return n
 	}
 	if n <= 64 {
-		k := 0
-		for i := 0; i < n; i++ {
-			if r.Float64() < p {
-				k++
-			}
-		}
-		return k
+		return r.countBelow(n, uniformThreshold(p))
 	}
 	// CDF inversion: O(n·p) expected steps starting from the mode-adjacent
 	// recurrence; exact and adequate for calibration workloads.
@@ -156,6 +189,36 @@ func (r *RNG) Binomial(n int, p float64) int {
 		cdf += pmf
 	}
 	return k
+}
+
+// BinomialTally adds draws variates of B(n, p) to tally — tally[k]++ for a
+// variate k, so tally must have length at least n+1 — and returns their sum.
+// It consumes the stream that many calls of Binomial consume and yields the
+// same variates, with the threshold computed once for the batch; it is the
+// inner loop of CalibrateL1, at ~1.7 ns per uniform.
+func (r *RNG) BinomialTally(tally []int64, n int, p float64, draws int) (sum int64) {
+	switch {
+	case draws <= 0:
+		return 0
+	case n <= 0 || !(p > 0):
+		tally[0] += int64(draws)
+		return 0
+	case p >= 1:
+		tally[n] += int64(draws)
+		return int64(n) * int64(draws)
+	}
+	thr := uniformThreshold(p)
+	for i := 0; i < draws; i++ {
+		var k int
+		if n <= 64 {
+			k = r.countBelow(n, thr)
+		} else {
+			k = r.Binomial(n, p)
+		}
+		tally[k]++
+		sum += int64(k)
+	}
+	return sum
 }
 
 // Shuffle pseudo-randomly permutes the order of n elements using the

@@ -280,3 +280,138 @@ func TestRNGIntnLemireUnbiasedSmallN(t *testing.T) {
 		}
 	}
 }
+
+// binomialByFloatCompare is RNG.Binomial as it stood before the integer
+// threshold: a Float64() < p branch per trial for n <= 64, CDF inversion
+// above. It is the reference stream the kernels must reproduce.
+func binomialByFloatCompare(r *RNG, n int, p float64) int {
+	if n <= 0 || p <= 0 {
+		return 0
+	}
+	if p >= 1 {
+		return n
+	}
+	if n <= 64 {
+		k := 0
+		for i := 0; i < n; i++ {
+			if r.Float64() < p {
+				k++
+			}
+		}
+		return k
+	}
+	u := r.Float64()
+	pmf := math.Pow(1-p, float64(n))
+	if pmf == 0 {
+		half := n / 2
+		return binomialByFloatCompare(r, half, p) + binomialByFloatCompare(r, n-half, p)
+	}
+	cdf := pmf
+	k := 0
+	for u > cdf && k < n {
+		k++
+		pmf *= (float64(n-k+1) / float64(k)) * (p / (1 - p))
+		cdf += pmf
+	}
+	return k
+}
+
+func TestBinomialTallyMatchesBinomial(t *testing.T) {
+	ps := []float64{
+		0, 1, 0.01, 0.37, 0.5, 0.9, 0.95, 0.99,
+		math.SmallestNonzeroFloat64, 0x1p-1030, 0x1p-53, 0x1p-52, 1 - 0x1p-53, 1 - 0x1p-52,
+		-0.3, math.Copysign(0, -1), 1.5, math.Inf(1), math.Inf(-1),
+	}
+	ns := []int{-1, 0, 1, 2, 10, 63, 64, 65, 70, 200, 5000}
+	pick := NewRNG(101)
+	for trial := 0; trial < 400; trial++ {
+		n := ns[pick.Intn(len(ns))]
+		p := pick.Float64()
+		if trial%2 == 0 {
+			p = ps[pick.Intn(len(ps))]
+		}
+		draws := pick.Intn(40)
+		seed := pick.Uint64()
+
+		size := 1
+		if n > 0 {
+			size = n + 1
+		}
+		ref, one, batch := NewRNG(seed), NewRNG(seed), NewRNG(seed)
+		wantTally, gotTally := make([]int64, size), make([]int64, size)
+		var wantSum int64
+		for i := 0; i < draws; i++ {
+			want := binomialByFloatCompare(ref, n, p)
+			if got := one.Binomial(n, p); got != want {
+				t.Fatalf("n=%d p=%v seed=%d draw %d: Binomial = %d, float-compare reference = %d", n, p, seed, i, got, want)
+			}
+			wantTally[want]++
+			wantSum += int64(want)
+		}
+		gotSum := batch.BinomialTally(gotTally, n, p, draws)
+		if gotSum != wantSum {
+			t.Fatalf("n=%d p=%v seed=%d draws=%d: tally sum = %d, want %d", n, p, seed, draws, gotSum, wantSum)
+		}
+		for k := range wantTally {
+			if gotTally[k] != wantTally[k] {
+				t.Fatalf("n=%d p=%v seed=%d draws=%d: tally[%d] = %d, want %d", n, p, seed, draws, k, gotTally[k], wantTally[k])
+			}
+		}
+		// Same stream position: the three generators stay in lockstep.
+		want := ref.Uint64()
+		if a, b := one.Uint64(), batch.Uint64(); a != want || b != want {
+			t.Fatalf("n=%d p=%v seed=%d draws=%d: next Uint64 = %#x (Binomial), %#x (BinomialTally), want %#x", n, p, seed, draws, a, b, want)
+		}
+	}
+}
+
+// TestUniformThresholdMatchesFloatCompare checks the equivalence the integer
+// compare rests on at the only places it could break: the 53-bit values
+// around p·2^53, where random streams almost never land.
+func TestUniformThresholdMatchesFloatCompare(t *testing.T) {
+	ps := []float64{
+		math.SmallestNonzeroFloat64, 0x1p-1030, 0x1p-53, 0x1p-52, 3 * 0x1p-53, 0.01, 0.1, 0.37,
+		0.5, 0.5 + 0x1p-53, 0.9, 0.95, 0.99, 1 - 0x1p-52, 1 - 0x1p-53,
+	}
+	r := NewRNG(5)
+	for i := 0; i < 2000; i++ {
+		ps = append(ps, r.Float64(), math.Ldexp(r.Float64(), -r.Intn(60)))
+	}
+	const top = uint64(1)<<53 - 1
+	for _, p := range ps {
+		if !(p > 0 && p < 1) {
+			continue
+		}
+		thr := uniformThreshold(p)
+		near := uint64(p * (1 << 53))
+		for _, v := range []uint64{0, 1, near - 2, near - 1, near, near + 1, near + 2, top - 1, top} {
+			if v > top { // near − 2 wrapped, or near + 2 past the 53 bits
+				continue
+			}
+			byFloat := float64(v)/(1<<53) < p
+			byInt := (v-thr)>>63 == 1
+			if byFloat != byInt || byInt != (v < thr) {
+				t.Fatalf("p=%v (%#x) v=%d thr=%d: float compare %v, integer compare %v", p, math.Float64bits(p), v, thr, byFloat, byInt)
+			}
+		}
+	}
+}
+
+// NaN is not a probability: both entry points return 0 successes and leave
+// the stream alone (the float compare used to burn n uniforms to say 0;
+// NewBinomial and CalibrateL1 reject NaN, so no caller's stream moved).
+func TestBinomialNaNDrawsNothing(t *testing.T) {
+	for _, n := range []int{10, 64, 70} {
+		r, fresh := NewRNG(7), NewRNG(7)
+		if got := r.Binomial(n, math.NaN()); got != 0 {
+			t.Errorf("Binomial(%d, NaN) = %d, want 0", n, got)
+		}
+		tally := make([]int64, n+1)
+		if sum := r.BinomialTally(tally, n, math.NaN(), 5); sum != 0 || tally[0] != 5 {
+			t.Errorf("BinomialTally(%d, NaN, 5) = %d with tally[0] = %d, want 0 and 5", n, sum, tally[0])
+		}
+		if r.Uint64() != fresh.Uint64() {
+			t.Errorf("n=%d: a NaN draw consumed uniforms", n)
+		}
+	}
+}

@@ -14,6 +14,8 @@
 #   - a verdict's suffix results cross the wire as columns, through one
 #     assessment codec (ADR 0006)
 #   - one door into a node (ADR 0003): only internal/repserver listens
+#   - one generator step, one log-choose builder (ADR 0007): the Monte-Carlo
+#     kernels get cheaper per uniform, never by a second copy of the stream
 #
 # Run from anywhere: bash scripts/guardrails.sh
 # =============================================================================
@@ -96,6 +98,18 @@ check "net.Listen only in internal/repserver" \
     "! sources | grep -v '^./internal/repserver/' | xargs grep -n 'net\.Listen\b' | grep -q ."
 check "internal/gossip imports neither net nor bufio" \
     "absent '^\s*\"(net|bufio)\"' internal/gossip"
+
+# --- stream-identical Monte-Carlo (ADR 0007) ----------------------------------
+# A batch kernel must repeat the generator's step, not re-derive it: a copy
+# of xoshiro inside calibrate.go is a second stream waiting to diverge. And
+# the PMF fill's Lgamma terms live in the log-choose table's builder only.
+check "the xoshiro step lives in internal/stats/rng.go only (ADR 0007)" \
+    "! sources | grep -v '^./internal/stats/rng\.go\$' | xargs grep -n 'rotl(' | grep -q ."
+lgamma_in() { grep -c 'math\.Lgamma(' || true; }
+check "math.Lgamma is called only by the log-choose table builder (ADR 0007)" \
+    "! sources | grep -v '^./internal/stats/binomial\.go\$' | xargs grep -n 'math\.Lgamma(' | grep -q . \
+     && [ \"\$(lgamma_in < internal/stats/binomial.go)\" -eq \
+          \"\$(sed -n '/^func logChoose(/,/^}/p' internal/stats/binomial.go | lgamma_in)\" ]"
 
 echo
 if [ "$FAILED" -gt 0 ]; then
