@@ -529,7 +529,9 @@ func ledgerInfo(args []string, out io.Writer) error {
 	}
 	var sealed int
 	var sealedBytes, activeBytes int64
+	formats := map[string]int{}
 	for _, seg := range info.Segments {
+		formats[seg.Format]++
 		if seg.Sealed {
 			sealed++
 			sealedBytes += seg.Size
@@ -539,6 +541,10 @@ func ledgerInfo(args []string, out io.Writer) error {
 	}
 	fmt.Fprintf(out, "  segments: %d (%d sealed, %d bytes sealed, %d bytes unsealed)\n",
 		len(info.Segments), sealed, sealedBytes, activeBytes)
+	if old := formats["v1"] + formats["json"]; old > 0 {
+		fmt.Fprintf(out, "  formats: %d v2, %d v1, %d json (older formats are read, never written)\n",
+			formats["v2"], formats["v1"], formats["json"])
+	}
 	fmt.Fprintf(out, "  records: %d verified\n", info.Records)
 	if info.TruncatedBytes > 0 {
 		fmt.Fprintf(out, "  CORRUPTION: %d bytes fail verification (next open truncates to the intact prefix)\n",
@@ -563,7 +569,8 @@ func ledgerInfo(args []string, out io.Writer) error {
 			if seg.Sealed {
 				state = "sealed"
 			}
-			fmt.Fprintf(out, "    segment %06d: %s %s, %d bytes, %d records", seg.Index, seg.Kind, state, seg.Size, seg.Records)
+			fmt.Fprintf(out, "    segment %06d: %s %s, %d bytes, %d records in %d blocks (%.1f bytes each)",
+				seg.Index, seg.Format, state, seg.Size, seg.Records, seg.Blocks, seg.BytesPerRecord)
 			if seg.Truncated > 0 {
 				fmt.Fprintf(out, ", %d bytes CORRUPT", seg.Truncated)
 			}

@@ -2,7 +2,9 @@ package main
 
 import (
 	"context"
+	"encoding/binary"
 	"encoding/json"
+	"hash/crc32"
 	"os"
 	"path/filepath"
 	"strings"
@@ -323,7 +325,8 @@ func TestLedgerInfo(t *testing.T) {
 		t.Fatal(err)
 	}
 	text := out.String()
-	for _, want := range []string{"segmented ledger", "records: 20 verified", "all segments verify", "snapshots: 1", "snapshot 1: version 2, valid", "section bytes each"} {
+	for _, want := range []string{"segmented ledger", "records: 20 verified", "all segments verify", "snapshots: 1", "snapshot 1: version 2, valid", "section bytes each",
+		"segment 000001: v2 sealed", "20 records in 20 blocks ("} {
 		if !strings.Contains(text, want) {
 			t.Fatalf("output missing %q:\n%s", want, text)
 		}
@@ -340,8 +343,55 @@ func TestLedgerInfo(t *testing.T) {
 	if info.Records != 20 || len(info.Snapshots) != 1 || !info.Snapshots[0].Valid {
 		t.Fatalf("json info: %+v", info)
 	}
+	if seg := info.Segments[0]; seg.Format != "v2" || seg.Blocks != 20 || seg.BytesPerRecord <= 0 {
+		t.Fatalf("json segment info: %+v", seg)
+	}
+	if strings.Contains(text, "formats:") {
+		t.Fatalf("a directory of v2 segments reports a format mix:\n%s", text)
+	}
 
 	if err := run([]string{"ledger-info"}, &out); err == nil {
 		t.Fatal("missing -path must fail")
+	}
+}
+
+// TestLedgerInfoMixedFormats: after an upgrade a directory holds segments
+// the previous revision wrote beside this one's, and ledger-info says so.
+func TestLedgerInfoMixedFormats(t *testing.T) {
+	dir := filepath.Join(t.TempDir(), "led")
+	if err := os.Mkdir(dir, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	f := feedback.Feedback{Server: "s1", Client: "c1", Rating: feedback.Positive, Time: time.Unix(1700000000, 0).UTC()}
+	row, err := feedback.AppendBinary(nil, f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// A v1 segment: header, then one row — uvarint length, payload, CRC32-C.
+	seg := append([]byte{0xB5, 'H', 'P', 'S', 'E', 'G', '1', 0x00}, byte(len(row)))
+	seg = binary.LittleEndian.AppendUint32(append(seg, row...), crc32.Checksum(row, crc32.MakeTable(crc32.Castagnoli)))
+	if err := os.WriteFile(filepath.Join(dir, "ledger.000001"), seg, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	l, recs, err := ledger.Open(dir)
+	if err != nil || len(recs) != 1 {
+		t.Fatalf("open: %d records, %v", len(recs), err)
+	}
+	f.Time = f.Time.Add(time.Second)
+	if err := l.Append(f); err != nil {
+		t.Fatal(err)
+	}
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	var out strings.Builder
+	if err := run([]string{"ledger-info", "-path", dir, "-v"}, &out); err != nil {
+		t.Fatal(err)
+	}
+	for _, want := range []string{"formats: 1 v2, 1 v1, 0 json", "records: 2 verified", "all segments verify",
+		"segment 000001: v1 sealed", "segment 000002: v2 active"} {
+		if !strings.Contains(out.String(), want) {
+			t.Fatalf("output missing %q:\n%s", want, out.String())
+		}
 	}
 }

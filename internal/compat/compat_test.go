@@ -25,6 +25,10 @@ import (
 type serverMode struct {
 	name      string
 	disableV2 bool
+	// previous is a node one codec revision behind (wire.VersionV2 - 1: rows
+	// where this build sends a record batch): it acks its own revision on
+	// the binary framing and serves JSON.
+	previous bool
 }
 
 // clientMode is one client protocol selection of the matrix.
@@ -36,6 +40,7 @@ type clientMode struct {
 var serverModes = []serverMode{
 	{name: "v2", disableV2: false},
 	{name: "json", disableV2: true},
+	{name: "prev", previous: true},
 }
 
 var clientModes = []clientMode{
@@ -51,9 +56,9 @@ func wantProtocol(c clientMode, s serverMode) string {
 	switch {
 	case c.proto == repclient.ProtoJSON:
 		return "json"
-	case s.disableV2 && c.proto == repclient.ProtoV2:
+	case (s.disableV2 || s.previous) && c.proto == repclient.ProtoV2:
 		return ""
-	case s.disableV2:
+	case s.disableV2 || s.previous:
 		return "json"
 	default:
 		return "v2"
@@ -141,6 +146,10 @@ func startServer(t *testing.T, sm serverMode) (*repserver.Server, []feedback.Ent
 // so a codec that decodes to the wrong value — not just one that errors —
 // fails the cell.
 func runCell(t *testing.T, cm clientMode, sm serverMode) {
+	if sm.previous {
+		runPreviousCell(t, cm)
+		return
+	}
 	srv, servers := startServer(t, sm)
 	want := wantProtocol(cm, sm)
 
@@ -295,10 +304,39 @@ func previousVersionServer(t *testing.T) string {
 	return ln.Addr().String()
 }
 
-// TestPreviousVersionPeers: wire.VersionV2 changed what an assessment looks
-// like on a binary frame and kept no reader for the old layout, so peers one
-// version apart must part at the handshake — in both directions, and never
-// by way of a decode error.
+// runPreviousCell is a matrix cell against a node one revision behind: the
+// two meet on JSON or not at all — a strict v2 client fails the dial with a
+// version error, before either side decodes a frame in a layout it has no
+// reader for.
+func runPreviousCell(t *testing.T, cm clientMode) {
+	c, err := repclient.Dial(previousVersionServer(t), repclient.WithProtocol(cm.proto), repclient.WithTimeout(3*time.Second))
+	if wantProtocol(cm, serverMode{previous: true}) == "" {
+		if err == nil {
+			_ = c.Close()
+			t.Fatal("dial succeeded; want a version error")
+		}
+		if !errors.Is(err, wire.ErrBadVersion) || errors.Is(err, wire.ErrBadMessage) {
+			t.Fatalf("dial err = %v, want wire.ErrBadVersion", err)
+		}
+		return
+	}
+	if err != nil {
+		t.Fatalf("dial: %v", err)
+	}
+	defer func() { _ = c.Close() }()
+	if got := c.Protocol(); got != "json" {
+		t.Fatalf("negotiated %q, want json", got)
+	}
+	if err := c.Ping(); err != nil {
+		t.Fatalf("ping over JSON: %v", err)
+	}
+}
+
+// TestPreviousVersionPeers: every wire.VersionV2 revision changed what some
+// payload looks like on a binary frame and kept no reader for the old layout
+// — 3 → 4 the records of submit.batch, fwd.submit.batch and history.resp — so
+// peers one revision apart must part at the handshake, in both directions,
+// and never by way of a decode error.
 func TestPreviousVersionPeers(t *testing.T) {
 	t.Run("old_client_vs_this_server", func(t *testing.T) {
 		srv, _ := startServer(t, serverMode{name: "v2"})
@@ -328,23 +366,6 @@ func TestPreviousVersionPeers(t *testing.T) {
 			t.Fatalf("server counts %d v2 connections", got)
 		}
 	})
-	t.Run("auto_client_vs_old_server", func(t *testing.T) {
-		c, err := repclient.Dial(previousVersionServer(t), repclient.WithProtocol(repclient.ProtoAuto), repclient.WithTimeout(3*time.Second))
-		if err != nil {
-			t.Fatalf("dial: %v", err)
-		}
-		defer func() { _ = c.Close() }()
-		if got := c.Protocol(); got != "json" {
-			t.Fatalf("negotiated %q, want the JSON fallback", got)
-		}
-		if err := c.Ping(); err != nil {
-			t.Fatalf("ping over the fallback: %v", err)
-		}
-	})
-	t.Run("v2_client_vs_old_server", func(t *testing.T) {
-		_, err := repclient.Dial(previousVersionServer(t), repclient.WithProtocol(repclient.ProtoV2), repclient.WithTimeout(3*time.Second))
-		if !errors.Is(err, wire.ErrBadVersion) || errors.Is(err, wire.ErrBadMessage) {
-			t.Fatalf("dial err = %v, want wire.ErrBadVersion", err)
-		}
-	})
+	t.Run("auto_client_vs_old_server", func(t *testing.T) { runPreviousCell(t, clientMode{"auto", repclient.ProtoAuto}) })
+	t.Run("v2_client_vs_old_server", func(t *testing.T) { runPreviousCell(t, clientMode{"v2", repclient.ProtoV2}) })
 }

@@ -133,3 +133,75 @@ func BenchmarkBinaryCodec(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkBatchCodec is the record-batch codec at the ingest_durable shape:
+// 64-record batches, each naming 64 of 512 servers once and clients from a
+// pool of 100, a few whole seconds apart. "frame" resets the dictionaries
+// before every batch, as the wire's pooled frame dictionaries are; "segment"
+// keeps them, as a ledger segment does. Rows are the same records through
+// AppendBinary.
+func BenchmarkBatchCodec(b *testing.B) {
+	const perBatch, batches = 64, 64
+	recs := make([]Feedback, perBatch*batches)
+	for i := range recs {
+		recs[i] = Feedback{
+			Time:   time.Unix(1_700_000_000+int64(i/512+i*7%10), 0),
+			Server: EntityID(fmt.Sprintf("server-%04d", (i*67+i/perBatch)%512)),
+			Client: EntityID(fmt.Sprintf("cli-%d", i*31%100)),
+			Rating: Rating(1 + i%2),
+		}
+	}
+	run := func(name string, encode func(buf []byte, batch []Feedback) []byte, decode func(buf []byte, dst []Feedback) []Feedback) {
+		b.Run(name, func(b *testing.B) {
+			b.ReportAllocs()
+			var size int
+			var buf []byte
+			for i := 0; i < b.N; i++ {
+				size = 0
+				for k := 0; k < batches; k++ {
+					buf = encode(buf[:0], recs[k*perBatch:(k+1)*perBatch])
+					size += len(buf)
+					if got := decode(buf, nil); len(got) != perBatch {
+						b.Fatalf("decoded %d records", len(got))
+					}
+				}
+			}
+			b.ReportMetric(float64(size)/float64(len(recs)), "B/record")
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(recs)), "ns/record")
+		})
+	}
+	batchWith := func(enc, dec func() *BatchDicts) (func([]byte, []Feedback) []byte, func([]byte, []Feedback) []Feedback) {
+		return func(buf []byte, batch []Feedback) []byte {
+				buf, err := AppendBatch(buf, batch, enc())
+				if err != nil {
+					b.Fatal(err)
+				}
+				return buf
+			}, func(buf []byte, dst []Feedback) []Feedback {
+				dst, err := DecodeBatch(buf, dec(), dst)
+				if err != nil {
+					b.Fatal(err)
+				}
+				return dst
+			}
+	}
+	var frameEnc, frameDec BatchDicts
+	enc, dec := batchWith(func() *BatchDicts { frameEnc.Reset(); return &frameEnc }, func() *BatchDicts { frameDec.Reset(); return &frameDec })
+	run("frame", enc, dec)
+	// Never reset: the steady state of a long segment, every id a slot.
+	var segEnc, segDec BatchDicts
+	enc, dec = batchWith(func() *BatchDicts { return &segEnc }, func() *BatchDicts { return &segDec })
+	run("segment", enc, dec)
+	run("rows", func(buf []byte, batch []Feedback) []byte {
+		for _, r := range batch {
+			buf, _ = AppendBinary(buf, r)
+		}
+		return buf
+	}, func(buf []byte, dst []Feedback) []Feedback {
+		dst, err := DecodeBinaryAll(buf)
+		if err != nil {
+			b.Fatal(err)
+		}
+		return dst
+	})
+}

@@ -95,3 +95,65 @@ func FuzzHistoryColumns(f *testing.F) {
 		sameAs(t, "decoded", got, built.Records())
 	})
 }
+
+// FuzzRecordBatch feeds arbitrary bytes to the record-batch decoder. It must
+// never panic and must refuse a count its input cannot hold before
+// allocating for it; whatever it accepts is valid, re-encodes to exactly the
+// input from the same (empty) dictionaries, and encodes again — every id now
+// a slot — to a batch the decoder's own dictionaries read back.
+func FuzzRecordBatch(f *testing.F) {
+	recs := batchOf(9, []EntityID{"srv-a", "srv-b"}, []EntityID{"a", "b", "c"})
+	valid, err := AppendBatch(nil, recs, new(BatchDicts))
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(valid)
+	f.Add(valid[:len(valid)-1])
+	f.Add(append(append([]byte(nil), valid...), 0))
+	f.Add([]byte{0})
+	f.Add(binary.AppendUvarint(nil, 1<<40))                       // a hostile count
+	f.Add([]byte{2, 2, 0, 0, 1, 's', 1, 0, 1, 'c', 0, 0})         // the second record's server is a slot past the end
+	f.Add([]byte{2, 2, 0, 0, 1, 's', 1, 1, 's', 0, 1, 'c', 0, 0}) // an id introduced twice
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var dec BatchDicts
+		got, err := DecodeBatch(data, &dec, nil)
+		if err != nil {
+			if s, c := dec.Len(); s != 0 || c != 0 || got != nil {
+				t.Fatalf("a refused batch left %d servers, %d clients, %d records", s, c, len(got))
+			}
+			return
+		}
+		if len(got) > len(data)/3 || cap(got) > len(data) {
+			t.Fatalf("%d bytes decoded into %d records (cap %d)", len(data), len(got), cap(got))
+		}
+		for i, r := range got {
+			if err := r.Validate(); err != nil {
+				t.Fatalf("record %d of an accepted batch: %v", i, err)
+			}
+		}
+		var enc BatchDicts
+		re, err := AppendBatch(nil, got, &enc)
+		if err != nil {
+			t.Fatalf("accepted batch failed to re-encode: %v", err)
+		}
+		if !bytes.Equal(re, data) {
+			t.Fatalf("round trip mismatch:\n in: %x\nout: %x", data, re)
+		}
+		warm, err := AppendBatch(nil, got, &enc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		again, err := DecodeBatch(warm, &dec, nil)
+		if err != nil {
+			t.Fatalf("second batch against the same dictionaries: %v", err)
+		}
+		if len(again) != len(got) {
+			t.Fatalf("second batch holds %d records, want %d", len(again), len(got))
+		}
+		for i := range got {
+			if again[i] != got[i] {
+				t.Fatalf("second batch, record %d: %v, want %v", i, again[i], got[i])
+			}
+		}
+	})
+}

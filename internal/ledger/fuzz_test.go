@@ -1,8 +1,11 @@
 package ledger
 
 import (
+	"encoding/binary"
+	"hash/crc32"
 	"os"
 	"path/filepath"
+	"reflect"
 	"testing"
 	"time"
 
@@ -35,37 +38,43 @@ func FuzzOpenReplay(f *testing.F) {
 	})
 }
 
-// FuzzSegmentReplay feeds arbitrary bytes through the binary segment
-// scanner, both directly and as a segment file booted through Open. The
-// contract: corruption degrades to a shorter intact record prefix — it
-// never panics, never errors, and never yields an invalid record.
+// FuzzSegmentReplay feeds arbitrary bytes through the segment scanner —
+// blocks, v1 rows and JSON lines alike — both directly and as a segment file
+// booted through Open. The contract: corruption degrades to a shorter intact
+// prefix — it never panics, never errors, and never yields an invalid
+// record — and the dictionaries a scan hands the writer are the intact
+// prefix's, so what is appended after such a boot replays beside it.
 func FuzzSegmentReplay(f *testing.F) {
-	// Seed with a well-formed two-record segment, its sealed variant, and
-	// torn/garbled mutants.
-	seed := append([]byte(nil), segMagic[:]...)
-	var chain uint32
-	var err error
-	for i := 0; i < 2; i++ {
-		seed, chain, err = appendRecord(seed, feedback.Feedback{
-			Server: "s", Client: "c", Rating: feedback.Positive,
+	// Seed with well-formed segments of both binary layouts, their sealed
+	// variants, and torn/garbled mutants.
+	rec := func(i int, client feedback.EntityID) feedback.Feedback {
+		return feedback.Feedback{
+			Server: "s", Client: client, Rating: feedback.Rating(1 + i%2),
 			Time: time.Unix(int64(i+1), 0).UTC(),
-		}, chain)
-		if err != nil {
-			f.Fatal(err)
 		}
 	}
+	groups := [][]feedback.Feedback{{rec(0, "c"), rec(1, "d")}, {rec(2, "c")}, {rec(3, "e"), rec(4, "d"), rec(5, "c")}}
+	seed := v2Segment(f, groups, false)
 	f.Add(seed)
-	f.Add(appendFooter(append([]byte(nil), seed...), 2, uint64(len(seed)-len(segMagic)), chain))
+	f.Add(v2Segment(f, groups, true))
 	f.Add(seed[:len(seed)-3])
+	f.Add(v2Segment(f, [][]feedback.Feedback{groups[0], groups[0]}, false)) // the second block re-introduces nothing
+	empty := append(append([]byte(nil), segMagic[:]...), 1, 0)              // a batch of no records under a good checksum
+	f.Add(binary.LittleEndian.AppendUint32(empty, crc32.Checksum([]byte{0}, castagnoli)))
+	rows := []feedback.Feedback{rec(0, "c"), rec(1, "c")}
+	f.Add(v1Segment(f, rows, false))
+	f.Add(v1Segment(f, rows, true))
 	f.Add([]byte{})
 	f.Add(segMagic[:])
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var emitted uint64
-		sc, err := scanSegment(data, func(r feedback.Feedback) error {
-			if verr := r.Validate(); verr != nil {
-				t.Fatalf("scan emitted invalid record: %v", verr)
+		sc, err := scanSegment(data, func(batch []feedback.Feedback) error {
+			for _, r := range batch {
+				if verr := r.Validate(); verr != nil {
+					t.Fatalf("scan emitted invalid record: %v", verr)
+				}
 			}
-			emitted++
+			emitted += uint64(len(batch))
 			return nil
 		})
 		if err != nil {
@@ -92,6 +101,25 @@ func FuzzSegmentReplay(f *testing.F) {
 		}
 		if uint64(len(recs)) != sc.records {
 			t.Fatalf("Open replayed %d, scan found %d", len(recs), sc.records)
+		}
+		// Whatever survived, the writer resumes after it: an id the prefix
+		// introduced and one it did not, appended and read back.
+		more := []feedback.Feedback{rec(9, "fresh-client")}
+		if len(recs) > 0 {
+			more = append(more, recs[0])
+		}
+		if err := l.AppendBatch(more); err != nil {
+			t.Fatalf("append after boot: %v", err)
+		}
+		if err := l.Close(); err != nil {
+			t.Fatal(err)
+		}
+		l, again, err := Open(dir)
+		if err != nil {
+			t.Fatalf("reopen: %v", err)
+		}
+		if want := append(recs, more...); !reflect.DeepEqual(again, want) {
+			t.Fatalf("reopen replayed %d records, want the %d booted and the %d appended", len(again), len(recs), len(more))
 		}
 		if err := l.Close(); err != nil {
 			t.Fatal(err)

@@ -4,6 +4,8 @@ import (
 	"errors"
 	"fmt"
 	"os"
+	"path/filepath"
+	"reflect"
 	"sync"
 	"testing"
 
@@ -223,6 +225,78 @@ func TestGroupCommitCrashConsistency(t *testing.T) {
 	}
 	if len(again) != len(got)+1 {
 		t.Fatalf("after recovery+append: %d records, want %d", len(again), len(got)+1)
+	}
+}
+
+// TestTornBlockDropsWholeGroup: a commit group is one block, so a tail torn
+// at any byte inside the last block loses that group whole — boot keeps
+// exactly the groups before it, never a prefix of the torn one — which is
+// the all-or-nothing AppendBatch promises.
+func TestTornBlockDropsWholeGroup(t *testing.T) {
+	recs := stream(15)
+	groups := [][]feedback.Feedback{recs[:5], recs[5:12], recs[12:]}
+	path := filepath.Join(t.TempDir(), "ledger")
+	l, _, err := Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var ends []int64 // segment size after each group
+	for _, g := range groups {
+		if err := l.AppendBatch(g); err != nil {
+			t.Fatal(err)
+		}
+		ends = append(ends, l.segSize)
+	}
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	whole, err := os.ReadFile(activeSegPath(t, path))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if int64(len(whole)) != ends[2] {
+		t.Fatalf("segment is %d bytes, the ledger counted %d", len(whole), ends[2])
+	}
+	for cut := ends[1]; cut <= ends[2]; cut++ {
+		dir := filepath.Join(t.TempDir(), "torn")
+		if err := os.Mkdir(dir, 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(dir, segmentName(1)), whole[:cut], 0o644); err != nil {
+			t.Fatal(err)
+		}
+		l, got, err := Open(dir)
+		if err != nil {
+			t.Fatalf("cut at %d: %v", cut, err)
+		}
+		want := recs[:12]
+		if cut == ends[2] {
+			want = recs
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("cut at %d of %d: replayed %d records, want %d", cut, ends[2], len(got), len(want))
+		}
+		if wantCut := cut - ends[1]; cut < ends[2] && l.truncatedBytes != wantCut {
+			t.Fatalf("cut at %d: %d bytes truncated, want %d", cut, l.truncatedBytes, wantCut)
+		}
+		// The torn group's ids left no trace in the writer's dictionaries:
+		// the group appends again and everything reads back.
+		if err := l.AppendBatch(groups[2]); err != nil {
+			t.Fatal(err)
+		}
+		if err := l.Close(); err != nil {
+			t.Fatal(err)
+		}
+		l, again, err := Open(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := append(append([]feedback.Feedback(nil), got...), groups[2]...); !reflect.DeepEqual(again, want) {
+			t.Fatalf("cut at %d: after re-append replayed %d records, want %d", cut, len(again), len(want))
+		}
+		if err := l.Close(); err != nil {
+			t.Fatal(err)
+		}
 	}
 }
 

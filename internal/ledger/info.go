@@ -17,8 +17,18 @@ type SegmentInfo struct {
 	Index   uint64 `json:"index"`
 	Size    int64  `json:"size"`
 	Records uint64 `json:"records"`
-	Kind    string `json:"kind"`   // "binary" or "json"
-	Sealed  bool   `json:"sealed"` // valid footer covering the whole file
+	// Format is the segment's encoding: "v2" (one block of record columns
+	// per commit group — the only one written), "v1" (one framed row per
+	// record) or "json" (legacy JSON lines). After an upgrade a directory
+	// holds older formats until they are migrated.
+	Format string `json:"format"`
+	// Blocks counts the checksummed units the records sit in: commit-group
+	// blocks in a v2 segment, one per record in a v1 segment, none in JSON.
+	Blocks uint64 `json:"blocks"`
+	// BytesPerRecord is the intact bytes (header, blocks, footer) over the
+	// records they hold.
+	BytesPerRecord float64 `json:"bytes_per_record,omitempty"`
+	Sealed         bool    `json:"sealed"` // valid footer covering the whole file
 	// Truncated is how many trailing bytes fail verification (0 = fully
 	// intact). Non-zero on the active segment means a torn tail the next
 	// open will trim; on a sealed position it means detected corruption.
@@ -132,16 +142,17 @@ func Inspect(path string) (*Info, error) {
 }
 
 func segmentInfo(idx uint64, sc segScan) SegmentInfo {
-	kind := "binary"
-	if sc.kind == segJSON {
-		kind = "json"
-	}
-	return SegmentInfo{
+	si := SegmentInfo{
 		Index:     idx,
 		Size:      sc.size,
 		Records:   sc.records,
-		Kind:      kind,
+		Format:    sc.kind.String(),
+		Blocks:    sc.blocks,
 		Sealed:    sc.sealed,
 		Truncated: sc.truncated,
 	}
+	if sc.records > 0 {
+		si.BytesPerRecord = float64(sc.intact) / float64(sc.records)
+	}
+	return si
 }

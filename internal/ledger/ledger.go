@@ -8,15 +8,17 @@
 //
 // On disk a ledger is a directory of size-bounded segment files
 // (ledger.000001, ledger.000002, …) and snapshot files (snapshot.0000000001,
-// …). The active (highest-numbered) segment receives appends, flushed per
-// record; when it exceeds the roll-over threshold it is sealed with a footer
-// carrying its record count and CRC32C chain, and a fresh segment starts.
-// Sealed segments are immutable and independently verifiable, which is what
-// lets boot replay them in parallel. Legacy single-file JSON-lines ledgers
-// (the PR-7 format) migrate in place: the file becomes segment 1 of a new
-// ledger directory, its content byte-for-byte unchanged, and is sealed at
-// that first open; appends go to a binary segment 2 (see segment.go for both
-// layouts). JSON is a format the ledger reads, never one it writes.
+// …). The active (highest-numbered) segment receives appends, one
+// checksummed block of record columns per commit group (ADR 0008); when it
+// exceeds the roll-over threshold it is sealed with a footer carrying its
+// record count and CRC32C chain, and a fresh segment starts. Sealed segments
+// are immutable and independently verifiable, which is what lets boot replay
+// them in parallel. Segments in the two older encodings — one framed row per
+// record (segment_v1.go), and the PR-7 single-file JSON-lines ledger, which
+// migrates in place as segment 1 of a new directory, byte for byte — are
+// formats the ledger reads, never ones it writes: the first open seals such
+// a tail where it stands and appends go to a fresh segment (see segment.go
+// for the layouts).
 package ledger
 
 import (
@@ -24,6 +26,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"hash/crc32"
 	"io"
 	"os"
 	"path/filepath"
@@ -52,7 +55,8 @@ type Ledger struct {
 	segIndex uint64
 	segSize  int64 // bytes written to the active segment (incl. header)
 	segRecs  uint64
-	chain    uint32 // crc chain over the active segment's records
+	chain    uint32              // crc chain over the active segment's blocks
+	dict     feedback.BatchDicts // ids the active segment's blocks have introduced
 
 	records     uint64 // intact records ledger-wide (replayed + appended)
 	sealedSegs  int
@@ -87,8 +91,13 @@ type Ledger struct {
 	groupSizes       [groupBuckets]uint64 // power-of-two size histogram
 
 	closed bool
-	buf    []byte // append scratch
+	buf    []byte // block scratch, dropped after a group above maxKeptBuf
 }
+
+// maxKeptBuf bounds the block scratch kept between commits: one large batch
+// (a Seed, an anti-entropy pull) must not pin its buffer for the life of the
+// process.
+const maxKeptBuf = 1 << 20
 
 // groupBuckets is the size of the group-commit histogram: bucket i counts
 // flushes whose group size was in (2^(i-1), 2^i], so bucket 0 is exactly 1
@@ -219,59 +228,108 @@ func (l *Ledger) segPath(idx uint64) string {
 	return filepath.Join(l.dir, segmentName(idx))
 }
 
-// createSegment creates a fresh binary segment and makes it active.
+// createSegment creates a fresh segment and makes it active.
 func (l *Ledger) createSegment(idx uint64) error {
 	f, err := os.OpenFile(l.segPath(idx), os.O_RDWR|os.O_CREATE, 0o644)
 	if err != nil {
 		return fmt.Errorf("ledger: create segment: %w", err)
 	}
-	if _, err := f.Write(segMagic[:]); err != nil {
-		cerr := f.Close()
-		return errors.Join(fmt.Errorf("ledger: segment header: %w", err), cerr)
+	return l.startSegment(f, idx)
+}
+
+// startSegment empties f, writes the segment header and makes f the active
+// segment, with the empty dictionaries every segment starts from.
+func (l *Ledger) startSegment(f *os.File, idx uint64) error {
+	err := f.Truncate(0)
+	if err == nil {
+		_, err = f.WriteAt(segMagic[:], 0)
 	}
-	l.f = f
-	l.w = bufio.NewWriter(f)
-	l.segIndex = idx
-	l.segSize = int64(len(segMagic))
-	l.segRecs = 0
-	l.chain = 0
+	if err == nil {
+		_, err = f.Seek(int64(len(segMagic)), io.SeekStart)
+	}
+	if err != nil {
+		return errors.Join(fmt.Errorf("ledger: segment header: %w", err), f.Close())
+	}
+	l.setActive(f, idx, segScan{intact: int64(len(segMagic))})
 	return nil
 }
 
-// retireJSONSegment cuts a legacy JSON-lines segment back to its intact
-// prefix, leaves it behind as a sealed segment — JSON segments carry no
-// footer; not being the highest-numbered segment is what seals them — and
-// starts the binary segment that receives appends from here on.
-func (l *Ledger) retireJSONSegment(idx uint64, intact int64) error {
+// setActive makes f, positioned at the end of the intact prefix sc describes,
+// the active segment.
+func (l *Ledger) setActive(f *os.File, idx uint64, sc segScan) {
+	l.f = f
+	l.w = bufio.NewWriter(f)
+	l.segIndex = idx
+	l.segSize = sc.intact
+	l.segRecs = sc.records
+	l.chain = sc.chain
+	l.dict = sc.dict
+}
+
+// adopt makes segment idx, scanned as sc and found unsealed, the tail of the
+// ledger. A segment in the current format is cut back to its intact prefix
+// and appended to, with the dictionaries that prefix built. A legacy one is
+// never appended to again: its intact prefix stays behind, sealed, and the
+// next index starts the segment that receives appends — adopt then returns
+// the size the legacy file was sealed at. A segment with no intact record is
+// rewritten from its header.
+func (l *Ledger) adopt(idx uint64, sc segScan) (sealedAt int64, err error) {
 	path := l.segPath(idx)
 	f, err := os.OpenFile(path, os.O_RDWR, 0o644)
 	if err != nil {
-		return fmt.Errorf("ledger: open segment %s: %w", path, err)
+		return 0, fmt.Errorf("ledger: open segment %s: %w", path, err)
 	}
+	if sc.kind != segV2 && sc.records > 0 {
+		return l.retireLegacy(f, idx, sc)
+	}
+	if sc.kind != segV2 || sc.intact < int64(len(segMagic)) {
+		return 0, l.startSegment(f, idx)
+	}
+	err = f.Truncate(sc.intact)
+	if err == nil {
+		_, err = f.Seek(sc.intact, io.SeekStart)
+	}
+	if err != nil {
+		return 0, errors.Join(fmt.Errorf("ledger: truncate %s: %w", path, err), f.Close())
+	}
+	l.setActive(f, idx, sc)
+	return 0, nil
+}
+
+// retireLegacy cuts a legacy segment back to its intact prefix, seals it —
+// a v1 segment gets the footer its rows chain to; JSON segments carry none,
+// not being the highest-numbered segment is what seals them — and starts the
+// segment that receives appends from here on.
+func (l *Ledger) retireLegacy(f *os.File, idx uint64, sc segScan) (sealedAt int64, err error) {
 	// The cut must be durable before a later segment exists: a torn tail
 	// under a later segment reads as corruption and drops everything after.
-	terr := f.Truncate(intact)
-	if terr == nil {
-		terr = f.Sync()
+	sealedAt = sc.intact
+	err = f.Truncate(sc.intact)
+	if err == nil && sc.kind == segV1 {
+		footer := appendFooter(nil, sc.records, uint64(sc.intact)-uint64(len(segMagic)), sc.chain)
+		_, err = f.WriteAt(footer, sc.intact)
+		sealedAt += int64(len(footer))
 	}
-	if err := errors.Join(terr, f.Close()); err != nil {
-		return fmt.Errorf("ledger: seal legacy segment %s: %w", path, err)
+	if err == nil {
+		err = f.Sync()
+	}
+	if err := errors.Join(err, f.Close()); err != nil {
+		return 0, fmt.Errorf("ledger: seal legacy segment %d: %w", idx, err)
 	}
 	if err := l.createSegment(idx + 1); err != nil {
-		return err
+		return 0, err
 	}
 	syncDir(l.dir)
-	return nil
+	return sealedAt, nil
 }
 
 // openActive prepares the highest-numbered segment for appends: it scans the
 // file structurally (no record emission), truncates anything past the intact
 // prefix, and seeks to the end. A fully-sealed highest segment — the
 // kill-during-roll-over case — is left untouched and a fresh segment is
-// created after it; so is a legacy JSON segment, cut to its intact prefix.
+// created after it; so is a legacy segment, cut to its intact prefix.
 func (l *Ledger) openActive(idx uint64) error {
-	path := l.segPath(idx)
-	data, err := readSegmentFile(path)
+	data, err := readSegmentFile(l.segPath(idx))
 	if err != nil {
 		return err
 	}
@@ -285,44 +343,8 @@ func (l *Ledger) openActive(idx uint64) error {
 		l.truncatedSegments++
 		l.truncatedBytes += sc.truncated
 	}
-	if sc.kind == segJSON && sc.intact > 0 {
-		return l.retireJSONSegment(idx, sc.intact)
-	}
-	f, err := os.OpenFile(path, os.O_RDWR, 0o644)
-	if err != nil {
-		return fmt.Errorf("ledger: open segment %s: %w", path, err)
-	}
-	intact := sc.intact
-	if intact < int64(len(segMagic)) {
-		// Torn or absent header, or a legacy file without one intact line:
-		// rewrite the segment from scratch.
-		if err := f.Truncate(0); err != nil {
-			cerr := f.Close()
-			return errors.Join(fmt.Errorf("ledger: truncate %s: %w", path, err), cerr)
-		}
-		if _, err := f.Write(segMagic[:]); err != nil {
-			cerr := f.Close()
-			return errors.Join(fmt.Errorf("ledger: segment header: %w", err), cerr)
-		}
-		intact = int64(len(segMagic))
-		sc.records, sc.chain = 0, 0
-	} else {
-		if err := f.Truncate(intact); err != nil {
-			cerr := f.Close()
-			return errors.Join(fmt.Errorf("ledger: truncate %s: %w", path, err), cerr)
-		}
-		if _, err := f.Seek(intact, io.SeekStart); err != nil {
-			cerr := f.Close()
-			return errors.Join(fmt.Errorf("ledger: seek %s: %w", path, err), cerr)
-		}
-	}
-	l.f = f
-	l.w = bufio.NewWriter(f)
-	l.segIndex = idx
-	l.segSize = intact
-	l.segRecs = sc.records
-	l.chain = sc.chain
-	return nil
+	_, err = l.adopt(idx, sc)
+	return err
 }
 
 // Append durably appends one record, rolling the active segment over when it
@@ -381,11 +403,12 @@ func (l *Ledger) commit(recs []feedback.Feedback) error {
 	return <-w.done
 }
 
-// commitGroup encodes every queued record into one buffer — one chain pass,
-// computed locally so a failed write never advances the in-memory chain —
-// and issues a single Write+Flush for the whole group. A Write or Flush
-// failure poisons the ledger (see the poisoned field). Encode failures
-// cannot poison: nothing has been written yet, so the group just fails.
+// commitGroup encodes the queued records as one block — their columns,
+// length-prefixed and checksummed, the checksum folded into a chain computed
+// locally so a failed write never advances the in-memory one — and issues a
+// single Write+Flush for it. A Write or Flush failure poisons the ledger (see
+// the poisoned field). Encode failures cannot poison: the codec refuses a
+// batch before it writes a byte or touches the dictionaries.
 func (l *Ledger) commitGroup(group []*commitWaiter) error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -395,25 +418,27 @@ func (l *Ledger) commitGroup(group []*commitWaiter) error {
 	if l.poisoned != nil {
 		return l.poisoned
 	}
-	var (
-		n     uint64
-		chain = l.chain
-		err   error
-	)
-	l.buf = l.buf[:0]
-	for _, w := range group {
-		for _, rec := range w.recs {
-			l.buf, chain, err = appendRecord(l.buf, rec, chain)
-			if err != nil {
-				return fmt.Errorf("ledger: encode: %w", err)
-			}
-			n++
+	recs := group[0].recs
+	if len(group) > 1 {
+		// A block is one batch: the appenders' records in queue order.
+		recs = nil
+		for _, w := range group {
+			recs = append(recs, w.recs...)
 		}
 	}
+	n := uint64(len(recs))
 	if n == 0 {
 		return nil
 	}
-	if _, err := l.w.Write(l.buf); err != nil {
+	block, err := appendBlock(l.buf[:0], recs, &l.dict)
+	if err != nil {
+		return fmt.Errorf("ledger: encode: %w", err)
+	}
+	l.buf = block
+	if cap(block) > maxKeptBuf {
+		l.buf = nil
+	}
+	if _, err := l.w.Write(block); err != nil {
 		l.poisoned = fmt.Errorf("ledger: poisoned by append error: %w", err)
 		return fmt.Errorf("ledger: append: %w", err)
 	}
@@ -421,8 +446,8 @@ func (l *Ledger) commitGroup(group []*commitWaiter) error {
 		l.poisoned = fmt.Errorf("ledger: poisoned by flush error: %w", err)
 		return fmt.Errorf("ledger: flush: %w", err)
 	}
-	l.chain = chain
-	l.segSize += int64(len(l.buf))
+	l.chain = crc32.Update(l.chain, castagnoli, block[len(block)-4:])
+	l.segSize += int64(len(block))
 	l.segRecs += n
 	l.records += n
 	l.groupFlushes++

@@ -3,49 +3,79 @@ package ledger
 // Boot replay. Sealed segments are immutable and self-verifying, so they are
 // decoded in parallel across a bounded worker pool and consumed strictly in
 // file order — the order appends happened — so per-server history order is
-// preserved without a merge step. The active segment is streamed in batches
-// so boot never materializes the whole log in memory. Snapshot boots pass a
-// starting segment: everything before it is covered by the snapshot and is
-// skipped entirely (only its footer is read, for record accounting).
+// preserved without a merge step. No segment is ever held decoded: a worker
+// hands its records over in batches through a channel that holds one, so
+// what replay keeps of a segment beyond its file bytes is a few batches and
+// the segment's id dictionary, whose strings the records share. Snapshot
+// boots pass a starting segment: everything before it is covered by the
+// snapshot and is skipped entirely (only its footer is read, for record
+// accounting).
 //
 // Corruption in a sealed segment degrades exactly like a torn active tail:
-// replay keeps the segment's intact record prefix, deletes every later
+// replay keeps the segment's intact block prefix, deletes every later
 // segment, truncates the file back to the intact prefix, and re-adopts it as
 // the active segment — the ledger's longest verified prefix, ready for new
 // appends. The byte and segment counts of everything discarded are surfaced
 // via Stats (the ledger_truncations metric) instead of vanishing silently.
 
 import (
-	"bufio"
 	"context"
 	"errors"
 	"fmt"
-	"io"
 	"os"
 	"runtime"
+	"sync"
 
 	"honestplayer/internal/feedback"
 )
 
-// replayBatch is the record batch size streamed out of the active segment.
-const replayBatch = 4096
-
 // maxReplayWorkers caps the sealed-segment decode pool (and with it the
-// number of decoded segments held in memory at once).
+// number of segment files held in memory at once).
 const maxReplayWorkers = 8
 
-// segResult is one decoded sealed segment.
-type segResult struct {
-	recs []feedback.Feedback
-	scan segScan
-	err  error
+// segStream is one segment being decoded by a worker: its record batches in
+// order and, once batches is closed, how the scan ended.
+type segStream struct {
+	batches chan []feedback.Feedback
+	scan    segScan
+	err     error
+}
+
+// streamSegment starts the worker that decodes segment idx. The worker stops
+// early when ctx is cancelled and has exited when wg is done.
+func (l *Ledger) streamSegment(ctx context.Context, wg *sync.WaitGroup, idx uint64, verifyOnly bool) *segStream {
+	st := &segStream{batches: make(chan []feedback.Feedback, 1)}
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		defer close(st.batches)
+		data, err := readSegmentFile(l.segPath(idx))
+		if err != nil {
+			st.err = err
+			return
+		}
+		var send func([]feedback.Feedback) error
+		if !verifyOnly {
+			send = func(batch []feedback.Feedback) error {
+				select {
+				case st.batches <- batch:
+					return nil
+				case <-ctx.Done():
+					return ctx.Err()
+				}
+			}
+		}
+		st.scan, st.err = scanSegment(data, send)
+	}()
+	return st
 }
 
 // replayFrom replays every intact record in segments from..active, in log
-// order, invoking emit with successive batches. It must run once, right
-// after openLedger and before any Append. Corrupt content never fails the
-// replay — it truncates the ledger to its longest verified prefix — but
-// emit errors and ctx cancellation abort it.
+// order, invoking emit with successive batches that it owns (a nil emit only
+// verifies and counts). It must run once, right after openLedger and before
+// any Append. Corrupt content never fails the replay — it truncates the
+// ledger to its longest verified prefix — but emit errors and ctx
+// cancellation abort it.
 func (l *Ledger) replayFrom(ctx context.Context, from uint64, emit func([]feedback.Feedback) error) error {
 	segs, err := l.listSegments()
 	if err != nil {
@@ -55,15 +85,11 @@ func (l *Ledger) replayFrom(ctx context.Context, from uint64, emit func([]feedba
 	if from > active {
 		from = active
 	}
-	var sealed []uint64 // non-active segments, ascending
+	// Segments below the snapshot horizon: record accounting only. The
+	// active segment was truncated to its intact prefix at open and streams
+	// last, like the sealed ones before it.
+	var consume []uint64
 	for _, idx := range segs {
-		if idx != active {
-			sealed = append(sealed, idx)
-		}
-	}
-	// Segments below the snapshot horizon: record accounting only.
-	consume := sealed[:0]
-	for _, idx := range sealed {
 		if idx < from {
 			count, size := l.skippedSegmentStats(idx)
 			l.records += count
@@ -81,95 +107,44 @@ func (l *Ledger) replayFrom(ctx context.Context, from uint64, emit func([]feedba
 	if workers < 1 {
 		workers = 1
 	}
-	results := make([]chan segResult, len(consume))
+	ctx, cancel := context.WithCancel(ctx)
+	var wg sync.WaitGroup
+	defer wg.Wait() // after cancel: no worker outlives the replay
+	defer cancel()
+	streams := make([]*segStream, len(consume))
 	spawned := 0
-	spawn := func() {
-		idx := consume[spawned]
-		ch := make(chan segResult, 1)
-		results[spawned] = ch
-		spawned++
-		go func() {
-			data, err := readSegmentFile(l.segPath(idx))
-			if err != nil {
-				ch <- segResult{err: err}
-				return
+	for i, idx := range consume {
+		for ; spawned < len(consume) && spawned < i+workers; spawned++ {
+			streams[spawned] = l.streamSegment(ctx, &wg, consume[spawned], emit == nil)
+		}
+		st := streams[i]
+		streams[i] = nil // a consumed segment's dictionaries go with it
+		for batch := range st.batches {
+			if err := ctx.Err(); err != nil {
+				return fmt.Errorf("ledger: replay: %w", err)
 			}
-			recs := make([]feedback.Feedback, 0, len(data)/32)
-			sc, _ := scanSegment(data, func(f feedback.Feedback) error {
-				recs = append(recs, f)
-				return nil
-			})
-			ch <- segResult{recs: recs, scan: sc}
-		}()
-	}
-
-	for i := 0; i < len(consume); i++ {
-		for spawned < len(consume) && spawned < i+workers {
-			spawn()
+			if err := emit(batch); err != nil {
+				return err
+			}
 		}
 		if err := ctx.Err(); err != nil {
 			return fmt.Errorf("ledger: replay: %w", err)
 		}
-		res := <-results[i]
-		if res.err != nil {
-			return res.err
+		if st.err != nil {
+			return st.err
 		}
-		if len(res.recs) > 0 && emit != nil {
-			if err := emit(res.recs); err != nil {
-				return err
-			}
+		l.records += st.scan.records
+		if idx == active {
+			break
 		}
-		l.records += res.scan.records
-		if !res.scan.sealed && res.scan.truncated > 0 {
+		if !st.scan.sealed && st.scan.truncated > 0 {
 			// Corrupt sealed segment: everything after it is suspect. Truncate
 			// the ledger here and adopt the segment as the new active tail.
-			return l.adoptTruncated(consume[i], res.scan, append(consume[i+1:], active))
+			return l.adoptTruncated(idx, st.scan, consume[i+1:])
 		}
 		l.sealedSegs++
-		l.sealedBytes += res.scan.intact
+		l.sealedBytes += st.scan.intact
 	}
-
-	// The active segment was truncated to its intact prefix at open; stream
-	// it in batches.
-	if emit == nil {
-		l.records += l.segRecs
-		return nil
-	}
-	data, err := readSegmentFile(l.segPath(active))
-	if err != nil {
-		return err
-	}
-	batch := make([]feedback.Feedback, 0, replayBatch)
-	flush := func() error {
-		if len(batch) == 0 {
-			return nil
-		}
-		if err := emit(batch); err != nil {
-			return err
-		}
-		batch = batch[:0]
-		return nil
-	}
-	n := 0
-	if _, err := scanSegment(data, func(f feedback.Feedback) error {
-		if n%replayBatch == 0 {
-			if err := ctx.Err(); err != nil {
-				return fmt.Errorf("ledger: replay: %w", err)
-			}
-		}
-		n++
-		batch = append(batch, f)
-		if len(batch) == replayBatch {
-			return flush()
-		}
-		return nil
-	}); err != nil {
-		return err
-	}
-	if err := flush(); err != nil {
-		return err
-	}
-	l.records += l.segRecs
 	return nil
 }
 
@@ -201,9 +176,10 @@ func (l *Ledger) skippedSegmentStats(idx uint64) (records uint64, size int64) {
 	return 0, size
 }
 
-// adoptTruncated makes a corrupt sealed segment the ledger's new active
-// tail: later segments (including the previously active one) are deleted,
-// the file is truncated back to its intact prefix, and appends resume there.
+// adoptTruncated makes a corrupt sealed segment the ledger's new tail: later
+// segments (including the previously active one) are deleted, the file is
+// truncated back to its intact prefix, and appends resume there — or, after
+// a legacy segment, in a fresh segment behind it (see adopt).
 func (l *Ledger) adoptTruncated(idx uint64, sc segScan, later []uint64) error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -223,42 +199,14 @@ func (l *Ledger) adoptTruncated(idx uint64, sc segScan, later []uint64) error {
 	}
 	l.truncatedSegments++
 	l.truncatedBytes += discarded
-	if sc.kind == segJSON && sc.intact > 0 {
-		// A legacy segment is never appended to again: its intact prefix
-		// stays behind sealed and a binary segment takes over.
-		l.sealedSegs++
-		l.sealedBytes += sc.intact
-		return l.retireJSONSegment(idx, sc.intact)
-	}
-	path := l.segPath(idx)
-	f, err := os.OpenFile(path, os.O_RDWR, 0o644)
+	sealedAt, err := l.adopt(idx, sc)
 	if err != nil {
-		return fmt.Errorf("ledger: reopen segment %s: %w", path, err)
+		return err
 	}
-	intact := sc.intact
-	if intact < int64(len(segMagic)) {
-		intact = 0
+	if sealedAt > 0 {
+		l.sealedSegs++
+		l.sealedBytes += sealedAt
 	}
-	if err := f.Truncate(intact); err != nil {
-		cerr := f.Close()
-		return errors.Join(fmt.Errorf("ledger: truncate %s: %w", path, err), cerr)
-	}
-	if intact == 0 {
-		if _, err := f.Write(segMagic[:]); err != nil {
-			cerr := f.Close()
-			return errors.Join(fmt.Errorf("ledger: segment header: %w", err), cerr)
-		}
-		intact = int64(len(segMagic))
-	} else if _, err := f.Seek(intact, io.SeekStart); err != nil {
-		cerr := f.Close()
-		return errors.Join(fmt.Errorf("ledger: seek %s: %w", path, err), cerr)
-	}
-	l.f = f
-	l.w = bufio.NewWriter(f)
-	l.segIndex = idx
-	l.segSize = intact
-	l.segRecs = sc.records
-	l.chain = sc.chain
 	syncDir(l.dir)
 	return nil
 }

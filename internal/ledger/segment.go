@@ -1,29 +1,40 @@
 package ledger
 
-// Binary segment codec. A segment file is either a legacy JSON-lines file
-// (one wire-compatible record per line, no header — the PR-7 single-file
-// format, recognised by its first byte) or a binary segment:
+// Segment codec. A segment file is a header, one block per commit group, and
+// — once sealed — a footer:
 //
-//	header:  8 bytes  {0xB5, 'H','P','S','E','G','1', 0x00}
-//	record:  uvarint payload length
-//	         payload        — feedback.AppendBinary encoding
+//	header:  8 bytes  {0xB5, 'H','P','S','E','G','2', 0x00}
+//	block:   uvarint payload length, shortest form
+//	         payload        — the group's records as feedback.AppendBatch
+//	                          columns, against the segment's dictionaries
 //	         crc32c         — 4 bytes little-endian, over the payload
-//	footer:  0x00            — cannot start a record (payloads are never empty)
+//	footer:  0x00            — cannot start a block (payloads are never empty)
 //	         "HPSEGFTR"      — 8 bytes
 //	         record count    — 8 bytes little-endian
 //	         body length     — 8 bytes little-endian (header end → footer start)
-//	         crc chain       — 4 bytes little-endian (running crc32c over all
-//	                           payloads, seeded 0, chained record to record)
+//	         crc chain       — 4 bytes little-endian (running crc32c over the
+//	                           blocks' checksum bytes, seeded 0, block to block)
 //	         footer crc      — 4 bytes little-endian crc32c of the 29 footer
 //	                           bytes above
 //	         "HPSEGEND"      — 8 bytes
 //
-// Only sealed segments carry a footer; the active (highest-numbered) segment
-// ends after its last record. Any corruption — a bad per-record checksum, a
-// broken chain, a torn tail — degrades to the longest intact record prefix,
-// which scanSegment reports without ever failing on malformed input.
+// The server and client dictionaries of the batch codec are scoped to the
+// segment: empty at the header, extended by each block in turn, so a segment
+// decodes on its own and a block only after the blocks before it. Only sealed
+// segments carry a footer; the active (highest-numbered) segment ends after
+// its last block. Any corruption — a bad block checksum, a payload that is
+// not a canonical batch, a broken chain, a torn tail — degrades to the
+// longest intact block prefix, which scanSegment reports without ever failing
+// on malformed input. A block is a whole commit group, so a torn tail never
+// keeps part of one.
+//
+// Two older encodings stay readable: v1 segments (segment_v1.go; same footer,
+// one framed row per record) and legacy JSON-lines files (one wire-compatible
+// record per line, no header — the PR-7 single-file format, recognised by its
+// first byte).
 
 import (
+	"bytes"
 	"encoding/binary"
 	"encoding/json"
 	"fmt"
@@ -34,11 +45,10 @@ import (
 )
 
 var (
-	segMagic     = [8]byte{0xB5, 'H', 'P', 'S', 'E', 'G', '1', 0x00}
-	footerMark   = "HPSEGFTR"
-	footerEnd    = "HPSEGEND"
-	castagnoli   = crc32.MakeTable(crc32.Castagnoli)
-	maxRecordLen = uint64(8 + 1 + 2 + 1024 + 2 + 1024) // feedback binary ceiling
+	segMagic   = [8]byte{0xB5, 'H', 'P', 'S', 'E', 'G', '2', 0x00}
+	footerMark = "HPSEGFTR"
+	footerEnd  = "HPSEGEND"
+	castagnoli = crc32.MakeTable(crc32.Castagnoli)
 )
 
 // footerSize is the byte length of a sealed segment's footer.
@@ -48,32 +58,42 @@ const footerSize = 1 + 8 + 8 + 8 + 4 + 4 + 8
 type segKind int
 
 const (
-	segBinary segKind = iota
+	segV2 segKind = iota
+	segV1
 	segJSON
 )
 
-// sniffKind classifies a segment by its first byte: binary segments always
-// start with the magic byte 0xB5, which no JSON-lines file can (JSON is
-// ASCII). Empty files are binary (a fresh segment before its header lands).
-func sniffKind(first []byte) segKind {
-	if len(first) == 0 || first[0] == segMagic[0] {
-		return segBinary
+func (k segKind) String() string { return [...]string{"v2", "v1", "json"}[k] }
+
+// sniffKind classifies a segment by its first bytes: binary segments start
+// with the magic byte 0xB5, which no JSON-lines file can (JSON is ASCII), and
+// the magic tells the two binary layouts apart. Anything else that starts
+// with 0xB5 — an empty file, a torn header — is a current-format segment
+// with nothing intact.
+func sniffKind(data []byte) segKind {
+	switch {
+	case len(data) > 0 && data[0] != segMagic[0]:
+		return segJSON
+	case len(data) >= len(segMagicV1) && [8]byte(data[:8]) == segMagicV1:
+		return segV1
 	}
-	return segJSON
+	return segV2
 }
 
-// appendRecord appends one binary record (length, payload, crc) to buf and
-// returns the extended buffer plus the new chain value.
-func appendRecord(buf []byte, f feedback.Feedback, chain uint32) ([]byte, uint32, error) {
-	payload, err := feedback.AppendBinary(nil, f)
+// appendBlock appends one block holding recs to buf, extending d.
+func appendBlock(buf []byte, recs []feedback.Feedback, d *feedback.BatchDicts) ([]byte, error) {
+	// The length goes in front of a payload it is not known before: encode
+	// past the widest length, then close the gap.
+	start := len(buf)
+	var head [binary.MaxVarintLen64]byte
+	buf, err := feedback.AppendBatch(append(buf, head[:]...), recs, d)
 	if err != nil {
-		return buf, chain, err
+		return nil, err
 	}
-	buf = binary.AppendUvarint(buf, uint64(len(payload)))
-	buf = append(buf, payload...)
-	crc := crc32.Checksum(payload, castagnoli)
-	buf = binary.LittleEndian.AppendUint32(buf, crc)
-	return buf, crc32.Update(chain, castagnoli, payload), nil
+	payload := buf[start+len(head):]
+	k := binary.PutUvarint(head[:], uint64(len(payload)))
+	buf = append(append(buf[:start], head[:k]...), payload...)
+	return binary.LittleEndian.AppendUint32(buf, crc32.Checksum(buf[start+k:], castagnoli)), nil
 }
 
 // appendFooter appends a sealed-segment footer to buf.
@@ -93,73 +113,111 @@ func appendFooter(buf []byte, count uint64, bodyLen uint64, chain uint32) []byte
 type segScan struct {
 	kind    segKind
 	records uint64 // intact records
-	intact  int64  // byte offset of the end of the last intact record
+	blocks  uint64 // checksummed units holding them: blocks, or v1 rows
+	intact  int64  // byte offset of the end of the last intact block
 	size    int64  // file size as scanned
 	sealed  bool   // a valid footer covers exactly the intact prefix
 	chain   uint32 // crc chain over the intact prefix (binary segments)
 	// truncated reports bytes past the intact prefix (0 for sealed segments).
 	truncated int64
+	// dict is what the intact prefix's blocks left in the segment's
+	// dictionaries — the state a writer resuming after them must start from.
+	dict feedback.BatchDicts
 }
 
-// scanSegment decodes a segment file's full contents, invoking emit for every
-// intact record in order, and reports how far the file is intact. It never
-// returns an error for malformed content — corruption only shortens the
-// intact prefix — but does propagate emit's error, aborting the scan.
-func scanSegment(data []byte, emit func(feedback.Feedback) error) (segScan, error) {
-	if sniffKind(data) == segJSON {
-		return scanJSONSegment(data, emit)
+// replayBatch is the fewest records scanSegment hands over at a time, short
+// of a segment's end.
+const replayBatch = 4096
+
+// segScanner is a scan in progress: the result so far and the decoded
+// records not yet handed to emit.
+type segScanner struct {
+	segScan
+	batch []feedback.Feedback
+	emit  func([]feedback.Feedback) error
+}
+
+// flush hands emit the pending records once there are at least min of them.
+func (s *segScanner) flush(min int) error {
+	if s.emit == nil {
+		s.batch = s.batch[:0]
+		return nil
 	}
-	sc := segScan{kind: segBinary, size: int64(len(data))}
-	if len(data) < len(segMagic) || string(data[:len(segMagic)]) != string(segMagic[:]) {
+	if len(s.batch) < min {
+		return nil
+	}
+	batch := s.batch
+	s.batch = make([]feedback.Feedback, 0, replayBatch)
+	return s.emit(batch)
+}
+
+// scanSegment decodes a segment file's full contents and reports how far the
+// file is intact. The intact records go to emit in order, in batches of at
+// least replayBatch records (fewer at the end of the segment; a block is
+// never split) that emit owns from then on; a nil emit only verifies. It
+// never returns an error for malformed content — corruption only shortens
+// the intact prefix — but does propagate emit's error, aborting the scan.
+func scanSegment(data []byte, emit func([]feedback.Feedback) error) (segScan, error) {
+	s := segScanner{emit: emit}
+	s.kind, s.size = sniffKind(data), int64(len(data))
+	var err error
+	switch {
+	case s.kind == segJSON:
+		err = s.scanJSON(data)
+	case len(data) < len(segMagic):
 		// Missing or torn header: nothing intact.
-		sc.truncated = sc.size
-		return sc, nil
+	case s.kind == segV1:
+		err = s.scanRows(data)
+	case [8]byte(data[:8]) == segMagic:
+		err = s.scanBlocks(data)
 	}
-	off := int64(len(segMagic))
-	sc.intact = off
-	rest := data[off:]
-	for len(rest) > 0 {
-		if rest[0] == 0x00 {
-			// Footer candidate.
-			if fc, ok := parseFooter(rest); ok &&
-				fc.count == sc.records && fc.chain == sc.chain &&
-				fc.bodyLen == uint64(sc.intact)-uint64(len(segMagic)) &&
-				int64(len(rest)) == footerSize {
-				sc.sealed = true
-				sc.intact += footerSize
-				return sc, nil
-			}
-			break
+	if err == nil {
+		err = s.flush(1)
+	}
+	if err != nil {
+		return s.segScan, err
+	}
+	if rest := data[s.intact:]; s.kind != segJSON && s.intact > 0 && len(rest) == footerSize {
+		if fc, ok := parseFooter(rest); ok && fc.count == s.records && fc.chain == s.chain &&
+			fc.bodyLen == uint64(s.intact)-uint64(len(segMagic)) {
+			s.sealed = true
+			s.intact += footerSize
 		}
+	}
+	s.truncated = s.size - s.intact
+	return s.segScan, nil
+}
+
+// scanBlocks walks a current-format segment's blocks.
+func (s *segScanner) scanBlocks(data []byte) error {
+	s.intact = int64(len(segMagic))
+	for rest := data[s.intact:]; len(rest) > 0; rest = data[s.intact:] {
 		plen, n := binary.Uvarint(rest)
-		if n <= 0 || plen == 0 || plen > maxRecordLen {
-			break
+		if n <= 0 || n > 1 && rest[n-1] == 0 || plen == 0 {
+			break // a footer, or no block
 		}
-		if uint64(len(rest)) < uint64(n)+plen+4 {
+		if room := uint64(len(rest) - n); room < 4 || plen > room-4 {
 			break // torn tail
 		}
-		payload := rest[n : uint64(n)+plen]
-		crc := binary.LittleEndian.Uint32(rest[uint64(n)+plen:])
-		if crc32.Checksum(payload, castagnoli) != crc {
+		end := n + int(plen)
+		payload, sum := rest[n:end], rest[end:end+4]
+		if crc32.Checksum(payload, castagnoli) != binary.LittleEndian.Uint32(sum) {
 			break
 		}
-		f, leftover, err := feedback.DecodeBinary(payload)
-		if err != nil || len(leftover) != 0 {
-			break
+		before := len(s.batch)
+		var err error
+		if s.batch, err = feedback.DecodeBatch(payload, &s.dict, s.batch); err != nil || len(s.batch) == before {
+			break // not a canonical batch, or an empty one, which no writer frames
 		}
-		if emit != nil {
-			if err := emit(f); err != nil {
-				return sc, err
-			}
+		s.records += uint64(len(s.batch) - before)
+		s.blocks++
+		s.chain = crc32.Update(s.chain, castagnoli, sum)
+		s.intact += int64(end + 4)
+		if err := s.flush(replayBatch); err != nil {
+			return err
 		}
-		sc.records++
-		sc.chain = crc32.Update(sc.chain, castagnoli, payload)
-		step := int64(n) + int64(plen) + 4
-		sc.intact += step
-		rest = rest[step:]
 	}
-	sc.truncated = sc.size - sc.intact
-	return sc, nil
+	return nil
 }
 
 // footerContent is a parsed footer's payload.
@@ -188,20 +246,13 @@ func parseFooter(buf []byte) (footerContent, bool) {
 	return fc, true
 }
 
-// scanJSONSegment replays a legacy JSON-lines segment: records until the
-// first torn or corrupt line, blank lines skipped. Mirrors the PR-7 replay
-// semantics exactly.
-func scanJSONSegment(data []byte, emit func(feedback.Feedback) error) (segScan, error) {
-	sc := segScan{kind: segJSON, size: int64(len(data))}
-	for int64(len(data)) > sc.intact {
-		rest := data[sc.intact:]
-		nl := int64(-1)
-		for i, b := range rest {
-			if b == '\n' {
-				nl = int64(i)
-				break
-			}
-		}
+// scanJSON replays a legacy JSON-lines segment: records until the first torn
+// or corrupt line, blank lines skipped. Mirrors the PR-7 replay semantics
+// exactly.
+func (s *segScanner) scanJSON(data []byte) error {
+	for int64(len(data)) > s.intact {
+		rest := data[s.intact:]
+		nl := int64(bytes.IndexByte(rest, '\n'))
 		if nl < 0 {
 			break // torn final line
 		}
@@ -211,17 +262,15 @@ func scanJSONSegment(data []byte, emit func(feedback.Feedback) error) (segScan, 
 			if !ok {
 				break
 			}
-			if emit != nil {
-				if err := emit(f); err != nil {
-					return sc, err
-				}
+			s.batch = append(s.batch, f)
+			s.records++
+			if err := s.flush(replayBatch); err != nil {
+				return err
 			}
-			sc.records++
 		}
-		sc.intact += nl + 1
+		s.intact += nl + 1
 	}
-	sc.truncated = sc.size - sc.intact
-	return sc, nil
+	return nil
 }
 
 // decodeJSONRecord unmarshals and validates one JSON line.

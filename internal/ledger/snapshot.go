@@ -312,6 +312,10 @@ func decodeSnapshot(data []byte) (*snapshotData, error) {
 	return sd, nil
 }
 
+// maxSectionIDLen is a corruption guard on a section's server id, above any
+// id a record codec accepts (it was the v1 segment row's ceiling).
+const maxSectionIDLen = 2061
+
 // decodeServerSection decodes one server section — from its id-length
 // uvarint through its accumulator state — returning the remainder. It is
 // shared between whole-file decode (boot) and by-range section reads
@@ -322,7 +326,7 @@ func decodeServerSection(rest []byte) (snapServer, []byte, error) {
 	if err != nil {
 		return srv, rest, err
 	}
-	if idLen == 0 || idLen > maxRecordLen || uint64(len(rest)) < idLen {
+	if idLen == 0 || idLen > maxSectionIDLen || uint64(len(rest)) < idLen {
 		return srv, rest, fmt.Errorf("%w: server id overruns file", ErrBadSnapshot)
 	}
 	id := feedback.EntityID(rest[:idLen])

@@ -648,6 +648,15 @@ func TestLedgerInfo(t *testing.T) {
 	if info.Records != 120 {
 		t.Fatalf("info.Records = %d, want 120", info.Records)
 	}
+	for _, seg := range info.Segments {
+		// The workload appends one record per commit group.
+		if seg.Format != "v2" || seg.Blocks != seg.Records {
+			t.Fatalf("segment info: %+v", seg)
+		}
+		if want := float64(seg.Size) / float64(seg.Records); seg.Records > 0 && seg.BytesPerRecord != want {
+			t.Fatalf("segment %d: %.2f bytes per record, want %.2f", seg.Index, seg.BytesPerRecord, want)
+		}
+	}
 	if len(info.Snapshots) != 1 || !info.Snapshots[0].Valid {
 		t.Fatalf("snapshot info: %+v", info.Snapshots)
 	}
@@ -667,7 +676,7 @@ func TestLedgerInfo(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !linfo.Legacy || linfo.Records != 2 {
+	if !linfo.Legacy || linfo.Records != 2 || linfo.Segments[0].Format != "json" || linfo.Segments[0].Blocks != 0 {
 		t.Fatalf("legacy info: %+v", linfo)
 	}
 }

@@ -3,9 +3,11 @@
 // The hot request/response payloads — submit, submit.batch, history, assess,
 // assess.batch, and error frames — have hand-rolled binary encodings seeded
 // from the internal/feedback compact record codec (big-endian fixed-width
-// scalars, uvarint counts, length-prefixed strings). Message types without a
-// binary codec ride v2 frames with JSON payload bytes and the
-// flagJSONPayload bit set, so every type can cross a v2 connection.
+// scalars, uvarint counts, length-prefixed strings); a list of records —
+// submit.batch, fwd.submit.batch, history.resp — is one feedback record batch
+// (ADR 0008). Message types without a binary codec ride v2 frames with JSON
+// payload bytes and the flagJSONPayload bit set, so every type can cross a v2
+// connection.
 //
 // Encodings are strict on decode: trailing bytes, oversized counts,
 // non-shortest varints, unknown flag bits and truncated fields all fail with
@@ -18,6 +20,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"sync"
 
 	"honestplayer/internal/behavior"
 	"honestplayer/internal/core"
@@ -174,15 +177,20 @@ func appendFloat(buf []byte, f float64) []byte {
 	return binary.BigEndian.AppendUint64(buf, math.Float64bits(f))
 }
 
+// frameDicts recycles the storage of frame-scoped dictionaries. What crosses
+// from one frame to the next is a cleared map and an empty slice, never an
+// id: Reset runs before a BatchDicts goes back.
+var frameDicts = sync.Pool{New: func() any { return new(feedback.BatchDicts) }}
+
+// appendRecords appends recs as one record batch (feedback.AppendBatch) whose
+// id dictionaries live and die with the frame. The batch ends a payload: its
+// last column has no length of its own.
 func appendRecords(buf []byte, recs []feedback.Feedback) ([]byte, error) {
-	buf = binary.AppendUvarint(buf, uint64(len(recs)))
-	var err error
-	for i, rec := range recs {
-		if buf, err = feedback.AppendBinary(buf, rec); err != nil {
-			return nil, fmt.Errorf("record %d: %w", i, err)
-		}
-	}
-	return buf, nil
+	d := frameDicts.Get().(*feedback.BatchDicts)
+	buf, err := feedback.AppendBatch(buf, recs, d)
+	d.Reset()
+	frameDicts.Put(d)
+	return buf, err
 }
 
 // Submit-batch item kind bytes: a stored record and a duplicate need no
@@ -367,11 +375,8 @@ func appendNodeAssessment(buf []byte, p NodeAssessment) []byte {
 
 func appendFwdBatchRequest(buf []byte, p FwdBatchRequest) ([]byte, error) {
 	buf = appendString(buf, p.Node)
-	buf, err := appendRecords(buf, p.Records)
-	if err != nil {
-		return nil, err
-	}
-	return appendBool(buf, p.Replica), nil
+	buf = appendBool(buf, p.Replica)
+	return appendRecords(buf, p.Records)
 }
 
 func appendFwdAssessBatchRequest(buf []byte, p FwdAssessBatchRequest) []byte {
@@ -485,23 +490,15 @@ func (r *breader) record() (feedback.Feedback, error) {
 	return f, nil
 }
 
+// records decodes the record batch that is the rest of the payload; the
+// codec bounds its count by the bytes behind it.
 func (r *breader) records() ([]feedback.Feedback, error) {
-	// feedback.AppendBinary: 8 B time, 1 B rating, two 2 B lengths, two
-	// non-empty IDs.
-	n, err := r.count(8 + 1 + 2 + 1 + 2 + 1)
-	if err != nil {
-		return nil, err
-	}
-	if n == 0 {
-		return nil, nil
-	}
-	recs := make([]feedback.Feedback, n)
-	for i := range recs {
-		if recs[i], err = r.record(); err != nil {
-			return nil, fmt.Errorf("record %d: %w", i, err)
-		}
-	}
-	return recs, nil
+	d := frameDicts.Get().(*feedback.BatchDicts)
+	recs, err := feedback.DecodeBatch(r.buf, d, nil)
+	d.Reset()
+	frameDicts.Put(d)
+	r.buf = nil
+	return recs, err
 }
 
 func (r *breader) batchResponse(o *BatchResponse) error {
@@ -770,10 +767,10 @@ func (r *breader) fwdBatchRequest(o *FwdBatchRequest) error {
 	if o.Node, err = r.string(); err != nil {
 		return err
 	}
-	if o.Records, err = r.records(); err != nil {
+	if o.Replica, err = r.bool(); err != nil {
 		return err
 	}
-	o.Replica, err = r.bool()
+	o.Records, err = r.records()
 	return err
 }
 

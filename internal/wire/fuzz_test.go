@@ -60,6 +60,8 @@ func fuzzPayloadDest(t MsgType) any {
 		return new(AssessBatchResponse)
 	case TypeError:
 		return new(ErrorResponse)
+	case TypeFwdBatch:
+		return new(FwdBatchRequest)
 	}
 	return nil
 }
@@ -82,7 +84,11 @@ func FuzzReadV2(f *testing.F) {
 	addFrame(TypePing, 1, nil)
 	addFrame(TypeAssess, 7, AssessRequest{Server: "srv-a", Threshold: 0.9})
 	addFrame(TypeAssessR, 7, AssessResponse{Assessment: testAssessment(), Accept: true})
-	addFrame(TypeSubmitB, 3, BatchRequest{Records: []feedback.Feedback{testRecord(1), testRecord(2)}})
+	// The three carriers of a record batch (ADR 0008), ids repeating.
+	recs := []feedback.Feedback{testRecord(1), testRecord(2), testRecord(5), testRecord(6)}
+	addFrame(TypeSubmitB, 3, BatchRequest{Records: recs})
+	addFrame(TypeFwdBatch, 4, FwdBatchRequest{Node: "n1", Records: recs, Replica: true})
+	addFrame(TypeHistoryR, 5, HistoryResponse{Total: 9, Records: recs})
 	addFrame(TypeError, 0, ErrorResponse{Code: CodeBadRequest, Message: "bad"})
 	f.Add([]byte{0, 0, 0, 10, 1, 0, 0, 0, 0, 0, 0, 0, 0, 1})
 	f.Add([]byte("\xff\xff\xff\xff"))
@@ -140,8 +146,10 @@ func FuzzSubmitBatch(f *testing.F) {
 	addPayload(TypeSubmitB, BatchRequest{})
 	addPayload(TypeSubmitB, BatchRequest{Records: []feedback.Feedback{testRecord(1)}})
 	addPayload(TypeSubmitB, BatchRequest{Records: []feedback.Feedback{
-		testRecord(1), testRecord(2), testRecord(3),
+		testRecord(1), testRecord(2), testRecord(3), testRecord(5), // 1 and 5 share a client: a slot
 	}})
+	f.Add(false, []byte{2, 2, 0, 0, 1, 's', 1, 0, 1, 'c', 0, 0})         // a slot past the dictionary's end
+	f.Add(false, []byte{2, 2, 0, 0, 1, 's', 1, 1, 's', 0, 1, 'c', 0, 0}) // an id introduced twice
 	addPayload(TypeSubmitBR, BatchResponse{Stored: 3})
 	addPayload(TypeSubmitBR, BatchResponse{
 		Stored: 1, Duplicates: 1,
@@ -168,6 +176,10 @@ func FuzzSubmitBatch(f *testing.F) {
 		reenc, err := V2Codec.Encode(typ, 1, dest)
 		if err != nil {
 			t.Fatalf("re-encode of decoded %s payload failed: %v", typ, err)
+		}
+		if !isResp && !bytes.Equal(reenc.Payload, data) {
+			// The record batch is canonical: one encoding per record list.
+			t.Fatalf("accepted request is not what its records encode to:\n in: %x\nout: %x", data, reenc.Payload)
 		}
 		dest2 := fuzzPayloadDest(typ)
 		if err := DecodePayload(reenc, dest2); err != nil {

@@ -43,11 +43,12 @@ import (
 
 // VersionV2 is the version of the binary protocol that the hello/ack
 // handshake negotiates; it counts revisions of the payload codecs. 2 wrote a
-// verdict as rows; 3 writes the column table of verdict.go and has no reader
-// for the rows (ADR 0006), so the two refuse each other at the handshake: a
-// hello offering 2 fails ReadHello like any too-old version, and an ack of 2
-// fails ReadHelloAck with ErrBadVersion before a frame is decoded.
-const VersionV2 = 3
+// verdict as rows and 3 the column table of verdict.go (ADR 0006); 3 wrote a
+// frame's records as rows and 4 writes them as one record batch (ADR 0008).
+// No revision reads the one before, so neighbours refuse each other at the
+// handshake: a hello offering 3 fails ReadHello like any too-old version, and
+// an ack of 3 fails ReadHelloAck with ErrBadVersion before a frame is decoded.
+const VersionV2 = 4
 
 // HelloMagic is the first byte of a v2 client hello. It is deliberately not
 // a printable character and in particular not '{', so the first byte of a

@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"bytes"
 	"errors"
+	"fmt"
 	"io"
 	"reflect"
 	"strings"
@@ -388,5 +389,118 @@ func TestV2RetiredCodesStayReserved(t *testing.T) {
 	}
 	if got := v2Codes[TypeFwdBatch]; got != 22 {
 		t.Errorf("fwd.submit.batch code = %d, want 22", got)
+	}
+}
+
+// TestSubmitBatchGoldenFrame pins revision 4's submit.batch on the wire: the
+// v2 header, then the records as one feedback.AppendBatch column batch with
+// dictionaries that start empty at the frame.
+func TestSubmitBatchGoldenFrame(t *testing.T) {
+	req := BatchRequest{Records: []feedback.Feedback{
+		{Time: time.Unix(0, 100).UTC(), Server: "s1", Client: "c1", Rating: feedback.Positive},
+		{Time: time.Unix(0, 103).UTC(), Server: "s2", Client: "c1", Rating: feedback.Negative},
+		{Time: time.Unix(0, 101).UTC(), Server: "s1", Client: "c2", Rating: feedback.Positive},
+	}}
+	want := []byte{
+		0, 0, 0, 34, // body length
+		5, 0, // submit.batch, binary payload
+		0, 0, 0, 0, 0, 0, 0, 9, // id
+		3,             // records
+		0xc8, 1, 6, 3, // times: zig-zag 100, +3, -2
+		0, 2, 's', '1', 1, 2, 's', '2', 0, // servers: new "s1", new "s2", slot 0
+		0, 2, 'c', '1', 0, 1, 2, 'c', '2', // clients: new "c1", slot 0, new "c2"
+		0b101, // good
+	}
+	var buf bytes.Buffer
+	if err := WriteHello(&buf); err != nil || !bytes.Equal(buf.Bytes(), []byte{0xB2, 'W', '2', 4, '\n'}) {
+		t.Fatalf("hello = %x, %v; the layout below is revision 4's", buf.Bytes(), err)
+	}
+	buf.Reset()
+	env, err := V2Codec.Encode(TypeSubmitB, 9, req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := WriteV2(&buf, env); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(buf.Bytes(), want) {
+		t.Fatalf("frame moved:\n got %x\nwant %x", buf.Bytes(), want)
+	}
+	got, err := ReadV2(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var back BatchRequest
+	if err := DecodePayload(got, &back); err != nil || !reflect.DeepEqual(back, req) {
+		t.Fatalf("decoded %+v, %v", back, err)
+	}
+}
+
+// TestRecordBatchCarriers: the three payloads that carry records all ride
+// the batch codec — a repeated id costs a slot in each — and each is strict
+// about what follows the batch.
+func TestRecordBatchCarriers(t *testing.T) {
+	recs := make([]feedback.Feedback, 64)
+	for i := range recs {
+		recs[i] = testRecord(i)
+		recs[i].Server = feedback.EntityID(fmt.Sprintf("server-%04d", i%8))
+	}
+	for typ, payload := range map[MsgType]any{
+		TypeSubmitB:  BatchRequest{Records: recs},
+		TypeFwdBatch: FwdBatchRequest{Node: "n1", Records: recs, Replica: true},
+		TypeHistoryR: HistoryResponse{Total: 900, Records: recs},
+	} {
+		got, size := roundTrip(t, typ, payload)
+		if !reflect.DeepEqual(got, payload) {
+			t.Errorf("%s did not round-trip", typ)
+		}
+		// Rows spent 13 B of framing and both ids in full on every record:
+		// 13 + 11 + 7..10 B here. Columns spell 8 servers and 4 clients once.
+		if per := float64(size) / float64(len(recs)); per > 12 {
+			t.Errorf("%s: %.1f B per record", typ, per)
+		}
+		env, err := V2Codec.Encode(typ, 1, payload)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, bad := range [][]byte{append(append([]byte(nil), env.Payload...), 0), env.Payload[:len(env.Payload)-1]} {
+			if err := decodeBinaryPayload(typ, bad, newPayload(payload)); !errors.Is(err, ErrBadMessage) {
+				t.Errorf("%s with %d of %d payload bytes: err = %v", typ, len(bad), len(env.Payload), err)
+			}
+		}
+	}
+	// No records at all is still a frame.
+	for typ, payload := range map[MsgType]any{
+		TypeSubmitB:  BatchRequest{},
+		TypeHistoryR: HistoryResponse{Total: 3},
+	} {
+		if got, _ := roundTrip(t, typ, payload); !reflect.DeepEqual(got, payload) {
+			t.Errorf("empty %s did not round-trip: %+v", typ, got)
+		}
+	}
+}
+
+// TestFrameDictionariesStartEmpty: the dictionaries' storage is recycled
+// between frames, their contents never — the same records encode to the same
+// bytes however many frames came before, and each frame decodes on its own.
+func TestFrameDictionariesStartEmpty(t *testing.T) {
+	req := BatchRequest{Records: []feedback.Feedback{testRecord(1), testRecord(2), testRecord(5)}}
+	first, err := V2Codec.Encode(TypeSubmitB, 1, req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 3; i++ {
+		again, err := V2Codec.Encode(TypeSubmitB, 1, req)
+		if err != nil || !bytes.Equal(again.Payload, first.Payload) {
+			t.Fatalf("frame %d of the same records: %x (%v), want %x", i+2, again.Payload, err, first.Payload)
+		}
+		var back BatchRequest
+		if err := DecodePayload(again, &back); err != nil || !reflect.DeepEqual(back, req) {
+			t.Fatalf("frame %d: decoded %+v, %v", i+2, back, err)
+		}
+		// A refused frame in between leaves nothing behind either.
+		if err := decodeBinaryPayload(TypeSubmitB, again.Payload[:len(again.Payload)-1], new(BatchRequest)); err == nil {
+			t.Fatal("truncated frame accepted")
+		}
 	}
 }

@@ -13,6 +13,8 @@
 #   - a snapshot section is a history's columns, never records (ADR 0005)
 #   - a verdict's suffix results cross the wire as columns, through one
 #     assessment codec (ADR 0006)
+#   - record batches are columns through one codec (ADR 0008): the ledger
+#     writes blocks, the wire writes batches, neither frames a record alone
 #   - one door into a node (ADR 0003): only internal/repserver listens
 #   - one generator step, one log-choose builder (ADR 0007): the Monte-Carlo
 #     kernels get cheaper per uniform, never by a second copy of the stream
@@ -92,6 +94,29 @@ check "behavior.SuffixResult stays inside internal/wire/verdict.go (ADR 0006)" \
 check "one verdict-table decoder and one assessment decoder (ADR 0006)" \
     "[ \"\$(sources | xargs grep -hE 'func \(r \*breader\) (verdictTable|assessment)\(' | wc -l)\" -eq 2 ] \
      && absent 'Verdict\.Suffixes\s*=\s*append' internal/wire"
+
+# --- record batches are columns, one codec (ADR 0008) -------------------------
+# The row writer (appendRecord: one AppendBinary payload, length and CRC per
+# record) is gone; the single-record codec survives for single submit frames,
+# for bench/ and for the v1 segment *reader*, which is one file. The batch
+# layout is defined once, in internal/feedback/batch.go: ledger and wire call
+# it and neither walks a time-delta or id-slot column of its own.
+check "appendRecord stays deleted from internal/ledger (ADR 0008)" \
+    "absent 'appendRecord\(' internal/ledger"
+check "internal/ledger touches the single-record codec only in segment_v1.go (ADR 0008)" \
+    "! sources internal/ledger | grep -v '/segment_v1\.go\$' | xargs grep -nE 'feedback\.(Append|Decode)Binary(All)?\(' | grep -q . \
+     && ! grep -q 'feedback\.AppendBinary(' internal/ledger/segment_v1.go"
+check "the v1 segment magic lives in segment_v1.go only (ADR 0008)" \
+    "! sources internal/ledger | grep -v '/segment_v1\.go\$' | xargs grep -nE \"'G', '1'|HPSEG1\" | grep -q ."
+records_fn() { sed -n '/^func appendRecords(/,/^}/p' internal/wire/binary.go; }
+check "wire.appendRecords is the batch codec, not a per-record loop (ADR 0008)" \
+    "records_fn | grep -q 'feedback\.AppendBatch(' && ! records_fn | grep -qE 'AppendBinary|for '"
+check "one caller of the batch codec per container: ledger block, wire frame (ADR 0008)" \
+    "[ \"\$(sources | xargs grep -lE 'feedback\.(Append|Decode)Batch\(' | sort | tr '\n' ' ')\" = \
+       './internal/ledger/segment.go ./internal/wire/binary.go ' ]"
+check "no second definition of the batch columns (ADR 0008)" \
+    "absent '\bBatchDicts\b.*struct|zig-?zag' internal/ledger \
+     && ! sources internal/wire | grep -v '/verdict\.go\$' | xargs grep -nE 'AppendVarint\(|zig-?zag' | grep -q ."
 
 # --- one door into a node (ADR 0003) -----------------------------------------
 check "net.Listen only in internal/repserver" \
