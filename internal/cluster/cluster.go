@@ -70,10 +70,8 @@ type Cluster struct {
 	conns map[string]*repclient.Client
 	rtts  map[string]time.Duration
 
-	forwarded      atomic.Uint64
-	forwardErrors  atomic.Uint64
-	mergedAssess   atomic.Uint64
-	digestMismatch atomic.Uint64
+	forwarded     atomic.Uint64
+	forwardErrors atomic.Uint64
 }
 
 // New validates the membership and builds the node's cluster view. No
@@ -265,14 +263,6 @@ func Forward[T any](ctx context.Context, c *Cluster, node string, call func(cont
 	return resp, err
 }
 
-// ForwardAssess asks node for its local view of server; with digestOnly it
-// asks only for the node's O(1) state digest (no assessment computed).
-func (c *Cluster) ForwardAssess(ctx context.Context, node string, server feedback.EntityID, threshold float64, digestOnly bool) (wire.NodeAssessment, error) {
-	return Forward(ctx, c, node, func(ctx context.Context, cl *repclient.Client) (wire.NodeAssessment, error) {
-		return cl.ForwardAssessCtx(ctx, c.self.ID, server, threshold, digestOnly)
-	})
-}
-
 // ForwardBatch hands records to node in one frame.
 func (c *Cluster) ForwardBatch(ctx context.Context, node string, recs []feedback.Feedback, replica bool) (wire.BatchResponse, error) {
 	return Forward(ctx, c, node, func(ctx context.Context, cl *repclient.Client) (wire.BatchResponse, error) {
@@ -304,23 +294,14 @@ func (c *Cluster) noteErr(node string, err error) {
 	}
 }
 
-// CountMerge records one weight-merged assessment.
-func (c *Cluster) CountMerge() { c.mergedAssess.Add(1) }
-
-// CountDigestMismatch records one forwarded read whose replica digests
-// disagreed (a replica missed a write), forcing a full weight-merge.
-func (c *Cluster) CountDigestMismatch() { c.digestMismatch.Add(1) }
-
 // Stats snapshots the routing counters for /metricz.
 func (c *Cluster) Stats() service.ClusterStats {
 	s := service.ClusterStats{
-		Enabled:        true,
-		Node:           c.self.ID,
-		Replicas:       c.replicas,
-		Forwarded:      c.forwarded.Load(),
-		ForwardErrors:  c.forwardErrors.Load(),
-		MergedAssess:   c.mergedAssess.Load(),
-		DigestMismatch: c.digestMismatch.Load(),
+		Enabled:       true,
+		Node:          c.self.ID,
+		Replicas:      c.replicas,
+		Forwarded:     c.forwarded.Load(),
+		ForwardErrors: c.forwardErrors.Load(),
 	}
 	c.mu.Lock()
 	if len(c.rtts) > 0 {

@@ -2,14 +2,11 @@ package cluster
 
 import (
 	"fmt"
-	"math"
 	"reflect"
 	"strings"
 	"testing"
 
-	"honestplayer/internal/core"
 	"honestplayer/internal/feedback"
-	"honestplayer/internal/wire"
 )
 
 func testMembership() []Node {
@@ -131,116 +128,5 @@ func TestParseNodes(t *testing.T) {
 	_, err = ParseNodes("a=10.0.0.1:7700~10.0.0.1:7800,b=10.0.0.2:7700")
 	if err == nil || !strings.Contains(err.Error(), "retired") || !strings.Contains(err.Error(), "0003") {
 		t.Fatalf("ParseNodes with a ~gossipaddr: err = %v; want the retirement notice", err)
-	}
-}
-
-func part(node string, records int, trust float64, suspicious, accept bool) wire.NodeAssessment {
-	return wire.NodeAssessment{
-		Node:    node,
-		Records: records,
-		AssessResponse: wire.AssessResponse{
-			Assessment: core.Assessment{
-				Server: "s1", Trust: trust, TrustLow: trust - 0.05, TrustHigh: trust + 0.05,
-				Suspicious: suspicious, TrustFunc: "average",
-			},
-			Accept: accept,
-		},
-	}
-}
-
-func TestMergeEmpty(t *testing.T) {
-	if _, err := Merge(0.9, nil); err == nil {
-		t.Fatal("merge of zero parts accepted")
-	}
-}
-
-// TestMergeIdentical: converged replicas merge to the first part verbatim —
-// the bit-identical guarantee the e2e differential test relies on.
-func TestMergeIdentical(t *testing.T) {
-	parts := []wire.NodeAssessment{
-		part("b", 100, 0.95, false, true),
-		part("a", 100, 0.95, false, true),
-	}
-	got, err := Merge(0.9, parts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !got.Merged {
-		t.Fatal("Merged marker missing")
-	}
-	if !reflect.DeepEqual(got.MergedFrom, []string{"a", "b"}) {
-		t.Fatalf("MergedFrom = %v; want sorted [a b]", got.MergedFrom)
-	}
-	want := parts[0].AssessResponse
-	want.Merged, want.MergedFrom = true, got.MergedFrom
-	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("identical merge not verbatim:\n got %+v\nwant %+v", got, want)
-	}
-}
-
-// TestMergeWeighted: divergent views average trust by record count, so the
-// node that saw 9x the history dominates the merged value.
-func TestMergeWeighted(t *testing.T) {
-	parts := []wire.NodeAssessment{
-		part("a", 900, 0.90, false, true),
-		part("b", 100, 0.50, false, false),
-	}
-	got, err := Merge(0.8, parts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	wantTrust := (900*0.90 + 100*0.50) / 1000
-	if math.Abs(got.Assessment.Trust-wantTrust) > 1e-12 {
-		t.Fatalf("merged trust = %v; want %v", got.Assessment.Trust, wantTrust)
-	}
-	if !got.Accept {
-		t.Fatalf("merged trust %v >= threshold 0.8 but Accept=false", got.Assessment.Trust)
-	}
-	if strict, err := Merge(0.99, parts); err != nil || strict.Accept {
-		t.Fatalf("merged trust %v under threshold 0.99 but Accept=true (err=%v)", wantTrust, err)
-	}
-}
-
-// TestMergeSuspicionIsSticky: one suspicious view makes the merged view
-// suspicious and rejected regardless of the trust average — partitioned
-// replicas must not average away a manipulation pattern.
-func TestMergeSuspicionIsSticky(t *testing.T) {
-	parts := []wire.NodeAssessment{
-		part("a", 10000, 0.99, false, true),
-		part("b", 10, 0.0, true, false),
-	}
-	got, err := Merge(0.5, parts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !got.Assessment.Suspicious {
-		t.Fatal("suspicion averaged away by the larger clean view")
-	}
-	if got.Accept {
-		t.Fatal("suspicious merge accepted")
-	}
-	// The verdict carrier prefers the suspicious view so the response
-	// explains the rejection.
-	if got.Assessment.Server != "s1" {
-		t.Fatalf("verdict carrier lost the assessment payload: %+v", got.Assessment)
-	}
-}
-
-// TestMergeZeroRecordParts: empty replicas appear in MergedFrom but carry no
-// weight.
-func TestMergeZeroRecordParts(t *testing.T) {
-	parts := []wire.NodeAssessment{
-		part("a", 500, 0.9, false, true),
-		part("b", 0, 0.0, false, false),
-	}
-	got, err := Merge(0.8, parts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(got.Assessment.Trust-0.9) > 1e-12 {
-		t.Fatalf("zero-record part changed the trust: %v", got.Assessment.Trust)
-	}
-	if !reflect.DeepEqual(got.MergedFrom, []string{"a", "b"}) {
-		t.Fatalf("MergedFrom = %v; want [a b]", got.MergedFrom)
 	}
 }

@@ -351,9 +351,9 @@ func TestCompatMatrix(t *testing.T) {
 				if deployment.nodes == 1 {
 					return
 				}
-				// fwd.assess, fwd.submit.batch and fwd.assess.batch (type codes
-				// 18, 22, 24) and their answers crossed the members' relays.
-				for _, code := range []byte{18, 19, 22, 23, 24, 25} {
+				// fwd.submit.batch and fwd.assess.batch (type codes 22, 24) and
+				// their answers crossed the members' relays.
+				for _, code := range []byte{22, 23, 24, 25} {
 					frames := 0
 					for _, r := range relays[:len(relays)-1] {
 						_, n := r.stats(code)

@@ -15,17 +15,6 @@ import (
 // transport — pipelining, poisoning, redial — so a node-to-node link gets
 // the same failure semantics as a client link.
 
-// ForwardAssessCtx asks the peer for its local assessment of server,
-// together with the local state digest backing it (record count, version,
-// content XOR — the merge weight and agreement check). With digestOnly the
-// peer skips the assessment and answers the digest alone, an O(1) call.
-func (c *Client) ForwardAssessCtx(ctx context.Context, node string, server feedback.EntityID, threshold float64, digestOnly bool) (wire.NodeAssessment, error) {
-	var resp wire.NodeAssessment
-	req := wire.FwdAssessRequest{Node: node, Server: server, Threshold: threshold, DigestOnly: digestOnly}
-	err := c.muxRoundTrip(ctx, wire.TypeFwdAssess, wire.TypeFwdAssessR, req, &resp)
-	return resp, err
-}
-
 // ForwardBatchCtx hands a slice of records to the peer in one frame, with
 // the same per-record report as a client batch submit. Replica marks a
 // replication write (stored without further fan-out).

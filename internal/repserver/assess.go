@@ -17,44 +17,38 @@ import (
 )
 
 // The assess path. Every verdict this node computes — single assess,
-// assess.batch, and their fwd.* twins — comes out of assessGroup, which
-// serves each item in the same order: incremental accumulator, then
-// version-stamped cache, then two-phase recompute. A single assess is a
-// group of one, so its verdict is bit-identical to the same server's item in
-// a batch.
+// assess.batch and fwd.assess.batch — comes out of assessGroup, which serves
+// each item in the same order: incremental accumulator, then version-stamped
+// cache, then two-phase recompute. A single assess is a batch of one, routed
+// like any batch item (ADR 0010), so its verdict is bit-identical to the
+// same server's item in a batch through any door.
 
-// routeAssess serves TypeAssess: from local state when this node holds the
-// server, by digest-verified fan-out to its replica set when it does not.
-func (s *Server) routeAssess(ctx context.Context, req wire.AssessRequest) (wire.AssessResponse, error) {
-	if cl := s.clusterRef.Load(); cl != nil && req.Server != "" && !cl.Owns(req.Server) {
-		return s.clusterAssess(ctx, cl, req)
-	}
-	return s.Assess(ctx, req)
+// assess serves TypeAssess as an assess.batch of one: the same routing and
+// replica failover, the same error codes as the server would get as a batch
+// item, with its item slot unwrapped into the single response. It does not
+// move batch_items.
+func (s *Server) assess(ctx context.Context, req wire.AssessRequest) (wire.AssessResponse, error) {
+	return s.assessOne(ctx, s.clusterRef.Load(), req)
 }
 
 // Assess runs one assessment against local state, exactly as a TypeAssess
-// request would be served minus the wire decode and socket I/O. It is the
-// entry point for embedders and benchmark harnesses that need the serving
-// semantics — incremental accumulator, cache, version checks — without a
-// network round trip.
+// request would be served on a single node minus the wire decode and socket
+// I/O. It is the entry point for embedders and benchmark harnesses that need
+// the serving semantics — incremental accumulator, cache, version checks —
+// without a network round trip.
 func (s *Server) Assess(ctx context.Context, req wire.AssessRequest) (wire.AssessResponse, error) {
-	if req.Server == "" {
-		return wire.AssessResponse{}, service.Errorf(wire.CodeBadRequest, "missing server")
-	}
-	if err := ctx.Err(); err != nil {
+	return s.assessOne(ctx, nil, req)
+}
+
+func (s *Server) assessOne(ctx context.Context, cl *cluster.Cluster, req wire.AssessRequest) (wire.AssessResponse, error) {
+	items, err := s.routeItems(ctx, cl, []feedback.EntityID{req.Server}, req.Threshold)
+	if err != nil {
 		return wire.AssessResponse{}, err
 	}
-	item := [1]wire.AssessBatchItem{{Server: req.Server}}
-	g := shardGroup{shard: s.cfg.Store.ShardIndex(req.Server), pos: []int{0}, servers: []feedback.EntityID{req.Server}}
-	s.assessGroup(ctx, req.Threshold, &g, item[:])
-	// assessGroup stops early on an expired context, leaving the item blank.
-	if err := ctx.Err(); err != nil {
-		return wire.AssessResponse{}, err
+	if e := items[0].Error; e != nil {
+		return wire.AssessResponse{}, e
 	}
-	if item[0].Error != nil {
-		return wire.AssessResponse{}, item[0].Error
-	}
-	return item[0].AssessResponse, nil
+	return items[0].AssessResponse, nil
 }
 
 func (s *Server) routeAssessBatch(ctx context.Context, req wire.AssessBatchRequest) (wire.AssessBatchResponse, error) {
@@ -68,11 +62,10 @@ func (s *Server) AssessBatch(ctx context.Context, req wire.AssessBatchRequest) (
 	return s.assessBatch(ctx, nil, req)
 }
 
-// assessBatch serves one assess batch: through the cluster split when cl
-// names more than one node, from local state otherwise. Per-server failures
-// (unknown server, assessment error, unreachable owner) land in their item's
-// error slot; only request-level problems — empty or oversized batch,
-// expired context — fail the request. Items[i] always answers Servers[i];
+// assessBatch serves one assess batch. Per-server failures (unknown server,
+// assessment error, unreachable replica set) land in their item's error
+// slot; only request-level problems — empty or oversized batch, expired
+// context — fail the request. Items[i] always answers Servers[i];
 // len(Items) == len(Servers).
 func (s *Server) assessBatch(ctx context.Context, cl *cluster.Cluster, req wire.AssessBatchRequest) (wire.AssessBatchResponse, error) {
 	n := len(req.Servers)
@@ -83,22 +76,32 @@ func (s *Server) assessBatch(ctx context.Context, cl *cluster.Cluster, req wire.
 		return wire.AssessBatchResponse{}, service.Errorf(wire.CodeBadRequest,
 			"batch of %d servers exceeds max %d", n, wire.MaxAssessBatch)
 	}
-	if err := ctx.Err(); err != nil {
-		return wire.AssessBatchResponse{}, err
-	}
-	var items []wire.AssessBatchItem
-	if cl != nil && cl.Size() > 1 {
-		items = s.clusterAssessItems(ctx, cl, req)
-	} else {
-		items = s.assessItems(ctx, req.Servers, req.Threshold)
-	}
-	// A batch cut short by deadline or shutdown fails whole: a half-filled
-	// response would be indistinguishable from per-item failures.
-	if err := ctx.Err(); err != nil {
+	items, err := s.routeItems(ctx, cl, req.Servers, req.Threshold)
+	if err != nil {
 		return wire.AssessBatchResponse{}, err
 	}
 	s.nBatchItems.Add(uint64(n))
 	return wire.AssessBatchResponse{Items: items}, nil
+}
+
+// routeItems assesses servers through the cluster split when cl names more
+// than one node, from local state otherwise.
+func (s *Server) routeItems(ctx context.Context, cl *cluster.Cluster, servers []feedback.EntityID, threshold float64) ([]wire.AssessBatchItem, error) {
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
+	var items []wire.AssessBatchItem
+	if cl != nil && cl.Size() > 1 {
+		items = s.clusterAssessItems(ctx, cl, servers, threshold)
+	} else {
+		items = s.assessItems(ctx, servers, threshold)
+	}
+	// A batch cut short by deadline or shutdown fails whole: a half-filled
+	// response would be indistinguishable from per-item failures.
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
+	return items, nil
 }
 
 // shardGroup is the unit of batch fan-out: the request positions of all

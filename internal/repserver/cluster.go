@@ -2,11 +2,12 @@
 //
 // Client-facing handlers route by the consistent-hash ring (attach via
 // SetCluster): writes go to the server's owner and replicate to its replica
-// set, reads are served from local state when the node holds it and
-// fanned out + weight-merged when it does not. The fwd.* handlers below are
-// the node-to-node surface those routes land on — each one answers strictly
-// from local state, so a forwarded call can never be forwarded again and
-// routing loops are structurally impossible.
+// set; reads are served from local state when the node holds the server and
+// forwarded to its owner when it does not, then to the rest of its replica
+// set in ring order while the members asked are unreachable. The fwd.*
+// handlers below are the node-to-node surface those routes land on — each
+// one answers strictly from local state, so a forwarded call can never be
+// forwarded again and routing loops are structurally impossible.
 package repserver
 
 import (
@@ -202,188 +203,75 @@ func sortRejected(rejected []wire.BatchReject) {
 	}
 }
 
-// clusterAssess answers an assess for a server whose state lives elsewhere.
-// The owner is asked for its full assessment while every other member of
-// the replica set is asked for an O(1) state digest (record count + content
-// XOR), all concurrently. Replication is synchronous, so the digests almost
-// always match the owner's view and the owner's assessment — verified
-// against the whole set — is the merged answer without paying a full
-// recomputation per replica. A disagreeing digest (a replica that missed a
-// write) escalates: the diverged replicas are asked for full assessments
-// and the views weight-merged (cluster.Merge), which is the only case where
-// merging can change the answer. When the owner is unreachable or declines,
-// the remaining replicas are asked for full assessments instead; any
-// reachable replica suffices, and only when the whole set is down does the
-// request fail with unavailable.
-func (s *Server) clusterAssess(ctx context.Context, cl *cluster.Cluster, req wire.AssessRequest) (wire.AssessResponse, error) {
-	set := cl.ReplicaSet(req.Server)
-	parts := make([]wire.NodeAssessment, len(set))
-	errs := make([]error, len(set))
-	var wg sync.WaitGroup
-	for i, id := range set {
-		wg.Add(1)
-		go func(i int, id string) {
-			defer wg.Done()
-			parts[i], errs[i] = cl.ForwardAssess(ctx, id, req.Server, req.Threshold, i > 0)
-		}(i, id)
-	}
-	wg.Wait()
-
-	if errs[0] == nil {
-		owner := parts[0]
-		agreed := []string{owner.Node}
-		var diverged []int
-		for i := 1; i < len(set); i++ {
-			if errs[i] != nil {
-				// Unreachable replica: the owner's view stands for it. Gossip
-				// anti-entropy repairs the replica; reads do not wait for it.
-				continue
-			}
-			if parts[i].Records == owner.Records && parts[i].XOR == owner.XOR {
-				agreed = append(agreed, parts[i].Node)
-				continue
-			}
-			diverged = append(diverged, i)
-		}
-		if len(diverged) == 0 {
-			resp := owner.AssessResponse
-			resp.Merged = true
-			resp.MergedFrom = agreed
-			return resp, nil
-		}
-		cl.CountDigestMismatch()
-		full := fetchFull(ctx, cl, req, set, diverged)
-		merged, err := cluster.Merge(req.Threshold, append([]wire.NodeAssessment{owner}, full...))
-		if err != nil {
-			return wire.AssessResponse{}, service.Errorf(wire.CodeInternal, "%v", err)
-		}
-		if len(full) > 0 {
-			cl.CountMerge()
-		}
-		return merged, nil
-	}
-
-	// The owner is down or declined. Re-ask the rest of the set for full
-	// assessments (the first round only fetched their digests) and merge
-	// the survivors.
-	rest := make([]int, 0, len(set)-1)
-	for i := 1; i < len(set); i++ {
-		rest = append(rest, i)
-	}
-	live := fetchFull(ctx, cl, req, set, rest)
-	if len(live) == 0 {
-		var typed *wire.ErrorResponse
-		if errors.As(errs[0], &typed) {
-			// Every replica failed the same way the owner did — relay its
-			// typed error (unknown_server for a server nobody has seen).
-			return wire.AssessResponse{}, typed
-		}
-		return wire.AssessResponse{}, service.Errorf(wire.CodeUnavailable,
-			"all %d replicas of %q unreachable: %v", len(set), req.Server, errs[0])
-	}
-	merged, err := cluster.Merge(req.Threshold, live)
-	if err != nil {
-		return wire.AssessResponse{}, service.Errorf(wire.CodeInternal, "%v", err)
-	}
-	if len(live) > 1 {
-		cl.CountMerge()
-	}
-	return merged, nil
-}
-
-// fetchFull asks the set members at the given indices for full assessments
-// concurrently and returns the successful parts.
-func fetchFull(ctx context.Context, cl *cluster.Cluster, req wire.AssessRequest, set []string, idx []int) []wire.NodeAssessment {
-	if len(idx) == 0 {
-		return nil
-	}
-	parts := make([]wire.NodeAssessment, len(idx))
-	errs := make([]error, len(idx))
-	var wg sync.WaitGroup
-	for j, i := range idx {
-		wg.Add(1)
-		go func(j, i int) {
-			defer wg.Done()
-			parts[j], errs[j] = cl.ForwardAssess(ctx, set[i], req.Server, req.Threshold, false)
-		}(j, i)
-	}
-	wg.Wait()
-	live := parts[:0]
-	for j := range parts {
-		if errs[j] == nil {
-			live = append(live, parts[j])
-		}
-	}
-	return live
-}
-
-// clusterAssessItems assesses the servers of a batch on a clustered node:
-// servers split by routing — locally held ones through the normal
-// shard-grouped pool, the rest forwarded to their owners concurrently — and
-// the items remapped to request order. An owner that is unreachable, or
-// answers without one item per server, fails only its own items, matching
-// the batch's per-item error contract.
-func (s *Server) clusterAssessItems(ctx context.Context, cl *cluster.Cluster, req wire.AssessBatchRequest) []wire.AssessBatchItem {
-	// Local state wins (owner or replica); empty IDs go through the local
-	// path for its standard missing-server item error.
-	local, remote := splitByOwner(req.Servers, func(srv feedback.EntityID) (string, bool) {
+// clusterAssessItems assesses servers on a clustered node: locally held
+// ones (owner or replica) through the normal shard-grouped pool, the rest
+// forwarded to their owners concurrently, the items remapped to request
+// order. A group whose forward fails at transport level — an unreachable
+// node, or one answering without one item per server — fails over: its
+// items are regrouped by the next member of their own replica set, in ring
+// order, and forwarded again, until a member answers or the set is
+// exhausted. A typed answer (unknown_server above all) is final.
+func (s *Server) clusterAssessItems(ctx context.Context, cl *cluster.Cluster, servers []feedback.EntityID, threshold float64) []wire.AssessBatchItem {
+	// Empty IDs go through the local path for its standard missing-server
+	// item error.
+	local, remote := splitByOwner(servers, func(srv feedback.EntityID) (string, bool) {
 		if srv == "" || cl.Owns(srv) {
 			return "", true
 		}
 		return cl.Owner(srv), false
 	})
-
-	items := make([]wire.AssessBatchItem, len(req.Servers))
-	type result struct {
-		g     *ownerGroup[feedback.EntityID]
-		items []wire.AssessBatchItem
-		err   error
-	}
-	resCh := make(chan result, len(remote))
+	items := make([]wire.AssessBatchItem, len(servers))
+	var wg sync.WaitGroup
 	for owner, g := range remote {
-		go func(owner string, g *ownerGroup[feedback.EntityID]) {
-			got, err := cl.ForwardAssessBatch(ctx, owner, g.items, req.Threshold)
-			if err == nil && len(got) != len(g.items) {
-				err = fmt.Errorf("owner %s returned %d items for %d servers", owner, len(got), len(g.items))
-			}
-			resCh <- result{g: g, items: got, err: err}
-		}(owner, g)
+		wg.Add(1)
+		go s.forwardAssess(ctx, cl, &wg, owner, 0, g, threshold, items)
 	}
-	for i, item := range s.assessItems(ctx, local.items, req.Threshold) {
+	for i, item := range s.assessItems(ctx, local.items, threshold) {
 		items[local.idx[i]] = item
 	}
-	for range remote {
-		r := <-resCh
-		if r.err != nil {
-			e := forwardedErr(r.err)
-			for i, pos := range r.g.idx {
-				items[pos] = wire.AssessBatchItem{Server: r.g.items[i], Error: e}
-			}
-			continue
-		}
-		for i, item := range r.items {
-			items[r.g.idx[i]] = item
-		}
-	}
+	wg.Wait()
 	return items
+}
+
+// forwardAssess asks node, which stands at position rank in the replica set
+// of every server in g, to assess g, and fills g's slots of items. On a
+// transport failure it hands each server on to the member after node in
+// that server's own set; only when the set is exhausted (or the request has
+// expired) does the failure land in the items.
+func (s *Server) forwardAssess(ctx context.Context, cl *cluster.Cluster, wg *sync.WaitGroup, node string, rank int,
+	g *ownerGroup[feedback.EntityID], threshold float64, items []wire.AssessBatchItem) {
+	defer wg.Done()
+	got, err := cl.ForwardAssessBatch(ctx, node, g.items, threshold)
+	if err == nil && len(got) != len(g.items) {
+		err = fmt.Errorf("node %s returned %d items for %d servers", node, len(got), len(g.items))
+	}
+	if err == nil {
+		for i, item := range got {
+			items[g.idx[i]] = item
+		}
+		return
+	}
+	e := forwardedErr(err)
+	if e.Code != wire.CodeUnavailable || rank+1 >= cl.Replicas() || ctx.Err() != nil {
+		for i, pos := range g.idx {
+			items[pos] = wire.AssessBatchItem{Server: g.items[i], Error: e}
+		}
+		return
+	}
+	_, next := splitByOwner(g.items, func(srv feedback.EntityID) (string, bool) {
+		return cl.ReplicaSet(srv)[rank+1], false
+	})
+	for member, ng := range next {
+		for i, j := range ng.idx {
+			ng.idx[i] = g.idx[j]
+		}
+		wg.Add(1)
+		go s.forwardAssess(ctx, cl, wg, member, rank+1, ng, threshold, items)
+	}
 }
 
 // Node-to-node handlers. Every fwd.* request is answered from local state
 // only.
-
-func (s *Server) fwdAssess(ctx context.Context, req wire.FwdAssessRequest) (wire.NodeAssessment, error) {
-	_, version := s.cfg.Store.Snapshot(req.Server)
-	sum := s.cfg.Store.ServerChecksum(req.Server)
-	na := wire.NodeAssessment{Node: s.nodeID(), Records: sum.Count, Version: version, XOR: sum.XOR}
-	if !req.DigestOnly {
-		resp, err := s.Assess(ctx, wire.AssessRequest{Server: req.Server, Threshold: req.Threshold})
-		if err != nil {
-			return wire.NodeAssessment{}, err
-		}
-		na.AssessResponse = resp
-	}
-	return na, nil
-}
 
 // fwdBatch applies records a peer handed over: a client batch's slice for
 // this owner, a non-owner's single submit as a batch of one, or a

@@ -2,6 +2,7 @@ package repserver
 
 import (
 	"bufio"
+	"context"
 	"errors"
 	"fmt"
 	"net"
@@ -11,6 +12,7 @@ import (
 
 	"honestplayer/internal/cluster"
 	"honestplayer/internal/feedback"
+	"honestplayer/internal/stats"
 	"honestplayer/internal/wire"
 )
 
@@ -47,13 +49,11 @@ func startCluster(t *testing.T, n, r int, cfg func() Config) []*Server {
 }
 
 // stripRouting clears the fields that legitimately differ between a local
-// answer and a forwarded/merged one: the merge markers and the serving-path
-// markers (cache hit, incremental accumulator). What remains — the
+// answer and a forwarded one: the serving-path markers (cache hit,
+// incremental accumulator) of whichever node computed it. What remains — the
 // assessment values and the accept verdict — must be identical no matter
 // which node answered.
 func stripRouting(r wire.AssessResponse) wire.AssessResponse {
-	r.Merged = false
-	r.MergedFrom = nil
 	r.Cached = false
 	r.Incremental = false
 	return r
@@ -172,7 +172,7 @@ func testClusterE2E(t *testing.T, cfg func() Config) {
 		t.Fatal("record stored twice when resubmitted through another node")
 	}
 
-	// The routing counters moved: node 1 forwarded writes and merged reads.
+	// The routing counters moved: node 1 forwarded writes and reads.
 	st := servers[0].Stats()
 	if !st.Cluster.Enabled || st.Cluster.Node != "n1" {
 		t.Fatalf("cluster stats not populated: %+v", st.Cluster)
@@ -225,9 +225,9 @@ func TestClusterStatusRPC(t *testing.T) {
 }
 
 // TestSingleNodeClusterDifferential: a 1-node "cluster" must be
-// bit-identical to a plain server — same stores, same wire responses, no
-// merge markers — because every key's replica set collapses to the node
-// itself and routing never leaves the local path.
+// bit-identical to a plain server — same stores, same wire responses —
+// because every key's replica set collapses to the node itself and routing
+// never leaves the local path.
 func TestSingleNodeClusterDifferential(t *testing.T) {
 	plain := startServer(t)
 	clustered := startCluster(t, 1, 1, func() Config { return Config{Assessor: testAssessor(t)} })[0]
@@ -270,94 +270,133 @@ func TestSingleNodeClusterDifferential(t *testing.T) {
 			if !reflect.DeepEqual(pr, cr) {
 				t.Fatalf("round %d: single-node cluster diverges from plain server for %q:\nplain     %+v\nclustered %+v", round, id, pr, cr)
 			}
-			if cr.Merged {
-				t.Fatalf("single-node cluster produced a merged assessment for %q", id)
-			}
 		}
 	}
 }
 
-// TestClusterDigestVerifiedReads: a forwarded read costs one full
-// assessment (the owner's) plus O(1) state digests from the rest of the
-// replica set. While the set agrees, the owner's verdict — verified against
-// every digest — is the merged answer and no mismatch is counted. Once a
-// replica diverges (here: a record only it holds, as if the owner's
-// replication push had been lost before gossip repair), the forwarder
-// detects the digest mismatch, fetches the diverged view in full, and
-// weight-merges it with the owner's.
-func TestClusterDigestVerifiedReads(t *testing.T) {
-	servers := startCluster(t, 3, 2, func() Config { return Config{Assessor: testAssessor(t)} })
-	byID := make(map[string]*Server, len(servers))
-	for i, srv := range servers {
-		byID[fmt.Sprintf("n%d", i+1)] = srv
-	}
-
-	id := feedback.EntityID("digest-server")
-	var recs []feedback.Feedback
-	for j := 0; j < 30; j++ {
-		recs = append(recs, rec(id, feedback.EntityID(fmt.Sprintf("c%d", j)), j%4 != 0, int64(j)))
-	}
-	entry := dial(t, servers[0])
-	if _, _, err := entry.SubmitBatch(recs); err != nil {
-		t.Fatal(err)
-	}
-
+// roles names, for server id, the indices into servers of its owner, its
+// other replica, and the one node outside its replica set (3 nodes,
+// replica factor 2).
+func roles(t *testing.T, servers []*Server, id feedback.EntityID) (owner, replica, outside int) {
+	t.Helper()
+	index := map[string]int{"n1": 0, "n2": 1, "n3": 2}
 	set := servers[0].Cluster().ReplicaSet(id)
-	var outside *Server
-	for i, srv := range servers {
-		if nid := fmt.Sprintf("n%d", i+1); nid != set[0] && nid != set[1] {
-			outside = srv
-		}
+	if len(set) != 2 || len(servers) != 3 {
+		t.Fatalf("replica set %v of %d nodes; want 2 of 3", set, len(servers))
 	}
-	oc := dial(t, outside)
+	owner, replica = index[set[0]], index[set[1]]
+	return owner, replica, 3 - owner - replica
+}
 
-	got, err := oc.Assess(id, 0.6)
+// readThrough assesses id through door twice, as a single assess and as an
+// item of an assess.batch, and fails unless the two answers DeepEqual.
+func readThrough(t *testing.T, door *Server, id feedback.EntityID) wire.AssessResponse {
+	t.Helper()
+	c := dial(t, door)
+	single, err := c.Assess(id, 0.6)
 	if err != nil {
+		t.Fatalf("single assess of %q: %v", id, err)
+	}
+	items, err := c.AssessBatch([]feedback.EntityID{id}, 0.6)
+	if err != nil {
+		t.Fatalf("assess.batch of %q: %v", id, err)
+	}
+	if items[0].Error != nil {
+		t.Fatalf("assess.batch item of %q: %v", id, items[0].Error)
+	}
+	if !reflect.DeepEqual(items[0].AssessResponse, single) {
+		t.Fatalf("batch item and single assess of %q differ:\n item %+v\nsingle %+v", id, items[0].AssessResponse, single)
+	}
+	return single
+}
+
+// localVerdict is srv's own answer for id from its local state.
+func localVerdict(t *testing.T, srv *Server, id feedback.EntityID) wire.AssessResponse {
+	t.Helper()
+	resp, err := srv.Assess(context.Background(), wire.AssessRequest{Server: id, Threshold: 0.6})
+	if err != nil {
+		t.Fatalf("local assess of %q: %v", id, err)
+	}
+	return resp
+}
+
+// honestHistory is n records of an honest server id (p = 0.9) — at n = 200,
+// long enough for the two-phase verdict to leave short-history mode, so one
+// record more or less moves it.
+func honestHistory(id feedback.EntityID, n int) []feedback.Feedback {
+	rng := stats.NewRNG(7)
+	recs := make([]feedback.Feedback, n)
+	for j := range recs {
+		recs[j] = rec(id, feedback.EntityID(fmt.Sprintf("c%d", rng.Intn(20))), rng.Bernoulli(0.9), int64(j))
+	}
+	return recs
+}
+
+// seedThrough submits recs through door.
+func seedThrough(t *testing.T, door *Server, recs []feedback.Feedback) {
+	t.Helper()
+	if _, _, err := dial(t, door).SubmitBatch(recs); err != nil {
 		t.Fatal(err)
 	}
-	if !got.Merged || len(got.MergedFrom) != 2 {
-		t.Fatalf("in-sync forwarded assess: Merged=%v MergedFrom=%v; want the verified set of 2", got.Merged, got.MergedFrom)
-	}
-	if st := outside.Cluster().Stats(); st.DigestMismatch != 0 {
-		t.Fatalf("digest mismatch counted on in-sync replicas: %+v", st)
-	}
+}
 
-	if ok, err := byID[set[1]].Store().Add(rec(id, "straggler", false, 999)); err != nil || !ok {
+// TestClusterDivergedSetAnswersOwner: a replica that holds a record its owner
+// does not (as if the owner's replication push had been lost and the replica
+// had taken a write some other way) changes nothing for a door outside the
+// set: the single assess and the batch item both answer with the owner's own
+// verdict, never a blend of the two views.
+func TestClusterDivergedSetAnswersOwner(t *testing.T) {
+	servers := startCluster(t, 3, 2, func() Config { return Config{Assessor: testAssessor(t)} })
+	const id = feedback.EntityID("diverged-server")
+	owner, replica, outside := roles(t, servers, id)
+	seedThrough(t, servers[outside], honestHistory(id, 200))
+
+	if ok, err := servers[replica].Store().Add(rec(id, "straggler", false, 999)); err != nil || !ok {
 		t.Fatalf("inject divergent record: ok=%v err=%v", ok, err)
 	}
+	want := localVerdict(t, servers[owner], id)
+	if reflect.DeepEqual(localVerdict(t, servers[replica], id), want) {
+		t.Fatal("the injected record did not move the replica's verdict; the test proves nothing")
+	}
+	if got := readThrough(t, servers[outside], id); !reflect.DeepEqual(got, want) {
+		t.Fatalf("door's answer on a diverged set is not the owner's verdict:\n got %+v\nwant %+v", got, want)
+	}
+}
 
-	got2, err := oc.Assess(id, 0.6)
-	if err != nil {
+// TestClusterReadFailover: with the owner of a server down, a door outside
+// its replica set still answers — the single assess and the assess.batch item
+// alike — from the surviving replica, with exactly the verdict that replica
+// computes locally.
+func TestClusterReadFailover(t *testing.T) {
+	servers := startCluster(t, 3, 2, func() Config { return Config{Assessor: testAssessor(t)} })
+	const id = feedback.EntityID("failover-server")
+	owner, replica, outside := roles(t, servers, id)
+	// Seeding through the door pools its connection to the owner, so the
+	// close below breaks a live connection rather than refusing a dial.
+	seedThrough(t, servers[outside], honestHistory(id, 200))
+	if err := servers[owner].Close(); err != nil {
 		t.Fatal(err)
 	}
-	if !got2.Merged || len(got2.MergedFrom) != 2 {
-		t.Fatalf("diverged forwarded assess: Merged=%v MergedFrom=%v; want a full merge of 2", got2.Merged, got2.MergedFrom)
+
+	want := localVerdict(t, servers[replica], id)
+	if got := readThrough(t, servers[outside], id); !reflect.DeepEqual(got, want) {
+		t.Fatalf("door's answer with the owner down is not the replica's verdict:\n got %+v\nwant %+v", got, want)
 	}
-	st := outside.Cluster().Stats()
-	if st.DigestMismatch == 0 || st.MergedAssess == 0 {
-		t.Fatalf("divergence not detected: %+v", st)
+	if st := servers[outside].Cluster().Stats(); st.ForwardErrors == 0 {
+		t.Fatalf("no forward to the closed owner failed: %+v", st)
 	}
 
-	// The forwarded verdict equals weight-merging the two local views by
-	// hand, so the escalation path really is cluster.Merge over full parts.
-	var parts []wire.NodeAssessment
-	for _, nid := range set {
-		srv := byID[nid]
-		local, err := dial(t, srv).Assess(id, 0.6)
-		if err != nil {
-			t.Fatal(err)
-		}
-		sum := srv.Store().ServerChecksum(id)
-		parts = append(parts, wire.NodeAssessment{
-			Node: nid, Records: sum.Count, XOR: sum.XOR, AssessResponse: stripRouting(local),
-		})
-	}
-	want, err := cluster.Merge(0.6, parts)
-	if err != nil {
+	// With the whole set down the walk ends, and both reads say so.
+	if err := servers[replica].Close(); err != nil {
 		t.Fatal(err)
 	}
-	if got, want := stripRouting(got2), stripRouting(want); !reflect.DeepEqual(got, want) {
-		t.Fatalf("merged verdict diverges from hand merge:\n got %+v\nwant %+v", got, want)
+	c := dial(t, servers[outside])
+	if _, err := c.Assess(id, 0.6); codeOf(t, err) != wire.CodeUnavailable {
+		t.Fatalf("single assess with the replica set down: %v, want %s", err, wire.CodeUnavailable)
+	}
+	items, err := c.AssessBatch([]feedback.EntityID{id}, 0.6)
+	if err != nil || items[0].Error == nil || items[0].Error.Code != wire.CodeUnavailable {
+		t.Fatalf("assess.batch with the replica set down: %+v, %v; want an unavailable item", items, err)
 	}
 }
 

@@ -16,11 +16,12 @@ import (
 )
 
 // TestClusterRepairEndToEnd loses one fwd.submit.batch replica push (the
-// replica's listener is down for the write), shows a forwarded read
-// noticing the divergence, and lets anti-entropy — riding the same
-// listeners and pooled connections as the fwd.* hops — repair it: digests
-// agree again, reads stop escalating, and the node outside the replica set
-// pulls nothing.
+// replica's listener is down for the write), shows the replica set diverged
+// — by checksum and by the replica's own verdict — while a door outside the
+// set keeps answering with the owner's verdict, and lets anti-entropy —
+// riding the same listeners and pooled connections as the fwd.* hops —
+// repair it: checksums and verdicts agree again, and the node outside the
+// replica set pulls nothing.
 func TestClusterRepairEndToEnd(t *testing.T) {
 	const id = feedback.EntityID("repair-server")
 	stores := []*store.Store{store.New(), store.New(), store.New()}
@@ -29,20 +30,11 @@ func TestClusterRepairEndToEnd(t *testing.T) {
 		next++
 		return Config{Assessor: testAssessor(t), Store: stores[next-1]}
 	})
-	index := map[string]int{"n1": 0, "n2": 1, "n3": 2}
-	set := servers[0].Cluster().ReplicaSet(id)
-	owner, replica := index[set[0]], index[set[1]]
-	outside := 3 - owner - replica
+	owner, replica, outside := roles(t, servers, id)
 
-	var base []feedback.Feedback
-	for j := 0; j < 30; j++ {
-		base = append(base, rec(id, feedback.EntityID(fmt.Sprintf("c%d", j)), j%4 != 0, int64(j)))
-	}
-	if _, _, err := dial(t, servers[outside]).SubmitBatch(base); err != nil {
-		t.Fatal(err)
-	}
-	if got := stores[replica].ServerLen(id); got != 30 {
-		t.Fatalf("replica holds %d records before the fault, want 30", got)
+	seedThrough(t, servers[outside], honestHistory(id, 200))
+	if got := stores[replica].ServerLen(id); got != 200 {
+		t.Fatalf("replica holds %d records before the fault, want 200", got)
 	}
 
 	// The replica's listener goes away for one write, then comes back on
@@ -62,16 +54,16 @@ func TestClusterRepairEndToEnd(t *testing.T) {
 	reopened.Start()
 	t.Cleanup(func() { _ = reopened.Close() })
 	servers[replica] = reopened
-	if o, r := stores[owner].ServerChecksum(id), stores[replica].ServerChecksum(id); o.Count != 31 || r.Count != 30 {
-		t.Fatalf("after the lost push: owner %+v replica %+v, want 31 and 30 records", o, r)
+	if o, r := stores[owner].ServerChecksum(id), stores[replica].ServerChecksum(id); o.Count != 201 || r.Count != 200 {
+		t.Fatalf("after the lost push: owner %+v replica %+v, want 201 and 200 records", o, r)
 	}
 
-	door := dial(t, servers[outside])
-	if _, err := door.Assess(id, 0.6); err != nil {
-		t.Fatal(err)
+	ownerView := localVerdict(t, servers[owner], id)
+	if reflect.DeepEqual(localVerdict(t, servers[replica], id), ownerView) {
+		t.Fatal("the lost push did not move the replica's verdict; the test proves nothing")
 	}
-	if got := servers[outside].Cluster().Stats().DigestMismatch; got != 1 {
-		t.Fatalf("digest_mismatch = %d after reading a diverged replica set, want 1", got)
+	if got := readThrough(t, servers[outside], id); !reflect.DeepEqual(got, ownerView) {
+		t.Fatalf("door's answer on the diverged set is not the owner's verdict:\n got %+v\nwant %+v", got, ownerView)
 	}
 
 	recons := make([]*gossip.Reconciler, len(servers))
@@ -91,7 +83,7 @@ func TestClusterRepairEndToEnd(t *testing.T) {
 			}
 		}
 	}
-	if o, r := stores[owner].ServerChecksum(id), stores[replica].ServerChecksum(id); o != r || r.Count != 31 {
+	if o, r := stores[owner].ServerChecksum(id), stores[replica].ServerChecksum(id); o != r || r.Count != 201 {
 		t.Fatalf("replica set did not converge: owner %+v replica %+v", o, r)
 	}
 	if got := recons[replica].Received(); got != 1 {
@@ -107,15 +99,11 @@ func TestClusterRepairEndToEnd(t *testing.T) {
 		t.Fatal("anti-entropy rounds did not count as forwarded calls")
 	}
 
-	got, err := door.Assess(id, 0.6)
-	if err != nil {
-		t.Fatal(err)
+	if got := localVerdict(t, servers[replica], id); !reflect.DeepEqual(got, ownerView) {
+		t.Fatalf("repaired replica's verdict differs from the owner's:\n got %+v\nwant %+v", got, ownerView)
 	}
-	if !got.Merged || len(got.MergedFrom) != 2 {
-		t.Fatalf("repaired forwarded assess: Merged=%v MergedFrom=%v; want the verified set of 2", got.Merged, got.MergedFrom)
-	}
-	if got := servers[outside].Cluster().Stats().DigestMismatch; got != 1 {
-		t.Fatalf("digest_mismatch moved to %d after repair, want it to stay at 1", got)
+	if got := readThrough(t, servers[outside], id); !reflect.DeepEqual(got, ownerView) {
+		t.Fatalf("door's answer after repair is not the owner's verdict:\n got %+v\nwant %+v", got, ownerView)
 	}
 }
 

@@ -126,9 +126,9 @@ type Stats struct {
 	SubmitBatches      uint64 `json:"submit_batches"`
 	SubmitBatchItems   uint64 `json:"submit_batch_items"`
 	SubmitBatchRejects uint64 `json:"submit_batch_rejects"`
-	// Cluster carries the cluster-routing counters (forwarded calls, merge
-	// counts, per-peer RTTs); Enabled is false and the rest zero on a
-	// non-clustered node.
+	// Cluster carries the cluster-routing counters (forwarded calls,
+	// transport failures, per-peer RTTs); Enabled is false and the rest zero
+	// on a non-clustered node.
 	Cluster service.ClusterStats `json:"cluster"`
 	// Lifecycle carries the resident/evicted state lifecycle counters;
 	// Enabled is false and the rest zero without a memory budget.
@@ -346,9 +346,8 @@ func (s *Server) buildPipeline() service.Handler {
 	reg.Register(wire.TypeSubmit, typed(wire.TypeSubmitR, s.submit))
 	reg.Register(wire.TypeSubmitB, typed(wire.TypeSubmitBR, s.submitBatch))
 	reg.Register(wire.TypeHistory, typed(wire.TypeHistoryR, s.history))
-	reg.Register(wire.TypeAssess, typed(wire.TypeAssessR, s.routeAssess))
+	reg.Register(wire.TypeAssess, typed(wire.TypeAssessR, s.assess))
 	reg.Register(wire.TypeAssessB, typed(wire.TypeAssessBR, s.routeAssessBatch))
-	reg.Register(wire.TypeFwdAssess, typed(wire.TypeFwdAssessR, s.fwdAssess))
 	reg.Register(wire.TypeFwdBatch, typed(wire.TypeFwdBatchR, s.fwdBatch))
 	reg.Register(wire.TypeFwdAssessB, typed(wire.TypeFwdAssessBR, s.fwdAssessBatch))
 	reg.Register(wire.TypeClusterInfo, s.handleClusterInfo)

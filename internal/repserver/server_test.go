@@ -19,6 +19,7 @@ import (
 	"honestplayer/internal/feedback"
 	"honestplayer/internal/ledger"
 	"honestplayer/internal/repclient"
+	"honestplayer/internal/service"
 	"honestplayer/internal/stats"
 	"honestplayer/internal/trust"
 	"honestplayer/internal/wire"
@@ -388,33 +389,36 @@ func TestBadVersionFrameErrorIsUnattributable(t *testing.T) {
 }
 
 // TestUnknownMessageType: a frame whose type code this build has no name for
-// — one a newer peer added — is answered unknown_type under its own id, and
-// the connection, with every request pipelined behind it, keeps being
-// served.
+// — one a newer peer added (99), or a retired one an older peer still sends
+// (18, a revision-4 door's fwd.assess) — is answered unknown_type under its
+// own id, and the connection, with every request pipelined behind it, keeps
+// being served.
 func TestUnknownMessageType(t *testing.T) {
-	srv := startServer(t)
-	conn, r := rawConn(t, srv, wire.VersionV2)
-	unknown := []byte{0, 0, 0, 12, 99, 1, 0, 0, 0, 0, 0, 0, 0, 5, '{', '}'}
-	if _, err := conn.Write(unknown); err != nil {
-		t.Fatal(err)
-	}
-	send(t, conn, wire.V2Codec, wire.TypePing, 6, nil)
-	resp, err := wire.ReadV2(r)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if resp.Type != wire.TypeError || resp.ID != 5 {
-		t.Fatalf("resp = %+v", resp)
-	}
-	var e wire.ErrorResponse
-	if err := wire.DecodePayload(resp, &e); err != nil {
-		t.Fatal(err)
-	}
-	if e.Code != wire.CodeUnknownType || !strings.Contains(e.Message, "99") {
-		t.Fatalf("error = %+v", e)
-	}
-	if pong, err := wire.ReadV2(r); err != nil || pong.Type != wire.TypePong || pong.ID != 6 {
-		t.Fatalf("request behind the unknown frame: %+v, %v", pong, err)
+	for _, code := range []byte{99, 18} {
+		srv := startServer(t)
+		conn, r := rawConn(t, srv, wire.VersionV2)
+		unknown := []byte{0, 0, 0, 12, code, 1, 0, 0, 0, 0, 0, 0, 0, 5, '{', '}'}
+		if _, err := conn.Write(unknown); err != nil {
+			t.Fatal(err)
+		}
+		send(t, conn, wire.V2Codec, wire.TypePing, 6, nil)
+		resp, err := wire.ReadV2(r)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if resp.Type != wire.TypeError || resp.ID != 5 {
+			t.Fatalf("code %d: resp = %+v", code, resp)
+		}
+		var e wire.ErrorResponse
+		if err := wire.DecodePayload(resp, &e); err != nil {
+			t.Fatal(err)
+		}
+		if e.Code != wire.CodeUnknownType || !strings.Contains(e.Message, fmt.Sprint(code)) {
+			t.Fatalf("code %d: error = %+v", code, e)
+		}
+		if pong, err := wire.ReadV2(r); err != nil || pong.Type != wire.TypePong || pong.ID != 6 {
+			t.Fatalf("code %d: request behind the unknown frame: %+v, %v", code, pong, err)
+		}
 	}
 }
 
@@ -645,6 +649,12 @@ func TestStatsCounters(t *testing.T) {
 		"submit_batches", "submit_batch_items", "submit_batch_rejects", "cluster", "lifecycle")
 	exactKeys("stats.incremental", keys["incremental"], "enabled", "servers_tracked", "served", "fallbacks",
 		"memo_bytes", "memo_entries", "memo_rotations")
+	// A clustered node's block, every optional field set.
+	raw, err = json.Marshal(service.ClusterStats{Enabled: true, Node: "n1", Replicas: 2, PeerRTTMs: map[string]float64{"n2": 1}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	exactKeys("stats.cluster", raw, "enabled", "node", "replicas", "forwarded", "forward_errors", "peer_rtt_ms")
 	// /metricz shows ledger.Stats beside these under "ledger".
 	raw, err = json.Marshal(ledger.Stats{BootSnapshot: 1, Rebuilds: 1, RebuildErrors: 1})
 	if err != nil {

@@ -152,20 +152,14 @@ type ClusterStats struct {
 	Node string `json:"node,omitempty"`
 	// Replicas is the configured replication factor.
 	Replicas int `json:"replicas,omitempty"`
-	// Forwarded counts requests this node routed to a peer (forwarded
-	// assess/submit calls, batch subsets, and replication writes).
+	// Forwarded counts requests this node routed to a peer (batch subsets,
+	// single submits and assesses as batches of one, failover retries, and
+	// replication writes).
 	Forwarded uint64 `json:"forwarded"`
 	// ForwardErrors counts forwarded calls that failed at the transport
 	// level (unreachable peer, broken connection) — not typed per-request
 	// errors relayed from the peer.
 	ForwardErrors uint64 `json:"forward_errors"`
-	// MergedAssess counts assessments answered by weight-merging more than
-	// one node's view.
-	MergedAssess uint64 `json:"merged_assess"`
-	// DigestMismatch counts forwarded reads whose replica state digests
-	// disagreed with the owner's (a replica missed a write), forcing a
-	// full per-node assessment fetch and weight-merge.
-	DigestMismatch uint64 `json:"digest_mismatch"`
 	// PeerRTTMs is the last measured round trip to each peer in
 	// milliseconds, keyed by node ID; peers never dialed are absent.
 	PeerRTTMs map[string]float64 `json:"peer_rtt_ms,omitempty"`

@@ -82,14 +82,6 @@ func appendBinaryPayload(buf []byte, payload any) ([]byte, bool, error) {
 		return appendErrorResponse(buf, p), true, nil
 	case *ErrorResponse:
 		return appendErrorResponse(buf, *p), true, nil
-	case FwdAssessRequest:
-		return appendFwdAssessRequest(buf, p), true, nil
-	case *FwdAssessRequest:
-		return appendFwdAssessRequest(buf, *p), true, nil
-	case NodeAssessment:
-		return appendNodeAssessment(buf, p), true, nil
-	case *NodeAssessment:
-		return appendNodeAssessment(buf, *p), true, nil
 	case FwdBatchRequest:
 		b, err := appendFwdBatchRequest(buf, p)
 		return b, true, err
@@ -137,10 +129,6 @@ func decodeBinaryPayload(t MsgType, buf []byte, out any) error {
 		err = r.assessBatchResponse(o)
 	case *ErrorResponse:
 		err = r.errorResponse(o)
-	case *FwdAssessRequest:
-		err = r.fwdAssessRequest(o)
-	case *NodeAssessment:
-		err = r.nodeAssessment(o)
 	case *FwdBatchRequest:
 		err = r.fwdBatchRequest(o)
 	case *FwdAssessBatchRequest:
@@ -248,8 +236,7 @@ const (
 	assessFlagAccept      byte = 1 << 0
 	assessFlagCached      byte = 1 << 1
 	assessFlagIncremental byte = 1 << 2
-	assessFlagMerged      byte = 1 << 3
-	assessFlagsKnown           = assessFlagAccept | assessFlagCached | assessFlagIncremental | assessFlagMerged
+	assessFlagsKnown           = assessFlagAccept | assessFlagCached | assessFlagIncremental
 
 	asmtFlagSuspicious   byte = 1 << 0
 	asmtFlagShortHistory byte = 1 << 1
@@ -307,18 +294,8 @@ func appendAssessResponse(buf []byte, p AssessResponse, item feedback.EntityID) 
 	if p.Incremental {
 		flags |= assessFlagIncremental
 	}
-	if p.Merged {
-		flags |= assessFlagMerged
-	}
 	buf = append(buf, flags)
-	buf = appendAssessment(buf, p.Assessment, item)
-	if p.Merged {
-		buf = binary.AppendUvarint(buf, uint64(len(p.MergedFrom)))
-		for _, n := range p.MergedFrom {
-			buf = appendString(buf, n)
-		}
-	}
-	return buf
+	return appendAssessment(buf, p.Assessment, item)
 }
 
 func appendAssessBatchRequest(buf []byte, p AssessBatchRequest) []byte {
@@ -350,28 +327,9 @@ func appendErrorResponse(buf []byte, p ErrorResponse) []byte {
 }
 
 // Forwarded-call payloads (cluster node-to-node frames). The assess pair
-// matters most: a NodeAssessment carries the full per-suffix verdict table —
-// thousands of entries at long histories — and forwarding it as JSON would
-// put an encode+decode of that table on every cross-node read.
-
-func appendFwdAssessRequest(buf []byte, p FwdAssessRequest) []byte {
-	buf = appendString(buf, p.Node)
-	buf = appendString(buf, string(p.Server))
-	buf = appendFloat(buf, p.Threshold)
-	return appendBool(buf, p.DigestOnly)
-}
-
-func appendNodeAssessment(buf []byte, p NodeAssessment) []byte {
-	buf = appendString(buf, p.Node)
-	records := p.Records
-	if records < 0 {
-		records = 0
-	}
-	buf = binary.AppendUvarint(buf, uint64(records))
-	buf = binary.AppendUvarint(buf, p.Version)
-	buf = binary.AppendUvarint(buf, p.XOR)
-	return appendAssessResponse(buf, p.AssessResponse, "")
-}
+// matters most: its response carries a full per-suffix verdict table per
+// item — thousands of entries at long histories — and forwarding it as JSON
+// would put an encode+decode of those tables on every cross-node read.
 
 func appendFwdBatchRequest(buf []byte, p FwdBatchRequest) ([]byte, error) {
 	buf = appendString(buf, p.Node)
@@ -642,25 +600,7 @@ func (r *breader) assessResponse(o *AssessResponse, item feedback.EntityID) erro
 	o.Accept = flags&assessFlagAccept != 0
 	o.Cached = flags&assessFlagCached != 0
 	o.Incremental = flags&assessFlagIncremental != 0
-	o.Merged = flags&assessFlagMerged != 0
-	if err := r.assessment(&o.Assessment, item); err != nil {
-		return err
-	}
-	if !o.Merged {
-		return nil
-	}
-	n, err := r.count(1)
-	if err != nil {
-		return err
-	}
-	for i := 0; i < n; i++ {
-		s, err := r.string()
-		if err != nil {
-			return err
-		}
-		o.MergedFrom = append(o.MergedFrom, s)
-	}
-	return nil
+	return r.assessment(&o.Assessment, item)
 }
 
 func (r *breader) assessBatchRequest(o *AssessBatchRequest) error {
@@ -726,40 +666,6 @@ func (r *breader) errorResponse(o *ErrorResponse) error {
 	}
 	o.Message, err = r.string()
 	return err
-}
-
-func (r *breader) fwdAssessRequest(o *FwdAssessRequest) error {
-	var err error
-	if o.Node, err = r.string(); err != nil {
-		return err
-	}
-	s, err := r.string()
-	if err != nil {
-		return err
-	}
-	o.Server = feedback.EntityID(s)
-	if o.Threshold, err = r.float(); err != nil {
-		return err
-	}
-	o.DigestOnly, err = r.bool()
-	return err
-}
-
-func (r *breader) nodeAssessment(o *NodeAssessment) error {
-	var err error
-	if o.Node, err = r.string(); err != nil {
-		return err
-	}
-	if o.Records, err = r.int(); err != nil {
-		return err
-	}
-	if o.Version, err = r.uvarint(); err != nil {
-		return err
-	}
-	if o.XOR, err = r.uvarint(); err != nil {
-		return err
-	}
-	return r.assessResponse(&o.AssessResponse, "")
 }
 
 func (r *breader) fwdBatchRequest(o *FwdBatchRequest) error {

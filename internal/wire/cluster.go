@@ -1,48 +1,15 @@
-// Cluster forwarding payloads (frame type codes 18–27).
+// Cluster forwarding payloads (frame type codes 22–27).
 //
 // These messages are exchanged only between trustd nodes of one cluster,
-// over the same frame clients use. The fwd.* payloads
-// have binary codecs (see binary.go): a forwarded assessment carries the
-// full per-suffix verdict table, far too hot for JSON at large histories.
-// The cold cluster.info pair rides v2 as JSON via flagJSONPayload.
+// over the same frame clients use. Every fwd.* call takes a slice — records
+// or servers — and is answered from the receiving node's local state only;
+// the payloads have binary codecs (see binary.go), because a forwarded
+// assessment carries the full per-suffix verdict table, far too hot for JSON
+// at large histories. The cold cluster.info pair rides v2 as JSON via
+// flagJSONPayload.
 package wire
 
 import "honestplayer/internal/feedback"
-
-// FwdAssessRequest asks a peer node for its local assessment of a server.
-// The receiving node answers strictly from local state: it never forwards
-// again, never consults its assess cache for another node's view, and
-// reports its local history length so the caller can weight the merge.
-type FwdAssessRequest struct {
-	// Node identifies the requesting node (for logs and loop diagnosis).
-	Node      string            `json:"node"`
-	Server    feedback.EntityID `json:"server"`
-	Threshold float64           `json:"threshold"`
-	// DigestOnly asks for the node's state digest (Records, Version, XOR)
-	// without computing an assessment. Forwarding nodes use it to verify
-	// replica agreement in O(1) before trusting a single full assessment.
-	DigestOnly bool `json:"digest_only,omitempty"`
-}
-
-// NodeAssessment is one node's local view of a server, the unit the
-// cluster merge operates on (cluster.Merge).
-type NodeAssessment struct {
-	// Node is the answering node's ID.
-	Node string `json:"node"`
-	// Records is the answering node's local history length for the server —
-	// the merge weight.
-	Records int `json:"records"`
-	// Version is the answering node's store version for the server; two
-	// NodeAssessments with equal Records and Version saw the same history.
-	Version uint64 `json:"version"`
-	// XOR is the XOR of the content hashes of the node's local records for
-	// the server. Two NodeAssessments with equal Records and XOR hold (up
-	// to hash collisions) the same record set, regardless of write order.
-	XOR uint64 `json:"xor,omitempty"`
-	// AssessResponse is the node's local assessment outcome; zero when the
-	// request was DigestOnly.
-	AssessResponse
-}
 
 // FwdBatchRequest hands a slice of feedback records to a peer node, all
 // owned (or replicated) by that peer; a single forwarded submit is a batch

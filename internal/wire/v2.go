@@ -13,7 +13,7 @@
 // can never hand this end binary bytes in a layout it has no reader for.
 // (The hello's first byte is not '{' and its trailing '\n' kept a JSON line
 // reader from blocking on it; both date from the JSON line framing this frame
-// replaced and stay so that every revision-4 build speaks binary to every
+// replaced and stay so that builds of one revision speak binary to each
 // other.)
 //
 // After the ack both directions speak frames:
@@ -42,9 +42,11 @@ import (
 // VersionV2 is the revision of the payload codecs this build speaks, named in
 // the hello and the ack. 2 wrote a verdict as rows and 3 the column table of
 // verdict.go (ADR 0006); 3 wrote a frame's records as rows and 4 writes them
-// as one record batch (ADR 0008). No revision reads another's binary
-// payloads: ends of different revisions speak BridgeCodec (ADR 0009).
-const VersionV2 = 4
+// as one record batch (ADR 0008); 4 had a "merged" bit in an assess
+// response's flags byte and 5 does not (ADR 0010). No revision reads
+// another's binary payloads: ends of different revisions speak BridgeCodec
+// (ADR 0009).
+const VersionV2 = 5
 
 // HelloMagic is the first byte of a client hello. A connection that opens
 // with any other byte is closed.
@@ -92,10 +94,9 @@ var v2Codes = map[MsgType]byte{
 	// Cluster forwarding. The fwd.* payloads have binary codecs (their
 	// responses carry full verdict tables, far too hot for JSON); the
 	// cluster.info pair is cold and rides as JSON via flagJSONPayload.
-	// Codes 20 and 21 belonged to the retired single-record fwd.submit pair
-	// and stay reserved.
-	TypeFwdAssess:    18,
-	TypeFwdAssessR:   19,
+	// Codes 18 and 19 belonged to the retired single-server fwd.assess pair
+	// (ADR 0010), 20 and 21 to the retired single-record fwd.submit pair
+	// (ADR 0001); all four stay reserved.
 	TypeFwdBatch:     22,
 	TypeFwdBatchR:    23,
 	TypeFwdAssessB:   24,

@@ -71,17 +71,13 @@ func v2Payloads() map[MsgType]any {
 			{Server: "a", AssessResponse: AssessResponse{Assessment: testAssessment(), Accept: true}},
 			{Server: "b", Error: &ErrorResponse{Code: CodeUnknownServer, Message: `no records for "b"`}},
 		}},
-		TypeError:     ErrorResponse{Code: CodeBadRequest, Message: "boom"},
-		TypeFwdAssess: FwdAssessRequest{Node: "n2", Server: "srv-a", Threshold: 0.875, DigestOnly: true},
-		TypeFwdAssessR: NodeAssessment{Node: "n1", Records: 4200, Version: 77, XOR: 0xdeadbeefcafe, AssessResponse: AssessResponse{
-			Assessment: testAssessment(), Accept: true, Incremental: true,
-		}},
+		TypeError:      ErrorResponse{Code: CodeBadRequest, Message: "boom"},
 		TypeFwdBatch:   FwdBatchRequest{Node: "n2", Records: []feedback.Feedback{testRecord(1), testRecord(2)}},
 		TypeFwdBatchR:  BatchResponse{Stored: 2},
 		TypeFwdAssessB: FwdAssessBatchRequest{Node: "n1", Servers: []feedback.EntityID{"a", "b"}, Threshold: 0.9},
 		TypeFwdAssessBR: FwdAssessBatchResponse{Node: "n3", Items: []AssessBatchItem{
 			{Server: "a", AssessResponse: AssessResponse{
-				Assessment: testAssessment(), Accept: true, Merged: true, MergedFrom: []string{"n1", "n3"},
+				Assessment: testAssessment(), Accept: true, Cached: true, Incremental: true,
 			}},
 			{Server: "b", Error: &ErrorResponse{Code: CodeUnavailable, Message: "owner down"}},
 		}},
@@ -398,12 +394,13 @@ func TestWriteV2RejectsUnknownType(t *testing.T) {
 	}
 }
 
-// The retired fwd.submit pair held codes 20 and 21. A frame carrying either
-// must be refused, and the codes after them must not have shifted down. The
-// refused frame is read whole, payload and all, so the frame after it on the
-// stream still reads.
+// The retired fwd.assess pair held codes 18 and 19 (ADR 0010), the retired
+// fwd.submit pair 20 and 21 (ADR 0001). A frame carrying any of them must be
+// refused, and the codes after them must not have shifted down. The refused
+// frame is read whole, payload and all, so the frame after it on the stream
+// still reads.
 func TestV2RetiredCodesStayReserved(t *testing.T) {
-	for _, code := range []byte{20, 21} {
+	for _, code := range []byte{18, 19, 20, 21} {
 		stream := bytes.NewReader([]byte{
 			0, 0, 0, v2BodyMin + 2, code, 0, 0, 0, 0, 0, 0, 0, 0, 7, 0xAA, 0xBB,
 			0, 0, 0, v2BodyMin, 1, 0, 0, 0, 0, 0, 0, 0, 0, 8,
@@ -421,9 +418,10 @@ func TestV2RetiredCodesStayReserved(t *testing.T) {
 	}
 }
 
-// TestSubmitBatchGoldenFrame pins revision 4's submit.batch on the wire: the
-// v2 header, then the records as one feedback.AppendBatch column batch with
-// dictionaries that start empty at the frame.
+// TestSubmitBatchGoldenFrame pins submit.batch on the wire as revision 4
+// laid it out and revision 5 keeps it: the v2 header, then the records as
+// one feedback.AppendBatch column batch with dictionaries that start empty
+// at the frame.
 func TestSubmitBatchGoldenFrame(t *testing.T) {
 	req := BatchRequest{Records: []feedback.Feedback{
 		{Time: time.Unix(0, 100).UTC(), Server: "s1", Client: "c1", Rating: feedback.Positive},
@@ -441,8 +439,8 @@ func TestSubmitBatchGoldenFrame(t *testing.T) {
 		0b101, // good
 	}
 	var buf bytes.Buffer
-	if err := WriteHello(&buf); err != nil || !bytes.Equal(buf.Bytes(), []byte{0xB2, 'W', '2', 4, '\n'}) {
-		t.Fatalf("hello = %x, %v; the layout below is revision 4's", buf.Bytes(), err)
+	if err := WriteHello(&buf); err != nil || !bytes.Equal(buf.Bytes(), []byte{0xB2, 'W', '2', 5, '\n'}) {
+		t.Fatalf("hello = %x, %v; the layout below is revision 5's", buf.Bytes(), err)
 	}
 	buf.Reset()
 	env, err := V2Codec.Encode(TypeSubmitB, 9, req)

@@ -143,7 +143,6 @@ func TestVerdictTableEveryTester(t *testing.T) {
 		for typ, payload := range map[MsgType]any{
 			TypeAssessR:     resp,
 			TypeAssessBR:    AssessBatchResponse{Items: items},
-			TypeFwdAssessR:  NodeAssessment{Node: "n1", Records: 1230, Version: 9, XOR: 77, AssessResponse: resp},
 			TypeFwdAssessBR: FwdAssessBatchResponse{Node: "n2", Items: items},
 		} {
 			if got, _ := roundTrip(t, typ, payload); !reflect.DeepEqual(got, payload) {

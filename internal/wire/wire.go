@@ -62,8 +62,6 @@ const (
 // again — which makes routing loops structurally impossible even under a
 // membership misconfiguration. See docs/CLUSTER.md.
 const (
-	TypeFwdAssess    MsgType = "fwd.assess"
-	TypeFwdAssessR   MsgType = "fwd.assess.resp"
 	TypeFwdBatch     MsgType = "fwd.submit.batch"
 	TypeFwdBatchR    MsgType = "fwd.submit.batch.resp"
 	TypeFwdAssessB   MsgType = "fwd.assess.batch"
@@ -224,15 +222,6 @@ type AssessResponse struct {
 	// per-server assessment engine instead of a batch recompute. The result
 	// is identical either way; the flag exists for observability.
 	Incremental bool `json:"incremental,omitempty"`
-	// Merged reports that the assessment was weight-merged from more than
-	// one cluster node's local view (the replica set disagreed, or the
-	// answering node fanned the request out). Single-node deployments and
-	// owner-local answers never set it.
-	Merged bool `json:"merged,omitempty"`
-	// MergedFrom lists the node IDs whose views contributed to a merged
-	// assessment, in merge order (most complete view first). Empty unless
-	// Merged is set.
-	MergedFrom []string `json:"merged_from,omitempty"`
 }
 
 // AssessBatchRequest asks the server to assess many candidate servers in

@@ -20,6 +20,10 @@
 #     the JSON line framing and every knob that selected it stay deleted
 #   - one generator step, one log-choose builder (ADR 0007): the Monte-Carlo
 #     kernels get cheaper per uniform, never by a second copy of the stream
+#   - one read path on a cluster (ADR 0010): no fan-out, digest-verify or
+#     merge; fwd.* is batch-only
+#   - per-package non-test line budget (scripts/loc-budget.txt): a package
+#     grows only in a diff that raises its line
 #
 # Run from anywhere: bash scripts/guardrails.sh
 # =============================================================================
@@ -149,6 +153,35 @@ check "math.Lgamma is called only by the log-choose table builder (ADR 0007)" \
     "! sources | grep -v '^./internal/stats/binomial\.go\$' | xargs grep -n 'math\.Lgamma(' | grep -q . \
      && [ \"\$(lgamma_in < internal/stats/binomial.go)\" -eq \
           \"\$(sed -n '/^func logChoose(/,/^}/p' internal/stats/binomial.go | lgamma_in)\" ]"
+
+# --- one read path on a cluster (ADR 0010) ------------------------------------
+# A clustered read is the owner's answer — or, while the owner is unreachable,
+# the next replica's — never a blend of several nodes' views.
+check "cluster.Merge stays deleted (ADR 0010)" \
+    "absent 'cluster\.Merge\(' && absent '^func Merge\(' internal/cluster"
+for sym in NodeAssessment FwdAssessRequest DigestOnly MergedFrom ForwardAssessCtx; do
+    check "$sym stays deleted (ADR 0010)" "absent '\b$sym\b'"
+done
+check "wire type fwd.assess stays deleted (ADR 0010)" "absent '\"fwd\.assess\"'"
+check "fwd.* is batch-only: FwdBatchRequest and FwdAssessBatchRequest (ADR 0010)" \
+    "[ \"\$(sources internal/wire | xargs grep -ohE '^type Fwd\w*Request\b' | sort | tr '\n' ' ')\" = \
+       'type FwdAssessBatchRequest type FwdBatchRequest ' ]"
+
+# --- per-package LOC ratchet --------------------------------------------------
+# Each package's non-test lines (as sources counts them) must stay at or below
+# its line in scripts/loc-budget.txt, and every package needs a line. A PR
+# that grows a package raises its budget in the same diff.
+loc_counts() {
+    sources | xargs wc -l | awk '$2 != "total" { d = $2; sub(/\/[^\/]*$/, "", d); n[d] += $1 }
+        END { for (d in n) print d, n[d] }' | sort
+}
+loc_within_budget() {
+    awk 'NR == FNR { if ($1 !~ /^#/ && NF == 2) budget[$1] = $2; next }
+         !($1 in budget) { print "     " $1 ": " $2 " lines, no budget line"; bad = 1; next }
+         $2 > budget[$1] { print "     " $1 ": " $2 " lines, budget " budget[$1]; bad = 1 }
+         END { exit bad }' scripts/loc-budget.txt <(loc_counts)
+}
+check "every package within its non-test line budget (scripts/loc-budget.txt)" "loc_within_budget"
 
 echo
 if [ "$FAILED" -gt 0 ]; then
