@@ -97,6 +97,54 @@ func BenchmarkWindowCountsFromEnd(b *testing.B) {
 	}
 }
 
+// outcomeView is the newest n records of a history one record longer, so
+// that it starts mid-word as the suffix views an assessor reads do; every
+// tenth record is bad.
+func outcomeView(b *testing.B, n int) *History {
+	h := NewHistory("s")
+	for i := 0; i <= n; i++ {
+		if err := h.AppendOutcome("c", i%10 != 0, time.Unix(int64(i), 0)); err != nil {
+			b.Fatal(err)
+		}
+	}
+	return h.SuffixView(n)
+}
+
+var sinkInt int
+
+// BenchmarkGoodInRange reads 1024 fixed ranges of a 5000-record view — the
+// history length of the assess_deep workload — the way GoodCount and the
+// sliding-window trust function do.
+func BenchmarkGoodInRange(b *testing.B) {
+	const n = 5000
+	h := outcomeView(b, n)
+	var ranges [1024][2]int
+	for i := range ranges {
+		lo := i * 7919 % n
+		ranges[i] = [2]int{lo, lo + (n-lo)*(i%8)/8}
+	}
+	b.ResetTimer()
+	sum := 0
+	for i := 0; i < b.N; i++ {
+		r := ranges[i%len(ranges)]
+		sum += h.GoodInRange(r[0], r[1])
+	}
+	sinkInt = sum
+}
+
+// BenchmarkWindowCounts is the table a behaviour test starts from: m = 10
+// windows over a 5000-record view.
+func BenchmarkWindowCounts(b *testing.B) {
+	h := outcomeView(b, 5000)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := h.WindowCounts(10); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 func BenchmarkCollusionReorder(b *testing.B) {
 	h := benchHistory(b, 10000)
 	b.ReportAllocs()
@@ -124,11 +172,11 @@ func BenchmarkBinaryCodec(b *testing.B) {
 	recs := benchRecords(1000)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		buf, err := EncodeBinaryAll(recs)
+		buf, err := encodeBinaryAll(recs)
 		if err != nil {
 			b.Fatal(err)
 		}
-		if _, err := DecodeBinaryAll(buf); err != nil {
+		if _, err := decodeBinaryAll(buf); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -198,7 +246,7 @@ func BenchmarkBatchCodec(b *testing.B) {
 		}
 		return buf
 	}, func(buf []byte, dst []Feedback) []Feedback {
-		dst, err := DecodeBinaryAll(buf)
+		dst, err := decodeBinaryAll(buf)
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -114,33 +114,3 @@ func decodeEntity(buf []byte) (EntityID, []byte, error) {
 	}
 	return EntityID(buf[:n]), buf[n:], nil
 }
-
-// EncodeBinaryAll encodes all records back to back.
-func EncodeBinaryAll(recs []Feedback) ([]byte, error) {
-	var buf []byte
-	for i, r := range recs {
-		var err error
-		buf, err = AppendBinary(buf, r)
-		if err != nil {
-			return nil, fmt.Errorf("record %d: %w", i, err)
-		}
-	}
-	return buf, nil
-}
-
-// DecodeBinaryAll decodes records until the buffer is exhausted.
-func DecodeBinaryAll(buf []byte) ([]Feedback, error) {
-	var out []Feedback
-	for len(buf) > 0 {
-		var (
-			f   Feedback
-			err error
-		)
-		f, buf, err = DecodeBinary(buf)
-		if err != nil {
-			return nil, fmt.Errorf("record %d: %w", len(out), err)
-		}
-		out = append(out, f)
-	}
-	return out, nil
-}

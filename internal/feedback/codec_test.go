@@ -3,6 +3,7 @@ package feedback
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -61,11 +62,11 @@ func TestReadJSONLinesInvalidRecord(t *testing.T) {
 
 func TestBinaryRoundTrip(t *testing.T) {
 	recs := sampleRecords()
-	buf, err := EncodeBinaryAll(recs)
+	buf, err := encodeBinaryAll(recs)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := DecodeBinaryAll(buf)
+	got, err := decodeBinaryAll(buf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -151,11 +152,11 @@ func TestDecodeBinaryCorrupt(t *testing.T) {
 }
 
 func TestDecodeBinaryAllPartial(t *testing.T) {
-	buf, err := EncodeBinaryAll(sampleRecords())
+	buf, err := encodeBinaryAll(sampleRecords())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := DecodeBinaryAll(buf[:len(buf)-1]); err == nil {
+	if _, err := decodeBinaryAll(buf[:len(buf)-1]); err == nil {
 		t.Fatal("truncated stream must fail")
 	}
 }
@@ -169,4 +170,35 @@ func TestDecodeBinaryOversizedLength(t *testing.T) {
 	if _, _, err := DecodeBinary(buf); !errors.Is(err, ErrRecordTooLarge) {
 		t.Fatalf("oversized length = %v", err)
 	}
+}
+
+// encodeBinaryAll encodes all records back to back with AppendBinary.
+func encodeBinaryAll(recs []Feedback) ([]byte, error) {
+	var buf []byte
+	for i, r := range recs {
+		var err error
+		buf, err = AppendBinary(buf, r)
+		if err != nil {
+			return nil, fmt.Errorf("record %d: %w", i, err)
+		}
+	}
+	return buf, nil
+}
+
+// decodeBinaryAll decodes DecodeBinary records until the buffer is
+// exhausted.
+func decodeBinaryAll(buf []byte) ([]Feedback, error) {
+	var out []Feedback
+	for len(buf) > 0 {
+		var (
+			f   Feedback
+			err error
+		)
+		f, buf, err = DecodeBinary(buf)
+		if err != nil {
+			return nil, fmt.Errorf("record %d: %w", len(out), err)
+		}
+		out = append(out, f)
+	}
+	return out, nil
 }

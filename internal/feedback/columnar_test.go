@@ -2,6 +2,7 @@ package feedback
 
 import (
 	"errors"
+	"fmt"
 	"reflect"
 	"sort"
 	"sync"
@@ -92,6 +93,15 @@ func sameAs(t *testing.T, what string, h *History, ref []Feedback) {
 	if got := h.CollusionOrder().Records(); len(got)+len(ordered) > 0 && !reflect.DeepEqual(got, ordered) {
 		t.Fatalf("%s: CollusionOrder %v, want %v", what, got, ordered)
 	}
+	dec, rest, err := DecodeColumns(h.Server(), h.AppendColumns(nil))
+	if err != nil || len(rest) != 0 || dec.Len() != len(ref) {
+		t.Fatalf("%s: column round trip: %v, %d bytes left", what, err, len(rest))
+	}
+	for i, want := range ref {
+		if got := dec.At(i); got != want {
+			t.Fatalf("%s: record %d decodes from the columns as %v, want %v", what, i, got, want)
+		}
+	}
 	for _, m := range []int{1, 3, 10} {
 		for _, fromEnd := range []bool{false, true} {
 			got, err := h.windowCounts(m, fromEnd)
@@ -111,6 +121,35 @@ func FuzzHistoryOps(f *testing.F) {
 	f.Add([]byte{0, 0, 0, 0x83, 0x83, 0x83, 0x83, 1})
 	f.Add([]byte{0x80, 0x81, 0x82, 0x84})
 	f.Add([]byte{8, 17, 26, 35, 0x81, 44, 53, 0x82, 0x82, 62, 0x80, 0x84, 7})
+	// Appends across three 64-record good-bit words, a snapshot view and an
+	// owner check on either side of each boundary, fresh clients among them.
+	var ops []byte
+	for i := 0; len(ops) < 240; i++ {
+		ops = append(ops, byte(i*5%128))
+		if n := i + 1; n%64 <= 1 || n%64 == 63 {
+			ops = append(ops, 0x82, 0x81)
+		}
+	}
+	f.Add(ops)
+	// A 16-record suffix view at every length from 1 to 150, so at every
+	// bit offset mod 64 (twice), each checked through every accessor.
+	ops = nil
+	for i := 0; i < 150; i++ {
+		ops = append(ops, byte(i*3%128), 0x83)
+	}
+	f.Add(ops)
+	// RemoveLast back across a word boundary, then Append over it, at 64
+	// and at 128 records; snapshot views taken between the two.
+	ops = nil
+	for i := 0; i < 64; i++ {
+		ops = append(ops, byte(i%16))
+	}
+	ops = append(ops, 0x80, 8, 0x81, 0x80, 0x80, 0, 6, 0x82, 0x81)
+	for i := 0; i < 64; i++ {
+		ops = append(ops, byte(i%16+6))
+	}
+	ops = append(ops, 0x80, 0x80, 1, 9, 0x82, 0x83, 0x84, 0x80, 0x80, 0x81)
+	f.Add(ops)
 	f.Fuzz(func(t *testing.T, ops []byte) {
 		h := NewHistory("srv")
 		var ref []Feedback
@@ -120,10 +159,16 @@ func FuzzHistoryOps(f *testing.F) {
 		}
 		var views []frozen
 		at := time.Unix(1_700_000_000, 0).UTC()
+		fresh := 0
 		for _, op := range ops {
 			if op < 0x80 { // append: client from the low bits, rating from bit 3
 				at = at.Add(time.Duration(op%3) * time.Millisecond) // equal times included
-				rec := Feedback{Time: at, Server: "srv", Client: EntityID([]string{"a", "b", "cc", "d", "e", "f", "g"}[op%7]), Rating: Negative}
+				client := EntityID([]string{"a", "b", "cc", "d", "e", "f"}[op%7%6])
+				if op%7 == 6 { // a client never seen before, as a Sybil stream sends
+					fresh++
+					client = EntityID(fmt.Sprintf("new-%d", fresh))
+				}
+				rec := Feedback{Time: at, Server: "srv", Client: client, Rating: Negative}
 				if op&8 == 0 {
 					rec.Rating = Positive
 				}
@@ -176,8 +221,10 @@ func FuzzHistoryOps(f *testing.F) {
 }
 
 // TestSnapshotViewsUnderAppend: readers walk earlier snapshot views — the
-// columns and the client dictionary — while the owner keeps appending new
-// records and new clients. Run under -race.
+// columns, the good-bits and the client dictionary — while the owner keeps
+// appending new records and new clients. Views are taken every 100 records
+// and on either side of each 64-record good-bit word, so most end inside a
+// word whose later bits the owner is still setting. Run under -race.
 func TestSnapshotViewsUnderAppend(t *testing.T) {
 	h := NewHistory("srv")
 	var ref []Feedback
@@ -187,29 +234,40 @@ func TestSnapshotViewsUnderAppend(t *testing.T) {
 			Time:   time.Unix(int64(i), 0).UTC(),
 			Server: "srv",
 			Client: EntityID("c" + string(rune('a'+i%26)) + string(rune('a'+i/26%26))),
-			Rating: Rating(1 + i%2),
+			Rating: Rating(1 + i*i%7%2),
 		}
 		if err := h.Append(rec); err != nil {
 			t.Fatal(err)
 		}
 		ref = append(ref, rec)
-		if i%100 != 0 {
+		if n := len(ref); n%100 != 1 && (n+1)%64 > 2 {
 			continue
 		}
 		view, want := h.SnapshotView(), ref[:len(ref):len(ref)]
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
+			good := 0
 			for j, f := range want {
 				if got := view.At(j); got != f {
 					t.Errorf("view of %d: record %d is %v, want %v", len(want), j, got, f)
 					return
 				}
+				if f.Good() {
+					good++
+				}
+			}
+			if view.GoodCount() != good {
+				t.Errorf("view of %d: GoodCount %d, want %d", len(want), view.GoodCount(), good)
 			}
 			if got := len(view.GroupByIssuer()); got != view.DistinctClients() {
 				t.Errorf("view of %d: %d groups, %d distinct clients", len(want), got, view.DistinctClients())
 			}
-			if view.SuffixView(len(want)/2).CollusionOrder().Len() != len(want)/2 {
+			half := view.SuffixView(len(want) / 2)
+			if got, wantGood := half.GoodCount(), view.GoodInRange(len(want)-len(want)/2, len(want)); got != wantGood {
+				t.Errorf("view of %d: suffix GoodCount %d, want %d", len(want), got, wantGood)
+			}
+			if half.CollusionOrder().Len() != len(want)/2 {
 				t.Errorf("view of %d: suffix collusion order lost records", len(want))
 			}
 		}()
@@ -288,5 +346,63 @@ func TestDecodedColumnsTakeAppends(t *testing.T) {
 	}
 	if _, _, err := DecodeColumns("", h.AppendColumns(nil)); !errors.Is(err, ErrEmptyEntity) {
 		t.Fatalf("decode for an empty server: %v", err)
+	}
+}
+
+// TestDecodedRecordBytes: a record of a decoded history costs its time
+// (8 B), a 16-bit client slot, its good-bit and 1/64 of a rank entry —
+// ≈ 10.2 B, and at most 10.5 B with what the allocator rounds each column
+// up to — beside the dictionary of a 100-client pool.
+func TestDecodedRecordBytes(t *testing.T) {
+	const n = 10000
+	h := NewHistory("srv")
+	for i := 0; i < n; i++ {
+		if err := h.AppendOutcome(EntityID(fmt.Sprintf("client-%d", i*7%100)), i%10 != 0, time.Unix(int64(i), 0)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	got, _, err := DecodeColumns("srv", h.AppendColumns(nil))
+	if err != nil {
+		t.Fatal(err)
+	}
+	dict := cap(got.clients)*16 + got.clientBytes
+	per := float64(got.SizeBytes()-dict) / n
+	t.Logf("%.2f B/record beside a %d B dictionary", per, dict)
+	if per > 10.5 {
+		t.Errorf("a decoded record accounts %.2f B, want at most 10.5", per)
+	}
+}
+
+// TestSlotsWiden: the client that takes the dictionary past 65,536 ids
+// widens the slot column to 32 bits with one copy; a view taken before
+// keeps reading the 16-bit column it was taken with.
+func TestSlotsWiden(t *testing.T) {
+	h := NewHistory("srv")
+	for i := 0; i < wideSlots; i++ {
+		if err := h.AppendOutcome(EntityID(fmt.Sprintf("c%d", i)), i%3 != 0, time.Unix(int64(i), 0)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	before, ref := h.SnapshotView(), h.Records()
+	if h.wide() || h.client32 != nil {
+		t.Fatal("16-bit slots hold 65,536 clients")
+	}
+	if err := h.AppendOutcome("one-more", true, time.Unix(wideSlots, 0)); err != nil {
+		t.Fatal(err)
+	}
+	if !h.wide() || h.client16 != nil || h.slot(wideSlots) != wideSlots || h.slot(wideSlots-1) != wideSlots-1 {
+		t.Fatal("the 65,537th client did not widen the slots")
+	}
+	if before.wide() || !reflect.DeepEqual(before.Records(), ref) {
+		t.Fatal("a view taken before the widening reads differently")
+	}
+	if err := h.RemoveLast(); err != nil {
+		t.Fatal(err)
+	}
+	if err := h.AppendOutcome("c7", false, time.Unix(wideSlots, 0)); err != nil {
+		t.Fatal(err)
+	}
+	if h.Len() != wideSlots+1 || h.ClientAt(wideSlots) != "c7" || h.RatingAt(wideSlots) != Negative {
+		t.Fatalf("RemoveLast then Append on wide slots: %v", h.At(h.Len()-1))
 	}
 }

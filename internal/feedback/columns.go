@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"math/bits"
 )
 
 // The column encoding is a History's durable form: what a snapshot section
@@ -19,7 +20,9 @@ import (
 //	good      ⌈count/8⌉ bytes, bit i%8 of byte i/8 set when record i is
 //	          positive — ratings are binary; padding bits are zero
 //
-// The good-transaction prefix sums are not stored; decoding rebuilds them.
+// The good bytes are the history's good-bit words, little-endian, so
+// decoding loads them a word at a time; the rank index is not stored, and
+// decoding rebuilds it.
 
 // AppendColumns appends h's column encoding to buf and returns the extended
 // buffer.
@@ -36,14 +39,19 @@ func (h *History) AppendColumns(buf []byte) []byte {
 		buf = binary.AppendVarint(buf, t-prev) // wraps, as decoding does
 		prev = t
 	}
-	for _, c := range h.client {
-		buf = binary.AppendUvarint(buf, uint64(c))
+	for i := range h.nanos {
+		buf = binary.AppendUvarint(buf, uint64(h.slot(i)))
 	}
-	bits := len(buf)
-	buf = append(buf, make([]byte, (n+7)/8)...)
-	for i, r := range h.rating {
-		if Rating(r).Good() {
-			buf[bits+i/8] |= 1 << (i % 8)
+	for k, left := 0, (n+7)/8; left > 0; k++ {
+		x := h.goodWord(k)
+		if left >= 8 {
+			buf = binary.LittleEndian.AppendUint64(buf, x)
+			left -= 8
+			continue
+		}
+		for ; left > 0; left-- {
+			buf = append(buf, byte(x))
+			x >>= 8
 		}
 	}
 	return buf
@@ -77,9 +85,14 @@ func DecodeColumns(server EntityID, buf []byte) (*History, []byte, error) {
 	// size anyway, so the first appends after a decode do not reallocate.
 	n := int(count)
 	h := NewHistory(server)
+	h.clients = make([]EntityID, nclients) // before Grow: it sets the slot width
 	h.Grow(n)
-	h.nanos, h.client, h.rating, h.good = h.nanos[:n], h.client[:n], h.rating[:n], h.good[:n+1]
-	h.clients = make([]EntityID, nclients)
+	h.nanos = h.nanos[:n]
+	if h.wide() {
+		h.client32 = h.client32[:n]
+	} else {
+		h.client16 = h.client16[:n]
+	}
 	seen := make(map[EntityID]struct{}, nclients)
 	for i := range h.clients {
 		var size uint64
@@ -107,7 +120,7 @@ func DecodeColumns(server EntityID, buf []byte) (*History, []byte, error) {
 		prev += int64(zz>>1) ^ -int64(zz&1) // undoes AppendVarint's zig-zag
 		h.nanos[i] = prev
 	}
-	for i := range h.client {
+	for i := range h.nanos {
 		var slot uint64
 		if slot, buf, err = columnUvarint(buf); err != nil {
 			return nil, nil, err
@@ -115,21 +128,38 @@ func DecodeColumns(server EntityID, buf []byte) (*History, []byte, error) {
 		if slot >= nclients {
 			return nil, nil, fmt.Errorf("%w: record %d names client slot %d of %d", ErrCorruptRecord, i, slot, nclients)
 		}
-		h.client[i] = uint32(slot)
-	}
-	bits := (n + 7) / 8
-	if len(buf) < bits || n%8 != 0 && buf[bits-1]>>(n%8) != 0 {
-		return nil, nil, fmt.Errorf("%w: rating bitmap", ErrCorruptRecord)
-	}
-	for i := range h.rating {
-		h.rating[i] = uint8(Negative)
-		h.good[i+1] = h.good[i]
-		if buf[i/8]>>(i%8)&1 != 0 {
-			h.rating[i] = uint8(Positive)
-			h.good[i+1]++
+		if h.wide() {
+			h.client32[i] = uint32(slot)
+		} else {
+			h.client16[i] = uint16(slot)
 		}
 	}
-	return h, buf[bits:], nil
+	size := (n + 7) / 8
+	if len(buf) < size || n%8 != 0 && buf[size-1]>>(n%8) != 0 {
+		return nil, nil, fmt.Errorf("%w: rating bitmap", ErrCorruptRecord)
+	}
+	h.bits, h.rank = h.bits[:n/64], h.rank[:n/64+1]
+	for w := range h.bits {
+		h.bits[w] = binary.LittleEndian.Uint64(buf[8*w:])
+		h.rank[w+1] = h.rank[w] + uint32(bits.OnesCount64(h.bits[w]))
+	}
+	for i, b := range buf[8*len(h.bits) : size] {
+		h.last |= uint64(b) << (8 * i)
+	}
+	return h, buf[size:], nil
+}
+
+// goodWord returns the good-bits of records [64k, 64k+64), record 64k+j at
+// bit j, whatever the history's bit offset; bits past the last record are
+// zero.
+func (h *History) goodWord(k int) uint64 {
+	p := h.off + k<<6
+	w, s := p>>6, p&63
+	x := h.word(w) >> s
+	if s != 0 && w < len(h.bits) {
+		x |= h.word(w+1) << (64 - s)
+	}
+	return x
 }
 
 // columnUvarint decodes one shortest-form uvarint, returning the remainder.

@@ -11,8 +11,10 @@ import (
 )
 
 // Rating is the client's one-dimensional evaluation of a transaction. The
-// paper's model is binary {positive, negative}; the type leaves room for the
-// multi-value extension discussed in §3.1.
+// paper's model is binary {positive, negative}, and Valid admits only those
+// two: a History stores a rating as one good-bit (ADR 0011), so the
+// multi-value extension discussed in §3.1 would need a rating column of its
+// own.
 type Rating int
 
 const (

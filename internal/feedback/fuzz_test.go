@@ -74,6 +74,23 @@ func FuzzHistoryColumns(f *testing.F) {
 	f.Add(binary.AppendUvarint(binary.AppendUvarint(nil, 1<<40), 1<<40)) // hostile counts
 	f.Add([]byte{1, 2, 1, 'a', 1, 'a', 0, 0, 0})                         // a client twice
 	f.Add([]byte{1, 1, 1, 'a', 0x80, 0, 0, 0})                           // a padded varint
+	// Lengths on either side of the 64-record good-bit words, written from a
+	// history of that length and from a suffix view of a longer one (its
+	// first record mid-word).
+	long := NewHistory("srv")
+	for i := 0; i < 200; i++ {
+		if err := long.AppendOutcome(EntityID([]string{"x", "y", "z"}[i%3]), i%3 != 0 && i%5 != 0, time.Unix(int64(i), 0)); err != nil {
+			f.Fatal(err)
+		}
+	}
+	for _, n := range []int{0, 1, 63, 64, 65, 127, 128, 129} {
+		own, err := NewHistoryFromRecords("srv", long.Records()[:n])
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(own.AppendColumns(nil))
+		f.Add(long.SuffixView(n).AppendColumns(nil))
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		got, rest, err := DecodeColumns("srv", data)
 		if err != nil {

@@ -3,6 +3,7 @@ package feedback
 import (
 	"errors"
 	"fmt"
+	"math/bits"
 	"slices"
 	"sort"
 	"time"
@@ -19,26 +20,41 @@ var (
 	ErrBadWindow = errors.New("feedback: invalid window size")
 )
 
+// wideSlots is the dictionary size above which client slots need 32 bits.
+const wideSlots = 1 << 16
+
 // History is the append-only transaction history of a single server: the
 // time-ordered sequence of feedbacks its transactions received. Records are
-// held as parallel columns — 17 B each — with the server ID stored once and
-// client IDs interned in a per-history dictionary (ADR 0004). It maintains a
-// prefix-sum index of good transactions so that range statistics — the
-// foundation of both trust functions and behaviour tests — cost O(1).
+// held as parallel columns — about 10.2 B each: the time, a 16-bit client
+// slot and one good-bit — with the server ID stored once and client IDs
+// interned in a per-history dictionary (ADRs 0004, 0011). A rank index over
+// the good-bits keeps range statistics — the foundation of both trust
+// functions and behaviour tests — O(1).
 //
 // History is not safe for concurrent use; the store layer serialises access.
 type History struct {
 	server EntityID
 	// One element per record. Columns are append-only, which is what keeps
 	// views O(1) and append-safe.
-	nanos  []int64  // transaction time, unix nanoseconds
-	client []uint32 // index into clients
-	rating []uint8
-	// good[i]-good[0] is the number of good transactions among the first i
-	// records; len(good) == Len()+1. A suffix view keeps its parent's
-	// running values, so only differences are meaningful — and, unsigned,
-	// they are exact for any history of fewer than 2³² records.
-	good []uint32
+	nanos []int64 // transaction time, unix nanoseconds
+	// Index into clients: client16 while the dictionary holds at most
+	// wideSlots ids, client32 (and client16 nil) once it holds more.
+	client16 []uint16
+	client32 []uint32
+	// The good-bits: record i is bit p%64 of word p/64, p = off+i. bits
+	// holds the completed words only; the partial last word is last, held
+	// by value so that a view copies it and a writer never rewrites an array
+	// element a view can see. Bits of last past the final record are zero.
+	bits []uint64
+	last uint64
+	// off is the bit of the first word at which record 0 sits: non-zero
+	// only in a suffix view, whose first word also holds records before it.
+	off int
+	// rank[w] counts the good bits in the words before word w, those below
+	// off included; len(rank) == len(bits)+1. Only differences are
+	// meaningful, and, unsigned, they are exact for any history of fewer
+	// than 2³² records.
+	rank []uint32
 	// clients is the client dictionary in first-appearance order, shared
 	// with views like the columns. A view may see entries none of its
 	// records use (a suffix, or after RemoveLast).
@@ -52,7 +68,7 @@ type History struct {
 
 // NewHistory returns an empty history for the given server.
 func NewHistory(server EntityID) *History {
-	return &History{server: server, good: []uint32{0}}
+	return &History{server: server, rank: []uint32{0}}
 }
 
 // Server returns the server this history belongs to.
@@ -67,16 +83,52 @@ func (h *History) At(i int) Feedback {
 	return Feedback{
 		Time:   time.Unix(0, h.nanos[i]).UTC(),
 		Server: h.server,
-		Client: h.clients[h.client[i]],
-		Rating: Rating(h.rating[i]),
+		Client: h.clients[h.slot(i)],
+		Rating: h.RatingAt(i),
 	}
 }
 
 // NanosAt, ClientAt and RatingAt read one field of the i-th record without
-// materialising the rest.
+// materialising the rest. Ratings are binary (Rating.Valid), so a record's
+// rating is its good-bit.
 func (h *History) NanosAt(i int) int64     { return h.nanos[i] }
-func (h *History) ClientAt(i int) EntityID { return h.clients[h.client[i]] }
-func (h *History) RatingAt(i int) Rating   { return Rating(h.rating[i]) }
+func (h *History) ClientAt(i int) EntityID { return h.clients[h.slot(i)] }
+func (h *History) RatingAt(i int) Rating {
+	_ = h.nanos[i] // out-of-range i panics like the other columns
+	p := h.off + i
+	return Negative + Rating(h.word(p>>6)>>(p&63)&1)
+}
+
+// wide reports whether client slots are 32-bit.
+func (h *History) wide() bool { return len(h.clients) > wideSlots }
+
+// slot returns the i-th record's dictionary slot.
+func (h *History) slot(i int) uint32 {
+	if h.wide() {
+		return h.client32[i]
+	}
+	return uint32(h.client16[i])
+}
+
+// word returns good-bit word w: a completed one, or the partial last.
+func (h *History) word(w int) uint64 {
+	if w < len(h.bits) {
+		return h.bits[w]
+	}
+	return h.last
+}
+
+// goodBefore returns the rank at bit p: the good bits before it, counted
+// from the first word's first bit.
+func (h *History) goodBefore(p int) uint32 {
+	w := p >> 6
+	return rankIn(h.rank[w], h.word(w), p)
+}
+
+// rankIn is the rank at bit p of word x, whose own rank is r.
+func rankIn(r uint32, x uint64, p int) uint32 {
+	return r + uint32(bits.OnesCount64(x&(1<<(p&63)-1)))
+}
 
 // NewHistoryFromRecords builds a history over recs in one pass, validating
 // every record and its server. The result carries no client index until its
@@ -100,9 +152,14 @@ func (h *History) Grow(n int) {
 		return
 	}
 	h.nanos = slices.Grow(h.nanos, n)
-	h.client = slices.Grow(h.client, n)
-	h.rating = slices.Grow(h.rating, n)
-	h.good = slices.Grow(h.good, n)
+	if h.wide() {
+		h.client32 = slices.Grow(h.client32, n)
+	} else {
+		h.client16 = slices.Grow(h.client16, n)
+	}
+	words := (h.off+len(h.nanos)+n)>>6 - len(h.bits)
+	h.bits = slices.Grow(h.bits, words)
+	h.rank = slices.Grow(h.rank, words)
 }
 
 // Append validates f and adds it as the newest record.
@@ -113,11 +170,13 @@ func (h *History) Append(f Feedback) error {
 	if f.Server != h.server {
 		return fmt.Errorf("%w: history %q, feedback %q", ErrServerMismatch, h.server, f.Server)
 	}
-	h.push(f.Time.UnixNano(), h.intern(f.Client), uint8(f.Rating))
+	h.push(f.Time.UnixNano(), h.intern(f.Client), f.Good())
 	return nil
 }
 
-// intern returns c's dictionary slot, adding it on first appearance.
+// intern returns c's dictionary slot, adding it on first appearance. The
+// id that takes the dictionary past wideSlots widens the slot column: one
+// copy, after which views taken before keep reading the 16-bit one.
 func (h *History) intern(c EntityID) uint32 {
 	if h.index == nil {
 		h.index = make(map[EntityID]uint32, len(h.clients))
@@ -131,19 +190,33 @@ func (h *History) intern(c EntityID) uint32 {
 		h.clients = append(h.clients, c)
 		h.clientBytes += (len(c) + 7) &^ 7 // malloc rounds small strings up to 8
 		h.index[c] = slot
+		if len(h.clients) == wideSlots+1 {
+			h.client32 = make([]uint32, len(h.client16), cap(h.client16))
+			for i, s := range h.client16 {
+				h.client32[i] = uint32(s)
+			}
+			h.client16 = nil
+		}
 	}
 	return slot
 }
 
-func (h *History) push(nanos int64, client uint32, rating uint8) {
+func (h *History) push(nanos int64, slot uint32, good bool) {
+	p := h.off + len(h.nanos)
 	h.nanos = append(h.nanos, nanos)
-	h.client = append(h.client, client)
-	h.rating = append(h.rating, rating)
-	good := h.good[len(h.good)-1]
-	if Rating(rating).Good() {
-		good++
+	if h.wide() {
+		h.client32 = append(h.client32, slot)
+	} else {
+		h.client16 = append(h.client16, uint16(slot))
 	}
-	h.good = append(h.good, good)
+	if good {
+		h.last |= 1 << (p & 63)
+	}
+	if p&63 == 63 { // the word is complete: it joins bits, never to change
+		h.bits = append(h.bits, h.last)
+		h.rank = append(h.rank, h.rank[len(h.rank)-1]+uint32(bits.OnesCount64(h.last)))
+		h.last = 0
+	}
 }
 
 // AppendOutcome adds a synthetic record with the given client and outcome,
@@ -158,26 +231,36 @@ func (h *History) AppendOutcome(client EntityID, good bool, at time.Time) error 
 }
 
 // view returns a read-only history over records [lo, Len()) that shares the
-// columns and the dictionary and carries no client index.
+// columns and the dictionary and carries no client index. Its first word is
+// the one record lo sits in; off says where.
 func (h *History) view(lo int) *History {
-	return &History{
+	p := h.off + lo
+	v := &History{
 		server:      h.server,
 		nanos:       h.nanos[lo:],
-		client:      h.client[lo:],
-		rating:      h.rating[lo:],
-		good:        h.good[lo:],
+		bits:        h.bits[p>>6:],
+		last:        h.last,
+		off:         p & 63,
+		rank:        h.rank[p>>6:],
 		clients:     h.clients,
 		clientBytes: h.clientBytes,
 	}
+	if h.wide() {
+		v.client32 = h.client32[lo:]
+	} else {
+		v.client16 = h.client16[lo:]
+	}
+	return v
 }
 
 // SnapshotView returns an immutable view of h at its current length,
 // sharing the underlying storage — an O(1) alternative to Clone for
 // append-only producers. Appending to h afterwards leaves the view
 // unchanged: appends either write past the view's length or reallocate,
-// and existing elements are never rewritten. The view is invalidated only
-// if h is mutated non-monotonically (RemoveLast followed by Append); the
-// store layer, the intended producer, never does that.
+// existing elements are never rewritten, and the partial last good-bit word
+// is the view's own copy. The view is invalidated only if h is mutated
+// non-monotonically (RemoveLast followed by Append); the store layer, the
+// intended producer, never does that.
 func (h *History) SnapshotView() *History { return h.view(0) }
 
 // RemoveLast removes the newest record. It supports the strategic attacker's
@@ -189,7 +272,18 @@ func (h *History) RemoveLast() error {
 	if n == 0 {
 		return ErrEmptyHistory
 	}
-	h.nanos, h.client, h.rating, h.good = h.nanos[:n-1], h.client[:n-1], h.rating[:n-1], h.good[:n]
+	p := h.off + n - 1
+	if p&63 == 63 { // the record completed a word: it is the partial one again
+		h.last = h.bits[len(h.bits)-1]
+		h.bits, h.rank = h.bits[:len(h.bits)-1], h.rank[:len(h.rank)-1]
+	}
+	h.last &^= 1 << (p & 63)
+	h.nanos = h.nanos[:n-1]
+	if h.wide() {
+		h.client32 = h.client32[:n-1]
+	} else {
+		h.client16 = h.client16[:n-1]
+	}
 	return nil
 }
 
@@ -201,13 +295,13 @@ func (h *History) RemoveLast() error {
 // governor uses this as the history half of a server's resident size.
 func (h *History) SizeBytes() int {
 	const (
-		histStruct = 160 // string header, 5 slice headers, int, map pointer
+		histStruct = 192 // string header, 6 slice headers, 3 words, map pointer
 		idHeader   = 16
 		mapHeader  = 48
 		mapSlot    = 25 // a 16 B key and a 4 B value padded to 24, plus a control byte
 	)
-	n := histStruct + cap(h.nanos)*8 + cap(h.client)*4 + cap(h.rating) + cap(h.good)*4 +
-		cap(h.clients)*idHeader + h.clientBytes
+	n := histStruct + cap(h.nanos)*8 + cap(h.client16)*2 + cap(h.client32)*4 +
+		cap(h.bits)*8 + cap(h.rank)*4 + cap(h.clients)*idHeader + h.clientBytes
 	if h.index != nil {
 		// A map doubles its slots, eight at the least, to stay at most 7/8 full.
 		slots := 8
@@ -225,7 +319,8 @@ func (h *History) GoodCount() int { return h.GoodInRange(0, len(h.nanos)) }
 // GoodInRange returns the number of good transactions among records
 // [lo, hi). It panics when the range is invalid, matching slice semantics.
 func (h *History) GoodInRange(lo, hi int) int {
-	return int(h.good[hi] - h.good[lo])
+	_ = h.nanos[lo:hi:len(h.nanos)]
+	return int(h.goodBefore(h.off+hi) - h.goodBefore(h.off+lo))
 }
 
 // GoodRatio returns the fraction of good transactions (the average trust
@@ -239,9 +334,9 @@ func (h *History) GoodRatio() float64 {
 
 // Outcomes returns the good/bad sequence as booleans, oldest first.
 func (h *History) Outcomes() []bool {
-	out := make([]bool, len(h.rating))
-	for i, r := range h.rating {
-		out[i] = Rating(r).Good()
+	out := make([]bool, len(h.nanos))
+	for i := range out {
+		out[i] = h.RatingAt(i).Good()
 	}
 	return out
 }
@@ -259,9 +354,10 @@ func (h *History) Records() []Feedback {
 func (h *History) Clone() *History {
 	c := h.view(0)
 	c.nanos = slices.Clone(c.nanos)
-	c.client = slices.Clone(c.client)
-	c.rating = slices.Clone(c.rating)
-	c.good = slices.Clone(c.good)
+	c.client16 = slices.Clone(c.client16)
+	c.client32 = slices.Clone(c.client32)
+	c.bits = slices.Clone(c.bits)
+	c.rank = slices.Clone(c.rank)
 	c.clients = slices.Clone(c.clients)
 	return c
 }
@@ -287,14 +383,25 @@ func (h *History) windowCounts(m int, fromEnd bool) ([]int, error) {
 		return nil, fmt.Errorf("%w: %d", ErrBadWindow, m)
 	}
 	k := h.Len() / m
-	counts := make([]int, 0, k)
-	start := 0
+	counts := make([]int, k)
+	p := h.off
 	if fromEnd {
-		start = h.Len() - k*m
+		p += h.Len() - k*m
 	}
-	for i := 0; i < k; i++ {
-		lo := start + i*m
-		counts = append(counts, h.GoodInRange(lo, lo+m))
+	// Each boundary's rank is read once and serves the two windows it
+	// separates; boundaries come in order, so a word is loaded once.
+	w := p >> 6
+	x, r := h.word(w), h.rank[w]
+	prev := rankIn(r, x, p)
+	for i := range counts {
+		p += m
+		if p>>6 != w {
+			w = p >> 6
+			x, r = h.word(w), h.rank[w]
+		}
+		next := rankIn(r, x, p)
+		counts[i] = int(next - prev)
+		prev = next
 	}
 	return counts, nil
 }
@@ -324,7 +431,7 @@ func (h *History) GroupByIssuer() []IssuerGroup {
 	sizes, distinct := h.clientCounts()
 	// One backing array holds every group's indices; slot maps a dictionary
 	// entry to its group.
-	indices := make([]int, len(h.client))
+	indices := make([]int, len(h.nanos))
 	slot := make([]int, len(sizes))
 	groups := make([]IssuerGroup, 0, distinct)
 	off := 0
@@ -336,9 +443,10 @@ func (h *History) GroupByIssuer() []IssuerGroup {
 		groups = append(groups, IssuerGroup{Client: h.clients[c], Indices: indices[off : off : off+n]})
 		off += n
 	}
-	for i, c := range h.client {
-		g := &groups[slot[c]]
-		g.Indices = append(g.Indices, i)
+	if h.wide() {
+		groupIndices(groups, slot, h.client32)
+	} else {
+		groupIndices(groups, slot, h.client16)
 	}
 	sort.Slice(groups, func(i, j int) bool {
 		if len(groups[i].Indices) != len(groups[j].Indices) {
@@ -360,23 +468,40 @@ func (h *History) CollusionOrder() *History {
 	for _, g := range h.GroupByIssuer() {
 		c := out.intern(g.Client)
 		for _, i := range g.Indices {
-			out.push(h.nanos[i], c, h.rating[i])
+			out.push(h.nanos[i], c, h.RatingAt(i).Good())
 		}
 	}
 	return out
+}
+
+// groupIndices appends each record's position to its client's group.
+func groupIndices[S uint16 | uint32](groups []IssuerGroup, slot []int, slots []S) {
+	for i, c := range slots {
+		g := &groups[slot[c]]
+		g.Indices = append(g.Indices, i)
+	}
 }
 
 // clientCounts returns how many records each dictionary entry issued, and
 // how many entries issued any.
 func (h *History) clientCounts() (sizes []int, distinct int) {
 	sizes = make([]int, len(h.clients))
-	for _, c := range h.client {
+	if h.wide() {
+		return sizes, countSlots(sizes, h.client32)
+	}
+	return sizes, countSlots(sizes, h.client16)
+}
+
+// countSlots adds each record to its slot's size and returns how many
+// slots it took from zero.
+func countSlots[S uint16 | uint32](sizes []int, slots []S) (distinct int) {
+	for _, c := range slots {
 		if sizes[c] == 0 {
 			distinct++
 		}
 		sizes[c]++
 	}
-	return sizes, distinct
+	return distinct
 }
 
 // DistinctClients returns the number of distinct feedback issuers (the size

@@ -202,9 +202,15 @@ func TestResidentBytesTracksHeap(t *testing.T) {
 				t.Errorf("accounted %.0f B, heap grew %.0f B (ratio %.2f)", accounted, grown, ratio)
 			}
 			// 130 B is what a record of either stream cost in the []Feedback
-			// layout with its shard-wide hash set (ADR 0004).
-			if per := grown / float64(st.Len()); per > 130 {
-				t.Errorf("%.1f B of heap per record", per)
+			// layout with its shard-wide hash set (ADR 0004). A pool's record
+			// is mostly its columns: 20.6 B of heap at 17 B a record, 13.6 B
+			// bit-packed (ADR 0011).
+			ceiling := 130.0
+			if name == "pool of 100" {
+				ceiling = 14
+			}
+			if per := grown / float64(st.Len()); per > ceiling {
+				t.Errorf("%.1f B of heap per record, ceiling %.0f", per, ceiling)
 			}
 			runtime.KeepAlive(st)
 			runtime.KeepAlive(enc)

@@ -374,3 +374,75 @@ func TestViewShardWrongShardPanics(t *testing.T) {
 	}()
 	s.ViewShard(0, []feedback.EntityID{stray}, func(int, Accumulator, *feedback.History, uint64) {})
 }
+
+// TestSybilHistoryWidensSlots pushes one server's history past the 65,536
+// distinct clients a 16-bit slot can name — a Sybil stream in which every
+// record comes from a fresh identity — so that it widens to 32-bit slots
+// (ADR 0011). Snapshots taken before the widening must still read their
+// records, the widened history must round-trip through its column encoding,
+// and the store's accumulator verdict must equal the two-phase assessment of
+// the same records built from scratch.
+func TestSybilHistoryWidensSlots(t *testing.T) {
+	const n = 1<<16 + 700
+	tp := newIncrementalAssessor(t)
+	s := New()
+	s.SetAccumulatorFactory(coreFactory(t, tp))
+	rng := stats.NewRNG(31)
+	ref := make([]feedback.Feedback, 0, n)
+	type early struct {
+		view *feedback.History
+		ref  []feedback.Feedback
+	}
+	var views []early
+	for i := 0; i < n; i++ {
+		f := accFeedback("srv", feedback.EntityID(fmt.Sprintf("sybil-%d", i)), i, rng.Float64() < 0.9)
+		if ok, err := s.Add(f); err != nil || !ok {
+			t.Fatalf("Add %d: %v %v", i, ok, err)
+		}
+		ref = append(ref, f)
+		if len(ref) == 1<<16-1 || len(ref) == 1<<16 {
+			h, _ := s.Snapshot("srv")
+			views = append(views, early{h, ref[:len(ref):len(ref)]})
+		}
+	}
+	for _, e := range views {
+		if got := e.view.Records(); !reflect.DeepEqual(got, e.ref) {
+			t.Fatalf("snapshot of %d records taken before widening reads differently", len(e.ref))
+		}
+	}
+
+	h, _ := s.Snapshot("srv")
+	enc := h.AppendColumns(nil)
+	dec, rest, err := feedback.DecodeColumns("srv", enc)
+	if err != nil || len(rest) != 0 {
+		t.Fatalf("DecodeColumns: %v, %d bytes left", err, len(rest))
+	}
+	if !reflect.DeepEqual(dec.AppendColumns(nil), enc) || !reflect.DeepEqual(dec.Records(), ref) {
+		t.Fatal("widened history does not round-trip through its columns")
+	}
+
+	scratch, err := feedback.NewHistoryFromRecords("srv", ref)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := tp.Assess(scratch)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got core.Assessment
+	s.ViewAccumulator("srv", func(acc Accumulator, _ uint64) {
+		got, err = acc.(*core.ServerAccumulator).Assess()
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("accumulator verdict %+v, want %+v", got, want)
+	}
+	for name, hist := range map[string]*feedback.History{"snapshot": h, "decoded": dec} {
+		a, err := tp.Assess(hist)
+		if err != nil || !reflect.DeepEqual(a, want) {
+			t.Fatalf("%s verdict %+v (%v), want %+v", name, a, err, want)
+		}
+	}
+}

@@ -10,6 +10,8 @@
 #     and nothing outside bench/ imports bench
 #   - what an ADR deleted stays deleted
 #   - histories are columnar and are their own dedup index (ADR 0004)
+#   - a history's rating is one good-bit under a popcount rank index, and
+#     views stay safe by the append-only layout, not by atomics (ADR 0011)
 #   - a snapshot section is a history's columns, never records (ADR 0005)
 #   - a verdict's suffix results cross the wire as columns, through one
 #     assessment codec (ADR 0006)
@@ -81,6 +83,16 @@ check "no seen map[Hash] dedup set in internal/store (ADR 0004)" \
     "absent '\bseen\s+map\[Hash\]' internal/store"
 check "no []Feedback struct field in internal/feedback (ADR 0004)" \
     "absent '^\s+\w+\s+\[\]Feedback\b' internal/feedback"
+
+# 0011: the byte-per-record rating column and the uint32 good-prefix column
+# became a good-bit bitmap with a rank index; a view copies the partial last
+# word instead of racing the writer on it.
+check "no []uint8 rating column in internal/feedback (ADR 0011)" \
+    "absent '^\s+\w+\s+\[\](uint8|byte)\b' internal/feedback"
+check "no good []uint32 prefix column in internal/feedback (ADR 0011)" \
+    "absent '^\s+good\s+\[\]u?int' internal/feedback"
+check "no sync/atomic in internal/feedback (ADR 0011)" \
+    "absent '\"sync/atomic\"' internal/feedback"
 
 check "no []feedback.Feedback in internal/ledger/snapshot.go (ADR 0005)" \
     "! grep -nE '\[\]feedback\.Feedback' internal/ledger/snapshot.go | grep -q ."
