@@ -29,13 +29,21 @@ func liveHeap() uint64 {
 	return ms.HeapAlloc
 }
 
-// benchHistory holds benchRecords(n).
-func benchHistory(b *testing.B, n int) *History {
-	h, err := NewHistoryFromRecords("server", benchRecords(n))
-	if err != nil {
-		b.Fatal(err)
+// historyOf is recs, all of one server, appended one by one.
+func historyOf(tb testing.TB, server EntityID, recs []Feedback) *History {
+	tb.Helper()
+	h := NewHistory(server)
+	for _, f := range recs {
+		if err := h.Append(f); err != nil {
+			tb.Fatal(err)
+		}
 	}
 	return h
+}
+
+// benchHistory holds benchRecords(n).
+func benchHistory(b *testing.B, n int) *History {
+	return historyOf(b, "server", benchRecords(n))
 }
 
 // BenchmarkHistoryAppend appends records of a 50-client pool and reports
@@ -56,6 +64,24 @@ func BenchmarkHistoryAppend(b *testing.B) {
 	b.StopTimer()
 	b.ReportMetric(float64(liveHeap()-before)/float64(b.N), "B/record")
 	runtime.KeepAlive(h)
+}
+
+// BenchmarkInternFresh appends records whose every client is new, as a
+// Sybil stream sends them: each append grows the dictionary, and now and
+// then doubles its table.
+func BenchmarkInternFresh(b *testing.B) {
+	ids := make([]EntityID, b.N)
+	for i := range ids {
+		ids[i] = EntityID(fmt.Sprintf("sybil-%d", i))
+	}
+	h := NewHistory("server")
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i, c := range ids {
+		if err := h.AppendOutcome(c, i%10 != 0, time.Unix(int64(i), 0)); err != nil {
+			b.Fatal(err)
+		}
+	}
 }
 
 var sinkFeedback Feedback

@@ -212,67 +212,83 @@ func FuzzHistoryOps(f *testing.F) {
 		for _, v := range views {
 			sameAs(t, "snapshot view", v.view, v.ref)
 		}
-		re, err := NewHistoryFromRecords("srv", ref)
-		if err != nil {
-			t.Fatal(err)
-		}
-		sameAs(t, "rebuilt from records", re, ref)
+		sameAs(t, "rebuilt from records", historyOf(t, "srv", ref), ref)
 	})
 }
 
 // TestSnapshotViewsUnderAppend: readers walk earlier snapshot views — the
 // columns, the good-bits and the client dictionary — while the owner keeps
-// appending new records and new clients. Views are taken every 100 records
-// and on either side of each 64-record good-bit word, so most end inside a
-// word whose later bits the owner is still setting. Run under -race.
+// appending new records and new clients. Every other record names a client
+// never seen before, so the builder behind the names regrows under live
+// views. Views are taken every 100 records, on either side of each 64-record
+// good-bit word — so most end inside a word whose later bits the owner is
+// still setting — and just before each regrowth of the names; each is read
+// once while the owner appends and once after. Run under -race.
 func TestSnapshotViewsUnderAppend(t *testing.T) {
 	h := NewHistory("srv")
 	var ref []Feedback
-	var wg sync.WaitGroup
-	for i := 0; i < 2000; i++ {
-		rec := Feedback{
-			Time:   time.Unix(int64(i), 0).UTC(),
-			Server: "srv",
-			Client: EntityID("c" + string(rune('a'+i%26)) + string(rune('a'+i/26%26))),
-			Rating: Rating(1 + i*i%7%2),
+	type frozen struct {
+		view *History
+		want []Feedback
+	}
+	var views []frozen
+	read := func(v frozen) {
+		view, want := v.view, v.want
+		good := 0
+		for j, f := range want {
+			if got := view.At(j); got != f || view.ClientAt(j) != f.Client {
+				t.Errorf("view of %d: record %d is %v, want %v", len(want), j, got, f)
+				return
+			}
+			if f.Good() {
+				good++
+			}
 		}
+		if view.GoodCount() != good {
+			t.Errorf("view of %d: GoodCount %d, want %d", len(want), view.GoodCount(), good)
+		}
+		if got := view.GroupByIssuer(); !reflect.DeepEqual(got, naiveGroups(want)) {
+			t.Errorf("view of %d: GroupByIssuer %v", len(want), got)
+		}
+		half := view.SuffixView(len(want) / 2)
+		if got, wantGood := half.GoodCount(), view.GoodInRange(len(want)-len(want)/2, len(want)); got != wantGood {
+			t.Errorf("view of %d: suffix GoodCount %d, want %d", len(want), got, wantGood)
+		}
+		if half.CollusionOrder().Len() != len(want)/2 {
+			t.Errorf("view of %d: suffix collusion order lost records", len(want))
+		}
+	}
+	var wg sync.WaitGroup
+	take := func() {
+		v := frozen{h.SnapshotView(), ref[:len(ref):len(ref)]}
+		views = append(views, v)
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			read(v)
+		}()
+	}
+	for i := 0; i < 4000; i++ {
+		c := EntityID("c" + string(rune('a'+i/2%26)) + string(rune('a'+i/52%26)))
+		if i%2 == 1 {
+			c = EntityID(fmt.Sprintf("fresh-%d", i))
+		}
+		if h.b != nil && h.b.Len()+len(c) > h.b.Cap() {
+			take()
+		}
+		rec := Feedback{Time: time.Unix(int64(i), 0).UTC(), Server: "srv", Client: c, Rating: Rating(1 + i*i%7%2)}
 		if err := h.Append(rec); err != nil {
 			t.Fatal(err)
 		}
 		ref = append(ref, rec)
-		if n := len(ref); n%100 != 1 && (n+1)%64 > 2 {
-			continue
+		if n := len(ref); n%100 == 1 || (n+1)%64 <= 2 {
+			take()
 		}
-		view, want := h.SnapshotView(), ref[:len(ref):len(ref)]
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			good := 0
-			for j, f := range want {
-				if got := view.At(j); got != f {
-					t.Errorf("view of %d: record %d is %v, want %v", len(want), j, got, f)
-					return
-				}
-				if f.Good() {
-					good++
-				}
-			}
-			if view.GoodCount() != good {
-				t.Errorf("view of %d: GoodCount %d, want %d", len(want), view.GoodCount(), good)
-			}
-			if got := len(view.GroupByIssuer()); got != view.DistinctClients() {
-				t.Errorf("view of %d: %d groups, %d distinct clients", len(want), got, view.DistinctClients())
-			}
-			half := view.SuffixView(len(want) / 2)
-			if got, wantGood := half.GoodCount(), view.GoodInRange(len(want)-len(want)/2, len(want)); got != wantGood {
-				t.Errorf("view of %d: suffix GoodCount %d, want %d", len(want), got, wantGood)
-			}
-			if half.CollusionOrder().Len() != len(want)/2 {
-				t.Errorf("view of %d: suffix collusion order lost records", len(want))
-			}
-		}()
 	}
 	wg.Wait()
+	for _, v := range views {
+		read(v)
+	}
 }
 
 // TestValidateTimeRange: a time that unix nanoseconds cannot carry would be
@@ -365,11 +381,71 @@ func TestDecodedRecordBytes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	dict := cap(got.clients)*16 + got.clientBytes
+	dict := dictBytes(got)
 	per := float64(got.SizeBytes()-dict) / n
 	t.Logf("%.2f B/record beside a %d B dictionary", per, dict)
 	if per > 10.5 {
 		t.Errorf("a decoded record accounts %.2f B, want at most 10.5", per)
+	}
+}
+
+// dictBytes is what SizeBytes charges h's client dictionary: the builder,
+// the end offsets and the table.
+func dictBytes(h *History) int {
+	return 32 + h.b.Cap() + cap(h.ends)*4 + cap(h.table)*4
+}
+
+// TestDecodedDictionaryBytes: the dictionary of a decoded history of 160
+// clients with 9-byte ids — about what each of ingest_durable's servers
+// holds — costs at most 24 B a client, every byte of it included: the
+// names, their end offsets, the table and the builder.
+func TestDecodedDictionaryBytes(t *testing.T) {
+	const clients = 160
+	h := NewHistory("srv")
+	for i := 0; i < 10*clients; i++ {
+		if err := h.AppendOutcome(EntityID(fmt.Sprintf("peer-%04d", i*7%clients)), i%10 != 0, time.Unix(int64(i), 0)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	got, _, err := DecodeColumns("srv", h.AppendColumns(nil))
+	if err != nil {
+		t.Fatal(err)
+	}
+	per := float64(dictBytes(got)) / clients
+	t.Logf("%.1f B/client: %d B of names, %d ends, a table of %d", per, got.b.Cap(), cap(got.ends), len(got.table))
+	if per > 24 {
+		t.Errorf("a decoded client accounts %.1f B, want at most 24", per)
+	}
+}
+
+// TestInternTableGrowth: the table stays the least power of two the
+// dictionary fills at most ¾, and on either side of every boundary where it
+// doubles, up to 4,096 clients, intern returns the slot a reference map
+// gives for every id, adding none, and finds no slot for an id it lacks.
+func TestInternTableGrowth(t *testing.T) {
+	h := NewHistory("srv")
+	ref := make(map[EntityID]uint32)
+	for n := 1; n <= 4096; n++ {
+		c := EntityID(fmt.Sprintf("id-%d", n))
+		if got := h.intern(c); got != uint32(n-1) {
+			t.Fatalf("client %d interned to slot %d", n, got)
+		}
+		ref[c] = uint32(n - 1)
+		size := len(h.table)
+		if size&(size-1) != 0 || 4*n > 3*size || size > 1 && 4*n <= 3*size/2 {
+			t.Fatalf("%d clients in a table of %d", n, size)
+		}
+		if 4*(n+1) <= 3*size && 4*(n-1) > 3*size/2 {
+			continue // neither just below a doubling nor just past one
+		}
+		for id, slot := range ref {
+			if got := h.intern(id); got != slot {
+				t.Fatalf("at %d clients, %q interned to slot %d, want %d", n, id, got, slot)
+			}
+		}
+		if len(h.ends) != n || h.table[h.probe("absent")] != 0 {
+			t.Fatalf("at %d clients: %d in the dictionary, or a slot for an absent id", n, len(h.ends))
+		}
 	}
 }
 

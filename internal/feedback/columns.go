@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
+	"strings"
 )
 
 // The column encoding is a History's durable form: what a snapshot section
@@ -29,8 +30,9 @@ import (
 func (h *History) AppendColumns(buf []byte) []byte {
 	n := len(h.nanos)
 	buf = binary.AppendUvarint(buf, uint64(n))
-	buf = binary.AppendUvarint(buf, uint64(len(h.clients)))
-	for _, c := range h.clients {
+	buf = binary.AppendUvarint(buf, uint64(len(h.ends)))
+	for s := range h.ends {
+		c := h.client(uint32(s))
 		buf = binary.AppendUvarint(buf, uint64(len(c)))
 		buf = append(buf, c...)
 	}
@@ -62,8 +64,9 @@ func (h *History) AppendColumns(buf []byte) []byte {
 // AppendColumns writes — every accepted input re-encodes to the same bytes —
 // and checks what Append would have: a non-empty server, non-empty and
 // distinct clients, slots inside the dictionary. Counts are bounded by the
-// bytes present before anything is allocated. Like a bulk load, the result
-// carries no client index until its first Append.
+// bytes present before anything is allocated. The client names go into one
+// builder allocation, and the table that finds a duplicate among them is
+// the one the history's next Append looks clients up in.
 func DecodeColumns(server EntityID, buf []byte) (*History, []byte, error) {
 	if server == "" {
 		return nil, nil, fmt.Errorf("%w: server", ErrEmptyEntity)
@@ -85,7 +88,7 @@ func DecodeColumns(server EntityID, buf []byte) (*History, []byte, error) {
 	// size anyway, so the first appends after a decode do not reallocate.
 	n := int(count)
 	h := NewHistory(server)
-	h.clients = make([]EntityID, nclients) // before Grow: it sets the slot width
+	h.ends = make([]uint32, nclients) // before Grow: it sets the slot width
 	h.Grow(n)
 	h.nanos = h.nanos[:n]
 	if h.wide() {
@@ -93,8 +96,10 @@ func DecodeColumns(server EntityID, buf []byte) (*History, []byte, error) {
 	} else {
 		h.client16 = h.client16[:n]
 	}
-	seen := make(map[EntityID]struct{}, nclients)
-	for i := range h.clients {
+	// A first pass checks the lengths and sums them, so that a second can
+	// copy the names into a builder of exactly that size.
+	dict, total := buf, uint64(0)
+	for i := range h.ends {
 		var size uint64
 		if size, buf, err = columnUvarint(buf); err != nil {
 			return nil, nil, err
@@ -102,14 +107,24 @@ func DecodeColumns(server EntityID, buf []byte) (*History, []byte, error) {
 		if size == 0 || size > uint64(len(buf)) {
 			return nil, nil, fmt.Errorf("%w: client %d of %d bytes, %d left", ErrCorruptRecord, i, size, len(buf))
 		}
-		c := EntityID(buf[:size])
 		buf = buf[size:]
-		if _, dup := seen[c]; dup {
-			return nil, nil, fmt.Errorf("%w: client %q twice in the dictionary", ErrCorruptRecord, c)
-		}
-		seen[c] = struct{}{}
-		h.clients[i] = c
-		h.clientBytes += (len(c) + 7) &^ 7
+		total += size
+		h.ends[i] = uint32(total)
+	}
+	if total > math.MaxUint32 {
+		return nil, nil, fmt.Errorf("%w: %d bytes of client ids", ErrCorruptRecord, total)
+	}
+	h.b = new(strings.Builder)
+	h.b.Grow(int(total))
+	for range h.ends {
+		size, used := binary.Uvarint(dict)
+		dict = dict[used:]
+		h.b.Write(dict[:size])
+		dict = dict[size:]
+	}
+	h.names = h.b.String()
+	if c := h.rehash(); c != "" {
+		return nil, nil, fmt.Errorf("%w: client %q twice in the dictionary", ErrCorruptRecord, c)
 	}
 	var prev int64
 	for i := range h.nanos {

@@ -84,13 +84,26 @@ func FuzzHistoryColumns(f *testing.F) {
 		}
 	}
 	for _, n := range []int{0, 1, 63, 64, 65, 127, 128, 129} {
-		own, err := NewHistoryFromRecords("srv", long.Records()[:n])
-		if err != nil {
-			f.Fatal(err)
-		}
-		f.Add(own.AppendColumns(nil))
+		f.Add(historyOf(f, "srv", long.Records()[:n]).AppendColumns(nil))
 		f.Add(long.SuffixView(n).AppendColumns(nil))
 	}
+	// The dictionary's edges: a record but no client, a single client, an
+	// id long enough that its length takes two bytes and its bytes several
+	// cache lines, and a duplicate in the last slot.
+	f.Add([]byte{1, 0, 0, 0, 0})
+	one, huge := NewHistory("srv"), NewHistory("srv")
+	for i, c := range []EntityID{"x", EntityID(bytes.Repeat([]byte{'h'}, 2061)), "x"} {
+		at := time.Unix(int64(i), 0)
+		if err := one.AppendOutcome("only", i != 1, at); err != nil {
+			f.Fatal(err)
+		}
+		if err := huge.AppendOutcome(c, i != 1, at); err != nil {
+			f.Fatal(err)
+		}
+	}
+	f.Add(one.AppendColumns(nil))
+	f.Add(huge.AppendColumns(nil))
+	f.Add([]byte{1, 4, 1, 'a', 1, 'b', 1, 'c', 1, 'a', 0, 0, 0})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		got, rest, err := DecodeColumns("srv", data)
 		if err != nil {

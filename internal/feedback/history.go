@@ -3,9 +3,12 @@ package feedback
 import (
 	"errors"
 	"fmt"
+	"hash/maphash"
+	"math"
 	"math/bits"
 	"slices"
 	"sort"
+	"strings"
 	"time"
 )
 
@@ -23,12 +26,19 @@ var (
 // wideSlots is the dictionary size above which client slots need 32 bits.
 const wideSlots = 1 << 16
 
+// clientSeed keys every history's client table. It is drawn once per
+// process, so a stream of chosen ids cannot aim at one probe run: the
+// resistance to hash flooding a Go map has (ADR 0012).
+var clientSeed = maphash.MakeSeed()
+
 // History is the append-only transaction history of a single server: the
 // time-ordered sequence of feedbacks its transactions received. Records are
 // held as parallel columns — about 10.2 B each: the time, a 16-bit client
-// slot and one good-bit — with the server ID stored once and client IDs
-// interned in a per-history dictionary (ADRs 0004, 0011). A rank index over
-// the good-bits keeps range statistics — the foundation of both trust
+// slot and one good-bit — with the server ID stored once (ADRs 0004, 0011).
+// Client IDs are interned in a per-history dictionary that is columnar too:
+// one arena of name bytes, a 4-byte end offset per client and, for the
+// writer, a seeded open-addressing table of slots (ADR 0012). A rank index
+// over the good-bits keeps range statistics — the foundation of both trust
 // functions and behaviour tests — O(1).
 //
 // History is not safe for concurrent use; the store layer serialises access.
@@ -55,15 +65,19 @@ type History struct {
 	// meaningful, and, unsigned, they are exact for any history of fewer
 	// than 2³² records.
 	rank []uint32
-	// clients is the client dictionary in first-appearance order, shared
-	// with views like the columns. A view may see entries none of its
-	// records use (a suffix, or after RemoveLast).
-	clients []EntityID
-	// clientBytes is the heap held by the dictionary's string data.
-	clientBytes int
-	// index maps a client to its dictionary slot. Writer-only: built on the
-	// first append, never handed to a view.
-	index map[EntityID]uint32
+	// The client dictionary in first-appearance order, shared with views
+	// like the columns: slot s is names[ends[s-1]:ends[s]], from 0 for slot
+	// 0. A view may see entries none of its records use (a suffix, or after
+	// RemoveLast).
+	names string
+	ends  []uint32
+	// Writer-only, never handed to a view; nil until the first intern that
+	// needs them. b holds the bytes names reads: it writes only past the
+	// length a view holds, and a regrowth leaves old views the old buffer.
+	// table is open addressing with linear probing under clientSeed,
+	// holding slot+1 (0 is free), a power of two at most ¾ full.
+	b     *strings.Builder
+	table []uint32
 }
 
 // NewHistory returns an empty history for the given server.
@@ -83,7 +97,7 @@ func (h *History) At(i int) Feedback {
 	return Feedback{
 		Time:   time.Unix(0, h.nanos[i]).UTC(),
 		Server: h.server,
-		Client: h.clients[h.slot(i)],
+		Client: h.client(h.slot(i)),
 		Rating: h.RatingAt(i),
 	}
 }
@@ -92,7 +106,7 @@ func (h *History) At(i int) Feedback {
 // materialising the rest. Ratings are binary (Rating.Valid), so a record's
 // rating is its good-bit.
 func (h *History) NanosAt(i int) int64     { return h.nanos[i] }
-func (h *History) ClientAt(i int) EntityID { return h.clients[h.slot(i)] }
+func (h *History) ClientAt(i int) EntityID { return h.client(h.slot(i)) }
 func (h *History) RatingAt(i int) Rating {
 	_ = h.nanos[i] // out-of-range i panics like the other columns
 	p := h.off + i
@@ -100,7 +114,17 @@ func (h *History) RatingAt(i int) Rating {
 }
 
 // wide reports whether client slots are 32-bit.
-func (h *History) wide() bool { return len(h.clients) > wideSlots }
+func (h *History) wide() bool { return len(h.ends) > wideSlots }
+
+// client returns the id in dictionary slot s: a substring of names, so
+// reading one allocates nothing.
+func (h *History) client(s uint32) EntityID {
+	lo := uint32(0)
+	if s > 0 {
+		lo = h.ends[s-1]
+	}
+	return EntityID(h.names[lo:h.ends[s]])
+}
 
 // slot returns the i-th record's dictionary slot.
 func (h *History) slot(i int) uint32 {
@@ -130,21 +154,6 @@ func rankIn(r uint32, x uint64, p int) uint32 {
 	return r + uint32(bits.OnesCount64(x&(1<<(p&63)-1)))
 }
 
-// NewHistoryFromRecords builds a history over recs in one pass, validating
-// every record and its server. The result carries no client index until its
-// first Append.
-func NewHistoryFromRecords(server EntityID, recs []Feedback) (*History, error) {
-	h := NewHistory(server)
-	h.Grow(len(recs))
-	for i, f := range recs {
-		if err := h.Append(f); err != nil {
-			return nil, fmt.Errorf("record %d: %w", i, err)
-		}
-	}
-	h.index = nil
-	return h, nil
-}
-
 // Grow pre-allocates capacity for n additional records, so bulk loaders
 // don't pay incremental reallocation.
 func (h *History) Grow(n int) {
@@ -170,6 +179,9 @@ func (h *History) Append(f Feedback) error {
 	if f.Server != h.server {
 		return fmt.Errorf("%w: history %q, feedback %q", ErrServerMismatch, h.server, f.Server)
 	}
+	if uint64(len(h.names))+uint64(len(f.Client)) > math.MaxUint32 {
+		return fmt.Errorf("%w: client dictionary past 4 GiB", ErrRecordTooLarge)
+	}
 	h.push(f.Time.UnixNano(), h.intern(f.Client), f.Good())
 	return nil
 }
@@ -178,27 +190,64 @@ func (h *History) Append(f Feedback) error {
 // id that takes the dictionary past wideSlots widens the slot column: one
 // copy, after which views taken before keep reading the 16-bit one.
 func (h *History) intern(c EntityID) uint32 {
-	if h.index == nil {
-		h.index = make(map[EntityID]uint32, len(h.clients))
-		for i, id := range h.clients {
-			h.index[id] = uint32(i)
-		}
+	if h.b == nil { // a new history, or a clone: own a copy of the names
+		h.b = new(strings.Builder)
+		h.b.WriteString(h.names)
+		h.names = h.b.String()
+		h.rehash()
 	}
-	slot, ok := h.index[c]
-	if !ok {
-		slot = uint32(len(h.clients))
-		h.clients = append(h.clients, c)
-		h.clientBytes += (len(c) + 7) &^ 7 // malloc rounds small strings up to 8
-		h.index[c] = slot
-		if len(h.clients) == wideSlots+1 {
-			h.client32 = make([]uint32, len(h.client16), cap(h.client16))
-			for i, s := range h.client16 {
-				h.client32[i] = uint32(s)
-			}
-			h.client16 = nil
+	i := h.probe(c)
+	if s := h.table[i]; s != 0 {
+		return s - 1
+	}
+	slot := uint32(len(h.ends))
+	h.b.WriteString(string(c))
+	h.names = h.b.String()
+	h.ends = append(h.ends, uint32(len(h.names)))
+	if 4*len(h.ends) > 3*len(h.table) {
+		h.rehash()
+	} else {
+		h.table[i] = slot + 1
+	}
+	if len(h.ends) == wideSlots+1 {
+		h.client32 = make([]uint32, len(h.client16), cap(h.client16))
+		for i, s := range h.client16 {
+			h.client32[i] = uint32(s)
 		}
+		h.client16 = nil
 	}
 	return slot
+}
+
+// probe returns the table position holding c's slot, or the free one where
+// it belongs.
+func (h *History) probe(c EntityID) int {
+	mask := len(h.table) - 1
+	for i := int(maphash.String(clientSeed, string(c))) & mask; ; i = (i + 1) & mask {
+		if s := h.table[i]; s == 0 || h.client(s-1) == c {
+			return i
+		}
+	}
+}
+
+// rehash sizes the table for the dictionary and inserts every id in slot
+// order. It returns an id met twice, which only a decoded dictionary can
+// hold, or "".
+func (h *History) rehash() EntityID {
+	size := 1
+	for 4*len(h.ends) > 3*size {
+		size *= 2
+	}
+	h.table = make([]uint32, size)
+	for s := range h.ends {
+		c := h.client(uint32(s))
+		i := h.probe(c)
+		if h.table[i] != 0 {
+			return c
+		}
+		h.table[i] = uint32(s) + 1
+	}
+	return ""
 }
 
 func (h *History) push(nanos int64, slot uint32, good bool) {
@@ -231,19 +280,19 @@ func (h *History) AppendOutcome(client EntityID, good bool, at time.Time) error 
 }
 
 // view returns a read-only history over records [lo, Len()) that shares the
-// columns and the dictionary and carries no client index. Its first word is
-// the one record lo sits in; off says where.
+// columns and the dictionary and carries neither builder nor table. Its
+// first word is the one record lo sits in; off says where.
 func (h *History) view(lo int) *History {
 	p := h.off + lo
 	v := &History{
-		server:      h.server,
-		nanos:       h.nanos[lo:],
-		bits:        h.bits[p>>6:],
-		last:        h.last,
-		off:         p & 63,
-		rank:        h.rank[p>>6:],
-		clients:     h.clients,
-		clientBytes: h.clientBytes,
+		server: h.server,
+		nanos:  h.nanos[lo:],
+		bits:   h.bits[p>>6:],
+		last:   h.last,
+		off:    p & 63,
+		rank:   h.rank[p>>6:],
+		names:  h.names,
+		ends:   h.ends,
 	}
 	if h.wide() {
 		v.client32 = h.client32[lo:]
@@ -288,29 +337,23 @@ func (h *History) RemoveLast() error {
 }
 
 // SizeBytes returns the approximate resident heap footprint of this history:
-// the struct, the capacity of its columns, and the client dictionary — slice
-// headers, string bytes and, once an Append has built it, the lookup map.
-// Shared views alias the owner's arrays, so the store accounts each backing
-// array exactly once (at its owning working history). The memory-budget
-// governor uses this as the history half of a server's resident size.
+// the struct, the capacity of its columns, and the client dictionary — the
+// builder's capacity (the names a view holds, in a view), the end offsets
+// and the table. Shared views alias the owner's arrays, so the store
+// accounts each backing array exactly once (at its owning working history).
+// The memory-budget governor uses this as the history half of a server's
+// resident size.
 func (h *History) SizeBytes() int {
 	const (
-		histStruct = 192 // string header, 6 slice headers, 3 words, map pointer
-		idHeader   = 16
-		mapHeader  = 48
-		mapSlot    = 25 // a 16 B key and a 4 B value padded to 24, plus a control byte
+		histStruct    = 224 // 2 string headers, 7 slice headers, 3 words
+		builderStruct = 32
 	)
 	n := histStruct + cap(h.nanos)*8 + cap(h.client16)*2 + cap(h.client32)*4 +
-		cap(h.bits)*8 + cap(h.rank)*4 + cap(h.clients)*idHeader + h.clientBytes
-	if h.index != nil {
-		// A map doubles its slots, eight at the least, to stay at most 7/8 full.
-		slots := 8
-		for slots*7/8 < len(h.index) {
-			slots *= 2
-		}
-		n += mapHeader + mapSlot*slots
+		cap(h.bits)*8 + cap(h.rank)*4 + cap(h.ends)*4 + cap(h.table)*4
+	if h.b != nil {
+		return n + builderStruct + h.b.Cap()
 	}
-	return n
+	return n + len(h.names)
 }
 
 // GoodCount returns the number of good transactions in the whole history.
@@ -358,7 +401,7 @@ func (h *History) Clone() *History {
 	c.client32 = slices.Clone(c.client32)
 	c.bits = slices.Clone(c.bits)
 	c.rank = slices.Clone(c.rank)
-	c.clients = slices.Clone(c.clients)
+	c.ends = slices.Clone(c.ends)
 	return c
 }
 
@@ -440,7 +483,7 @@ func (h *History) GroupByIssuer() []IssuerGroup {
 			continue // in the dictionary, but not in this view
 		}
 		slot[c] = len(groups)
-		groups = append(groups, IssuerGroup{Client: h.clients[c], Indices: indices[off : off : off+n]})
+		groups = append(groups, IssuerGroup{Client: h.client(uint32(c)), Indices: indices[off : off : off+n]})
 		off += n
 	}
 	if h.wide() {
@@ -485,7 +528,7 @@ func groupIndices[S uint16 | uint32](groups []IssuerGroup, slot []int, slots []S
 // clientCounts returns how many records each dictionary entry issued, and
 // how many entries issued any.
 func (h *History) clientCounts() (sizes []int, distinct int) {
-	sizes = make([]int, len(h.clients))
+	sizes = make([]int, len(h.ends))
 	if h.wide() {
 		return sizes, countSlots(sizes, h.client32)
 	}

@@ -136,7 +136,7 @@ func TestEvictionChurn(t *testing.T) {
 		if len(recs) == 0 {
 			t.Fatalf("server %s lost its records", id(i))
 		}
-		h, err := feedback.NewHistoryFromRecords(id(i), recs)
+		h, err := historyOf(id(i), recs)
 		if err != nil {
 			t.Fatal(err)
 		}

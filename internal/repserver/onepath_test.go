@@ -21,11 +21,22 @@ type memRebuilder struct {
 }
 
 func (m *memRebuilder) RebuildServer(id feedback.EntityID) error {
-	hist, err := feedback.NewHistoryFromRecords(id, m.recs[id])
+	hist, err := historyOf(id, m.recs[id])
 	if err != nil {
 		return err
 	}
 	return m.st.ReinstateServer(hist, nil)
+}
+
+// historyOf is recs, all of one server, appended one by one.
+func historyOf(server feedback.EntityID, recs []feedback.Feedback) (*feedback.History, error) {
+	h := feedback.NewHistory(server)
+	for i, f := range recs {
+		if err := h.Append(f); err != nil {
+			return nil, fmt.Errorf("record %d: %w", i, err)
+		}
+	}
+	return h, nil
 }
 
 // TestSingleSubmitFaultsIn: a single submit to an evicted server is stored

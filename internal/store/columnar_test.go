@@ -204,8 +204,10 @@ func TestResidentBytesTracksHeap(t *testing.T) {
 			// 130 B is what a record of either stream cost in the []Feedback
 			// layout with its shard-wide hash set (ADR 0004). A pool's record
 			// is mostly its columns: 20.6 B of heap at 17 B a record, 13.6 B
-			// bit-packed (ADR 0011).
-			ceiling := 130.0
+			// bit-packed (ADR 0011). A distinct client's dictionary entry
+			// took 104 B of heap with a string header and a map slot, and
+			// ~36 B as name bytes, an end offset and a table slot (ADR 0012).
+			ceiling := 40.0
 			if name == "pool of 100" {
 				ceiling = 14
 			}

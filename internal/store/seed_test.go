@@ -30,9 +30,11 @@ func seedRecs(server feedback.EntityID, n int) []feedback.Feedback {
 // decodes to.
 func histOf(t *testing.T, server feedback.EntityID, recs []feedback.Feedback) *feedback.History {
 	t.Helper()
-	h, err := feedback.NewHistoryFromRecords(server, recs)
-	if err != nil {
-		t.Fatal(err)
+	h := feedback.NewHistory(server)
+	for _, f := range recs {
+		if err := h.Append(f); err != nil {
+			t.Fatal(err)
+		}
 	}
 	return h
 }

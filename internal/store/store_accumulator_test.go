@@ -378,8 +378,9 @@ func TestViewShardWrongShardPanics(t *testing.T) {
 // TestSybilHistoryWidensSlots pushes one server's history past the 65,536
 // distinct clients a 16-bit slot can name — a Sybil stream in which every
 // record comes from a fresh identity — so that it widens to 32-bit slots
-// (ADR 0011). Snapshots taken before the widening must still read their
-// records, the widened history must round-trip through its column encoding,
+// (ADR 0011). Snapshots taken before the widening and the widened history
+// must read their records — ClientAt included, on both sides of the 65,536th
+// client — the widened history must round-trip through its column encoding,
 // and the store's accumulator verdict must equal the two-phase assessment of
 // the same records built from scratch.
 func TestSybilHistoryWidensSlots(t *testing.T) {
@@ -405,13 +406,18 @@ func TestSybilHistoryWidensSlots(t *testing.T) {
 			views = append(views, early{h, ref[:len(ref):len(ref)]})
 		}
 	}
-	for _, e := range views {
+	h, _ := s.Snapshot("srv")
+	for _, e := range append(views, early{h, ref}) {
 		if got := e.view.Records(); !reflect.DeepEqual(got, e.ref) {
-			t.Fatalf("snapshot of %d records taken before widening reads differently", len(e.ref))
+			t.Fatalf("snapshot of %d records reads differently", len(e.ref))
+		}
+		for i := 1<<16 - 2; i < min(len(e.ref), 1<<16+2); i++ {
+			if got := e.view.ClientAt(i); got != e.ref[i].Client {
+				t.Fatalf("snapshot of %d records: ClientAt(%d) = %q, want %q", len(e.ref), i, got, e.ref[i].Client)
+			}
 		}
 	}
 
-	h, _ := s.Snapshot("srv")
 	enc := h.AppendColumns(nil)
 	dec, rest, err := feedback.DecodeColumns("srv", enc)
 	if err != nil || len(rest) != 0 {
@@ -421,11 +427,7 @@ func TestSybilHistoryWidensSlots(t *testing.T) {
 		t.Fatal("widened history does not round-trip through its columns")
 	}
 
-	scratch, err := feedback.NewHistoryFromRecords("srv", ref)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := tp.Assess(scratch)
+	want, err := tp.Assess(histOf(t, "srv", ref))
 	if err != nil {
 		t.Fatal(err)
 	}

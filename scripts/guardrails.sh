@@ -12,6 +12,8 @@
 #   - histories are columnar and are their own dedup index (ADR 0004)
 #   - a history's rating is one good-bit under a popcount rank index, and
 #     views stay safe by the append-only layout, not by atomics (ADR 0011)
+#   - a history's client dictionary is a name arena, end offsets and a
+#     table under a per-process seed, not a map of id strings (ADR 0012)
 #   - a snapshot section is a history's columns, never records (ADR 0005)
 #   - a verdict's suffix results cross the wire as columns, through one
 #     assessment codec (ADR 0006)
@@ -93,6 +95,17 @@ check "no good []uint32 prefix column in internal/feedback (ADR 0011)" \
     "absent '^\s+good\s+\[\]u?int' internal/feedback"
 check "no sync/atomic in internal/feedback (ADR 0011)" \
     "absent '\"sync/atomic\"' internal/feedback"
+
+# 0012: a history's client dictionary is columns too — a name arena, end
+# offsets and an open-addressing table — never a Go map or a slice of id
+# strings, and the table's hash seed is drawn per process, never fixed.
+check "no map in internal/feedback/history.go (ADR 0012)" \
+    "absent 'map\[' internal/feedback/history.go"
+check "no []EntityID field in internal/feedback/history.go (ADR 0012)" \
+    "absent '^\s+\w+\s+\[\]EntityID\b' internal/feedback/history.go"
+check "the client table's maphash seed comes from MakeSeed (ADR 0012)" \
+    "grep -qE '^var \w+ = maphash\.MakeSeed\(\)$' internal/feedback/history.go \
+     && absent 'maphash\.Seed\{|\.SetSeed\(' internal/feedback"
 
 check "no []feedback.Feedback in internal/ledger/snapshot.go (ADR 0005)" \
     "! grep -nE '\[\]feedback\.Feedback' internal/ledger/snapshot.go | grep -q ."
