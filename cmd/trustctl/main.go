@@ -306,53 +306,64 @@ func memStatus(args []string, out io.Writer) error {
 	if resp.StatusCode != http.StatusOK {
 		return fmt.Errorf("fetch %s: %s", url, resp.Status)
 	}
-	var body struct {
-		Lifecycle struct {
-			Enabled bool `json:"enabled"`
-			store.LifecycleStats
-			FaultIns    uint64 `json:"fault_ins"`
-			FaultWaits  uint64 `json:"fault_waits"`
-			FaultErrors uint64 `json:"fault_errors"`
-		} `json:"lifecycle"`
-		Ledger *struct {
-			SnapshotSeq   uint64 `json:"snapshot_seq"`
-			Rebuilds      uint64 `json:"rebuilds"`
-			RebuildErrors uint64 `json:"rebuild_errors"`
-		} `json:"ledger"`
-		TopResident []store.ResidentSize `json:"top_resident"`
-	}
-	if err := json.NewDecoder(resp.Body).Decode(&body); err != nil {
+	var doc metricz
+	if err := json.NewDecoder(resp.Body).Decode(&doc); err != nil {
 		return fmt.Errorf("decode %s: %w", url, err)
+	}
+	var led map[string]int64 // the ledger's snapshot and rebuild counters, when it has a block
+	if doc.get("ledger") != nil {
+		led = map[string]int64{"snapshot_seq": doc.int("ledger", "snapshot_seq"),
+			"rebuilds": doc.int("ledger", "rebuilds"), "rebuild_errors": doc.int("ledger", "rebuild_errors")}
 	}
 	if *asJSON {
 		enc := json.NewEncoder(out)
 		enc.SetIndent("", "  ")
-		return enc.Encode(body)
+		return enc.Encode(map[string]any{"lifecycle": doc.get("lifecycle"), "ledger": led, "top_resident": doc.get("top_resident")})
 	}
-	if !body.Lifecycle.Enabled {
+	if doc.get("lifecycle", "enabled") != true {
 		fmt.Fprintln(out, "memory lifecycle: disabled (start trustd with -mem-budget and -ledger)")
 		return nil
 	}
-	l := body.Lifecycle
-	fmt.Fprintf(out, "memory budget: %s\n", fmtBytes(l.BudgetBytes))
+	life := func(key string) int64 { return doc.int("lifecycle", key) }
+	budget := float64(max(life("budget_bytes"), 1))
+	fmt.Fprintf(out, "memory budget: %s\n", fmtBytes(life("budget_bytes")))
 	fmt.Fprintf(out, "  resident: %d servers, %s accounted (%.1f%% of budget)\n",
-		l.Resident, fmtBytes(l.ResidentBytes), 100*float64(l.ResidentBytes)/float64(max64(l.BudgetBytes, 1)))
+		life("resident"), fmtBytes(life("resident_bytes")), 100*float64(life("resident_bytes"))/budget)
 	fmt.Fprintf(out, "  shared:   %s memo state, charged once (%.1f%% of budget)\n",
-		fmtBytes(l.SharedBytes), 100*float64(l.SharedBytes)/float64(max64(l.BudgetBytes, 1)))
-	fmt.Fprintf(out, "  evicted:  %d servers\n", l.Evicted)
-	fmt.Fprintf(out, "  evictions %d, reinstates %d\n", l.Evictions, l.Reinstates)
-	fmt.Fprintf(out, "  fault-ins %d (waited %d, errors %d)\n", l.FaultIns, l.FaultWaits, l.FaultErrors)
-	if body.Ledger != nil {
-		fmt.Fprintf(out, "  ledger: snapshot seq %d, rebuilds %d (errors %d)\n",
-			body.Ledger.SnapshotSeq, body.Ledger.Rebuilds, body.Ledger.RebuildErrors)
+		fmtBytes(life("shared_bytes")), 100*float64(life("shared_bytes"))/budget)
+	fmt.Fprintf(out, "  evicted:  %d servers\n", life("evicted"))
+	fmt.Fprintf(out, "  evictions %d, reinstates %d\n", life("evictions"), life("reinstates"))
+	fmt.Fprintf(out, "  fault-ins %d (waited %d, errors %d)\n", life("fault_ins"), life("fault_waits"), life("fault_errors"))
+	if led != nil {
+		fmt.Fprintf(out, "  ledger: snapshot seq %d, rebuilds %d (errors %d)\n", led["snapshot_seq"], led["rebuilds"], led["rebuild_errors"])
 	}
-	if len(body.TopResident) > 0 {
+	top, _ := doc.get("top_resident").([]any)
+	if len(top) > 0 {
 		fmt.Fprintln(out, "top resident servers by accounted bytes:")
-		for _, r := range body.TopResident {
-			fmt.Fprintf(out, "  %-24s %10s  %d records\n", r.Server, fmtBytes(int64(r.Bytes)), r.Records)
-		}
+	}
+	for _, e := range top {
+		r, _ := e.(map[string]any)
+		fmt.Fprintf(out, "  %-24v %10s  %d records\n", r["server"], fmtBytes(metricz(r).int("bytes")), metricz(r).int("records"))
 	}
 	return nil
+}
+
+// metricz is a decoded /metricz document, read by key path. A key the node
+// does not serve reads as nil, or zero.
+type metricz map[string]any
+
+func (m metricz) get(path ...string) any {
+	var cur any = map[string]any(m)
+	for _, k := range path {
+		obj, _ := cur.(map[string]any)
+		cur = obj[k]
+	}
+	return cur
+}
+
+func (m metricz) int(path ...string) int64 {
+	f, _ := m.get(path...).(float64)
+	return int64(f)
 }
 
 // fmtBytes renders a byte count with a binary-unit suffix.
@@ -367,13 +378,6 @@ func fmtBytes(n int64) string {
 	default:
 		return fmt.Sprintf("%d B", n)
 	}
-}
-
-func max64(a, b int64) int64 {
-	if a > b {
-		return a
-	}
-	return b
 }
 
 // localAssess runs the two-phase assessment offline over a JSON-lines

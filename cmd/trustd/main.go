@@ -36,6 +36,7 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"log"
 	"net/http"
 	"os"
@@ -56,6 +57,9 @@ import (
 	"honestplayer/internal/store"
 	"honestplayer/internal/trust"
 )
+
+// stderr receives the node's log, swappable in tests.
+var stderr io.Writer = os.Stderr
 
 func main() {
 	if err := run(context.Background(), os.Args[1:]); err != nil {
@@ -122,7 +126,7 @@ func run(ctx context.Context, args []string) error {
 	ctx, stopSignals := signal.NotifyContext(ctx, os.Interrupt, syscall.SIGTERM)
 	defer stopSignals()
 
-	logger := log.New(os.Stderr, "trustd ", log.LstdFlags)
+	logger := log.New(stderr, "trustd ", log.LstdFlags)
 	st := store.NewSharded(*shards)
 	serverCfg := repserver.Config{
 		Assessor: assessor, Store: st, Logger: logger, AssessCacheSize: *cacheSize,
@@ -176,26 +180,23 @@ func run(ctx context.Context, args []string) error {
 				logger.Printf("close ledger: %v", err)
 			}
 		}()
-		st = ps.Store()
-		serverCfg.Store = st
+		serverCfg.Store = ps.Store()
 		serverCfg.Recorder = ps
 		if budgetBytes > 0 {
 			serverCfg.Rebuilder = ps
-			life := st.Lifecycle()
-			logger.Printf("memory budget %d bytes: %d servers resident (%d bytes), %d evicted",
-				budgetBytes, life.Resident, life.ResidentBytes, life.Evicted)
-		}
-		lst := ps.Stats()
-		logger.Printf("ledger %s: %d records in store (boot mode %s, %d segments)",
-			*ledgerPath, st.Len(), lst.BootMode, lst.Segments)
-		if lst.Truncations > 0 {
-			logger.Printf("ledger %s: CORRUPTION repaired at boot: %d segment(s) truncated, %d bytes discarded (longest verified prefix kept)",
-				*ledgerPath, lst.Truncations, lst.TruncatedBytes)
 		}
 	}
 	srv, err := repserver.New(*addr, serverCfg)
 	if err != nil {
 		return err
+	}
+	metrics := srv.Metrics()
+	if ps != nil {
+		ps.RegisterMetrics(metrics)
+	}
+	if budgetBytes > 0 {
+		logger.Printf("memory budget %d bytes: %v servers resident (%v bytes), %v evicted", budgetBytes,
+			metrics.Value("lifecycle.resident"), metrics.Value("lifecycle.resident_bytes"), metrics.Value("lifecycle.evicted"))
 	}
 
 	// abort closes the bound server when the rest of start-up fails.
@@ -235,19 +236,7 @@ func run(ctx context.Context, args []string) error {
 			w.Header().Set("Content-Type", "application/json")
 			enc := json.NewEncoder(w)
 			enc.SetIndent("", "  ")
-			body := struct {
-				repserver.Stats
-				Ledger      *ledger.Stats        `json:"ledger,omitempty"`
-				TopResident []store.ResidentSize `json:"top_resident,omitempty"`
-			}{Stats: srv.Stats()}
-			if ps != nil {
-				lst := ps.Stats()
-				body.Ledger = &lst
-			}
-			if budgetBytes > 0 {
-				body.TopResident = st.TopResident(10)
-			}
-			if err := enc.Encode(body); err != nil {
+			if err := enc.Encode(metrics); err != nil {
 				logger.Printf("metricz encode: %v", err)
 			}
 		})
@@ -300,7 +289,7 @@ func run(ctx context.Context, args []string) error {
 		}
 	}
 	err = srv.Close()
-	if raw, jerr := json.Marshal(srv.Stats()); jerr == nil {
+	if raw, jerr := json.Marshal(metrics); jerr == nil {
 		logger.Printf("final stats: %s", raw)
 	}
 	return err

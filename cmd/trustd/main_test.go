@@ -1,7 +1,13 @@
 package main
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
+	"io"
+	"reflect"
+	"strings"
+	"sync"
 	"testing"
 	"time"
 )
@@ -38,6 +44,52 @@ func TestTesterSelection(t *testing.T) {
 	if _, err := tester("single", -1, 1); err == nil {
 		t.Error("invalid window must fail")
 	}
+}
+
+// TestFinalStatsIsTheMetriczDocument: the "final stats" line a stopping node
+// logs is the document its /metricz served, ledger and top_resident blocks
+// included.
+func TestFinalStatsIsTheMetriczDocument(t *testing.T) {
+	var logged lockedBuffer
+	defer func(w io.Writer) { stderr = w }(stderr)
+	stderr = &logged
+
+	var served map[string]bool
+	t.Run("durable", func(t *testing.T) { // its cleanup stops the node
+		n := startNode(t, metriczConfigs[1].flags)
+		n.drive(t)
+		served = flatten(n.scrape(t))
+	})
+	_, line, ok := strings.Cut(logged.String(), "final stats: ")
+	if !ok {
+		t.Fatalf("no final stats line in the log:\n%s", logged.String())
+	}
+	line, _, _ = strings.Cut(line, "\n")
+	var doc map[string]any
+	if err := json.Unmarshal([]byte(line), &doc); err != nil {
+		t.Fatalf("final stats line is not a JSON document: %v\n%s", err, line)
+	}
+	if got := flatten(doc); !reflect.DeepEqual(got, served) || !got["ledger.records"] || !got["top_resident[].bytes"] {
+		t.Fatalf("final stats keys %v\ndiffer from /metricz's %v", sortedKeys(got), sortedKeys(served))
+	}
+}
+
+// lockedBuffer is a bytes.Buffer the node's goroutines may log to at once.
+type lockedBuffer struct {
+	mu sync.Mutex
+	b  bytes.Buffer
+}
+
+func (l *lockedBuffer) Write(p []byte) (int, error) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.b.Write(p)
+}
+
+func (l *lockedBuffer) String() string {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.b.String()
 }
 
 // TestRunIncremental drives a full startup/shutdown cycle with the

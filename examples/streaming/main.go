@@ -117,9 +117,9 @@ func run() error {
 		fmt.Println()
 	}
 
-	st := srv.Stats()
-	fmt.Printf("\nengine stats: tracked=%d served=%d fallbacks=%d\n",
-		st.Incremental.ServersTracked, st.Incremental.Served, st.Incremental.Fallbacks)
+	m := srv.Metrics()
+	fmt.Printf("\nengine stats: tracked=%v served=%v fallbacks=%v\n", m.Value("incremental.servers_tracked"),
+		m.Value("incremental.served"), m.Value("incremental.fallbacks"))
 	fmt.Println()
 	fmt.Println("Every assess was answered from the per-server accumulator (incr=true,")
 	fmt.Println("fallbacks=0): appends cost amortised O(1) and assessments O(windows),")

@@ -47,6 +47,7 @@ import (
 	"honestplayer/internal/feedback"
 	"honestplayer/internal/gossip"
 	"honestplayer/internal/ledger"
+	"honestplayer/internal/metrics"
 	"honestplayer/internal/repclient"
 	"honestplayer/internal/repserver"
 	"honestplayer/internal/service"
@@ -333,9 +334,8 @@ type (
 	// ServerConfig parameterises the reputation server (request timeout,
 	// drain grace period, slow-request logging, caching, …).
 	ServerConfig = repserver.Config
-	// ServerStats is the server's counter snapshot, including per-type
-	// request/error counts and latency quantiles from the service layer.
-	ServerStats = repserver.Stats
+	// ServerStats is the node's metrics registry, rendered on /metricz.
+	ServerStats = metrics.Registry
 	// Client is the reputation-server client. Every method has a
 	// context-taking variant (PingCtx, AssessCtx, …) that derives the
 	// round-trip deadline from the context.

@@ -210,11 +210,11 @@ func (c *pmfMemo) publish(t *pmfTables) *pmfTables {
 // accounting.
 type MemoStats struct {
 	// Bytes is the resident size of both generations' tables.
-	Bytes int64 `json:"memo_bytes"`
+	Bytes int64
 	// Entries counts the PMF tables currently memoised.
-	Entries int `json:"memo_entries"`
+	Entries int
 	// Rotations counts generation rotations since start.
-	Rotations uint64 `json:"memo_rotations"`
+	Rotations uint64
 }
 
 func (c *pmfMemo) stats() MemoStats {

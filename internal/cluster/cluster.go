@@ -12,8 +12,8 @@ import (
 	"time"
 
 	"honestplayer/internal/feedback"
+	"honestplayer/internal/metrics"
 	"honestplayer/internal/repclient"
-	"honestplayer/internal/service"
 	"honestplayer/internal/wire"
 )
 
@@ -56,7 +56,7 @@ const DefaultDialTimeout = 5 * time.Second
 
 // Cluster is one node's runtime view of the cluster: the ring, lazily
 // dialed peer connections, and the routing counters. Safe for concurrent
-// use; a nil *Cluster behaves as "not clustered" for the Enabled check.
+// use; a nil *Cluster is "not clustered" to RegisterMetrics.
 type Cluster struct {
 	self     Node
 	nodes    map[string]Node // by ID
@@ -294,24 +294,39 @@ func (c *Cluster) noteErr(node string, err error) {
 	}
 }
 
-// Stats snapshots the routing counters for /metricz.
-func (c *Cluster) Stats() service.ClusterStats {
-	s := service.ClusterStats{
-		Enabled:       true,
-		Node:          c.self.ID,
-		Replicas:      c.replicas,
-		Forwarded:     c.forwarded.Load(),
-		ForwardErrors: c.forwardErrors.Load(),
+// RegisterMetrics declares the cluster block of reg: node ID, replication
+// factor, the calls routed to a peer (forwarded) and those that failed at the
+// transport level, not typed errors relayed back (forward_errors), and the
+// last RTT to each dialed peer. For a nil *Cluster, a node that is not
+// clustered, enabled is false and the counters zero. Registering again
+// replaces the block.
+func (c *Cluster) RegisterMetrics(reg *metrics.Registry) {
+	if c == nil {
+		c = &Cluster{}
 	}
-	c.mu.Lock()
-	if len(c.rtts) > 0 {
-		s.PeerRTTMs = make(map[string]float64, len(c.rtts))
-		for id, d := range c.rtts {
-			s.PeerRTTMs[id] = float64(d) / 1e6
+	reg.Gauge("cluster.enabled", func() any { return c.ring != nil })
+	reg.Gauge("cluster.node", func() any { return metrics.OmitZero(c.self.ID) })
+	reg.Gauge("cluster.replicas", func() any { return metrics.OmitZero(c.replicas) })
+	reg.Counter("cluster.forwarded", &c.forwarded)
+	reg.Counter("cluster.forward_errors", &c.forwardErrors)
+	reg.Gauge("cluster.peer_rtt_ms", func() any {
+		if ms := c.peerRTTMs(); len(ms) > 0 {
+			return ms
 		}
+		return nil
+	})
+}
+
+// peerRTTMs is the last measured round trip to each dialed peer in
+// milliseconds.
+func (c *Cluster) peerRTTMs() map[string]float64 {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	ms := make(map[string]float64, len(c.rtts))
+	for id, d := range c.rtts {
+		ms[id] = float64(d) / 1e6
 	}
-	c.mu.Unlock()
-	return s
+	return ms
 }
 
 // Status describes the cluster for the cluster.info RPC.
@@ -323,18 +338,9 @@ func (c *Cluster) Status(ownedServers int) wire.ClusterStatusResponse {
 		VNodes:   c.vnodes,
 		Owned:    ownedServers,
 	}
-	c.mu.Lock()
-	rtts := make(map[string]time.Duration, len(c.rtts))
-	for id, d := range c.rtts {
-		rtts[id] = d
-	}
-	c.mu.Unlock()
+	rtts := c.peerRTTMs()
 	for _, n := range c.Nodes() {
-		p := wire.ClusterPeer{ID: n.ID, Addr: n.Addr, Self: n.ID == c.self.ID}
-		if d, ok := rtts[n.ID]; ok {
-			p.RTTMs = float64(d) / 1e6
-		}
-		resp.Peers = append(resp.Peers, p)
+		resp.Peers = append(resp.Peers, wire.ClusterPeer{ID: n.ID, Addr: n.Addr, Self: n.ID == c.self.ID, RTTMs: rtts[n.ID]})
 	}
 	return resp
 }

@@ -490,13 +490,13 @@ func TestJSONLineIsClosedAtTheDoor(t *testing.T) {
 		t.Fatal(err)
 	}
 	_ = probe.Close()
-	for srv.Stats().Connections < 2 {
+	for srv.Metrics().Value("connections").(uint64) < 2 {
 		time.Sleep(time.Millisecond)
 	}
 	if err := srv.Close(); err != nil { // waits for both connections' handlers
 		t.Fatal(err)
 	}
-	if got := srv.Stats().Errors; got != 1 {
-		t.Fatalf("errors = %d, want 1: the JSON line counts, the probe does not", got)
+	if got := srv.Metrics().Value("errors"); got != uint64(1) {
+		t.Fatalf("errors = %v, want 1: the JSON line counts, the probe does not", got)
 	}
 }

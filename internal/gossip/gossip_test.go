@@ -11,6 +11,7 @@ import (
 	"honestplayer/internal/ledger"
 	"honestplayer/internal/repclient"
 	"honestplayer/internal/repserver"
+	"honestplayer/internal/service"
 	"honestplayer/internal/stats"
 	"honestplayer/internal/store"
 	"honestplayer/internal/trust"
@@ -120,7 +121,7 @@ func TestTwoNodeConvergenceManualRounds(t *testing.T) {
 		t.Fatal("received counters did not move")
 	}
 	// The exchange was served by the ordinary request pipeline.
-	if pt := b.srv.Stats().PerType; pt["gossip.summary"].Requests == 0 || pt["gossip.digest"].Requests == 0 {
+	if pt, _ := b.srv.Metrics().Value("per_type").(service.Snapshot); pt["gossip.summary"].Requests == 0 || pt["gossip.digest"].Requests == 0 {
 		t.Fatalf("responder metrics missing the exchange: %+v", pt)
 	}
 }
@@ -234,7 +235,7 @@ func TestSummaryShortCircuitWhenInSync(t *testing.T) {
 	if b.Store().Len() != 10 {
 		t.Fatalf("in-sync round changed the store: %d", b.Store().Len())
 	}
-	if got := a.srv.Stats().PerType["gossip.digest"].Requests; got != 1 {
+	if got := a.srv.Metrics().Value("per_type").(service.Snapshot)["gossip.digest"].Requests; got != 1 {
 		t.Fatalf("responder served %d digests over two rounds, want 1", got)
 	}
 }
@@ -346,8 +347,8 @@ func TestAntiEntropyWriteSurvivesEviction(t *testing.T) {
 		if _, total, err := client.History("sa", 1); err != nil || total != want {
 			t.Fatalf("history after eviction: total=%d err=%v, want %d", total, err, want)
 		}
-		if lc := a.srv.Stats().Lifecycle; lc.FaultErrors != 0 {
-			t.Fatalf("lifecycle.fault_errors = %d, want 0", lc.FaultErrors)
+		if got := a.srv.Metrics().Value("lifecycle.fault_errors"); got != uint64(0) {
+			t.Fatalf("lifecycle.fault_errors = %v, want 0", got)
 		}
 	}
 
@@ -363,7 +364,7 @@ func TestAntiEntropyWriteSurvivesEviction(t *testing.T) {
 		t.Fatal("server did not evict")
 	}
 	assessThroughRPC(31)
-	if a.srv.Stats().Lifecycle.FaultIns == 0 {
+	if a.srv.Metrics().Value("lifecycle.fault_ins") == uint64(0) {
 		t.Fatal("read of the evicted server did not fault it in")
 	}
 

@@ -104,7 +104,7 @@ func BenchmarkSnapshotBoot(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		if ps.Stats().BootMode != "snapshot" {
+		if ledgerMetric(ps, "boot_mode") != "snapshot" {
 			b.Fatal("not a snapshot boot")
 		}
 		if err := ps.Close(); err != nil {

@@ -1,6 +1,7 @@
 package ledger
 
 import (
+	"encoding/json"
 	"errors"
 	"fmt"
 	"os"
@@ -10,6 +11,7 @@ import (
 	"testing"
 
 	"honestplayer/internal/feedback"
+	"honestplayer/internal/metrics"
 )
 
 func TestAppendBatchReplay(t *testing.T) {
@@ -65,23 +67,12 @@ func TestGroupCommitCounters(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	gc := l.GroupCommit()
-	if gc.Flushes != 2 {
-		t.Fatalf("flushes = %d, want 2", gc.Flushes)
-	}
-	if gc.Coalesced != 1 {
-		t.Fatalf("coalesced = %d, want 1 (only the 6-record group)", gc.Coalesced)
-	}
-	if gc.Records != 7 {
-		t.Fatalf("records = %d, want 7", gc.Records)
-	}
 	// Bucketed quantiles: sizes {6, 1} → P50 is the 1-record bucket's upper
-	// bound, P99 the 6-record group's bucket (2^3 = 8).
-	if gc.SizeP50 != 1 {
-		t.Fatalf("size_p50 = %d, want 1", gc.SizeP50)
-	}
-	if gc.SizeP99 != 8 {
-		t.Fatalf("size_p99 = %d, want 8", gc.SizeP99)
+	// bound, P99 the 6-record group's bucket (2^3 = 8); only the 6-record
+	// group coalesced.
+	want := map[string]uint64{"flushes": 2, "coalesced": 1, "records": 7, "size_p50": 1, "size_p99": 8}
+	if gc := groupCommit(l); !reflect.DeepEqual(gc, want) {
+		t.Fatalf("group_commit = %v, want %v", gc, want)
 	}
 }
 
@@ -336,9 +327,8 @@ func TestPoisonedAfterWriteFailure(t *testing.T) {
 	if err := l.Sync(); err == nil {
 		t.Fatal("poisoned ledger accepted a Sync")
 	}
-	gc := l.GroupCommit()
-	if gc.Records != 1 {
-		t.Fatalf("counters advanced past the failure: %+v", gc)
+	if gc := groupCommit(l); gc["records"] != 1 {
+		t.Fatalf("counters advanced past the failure: %v", gc)
 	}
 	_ = l.Close()
 
@@ -352,14 +342,16 @@ func TestPoisonedAfterWriteFailure(t *testing.T) {
 }
 
 // TestConcurrentAppendSyncRace interleaves Append, AppendBatch, Sync, and
-// stats reads from many goroutines — the -race job's target — then proves no
-// record was lost or duplicated by replaying the log.
+// /metricz renders from many goroutines — the -race job's target — then
+// proves no record was lost or duplicated by replaying the log.
 func TestConcurrentAppendSyncRace(t *testing.T) {
 	path := t.TempDir() + "/ledger"
 	l, _, err := Open(path)
 	if err != nil {
 		t.Fatal(err)
 	}
+	reg := metrics.New()
+	l.registerMetrics(reg)
 	stop := make(chan struct{})
 	var aux sync.WaitGroup
 	aux.Add(2)
@@ -384,16 +376,18 @@ func TestConcurrentAppendSyncRace(t *testing.T) {
 			case <-stop:
 				return
 			default:
-				_ = l.GroupCommit()
+				if _, err := json.Marshal(reg); err != nil {
+					t.Error(err)
+					return
+				}
 			}
 		}
 	}()
 	total := appendConcurrently(t, l, 6, 30)
 	close(stop)
 	aux.Wait()
-	gc := l.GroupCommit()
-	if gc.Records != uint64(total) {
-		t.Fatalf("group-commit carried %d records, want %d", gc.Records, total)
+	if got := groupCommit(l)["records"]; got != uint64(total) {
+		t.Fatalf("group-commit carried %d records, want %d", got, total)
 	}
 	if err := l.Close(); err != nil {
 		t.Fatal(err)
@@ -405,4 +399,15 @@ func TestConcurrentAppendSyncRace(t *testing.T) {
 	if len(got) != total {
 		t.Fatalf("replayed %d records, want %d", len(got), total)
 	}
+}
+
+// groupCommit reads l's group_commit block, as /metricz serves it.
+func groupCommit(l *Ledger) map[string]uint64 {
+	reg := metrics.New()
+	l.registerMetrics(reg)
+	gc := map[string]uint64{}
+	for _, k := range []string{"flushes", "coalesced", "records", "size_p50", "size_p99"} {
+		gc[k] = reg.Value("ledger.group_commit." + k).(uint64)
+	}
+	return gc
 }

@@ -34,6 +34,7 @@ import (
 	"sync"
 
 	"honestplayer/internal/feedback"
+	"honestplayer/internal/metrics"
 )
 
 // ErrClosed reports use of a closed ledger.
@@ -63,7 +64,7 @@ type Ledger struct {
 	sealedBytes int64
 	rolls       uint64
 
-	// Boot-time corruption accounting (see Stats).
+	// Boot-time corruption accounting (see registerMetrics).
 	truncatedSegments int
 	truncatedBytes    int64
 
@@ -480,35 +481,32 @@ func groupBucket(n uint64) int {
 	return b
 }
 
-// GroupCommitStats is a point-in-time view of the group-commit counters.
-// The quantiles are bucketed approximations: each group size is attributed
-// to its power-of-two bucket and the quantile reports the bucket's upper
-// bound, so P50 = 4 means half of all flushes carried at most 4 records.
-type GroupCommitStats struct {
-	// Flushes is the number of leader flushes (one Write+Flush each).
-	Flushes uint64 `json:"flushes"`
-	// Coalesced is the number of flushes that carried more than one record
-	// — the count of flush syscalls saved by grouping is Records - Flushes.
-	Coalesced uint64 `json:"coalesced"`
-	// Records is the total records carried by all flushes.
-	Records uint64 `json:"records"`
-	// SizeP50 and SizeP99 are bucketed group-size quantiles.
-	SizeP50 uint64 `json:"size_p50"`
-	SizeP99 uint64 `json:"size_p99"`
-}
-
-// GroupCommit reports the group-commit counters.
-func (l *Ledger) GroupCommit() GroupCommitStats {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	s := GroupCommitStats{
-		Flushes:   l.groupFlushes,
-		Coalesced: l.coalescedFlushes,
-		Records:   l.groupRecords,
+// registerMetrics declares the log's keys of the ledger block. records may
+// undercount after a snapshot boot of a migrated ledger: the legacy JSON
+// segments it skipped have no footer to count. group_commit.coalesced counts
+// the flushes that carried more than one record; size_p50 = 4 means half of
+// all flushes carried at most 4 (the upper bound of a power-of-two bucket).
+func (l *Ledger) registerMetrics(reg *metrics.Registry) {
+	locked := func(key string, read func() any) {
+		reg.Gauge("ledger."+key, func() any {
+			l.mu.Lock()
+			defer l.mu.Unlock()
+			return read()
+		})
 	}
-	s.SizeP50 = groupQuantile(&l.groupSizes, l.groupFlushes, 50)
-	s.SizeP99 = groupQuantile(&l.groupSizes, l.groupFlushes, 99)
-	return s
+	locked("segments", func() any { return l.sealedSegs + 1 })
+	locked("active_segment", func() any { return l.segIndex })
+	locked("active_bytes", func() any { return l.segSize })
+	locked("sealed_bytes", func() any { return l.sealedBytes })
+	locked("records", func() any { return l.records })
+	locked("roll_overs", func() any { return l.rolls })
+	locked("ledger_truncations", func() any { return l.truncatedSegments })
+	locked("truncated_bytes", func() any { return l.truncatedBytes })
+	locked("group_commit.flushes", func() any { return l.groupFlushes })
+	locked("group_commit.coalesced", func() any { return l.coalescedFlushes })
+	locked("group_commit.records", func() any { return l.groupRecords })
+	locked("group_commit.size_p50", func() any { return groupQuantile(&l.groupSizes, l.groupFlushes, 50) })
+	locked("group_commit.size_p99", func() any { return groupQuantile(&l.groupSizes, l.groupFlushes, 99) })
 }
 
 // groupQuantile returns the upper bound (2^bucket) of the first histogram

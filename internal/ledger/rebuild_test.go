@@ -73,7 +73,7 @@ func TestRebuildBitIdentical(t *testing.T) {
 			if !reflect.DeepEqual(want, got) {
 				t.Fatal("rebuilt state diverges from never-evicted state")
 			}
-			if ps.Stats().Rebuilds == 0 {
+			if ledgerMetric(ps, "rebuilds") == nil {
 				t.Fatal("rebuild counter did not move")
 			}
 		})
@@ -191,8 +191,8 @@ func TestSnapshotWithEvictedServers(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer boot.Close()
-	if boot.Stats().BootMode != "snapshot" {
-		t.Fatalf("boot mode = %q, want snapshot", boot.Stats().BootMode)
+	if ledgerMetric(boot, "boot_mode") != "snapshot" {
+		t.Fatalf("boot mode = %q, want snapshot", ledgerMetric(boot, "boot_mode"))
 	}
 	if got := storeFingerprint(t, boot.Store(), tp); !reflect.DeepEqual(want, got) {
 		t.Fatal("snapshot taken with evicted servers lost history")

@@ -16,7 +16,8 @@ package ledger
 // segment, truncates the file back to the intact prefix, and re-adopts it as
 // the active segment — the ledger's longest verified prefix, ready for new
 // appends. The byte and segment counts of everything discarded are surfaced
-// via Stats (the ledger_truncations metric) instead of vanishing silently.
+// in the boot log and as the ledger_truncations and truncated_bytes metrics
+// instead of vanishing silently.
 
 import (
 	"context"
@@ -150,7 +151,8 @@ func (l *Ledger) replayFrom(ctx context.Context, from uint64, emit func([]feedba
 
 // skippedSegmentStats reads a snapshot-covered segment's footer for its
 // record count without decoding the segment. Legacy JSON segments have no
-// footer; their count is reported as 0 (Stats documents the approximation).
+// footer; their count is reported as 0 (registerMetrics documents the
+// approximation).
 func (l *Ledger) skippedSegmentStats(idx uint64) (records uint64, size int64) {
 	path := l.segPath(idx)
 	fi, err := os.Stat(path)

@@ -18,6 +18,7 @@ import (
 	"honestplayer/internal/behavior"
 	"honestplayer/internal/core"
 	"honestplayer/internal/feedback"
+	"honestplayer/internal/metrics"
 	"honestplayer/internal/stats"
 	"honestplayer/internal/store"
 	"honestplayer/internal/trust"
@@ -138,8 +139,8 @@ func TestSnapshotBootMatchesFullReplay(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if snapBoot.Stats().BootMode != "snapshot" {
-		t.Fatalf("boot mode = %q, want snapshot", snapBoot.Stats().BootMode)
+	if ledgerMetric(snapBoot, "boot_mode") != "snapshot" {
+		t.Fatalf("boot mode = %q, want snapshot", ledgerMetric(snapBoot, "boot_mode"))
 	}
 	got := storeFingerprint(t, snapBoot.Store(), tp)
 	if !reflect.DeepEqual(want, got) {
@@ -163,8 +164,8 @@ func TestSnapshotBootMatchesFullReplay(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if fullBoot.Stats().BootMode != "replay" {
-		t.Fatalf("boot mode = %q, want replay", fullBoot.Stats().BootMode)
+	if ledgerMetric(fullBoot, "boot_mode") != "replay" {
+		t.Fatalf("boot mode = %q, want replay", ledgerMetric(fullBoot, "boot_mode"))
 	}
 	got = storeFingerprint(t, fullBoot.Store(), tp)
 	if !reflect.DeepEqual(want, got) {
@@ -244,8 +245,8 @@ func TestSnapshotWithV1AccumulatorBlobs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if snapBoot.Stats().BootMode != "snapshot" {
-		t.Fatalf("boot mode = %q, want snapshot", snapBoot.Stats().BootMode)
+	if ledgerMetric(snapBoot, "boot_mode") != "snapshot" {
+		t.Fatalf("boot mode = %q, want snapshot", ledgerMetric(snapBoot, "boot_mode"))
 	}
 	if servers := len(snapBoot.Store().Servers()); rejected != servers {
 		t.Fatalf("%d of %d version-1 blobs rejected", rejected, servers)
@@ -302,9 +303,8 @@ func TestKillDuringSnapshotFallsBack(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	st := boot.Stats()
-	if st.BootMode != "snapshot" || st.BootSnapshot != seqs[0] {
-		t.Fatalf("boot = %q snapshot %d, want older snapshot %d", st.BootMode, st.BootSnapshot, seqs[0])
+	if mode, snap := ledgerMetric(boot, "boot_mode"), ledgerMetric(boot, "boot_snapshot"); mode != "snapshot" || snap != seqs[0] {
+		t.Fatalf("boot = %q snapshot %v, want older snapshot %d", mode, snap, seqs[0])
 	}
 	if got := storeFingerprint(t, boot.Store(), tp); !reflect.DeepEqual(want, got) {
 		t.Fatal("fallback boot diverges from true state")
@@ -326,8 +326,8 @@ func TestKillDuringSnapshotFallsBack(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if boot2.Stats().BootMode != "replay" {
-		t.Fatalf("boot mode = %q, want replay", boot2.Stats().BootMode)
+	if ledgerMetric(boot2, "boot_mode") != "replay" {
+		t.Fatalf("boot mode = %q, want replay", ledgerMetric(boot2, "boot_mode"))
 	}
 	if got := storeFingerprint(t, boot2.Store(), tp); !reflect.DeepEqual(want, got) {
 		t.Fatal("full-replay fallback diverges from true state")
@@ -358,8 +358,8 @@ func TestSnapshotPublishFailureLeavesNoTemp(t *testing.T) {
 	if _, err := os.Stat(filepath.Join(dir, snapTmpName)); !errors.Is(err, os.ErrNotExist) {
 		t.Fatalf("temp file survived the failed publish: %v", err)
 	}
-	if st := ps.Stats(); st.SnapshotsFailed != 1 || st.SnapshotBytes != 0 {
-		t.Fatalf("stats after a failed publish: %+v", st)
+	if failed, size := ledgerMetric(ps, "snapshots_failed"), ledgerMetric(ps, "snapshot_bytes"); failed != uint64(1) || size != uint64(0) {
+		t.Fatalf("snapshots_failed %v, snapshot_bytes %v after a failed publish", failed, size)
 	}
 }
 
@@ -438,7 +438,7 @@ func TestSnapshotV1FallsBackToReplay(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if mode := boot.Stats().BootMode; mode != "replay" {
+	if mode := ledgerMetric(boot, "boot_mode"); mode != "replay" {
 		t.Fatalf("boot mode over a version-1 snapshot = %q, want replay", mode)
 	}
 	if got := storeFingerprint(t, boot.Store(), tp); !reflect.DeepEqual(want, got) {
@@ -463,8 +463,8 @@ func TestSnapshotV1FallsBackToReplay(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer again.Close()
-	if st := again.Stats(); st.BootMode != "snapshot" || st.BootSnapshot != next {
-		t.Fatalf("second boot = %q from snapshot %d, want snapshot %d", st.BootMode, st.BootSnapshot, next)
+	if mode, snap := ledgerMetric(again, "boot_mode"), ledgerMetric(again, "boot_snapshot"); mode != "snapshot" || snap != next {
+		t.Fatalf("second boot = %q from snapshot %v, want snapshot %d", mode, snap, next)
 	}
 	if got := storeFingerprint(t, again.Store(), tp); !reflect.DeepEqual(want, got) {
 		t.Fatal("boot from the version-2 snapshot diverges")
@@ -513,8 +513,8 @@ func TestSnapshotSectionBytesPerRecord(t *testing.T) {
 	if si.SectionBytesPerRecord > 8 {
 		t.Fatalf("a snapshot section takes %.2f B per record, want at most 8", si.SectionBytesPerRecord)
 	}
-	if got := ps.Stats().SnapshotBytes; got != uint64(si.Size) {
-		t.Fatalf("stats count %d snapshot bytes, the file has %d", got, si.Size)
+	if got := ledgerMetric(ps, "snapshot_bytes"); got != uint64(si.Size) {
+		t.Fatalf("snapshot_bytes counts %v, the file has %d", got, si.Size)
 	}
 	t.Logf("%.2f B per record, %d B file", si.SectionBytesPerRecord, si.Size)
 }
@@ -611,8 +611,8 @@ func TestSnapshotWithoutAccumulators(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if boot.Stats().BootMode != "snapshot" {
-		t.Fatalf("boot mode = %q", boot.Stats().BootMode)
+	if ledgerMetric(boot, "boot_mode") != "snapshot" {
+		t.Fatalf("boot mode = %q", ledgerMetric(boot, "boot_mode"))
 	}
 	if got := storeFingerprint(t, boot.Store(), nil); !reflect.DeepEqual(want, got) {
 		t.Fatal("plain snapshot boot diverges")
@@ -679,4 +679,11 @@ func TestLedgerInfo(t *testing.T) {
 	if !linfo.Legacy || linfo.Records != 2 || linfo.Segments[0].Format != "json" || linfo.Segments[0].Blocks != 0 {
 		t.Fatalf("legacy info: %+v", linfo)
 	}
+}
+
+// ledgerMetric reads one key of ps's ledger block, as /metricz serves it.
+func ledgerMetric(ps *PersistentStore, key string) any {
+	reg := metrics.New()
+	ps.RegisterMetrics(reg)
+	return reg.Value("ledger." + key)
 }

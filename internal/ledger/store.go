@@ -18,6 +18,7 @@ import (
 	"sync/atomic"
 
 	"honestplayer/internal/feedback"
+	"honestplayer/internal/metrics"
 	"honestplayer/internal/store"
 )
 
@@ -45,8 +46,9 @@ type Options struct {
 	// that count against the server's snapshot history and falls back to
 	// replay-derivation on any mismatch or error.
 	RestoreAccumulator func(server feedback.EntityID, state []byte) (store.Accumulator, int, error)
-	// Logf, when set, receives boot and snapshot diagnostics (corrupt
-	// snapshots skipped, truncation repairs, background snapshot failures).
+	// Logf, when set, receives the boot summary (records, boot mode,
+	// segments) and boot and snapshot diagnostics (corrupt snapshots
+	// skipped, truncation repairs, background snapshot failures).
 	Logf func(format string, args ...any)
 	// MemBudget, when positive, enables the resident-state lifecycle: the
 	// store's accounted footprint (histories + accumulators, see
@@ -206,6 +208,11 @@ func OpenStoreOptions(ctx context.Context, path string, opts Options) (*Persiste
 			}
 		}
 		st.SetBudget(opts.MemBudget)
+	}
+	ps.logf("ledger %s: %d records in store (boot mode %s, %d segments)", path, st.Len(), ps.bootMode, l.sealedSegs+1)
+	if l.truncatedSegments > 0 {
+		ps.logf("ledger %s: CORRUPTION repaired at boot: %d segment(s) truncated, %d bytes discarded (longest verified prefix kept)",
+			path, l.truncatedSegments, l.truncatedBytes)
 	}
 	return ps, nil
 }
@@ -486,61 +493,19 @@ func (ps *PersistentStore) Close() error {
 	return ps.ledger.Close()
 }
 
-// Stats reports ledger and snapshot counters for metrics endpoints. For a
-// snapshot boot of a migrated ledger, Records may undercount: legacy JSON
-// segments skipped by the snapshot carry no footer to read a count from.
-type Stats struct {
-	Segments         int    `json:"segments"`
-	ActiveSegment    uint64 `json:"active_segment"`
-	ActiveBytes      int64  `json:"active_bytes"`
-	SealedBytes      int64  `json:"sealed_bytes"`
-	Records          uint64 `json:"records"`
-	RollOvers        uint64 `json:"roll_overs"`
-	Truncations      int    `json:"ledger_truncations"`
-	TruncatedBytes   int64  `json:"truncated_bytes"`
-	SnapshotSeq      uint64 `json:"snapshot_seq"`
-	SnapshotsTaken   uint64 `json:"snapshots_taken"`
-	SnapshotsFailed  uint64 `json:"snapshots_failed"`
-	SnapshotBytes    uint64 `json:"snapshot_bytes"` // size of every snapshot published since open, summed
-	BootMode         string `json:"boot_mode"`
-	BootSnapshot     uint64 `json:"boot_snapshot,omitempty"`
-	RecordsSinceSnap uint64 `json:"records_since_snapshot"`
-	Rebuilds         uint64 `json:"rebuilds,omitempty"`
-	RebuildErrors    uint64 `json:"rebuild_errors,omitempty"`
-	// Group-commit write-path counters (see Ledger.GroupCommit).
-	GroupCommit GroupCommitStats `json:"group_commit"`
-}
-
-// Stats returns a point-in-time snapshot of the persistence counters.
-func (ps *PersistentStore) Stats() Stats {
-	l := ps.ledger
-	l.mu.Lock()
-	s := Stats{
-		Segments:       l.sealedSegs + 1,
-		ActiveSegment:  l.segIndex,
-		ActiveBytes:    l.segSize,
-		SealedBytes:    l.sealedBytes,
-		Records:        l.records,
-		RollOvers:      l.rolls,
-		Truncations:    l.truncatedSegments,
-		TruncatedBytes: l.truncatedBytes,
-		GroupCommit: GroupCommitStats{
-			Flushes:   l.groupFlushes,
-			Coalesced: l.coalescedFlushes,
-			Records:   l.groupRecords,
-			SizeP50:   groupQuantile(&l.groupSizes, l.groupFlushes, 50),
-			SizeP99:   groupQuantile(&l.groupSizes, l.groupFlushes, 99),
-		},
-	}
-	l.mu.Unlock()
-	s.SnapshotSeq = ps.lastSnapSeq.Load()
-	s.SnapshotsTaken = ps.snapsTaken.Load()
-	s.SnapshotsFailed = ps.snapsFailed.Load()
-	s.SnapshotBytes = ps.snapBytes.Load()
-	s.BootMode = ps.bootMode
-	s.BootSnapshot = ps.bootSnapshot
-	s.RecordsSinceSnap = ps.sinceSnap.Load()
-	s.Rebuilds = ps.rebuilds.Load()
-	s.RebuildErrors = ps.rebuildErrors.Load()
-	return s
+// RegisterMetrics declares the ledger block of reg: the log's segment and
+// group-commit keys, then this store's snapshots (snapshot_bytes sums the
+// size of every snapshot published since open), how it booted, and the
+// rebuilds it served to fault-ins.
+func (ps *PersistentStore) RegisterMetrics(reg *metrics.Registry) {
+	ps.ledger.registerMetrics(reg)
+	reg.Gauge("ledger.snapshot_seq", func() any { return ps.lastSnapSeq.Load() })
+	reg.Counter("ledger.snapshots_taken", &ps.snapsTaken)
+	reg.Counter("ledger.snapshots_failed", &ps.snapsFailed)
+	reg.Counter("ledger.snapshot_bytes", &ps.snapBytes)
+	reg.Gauge("ledger.boot_mode", func() any { return ps.bootMode })
+	reg.Gauge("ledger.boot_snapshot", func() any { return metrics.OmitZero(ps.bootSnapshot) })
+	reg.Gauge("ledger.records_since_snapshot", func() any { return ps.sinceSnap.Load() })
+	reg.Gauge("ledger.rebuilds", func() any { return metrics.OmitZero(ps.rebuilds.Load()) })
+	reg.Gauge("ledger.rebuild_errors", func() any { return metrics.OmitZero(ps.rebuildErrors.Load()) })
 }

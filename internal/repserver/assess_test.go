@@ -115,8 +115,8 @@ func TestAssessBatchMatchesSequential(t *testing.T) {
 			close(stop)
 			wg.Wait()
 
-			if st := srv.Stats(); st.BatchItems != uint64(20*len(servers)) {
-				t.Fatalf("BatchItems = %d, want %d", st.BatchItems, 20*len(servers))
+			if got := srv.Metrics().Value("batch_items"); got != uint64(20*len(servers)) {
+				t.Fatalf("batch_items = %v, want %d", got, 20*len(servers))
 			}
 		})
 	}

@@ -149,11 +149,10 @@ func TestEvictionChurn(t *testing.T) {
 				id(i), resp.Accept, resp.Assessment.Trust, wantAccept, wantA.Trust)
 		}
 	}
-	st := srv.Stats()
-	if st.Lifecycle.FaultIns == 0 {
+	if srv.Metrics().Value("lifecycle.fault_ins") == uint64(0) {
 		t.Fatal("churn produced no fault-ins; budget not small enough to exercise the lifecycle")
 	}
-	if life := ps.Store().Lifecycle(); life.Evictions == 0 {
+	if srv.Metrics().Value("lifecycle.evictions") == uint64(0) {
 		t.Fatal("no evictions under a 12KiB budget")
 	}
 }

@@ -12,6 +12,7 @@ import (
 
 	"honestplayer/internal/cluster"
 	"honestplayer/internal/feedback"
+	"honestplayer/internal/service"
 	"honestplayer/internal/stats"
 	"honestplayer/internal/wire"
 )
@@ -173,15 +174,18 @@ func testClusterE2E(t *testing.T, cfg func() Config) {
 	}
 
 	// The routing counters moved: node 1 forwarded writes and reads.
-	st := servers[0].Stats()
-	if !st.Cluster.Enabled || st.Cluster.Node != "n1" {
-		t.Fatalf("cluster stats not populated: %+v", st.Cluster)
+	m := servers[0].Metrics()
+	if m.Value("cluster.enabled") != true || m.Value("cluster.node") != "n1" {
+		t.Fatalf("cluster block not populated: enabled %v, node %v", m.Value("cluster.enabled"), m.Value("cluster.node"))
 	}
-	if st.Cluster.Forwarded == 0 {
+	if m.Value("cluster.forwarded") == uint64(0) {
 		t.Fatal("node 1 forwarded nothing despite remote-owned submissions")
 	}
-	if st.Cluster.ForwardErrors != 0 {
-		t.Fatalf("forward errors on a healthy cluster: %d", st.Cluster.ForwardErrors)
+	if got := m.Value("cluster.forward_errors"); got != uint64(0) {
+		t.Fatalf("forward errors on a healthy cluster: %v", got)
+	}
+	if rtts, _ := m.Value("cluster.peer_rtt_ms").(map[string]float64); len(rtts) == 0 || m.Value("cluster.replicas") != 2 {
+		t.Fatalf("cluster block: peer_rtt_ms %v, replicas %v", m.Value("cluster.peer_rtt_ms"), m.Value("cluster.replicas"))
 	}
 }
 
@@ -382,8 +386,8 @@ func TestClusterReadFailover(t *testing.T) {
 	if got := readThrough(t, servers[outside], id); !reflect.DeepEqual(got, want) {
 		t.Fatalf("door's answer with the owner down is not the replica's verdict:\n got %+v\nwant %+v", got, want)
 	}
-	if st := servers[outside].Cluster().Stats(); st.ForwardErrors == 0 {
-		t.Fatalf("no forward to the closed owner failed: %+v", st)
+	if servers[outside].Metrics().Value("cluster.forward_errors") == uint64(0) {
+		t.Fatal("no forward to the closed owner failed")
 	}
 
 	// With the whole set down the walk ends, and both reads say so.
@@ -424,12 +428,12 @@ func TestClusterBatchCounters(t *testing.T) {
 	if remote == 0 || remote == len(ids) {
 		t.Fatalf("%d of %d servers are remote to the door; the test needs both kinds", remote, len(ids))
 	}
-	if st := door.Stats(); st.SubmitBatches != 0 || st.SubmitBatchItems != 0 {
-		t.Fatalf("single submits moved the door's batch counters: %d/%d", st.SubmitBatches, st.SubmitBatchItems)
+	if m := door.Metrics(); m.Value("submit_batches") != uint64(0) || m.Value("submit_batch_items") != uint64(0) {
+		t.Fatalf("single submits moved the door's batch counters: %v/%v", m.Value("submit_batches"), m.Value("submit_batch_items"))
 	}
 	var fwdFrames uint64
 	for _, srv := range servers[1:] {
-		per := srv.Stats().PerType
+		per, _ := srv.Metrics().Value("per_type").(service.Snapshot)
 		fwdFrames += per[string(wire.TypeFwdBatch)].Requests
 		if _, ok := per["fwd.submit"]; ok {
 			t.Fatal("a node served the retired fwd.submit type")
@@ -448,8 +452,8 @@ func TestClusterBatchCounters(t *testing.T) {
 			t.Fatalf("item %q: %v", item.Server, item.Error)
 		}
 	}
-	if got := door.Stats().BatchItems; got != uint64(len(ids)) {
-		t.Fatalf("door batch_items = %d, want every item of the frame (%d)", got, len(ids))
+	if got := door.Metrics().Value("batch_items"); got != uint64(len(ids)) {
+		t.Fatalf("door batch_items = %v, want every item of the frame (%d)", got, len(ids))
 	}
 }
 

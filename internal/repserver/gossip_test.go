@@ -11,6 +11,7 @@ import (
 	"honestplayer/internal/feedback"
 	"honestplayer/internal/gossip"
 	"honestplayer/internal/repclient"
+	"honestplayer/internal/service"
 	"honestplayer/internal/store"
 	"honestplayer/internal/wire"
 )
@@ -75,7 +76,7 @@ func TestClusterRepairEndToEnd(t *testing.T) {
 		t.Cleanup(func() { _ = r.Close() })
 		recons[i] = r
 	}
-	forwardedBefore := servers[replica].Cluster().Stats().Forwarded
+	forwardedBefore := servers[replica].Metrics().Value("cluster.forwarded")
 	for round := 0; round < 40 && stores[owner].ServerChecksum(id) != stores[replica].ServerChecksum(id); round++ {
 		for _, r := range recons {
 			if err := r.RoundOnce(); err != nil {
@@ -95,7 +96,7 @@ func TestClusterRepairEndToEnd(t *testing.T) {
 	}
 	// Repair traffic is cluster traffic: it rode the pooled connections and
 	// moved their counters.
-	if got := servers[replica].Cluster().Stats().Forwarded; got == forwardedBefore {
+	if got := servers[replica].Metrics().Value("cluster.forwarded"); got == forwardedBefore {
 		t.Fatal("anti-entropy rounds did not count as forwarded calls")
 	}
 
@@ -158,7 +159,7 @@ func TestGossipExchangeSameOverEitherFraming(t *testing.T) {
 			t.Fatalf("framing %d answered\n %+v\nwant\n %+v", i, got, want)
 		}
 	}
-	pt := srv.Stats().PerType
+	pt, _ := srv.Metrics().Value("per_type").(service.Snapshot)
 	if s, d := pt[string(wire.TypeSummary)], pt[string(wire.TypeDigest)]; s.Requests != 2 || d.Requests != 4 || d.Errors != 2 {
 		t.Fatalf("per_type rows: summary %+v digest %+v", s, d)
 	}
@@ -213,7 +214,7 @@ func testGossipDigestDeadline(t *testing.T, connect func(*Server) *repclient.Cli
 	if err := c.Ping(); err != nil {
 		t.Fatalf("ping after deadline error: %v", err)
 	}
-	if d := srv.Stats().PerType[string(wire.TypeDigest)]; d.Requests != 1 || d.Errors != 1 {
+	if d := srv.Metrics().Value("per_type").(service.Snapshot)[string(wire.TypeDigest)]; d.Requests != 1 || d.Errors != 1 {
 		t.Fatalf("digest metrics = %+v", d)
 	}
 }

@@ -70,15 +70,18 @@ func TestAssessIncrementalMatchesBatch(t *testing.T) {
 			t.Fatalf("n=%d: response mismatch:\nincremental: %+v\nbatch:       %+v", i+1, got, want)
 		}
 	}
-	st := incrSrv.Stats().Incremental
-	if !st.Enabled || st.ServersTracked != 1 || st.Served == 0 {
-		t.Fatalf("incremental stats = %+v, want enabled with served requests and one tracked server", st)
+	m := incrSrv.Metrics()
+	if m.Value("incremental.enabled") != true || m.Value("incremental.servers_tracked") != 1 || m.Value("incremental.served") == uint64(0) {
+		t.Fatalf("incremental enabled/servers_tracked/served = %v/%v/%v, want enabled with served requests and one tracked server",
+			m.Value("incremental.enabled"), m.Value("incremental.servers_tracked"), m.Value("incremental.served"))
 	}
-	if st.Fallbacks != 0 {
-		t.Fatalf("unexpected fallbacks: %+v", st)
+	if got := m.Value("incremental.fallbacks"); got != uint64(0) {
+		t.Fatalf("unexpected fallbacks: %v", got)
 	}
-	if bst := batchSrv.Stats().Incremental; bst.Enabled || bst.Served != 0 || bst.ServersTracked != 0 {
-		t.Fatalf("batch server incremental stats = %+v, want all-off", bst)
+	if m := batchSrv.Metrics(); m.Value("incremental.enabled") != false || m.Value("incremental.served") != uint64(0) ||
+		m.Value("incremental.servers_tracked") != 0 {
+		t.Fatalf("batch server incremental enabled/served/servers_tracked = %v/%v/%v, want all-off",
+			m.Value("incremental.enabled"), m.Value("incremental.served"), m.Value("incremental.servers_tracked"))
 	}
 }
 
@@ -121,8 +124,8 @@ func TestAssessIncrementalUnknownServer(t *testing.T) {
 	if aerr == nil || !strings.Contains(aerr.Error(), "no records") {
 		t.Fatalf("unknown server error = %v", aerr)
 	}
-	if st := srv.Stats().Incremental; st.Fallbacks != 0 {
-		t.Fatalf("unknown server must not count as fallback: %+v", st)
+	if got := srv.Metrics().Value("incremental.fallbacks"); got != uint64(0) {
+		t.Fatalf("unknown server must not count as fallback: %v", got)
 	}
 }
 

@@ -70,8 +70,8 @@ func TestSingleSubmitFaultsIn(t *testing.T) {
 	if got := st.ServerLen("cold"); got != 6 {
 		t.Fatalf("server holds %d records after fault-in + submit, want 6", got)
 	}
-	if lc := srv.Stats().Lifecycle; lc.FaultIns != 1 {
-		t.Fatalf("fault_ins = %d, want 1", lc.FaultIns)
+	if got := srv.Metrics().Value("lifecycle.fault_ins"); got != uint64(1) {
+		t.Fatalf("fault_ins = %v, want 1", got)
 	}
 }
 

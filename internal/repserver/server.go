@@ -28,10 +28,10 @@ import (
 	"time"
 
 	"honestplayer/internal/assesscache"
-	"honestplayer/internal/behavior"
 	"honestplayer/internal/cluster"
 	"honestplayer/internal/core"
 	"honestplayer/internal/feedback"
+	"honestplayer/internal/metrics"
 	"honestplayer/internal/service"
 	"honestplayer/internal/store"
 	"honestplayer/internal/wire"
@@ -99,75 +99,6 @@ type Config struct {
 	Rebuilder Rebuilder
 }
 
-// Stats exposes server counters.
-type Stats struct {
-	Connections uint64 `json:"connections"`
-	Requests    uint64 `json:"requests"`
-	Errors      uint64 `json:"errors"`
-	// Cache carries the assessment-cache counters; all-zero when caching
-	// is disabled.
-	Cache assesscache.Stats `json:"cache"`
-	// PerType carries per-request-type counts, error counts, and latency
-	// quantiles from the service-layer metrics.
-	PerType service.Snapshot `json:"per_type,omitempty"`
-	// Incremental carries the incremental assessment engine's counters;
-	// Enabled is false and the rest zero when the engine is off.
-	Incremental IncrementalStats `json:"incremental"`
-	// BatchItems counts the individual servers assessed via assess.batch
-	// requests (per-request counts live in PerType). Items served from an
-	// accumulator or the cache also count towards the Incremental / Cache
-	// stats, same as single assess requests.
-	BatchItems uint64 `json:"batch_items"`
-	// SubmitBatches counts submit.batch requests served locally,
-	// SubmitBatchItems the records they carried, and SubmitBatchRejects the
-	// items that failed their slot (invalid records above all). The ledger's
-	// group-commit counters (coalesced flushes, group-size quantiles) live
-	// in the persistence stats, not here.
-	SubmitBatches      uint64 `json:"submit_batches"`
-	SubmitBatchItems   uint64 `json:"submit_batch_items"`
-	SubmitBatchRejects uint64 `json:"submit_batch_rejects"`
-	// Cluster carries the cluster-routing counters (forwarded calls,
-	// transport failures, per-peer RTTs); Enabled is false and the rest zero
-	// on a non-clustered node.
-	Cluster service.ClusterStats `json:"cluster"`
-	// Lifecycle carries the resident/evicted state lifecycle counters;
-	// Enabled is false and the rest zero without a memory budget.
-	Lifecycle LifecycleStats `json:"lifecycle"`
-}
-
-// LifecycleStats exposes the memory-budget lifecycle counters: the store's
-// resident/evicted accounting plus the serving layer's fault-in activity.
-type LifecycleStats struct {
-	// Enabled reports whether fault-in is wired (Config.Rebuilder set).
-	Enabled bool `json:"enabled"`
-	store.LifecycleStats
-	// FaultIns counts rebuilds this server led to completion.
-	FaultIns uint64 `json:"fault_ins"`
-	// FaultWaits counts requests that waited on another request's rebuild
-	// of the same server instead of running their own.
-	FaultWaits uint64 `json:"fault_waits"`
-	// FaultErrors counts rebuilds that failed.
-	FaultErrors uint64 `json:"fault_errors"`
-}
-
-// IncrementalStats exposes the incremental assessment engine's counters.
-type IncrementalStats struct {
-	// Enabled reports whether the engine is on.
-	Enabled bool `json:"enabled"`
-	// ServersTracked counts servers currently carrying a live accumulator.
-	ServersTracked int `json:"servers_tracked"`
-	// Served counts assess requests answered from an accumulator.
-	Served uint64 `json:"served"`
-	// Fallbacks counts assess requests for known servers that the engine
-	// could not answer and the batch path (cache or recompute) served
-	// instead while the engine was enabled.
-	Fallbacks uint64 `json:"fallbacks"`
-	// MemoStats describes the PMF memo all accumulators share (memo_bytes,
-	// memo_entries, memo_rotations). No server's accounted size includes it;
-	// under a memory budget it is charged once, as lifecycle.shared_bytes.
-	behavior.MemoStats
-}
-
 // conn wraps one accepted connection with its drain state: Close shuts an
 // idle connection immediately but lets a busy one finish its in-flight
 // request first (the handle loop notices closing on the next idle
@@ -196,7 +127,8 @@ type Server struct {
 	cache    *assesscache.Cache // nil when AssessCacheSize is zero
 
 	pipeline service.Handler // registry dispatch wrapped in interceptors
-	metrics  *service.Metrics
+	perType  *service.Metrics
+	reg      *metrics.Registry // the node's one registry, rendered on /metricz
 
 	baseCtx context.Context // cancelled to abort in-flight handlers
 	cancel  context.CancelFunc
@@ -228,6 +160,12 @@ type Server struct {
 	faultMu   sync.Mutex
 	faultWait map[string]chan struct{}
 
+	// Counters registered in reg (see registerMetrics). nFallback counts
+	// assesses of known servers the engine, while on, left to the cache or a
+	// recompute; nBatchItems the servers assess.batch frames named; the
+	// nSub* counters submit.batch frames served locally, their records and
+	// the items that failed their slot; nFaultWaits requests that waited on
+	// another request's rebuild of the same server.
 	nConns       atomic.Uint64
 	nRequests    atomic.Uint64
 	nErrors      atomic.Uint64
@@ -272,13 +210,15 @@ func New(addr string, cfg Config) (*Server, error) {
 		cfg:      cfg,
 		listener: ln,
 		conns:    make(map[*conn]struct{}),
-		metrics:  service.NewMetrics(),
+		perType:  service.NewMetrics(),
+		reg:      metrics.New(),
 		baseCtx:  ctx,
 		cancel:   cancel,
 	}
 	if cfg.AssessCacheSize > 0 {
 		srv.cache = assesscache.New(cfg.AssessCacheSize)
 	}
+	srv.registerMetrics()
 	if cfg.Incremental {
 		assessor := cfg.Assessor
 		cfg.Store.SetAccumulatorFactory(func(server feedback.EntityID) store.Accumulator {
@@ -309,6 +249,7 @@ func New(addr string, cfg Config) (*Server, error) {
 // the local replica set.
 func (s *Server) SetCluster(cl *cluster.Cluster) {
 	s.clusterRef.Store(cl)
+	cl.RegisterMetrics(s.reg)
 	s.sumMu.Lock()
 	s.sums = nil // scoped to the previous ownership
 	s.sumMu.Unlock()
@@ -363,7 +304,7 @@ func (s *Server) buildPipeline() service.Handler {
 	}
 	return service.Chain(dispatch,
 		service.Recover(s.logf),
-		service.WithMetrics(s.metrics),
+		service.WithMetrics(s.perType),
 		service.SlowLog(s.logf, s.cfg.SlowLogThreshold),
 		service.Deadline(s.cfg.RequestTimeout),
 	)
@@ -375,40 +316,53 @@ func (s *Server) Addr() string { return s.listener.Addr().String() }
 // Store returns the backing feedback store.
 func (s *Server) Store() *store.Store { return s.cfg.Store }
 
-// Stats returns a snapshot of the server counters.
-func (s *Server) Stats() Stats {
-	st := Stats{
-		Connections: s.nConns.Load(),
-		Requests:    s.nRequests.Load(),
-		Errors:      s.nErrors.Load(),
-		PerType:     s.metrics.Snapshot(),
-		BatchItems:  s.nBatchItems.Load(),
+// Metrics returns the node's registry: the server's counters, its store's
+// lifecycle gauges and the attached cluster's block, plus whatever other
+// layers (a ledger.PersistentStore) register into it. Rendered, it is the
+// document /metricz serves.
+func (s *Server) Metrics() *metrics.Registry { return s.reg }
 
-		SubmitBatches:      s.nSubBatches.Load(),
-		SubmitBatchItems:   s.nSubItems.Load(),
-		SubmitBatchRejects: s.nSubRejects.Load(),
-	}
-	if s.cache != nil {
-		st.Cache = s.cache.Stats()
-	}
-	st.Incremental = IncrementalStats{
-		Enabled:        s.cfg.Incremental,
-		ServersTracked: s.cfg.Store.AccumulatorsTracked(),
-		Served:         s.nIncremental.Load(),
-		Fallbacks:      s.nFallback.Load(),
-		MemoStats:      s.cfg.Assessor.MemoStats(),
-	}
-	if cl := s.clusterRef.Load(); cl != nil {
-		st.Cluster = cl.Stats()
-	}
-	st.Lifecycle = LifecycleStats{
-		Enabled:        s.cfg.Rebuilder != nil,
-		LifecycleStats: s.cfg.Store.Lifecycle(),
-		FaultIns:       s.nFaultIns.Load(),
-		FaultWaits:     s.nFaultWaits.Load(),
-		FaultErrors:    s.nFaultErrors.Load(),
-	}
-	return st
+// registerMetrics declares the server's keys, then the store's and the
+// (not yet attached) cluster's blocks.
+func (s *Server) registerMetrics() {
+	reg := s.reg
+	reg.Counter("connections", &s.nConns)
+	reg.Counter("requests", &s.nRequests)
+	reg.Counter("errors", &s.nErrors)
+	reg.Gauge("per_type", func() any {
+		if snap := s.perType.Snapshot(); len(snap) > 0 {
+			return snap
+		}
+		return nil
+	})
+	reg.Gauge("cache", func() any {
+		if s.cache == nil {
+			return assesscache.Stats{} // caching disabled: every counter zero
+		}
+		return s.cache.Stats()
+	})
+	reg.Counter("batch_items", &s.nBatchItems)
+	reg.Counter("submit_batches", &s.nSubBatches)
+	reg.Counter("submit_batch_items", &s.nSubItems)
+	reg.Counter("submit_batch_rejects", &s.nSubRejects)
+
+	reg.Gauge("incremental.enabled", func() any { return s.cfg.Incremental })
+	reg.Gauge("incremental.servers_tracked", func() any { return s.cfg.Store.AccumulatorsTracked() })
+	reg.Counter("incremental.served", &s.nIncremental)
+	reg.Counter("incremental.fallbacks", &s.nFallback)
+	// The PMF memo all accumulators share. No server's accounted size
+	// includes it; under a memory budget it is charged once, as
+	// lifecycle.shared_bytes.
+	reg.Gauge("incremental.memo_bytes", func() any { return s.cfg.Assessor.MemoStats().Bytes })
+	reg.Gauge("incremental.memo_entries", func() any { return s.cfg.Assessor.MemoStats().Entries })
+	reg.Gauge("incremental.memo_rotations", func() any { return s.cfg.Assessor.MemoStats().Rotations })
+
+	reg.Gauge("lifecycle.enabled", func() any { return s.cfg.Rebuilder != nil })
+	reg.Counter("lifecycle.fault_ins", &s.nFaultIns)
+	reg.Counter("lifecycle.fault_waits", &s.nFaultWaits)
+	reg.Counter("lifecycle.fault_errors", &s.nFaultErrors)
+	s.cfg.Store.RegisterMetrics(reg)
+	s.Cluster().RegisterMetrics(reg)
 }
 
 // Serve accepts connections until Close is called. It returns nil after a

@@ -142,29 +142,6 @@ func (m *Metrics) Snapshot() Snapshot {
 	return out
 }
 
-// ClusterStats is the cluster-routing slice of a node's observability
-// surface, exported through repserver.Stats and the /metricz endpoint. A
-// non-clustered node reports the zero value (Enabled=false).
-type ClusterStats struct {
-	// Enabled reports that the node runs with cluster routing.
-	Enabled bool `json:"enabled"`
-	// Node is the local node ID.
-	Node string `json:"node,omitempty"`
-	// Replicas is the configured replication factor.
-	Replicas int `json:"replicas,omitempty"`
-	// Forwarded counts requests this node routed to a peer (batch subsets,
-	// single submits and assesses as batches of one, failover retries, and
-	// replication writes).
-	Forwarded uint64 `json:"forwarded"`
-	// ForwardErrors counts forwarded calls that failed at the transport
-	// level (unreachable peer, broken connection) — not typed per-request
-	// errors relayed from the peer.
-	ForwardErrors uint64 `json:"forward_errors"`
-	// PeerRTTMs is the last measured round trip to each peer in
-	// milliseconds, keyed by node ID; peers never dialed are absent.
-	PeerRTTMs map[string]float64 `json:"peer_rtt_ms,omitempty"`
-}
-
 // quantile estimates the q-quantile (0 < q < 1) in milliseconds from the
 // bucket counts.
 func quantile(counts [numBuckets]uint64, total uint64, q float64) float64 {

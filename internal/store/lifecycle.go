@@ -26,6 +26,7 @@ import (
 	"sort"
 
 	"honestplayer/internal/feedback"
+	"honestplayer/internal/metrics"
 )
 
 // ErrEvicted reports an operation against a server whose resident state was
@@ -109,32 +110,27 @@ func DecodeStub(buf []byte) (Stub, int, error) {
 	return s, off, nil
 }
 
-// LifecycleStats is the governor's view of the store for /metricz and
-// mem-status: how many servers are resident vs evicted, the accounted
-// resident bytes and the shared (not per-server) bytes that together count
-// against the budget (0 = unlimited), and the cumulative eviction/reinstate
-// counters.
-type LifecycleStats struct {
-	Resident      int    `json:"resident"`
-	Evicted       int    `json:"evicted"`
-	ResidentBytes int64  `json:"resident_bytes"`
-	SharedBytes   int64  `json:"shared_bytes"`
-	BudgetBytes   int64  `json:"budget_bytes"`
-	Evictions     uint64 `json:"evictions"`
-	Reinstates    uint64 `json:"reinstates"`
-}
-
-// Lifecycle returns the current governor counters.
-func (s *Store) Lifecycle() LifecycleStats {
-	return LifecycleStats{
-		Resident:      int(s.residentCount.Load()),
-		Evicted:       int(s.evictedCount.Load()),
-		ResidentBytes: s.residentBytes.Load(),
-		SharedBytes:   s.sharedBytes(),
-		BudgetBytes:   s.budget.Load(),
-		Evictions:     s.evictions.Load(),
-		Reinstates:    s.reinstates.Load(),
-	}
+// RegisterMetrics declares the governor's part of the lifecycle block in reg
+// — resident and evicted servers, the resident and shared bytes that count
+// against the budget (0 = unlimited), evictions and reinstates — and, under a
+// budget, top_resident, the ten largest resident servers.
+func (s *Store) RegisterMetrics(reg *metrics.Registry) {
+	reg.Gauge("lifecycle.resident", func() any { return s.residentCount.Load() })
+	reg.Gauge("lifecycle.evicted", func() any { return s.evictedCount.Load() })
+	reg.Gauge("lifecycle.resident_bytes", func() any { return s.residentBytes.Load() })
+	reg.Gauge("lifecycle.shared_bytes", func() any { return s.sharedBytes() })
+	reg.Gauge("lifecycle.budget_bytes", func() any { return s.budget.Load() })
+	reg.Counter("lifecycle.evictions", &s.evictions)
+	reg.Counter("lifecycle.reinstates", &s.reinstates)
+	reg.Gauge("top_resident", func() any {
+		if s.budget.Load() <= 0 {
+			return nil
+		}
+		if top := s.TopResident(10); len(top) > 0 {
+			return top
+		}
+		return nil
+	})
 }
 
 // ResidentBytes returns the accounted footprint of all resident server state.

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"honestplayer/internal/feedback"
+	"honestplayer/internal/metrics"
 )
 
 // fillServer adds n records for server s and returns them in store order.
@@ -54,9 +55,9 @@ func TestEvictReinstateRoundTrip(t *testing.T) {
 	if st.ResidentBytes() >= wantBytes {
 		t.Fatalf("resident bytes %d not reduced from %d by eviction", st.ResidentBytes(), wantBytes)
 	}
-	life := st.Lifecycle()
-	if life.Resident != 0 || life.Evicted != 1 || life.Evictions != 1 {
-		t.Fatalf("lifecycle after evict = %+v", life)
+	life := lifecycle(st)
+	if life["resident"] != 0 || life["evicted"] != 1 || life["evictions"] != 1 {
+		t.Fatalf("lifecycle after evict = %v", life)
 	}
 
 	if err := st.ReinstateServer(histOf(t, "srv", recs), nil); err != nil {
@@ -77,8 +78,8 @@ func TestEvictReinstateRoundTrip(t *testing.T) {
 	if ok, err := st.Add(rec("srv", "c9", true, 99)); err != nil || !ok {
 		t.Fatalf("new add after reinstate = (%v, %v)", ok, err)
 	}
-	if life := st.Lifecycle(); life.Reinstates != 1 || life.Evicted != 0 {
-		t.Fatalf("lifecycle after reinstate = %+v", life)
+	if life := lifecycle(st); life["reinstates"] != 1 || life["evicted"] != 0 {
+		t.Fatalf("lifecycle after reinstate = %v", life)
 	}
 }
 
@@ -120,9 +121,9 @@ func TestBudgetEnforced(t *testing.T) {
 	if got := st.ResidentBytes(); got > budget {
 		t.Fatalf("SetBudget did not trim: resident %d > budget %d", got, budget)
 	}
-	life := st.Lifecycle()
-	if life.Evicted == 0 || life.Resident+life.Evicted != 64 {
-		t.Fatalf("lifecycle after trim = %+v", life)
+	life := lifecycle(st)
+	if life["evicted"] == 0 || life["resident"]+life["evicted"] != 64 {
+		t.Fatalf("lifecycle after trim = %v", life)
 	}
 	// New writes to resident servers keep the store under budget via the
 	// synchronous sweep.
@@ -137,8 +138,8 @@ func TestBudgetEnforced(t *testing.T) {
 			t.Fatalf("write pushed store over budget: %d > %d", got, budget)
 		}
 	}
-	if len(st.Stubs()) != st.Lifecycle().Evicted {
-		t.Fatalf("Stubs() length %d != evicted count %d", len(st.Stubs()), st.Lifecycle().Evicted)
+	if evicted := lifecycle(st)["evicted"]; int64(len(st.Stubs())) != evicted {
+		t.Fatalf("Stubs() length %d != evicted count %d", len(st.Stubs()), evicted)
 	}
 }
 
@@ -154,19 +155,19 @@ func TestBudgetChargesSharedBytes(t *testing.T) {
 	var shared atomic.Int64
 	st.SetSharedBytes(shared.Load)
 	st.SetBudget(budget)
-	if life := st.Lifecycle(); life.Evicted != 0 || life.SharedBytes != 0 {
-		t.Fatalf("nothing shared yet, lifecycle = %+v", life)
+	if life := lifecycle(st); life["evicted"] != 0 || life["shared_bytes"] != 0 {
+		t.Fatalf("nothing shared yet, lifecycle = %v", life)
 	}
 	shared.Store(budget / 2)
-	for i := 0; st.Lifecycle().Evicted == 0 && i < 64; i++ {
+	for i := 0; lifecycle(st)["evicted"] == 0 && i < 64; i++ {
 		id := feedback.EntityID(fmt.Sprintf("s%02d", i))
 		if _, err := st.Add(rec(id, "cx", true, 1000+int64(i))); err != nil && !errors.Is(err, ErrEvicted) {
 			t.Fatalf("add: %v", err)
 		}
 	}
-	life := st.Lifecycle()
-	if life.SharedBytes != budget/2 || life.Evicted == 0 || life.ResidentBytes+life.SharedBytes > budget {
-		t.Fatalf("resident + shared over budget %d, lifecycle = %+v", budget, life)
+	life := lifecycle(st)
+	if life["shared_bytes"] != budget/2 || life["evicted"] == 0 || life["resident_bytes"]+life["shared_bytes"] > budget {
+		t.Fatalf("resident + shared over budget %d, lifecycle = %v", budget, life)
 	}
 }
 
@@ -311,4 +312,20 @@ func FuzzStubDecode(f *testing.F) {
 			t.Fatalf("round trip: %+v (%d bytes) vs %+v (%d of %d)", s, len(enc), s2, n2, len(enc))
 		}
 	})
+}
+
+// lifecycle reads the store's lifecycle gauges, as /metricz serves them.
+func lifecycle(st *Store) map[string]int64 {
+	reg := metrics.New()
+	st.RegisterMetrics(reg)
+	life := map[string]int64{}
+	for _, k := range []string{"resident", "evicted", "resident_bytes", "shared_bytes", "budget_bytes", "evictions", "reinstates"} {
+		switch v := reg.Value("lifecycle." + k).(type) {
+		case int64:
+			life[k] = v
+		case uint64:
+			life[k] = int64(v)
+		}
+	}
+	return life
 }

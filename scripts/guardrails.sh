@@ -26,6 +26,8 @@
 #     kernels get cheaper per uniform, never by a second copy of the stream
 #   - one read path on a cluster (ADR 0010): no fan-out, digest-verify or
 #     merge; fwd.* is batch-only
+#   - one metrics registry (ADR 0013): each layer registers its own /metricz
+#     keys; no stitched Stats structs, no wrapper or mirror of the document
 #   - per-package non-test line budget (scripts/loc-budget.txt): a package
 #     grows only in a diff that raises its line
 #
@@ -191,6 +193,26 @@ check "wire type fwd.assess stays deleted (ADR 0010)" "absent '\"fwd\.assess\"'"
 check "fwd.* is batch-only: FwdBatchRequest and FwdAssessBatchRequest (ADR 0010)" \
     "[ \"\$(sources internal/wire | xargs grep -ohE '^type Fwd\w*Request\b' | sort | tr '\n' ' ')\" = \
        'type FwdAssessBatchRequest type FwdBatchRequest ' ]"
+
+# --- one metrics registry (ADR 0013) ------------------------------------------
+# Each layer registers its own /metricz keys into internal/metrics; no layer
+# copies counters into a JSON-tagged Stats struct, and neither trustd nor
+# trustctl declares the document's blocks a second time.
+for sym in ClusterStats GroupCommitStats LifecycleStats IncrementalStats; do
+    check "$sym stays deleted (ADR 0013)" "absent '\b$sym\b'"
+done
+check "Server.Stats and PersistentStore.Stats stay deleted (ADR 0013)" \
+    "absent 'func \((s \*Server|ps \*PersistentStore)\) Stats\('"
+check "no anonymous struct around the /metricz document in cmd/trustd (ADR 0013)" \
+    "absent '^\s+(repserver|ledger|store)\.[A-Z]\w*\s*$|json:\"(ledger|top_resident)' cmd/trustd"
+check "no mirror of a /metricz block in cmd/trustctl (ADR 0013)" \
+    "absent 'json:\"(lifecycle|fault_ins|snapshot_seq|top_resident)' cmd/trustctl"
+check "internal/metrics imports no honestplayer package (ADR 0013)" \
+    "absent '\"honestplayer/' internal/metrics"
+for pkg in stats feedback trust behavior core; do
+    check "internal/$pkg does not import internal/metrics (ADR 0013)" \
+        "absent '\"honestplayer/internal/metrics\"' internal/$pkg"
+done
 
 # --- per-package LOC ratchet --------------------------------------------------
 # Each package's non-test lines (as sources counts them) must stay at or below
