@@ -526,9 +526,9 @@ func ledgerInfo(args []string, out io.Writer) error {
 	}
 	fmt.Fprintf(out, "  segments: %d (%d sealed, %d bytes sealed, %d bytes unsealed)\n",
 		len(info.Segments), sealed, sealedBytes, activeBytes)
-	if old := formats["v1"] + formats["json"]; old > 0 {
-		fmt.Fprintf(out, "  formats: %d v2, %d v1, %d json (older formats are read, never written)\n",
-			formats["v2"], formats["v1"], formats["json"])
+	if old := formats["v2"] + formats["v1"] + formats["json"]; old > 0 {
+		fmt.Fprintf(out, "  formats: %d v3, %d v2, %d v1, %d json (older formats are read, never written)\n",
+			formats["v3"], formats["v2"], formats["v1"], formats["json"])
 	}
 	fmt.Fprintf(out, "  records: %d verified\n", info.Records)
 	if info.TruncatedBytes > 0 {

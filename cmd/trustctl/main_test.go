@@ -325,8 +325,8 @@ func TestLedgerInfo(t *testing.T) {
 		t.Fatal(err)
 	}
 	text := out.String()
-	for _, want := range []string{"segmented ledger", "records: 20 verified", "all segments verify", "snapshots: 1", "snapshot 1: version 2, valid", "section bytes each",
-		"segment 000001: v2 sealed", "20 records in 20 blocks ("} {
+	for _, want := range []string{"segmented ledger", "records: 20 verified", "all segments verify", "snapshots: 1", "snapshot 1: version 3, valid", "section bytes each",
+		"segment 000001: v3 sealed", "20 records in 20 blocks ("} {
 		if !strings.Contains(text, want) {
 			t.Fatalf("output missing %q:\n%s", want, text)
 		}
@@ -343,11 +343,11 @@ func TestLedgerInfo(t *testing.T) {
 	if info.Records != 20 || len(info.Snapshots) != 1 || !info.Snapshots[0].Valid {
 		t.Fatalf("json info: %+v", info)
 	}
-	if seg := info.Segments[0]; seg.Format != "v2" || seg.Blocks != 20 || seg.BytesPerRecord <= 0 {
+	if seg := info.Segments[0]; seg.Format != "v3" || seg.Blocks != 20 || seg.BytesPerRecord <= 0 {
 		t.Fatalf("json segment info: %+v", seg)
 	}
 	if strings.Contains(text, "formats:") {
-		t.Fatalf("a directory of v2 segments reports a format mix:\n%s", text)
+		t.Fatalf("a directory of v3 segments reports a format mix:\n%s", text)
 	}
 
 	if err := run([]string{"ledger-info"}, &out); err == nil {
@@ -355,8 +355,8 @@ func TestLedgerInfo(t *testing.T) {
 	}
 }
 
-// TestLedgerInfoMixedFormats: after an upgrade a directory holds segments
-// the previous revision wrote beside this one's, and ledger-info says so.
+// TestLedgerInfoMixedFormats: after upgrades a directory holds segments the
+// previous revisions wrote beside this one's, and ledger-info says so.
 func TestLedgerInfoMixedFormats(t *testing.T) {
 	dir := filepath.Join(t.TempDir(), "led")
 	if err := os.Mkdir(dir, 0o755); err != nil {
@@ -377,6 +377,25 @@ func TestLedgerInfoMixedFormats(t *testing.T) {
 	if err != nil || len(recs) != 1 {
 		t.Fatalf("open: %d records, %v", len(recs), err)
 	}
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	// A v2 segment takes the place of the empty tail: one block whose times
+	// carry no scale.
+	f.Time = f.Time.Add(time.Second)
+	block, err := feedback.AppendBatch(nil, []feedback.Feedback{f}, &feedback.BatchDicts{Unscaled: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	seg = append([]byte{0xB5, 'H', 'P', 'S', 'E', 'G', '2', 0x00}, byte(len(block)))
+	seg = binary.LittleEndian.AppendUint32(append(seg, block...), crc32.Checksum(block, crc32.MakeTable(crc32.Castagnoli)))
+	if err := os.WriteFile(filepath.Join(dir, "ledger.000002"), seg, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	l, recs, err = ledger.Open(dir)
+	if err != nil || len(recs) != 2 {
+		t.Fatalf("reopen: %d records, %v", len(recs), err)
+	}
 	f.Time = f.Time.Add(time.Second)
 	if err := l.Append(f); err != nil {
 		t.Fatal(err)
@@ -388,8 +407,8 @@ func TestLedgerInfoMixedFormats(t *testing.T) {
 	if err := run([]string{"ledger-info", "-path", dir, "-v"}, &out); err != nil {
 		t.Fatal(err)
 	}
-	for _, want := range []string{"formats: 1 v2, 1 v1, 0 json", "records: 2 verified", "all segments verify",
-		"segment 000001: v1 sealed", "segment 000002: v2 active"} {
+	for _, want := range []string{"formats: 1 v3, 1 v2, 1 v1, 0 json", "records: 3 verified", "all segments verify",
+		"segment 000001: v1 sealed", "segment 000002: v2 sealed", "segment 000003: v3 active"} {
 		if !strings.Contains(out.String(), want) {
 			t.Fatalf("output missing %q:\n%s", want, out.String())
 		}

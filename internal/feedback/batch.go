@@ -13,8 +13,8 @@ import (
 // order. Integers are uvarints in their shortest form:
 //
 //	count    records
-//	times    count × zig-zag varint: the first time in unix nanoseconds,
-//	         then each record's difference from the one before
+//	times    the time column (times.go): the first time, the greatest
+//	         common divisor of the differences, each difference over it
 //	servers  count × id reference into the server dictionary
 //	clients  count × id reference into the client dictionary
 //	good     ⌈count/8⌉ bytes, bit i%8 of byte i/8 set when record i is
@@ -37,10 +37,15 @@ import (
 const MaxBatchDict = 1 << 16
 
 // BatchDicts is the state a run of batches shares: the server and client ids
-// seen so far in the container. The zero value is the empty state a container
-// starts in.
+// seen so far in the container, and the container's time layout. The zero
+// value is the empty state a container starts in.
 type BatchDicts struct {
 	servers, clients batchDict
+	nanos            []int64 // scratch: the time column of the batch at hand
+	// Unscaled selects the time column without a scale that ledger segment
+	// v2 holds (ADR 0014), for both encoding and decoding. Nothing writes
+	// such a container any more; a reader sets it to replay one.
+	Unscaled bool
 }
 
 // Len reports how many server and client ids the dictionaries hold.
@@ -55,11 +60,27 @@ func (d *BatchDicts) Len() (servers, clients int) {
 func (d *BatchDicts) Reset() {
 	d.servers.reset()
 	d.clients.reset()
+	d.Unscaled = false
 }
 
 // maxKeptDict is the dictionary size above which Reset frees instead of
 // clearing: clearing a map costs its capacity, not its length.
 const maxKeptDict = 1024
+
+// maxKeptTimes is the largest batch whose time column the scratch holds; a
+// larger one gets a column of its own, so that it pins nothing.
+const maxKeptTimes = 4096
+
+// times returns a column for the n times of a batch.
+func (d *BatchDicts) times(n int) []int64 {
+	if n > maxKeptTimes {
+		return make([]int64, n)
+	}
+	if cap(d.nanos) < n {
+		d.nanos = make([]int64, max(n, 64))
+	}
+	return d.nanos[:n]
+}
 
 // batchDict is one column's dictionary: ids in slot order and their index.
 type batchDict struct {
@@ -110,6 +131,9 @@ func (d *batchDict) appendRef(buf []byte, id EntityID) []byte {
 // ref decodes one id reference. A slot's id is the dictionary's own string,
 // so only an introduced id allocates.
 func (d *batchDict) ref(buf []byte) (EntityID, []byte, error) {
+	if len(buf) > 0 && buf[0] < 0x80 && int(buf[0]) < len(d.ids) { // a one-byte slot
+		return d.ids[buf[0]], buf[1:], nil
+	}
 	v, buf, err := columnUvarint(buf)
 	if err != nil {
 		return "", nil, err
@@ -138,6 +162,7 @@ func (d *batchDict) ref(buf []byte) (EntityID, []byte, error) {
 // extending d. Every record is validated before anything is written, so a
 // refused batch leaves d as it was.
 func AppendBatch(buf []byte, recs []Feedback, d *BatchDicts) ([]byte, error) {
+	ts := d.times(len(recs))
 	for i := range recs {
 		if err := recs[i].Validate(); err != nil {
 			return nil, fmt.Errorf("record %d: %w", i, err)
@@ -145,14 +170,10 @@ func AppendBatch(buf []byte, recs []Feedback, d *BatchDicts) ([]byte, error) {
 		if len(recs[i].Server) > maxEntityLen || len(recs[i].Client) > maxEntityLen {
 			return nil, fmt.Errorf("record %d: %w: entity id above %d bytes", i, ErrRecordTooLarge, maxEntityLen)
 		}
+		ts[i] = recs[i].Time.UnixNano()
 	}
 	buf = binary.AppendUvarint(buf, uint64(len(recs)))
-	var prev int64
-	for i := range recs {
-		t := recs[i].Time.UnixNano()
-		buf = binary.AppendVarint(buf, t-prev) // wraps, as decoding does
-		prev = t
-	}
+	buf = appendTimes(buf, ts, !d.Unscaled)
 	for i := range recs {
 		buf = d.servers.appendRef(buf, recs[i].Server)
 	}
@@ -197,14 +218,12 @@ func decodeBatch(buf []byte, d *BatchDicts, dst []Feedback) ([]Feedback, error) 
 	n := int(count)
 	dst = slices.Grow(dst, n)
 	recs := dst[len(dst) : len(dst)+n]
-	var prev int64
+	ts := d.times(n)
+	if buf, err = decodeTimes(buf, ts, !d.Unscaled); err != nil {
+		return nil, err
+	}
 	for i := range recs {
-		var zz uint64
-		if zz, buf, err = columnUvarint(buf); err != nil {
-			return nil, err
-		}
-		prev += int64(zz>>1) ^ -int64(zz&1) // undoes AppendVarint's zig-zag
-		recs[i].Time = time.Unix(0, prev).UTC()
+		recs[i].Time = time.Unix(0, ts[i]).UTC()
 	}
 	for i := range recs {
 		if recs[i].Server, buf, err = d.servers.ref(buf); err != nil {

@@ -279,3 +279,140 @@ func BenchmarkBatchCodec(b *testing.B) {
 		return dst
 	})
 }
+
+// nsJitter is n times a second apart, each off its second by a scrambled
+// part of a millisecond: a scale of 1.
+func nsJitter(n int) []int64 {
+	times := make([]int64, n)
+	for i := range times {
+		times[i] = 1_700_000_000e9 + int64(i)*1e9 + int64(uint64(i)*0x9E3779B97F4A7C15>>44)
+	}
+	return times
+}
+
+// stampsOf is n times as the benchmarks below stamp them: "seconds" whole
+// seconds apart, a few steps backwards among them, as every generator here
+// writes; "ns-jitter" at nanosecond precision, a scale of 1.
+func stampsOf(kind string, n int) []int64 {
+	if kind == "ns-jitter" {
+		return nsJitter(n)
+	}
+	times := make([]int64, n)
+	for i := range times {
+		times[i] = (1_700_000_000 + int64(i+i*7%10)) * 1e9
+	}
+	return times
+}
+
+// perRecord reports the benchmark's time over the records it handled.
+func perRecord(b *testing.B, records int) {
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*records), "ns/record")
+}
+
+// codecBatches is the records of 64 64-record batches at the given stamps:
+// servers and clients from pools of 512 and 100, as ingest_durable's frames.
+func codecBatches(kind string) [][]Feedback {
+	const perBatch, batches = 64, 64
+	times := stampsOf(kind, perBatch*batches)
+	recs := make([]Feedback, len(times))
+	for i := range recs {
+		recs[i] = Feedback{
+			Time:   time.Unix(0, times[i]).UTC(),
+			Server: EntityID(fmt.Sprintf("srv-%d", (i*67+i/perBatch)%512)),
+			Client: EntityID(fmt.Sprintf("cli-%d", i*31%100)),
+			Rating: Rating(1 + i%2),
+		}
+	}
+	var out [][]Feedback
+	for len(recs) > 0 {
+		out, recs = append(out, recs[:perBatch]), recs[perBatch:]
+	}
+	return out
+}
+
+// BenchmarkAppendBatch encodes 64-record batches into warm dictionaries, a
+// long segment's steady state, where the time column is the largest cost
+// left. Together with BenchmarkDecodeBatch and BenchmarkHistoryColumns it is
+// the guard on the gcd pass: ns/record at ns-jitter stamps, whose scale is 1.
+func BenchmarkAppendBatch(b *testing.B) {
+	for _, kind := range []string{"seconds", "ns-jitter"} {
+		b.Run(kind, func(b *testing.B) {
+			batches := codecBatches(kind)
+			var d BatchDicts
+			var buf []byte
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				for _, batch := range batches {
+					var err error
+					if buf, err = AppendBatch(buf[:0], batch, &d); err != nil {
+						b.Fatal(err)
+					}
+				}
+			}
+			perRecord(b, 64*len(batches))
+		})
+	}
+}
+
+// BenchmarkDecodeBatch decodes the batches BenchmarkAppendBatch writes,
+// against warm dictionaries, into a reused slice.
+func BenchmarkDecodeBatch(b *testing.B) {
+	for _, kind := range []string{"seconds", "ns-jitter"} {
+		b.Run(kind, func(b *testing.B) {
+			var enc, dec BatchDicts
+			var encoded [][]byte
+			for round := 0; round < 2; round++ { // the second round's ids are all slots
+				encoded = encoded[:0]
+				for _, batch := range codecBatches(kind) {
+					buf, err := AppendBatch(nil, batch, &enc)
+					if err != nil {
+						b.Fatal(err)
+					}
+					if _, err := DecodeBatch(buf, &dec, nil); err != nil {
+						b.Fatal(err)
+					}
+					encoded = append(encoded, buf)
+				}
+			}
+			dst := make([]Feedback, 0, 64)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				for _, buf := range encoded {
+					var err error
+					if dst, err = DecodeBatch(buf, &dec, dst[:0]); err != nil {
+						b.Fatal(err)
+					}
+				}
+			}
+			perRecord(b, 64*len(encoded))
+		})
+	}
+}
+
+// BenchmarkHistoryColumns writes and reads back a snapshot section: one
+// 1100-record history of a 100-client pool.
+func BenchmarkHistoryColumns(b *testing.B) {
+	for _, kind := range []string{"seconds", "ns-jitter"} {
+		b.Run(kind, func(b *testing.B) {
+			h := NewHistory("server")
+			for i, t := range stampsOf(kind, 1100) {
+				if err := h.AppendOutcome(EntityID(fmt.Sprintf("cli-%d", i*31%100)), i%10 != 0, time.Unix(0, t)); err != nil {
+					b.Fatal(err)
+				}
+			}
+			var buf []byte
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				buf = h.AppendColumns(buf[:0])
+				if _, _, err := DecodeColumns("server", buf); err != nil {
+					b.Fatal(err)
+				}
+			}
+			perRecord(b, h.Len())
+			b.ReportMetric(float64(len(buf))/float64(h.Len()), "B/record")
+		})
+	}
+}

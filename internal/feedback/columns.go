@@ -15,8 +15,8 @@ import (
 //	count     records
 //	nclients  dictionary entries
 //	clients   nclients × (length, bytes), in slot order
-//	times     count × zig-zag varint: the first time in unix nanoseconds,
-//	          then each record's difference from the one before
+//	times     the time column (times.go): the first time, the greatest
+//	          common divisor of the differences, each difference over it
 //	slots     count × dictionary slot
 //	good      ⌈count/8⌉ bytes, bit i%8 of byte i/8 set when record i is
 //	          positive — ratings are binary; padding bits are zero
@@ -36,11 +36,7 @@ func (h *History) AppendColumns(buf []byte) []byte {
 		buf = binary.AppendUvarint(buf, uint64(len(c)))
 		buf = append(buf, c...)
 	}
-	var prev int64
-	for _, t := range h.nanos {
-		buf = binary.AppendVarint(buf, t-prev) // wraps, as decoding does
-		prev = t
-	}
+	buf = appendTimes(buf, h.nanos, true)
 	for i := range h.nanos {
 		buf = binary.AppendUvarint(buf, uint64(h.slot(i)))
 	}
@@ -126,18 +122,14 @@ func DecodeColumns(server EntityID, buf []byte) (*History, []byte, error) {
 	if c := h.rehash(); c != "" {
 		return nil, nil, fmt.Errorf("%w: client %q twice in the dictionary", ErrCorruptRecord, c)
 	}
-	var prev int64
-	for i := range h.nanos {
-		var zz uint64
-		if zz, buf, err = columnUvarint(buf); err != nil {
-			return nil, nil, err
-		}
-		prev += int64(zz>>1) ^ -int64(zz&1) // undoes AppendVarint's zig-zag
-		h.nanos[i] = prev
+	if buf, err = decodeTimes(buf, h.nanos, true); err != nil {
+		return nil, nil, err
 	}
 	for i := range h.nanos {
 		var slot uint64
-		if slot, buf, err = columnUvarint(buf); err != nil {
+		if len(buf) > 0 && buf[0] < 0x80 { // a one-byte slot, as most are
+			slot, buf = uint64(buf[0]), buf[1:]
+		} else if slot, buf, err = columnUvarint(buf); err != nil {
 			return nil, nil, err
 		}
 		if slot >= nclients {

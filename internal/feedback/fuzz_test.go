@@ -3,6 +3,7 @@ package feedback
 import (
 	"bytes"
 	"encoding/binary"
+	"math"
 	"testing"
 	"time"
 )
@@ -104,6 +105,23 @@ func FuzzHistoryColumns(f *testing.F) {
 	f.Add(one.AppendColumns(nil))
 	f.Add(huge.AppendColumns(nil))
 	f.Add([]byte{1, 4, 1, 'a', 1, 'b', 1, 'c', 1, 'a', 0, 0, 0})
+	// Scaled time columns: whole seconds, milliseconds and a day apart; the
+	// oldest and newest nanosecond a record may carry in one history (a
+	// difference that wraps to math.MinInt64); and columns one step from
+	// canonical — scale 0, a scale below the gcd, a scale over equal times.
+	for _, step := range []time.Duration{time.Second, time.Millisecond, 24 * time.Hour, math.MaxInt64} {
+		h := NewHistory("srv")
+		for i := 0; i < 70; i++ {
+			at := time.Unix(0, math.MinInt64+int64(step)*int64(i%3+i/7)) // wraps
+			if err := h.AppendOutcome(EntityID([]string{"x", "y"}[i%2]), i%4 != 0, at); err != nil {
+				f.Fatal(err)
+			}
+		}
+		f.Add(h.AppendColumns(nil))
+	}
+	f.Add([]byte{2, 1, 1, 'a', 2, 0, 4, 0, 0, 0})
+	f.Add([]byte{2, 1, 1, 'a', 2, 2, 8, 0, 0, 0})
+	f.Add([]byte{3, 1, 1, 'a', 2, 7, 0, 0, 0, 0, 0, 0})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		got, rest, err := DecodeColumns("srv", data)
 		if err != nil {
@@ -126,26 +144,46 @@ func FuzzHistoryColumns(f *testing.F) {
 	})
 }
 
-// FuzzRecordBatch feeds arbitrary bytes to the record-batch decoder. It must
-// never panic and must refuse a count its input cannot hold before
-// allocating for it; whatever it accepts is valid, re-encodes to exactly the
-// input from the same (empty) dictionaries, and encodes again — every id now
-// a slot — to a batch the decoder's own dictionaries read back.
+// FuzzRecordBatch feeds arbitrary bytes to the record-batch decoder, in
+// either time layout. It must never panic and must refuse a count its input
+// cannot hold before allocating for it; whatever it accepts is valid,
+// re-encodes to exactly the input from the same (empty) dictionaries, and
+// encodes again — every id now a slot — to a batch the decoder's own
+// dictionaries read back.
 func FuzzRecordBatch(f *testing.F) {
 	recs := batchOf(9, []EntityID{"srv-a", "srv-b"}, []EntityID{"a", "b", "c"})
-	valid, err := AppendBatch(nil, recs, new(BatchDicts))
-	if err != nil {
-		f.Fatal(err)
+	for _, unscaled := range []bool{false, true} {
+		valid, err := AppendBatch(nil, recs, &BatchDicts{Unscaled: unscaled})
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(unscaled, valid)
+		f.Add(unscaled, valid[:len(valid)-1])
+		f.Add(unscaled, append(append([]byte(nil), valid...), 0))
+		f.Add(unscaled, []byte{0})
+		f.Add(unscaled, binary.AppendUvarint(nil, 1<<40))                       // a hostile count
+		f.Add(unscaled, []byte{2, 2, 0, 0, 1, 's', 1, 0, 1, 'c', 0, 0})         // the second record's server is a slot past the end
+		f.Add(unscaled, []byte{2, 2, 0, 0, 1, 's', 1, 1, 's', 0, 1, 'c', 0, 0}) // an id introduced twice
+		// Scaled columns: stamps whole seconds and milliseconds apart, the
+		// extremes of the nanosecond range side by side, and the batch that
+		// names the same time twice.
+		for _, step := range []time.Duration{time.Second, time.Millisecond, math.MaxInt64, 0} {
+			spaced := append([]Feedback(nil), recs...)
+			for i := range spaced {
+				spaced[i].Time = time.Unix(0, math.MinInt64+int64(step)*int64(i%4)).UTC() // wraps
+			}
+			buf, err := AppendBatch(nil, spaced, &BatchDicts{Unscaled: unscaled})
+			if err != nil {
+				f.Fatal(err)
+			}
+			f.Add(unscaled, buf)
+		}
 	}
-	f.Add(valid)
-	f.Add(valid[:len(valid)-1])
-	f.Add(append(append([]byte(nil), valid...), 0))
-	f.Add([]byte{0})
-	f.Add(binary.AppendUvarint(nil, 1<<40))                       // a hostile count
-	f.Add([]byte{2, 2, 0, 0, 1, 's', 1, 0, 1, 'c', 0, 0})         // the second record's server is a slot past the end
-	f.Add([]byte{2, 2, 0, 0, 1, 's', 1, 1, 's', 0, 1, 'c', 0, 0}) // an id introduced twice
-	f.Fuzz(func(t *testing.T, data []byte) {
-		var dec BatchDicts
+	f.Add(false, []byte{2, 2, 0, 2, 0, 1, 's', 0, 0, 1, 'c', 0, 0})          // scale 0
+	f.Add(false, []byte{2, 2, 2, 4, 0, 1, 's', 0, 0, 1, 'c', 0, 0})          // scale 2 for a delta of 8: not the gcd
+	f.Add(false, []byte{3, 2, 5, 0, 0, 0, 1, 's', 0, 0, 0, 1, 'c', 0, 0, 0}) // scale 5 over equal times
+	f.Fuzz(func(t *testing.T, unscaled bool, data []byte) {
+		dec := BatchDicts{Unscaled: unscaled}
 		got, err := DecodeBatch(data, &dec, nil)
 		if err != nil {
 			if s, c := dec.Len(); s != 0 || c != 0 || got != nil {
@@ -161,7 +199,7 @@ func FuzzRecordBatch(f *testing.F) {
 				t.Fatalf("record %d of an accepted batch: %v", i, err)
 			}
 		}
-		var enc BatchDicts
+		enc := BatchDicts{Unscaled: unscaled}
 		re, err := AppendBatch(nil, got, &enc)
 		if err != nil {
 			t.Fatalf("accepted batch failed to re-encode: %v", err)

@@ -1,0 +1,196 @@
+package feedback
+
+import (
+	"bytes"
+	"encoding/binary"
+	"errors"
+	"fmt"
+	"math"
+	"reflect"
+	"testing"
+	"time"
+
+	"honestplayer/internal/stats"
+)
+
+// batchAround wraps a time column of n times into a whole batch: one server
+// and one client, introduced by the first record, every rating negative.
+func batchAround(n int, times []byte) []byte {
+	buf := append(binary.AppendUvarint(nil, uint64(n)), times...)
+	for range 2 {
+		buf = append(buf, 0, 1, 'x')
+		buf = append(buf, make([]byte, n-1)...)
+	}
+	return append(buf, make([]byte, (n+7)/8)...)
+}
+
+// sectionAround wraps a time column of n times into a history's column
+// encoding: one client, every rating negative.
+func sectionAround(n int, times []byte) []byte {
+	buf := binary.AppendUvarint(nil, uint64(n))
+	buf = append(buf, 1, 1, 'x')
+	buf = append(buf, times...)
+	buf = append(buf, make([]byte, n)...)
+	return append(buf, make([]byte, (n+7)/8)...)
+}
+
+// column is a time column spelled out: the first time, then uvarints.
+func column(first int64, rest ...uint64) []byte {
+	buf := binary.AppendVarint(nil, first)
+	for _, v := range rest {
+		buf = binary.AppendUvarint(buf, v)
+	}
+	return buf
+}
+
+// TestTimeColumnCanonical: both codecs refuse every column the encoder
+// would have written otherwise, and read its canonical neighbour.
+func TestTimeColumnCanonical(t *testing.T) {
+	zz := func(q int64) uint64 { return uint64(q<<1) ^ uint64(q>>63) }
+	for _, c := range []struct {
+		name     string
+		n        int
+		bad, ok  []byte
+		okTimes  []int64
+		unscaled []byte // the same times in segment v2's layout
+	}{
+		{"scale 0", 2, column(100, 0, zz(4)), column(100, 4, zz(1)), []int64{100, 104}, column(100, zz(4))},
+		{"scale not the gcd", 3, column(100, 2, zz(2), zz(-4)), column(100, 4, zz(1), zz(-2)), []int64{100, 104, 96}, column(100, zz(4), zz(-8))},
+		{"scale 1 under a common factor", 2, column(0, 1, zz(6)), column(0, 6, zz(1)), []int64{0, 6}, column(0, zz(6))},
+		{"scale at count 1", 1, column(7, 1), column(7), []int64{7}, column(7)},
+		{"scale 5 over equal times", 3, column(9, 5, 0, 0), column(9, 1, 0, 0), []int64{9, 9, 9}, column(9, 0, 0)},
+		{"quotient leaves int64", 3, column(0, 1<<61, zz(4), zz(-1)), column(0, 1<<61, zz(3), zz(-1)), []int64{0, 3 << 61, 1 << 62}, column(0, zz(3<<61), zz(-1<<61))},
+		{"negative quotient past MinInt64", 2, column(0, 1<<62, zz(-3)), column(0, 1<<62, zz(-1)), []int64{0, -1 << 62}, column(0, zz(-1<<62))},
+	} {
+		for codec, wrap := range map[string]func(int, []byte) []byte{"batch": batchAround, "section": sectionAround} {
+			decode := func(in []byte, unscaled bool) ([]int64, error) {
+				var got []int64
+				if codec == "batch" {
+					recs, err := DecodeBatch(in, &BatchDicts{Unscaled: unscaled}, nil)
+					for _, r := range recs {
+						got = append(got, r.Time.UnixNano())
+					}
+					return got, err
+				}
+				h, rest, err := DecodeColumns("srv", in)
+				if err == nil && len(rest) != 0 {
+					err = fmt.Errorf("%d bytes left", len(rest))
+				}
+				if err == nil {
+					got = h.nanos
+				}
+				return got, err
+			}
+			if _, err := decode(wrap(c.n, c.bad), false); !errors.Is(err, ErrCorruptRecord) {
+				t.Errorf("%s, %s: err = %v, want ErrCorruptRecord", c.name, codec, err)
+			}
+			if got, err := decode(wrap(c.n, c.ok), false); err != nil || !reflect.DeepEqual(got, c.okTimes) {
+				t.Errorf("%s, %s: the canonical column decoded to %v, %v; want %v", c.name, codec, got, err, c.okTimes)
+			}
+			if codec == "batch" {
+				if got, err := decode(wrap(c.n, c.unscaled), true); err != nil || !reflect.DeepEqual(got, c.okTimes) {
+					t.Errorf("%s: the unscaled column decoded to %v, %v; want %v", c.name, got, err, c.okTimes)
+				}
+			}
+		}
+		if got := appendTimes(nil, c.okTimes, true); !bytes.Equal(got, c.ok) {
+			t.Errorf("%s: encoder wrote %x, want %x", c.name, got, c.ok)
+		}
+		if got := appendTimes(nil, c.okTimes, false); !bytes.Equal(got, c.unscaled) {
+			t.Errorf("%s: unscaled encoder wrote %x, want %x", c.name, got, c.unscaled)
+		}
+	}
+}
+
+// TestTimeColumnExtremes: the oldest and newest times a record may carry,
+// 1677-09-21 and 2262-04-11, side by side in one batch and in one history.
+// Their differences wrap, one of them to math.MinInt64, whose magnitude 2^63
+// only a uint64 holds; each run round-trips through both codecs.
+func TestTimeColumnExtremes(t *testing.T) {
+	const lo, hi = math.MinInt64, math.MaxInt64
+	if y := time.Unix(0, lo).UTC(); y.Year() != 1677 || y.Month() != time.September || y.Day() != 21 {
+		t.Fatalf("math.MinInt64 ns is %v", y)
+	}
+	for _, times := range [][]int64{
+		{lo, hi},                 // +2^64-1 wraps to -1
+		{lo, 0},                  // +2^63 wraps to MinInt64: scale 2^63, quotient -1
+		{0, lo, 0, lo},           // MinInt64 three times over
+		{lo, 0, hi, lo, 1 << 62}, // magnitudes 2^63, 2^63-1, 1, 2^62
+		{hi, hi, lo, lo},
+		{lo, lo + 1e9, lo + 2e9, hi},
+	} {
+		recs := make([]Feedback, len(times))
+		h := NewHistory("srv")
+		for i, ns := range times {
+			recs[i] = Feedback{Time: time.Unix(0, ns).UTC(), Server: "srv", Client: EntityID(fmt.Sprintf("c%d", i%2)), Rating: Rating(1 + i%2)}
+			if err := h.Append(recs[i]); err != nil {
+				t.Fatal(err)
+			}
+		}
+		buf, err := AppendBatch(nil, recs, new(BatchDicts))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, err := DecodeBatch(buf, new(BatchDicts), nil); err != nil || !reflect.DeepEqual(got, recs) {
+			t.Errorf("%v: batch decoded to %v, %v", times, got, err)
+		}
+		cols := h.AppendColumns(nil)
+		got, rest, err := DecodeColumns("srv", cols)
+		if err != nil || len(rest) != 0 {
+			t.Fatalf("%v: history: %v, %d bytes left", times, err, len(rest))
+		}
+		if !reflect.DeepEqual(got.Records(), h.Records()) || !bytes.Equal(got.AppendColumns(nil), cols) {
+			t.Errorf("%v: history did not round-trip", times)
+		}
+	}
+}
+
+// TestTimeColumnSizes pins what the column costs: a 64-record batch shaped
+// like an ingest_durable frame — 64 servers of 512, clients drawn from a pool
+// of 100, whole seconds apart — takes at most 17 B per record, and stamps of nanosecond precision
+// cost one byte per batch and per section over the unscaled layout, nothing
+// more.
+func TestTimeColumnSizes(t *testing.T) {
+	rng := stats.NewRNG(1)
+	recs := make([]Feedback, 64)
+	for i := range recs {
+		recs[i] = Feedback{
+			Time:   time.Unix(1_700_000_000+int64(i/512+i*7%10), 0),
+			Server: EntityID(fmt.Sprintf("srv-%d", i*67%512)),
+			Client: EntityID(fmt.Sprintf("cli-%d", rng.Intn(100))),
+			Rating: Rating(1 + i%2),
+		}
+	}
+	frame, err := AppendBatch(nil, recs, new(BatchDicts))
+	if err != nil {
+		t.Fatal(err)
+	}
+	old, err := AppendBatch(nil, recs, &BatchDicts{Unscaled: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if per := float64(len(frame)) / float64(len(recs)); per > 17 {
+		t.Errorf("a 64-record frame takes %.2f B per record, want at most 17", per)
+	}
+	t.Logf("64-record frame: %.2f B/record, unscaled %.2f", float64(len(frame))/64, float64(len(old))/64)
+
+	// A section's times are the same column as a batch's.
+	jitter := nsJitter(1100)
+	if s, u := len(appendTimes(nil, jitter, true)), len(appendTimes(nil, jitter, false)); s != u+1 {
+		t.Errorf("a column of %d nanosecond stamps takes %d B, the unscaled layout %d", len(jitter), s, u)
+	}
+	for i := range recs {
+		recs[i].Time = time.Unix(0, jitter[i])
+	}
+	scaled, err := AppendBatch(nil, recs, new(BatchDicts))
+	if err != nil {
+		t.Fatal(err)
+	}
+	unscaled, err := AppendBatch(nil, recs, &BatchDicts{Unscaled: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(scaled) != len(unscaled)+1 {
+		t.Errorf("a batch of nanosecond stamps takes %d B, the unscaled layout %d", len(scaled), len(unscaled))
+	}
+}

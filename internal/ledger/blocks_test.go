@@ -22,24 +22,34 @@ import (
 
 // TestSegmentBlockGoldenBytes pins the block framing: uvarint length, the
 // batch's columns, CRC32-C of the columns; the header before, and a footer
-// whose chain runs over the blocks' checksum bytes.
+// whose chain runs over the blocks' checksum bytes. The v2 segment beside it
+// is what the previous revision wrote for the same records.
 func TestSegmentBlockGoldenBytes(t *testing.T) {
 	recs := []feedback.Feedback{
 		{Time: time.Unix(0, 100).UTC(), Server: "s1", Client: "c1", Rating: feedback.Positive},
 		{Time: time.Unix(0, 103).UTC(), Server: "s1", Client: "c2", Rating: feedback.Negative},
 	}
-	want := []byte{
+	ids := []byte{
+		0, 2, 's', '1', 0, // new "s1", slot 0
+		0, 2, 'c', '1', 1, 2, 'c', '2', // new "c1", new "c2"
+		0b01, // good
+	}
+	want := append(append([]byte{
+		0xB5, 'H', 'P', 'S', 'E', 'G', '3', 0x00,
+		19,               // payload length
+		2, 0xc8, 1, 3, 2, // two records; zig-zag 100, scale 3, +3/3
+	}, ids...), 0x0f, 0xb7, 0x5b, 0x56) // crc32c of the 19 payload bytes
+	wantV2 := append(append([]byte{
 		0xB5, 'H', 'P', 'S', 'E', 'G', '2', 0x00,
 		18,            // payload length
 		2, 0xc8, 1, 6, // two records; zig-zag 100, +3
-		0, 2, 's', '1', 0, // new "s1", slot 0
-		0, 2, 'c', '1', 1, 2, 'c', '2', // new "c1", new "c2"
-		0b01,                   // good
-		0x86, 0xa9, 0xd7, 0x57, // crc32c of the 18 payload bytes
-	}
-	got := v2Segment(t, [][]feedback.Feedback{recs}, false)
+	}, ids...), 0x86, 0xa9, 0xd7, 0x57) // crc32c of the 18 payload bytes
+	got := segmentFile(t, [][]feedback.Feedback{recs}, false)
 	if !bytes.Equal(got, want) {
 		t.Fatalf("segment bytes moved:\n got %x\nwant %x", got, want)
+	}
+	if got := v2Segment(t, [][]feedback.Feedback{recs}, false); !bytes.Equal(got, wantV2) {
+		t.Fatalf("v2 segment bytes moved:\n got %x\nwant %x", got, wantV2)
 	}
 	// The ledger writes exactly this.
 	path := filepath.Join(t.TempDir(), "ledger")
@@ -93,7 +103,7 @@ func TestDictionaryAcrossReopen(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if want := v2Segment(t, groups, false); !bytes.Equal(onDisk, want) {
+	if want := segmentFile(t, groups, false); !bytes.Equal(onDisk, want) {
 		t.Fatalf("segment written across %d reopens is %d bytes, one writer's is %d", len(groups), len(onDisk), len(want))
 	}
 	l, got, err := Open(path)
@@ -191,7 +201,7 @@ func TestDictionaryAcrossAdoptTruncated(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if want := v2Segment(t, append(survivors[:len(survivors):len(survivors)], again), false); !bytes.Equal(onDisk[:len(want)], want) {
+	if want := segmentFile(t, append(survivors[:len(survivors):len(survivors)], again), false); !bytes.Equal(onDisk[:len(want)], want) {
 		t.Fatal("the adopted segment is not what one writer of the surviving groups would have written")
 	}
 	l, reread := open()
@@ -281,7 +291,7 @@ func TestBlockScratchNotPinned(t *testing.T) {
 	big := make([]feedback.Feedback, 100_000)
 	for i := range big {
 		big[i] = feedback.Feedback{
-			Time:   time.Unix(int64(i), 0).UTC(),
+			Time:   time.Unix(int64(i), int64(i*7919%1000)).UTC(), // nanoseconds: 5 B a time
 			Server: feedback.EntityID(fmt.Sprintf("srv-%d", i%50)),
 			Client: feedback.EntityID(fmt.Sprintf("client-%07d", i)),
 			Rating: feedback.Positive,
@@ -313,8 +323,8 @@ func heapAlloc() uint64 {
 }
 
 // TestReplayBoundedBySegmentDensity: replay holds segment files and a few
-// batches, never a segment's records — at ~8 B a record on disk a decoded
-// segment is eight times its file.
+// batches, never a segment's records — at ~4 B a record on disk a decoded
+// segment is fifteen times its file.
 func TestReplayBoundedBySegmentDensity(t *testing.T) {
 	const segments, perSegment, workers = 3, 300_000, 2
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(workers))
@@ -338,7 +348,7 @@ func TestReplayBoundedBySegmentDensity(t *testing.T) {
 			}
 			groups = append(groups, recs)
 		}
-		data := v2Segment(t, groups, true)
+		data := segmentFile(t, groups, true)
 		segBytes = len(data)
 		if err := os.WriteFile(filepath.Join(dir, segmentName(uint64(s+1))), data, 0o644); err != nil {
 			t.Fatal(err)
@@ -438,14 +448,14 @@ func differentialStream(t *testing.T) []feedback.Feedback {
 }
 
 // TestBlocksMatchRowsDifferential: every record survives bit for bit. One
-// stream written as v2 blocks by the ledger and as v1 rows by the writer
+// stream written as blocks by the ledger and as v1 rows by the writer
 // this package used to have replays to identical records, boots identical
 // stores and yields identical verdicts.
 func TestBlocksMatchRowsDifferential(t *testing.T) {
 	recs := differentialStream(t)
 	root := t.TempDir()
 
-	blocks := filepath.Join(root, "v2")
+	blocks := filepath.Join(root, "blocks")
 	l, err := openLedger(blocks, 64<<10)
 	if err != nil {
 		t.Fatal(err)
@@ -462,9 +472,9 @@ func TestBlocksMatchRowsDifferential(t *testing.T) {
 		rest = rest[n:]
 	}
 	if l.sealedSegs < 2 {
-		t.Fatalf("v2 fixture holds %d sealed segments, want several", l.sealedSegs)
+		t.Fatalf("block fixture holds %d sealed segments, want several", l.sealedSegs)
 	}
-	v2Bytes := l.sealedBytes + l.segSize
+	blockBytes := l.sealedBytes + l.segSize
 	if err := l.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -484,7 +494,7 @@ func TestBlocksMatchRowsDifferential(t *testing.T) {
 		rest = rest[n:]
 	}
 	t.Logf("%d records: %.1f B/record as rows, %.1f B/record as blocks", len(recs),
-		float64(v1Bytes)/float64(len(recs)), float64(v2Bytes)/float64(len(recs)))
+		float64(v1Bytes)/float64(len(recs)), float64(blockBytes)/float64(len(recs)))
 
 	for _, dir := range []string{blocks, rows} {
 		l, got, err := Open(dir)

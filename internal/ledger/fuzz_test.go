@@ -18,6 +18,9 @@ func FuzzOpenReplay(f *testing.F) {
 	f.Add([]byte(`{"time":"2020-01-01T00:00:00Z","server":"s","client":"c","rating":2}` + "\n"))
 	f.Add([]byte("garbage\n"))
 	f.Add([]byte{})
+	for _, seed := range segmentSeeds(f) {
+		f.Add(seed)
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		path := filepath.Join(t.TempDir(), "fuzz.jsonl")
 		if err := os.WriteFile(path, data, 0o644); err != nil {
@@ -38,6 +41,52 @@ func FuzzOpenReplay(f *testing.F) {
 	})
 }
 
+// seedRecord is record i of the segment seeds: one server, whole seconds.
+func seedRecord(i int, client feedback.EntityID) feedback.Feedback {
+	return feedback.Feedback{
+		Server: "s", Client: client, Rating: feedback.Rating(1 + i%2),
+		Time: time.Unix(int64(i+1), 0).UTC(),
+	}
+}
+
+// segmentSeeds are well-formed segments of every binary layout — v3, v2 and
+// v1 — their sealed variants, torn and garbled mutants, and mixes of the two
+// block layouts: a v2 header over v3 blocks, a v3 header over v2 blocks, a
+// v2 segment whose tail blocks are v3's.
+func segmentSeeds(tb testing.TB) [][]byte {
+	groups := [][]feedback.Feedback{
+		{seedRecord(0, "c"), seedRecord(1, "d")},
+		{seedRecord(2, "c")},
+		{seedRecord(3, "e"), seedRecord(4, "d"), seedRecord(5, "c")},
+	}
+	seed := segmentFile(tb, groups, false)
+	seedV2 := v2Segment(tb, groups, false)
+	empty := append(append([]byte(nil), segMagic[:]...), 1, 0) // a batch of no records under a good checksum
+	rows := []feedback.Feedback{seedRecord(0, "c"), seedRecord(1, "c")}
+	swap := func(data []byte, magic [8]byte) []byte {
+		return append(append([]byte(nil), magic[:]...), data[len(magic):]...)
+	}
+	v3Tail := segmentFile(tb, append(groups[:1:1], groups...), false)
+	return [][]byte{
+		seed,
+		segmentFile(tb, groups, true),
+		seed[:len(seed)-3],
+		segmentFile(tb, [][]feedback.Feedback{groups[0], groups[0]}, false), // the second block re-introduces nothing
+		binary.LittleEndian.AppendUint32(empty, crc32.Checksum([]byte{0}, castagnoli)),
+		seedV2,
+		v2Segment(tb, groups, true),
+		seedV2[:len(seedV2)-3],
+		swap(seed, segMagicV2),
+		swap(seedV2, segMagic),
+		append(v2Segment(tb, groups[:1], false), v3Tail[len(segmentFile(tb, groups[:1], false)):]...),
+		v1Segment(tb, rows, false),
+		v1Segment(tb, rows, true),
+		{},
+		segMagic[:],
+		segMagicV2[:],
+	}
+}
+
 // FuzzSegmentReplay feeds arbitrary bytes through the segment scanner —
 // blocks, v1 rows and JSON lines alike — both directly and as a segment file
 // booted through Open. The contract: corruption degrades to a shorter intact
@@ -45,27 +94,9 @@ func FuzzOpenReplay(f *testing.F) {
 // record — and the dictionaries a scan hands the writer are the intact
 // prefix's, so what is appended after such a boot replays beside it.
 func FuzzSegmentReplay(f *testing.F) {
-	// Seed with well-formed segments of both binary layouts, their sealed
-	// variants, and torn/garbled mutants.
-	rec := func(i int, client feedback.EntityID) feedback.Feedback {
-		return feedback.Feedback{
-			Server: "s", Client: client, Rating: feedback.Rating(1 + i%2),
-			Time: time.Unix(int64(i+1), 0).UTC(),
-		}
+	for _, seed := range segmentSeeds(f) {
+		f.Add(seed)
 	}
-	groups := [][]feedback.Feedback{{rec(0, "c"), rec(1, "d")}, {rec(2, "c")}, {rec(3, "e"), rec(4, "d"), rec(5, "c")}}
-	seed := v2Segment(f, groups, false)
-	f.Add(seed)
-	f.Add(v2Segment(f, groups, true))
-	f.Add(seed[:len(seed)-3])
-	f.Add(v2Segment(f, [][]feedback.Feedback{groups[0], groups[0]}, false)) // the second block re-introduces nothing
-	empty := append(append([]byte(nil), segMagic[:]...), 1, 0)              // a batch of no records under a good checksum
-	f.Add(binary.LittleEndian.AppendUint32(empty, crc32.Checksum([]byte{0}, castagnoli)))
-	rows := []feedback.Feedback{rec(0, "c"), rec(1, "c")}
-	f.Add(v1Segment(f, rows, false))
-	f.Add(v1Segment(f, rows, true))
-	f.Add([]byte{})
-	f.Add(segMagic[:])
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var emitted uint64
 		sc, err := scanSegment(data, func(batch []feedback.Feedback) error {
@@ -104,7 +135,7 @@ func FuzzSegmentReplay(f *testing.F) {
 		}
 		// Whatever survived, the writer resumes after it: an id the prefix
 		// introduced and one it did not, appended and read back.
-		more := []feedback.Feedback{rec(9, "fresh-client")}
+		more := []feedback.Feedback{seedRecord(9, "fresh-client")}
 		if len(recs) > 0 {
 			more = append(more, recs[0])
 		}
@@ -131,8 +162,9 @@ func FuzzSegmentReplay(f *testing.F) {
 // corruption must be rejected with an error — never a panic, never a
 // half-decoded result with invalid records.
 func FuzzSnapshotLoad(f *testing.F) {
-	// Valid version-2 snapshots as seeds: two servers with repeated clients,
-	// equal times and accumulator state, then an empty store.
+	// Valid current-version snapshots as seeds: two servers with repeated
+	// clients, equal times and accumulator state, then an empty store; and
+	// the two versions before, which no longer decode.
 	snapshot := func(hists ...*feedback.History) []byte {
 		dir := f.TempDir()
 		sw, err := beginSnapshot(dir, 1, 1, 2)
@@ -163,6 +195,7 @@ func FuzzSnapshotLoad(f *testing.F) {
 	f.Add(valid[:len(valid)-5])
 	f.Add(snapshot())
 	f.Add(v1Snapshot(1, 1, s, u))
+	f.Add(v2Snapshot(1, 1, 10, s, u))
 	f.Add([]byte{})
 	f.Add(snapMagic[:])
 	f.Fuzz(func(t *testing.T, data []byte) {

@@ -17,13 +17,15 @@ type SegmentInfo struct {
 	Index   uint64 `json:"index"`
 	Size    int64  `json:"size"`
 	Records uint64 `json:"records"`
-	// Format is the segment's encoding: "v2" (one block of record columns
-	// per commit group — the only one written), "v1" (one framed row per
-	// record) or "json" (legacy JSON lines). After an upgrade a directory
-	// holds older formats until they are migrated.
+	// Format is the segment's encoding: "v3" (one block of record columns
+	// per commit group, times scaled — the only one written), "v2" (the
+	// same blocks, times unscaled), "v1" (one framed row per record) or
+	// "json" (legacy JSON lines). After an upgrade a directory holds older
+	// formats until they are migrated.
 	Format string `json:"format"`
 	// Blocks counts the checksummed units the records sit in: commit-group
-	// blocks in a v2 segment, one per record in a v1 segment, none in JSON.
+	// blocks in a v3 or v2 segment, one per record in a v1 segment, none in
+	// JSON.
 	Blocks uint64 `json:"blocks"`
 	// BytesPerRecord is the intact bytes (header, blocks, footer) over the
 	// records they hold.

@@ -13,12 +13,12 @@
 // exceeds the roll-over threshold it is sealed with a footer carrying its
 // record count and CRC32C chain, and a fresh segment starts. Sealed segments
 // are immutable and independently verifiable, which is what lets boot replay
-// them in parallel. Segments in the two older encodings — one framed row per
-// record (segment_v1.go), and the PR-7 single-file JSON-lines ledger, which
-// migrates in place as segment 1 of a new directory, byte for byte — are
-// formats the ledger reads, never ones it writes: the first open seals such
-// a tail where it stands and appends go to a fresh segment (see segment.go
-// for the layouts).
+// them in parallel. Segments in the older encodings — blocks whose times
+// carry no scale (v2), one framed row per record (segment_v1.go), and the
+// PR-7 single-file JSON-lines ledger, which migrates in place as segment 1 of
+// a new directory, byte for byte — are formats the ledger reads, never ones
+// it writes: the first open seals such a tail where it stands and appends go
+// to a fresh segment (see segment.go for the layouts).
 package ledger
 
 import (
@@ -280,10 +280,10 @@ func (l *Ledger) adopt(idx uint64, sc segScan) (sealedAt int64, err error) {
 	if err != nil {
 		return 0, fmt.Errorf("ledger: open segment %s: %w", path, err)
 	}
-	if sc.kind != segV2 && sc.records > 0 {
+	if sc.kind != segV3 && sc.records > 0 {
 		return l.retireLegacy(f, idx, sc)
 	}
-	if sc.kind != segV2 || sc.intact < int64(len(segMagic)) {
+	if sc.kind != segV3 || sc.intact < int64(len(segMagic)) {
 		return 0, l.startSegment(f, idx)
 	}
 	err = f.Truncate(sc.intact)
@@ -298,15 +298,15 @@ func (l *Ledger) adopt(idx uint64, sc segScan) (sealedAt int64, err error) {
 }
 
 // retireLegacy cuts a legacy segment back to its intact prefix, seals it —
-// a v1 segment gets the footer its rows chain to; JSON segments carry none,
-// not being the highest-numbered segment is what seals them — and starts the
-// segment that receives appends from here on.
+// a v2 or v1 segment gets the footer its blocks or rows chain to; JSON
+// segments carry none, not being the highest-numbered segment is what seals
+// them — and starts the segment that receives appends from here on.
 func (l *Ledger) retireLegacy(f *os.File, idx uint64, sc segScan) (sealedAt int64, err error) {
 	// The cut must be durable before a later segment exists: a torn tail
 	// under a later segment reads as corruption and drops everything after.
 	sealedAt = sc.intact
 	err = f.Truncate(sc.intact)
-	if err == nil && sc.kind == segV1 {
+	if err == nil && sc.kind != segJSON {
 		footer := appendFooter(nil, sc.records, uint64(sc.intact)-uint64(len(segMagic)), sc.chain)
 		_, err = f.WriteAt(footer, sc.intact)
 		sealedAt += int64(len(footer))

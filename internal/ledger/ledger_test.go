@@ -443,7 +443,7 @@ func TestLegacyMigration(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if sc, _ := scanSegment(data, nil); sc.kind != segV2 || sc.records != 1 {
+	if sc, _ := scanSegment(data, nil); sc.kind != segV3 || sc.records != 1 {
 		t.Fatalf("segment 2 scan = %+v, want one binary record", sc)
 	}
 

@@ -3,10 +3,11 @@ package ledger
 // Segment codec. A segment file is a header, one block per commit group, and
 // — once sealed — a footer:
 //
-//	header:  8 bytes  {0xB5, 'H','P','S','E','G','2', 0x00}
+//	header:  8 bytes  {0xB5, 'H','P','S','E','G','3', 0x00}
 //	block:   uvarint payload length, shortest form
 //	         payload        — the group's records as feedback.AppendBatch
-//	                          columns, against the segment's dictionaries
+//	                          columns, against the segment's dictionaries,
+//	                          the times as a scaled column (ADR 0014)
 //	         crc32c         — 4 bytes little-endian, over the payload
 //	footer:  0x00            — cannot start a block (payloads are never empty)
 //	         "HPSEGFTR"      — 8 bytes
@@ -28,10 +29,12 @@ package ledger
 // on malformed input. A block is a whole commit group, so a torn tail never
 // keeps part of one.
 //
-// Two older encodings stay readable: v1 segments (segment_v1.go; same footer,
-// one framed row per record) and legacy JSON-lines files (one wire-compatible
-// record per line, no header — the PR-7 single-file format, recognised by its
-// first byte).
+// Three older encodings stay readable: v2 segments (header magic '2'; the
+// same blocks, footer and chain, but a time column without a scale, which
+// the batch codec reads when the scan's dictionaries are marked Unscaled),
+// v1 segments (segment_v1.go; same footer, one framed row per record) and
+// legacy JSON-lines files (one wire-compatible record per line, no header —
+// the PR-7 single-file format, recognised by its first byte).
 
 import (
 	"bytes"
@@ -45,7 +48,8 @@ import (
 )
 
 var (
-	segMagic   = [8]byte{0xB5, 'H', 'P', 'S', 'E', 'G', '2', 0x00}
+	segMagic   = [8]byte{0xB5, 'H', 'P', 'S', 'E', 'G', '3', 0x00}
+	segMagicV2 = [8]byte{0xB5, 'H', 'P', 'S', 'E', 'G', '2', 0x00}
 	footerMark = "HPSEGFTR"
 	footerEnd  = "HPSEGEND"
 	castagnoli = crc32.MakeTable(crc32.Castagnoli)
@@ -58,26 +62,30 @@ const footerSize = 1 + 8 + 8 + 8 + 4 + 4 + 8
 type segKind int
 
 const (
-	segV2 segKind = iota
+	segV3 segKind = iota
+	segV2
 	segV1
 	segJSON
 )
 
-func (k segKind) String() string { return [...]string{"v2", "v1", "json"}[k] }
+func (k segKind) String() string { return [...]string{"v3", "v2", "v1", "json"}[k] }
 
 // sniffKind classifies a segment by its first bytes: binary segments start
 // with the magic byte 0xB5, which no JSON-lines file can (JSON is ASCII), and
-// the magic tells the two binary layouts apart. Anything else that starts
-// with 0xB5 — an empty file, a torn header — is a current-format segment
-// with nothing intact.
+// the magic tells the binary layouts apart. Anything else that starts with
+// 0xB5 — an empty file, a torn header — is a current-format segment with
+// nothing intact.
 func sniffKind(data []byte) segKind {
 	switch {
 	case len(data) > 0 && data[0] != segMagic[0]:
 		return segJSON
-	case len(data) >= len(segMagicV1) && [8]byte(data[:8]) == segMagicV1:
+	case len(data) < len(segMagic): // a torn header
+	case [8]byte(data[:8]) == segMagicV2:
+		return segV2
+	case [8]byte(data[:8]) == segMagicV1:
 		return segV1
 	}
-	return segV2
+	return segV3
 }
 
 // appendBlock appends one block holding recs to buf, extending d.
@@ -168,7 +176,8 @@ func scanSegment(data []byte, emit func([]feedback.Feedback) error) (segScan, er
 		// Missing or torn header: nothing intact.
 	case s.kind == segV1:
 		err = s.scanRows(data)
-	case [8]byte(data[:8]) == segMagic:
+	case s.kind == segV2 || [8]byte(data[:8]) == segMagic:
+		s.dict.Unscaled = s.kind == segV2
 		err = s.scanBlocks(data)
 	}
 	if err == nil {
@@ -188,7 +197,7 @@ func scanSegment(data []byte, emit func([]feedback.Feedback) error) (segScan, er
 	return s.segScan, nil
 }
 
-// scanBlocks walks a current-format segment's blocks.
+// scanBlocks walks a v3 or v2 segment's blocks.
 func (s *segScanner) scanBlocks(data []byte) error {
 	s.intact = int64(len(segMagic))
 	for rest := data[s.intact:]; len(rest) > 0; rest = data[s.intact:] {

@@ -9,7 +9,7 @@ package ledger
 // File layout (all integers uvarint unless noted):
 //
 //	magic        8 bytes {0xB6, 'H','P','S','N','A','P','1'}
-//	version      uvarint (currently 2; a version-1 file is unsupported)
+//	version      uvarint (currently 3; older files are unsupported)
 //	seq          uvarint — snapshot sequence number
 //	covered      uvarint — tail replay starts at this segment index
 //	records      uvarint — ledger record count at capture (informational)
@@ -17,7 +17,8 @@ package ledger
 //	  id         uvarint length, bytes
 //	  history    the server's feedback.History in its column encoding
 //	             (feedback.AppendColumns): counts, the client dictionary,
-//	             then time-delta, dictionary-slot and good-bit columns
+//	             then the scaled time column (ADR 0014), the dictionary-slot
+//	             and good-bit columns
 //	  acc        uvarint length, bytes — serialized accumulator state
 //	             (zero length = none; boot re-derives from history)
 //	terminator   uvarint 0
@@ -55,7 +56,7 @@ var snapMagic = [8]byte{0xB6, 'H', 'P', 'S', 'N', 'A', 'P', '1'}
 
 const (
 	snapEnd     = "HPSNPEND"
-	snapVersion = 2
+	snapVersion = 3
 	snapTmpName = "snapshot.tmp"
 	// snapKeep is how many verified snapshots are retained; older ones are
 	// pruned after each successful write.

@@ -391,7 +391,7 @@ func v1Snapshot(seq, covered uint64, hists ...*feedback.History) []byte {
 // TestSnapshotV1FallsBackToReplay: the first boot after the upgrade finds a
 // version-1 snapshot. It is not decoded: ledger-info lists it as unsupported,
 // boot replays the segments to the same state, and the next snapshot is
-// version 2, from which the boot after that starts.
+// the current version, from which the boot after that starts.
 func TestSnapshotV1FallsBackToReplay(t *testing.T) {
 	dir := filepath.Join(t.TempDir(), "led")
 	opts, tp := incrementalOptions(t, 4, 2048, 0)
@@ -455,8 +455,8 @@ func TestSnapshotV1FallsBackToReplay(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if v := snapshotVersion(data); v != 2 {
-		t.Fatalf("snapshot written after the upgrade has version %d, want 2", v)
+	if v := snapshotVersion(data); v != snapVersion {
+		t.Fatalf("snapshot written after the upgrade has version %d, want %d", v, snapVersion)
 	}
 	again, err := OpenStoreOptions(context.Background(), dir, opts)
 	if err != nil {
@@ -467,14 +467,14 @@ func TestSnapshotV1FallsBackToReplay(t *testing.T) {
 		t.Fatalf("second boot = %q from snapshot %v, want snapshot %d", mode, snap, next)
 	}
 	if got := storeFingerprint(t, again.Store(), tp); !reflect.DeepEqual(want, got) {
-		t.Fatal("boot from the version-2 snapshot diverges")
+		t.Fatal("boot from the current-version snapshot diverges")
 	}
 }
 
 // TestSnapshotSectionBytesPerRecord pins what a stored record costs in a
 // snapshot at the benchmark's shape — 512 servers of 1074 records one second
-// apart, from a pool of 100 clients, no accumulator state: at most 8 B, where
-// version 1 took 15.9 B.
+// apart, from a pool of 100 clients, no accumulator state: at most 3.5 B,
+// where version 2's unscaled times took 6.8 B and version 1 15.9 B.
 func TestSnapshotSectionBytesPerRecord(t *testing.T) {
 	const servers, perServer = 512, 1074
 	dir := filepath.Join(t.TempDir(), "led")
@@ -510,8 +510,8 @@ func TestSnapshotSectionBytesPerRecord(t *testing.T) {
 	if !si.Valid || si.Version != snapVersion || si.Records != servers*perServer {
 		t.Fatalf("snapshot info: %+v", si)
 	}
-	if si.SectionBytesPerRecord > 8 {
-		t.Fatalf("a snapshot section takes %.2f B per record, want at most 8", si.SectionBytesPerRecord)
+	if si.SectionBytesPerRecord > 3.5 {
+		t.Fatalf("a snapshot section takes %.2f B per record, want at most 3.5", si.SectionBytesPerRecord)
 	}
 	if got := ledgerMetric(ps, "snapshot_bytes"); got != uint64(si.Size) {
 		t.Fatalf("snapshot_bytes counts %v, the file has %d", got, si.Size)
@@ -650,7 +650,7 @@ func TestLedgerInfo(t *testing.T) {
 	}
 	for _, seg := range info.Segments {
 		// The workload appends one record per commit group.
-		if seg.Format != "v2" || seg.Blocks != seg.Records {
+		if seg.Format != "v3" || seg.Blocks != seg.Records {
 			t.Fatalf("segment info: %+v", seg)
 		}
 		if want := float64(seg.Size) / float64(seg.Records); seg.Records > 0 && seg.BytesPerRecord != want {

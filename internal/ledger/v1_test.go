@@ -43,12 +43,18 @@ func v1Segment(tb testing.TB, recs []feedback.Feedback, sealed bool) []byte {
 	return buf
 }
 
-// v2Segment is a whole current-format segment file, one block per group.
-func v2Segment(tb testing.TB, groups [][]feedback.Feedback, sealed bool) []byte {
+// segmentFile is a whole current-format segment file, one block per group.
+func segmentFile(tb testing.TB, groups [][]feedback.Feedback, sealed bool) []byte {
 	tb.Helper()
-	buf := append([]byte(nil), segMagic[:]...)
+	return blockSegment(tb, segMagic, feedback.BatchDicts{}, groups, sealed)
+}
+
+// blockSegment is a whole segment file of blocks under the given header,
+// encoded against dict as it starts.
+func blockSegment(tb testing.TB, magic [8]byte, dict feedback.BatchDicts, groups [][]feedback.Feedback, sealed bool) []byte {
+	tb.Helper()
+	buf := append([]byte(nil), magic[:]...)
 	var (
-		dict  feedback.BatchDicts
 		chain uint32
 		n     uint64
 	)
@@ -102,7 +108,7 @@ func inspectFormats(t *testing.T, dir string) ([]string, int64) {
 // TestV1DirectoryUpgrades: a directory as the previous revision left it —
 // sealed v1 segments and an unsealed v1 tail with a torn last row — opens,
 // replays every intact record, seals the v1 tail where it stands, takes
-// appends in a v2 segment behind it, and reopens to the same records, twice.
+// appends in a v3 segment behind it, and reopens to the same records, twice.
 func TestV1DirectoryUpgrades(t *testing.T) {
 	recs := stream(100)
 	dir := filepath.Join(t.TempDir(), "led")
@@ -142,7 +148,7 @@ func TestV1DirectoryUpgrades(t *testing.T) {
 	if err := l.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if got, bad := inspectFormats(t, dir); !reflect.DeepEqual(got, []string{"v1 sealed", "v1 sealed", "v1 sealed", "v2 active"}) || bad != 0 {
+	if got, bad := inspectFormats(t, dir); !reflect.DeepEqual(got, []string{"v1 sealed", "v1 sealed", "v1 sealed", "v3 active"}) || bad != 0 {
 		t.Fatalf("after the upgrade the directory inspects as %v with %d bad bytes", got, bad)
 	}
 
@@ -172,9 +178,10 @@ func TestV1DirectoryUpgrades(t *testing.T) {
 	}
 }
 
-// TestV1HeaderOnlyTailBecomesV2: a v1 tail that never took a record has
-// nothing to keep; it is rewritten in place as the segment appends go to.
-func TestV1HeaderOnlyTailBecomesV2(t *testing.T) {
+// TestV1HeaderOnlyTailBecomesCurrent: a v1 tail that never took a record
+// has nothing to keep; it is rewritten in place as the segment appends go
+// to, in the current format.
+func TestV1HeaderOnlyTailBecomesCurrent(t *testing.T) {
 	dir := filepath.Join(t.TempDir(), "led")
 	if err := os.Mkdir(dir, 0o755); err != nil {
 		t.Fatal(err)
@@ -192,14 +199,14 @@ func TestV1HeaderOnlyTailBecomesV2(t *testing.T) {
 	if err := l.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if got, bad := inspectFormats(t, dir); !reflect.DeepEqual(got, []string{"v2 active"}) || bad != 0 {
+	if got, bad := inspectFormats(t, dir); !reflect.DeepEqual(got, []string{"v3 active"}) || bad != 0 {
 		t.Fatalf("directory inspects as %v with %d bad bytes", got, bad)
 	}
 }
 
 // TestCorruptV1SegmentRetires: corruption inside a sealed v1 segment keeps
 // its intact rows — resealed under a footer of their own — drops what came
-// after, and resumes in a v2 segment.
+// after, and resumes in a v3 segment.
 func TestCorruptV1SegmentRetires(t *testing.T) {
 	recs := stream(60)
 	dir := filepath.Join(t.TempDir(), "led")
@@ -233,7 +240,7 @@ func TestCorruptV1SegmentRetires(t *testing.T) {
 	if err := l.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if got, bad := inspectFormats(t, dir); !reflect.DeepEqual(got, []string{"v1 sealed", "v2 active"}) || bad != 0 {
+	if got, bad := inspectFormats(t, dir); !reflect.DeepEqual(got, []string{"v1 sealed", "v3 active"}) || bad != 0 {
 		t.Fatalf("directory inspects as %v with %d bad bytes", got, bad)
 	}
 	l, got, err = Open(dir)

@@ -43,10 +43,11 @@ import (
 // the hello and the ack. 2 wrote a verdict as rows and 3 the column table of
 // verdict.go (ADR 0006); 3 wrote a frame's records as rows and 4 writes them
 // as one record batch (ADR 0008); 4 had a "merged" bit in an assess
-// response's flags byte and 5 does not (ADR 0010). No revision reads
-// another's binary payloads: ends of different revisions speak BridgeCodec
-// (ADR 0009).
-const VersionV2 = 5
+// response's flags byte and 5 does not (ADR 0010); 5 wrote a record batch's
+// times as nanosecond differences and 6 divides them by their greatest
+// common divisor (ADR 0014). No revision reads another's binary payloads:
+// ends of different revisions speak BridgeCodec (ADR 0009).
+const VersionV2 = 6
 
 // HelloMagic is the first byte of a client hello. A connection that opens
 // with any other byte is closed.

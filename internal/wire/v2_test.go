@@ -418,29 +418,29 @@ func TestV2RetiredCodesStayReserved(t *testing.T) {
 	}
 }
 
-// TestSubmitBatchGoldenFrame pins submit.batch on the wire as revision 4
-// laid it out and revision 5 keeps it: the v2 header, then the records as
-// one feedback.AppendBatch column batch with dictionaries that start empty
-// at the frame.
+// TestSubmitBatchGoldenFrame pins submit.batch on the wire as revision 6
+// lays it out: the v2 header, then the records as one feedback.AppendBatch
+// column batch with dictionaries that start empty at the frame, its times
+// divided by their differences' greatest common divisor (ADR 0014).
 func TestSubmitBatchGoldenFrame(t *testing.T) {
 	req := BatchRequest{Records: []feedback.Feedback{
 		{Time: time.Unix(0, 100).UTC(), Server: "s1", Client: "c1", Rating: feedback.Positive},
-		{Time: time.Unix(0, 103).UTC(), Server: "s2", Client: "c1", Rating: feedback.Negative},
-		{Time: time.Unix(0, 101).UTC(), Server: "s1", Client: "c2", Rating: feedback.Positive},
+		{Time: time.Unix(0, 106).UTC(), Server: "s2", Client: "c1", Rating: feedback.Negative},
+		{Time: time.Unix(0, 102).UTC(), Server: "s1", Client: "c2", Rating: feedback.Positive},
 	}}
 	want := []byte{
-		0, 0, 0, 34, // body length
+		0, 0, 0, 35, // body length
 		5, 0, // submit.batch, binary payload
 		0, 0, 0, 0, 0, 0, 0, 9, // id
-		3,             // records
-		0xc8, 1, 6, 3, // times: zig-zag 100, +3, -2
+		3,                // records
+		0xc8, 1, 2, 6, 3, // times: zig-zag 100, scale 2, +6/2, -4/2
 		0, 2, 's', '1', 1, 2, 's', '2', 0, // servers: new "s1", new "s2", slot 0
 		0, 2, 'c', '1', 0, 1, 2, 'c', '2', // clients: new "c1", slot 0, new "c2"
 		0b101, // good
 	}
 	var buf bytes.Buffer
-	if err := WriteHello(&buf); err != nil || !bytes.Equal(buf.Bytes(), []byte{0xB2, 'W', '2', 5, '\n'}) {
-		t.Fatalf("hello = %x, %v; the layout below is revision 5's", buf.Bytes(), err)
+	if err := WriteHello(&buf); err != nil || !bytes.Equal(buf.Bytes(), []byte{0xB2, 'W', '2', 6, '\n'}) {
+		t.Fatalf("hello = %x, %v; the layout below is revision 6's", buf.Bytes(), err)
 	}
 	buf.Reset()
 	env, err := V2Codec.Encode(TypeSubmitB, 9, req)

@@ -19,6 +19,8 @@
 #     assessment codec (ADR 0006)
 #   - record batches are columns through one codec (ADR 0008): the ledger
 #     writes blocks, the wire writes batches, neither frames a record alone
+#   - one time column (ADR 0014): a batch's and a section's times are coded
+#     by feedback's appendTimes/decodeTimes, and nowhere else
 #   - one door into a node (ADR 0003): only internal/repserver listens
 #   - one framing (ADR 0009): the binary frame is the only way onto a node;
 #     the JSON line framing and every knob that selected it stay deleted
@@ -150,6 +152,22 @@ check "one caller of the batch codec per container: ledger block, wire frame (AD
 check "no second definition of the batch columns (ADR 0008)" \
     "absent '\bBatchDicts\b.*struct|zig-?zag' internal/ledger \
      && ! sources internal/wire | grep -v '/verdict\.go\$' | xargs grep -nE 'AppendVarint\(|zig-?zag' | grep -q ."
+
+# --- one time column (ADR 0014) ----------------------------------------------
+# Frames, ledger blocks and snapshot sections write their times through
+# appendTimes / decodeTimes in internal/feedback/times.go. A time-delta
+# varint loop anywhere else — a varint or zig-zag line in internal/feedback
+# outside those two functions, any in internal/ledger, any in internal/wire
+# beyond verdict.go's (whose deltas are counts, never times) — is a second
+# time layout waiting to drift.
+varint_lines() { grep -cE '(Append|Put)Varint\(|binary\.Varint\(|>>\s*1\)\s*\^\s*-' || true; }
+times_fns() { sed -n '/^func \(appendTimes\|decodeTimes\)(/,/^}/p' internal/feedback/times.go; }
+check "time deltas are varint-coded only in feedback's appendTimes/decodeTimes (ADR 0014)" \
+    "[ \"\$(sources internal/feedback | xargs cat | varint_lines)\" -eq \"\$(times_fns | varint_lines)\" ] \
+     && [ \"\$(times_fns | varint_lines)\" -gt 0 ] \
+     && absent '(Append|Put)Varint\(|binary\.Varint\(|>>\s*1\)\s*\^\s*-|UnixNano\(\)\s*-' internal/ledger \
+     && ! sources internal/wire | grep -v '/verdict\.go\$' | xargs grep -nE 'Varint\(|>>\s*1\)\s*\^\s*-' | grep -q . \
+     && ! grep -nE 'UnixNano|\.Time\b|nanos' internal/wire/verdict.go | grep -q ."
 
 # --- one door into a node (ADR 0003) -----------------------------------------
 check "net.Listen only in internal/repserver" \
