@@ -12,6 +12,7 @@
 //	trustctl submit-batch < records.jsonl                # records from stdin
 //	trustctl local-assess -file history.jsonl -scheme multi -trust average
 //	trustctl ledger-info -path /var/lib/trustd/ledger   # offline checksum audit
+//	trustctl ledger-migrate -from old.ledger -to /var/lib/trustd/ledger   # rewrite an older format
 //	trustctl mem-status -metrics http://127.0.0.1:7780  # memory lifecycle via /metricz
 //	trustctl -addr host1:7700,host2:7700,host3:7700 assess -server s1
 //	trustctl -addr host1:7700 cluster-status
@@ -58,15 +59,18 @@ func run(args []string, out io.Writer) error {
 	}
 	rest := fs.Args()
 	if len(rest) == 0 {
-		return fmt.Errorf("missing command: ping | submit | submit-batch | history | assess | assess-batch | cluster-status | mem-status | local-assess | ledger-info")
+		return fmt.Errorf("missing command: ping | submit | submit-batch | history | assess | assess-batch | cluster-status | mem-status | local-assess | ledger-info | ledger-migrate")
 	}
-	// local-assess, ledger-info, and mem-status need no wire connection
-	// (mem-status talks to the metrics HTTP endpoint instead).
+	// local-assess, the ledger commands and mem-status need no wire
+	// connection (mem-status talks to the metrics HTTP endpoint instead).
 	if rest[0] == "local-assess" {
 		return localAssess(rest[1:], out)
 	}
 	if rest[0] == "ledger-info" {
 		return ledgerInfo(rest[1:], out)
+	}
+	if rest[0] == "ledger-migrate" {
+		return ledgerMigrate(rest[1:], out)
 	}
 	if rest[0] == "mem-status" {
 		return memStatus(rest[1:], out)
@@ -481,13 +485,40 @@ func localAssess(args []string, out io.Writer) error {
 	return nil
 }
 
-// ledgerInfo inspects a ledger directory (or a legacy single-file ledger)
-// offline: segment layout, sealed/active sizes, record counts, snapshot
-// sequence, and full checksum verification of every segment and snapshot.
+// ledgerMigrate rewrites a ledger an earlier revision wrote — a single
+// JSON-lines file, or a directory with v2, v1 or JSON-lines segments — as a
+// new current-format directory, offline; the source is only read.
+func ledgerMigrate(args []string, out io.Writer) error {
+	fs := flag.NewFlagSet("ledger-migrate", flag.ContinueOnError)
+	var (
+		from = fs.String("from", "", "ledger to read (directory or single file)")
+		to   = fs.String("to", "", "new ledger directory to write (must not exist)")
+	)
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
+	if *from == "" || *to == "" {
+		return fmt.Errorf("ledger-migrate: need -from and -to")
+	}
+	m, err := ledger.Migrate(*from, *to)
+	if err != nil {
+		return err
+	}
+	fmt.Fprintf(out, "%s: %d records from %d segments of %s\n", *to, m.Records, m.Segments, *from)
+	if m.DroppedBytes > 0 {
+		fmt.Fprintf(out, "  CORRUPTION: %d bytes fail verification; %d later segments not read (replay stops at the first corrupt segment)\n",
+			m.DroppedBytes, m.Skipped)
+	}
+	return nil
+}
+
+// ledgerInfo inspects a ledger directory offline: segment layout,
+// sealed/active sizes, record counts, snapshot sequence, and full checksum
+// verification of every segment and snapshot.
 func ledgerInfo(args []string, out io.Writer) error {
 	fs := flag.NewFlagSet("ledger-info", flag.ContinueOnError)
 	var (
-		path    = fs.String("path", "", "ledger directory (or legacy single-file ledger)")
+		path    = fs.String("path", "", "ledger directory")
 		asJSON  = fs.Bool("json", false, "emit the full report as JSON")
 		verbose = fs.Bool("v", false, "list every segment and snapshot")
 	)
@@ -507,16 +538,10 @@ func ledgerInfo(args []string, out io.Writer) error {
 		return enc.Encode(info)
 	}
 
-	if info.Legacy {
-		fmt.Fprintf(out, "%s: legacy single-file ledger (migrates on next open)\n", info.Path)
-	} else {
-		fmt.Fprintf(out, "%s: segmented ledger\n", info.Path)
-	}
+	fmt.Fprintf(out, "%s: segmented ledger\n", info.Path)
 	var sealed int
 	var sealedBytes, activeBytes int64
-	formats := map[string]int{}
 	for _, seg := range info.Segments {
-		formats[seg.Format]++
 		if seg.Sealed {
 			sealed++
 			sealedBytes += seg.Size
@@ -526,10 +551,6 @@ func ledgerInfo(args []string, out io.Writer) error {
 	}
 	fmt.Fprintf(out, "  segments: %d (%d sealed, %d bytes sealed, %d bytes unsealed)\n",
 		len(info.Segments), sealed, sealedBytes, activeBytes)
-	if old := formats["v2"] + formats["v1"] + formats["json"]; old > 0 {
-		fmt.Fprintf(out, "  formats: %d v3, %d v2, %d v1, %d json (older formats are read, never written)\n",
-			formats["v3"], formats["v2"], formats["v1"], formats["json"])
-	}
 	fmt.Fprintf(out, "  records: %d verified\n", info.Records)
 	if info.TruncatedBytes > 0 {
 		fmt.Fprintf(out, "  CORRUPTION: %d bytes fail verification (next open truncates to the intact prefix)\n",
@@ -545,7 +566,7 @@ func ledgerInfo(args []string, out io.Writer) error {
 		}
 		fmt.Fprintf(out, "  snapshots: %d (latest seq %d: %s, %d servers, %d records, covers segments < %d)\n",
 			n, latest.Seq, status, latest.Servers, latest.Records, latest.CoveredSegment)
-	} else if !info.Legacy {
+	} else {
 		fmt.Fprintln(out, "  snapshots: none (next boot replays the whole ledger)")
 	}
 	if *verbose {
@@ -554,8 +575,8 @@ func ledgerInfo(args []string, out io.Writer) error {
 			if seg.Sealed {
 				state = "sealed"
 			}
-			fmt.Fprintf(out, "    segment %06d: %s %s, %d bytes, %d records in %d blocks (%.1f bytes each)",
-				seg.Index, seg.Format, state, seg.Size, seg.Records, seg.Blocks, seg.BytesPerRecord)
+			fmt.Fprintf(out, "    segment %06d: %s, %d bytes, %d records in %d blocks (%.1f bytes each)",
+				seg.Index, state, seg.Size, seg.Records, seg.Blocks, seg.BytesPerRecord)
 			if seg.Truncated > 0 {
 				fmt.Fprintf(out, ", %d bytes CORRUPT", seg.Truncated)
 			}

@@ -4,9 +4,12 @@ import (
 	"context"
 	"encoding/binary"
 	"encoding/json"
+	"errors"
+	"fmt"
 	"hash/crc32"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -326,7 +329,7 @@ func TestLedgerInfo(t *testing.T) {
 	}
 	text := out.String()
 	for _, want := range []string{"segmented ledger", "records: 20 verified", "all segments verify", "snapshots: 1", "snapshot 1: version 3, valid", "section bytes each",
-		"segment 000001: v3 sealed", "20 records in 20 blocks ("} {
+		"segment 000001: sealed", "20 records in 20 blocks ("} {
 		if !strings.Contains(text, want) {
 			t.Fatalf("output missing %q:\n%s", want, text)
 		}
@@ -343,11 +346,8 @@ func TestLedgerInfo(t *testing.T) {
 	if info.Records != 20 || len(info.Snapshots) != 1 || !info.Snapshots[0].Valid {
 		t.Fatalf("json info: %+v", info)
 	}
-	if seg := info.Segments[0]; seg.Format != "v3" || seg.Blocks != 20 || seg.BytesPerRecord <= 0 {
+	if seg := info.Segments[0]; seg.Blocks != 20 || seg.BytesPerRecord <= 0 {
 		t.Fatalf("json segment info: %+v", seg)
-	}
-	if strings.Contains(text, "formats:") {
-		t.Fatalf("a directory of v3 segments reports a format mix:\n%s", text)
 	}
 
 	if err := run([]string{"ledger-info"}, &out); err == nil {
@@ -355,62 +355,70 @@ func TestLedgerInfo(t *testing.T) {
 	}
 }
 
-// TestLedgerInfoMixedFormats: after upgrades a directory holds segments the
-// previous revisions wrote beside this one's, and ledger-info says so.
+// TestLedgerInfoMixedFormats: a directory holding segments earlier revisions
+// wrote — v1 rows, a v2 block, a v3 block — is refused by ledger-info, which
+// names ledger-migrate; that command rewrites it as one current-format
+// ledger holding the same records, which ledger-info then verifies.
 func TestLedgerInfoMixedFormats(t *testing.T) {
-	dir := filepath.Join(t.TempDir(), "led")
+	root := t.TempDir()
+	dir, migrated := filepath.Join(root, "led"), filepath.Join(root, "new")
 	if err := os.Mkdir(dir, 0o755); err != nil {
 		t.Fatal(err)
 	}
-	f := feedback.Feedback{Server: "s1", Client: "c1", Rating: feedback.Positive, Time: time.Unix(1700000000, 0).UTC()}
-	row, err := feedback.AppendBinary(nil, f)
-	if err != nil {
-		t.Fatal(err)
+	var want []feedback.Feedback
+	// segment frames one payload as segment idx under header version v:
+	// uvarint length, payload, CRC32-C.
+	segment := func(idx int, v byte, payload []byte) {
+		t.Helper()
+		seg := append([]byte{0xB5, 'H', 'P', 'S', 'E', 'G', v, 0x00}, byte(len(payload)))
+		seg = binary.LittleEndian.AppendUint32(append(seg, payload...), crc32.Checksum(payload, crc32.MakeTable(crc32.Castagnoli)))
+		if err := os.WriteFile(filepath.Join(dir, fmt.Sprintf("ledger.%06d", idx)), seg, 0o644); err != nil {
+			t.Fatal(err)
+		}
 	}
-	// A v1 segment: header, then one row — uvarint length, payload, CRC32-C.
-	seg := append([]byte{0xB5, 'H', 'P', 'S', 'E', 'G', '1', 0x00}, byte(len(row)))
-	seg = binary.LittleEndian.AppendUint32(append(seg, row...), crc32.Checksum(row, crc32.MakeTable(crc32.Castagnoli)))
-	if err := os.WriteFile(filepath.Join(dir, "ledger.000001"), seg, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	l, recs, err := ledger.Open(dir)
-	if err != nil || len(recs) != 1 {
-		t.Fatalf("open: %d records, %v", len(recs), err)
-	}
-	if err := l.Close(); err != nil {
-		t.Fatal(err)
-	}
-	// A v2 segment takes the place of the empty tail: one block whose times
-	// carry no scale.
-	f.Time = f.Time.Add(time.Second)
-	block, err := feedback.AppendBatch(nil, []feedback.Feedback{f}, &feedback.BatchDicts{Unscaled: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	seg = append([]byte{0xB5, 'H', 'P', 'S', 'E', 'G', '2', 0x00}, byte(len(block)))
-	seg = binary.LittleEndian.AppendUint32(append(seg, block...), crc32.Checksum(block, crc32.MakeTable(crc32.Castagnoli)))
-	if err := os.WriteFile(filepath.Join(dir, "ledger.000002"), seg, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	l, recs, err = ledger.Open(dir)
-	if err != nil || len(recs) != 2 {
-		t.Fatalf("reopen: %d records, %v", len(recs), err)
-	}
-	f.Time = f.Time.Add(time.Second)
-	if err := l.Append(f); err != nil {
-		t.Fatal(err)
-	}
-	if err := l.Close(); err != nil {
-		t.Fatal(err)
+	for i, v := range []byte{'1', '2', '3'} {
+		f := feedback.Feedback{Server: "s1", Client: "c1", Rating: feedback.Positive, Time: time.Unix(1700000000+int64(i), 0).UTC()}
+		want = append(want, f)
+		var payload []byte
+		var err error
+		if v == '1' {
+			payload, err = feedback.AppendBinary(nil, f) // a v1 row
+		} else {
+			payload, err = feedback.AppendBatch(nil, []feedback.Feedback{f}, &feedback.BatchDicts{Unscaled: v == '2'})
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		segment(i+1, v, payload)
 	}
 	var out strings.Builder
-	if err := run([]string{"ledger-info", "-path", dir, "-v"}, &out); err != nil {
+	if err := run([]string{"ledger-info", "-path", dir}, &out); !errors.Is(err, ledger.ErrOldFormat) || !strings.Contains(err.Error(), "ledger-migrate") {
+		t.Fatalf("ledger-info on older segments: %v", err)
+	}
+	if err := run([]string{"ledger-migrate", "-from", dir, "-to", migrated}, &out); err != nil {
 		t.Fatal(err)
 	}
-	for _, want := range []string{"formats: 1 v3, 1 v2, 1 v1, 0 json", "records: 3 verified", "all segments verify",
-		"segment 000001: v1 sealed", "segment 000002: v2 sealed", "segment 000003: v3 active"} {
+	if !strings.Contains(out.String(), "3 records from 3 segments") {
+		t.Fatalf("ledger-migrate printed:\n%s", out.String())
+	}
+	if err := run([]string{"ledger-migrate", "-from", dir, "-to", migrated}, &out); err == nil {
+		t.Fatal("ledger-migrate over an existing directory must fail")
+	}
+	out.Reset()
+	if err := run([]string{"ledger-info", "-path", migrated, "-v"}, &out); err != nil {
+		t.Fatal(err)
+	}
+	for _, want := range []string{"records: 3 verified", "all segments verify", "segment 000001: active, "} {
 		if !strings.Contains(out.String(), want) {
 			t.Fatalf("output missing %q:\n%s", want, out.String())
 		}
+	}
+	l, got, err := ledger.Open(migrated)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() { _ = l.Close() }()
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("migrated ledger replays %v, want %v", got, want)
 	}
 }

@@ -370,12 +370,12 @@ func NewShardedStore(shards int) *FeedbackStore { return store.NewSharded(shards
 // Ledger is an append-only durable feedback log.
 type Ledger = ledger.Ledger
 
-// PersistentStore couples a feedback store with a ledger file: records
+// PersistentStore couples a feedback store with a ledger directory: records
 // survive restarts.
 type PersistentStore = ledger.PersistentStore
 
-// OpenLedger opens (creating if needed) a ledger file and returns it with
-// the replayed records.
+// OpenLedger opens (creating if needed) a ledger directory and returns it
+// with the replayed records.
 func OpenLedger(path string) (*Ledger, []Feedback, error) { return ledger.Open(path) }
 
 // OpenPersistentStore opens a ledger-backed feedback store.

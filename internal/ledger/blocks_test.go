@@ -448,9 +448,9 @@ func differentialStream(t *testing.T) []feedback.Feedback {
 }
 
 // TestBlocksMatchRowsDifferential: every record survives bit for bit. One
-// stream written as blocks by the ledger and as v1 rows by the writer
-// this package used to have replays to identical records, boots identical
-// stores and yields identical verdicts.
+// stream written as blocks by the ledger and as v1 rows by the writer this
+// package used to have, then migrated, replays to identical records, boots
+// identical stores and yields identical verdicts.
 func TestBlocksMatchRowsDifferential(t *testing.T) {
 	recs := differentialStream(t)
 	root := t.TempDir()
@@ -495,6 +495,11 @@ func TestBlocksMatchRowsDifferential(t *testing.T) {
 	}
 	t.Logf("%d records: %.1f B/record as rows, %.1f B/record as blocks", len(recs),
 		float64(v1Bytes)/float64(len(recs)), float64(blockBytes)/float64(len(recs)))
+	// The rows reach a node through the migration.
+	if _, err := Migrate(rows, rows+".migrated"); err != nil {
+		t.Fatal(err)
+	}
+	rows += ".migrated"
 
 	for _, dir := range []string{blocks, rows} {
 		l, got, err := Open(dir)

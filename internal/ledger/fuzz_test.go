@@ -2,6 +2,7 @@ package ledger
 
 import (
 	"encoding/binary"
+	"errors"
 	"hash/crc32"
 	"os"
 	"path/filepath"
@@ -12,31 +13,53 @@ import (
 	"honestplayer/internal/feedback"
 )
 
-// FuzzOpenReplay ensures replay never panics or errors on arbitrary file
-// contents — corruption must degrade to a shorter replayed prefix.
+// FuzzOpenReplay boots arbitrary bytes as the first of two segments, a valid
+// one after it, and as a single-file -ledger path. A regular file and an
+// older header are refused with ErrOldFormat, and no byte or name under the
+// directory moves — an older segment is never taken for a torn current one
+// and truncated. Anything else replays the first segment's intact prefix,
+// and the second segment's record only when the first verified whole.
 func FuzzOpenReplay(f *testing.F) {
-	f.Add([]byte(`{"time":"2020-01-01T00:00:00Z","server":"s","client":"c","rating":2}` + "\n"))
-	f.Add([]byte("garbage\n"))
-	f.Add([]byte{})
 	for _, seed := range segmentSeeds(f) {
 		f.Add(seed)
 	}
+	tail := segmentFile(f, [][]feedback.Feedback{{seedRecord(20, "z")}}, false)
 	f.Fuzz(func(t *testing.T, data []byte) {
-		path := filepath.Join(t.TempDir(), "fuzz.jsonl")
-		if err := os.WriteFile(path, data, 0o644); err != nil {
+		root := t.TempDir()
+		writeFile(t, root, "single", data)
+		if _, _, err := Open(filepath.Join(root, "single")); !errors.Is(err, ErrOldFormat) {
+			t.Fatalf("Open of a regular file: %v, want ErrOldFormat", err)
+		}
+		dir := filepath.Join(root, "led")
+		if err := os.Mkdir(dir, 0o755); err != nil {
 			t.Fatal(err)
 		}
-		l, recs, err := Open(path)
+		writeFile(t, dir, segmentName(1), data)
+		writeFile(t, dir, segmentName(2), tail)
+		before := treeBytes(t, root)
+		l, recs, err := Open(dir)
+		if oldKind(data) != "" {
+			if !errors.Is(err, ErrOldFormat) || !reflect.DeepEqual(treeBytes(t, root), before) {
+				t.Fatalf("an older segment opened (%v) or was changed", err)
+			}
+			return
+		}
 		if err != nil {
 			t.Fatalf("replay errored on arbitrary contents: %v", err)
+		}
+		defer func() { _ = l.Close() }()
+		sc, _ := scanSegment(data, nil)
+		want := sc.records
+		if sc.truncated == 0 {
+			want++
+		}
+		if uint64(len(recs)) != want {
+			t.Fatalf("replayed %d records, want %d (first segment %+v)", len(recs), want, sc)
 		}
 		for _, r := range recs {
 			if err := r.Validate(); err != nil {
 				t.Fatalf("replayed invalid record: %v", err)
 			}
-		}
-		if err := l.Close(); err != nil {
-			t.Fatal(err)
 		}
 	})
 }
@@ -49,50 +72,73 @@ func seedRecord(i int, client feedback.EntityID) feedback.Feedback {
 	}
 }
 
-// segmentSeeds are well-formed segments of every binary layout — v3, v2 and
-// v1 — their sealed variants, torn and garbled mutants, and mixes of the two
-// block layouts: a v2 header over v3 blocks, a v3 header over v2 blocks, a
-// v2 segment whose tail blocks are v3's.
+// seedGroups are the commit groups of the segment seeds.
+var seedGroups = [][]feedback.Feedback{
+	{seedRecord(0, "c"), seedRecord(1, "d")},
+	{seedRecord(2, "c")},
+	{seedRecord(3, "e"), seedRecord(4, "d"), seedRecord(5, "c")},
+}
+
+// frame is payload framed as a block: uvarint length, payload, CRC32-C.
+func frame(payload []byte) []byte {
+	b := binary.AppendUvarint(nil, uint64(len(payload)))
+	return binary.LittleEndian.AppendUint32(append(b, payload...), crc32.Checksum(payload, castagnoli))
+}
+
+// segmentSeeds are current-format segments, unsealed and sealed, and the
+// ways each goes wrong: torn, a bad block checksum, a footer that does not
+// vouch for the blocks, a non-canonical length or batch under a good
+// checksum, blocks repeated, no header, a torn one or one whose first byte
+// rotted.
 func segmentSeeds(tb testing.TB) [][]byte {
-	groups := [][]feedback.Feedback{
-		{seedRecord(0, "c"), seedRecord(1, "d")},
-		{seedRecord(2, "c")},
-		{seedRecord(3, "e"), seedRecord(4, "d"), seedRecord(5, "c")},
-	}
+	groups := seedGroups
 	seed := segmentFile(tb, groups, false)
-	seedV2 := v2Segment(tb, groups, false)
-	empty := append(append([]byte(nil), segMagic[:]...), 1, 0) // a batch of no records under a good checksum
-	rows := []feedback.Feedback{seedRecord(0, "c"), seedRecord(1, "c")}
-	swap := func(data []byte, magic [8]byte) []byte {
-		return append(append([]byte(nil), magic[:]...), data[len(magic):]...)
+	sealed := segmentFile(tb, groups, true)
+	sc, _ := scanSegment(seed, nil)
+	miscounted := appendFooter(append([]byte(nil), seed...), sc.records+1, uint64(sc.intact)-uint64(len(segMagic)), sc.chain)
+	badCRC := append([]byte(nil), seed...)
+	badCRC[len(segmentFile(tb, groups[:1], false))+3] ^= 0x40 // inside the second block
+	badFooterCRC := append([]byte(nil), sealed...)
+	badFooterCRC[len(badFooterCRC)-10] ^= 1
+	payload, err := feedback.AppendBatch(nil, groups[0], &feedback.BatchDicts{})
+	if err != nil {
+		tb.Fatal(err)
 	}
-	v3Tail := segmentFile(tb, append(groups[:1:1], groups...), false)
+	padded := append([]byte(nil), payload...)
+	padded[len(padded)-1] |= 0x80 // a good-bit past the records
+	longLen := append(append([]byte(nil), segMagic[:]...), byte(len(payload))|0x80, 0)
+	longLen = binary.LittleEndian.AppendUint32(append(longLen, payload...), crc32.Checksum(payload, castagnoli))
 	return [][]byte{
 		seed,
-		segmentFile(tb, groups, true),
+		sealed,
 		seed[:len(seed)-3],
 		segmentFile(tb, [][]feedback.Feedback{groups[0], groups[0]}, false), // the second block re-introduces nothing
-		binary.LittleEndian.AppendUint32(empty, crc32.Checksum([]byte{0}, castagnoli)),
-		seedV2,
-		v2Segment(tb, groups, true),
-		seedV2[:len(seedV2)-3],
-		swap(seed, segMagicV2),
-		swap(seedV2, segMagic),
-		append(v2Segment(tb, groups[:1], false), v3Tail[len(segmentFile(tb, groups[:1], false)):]...),
-		v1Segment(tb, rows, false),
-		v1Segment(tb, rows, true),
+		append(append([]byte(nil), segMagic[:]...), frame([]byte{0})...),    // a batch of no records under a good checksum
+		badCRC,
+		miscounted,
+		badFooterCRC,
+		append(append([]byte(nil), sealed...), 0),
+		sealed[:len(sealed)-1],
+		appendFooter(append([]byte(nil), segMagic[:]...), 0, 0, 0), // sealed with no block
+		append(append([]byte(nil), segMagic[:]...), frame(padded)...),
+		longLen,
+		append(append([]byte(nil), seed...), seed[len(segMagic):]...), // every block again
+		append(append([]byte(nil), segMagic[:]...), 0),
 		{},
 		segMagic[:],
-		segMagicV2[:],
+		segMagic[:5],
+		append([]byte{segMagic[0]}, "garbage"...),
+		append([]byte{'#'}, seed[1:]...), // a first byte that announces JSON lines: refused
 	}
 }
 
-// FuzzSegmentReplay feeds arbitrary bytes through the segment scanner —
-// blocks, v1 rows and JSON lines alike — both directly and as a segment file
-// booted through Open. The contract: corruption degrades to a shorter intact
-// prefix — it never panics, never errors, and never yields an invalid
-// record — and the dictionaries a scan hands the writer are the intact
-// prefix's, so what is appended after such a boot replays beside it.
+// FuzzSegmentReplay feeds arbitrary bytes through the segment scanner, both
+// directly and as a segment file booted through Open. The contract:
+// corruption degrades to a shorter intact prefix — it never panics, never
+// errors, and never yields an invalid record — and the dictionaries a scan
+// hands the writer are the intact prefix's, so what is appended after such a
+// boot replays beside it. Bytes an earlier revision's layout announces are
+// refused unread (FuzzMigrateReplay reads them).
 func FuzzSegmentReplay(f *testing.F) {
 	for _, seed := range segmentSeeds(f) {
 		f.Add(seed)
@@ -123,10 +169,14 @@ func FuzzSegmentReplay(f *testing.F) {
 		if err := os.Mkdir(dir, 0o755); err != nil {
 			t.Fatal(err)
 		}
-		if err := os.WriteFile(filepath.Join(dir, segmentName(1)), data, 0o644); err != nil {
-			t.Fatal(err)
-		}
+		writeFile(t, dir, segmentName(1), data)
 		l, recs, err := Open(dir)
+		if oldKind(data) != "" {
+			if !errors.Is(err, ErrOldFormat) {
+				t.Fatalf("Open of an older segment: %v, want ErrOldFormat", err)
+			}
+			return
+		}
 		if err != nil {
 			t.Fatalf("Open on arbitrary segment: %v", err)
 		}
@@ -154,6 +204,93 @@ func FuzzSegmentReplay(f *testing.F) {
 		}
 		if err := l.Close(); err != nil {
 			t.Fatal(err)
+		}
+	})
+}
+
+// legacySeeds are the layouts of earlier revisions — JSON lines, v2 blocks
+// and v1 rows, sealed, torn and mixed with current blocks — and garbage
+// only the JSON reader looks at.
+func legacySeeds(tb testing.TB) [][]byte {
+	groups := seedGroups
+	seed := segmentFile(tb, groups, false)
+	seedV2 := v2Segment(tb, groups, false)
+	rows := []feedback.Feedback{seedRecord(0, "c"), seedRecord(1, "c")}
+	swap := func(data []byte, magic [8]byte) []byte {
+		return append(append([]byte(nil), magic[:]...), data[len(magic):]...)
+	}
+	v3Tail := segmentFile(tb, append(groups[:1:1], groups...), false)
+	return [][]byte{
+		[]byte(`{"time":"2020-01-01T00:00:00Z","server":"s","client":"c","rating":2}` + "\n"),
+		[]byte("garbage\n"),
+		[]byte(`{"time":"2020-01-01T02:00:00+02:00","server":"s","client":"c","rating":1}` + "\n\n \n" +
+			`{"time":"2020-01-01T00:00:01Z","server":"s","client":"d","rating":2}`),
+		seedV2,
+		v2Segment(tb, groups, true),
+		seedV2[:len(seedV2)-3],
+		swap(seed, segMagicV2),
+		swap(seedV2, segMagic),
+		append(v2Segment(tb, groups[:1], false), v3Tail[len(segmentFile(tb, groups[:1], false)):]...),
+		v1Segment(tb, rows, false),
+		v1Segment(tb, rows, true),
+		segMagicV2[:],
+		segMagicV1[:],
+	}
+}
+
+// FuzzMigrateReplay feeds arbitrary bytes through the migration's scanner —
+// JSON lines, v1 rows, v2 and v3 blocks — and migrates them as a one-segment
+// directory. The scan never panics, errors or emits an invalid record; a
+// node refuses the directory unchanged whenever the bytes announce an older
+// layout; and the migrated ledger replays exactly the records the scan
+// emitted, at the same instants.
+func FuzzMigrateReplay(f *testing.F) {
+	for _, seed := range legacySeeds(f) {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var emitted []feedback.Feedback
+		sc, err := scanAny(data, func(batch []feedback.Feedback) error {
+			for _, r := range batch {
+				if verr := r.Validate(); verr != nil {
+					t.Fatalf("scan emitted invalid record: %v", verr)
+				}
+				r.Time = r.Time.UTC() // what a batch decodes to
+				emitted = append(emitted, r)
+			}
+			return nil
+		})
+		if err != nil {
+			t.Fatalf("scan errored without an emit error: %v", err)
+		}
+		if uint64(len(emitted)) != sc.records || sc.intact+sc.truncated != sc.size {
+			t.Fatalf("emitted %d records of %+v", len(emitted), sc)
+		}
+		root := t.TempDir()
+		dir := filepath.Join(root, "led")
+		if err := os.Mkdir(dir, 0o755); err != nil {
+			t.Fatal(err)
+		}
+		writeFile(t, dir, segmentName(1), data)
+		if oldKind(data) != "" {
+			if _, _, err := Open(dir); !errors.Is(err, ErrOldFormat) {
+				t.Fatalf("Open of an older segment: %v, want ErrOldFormat", err)
+			}
+			if got, err := os.ReadFile(filepath.Join(dir, segmentName(1))); err != nil || !reflect.DeepEqual(got, data) {
+				t.Fatalf("a refused segment changed (%v)", err)
+			}
+		}
+		to := filepath.Join(root, "new")
+		if m, err := Migrate(dir, to); err != nil || m.Records != sc.records {
+			t.Fatalf("migrate: %+v, %v; the scan found %d records", m, err, sc.records)
+		}
+		l, got, err := Open(to)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer func() { _ = l.Close() }()
+		if len(got) != len(emitted) || len(got) > 0 && !reflect.DeepEqual(got, emitted) {
+			t.Fatalf("the migrated ledger replays %d records, the scan emitted %d", len(got), len(emitted))
 		}
 	})
 }

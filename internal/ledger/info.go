@@ -1,13 +1,11 @@
 package ledger
 
 // Offline ledger inspection for trustctl ledger-info: reads a ledger
-// directory (or a not-yet-migrated legacy file) without opening it for
-// appends, verifying every segment's checksums and every snapshot end to
-// end. Safe to run against a live node's data directory — everything is
-// read-only.
+// directory without opening it for appends, verifying every segment's
+// checksums and every snapshot end to end. Safe to run against a live node's
+// data directory — everything is read-only.
 
 import (
-	"fmt"
 	"os"
 	"path/filepath"
 )
@@ -17,15 +15,7 @@ type SegmentInfo struct {
 	Index   uint64 `json:"index"`
 	Size    int64  `json:"size"`
 	Records uint64 `json:"records"`
-	// Format is the segment's encoding: "v3" (one block of record columns
-	// per commit group, times scaled — the only one written), "v2" (the
-	// same blocks, times unscaled), "v1" (one framed row per record) or
-	// "json" (legacy JSON lines). After an upgrade a directory holds older
-	// formats until they are migrated.
-	Format string `json:"format"`
-	// Blocks counts the checksummed units the records sit in: commit-group
-	// blocks in a v3 or v2 segment, one per record in a v1 segment, none in
-	// JSON.
+	// Blocks counts the commit-group blocks the records sit in.
 	Blocks uint64 `json:"blocks"`
 	// BytesPerRecord is the intact bytes (header, blocks, footer) over the
 	// records they hold.
@@ -58,7 +48,6 @@ type SnapshotFileInfo struct {
 // Info is the result of inspecting a ledger directory.
 type Info struct {
 	Path      string             `json:"path"`
-	Legacy    bool               `json:"legacy,omitempty"` // single-file ledger, not yet migrated
 	Segments  []SegmentInfo      `json:"segments"`
 	Snapshots []SnapshotFileInfo `json:"snapshots,omitempty"`
 	// Records is the total intact record count across all segments (every
@@ -68,29 +57,14 @@ type Info struct {
 	TruncatedBytes int64 `json:"truncated_bytes,omitempty"`
 }
 
-// Inspect scans the ledger at path read-only: every segment is decoded and
-// checksum-verified, every snapshot loaded and verified. A legacy
-// single-file ledger (the pre-segmentation format) is reported as one JSON
-// pseudo-segment without migrating it.
+// Inspect scans the ledger directory at path read-only: every segment is
+// decoded and checksum-verified, every snapshot loaded and verified. A path
+// in an older format is refused with ErrOldFormat, as Open refuses it.
 func Inspect(path string) (*Info, error) {
+	if err := checkCurrent(path); err != nil {
+		return nil, err
+	}
 	info := &Info{Path: path}
-	fi, err := os.Stat(path)
-	if err != nil {
-		return nil, fmt.Errorf("ledger: inspect %s: %w", path, err)
-	}
-	if !fi.IsDir() {
-		data, err := os.ReadFile(path)
-		if err != nil {
-			return nil, fmt.Errorf("ledger: inspect %s: %w", path, err)
-		}
-		sc, _ := scanSegment(data, nil)
-		info.Legacy = true
-		info.Segments = []SegmentInfo{segmentInfo(1, sc)}
-		info.Records = sc.records
-		info.TruncatedBytes = sc.truncated
-		return info, nil
-	}
-
 	l := &Ledger{dir: path}
 	segs, err := l.listSegments()
 	if err != nil {
@@ -148,7 +122,6 @@ func segmentInfo(idx uint64, sc segScan) SegmentInfo {
 		Index:     idx,
 		Size:      sc.size,
 		Records:   sc.records,
-		Format:    sc.kind.String(),
 		Blocks:    sc.blocks,
 		Sealed:    sc.sealed,
 		Truncated: sc.truncated,

@@ -13,12 +13,12 @@
 // exceeds the roll-over threshold it is sealed with a footer carrying its
 // record count and CRC32C chain, and a fresh segment starts. Sealed segments
 // are immutable and independently verifiable, which is what lets boot replay
-// them in parallel. Segments in the older encodings — blocks whose times
-// carry no scale (v2), one framed row per record (segment_v1.go), and the
-// PR-7 single-file JSON-lines ledger, which migrates in place as segment 1 of
-// a new directory, byte for byte — are formats the ledger reads, never ones
-// it writes: the first open seals such a tail where it stands and appends go
-// to a fresh segment (see segment.go for the layouts).
+// them in parallel (see segment.go for the layout).
+//
+// A ledger directory holds that one format (ADR 0015). A path that holds
+// what an earlier revision wrote — a single-file JSON-lines ledger, or a
+// directory with a v2, v1 or JSON-lines segment — is refused unchanged with
+// ErrOldFormat, and Migrate (trustctl ledger-migrate) rewrites it.
 package ledger
 
 import (
@@ -113,9 +113,10 @@ type commitWaiter struct {
 	done chan error
 }
 
-// Open opens (creating or migrating if needed) the ledger at path, replays
-// every intact record, truncates any torn or corrupt tail, and returns the
-// ledger together with the replayed records in log order.
+// Open opens (creating if needed) the ledger directory at path, replays every
+// intact record, truncates any torn or corrupt tail, and returns the ledger
+// together with the replayed records in log order. A path in an older format
+// is refused with ErrOldFormat and left as it was: rewrite it with Migrate.
 //
 // The returned slice materializes the whole log; server boot paths should
 // prefer OpenStoreOptions, which streams the replay into a store instead.
@@ -145,16 +146,20 @@ func OpenContext(ctx context.Context, path string) (*Ledger, []feedback.Feedback
 	return l, recs, nil
 }
 
-// openLedger opens the ledger directory at path — migrating a legacy
-// single-file ledger in place if that is what path holds — and prepares the
-// active segment for appends, truncating its torn tail if any. It does not
-// replay sealed segments; replayFrom does.
+// openLedger opens the ledger directory at path, creating it if it does not
+// exist, and prepares the active segment for appends, truncating its torn
+// tail if any. It refuses an older format before it writes anything (see
+// checkCurrent) and does not replay sealed segments; replayFrom does. A
+// missing parent directory fails.
 func openLedger(path string, segBytes int64) (*Ledger, error) {
 	if segBytes <= 0 {
 		segBytes = DefaultSegmentBytes
 	}
-	if err := migrateToDir(path); err != nil {
+	if err := checkCurrent(path); err != nil {
 		return nil, err
+	}
+	if err := os.Mkdir(path, 0o755); err != nil && !errors.Is(err, os.ErrExist) {
+		return nil, fmt.Errorf("ledger: open %s: %w", path, err)
 	}
 	l := &Ledger{dir: path, segBytes: segBytes}
 	segs, err := l.listSegments()
@@ -165,40 +170,6 @@ func openLedger(path string, segBytes int64) (*Ledger, error) {
 		return l, l.createSegment(1)
 	}
 	return l, l.openActive(segs[len(segs)-1])
-}
-
-// migrateToDir turns a legacy single-file ledger into a ledger directory
-// holding that file as segment 1, creating the directory fresh when path
-// does not exist. The migration is crash-resumable: the file is first
-// renamed aside to <path>.migrating, so any interrupted step is completed on
-// the next open. A missing parent directory fails, as creating the original
-// single file would have.
-func migrateToDir(path string) error {
-	aside := path + ".migrating"
-	if fi, err := os.Stat(path); err == nil && !fi.IsDir() {
-		if _, err := os.Stat(aside); err == nil {
-			return fmt.Errorf("ledger: migration of %s already in progress (%s exists)", path, aside)
-		}
-		if err := os.Rename(path, aside); err != nil {
-			return fmt.Errorf("ledger: migrate %s: %w", path, err)
-		}
-	}
-	if err := os.Mkdir(path, 0o755); err != nil && !errors.Is(err, os.ErrExist) {
-		return fmt.Errorf("ledger: open %s: %w", path, err)
-	}
-	if _, err := os.Stat(aside); err == nil {
-		seg1 := filepath.Join(path, segmentName(1))
-		if _, err := os.Stat(seg1); err == nil {
-			// A previous crash left both; the directory already has a segment
-			// 1, so the aside file is stale. Refuse to guess.
-			return fmt.Errorf("ledger: migration of %s conflicts with existing %s", path, seg1)
-		}
-		if err := os.Rename(aside, seg1); err != nil {
-			return fmt.Errorf("ledger: migrate %s: %w", path, err)
-		}
-		syncDir(path)
-	}
-	return nil
 }
 
 // syncDir best-effort fsyncs a directory so renames within it are durable.
@@ -268,67 +239,34 @@ func (l *Ledger) setActive(f *os.File, idx uint64, sc segScan) {
 }
 
 // adopt makes segment idx, scanned as sc and found unsealed, the tail of the
-// ledger. A segment in the current format is cut back to its intact prefix
-// and appended to, with the dictionaries that prefix built. A legacy one is
-// never appended to again: its intact prefix stays behind, sealed, and the
-// next index starts the segment that receives appends — adopt then returns
-// the size the legacy file was sealed at. A segment with no intact record is
-// rewritten from its header.
-func (l *Ledger) adopt(idx uint64, sc segScan) (sealedAt int64, err error) {
+// ledger: it is cut back to its intact prefix and appended to, with the
+// dictionaries that prefix built — or, without an intact header, rewritten
+// from its header.
+func (l *Ledger) adopt(idx uint64, sc segScan) error {
 	path := l.segPath(idx)
 	f, err := os.OpenFile(path, os.O_RDWR, 0o644)
 	if err != nil {
-		return 0, fmt.Errorf("ledger: open segment %s: %w", path, err)
+		return fmt.Errorf("ledger: open segment %s: %w", path, err)
 	}
-	if sc.kind != segV3 && sc.records > 0 {
-		return l.retireLegacy(f, idx, sc)
-	}
-	if sc.kind != segV3 || sc.intact < int64(len(segMagic)) {
-		return 0, l.startSegment(f, idx)
+	if sc.intact < int64(len(segMagic)) {
+		return l.startSegment(f, idx)
 	}
 	err = f.Truncate(sc.intact)
 	if err == nil {
 		_, err = f.Seek(sc.intact, io.SeekStart)
 	}
 	if err != nil {
-		return 0, errors.Join(fmt.Errorf("ledger: truncate %s: %w", path, err), f.Close())
+		return errors.Join(fmt.Errorf("ledger: truncate %s: %w", path, err), f.Close())
 	}
 	l.setActive(f, idx, sc)
-	return 0, nil
-}
-
-// retireLegacy cuts a legacy segment back to its intact prefix, seals it —
-// a v2 or v1 segment gets the footer its blocks or rows chain to; JSON
-// segments carry none, not being the highest-numbered segment is what seals
-// them — and starts the segment that receives appends from here on.
-func (l *Ledger) retireLegacy(f *os.File, idx uint64, sc segScan) (sealedAt int64, err error) {
-	// The cut must be durable before a later segment exists: a torn tail
-	// under a later segment reads as corruption and drops everything after.
-	sealedAt = sc.intact
-	err = f.Truncate(sc.intact)
-	if err == nil && sc.kind != segJSON {
-		footer := appendFooter(nil, sc.records, uint64(sc.intact)-uint64(len(segMagic)), sc.chain)
-		_, err = f.WriteAt(footer, sc.intact)
-		sealedAt += int64(len(footer))
-	}
-	if err == nil {
-		err = f.Sync()
-	}
-	if err := errors.Join(err, f.Close()); err != nil {
-		return 0, fmt.Errorf("ledger: seal legacy segment %d: %w", idx, err)
-	}
-	if err := l.createSegment(idx + 1); err != nil {
-		return 0, err
-	}
-	syncDir(l.dir)
-	return sealedAt, nil
+	return nil
 }
 
 // openActive prepares the highest-numbered segment for appends: it scans the
 // file structurally (no record emission), truncates anything past the intact
 // prefix, and seeks to the end. A fully-sealed highest segment — the
 // kill-during-roll-over case — is left untouched and a fresh segment is
-// created after it; so is a legacy segment, cut to its intact prefix.
+// created after it.
 func (l *Ledger) openActive(idx uint64) error {
 	data, err := readSegmentFile(l.segPath(idx))
 	if err != nil {
@@ -344,8 +282,7 @@ func (l *Ledger) openActive(idx uint64) error {
 		l.truncatedSegments++
 		l.truncatedBytes += sc.truncated
 	}
-	_, err = l.adopt(idx, sc)
-	return err
+	return l.adopt(idx, sc)
 }
 
 // Append durably appends one record, rolling the active segment over when it
@@ -481,11 +418,10 @@ func groupBucket(n uint64) int {
 	return b
 }
 
-// registerMetrics declares the log's keys of the ledger block. records may
-// undercount after a snapshot boot of a migrated ledger: the legacy JSON
-// segments it skipped have no footer to count. group_commit.coalesced counts
-// the flushes that carried more than one record; size_p50 = 4 means half of
-// all flushes carried at most 4 (the upper bound of a power-of-two bucket).
+// registerMetrics declares the log's keys of the ledger block.
+// group_commit.coalesced counts the flushes that carried more than one
+// record; size_p50 = 4 means half of all flushes carried at most 4 (the upper
+// bound of a power-of-two bucket).
 func (l *Ledger) registerMetrics(reg *metrics.Registry) {
 	locked := func(key string, read func() any) {
 		reg.Gauge("ledger."+key, func() any {

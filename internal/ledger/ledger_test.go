@@ -362,103 +362,40 @@ func legacyLine(t *testing.T, f feedback.Feedback) []byte {
 	return append(raw, '\n')
 }
 
+// TestLegacyEmptyLinesSkipped: blank lines in a JSON-lines ledger are no
+// records and no corruption.
 func TestLegacyEmptyLinesSkipped(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "l.jsonl")
-	var data []byte
-	data = append(data, legacyLine(t, rec("a", true, 1))...)
-	data = append(data, "\n\n"...)
+	data := append(legacyLine(t, rec("a", true, 1)), "\n \n\n"...)
+	data = append(data, legacyLine(t, rec("b", true, 2))...)
 	if err := os.WriteFile(path, data, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	l2, recs, err := Open(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(recs) != 1 {
-		t.Fatalf("replayed %d", len(recs))
-	}
-	// Appending after blank lines still replays cleanly.
-	_ = l2.Append(rec("b", true, 2))
-	if err := l2.Close(); err != nil {
-		t.Fatal(err)
-	}
-	_, recs, err = Open(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(recs) != 2 {
-		t.Fatalf("after blank lines + append: %d", len(recs))
-	}
+	migrateAndCheck(t, path, []feedback.Feedback{rec("a", true, 1), rec("b", true, 2)})
 }
 
-// TestLegacyMigration proves a PR-7 single-file JSON ledger opens unchanged:
-// the file becomes segment 1 of a directory with its bytes intact and replays
-// fully; it is sealed at that open, so appends land in a binary segment 2.
+// TestLegacyMigration: a PR-7 single-file JSON ledger is refused by Open,
+// byte for byte untouched, and Migrate rewrites it as a ledger directory
+// that replays its records and takes appends.
 func TestLegacyMigration(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "legacy.jsonl")
-	var want []byte
 	recs := []feedback.Feedback{rec("a", true, 1), rec("b", false, 2), rec("c", true, 3)}
-	for _, f := range recs {
-		want = append(want, legacyLine(t, f)...)
-	}
+	want := jsonLines(t, recs)
 	if err := os.WriteFile(path, want, 0o644); err != nil {
 		t.Fatal(err)
 	}
-
-	l, got, err := Open(path)
-	if err != nil {
-		t.Fatal(err)
+	if _, _, err := Open(path); !errors.Is(err, ErrOldFormat) {
+		t.Fatalf("Open of a single-file ledger: %v, want ErrOldFormat", err)
 	}
-	if len(got) != len(recs) {
-		t.Fatalf("replayed %d records, want %d", len(got), len(recs))
+	if data, err := os.ReadFile(path); err != nil || string(data) != string(want) {
+		t.Fatalf("the refused file changed (%v)", err)
 	}
-	fi, err := os.Stat(path)
-	if err != nil || !fi.IsDir() {
-		t.Fatalf("path did not become a ledger directory: %v %v", fi, err)
-	}
-	seg1 := filepath.Join(path, segmentName(1))
-	data, err := os.ReadFile(seg1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if string(data) != string(want) {
-		t.Fatal("migration altered the legacy file's bytes")
-	}
-
-	// The writer never appends JSON: the legacy segment stays as it was.
-	if err := l.Append(rec("d", true, 4)); err != nil {
-		t.Fatal(err)
-	}
-	if err := l.Close(); err != nil {
-		t.Fatal(err)
-	}
-	data, err = os.ReadFile(seg1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if string(data) != string(want) {
-		t.Fatal("append touched the legacy segment")
-	}
-	data, err = os.ReadFile(filepath.Join(path, segmentName(2)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sc, _ := scanSegment(data, nil); sc.kind != segV3 || sc.records != 1 {
-		t.Fatalf("segment 2 scan = %+v, want one binary record", sc)
-	}
-
-	_, got, err = Open(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != 4 {
-		t.Fatalf("after migration + append: replayed %d, want 4", len(got))
-	}
+	migrateAndCheck(t, path, recs)
 }
 
 // TestRollOverSealsAndUpgrades drives a ledger past its roll-over threshold
-// and checks segments seal with verifiable footers, replay sees everything
-// in order, and a migrated JSON segment's successor is binary.
+// and checks segments seal with verifiable footers and replay sees
+// everything in order.
 func TestRollOverSealsAndUpgrades(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "roll")
 	l, err := openLedger(path, 512) // tiny threshold to force roll-overs
@@ -516,48 +453,20 @@ func TestRollOverSealsAndUpgrades(t *testing.T) {
 	}
 }
 
-// TestMigratedLedgerUpgradesOnRollOver: a migrated JSON segment is rolled
-// over when the ledger opens — torn tail cut, counted as sealed once — new
-// segments are binary and the full history still replays.
+// TestMigratedLedgerUpgradesOnRollOver: a JSON-lines ledger whose last line
+// is torn migrates to the lines before it; the torn bytes are reported.
 func TestMigratedLedgerUpgradesOnRollOver(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "upg.jsonl")
-	var data []byte
+	var recs []feedback.Feedback
 	for i := 0; i < 5; i++ {
-		data = append(data, legacyLine(t, rec("a", true, int64(i+1)))...)
+		recs = append(recs, rec("a", true, int64(i+1)))
 	}
-	intact := int64(len(data))
-	data = append(data, `{"time":"2024-01-01T00:00:`...) // torn final line
-	if err := os.WriteFile(path, data, 0o644); err != nil {
+	torn := `{"time":"2024-01-01T00:00:`
+	if err := os.WriteFile(path, append(jsonLines(t, recs), torn...), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	l, err := openLedger(path, 1<<20)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := l.replayFrom(context.Background(), 0, nil); err != nil {
-		t.Fatal(err)
-	}
-	if l.segIndex != 2 || l.segRecs != 0 || l.sealedSegs != 1 || l.sealedBytes != intact || l.records != 5 {
-		t.Fatalf("after open: active %d with %d records, %d sealed (%d bytes), %d records; want 2, 0, 1 (%d), 5",
-			l.segIndex, l.segRecs, l.sealedSegs, l.sealedBytes, l.records, intact)
-	}
-	if fi, err := os.Stat(l.segPath(1)); err != nil || fi.Size() != intact {
-		t.Fatalf("legacy segment not cut to its intact prefix: %v %v", fi, err)
-	}
-	for i := 5; i < 10; i++ {
-		if err := l.Append(rec("a", true, int64(i+1))); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := l.Close(); err != nil {
-		t.Fatal(err)
-	}
-	_, got, err := Open(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != 10 {
-		t.Fatalf("replayed %d records, want 10", len(got))
+	if m := migrateAndCheck(t, path, recs); m.DroppedBytes != int64(len(torn)) || m.Skipped != 0 {
+		t.Fatalf("migration %+v, want %d bytes dropped", m, len(torn))
 	}
 }
 
@@ -643,61 +552,25 @@ func TestCorruptSealedSegmentTruncatesSuffix(t *testing.T) {
 	}
 }
 
-// TestCorruptLegacySegmentRetires: corruption inside a migrated JSON segment
-// that already has binary successors degrades like any sealed segment — the
-// intact prefix is kept, later segments dropped — except that the legacy
-// file is not re-adopted for appends: a binary segment takes over after it.
+// TestCorruptLegacySegmentRetires: corruption inside a JSON-lines segment
+// that has binary successors degrades like any sealed segment — the intact
+// prefix is kept, later segments dropped.
 func TestCorruptLegacySegmentRetires(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "legacy.jsonl")
-	var data []byte
-	var cut int
+	path := filepath.Join(t.TempDir(), "legacy")
+	if err := os.Mkdir(path, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	var recs []feedback.Feedback
 	for i := 0; i < 5; i++ {
-		if i == 3 {
-			cut = len(data)
-		}
-		data = append(data, legacyLine(t, rec("a", true, int64(i+1)))...)
+		recs = append(recs, rec("a", true, int64(i+1)))
 	}
-	if err := os.WriteFile(path, data, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	l, _, err := Open(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := l.Append(rec("a", true, 6)); err != nil {
-		t.Fatal(err)
-	}
-	if err := l.Close(); err != nil {
-		t.Fatal(err)
-	}
-	seg1 := filepath.Join(path, segmentName(1))
+	data := jsonLines(t, recs)
+	cut := len(jsonLines(t, recs[:3]))
 	data[cut] = '#' // the fourth line no longer parses
-	if err := os.WriteFile(seg1, data, 0o644); err != nil {
-		t.Fatal(err)
-	}
-
-	l2, got, err := Open(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != 3 {
-		t.Fatalf("replayed %d records, want the 3 before the corruption", len(got))
-	}
-	if l2.segIndex != 2 || l2.segRecs != 0 || l2.sealedSegs != 1 || l2.truncatedSegments != 1 {
-		t.Fatalf("active %d with %d records, %d sealed, %d truncated; want 2, 0, 1, 1",
-			l2.segIndex, l2.segRecs, l2.sealedSegs, l2.truncatedSegments)
-	}
-	if fi, err := os.Stat(seg1); err != nil || fi.Size() != int64(cut) {
-		t.Fatalf("legacy segment not cut to its intact prefix: %v %v", fi, err)
-	}
-	if err := l2.Append(rec("a", true, 7)); err != nil {
-		t.Fatal(err)
-	}
-	if err := l2.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if _, got, err = Open(path); err != nil || len(got) != 4 {
-		t.Fatalf("after recovery + append: replayed %d (%v), want 4", len(got), err)
+	writeFile(t, path, segmentName(1), data)
+	writeFile(t, path, segmentName(2), segmentFile(t, [][]feedback.Feedback{{rec("a", true, 6)}}, false))
+	if m := migrateAndCheck(t, path, recs[:3]); m.Segments != 1 || m.Skipped != 1 || m.DroppedBytes != int64(len(data)-cut) {
+		t.Fatalf("migration %+v, want 1 segment read, %d bytes dropped, 1 skipped", m, len(data)-cut)
 	}
 }
 

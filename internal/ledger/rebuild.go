@@ -9,9 +9,9 @@ package ledger
 // records merge into it the way a write would (store.Merge: the snapshot scan
 // and the tail overlap by design, exactly like boot, and the history's own
 // order finds the duplicates); store.ReinstateServer then verifies the
-// result against the evicted stub's count and XOR digest before swapping it
-// in, so a corrupt section read or a lost record can never silently resurface
-// as wrong state — it surfaces as a rebuild error.
+// result against the evicted stub's Checksum before swapping it in, so a
+// corrupt section read or a lost record can never silently resurface as
+// wrong state — it surfaces as a rebuild error.
 //
 // The tail index rotates with snapshots: sealForSnapshot moves it to the
 // pending generation (the records the in-flight snapshot will cover), a
@@ -25,10 +25,8 @@ package ledger
 // pinned servers — so a stub's records are always fully reconstructable.
 
 import (
-	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"os"
 	"path/filepath"
 
@@ -263,68 +261,4 @@ func readSnapshotSection(path string, r secRange, id feedback.EntityID, cache *s
 		return snapServer{}, fmt.Errorf("ledger: section range for %q holds %q", id, sec.hist.Server())
 	}
 	return sec, nil
-}
-
-// Stub sidecar: next to every snapshot, the evicted servers' compact stubs
-// are written to snapshot.<seq>.stubs so offline tooling (trustctl
-// ledger-info) can enumerate state that is durable but was not resident at
-// capture. The sidecar is informational — boot and rebuild never read it —
-// so a missing or corrupt sidecar costs visibility, not correctness.
-
-var stubMagic = [8]byte{0xB7, 'H', 'P', 'S', 'T', 'U', 'B', '1'}
-
-// stubsName formats the sidecar file name for snapshot sequence seq.
-func stubsName(seq uint64) string { return snapshotName(seq) + ".stubs" }
-
-// encodeStubs serializes the sidecar image: magic, uvarint count, the stubs
-// in store encoding, and a trailing CRC32-C over everything before it.
-func encodeStubs(stubs []store.Stub) []byte {
-	buf := append([]byte(nil), stubMagic[:]...)
-	buf = binary.AppendUvarint(buf, uint64(len(stubs)))
-	for _, s := range stubs {
-		buf = store.AppendStub(buf, s)
-	}
-	return binary.LittleEndian.AppendUint32(buf, crc32.Checksum(buf, castagnoli))
-}
-
-// decodeStubs verifies and decodes a sidecar image.
-func decodeStubs(data []byte) ([]store.Stub, error) {
-	if len(data) < len(stubMagic)+4 {
-		return nil, errors.New("ledger: stub sidecar: short file")
-	}
-	if string(data[:len(stubMagic)]) != string(stubMagic[:]) {
-		return nil, errors.New("ledger: stub sidecar: bad magic")
-	}
-	body := data[:len(data)-4]
-	if crc32.Checksum(body, castagnoli) != binary.LittleEndian.Uint32(data[len(data)-4:]) {
-		return nil, errors.New("ledger: stub sidecar: checksum mismatch")
-	}
-	rest := body[len(stubMagic):]
-	count, used := binary.Uvarint(rest)
-	if used <= 0 || count > uint64(len(rest)) {
-		return nil, errors.New("ledger: stub sidecar: bad count")
-	}
-	rest = rest[used:]
-	out := make([]store.Stub, 0, count)
-	for i := uint64(0); i < count; i++ {
-		s, n, err := store.DecodeStub(rest)
-		if err != nil {
-			return nil, fmt.Errorf("ledger: stub sidecar: entry %d: %w", i, err)
-		}
-		rest = rest[n:]
-		out = append(out, s)
-	}
-	if len(rest) != 0 {
-		return nil, fmt.Errorf("ledger: stub sidecar: %d trailing bytes", len(rest))
-	}
-	return out, nil
-}
-
-// writeStubs writes the sidecar for snapshot seq. Best effort: failures are
-// logged by the caller, never failed through to the snapshot.
-func writeStubs(dir string, seq uint64, stubs []store.Stub) error {
-	if len(stubs) == 0 {
-		return nil
-	}
-	return os.WriteFile(filepath.Join(dir, stubsName(seq)), encodeStubs(stubs), 0o644)
 }

@@ -29,9 +29,12 @@ func evictAll(t *testing.T, st *store.Store) int {
 // rebuildAll faults every evicted server back in.
 func rebuildAll(t *testing.T, ps *PersistentStore) {
 	t.Helper()
-	for _, stub := range ps.Store().Stubs() {
-		if err := ps.RebuildServer(stub.Server); err != nil {
-			t.Fatalf("rebuild %q: %v", stub.Server, err)
+	for _, srv := range ps.Store().Servers() {
+		if _, evicted := ps.Store().StubOf(srv); !evicted {
+			continue
+		}
+		if err := ps.RebuildServer(srv); err != nil {
+			t.Fatalf("rebuild %q: %v", srv, err)
 		}
 	}
 }
@@ -154,24 +157,6 @@ func TestSnapshotWithEvictedServers(t *testing.T) {
 	want := storeFingerprint(t, ps.Store(), tp)
 	if err := ps.Close(); err != nil {
 		t.Fatal(err)
-	}
-
-	// The stub sidecar of the new snapshot must enumerate what was evicted.
-	raw, err := os.ReadFile(filepath.Join(dir, stubsName(seq)))
-	if err != nil {
-		t.Fatalf("stub sidecar: %v", err)
-	}
-	stubs, err := decodeStubs(raw)
-	if err != nil {
-		t.Fatalf("decode sidecar: %v", err)
-	}
-	if len(stubs) == 0 {
-		t.Fatal("sidecar holds no stubs")
-	}
-	for _, s := range stubs {
-		if s.SnapSeq >= seq || s.Count == 0 {
-			t.Fatalf("implausible sidecar stub %+v for snapshot %d", s, seq)
-		}
 	}
 
 	// Remove everything but the newest snapshot; boot must not miss data.

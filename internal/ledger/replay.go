@@ -150,9 +150,8 @@ func (l *Ledger) replayFrom(ctx context.Context, from uint64, emit func([]feedba
 }
 
 // skippedSegmentStats reads a snapshot-covered segment's footer for its
-// record count without decoding the segment. Legacy JSON segments have no
-// footer; their count is reported as 0 (registerMetrics documents the
-// approximation).
+// record count without decoding the segment; the capture sealed every
+// segment below the snapshot's horizon, so the count is exact.
 func (l *Ledger) skippedSegmentStats(idx uint64) (records uint64, size int64) {
 	path := l.segPath(idx)
 	fi, err := os.Stat(path)
@@ -180,8 +179,7 @@ func (l *Ledger) skippedSegmentStats(idx uint64) (records uint64, size int64) {
 
 // adoptTruncated makes a corrupt sealed segment the ledger's new tail: later
 // segments (including the previously active one) are deleted, the file is
-// truncated back to its intact prefix, and appends resume there — or, after
-// a legacy segment, in a fresh segment behind it (see adopt).
+// truncated back to its intact prefix, and appends resume there.
 func (l *Ledger) adoptTruncated(idx uint64, sc segScan, later []uint64) error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -201,13 +199,8 @@ func (l *Ledger) adoptTruncated(idx uint64, sc segScan, later []uint64) error {
 	}
 	l.truncatedSegments++
 	l.truncatedBytes += discarded
-	sealedAt, err := l.adopt(idx, sc)
-	if err != nil {
+	if err := l.adopt(idx, sc); err != nil {
 		return err
-	}
-	if sealedAt > 0 {
-		l.sealedSegs++
-		l.sealedBytes += sealedAt
 	}
 	syncDir(l.dir)
 	return nil

@@ -27,19 +27,12 @@ package ledger
 // not a canonical batch, a broken chain, a torn tail — degrades to the
 // longest intact block prefix, which scanSegment reports without ever failing
 // on malformed input. A block is a whole commit group, so a torn tail never
-// keeps part of one.
-//
-// Three older encodings stay readable: v2 segments (header magic '2'; the
-// same blocks, footer and chain, but a time column without a scale, which
-// the batch codec reads when the scan's dictionaries are marked Unscaled),
-// v1 segments (segment_v1.go; same footer, one framed row per record) and
-// legacy JSON-lines files (one wire-compatible record per line, no header —
-// the PR-7 single-file format, recognised by its first byte).
+// keeps part of one. A file without the header — an empty one, a torn header
+// — holds nothing intact. The layouts of earlier revisions are read by
+// migrate.go alone, and a node refuses a directory that holds one.
 
 import (
-	"bytes"
 	"encoding/binary"
-	"encoding/json"
 	"fmt"
 	"hash/crc32"
 	"os"
@@ -49,7 +42,6 @@ import (
 
 var (
 	segMagic   = [8]byte{0xB5, 'H', 'P', 'S', 'E', 'G', '3', 0x00}
-	segMagicV2 = [8]byte{0xB5, 'H', 'P', 'S', 'E', 'G', '2', 0x00}
 	footerMark = "HPSEGFTR"
 	footerEnd  = "HPSEGEND"
 	castagnoli = crc32.MakeTable(crc32.Castagnoli)
@@ -57,36 +49,6 @@ var (
 
 // footerSize is the byte length of a sealed segment's footer.
 const footerSize = 1 + 8 + 8 + 8 + 4 + 4 + 8
-
-// segKind classifies a segment file's encoding.
-type segKind int
-
-const (
-	segV3 segKind = iota
-	segV2
-	segV1
-	segJSON
-)
-
-func (k segKind) String() string { return [...]string{"v3", "v2", "v1", "json"}[k] }
-
-// sniffKind classifies a segment by its first bytes: binary segments start
-// with the magic byte 0xB5, which no JSON-lines file can (JSON is ASCII), and
-// the magic tells the binary layouts apart. Anything else that starts with
-// 0xB5 — an empty file, a torn header — is a current-format segment with
-// nothing intact.
-func sniffKind(data []byte) segKind {
-	switch {
-	case len(data) > 0 && data[0] != segMagic[0]:
-		return segJSON
-	case len(data) < len(segMagic): // a torn header
-	case [8]byte(data[:8]) == segMagicV2:
-		return segV2
-	case [8]byte(data[:8]) == segMagicV1:
-		return segV1
-	}
-	return segV3
-}
 
 // appendBlock appends one block holding recs to buf, extending d.
 func appendBlock(buf []byte, recs []feedback.Feedback, d *feedback.BatchDicts) ([]byte, error) {
@@ -119,13 +81,12 @@ func appendFooter(buf []byte, count uint64, bodyLen uint64, chain uint32) []byte
 
 // segScan is the result of scanning one segment file.
 type segScan struct {
-	kind    segKind
 	records uint64 // intact records
-	blocks  uint64 // checksummed units holding them: blocks, or v1 rows
+	blocks  uint64 // intact blocks holding them
 	intact  int64  // byte offset of the end of the last intact block
 	size    int64  // file size as scanned
 	sealed  bool   // a valid footer covers exactly the intact prefix
-	chain   uint32 // crc chain over the intact prefix (binary segments)
+	chain   uint32 // crc chain over the intact prefix
 	// truncated reports bytes past the intact prefix (0 for sealed segments).
 	truncated int64
 	// dict is what the intact prefix's blocks left in the segment's
@@ -167,26 +128,25 @@ func (s *segScanner) flush(min int) error {
 // the intact prefix — but does propagate emit's error, aborting the scan.
 func scanSegment(data []byte, emit func([]feedback.Feedback) error) (segScan, error) {
 	s := segScanner{emit: emit}
-	s.kind, s.size = sniffKind(data), int64(len(data))
 	var err error
-	switch {
-	case s.kind == segJSON:
-		err = s.scanJSON(data)
-	case len(data) < len(segMagic):
-		// Missing or torn header: nothing intact.
-	case s.kind == segV1:
-		err = s.scanRows(data)
-	case s.kind == segV2 || [8]byte(data[:8]) == segMagic:
-		s.dict.Unscaled = s.kind == segV2
+	if len(data) >= len(segMagic) && [8]byte(data[:8]) == segMagic {
 		err = s.scanBlocks(data)
 	}
+	return s.finish(data, err)
+}
+
+// finish ends a scan of data whose body walk returned err: it hands emit
+// the last records and takes a footer that vouches for exactly the intact
+// prefix.
+func (s *segScanner) finish(data []byte, err error) (segScan, error) {
+	s.size = int64(len(data))
 	if err == nil {
 		err = s.flush(1)
 	}
 	if err != nil {
 		return s.segScan, err
 	}
-	if rest := data[s.intact:]; s.kind != segJSON && s.intact > 0 && len(rest) == footerSize {
+	if rest := data[s.intact:]; s.intact > 0 && len(rest) == footerSize {
 		if fc, ok := parseFooter(rest); ok && fc.count == s.records && fc.chain == s.chain &&
 			fc.bodyLen == uint64(s.intact)-uint64(len(segMagic)) {
 			s.sealed = true
@@ -197,7 +157,7 @@ func scanSegment(data []byte, emit func([]feedback.Feedback) error) (segScan, er
 	return s.segScan, nil
 }
 
-// scanBlocks walks a v3 or v2 segment's blocks.
+// scanBlocks walks a segment's blocks (v2's too, for migrate.go).
 func (s *segScanner) scanBlocks(data []byte) error {
 	s.intact = int64(len(segMagic))
 	for rest := data[s.intact:]; len(rest) > 0; rest = data[s.intact:] {
@@ -253,55 +213,6 @@ func parseFooter(buf []byte) (footerContent, bool) {
 	fc.bodyLen = binary.LittleEndian.Uint64(buf[17:25])
 	fc.chain = binary.LittleEndian.Uint32(buf[25:29])
 	return fc, true
-}
-
-// scanJSON replays a legacy JSON-lines segment: records until the first torn
-// or corrupt line, blank lines skipped. Mirrors the PR-7 replay semantics
-// exactly.
-func (s *segScanner) scanJSON(data []byte) error {
-	for int64(len(data)) > s.intact {
-		rest := data[s.intact:]
-		nl := int64(bytes.IndexByte(rest, '\n'))
-		if nl < 0 {
-			break // torn final line
-		}
-		line := trimSpaceBytes(rest[:nl])
-		if len(line) != 0 {
-			f, ok := decodeJSONRecord(line)
-			if !ok {
-				break
-			}
-			s.batch = append(s.batch, f)
-			s.records++
-			if err := s.flush(replayBatch); err != nil {
-				return err
-			}
-		}
-		s.intact += nl + 1
-	}
-	return nil
-}
-
-// decodeJSONRecord unmarshals and validates one JSON line.
-func decodeJSONRecord(line []byte) (feedback.Feedback, bool) {
-	var f feedback.Feedback
-	if err := json.Unmarshal(line, &f); err != nil {
-		return f, false
-	}
-	if err := f.Validate(); err != nil {
-		return f, false
-	}
-	return f, true
-}
-
-func trimSpaceBytes(b []byte) []byte {
-	for len(b) > 0 && (b[0] == ' ' || b[0] == '\t' || b[0] == '\r') {
-		b = b[1:]
-	}
-	for len(b) > 0 && (b[len(b)-1] == ' ' || b[len(b)-1] == '\t' || b[len(b)-1] == '\r') {
-		b = b[:len(b)-1]
-	}
-	return b
 }
 
 // segmentName formats the file name of segment index i.

@@ -195,8 +195,7 @@ func (sw *snapWriter) abort() {
 	_ = os.Remove(filepath.Join(sw.dir, snapTmpName))
 }
 
-// pruneSnapshots removes all but the snapKeep newest snapshot files, along
-// with the pruned snapshots' stub sidecars.
+// pruneSnapshots removes all but the snapKeep newest snapshot files.
 func pruneSnapshots(dir string) {
 	seqs, err := listSnapshots(dir)
 	if err != nil || len(seqs) <= snapKeep {
@@ -204,7 +203,6 @@ func pruneSnapshots(dir string) {
 	}
 	for _, seq := range seqs[:len(seqs)-snapKeep] {
 		_ = os.Remove(filepath.Join(dir, snapshotName(seq)))
-		_ = os.Remove(filepath.Join(dir, stubsName(seq)))
 	}
 }
 

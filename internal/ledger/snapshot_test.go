@@ -650,7 +650,7 @@ func TestLedgerInfo(t *testing.T) {
 	}
 	for _, seg := range info.Segments {
 		// The workload appends one record per commit group.
-		if seg.Format != "v3" || seg.Blocks != seg.Records {
+		if seg.Blocks != seg.Records {
 			t.Fatalf("segment info: %+v", seg)
 		}
 		if want := float64(seg.Size) / float64(seg.Records); seg.Records > 0 && seg.BytesPerRecord != want {
@@ -666,18 +666,58 @@ func TestLedgerInfo(t *testing.T) {
 	if si := info.Snapshots[0]; si.Version != snapVersion || si.Records != 120 || si.SectionBytesPerRecord <= 0 {
 		t.Fatalf("snapshot info: %+v", si)
 	}
-	// Legacy single file.
+	// A single-file ledger is refused (TestOldFormatRefusedReadOnly has the
+	// other older layouts).
 	legacy := filepath.Join(t.TempDir(), "legacy.jsonl")
-	raw := append(legacyLine(t, rec("a", true, 1)), legacyLine(t, rec("b", true, 2))...)
-	if err := os.WriteFile(legacy, raw, 0o644); err != nil {
+	if err := os.WriteFile(legacy, legacyLine(t, rec("a", true, 1)), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	linfo, err := Inspect(legacy)
+	if _, err := Inspect(legacy); !errors.Is(err, ErrOldFormat) {
+		t.Fatalf("Inspect of a single-file ledger: %v, want ErrOldFormat", err)
+	}
+}
+
+// TestSnapshotBootCountsLikeReplay: ledger.records and ledger.segments are
+// exact — a boot that skips the segments a snapshot covers reports what a
+// full replay of the same directory reports.
+func TestSnapshotBootCountsLikeReplay(t *testing.T) {
+	dir := filepath.Join(t.TempDir(), "led")
+	ps, err := OpenStoreOptions(context.Background(), dir, Options{Shards: 2, SegmentBytes: 512})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !linfo.Legacy || linfo.Records != 2 || linfo.Segments[0].Format != "json" || linfo.Segments[0].Blocks != 0 {
-		t.Fatalf("legacy info: %+v", linfo)
+	workload(t, ps, 150, 0)
+	if _, err := ps.Snapshot(); err != nil {
+		t.Fatal(err)
+	}
+	workload(t, ps, 40, 150)
+	if err := ps.Close(); err != nil {
+		t.Fatal(err)
+	}
+	counts := func(mode string) [2]any {
+		t.Helper()
+		boot, err := OpenStoreOptions(context.Background(), dir, Options{Shards: 2, SegmentBytes: 512})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer boot.Close()
+		if got := ledgerMetric(boot, "boot_mode"); got != mode {
+			t.Fatalf("boot mode %q, want %q", got, mode)
+		}
+		return [2]any{ledgerMetric(boot, "records"), ledgerMetric(boot, "segments")}
+	}
+	fromSnapshot := counts("snapshot")
+	seqs, err := listSnapshots(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, seq := range seqs {
+		if err := os.Remove(filepath.Join(dir, snapshotName(seq))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if replayed := counts("replay"); fromSnapshot != replayed || replayed[0] != uint64(190) {
+		t.Fatalf("snapshot boot counts (records, segments) %v, full replay %v, want 190 records", fromSnapshot, replayed)
 	}
 }
 

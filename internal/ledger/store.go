@@ -118,7 +118,8 @@ func OpenStoreShardedContext(ctx context.Context, path string, shards int) (*Per
 // from the newest snapshot that verifies and seeds cleanly, then streams
 // the ledger tail into the store; with no usable snapshot it replays the
 // whole ledger. Replay is streamed in batches, so boot memory is bounded by
-// the store itself plus one segment.
+// the store itself plus one segment. A path in an older format is refused
+// with ErrOldFormat before anything in it changes (see Open).
 func OpenStoreOptions(ctx context.Context, path string, opts Options) (*PersistentStore, error) {
 	shards := opts.Shards
 	if shards <= 0 {
@@ -197,7 +198,6 @@ func OpenStoreOptions(ctx context.Context, path string, opts Options) (*Persiste
 	ps.store = st
 	if opts.MemBudget > 0 {
 		st.SetEvictGuard(ps.isPinned)
-		st.SetSnapshotSeq(ps.lastSnapSeq.Load())
 		if ps.bootMode == "replay" && st.Len() > 0 {
 			// A full replay leaves the whole history in the tail index; one
 			// snapshot moves it into a section-indexed file so the budget
@@ -376,13 +376,13 @@ func (ps *PersistentStore) snapshotAsync() {
 // snapshot boot replays only post-snapshot segments instead of re-decoding
 // the covered segment's prefix. Accumulator state is serialized under the
 // shard read lock, so it matches the history captured alongside it exactly.
-// Evicted servers are forgetting-safe: the walk hands the writer a stub
-// instead of a history, and the writer materializes the stub's full section
-// from the previous snapshot plus the pending tail generation (rotated out
-// of the live tail index at seal time), verified against the stub's record
-// count. Every published snapshot therefore carries every server's complete
-// covered history, resident or not — the invariant rebuild-on-demand and
-// snapshot boot both lean on.
+// Evicted servers are forgetting-safe: the walk hands the writer a stub's
+// Checksum instead of a history, and the writer materializes the stub's full
+// section from the previous snapshot plus the pending tail generation
+// (rotated out of the live tail index at seal time), verified against that
+// Checksum. Every published snapshot therefore carries every server's
+// complete covered history, resident or not — the invariant
+// rebuild-on-demand and snapshot boot both lean on.
 func (ps *PersistentStore) Snapshot() (uint64, error) {
 	ps.snapMu.Lock()
 	defer ps.snapMu.Unlock()
@@ -408,11 +408,10 @@ func (ps *PersistentStore) Snapshot() (uint64, error) {
 	}
 	type section struct {
 		id       feedback.EntityID
-		snap     *feedback.History
+		snap     *feedback.History // nil for an evicted server
 		accState []byte
-		stub     *store.Stub
+		stub     store.Checksum // an evicted server's
 	}
-	var stubs []store.Stub
 	sections := make(map[string]secRange)
 	var secFiles sectionFiles
 	defer secFiles.close()
@@ -420,9 +419,7 @@ func (ps *PersistentStore) Snapshot() (uint64, error) {
 		var secs []section
 		ps.store.SnapshotShard(idx, func(ent store.ShardEntry) {
 			if ent.Snap == nil {
-				stub := store.Stub{Server: ent.Server, Count: ent.Count, XOR: ent.XOR, Version: ent.Version, SnapSeq: ent.SnapSeq}
-				stubs = append(stubs, stub)
-				secs = append(secs, section{id: ent.Server, stub: &stub})
+				secs = append(secs, section{id: ent.Server, stub: ent.Checksum})
 				return
 			}
 			sec := section{id: ent.Server, snap: ent.Snap}
@@ -439,25 +436,23 @@ func (ps *PersistentStore) Snapshot() (uint64, error) {
 		// file IO.
 		for _, sec := range secs {
 			hist := sec.snap
-			if sec.stub != nil {
+			if hist == nil {
 				// The live tail is included: a server evicted after this
 				// snapshot sealed may count post-seal records in its stub,
-				// and those live only in the tail index. Extra records
-				// beyond the stub's count are harmless (boot dedups), but
-				// fewer means the section would forget history — abort.
+				// and those live only in the tail index. Records a write
+				// added after the walk (the server faulted in and evicted
+				// again) are harmless extras (boot dedups), but any other
+				// set means the section would forget history — abort.
+				var sum store.Checksum
 				var err error
-				if hist, _, _, err = ps.gatherServer(sec.id, &secFiles); err != nil {
-					return fail(fmt.Errorf("ledger: snapshot: evicted section %q: %w", sec.id, err))
+				if hist, _, _, err = ps.gatherServer(sec.id, &secFiles); err == nil {
+					sum, err = store.DigestSorted(hist)
 				}
-				if hist.Len() < sec.stub.Count {
-					return fail(fmt.Errorf("ledger: snapshot: evicted section %q: rebuilt %d of %d records", sec.id, hist.Len(), sec.stub.Count))
+				if err == nil && sum.Count <= sec.stub.Count && sum != sec.stub {
+					err = fmt.Errorf("rebuilt records %+v, stub has %+v", sum, sec.stub)
 				}
-				xor, err := store.DigestSorted(hist)
 				if err != nil {
 					return fail(fmt.Errorf("ledger: snapshot: evicted section %q: %w", sec.id, err))
-				}
-				if hist.Len() == sec.stub.Count && xor != sec.stub.XOR {
-					return fail(fmt.Errorf("ledger: snapshot: evicted section %q: digest mismatch (rebuilt %x, stub %x)", sec.id, xor, sec.stub.XOR))
 				}
 			}
 			start := sw.pos
@@ -477,10 +472,6 @@ func (ps *PersistentStore) Snapshot() (uint64, error) {
 	ps.snapBytes.Add(uint64(size))
 	if lifecycle {
 		ps.dropPendingTail(seq, sections)
-		ps.store.SetSnapshotSeq(seq)
-		if err := writeStubs(ps.ledger.dir, seq, stubs); err != nil {
-			ps.logf("ledger: stub sidecar for snapshot %d not written: %v", seq, err)
-		}
 	}
 	pruneSnapshots(ps.ledger.dir)
 	return seq, nil

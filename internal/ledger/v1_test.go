@@ -6,7 +6,6 @@ import (
 	"hash/crc32"
 	"os"
 	"path/filepath"
-	"reflect"
 	"testing"
 	"time"
 
@@ -86,29 +85,10 @@ func stream(n int) []feedback.Feedback {
 	return recs
 }
 
-// inspectFormats lists a directory's segments as "<format> <state>" and the
-// bytes that fail verification.
-func inspectFormats(t *testing.T, dir string) ([]string, int64) {
-	t.Helper()
-	info, err := Inspect(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var out []string
-	for _, seg := range info.Segments {
-		state := "active"
-		if seg.Sealed {
-			state = "sealed"
-		}
-		out = append(out, seg.Format+" "+state)
-	}
-	return out, info.TruncatedBytes
-}
-
-// TestV1DirectoryUpgrades: a directory as the previous revision left it —
-// sealed v1 segments and an unsealed v1 tail with a torn last row — opens,
-// replays every intact record, seals the v1 tail where it stands, takes
-// appends in a v3 segment behind it, and reopens to the same records, twice.
+// TestV1DirectoryUpgrades: a directory as the v1 revisions left it — sealed
+// v1 segments and an unsealed v1 tail with a torn last row — migrates to a
+// ledger of every intact record in one current-format segment; the torn
+// bytes are the only ones left behind.
 func TestV1DirectoryUpgrades(t *testing.T) {
 	recs := stream(100)
 	dir := filepath.Join(t.TempDir(), "led")
@@ -119,94 +99,28 @@ func TestV1DirectoryUpgrades(t *testing.T) {
 	torn, _ := appendRowV1(t, nil, recs[0], 0)
 	tail = append(tail, torn[:len(torn)-5]...)
 	for i, data := range [][]byte{v1Segment(t, recs[:40], true), v1Segment(t, recs[40:80], true), tail} {
-		if err := os.WriteFile(filepath.Join(dir, segmentName(uint64(i+1))), data, 0o644); err != nil {
-			t.Fatal(err)
-		}
+		writeFile(t, dir, segmentName(uint64(i+1)), data)
 	}
-	if got, bad := inspectFormats(t, dir); !reflect.DeepEqual(got, []string{"v1 sealed", "v1 sealed", "v1 active"}) || bad != int64(len(torn)-5) {
-		t.Fatalf("fixture inspects as %v with %d bad bytes", got, bad)
-	}
-
-	l, got, err := Open(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(got, recs) {
-		t.Fatalf("replayed %d records, want the fixture's %d", len(got), len(recs))
-	}
-	if l.segIndex != 4 || l.truncatedSegments != 1 || l.truncatedBytes != int64(len(torn)-5) {
-		t.Fatalf("active segment %d, %d truncations of %d bytes; want 4, 1, %d",
-			l.segIndex, l.truncatedSegments, l.truncatedBytes, len(torn)-5)
-	}
-	if l.records != 100 || l.sealedSegs != 3 {
-		t.Fatalf("counted %d records in %d sealed segments, want 100 in 3", l.records, l.sealedSegs)
-	}
-	more := stream(130)[100:]
-	if err := l.AppendBatch(more[:20]); err != nil {
-		t.Fatal(err)
-	}
-	if err := l.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if got, bad := inspectFormats(t, dir); !reflect.DeepEqual(got, []string{"v1 sealed", "v1 sealed", "v1 sealed", "v3 active"}) || bad != 0 {
-		t.Fatalf("after the upgrade the directory inspects as %v with %d bad bytes", got, bad)
-	}
-
-	l, got, err = Open(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if want := append(append([]feedback.Feedback(nil), recs...), more[:20]...); !reflect.DeepEqual(got, want) {
-		t.Fatalf("reopen replayed %d records, want %d", len(got), len(want))
-	}
-	if l.segIndex != 4 || l.truncatedSegments != 0 {
-		t.Fatalf("reopen: active segment %d, %d truncations", l.segIndex, l.truncatedSegments)
-	}
-	if err := l.AppendBatch(more[20:]); err != nil {
-		t.Fatal(err)
-	}
-	if err := l.Close(); err != nil {
-		t.Fatal(err)
-	}
-	l, got, err = Open(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer func() { _ = l.Close() }()
-	if want := append(append([]feedback.Feedback(nil), recs...), more...); !reflect.DeepEqual(got, want) {
-		t.Fatalf("second reopen replayed %d records, want %d", len(got), len(want))
+	m := migrateAndCheck(t, dir, recs)
+	if want := (Migration{Segments: 3, Records: 100, DroppedBytes: int64(len(torn) - 5)}); m != want {
+		t.Fatalf("migration %+v, want %+v", m, want)
 	}
 }
 
-// TestV1HeaderOnlyTailBecomesCurrent: a v1 tail that never took a record
-// has nothing to keep; it is rewritten in place as the segment appends go
-// to, in the current format.
+// TestV1HeaderOnlyTailBecomesCurrent: a v1 segment that never took a record
+// migrates to an empty current-format ledger that takes appends.
 func TestV1HeaderOnlyTailBecomesCurrent(t *testing.T) {
 	dir := filepath.Join(t.TempDir(), "led")
 	if err := os.Mkdir(dir, 0o755); err != nil {
 		t.Fatal(err)
 	}
-	if err := os.WriteFile(filepath.Join(dir, segmentName(1)), segMagicV1[:], 0o644); err != nil {
-		t.Fatal(err)
-	}
-	l, got, err := Open(dir)
-	if err != nil || len(got) != 0 {
-		t.Fatalf("open: %d records, %v", len(got), err)
-	}
-	if err := l.AppendBatch(stream(5)); err != nil {
-		t.Fatal(err)
-	}
-	if err := l.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if got, bad := inspectFormats(t, dir); !reflect.DeepEqual(got, []string{"v3 active"}) || bad != 0 {
-		t.Fatalf("directory inspects as %v with %d bad bytes", got, bad)
-	}
+	writeFile(t, dir, segmentName(1), segMagicV1[:])
+	migrateAndCheck(t, dir, nil)
 }
 
 // TestCorruptV1SegmentRetires: corruption inside a sealed v1 segment keeps
-// its intact rows — resealed under a footer of their own — drops what came
-// after, and resumes in a v3 segment.
+// its intact rows and drops what came after — the later segment too — as
+// replay always has.
 func TestCorruptV1SegmentRetires(t *testing.T) {
 	recs := stream(60)
 	dir := filepath.Join(t.TempDir(), "led")
@@ -215,40 +129,13 @@ func TestCorruptV1SegmentRetires(t *testing.T) {
 	}
 	victim := v1Segment(t, recs[:40], true)
 	victim[len(victim)/2] ^= 0xFF
-	kept, _ := scanSegment(victim, nil)
+	kept, _ := scanAny(victim, nil)
 	if kept.sealed || kept.records == 0 || kept.records >= 40 {
 		t.Fatalf("fixture: corruption left %d intact records, sealed %v", kept.records, kept.sealed)
 	}
-	for i, data := range [][]byte{victim, v1Segment(t, recs[40:], false)} {
-		if err := os.WriteFile(filepath.Join(dir, segmentName(uint64(i+1))), data, 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
-	l, got, err := Open(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(got, recs[:kept.records]) {
-		t.Fatalf("replayed %d records, want the %d before the corruption", len(got), kept.records)
-	}
-	if l.sealedSegs != 1 || l.sealedBytes != kept.intact+footerSize || l.truncatedSegments == 0 {
-		t.Fatalf("%d sealed segments of %d bytes, %d truncations", l.sealedSegs, l.sealedBytes, l.truncatedSegments)
-	}
-	if err := l.AppendBatch(recs[50:]); err != nil {
-		t.Fatal(err)
-	}
-	if err := l.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if got, bad := inspectFormats(t, dir); !reflect.DeepEqual(got, []string{"v1 sealed", "v3 active"}) || bad != 0 {
-		t.Fatalf("directory inspects as %v with %d bad bytes", got, bad)
-	}
-	l, got, err = Open(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer func() { _ = l.Close() }()
-	if want := append(append([]feedback.Feedback(nil), recs[:kept.records]...), recs[50:]...); !reflect.DeepEqual(got, want) {
-		t.Fatalf("reopen replayed %d records, want %d", len(got), len(want))
+	writeFile(t, dir, segmentName(1), victim)
+	writeFile(t, dir, segmentName(2), v1Segment(t, recs[40:], false))
+	if m := migrateAndCheck(t, dir, recs[:kept.records]); m.Segments != 1 || m.Skipped != 1 || m.DroppedBytes != kept.truncated {
+		t.Fatalf("migration %+v, want 1 segment read, %d bytes dropped, 1 skipped", m, kept.truncated)
 	}
 }

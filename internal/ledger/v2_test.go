@@ -3,11 +3,11 @@ package ledger
 import (
 	"context"
 	"encoding/binary"
+	"errors"
 	"hash/crc32"
 	"os"
 	"path/filepath"
 	"reflect"
-	"strings"
 	"testing"
 
 	"honestplayer/internal/feedback"
@@ -79,30 +79,24 @@ func v2Snapshot(seq, covered, records uint64, hists ...*feedback.History) []byte
 
 // TestV2DirectoryUpgrades: a directory as the previous revision left it — a
 // sealed v2 segment, an active v2 segment and a version-2 snapshot covering
-// the first — boots by replay to the store its records make, seals the v2
-// tail under a valid footer, takes appends in a v3 segment and writes a
-// version-3 snapshot, from which the boot after that starts.
+// the first — is refused, and migrates to a ledger that boots by replay to
+// the store its records make, takes appends, writes a version-3 snapshot
+// and boots from it after that.
 func TestV2DirectoryUpgrades(t *testing.T) {
 	recs := stream(300)
 	sealed, active := groupsOf(recs[:200]), groupsOf(recs[200:])
 	root := t.TempDir()
-	dir, ref := filepath.Join(root, "led"), filepath.Join(root, "ref")
+	dir, ref, migrated := filepath.Join(root, "led"), filepath.Join(root, "ref"), filepath.Join(root, "new")
 	for _, d := range []string{dir, ref} {
 		if err := os.Mkdir(d, 0o755); err != nil {
 			t.Fatal(err)
 		}
 	}
-	write := func(dir, name string, data []byte) {
-		t.Helper()
-		if err := os.WriteFile(filepath.Join(dir, name), data, 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
-	write(dir, segmentName(1), v2Segment(t, sealed, true))
-	write(dir, segmentName(2), v2Segment(t, active, false))
+	writeFile(t, dir, segmentName(1), v2Segment(t, sealed, true))
+	writeFile(t, dir, segmentName(2), v2Segment(t, active, false))
 	// The reference holds the same records as this revision writes them.
-	write(ref, segmentName(1), segmentFile(t, sealed, true))
-	write(ref, segmentName(2), segmentFile(t, active, false))
+	writeFile(t, ref, segmentName(1), segmentFile(t, sealed, true))
+	writeFile(t, ref, segmentName(2), segmentFile(t, active, false))
 	opts := Options{Shards: 2}
 	refStore, err := OpenStoreOptions(context.Background(), ref, opts)
 	if err != nil {
@@ -126,31 +120,23 @@ func TestV2DirectoryUpgrades(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	write(dir, snapshotName(1), v2Snapshot(1, 2, 200, hists...))
+	writeFile(t, dir, snapshotName(1), v2Snapshot(1, 2, 200, hists...))
 
-	info, err := Inspect(dir)
-	if err != nil {
-		t.Fatal(err)
+	if _, err := Inspect(dir); !errors.Is(err, ErrOldFormat) {
+		t.Fatalf("Inspect of a v2 directory: %v, want ErrOldFormat", err)
 	}
-	if si := info.Snapshots[0]; si.Version != 2 || si.Valid || !strings.Contains(si.Error, "unsupported version 2") {
-		t.Fatalf("version-2 snapshot listed as %+v", si)
+	if m, err := Migrate(dir, migrated); err != nil || m.Records != 300 || m.DroppedBytes != 0 {
+		t.Fatalf("migrate: %+v, %v", m, err)
 	}
-	if got, bad := inspectFormats(t, dir); !reflect.DeepEqual(got, []string{"v2 sealed", "v2 active"}) || bad != 0 {
-		t.Fatalf("fixture inspects as %v with %d bad bytes", got, bad)
-	}
-
-	boot, err := OpenStoreOptions(context.Background(), dir, opts)
+	boot, err := OpenStoreOptions(context.Background(), migrated, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if mode := ledgerMetric(boot, "boot_mode"); mode != "replay" {
-		t.Fatalf("boot mode over a version-2 snapshot = %q, want replay", mode)
+		t.Fatalf("boot mode of a migrated directory = %q, want replay", mode)
 	}
 	if got := storeFingerprint(t, boot.Store(), nil); !reflect.DeepEqual(got, want) {
-		t.Fatal("the v2 directory boots to a store that differs from its records'")
-	}
-	if got, bad := inspectFormats(t, dir); !reflect.DeepEqual(got, []string{"v2 sealed", "v2 sealed", "v3 active"}) || bad != 0 {
-		t.Fatalf("after boot the directory inspects as %v with %d bad bytes", got, bad)
+		t.Fatal("the migrated v2 directory boots to a store that differs from its records'")
 	}
 	more := stream(340)[300:]
 	for i, r := range boot.AddBatch(more, 1) {
@@ -166,18 +152,18 @@ func TestV2DirectoryUpgrades(t *testing.T) {
 	if err := boot.Close(); err != nil {
 		t.Fatal(err)
 	}
-	info, err = Inspect(dir)
+	info, err := Inspect(migrated)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if seg := info.Segments[2]; seg.Format != "v3" || !seg.Sealed || seg.Records != uint64(len(more)) || info.TruncatedBytes != 0 {
-		t.Fatalf("the appends landed in %+v", seg)
+	if info.Records != 340 || info.TruncatedBytes != 0 || !info.Segments[0].Sealed {
+		t.Fatalf("the migrated directory inspects as %+v", info)
 	}
 	if si := info.Snapshots[len(info.Snapshots)-1]; si.Seq != next || si.Version != 3 || !si.Valid {
-		t.Fatalf("snapshot written after the upgrade listed as %+v", si)
+		t.Fatalf("snapshot written after the migration listed as %+v", si)
 	}
 
-	again, err := OpenStoreOptions(context.Background(), dir, opts)
+	again, err := OpenStoreOptions(context.Background(), migrated, opts)
 	if err != nil {
 		t.Fatal(err)
 	}

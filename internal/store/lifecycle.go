@@ -4,13 +4,13 @@ package store
 // self-reports its resident footprint (history bytes + accumulator bytes,
 // see Accumulator.SizeBytes and feedback.History.SizeBytes); the store keeps
 // the node-wide sum and, when a budget is set, evicts idle servers down to a
-// compact stub — version counter, record count, dedup digest (XOR), and the
-// newest snapshot sequence — until the sum fits. Evicted state is NOT lost:
-// the persistence layer rebuilds a server from its snapshot + tail segments
-// on the next access (rebuild-on-demand), and ReinstateServer verifies the
-// rebuilt records against the stub's count and digest before swapping them
-// back in. Eviction without a persistence layer underneath loses records;
-// only enable a budget on stores whose writes are ledgered.
+// compact stub — version counter and Checksum (record count and XOR digest)
+// — until the sum fits. Evicted state is NOT lost: the persistence layer
+// rebuilds a server from its snapshot + tail segments on the next access
+// (rebuild-on-demand), and ReinstateServer verifies the rebuilt records
+// against the stub's Checksum before swapping them back in. Eviction without
+// a persistence layer underneath loses records; only enable a budget on
+// stores whose writes are ledgered.
 //
 // Victim selection is a clock (second-chance) sweep: reads and writes set a
 // touched bit, and the sweep walks shards in rotation with three escalating
@@ -20,7 +20,6 @@ package store
 // the ledger, so a rebuild can never miss an accepted record.
 
 import (
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"sort"
@@ -52,62 +51,12 @@ type EvictGuard func(server feedback.EntityID) bool
 type EvictPreference func(server feedback.EntityID) bool
 
 // Stub is the exported form of an evicted server's compact state, enough to
-// verify a rebuild against: the record count and XOR digest pin the exact
-// record set, the version keeps assessment-cache keys comparable across the
-// eviction, and SnapSeq names the newest snapshot covering the server at
-// eviction time.
+// verify a rebuild against: the Checksum pins the exact record set, and the
+// version keeps assessment-cache keys comparable across the eviction.
 type Stub struct {
-	Server  feedback.EntityID
-	Count   int
-	XOR     uint64
+	Server feedback.EntityID
+	Checksum
 	Version uint64
-	SnapSeq uint64
-}
-
-// AppendStub encodes s compactly into dst: uvarint-length-prefixed server ID
-// followed by uvarint count, XOR, version, and snapshot sequence. The
-// persistence layer writes these as a sidecar next to snapshots so offline
-// tools can enumerate evicted state.
-func AppendStub(dst []byte, s Stub) []byte {
-	dst = binary.AppendUvarint(dst, uint64(len(s.Server)))
-	dst = append(dst, s.Server...)
-	dst = binary.AppendUvarint(dst, uint64(s.Count))
-	dst = binary.AppendUvarint(dst, s.XOR)
-	dst = binary.AppendUvarint(dst, s.Version)
-	dst = binary.AppendUvarint(dst, s.SnapSeq)
-	return dst
-}
-
-// DecodeStub decodes one stub from the front of buf, returning the stub and
-// the number of bytes consumed. It rejects truncated input, empty or
-// oversized server IDs, and counts that cannot fit in an int.
-func DecodeStub(buf []byte) (Stub, int, error) {
-	var s Stub
-	n, used := binary.Uvarint(buf)
-	if used <= 0 {
-		return s, 0, errors.New("store: stub: bad server length")
-	}
-	if n == 0 || n > uint64(len(buf)-used) || n > 1<<16 {
-		return s, 0, fmt.Errorf("store: stub: server length %d out of range", n)
-	}
-	off := used
-	s.Server = feedback.EntityID(buf[off : off+int(n)])
-	off += int(n)
-	count, used := binary.Uvarint(buf[off:])
-	if used <= 0 || count > 1<<48 {
-		return s, 0, errors.New("store: stub: bad count")
-	}
-	s.Count = int(count)
-	off += used
-	for _, field := range []*uint64{&s.XOR, &s.Version, &s.SnapSeq} {
-		v, used := binary.Uvarint(buf[off:])
-		if used <= 0 {
-			return s, 0, errors.New("store: stub: truncated")
-		}
-		*field = v
-		off += used
-	}
-	return s, off, nil
 }
 
 // RegisterMetrics declares the governor's part of the lifecycle block in reg
@@ -186,11 +135,6 @@ func (s *Store) SetEvictPreference(p EvictPreference) {
 	}
 	s.evictPref.Store(&p)
 }
-
-// SetSnapshotSeq records the sequence number of the newest durable snapshot;
-// stubs minted from now on carry it. The persistence layer calls this after
-// every successful snapshot.
-func (s *Store) SetSnapshotSeq(seq uint64) { s.snapSeq.Store(seq) }
 
 // maybeEvict runs budget enforcement when the accounted footprint exceeds a
 // configured budget. Enforcement is serialised on evictMu, so concurrent
@@ -273,8 +217,6 @@ func (s *Store) EvictUntil(budget int64) int {
 // with it; duplicate suppression stays airtight because writes against a
 // stub are refused with ErrEvicted until the server is faulted back in.
 func (s *Store) evictLocked(e *entry) {
-	e.count = e.hist.Len()
-	e.stubSnapSeq = s.snapSeq.Load()
 	e.hist = nil
 	e.snap.Store(nil)
 	if e.acc != nil {
@@ -318,32 +260,14 @@ func (s *Store) StubOf(server feedback.EntityID) (Stub, bool) {
 	if e == nil || e.hist != nil {
 		return Stub{}, false
 	}
-	return Stub{Server: server, Count: e.count, XOR: e.xor, Version: e.version, SnapSeq: e.stubSnapSeq}, true
-}
-
-// Stubs returns the stubs of all evicted servers, sorted by server ID — the
-// payload of the snapshot sidecar.
-func (s *Store) Stubs() []Stub {
-	var out []Stub
-	for i := range s.shards {
-		sh := &s.shards[i]
-		sh.mu.RLock()
-		for srv, e := range sh.byServ {
-			if e.hist == nil {
-				out = append(out, Stub{Server: srv, Count: e.count, XOR: e.xor, Version: e.version, SnapSeq: e.stubSnapSeq})
-			}
-		}
-		sh.mu.RUnlock()
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Server < out[j].Server })
-	return out
+	return Stub{Server: server, Checksum: e.sum, Version: e.version}, true
 }
 
 // ReinstateServer swaps a rebuilt history (and optionally its accumulator,
 // with state covering exactly hist) back into an evicted server's slot,
 // taking ownership of it. The rebuild is verified against the stub before
-// anything is committed: the record count and XOR digest must match what was
-// evicted, making a reinstated server bit-identical to one that never left.
+// anything is committed: its Checksum must be the one that was evicted,
+// making a reinstated server bit-identical to one that never left.
 // The preserved version counter keeps assessment-cache entries valid across
 // the round-trip. Reinstating an already-resident server is a no-op
 // (concurrent fault-ins race benignly); reinstating an unknown server is an
@@ -370,18 +294,14 @@ func (s *Store) reinstate(hist *feedback.History, acc Accumulator) error {
 	if e.hist != nil {
 		return nil // already resident
 	}
-	if hist.Len() != e.count {
-		return fmt.Errorf("rebuilt %d records, stub has %d", hist.Len(), e.count)
-	}
-	xor, err := DigestSorted(hist)
+	sum, err := DigestSorted(hist)
 	if err != nil {
 		return err
 	}
-	if xor != e.xor {
-		return fmt.Errorf("digest mismatch (rebuilt %x, stub %x)", xor, e.xor)
+	if sum != e.sum {
+		return fmt.Errorf("rebuilt records %+v, stub has %+v", sum, e.sum)
 	}
 	e.hist = hist
-	e.count = 0
 	s.adoptLocked(e, acc)
 	s.evictedCount.Add(-1)
 	s.reinstates.Add(1)

@@ -34,11 +34,11 @@ func (s *Store) SeedServer(hist *feedback.History, acc Accumulator) error {
 	if sh.byServ[server] != nil {
 		return fmt.Errorf("store: seed of %q: server already has records", server)
 	}
-	xor, err := DigestSorted(hist)
+	sum, err := DigestSorted(hist)
 	if err != nil {
 		return fmt.Errorf("store: seed of %q: %w", server, err)
 	}
-	e := &entry{hist: hist, version: uint64(hist.Len()), xor: xor}
+	e := &entry{hist: hist, version: uint64(hist.Len()), sum: sum}
 	s.adoptLocked(e, acc)
 	sh.byServ[server] = e
 	s.total.Add(int64(hist.Len()))
@@ -65,42 +65,39 @@ func (s *Store) adoptLocked(e *entry, acc Accumulator) {
 	s.residentCount.Add(1)
 }
 
-// DigestSorted returns the XOR of h's content hashes — a server's
-// Checksum.XOR — after checking that (time, hash) strictly increases from one
-// record to the next: what Add guarantees, sorted and no record twice,
-// verified over the columns without a dedup set.
-func DigestSorted(h *feedback.History) (uint64, error) {
-	var xor uint64
+// DigestSorted returns h's Checksum after checking that (time, hash)
+// strictly increases from one record to the next: what Add guarantees,
+// sorted and no record twice, verified over the columns without a dedup set.
+func DigestSorted(h *feedback.History) (Checksum, error) {
+	sum := Checksum{Count: h.Len()}
 	var prev Hash
 	for i := 0; i < h.Len(); i++ {
 		hash := HashAt(h, i)
 		if i > 0 {
 			if a, b := h.NanosAt(i-1), h.NanosAt(i); a > b || a == b && prev >= hash {
-				return 0, fmt.Errorf("record %d: out of order or duplicate", i)
+				return Checksum{}, fmt.Errorf("record %d: out of order or duplicate", i)
 			}
 		}
-		xor ^= uint64(hash)
+		sum.XOR ^= uint64(hash)
 		prev = hash
 	}
-	return xor, nil
+	return sum, nil
 }
 
 // ShardEntry is one server's state as seen by a SnapshotShard walk. Snap is
 // the memoized immutable history view — nil for an evicted stub, whose
-// records the walker must source from durable storage instead (Count, XOR,
-// and SnapSeq then describe the stub; see lifecycle.go). Acc is the
-// incremental accumulator (nil when none). Count and XOR are valid for
-// resident and evicted entries alike; SizeBytes is the accounted resident
-// footprint (0 for stubs); SnapSeq is non-zero only for stubs.
+// records the walker must source from durable storage instead and check
+// against the Checksum (see lifecycle.go). Acc is the incremental
+// accumulator (nil when none). The Checksum is valid for resident and
+// evicted entries alike; SizeBytes is the accounted resident footprint (0
+// for stubs).
 type ShardEntry struct {
-	Server    feedback.EntityID
-	Snap      *feedback.History
-	Acc       Accumulator
+	Server feedback.EntityID
+	Snap   *feedback.History
+	Acc    Accumulator
+	Checksum
 	Version   uint64
-	Count     int
-	XOR       uint64
 	SizeBytes int
-	SnapSeq   uint64
 }
 
 // SnapshotShard walks every server of shard idx under the shard's read lock,
@@ -122,17 +119,8 @@ func (s *Store) SnapshotShard(idx int, view func(ShardEntry)) {
 	sort.Slice(servers, func(i, j int) bool { return servers[i] < servers[j] })
 	for _, srv := range servers {
 		e := sh.byServ[srv]
-		ent := ShardEntry{
-			Server:    srv,
-			Acc:       e.acc,
-			Version:   e.version,
-			Count:     e.countLocked(),
-			XOR:       e.xor,
-			SizeBytes: e.sizeBytes,
-		}
-		if e.hist == nil {
-			ent.SnapSeq = e.stubSnapSeq
-		} else {
+		ent := ShardEntry{Server: srv, Acc: e.acc, Checksum: e.sum, Version: e.version, SizeBytes: e.sizeBytes}
+		if e.hist != nil {
 			ent.Snap = e.snapshot()
 		}
 		view(ent)

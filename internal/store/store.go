@@ -79,7 +79,7 @@ type AccumulatorFactory func(server feedback.EntityID) Accumulator
 // entry is one server's state within a shard: the working history, a
 // memoized read snapshot, the version, a running content checksum, and the
 // optional incremental accumulator. An entry is either resident (hist set)
-// or an evicted stub (hist nil, count/stubSnapSeq valid) — see lifecycle.go.
+// or an evicted stub (hist nil; version and sum stay) — see lifecycle.go.
 type entry struct {
 	// hist is the store-owned working history, mutated only under the
 	// shard's write lock: appended in place on the fast path, rebuilt on
@@ -93,9 +93,10 @@ type entry struct {
 	// version counts accepted writes for this server; it starts at 1 for
 	// the first record so that 0 can mean "never seen".
 	version uint64
-	// xor is the XOR of all content hashes, maintained incrementally so
-	// gossip checksums cost O(servers) instead of O(records).
-	xor uint64
+	// sum is the record count and the XOR of all content hashes, maintained
+	// incrementally so gossip checksums cost O(servers) instead of
+	// O(records), and kept through an eviction to verify the rebuild.
+	sum Checksum
 	// acc is the incremental assessment accumulator, nil until a factory is
 	// installed. Mutated only under the shard write lock; rebuilt from the
 	// history on the rare out-of-order insert.
@@ -103,12 +104,6 @@ type entry struct {
 	// sizeBytes is the accounted resident footprint (entryOverhead + history
 	// + accumulator), maintained by resizeLocked; 0 for stubs.
 	sizeBytes int
-	// count is the record count frozen at eviction time; meaningful only
-	// while hist is nil (resident entries read hist.Len()).
-	count int
-	// stubSnapSeq is the newest durable snapshot sequence at eviction time;
-	// meaningful only while hist is nil.
-	stubSnapSeq uint64
 	// touched is the clock (second-chance) bit: reads and writes set it, the
 	// eviction sweep clears it and only evicts entries found clear. Atomic
 	// because read paths hold only the shard read lock.
@@ -162,7 +157,6 @@ type Store struct {
 	evictedCount  atomic.Int64
 	evictions     atomic.Uint64
 	reinstates    atomic.Uint64
-	snapSeq       atomic.Uint64
 	evictGuard    atomic.Pointer[EvictGuard]
 	evictPref     atomic.Pointer[EvictPreference]
 	evictMu       sync.Mutex
@@ -280,7 +274,8 @@ func (s *Store) addLocked(sh *shard, f feedback.Feedback, h Hash) (bool, error) 
 	}
 	e.snap.Store(nil)
 	e.version++
-	e.xor ^= uint64(h)
+	e.sum.Count++
+	e.sum.XOR ^= uint64(h)
 	e.touched.Store(true)
 	s.resizeLocked(e)
 	s.total.Add(1)
@@ -672,7 +667,9 @@ func (s *Store) ServerLen(server feedback.EntityID) int {
 
 // Checksum summarises one server's records: the count and the XOR of all
 // content hashes. Equal checksums mean (up to hash collisions) equal record
-// sets, letting gossip peers skip servers that are already in sync.
+// sets, letting gossip peers skip servers that are already in sync. It is the
+// store's one record-set digest: an evicted server's stub keeps it, and a
+// rebuild or a snapshot section of that server is checked against it.
 type Checksum struct {
 	Count int    `json:"count"`
 	XOR   uint64 `json:"xor"`
@@ -687,20 +684,11 @@ func (s *Store) Checksums() map[feedback.EntityID]Checksum {
 		sh := &s.shards[i]
 		sh.mu.RLock()
 		for srv, e := range sh.byServ {
-			out[srv] = Checksum{Count: e.countLocked(), XOR: e.xor}
+			out[srv] = e.sum
 		}
 		sh.mu.RUnlock()
 	}
 	return out
-}
-
-// countLocked returns the entry's record count, resident or stub. Callers
-// hold the shard lock (read suffices).
-func (e *entry) countLocked() int {
-	if e.hist == nil {
-		return e.count
-	}
-	return e.hist.Len()
 }
 
 // ServerChecksum returns one server's checksum in O(1): the record count
@@ -716,5 +704,5 @@ func (s *Store) ServerChecksum(server feedback.EntityID) Checksum {
 	if e == nil {
 		return Checksum{}
 	}
-	return Checksum{Count: e.countLocked(), XOR: e.xor}
+	return e.sum
 }

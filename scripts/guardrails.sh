@@ -21,6 +21,9 @@
 #     writes blocks, the wire writes batches, neither frames a record alone
 #   - one time column (ADR 0014): a batch's and a section's times are coded
 #     by feedback's appendTimes/decodeTimes, and nowhere else
+#   - one on-disk format (ADR 0015): a node refuses older ledgers, whose
+#     layouts only internal/ledger/migrate.go reads; nothing is written
+#     that nothing reads
 #   - one door into a node (ADR 0003): only internal/repserver listens
 #   - one framing (ADR 0009): the binary frame is the only way onto a node;
 #     the JSON line framing and every knob that selected it stay deleted
@@ -133,16 +136,17 @@ check "one verdict-table decoder and one assessment decoder (ADR 0006)" \
 # --- record batches are columns, one codec (ADR 0008) -------------------------
 # The row writer (appendRecord: one AppendBinary payload, length and CRC per
 # record) is gone; the single-record codec survives for single submit frames,
-# for bench/ and for the v1 segment *reader*, which is one file. The batch
-# layout is defined once, in internal/feedback/batch.go: ledger and wire call
-# it and neither walks a time-delta or id-slot column of its own.
+# for bench/ and for the v1 segment *reader* of the migration (ADR 0015),
+# which is one file. The batch layout is defined once, in
+# internal/feedback/batch.go: ledger and wire call it and neither walks a
+# time-delta or id-slot column of its own.
 check "appendRecord stays deleted from internal/ledger (ADR 0008)" \
     "absent 'appendRecord\(' internal/ledger"
-check "internal/ledger touches the single-record codec only in segment_v1.go (ADR 0008)" \
-    "! sources internal/ledger | grep -v '/segment_v1\.go\$' | xargs grep -nE 'feedback\.(Append|Decode)Binary(All)?\(' | grep -q . \
-     && ! grep -q 'feedback\.AppendBinary(' internal/ledger/segment_v1.go"
-check "the v1 segment magic lives in segment_v1.go only (ADR 0008)" \
-    "! sources internal/ledger | grep -v '/segment_v1\.go\$' | xargs grep -nE \"'G', '1'|HPSEG1\" | grep -q ."
+check "internal/ledger touches the single-record codec only in migrate.go (ADR 0008)" \
+    "! sources internal/ledger | grep -v '/migrate\.go\$' | xargs grep -nE 'feedback\.(Append|Decode)Binary(All)?\(' | grep -q . \
+     && ! grep -q 'feedback\.AppendBinary(' internal/ledger/migrate.go"
+check "the v1 segment magic lives in migrate.go only (ADR 0008)" \
+    "! sources internal/ledger | grep -v '/migrate\.go\$' | xargs grep -nE \"'G', '1'|HPSEG1\" | grep -q ."
 records_fn() { sed -n '/^func appendRecords(/,/^}/p' internal/wire/binary.go; }
 check "wire.appendRecords is the batch codec, not a per-record loop (ADR 0008)" \
     "records_fn | grep -q 'feedback\.AppendBatch(' && ! records_fn | grep -qE 'AppendBinary|for '"
@@ -168,6 +172,25 @@ check "time deltas are varint-coded only in feedback's appendTimes/decodeTimes (
      && absent '(Append|Put)Varint\(|binary\.Varint\(|>>\s*1\)\s*\^\s*-|UnixNano\(\)\s*-' internal/ledger \
      && ! sources internal/wire | grep -v '/verdict\.go\$' | xargs grep -nE 'Varint\(|>>\s*1\)\s*\^\s*-' | grep -q . \
      && ! grep -nE 'UnixNano|\.Time\b|nanos' internal/wire/verdict.go | grep -q ."
+
+# --- one on-disk format, nothing write-only (ADR 0015) -------------------------
+# A node opens current-format segment directories only and refuses anything
+# older; the layouts of earlier revisions are read in internal/ledger/
+# migrate.go and nowhere else, behind trustctl ledger-migrate. The in-place
+# upgrade and the stub sidecar nothing read are gone, and the store's record
+# set is summarised by one value, Checksum.
+for sym in migrateToDir retireLegacy sealedAt segKind sniffKind stubMagic stubsName encodeStubs \
+           decodeStubs writeStubs AppendStub DecodeStub SetSnapshotSeq stubSnapSeq SnapSeq snapSeq countLocked; do
+    check "$sym stays deleted (ADR 0015)" "absent '\b$sym\b'"
+done
+check "Store.Stubs, Info.Legacy and SegmentInfo.Format stay deleted (ADR 0015)" \
+    "absent 'func \(s \*Store\) Stubs\(|\.Stubs\(\)' && absent '^\s+(Legacy|Format)\s' internal/ledger"
+check "trustctl ledger-info prints no formats: line (ADR 0015)" "absent 'formats:' cmd/trustctl"
+check "the older layouts are read in internal/ledger/migrate.go only (ADR 0015)" \
+    "! sources | grep -v '^./internal/ledger/migrate\.go\$' | xargs grep -nE '\b(segMagicV1|segMagicV2|scanJSON|scanRows)\b' | grep -q . \
+     && [ \"\$(grep -cE '\b(segMagicV1|segMagicV2|scanJSON|scanRows)\b' internal/ledger/migrate.go)\" -gt 0 ]"
+check "internal/ledger reads the unscaled time column only in migrate.go (ADR 0015)" \
+    "! sources internal/ledger | grep -v '/migrate\.go\$' | xargs grep -n 'Unscaled' | grep -q ."
 
 # --- one door into a node (ADR 0003) -----------------------------------------
 check "net.Listen only in internal/repserver" \
