@@ -10,21 +10,23 @@ import (
 
 var update = flag.Bool("update", false, "rewrite testdata/quick-seed1 from this build instead of comparing")
 
-// TestQuickSeed1Goldens is the paper-fidelity gate: Figs. 3–8 at
-// `reprobench -quick -seed 1 -csv` scale must come out byte for byte as
-// committed (reprobench writes exactly Result.CSV()). The figures are pure
-// functions of the seed — through every calibrated ε, so through the
-// calibration stream ADR 0007 fixes — and a refactor or a cheaper kernel that
-// moves one cell fails here rather than drifting into results/. Fig. 9 is
-// wall-clock and has no golden. After a change that is meant to move the
-// figures: go test ./internal/experiment -run QuickSeed1Goldens -update.
+// TestQuickSeed1Goldens is the paper-fidelity gate: Figs. 3–8 and the two
+// ablations that consult an assessor per transaction (ablation-cusum,
+// ablation-lambda) at `reprobench -quick -seed 1 -csv` scale must come out
+// byte for byte as committed (reprobench writes exactly Result.CSV()). The
+// figures are pure functions of the seed — through every calibrated ε, so
+// through the calibration stream ADR 0007 fixes — and a refactor or a cheaper
+// kernel that moves one cell fails here rather than drifting into results/.
+// Fig. 9 is wall-clock and has no golden. After a change that is meant to
+// move the figures: go test ./internal/experiment -run QuickSeed1Goldens
+// -update.
 func TestQuickSeed1Goldens(t *testing.T) {
 	if runtime.GOARCH != "amd64" {
 		// math.Exp and math.Log are assembly on some architectures and
 		// FMA-contracted on others; the last bit may differ.
 		t.Skipf("goldens were recorded on amd64, not %s", runtime.GOARCH)
 	}
-	for _, id := range FigureIDs() {
+	for _, id := range append(FigureIDs(), "ablation-cusum", "ablation-lambda") {
 		if id == "fig9" {
 			continue
 		}
