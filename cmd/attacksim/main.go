@@ -131,7 +131,7 @@ func runStrategic(o options, assessor *core.TwoPhase, rng *stats.RNG, out io.Wri
 		return err
 	}
 	s := &attack.Strategic{Assessor: assessor, Threshold: o.threshold, GoalBad: o.goal}
-	cost, err := s.Run(h, rng)
+	cost, err := s.Run(h)
 	unreachable := errors.Is(err, attack.ErrGoalUnreachable)
 	if err != nil && !unreachable {
 		return err
@@ -159,7 +159,7 @@ func runColluding(o options, assessor *core.TwoPhase, rng *stats.RNG, out io.Wri
 	c := &attack.Colluding{
 		Assessor: assessor, Threshold: o.threshold, GoalBad: o.goal, Colluders: colluders,
 	}
-	cost, err := c.Run(h, pop, rng)
+	cost, err := c.Run(h, pop)
 	unreachable := errors.Is(err, attack.ErrGoalUnreachable)
 	if err != nil && !unreachable {
 		return err

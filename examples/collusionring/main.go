@@ -61,7 +61,7 @@ func run() error {
 			Colluders: colluders,
 			MaxSteps:  20000,
 		}
-		cost, err := attacker.Run(h.Clone(), pop, honestplayer.NewRNG(6))
+		cost, err := attacker.Run(h.Clone(), pop)
 		if err != nil {
 			fmt.Printf("%-30s attack aborted: %v (after %d genuine services, %d fakes)\n",
 				name+":", err, cost.Good, cost.Colluded)

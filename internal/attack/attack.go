@@ -128,7 +128,9 @@ func logicalTime(i int) time.Time {
 //
 // Otherwise it provides a good service.
 type Strategic struct {
-	// Assessor is the exact two-phase assessor the defenders run.
+	// Assessor is the exact two-phase assessor the defenders run. It must
+	// have an incremental form (core.TwoPhase.SupportsIncremental), as every
+	// built-in tester and trust function does.
 	Assessor *core.TwoPhase
 	// Threshold is the clients' trust threshold (paper: 0.9).
 	Threshold float64
@@ -156,61 +158,59 @@ func (s *Strategic) validate() error {
 	return nil
 }
 
-// wouldAccept hypothetically appends an outcome for client c and reports
-// whether the assessor would still accept the server afterwards. The
-// history is restored before returning.
-func wouldAccept(tp *core.TwoPhase, h *feedback.History, c feedback.EntityID, good bool, threshold float64) (bool, error) {
-	if err := h.AppendOutcome(c, good, logicalTime(h.Len())); err != nil {
-		return false, err
-	}
-	ok, _, err := tp.Accept(h, threshold)
-	if rerr := h.RemoveLast(); rerr != nil {
-		return false, rerr
-	}
+// accumulate returns the assessment state of h's records. An attack run keeps
+// it in step with h and asks its what-ifs of clones (ADR 0016). An assessor
+// without an incremental form is ErrBadParams.
+func accumulate(tp *core.TwoPhase, h *feedback.History) (*core.ServerAccumulator, error) {
+	sa, err := tp.NewServerAccumulator(h.Server())
 	if err != nil {
-		return false, err
+		return nil, fmt.Errorf("%w: %v", ErrBadParams, err)
 	}
-	return ok, nil
+	for i := 0; i < h.Len(); i++ {
+		sa.Append(h.At(i))
+	}
+	return sa, nil
 }
 
-// wouldStaySilent hypothetically appends an outcome and reports whether the
-// assessor's phase-1 behaviour test would still consider the server honest
-// (trust value ignored). The history is restored before returning.
-func wouldStaySilent(tp *core.TwoPhase, h *feedback.History, c feedback.EntityID, good bool) (bool, error) {
+// step appends a transaction to h and to its assessment state sa.
+func step(h *feedback.History, sa *core.ServerAccumulator, c feedback.EntityID, good bool) error {
 	if err := h.AppendOutcome(c, good, logicalTime(h.Len())); err != nil {
-		return false, err
+		return err
 	}
-	a, err := tp.Assess(h)
-	if rerr := h.RemoveLast(); rerr != nil {
-		return false, rerr
-	}
-	if err != nil {
-		return false, err
-	}
-	return !a.Suspicious, nil
+	sa.Append(h.At(h.Len() - 1))
+	return nil
 }
 
-// cheatAllowed evaluates the strategic cheating rule: the victim accepts
-// (current trust meets the threshold and the current history is not
-// suspicious) and the post-cheat history H′ stays consistent with the
-// honest-player model.
-func cheatAllowed(tp *core.TwoPhase, h *feedback.History, victim feedback.EntityID, threshold float64) (bool, error) {
-	acceptedNow, _, err := tp.Accept(h, threshold)
-	if err != nil {
-		return false, err
+// cheatAllowed evaluates the strategic cheating rule against the assessment
+// state sa: the victim accepts (current trust meets the threshold and the
+// current history is not suspicious) and the post-cheat history H′ stays
+// consistent with the honest-player model. When the rule holds it returns
+// H′'s state, a clone of sa holding the bad record; otherwise nil. The
+// hypothetical record goes to the clone only, never to a history.
+func cheatAllowed(sa *core.ServerAccumulator, victim feedback.EntityID, threshold float64) (*core.ServerAccumulator, error) {
+	accepted, _, err := sa.Accept(threshold)
+	if err != nil || !accepted {
+		return nil, err
 	}
-	if !acceptedNow {
-		return false, nil
+	cheated := sa.Clone()
+	cheated.Append(feedback.Feedback{Time: logicalTime(sa.Len()), Server: sa.Server(), Client: victim, Rating: feedback.Negative})
+	a, err := cheated.Assess()
+	if err != nil || a.Suspicious {
+		return nil, err
 	}
-	return wouldStaySilent(tp, h, victim, false)
+	return cheated, nil
 }
 
 // Run mutates h through the attack phase until GoalBad bad transactions
 // succeed, and returns the attacker's cost. Victims get fresh client IDs so
 // issuer-based defences see genuine supporter-base growth only when the
 // attacker actually serves distinct clients well.
-func (s *Strategic) Run(h *feedback.History, rng *stats.RNG) (Cost, error) {
+func (s *Strategic) Run(h *feedback.History) (Cost, error) {
 	if err := s.validate(); err != nil {
+		return Cost{}, err
+	}
+	sa, err := accumulate(s.Assessor, h)
+	if err != nil {
 		return Cost{}, err
 	}
 	var cost Cost
@@ -219,22 +219,23 @@ func (s *Strategic) Run(h *feedback.History, rng *stats.RNG) (Cost, error) {
 			return cost, fmt.Errorf("%w after %d steps (%d/%d bad)", ErrGoalUnreachable, cost.Steps, cost.Bad, s.GoalBad)
 		}
 		victim := feedback.EntityID("victim-" + strconv.Itoa(cost.Steps))
-		cheatOK, err := cheatAllowed(s.Assessor, h, victim, s.Threshold)
+		cheated, err := cheatAllowed(sa, victim, s.Threshold)
 		if err != nil {
 			return cost, err
 		}
 		// Cheat when the hypothetical bad transaction stays under the radar;
 		// otherwise invest a good service.
-		if err := h.AppendOutcome(victim, !cheatOK, logicalTime(h.Len())); err != nil {
+		if err := h.AppendOutcome(victim, cheated == nil, logicalTime(h.Len())); err != nil {
 			return cost, err
 		}
-		if cheatOK {
+		if cheated != nil {
+			sa = cheated
 			cost.Bad++
 		} else {
+			sa.Append(h.At(h.Len() - 1))
 			cost.Good++
 		}
 		cost.Steps++
-		_ = rng // reserved for randomised victim-selection policies
 	}
 	return cost, nil
 }

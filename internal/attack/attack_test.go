@@ -46,6 +46,13 @@ func multiTester(t *testing.T) behavior.Tester {
 	return m
 }
 
+// plainFunc is a trust function without a tracker, so no accumulator mirrors
+// an assessor built on it.
+type plainFunc struct{}
+
+func (plainFunc) Name() string                                { return "plain" }
+func (plainFunc) Evaluate(*feedback.History) (float64, error) { return 0.5, nil }
+
 func TestActionString(t *testing.T) {
 	if ServeGood.String() != "serve-good" || Cheat.String() != "cheat" || ColludeFake.String() != "collude-fake" {
 		t.Error("Action String wrong")
@@ -111,9 +118,10 @@ func TestStrategicValidation(t *testing.T) {
 		{Assessor: nil, Threshold: 0.9, GoalBad: 1},
 		{Assessor: assessor(t, nil, trust.Average{}), Threshold: -1, GoalBad: 1},
 		{Assessor: assessor(t, nil, trust.Average{}), Threshold: 0.9, GoalBad: 0},
+		{Assessor: assessor(t, nil, plainFunc{}), Threshold: 0.9, GoalBad: 1},
 	}
 	for i, s := range tests {
-		if _, err := s.Run(h, rng); !errors.Is(err, ErrBadParams) {
+		if _, err := s.Run(h); !errors.Is(err, ErrBadParams) {
 			t.Errorf("case %d: %v", i, err)
 		}
 	}
@@ -129,7 +137,7 @@ func TestStrategicAverageBaselineLargePrep(t *testing.T) {
 		t.Fatal(err)
 	}
 	s := &Strategic{Assessor: assessor(t, nil, trust.Average{}), Threshold: 0.9, GoalBad: 20}
-	cost, err := s.Run(h, rng)
+	cost, err := s.Run(h)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -149,7 +157,7 @@ func TestStrategicAverageBaselineSmallPrepCostlier(t *testing.T) {
 			t.Fatal(err)
 		}
 		s := &Strategic{Assessor: assessor(t, nil, trust.Average{}), Threshold: 0.9, GoalBad: 20}
-		cost, err := s.Run(h, rng)
+		cost, err := s.Run(h)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -175,7 +183,7 @@ func TestStrategicWeightedBaselineNoConsecutiveBad(t *testing.T) {
 		t.Fatal(err)
 	}
 	s := &Strategic{Assessor: assessor(t, nil, w), Threshold: 0.9, GoalBad: 20}
-	cost, err := s.Run(h, rng)
+	cost, err := s.Run(h)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -198,14 +206,13 @@ func TestStrategicWeightedBaselineNoConsecutiveBad(t *testing.T) {
 func TestStrategicBehaviorTestingRaisesCost(t *testing.T) {
 	// The central claim: adding phase-1 testing forces more good
 	// transactions than the bare average function for the same goal.
-	rng := stats.NewRNG(7)
 	run := func(tp *core.TwoPhase) int {
 		h, err := PrepareHistory("a", 400, 0.95, 50, stats.NewRNG(77))
 		if err != nil {
 			t.Fatal(err)
 		}
 		s := &Strategic{Assessor: tp, Threshold: 0.9, GoalBad: 10}
-		cost, err := s.Run(h, rng)
+		cost, err := s.Run(h)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -228,14 +235,13 @@ func TestStrategicBehaviorTestingRaisesCost(t *testing.T) {
 func TestStrategicMultiCostStableAcrossPrep(t *testing.T) {
 	// Fig. 3's key shape: under multi-testing the attacker's cost does not
 	// collapse as the preparation history grows.
-	rng := stats.NewRNG(8)
 	costAt := func(prep int) int {
 		h, err := PrepareHistory("a", prep, 0.95, 50, stats.NewRNG(uint64(prep)))
 		if err != nil {
 			t.Fatal(err)
 		}
 		s := &Strategic{Assessor: assessor(t, multiTester(t), trust.Average{}), Threshold: 0.9, GoalBad: 10}
-		cost, err := s.Run(h, rng)
+		cost, err := s.Run(h)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -264,7 +270,7 @@ func TestStrategicGoalUnreachable(t *testing.T) {
 		GoalBad:   1,
 		MaxSteps:  50,
 	}
-	cost, err := s.Run(h, rng)
+	cost, err := s.Run(h)
 	if !errors.Is(err, ErrGoalUnreachable) {
 		t.Fatalf("err = %v", err)
 	}

@@ -2,6 +2,7 @@ package attack
 
 import (
 	"fmt"
+	"slices"
 	"strconv"
 
 	"honestplayer/internal/core"
@@ -38,7 +39,8 @@ type ClientSource interface {
 //     unlock a cheat, and the attacker is forced to genuinely serve
 //     clients outside its ring.
 type Colluding struct {
-	// Assessor is the deployed two-phase assessor.
+	// Assessor is the deployed two-phase assessor. It must have an
+	// incremental form (core.TwoPhase.SupportsIncremental).
 	Assessor *core.TwoPhase
 	// Threshold is the clients' trust threshold (paper: 0.9).
 	Threshold float64
@@ -61,9 +63,9 @@ func (c *Colluding) validate() error {
 	if c.Assessor == nil {
 		return fmt.Errorf("%w: nil assessor", ErrBadParams)
 	}
-	if c.Threshold < 0 || c.Threshold > 1 || c.GoalBad < 1 || len(c.Colluders) == 0 {
-		return fmt.Errorf("%w: threshold=%v goal=%d colluders=%d",
-			ErrBadParams, c.Threshold, c.GoalBad, len(c.Colluders))
+	if c.Threshold < 0 || c.Threshold > 1 || c.GoalBad < 1 || len(c.Colluders) == 0 || slices.Contains(c.Colluders, "") {
+		return fmt.Errorf("%w: threshold=%v goal=%d colluders=%q",
+			ErrBadParams, c.Threshold, c.GoalBad, c.Colluders)
 	}
 	return nil
 }
@@ -74,81 +76,58 @@ func (c *Colluding) validate() error {
 // comfortably covers the repair horizons that occur in practice.
 const lookaheadDepth = 12
 
-// decide picks the attacker's next action against the arriving victim.
-func (c *Colluding) decide(h *feedback.History, victim, colluder feedback.EntityID) (Action, error) {
+// decide picks the attacker's next action against the arriving victim, given
+// the assessment state sa of its history. For a Cheat it also returns the
+// post-cheat state.
+func (c *Colluding) decide(sa *core.ServerAccumulator, victim feedback.EntityID) (Action, *core.ServerAccumulator, error) {
 	// 1. Direct cheat: victim accepts now and H′ stays unsuspicious.
-	ok, err := cheatAllowed(c.Assessor, h, victim, c.Threshold)
+	cheated, err := cheatAllowed(sa, victim, c.Threshold)
 	if err != nil {
-		return 0, err
+		return 0, nil, err
 	}
-	if ok {
-		return Cheat, nil
+	if cheated != nil {
+		return Cheat, cheated, nil
 	}
 	// 2. Unlock race: fakes vs. genuine services.
-	byFakes, err := c.stepsToUnlock(h, victim, func(i int) feedback.EntityID {
+	byFakes, err := c.stepsToUnlock(sa, victim, func(i int) feedback.EntityID {
 		return c.Colluders[i%len(c.Colluders)]
 	})
 	if err != nil {
-		return 0, err
+		return 0, nil, err
 	}
 	if byFakes <= lookaheadDepth {
-		byGoods, err := c.stepsToUnlock(h, victim, func(i int) feedback.EntityID {
+		byGoods, err := c.stepsToUnlock(sa, victim, func(i int) feedback.EntityID {
 			return feedback.EntityID("probe-" + strconv.Itoa(i))
 		})
 		if err != nil {
-			return 0, err
+			return 0, nil, err
 		}
 		if byFakes <= byGoods {
-			return ColludeFake, nil
+			return ColludeFake, nil, nil
 		}
-		return ServeGood, nil
+		return ServeGood, nil, nil
 	}
 	// Fakes cannot unlock a cheat within the horizon: only genuine service
 	// to clients outside the ring repairs the issuer-ordered distribution
 	// (and grows the supporter base).
-	return ServeGood, nil
+	return ServeGood, nil, nil
 }
 
 // stepsToUnlock returns the smallest number of positive feedbacks from the
 // issuer sequence client(0), client(1), … after which a cheat on victim
 // becomes allowed, or lookaheadDepth+1 when the horizon is exhausted. The
-// history is restored before returning.
-func (c *Colluding) stepsToUnlock(h *feedback.History, victim feedback.EntityID, client func(int) feedback.EntityID) (int, error) {
-	appended := 0
-	restore := func() error {
-		for ; appended > 0; appended-- {
-			if err := h.RemoveLast(); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
+// feedbacks go to one clone of sa, which is then dropped.
+func (c *Colluding) stepsToUnlock(sa *core.ServerAccumulator, victim feedback.EntityID, client func(int) feedback.EntityID) (int, error) {
+	probe := sa.Clone()
 	for i := 1; i <= lookaheadDepth; i++ {
-		if err := h.AppendOutcome(client(i-1), true, logicalTime(h.Len())); err != nil {
-			restoreErr := restore()
-			if restoreErr != nil {
-				return 0, restoreErr
-			}
-			return 0, err
-		}
-		appended++
-		ok, err := cheatAllowed(c.Assessor, h, victim, c.Threshold)
+		probe.Append(feedback.Feedback{Time: logicalTime(probe.Len()), Server: probe.Server(), Client: client(i - 1), Rating: feedback.Positive})
+		cheated, err := cheatAllowed(probe, victim, c.Threshold)
 		if err != nil {
-			restoreErr := restore()
-			if restoreErr != nil {
-				return 0, restoreErr
-			}
 			return 0, err
 		}
-		if ok {
-			if err := restore(); err != nil {
-				return 0, err
-			}
+		if cheated != nil {
 			return i, nil
 		}
-	}
-	if err := restore(); err != nil {
-		return 0, err
 	}
 	return lookaheadDepth + 1, nil
 }
@@ -157,12 +136,16 @@ func (c *Colluding) stepsToUnlock(h *feedback.History, victim feedback.EntityID,
 // succeed, drawing victims from clients, and returns the attacker's cost.
 // Cost.Good counts only genuine services to non-colluders — the paper's
 // "true cost" metric of Figs. 5 and 6.
-func (c *Colluding) Run(h *feedback.History, clients ClientSource, rng *stats.RNG) (Cost, error) {
+func (c *Colluding) Run(h *feedback.History, clients ClientSource) (Cost, error) {
 	if err := c.validate(); err != nil {
 		return Cost{}, err
 	}
 	if clients == nil {
 		return Cost{}, fmt.Errorf("%w: nil client source", ErrBadParams)
+	}
+	sa, err := accumulate(c.Assessor, h)
+	if err != nil {
+		return Cost{}, err
 	}
 	var cost Cost
 	colluderIdx := 0
@@ -172,8 +155,7 @@ func (c *Colluding) Run(h *feedback.History, clients ClientSource, rng *stats.RN
 				ErrGoalUnreachable, cost.Steps, cost.Bad, c.GoalBad)
 		}
 		victim := clients.Next(h.GoodRatio())
-		colluder := c.Colluders[colluderIdx%len(c.Colluders)]
-		action, err := c.decide(h, victim, colluder)
+		action, cheated, err := c.decide(sa, victim)
 		if err != nil {
 			return cost, err
 		}
@@ -182,23 +164,23 @@ func (c *Colluding) Run(h *feedback.History, clients ClientSource, rng *stats.RN
 			if err := h.AppendOutcome(victim, false, logicalTime(h.Len())); err != nil {
 				return cost, err
 			}
+			sa = cheated
 			clients.Observe(victim, false)
 			cost.Bad++
 		case ColludeFake:
-			if err := h.AppendOutcome(colluder, true, logicalTime(h.Len())); err != nil {
+			if err := step(h, sa, c.Colluders[colluderIdx%len(c.Colluders)], true); err != nil {
 				return cost, err
 			}
 			colluderIdx++
 			cost.Colluded++
 		case ServeGood:
-			if err := h.AppendOutcome(victim, true, logicalTime(h.Len())); err != nil {
+			if err := step(h, sa, victim, true); err != nil {
 				return cost, err
 			}
 			clients.Observe(victim, true)
 			cost.Good++
 		}
 		cost.Steps++
-		_ = rng // reserved for randomised colluder selection
 	}
 	return cost, nil
 }

@@ -36,14 +36,16 @@ func TestColludingValidation(t *testing.T) {
 		{Assessor: assessor(t, nil, trust.Average{}), Threshold: 0.9, GoalBad: 1, Colluders: nil},
 		{Assessor: assessor(t, nil, trust.Average{}), Threshold: 2, GoalBad: 1, Colluders: colluders(5)},
 		{Assessor: assessor(t, nil, trust.Average{}), Threshold: 0.9, GoalBad: 0, Colluders: colluders(5)},
+		{Assessor: assessor(t, nil, trust.Average{}), Threshold: 0.9, GoalBad: 1, Colluders: []feedback.EntityID{"A", ""}},
+		{Assessor: assessor(t, nil, plainFunc{}), Threshold: 0.9, GoalBad: 1, Colluders: colluders(5)},
 	}
 	for i, c := range tests {
-		if _, err := c.Run(h, src, rng); !errors.Is(err, ErrBadParams) {
+		if _, err := c.Run(h, src); !errors.Is(err, ErrBadParams) {
 			t.Errorf("case %d: %v", i, err)
 		}
 	}
 	ok := Colluding{Assessor: assessor(t, nil, trust.Average{}), Threshold: 0.9, GoalBad: 1, Colluders: colluders(5)}
-	if _, err := ok.Run(h, nil, rng); !errors.Is(err, ErrBadParams) {
+	if _, err := ok.Run(h, nil); !errors.Is(err, ErrBadParams) {
 		t.Errorf("nil source: %v", err)
 	}
 }
@@ -63,7 +65,7 @@ func TestColludingBaselineFreeRide(t *testing.T) {
 		Colluders: colluders(5),
 	}
 	src := &UniformClients{Pool: 95, RNG: rng}
-	cost, err := c.Run(h, src, rng)
+	cost, err := c.Run(h, src)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -96,7 +98,7 @@ func TestColludingResilientTestingForcesRealService(t *testing.T) {
 		MaxSteps:  20000,
 	}
 	src := &UniformClients{Pool: 95, RNG: rng}
-	cost, err := c.Run(h, src, rng)
+	cost, err := c.Run(h, src)
 	if err != nil {
 		// Reaching the goal may be outright impossible within budget —
 		// that is an even stronger defence outcome.
@@ -127,7 +129,7 @@ func TestColludingRunsWithSingleCollusionTester(t *testing.T) {
 		MaxSteps:  5000,
 	}
 	src := &UniformClients{Pool: 95, RNG: rng}
-	cost, err := c.Run(h, src, rng)
+	cost, err := c.Run(h, src)
 	if err != nil && !errors.Is(err, ErrGoalUnreachable) {
 		t.Fatal(err)
 	}

@@ -2,6 +2,7 @@ package behavior
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"honestplayer/internal/feedback"
@@ -144,6 +145,24 @@ func NewAccumulatorFor(t Tester) (*Accumulator, bool) {
 		a.sums = make([]int64, m)
 	}
 	return a, true
+}
+
+// Clone returns an independent copy of the accumulator: appending to either
+// leaves the other's Test as it was. The configuration and the PMF memo stay
+// shared, as they are among all accumulators of one tester.
+func (a *Accumulator) Clone() *Accumulator {
+	c := *a
+	c.prefRing = slices.Clone(a.prefRing)
+	c.counts = slices.Clone(a.counts)
+	c.sums = slices.Clone(a.sums)
+	c.wins = slices.Clone(a.wins)
+	if a.clients != nil {
+		c.clients = make(map[feedback.EntityID]*clientSeries, len(a.clients))
+		for id, cs := range a.clients {
+			c.clients[id] = &clientSeries{idx: slices.Clone(cs.idx), good: slices.Clone(cs.good)}
+		}
+	}
+	return &c
 }
 
 // Name returns the name of the tester this accumulator reproduces.

@@ -181,7 +181,10 @@ func TestAccumulatorMatchesBatchLongHistory(t *testing.T) {
 // tester geometry — strides of up to eight windows, so the window-string walk
 // drops several windows between suffixes — asserting the accumulator is
 // identical to the batch Multi, MultiNaive and CollusionMulti testers at
-// every quarter of the stream.
+// every quarter of the stream. At the first quarter each accumulator is
+// cloned and the clone fed the rest of the stream with every rating flipped
+// and the issuer shifted; from then on both sides must match the batch
+// tester over their own records.
 func FuzzIncrementalDifferential(f *testing.F) {
 	f.Add([]byte{0xff, 0x0f, 0xa5, 0x00, 0x3c}, uint8(10), uint8(1), uint8(4), false)
 	f.Add([]byte{0x00, 0x00, 0xff, 0xff, 0x81, 0x42}, uint8(5), uint8(2), uint8(2), true)
@@ -227,6 +230,8 @@ func FuzzIncrementalDifferential(f *testing.F) {
 		}
 		clients := []feedback.EntityID{"c0", "c1", "c2", "c3", "c4"}
 		h := feedback.NewHistory("srv-fuzz")
+		var forked *feedback.History // the clones' records, from the first quarter on
+		clones := make([]*behavior.Accumulator, len(testers))
 		n := len(data) * 8
 		for i := 0; i < n; i++ {
 			good := data[i/8]&(1<<(i%8)) != 0
@@ -248,13 +253,35 @@ func FuzzIncrementalDifferential(f *testing.F) {
 			for _, acc := range accs {
 				acc.Append(rec)
 			}
+			if forked != nil {
+				rec.Client = clients[(int(data[i/8])+i+1)%len(clients)]
+				rec.Rating = feedback.Positive
+				if good {
+					rec.Rating = feedback.Negative
+				}
+				if err := forked.Append(rec); err != nil {
+					t.Fatalf("append: %v", err)
+				}
+				for _, acc := range clones {
+					acc.Append(rec)
+				}
+			}
 			if (i+1)%(n/4) != 0 {
 				continue
+			}
+			if forked == nil {
+				forked = h.Clone()
+				for j, acc := range accs {
+					clones[j] = acc.Clone()
+				}
 			}
 			for j, tester := range testers {
 				gotV, gotErr := accs[j].Test()
 				wantV, wantErr := tester.Test(h)
 				requireSameOutcome(t, tester.Name(), i+1, gotV, gotErr, wantV, wantErr)
+				gotV, gotErr = clones[j].Test()
+				wantV, wantErr = tester.Test(forked)
+				requireSameOutcome(t, "clone of "+tester.Name(), i+1, gotV, gotErr, wantV, wantErr)
 			}
 		}
 	})

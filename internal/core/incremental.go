@@ -62,6 +62,18 @@ func (tp *TwoPhase) NewServerAccumulator(server feedback.EntityID) (*ServerAccum
 	return sa, nil
 }
 
+// Clone returns an independent copy: appending to either leaves the other's
+// verdicts as they were, so a clone answers "what if these records were
+// appended" (ADR 0016). The assessor, its PMF memo and calibrator stay shared.
+func (sa *ServerAccumulator) Clone() *ServerAccumulator {
+	c := *sa
+	c.tr = sa.tr.Clone()
+	if sa.beh != nil {
+		c.beh = sa.beh.Clone()
+	}
+	return &c
+}
+
 // Server returns the server this accumulator assesses.
 func (sa *ServerAccumulator) Server() feedback.EntityID { return sa.server }
 

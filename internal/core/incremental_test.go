@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"reflect"
 	"testing"
 	"time"
@@ -73,6 +74,83 @@ func TestServerAccumulatorMatchesAssess(t *testing.T) {
 				if sa.Len() != full.Len() {
 					t.Fatalf("%s: Len %d != %d", label, sa.Len(), full.Len())
 				}
+			}
+		}
+	}
+}
+
+// TestServerAccumulatorClone grows seeded random histories, clones their
+// accumulators at random points and lets the copies diverge, for every tester
+// mode, the nil tester and every built-in trust function. After each append,
+// every copy's Assess must DeepEqual TwoPhase.Assess over a history of
+// exactly its own records — so an append to one copy never reaches another.
+func TestServerAccumulatorClone(t *testing.T) {
+	cal := stats.NewCalibrator(stats.CalibrationConfig{Replicates: 120, Seed: 6}, 0)
+	cfg := behavior.Config{WindowSize: 5, MinWindows: 2, Stride: 5, Calibrator: cal}
+	must := func(tester behavior.Tester, err error) behavior.Tester {
+		t.Helper()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return tester
+	}
+	testers := map[string]behavior.Tester{
+		"single":          must(behavior.NewSingle(cfg)),
+		"multi":           must(behavior.NewMulti(cfg)),
+		"multi-naive":     must(behavior.NewMultiNaive(cfg)),
+		"collusion":       must(behavior.NewCollusion(cfg)),
+		"collusion-multi": must(behavior.NewCollusionMulti(cfg)),
+		"none":            nil,
+	}
+	weighted, err := trust.NewWeighted(0.5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	decay, err := trust.NewTimeDecay(0.9)
+	if err != nil {
+		t.Fatal(err)
+	}
+	window, err := trust.NewSlidingWindow(20)
+	if err != nil {
+		t.Fatal(err)
+	}
+	funcs := []trust.Func{trust.Average{}, weighted, trust.Beta{}, decay, window}
+
+	type copyOf struct {
+		sa *ServerAccumulator
+		h  *feedback.History
+	}
+	for testerName, tester := range testers {
+		for fi, fn := range funcs {
+			tp, err := NewTwoPhase(tester, fn)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sa, err := tp.NewServerAccumulator("srv")
+			if err != nil {
+				t.Fatal(err)
+			}
+			rng := stats.NewRNG(uint64(100 + fi))
+			copies := []copyOf{{sa, feedback.NewHistory("srv")}}
+			for i := 0; i < 150; i++ {
+				if len(copies) < 4 && rng.Intn(10) == 0 {
+					from := copies[rng.Intn(len(copies))]
+					copies = append(copies, copyOf{from.sa.Clone(), from.h.Clone()})
+				}
+				c := copies[rng.Intn(len(copies))]
+				client := feedback.EntityID(rune('a' + rng.Intn(6)))
+				if err := c.h.AppendOutcome(client, rng.Float64() < 0.8, time.Unix(int64(i)+1, 0)); err != nil {
+					t.Fatal(err)
+				}
+				c.sa.Append(c.h.At(c.h.Len() - 1))
+				for k, c := range copies {
+					got, gotErr := c.sa.Assess()
+					want, wantErr := tp.Assess(c.h)
+					requireSameAssessment(t, fmt.Sprintf("%s copy %d", tp.Name(), k), c.h.Len(), got, gotErr, want, wantErr)
+				}
+			}
+			if len(copies) < 2 {
+				t.Fatalf("%s+%s: no clone taken", testerName, fn.Name())
 			}
 		}
 	}

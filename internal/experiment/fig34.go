@@ -141,7 +141,7 @@ func meanStrategicCost(assessor *core.TwoPhase, cfg CostConfig, prep int) (float
 			GoalBad:   cfg.GoalBad,
 			MaxSteps:  500 * cfg.GoalBad,
 		}
-		cost, err := s.Run(h, rng)
+		cost, err := s.Run(h)
 		switch {
 		case errors.Is(err, attack.ErrGoalUnreachable):
 			note = fmt.Sprintf("%s: goal unreachable within budget at prep=%d (cost is a lower bound)",

@@ -158,7 +158,7 @@ func meanCollusionCost(assessor *core.TwoPhase, cfg CollusionConfig, prep int) (
 			Colluders: colluders,
 			MaxSteps:  500 * cfg.GoalBad,
 		}
-		cost, err := c.Run(h, pop, rng)
+		cost, err := c.Run(h, pop)
 		switch {
 		case errors.Is(err, attack.ErrGoalUnreachable):
 			note = fmt.Sprintf("%s: goal unreachable within budget at prep=%d (cost is a lower bound)",

@@ -114,20 +114,22 @@ func sameAs(t *testing.T, what string, h *History, ref []Feedback) {
 
 // FuzzHistoryOps drives the columnar history and a naive []Feedback side by
 // side through every mutating and view-taking operation; each byte of the
-// input is one operation. Views taken along the way are re-checked at the
-// end, after the owner has grown past them.
+// input is one operation: below 0x80 an append, else op%4 picks a snapshot
+// view (0), a suffix view (1), a clone (2) or an owner check (3). Views taken
+// along the way are re-checked at the end, after the owner has grown past
+// them.
 func FuzzHistoryOps(f *testing.F) {
-	f.Add([]byte{0, 1, 2, 3, 4, 5, 6, 7, 0x80, 0x81, 0x82, 0x83, 0x84, 9, 10})
-	f.Add([]byte{0, 0, 0, 0x83, 0x83, 0x83, 0x83, 1})
-	f.Add([]byte{0x80, 0x81, 0x82, 0x84})
-	f.Add([]byte{8, 17, 26, 35, 0x81, 44, 53, 0x82, 0x82, 62, 0x80, 0x84, 7})
+	f.Add([]byte{0, 1, 2, 3, 4, 5, 6, 7, 0x83, 0x80, 0x81, 0x82, 9, 10})
+	f.Add([]byte{0, 0, 0, 0x81, 0x81, 0x81, 0x81, 1})
+	f.Add([]byte{0x83, 0x80, 0x82})
+	f.Add([]byte{8, 17, 26, 35, 0x83, 44, 53, 0x80, 0x80, 62, 0x82, 7})
 	// Appends across three 64-record good-bit words, a snapshot view and an
 	// owner check on either side of each boundary, fresh clients among them.
 	var ops []byte
 	for i := 0; len(ops) < 240; i++ {
 		ops = append(ops, byte(i*5%128))
 		if n := i + 1; n%64 <= 1 || n%64 == 63 {
-			ops = append(ops, 0x82, 0x81)
+			ops = append(ops, 0x80, 0x83)
 		}
 	}
 	f.Add(ops)
@@ -135,20 +137,20 @@ func FuzzHistoryOps(f *testing.F) {
 	// bit offset mod 64 (twice), each checked through every accessor.
 	ops = nil
 	for i := 0; i < 150; i++ {
-		ops = append(ops, byte(i*3%128), 0x83)
+		ops = append(ops, byte(i*3%128), 0x81)
 	}
 	f.Add(ops)
-	// RemoveLast back across a word boundary, then Append over it, at 64
-	// and at 128 records; snapshot views taken between the two.
+	// Snapshot views, clones and suffix views on either side of the word
+	// boundaries at 64 and 128 records.
 	ops = nil
-	for i := 0; i < 64; i++ {
+	for i := 0; i < 63; i++ {
 		ops = append(ops, byte(i%16))
 	}
-	ops = append(ops, 0x80, 8, 0x81, 0x80, 0x80, 0, 6, 0x82, 0x81)
-	for i := 0; i < 64; i++ {
+	ops = append(ops, 0x80, 0x82, 8, 0x80, 0x83, 0, 6, 0x80, 0x83)
+	for i := 0; i < 61; i++ {
 		ops = append(ops, byte(i%16+6))
 	}
-	ops = append(ops, 0x80, 0x80, 1, 9, 0x82, 0x83, 0x84, 0x80, 0x80, 0x81)
+	ops = append(ops, 0x80, 1, 0x80, 9, 0x82, 0x81, 0x83)
 	f.Add(ops)
 	f.Fuzz(func(t *testing.T, ops []byte) {
 		h := NewHistory("srv")
@@ -178,7 +180,7 @@ func FuzzHistoryOps(f *testing.F) {
 				ref = append(ref, rec)
 				continue
 			}
-			switch op % 5 {
+			switch op % 4 {
 			case 0:
 				views = append(views, frozen{h.SnapshotView(), ref[:len(ref):len(ref)]})
 			case 1:
@@ -192,19 +194,6 @@ func FuzzHistoryOps(f *testing.F) {
 				}
 				sameAs(t, "owner after clone grew", h, ref)
 			case 3:
-				err := h.RemoveLast()
-				if len(ref) == 0 {
-					if !errors.Is(err, ErrEmptyHistory) {
-						t.Fatalf("RemoveLast on empty: %v", err)
-					}
-					continue
-				}
-				if err != nil {
-					t.Fatal(err)
-				}
-				ref = ref[: len(ref)-1 : len(ref)-1]
-				views = nil // RemoveLast then Append invalidates earlier views
-			case 4:
 				sameAs(t, "owner", h, ref)
 			}
 		}
@@ -472,13 +461,10 @@ func TestSlotsWiden(t *testing.T) {
 	if before.wide() || !reflect.DeepEqual(before.Records(), ref) {
 		t.Fatal("a view taken before the widening reads differently")
 	}
-	if err := h.RemoveLast(); err != nil {
+	if err := h.AppendOutcome("c7", false, time.Unix(wideSlots+1, 0)); err != nil {
 		t.Fatal(err)
 	}
-	if err := h.AppendOutcome("c7", false, time.Unix(wideSlots, 0)); err != nil {
-		t.Fatal(err)
-	}
-	if h.Len() != wideSlots+1 || h.ClientAt(wideSlots) != "c7" || h.RatingAt(wideSlots) != Negative {
-		t.Fatalf("RemoveLast then Append on wide slots: %v", h.At(h.Len()-1))
+	if h.Len() != wideSlots+2 || h.ClientAt(wideSlots+1) != "c7" || h.RatingAt(wideSlots+1) != Negative {
+		t.Fatalf("an append of a known client on wide slots: %v", h.At(h.Len()-1))
 	}
 }

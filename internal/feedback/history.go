@@ -17,8 +17,6 @@ var (
 	// ErrServerMismatch reports an append whose feedback names a different
 	// server than the history belongs to.
 	ErrServerMismatch = errors.New("feedback: server mismatch")
-	// ErrEmptyHistory reports an operation that needs at least one record.
-	ErrEmptyHistory = errors.New("feedback: empty history")
 	// ErrBadWindow reports an invalid window size.
 	ErrBadWindow = errors.New("feedback: invalid window size")
 )
@@ -67,8 +65,7 @@ type History struct {
 	rank []uint32
 	// The client dictionary in first-appearance order, shared with views
 	// like the columns: slot s is names[ends[s-1]:ends[s]], from 0 for slot
-	// 0. A view may see entries none of its records use (a suffix, or after
-	// RemoveLast).
+	// 0. A suffix view may see entries none of its records use.
 	names string
 	ends  []uint32
 	// Writer-only, never handed to a view; nil until the first intern that
@@ -303,38 +300,12 @@ func (h *History) view(lo int) *History {
 }
 
 // SnapshotView returns an immutable view of h at its current length,
-// sharing the underlying storage — an O(1) alternative to Clone for
-// append-only producers. Appending to h afterwards leaves the view
-// unchanged: appends either write past the view's length or reallocate,
-// existing elements are never rewritten, and the partial last good-bit word
-// is the view's own copy. The view is invalidated only if h is mutated
-// non-monotonically (RemoveLast followed by Append); the store layer, the
-// intended producer, never does that.
+// sharing the underlying storage — an O(1) alternative to Clone. Appending
+// to h afterwards leaves the view unchanged: appends either write past the
+// view's length or reallocate, existing elements are never rewritten, and
+// the partial last good-bit word is the view's own copy. A history has no
+// other mutation, so a view stays valid for as long as it is held (ADR 0016).
 func (h *History) SnapshotView() *History { return h.view(0) }
-
-// RemoveLast removes the newest record. It supports the strategic attacker's
-// hypothesis testing (append a candidate transaction, test, roll back). It
-// returns ErrEmptyHistory when there is nothing to remove. The record's
-// client stays in the dictionary.
-func (h *History) RemoveLast() error {
-	n := len(h.nanos)
-	if n == 0 {
-		return ErrEmptyHistory
-	}
-	p := h.off + n - 1
-	if p&63 == 63 { // the record completed a word: it is the partial one again
-		h.last = h.bits[len(h.bits)-1]
-		h.bits, h.rank = h.bits[:len(h.bits)-1], h.rank[:len(h.rank)-1]
-	}
-	h.last &^= 1 << (p & 63)
-	h.nanos = h.nanos[:n-1]
-	if h.wide() {
-		h.client32 = h.client32[:n-1]
-	} else {
-		h.client16 = h.client16[:n-1]
-	}
-	return nil
-}
 
 // SizeBytes returns the approximate resident heap footprint of this history:
 // the struct, the capacity of its columns, and the client dictionary — the

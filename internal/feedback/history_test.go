@@ -43,9 +43,6 @@ func TestHistoryEmpty(t *testing.T) {
 	if h.GoodRatio() != 0 {
 		t.Error("empty GoodRatio must be 0")
 	}
-	if err := h.RemoveLast(); !errors.Is(err, ErrEmptyHistory) {
-		t.Errorf("RemoveLast on empty = %v", err)
-	}
 	counts, err := h.WindowCounts(10)
 	if err != nil || len(counts) != 0 {
 		t.Errorf("WindowCounts on empty = %v, %v", counts, err)
@@ -62,24 +59,6 @@ func TestHistoryAppendValidates(t *testing.T) {
 	}
 	if h.Len() != 0 {
 		t.Error("failed appends must not modify history")
-	}
-}
-
-func TestHistoryRemoveLast(t *testing.T) {
-	h := buildHistory(t, "s", []bool{true, false})
-	if err := h.RemoveLast(); err != nil {
-		t.Fatal(err)
-	}
-	if h.Len() != 1 || h.GoodCount() != 1 {
-		t.Fatalf("after RemoveLast: len=%d good=%d", h.Len(), h.GoodCount())
-	}
-	// Append-remove round trip restores counts.
-	if err := h.AppendOutcome("c", false, time.Unix(9, 0)); err != nil {
-		t.Fatal(err)
-	}
-	_ = h.RemoveLast()
-	if h.Len() != 1 || h.GoodCount() != 1 {
-		t.Fatal("append+remove did not round-trip")
 	}
 }
 

@@ -130,11 +130,14 @@ type Metrics struct {
 	Histories    map[feedback.EntityID]*feedback.History `json:"-"`
 }
 
-// serverState is the mutable runtime of one provider.
+// serverState is the mutable runtime of one provider: its history and, in
+// step with it, the assessment state clients consult (ADR 0016).
 type serverState struct {
 	spec    ServerSpec
 	history *feedback.History
+	acc     *core.ServerAccumulator
 	served  int
+	metrics ServerMetrics
 }
 
 // outcome produces the provider's next transaction quality.
@@ -163,7 +166,9 @@ func (s *serverState) outcome(rng *stats.RNG) bool {
 // service, assesses every provider with the given assessor, and transacts
 // with the acceptable provider of highest trust (ties broken at random).
 // The transaction outcome is produced by the provider's behaviour model and
-// fed back into its history.
+// fed back into its history. Each provider's verdicts come from its own
+// accumulator, so the assessor must have an incremental form
+// (core.TwoPhase.SupportsIncremental), as every built-in one does.
 func Run(cfg Config, assessor *core.TwoPhase) (*Metrics, error) {
 	if assessor == nil {
 		return nil, errors.New("sim: nil assessor")
@@ -183,41 +188,39 @@ func Run(cfg Config, assessor *core.TwoPhase) (*Metrics, error) {
 		if err := spec.validate(); err != nil {
 			return nil, err
 		}
-		states = append(states, &serverState{spec: spec, history: feedback.NewHistory(spec.ID)})
-	}
-
-	m := &Metrics{
-		PerServer: make(map[feedback.EntityID]ServerMetrics, len(states)),
-		Histories: make(map[feedback.EntityID]*feedback.History, len(states)),
-	}
-	for _, st := range states {
-		m.PerServer[st.spec.ID] = ServerMetrics{Kind: st.spec.Kind}
-		m.Histories[st.spec.ID] = st.history
+		acc, err := assessor.NewServerAccumulator(spec.ID)
+		if err != nil {
+			return nil, err
+		}
+		states = append(states, &serverState{spec: spec, history: feedback.NewHistory(spec.ID), acc: acc,
+			metrics: ServerMetrics{Kind: spec.Kind}})
 	}
 
 	clock := 0
-	transact := func(st *serverState, client feedback.EntityID, warmup bool) error {
-		good := st.outcome(rng)
+	record := func(st *serverState, client feedback.EntityID, good bool) error {
 		if err := st.history.AppendOutcome(client, good, time.Unix(int64(clock), 0).UTC()); err != nil {
 			return err
 		}
 		clock++
-		sm := m.PerServer[st.spec.ID]
-		if warmup {
-			sm.WarmupTransactions++
-			if !good {
-				sm.WarmupBad++
-				m.WarmupBad++
-			}
-		} else {
-			sm.Transactions++
-			m.Transactions++
-			if !good {
-				sm.BadServed++
-				m.BadServed++
-			}
+		st.acc.Append(st.history.At(st.history.Len() - 1))
+		return nil
+	}
+	colluder := func(st *serverState) feedback.EntityID {
+		return feedback.EntityID(fmt.Sprintf("%s-ring-%d", st.spec.ID, rng.Intn(st.spec.Colluders)))
+	}
+	transact := func(st *serverState, client feedback.EntityID, warmup bool) error {
+		good := st.outcome(rng)
+		if err := record(st, client, good); err != nil {
+			return err
 		}
-		m.PerServer[st.spec.ID] = sm
+		n, bad := &st.metrics.Transactions, &st.metrics.BadServed
+		if warmup {
+			n, bad = &st.metrics.WarmupTransactions, &st.metrics.WarmupBad
+		}
+		*n++
+		if !good {
+			*bad++
+		}
 		return nil
 	}
 
@@ -227,15 +230,11 @@ func Run(cfg Config, assessor *core.TwoPhase) (*Metrics, error) {
 	for _, st := range states {
 		for i := 0; i < cfg.Warmup; i++ {
 			if st.spec.Kind == Colluding {
-				colluder := feedback.EntityID(fmt.Sprintf("%s-ring-%d", st.spec.ID, rng.Intn(st.spec.Colluders)))
-				if err := st.history.AppendOutcome(colluder, rng.Bernoulli(st.spec.P), time.Unix(int64(clock), 0).UTC()); err != nil {
+				if err := record(st, colluder(st), rng.Bernoulli(st.spec.P)); err != nil {
 					return nil, err
 				}
-				clock++
-				sm := m.PerServer[st.spec.ID]
-				sm.WarmupTransactions++
-				sm.FakeFeedback++
-				m.PerServer[st.spec.ID] = sm
+				st.metrics.WarmupTransactions++
+				st.metrics.FakeFeedback++
 				continue
 			}
 			client := feedback.EntityID(fmt.Sprintf("client-%d", rng.Intn(cfg.Clients)))
@@ -245,21 +244,20 @@ func Run(cfg Config, assessor *core.TwoPhase) (*Metrics, error) {
 		}
 	}
 
+	m := &Metrics{
+		PerServer: make(map[feedback.EntityID]ServerMetrics, len(states)),
+		Histories: make(map[feedback.EntityID]*feedback.History, len(states)),
+	}
 	for step := 0; step < cfg.Steps; step++ {
 		// Colluding providers inject one fake positive per step, keeping
 		// their ratio high without serving anyone.
 		for _, st := range states {
-			if st.spec.Kind != Colluding {
-				continue
+			if st.spec.Kind == Colluding {
+				if err := record(st, colluder(st), true); err != nil {
+					return nil, err
+				}
+				st.metrics.FakeFeedback++
 			}
-			colluder := feedback.EntityID(fmt.Sprintf("%s-ring-%d", st.spec.ID, rng.Intn(st.spec.Colluders)))
-			if err := st.history.AppendOutcome(colluder, true, time.Unix(int64(clock), 0).UTC()); err != nil {
-				return nil, err
-			}
-			clock++
-			sm := m.PerServer[st.spec.ID]
-			sm.FakeFeedback++
-			m.PerServer[st.spec.ID] = sm
 		}
 		client := feedback.EntityID(fmt.Sprintf("client-%d", rng.Intn(cfg.Clients)))
 		var (
@@ -267,14 +265,12 @@ func Run(cfg Config, assessor *core.TwoPhase) (*Metrics, error) {
 			bestTrust float64
 		)
 		for _, st := range states {
-			ok, a, err := assessor.Accept(st.history, cfg.Threshold)
+			ok, a, err := st.acc.Accept(cfg.Threshold)
 			if err != nil {
 				return nil, fmt.Errorf("assess %s: %w", st.spec.ID, err)
 			}
 			if a.Suspicious {
-				sm := m.PerServer[st.spec.ID]
-				sm.Flagged++
-				m.PerServer[st.spec.ID] = sm
+				st.metrics.Flagged++
 			}
 			if !ok {
 				continue
@@ -290,6 +286,13 @@ func Run(cfg Config, assessor *core.TwoPhase) (*Metrics, error) {
 		if err := transact(best, client, false); err != nil {
 			return nil, err
 		}
+	}
+	for _, st := range states {
+		m.PerServer[st.spec.ID] = st.metrics
+		m.Histories[st.spec.ID] = st.history
+		m.Transactions += st.metrics.Transactions
+		m.BadServed += st.metrics.BadServed
+		m.WarmupBad += st.metrics.WarmupBad
 	}
 	return m, nil
 }

@@ -58,8 +58,10 @@ func (a *Accumulator) SizeBytes() int {
 	return accSize
 }
 
-// Reset returns the accumulator to its initial state.
-func (a *Accumulator) Reset() {
-	a.n, a.good = 0, 0
-	a.tracker.Reset()
+// Clone returns an independent copy of the accumulator: updating either
+// leaves the other as it was.
+func (a *Accumulator) Clone() *Accumulator {
+	c := *a
+	c.tracker = a.tracker.clone()
+	return &c
 }

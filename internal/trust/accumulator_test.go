@@ -73,12 +73,15 @@ func TestAccumulatorMatchesEvaluate(t *testing.T) {
 					fn.Name(), i+1, n, goodN, h.Len(), h.GoodCount())
 			}
 		}
-		acc.Reset()
-		if n, good := acc.Counts(); n != 0 || good != 0 {
-			t.Fatalf("%s: counts after Reset = (%d, %d)", fn.Name(), n, good)
+		// A clone keeps its value and counts while the original moves on.
+		clone := acc.Clone()
+		want, _ := acc.Value()
+		acc.Update(false)
+		if got, _ := clone.Value(); got != want {
+			t.Fatalf("%s: clone's value moved %v -> %v", fn.Name(), want, got)
 		}
-		if _, err := acc.Value(); !errors.Is(err, ErrEmptyHistory) {
-			t.Fatalf("%s: Value after Reset should report ErrEmptyHistory", fn.Name())
+		if n, good := clone.Counts(); n != h.Len() || good != h.GoodCount() {
+			t.Fatalf("%s: clone's counts moved to (%d, %d)", fn.Name(), n, good)
 		}
 	}
 }

@@ -50,12 +50,11 @@ func TestAccumulatorStateRoundTrip(t *testing.T) {
 	outcomes := stateOutcomes(40)
 	for name, fn := range stateFuncs(t) {
 		t.Run(name, func(t *testing.T) {
-			orig, ok := NewAccumulator(fn)
-			if !ok {
-				t.Fatalf("NewAccumulator(%s): no tracker", name)
-			}
 			for cut := 0; cut <= len(outcomes); cut++ {
-				orig.Reset()
+				orig, ok := NewAccumulator(fn)
+				if !ok {
+					t.Fatalf("NewAccumulator(%s): no tracker", name)
+				}
 				for _, g := range outcomes[:cut] {
 					orig.Update(g)
 				}

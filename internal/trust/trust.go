@@ -38,17 +38,17 @@ type Func interface {
 }
 
 // Tracker is the incremental counterpart of a Func: it consumes outcomes
-// one at a time in O(1) and reports the running trust value. Strategic
-// attackers and long simulations use trackers to avoid re-evaluating a
-// full history per transaction.
+// one at a time in O(1) and reports the running trust value. Only this
+// package's trackers implement it: each copies itself for
+// Accumulator.Clone.
 type Tracker interface {
 	// Update consumes the outcome of the next transaction.
 	Update(good bool)
 	// Value returns the current trust value; NaN before any update for
 	// functions undefined on empty histories.
 	Value() float64
-	// Reset returns the tracker to its initial state.
-	Reset()
+	// clone returns an independent copy of the tracker.
+	clone() Tracker
 }
 
 // TrackerFunc is a Func that can also mint an incremental Tracker whose
@@ -98,7 +98,7 @@ func (t *averageTracker) Value() float64 {
 	return float64(t.good) / float64(t.n)
 }
 
-func (t *averageTracker) Reset() { t.n, t.good = 0, 0 }
+func (t *averageTracker) clone() Tracker { c := *t; return &c }
 
 // Weighted is the weighted trust function of Fan et al. [15]:
 // R_t = λ·f_t + (1−λ)·R_{t−1}, an exponentially weighted moving average
@@ -163,7 +163,7 @@ func (t *ewmaTracker) Value() float64 {
 	return t.value
 }
 
-func (t *ewmaTracker) Reset() { t.value, t.updated = t.initial, false }
+func (t *ewmaTracker) clone() Tracker { c := *t; return &c }
 
 // Beta is the Beta reputation system of Ismail & Jøsang [16]: the posterior
 // mean (good+1)/(n+2) of a Beta(1,1)-prior Bernoulli model. Unlike Average
@@ -205,7 +205,7 @@ func (t *betaTracker) Value() float64 {
 	return (float64(t.good) + 1) / (float64(t.n) + 2)
 }
 
-func (t *betaTracker) Reset() { t.n, t.good = 0, 0 }
+func (t *betaTracker) clone() Tracker { c := *t; return &c }
 
 // TimeDecay assigns geometrically decaying weights to feedbacks by age:
 // the i-th most recent feedback has weight Decay^i, normalised to sum to 1
@@ -267,7 +267,7 @@ func (t *decayTracker) Value() float64 {
 	return t.num / t.den
 }
 
-func (t *decayTracker) Reset() { t.num, t.den = 0, 0 }
+func (t *decayTracker) clone() Tracker { c := *t; return &c }
 
 // SlidingWindow is the most-recent-W average: feedbacks older than the
 // window are discarded entirely. The paper notes this opens the door to
@@ -339,7 +339,8 @@ func (t *windowTracker) Value() float64 {
 	return float64(t.good) / float64(t.n)
 }
 
-func (t *windowTracker) Reset() {
-	t.buf = t.buf[:0]
-	t.head, t.n, t.good = 0, 0, 0
+func (t *windowTracker) clone() Tracker {
+	c := *t
+	c.buf = append(make([]bool, 0, t.w), t.buf...)
+	return &c
 }
