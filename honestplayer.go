@@ -43,7 +43,6 @@ import (
 	"honestplayer/internal/attack"
 	"honestplayer/internal/behavior"
 	"honestplayer/internal/core"
-	"honestplayer/internal/eigentrust"
 	"honestplayer/internal/feedback"
 	"honestplayer/internal/gossip"
 	"honestplayer/internal/ledger"
@@ -297,25 +296,6 @@ func NewPopulation(prefix string, n int, a1, a2, a3 float64, rng *RNG) (*Populat
 // RunScenario simulates a marketplace under the given assessor.
 func RunScenario(cfg ScenarioConfig, assessor *TwoPhase) (*ScenarioMetrics, error) {
 	return sim.Run(cfg, assessor)
-}
-
-// EigenTrust global reputation aggregation (the classic P2P baseline,
-// reference [3] of the paper).
-type (
-	// EigenTrustGraph accumulates pairwise local trust.
-	EigenTrustGraph = eigentrust.Graph
-	// EigenTrustConfig tunes the power iteration.
-	EigenTrustConfig = eigentrust.Config
-	// EigenTrustResult carries the converged global trust vector.
-	EigenTrustResult = eigentrust.Result
-)
-
-// NewEigenTrustGraph returns an empty local-trust graph.
-func NewEigenTrustGraph() *EigenTrustGraph { return eigentrust.NewGraph() }
-
-// ComputeEigenTrust runs the EigenTrust power iteration on the graph.
-func ComputeEigenTrust(g *EigenTrustGraph, cfg EigenTrustConfig) (*EigenTrustResult, error) {
-	return eigentrust.Compute(g, cfg)
 }
 
 // WilsonInterval bounds a Bernoulli success probability (e.g. a trust

@@ -184,24 +184,3 @@ func (b *Binomial) SampleN(rng *RNG, count int) []int {
 
 // String implements fmt.Stringer.
 func (b *Binomial) String() string { return fmt.Sprintf("B(%d, %g)", b.n, b.p) }
-
-// BinomialMLE returns the maximum-likelihood estimate of p for B(m, p) given
-// per-window success counts, i.e. the total number of successes divided by
-// the total number of trials. It returns an error when the sample is empty
-// or a count is outside [0, m].
-func BinomialMLE(m int, counts []int) (float64, error) {
-	if m <= 0 {
-		return 0, fmt.Errorf("%w: window size %d", ErrInvalidDistribution, m)
-	}
-	if len(counts) == 0 {
-		return 0, fmt.Errorf("%w: empty sample", ErrInvalidDistribution)
-	}
-	total := 0
-	for _, c := range counts {
-		if c < 0 || c > m {
-			return 0, fmt.Errorf("%w: count %d outside [0, %d]", ErrInvalidDistribution, c, m)
-		}
-		total += c
-	}
-	return float64(total) / float64(m*len(counts)), nil
-}

@@ -3,148 +3,7 @@ package stats
 import (
 	"math"
 	"testing"
-	"testing/quick"
 )
-
-func TestL1DistanceBasic(t *testing.T) {
-	tests := []struct {
-		name string
-		p, q []float64
-		want float64
-	}{
-		{"identical", []float64{0.5, 0.5}, []float64{0.5, 0.5}, 0},
-		{"disjoint", []float64{1, 0}, []float64{0, 1}, 2},
-		{"half", []float64{0.75, 0.25}, []float64{0.25, 0.75}, 1},
-	}
-	for _, tt := range tests {
-		t.Run(tt.name, func(t *testing.T) {
-			got, err := L1Distance(tt.p, tt.q)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if math.Abs(got-tt.want) > 1e-12 {
-				t.Fatalf("L1 = %v, want %v", got, tt.want)
-			}
-		})
-	}
-}
-
-func TestL1DistanceMismatch(t *testing.T) {
-	if _, err := L1Distance([]float64{1}, []float64{0.5, 0.5}); err == nil {
-		t.Fatal("support mismatch must fail")
-	}
-}
-
-// normalize turns arbitrary non-negative bytes into a probability vector of
-// fixed length for property tests.
-func normalize(raw [8]uint8) []float64 {
-	out := make([]float64, len(raw))
-	sum := 0.0
-	for i, r := range raw {
-		out[i] = float64(r) + 1 // avoid all-zero
-		sum += out[i]
-	}
-	for i := range out {
-		out[i] /= sum
-	}
-	return out
-}
-
-func TestL1DistanceAxioms(t *testing.T) {
-	f := func(a, b, c [8]uint8) bool {
-		p, q, r := normalize(a), normalize(b), normalize(c)
-		dpq, _ := L1Distance(p, q)
-		dqp, _ := L1Distance(q, p)
-		dpr, _ := L1Distance(p, r)
-		drq, _ := L1Distance(r, q)
-		dpp, _ := L1Distance(p, p)
-		// Range, identity, symmetry, triangle inequality.
-		return dpq >= 0 && dpq <= 2+1e-12 &&
-			dpp == 0 &&
-			math.Abs(dpq-dqp) < 1e-12 &&
-			dpq <= dpr+drq+1e-12
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestL2Distance(t *testing.T) {
-	got, err := L2Distance([]float64{1, 0}, []float64{0, 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(got-math.Sqrt2) > 1e-12 {
-		t.Fatalf("L2 = %v, want sqrt(2)", got)
-	}
-	if _, err := L2Distance([]float64{1}, []float64{1, 0}); err == nil {
-		t.Fatal("support mismatch must fail")
-	}
-}
-
-func TestKSStat(t *testing.T) {
-	got, err := KSStat([]float64{1, 0}, []float64{0, 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(got-1) > 1e-12 {
-		t.Fatalf("KS = %v, want 1", got)
-	}
-	same, _ := KSStat([]float64{0.3, 0.7}, []float64{0.3, 0.7})
-	if same != 0 {
-		t.Fatalf("KS of identical = %v", same)
-	}
-	if _, err := KSStat([]float64{1}, []float64{1, 0}); err == nil {
-		t.Fatal("support mismatch must fail")
-	}
-}
-
-func TestChiSquareStat(t *testing.T) {
-	// Perfect agreement gives statistic 0.
-	obs := []int64{50, 50}
-	exp := []float64{0.5, 0.5}
-	got, err := ChiSquareStat(obs, exp, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got != 0 {
-		t.Fatalf("χ² of exact match = %v", got)
-	}
-	// Known value: obs 60/40 vs 50/50 expected: (10²/50)*2 = 4.
-	got, err = ChiSquareStat([]int64{60, 40}, exp, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(got-4) > 1e-12 {
-		t.Fatalf("χ² = %v, want 4", got)
-	}
-}
-
-func TestChiSquareStatErrors(t *testing.T) {
-	if _, err := ChiSquareStat([]int64{1}, []float64{0.5, 0.5}, 0); err == nil {
-		t.Fatal("support mismatch must fail")
-	}
-	if _, err := ChiSquareStat([]int64{0, 0}, []float64{0.5, 0.5}, 0); err == nil {
-		t.Fatal("empty sample must fail")
-	}
-}
-
-func TestChiSquareStatMergesCells(t *testing.T) {
-	// With minExpected=5 the tiny tail cells merge; the statistic must be
-	// finite and non-negative.
-	b := MustBinomial(10, 0.95)
-	obs := make([]int64, 11)
-	obs[10] = 70
-	obs[9] = 25
-	obs[8] = 5
-	got, err := ChiSquareStat(obs, b.PMFTable(), 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got < 0 || math.IsInf(got, 0) || math.IsNaN(got) {
-		t.Fatalf("χ² = %v", got)
-	}
-}
 
 func TestL1HistDistance(t *testing.T) {
 	b := MustBinomial(10, 0.9)
@@ -177,94 +36,5 @@ func TestL1HistDistanceErrors(t *testing.T) {
 	}
 	if _, err := L1HistDistance(MustHistogram(10), b); err == nil {
 		t.Fatal("empty histogram must fail")
-	}
-}
-
-func TestL1SampleDistance(t *testing.T) {
-	counts := []int{9, 10, 8, 9, 10, 9}
-	dist, pHat, err := L1SampleDistance(10, counts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	wantP := 55.0 / 60.0
-	if math.Abs(pHat-wantP) > 1e-12 {
-		t.Fatalf("pHat = %v, want %v", pHat, wantP)
-	}
-	if dist < 0 || dist > 2 {
-		t.Fatalf("dist = %v out of [0,2]", dist)
-	}
-}
-
-func TestL1SampleDistanceErrors(t *testing.T) {
-	if _, _, err := L1SampleDistance(10, nil); err == nil {
-		t.Fatal("empty counts must fail")
-	}
-	if _, _, err := L1SampleDistance(10, []int{11}); err == nil {
-		t.Fatal("count above m must fail")
-	}
-}
-
-// Property: a large honest sample has small L1 distance; a point mass far
-// from the mean has large distance.
-func TestL1SampleDistanceDiscriminates(t *testing.T) {
-	rng := NewRNG(77)
-	b := MustBinomial(10, 0.9)
-	honest := b.SampleN(rng, 500)
-	dHonest, _, err := L1SampleDistance(10, honest)
-	if err != nil {
-		t.Fatal(err)
-	}
-	attack := make([]int, 500)
-	for i := range attack {
-		attack[i] = 9 // deterministic periodic attacker: exactly one bad per window
-	}
-	dAttack, _, err := L1SampleDistance(10, attack)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if dAttack <= dHonest {
-		t.Fatalf("attack distance %v not above honest distance %v", dAttack, dHonest)
-	}
-	if dHonest > 0.5 {
-		t.Fatalf("honest distance %v implausibly large", dHonest)
-	}
-}
-
-// Property: the KS statistic never exceeds half the L1 distance... in fact
-// KS <= L1, since each partial sum of (p-q) is bounded by the total
-// absolute sum.
-func TestKSBoundedByL1(t *testing.T) {
-	f := func(a, b [8]uint8) bool {
-		p, q := normalize(a), normalize(b)
-		l1, err1 := L1Distance(p, q)
-		ks, err2 := KSStat(p, q)
-		if err1 != nil || err2 != nil {
-			return false
-		}
-		return ks <= l1+1e-12
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
-		t.Error(err)
-	}
-}
-
-// Property: chi-square statistic is non-negative for any observed counts.
-func TestChiSquareNonNegative(t *testing.T) {
-	f := func(raw [6]uint8) bool {
-		obs := make([]int64, 6)
-		var total int64
-		for i, r := range raw {
-			obs[i] = int64(r)
-			total += int64(r)
-		}
-		if total == 0 {
-			return true
-		}
-		exp := []float64{0.1, 0.2, 0.3, 0.2, 0.1, 0.1}
-		stat, err := ChiSquareStat(obs, exp, 0)
-		return err == nil && stat >= 0
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
-		t.Error(err)
 	}
 }
