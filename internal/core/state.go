@@ -23,8 +23,8 @@ var ErrBadState = errors.New("core: bad accumulator state")
 const saStateVersion = 1
 
 // AppendState appends the accumulator's serialized state to buf. It reports
-// false when the state cannot be serialized (a third-party trust tracker
-// without state support); the caller then falls back to replaying history.
+// false when the state cannot be serialized (a trust tracker without state
+// support); the caller then falls back to replaying history.
 // The caller must ensure Append is not running concurrently.
 func (sa *ServerAccumulator) AppendState(buf []byte) ([]byte, bool) {
 	start := len(buf)

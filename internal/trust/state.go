@@ -204,8 +204,8 @@ func (t *windowTracker) RestoreState(buf []byte) ([]byte, error) {
 
 // AppendState appends the accumulator's serialized state — the outcome
 // counts plus the wrapped tracker's state — to buf. It reports false when
-// the tracker cannot be serialized (a third-party Tracker that is not a
-// StateTracker); the caller then falls back to replaying history.
+// the tracker cannot be serialized (a Tracker that is not a StateTracker);
+// the caller then falls back to replaying history.
 func (a *Accumulator) AppendState(buf []byte) ([]byte, bool) {
 	st, ok := a.tracker.(StateTracker)
 	if !ok {

@@ -33,6 +33,9 @@
 #     merge; fwd.* is batch-only
 #   - one metrics registry (ADR 0013): each layer registers its own /metricz
 #     keys; no stitched Stats structs, no wrapper or mirror of the document
+#   - one engine answers every repeated or what-if verdict, and a history is
+#     append-only (ADR 0016): the attackers and the marketplace judge through
+#     ServerAccumulator clones, never by re-testing a history they roll back
 #   - per-package non-test line budget (scripts/loc-budget.txt): a package
 #     grows only in a diff that raises its line
 #
@@ -253,6 +256,23 @@ check "internal/metrics imports no honestplayer package (ADR 0013)" \
 for pkg in stats feedback trust behavior core; do
     check "internal/$pkg does not import internal/metrics (ADR 0013)" \
         "absent '\"honestplayer/internal/metrics\"' internal/$pkg"
+done
+
+# --- one engine for repeated verdicts, append-only histories (ADR 0016) -------
+# The attackers and the marketplace simulation keep a core.ServerAccumulator
+# in step with each history and ask clones of it what a record would change;
+# a history loses no record, and the dead surface that went with it stays out.
+check "RemoveLast stays deleted (ADR 0016)" "absent '\bRemoveLast\b'"
+check "feedback.ErrEmptyHistory stays deleted (ADR 0016)" "absent '\bErrEmptyHistory\b' internal/feedback"
+check "wouldAccept stays deleted (ADR 0016)" "absent '\bwouldAccept\b'"
+check "internal/eigentrust and examples/p2prank stay deleted (ADR 0016)" \
+    "[ ! -e internal/eigentrust ] && [ ! -e examples/p2prank ] \
+     && absent 'honestplayer/internal/eigentrust|\b(EigenTrust\w+|ComputeEigenTrust)\b'"
+check "the six unused statistics stay deleted (ADR 0016)" \
+    "absent '\b(L1Distance|L2Distance|ChiSquareStat|KSStat|L1SampleDistance|BinomialMLE)\b'"
+for pkg in attack sim; do
+    check "internal/$pkg judges no history with Accept or Assess (ADR 0016)" \
+        "absent '\.Assess\([^)]|\.Accept\([^)]*,' internal/$pkg"
 done
 
 # --- per-package LOC ratchet --------------------------------------------------
