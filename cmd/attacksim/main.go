@@ -19,12 +19,10 @@ import (
 	"strings"
 
 	"honestplayer/internal/attack"
-	"honestplayer/internal/behavior"
 	"honestplayer/internal/core"
 	"honestplayer/internal/feedback"
 	"honestplayer/internal/sim"
 	"honestplayer/internal/stats"
-	"honestplayer/internal/trust"
 )
 
 func main() {
@@ -68,7 +66,9 @@ func run(args []string, out io.Writer) error {
 		return err
 	}
 
-	assessor, err := buildAssessor(o)
+	// -window is the periodic attack's, so m stays the behaviour default;
+	// -seed drives both the calibration and the attack's randomness.
+	assessor, err := core.Spec{Scheme: o.scheme, Trust: o.trustName, Lambda: o.lambda, Seed: o.seed}.Build()
 	if err != nil {
 		return err
 	}
@@ -83,46 +83,6 @@ func run(args []string, out io.Writer) error {
 	default:
 		return fmt.Errorf("unknown attack %q", o.attackKind)
 	}
-}
-
-func buildAssessor(o options) (*core.TwoPhase, error) {
-	var fn trust.Func
-	switch o.trustName {
-	case "average":
-		fn = trust.Average{}
-	case "weighted":
-		w, err := trust.NewWeighted(o.lambda)
-		if err != nil {
-			return nil, err
-		}
-		fn = w
-	case "beta":
-		fn = trust.Beta{}
-	default:
-		return nil, fmt.Errorf("unknown trust function %q", o.trustName)
-	}
-	cfg := behavior.Config{Calibrator: stats.NewCalibrator(stats.CalibrationConfig{Seed: o.seed}, 0)}
-	var (
-		tester behavior.Tester
-		err    error
-	)
-	switch o.scheme {
-	case "none":
-	case "single":
-		tester, err = behavior.NewSingle(cfg)
-	case "multi":
-		tester, err = behavior.NewMulti(cfg)
-	case "collusion":
-		tester, err = behavior.NewCollusion(cfg)
-	case "collusion-multi":
-		tester, err = behavior.NewCollusionMulti(cfg)
-	default:
-		return nil, fmt.Errorf("unknown scheme %q", o.scheme)
-	}
-	if err != nil {
-		return nil, err
-	}
-	return core.NewTwoPhase(tester, fn)
 }
 
 func runStrategic(o options, assessor *core.TwoPhase, rng *stats.RNG, out io.Writer) error {

@@ -33,14 +33,11 @@ import (
 	"strings"
 	"time"
 
-	"honestplayer/internal/behavior"
 	"honestplayer/internal/core"
 	"honestplayer/internal/feedback"
 	"honestplayer/internal/ledger"
 	"honestplayer/internal/repclient"
-	"honestplayer/internal/stats"
 	"honestplayer/internal/store"
-	"honestplayer/internal/trust"
 )
 
 func main() {
@@ -386,15 +383,17 @@ func fmtBytes(n int64) string {
 
 // localAssess runs the two-phase assessment offline over a JSON-lines
 // history file (the ledger / WriteJSONLines format), without contacting a
-// server — useful for auditing exported histories.
+// server — useful for auditing exported histories. Its window and
+// calibration seed are trustd's defaults, so it returns the verdict a
+// trustd started with the same -scheme, -trust and -lambda serves.
 func localAssess(args []string, out io.Writer) error {
 	fs := flag.NewFlagSet("local-assess", flag.ContinueOnError)
 	var (
 		file      = fs.String("file", "", "JSON-lines feedback file")
 		server    = fs.String("server", "", "server to assess (empty = sole server in the file)")
-		scheme    = fs.String("scheme", "multi", "none | single | multi | collusion | collusion-multi")
-		trustName = fs.String("trust", "average", "average | weighted | beta")
-		lambda    = fs.Float64("lambda", 0.5, "lambda for weighted")
+		scheme    = fs.String("scheme", core.DefaultSpec.Scheme, "none | single | multi | collusion | collusion-multi")
+		trustName = fs.String("trust", core.DefaultSpec.Trust, "average | weighted | beta")
+		lambda    = fs.Float64("lambda", core.DefaultSpec.Lambda, "lambda for weighted")
 		threshold = fs.Float64("threshold", 0.9, "trust threshold")
 	)
 	if err := fs.Parse(args); err != nil {
@@ -432,40 +431,9 @@ func localAssess(args []string, out io.Writer) error {
 		return fmt.Errorf("no records for %q", target)
 	}
 
-	var fn trust.Func
-	switch *trustName {
-	case "average":
-		fn = trust.Average{}
-	case "weighted":
-		w, err := trust.NewWeighted(*lambda)
-		if err != nil {
-			return err
-		}
-		fn = w
-	case "beta":
-		fn = trust.Beta{}
-	default:
-		return fmt.Errorf("unknown trust function %q", *trustName)
-	}
-	cfg := behavior.Config{Calibrator: stats.NewCalibrator(stats.CalibrationConfig{}, 0)}
-	var tester behavior.Tester
-	switch *scheme {
-	case "none":
-	case "single":
-		tester, err = behavior.NewSingle(cfg)
-	case "multi":
-		tester, err = behavior.NewMulti(cfg)
-	case "collusion":
-		tester, err = behavior.NewCollusion(cfg)
-	case "collusion-multi":
-		tester, err = behavior.NewCollusionMulti(cfg)
-	default:
-		return fmt.Errorf("unknown scheme %q", *scheme)
-	}
-	if err != nil {
-		return err
-	}
-	assessor, err := core.NewTwoPhase(tester, fn)
+	spec := core.DefaultSpec
+	spec.Scheme, spec.Trust, spec.Lambda = *scheme, *trustName, *lambda
+	assessor, err := spec.Build()
 	if err != nil {
 		return err
 	}
@@ -584,8 +552,8 @@ func ledgerInfo(args []string, out io.Writer) error {
 		}
 		for _, sn := range info.Snapshots {
 			if sn.Valid {
-				fmt.Fprintf(out, "    snapshot %d: version %d, valid, %d bytes, %d servers, %d records (%.1f section bytes each), %d accumulators\n",
-					sn.Seq, sn.Version, sn.Size, sn.Servers, sn.Records, sn.SectionBytesPerRecord, sn.Accumulators)
+				fmt.Fprintf(out, "    snapshot %d: version %d, valid, %d bytes, %d servers, %d records (%.1f section bytes each)\n",
+					sn.Seq, sn.Version, sn.Size, sn.Servers, sn.Records, sn.SectionBytesPerRecord)
 			} else {
 				fmt.Fprintf(out, "    snapshot %d: version %d, INVALID (%s)\n", sn.Seq, sn.Version, sn.Error)
 			}

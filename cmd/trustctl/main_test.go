@@ -174,6 +174,75 @@ func TestLocalAssess(t *testing.T) {
 	}
 }
 
+// TestLocalAssessMatchesTrustd: local-assess over an exported history
+// returns the verdict a trustd on default flags serves for the same records,
+// calibration thresholds included.
+func TestLocalAssessMatchesTrustd(t *testing.T) {
+	assessor, err := core.DefaultSpec.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv, err := repserver.New("127.0.0.1:0", repserver.Config{Assessor: assessor})
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv.Start()
+	defer func() { _ = srv.Close() }()
+
+	rng := stats.NewRNG(5)
+	var lines strings.Builder
+	recs := make([]feedback.Feedback, 300)
+	for i := range recs {
+		recs[i] = feedback.Feedback{
+			Time: time.Unix(1700000000+int64(i), 0).UTC(), Server: "s1",
+			Client: feedback.EntityID(fmt.Sprintf("c%d", rng.Intn(20))), Rating: feedback.Positive,
+		}
+		if !rng.Bernoulli(0.9) {
+			recs[i].Rating = feedback.Negative
+		}
+	}
+	if err := feedback.WriteJSONLines(&lines, recs); err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "history.jsonl")
+	if err := os.WriteFile(path, []byte(lines.String()), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	oldStdin := stdin
+	stdin = strings.NewReader(lines.String())
+	t.Cleanup(func() { stdin = oldStdin })
+	if err := run([]string{"-addr", srv.Addr(), "submit-batch"}, &strings.Builder{}); err != nil {
+		t.Fatal(err)
+	}
+
+	type verdict struct {
+		Accept     bool            `json:"accept"`
+		Assessment core.Assessment `json:"assessment"`
+	}
+	var served, offline verdict
+	var out strings.Builder
+	if err := run([]string{"-addr", srv.Addr(), "assess", "-server", "s1"}, &out); err != nil {
+		t.Fatal(err)
+	}
+	if err := json.Unmarshal([]byte(out.String()), &served); err != nil {
+		t.Fatal(err)
+	}
+	out.Reset()
+	if err := run([]string{"local-assess", "-file", path}, &out); err != nil {
+		t.Fatal(err)
+	}
+	_, doc, _ := strings.Cut(out.String(), "\n") // after the summary line
+	if err := json.Unmarshal([]byte(doc), &offline); err != nil {
+		t.Fatal(err)
+	}
+	if len(served.Assessment.Verdict.Suffixes) == 0 {
+		t.Fatalf("trustd ran no behaviour test: %+v", served)
+	}
+	if !reflect.DeepEqual(offline, served) {
+		t.Fatalf("local-assess answers %+v\ntrustd answers %+v", offline, served)
+	}
+}
+
 func TestLocalAssessErrors(t *testing.T) {
 	if err := run([]string{"local-assess"}, &strings.Builder{}); err == nil {
 		t.Error("missing -file must fail")
@@ -328,7 +397,7 @@ func TestLedgerInfo(t *testing.T) {
 		t.Fatal(err)
 	}
 	text := out.String()
-	for _, want := range []string{"segmented ledger", "records: 20 verified", "all segments verify", "snapshots: 1", "snapshot 1: version 3, valid", "section bytes each",
+	for _, want := range []string{"segmented ledger", "records: 20 verified", "all segments verify", "snapshots: 1", "snapshot 1: version 4, valid", "section bytes each)\n",
 		"segment 000001: sealed", "20 records in 20 blocks ("} {
 		if !strings.Contains(text, want) {
 			t.Fatalf("output missing %q:\n%s", want, text)

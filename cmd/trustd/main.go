@@ -46,16 +46,13 @@ import (
 	"syscall"
 	"time"
 
-	"honestplayer/internal/behavior"
 	"honestplayer/internal/cluster"
 	"honestplayer/internal/core"
 	"honestplayer/internal/feedback"
 	"honestplayer/internal/gossip"
 	"honestplayer/internal/ledger"
 	"honestplayer/internal/repserver"
-	"honestplayer/internal/stats"
 	"honestplayer/internal/store"
-	"honestplayer/internal/trust"
 )
 
 // stderr receives the node's log, swappable in tests.
@@ -72,10 +69,10 @@ func run(ctx context.Context, args []string) error {
 	fs := flag.NewFlagSet("trustd", flag.ContinueOnError)
 	var (
 		addr         = fs.String("addr", "127.0.0.1:7700", "reputation server listen address")
-		scheme       = fs.String("scheme", "multi", "behaviour testing: none | single | multi | collusion | collusion-multi")
-		trustName    = fs.String("trust", "average", "trust function: average | weighted | beta")
-		lambda       = fs.Float64("lambda", 0.5, "lambda for the weighted trust function")
-		window       = fs.Int("window", 10, "transaction window size m")
+		scheme       = fs.String("scheme", core.DefaultSpec.Scheme, "behaviour testing: none | single | multi | collusion | collusion-multi")
+		trustName    = fs.String("trust", core.DefaultSpec.Trust, "trust function: average | weighted | beta")
+		lambda       = fs.Float64("lambda", core.DefaultSpec.Lambda, "lambda for the weighted trust function")
+		window       = fs.Int("window", core.DefaultSpec.Window, "transaction window size m")
 		peersArg     = fs.String("peers", "", "comma-separated serving addresses of the nodes to reconcile with; with -node-id, the full cluster membership as id=addr pairs")
 		nodeID       = fs.String("node-id", "", "this node's ID in a static cluster (empty = single-node mode; requires -peers membership including this ID)")
 		replicas     = fs.Int("replicas", cluster.DefaultReplicas, "replica count per server ID when clustered (owner + R-1 ring successors)")
@@ -84,7 +81,7 @@ func run(ctx context.Context, args []string) error {
 		segmentBytes = fs.Int64("segment-bytes", ledger.DefaultSegmentBytes, "ledger segment roll-over threshold in bytes")
 		snapEvery    = fs.Uint64("snapshot-every", 0, "write a store snapshot after this many durable appends, bounding boot-time replay (0 disables)")
 		snapOnStop   = fs.Bool("snapshot-on-shutdown", false, "write a final snapshot during graceful shutdown")
-		seed         = fs.Uint64("seed", 1, "seed for threshold calibration")
+		seed         = fs.Uint64("seed", core.DefaultSpec.Seed, "seed for threshold calibration")
 		shards       = fs.Int("shards", store.DefaultShards, "feedback store shard count (writes to different servers never contend)")
 		cacheSize    = fs.Int("assess-cache", 4096, "assessment cache entries (0 disables caching)")
 		reqTimeout   = fs.Duration("request-timeout", 10*time.Second, "per-request deadline; exceeding it yields a deadline_exceeded error frame (0 disables)")
@@ -107,15 +104,7 @@ func run(ctx context.Context, args []string) error {
 		return errors.New("-mem-budget requires -ledger (evicted state is rebuilt from snapshots)")
 	}
 
-	fn, err := trustFunc(*trustName, *lambda)
-	if err != nil {
-		return err
-	}
-	tester, err := tester(*scheme, *window, *seed)
-	if err != nil {
-		return err
-	}
-	assessor, err := core.NewTwoPhase(tester, fn)
+	assessor, err := core.Spec{Scheme: *scheme, Trust: *trustName, Lambda: *lambda, Window: *window, Seed: *seed}.Build()
 	if err != nil {
 		return err
 	}
@@ -142,26 +131,15 @@ func run(ctx context.Context, args []string) error {
 			Logf:          logger.Printf,
 			MemBudget:     budgetBytes,
 		}
-		if *incremental && assessor.SupportsIncrementalState() {
-			// Snapshots then carry serialized accumulator state, so a booting
-			// node resumes incremental assessment without re-feeding the
-			// snapshotted history.
+		if *incremental && assessor.SupportsIncremental() {
+			// Boot and fault-in then replay each history into a fresh
+			// accumulator as they seed it.
 			opts.AccumulatorFactory = func(server feedback.EntityID) store.Accumulator {
 				sa, err := assessor.NewServerAccumulator(server)
 				if err != nil {
 					return nil
 				}
 				return sa
-			}
-			opts.EncodeAccumulator = func(acc store.Accumulator) ([]byte, bool) {
-				sa, ok := acc.(*core.ServerAccumulator)
-				if !ok {
-					return nil, false
-				}
-				return sa.AppendState(nil)
-			}
-			opts.RestoreAccumulator = func(server feedback.EntityID, state []byte) (store.Accumulator, int, error) {
-				return assessor.RestoreServerAccumulator(server, state)
 			}
 		}
 		ps, err = ledger.OpenStoreOptions(ctx, *ledgerPath, opts)
@@ -327,38 +305,4 @@ func parseSize(s string) (int64, error) {
 		return 0, fmt.Errorf("negative size")
 	}
 	return n * mult, nil
-}
-
-func trustFunc(name string, lambda float64) (trust.Func, error) {
-	switch name {
-	case "average":
-		return trust.Average{}, nil
-	case "weighted":
-		return trust.NewWeighted(lambda)
-	case "beta":
-		return trust.Beta{}, nil
-	default:
-		return nil, fmt.Errorf("unknown trust function %q", name)
-	}
-}
-
-func tester(scheme string, window int, seed uint64) (behavior.Tester, error) {
-	cfg := behavior.Config{
-		WindowSize: window,
-		Calibrator: stats.NewCalibrator(stats.CalibrationConfig{Seed: seed}, 0),
-	}
-	switch scheme {
-	case "none":
-		return nil, nil
-	case "single":
-		return behavior.NewSingle(cfg)
-	case "multi":
-		return behavior.NewMulti(cfg)
-	case "collusion":
-		return behavior.NewCollusion(cfg)
-	case "collusion-multi":
-		return behavior.NewCollusionMulti(cfg)
-	default:
-		return nil, fmt.Errorf("unknown scheme %q", scheme)
-	}
 }

@@ -20,36 +20,45 @@ import (
 	"honestplayer/internal/ledger"
 )
 
+// startAndStop runs trustd with args under a context that is already
+// cancelled, so the node starts and stops at once, and returns its log.
+func startAndStop(t *testing.T, args ...string) (string, error) {
+	t.Helper()
+	var logged lockedBuffer
+	defer func(w io.Writer) { stderr = w }(stderr)
+	stderr = &logged
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	err := run(ctx, append([]string{"-addr", "127.0.0.1:0"}, args...))
+	return logged.String(), err
+}
+
+// TestTrustFunc: -trust and -lambda pick the trust function the node serves.
 func TestTrustFunc(t *testing.T) {
-	for _, name := range []string{"average", "weighted", "beta"} {
-		fn, err := trustFunc(name, 0.5)
-		if err != nil || fn == nil {
-			t.Errorf("trustFunc(%q) = %v, %v", name, fn, err)
-		}
+	log, err := startAndStop(t, "-trust", "weighted", "-lambda", "0.25")
+	if err != nil || !strings.Contains(log, "reputation server (multi+weighted(λ=0.25))") {
+		t.Fatalf("-trust weighted -lambda 0.25: %v\n%s", err, log)
 	}
-	if _, err := trustFunc("nope", 0.5); err == nil {
+	if _, err := startAndStop(t, "-trust", "nope"); err == nil {
 		t.Error("unknown trust function must fail")
 	}
-	if _, err := trustFunc("weighted", 2); err == nil {
+	if _, err := startAndStop(t, "-trust", "weighted", "-lambda", "2"); err == nil {
 		t.Error("invalid lambda must fail")
 	}
 }
 
+// TestTesterSelection: -scheme and -window pick the tester the node serves.
 func TestTesterSelection(t *testing.T) {
-	for _, scheme := range []string{"single", "multi", "collusion", "collusion-multi"} {
-		ts, err := tester(scheme, 10, 1)
-		if err != nil || ts == nil {
-			t.Errorf("tester(%q) = %v, %v", scheme, ts, err)
+	for scheme, name := range map[string]string{"collusion-multi": "collusion-multi+average", "none": "average"} {
+		log, err := startAndStop(t, "-scheme", scheme)
+		if err != nil || !strings.Contains(log, "reputation server ("+name+")") {
+			t.Errorf("-scheme %s: %v\n%s", scheme, err, log)
 		}
 	}
-	ts, err := tester("none", 10, 1)
-	if err != nil || ts != nil {
-		t.Errorf("tester(none) = %v, %v", ts, err)
-	}
-	if _, err := tester("bogus", 10, 1); err == nil {
+	if _, err := startAndStop(t, "-scheme", "bogus"); err == nil {
 		t.Error("unknown scheme must fail")
 	}
-	if _, err := tester("single", -1, 1); err == nil {
+	if _, err := startAndStop(t, "-scheme", "single", "-window", "-1"); err == nil {
 		t.Error("invalid window must fail")
 	}
 }

@@ -156,3 +156,19 @@ func (sa *ServerAccumulator) Accept(threshold float64) (bool, Assessment, error)
 	}
 	return !a.Suspicious && a.Trust >= threshold, a, nil
 }
+
+// AppendState returns buf unchanged and false: an accumulator is a pure
+// function of the records it consumed, so nothing serializes it.
+//
+// Deprecated: a snapshot holds records only (ADR 0017); to recover an
+// accumulator, replay its history into NewServerAccumulator's.
+func (sa *ServerAccumulator) AppendState(buf []byte) ([]byte, bool) { return buf, false }
+
+// RestoreServerAccumulator always fails: there is no accumulator state to
+// restore.
+//
+// Deprecated: a snapshot holds records only (ADR 0017); to recover an
+// accumulator, replay its history into NewServerAccumulator's.
+func (tp *TwoPhase) RestoreServerAccumulator(server feedback.EntityID, state []byte) (*ServerAccumulator, int, error) {
+	return nil, 0, fmt.Errorf("core: no accumulator state to restore for %q: replay its history", server)
+}

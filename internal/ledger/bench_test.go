@@ -65,11 +65,11 @@ func BenchmarkReplay(b *testing.B) {
 }
 
 // BenchmarkSnapshotBoot measures a full snapshot+tail open of a 200k-record
-// ledger with the incremental engine on — the boot path the checked-in
-// BENCH_boot.json exercises at 100k/1M records.
+// ledger under the multi tester trustd -incremental serves by default: every
+// section is decoded and replayed into a fresh accumulator.
 func BenchmarkSnapshotBoot(b *testing.B) {
 	dir := filepath.Join(b.TempDir(), "led")
-	opts, _ := incrementalOptions(b, 4, 8<<20, 0)
+	opts, _ := assessorOptions(b, "multi", "average", 4, 8<<20, 0)
 	ps, err := OpenStoreOptions(context.Background(), dir, opts)
 	if err != nil {
 		b.Fatal(err)
@@ -99,7 +99,7 @@ func BenchmarkSnapshotBoot(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		opts, _ := incrementalOptions(b, 4, 8<<20, 0)
+		opts, _ := assessorOptions(b, "multi", "average", 4, 8<<20, 0)
 		ps, err := OpenStoreOptions(context.Background(), dir, opts)
 		if err != nil {
 			b.Fatal(err)
@@ -110,5 +110,54 @@ func BenchmarkSnapshotBoot(b *testing.B) {
 		if err := ps.Close(); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// BenchmarkRebuildServer measures one fault-in: a 5000-record server from a
+// pool of 100 clients, evicted with every record in the newest snapshot, is
+// read back from its section and replayed into a fresh accumulator.
+func BenchmarkRebuildServer(b *testing.B) {
+	for _, scheme := range []string{"multi", "collusion-multi"} {
+		b.Run(scheme, func(b *testing.B) {
+			opts, _ := assessorOptions(b, scheme, "average", 4, 8<<20, 0)
+			opts.MemBudget = 1 << 40 // lifecycle on, budget never binds
+			ps, err := OpenStoreOptions(context.Background(), filepath.Join(b.TempDir(), "led"), opts)
+			if err != nil {
+				b.Fatal(err)
+			}
+			defer ps.Close()
+			recs := make([]feedback.Feedback, 5000)
+			for i := range recs {
+				recs[i] = feedback.Feedback{
+					Time:   time.Unix(int64(i), 0).UTC(),
+					Server: "s",
+					Client: feedback.EntityID(fmt.Sprintf("c%02d", i%100)),
+					Rating: feedback.Positive,
+				}
+				if i%20 == 19 {
+					recs[i].Rating = feedback.Negative
+				}
+			}
+			for i, r := range ps.AddBatch(recs, 1) {
+				if !r.Stored || r.Err != nil {
+					b.Fatalf("record %d: %+v", i, r)
+				}
+			}
+			if _, err := ps.Snapshot(); err != nil {
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				if !ps.Store().EvictServer("s") {
+					b.Fatal("evict failed")
+				}
+				b.StartTimer()
+				if err := ps.RebuildServer("s"); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }

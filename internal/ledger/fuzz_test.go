@@ -300,8 +300,8 @@ func FuzzMigrateReplay(f *testing.F) {
 // half-decoded result with invalid records.
 func FuzzSnapshotLoad(f *testing.F) {
 	// Valid current-version snapshots as seeds: two servers with repeated
-	// clients, equal times and accumulator state, then an empty store; and
-	// the two versions before, which no longer decode.
+	// clients and equal times, then an empty store; and the three versions
+	// before, which no longer decode.
 	snapshot := func(hists ...*feedback.History) []byte {
 		dir := f.TempDir()
 		sw, err := beginSnapshot(dir, 1, 1, 2)
@@ -309,7 +309,7 @@ func FuzzSnapshotLoad(f *testing.F) {
 			f.Fatal(err)
 		}
 		for _, h := range hists {
-			if err := sw.server(h, []byte{1, 2, 3}); err != nil {
+			if err := sw.server(h); err != nil {
 				f.Fatal(err)
 			}
 		}
@@ -333,6 +333,7 @@ func FuzzSnapshotLoad(f *testing.F) {
 	f.Add(snapshot())
 	f.Add(v1Snapshot(1, 1, s, u))
 	f.Add(v2Snapshot(1, 1, 10, s, u))
+	f.Add(v3Snapshot(1, 1, s, u))
 	f.Add([]byte{})
 	f.Add(snapMagic[:])
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -343,12 +344,12 @@ func FuzzSnapshotLoad(f *testing.F) {
 		if len(sd.sections) != len(sd.servers) {
 			t.Fatalf("%d sections indexed for %d servers", len(sd.sections), len(sd.servers))
 		}
-		for _, srv := range sd.servers {
-			r, ok := sd.sections[string(srv.hist.Server())]
+		for _, hist := range sd.servers {
+			r, ok := sd.sections[string(hist.Server())]
 			if !ok || r.off <= 0 || r.end <= r.off || r.end > int64(len(data)) {
-				t.Fatalf("section of %q indexed at %+v in %d bytes", srv.hist.Server(), r, len(data))
+				t.Fatalf("section of %q indexed at %+v in %d bytes", hist.Server(), r, len(data))
 			}
-			for _, r := range srv.hist.Records() {
+			for _, r := range hist.Records() {
 				if verr := r.Validate(); verr != nil {
 					t.Fatalf("accepted snapshot holds invalid record: %v", verr)
 				}

@@ -39,9 +39,8 @@ type SnapshotFileInfo struct {
 	Servers        int    `json:"servers,omitempty"`
 	Records        uint64 `json:"records,omitempty"`
 	CoveredSegment uint64 `json:"covered_segment,omitempty"`
-	Accumulators   int    `json:"accumulators,omitempty"`
-	// SectionBytesPerRecord is the server sections' size (ids, history
-	// columns, accumulator state) over the records they hold.
+	// SectionBytesPerRecord is the server sections' size (ids and history
+	// columns) over the records they hold.
 	SectionBytesPerRecord float64 `json:"section_bytes_per_record,omitempty"`
 }
 
@@ -100,13 +99,10 @@ func Inspect(path string) (*Info, error) {
 			si.Servers = len(sd.servers)
 			si.CoveredSegment = sd.covered
 			var sectionBytes int64
-			for _, srv := range sd.servers {
-				r := sd.sections[string(srv.hist.Server())]
+			for _, hist := range sd.servers {
+				r := sd.sections[string(hist.Server())]
 				sectionBytes += r.end - r.off
-				si.Records += uint64(srv.hist.Len())
-				if len(srv.accState) > 0 {
-					si.Accumulators++
-				}
+				si.Records += uint64(hist.Len())
 			}
 			if si.Records > 0 {
 				si.SectionBytesPerRecord = float64(sectionBytes) / float64(si.Records)

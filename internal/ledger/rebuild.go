@@ -9,9 +9,10 @@ package ledger
 // records merge into it the way a write would (store.Merge: the snapshot scan
 // and the tail overlap by design, exactly like boot, and the history's own
 // order finds the duplicates); store.ReinstateServer then verifies the
-// result against the evicted stub's Checksum before swapping it in, so a
-// corrupt section read or a lost record can never silently resurface as
-// wrong state — it surfaces as a rebuild error.
+// result against the evicted stub's Checksum before swapping it in and
+// replaying it into a fresh accumulator, so a corrupt section read or a lost
+// record can never silently resurface as wrong state — it surfaces as a
+// rebuild error.
 //
 // The tail index rotates with snapshots: sealForSnapshot moves it to the
 // pending generation (the records the in-flight snapshot will cover), a
@@ -39,7 +40,7 @@ import (
 var ErrNoRebuild = errors.New("ledger: rebuild-on-demand not enabled")
 
 // secRange is one server's byte range inside a snapshot file, starting at
-// its id-length uvarint and ending after its accumulator state.
+// its id-length uvarint and ending after its history columns.
 type secRange struct{ off, end int64 }
 
 // snapIndex locates every server section of the newest published snapshot.
@@ -145,40 +146,28 @@ func (c *sectionFiles) close() {
 // gatherServer collects every known record of one server — newest snapshot
 // section plus both tail generations — into one history in store order;
 // cache, when non-nil, reuses open snapshot files across calls.
-//
-// When the snapshot section's records survive as an untouched prefix of the
-// result (every tail record was new and landed at the end), the section's
-// serialized accumulator state is returned alongside the count of records it
-// covers; restoring it and appending the records from accCount on then
-// reproduces a never-evicted accumulator exactly. Otherwise accState is nil
-// and the caller re-derives by replay.
-func (ps *PersistentStore) gatherServer(id feedback.EntityID, cache *sectionFiles) (hist *feedback.History, accState []byte, accCount int, err error) {
+func (ps *PersistentStore) gatherServer(id feedback.EntityID, cache *sectionFiles) (*feedback.History, error) {
 	ps.tailMu.Lock()
 	idx := ps.snapIdx
 	tail := append(append([]feedback.Feedback(nil), ps.pendingTail[string(id)]...), ps.tailIdx[string(id)]...)
 	ps.tailMu.Unlock()
 
-	hist = feedback.NewHistory(id)
+	hist := feedback.NewHistory(id)
 	if idx != nil {
 		if r, ok := idx.sections[string(id)]; ok {
-			sec, err := readSnapshotSection(idx.path, r, id, cache)
-			if err != nil {
-				return nil, nil, 0, err
+			var err error
+			if hist, err = readSnapshotSection(idx.path, r, id, cache); err != nil {
+				return nil, err
 			}
-			hist, accState, accCount = sec.hist, sec.accState, sec.hist.Len()
 		}
 	}
 	for _, f := range tail {
-		merged, inOrder, dup, err := store.Merge(hist, f)
-		if err != nil {
-			return nil, nil, 0, err
-		}
-		hist = merged
-		if dup || !inOrder {
-			accState, accCount = nil, 0
+		var err error
+		if hist, err = store.Merge(hist, f); err != nil {
+			return nil, err
 		}
 	}
-	return hist, accState, accCount, nil
+	return hist, nil
 }
 
 // RebuildServer reconstructs one evicted server's history and accumulator
@@ -200,25 +189,12 @@ func (ps *PersistentStore) RebuildServer(id feedback.EntityID) error {
 		}
 		return nil
 	}
-	hist, accState, accCount, err := ps.gatherServer(id, nil)
+	hist, err := ps.gatherServer(id, nil)
 	if err != nil {
 		ps.rebuildErrors.Add(1)
 		return fmt.Errorf("ledger: rebuild %q: %w", id, err)
 	}
-	var acc store.Accumulator
-	if len(accState) > 0 && ps.opts.RestoreAccumulator != nil {
-		if a, n, err := ps.opts.RestoreAccumulator(id, accState); err == nil && n == accCount {
-			// The serialized state covers the snapshot-section prefix
-			// (gatherServer guarantees it survived the merge untouched);
-			// feeding it the suffix yields exactly the accumulator a
-			// never-evicted server would hold.
-			for i := n; i < hist.Len(); i++ {
-				a.Append(hist.At(i))
-			}
-			acc = a
-		}
-	}
-	if err := ps.store.ReinstateServer(hist, acc); err != nil {
+	if err := ps.store.ReinstateServer(hist); err != nil {
 		ps.rebuildErrors.Add(1)
 		return err
 	}
@@ -230,35 +206,35 @@ func (ps *PersistentStore) RebuildServer(id feedback.EntityID) error {
 // snapshot file by byte range (via cache when non-nil). Integrity is
 // verified end-to-end by the store's reinstate digest check rather than
 // per-section checksums.
-func readSnapshotSection(path string, r secRange, id feedback.EntityID, cache *sectionFiles) (snapServer, error) {
+func readSnapshotSection(path string, r secRange, id feedback.EntityID, cache *sectionFiles) (*feedback.History, error) {
 	var f *os.File
 	var err error
 	if cache != nil {
 		if f, err = cache.get(path); err != nil {
-			return snapServer{}, fmt.Errorf("ledger: open snapshot for rebuild: %w", err)
+			return nil, fmt.Errorf("ledger: open snapshot for rebuild: %w", err)
 		}
 	} else {
 		if f, err = os.Open(path); err != nil {
-			return snapServer{}, fmt.Errorf("ledger: open snapshot for rebuild: %w", err)
+			return nil, fmt.Errorf("ledger: open snapshot for rebuild: %w", err)
 		}
 		defer func() { _ = f.Close() }()
 	}
 	if r.end <= r.off {
-		return snapServer{}, fmt.Errorf("ledger: bad section range for %q", id)
+		return nil, fmt.Errorf("ledger: bad section range for %q", id)
 	}
 	buf := make([]byte, r.end-r.off)
 	if _, err := f.ReadAt(buf, r.off); err != nil {
-		return snapServer{}, fmt.Errorf("ledger: read section of %q: %w", id, err)
+		return nil, fmt.Errorf("ledger: read section of %q: %w", id, err)
 	}
-	sec, rest, err := decodeServerSection(buf)
+	hist, rest, err := decodeServerSection(buf)
 	if err != nil {
-		return snapServer{}, fmt.Errorf("ledger: decode section of %q: %w", id, err)
+		return nil, fmt.Errorf("ledger: decode section of %q: %w", id, err)
 	}
 	if len(rest) != 0 {
-		return snapServer{}, fmt.Errorf("ledger: section of %q: %d trailing bytes", id, len(rest))
+		return nil, fmt.Errorf("ledger: section of %q: %d trailing bytes", id, len(rest))
 	}
-	if sec.hist.Server() != id {
-		return snapServer{}, fmt.Errorf("ledger: section range for %q holds %q", id, sec.hist.Server())
+	if hist.Server() != id {
+		return nil, fmt.Errorf("ledger: section range for %q holds %q", id, hist.Server())
 	}
-	return sec, nil
+	return hist, nil
 }

@@ -41,45 +41,46 @@ func rebuildAll(t *testing.T, ps *PersistentStore) {
 
 // TestRebuildBitIdentical: evicting a server and rebuilding it on demand
 // must restore exactly the state a never-evicted twin holds — records,
-// versions, checksums, and (in incremental mode) accumulator assessments.
-// Records deliberately span a snapshot and a post-snapshot tail so the
-// rebuild has to merge both sources.
+// versions, checksums, and (in incremental mode, for every tester mode and
+// trust function) accumulator assessments. Records deliberately span a
+// snapshot and a post-snapshot tail so the rebuild has to merge both sources.
 func TestRebuildBitIdentical(t *testing.T) {
-	for _, mode := range []string{"trustonly", "incremental"} {
-		t.Run(mode, func(t *testing.T) {
-			dir := filepath.Join(t.TempDir(), "led")
-			var opts Options
-			var tpUsed *core.TwoPhase
-			if mode == "incremental" {
-				opts, tpUsed = incrementalOptions(t, 4, 1<<20, 0)
-			} else {
-				opts = Options{Shards: 4, SegmentBytes: 1 << 20}
-			}
-			opts.MemBudget = 1 << 40 // lifecycle on, budget never binds
-
-			ps, err := OpenStoreOptions(context.Background(), dir, opts)
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer ps.Close()
-			workload(t, ps, 200, 0)
-			if _, err := ps.Snapshot(); err != nil {
-				t.Fatal(err)
-			}
-			workload(t, ps, 90, 200) // tail records past the snapshot
-			want := storeFingerprint(t, ps.Store(), tpUsed)
-
-			evictAll(t, ps.Store())
-			rebuildAll(t, ps)
-
-			got := storeFingerprint(t, ps.Store(), tpUsed)
-			if !reflect.DeepEqual(want, got) {
-				t.Fatal("rebuilt state diverges from never-evicted state")
-			}
-			if ledgerMetric(ps, "rebuilds") == nil {
-				t.Fatal("rebuild counter did not move")
-			}
+	t.Run("trustonly", func(t *testing.T) {
+		checkRebuild(t, Options{Shards: 4, SegmentBytes: 1 << 20}, nil)
+	})
+	t.Run("incremental", func(t *testing.T) {
+		forEachAssessor(t, func(t *testing.T, scheme, trustName string) {
+			opts, tp := assessorOptions(t, scheme, trustName, 4, 1<<20, 0)
+			checkRebuild(t, opts, tp)
 		})
+	})
+}
+
+func checkRebuild(t *testing.T, opts Options, tp *core.TwoPhase) {
+	dir := filepath.Join(t.TempDir(), "led")
+	opts.MemBudget = 1 << 40 // lifecycle on, budget never binds
+
+	ps, err := OpenStoreOptions(context.Background(), dir, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ps.Close()
+	workload(t, ps, 200, 0)
+	if _, err := ps.Snapshot(); err != nil {
+		t.Fatal(err)
+	}
+	workload(t, ps, 90, 200) // tail records past the snapshot
+	want := storeFingerprint(t, ps.Store(), tp)
+
+	evictAll(t, ps.Store())
+	rebuildAll(t, ps)
+
+	got := storeFingerprint(t, ps.Store(), tp)
+	if !reflect.DeepEqual(want, got) {
+		t.Fatal("rebuilt state diverges from never-evicted state")
+	}
+	if ledgerMetric(ps, "rebuilds") == nil {
+		t.Fatal("rebuild counter did not move")
 	}
 }
 

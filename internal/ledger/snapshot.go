@@ -1,15 +1,14 @@
 package ledger
 
 // Store snapshots. A snapshot file freezes the replayed state of the store —
-// every server's history plus, when the deployment runs incremental
-// assessment, each server's serialized accumulator state — so a node boots
-// by seeding the store from the snapshot and replaying only the ledger tail
-// (segments >= the snapshot's covered segment) instead of the whole log.
+// every server's history, and nothing derived from it (ADR 0017) — so a node
+// boots by seeding the store from the snapshot and replaying only the ledger
+// tail (segments >= the snapshot's covered segment) instead of the whole log.
 //
 // File layout (all integers uvarint unless noted):
 //
 //	magic        8 bytes {0xB6, 'H','P','S','N','A','P','1'}
-//	version      uvarint (currently 3; older files are unsupported)
+//	version      uvarint (currently 4; older files are unsupported)
 //	seq          uvarint — snapshot sequence number
 //	covered      uvarint — tail replay starts at this segment index
 //	records      uvarint — ledger record count at capture (informational)
@@ -19,15 +18,15 @@ package ledger
 //	             (feedback.AppendColumns): counts, the client dictionary,
 //	             then the scaled time column (ADR 0014), the dictionary-slot
 //	             and good-bit columns
-//	  acc        uvarint length, bytes — serialized accumulator state
-//	             (zero length = none; boot re-derives from history)
 //	terminator   uvarint 0
 //	crc32c       4 bytes little-endian, over everything above
 //	"HPSNPEND"   8 bytes
 //
 // A section is the serialized form of the resident history (ADR 0005): the
 // writer copies columns out, boot and rebuild-on-demand decode columns in,
-// and no per-record struct exists on either side.
+// and no per-record struct exists on either side. An accumulator is a pure
+// function of the history, so boot and rebuild replay the decoded columns
+// into a fresh one instead of reading it from the file.
 //
 // Snapshots are written to snapshot.tmp and renamed into place
 // (snapshot.<seq>, zero-padded), so a crash mid-write leaves at worst a
@@ -56,7 +55,7 @@ var snapMagic = [8]byte{0xB6, 'H', 'P', 'S', 'N', 'A', 'P', '1'}
 
 const (
 	snapEnd     = "HPSNPEND"
-	snapVersion = 3
+	snapVersion = 4
 	snapTmpName = "snapshot.tmp"
 	// snapKeep is how many verified snapshots are retained; older ones are
 	// pruned after each successful write.
@@ -139,17 +138,14 @@ func (sw *snapWriter) write(b []byte) error {
 }
 
 // server writes one server's section from an immutable history view.
-func (sw *snapWriter) server(hist *feedback.History, accState []byte) error {
+func (sw *snapWriter) server(hist *feedback.History) error {
 	id := hist.Server()
 	if len(id) == 0 {
 		return fmt.Errorf("%w: empty server id", ErrBadSnapshot)
 	}
 	buf := binary.AppendUvarint(sw.scratch[:0], uint64(len(id)))
 	buf = append(buf, id...)
-	buf = hist.AppendColumns(buf)
-	buf = binary.AppendUvarint(buf, uint64(len(accState)))
-	buf = append(buf, accState...)
-	return sw.write(buf)
+	return sw.write(hist.AppendColumns(buf))
 }
 
 // finish writes the terminator and trailer, fsyncs, and renames the temp
@@ -206,19 +202,13 @@ func pruneSnapshots(dir string) {
 	}
 }
 
-// snapServer is one server's decoded snapshot section.
-type snapServer struct {
-	hist     *feedback.History
-	accState []byte
-}
-
 // snapshotData is a fully decoded, checksum-verified snapshot. sections
 // indexes each server's byte range within the file, for rebuild-on-demand.
 type snapshotData struct {
 	seq      uint64
 	covered  uint64
 	records  uint64
-	servers  []snapServer
+	servers  []*feedback.History
 	sections map[string]secRange
 }
 
@@ -293,17 +283,17 @@ func decodeSnapshot(data []byte) (*snapshotData, error) {
 		}
 		// Section offsets are relative to the file start; body starts at 0.
 		start := int64(len(body) - len(rest))
-		srv, remainder, err := decodeServerSection(rest)
+		hist, remainder, err := decodeServerSection(rest)
 		if err != nil {
 			return nil, err
 		}
 		rest = remainder
-		id := string(srv.hist.Server())
+		id := string(hist.Server())
 		if _, dup := sd.sections[id]; dup {
 			return nil, fmt.Errorf("%w: duplicate server %q", ErrBadSnapshot, id)
 		}
 		sd.sections[id] = secRange{off: start, end: int64(len(body) - len(rest))}
-		sd.servers = append(sd.servers, srv)
+		sd.servers = append(sd.servers, hist)
 	}
 	if len(rest) != 0 {
 		return nil, fmt.Errorf("%w: %d trailing bytes", ErrBadSnapshot, len(rest))
@@ -315,35 +305,23 @@ func decodeSnapshot(data []byte) (*snapshotData, error) {
 // id a record codec accepts (it was the v1 segment row's ceiling).
 const maxSectionIDLen = 2061
 
-// decodeServerSection decodes one server section — from its id-length
-// uvarint through its accumulator state — returning the remainder. It is
-// shared between whole-file decode (boot) and by-range section reads
-// (rebuild-on-demand).
-func decodeServerSection(rest []byte) (snapServer, []byte, error) {
-	var srv snapServer
+// decodeServerSection decodes one server section — its id, then its history
+// columns — returning the remainder. It is shared between whole-file decode
+// (boot) and by-range section reads (rebuild-on-demand).
+func decodeServerSection(rest []byte) (*feedback.History, []byte, error) {
 	idLen, rest, err := snapUvarint(rest)
 	if err != nil {
-		return srv, rest, err
+		return nil, rest, err
 	}
 	if idLen == 0 || idLen > maxSectionIDLen || uint64(len(rest)) < idLen {
-		return srv, rest, fmt.Errorf("%w: server id overruns file", ErrBadSnapshot)
+		return nil, rest, fmt.Errorf("%w: server id overruns file", ErrBadSnapshot)
 	}
 	id := feedback.EntityID(rest[:idLen])
-	if srv.hist, rest, err = feedback.DecodeColumns(id, rest[idLen:]); err != nil {
-		return srv, rest, fmt.Errorf("%w: history of %q: %v", ErrBadSnapshot, id, err)
+	hist, rest, err := feedback.DecodeColumns(id, rest[idLen:])
+	if err != nil {
+		return nil, rest, fmt.Errorf("%w: history of %q: %v", ErrBadSnapshot, id, err)
 	}
-	var accLen uint64
-	if accLen, rest, err = snapUvarint(rest); err != nil {
-		return srv, rest, err
-	}
-	if uint64(len(rest)) < accLen {
-		return srv, rest, fmt.Errorf("%w: accumulator state overruns file", ErrBadSnapshot)
-	}
-	if accLen > 0 {
-		srv.accState = append([]byte(nil), rest[:accLen]...)
-		rest = rest[accLen:]
-	}
-	return srv, rest, nil
+	return hist, rest, nil
 }
 
 // snapUvarint decodes one uvarint, returning the remainder.

@@ -1,7 +1,6 @@
 package ledger
 
 import (
-	"bytes"
 	"context"
 	"encoding/binary"
 	"errors"
@@ -25,11 +24,44 @@ import (
 )
 
 // incrementalOptions wires a real TwoPhase assessor (average trust, no
-// behaviour tester) into Options, exercising the same accumulator
-// encode/restore plumbing trustd -incremental uses.
+// behaviour tester) into Options the way trustd -incremental does.
 func incrementalOptions(t testing.TB, shards int, segBytes int64, every uint64) (Options, *core.TwoPhase) {
+	return assessorOptions(t, "none", "average", shards, segBytes, every)
+}
+
+// assessorOptions wires a TwoPhase assessor — scheme's tester (none: no
+// phase 1) on a small seeded calibrator, then the trust function trustName —
+// into Options the way trustd -incremental does: as the accumulator factory
+// that boot and rebuild-on-demand replay every history into.
+func assessorOptions(t testing.TB, scheme, trustName string, shards int, segBytes int64, every uint64) (Options, *core.TwoPhase) {
 	t.Helper()
-	tp, err := core.NewTwoPhase(nil, trust.Average{})
+	cfg := behavior.Config{Calibrator: stats.NewCalibrator(stats.CalibrationConfig{Replicates: 100, Seed: 3}, 0)}
+	var (
+		tester behavior.Tester
+		err    error
+	)
+	switch scheme {
+	case "none":
+	case "single":
+		tester, err = behavior.NewSingle(cfg)
+	case "multi":
+		tester, err = behavior.NewMulti(cfg)
+	case "collusion":
+		tester, err = behavior.NewCollusion(cfg)
+	case "collusion-multi":
+		tester, err = behavior.NewCollusionMulti(cfg)
+	default:
+		t.Fatalf("unknown scheme %q", scheme)
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	weighted, err := trust.NewWeighted(0.5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fns := map[string]trust.Func{"average": trust.Average{}, "weighted": weighted, "beta": trust.Beta{}}
+	tp, err := core.NewTwoPhase(tester, fns[trustName])
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -44,25 +76,24 @@ func incrementalOptions(t testing.TB, shards int, segBytes int64, every uint64) 
 			}
 			return acc
 		},
-		EncodeAccumulator: func(acc store.Accumulator) ([]byte, bool) {
-			sa, ok := acc.(*core.ServerAccumulator)
-			if !ok {
-				return nil, false
-			}
-			return sa.AppendState(nil)
-		},
-		RestoreAccumulator: func(server feedback.EntityID, state []byte) (store.Accumulator, int, error) {
-			sa, n, err := tp.RestoreServerAccumulator(server, state)
-			if err != nil {
-				return nil, 0, err
-			}
-			return sa, n, nil
-		},
 	}
 	return opts, tp
 }
 
-// workload appends n records across several servers and clients.
+// forEachAssessor runs check once per tester mode — none, single, multi,
+// collusion, collusion-multi — against each trust function trustd offers.
+func forEachAssessor(t *testing.T, check func(t *testing.T, scheme, trustName string)) {
+	for _, scheme := range []string{"none", "single", "multi", "collusion", "collusion-multi"} {
+		for _, trustName := range []string{"average", "weighted", "beta"} {
+			t.Run(scheme+"-"+trustName, func(t *testing.T) { check(t, scheme, trustName) })
+		}
+	}
+}
+
+// workload appends n records across several servers and clients. Server
+// "sa" fails the last three of every ten transactions, a period the single
+// and multi tests flag; the others fail about one in ten at random, as an
+// honest server does, so the trust functions decide their verdicts.
 func workload(t *testing.T, ps *PersistentStore, n, offset int) {
 	t.Helper()
 	for i := offset; i < offset+n; i++ {
@@ -72,7 +103,9 @@ func workload(t *testing.T, ps *PersistentStore, n, offset int) {
 			Rating: feedback.Positive,
 			Time:   rec("x", true, int64(i+1)).Time,
 		}
-		if i%3 == 0 {
+		x := uint64(i+1) * 0x9E3779B97F4A7C15 // splitmix64's mix of i
+		x = (x ^ x>>30) * 0xBF58476D1CE4E5B9
+		if i%7 == 0 && i/7%10 >= 7 || i%7 != 0 && (x^x>>27)%10 == 0 {
 			f.Rating = feedback.Negative
 		}
 		if ok, err := ps.Add(f); !ok || err != nil {
@@ -115,10 +148,15 @@ func storeFingerprint(t *testing.T, st *store.Store, tp *core.TwoPhase) map[stri
 
 // TestSnapshotBootMatchesFullReplay: a node booted from snapshot + tail must
 // hold bit-identical store state (records, checksums, versions, incremental
-// assessments) to one that replays the whole ledger.
+// assessments) to the store that wrote them, and so must one that replays
+// the whole ledger, for every tester mode and trust function.
 func TestSnapshotBootMatchesFullReplay(t *testing.T) {
+	forEachAssessor(t, checkSnapshotBoot)
+}
+
+func checkSnapshotBoot(t *testing.T, scheme, trustName string) {
 	dir := filepath.Join(t.TempDir(), "led")
-	opts, tp := incrementalOptions(t, 4, 2048, 0)
+	opts, tp := assessorOptions(t, scheme, trustName, 4, 2048, 0)
 
 	ps, err := OpenStoreOptions(context.Background(), dir, opts)
 	if err != nil {
@@ -172,89 +210,6 @@ func TestSnapshotBootMatchesFullReplay(t *testing.T) {
 		t.Fatal("full replay diverges from snapshot+tail state")
 	}
 	if err := fullBoot.Close(); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// TestSnapshotWithV1AccumulatorBlobs: a snapshot written before behaviour
-// accumulator state became version 2 carries version-1 blobs. Boot must not
-// decode them: every accumulator is re-derived from the snapshot's records,
-// and the node serves the verdicts a full replay would.
-func TestSnapshotWithV1AccumulatorBlobs(t *testing.T) {
-	dir := filepath.Join(t.TempDir(), "led")
-	tester, err := behavior.NewMulti(behavior.Config{
-		Calibrator: stats.NewCalibrator(stats.CalibrationConfig{Replicates: 100, Seed: 3}, 0)})
-	if err != nil {
-		t.Fatal(err)
-	}
-	tp, err := core.NewTwoPhase(tester, trust.Average{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	opts, _ := incrementalOptions(t, 4, 2048, 0)
-	opts.AccumulatorFactory = func(server feedback.EntityID) store.Accumulator {
-		acc, err := tp.NewServerAccumulator(server)
-		if err != nil {
-			return nil
-		}
-		return acc
-	}
-	// The behaviour blob opens with version, mode (multi = 1), m, stride and
-	// minimum windows; its first occurrence in the state is that header.
-	// Stamping version 1 there is what an old snapshot holds, as far as the
-	// decoder looks.
-	header := []byte{2, 1, 10, 10, 4}
-	opts.EncodeAccumulator = func(acc store.Accumulator) ([]byte, bool) {
-		state, ok := acc.(*core.ServerAccumulator).AppendState(nil)
-		at := bytes.Index(state, header)
-		if !ok || at < 0 {
-			t.Errorf("no behaviour state header in %x", state)
-			return nil, false
-		}
-		state[at] = 1
-		return state, true
-	}
-	rejected := 0
-	opts.RestoreAccumulator = func(server feedback.EntityID, state []byte) (store.Accumulator, int, error) {
-		sa, n, err := tp.RestoreServerAccumulator(server, state)
-		if err != nil {
-			if !errors.Is(err, core.ErrBadState) {
-				t.Errorf("restore %q: %v, want ErrBadState", server, err)
-			}
-			rejected++
-			return nil, 0, err
-		}
-		return sa, n, nil
-	}
-
-	ps, err := OpenStoreOptions(context.Background(), dir, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	workload(t, ps, 500, 0)
-	if _, err := ps.Snapshot(); err != nil {
-		t.Fatal(err)
-	}
-	workload(t, ps, 77, 500) // tail past the snapshot
-	want := storeFingerprint(t, ps.Store(), tp)
-	if err := ps.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	snapBoot, err := OpenStoreOptions(context.Background(), dir, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ledgerMetric(snapBoot, "boot_mode") != "snapshot" {
-		t.Fatalf("boot mode = %q, want snapshot", ledgerMetric(snapBoot, "boot_mode"))
-	}
-	if servers := len(snapBoot.Store().Servers()); rejected != servers {
-		t.Fatalf("%d of %d version-1 blobs rejected", rejected, servers)
-	}
-	if got := storeFingerprint(t, snapBoot.Store(), tp); !reflect.DeepEqual(want, got) {
-		t.Fatal("boot over version-1 accumulator blobs diverges from the state a replay builds")
-	}
-	if err := snapBoot.Close(); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -388,13 +343,44 @@ func v1Snapshot(seq, covered uint64, hists ...*feedback.History) []byte {
 	return append(buf, snapEnd...)
 }
 
+// v3Snapshot encodes hists in the retired version-3 layout: each section's
+// columns followed by a length-prefixed accumulator state, empty here as a
+// node without -incremental left it.
+func v3Snapshot(seq, covered uint64, hists ...*feedback.History) []byte {
+	buf := append([]byte(nil), snapMagic[:]...)
+	for _, v := range []uint64{3, seq, covered, 0} {
+		buf = binary.AppendUvarint(buf, v)
+	}
+	for _, h := range hists {
+		buf = binary.AppendUvarint(buf, uint64(len(h.Server())))
+		buf = append(buf, h.Server()...)
+		buf = h.AppendColumns(buf)
+		buf = binary.AppendUvarint(buf, 0)
+	}
+	buf = binary.AppendUvarint(buf, 0)
+	buf = binary.LittleEndian.AppendUint32(buf, crc32.Checksum(buf, castagnoli))
+	return append(buf, snapEnd...)
+}
+
 // TestSnapshotV1FallsBackToReplay: the first boot after the upgrade finds a
 // version-1 snapshot. It is not decoded: ledger-info lists it as unsupported,
 // boot replays the segments to the same state, and the next snapshot is
 // the current version, from which the boot after that starts.
 func TestSnapshotV1FallsBackToReplay(t *testing.T) {
+	checkOldSnapshotFallsBack(t, 1, v1Snapshot)
+}
+
+// TestSnapshotV3FallsBackToReplay is TestSnapshotV1FallsBackToReplay for the
+// version that carried accumulator state beside each section's columns.
+func TestSnapshotV3FallsBackToReplay(t *testing.T) {
+	checkOldSnapshotFallsBack(t, 3, v3Snapshot)
+}
+
+// checkOldSnapshotFallsBack replaces the snapshot a multi-testing node wrote
+// with encode's rendering of the same histories in the older version.
+func checkOldSnapshotFallsBack(t *testing.T, version uint64, encode func(seq, covered uint64, hists ...*feedback.History) []byte) {
 	dir := filepath.Join(t.TempDir(), "led")
-	opts, tp := incrementalOptions(t, 4, 2048, 0)
+	opts, tp := assessorOptions(t, "multi", "average", 4, 2048, 0)
 	ps, err := OpenStoreOptions(context.Background(), dir, opts)
 	if err != nil {
 		t.Fatal(err)
@@ -422,16 +408,16 @@ func TestSnapshotV1FallsBackToReplay(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := os.WriteFile(path, v1Snapshot(seq, sd.covered, hists...), 0o644); err != nil {
+	if err := os.WriteFile(path, encode(seq, sd.covered, hists...), 0o644); err != nil {
 		t.Fatal(err)
 	}
 
 	info, err := Inspect(dir)
 	if err != nil {
-		t.Fatalf("ledger-info over a version-1 snapshot: %v", err)
+		t.Fatalf("ledger-info over a version-%d snapshot: %v", version, err)
 	}
-	if si := info.Snapshots[0]; si.Version != 1 || si.Valid || !strings.Contains(si.Error, "unsupported version 1") {
-		t.Fatalf("version-1 snapshot listed as %+v", si)
+	if si := info.Snapshots[0]; si.Version != version || si.Valid || !strings.Contains(si.Error, fmt.Sprintf("unsupported version %d", version)) {
+		t.Fatalf("version-%d snapshot listed as %+v", version, si)
 	}
 
 	boot, err := OpenStoreOptions(context.Background(), dir, opts)
@@ -439,10 +425,10 @@ func TestSnapshotV1FallsBackToReplay(t *testing.T) {
 		t.Fatal(err)
 	}
 	if mode := ledgerMetric(boot, "boot_mode"); mode != "replay" {
-		t.Fatalf("boot mode over a version-1 snapshot = %q, want replay", mode)
+		t.Fatalf("boot mode over a version-%d snapshot = %q, want replay", version, mode)
 	}
 	if got := storeFingerprint(t, boot.Store(), tp); !reflect.DeepEqual(want, got) {
-		t.Fatal("replay past a version-1 snapshot diverges from the pre-restart state")
+		t.Fatalf("replay past a version-%d snapshot diverges from the pre-restart state", version)
 	}
 	next, err := boot.Snapshot()
 	if err != nil {
@@ -659,9 +645,6 @@ func TestLedgerInfo(t *testing.T) {
 	}
 	if len(info.Snapshots) != 1 || !info.Snapshots[0].Valid {
 		t.Fatalf("snapshot info: %+v", info.Snapshots)
-	}
-	if info.Snapshots[0].Accumulators == 0 {
-		t.Fatal("snapshot carries no accumulator state")
 	}
 	if si := info.Snapshots[0]; si.Version != snapVersion || si.Records != 120 || si.SectionBytesPerRecord <= 0 {
 		t.Fatalf("snapshot info: %+v", si)

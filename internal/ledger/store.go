@@ -34,17 +34,16 @@ type Options struct {
 	// can still be called directly).
 	SnapshotEvery uint64
 	// AccumulatorFactory, when set, is installed on the store so servers get
-	// incremental accumulators (see store.SetAccumulatorFactory).
+	// incremental accumulators (see store.SetAccumulatorFactory). Boot and
+	// rebuild-on-demand mint them through it and replay each history.
 	AccumulatorFactory store.AccumulatorFactory
-	// EncodeAccumulator serializes a server's accumulator state into a
-	// snapshot. Returning false means the accumulator doesn't support
-	// serialization; the snapshot then stores history only and boot
-	// re-derives the accumulator by replay.
+	// EncodeAccumulator is ignored.
+	//
+	// Deprecated: a snapshot holds records only (ADR 0017).
 	EncodeAccumulator func(acc store.Accumulator) ([]byte, bool)
-	// RestoreAccumulator rebuilds an accumulator from its serialized state,
-	// returning the number of records the state covers. Boot cross-checks
-	// that count against the server's snapshot history and falls back to
-	// replay-derivation on any mismatch or error.
+	// RestoreAccumulator is ignored.
+	//
+	// Deprecated: a snapshot holds records only (ADR 0017).
 	RestoreAccumulator func(server feedback.EntityID, state []byte) (store.Accumulator, int, error)
 	// Logf, when set, receives the boot summary (records, boot mode,
 	// segments) and boot and snapshot diagnostics (corrupt snapshots
@@ -217,29 +216,17 @@ func OpenStoreOptions(ctx context.Context, path string, opts Options) (*Persiste
 	return ps, nil
 }
 
-// seedFromSnapshot builds a candidate store from a decoded snapshot,
-// restoring accumulator state where possible. Any seeding failure discards
-// the candidate so boot can fall back to an older snapshot or full replay.
+// seedFromSnapshot builds a candidate store from a decoded snapshot, each
+// server's accumulator replayed from its history. Any seeding failure
+// discards the candidate so boot can fall back to an older snapshot or full
+// replay.
 func (ps *PersistentStore) seedFromSnapshot(sd *snapshotData, shards int) (*store.Store, bool) {
 	cand := store.NewSharded(shards)
 	if ps.opts.AccumulatorFactory != nil {
 		cand.SetAccumulatorFactory(ps.opts.AccumulatorFactory)
 	}
-	for _, srv := range sd.servers {
-		id := srv.hist.Server()
-		var acc store.Accumulator
-		if len(srv.accState) > 0 && ps.opts.RestoreAccumulator != nil {
-			a, n, err := ps.opts.RestoreAccumulator(id, srv.accState)
-			switch {
-			case err != nil:
-				ps.logf("ledger: snapshot %d: accumulator for %q not restored (re-deriving): %v", sd.seq, id, err)
-			case n != srv.hist.Len():
-				ps.logf("ledger: snapshot %d: accumulator for %q covers %d of %d records (re-deriving)", sd.seq, id, n, srv.hist.Len())
-			default:
-				acc = a
-			}
-		}
-		if err := cand.SeedServer(srv.hist, acc); err != nil {
+	for _, hist := range sd.servers {
+		if err := cand.SeedServer(hist); err != nil {
 			ps.logf("ledger: snapshot %d rejected: %v", sd.seq, err)
 			return nil, false
 		}
@@ -374,15 +361,13 @@ func (ps *PersistentStore) snapshotAsync() {
 // replay revisits, and the store's content-hash dedup makes the overlap
 // harmless. Sealing aligns the snapshot to a segment boundary, so a
 // snapshot boot replays only post-snapshot segments instead of re-decoding
-// the covered segment's prefix. Accumulator state is serialized under the
-// shard read lock, so it matches the history captured alongside it exactly.
-// Evicted servers are forgetting-safe: the walk hands the writer a stub's
-// Checksum instead of a history, and the writer materializes the stub's full
-// section from the previous snapshot plus the pending tail generation
-// (rotated out of the live tail index at seal time), verified against that
-// Checksum. Every published snapshot therefore carries every server's
-// complete covered history, resident or not — the invariant
-// rebuild-on-demand and snapshot boot both lean on.
+// the covered segment's prefix. Evicted servers are forgetting-safe: the
+// walk hands the writer a stub's Checksum instead of a history, and the
+// writer materializes the stub's full section from the previous snapshot
+// plus the pending tail generation (rotated out of the live tail index at
+// seal time), verified against that Checksum. Every published snapshot
+// therefore carries every server's complete covered history, resident or
+// not — the invariant rebuild-on-demand and snapshot boot both lean on.
 func (ps *PersistentStore) Snapshot() (uint64, error) {
 	ps.snapMu.Lock()
 	defer ps.snapMu.Unlock()
@@ -406,36 +391,18 @@ func (ps *PersistentStore) Snapshot() (uint64, error) {
 		ps.snapsFailed.Add(1)
 		return 0, err
 	}
-	type section struct {
-		id       feedback.EntityID
-		snap     *feedback.History // nil for an evicted server
-		accState []byte
-		stub     store.Checksum // an evicted server's
-	}
 	sections := make(map[string]secRange)
 	var secFiles sectionFiles
 	defer secFiles.close()
 	for idx := 0; idx < ps.store.NumShards(); idx++ {
-		var secs []section
-		ps.store.SnapshotShard(idx, func(ent store.ShardEntry) {
-			if ent.Snap == nil {
-				secs = append(secs, section{id: ent.Server, stub: ent.Checksum})
-				return
-			}
-			sec := section{id: ent.Server, snap: ent.Snap}
-			if ent.Acc != nil && ps.opts.EncodeAccumulator != nil {
-				if b, ok := ps.opts.EncodeAccumulator(ent.Acc); ok {
-					sec.accState = b
-				}
-			}
-			secs = append(secs, sec)
-		})
+		var secs []store.ShardEntry
+		ps.store.SnapshotShard(idx, func(ent store.ShardEntry) { secs = append(secs, ent) })
 		// Stream record encoding outside the shard lock: the snapshot views
 		// are immutable (and stub sections come from the previous snapshot
 		// file plus durable tail records), so writers aren't blocked on
 		// file IO.
 		for _, sec := range secs {
-			hist := sec.snap
+			hist := sec.Snap
 			if hist == nil {
 				// The live tail is included: a server evicted after this
 				// snapshot sealed may count post-seal records in its stub,
@@ -445,21 +412,21 @@ func (ps *PersistentStore) Snapshot() (uint64, error) {
 				// set means the section would forget history — abort.
 				var sum store.Checksum
 				var err error
-				if hist, _, _, err = ps.gatherServer(sec.id, &secFiles); err == nil {
+				if hist, err = ps.gatherServer(sec.Server, &secFiles); err == nil {
 					sum, err = store.DigestSorted(hist)
 				}
-				if err == nil && sum.Count <= sec.stub.Count && sum != sec.stub {
-					err = fmt.Errorf("rebuilt records %+v, stub has %+v", sum, sec.stub)
+				if err == nil && sum.Count <= sec.Count && sum != sec.Checksum {
+					err = fmt.Errorf("rebuilt records %+v, stub has %+v", sum, sec.Checksum)
 				}
 				if err != nil {
-					return fail(fmt.Errorf("ledger: snapshot: evicted section %q: %w", sec.id, err))
+					return fail(fmt.Errorf("ledger: snapshot: evicted section %q: %w", sec.Server, err))
 				}
 			}
 			start := sw.pos
-			if err := sw.server(hist, sec.accState); err != nil {
+			if err := sw.server(hist); err != nil {
 				return fail(err)
 			}
-			sections[string(sec.id)] = secRange{off: start, end: sw.pos}
+			sections[string(sec.Server)] = secRange{off: start, end: sw.pos}
 		}
 	}
 	size, err := sw.finish(seq)

@@ -80,8 +80,8 @@ func v2Snapshot(seq, covered, records uint64, hists ...*feedback.History) []byte
 // TestV2DirectoryUpgrades: a directory as the previous revision left it — a
 // sealed v2 segment, an active v2 segment and a version-2 snapshot covering
 // the first — is refused, and migrates to a ledger that boots by replay to
-// the store its records make, takes appends, writes a version-3 snapshot
-// and boots from it after that.
+// the store its records make, takes appends, writes a current-version
+// snapshot and boots from it after that.
 func TestV2DirectoryUpgrades(t *testing.T) {
 	recs := stream(300)
 	sealed, active := groupsOf(recs[:200]), groupsOf(recs[200:])
@@ -159,7 +159,7 @@ func TestV2DirectoryUpgrades(t *testing.T) {
 	if info.Records != 340 || info.TruncatedBytes != 0 || !info.Segments[0].Sealed {
 		t.Fatalf("the migrated directory inspects as %+v", info)
 	}
-	if si := info.Snapshots[len(info.Snapshots)-1]; si.Seq != next || si.Version != 3 || !si.Valid {
+	if si := info.Snapshots[len(info.Snapshots)-1]; si.Seq != next || si.Version != snapVersion || !si.Valid {
 		t.Fatalf("snapshot written after the migration listed as %+v", si)
 	}
 
@@ -172,6 +172,6 @@ func TestV2DirectoryUpgrades(t *testing.T) {
 		t.Fatalf("second boot = %q from snapshot %v, want snapshot %d", mode, snap, next)
 	}
 	if got := storeFingerprint(t, again.Store(), nil); !reflect.DeepEqual(got, want) {
-		t.Fatal("boot from the version-3 snapshot diverges")
+		t.Fatal("boot from the current-version snapshot diverges")
 	}
 }

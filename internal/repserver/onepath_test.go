@@ -25,7 +25,7 @@ func (m *memRebuilder) RebuildServer(id feedback.EntityID) error {
 	if err != nil {
 		return err
 	}
-	return m.st.ReinstateServer(hist, nil)
+	return m.st.ReinstateServer(hist)
 }
 
 // historyOf is recs, all of one server, appended one by one.

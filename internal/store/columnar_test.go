@@ -137,13 +137,13 @@ func TestSeedRejectsUnsortedAndRepeated(t *testing.T) {
 		"time backwards": {a, later, b},
 	} {
 		st := NewSharded(1)
-		if err := st.SeedServer(histOf(t, "s", recs), nil); err == nil {
+		if err := st.SeedServer(histOf(t, "s", recs)); err == nil {
 			t.Errorf("%s: seed accepted", name)
 		}
 		if st.Len() != 0 || st.ResidentBytes() != 0 || len(st.Servers()) != 0 {
 			t.Errorf("%s: refused seed left state behind", name)
 		}
-		if err := st.SeedServer(histOf(t, "s", []feedback.Feedback{a, b, later}), nil); err != nil {
+		if err := st.SeedServer(histOf(t, "s", []feedback.Feedback{a, b, later})); err != nil {
 			t.Errorf("%s: clean seed after a refused one: %v", name, err)
 		}
 	}

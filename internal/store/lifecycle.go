@@ -263,11 +263,11 @@ func (s *Store) StubOf(server feedback.EntityID) (Stub, bool) {
 	return Stub{Server: server, Checksum: e.sum, Version: e.version}, true
 }
 
-// ReinstateServer swaps a rebuilt history (and optionally its accumulator,
-// with state covering exactly hist) back into an evicted server's slot,
-// taking ownership of it. The rebuild is verified against the stub before
-// anything is committed: its Checksum must be the one that was evicted,
-// making a reinstated server bit-identical to one that never left.
+// ReinstateServer swaps a rebuilt history back into an evicted server's
+// slot, taking ownership of it, and replays it into a factory-minted
+// accumulator as SeedServer does. The rebuild is verified against the stub
+// before anything is committed: its Checksum must be the one that was
+// evicted, making a reinstated server bit-identical to one that never left.
 // The preserved version counter keeps assessment-cache entries valid across
 // the round-trip. Reinstating an already-resident server is a no-op
 // (concurrent fault-ins race benignly); reinstating an unknown server is an
@@ -275,15 +275,15 @@ func (s *Store) StubOf(server feedback.EntityID) (Stub, bool) {
 //
 // hist's records must strictly increase in (time, hash), as Add would have
 // stored them.
-func (s *Store) ReinstateServer(hist *feedback.History, acc Accumulator) error {
-	if err := s.reinstate(hist, acc); err != nil {
+func (s *Store) ReinstateServer(hist *feedback.History) error {
+	if err := s.reinstate(hist); err != nil {
 		return fmt.Errorf("store: reinstate of %q: %w", hist.Server(), err)
 	}
 	s.maybeEvict()
 	return nil
 }
 
-func (s *Store) reinstate(hist *feedback.History, acc Accumulator) error {
+func (s *Store) reinstate(hist *feedback.History) error {
 	sh := s.shardOf(hist.Server())
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
@@ -302,7 +302,7 @@ func (s *Store) reinstate(hist *feedback.History, acc Accumulator) error {
 		return fmt.Errorf("rebuilt records %+v, stub has %+v", sum, e.sum)
 	}
 	e.hist = hist
-	s.adoptLocked(e, acc)
+	s.adoptLocked(e)
 	s.evictedCount.Add(-1)
 	s.reinstates.Add(1)
 	return nil

@@ -60,7 +60,7 @@ func TestEvictReinstateRoundTrip(t *testing.T) {
 		t.Fatalf("lifecycle after evict = %v", life)
 	}
 
-	if err := st.ReinstateServer(histOf(t, "srv", recs), nil); err != nil {
+	if err := st.ReinstateServer(histOf(t, "srv", recs)); err != nil {
 		t.Fatalf("reinstate: %v", err)
 	}
 	gotHist, gotVer := st.Snapshot("srv")
@@ -88,24 +88,24 @@ func TestReinstateRejectsWrongRecords(t *testing.T) {
 	recs := fillServer(t, st, "srv", 5)
 	st.EvictServer("srv")
 
-	if err := st.ReinstateServer(histOf(t, "srv", recs[:4]), nil); err == nil {
+	if err := st.ReinstateServer(histOf(t, "srv", recs[:4])); err == nil {
 		t.Fatal("reinstate with missing record must fail")
 	}
 	tampered := append([]feedback.Feedback(nil), recs...)
 	tampered[2].Rating = 3 - tampered[2].Rating // positive ↔ negative
-	if err := st.ReinstateServer(histOf(t, "srv", tampered), nil); err == nil {
+	if err := st.ReinstateServer(histOf(t, "srv", tampered)); err == nil {
 		t.Fatal("reinstate with tampered record must fail the XOR digest")
 	}
 	shuffled := append([]feedback.Feedback(nil), recs...)
 	shuffled[0], shuffled[1] = shuffled[1], shuffled[0]
-	if err := st.ReinstateServer(histOf(t, "srv", shuffled), nil); err == nil {
+	if err := st.ReinstateServer(histOf(t, "srv", shuffled)); err == nil {
 		t.Fatal("reinstate with out-of-order records must fail")
 	}
-	if err := st.ReinstateServer(histOf(t, "nosuch", []feedback.Feedback{rec("nosuch", "c", true, 1)}), nil); err == nil {
+	if err := st.ReinstateServer(histOf(t, "nosuch", []feedback.Feedback{rec("nosuch", "c", true, 1)})); err == nil {
 		t.Fatal("reinstate of unknown server must fail")
 	}
 	// The failed attempts must not have mutated the stub.
-	if err := st.ReinstateServer(histOf(t, "srv", recs), nil); err != nil {
+	if err := st.ReinstateServer(histOf(t, "srv", recs)); err != nil {
 		t.Fatalf("correct reinstate after rejected attempts: %v", err)
 	}
 }

@@ -1,9 +1,9 @@
 package store
 
 // Bulk seeding and shard iteration for the persistence layer: snapshot boot
-// loads whole per-server histories (plus restored accumulators) in one shot
-// instead of paying Add's per-record lookup/ordering machinery, and the
-// snapshot writer walks shards under their read locks.
+// loads whole per-server histories in one shot instead of paying Add's
+// per-record lookup/ordering machinery, and the snapshot writer walks shards
+// under their read locks.
 
 import (
 	"fmt"
@@ -19,11 +19,10 @@ import (
 // reported as errors, and leave the store as it was, so the caller can fall
 // back to a full replay.
 //
-// acc, when non-nil, becomes the server's incremental accumulator: its state
-// must already cover exactly hist. When acc is nil and an accumulator factory
-// is installed, a fresh accumulator is minted and replayed, matching what the
-// equivalent Add sequence would have built.
-func (s *Store) SeedServer(hist *feedback.History, acc Accumulator) error {
+// With an accumulator factory installed, a fresh accumulator is minted and
+// replayed over hist, matching what the equivalent Add sequence would have
+// built.
+func (s *Store) SeedServer(hist *feedback.History) error {
 	if hist.Len() == 0 {
 		return nil
 	}
@@ -39,26 +38,22 @@ func (s *Store) SeedServer(hist *feedback.History, acc Accumulator) error {
 		return fmt.Errorf("store: seed of %q: %w", server, err)
 	}
 	e := &entry{hist: hist, version: uint64(hist.Len()), sum: sum}
-	s.adoptLocked(e, acc)
+	s.adoptLocked(e)
 	sh.byServ[server] = e
 	s.total.Add(int64(hist.Len()))
 	s.global.Add(uint64(hist.Len()))
 	return nil
 }
 
-// adoptLocked makes e, whose history was just loaded whole, resident: acc or,
-// without one, a factory-minted accumulator replayed over the history.
-func (s *Store) adoptLocked(e *entry, acc Accumulator) {
-	if acc == nil {
-		if fp := s.accFactory.Load(); fp != nil {
-			if acc = (*fp)(e.hist.Server()); acc != nil {
-				replayAccumulator(acc, e.hist)
-			}
+// adoptLocked makes e, whose history was just loaded whole, resident, with a
+// factory-minted accumulator replayed over the history.
+func (s *Store) adoptLocked(e *entry) {
+	if fp := s.accFactory.Load(); fp != nil {
+		if acc := (*fp)(e.hist.Server()); acc != nil {
+			replayAccumulator(acc, e.hist)
+			e.acc = acc
+			s.accTracked.Add(1)
 		}
-	}
-	if acc != nil {
-		e.acc = acc
-		s.accTracked.Add(1)
 	}
 	e.touched.Store(true)
 	s.resizeLocked(e)
@@ -87,14 +82,12 @@ func DigestSorted(h *feedback.History) (Checksum, error) {
 // ShardEntry is one server's state as seen by a SnapshotShard walk. Snap is
 // the memoized immutable history view — nil for an evicted stub, whose
 // records the walker must source from durable storage instead and check
-// against the Checksum (see lifecycle.go). Acc is the incremental
-// accumulator (nil when none). The Checksum is valid for resident and
-// evicted entries alike; SizeBytes is the accounted resident footprint (0
-// for stubs).
+// against the Checksum (see lifecycle.go). The Checksum is valid for
+// resident and evicted entries alike; SizeBytes is the accounted resident
+// footprint (0 for stubs).
 type ShardEntry struct {
 	Server feedback.EntityID
 	Snap   *feedback.History
-	Acc    Accumulator
 	Checksum
 	Version   uint64
 	SizeBytes int
@@ -102,10 +95,9 @@ type ShardEntry struct {
 
 // SnapshotShard walks every server of shard idx under the shard's read lock,
 // in sorted server order. The usual read contracts apply: the snapshot is a
-// shared immutable view, the accumulator must be treated read-only, and view
-// must not call back into the store. Writes to this shard wait for the walk,
-// so view should only capture (snapshot pointers, serialized accumulator
-// state) and defer heavy encoding work. The walk does not set touched bits:
+// shared immutable view, and view must not call back into the store. Writes
+// to this shard wait for the walk, so view should only capture snapshot
+// pointers and defer heavy encoding work. The walk does not set touched bits:
 // a background snapshot must not make every server look recently used to
 // the eviction sweep.
 func (s *Store) SnapshotShard(idx int, view func(ShardEntry)) {
@@ -119,7 +111,7 @@ func (s *Store) SnapshotShard(idx int, view func(ShardEntry)) {
 	sort.Slice(servers, func(i, j int) bool { return servers[i] < servers[j] })
 	for _, srv := range servers {
 		e := sh.byServ[srv]
-		ent := ShardEntry{Server: srv, Acc: e.acc, Checksum: e.sum, Version: e.version, SizeBytes: e.sizeBytes}
+		ent := ShardEntry{Server: srv, Checksum: e.sum, Version: e.version, SizeBytes: e.sizeBytes}
 		if e.hist != nil {
 			ent.Snap = e.snapshot()
 		}

@@ -60,7 +60,7 @@ func TestSeedServerMatchesAdd(t *testing.T) {
 	seeded.SetAccumulatorFactory(func(feedback.EntityID) Accumulator {
 		return accFn(func(f feedback.Feedback) { seedFeed = append(seedFeed, f) })
 	})
-	if err := seeded.SeedServer(histOf(t, "srv-seed", recs), nil); err != nil {
+	if err := seeded.SeedServer(histOf(t, "srv-seed", recs)); err != nil {
 		t.Fatalf("SeedServer: %v", err)
 	}
 
@@ -85,27 +85,29 @@ func TestSeedServerMatchesAdd(t *testing.T) {
 	}
 }
 
-// TestSeedServerWithAccumulator checks a pre-restored accumulator is adopted
-// without re-feeding and receives only post-seed appends.
+// TestSeedServerWithAccumulator checks the accumulator a seed mints is
+// counted, replays the seeded history once, and then takes only post-seed
+// appends.
 func TestSeedServerWithAccumulator(t *testing.T) {
-	recs := seedRecs("srv-acc", 10)
+	recs := seedRecs("srv-acc", 11)
 	s := NewSharded(2)
 	var feed []feedback.Feedback
-	acc := accFn(func(f feedback.Feedback) { feed = append(feed, f) })
-	if err := s.SeedServer(histOf(t, "srv-acc", recs), acc); err != nil {
+	s.SetAccumulatorFactory(func(feedback.EntityID) Accumulator {
+		return accFn(func(f feedback.Feedback) { feed = append(feed, f) })
+	})
+	if err := s.SeedServer(histOf(t, "srv-acc", recs[:10])); err != nil {
 		t.Fatal(err)
 	}
-	if len(feed) != 0 {
-		t.Fatalf("restored accumulator was re-fed %d records", len(feed))
+	if len(feed) != 10 {
+		t.Fatalf("seeded accumulator was fed %d of 10 records", len(feed))
 	}
 	if s.AccumulatorsTracked() != 1 {
 		t.Fatalf("tracked = %d", s.AccumulatorsTracked())
 	}
-	next := seedRecs("srv-acc", 11)[10]
-	if ok, err := s.Add(next); !ok || err != nil {
+	if ok, err := s.Add(recs[10]); !ok || err != nil {
 		t.Fatalf("Add after seed: %v %v", ok, err)
 	}
-	if len(feed) != 1 || !feed[0].Time.Equal(next.Time) {
+	if len(feed) != 11 || !feed[10].Time.Equal(recs[10].Time) {
 		t.Fatalf("accumulator missed the post-seed append: %v", feed)
 	}
 }
@@ -119,17 +121,17 @@ func TestSeedServerRejects(t *testing.T) {
 
 	swapped := append([]feedback.Feedback(nil), recs...)
 	swapped[1], swapped[2] = swapped[2], swapped[1]
-	if err := s.SeedServer(histOf(t, "srv-rej", swapped), nil); err == nil {
+	if err := s.SeedServer(histOf(t, "srv-rej", swapped)); err == nil {
 		t.Fatal("out-of-order seed accepted")
 	}
 	if s.Len() != 0 || s.Version("srv-rej") != 0 {
 		t.Fatal("failed seed left state behind")
 	}
 
-	if err := s.SeedServer(histOf(t, "srv-rej", recs), nil); err != nil {
+	if err := s.SeedServer(histOf(t, "srv-rej", recs)); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.SeedServer(histOf(t, "srv-rej", recs), nil); err == nil {
+	if err := s.SeedServer(histOf(t, "srv-rej", recs)); err == nil {
 		t.Fatal("double seed accepted")
 	}
 	if s.Len() != len(recs) {

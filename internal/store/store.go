@@ -256,8 +256,8 @@ func (s *Store) addLocked(sh *shard, f feedback.Feedback, h Hash) (bool, error) 
 	default:
 		// Out-of-order insert: accumulators are strictly append-only, so
 		// rebuild by replaying the re-ordered history — the insert above
-		// already paid O(n) on this path. Without a factory (a snapshot-
-		// seeded accumulator whose factory was since removed) the
+		// already paid O(n) on this path. Without a factory (one being
+		// removed, whose sweep has not reached this shard yet) the
 		// accumulator cannot be rebuilt and is dropped.
 		if fp != nil {
 			if acc := (*fp)(f.Server); acc != nil {
@@ -285,12 +285,12 @@ func (s *Store) addLocked(sh *shard, f feedback.Feedback, h Hash) (bool, error) 
 
 // Merge puts f where it belongs in h, which is sorted by (time, hash), and
 // returns the history that holds it: h itself, appended in place, when f is
-// newer than every record of h (inOrder), else a rebuilt copy. dup reports
-// that h already holds f and is returned untouched; an invalid f, or one for
-// another server, is an error. The persistence layer merges a rebuilt
-// server's tail records with it.
-func Merge(h *feedback.History, f feedback.Feedback) (out *feedback.History, inOrder, dup bool, err error) {
-	return merge(h, f, HashOf(f))
+// newer than every record of h, else a rebuilt copy; h is returned untouched
+// when it already holds f. An invalid f, or one for another server, is an
+// error. The persistence layer merges a rebuilt server's tail records with it.
+func Merge(h *feedback.History, f feedback.Feedback) (*feedback.History, error) {
+	out, _, _, err := merge(h, f, HashOf(f))
+	return out, err
 }
 
 func merge(h *feedback.History, f feedback.Feedback, hash Hash) (out *feedback.History, inOrder, dup bool, err error) {

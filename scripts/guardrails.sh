@@ -36,6 +36,8 @@
 #   - one engine answers every repeated or what-if verdict, and a history is
 #     append-only (ADR 0016): the attackers and the marketplace judge through
 #     ServerAccumulator clones, never by re-testing a history they roll back
+#   - a snapshot holds records only (ADR 0017): nothing serializes an
+#     accumulator; boot and fault-in replay the history into a fresh one
 #   - per-package non-test line budget (scripts/loc-budget.txt): a package
 #     grows only in a diff that raises its line
 #
@@ -119,7 +121,7 @@ check "the client table's maphash seed comes from MakeSeed (ADR 0012)" \
 
 check "no []feedback.Feedback in internal/ledger/snapshot.go (ADR 0005)" \
     "! grep -nE '\[\]feedback\.Feedback' internal/ledger/snapshot.go | grep -q ."
-check "snapServer holds no record slice (ADR 0005)" \
+check "snapshot.go declares no record slice (ADR 0005)" \
     "absent '^\s+recs\s+\[\]' internal/ledger/snapshot.go"
 
 # --- one assessment codec, verdict tables as columns (ADR 0006) ---------------
@@ -274,6 +276,25 @@ for pkg in attack sim; do
     check "internal/$pkg judges no history with Accept or Assess (ADR 0016)" \
         "absent '\.Assess\([^)]|\.Accept\([^)]*,' internal/$pkg"
 done
+
+# --- a snapshot holds records only (ADR 0017) ----------------------------------
+# An accumulator is a pure function of the history it consumed, so boot and
+# rebuild-on-demand replay the decoded columns into a fresh one. The codecs in
+# behavior, trust and core stay deleted; the ledger reads neither deprecated
+# Options field; ServerAccumulator.AppendState and
+# TwoPhase.RestoreServerAccumulator survive only as the inert shims bench/
+# still compiles against.
+check "no AppendState / RestoreState in internal/behavior or internal/trust (ADR 0017)" \
+    "absent '\b(AppendState|RestoreState)\b' internal/behavior && absent '\b(AppendState|RestoreState)\b' internal/trust"
+for sym in StateTracker SupportsIncrementalState accStateVersion saStateVersion; do
+    check "$sym stays deleted (ADR 0017)" "absent '\b$sym\b'"
+done
+check "internal/ledger reads no accState, EncodeAccumulator or RestoreAccumulator (ADR 0017)" \
+    "absent '\baccState\b|\.(EncodeAccumulator|RestoreAccumulator)\b' internal/ledger"
+shim_defs() { sources | xargs grep -nE 'func \([^)]*\) (AppendState|RestoreServerAccumulator)\('; }
+check "the two core shims are the only AppendState / RestoreServerAccumulator (ADR 0017)" \
+    "[ \"\$(shim_defs | wc -l)\" -eq 2 ] && ! shim_defs | grep -v '^./internal/core/incremental\.go:' | grep -q . \
+     && [ \"\$(grep -cE '^// Deprecated: a snapshot holds records only' internal/core/incremental.go)\" -eq 2 ]"
 
 # --- per-package LOC ratchet --------------------------------------------------
 # Each package's non-test lines (as sources counts them) must stay at or below
