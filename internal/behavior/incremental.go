@@ -106,11 +106,14 @@ type Accumulator struct {
 
 	// Single/multi modes. Phase φ = n mod m owns the windows ending at
 	// φ+m, φ+2m, …; the window ending at record j is wins entry j−m, so a
-	// phase's windows sit m entries apart starting at entry φ.
-	prefRing []int   // good-count prefix over the last m+1 positions (ring)
-	counts   []int64 // per-phase window histograms: m rows of m+1 buckets
-	sums     []int64 // per-phase sum of window good-counts
-	wins     []byte  // good count of every completed window, winWidth bytes each
+	// phase's windows sit m entries apart starting at entry φ. The counters
+	// are 32 bits: none exceeds the record count, and a history's rank index
+	// already holds a server to fewer than 2³² records. The prefix ring
+	// wraps past that, harmlessly: window counts are differences of it.
+	prefRing []uint32 // good-count prefix over the last m+1 positions (ring)
+	counts   []uint32 // per-phase window histograms: m rows of m+1 buckets
+	sums     []uint32 // per-phase sum of window good-counts
+	wins     []byte   // good count of every completed window, winWidth bytes each
 
 	clients map[feedback.EntityID]*clientSeries // collusion modes
 }
@@ -140,9 +143,9 @@ func NewAccumulatorFor(t Tester) (*Accumulator, bool) {
 	if m := sh.cfg.WindowSize; sh.mode == accCollusion || sh.mode == accCollusionMulti {
 		a.clients = make(map[feedback.EntityID]*clientSeries)
 	} else {
-		a.prefRing = make([]int, m+1)
-		a.counts = make([]int64, m*(m+1))
-		a.sums = make([]int64, m)
+		a.prefRing = make([]uint32, m+1)
+		a.counts = make([]uint32, m*(m+1))
+		a.sums = make([]uint32, m)
 	}
 	return a, true
 }
@@ -202,7 +205,7 @@ func winAt(wins []byte, width, i int) int {
 }
 
 // phase returns the window histogram of phase φ.
-func (a *Accumulator) phase(phi int) []int64 {
+func (a *Accumulator) phase(phi int) []uint32 {
 	stride := a.cfg.WindowSize + 1
 	return a.counts[phi*stride : (phi+1)*stride]
 }
@@ -231,15 +234,15 @@ func (a *Accumulator) Append(f feedback.Feedback) {
 		cs.good = append(cs.good, g)
 		return
 	}
-	a.prefRing[a.n%(m+1)] = a.goodTotal
+	a.prefRing[a.n%(m+1)] = uint32(a.goodTotal)
 	if a.n < m {
 		return
 	}
 	// The append completed the window [n−m, n) of phase n mod m; its good
 	// count is a ring-prefix difference.
-	c := a.goodTotal - a.prefRing[(a.n-m)%(m+1)]
+	c := uint32(a.goodTotal) - a.prefRing[(a.n-m)%(m+1)]
 	a.phase(a.n % m)[c]++
-	a.sums[a.n%m] += int64(c)
+	a.sums[a.n%m] += c
 	for w := winWidth(m); w > 0; w-- {
 		a.wins = append(a.wins, byte(c))
 		c >>= 8
@@ -290,7 +293,7 @@ func (a *Accumulator) testSingle() (Verdict, error) {
 		return Verdict{}, err
 	}
 	var res SuffixResult
-	if err := a.testCounts(&res, a.phase(a.n%m), k, a.sums[a.n%m], plane); err != nil {
+	if err := a.testCounts(&res, a.phase(a.n%m), k, int64(a.sums[a.n%m]), plane); err != nil {
 		return Verdict{}, err
 	}
 	return Verdict{Honest: res.Pass, Suffixes: []SuffixResult{res}}, nil
@@ -316,8 +319,8 @@ func (a *Accumulator) testMulti(corrected bool) (Verdict, error) {
 		return Verdict{}, err
 	}
 	phi := a.n % m
-	hist := append([]int64(nil), a.phase(phi)...)
-	sum := a.sums[phi]
+	hist := slices.Clone(a.phase(phi))
+	sum := int64(a.sums[phi])
 	width := winWidth(m)
 	oldest := phi // window-string entry of the oldest window still in hist
 	v := Verdict{Honest: true, Suffixes: make([]SuffixResult, numSuffixes)}
@@ -354,7 +357,7 @@ func (a *Accumulator) testCollusion() (Verdict, error) {
 		return Verdict{}, err
 	}
 	var res SuffixResult
-	if err := a.testReordered(&res, 0, make([]int, 0, k), make([]int64, m+1), plane); err != nil {
+	if err := a.testReordered(&res, 0, make([]int, 0, k), make([]uint32, m+1), plane); err != nil {
 		return Verdict{}, err
 	}
 	return Verdict{Honest: res.Pass, Suffixes: []SuffixResult{res}}, nil
@@ -378,7 +381,7 @@ func (a *Accumulator) testCollusionMulti() (Verdict, error) {
 		return Verdict{}, err
 	}
 	v := Verdict{Honest: true}
-	buf, hist := make([]int, 0, usableWindows), make([]int64, m+1)
+	buf, hist := make([]int, 0, usableWindows), make([]uint32, m+1)
 	for np := usable; np/m >= cfg.MinWindows; np -= cfg.Stride {
 		var res SuffixResult
 		if err := a.testReordered(&res, a.n-np, buf, hist, plane); err != nil {
@@ -394,7 +397,7 @@ func (a *Accumulator) testCollusionMulti() (Verdict, error) {
 
 // testReordered runs the distribution test over the issuer-re-ordered suffix
 // starting at global record index s. buf and hist are the caller's scratch.
-func (a *Accumulator) testReordered(res *SuffixResult, s int, buf []int, hist []int64, plane stats.Plane) error {
+func (a *Accumulator) testReordered(res *SuffixResult, s int, buf []int, hist []uint32, plane stats.Plane) error {
 	counts := a.collusionCounts(s, buf[:0])
 	clear(hist)
 	var sum int64
@@ -474,7 +477,7 @@ func (a *Accumulator) collusionCounts(s int, counts []int) []int {
 // come from the shared memo and the calibrator's grid; every arithmetic step
 // mirrors testHistogram, so the result is bit-identical to the batch
 // tester's.
-func (a *Accumulator) testCounts(res *SuffixResult, hist []int64, k int, sum int64, plane stats.Plane) error {
+func (a *Accumulator) testCounts(res *SuffixResult, hist []uint32, k int, sum int64, plane stats.Plane) error {
 	m := a.cfg.WindowSize
 	res.Transactions = k * m
 	res.Windows = k

@@ -11,6 +11,7 @@ const (
 	szClientSeries  = 56  // clientSeries struct + map entry overhead
 	szMapEntry      = 48  // approximate per-entry overhead of a small map
 	szIntSliceEntry = 8
+	szCounter       = 4 // an entry of prefRing, counts or sums
 )
 
 // SizeBytes returns the approximate resident heap footprint of the
@@ -25,7 +26,7 @@ const (
 // budget, and a uniform small bias cancels out of that comparison.
 func (a *Accumulator) SizeBytes() int {
 	size := szAccStruct
-	size += (cap(a.prefRing) + cap(a.counts) + cap(a.sums)) * szIntSliceEntry
+	size += (cap(a.prefRing) + cap(a.counts) + cap(a.sums)) * szCounter
 	size += cap(a.wins)
 	if a.clients != nil {
 		// Each record contributes one idx entry and one good entry to exactly

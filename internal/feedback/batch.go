@@ -173,7 +173,7 @@ func AppendBatch(buf []byte, recs []Feedback, d *BatchDicts) ([]byte, error) {
 		ts[i] = recs[i].Time.UnixNano()
 	}
 	buf = binary.AppendUvarint(buf, uint64(len(recs)))
-	buf = appendTimes(buf, ts, !d.Unscaled)
+	buf = appendTimes(buf, 0, 1, ts, !d.Unscaled)
 	for i := range recs {
 		buf = d.servers.appendRef(buf, recs[i].Server)
 	}
@@ -219,7 +219,7 @@ func decodeBatch(buf []byte, d *BatchDicts, dst []Feedback) ([]Feedback, error) 
 	dst = slices.Grow(dst, n)
 	recs := dst[len(dst) : len(dst)+n]
 	ts := d.times(n)
-	if buf, err = decodeTimes(buf, ts, !d.Unscaled); err != nil {
+	if _, _, buf, err = decodeTimes(buf, ts, !d.Unscaled); err != nil {
 		return nil, err
 	}
 	for i := range recs {

@@ -47,23 +47,29 @@ func benchHistory(b *testing.B, n int) *History {
 }
 
 // BenchmarkHistoryAppend appends records of a 50-client pool and reports
-// what one resident record then costs in live heap.
+// what one resident record then costs in live heap: "seconds" whole seconds
+// apart, 32-bit time quotients; "ns-jitter" at nanosecond precision, a
+// column that widens to raw times within its first few records.
 func BenchmarkHistoryAppend(b *testing.B) {
-	recs := benchRecords(50)
-	before := liveHeap()
-	h := NewHistory("server")
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		f := recs[i%len(recs)]
-		f.Time = time.Unix(int64(i), 0)
-		if err := h.Append(f); err != nil {
-			b.Fatal(err)
-		}
+	for _, kind := range []string{"seconds", "ns-jitter"} {
+		b.Run(kind, func(b *testing.B) {
+			recs := benchRecords(50)
+			before := liveHeap()
+			h := NewHistory("server")
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				f := recs[i%len(recs)]
+				f.Time = time.Unix(0, stamp(kind, i))
+				if err := h.Append(f); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.StopTimer()
+			b.ReportMetric(float64(int64(liveHeap()-before))/float64(b.N), "B/record")
+			runtime.KeepAlive(h)
+		})
 	}
-	b.StopTimer()
-	b.ReportMetric(float64(liveHeap()-before)/float64(b.N), "B/record")
-	runtime.KeepAlive(h)
 }
 
 // BenchmarkInternFresh appends records whose every client is new, as a
@@ -282,26 +288,25 @@ func BenchmarkBatchCodec(b *testing.B) {
 
 // nsJitter is n times a second apart, each off its second by a scrambled
 // part of a millisecond: a scale of 1.
-func nsJitter(n int) []int64 {
+func nsJitter(n int) []int64 { return stampsOf("ns-jitter", n) }
+
+// stampsOf is n times as the benchmarks below stamp them (stamp).
+func stampsOf(kind string, n int) []int64 {
 	times := make([]int64, n)
 	for i := range times {
-		times[i] = 1_700_000_000e9 + int64(i)*1e9 + int64(uint64(i)*0x9E3779B97F4A7C15>>44)
+		times[i] = stamp(kind, i)
 	}
 	return times
 }
 
-// stampsOf is n times as the benchmarks below stamp them: "seconds" whole
-// seconds apart, a few steps backwards among them, as every generator here
-// writes; "ns-jitter" at nanosecond precision, a scale of 1.
-func stampsOf(kind string, n int) []int64 {
+// stamp is the i-th time of a kind: "seconds" whole seconds apart, a few
+// steps backwards among them, as every generator here writes; "ns-jitter"
+// a second apart at nanosecond precision, a scale of 1.
+func stamp(kind string, i int) int64 {
 	if kind == "ns-jitter" {
-		return nsJitter(n)
+		return 1_700_000_000e9 + int64(i)*1e9 + int64(uint64(i)*0x9E3779B97F4A7C15>>44)
 	}
-	times := make([]int64, n)
-	for i := range times {
-		times[i] = (1_700_000_000 + int64(i+i*7%10)) * 1e9
-	}
-	return times
+	return (1_700_000_000 + int64(i+i*7%10)) * 1e9
 }
 
 // perRecord reports the benchmark's time over the records it handled.

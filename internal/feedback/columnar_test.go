@@ -1,8 +1,10 @@
 package feedback
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
+	"math"
 	"reflect"
 	"sort"
 	"sync"
@@ -114,10 +116,12 @@ func sameAs(t *testing.T, what string, h *History, ref []Feedback) {
 
 // FuzzHistoryOps drives the columnar history and a naive []Feedback side by
 // side through every mutating and view-taking operation; each byte of the
-// input is one operation: below 0x80 an append, else op%4 picks a snapshot
-// view (0), a suffix view (1), a clone (2) or an owner check (3). Views taken
-// along the way are re-checked at the end, after the owner has grown past
-// them.
+// input is one operation: below 0x80 an append some milliseconds on, else
+// op%8 picks a snapshot view (0), a suffix view (1), a clone (2), an owner
+// check (3), or an append that moves the time column (ADR 0018): some
+// nanoseconds on, rescaling it to 1 (4); 2^31 of the current step on,
+// widening it (5); or before the first record (6, 7). Views taken along the
+// way are re-checked at the end, after the owner has grown past them.
 func FuzzHistoryOps(f *testing.F) {
 	f.Add([]byte{0, 1, 2, 3, 4, 5, 6, 7, 0x83, 0x80, 0x81, 0x82, 9, 10})
 	f.Add([]byte{0, 0, 0, 0x81, 0x81, 0x81, 0x81, 1})
@@ -152,6 +156,10 @@ func FuzzHistoryOps(f *testing.F) {
 	}
 	ops = append(ops, 0x80, 1, 0x80, 9, 0x82, 0x81, 0x83)
 	f.Add(ops)
+	// Times that move the column, a view and an owner check around each:
+	// before the first record, a rescale to nanoseconds, a widening.
+	f.Add([]byte{1, 2, 0x86, 0x80, 3, 0x83, 0x84, 0x80, 4, 0x82, 0x85, 0x80, 0x83, 5, 0x87, 0x81})
+	f.Add([]byte{0, 0, 0x87, 0x80, 0x85, 0x83, 2, 0x80, 0x84, 0x82, 0x86, 0x83})
 	f.Fuzz(func(t *testing.T, ops []byte) {
 		h := NewHistory("srv")
 		var ref []Feedback
@@ -160,17 +168,28 @@ func FuzzHistoryOps(f *testing.F) {
 			ref  []Feedback
 		}
 		var views []frozen
-		at := time.Unix(1_700_000_000, 0).UTC()
-		fresh := 0
+		first := time.Unix(1_700_000_000, 0).UTC()
+		at, fresh := first, 0
 		for _, op := range ops {
-			if op < 0x80 { // append: client from the low bits, rating from bit 3
-				at = at.Add(time.Duration(op%3) * time.Millisecond) // equal times included
+			if op < 0x80 || op%8 >= 4 { // append: client from the low bits, rating from bit 3
+				stamp := &at
+				switch {
+				case op < 0x80:
+					at = at.Add(time.Duration(op%3) * time.Millisecond) // equal times included
+				case op%8 == 4:
+					at = at.Add(time.Duration(op>>3%5) * time.Nanosecond)
+				case op%8 == 5:
+					at = at.Add((1<<31 + 1) * time.Millisecond)
+				default:
+					before := first.Add(-time.Duration(op>>3) * time.Second)
+					stamp = &before
+				}
 				client := EntityID([]string{"a", "b", "cc", "d", "e", "f"}[op%7%6])
 				if op%7 == 6 { // a client never seen before, as a Sybil stream sends
 					fresh++
 					client = EntityID(fmt.Sprintf("new-%d", fresh))
 				}
-				rec := Feedback{Time: at, Server: "srv", Client: client, Rating: Negative}
+				rec := Feedback{Time: *stamp, Server: "srv", Client: client, Rating: Negative}
 				if op&8 == 0 {
 					rec.Rating = Positive
 				}
@@ -212,7 +231,10 @@ func FuzzHistoryOps(f *testing.F) {
 // views. Views are taken every 100 records, on either side of each 64-record
 // good-bit word — so most end inside a word whose later bits the owner is
 // still setting — and just before each regrowth of the names; each is read
-// once while the owner appends and once after. Run under -race.
+// once while the owner appends and once after. The times are whole seconds
+// until record 1500, which is a millisecond off and rescales the time
+// column, and nanoseconds off from record 3000, which widens it; views are
+// taken on either side of both. Run under -race.
 func TestSnapshotViewsUnderAppend(t *testing.T) {
 	h := NewHistory("srv")
 	var ref []Feedback
@@ -265,18 +287,152 @@ func TestSnapshotViewsUnderAppend(t *testing.T) {
 		if h.b != nil && h.b.Len()+len(c) > h.b.Cap() {
 			take()
 		}
-		rec := Feedback{Time: time.Unix(int64(i), 0).UTC(), Server: "srv", Client: c, Rating: Rating(1 + i*i%7%2)}
+		at := time.Unix(int64(i), 0).UTC()
+		switch {
+		case i == 1500:
+			at = at.Add(time.Millisecond)
+		case i >= 3000:
+			at = at.Add(time.Duration(i))
+		}
+		scale, narrow := h.scale, h.t64 == nil
+		rec := Feedback{Time: at, Server: "srv", Client: c, Rating: Rating(1 + i*i%7%2)}
 		if err := h.Append(rec); err != nil {
 			t.Fatal(err)
 		}
 		ref = append(ref, rec)
-		if n := len(ref); n%100 == 1 || (n+1)%64 <= 2 {
+		if n := len(ref); n%100 == 1 || (n+1)%64 <= 2 || h.scale != scale || narrow != (h.t64 == nil) {
 			take()
 		}
 	}
 	wg.Wait()
 	for _, v := range views {
 		read(v)
+	}
+	if h.t64 == nil || views[0].view.t64 != nil {
+		t.Fatal("the time column did not widen, or widened under an early view")
+	}
+}
+
+// TestTimesRescale: a time the scale does not divide shrinks it to the gcd
+// and rewrites the quotients into a fresh array; a view taken before keeps
+// its own quotients and scale. Times before the first record take negative
+// quotients.
+func TestTimesRescale(t *testing.T) {
+	h := NewHistory("srv")
+	add := func(at time.Time) {
+		t.Helper()
+		if err := h.AppendOutcome("c", true, at); err != nil {
+			t.Fatal(err)
+		}
+	}
+	base := time.Unix(1_700_000_000, 0)
+	for i := 0; i < 100; i++ {
+		add(base.Add(time.Duration(i) * time.Second))
+	}
+	add(base.Add(-time.Hour))
+	if h.scale != 1e9 || h.t32[100] != -3600 || h.t64 != nil {
+		t.Fatalf("whole seconds: scale %d, quotient %d before the first", h.scale, h.t32[100])
+	}
+	before, ref := h.SnapshotView(), h.Records()
+	add(base.Add(100*time.Second + 250*time.Millisecond))
+	if h.scale != 250e6 || h.t32[99] != 4*99 || h.t64 != nil || &h.t32[0] == &before.t32[0] {
+		t.Fatalf("a quarter second: scale %d, quotient %d", h.scale, h.t32[99])
+	}
+	if before.scale != 1e9 || before.t32[99] != 99 || !reflect.DeepEqual(before.Records(), ref) {
+		t.Fatal("a view taken before the rescale reads differently")
+	}
+	sameAs(t, "rescaled", h, append(ref, h.At(101)))
+}
+
+// TestTimesWiden: a quotient that would leave int32 widens the time column
+// to raw times with one copy; a view taken before keeps reading the 32-bit
+// quotients it was taken with, and appends after the widening go to the
+// wide column whatever their time.
+func TestTimesWiden(t *testing.T) {
+	h := NewHistory("srv")
+	add := func(at time.Time) {
+		t.Helper()
+		if err := h.AppendOutcome("c", true, at); err != nil {
+			t.Fatal(err)
+		}
+	}
+	base := time.Unix(1_700_000_000, 0)
+	for i := 0; i < 100; i++ {
+		add(base.Add(time.Duration(i) * time.Millisecond))
+	}
+	add(base.Add(math.MaxInt32 * time.Millisecond))
+	add(base.Add(-math.MaxInt32 * time.Millisecond))
+	if h.t64 != nil || h.t32[100] != math.MaxInt32 || h.t32[101] != -math.MaxInt32 {
+		t.Fatal("the largest int32 quotients widened the column")
+	}
+	sameAs(t, "quotients 2^32 apart", h, h.Records())
+	before, ref := h.SnapshotView(), h.Records()
+	add(base.Add(-math.MaxInt32*time.Millisecond - 2*time.Millisecond))
+	if h.t32 != nil || h.t64 == nil || h.NanosAt(102) != base.UnixNano()-(math.MaxInt32+2)*1e6 {
+		t.Fatal("a quotient below -2^31 did not widen the column")
+	}
+	if before.t64 != nil || !reflect.DeepEqual(before.Records(), ref) {
+		t.Fatal("a view taken before the widening reads differently")
+	}
+	add(base.Add(time.Second))
+	if h.Len() != 104 || h.NanosAt(103) != base.UnixNano()+1e9 {
+		t.Fatalf("an append after the widening: %v", h.At(103))
+	}
+	sameAs(t, "widened", h, h.Records())
+	if like := NewHistoryLike(h, 4); like.t64 == nil {
+		t.Fatal("a history started in a wide history's form is narrow")
+	}
+
+	// A rescale that would take a quotient out of int32 widens instead.
+	h = NewHistory("srv")
+	add(base)
+	add(base.Add(2 * time.Millisecond))
+	add(base.Add(1 << 31 * time.Millisecond))
+	if h.t64 != nil || h.scale != 2e6 || h.t32[2] != 1<<30 {
+		t.Fatalf("scale %d, quotient %d", h.scale, h.t32[2])
+	}
+	add(base.Add(time.Millisecond))
+	if h.t64 == nil || h.NanosAt(2) != base.UnixNano()+1<<31*1e6 || h.NanosAt(3) != base.UnixNano()+1e6 {
+		t.Fatal("a rescale past int32 did not widen the column")
+	}
+
+	// Narrow quotients whose steps leave int32: every step but the last is
+	// a multiple of 3 ms, and the last is one mod 2^32 but not in fact.
+	h = NewHistory("srv")
+	for _, ms := range []time.Duration{0, 3, 2147483646, -2147483647} {
+		add(base.Add(ms * time.Millisecond))
+	}
+	if h.t64 != nil || h.scale != 1e6 {
+		t.Fatalf("scale %d, wide %v", h.scale, h.t64 != nil)
+	}
+	sameAs(t, "quotient steps past int32", h, h.Records())
+}
+
+// TestCollusionOrderColumns: a collusion-ordered history, whose times step
+// backwards between issuer groups and start in its source's form, writes
+// the same column bytes as the same records appended to a fresh history,
+// and decodes back to them.
+func TestCollusionOrderColumns(t *testing.T) {
+	for _, step := range []time.Duration{time.Second, time.Millisecond, 1} {
+		h := NewHistory("srv")
+		for i := 0; i < 300; i++ {
+			at := time.Unix(1_700_000_000, 0).Add(time.Duration(i+i*7%10) * step)
+			if err := h.AppendOutcome(EntityID(fmt.Sprintf("c%d", i*i%13)), i%4 != 0, at); err != nil {
+				t.Fatal(err)
+			}
+		}
+		co := h.CollusionOrder()
+		cols := co.AppendColumns(nil)
+		if fresh := historyOf(t, "srv", co.Records()).AppendColumns(nil); !bytes.Equal(cols, fresh) {
+			t.Fatalf("step %v: the collusion order writes %x, the same records appended %x", step, cols, fresh)
+		}
+		dec, rest, err := DecodeColumns("srv", cols)
+		if err != nil || len(rest) != 0 {
+			t.Fatalf("step %v: %v, %d bytes left", step, err, len(rest))
+		}
+		if !reflect.DeepEqual(dec.Records(), co.Records()) || !bytes.Equal(dec.AppendColumns(nil), cols) {
+			t.Fatalf("step %v: the collusion order did not round-trip", step)
+		}
 	}
 }
 
@@ -354,10 +510,10 @@ func TestDecodedColumnsTakeAppends(t *testing.T) {
 	}
 }
 
-// TestDecodedRecordBytes: a record of a decoded history costs its time
-// (8 B), a 16-bit client slot, its good-bit and 1/64 of a rank entry —
-// ≈ 10.2 B, and at most 10.5 B with what the allocator rounds each column
-// up to — beside the dictionary of a 100-client pool.
+// TestDecodedRecordBytes: a record of a decoded history costs its 32-bit
+// time quotient, a 16-bit client slot, its good-bit and 1/64 of a rank
+// entry — ≈ 6.2 B, and at most 6.5 B with what the allocator rounds each
+// column up to — beside the dictionary of a 100-client pool.
 func TestDecodedRecordBytes(t *testing.T) {
 	const n = 10000
 	h := NewHistory("srv")
@@ -373,8 +529,11 @@ func TestDecodedRecordBytes(t *testing.T) {
 	dict := dictBytes(got)
 	per := float64(got.SizeBytes()-dict) / n
 	t.Logf("%.2f B/record beside a %d B dictionary", per, dict)
-	if per > 10.5 {
-		t.Errorf("a decoded record accounts %.2f B, want at most 10.5", per)
+	if got.t32 == nil {
+		t.Fatal("whole seconds decoded into a wide time column")
+	}
+	if per > 6.5 {
+		t.Errorf("a decoded record accounts %.2f B, want at most 6.5", per)
 	}
 }
 

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
+	"slices"
 	"strings"
 )
 
@@ -23,12 +24,13 @@ import (
 //
 // The good bytes are the history's good-bit words, little-endian, so
 // decoding loads them a word at a time; the rank index is not stored, and
-// decoding rebuilds it.
+// decoding rebuilds it. A history whose quotients fit int32 decodes
+// straight into them, and encodes from them (ADR 0018).
 
 // AppendColumns appends h's column encoding to buf and returns the extended
 // buffer.
 func (h *History) AppendColumns(buf []byte) []byte {
-	n := len(h.nanos)
+	n := h.Len()
 	buf = binary.AppendUvarint(buf, uint64(n))
 	buf = binary.AppendUvarint(buf, uint64(len(h.ends)))
 	for s := range h.ends {
@@ -36,8 +38,12 @@ func (h *History) AppendColumns(buf []byte) []byte {
 		buf = binary.AppendUvarint(buf, uint64(len(c)))
 		buf = append(buf, c...)
 	}
-	buf = appendTimes(buf, h.nanos, true)
-	for i := range h.nanos {
+	if h.t64 != nil {
+		buf = appendTimes(buf, 0, 1, h.t64, true)
+	} else {
+		buf = appendTimes(buf, h.base, h.scale, h.t32, true)
+	}
+	for i := range n {
 		buf = binary.AppendUvarint(buf, uint64(h.slot(i)))
 	}
 	for k, left := 0, (n+7)/8; left > 0; k++ {
@@ -86,7 +92,7 @@ func DecodeColumns(server EntityID, buf []byte) (*History, []byte, error) {
 	h := NewHistory(server)
 	h.ends = make([]uint32, nclients) // before Grow: it sets the slot width
 	h.Grow(n)
-	h.nanos = h.nanos[:n]
+	h.t32 = h.t32[:n]
 	if h.wide() {
 		h.client32 = h.client32[:n]
 	} else {
@@ -122,10 +128,16 @@ func DecodeColumns(server EntityID, buf []byte) (*History, []byte, error) {
 	if c := h.rehash(); c != "" {
 		return nil, nil, fmt.Errorf("%w: client %q twice in the dictionary", ErrCorruptRecord, c)
 	}
-	if buf, err = decodeTimes(buf, h.nanos, true); err != nil {
+	base, scale, rest, err := decodeTimes(buf, h.t32, true)
+	if err == errNarrow {
+		h.t32, h.t64 = nil, slices.Grow([]int64(nil), n)[:n]
+		_, _, rest, err = decodeTimes(buf, h.t64, true)
+	}
+	if err != nil {
 		return nil, nil, err
 	}
-	for i := range h.nanos {
+	h.base, h.scale, h.inv, buf = base, scale, inverse(scale), rest
+	for i := range n {
 		var slot uint64
 		if len(buf) > 0 && buf[0] < 0x80 { // a one-byte slot, as most are
 			slot, buf = uint64(buf[0]), buf[1:]

@@ -6,6 +6,7 @@ import (
 	"math"
 	"testing"
 	"time"
+	"unsafe"
 )
 
 // FuzzDecodeBinary ensures the binary decoder never panics and that
@@ -58,6 +59,9 @@ func FuzzReadJSONLines(f *testing.F) {
 // consumed, costs memory in proportion to them, and equals — through every
 // read accessor — the history Append builds from the same records.
 func FuzzHistoryColumns(f *testing.F) {
+	if size := unsafe.Sizeof(History{}); size != histStruct {
+		f.Fatalf("a History is %d B, SizeBytes charges %d", size, histStruct)
+	}
 	h := NewHistory("srv")
 	for i, c := range []EntityID{"a", "b", "a", "c", "b", "a", "a", "b", "c"} {
 		// Equal times, a step backwards and a pre-1970 start are all legal
@@ -131,7 +135,7 @@ func FuzzHistoryColumns(f *testing.F) {
 		if re := got.AppendColumns(nil); !bytes.Equal(re, consumed) {
 			t.Fatalf("round trip mismatch:\n in: %x\nout: %x", consumed, re)
 		}
-		if size := got.SizeBytes(); size > 256+16*len(consumed) {
+		if size := got.SizeBytes(); size > histStruct+32+16*len(consumed) { // 32: the builder
 			t.Fatalf("%d bytes decoded into %d", len(consumed), size)
 		}
 		built := NewHistory("srv")

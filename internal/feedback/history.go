@@ -31,8 +31,9 @@ var clientSeed = maphash.MakeSeed()
 
 // History is the append-only transaction history of a single server: the
 // time-ordered sequence of feedbacks its transactions received. Records are
-// held as parallel columns — about 10.2 B each: the time, a 16-bit client
-// slot and one good-bit — with the server ID stored once (ADRs 0004, 0011).
+// held as parallel columns — about 6.2 B each: a 32-bit time quotient, a
+// 16-bit client slot and one good-bit — with the server ID stored once (ADRs
+// 0004, 0011, 0018).
 // Client IDs are interned in a per-history dictionary that is columnar too:
 // one arena of name bytes, a 4-byte end offset per client and, for the
 // writer, a seeded open-addressing table of slots (ADR 0012). A rank index
@@ -44,7 +45,22 @@ type History struct {
 	server EntityID
 	// One element per record. Columns are append-only, which is what keeps
 	// views O(1) and append-safe.
-	nanos []int64 // transaction time, unix nanoseconds
+	//
+	// The transaction times, unix nanoseconds: record i's is base + t32[i]·
+	// scale, wrapping as times.go's differences do, until a quotient would
+	// leave int32; then t64 holds the times themselves, with one copy, and
+	// t32 is nil (ADR 0018). base is the first record's time in a history
+	// that began empty; scale divides every time's distance from it, and is
+	// 0 while every time equals base (every quotient is then 0). inv is the
+	// inverse of scale's odd part modulo 2^64: multiplying by it divides
+	// exactly, which is how an append tests the scale without a division. A
+	// time the scale does not divide shrinks it to the gcd, rewriting the
+	// quotients into a fresh array, so that views keep theirs.
+	base  int64
+	scale uint64
+	inv   uint64
+	t32   []int32
+	t64   []int64
 	// Index into clients: client16 while the dictionary holds at most
 	// wideSlots ids, client32 (and client16 nil) once it holds more.
 	client16 []uint16
@@ -86,28 +102,46 @@ func NewHistory(server EntityID) *History {
 func (h *History) Server() EntityID { return h.server }
 
 // Len returns the number of recorded transactions.
-func (h *History) Len() int { return len(h.nanos) }
+func (h *History) Len() int { return len(h.t32) + len(h.t64) }
 
 // At returns the i-th record (0 = oldest), its time in UTC as every decoded
 // record's is. It panics on out-of-range i, matching slice semantics.
 func (h *History) At(i int) Feedback {
 	return Feedback{
-		Time:   time.Unix(0, h.nanos[i]).UTC(),
+		Time:   time.Unix(0, h.NanosAt(i)).UTC(), // checks i
 		Server: h.server,
 		Client: h.client(h.slot(i)),
-		Rating: h.RatingAt(i),
+		Rating: h.rating(i),
 	}
 }
 
 // NanosAt, ClientAt and RatingAt read one field of the i-th record without
 // materialising the rest. Ratings are binary (Rating.Valid), so a record's
 // rating is its good-bit.
-func (h *History) NanosAt(i int) int64     { return h.nanos[i] }
+func (h *History) NanosAt(i int) int64 {
+	if h.t64 == nil {
+		return h.base + int64(h.t32[i])*int64(h.scale)
+	}
+	return h.t64[i]
+}
 func (h *History) ClientAt(i int) EntityID { return h.client(h.slot(i)) }
 func (h *History) RatingAt(i int) Rating {
-	_ = h.nanos[i] // out-of-range i panics like the other columns
+	h.check(i, i+1)
+	return h.rating(i)
+}
+
+// rating reads the good-bit of record i, which the caller has checked.
+func (h *History) rating(i int) Rating {
 	p := h.off + i
 	return Negative + Rating(h.word(p>>6)>>(p&63)&1)
+}
+
+// check panics unless [lo, hi) is a range of records, as slicing a column
+// with it would.
+func (h *History) check(lo, hi int) {
+	if uint(lo) > uint(hi) || uint(hi) > uint(h.Len()) {
+		panic("feedback: record range out of bounds")
+	}
 }
 
 // wide reports whether client slots are 32-bit.
@@ -157,13 +191,17 @@ func (h *History) Grow(n int) {
 	if n <= 0 {
 		return
 	}
-	h.nanos = slices.Grow(h.nanos, n)
+	if h.t64 != nil {
+		h.t64 = slices.Grow(h.t64, n)
+	} else {
+		h.t32 = slices.Grow(h.t32, n)
+	}
 	if h.wide() {
 		h.client32 = slices.Grow(h.client32, n)
 	} else {
 		h.client16 = slices.Grow(h.client16, n)
 	}
-	words := (h.off+len(h.nanos)+n)>>6 - len(h.bits)
+	words := (h.off+h.Len()+n)>>6 - len(h.bits)
 	h.bits = slices.Grow(h.bits, words)
 	h.rank = slices.Grow(h.rank, words)
 }
@@ -248,8 +286,8 @@ func (h *History) rehash() EntityID {
 }
 
 func (h *History) push(nanos int64, slot uint32, good bool) {
-	p := h.off + len(h.nanos)
-	h.nanos = append(h.nanos, nanos)
+	p := h.off + h.Len()
+	h.pushTime(nanos)
 	if h.wide() {
 		h.client32 = append(h.client32, slot)
 	} else {
@@ -263,6 +301,99 @@ func (h *History) push(nanos int64, slot uint32, good bool) {
 		h.rank = append(h.rank, h.rank[len(h.rank)-1]+uint32(bits.OnesCount64(h.last)))
 		h.last = 0
 	}
+}
+
+// pushTime appends t to the time column. A narrow column takes its
+// quotient when the scale divides t - base and the quotient's magnitude
+// fits 31 bits. The test multiplies by inv instead of dividing: the product
+// is the quotient exactly when multiplying it back by the scale gives the
+// distance without carry. At scale 0 it holds for t = base alone.
+func (h *History) pushTime(t int64) {
+	if h.t64 == nil {
+		if len(h.t32) == 0 && h.scale == 0 {
+			h.base = t
+		}
+		d := t - h.base // wraps, as times.go's differences do
+		m := magnitude(d)
+		q := (m >> bits.TrailingZeros64(h.scale)) * h.inv
+		if hi, lo := bits.Mul64(q, h.scale); hi != 0 || lo != m || q > math.MaxInt32 {
+			h.fitTime(t, d)
+			return
+		}
+		if d < 0 {
+			q = -q
+		}
+		h.t32 = append(h.t32, int32(q))
+		return
+	}
+	h.t64 = append(h.t64, t)
+}
+
+// fitTime appends t, at distance d from base, that the narrow column's fast
+// path turned down. When the scale does not divide d it shrinks to their
+// gcd, the quotients rewritten into a fresh array so that views keep theirs;
+// the scale only shrinks along a chain of divisors, so a history rescales at
+// most 64 times. When a quotient would not fit at that scale, the column
+// widens instead: one copy into raw times, and views taken before keep
+// reading their quotients.
+func (h *History) fitTime(t, d int64) {
+	g := gcd(h.scale, magnitude(d)) // d ≠ 0: the fast path takes d = 0 at every scale
+	if magnitude(d)/g <= math.MaxInt32 && h.rescale(h.scale/g) {
+		h.scale, h.inv = g, inverse(g)
+		h.pushTime(t) // the fast path takes it now
+		return
+	}
+	t64 := make([]int64, len(h.t32), cap(h.t32)+1)
+	for i := range t64 {
+		t64[i] = h.NanosAt(i)
+	}
+	h.t64, h.t32 = append(t64, t), nil
+}
+
+// rescale multiplies every quotient by factor — 0 at scale 0, where every
+// quotient is 0 — into a fresh array, or reports false when one would no
+// longer fit.
+func (h *History) rescale(factor uint64) bool {
+	var most uint64
+	for _, x := range h.t32 {
+		most = max(most, magnitude(int64(x)))
+	}
+	if hi, lo := bits.Mul64(most, factor); hi != 0 || lo > math.MaxInt32 {
+		return false
+	}
+	t32 := make([]int32, len(h.t32), cap(h.t32))
+	for i, x := range h.t32 {
+		t32[i] = x * int32(factor)
+	}
+	h.t32 = t32
+	return true
+}
+
+// inverse returns the inverse of scale's odd part modulo 2^64, by Newton's
+// iteration: an odd x is its own inverse to 3 bits, and each step doubles
+// the bits that are right.
+func inverse(scale uint64) uint64 {
+	x := scale >> bits.TrailingZeros64(scale)
+	inv := x
+	for range 5 {
+		inv *= 2 - x*inv
+	}
+	return inv
+}
+
+// NewHistoryLike returns an empty history of h's server, with room for n
+// records, whose time column starts in h's form: the same base, scale and
+// width. Rebuilding h's records into it — with a record inserted, or in
+// another order — then finds every time already fits, instead of
+// rediscovering the scale record by record.
+func NewHistoryLike(h *History, n int) *History {
+	out := NewHistory(h.server)
+	out.base, out.scale, out.inv = h.base, h.scale, h.inv
+	if h.t64 != nil {
+		out.t64 = make([]int64, 0, n)
+	}
+	out.Grow(n)
+	return out
 }
 
 // AppendOutcome adds a synthetic record with the given client and outcome,
@@ -283,13 +414,20 @@ func (h *History) view(lo int) *History {
 	p := h.off + lo
 	v := &History{
 		server: h.server,
-		nanos:  h.nanos[lo:],
+		base:   h.base,
+		scale:  h.scale,
+		inv:    h.inv,
 		bits:   h.bits[p>>6:],
 		last:   h.last,
 		off:    p & 63,
 		rank:   h.rank[p>>6:],
 		names:  h.names,
 		ends:   h.ends,
+	}
+	if h.t64 != nil {
+		v.t64 = h.t64[lo:]
+	} else {
+		v.t32 = h.t32[lo:]
 	}
 	if h.wide() {
 		v.client32 = h.client32[lo:]
@@ -307,6 +445,10 @@ func (h *History) view(lo int) *History {
 // other mutation, so a view stays valid for as long as it is held (ADR 0016).
 func (h *History) SnapshotView() *History { return h.view(0) }
 
+// histStruct is a History's own size: 2 string headers, 8 slice headers and
+// 6 words.
+const histStruct = 272
+
 // SizeBytes returns the approximate resident heap footprint of this history:
 // the struct, the capacity of its columns, and the client dictionary — the
 // builder's capacity (the names a view holds, in a view), the end offsets
@@ -315,11 +457,8 @@ func (h *History) SnapshotView() *History { return h.view(0) }
 // The memory-budget governor uses this as the history half of a server's
 // resident size.
 func (h *History) SizeBytes() int {
-	const (
-		histStruct    = 224 // 2 string headers, 7 slice headers, 3 words
-		builderStruct = 32
-	)
-	n := histStruct + cap(h.nanos)*8 + cap(h.client16)*2 + cap(h.client32)*4 +
+	const builderStruct = 32
+	n := histStruct + cap(h.t32)*4 + cap(h.t64)*8 + cap(h.client16)*2 + cap(h.client32)*4 +
 		cap(h.bits)*8 + cap(h.rank)*4 + cap(h.ends)*4 + cap(h.table)*4
 	if h.b != nil {
 		return n + builderStruct + h.b.Cap()
@@ -328,27 +467,27 @@ func (h *History) SizeBytes() int {
 }
 
 // GoodCount returns the number of good transactions in the whole history.
-func (h *History) GoodCount() int { return h.GoodInRange(0, len(h.nanos)) }
+func (h *History) GoodCount() int { return h.GoodInRange(0, h.Len()) }
 
 // GoodInRange returns the number of good transactions among records
 // [lo, hi). It panics when the range is invalid, matching slice semantics.
 func (h *History) GoodInRange(lo, hi int) int {
-	_ = h.nanos[lo:hi:len(h.nanos)]
+	h.check(lo, hi)
 	return int(h.goodBefore(h.off+hi) - h.goodBefore(h.off+lo))
 }
 
 // GoodRatio returns the fraction of good transactions (the average trust
 // value), or 0 for an empty history.
 func (h *History) GoodRatio() float64 {
-	if len(h.nanos) == 0 {
+	if h.Len() == 0 {
 		return 0
 	}
-	return float64(h.GoodCount()) / float64(len(h.nanos))
+	return float64(h.GoodCount()) / float64(h.Len())
 }
 
 // Outcomes returns the good/bad sequence as booleans, oldest first.
 func (h *History) Outcomes() []bool {
-	out := make([]bool, len(h.nanos))
+	out := make([]bool, h.Len())
 	for i := range out {
 		out[i] = h.RatingAt(i).Good()
 	}
@@ -357,7 +496,7 @@ func (h *History) Outcomes() []bool {
 
 // Records returns a copy of all feedback records, oldest first.
 func (h *History) Records() []Feedback {
-	out := make([]Feedback, len(h.nanos))
+	out := make([]Feedback, h.Len())
 	for i := range out {
 		out[i] = h.At(i)
 	}
@@ -367,7 +506,8 @@ func (h *History) Records() []Feedback {
 // Clone returns an independent deep copy.
 func (h *History) Clone() *History {
 	c := h.view(0)
-	c.nanos = slices.Clone(c.nanos)
+	c.t32 = slices.Clone(c.t32)
+	c.t64 = slices.Clone(c.t64)
 	c.client16 = slices.Clone(c.client16)
 	c.client32 = slices.Clone(c.client32)
 	c.bits = slices.Clone(c.bits)
@@ -445,7 +585,7 @@ func (h *History) GroupByIssuer() []IssuerGroup {
 	sizes, distinct := h.clientCounts()
 	// One backing array holds every group's indices; slot maps a dictionary
 	// entry to its group.
-	indices := make([]int, len(h.nanos))
+	indices := make([]int, h.Len())
 	slot := make([]int, len(sizes))
 	groups := make([]IssuerGroup, 0, distinct)
 	off := 0
@@ -475,14 +615,13 @@ func (h *History) GroupByIssuer() []IssuerGroup {
 // re-ordered for collusion-resilient testing: grouped by issuer, larger
 // groups first, time order within each group (records within a group keep
 // their original relative order, which is time order for an append-only
-// history).
+// history). Its time column starts in h's form.
 func (h *History) CollusionOrder() *History {
-	out := NewHistory(h.server)
-	out.Grow(h.Len())
+	out := NewHistoryLike(h, h.Len())
 	for _, g := range h.GroupByIssuer() {
 		c := out.intern(g.Client)
 		for _, i := range g.Indices {
-			out.push(h.nanos[i], c, h.RatingAt(i).Good())
+			out.push(h.NanosAt(i), c, h.RatingAt(i).Good())
 		}
 	}
 	return out

@@ -76,8 +76,8 @@ func TestTimeColumnCanonical(t *testing.T) {
 				if err == nil && len(rest) != 0 {
 					err = fmt.Errorf("%d bytes left", len(rest))
 				}
-				if err == nil {
-					got = h.nanos
+				for i := 0; err == nil && i < h.Len(); i++ {
+					got = append(got, h.NanosAt(i))
 				}
 				return got, err
 			}
@@ -93,10 +93,10 @@ func TestTimeColumnCanonical(t *testing.T) {
 				}
 			}
 		}
-		if got := appendTimes(nil, c.okTimes, true); !bytes.Equal(got, c.ok) {
+		if got := appendTimes(nil, 0, 1, c.okTimes, true); !bytes.Equal(got, c.ok) {
 			t.Errorf("%s: encoder wrote %x, want %x", c.name, got, c.ok)
 		}
-		if got := appendTimes(nil, c.okTimes, false); !bytes.Equal(got, c.unscaled) {
+		if got := appendTimes(nil, 0, 1, c.okTimes, false); !bytes.Equal(got, c.unscaled) {
 			t.Errorf("%s: unscaled encoder wrote %x, want %x", c.name, got, c.unscaled)
 		}
 	}
@@ -176,7 +176,7 @@ func TestTimeColumnSizes(t *testing.T) {
 
 	// A section's times are the same column as a batch's.
 	jitter := nsJitter(1100)
-	if s, u := len(appendTimes(nil, jitter, true)), len(appendTimes(nil, jitter, false)); s != u+1 {
+	if s, u := len(appendTimes(nil, 0, 1, jitter, true)), len(appendTimes(nil, 0, 1, jitter, false)); s != u+1 {
 		t.Errorf("a column of %d nanosecond stamps takes %d B, the unscaled layout %d", len(jitter), s, u)
 	}
 	for i := range recs {

@@ -28,6 +28,7 @@ package ledger
 import (
 	"errors"
 	"fmt"
+	"io/fs"
 	"os"
 	"path/filepath"
 
@@ -148,10 +149,41 @@ func (c *sectionFiles) close() {
 // cache, when non-nil, reuses open snapshot files across calls.
 func (ps *PersistentStore) gatherServer(id feedback.EntityID, cache *sectionFiles) (*feedback.History, error) {
 	ps.tailMu.Lock()
-	idx := ps.snapIdx
-	tail := append(append([]feedback.Feedback(nil), ps.pendingTail[string(id)]...), ps.tailIdx[string(id)]...)
+	idx, tail := ps.sources(id)
 	ps.tailMu.Unlock()
+	return ps.gatherFrom(id, idx, tail, cache)
+}
 
+// sources returns the section index and a copy of id's records in both tail
+// generations; the caller holds tailMu, so the three agree.
+func (ps *PersistentStore) sources(id feedback.EntityID) (*snapIndex, []feedback.Feedback) {
+	return ps.snapIdx, append(append([]feedback.Feedback(nil), ps.pendingTail[string(id)]...), ps.tailIdx[string(id)]...)
+}
+
+// gatherFrom is gatherServer over sources read earlier. Between that read and
+// opening the section's file, two snapshots may publish and prune it; then
+// the index has moved on, and it reads the sources again and retries: the
+// newer snapshot carries every server's full covered history.
+func (ps *PersistentStore) gatherFrom(id feedback.EntityID, idx *snapIndex, tail []feedback.Feedback, cache *sectionFiles) (*feedback.History, error) {
+	for {
+		hist, err := gatherSources(id, idx, tail, cache)
+		if !errors.Is(err, fs.ErrNotExist) {
+			return hist, err
+		}
+		ps.tailMu.Lock()
+		moved := ps.snapIdx != idx
+		if moved {
+			idx, tail = ps.sources(id)
+		}
+		ps.tailMu.Unlock()
+		if !moved {
+			return nil, err
+		}
+	}
+}
+
+// gatherSources merges id's tail records into its section of idx.
+func gatherSources(id feedback.EntityID, idx *snapIndex, tail []feedback.Feedback, cache *sectionFiles) (*feedback.History, error) {
 	hist := feedback.NewHistory(id)
 	if idx != nil {
 		if r, ok := idx.sections[string(id)]; ok {

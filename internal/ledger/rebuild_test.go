@@ -2,6 +2,8 @@ package ledger
 
 import (
 	"context"
+	"errors"
+	"io/fs"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -228,5 +230,60 @@ func TestRebuildUnknownServer(t *testing.T) {
 	defer ps.Close()
 	if err := ps.RebuildServer("ghost"); err == nil {
 		t.Fatal("rebuild of unknown server succeeded")
+	}
+}
+
+// TestGatherAfterSnapshotPruned: a fault-in reads the section index, then
+// opens the snapshot it names. When two snapshots publish in between,
+// pruneSnapshots has deleted that file; the gather must read the index and
+// the tail again and rebuild from the newer snapshot, not fail the write
+// that asked for it. Once the index names a file that is gone, it fails.
+func TestGatherAfterSnapshotPruned(t *testing.T) {
+	dir := filepath.Join(t.TempDir(), "led")
+	ps, err := OpenStoreOptions(context.Background(), dir, Options{Shards: 2, SegmentBytes: 1 << 20, MemBudget: 1 << 40})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ps.Close()
+	workload(t, ps, 70, 0)
+	if _, err := ps.Snapshot(); err != nil {
+		t.Fatal(err)
+	}
+	workload(t, ps, 20, 70)
+	const victim = "sa"
+	ps.tailMu.Lock()
+	idx, tail := ps.sources(victim)
+	ps.tailMu.Unlock()
+	for round := 0; round < 2; round++ {
+		workload(t, ps, 20, 90+20*round)
+		if _, err := ps.Snapshot(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := os.Stat(idx.path); !errors.Is(err, fs.ErrNotExist) {
+		t.Fatalf("the first snapshot survived two more: %v", err)
+	}
+	want, err := ps.gatherServer(victim, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want.Len() != ps.Store().ServerLen(victim) {
+		t.Fatalf("gathered %d records, the store holds %d", want.Len(), ps.Store().ServerLen(victim))
+	}
+	got, err := ps.gatherFrom(victim, idx, tail, nil)
+	if err != nil {
+		t.Fatalf("gather from a pruned snapshot's index: %v", err)
+	}
+	if !reflect.DeepEqual(got.Records(), want.Records()) {
+		t.Fatal("the retried gather differs from a fresh one")
+	}
+	ps.tailMu.Lock()
+	current := ps.snapIdx.path
+	ps.tailMu.Unlock()
+	if err := os.Remove(current); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ps.gatherServer(victim, nil); !errors.Is(err, fs.ErrNotExist) {
+		t.Fatalf("gather with the newest snapshot gone: %v, want ErrNotExist", err)
 	}
 }

@@ -32,8 +32,10 @@ func L1HistDistance(h *Histogram, b *Binomial) (float64, error) {
 // floating-point evaluation order matches L1HistDistance term for term, so
 // equal inputs yield bit-identical distances. Empty buckets take a
 // division-free shortcut: 0/t is exactly +0, so |0/t − pmf| is pmf itself bit
-// for bit (PMF entries are never negative).
-func L1CountsDistance(counts []int64, total int64, pmf []float64) (float64, error) {
+// for bit (PMF entries are never negative). Counts come as int64 from the
+// calibrator's tallies and as uint32 from the accumulator's histograms; each
+// converts to float64 exactly.
+func L1CountsDistance[C int64 | uint32](counts []C, total int64, pmf []float64) (float64, error) {
 	if len(counts) != len(pmf) {
 		return 0, fmt.Errorf("%w: histogram support [0,%d] vs B(%d,·)", ErrInvalidDistribution, len(counts)-1, len(pmf)-1)
 	}

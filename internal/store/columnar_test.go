@@ -204,12 +204,14 @@ func TestResidentBytesTracksHeap(t *testing.T) {
 			// 130 B is what a record of either stream cost in the []Feedback
 			// layout with its shard-wide hash set (ADR 0004). A pool's record
 			// is mostly its columns: 20.6 B of heap at 17 B a record, 13.6 B
-			// bit-packed (ADR 0011). A distinct client's dictionary entry
-			// took 104 B of heap with a string header and a map slot, and
-			// ~36 B as name bytes, an end offset and a table slot (ADR 0012).
-			ceiling := 40.0
+			// bit-packed (ADR 0011), 6.9 B with 32-bit time quotients (ADR
+			// 0018). A distinct client's dictionary entry took 104 B of heap
+			// with a string header and a map slot, and ~36 B as name bytes,
+			// an end offset and a table slot (ADR 0012); beside a 4-byte
+			// time that record is ~30 B.
+			ceiling := 32.0
 			if name == "pool of 100" {
-				ceiling = 14
+				ceiling = 7.5
 			}
 			if per := grown / float64(st.Len()); per > ceiling {
 				t.Errorf("%.1f B of heap per record, ceiling %.0f", per, ceiling)

@@ -325,11 +325,11 @@ func locate(h *feedback.History, nanos int64, hash Hash) (pos int, dup bool) {
 // insertSorted rebuilds a history with f inserted at position pos.
 // Out-of-order arrivals are the rare path (gossip deltas, ledger replays of
 // interleaved servers), so the O(n) rebuild is acceptable; a fresh backing
-// array (rather than an in-place shift) keeps old snapshots untouched.
+// array (rather than an in-place shift) keeps old snapshots untouched. The
+// copy starts in h's time form, so only f can rescale or widen it.
 func insertSorted(h *feedback.History, pos int, f feedback.Feedback) (*feedback.History, error) {
 	n := h.Len()
-	out := feedback.NewHistory(h.Server())
-	out.Grow(n + 1)
+	out := feedback.NewHistoryLike(h, n+1)
 	for i := 0; i < pos; i++ {
 		// Records re-appended from a valid history cannot fail.
 		_ = out.Append(h.At(i))

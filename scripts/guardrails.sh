@@ -21,6 +21,8 @@
 #     writes blocks, the wire writes batches, neither frames a record alone
 #   - one time column (ADR 0014): a batch's and a section's times are coded
 #     by feedback's appendTimes/decodeTimes, and nowhere else
+#   - a history's times are resident at the width they need (ADR 0018): a
+#     base, a scale and 32-bit quotients, raw int64 only once widened
 #   - one on-disk format (ADR 0015): a node refuses older ledgers, whose
 #     layouts only internal/ledger/migrate.go reads; nothing is written
 #     that nothing reads
@@ -170,13 +172,25 @@ check "no second definition of the batch columns (ADR 0008)" \
 # beyond verdict.go's (whose deltas are counts, never times) — is a second
 # time layout waiting to drift.
 varint_lines() { grep -cE '(Append|Put)Varint\(|binary\.Varint\(|>>\s*1\)\s*\^\s*-' || true; }
-times_fns() { sed -n '/^func \(appendTimes\|decodeTimes\)(/,/^}/p' internal/feedback/times.go; }
+times_fns() { sed -n '/^func \(appendTimes\|decodeTimes\)[[(]/,/^}/p' internal/feedback/times.go; }
 check "time deltas are varint-coded only in feedback's appendTimes/decodeTimes (ADR 0014)" \
     "[ \"\$(sources internal/feedback | xargs cat | varint_lines)\" -eq \"\$(times_fns | varint_lines)\" ] \
      && [ \"\$(times_fns | varint_lines)\" -gt 0 ] \
      && absent '(Append|Put)Varint\(|binary\.Varint\(|>>\s*1\)\s*\^\s*-|UnixNano\(\)\s*-' internal/ledger \
      && ! sources internal/wire | grep -v '/verdict\.go\$' | xargs grep -nE 'Varint\(|>>\s*1\)\s*\^\s*-' | grep -q . \
      && ! grep -nE 'UnixNano|\.Time\b|nanos' internal/wire/verdict.go | grep -q ."
+
+# --- resident times carry their common divisor (ADR 0018) ---------------------
+# A history's time column is a base, a scale and one 32-bit quotient per
+# record; it widens to raw times with one copy only when a quotient would
+# leave int32. The 8-byte nanos column stays deleted, and t64 is the one
+# []int64 a History holds.
+check "no nanos []int64 column in internal/feedback/history.go (ADR 0018)" \
+    "absent '^\s+nanos\s+\[\]int64\b' internal/feedback/history.go"
+check "t64 is the only []int64 field in internal/feedback/history.go (ADR 0018)" \
+    "[ \"\$(grep -cE '^\s+\w+\s+\[\]int64\b' internal/feedback/history.go)\" -eq 1 ] \
+     && grep -qE '^\s+t64\s+\[\]int64$' internal/feedback/history.go \
+     && grep -qE '^\s+t32\s+\[\]int32$' internal/feedback/history.go"
 
 # --- one on-disk format, nothing write-only (ADR 0015) -------------------------
 # A node opens current-format segment directories only and refuses anything
