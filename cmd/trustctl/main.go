@@ -283,7 +283,7 @@ func clusterStatus(ctx context.Context, client *repclient.Client, out io.Writer)
 
 // memStatus fetches a trustd node's /metricz endpoint and prints the memory
 // lifecycle picture: resident/evicted counts against the budget, eviction
-// and rebuild activity, and the largest resident servers by accounted bytes.
+// and fault-in activity, and the largest resident servers by accounted bytes.
 func memStatus(args []string, out io.Writer) error {
 	fs := flag.NewFlagSet("mem-status", flag.ContinueOnError)
 	var (
@@ -311,10 +311,9 @@ func memStatus(args []string, out io.Writer) error {
 	if err := json.NewDecoder(resp.Body).Decode(&doc); err != nil {
 		return fmt.Errorf("decode %s: %w", url, err)
 	}
-	var led map[string]int64 // the ledger's snapshot and rebuild counters, when it has a block
+	var led map[string]int64 // the ledger's snapshot sequence, when it has a block
 	if doc.get("ledger") != nil {
-		led = map[string]int64{"snapshot_seq": doc.int("ledger", "snapshot_seq"),
-			"rebuilds": doc.int("ledger", "rebuilds"), "rebuild_errors": doc.int("ledger", "rebuild_errors")}
+		led = map[string]int64{"snapshot_seq": doc.int("ledger", "snapshot_seq")}
 	}
 	if *asJSON {
 		enc := json.NewEncoder(out)
@@ -334,9 +333,9 @@ func memStatus(args []string, out io.Writer) error {
 		fmtBytes(life("shared_bytes")), 100*float64(life("shared_bytes"))/budget)
 	fmt.Fprintf(out, "  evicted:  %d servers\n", life("evicted"))
 	fmt.Fprintf(out, "  evictions %d, reinstates %d\n", life("evictions"), life("reinstates"))
-	fmt.Fprintf(out, "  fault-ins %d (waited %d, errors %d)\n", life("fault_ins"), life("fault_waits"), life("fault_errors"))
+	fmt.Fprintf(out, "  fault-in waits %d, errors %d\n", life("fault_waits"), life("fault_errors"))
 	if led != nil {
-		fmt.Fprintf(out, "  ledger: snapshot seq %d, rebuilds %d (errors %d)\n", led["snapshot_seq"], led["rebuilds"], led["rebuild_errors"])
+		fmt.Fprintf(out, "  ledger: snapshot seq %d\n", led["snapshot_seq"])
 	}
 	top, _ := doc.get("top_resident").([]any)
 	if len(top) > 0 {

@@ -45,8 +45,8 @@ func TestMemStatus(t *testing.T) {
   shared:   0 B memo state, charged once (0.0% of budget)
   evicted:  51 servers
   evictions 54, reinstates 3
-  fault-ins 3 (waited 0, errors 0)
-  ledger: snapshot seq 1, rebuilds 3 (errors 0)
+  fault-in waits 0, errors 0
+  ledger: snapshot seq 1
 top resident servers by accounted bytes:
   srv-000                       708 B  5 records
 `
@@ -55,7 +55,7 @@ top resident servers by accounted bytes:
 	}
 
 	// -json prints the lifecycle block and top_resident as served, and the
-	// ledger's snapshot and rebuild counters.
+	// ledger's snapshot sequence.
 	out.Reset()
 	if err := run([]string{"mem-status", "-metrics", strings.TrimPrefix(url, "http://"), "-json"}, &out); err != nil {
 		t.Fatal(err)
@@ -69,7 +69,7 @@ top resident servers by accounted bytes:
 	}
 	wantJSON := map[string]any{
 		"lifecycle":    doc["lifecycle"],
-		"ledger":       map[string]any{"snapshot_seq": 1.0, "rebuilds": 3.0, "rebuild_errors": 0.0},
+		"ledger":       map[string]any{"snapshot_seq": 1.0},
 		"top_resident": doc["top_resident"],
 	}
 	if !reflect.DeepEqual(got, wantJSON) {
@@ -82,7 +82,7 @@ top resident servers by accounted bytes:
 func TestMemStatusDisabled(t *testing.T) {
 	url := serveMetricz(t, []byte(`{"connections": 1, "lifecycle": {"enabled": false, "resident": 3,
 		"evicted": 0, "resident_bytes": 2124, "shared_bytes": 0, "budget_bytes": 0, "evictions": 0,
-		"reinstates": 0, "fault_ins": 0, "fault_waits": 0, "fault_errors": 0}}`))
+		"reinstates": 0, "fault_waits": 0, "fault_errors": 0}}`))
 	var out strings.Builder
 	if err := run([]string{"mem-status", "-metrics", url}, &out); err != nil {
 		t.Fatal(err)

@@ -160,9 +160,6 @@ func run(ctx context.Context, args []string) error {
 		}()
 		serverCfg.Store = ps.Store()
 		serverCfg.Recorder = ps
-		if budgetBytes > 0 {
-			serverCfg.Rebuilder = ps
-		}
 	}
 	srv, err := repserver.New(*addr, serverCfg)
 	if err != nil {

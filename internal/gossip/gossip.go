@@ -34,15 +34,16 @@ import (
 	"honestplayer/internal/feedback"
 	"honestplayer/internal/repclient"
 	"honestplayer/internal/stats"
+	"honestplayer/internal/store"
 	"honestplayer/internal/wire"
 )
 
 // Node is the local reputation node a Reconciler repairs, reached in
 // process; *repserver.Server implements it.
 type Node interface {
-	// Summary returns the node's per-server checksums in wire form, scoped
-	// to its replica sets when clustered. The map is shared: read-only.
-	Summary() map[string]wire.ServerSum
+	// Summary returns the node's per-server checksums, scoped to its replica
+	// sets when clustered. The map is shared: read-only.
+	Summary() map[string]store.Checksum
 	// Hashes returns the content hashes of the records the node holds for
 	// servers, faulting evicted servers in.
 	Hashes(ctx context.Context, servers []string) ([]uint64, error)

@@ -269,11 +269,7 @@ func durableNode(t *testing.T, name, dir string, budget int64) (node, *ledger.Pe
 	if err != nil {
 		t.Fatal(err)
 	}
-	scfg := repserver.Config{Store: ps.Store(), Recorder: ps}
-	if budget > 0 {
-		scfg.Rebuilder = ps
-	}
-	n := startNode(t, name, scfg, Config{Seed: 1})
+	n := startNode(t, name, repserver.Config{Store: ps.Store(), Recorder: ps}, Config{Seed: 1})
 	t.Cleanup(func() { _ = ps.Close() }) // after the node's own cleanup
 	return n, ps
 }
@@ -364,7 +360,7 @@ func TestAntiEntropyWriteSurvivesEviction(t *testing.T) {
 		t.Fatal("server did not evict")
 	}
 	assessThroughRPC(31)
-	if a.srv.Metrics().Value("lifecycle.fault_ins") == uint64(0) {
+	if a.srv.Metrics().Value("lifecycle.reinstates") == uint64(0) {
 		t.Fatal("read of the evicted server did not fault it in")
 	}
 

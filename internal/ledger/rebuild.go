@@ -8,11 +8,11 @@ package ledger
 // snapshot covers. The section decodes straight into a history and the tail
 // records merge into it the way a write would (store.Merge: the snapshot scan
 // and the tail overlap by design, exactly like boot, and the history's own
-// order finds the duplicates); store.ReinstateServer then verifies the
-// result against the evicted stub's Checksum before swapping it in and
-// replaying it into a fresh accumulator, so a corrupt section read or a lost
-// record can never silently resurface as wrong state — it surfaces as a
-// rebuild error.
+// order finds the duplicates). gatherServer is the store's Loader: the store
+// verifies what it returns against the evicted stub's Checksum before
+// swapping it in and replaying it into a fresh accumulator, so a corrupt
+// section read or a lost record can never silently resurface as wrong state
+// — it surfaces as a failed fault-in.
 //
 // The tail index rotates with snapshots: sealForSnapshot moves it to the
 // pending generation (the records the in-flight snapshot will cover), a
@@ -35,10 +35,6 @@ import (
 	"honestplayer/internal/feedback"
 	"honestplayer/internal/store"
 )
-
-// ErrNoRebuild reports a RebuildServer call on a deployment without the
-// lifecycle machinery (Options.MemBudget unset).
-var ErrNoRebuild = errors.New("ledger: rebuild-on-demand not enabled")
 
 // secRange is one server's byte range inside a snapshot file, starting at
 // its id-length uvarint and ending after its history columns.
@@ -119,7 +115,7 @@ func (ps *PersistentStore) dropPendingTail(seq uint64, sections map[string]secRa
 // snapshot writer reads one section per evicted server, and opening the
 // previous snapshot once instead of once per stub is the difference between
 // O(stubs) preads and O(stubs) opens. A nil *sectionFiles opens per read
-// (the single-server rebuild path).
+// (the single-server fault-in path).
 type sectionFiles struct{ files map[string]*os.File }
 
 func (c *sectionFiles) get(path string) (*os.File, error) {
@@ -200,38 +196,6 @@ func gatherSources(id feedback.EntityID, idx *snapIndex, tail []feedback.Feedbac
 		}
 	}
 	return hist, nil
-}
-
-// RebuildServer reconstructs one evicted server's history and accumulator
-// from the newest snapshot plus the tail index and reinstates it in the
-// store, bit-identical to a server that was never evicted. It is a no-op for
-// resident servers and an error for unknown ones. Safe for concurrent calls
-// on the same server (the reinstate is idempotent); the serving layer
-// single-flights per server to avoid duplicate work, not for correctness.
-func (ps *PersistentStore) RebuildServer(id feedback.EntityID) error {
-	if ps.opts.MemBudget <= 0 {
-		return ErrNoRebuild
-	}
-	if _, evicted := ps.store.StubOf(id); !evicted {
-		// Resident already (a concurrent rebuild won the race), or unknown —
-		// ReinstateServer would reject the latter, so check here for the
-		// cleaner error.
-		if _, v := ps.store.Snapshot(id); v == 0 {
-			return fmt.Errorf("ledger: rebuild: unknown server %q", id)
-		}
-		return nil
-	}
-	hist, err := ps.gatherServer(id, nil)
-	if err != nil {
-		ps.rebuildErrors.Add(1)
-		return fmt.Errorf("ledger: rebuild %q: %w", id, err)
-	}
-	if err := ps.store.ReinstateServer(hist); err != nil {
-		ps.rebuildErrors.Add(1)
-		return err
-	}
-	ps.rebuilds.Add(1)
-	return nil
 }
 
 // readSnapshotSection reads and decodes one server's section from a

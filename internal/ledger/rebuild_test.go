@@ -10,6 +10,8 @@ import (
 	"testing"
 
 	"honestplayer/internal/core"
+	"honestplayer/internal/feedback"
+	"honestplayer/internal/metrics"
 	"honestplayer/internal/store"
 )
 
@@ -28,17 +30,33 @@ func evictAll(t *testing.T, st *store.Store) int {
 	return n
 }
 
-// rebuildAll faults every evicted server back in.
+// isStub reports whether server is evicted, without faulting it in.
+func isStub(st *store.Store, server feedback.EntityID) (stub bool) {
+	st.ViewShard(st.ShardIndex(server), []feedback.EntityID{server},
+		func(_ int, _ store.Accumulator, snap *feedback.History, version uint64) {
+			stub = snap == nil && version > 0
+		})
+	return stub
+}
+
+// rebuildAll faults every evicted server back in through a read.
 func rebuildAll(t *testing.T, ps *PersistentStore) {
 	t.Helper()
 	for _, srv := range ps.Store().Servers() {
-		if _, evicted := ps.Store().StubOf(srv); !evicted {
+		if !isStub(ps.Store(), srv) {
 			continue
 		}
-		if err := ps.RebuildServer(srv); err != nil {
-			t.Fatalf("rebuild %q: %v", srv, err)
+		if _, err := ps.Store().History(srv); err != nil {
+			t.Fatalf("fault-in of %q: %v", srv, err)
 		}
 	}
+}
+
+// lifecycleMetric reads one of the store's lifecycle.* keys.
+func lifecycleMetric(st *store.Store, key string) any {
+	reg := metrics.New()
+	st.RegisterMetrics(reg)
+	return reg.Value("lifecycle." + key)
 }
 
 // TestRebuildBitIdentical: evicting a server and rebuilding it on demand
@@ -81,8 +99,8 @@ func checkRebuild(t *testing.T, opts Options, tp *core.TwoPhase) {
 	if !reflect.DeepEqual(want, got) {
 		t.Fatal("rebuilt state diverges from never-evicted state")
 	}
-	if ledgerMetric(ps, "rebuilds") == nil {
-		t.Fatal("rebuild counter did not move")
+	if lifecycleMetric(ps.Store(), "reinstates") == uint64(0) {
+		t.Fatal("reinstate counter did not move")
 	}
 }
 
@@ -188,7 +206,8 @@ func TestSnapshotWithEvictedServers(t *testing.T) {
 }
 
 // TestWritePathSelfHeals: a write addressed to an evicted server must fault
-// the server in transparently and land, not surface ErrEvicted.
+// the server in transparently — through the store, with one load — and land,
+// not surface ErrEvicted.
 func TestWritePathSelfHeals(t *testing.T) {
 	dir := filepath.Join(t.TempDir(), "led")
 	opts := Options{Shards: 2, SegmentBytes: 1 << 20, MemBudget: 1 << 40}
@@ -211,16 +230,19 @@ func TestWritePathSelfHeals(t *testing.T) {
 	if ok, err := ps.Add(f); err != nil || !ok {
 		t.Fatalf("write to evicted server = (%v, %v), want self-healed add", ok, err)
 	}
-	if _, ok := ps.Store().StubOf(victim); ok {
+	if isStub(ps.Store(), victim) {
 		t.Fatal("server still evicted after self-healing write")
 	}
 	if n := ps.Store().ServerLen(victim); n == 0 {
 		t.Fatal("rebuilt server lost its records")
 	}
+	if got := lifecycleMetric(ps.Store(), "reinstates"); got != uint64(1) {
+		t.Fatalf("lifecycle.reinstates = %v, want 1", got)
+	}
 }
 
-// TestRebuildUnknownServer: rebuilding a server the store has never seen
-// must fail loudly instead of inventing empty state.
+// TestRebuildUnknownServer: a server the store has never seen is not a stub,
+// so reading it loads nothing and invents no state.
 func TestRebuildUnknownServer(t *testing.T) {
 	dir := filepath.Join(t.TempDir(), "led")
 	ps, err := OpenStoreOptions(context.Background(), dir, Options{Shards: 2, MemBudget: 1 << 40})
@@ -228,8 +250,11 @@ func TestRebuildUnknownServer(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer ps.Close()
-	if err := ps.RebuildServer("ghost"); err == nil {
-		t.Fatal("rebuild of unknown server succeeded")
+	if h, err := ps.Store().History("ghost"); err != nil || h.Len() != 0 {
+		t.Fatalf("read of an unknown server = (%v, %v), want an empty history", h, err)
+	}
+	if n := len(ps.Store().Servers()); n != 0 || lifecycleMetric(ps.Store(), "reinstates") != uint64(0) {
+		t.Fatalf("the read invented state: %d servers, reinstates %v", n, lifecycleMetric(ps.Store(), "reinstates"))
 	}
 }
 

@@ -52,8 +52,8 @@ type Options struct {
 	// MemBudget, when positive, enables the resident-state lifecycle: the
 	// store's accounted footprint (histories + accumulators, see
 	// store.SetBudget) is kept at or under this many bytes by evicting idle
-	// servers to stubs, and evicted servers are rebuilt on demand from the
-	// newest snapshot plus the in-memory tail index (RebuildServer). Boot
+	// servers to stubs, and the store faults evicted servers back in from the
+	// newest snapshot plus the in-memory tail index (gatherServer). Boot
 	// seeds fully resident, snapshots once if it had to full-replay (so the
 	// tail index starts empty), then trims to the budget.
 	MemBudget int64
@@ -83,14 +83,12 @@ type PersistentStore struct {
 	// in-flight snapshot is covering), snapIdx locates server sections in
 	// the newest published snapshot, and pinned guards servers whose newest
 	// write is not yet durable against eviction.
-	tailMu        sync.Mutex
-	tailIdx       map[string][]feedback.Feedback
-	pendingTail   map[string][]feedback.Feedback
-	snapIdx       *snapIndex
-	pinMu         sync.Mutex
-	pinned        map[string]int
-	rebuilds      atomic.Uint64
-	rebuildErrors atomic.Uint64
+	tailMu      sync.Mutex
+	tailIdx     map[string][]feedback.Feedback
+	pendingTail map[string][]feedback.Feedback
+	snapIdx     *snapIndex
+	pinMu       sync.Mutex
+	pinned      map[string]int
 
 	bootMode     string
 	bootSnapshot uint64
@@ -206,7 +204,9 @@ func OpenStoreOptions(ctx context.Context, path string, opts Options) (*Persiste
 				return nil, errors.Join(fmt.Errorf("ledger: boot snapshot for mem budget: %w", err), cerr)
 			}
 		}
-		st.SetBudget(opts.MemBudget)
+		st.SetBudget(opts.MemBudget, func(id feedback.EntityID) (*feedback.History, error) {
+			return ps.gatherServer(id, nil)
+		})
 	}
 	ps.logf("ledger %s: %d records in store (boot mode %s, %d segments)", path, st.Len(), ps.bootMode, l.sealedSegs+1)
 	if l.truncatedSegments > 0 {
@@ -256,9 +256,9 @@ func (ps *PersistentStore) Add(rec feedback.Feedback) (bool, error) {
 // With the lifecycle enabled, every distinct server in the batch is pinned
 // against eviction from before the store accepts the write until its
 // records are both in the ledger and in the tail index — evicting inside
-// that window would mint a stub whose records cannot all be rebuilt yet —
-// and a write that hits an evicted server triggers one fault-in per server
-// for the whole batch before its records are retried.
+// that window would mint a stub whose records cannot all be rebuilt yet. A
+// write that hits an evicted server is the store's to fault in; the pins
+// keep the loaded server resident until its records land.
 func (ps *PersistentStore) AddBatch(recs []feedback.Feedback, workers int) []store.AddResult {
 	if len(recs) == 0 {
 		return nil
@@ -279,30 +279,6 @@ func (ps *PersistentStore) AddBatch(recs []feedback.Feedback, workers int) []sto
 		}()
 	}
 	results := ps.store.AddBatch(recs, workers)
-	if lifecycle {
-		// Writes that hit evicted servers: fault each distinct server in
-		// once (RebuildServer is idempotent), then retry its records. The
-		// pins taken above keep the rebuilt state resident for the retry.
-		rebuilt := make(map[feedback.EntityID]error)
-		var retry []int
-		for i, r := range results {
-			if !errors.Is(r.Err, store.ErrEvicted) {
-				continue
-			}
-			srv := recs[i].Server
-			if _, done := rebuilt[srv]; !done {
-				rebuilt[srv] = ps.RebuildServer(srv)
-			}
-			if rerr := rebuilt[srv]; rerr != nil {
-				results[i] = store.AddResult{Err: fmt.Errorf("fault-in for write to %q: %w", srv, rerr)}
-			} else {
-				retry = append(retry, i)
-			}
-		}
-		for _, i := range retry {
-			results[i].Stored, results[i].Err = ps.store.Add(recs[i])
-		}
-	}
 	var (
 		newRecs []feedback.Feedback
 		newIdx  []int
@@ -453,8 +429,8 @@ func (ps *PersistentStore) Close() error {
 
 // RegisterMetrics declares the ledger block of reg: the log's segment and
 // group-commit keys, then this store's snapshots (snapshot_bytes sums the
-// size of every snapshot published since open), how it booted, and the
-// rebuilds it served to fault-ins.
+// size of every snapshot published since open) and how it booted. Fault-ins
+// are the store's to count (lifecycle.*).
 func (ps *PersistentStore) RegisterMetrics(reg *metrics.Registry) {
 	ps.ledger.registerMetrics(reg)
 	reg.Gauge("ledger.snapshot_seq", func() any { return ps.lastSnapSeq.Load() })
@@ -464,6 +440,4 @@ func (ps *PersistentStore) RegisterMetrics(reg *metrics.Registry) {
 	reg.Gauge("ledger.boot_mode", func() any { return ps.bootMode })
 	reg.Gauge("ledger.boot_snapshot", func() any { return metrics.OmitZero(ps.bootSnapshot) })
 	reg.Gauge("ledger.records_since_snapshot", func() any { return ps.sinceSnap.Load() })
-	reg.Gauge("ledger.rebuilds", func() any { return metrics.OmitZero(ps.rebuilds.Load()) })
-	reg.Gauge("ledger.rebuild_errors", func() any { return metrics.OmitZero(ps.rebuildErrors.Load()) })
 }

@@ -171,10 +171,10 @@ func (s *Server) assessItems(ctx context.Context, servers []feedback.EntityID, t
 
 // assessGroup serves one shard group in two passes. Pass one holds the shard
 // read lock once for the whole group (evicted servers are faulted in and
-// viewed again, see viewResident): items with a live incremental accumulator
-// are answered in place — each read is O(windows), takes no further locks and
-// allocates nothing per item — everything else just captures its snapshot
-// and version. Pass two runs the cache probes and two-phase recomputes for
+// viewed again, see store.ViewResident): items with a live incremental
+// accumulator are answered in place — each read is O(windows), takes no
+// further locks and allocates nothing per item — everything else just
+// captures its snapshot and version. Pass two runs the cache probes and two-phase recomputes for
 // the captured items after the lock is released, so they never stall the
 // shard's writers.
 //
@@ -190,7 +190,7 @@ func (s *Server) assessGroup(ctx context.Context, threshold float64, g *shardGro
 	}
 	var falls []fallback
 	var served uint64
-	s.viewResident(ctx, g.shard, g.servers,
+	s.cfg.Store.ViewResident(ctx, g.shard, g.servers,
 		func(i int, acc store.Accumulator, snap *feedback.History, version uint64) {
 			item := &items[g.pos[i]]
 			sa, ok := acc.(*core.ServerAccumulator)
@@ -206,7 +206,7 @@ func (s *Server) assessGroup(ctx context.Context, threshold float64, g *shardGro
 			item.AssessResponse = wire.AssessResponse{Assessment: a, Accept: accept, Incremental: true}
 			served++
 		},
-		func(i int, err error) { items[g.pos[i]].Error = service.ErrorResponseFrom(err) })
+		func(i int, err error) { items[g.pos[i]].Error = storeError(err) })
 	s.nIncremental.Add(served)
 
 	for _, f := range falls {

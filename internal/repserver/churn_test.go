@@ -15,10 +15,10 @@ import (
 )
 
 // TestEvictionChurn hammers a server whose store runs under a budget small
-// enough that servers evict constantly: concurrent writers (which self-heal
-// through rebuilds), concurrent assessors (which fault evicted servers back
-// in through the single-flight path), and a snapshot loop rotating the tail
-// index underneath both. Meant for -race; afterwards every server's state
+// enough that servers evict constantly: concurrent writers and concurrent
+// assessors, both faulting evicted servers back in through the store's one
+// single-flighted path, and a snapshot loop rotating the tail index
+// underneath both. Meant for -race; afterwards every server's state
 // must still assess identically to a from-scratch reference.
 func TestEvictionChurn(t *testing.T) {
 	const (
@@ -40,10 +40,9 @@ func TestEvictionChurn(t *testing.T) {
 	defer ps.Close()
 
 	srv, err := New("127.0.0.1:0", Config{
-		Assessor:  testAssessor(t),
-		Store:     ps.Store(),
-		Recorder:  ps,
-		Rebuilder: ps,
+		Assessor: testAssessor(t),
+		Store:    ps.Store(),
+		Recorder: ps,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -149,7 +148,7 @@ func TestEvictionChurn(t *testing.T) {
 				id(i), resp.Accept, resp.Assessment.Trust, wantAccept, wantA.Trust)
 		}
 	}
-	if srv.Metrics().Value("lifecycle.fault_ins") == uint64(0) {
+	if srv.Metrics().Value("lifecycle.reinstates") == uint64(0) {
 		t.Fatal("churn produced no fault-ins; budget not small enough to exercise the lifecycle")
 	}
 	if srv.Metrics().Value("lifecycle.evictions") == uint64(0) {

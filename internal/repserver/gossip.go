@@ -3,9 +3,9 @@ package repserver
 // Anti-entropy, the responder half (the initiator is internal/gossip, a
 // client of this listener): gossip.summary and gossip.digest are ordinary
 // requests in the service pipeline, so they get its recovery, metrics,
-// deadline and drain, ride either codec, and read histories through the
-// fault-in path — a peer can be repaired from a server this node has
-// evicted. Summary and Hashes are the same local reads, offered in process
+// deadline and drain, ride either codec, and read histories from the store,
+// which faults an evicted server in — a peer can be repaired from a server
+// this node has evicted. Summary and Hashes are the same local reads, offered in process
 // to the node's own reconciler (they make *Server a gossip.Node).
 
 import (
@@ -18,14 +18,14 @@ import (
 	"honestplayer/internal/wire"
 )
 
-// Summary returns the per-server checksums of the local store in wire form,
-// restricted on a clustered node to the servers in its replica sets, so
-// partitioned ownership is preserved under repair. The store bumps its
-// global version on every accepted write, so an unchanged version means the
-// previous summary is still exact and is returned as-is — the steady-state
+// Summary returns the per-server checksums of the local store, restricted
+// on a clustered node to the servers in its replica sets, so partitioned
+// ownership is preserved under repair. The store bumps its global version
+// on every accepted write, so an unchanged version means the previous
+// summary is still exact and is returned as-is — the steady-state
 // (converged) case, for the rounds this node initiates and the ones it
 // answers alike. The returned map is shared; treat it as read-only.
-func (s *Server) Summary() map[string]wire.ServerSum {
+func (s *Server) Summary() map[string]store.Checksum {
 	v := s.cfg.Store.GlobalVersion()
 	s.sumMu.Lock()
 	defer s.sumMu.Unlock()
@@ -34,10 +34,10 @@ func (s *Server) Summary() map[string]wire.ServerSum {
 	}
 	cl := s.clusterRef.Load()
 	sums := s.cfg.Store.Checksums()
-	m := make(map[string]wire.ServerSum, len(sums))
+	m := make(map[string]store.Checksum, len(sums))
 	for srv, cs := range sums {
 		if cl == nil || cl.Owns(srv) {
-			m[string(srv)] = wire.ServerSum{Count: cs.Count, XOR: cs.XOR}
+			m[string(srv)] = cs
 		}
 	}
 	// Writes that landed while we walked the store make the summary fresher
@@ -48,14 +48,17 @@ func (s *Server) Summary() map[string]wire.ServerSum {
 }
 
 // eachRecord visits every record held for servers, in history order, as a
-// history and an index into it.
+// history and an index into it; it stops early when ctx ends.
 func (s *Server) eachRecord(ctx context.Context, servers []string, visit func(h *feedback.History, i int)) error {
 	for _, srv := range servers {
-		h, err := s.residentHistory(ctx, feedback.EntityID(srv))
-		if err != nil {
+		if err := ctx.Err(); err != nil {
 			return err
 		}
-		for i := 0; h != nil && i < h.Len(); i++ {
+		h, err := s.cfg.Store.History(feedback.EntityID(srv))
+		if err != nil {
+			return storeError(err)
+		}
+		for i := 0; i < h.Len(); i++ {
 			visit(h, i)
 		}
 	}

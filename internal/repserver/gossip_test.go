@@ -2,7 +2,6 @@ package repserver
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"reflect"
 	"testing"
@@ -127,7 +126,7 @@ func TestGossipExchangeSameOverEitherFraming(t *testing.T) {
 	for _, f := range held[:5] {
 		have = append(have, uint64(store.HashOf(f)))
 	}
-	summary := wire.SummaryMsg{Node: "peer", Servers: map[string]wire.ServerSum{
+	summary := wire.SummaryMsg{Node: "peer", Servers: map[string]store.Checksum{
 		"s1": {Count: 5, XOR: 1},
 		"s2": srv.Summary()["s2"],
 	}}
@@ -165,14 +164,6 @@ func TestGossipExchangeSameOverEitherFraming(t *testing.T) {
 	}
 }
 
-// stallingRebuilder blocks every rebuild until released.
-type stallingRebuilder struct{ release chan struct{} }
-
-func (r stallingRebuilder) RebuildServer(feedback.EntityID) error {
-	<-r.release
-	return errors.New("released without rebuilding")
-}
-
 // TestGossipDigestDeadline: a gossip.digest whose handler outlives
 // RequestTimeout — here stuck faulting an evicted server in — is answered
 // deadline_exceeded like any other request, and the connection stays usable.
@@ -180,17 +171,20 @@ func TestGossipDigestDeadline(t *testing.T) { eachFraming(t, testGossipDigestDea
 
 func testGossipDigestDeadline(t *testing.T, connect func(*Server) *repclient.Client) {
 	st := store.New()
-	st.SetBudget(1 << 30)
-	rb := stallingRebuilder{release: make(chan struct{})}
+	release := make(chan struct{})
+	st.SetBudget(1<<30, func(feedback.EntityID) (*feedback.History, error) { // stalls until released
+		<-release
+		return nil, errNoCopy
+	})
 	srv, err := New("127.0.0.1:0", Config{
-		Assessor: testAssessor(t), Store: st, Rebuilder: rb, RequestTimeout: 80 * time.Millisecond,
+		Assessor: testAssessor(t), Store: st, RequestTimeout: 80 * time.Millisecond,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	srv.Start()
 	t.Cleanup(func() {
-		close(rb.release) // let the abandoned handler goroutine finish
+		close(release) // let the abandoned handler goroutine finish
 		if err := srv.Close(); err != nil {
 			t.Errorf("close: %v", err)
 		}

@@ -13,20 +13,14 @@ import (
 	"honestplayer/internal/wire"
 )
 
-// memRebuilder reinstates evicted servers from records held in memory —
-// what ledger.PersistentStore does from disk, for a store-only recorder.
-type memRebuilder struct {
-	st   *store.Store
-	recs map[feedback.EntityID][]feedback.Feedback
+// memLoader loads evicted servers from records held in memory — what
+// ledger.PersistentStore does from disk, for a store-only recorder.
+func memLoader(recs map[feedback.EntityID][]feedback.Feedback) store.Loader {
+	return func(id feedback.EntityID) (*feedback.History, error) { return historyOf(id, recs[id]) }
 }
 
-func (m *memRebuilder) RebuildServer(id feedback.EntityID) error {
-	hist, err := historyOf(id, m.recs[id])
-	if err != nil {
-		return err
-	}
-	return m.st.ReinstateServer(hist)
-}
+// errNoCopy is the loader failure of a node whose durable copy is gone.
+var errNoCopy = errors.New("no durable copy")
 
 // historyOf is recs, all of one server, appended one by one.
 func historyOf(server feedback.EntityID, recs []feedback.Feedback) (*feedback.History, error) {
@@ -44,16 +38,16 @@ func historyOf(server feedback.EntityID, recs []feedback.Feedback) (*feedback.Hi
 // batch of one it answered invalid_feedback here.
 func TestSingleSubmitFaultsIn(t *testing.T) {
 	st := store.New()
-	st.SetBudget(1 << 30)
-	rb := &memRebuilder{st: st, recs: map[feedback.EntityID][]feedback.Feedback{}}
+	recs := map[feedback.EntityID][]feedback.Feedback{}
+	st.SetBudget(1<<30, memLoader(recs))
 	for i := 0; i < 5; i++ {
 		f := rec("cold", "alice", true, int64(i+1))
 		if _, err := st.Add(f); err != nil {
 			t.Fatal(err)
 		}
-		rb.recs["cold"] = append(rb.recs["cold"], f)
+		recs["cold"] = append(recs["cold"], f)
 	}
-	srv, err := New("127.0.0.1:0", Config{Assessor: testAssessor(t), Store: st, Rebuilder: rb})
+	srv, err := New("127.0.0.1:0", Config{Assessor: testAssessor(t), Store: st})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -70,8 +64,43 @@ func TestSingleSubmitFaultsIn(t *testing.T) {
 	if got := st.ServerLen("cold"); got != 6 {
 		t.Fatalf("server holds %d records after fault-in + submit, want 6", got)
 	}
-	if got := srv.Metrics().Value("lifecycle.fault_ins"); got != uint64(1) {
-		t.Fatalf("fault_ins = %v, want 1", got)
+	if got := srv.Metrics().Value("lifecycle.reinstates"); got != uint64(1) {
+		t.Fatalf("reinstates = %v, want 1", got)
+	}
+}
+
+// failingRecorder fails every record the way ledger.PersistentStore does
+// when its ledger append fails after the store accepted the record.
+type failingRecorder struct{}
+
+func (failingRecorder) AddBatch(recs []feedback.Feedback, _ int) []store.AddResult {
+	out := make([]store.AddResult, len(recs))
+	for i := range out {
+		out[i].Err = fmt.Errorf("stored in memory but not persisted: %w", errors.New("disk full"))
+	}
+	return out
+}
+
+// TestRecorderFailureIsInternal: a valid record the node fails to store is
+// reported as internal, in a single submit and in a batch item alike — not
+// as invalid_feedback, which tells the client its record is malformed.
+func TestRecorderFailureIsInternal(t *testing.T) {
+	srv, err := New("127.0.0.1:0", Config{Assessor: testAssessor(t), Recorder: failingRecorder{}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv.Start()
+	t.Cleanup(func() { _ = srv.Close() })
+	c := dial(t, srv)
+	if _, err := c.Submit(rec("s", "alice", true, 1)); codeOf(t, err) != wire.CodeInternal {
+		t.Fatalf("single submit answered %v, want %s", err, wire.CodeInternal)
+	}
+	resp, err := c.SubmitBatchReport([]feedback.Feedback{rec("s", "bob", true, 2)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if e := resp.Items[0].Error; e == nil || e.Code != wire.CodeInternal {
+		t.Fatalf("batch item answered %+v, want %s", e, wire.CodeInternal)
 	}
 }
 
@@ -110,11 +139,11 @@ var onePathSteps = []struct {
 	{name: "submit out-of-range time", server: "warm", rec: func(s feedback.EntityID) feedback.Feedback {
 		return feedback.Feedback{Time: time.Date(2300, 1, 1, 0, 0, 0, 0, time.UTC), Server: s, Client: "zed", Rating: feedback.Positive}
 	}, want: wire.CodeInvalidFeedback},
-	{name: "submit evicted, no rebuilder", server: "cold", rec: func(s feedback.EntityID) feedback.Feedback { return rec(s, "zed", true, 5001) }, want: wire.CodeUnavailable},
+	{name: "submit evicted, load fails", server: "cold", rec: func(s feedback.EntityID) feedback.Feedback { return rec(s, "zed", true, 5001) }, want: wire.CodeUnavailable},
 	{name: "assess known", assess: true, server: "warm"},
 	{name: "assess unknown", assess: true, server: "ghost", want: wire.CodeUnknownServer},
 	{name: "assess missing server", assess: true, server: "", want: wire.CodeBadRequest},
-	{name: "assess evicted, no rebuilder", assess: true, server: "cold", want: wire.CodeUnavailable},
+	{name: "assess evicted, load fails", assess: true, server: "cold", want: wire.CodeUnavailable},
 }
 
 // TestSingleEqualsBatchOfOne sends the same submits and assesses as single
@@ -152,8 +181,8 @@ func TestSingleEqualsBatchOfOne(t *testing.T) {
 }
 
 // runOnePath seeds a deployment through its door — a "warm" server with
-// history, a "cold" one evicted wherever it is held — then plays
-// onePathSteps as single frames or as batches of one.
+// history, a "cold" one evicted wherever it is held, by nodes whose loader
+// fails — then plays onePathSteps as single frames or as batches of one.
 func runOnePath(t *testing.T, servers []*Server, connect func(*Server) *repclient.Client, asBatch bool) []outcome {
 	t.Helper()
 	door := servers[0]
@@ -181,6 +210,7 @@ func runOnePath(t *testing.T, servers []*Server, connect func(*Server) *repclien
 	}
 	evicted := 0
 	for _, srv := range servers {
+		srv.Store().SetBudget(0, func(feedback.EntityID) (*feedback.History, error) { return nil, errNoCopy })
 		if srv.Store().EvictServer(role("cold")) {
 			evicted++
 		}

@@ -92,11 +92,6 @@ type Config struct {
 	// SlowLogThreshold logs any request slower than it via Logger; zero
 	// disables slow-request logging.
 	SlowLogThreshold time.Duration
-	// Rebuilder reconstructs evicted server state on demand when the Store
-	// runs under a memory budget (see store.SetBudget); requests touching an
-	// evicted server fault it back in through this instead of failing. Nil
-	// disables fault-in — correct whenever no budget is set.
-	Rebuilder Rebuilder
 }
 
 // conn wraps one accepted connection with its drain state: Close shuts an
@@ -152,20 +147,13 @@ type Server struct {
 	// the store's global version.
 	sumMu      sync.Mutex
 	sumVersion uint64
-	sums       map[string]wire.ServerSum
-
-	// Single-flight fault-in state (see faultin.go): at most one rebuild
-	// per server runs at a time, with concurrent requests waiting on its
-	// channel.
-	faultMu   sync.Mutex
-	faultWait map[string]chan struct{}
+	sums       map[string]store.Checksum
 
 	// Counters registered in reg (see registerMetrics). nFallback counts
 	// assesses of known servers the engine, while on, left to the cache or a
 	// recompute; nBatchItems the servers assess.batch frames named; the
 	// nSub* counters submit.batch frames served locally, their records and
-	// the items that failed their slot; nFaultWaits requests that waited on
-	// another request's rebuild of the same server.
+	// the items that failed their slot.
 	nConns       atomic.Uint64
 	nRequests    atomic.Uint64
 	nErrors      atomic.Uint64
@@ -175,9 +163,6 @@ type Server struct {
 	nSubBatches  atomic.Uint64
 	nSubItems    atomic.Uint64
 	nSubRejects  atomic.Uint64
-	nFaultIns    atomic.Uint64
-	nFaultWaits  atomic.Uint64
-	nFaultErrors atomic.Uint64
 }
 
 // New creates a server listening on addr (e.g. "127.0.0.1:0").
@@ -357,10 +342,6 @@ func (s *Server) registerMetrics() {
 	reg.Gauge("incremental.memo_entries", func() any { return s.cfg.Assessor.MemoStats().Entries })
 	reg.Gauge("incremental.memo_rotations", func() any { return s.cfg.Assessor.MemoStats().Rotations })
 
-	reg.Gauge("lifecycle.enabled", func() any { return s.cfg.Rebuilder != nil })
-	reg.Counter("lifecycle.fault_ins", &s.nFaultIns)
-	reg.Counter("lifecycle.fault_waits", &s.nFaultWaits)
-	reg.Counter("lifecycle.fault_errors", &s.nFaultErrors)
 	s.cfg.Store.RegisterMetrics(reg)
 	s.Cluster().RegisterMetrics(reg)
 }
@@ -636,9 +617,9 @@ func (s *Server) handlePing(ctx context.Context, env wire.Envelope) (wire.Envelo
 	return service.CodecFrom(ctx).Encode(wire.TypePong, env.ID, nil)
 }
 
-// submit serves a single submit as a batch of one: same routing, same
-// fault-in retry, same error codes as the record would get in a submit.batch
-// frame, with its item slot unwrapped into the single response.
+// submit serves a single submit as a batch of one: same routing, same error
+// codes as the record would get in a submit.batch frame, with its item slot
+// unwrapped into the single response.
 func (s *Server) submit(ctx context.Context, req wire.SubmitRequest) (wire.SubmitResponse, error) {
 	resp, err := s.routeSubmit(ctx, []feedback.Feedback{req.Feedback}, false)
 	if err != nil {
@@ -682,32 +663,9 @@ func (s *Server) applyBatch(ctx context.Context, recs []feedback.Feedback, batch
 		return wire.BatchResponse{}, err
 	}
 	results := s.cfg.Recorder.AddBatch(recs, s.cfg.BatchWorkers)
-
-	// Items that hit evicted state: fault the server in — single-flighted
-	// server-wide via faultIn, so concurrent batches (and reads) share one
-	// rebuild — then retry the record. Recorders with their own fault-in
-	// (ledger.PersistentStore) never surface ErrEvicted here; this covers a
-	// store-only recorder running under a budget.
-	for i := range results {
-		if !errors.Is(results[i].Err, store.ErrEvicted) {
-			continue
-		}
-		if err := s.faultIn(ctx, recs[i].Server); err != nil {
-			results[i] = store.AddResult{Err: err}
-			continue
-		}
-		results[i] = s.cfg.Recorder.AddBatch(recs[i:i+1], 1)[0]
-	}
-
 	for i, r := range results {
 		if r.Err != nil {
-			// Typed errors (fault-in failures above all) keep their code;
-			// plain validation errors report as invalid_feedback.
-			er := service.ErrorResponseFrom(r.Err)
-			if er.Code == wire.CodeInternal {
-				er = &wire.ErrorResponse{Code: wire.CodeInvalidFeedback, Message: r.Err.Error()}
-			}
-			resp.Items[i].Error = er
+			resp.Items[i].Error = storeError(r.Err)
 			resp.Rejected = append(resp.Rejected, wire.BatchReject{Index: i, Reason: r.Err.Error()})
 			continue
 		}
@@ -733,12 +691,9 @@ func (s *Server) history(ctx context.Context, req wire.HistoryRequest) (wire.His
 	if err := ctx.Err(); err != nil {
 		return wire.HistoryResponse{}, err
 	}
-	h, err := s.residentHistory(ctx, req.Server)
+	h, err := s.cfg.Store.History(req.Server)
 	if err != nil {
-		return wire.HistoryResponse{}, err
-	}
-	if h == nil {
-		h = feedback.NewHistory(req.Server) // unknown server: an empty history
+		return wire.HistoryResponse{}, storeError(err)
 	}
 	recs := h.Records()
 	total := len(recs)
@@ -752,14 +707,20 @@ func (s *Server) history(ctx context.Context, req wire.HistoryRequest) (wire.His
 	return wire.HistoryResponse{Records: recs, Total: total}, nil
 }
 
-// residentHistory returns server's history snapshot, read through the
-// fault-in path: an evicted server is rebuilt rather than reported empty
-// (Records alone cannot tell evicted from unknown). Nil means unknown.
-func (s *Server) residentHistory(ctx context.Context, server feedback.EntityID) (h *feedback.History, err error) {
-	s.viewResident(ctx, s.cfg.Store.ShardIndex(server), []feedback.EntityID{server},
-		func(_ int, _ store.Accumulator, snap *feedback.History, _ uint64) { h = snap },
-		func(_ int, ferr error) { err = ferr })
-	return h, err
+// storeError is the error frame for what the store or the Recorder reported
+// about one record or server: a record Validate rejects is invalid_feedback,
+// a server the store could not fault back in is unavailable (a cluster door
+// tries the next replica), a context's end keeps its code, and anything else
+// — a ledger append that failed, say — is internal.
+func storeError(err error) *wire.ErrorResponse {
+	switch {
+	case errors.Is(err, feedback.ErrInvalidRating), errors.Is(err, feedback.ErrEmptyEntity),
+		errors.Is(err, feedback.ErrTimeRange):
+		return &wire.ErrorResponse{Code: wire.CodeInvalidFeedback, Message: err.Error()}
+	case errors.Is(err, store.ErrEvicted):
+		return &wire.ErrorResponse{Code: wire.CodeUnavailable, Message: err.Error()}
+	}
+	return service.ErrorResponseFrom(err)
 }
 
 // Seed loads records into the local store without a network hop or cluster

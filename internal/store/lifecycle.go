@@ -5,12 +5,12 @@ package store
 // see Accumulator.SizeBytes and feedback.History.SizeBytes); the store keeps
 // the node-wide sum and, when a budget is set, evicts idle servers down to a
 // compact stub — version counter and Checksum (record count and XOR digest)
-// — until the sum fits. Evicted state is NOT lost: the persistence layer
-// rebuilds a server from its snapshot + tail segments on the next access
-// (rebuild-on-demand), and ReinstateServer verifies the rebuilt records
-// against the stub's Checksum before swapping them back in. Eviction without
-// a persistence layer underneath loses records; only enable a budget on
-// stores whose writes are ledgered.
+// — until the sum fits. Evicted state is NOT lost: the budget comes with a
+// Loader, the persistence layer's rebuild of one server from its snapshot
+// and tail, and every entry point that meets a stub faults it back in
+// through that loader (see faultIn) — verified against the stub's Checksum —
+// and retries, so callers never see a stub. Without a loader nothing is
+// evicted.
 //
 // Victim selection is a clock (second-chance) sweep: reads and writes set a
 // touched bit, and the sweep walks shards in rotation with three escalating
@@ -20,6 +20,7 @@ package store
 // the ledger, so a rebuild can never miss an accepted record.
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"sort"
@@ -28,10 +29,26 @@ import (
 	"honestplayer/internal/metrics"
 )
 
-// ErrEvicted reports an operation against a server whose resident state was
-// evicted to a stub. The caller must fault the server back in (rebuild +
-// ReinstateServer) and retry; the serving layer does this transparently.
+// ErrEvicted reports a server whose state is evicted and could not be
+// faulted back in: its loader failed, returned records that do not match its
+// stub, or the server was evicted again as often as one operation retries.
 var ErrEvicted = errors.New("store: server state evicted")
+
+// errStub is what the insert path returns for a record addressed to a stub;
+// the entry points fault the server in and retry, so it never leaves the
+// package.
+var errStub = errors.New("store: write to a stub")
+
+// maxFaultAttempts bounds the fault-in retries of one operation. A server
+// evicted again this many times within it means the budget is far too small
+// for the working set (eviction thrash); failing is more honest than
+// spinning.
+const maxFaultAttempts = 4
+
+// Loader rebuilds an evicted server's complete history from durable storage,
+// in store order. ledger.PersistentStore's snapshot-plus-tail gather is the
+// one in use; the store checks what it returns against the stub's Checksum.
+type Loader func(server feedback.EntityID) (*feedback.History, error)
 
 // entryOverhead is the accounted fixed cost of one resident entry beyond the
 // self-reported sizes: the entry struct (80 B), its byServ map slot (~40 B),
@@ -50,20 +67,14 @@ type EvictGuard func(server feedback.EntityID) bool
 // servers stay resident as long as the budget allows.
 type EvictPreference func(server feedback.EntityID) bool
 
-// Stub is the exported form of an evicted server's compact state, enough to
-// verify a rebuild against: the Checksum pins the exact record set, and the
-// version keeps assessment-cache keys comparable across the eviction.
-type Stub struct {
-	Server feedback.EntityID
-	Checksum
-	Version uint64
-}
-
-// RegisterMetrics declares the governor's part of the lifecycle block in reg
-// — resident and evicted servers, the resident and shared bytes that count
-// against the budget (0 = unlimited), evictions and reinstates — and, under a
-// budget, top_resident, the ten largest resident servers.
+// RegisterMetrics declares the lifecycle block in reg — whether a loader is
+// installed, resident and evicted servers, the resident and shared bytes
+// that count against the budget (0 = unlimited), evictions, reinstates (one
+// per completed fault-in), fault-ins that waited on another caller's load of
+// the same server, and fault-ins that failed — and, under a budget,
+// top_resident, the ten largest resident servers.
 func (s *Store) RegisterMetrics(reg *metrics.Registry) {
+	reg.Gauge("lifecycle.enabled", func() any { return s.loader.Load() != nil })
 	reg.Gauge("lifecycle.resident", func() any { return s.residentCount.Load() })
 	reg.Gauge("lifecycle.evicted", func() any { return s.evictedCount.Load() })
 	reg.Gauge("lifecycle.resident_bytes", func() any { return s.residentBytes.Load() })
@@ -71,6 +82,8 @@ func (s *Store) RegisterMetrics(reg *metrics.Registry) {
 	reg.Gauge("lifecycle.budget_bytes", func() any { return s.budget.Load() })
 	reg.Counter("lifecycle.evictions", &s.evictions)
 	reg.Counter("lifecycle.reinstates", &s.reinstates)
+	reg.Counter("lifecycle.fault_waits", &s.faultWaits)
+	reg.Counter("lifecycle.fault_errors", &s.faultErrors)
 	reg.Gauge("top_resident", func() any {
 		if s.budget.Load() <= 0 {
 			return nil
@@ -85,13 +98,18 @@ func (s *Store) RegisterMetrics(reg *metrics.Registry) {
 // ResidentBytes returns the accounted footprint of all resident server state.
 func (s *Store) ResidentBytes() int64 { return s.residentBytes.Load() }
 
-// SetBudget installs the node-wide resident-byte budget; 0 or negative means
-// unlimited. Once set, every write that pushes the accounted footprint over
-// the budget synchronously evicts idle servers back under it, so the peak
+// SetBudget installs the node-wide resident-byte budget, 0 or negative
+// meaning unlimited, together with the loader that brings an evicted server
+// back. Once set, every write that pushes the accounted footprint over the
+// budget synchronously evicts idle servers back under it, so the peak
 // accounted footprint never exceeds the budget by more than the write that
-// triggered enforcement. Only set a budget when a persistence layer can
-// rebuild evicted servers.
-func (s *Store) SetBudget(bytes int64) {
+// triggered enforcement. Eviction needs a loader: until one is installed
+// nothing is evicted, and a nil load leaves an installed one in place, so a
+// stub can always be loaded back.
+func (s *Store) SetBudget(bytes int64, load Loader) {
+	if load != nil {
+		s.loader.Store(&load)
+	}
 	s.budget.Store(bytes)
 	s.maybeEvict()
 }
@@ -151,16 +169,17 @@ func (s *Store) maybeEvict() {
 }
 
 // EvictUntil evicts idle servers until the accounted resident footprint is
-// at most budget, returning how many servers it evicted. Victims drop their
-// history (with it, their dedup index), memoized snapshot and accumulator,
-// keeping only the compact stub. The sweep escalates through three passes — idle
-// preferred victims, any idle server, then any unpinned server — and walks
-// shards in rotation from where the previous sweep stopped, clearing touched
-// bits as it passes (clock / second chance).
+// at most budget, returning how many servers it evicted; without a loader it
+// evicts none. Victims drop their history (with it, their dedup index),
+// memoized snapshot and accumulator, keeping only the compact stub. The sweep
+// escalates through three passes — idle preferred victims, any idle server,
+// then any unpinned server — clearing touched bits as it passes (clock /
+// second chance). Each pass walks the shards in rotation from the sweep's
+// start shard, which advances by one shard per sweep.
 func (s *Store) EvictUntil(budget int64) int {
 	s.evictMu.Lock()
 	defer s.evictMu.Unlock()
-	if s.residentBytes.Load() <= budget {
+	if s.residentBytes.Load() <= budget || s.loader.Load() == nil {
 		return 0
 	}
 	var guard EvictGuard
@@ -215,7 +234,7 @@ func (s *Store) EvictUntil(budget int64) int {
 // evictLocked drops e to a stub. The caller holds the shard's write lock and
 // e must be resident. The history is the server's dedup index, so that goes
 // with it; duplicate suppression stays airtight because writes against a
-// stub are refused with ErrEvicted until the server is faulted back in.
+// stub are faulted in before they are applied.
 func (s *Store) evictLocked(e *entry) {
 	e.hist = nil
 	e.snap.Store(nil)
@@ -231,10 +250,13 @@ func (s *Store) evictLocked(e *entry) {
 }
 
 // EvictServer evicts one server by ID regardless of budget and touch state
-// (the guard still applies). It returns false when the server is unknown,
-// already evicted, or pinned. Tests and the persistence layer's shutdown
-// path use it; budget enforcement goes through EvictUntil.
+// (the guard still applies). It returns false when no loader is installed or
+// the server is unknown, already evicted, or pinned. Tests use it; budget
+// enforcement goes through EvictUntil.
 func (s *Store) EvictServer(server feedback.EntityID) bool {
+	if s.loader.Load() == nil {
+		return false
+	}
 	var guard EvictGuard
 	if g := s.evictGuard.Load(); g != nil {
 		guard = *g
@@ -250,49 +272,78 @@ func (s *Store) EvictServer(server feedback.EntityID) bool {
 	return true
 }
 
-// StubOf returns the compact stub of an evicted server; ok is false when the
-// server is unknown or resident.
-func (s *Store) StubOf(server feedback.EntityID) (Stub, bool) {
-	sh := s.shardOf(server)
-	sh.mu.RLock()
-	defer sh.mu.RUnlock()
-	e := sh.byServ[server]
-	if e == nil || e.hist != nil {
-		return Stub{}, false
-	}
-	return Stub{Server: server, Checksum: e.sum, Version: e.version}, true
+// fault is one in-flight load of an evicted server; err is set before done
+// closes.
+type fault struct {
+	done chan struct{}
+	err  error
 }
 
-// ReinstateServer swaps a rebuilt history back into an evicted server's
-// slot, taking ownership of it, and replays it into a factory-minted
-// accumulator as SeedServer does. The rebuild is verified against the stub
-// before anything is committed: its Checksum must be the one that was
-// evicted, making a reinstated server bit-identical to one that never left.
+// faultIn makes one attempt to load an evicted server back, single-flighted
+// per server: the first caller runs the loader outside every shard lock and
+// reinstates what it returns; callers arriving meanwhile wait for that load,
+// or until ctx is done, and share its result. A nil error means a load
+// finished and the caller must look again: the server may have been evicted
+// again since. attempt counts the caller's earlier fault-ins of server; at
+// maxFaultAttempts it gives up.
+func (s *Store) faultIn(ctx context.Context, server feedback.EntityID, attempt int) error {
+	if attempt == maxFaultAttempts {
+		return fmt.Errorf("%w: %q evicted again after %d fault-ins (memory budget too small for the working set)",
+			ErrEvicted, server, attempt)
+	}
+	s.faultMu.Lock()
+	if f, ok := s.faults[server]; ok {
+		s.faultMu.Unlock()
+		s.faultWaits.Add(1)
+		select {
+		case <-f.done:
+			return f.err
+		case <-ctx.Done():
+			return ctx.Err()
+		}
+	}
+	f := &fault{done: make(chan struct{})}
+	if s.faults == nil {
+		s.faults = make(map[feedback.EntityID]*fault)
+	}
+	s.faults[server] = f
+	s.faultMu.Unlock()
+
+	hist, err := (*s.loader.Load())(server)
+	if err == nil {
+		err = s.reinstate(server, hist)
+	}
+	if err != nil {
+		s.faultErrors.Add(1)
+		f.err = fmt.Errorf("%w: fault-in of %q: %w", ErrEvicted, server, err)
+	}
+	s.faultMu.Lock()
+	delete(s.faults, server)
+	s.faultMu.Unlock()
+	close(f.done)
+	if err == nil {
+		s.maybeEvict()
+	}
+	return f.err
+}
+
+// reinstate swaps a loaded history back into server's stub, taking ownership
+// of it, and replays it into a factory-minted accumulator as SeedServer
+// does. The history is verified first: its records must strictly increase in
+// (time, hash), as Add would have stored them, and its Checksum must be the
+// stub's, making a reinstated server bit-identical to one that never left.
 // The preserved version counter keeps assessment-cache entries valid across
-// the round-trip. Reinstating an already-resident server is a no-op
-// (concurrent fault-ins race benignly); reinstating an unknown server is an
-// error.
-//
-// hist's records must strictly increase in (time, hash), as Add would have
-// stored them.
-func (s *Store) ReinstateServer(hist *feedback.History) error {
-	if err := s.reinstate(hist); err != nil {
-		return fmt.Errorf("store: reinstate of %q: %w", hist.Server(), err)
+// the round-trip. A server found resident is left alone.
+func (s *Store) reinstate(server feedback.EntityID, hist *feedback.History) error {
+	if hist.Server() != server {
+		return fmt.Errorf("loaded the history of %q", hist.Server())
 	}
-	s.maybeEvict()
-	return nil
-}
-
-func (s *Store) reinstate(hist *feedback.History) error {
-	sh := s.shardOf(hist.Server())
+	sh := s.shardOf(server)
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	e := sh.byServ[hist.Server()]
-	if e == nil {
-		return errors.New("unknown server")
-	}
+	e := sh.byServ[server]
 	if e.hist != nil {
-		return nil // already resident
+		return nil
 	}
 	sum, err := DigestSorted(hist)
 	if err != nil {

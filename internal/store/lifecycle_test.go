@@ -1,18 +1,69 @@
 package store
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"reflect"
+	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"honestplayer/internal/feedback"
 	"honestplayer/internal/metrics"
 )
 
+// backed is a store under test whose loader reads a never-evicting twin that
+// every record Add accepts also reaches, as the persistence layer holds every
+// accepted record on disk. Like the persistence layer, Add pins the server
+// until the twin has the record. loads counts the loader's calls.
+type backed struct {
+	*Store
+	twin   *Store
+	loads  atomic.Int64
+	pinned atomic.Pointer[feedback.EntityID]
+}
+
+func newBacked(shards int) *backed {
+	b := &backed{Store: NewSharded(shards), twin: NewSharded(shards)}
+	b.SetBudget(0, b.load)
+	b.SetEvictGuard(func(s feedback.EntityID) bool {
+		p := b.pinned.Load()
+		return p != nil && *p == s
+	})
+	return b
+}
+
+func (b *backed) Add(f feedback.Feedback) (bool, error) {
+	b.pinned.Store(&f.Server)
+	defer b.pinned.Store(nil)
+	ok, err := b.Store.Add(f)
+	if ok {
+		_, err = b.twin.Add(f)
+	}
+	return ok, err
+}
+
+func (b *backed) load(server feedback.EntityID) (*feedback.History, error) {
+	b.loads.Add(1)
+	h, err := b.twin.History(server)
+	if err != nil {
+		return nil, err
+	}
+	return h.Clone(), nil
+}
+
+// isStub reports whether server is evicted, without faulting it in.
+func isStub(st *Store, server feedback.EntityID) bool {
+	h, v := st.peek(server)
+	return h == nil && v > 0
+}
+
 // fillServer adds n records for server s and returns them in store order.
-func fillServer(t *testing.T, st *Store, s feedback.EntityID, n int) []feedback.Feedback {
+func fillServer(t *testing.T, st interface {
+	Add(feedback.Feedback) (bool, error)
+}, s feedback.EntityID, n int) []feedback.Feedback {
 	t.Helper()
 	recs := make([]feedback.Feedback, n)
 	for i := 0; i < n; i++ {
@@ -24,8 +75,11 @@ func fillServer(t *testing.T, st *Store, s feedback.EntityID, n int) []feedback.
 	return recs
 }
 
+// TestEvictReinstateRoundTrip: an evicted server keeps its count and version
+// in the stub, and the next read faults it back in — one load — bit-identical
+// to the server before, dedup index and version included.
 func TestEvictReinstateRoundTrip(t *testing.T) {
-	st := New()
+	st := newBacked(DefaultShards)
 	recs := fillServer(t, st, "srv", 7)
 	wantHist, wantVer := st.Snapshot("srv")
 	wantBytes := st.ResidentBytes()
@@ -36,102 +90,174 @@ func TestEvictReinstateRoundTrip(t *testing.T) {
 	if st.EvictServer("srv") {
 		t.Fatal("second EvictServer must be a no-op")
 	}
-	stub, ok := st.StubOf("srv")
-	if !ok {
-		t.Fatal("StubOf after evict: not found")
-	}
-	if stub.Count != 7 || stub.Version != wantVer {
-		t.Fatalf("stub = %+v, want count 7 version %d", stub, wantVer)
-	}
-	if h, v := st.Snapshot("srv"); h != nil || v != wantVer {
-		t.Fatalf("Snapshot(evicted) = (%v, %d), want (nil, %d)", h, v, wantVer)
-	}
-	if _, err := st.History("srv"); !errors.Is(err, ErrEvicted) {
-		t.Fatalf("History(evicted) err = %v, want ErrEvicted", err)
-	}
-	if _, err := st.Add(recs[0]); !errors.Is(err, ErrEvicted) {
-		t.Fatalf("Add to evicted err = %v, want ErrEvicted", err)
+	if !isStub(st.Store, "srv") || st.ServerLen("srv") != 7 || st.Version("srv") != wantVer {
+		t.Fatalf("stub: count %d version %d, want 7 and %d", st.ServerLen("srv"), st.Version("srv"), wantVer)
 	}
 	if st.ResidentBytes() >= wantBytes {
 		t.Fatalf("resident bytes %d not reduced from %d by eviction", st.ResidentBytes(), wantBytes)
 	}
-	life := lifecycle(st)
-	if life["resident"] != 0 || life["evicted"] != 1 || life["evictions"] != 1 {
-		t.Fatalf("lifecycle after evict = %v", life)
+	life := lifecycle(st.Store)
+	if life["resident"] != 0 || life["evicted"] != 1 || life["evictions"] != 1 || st.loads.Load() != 0 {
+		t.Fatalf("lifecycle after evict = %v, %d loads", life, st.loads.Load())
 	}
 
-	if err := st.ReinstateServer(histOf(t, "srv", recs)); err != nil {
-		t.Fatalf("reinstate: %v", err)
-	}
 	gotHist, gotVer := st.Snapshot("srv")
 	if gotVer != wantVer {
-		t.Fatalf("version after reinstate = %d, want %d (cache keys must survive)", gotVer, wantVer)
+		t.Fatalf("version after fault-in = %d, want %d (cache keys must survive)", gotVer, wantVer)
 	}
-	if !reflect.DeepEqual(gotHist.Records(), wantHist.Records()) {
-		t.Fatal("reinstated history differs from pre-eviction history")
+	if gotHist == nil || !reflect.DeepEqual(gotHist.Records(), wantHist.Records()) {
+		t.Fatal("faulted-in history differs from pre-eviction history")
 	}
-	// Dedup index must be restored: re-adding an old record is a duplicate,
-	// a genuinely new one lands.
+	if life := lifecycle(st.Store); life["reinstates"] != 1 || life["evicted"] != 0 || st.loads.Load() != 1 {
+		t.Fatalf("lifecycle after fault-in = %v, %d loads", life, st.loads.Load())
+	}
+	// Writes fault in too, and the dedup index comes back with the records:
+	// re-adding an old record is a duplicate, a genuinely new one lands.
+	st.EvictServer("srv")
 	if ok, err := st.Add(recs[3]); err != nil || ok {
-		t.Fatalf("re-add of reinstated record = (%v, %v), want dup", ok, err)
+		t.Fatalf("re-add to an evicted server = (%v, %v), want dup", ok, err)
 	}
 	if ok, err := st.Add(rec("srv", "c9", true, 99)); err != nil || !ok {
-		t.Fatalf("new add after reinstate = (%v, %v)", ok, err)
+		t.Fatalf("new add after fault-in = (%v, %v)", ok, err)
 	}
-	if life := lifecycle(st); life["reinstates"] != 1 || life["evicted"] != 0 {
-		t.Fatalf("lifecycle after reinstate = %v", life)
+	if life := lifecycle(st.Store); life["reinstates"] != 2 || st.loads.Load() != 2 {
+		t.Fatalf("lifecycle after write fault-in = %v, %d loads", life, st.loads.Load())
 	}
 }
 
+// TestReinstateRejectsWrongRecords: a loader whose history does not match the
+// stub — a record missing, tampered or out of order, or another server's —
+// leaves the stub in place, and the read and the write that asked for it
+// both fail with ErrEvicted. A correct load then still succeeds.
 func TestReinstateRejectsWrongRecords(t *testing.T) {
 	st := New()
 	recs := fillServer(t, st, "srv", 5)
+	var loaded atomic.Pointer[feedback.History]
+	st.SetBudget(0, func(feedback.EntityID) (*feedback.History, error) { return loaded.Load(), nil })
 	st.EvictServer("srv")
 
-	if err := st.ReinstateServer(histOf(t, "srv", recs[:4])); err == nil {
-		t.Fatal("reinstate with missing record must fail")
-	}
 	tampered := append([]feedback.Feedback(nil), recs...)
 	tampered[2].Rating = 3 - tampered[2].Rating // positive ↔ negative
-	if err := st.ReinstateServer(histOf(t, "srv", tampered)); err == nil {
-		t.Fatal("reinstate with tampered record must fail the XOR digest")
-	}
 	shuffled := append([]feedback.Feedback(nil), recs...)
 	shuffled[0], shuffled[1] = shuffled[1], shuffled[0]
-	if err := st.ReinstateServer(histOf(t, "srv", shuffled)); err == nil {
-		t.Fatal("reinstate with out-of-order records must fail")
+	for name, h := range map[string]*feedback.History{
+		"missing record": histOf(t, "srv", recs[:4]),
+		"tampered":       histOf(t, "srv", tampered),
+		"out of order":   histOf(t, "srv", shuffled),
+		"other server":   histOf(t, "other", []feedback.Feedback{rec("other", "c", true, 1)}),
+	} {
+		loaded.Store(h)
+		if _, err := st.History("srv"); !errors.Is(err, ErrEvicted) {
+			t.Fatalf("%s: read err = %v, want ErrEvicted", name, err)
+		}
+		if r := st.AddBatch([]feedback.Feedback{rec("srv", "new", true, 50)}, 1)[0]; !errors.Is(r.Err, ErrEvicted) || r.Stored {
+			t.Fatalf("%s: write = %+v, want ErrEvicted", name, r)
+		}
+		if !isStub(st, "srv") {
+			t.Fatalf("%s: the stub did not survive a rejected load", name)
+		}
 	}
-	if err := st.ReinstateServer(histOf(t, "nosuch", []feedback.Feedback{rec("nosuch", "c", true, 1)})); err == nil {
-		t.Fatal("reinstate of unknown server must fail")
+	if life := lifecycle(st); life["fault_errors"] != 8 || life["reinstates"] != 0 {
+		t.Fatalf("lifecycle after rejected loads = %v", life)
 	}
-	// The failed attempts must not have mutated the stub.
-	if err := st.ReinstateServer(histOf(t, "srv", recs)); err != nil {
-		t.Fatalf("correct reinstate after rejected attempts: %v", err)
+	loaded.Store(histOf(t, "srv", recs))
+	if h, err := st.History("srv"); err != nil || h.Len() != 5 {
+		t.Fatalf("correct load after rejected ones: %v", err)
+	}
+}
+
+// TestEvictNeedsLoader: a stub exists only when a loader can bring it back.
+func TestEvictNeedsLoader(t *testing.T) {
+	st := New()
+	fillServer(t, st, "srv", 3)
+	st.SetBudget(1, nil)
+	if st.EvictServer("srv") || st.EvictUntil(0) != 0 || isStub(st, "srv") {
+		t.Fatal("a store without a loader evicted a server")
+	}
+	if life := lifecycle(st); life["evicted"] != 0 || life["enabled"] != 0 {
+		t.Fatalf("lifecycle without a loader = %v", life)
+	}
+}
+
+// TestFaultInSingleFlight: a read and a write that meet one stub share one
+// load; a read that gives up waiting on it fails with its context's error.
+func TestFaultInSingleFlight(t *testing.T) {
+	st := newBacked(DefaultShards)
+	fillServer(t, st, "srv", 4)
+	entered, release := make(chan struct{}), make(chan struct{})
+	st.SetBudget(0, func(id feedback.EntityID) (*feedback.History, error) {
+		close(entered) // a second load would panic here
+		<-release
+		return st.load(id)
+	})
+	st.EvictServer("srv")
+
+	var wg sync.WaitGroup
+	wg.Add(2)
+	var readLen int
+	go func() {
+		defer wg.Done()
+		if h, _ := st.Snapshot("srv"); h != nil {
+			readLen = h.Len()
+		}
+	}()
+	<-entered
+	var res AddResult
+	go func() {
+		defer wg.Done()
+		res = st.AddBatch([]feedback.Feedback{rec("srv", "late", true, 100)}, 1)[0]
+	}()
+	for deadline := time.Now().Add(10 * time.Second); lifecycle(st.Store)["fault_waits"] < 1; {
+		if time.Now().After(deadline) {
+			t.Fatal("the write never waited on the read's load")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	var viewed, failed error
+	st.ViewResident(ctx, st.ShardIndex("srv"), []feedback.EntityID{"srv"},
+		func(int, Accumulator, *feedback.History, uint64) {
+			viewed = errors.New("viewed a server still loading")
+		},
+		func(_ int, err error) { failed = err })
+	if viewed != nil || !errors.Is(failed, context.Canceled) {
+		t.Fatalf("cancelled view: viewed %v, failed %v", viewed, failed)
+	}
+	close(release)
+	wg.Wait()
+
+	if st.loads.Load() != 1 {
+		t.Fatalf("%d loads for one stub, want 1", st.loads.Load())
+	}
+	if readLen < 4 || res.Err != nil || !res.Stored || st.ServerLen("srv") != 5 {
+		t.Fatalf("read %d records, write %+v, server holds %d", readLen, res, st.ServerLen("srv"))
+	}
+	if life := lifecycle(st.Store); life["reinstates"] != 1 || life["fault_waits"] != 2 || life["fault_errors"] != 0 {
+		t.Fatalf("lifecycle = %v", life)
 	}
 }
 
 func TestBudgetEnforced(t *testing.T) {
-	st := NewSharded(4)
+	st := newBacked(4)
 	for i := 0; i < 64; i++ {
 		fillServer(t, st, feedback.EntityID(fmt.Sprintf("s%02d", i)), 6)
 	}
 	full := st.ResidentBytes()
 	budget := full / 4
-	st.SetBudget(budget)
+	st.SetBudget(budget, nil)
 	if got := st.ResidentBytes(); got > budget {
 		t.Fatalf("SetBudget did not trim: resident %d > budget %d", got, budget)
 	}
-	life := lifecycle(st)
+	life := lifecycle(st.Store)
 	if life["evicted"] == 0 || life["resident"]+life["evicted"] != 64 {
 		t.Fatalf("lifecycle after trim = %v", life)
 	}
-	// New writes to resident servers keep the store under budget via the
-	// synchronous sweep.
+	// New writes keep the store under budget via the synchronous sweep,
+	// those to evicted servers faulting them in first.
 	for i := 0; i < 64; i++ {
 		id := feedback.EntityID(fmt.Sprintf("s%02d", i))
-		if _, err := st.Add(rec(id, "cx", true, 1000+int64(i))); errors.Is(err, ErrEvicted) {
-			continue
-		} else if err != nil {
+		if _, err := st.Add(rec(id, "cx", true, 1000+int64(i))); err != nil {
 			t.Fatalf("add under budget: %v", err)
 		}
 		if got := st.ResidentBytes(); got > budget {
@@ -140,11 +266,11 @@ func TestBudgetEnforced(t *testing.T) {
 	}
 	stubs := 0
 	for _, srv := range st.Servers() {
-		if _, ok := st.StubOf(srv); ok {
+		if isStub(st.Store, srv) {
 			stubs++
 		}
 	}
-	if evicted := lifecycle(st)["evicted"]; int64(stubs) != evicted {
+	if evicted := lifecycle(st.Store)["evicted"]; int64(stubs) != evicted {
 		t.Fatalf("%d stubs != evicted count %d", stubs, evicted)
 	}
 }
@@ -153,25 +279,25 @@ func TestBudgetEnforced(t *testing.T) {
 // charged to the budget as a term eviction cannot shrink — the servers get
 // what it leaves, and a growing shared term evicts them on the next write.
 func TestBudgetChargesSharedBytes(t *testing.T) {
-	st := NewSharded(4)
+	st := newBacked(4)
 	for i := 0; i < 64; i++ {
 		fillServer(t, st, feedback.EntityID(fmt.Sprintf("s%02d", i)), 6)
 	}
 	budget := st.ResidentBytes() // everything fits, exactly
 	var shared atomic.Int64
 	st.SetSharedBytes(shared.Load)
-	st.SetBudget(budget)
-	if life := lifecycle(st); life["evicted"] != 0 || life["shared_bytes"] != 0 {
+	st.SetBudget(budget, nil)
+	if life := lifecycle(st.Store); life["evicted"] != 0 || life["shared_bytes"] != 0 {
 		t.Fatalf("nothing shared yet, lifecycle = %v", life)
 	}
 	shared.Store(budget / 2)
-	for i := 0; lifecycle(st)["evicted"] == 0 && i < 64; i++ {
+	for i := 0; lifecycle(st.Store)["evicted"] == 0 && i < 64; i++ {
 		id := feedback.EntityID(fmt.Sprintf("s%02d", i))
-		if _, err := st.Add(rec(id, "cx", true, 1000+int64(i))); err != nil && !errors.Is(err, ErrEvicted) {
+		if _, err := st.Add(rec(id, "cx", true, 1000+int64(i))); err != nil {
 			t.Fatalf("add: %v", err)
 		}
 	}
-	life := lifecycle(st)
+	life := lifecycle(st.Store)
 	if life["shared_bytes"] != budget/2 || life["evicted"] == 0 || life["resident_bytes"]+life["shared_bytes"] > budget {
 		t.Fatalf("resident + shared over budget %d, lifecycle = %v", budget, life)
 	}
@@ -191,14 +317,14 @@ func clearTouched(st *Store) {
 }
 
 func TestSecondChanceKeepsHotServers(t *testing.T) {
-	st := NewSharded(2)
+	st := newBacked(2)
 	for i := 0; i < 40; i++ {
 		fillServer(t, st, feedback.EntityID(fmt.Sprintf("s%02d", i)), 4)
 	}
 	// Writes set the clock bit on every server; age them all out, then
 	// re-touch the "hot" half via reads. The sweep's second-chance pass
 	// should prefer the cold half.
-	clearTouched(st)
+	clearTouched(st.Store)
 	for i := 0; i < 20; i++ {
 		st.Snapshot(feedback.EntityID(fmt.Sprintf("s%02d", i)))
 	}
@@ -206,7 +332,7 @@ func TestSecondChanceKeepsHotServers(t *testing.T) {
 	st.EvictUntil(st.ResidentBytes() / 2)
 	hotEvicted, coldEvicted := 0, 0
 	for i := 0; i < 40; i++ {
-		if _, ok := st.StubOf(feedback.EntityID(fmt.Sprintf("s%02d", i))); ok {
+		if isStub(st.Store, feedback.EntityID(fmt.Sprintf("s%02d", i))) {
 			if i < 20 {
 				hotEvicted++
 			} else {
@@ -220,7 +346,7 @@ func TestSecondChanceKeepsHotServers(t *testing.T) {
 }
 
 func TestEvictGuardAndPreference(t *testing.T) {
-	st := NewSharded(2)
+	st := newBacked(2)
 	fillServer(t, st, "pinned", 4)
 	fillServer(t, st, "other", 4)
 	st.SetEvictGuard(func(s feedback.EntityID) bool { return s == "pinned" })
@@ -228,24 +354,24 @@ func TestEvictGuardAndPreference(t *testing.T) {
 		t.Fatal("guard must block EvictServer")
 	}
 	st.EvictUntil(0)
-	if _, ok := st.StubOf("pinned"); ok {
+	if isStub(st.Store, "pinned") {
 		t.Fatal("guard must block the sweep")
 	}
-	if _, ok := st.StubOf("other"); !ok {
+	if !isStub(st.Store, "other") {
 		t.Fatal("unguarded server must be evicted by EvictUntil(0)")
 	}
 
 	// Preference: with plenty of candidates, the preferred victims go first.
-	st2 := NewSharded(2)
+	st2 := newBacked(2)
 	for i := 0; i < 30; i++ {
 		fillServer(t, st2, feedback.EntityID(fmt.Sprintf("p%02d", i)), 4)
 	}
 	st2.SetEvictPreference(func(s feedback.EntityID) bool { return s >= "p15" })
-	clearTouched(st2) // preferred pass only takes untouched victims
+	clearTouched(st2.Store) // preferred pass only takes untouched victims
 	st2.EvictUntil(st2.ResidentBytes() / 2)
 	owned, foreign := 0, 0
 	for i := 0; i < 30; i++ {
-		if _, ok := st2.StubOf(feedback.EntityID(fmt.Sprintf("p%02d", i))); ok {
+		if isStub(st2.Store, feedback.EntityID(fmt.Sprintf("p%02d", i))) {
 			if i >= 15 {
 				foreign++
 			} else {
@@ -263,8 +389,13 @@ func lifecycle(st *Store) map[string]int64 {
 	reg := metrics.New()
 	st.RegisterMetrics(reg)
 	life := map[string]int64{}
-	for _, k := range []string{"resident", "evicted", "resident_bytes", "shared_bytes", "budget_bytes", "evictions", "reinstates"} {
+	for _, k := range []string{"enabled", "resident", "evicted", "resident_bytes", "shared_bytes", "budget_bytes",
+		"evictions", "reinstates", "fault_waits", "fault_errors"} {
 		switch v := reg.Value("lifecycle." + k).(type) {
+		case bool:
+			if v {
+				life[k] = 1
+			}
 		case int64:
 			life[k] = v
 		case uint64:

@@ -12,6 +12,7 @@
 package store
 
 import (
+	"context"
 	"fmt"
 	"hash/fnv"
 	"runtime"
@@ -149,7 +150,8 @@ type Store struct {
 
 	// Lifecycle governor state (see lifecycle.go): the accounted resident
 	// footprint and its budget, resident/evicted populations, cumulative
-	// counters, the pin/preference hooks, and the sweep's clock hand.
+	// counters, the loader and the pin/preference hooks, the sweep's clock
+	// hand, and the in-flight fault-ins, one per server.
 	residentBytes atomic.Int64
 	budget        atomic.Int64
 	shared        atomic.Pointer[func() int64] // see SetSharedBytes
@@ -157,10 +159,15 @@ type Store struct {
 	evictedCount  atomic.Int64
 	evictions     atomic.Uint64
 	reinstates    atomic.Uint64
+	faultWaits    atomic.Uint64
+	faultErrors   atomic.Uint64
+	loader        atomic.Pointer[Loader]
 	evictGuard    atomic.Pointer[EvictGuard]
 	evictPref     atomic.Pointer[EvictPreference]
 	evictMu       sync.Mutex
-	clock         int // next shard the sweep starts from; under evictMu
+	clock         int // shard the next sweep starts from; under evictMu
+	faultMu       sync.Mutex
+	faults        map[feedback.EntityID]*fault // under faultMu
 }
 
 // New returns an empty store with DefaultShards shards.
@@ -197,12 +204,24 @@ func (s *Store) ShardIndex(server feedback.EntityID) int {
 
 // Add inserts a feedback record. It returns false when an identical record
 // (same content hash) was already present, and an error when the record is
-// invalid or the server's state is evicted (ErrEvicted — fault the server
-// back in via the persistence layer and retry).
+// invalid or its server is evicted and cannot be faulted back in
+// (ErrEvicted).
 func (s *Store) Add(f feedback.Feedback) (bool, error) {
-	ok, err := s.add(f)
+	ok, err := s.addResident(f)
 	if ok {
 		s.maybeEvict()
+	}
+	return ok, err
+}
+
+// addResident is add that faults a stub in — waiting without a context —
+// and applies the record again, up to maxFaultAttempts times.
+func (s *Store) addResident(f feedback.Feedback) (bool, error) {
+	ok, err := s.add(f)
+	for attempt := 0; err == errStub; attempt++ {
+		if err = s.faultIn(context.Background(), f.Server, attempt); err == nil {
+			ok, err = s.add(f)
+		}
 	}
 	return ok, err
 }
@@ -229,8 +248,8 @@ func (s *Store) addLocked(sh *shard, f feedback.Feedback, h Hash) (bool, error) 
 	} else if e.hist == nil {
 		// A stub cannot accept writes: its records, which are the dedup
 		// index, are gone and its accumulator would silently miss the
-		// record. The serving layer rebuilds the server and retries.
-		return false, fmt.Errorf("%w: %q", ErrEvicted, f.Server)
+		// record. The caller faults the server in and retries.
+		return false, errStub
 	}
 	hist, inOrder, dup, err := merge(e.hist, f, h)
 	if dup || err != nil {
@@ -364,19 +383,21 @@ type AddResult struct {
 	// Stored is true for a newly inserted record, false for a duplicate.
 	Stored bool
 	// Err is the record's failure (validation error, or ErrEvicted for a
-	// write to an evicted server). A failed record never affects its batch
-	// siblings.
+	// write to a server that could not be faulted back in). A failed record
+	// never affects its batch siblings.
 	Err error
 }
 
 // addGroup is the unit of batch-insert fan-out: the batch positions of all
 // records living on one shard, in batch order. Grouping is what lets the
 // batch feed a whole shard's records — dedup, history, accumulator, version
-// — under a single write-lock acquisition.
+// — under a single write-lock acquisition. stubs is set when one of the
+// group's records met an evicted server.
 type addGroup struct {
 	sh     *shard
 	pos    []int
 	hashes []Hash
+	stubs  bool
 }
 
 // AddBatch inserts records grouped by shard: records of the same shard are
@@ -385,8 +406,9 @@ type addGroup struct {
 // means GOMAXPROCS). Results[i] always reports Records[i]'s outcome, with
 // the same semantics as len(recs) sequential Add calls: the insert order
 // within a shard is the batch order, so dedup and accumulator state end up
-// identical. Eviction pressure is resolved once at the end, like Add does
-// after its insert.
+// identical. A record addressed to an evicted server is applied again, in
+// batch order, once Add's fault-in made the server resident. Eviction
+// pressure is resolved once at the end, like Add does after its insert.
 func (s *Store) AddBatch(recs []feedback.Feedback, workers int) []AddResult {
 	results := make([]AddResult, len(recs))
 	byShard := make(map[*shard]*addGroup)
@@ -412,6 +434,7 @@ func (s *Store) AddBatch(recs []feedback.Feedback, workers int) []AddResult {
 		defer g.sh.mu.Unlock()
 		for j, i := range g.pos {
 			results[i].Stored, results[i].Err = s.addLocked(g.sh, recs[i], g.hashes[j])
+			g.stubs = g.stubs || results[i].Err == errStub
 		}
 	}
 	if workers <= 0 {
@@ -442,6 +465,16 @@ func (s *Store) AddBatch(recs []feedback.Feedback, workers int) []AddResult {
 		}
 		wg.Wait()
 	}
+	for _, g := range groups {
+		if !g.stubs {
+			continue
+		}
+		for _, i := range g.pos {
+			if results[i].Err == errStub {
+				results[i].Stored, results[i].Err = s.addResident(recs[i])
+			}
+		}
+	}
 
 	for i := range results {
 		if results[i].Stored {
@@ -452,28 +485,45 @@ func (s *Store) AddBatch(recs []feedback.Feedback, workers int) []AddResult {
 	return results
 }
 
-// History returns the server's transaction history in time order. It is
-// empty (not nil) for unknown servers and ErrEvicted for servers whose
-// state was evicted (fault in via the persistence layer and retry).
+// History returns the server's transaction history in time order, faulting
+// an evicted server in first. It is empty (not nil) for unknown servers, and
+// ErrEvicted for a server that could not be faulted back in.
 //
 // The returned History is a shared immutable snapshot: it costs O(1), is
 // never modified by later writes, and MUST be treated read-only by the
 // caller (clone before mutating).
 func (s *Store) History(server feedback.EntityID) (*feedback.History, error) {
-	h, v := s.Snapshot(server)
-	if h == nil {
-		return nil, fmt.Errorf("%w: %q (version %d)", ErrEvicted, server, v)
-	}
-	return h, nil
+	h, _, err := s.snapshot(server)
+	return h, err
 }
 
 // Snapshot returns the server's history snapshot together with its version,
-// read atomically. The version is 0 for unknown servers and increases by
-// one with every accepted write, so equal versions imply identical
-// histories. A nil history with a non-zero version marks an evicted server:
-// the records exist durably but are not resident. The same read-only
-// contract as History applies.
+// read atomically, faulting an evicted server in first. The version is 0 for
+// unknown servers and increases by one with every accepted write, so equal
+// versions imply identical histories. A nil history with a non-zero version
+// marks a server that is evicted and could not be faulted back in (History
+// says why). The same read-only contract as History applies.
 func (s *Store) Snapshot(server feedback.EntityID) (*feedback.History, uint64) {
+	h, v, _ := s.snapshot(server)
+	return h, v
+}
+
+// snapshot is Snapshot with the fault-in's error.
+func (s *Store) snapshot(server feedback.EntityID) (*feedback.History, uint64, error) {
+	for attempt := 0; ; attempt++ {
+		h, v := s.peek(server)
+		if h != nil || v == 0 {
+			return h, v, nil
+		}
+		if err := s.faultIn(context.Background(), server, attempt); err != nil {
+			return nil, v, err
+		}
+	}
+}
+
+// peek is one read of server's snapshot and version, without fault-in: a
+// stub answers (nil, version).
+func (s *Store) peek(server feedback.EntityID) (*feedback.History, uint64) {
 	sh := s.shardOf(server)
 	sh.mu.RLock()
 	defer sh.mu.RUnlock()
@@ -581,8 +631,9 @@ func (s *Store) ViewAccumulator(server feedback.EntityID, view func(acc Accumula
 // with the position i into servers, the server's accumulator (nil when none
 // is installed), its memoized history snapshot, and its version. Unknown
 // servers get (nil, nil, 0); evicted servers get (nil, nil, version) with a
-// non-zero version. It panics if any server maps to a different
-// shard — silent misrouting would report known servers as unknown.
+// non-zero version — ViewResident faults those in. It panics if any server
+// maps to a different shard — silent misrouting would report known servers
+// as unknown.
 //
 // The same contracts as ViewAccumulator and Snapshot apply: accumulators
 // are read-only inside view, snapshots are shared immutable views, and view
@@ -605,8 +656,6 @@ func (s *Store) ViewShard(idx int, servers []feedback.EntityID, view func(i int,
 			continue
 		}
 		if e.hist == nil {
-			// Evicted stub: a nil snapshot with a non-zero version tells the
-			// batch path to fault the server in rather than report unknown.
 			view(i, nil, nil, e.version)
 			continue
 		}
@@ -615,14 +664,49 @@ func (s *Store) ViewShard(idx int, servers []feedback.EntityID, view func(i int,
 	}
 }
 
+// ViewResident is ViewShard with fault-in: view never sees an evicted
+// server. Evicted servers are faulted in — a wait for another caller's load
+// ends when ctx does — and viewed again, up to maxFaultAttempts times; one
+// that cannot be made resident goes to fail instead. Both callbacks get the
+// server's position in servers, and view runs under the shard read lock with
+// ViewShard's contract.
+func (s *Store) ViewResident(ctx context.Context, idx int, servers []feedback.EntityID,
+	view func(i int, acc Accumulator, snap *feedback.History, version uint64),
+	fail func(i int, err error)) {
+	var pos []int // pos[j] is where the round's j-th server sits in servers; nil on the first round (identity)
+	round := servers
+	for attempt := 0; len(round) > 0; attempt++ {
+		var stubs []int
+		s.ViewShard(idx, round, func(j int, acc Accumulator, snap *feedback.History, version uint64) {
+			if pos != nil {
+				j = pos[j]
+			}
+			if snap == nil && version > 0 {
+				stubs = append(stubs, j)
+				return
+			}
+			view(j, acc, snap, version)
+		})
+		pos, round = nil, nil
+		for _, i := range stubs {
+			if err := s.faultIn(ctx, servers[i], attempt); err != nil {
+				fail(i, err)
+			} else {
+				pos, round = append(pos, i), append(round, servers[i])
+			}
+		}
+	}
+}
+
 // AccumulatorsTracked returns the number of servers carrying a live
 // incremental accumulator.
 func (s *Store) AccumulatorsTracked() int { return int(s.accTracked.Load()) }
 
 // Version returns the server's current version counter: 0 when the server
-// is unknown, otherwise the number of accepted writes to it.
+// is unknown, otherwise the number of accepted writes to it. It does not
+// fault an evicted server in.
 func (s *Store) Version(server feedback.EntityID) uint64 {
-	_, v := s.Snapshot(server)
+	_, v := s.peek(server)
 	return v
 }
 
@@ -631,8 +715,8 @@ func (s *Store) Version(server feedback.EntityID) uint64 {
 // when nothing changed.
 func (s *Store) GlobalVersion() uint64 { return s.global.Load() }
 
-// Records returns a copy of the server's records in time order; nil when
-// the server's state is evicted.
+// Records returns a copy of the server's records in time order, faulting an
+// evicted server in; nil when that fault-in fails.
 func (s *Store) Records(server feedback.EntityID) []feedback.Feedback {
 	h, _ := s.Snapshot(server)
 	if h == nil {

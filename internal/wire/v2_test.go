@@ -14,6 +14,7 @@ import (
 	"honestplayer/internal/behavior"
 	"honestplayer/internal/core"
 	"honestplayer/internal/feedback"
+	"honestplayer/internal/store"
 )
 
 func testRecord(i int) feedback.Feedback {
@@ -195,15 +196,20 @@ func TestV2FrameRoundTrip(t *testing.T) {
 }
 
 // TestV2JSONPayloadFallback covers types without a binary codec: they cross
-// a v2 connection as JSON payload bytes with the flag bit set.
+// a v2 connection as JSON payload bytes with the flag bit set. A summary's
+// bytes are pinned: its checksums are the store's, and a peer of another
+// build must read them.
 func TestV2JSONPayloadFallback(t *testing.T) {
-	msg := SummaryMsg{Node: "n1", Servers: map[string]ServerSum{"s": {Count: 3, XOR: 7}}}
+	msg := SummaryMsg{Node: "n1", Servers: map[string]store.Checksum{"s": {Count: 3, XOR: 1 << 63}}}
 	env, err := V2Codec.Encode(TypeSummary, 9, msg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if env.Binary {
 		t.Fatal("gossip summary should fall back to JSON payload")
+	}
+	if want := `{"node":"n1","servers":{"s":{"count":3,"xor":9223372036854775808}}}`; string(env.Payload) != want {
+		t.Fatalf("summary payload %s, want %s", env.Payload, want)
 	}
 	var buf bytes.Buffer
 	if err := WriteV2(&buf, env); err != nil {

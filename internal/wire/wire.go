@@ -13,6 +13,7 @@ import (
 
 	"honestplayer/internal/core"
 	"honestplayer/internal/feedback"
+	"honestplayer/internal/store"
 )
 
 // MaxFrame bounds the size of one frame body. History responses chunk
@@ -251,20 +252,13 @@ type AssessBatchResponse struct {
 	Items []AssessBatchItem `json:"items"`
 }
 
-// ServerSum is the per-server record-set checksum exchanged in gossip
-// summaries.
-type ServerSum struct {
-	Count int    `json:"count"`
-	XOR   uint64 `json:"xor"`
-}
-
 // SummaryMsg opens an anti-entropy exchange: the per-server checksums of
-// everything the initiator holds. The peer answers with the servers whose
-// record sets differ, so the (much larger) hash digests are exchanged only
-// for those.
+// everything the initiator holds, in the store's one record-set digest. The
+// peer answers with the servers whose record sets differ, so the (much
+// larger) hash digests are exchanged only for those.
 type SummaryMsg struct {
-	Node    string               `json:"node"`
-	Servers map[string]ServerSum `json:"servers"`
+	Node    string                    `json:"node"`
+	Servers map[string]store.Checksum `json:"servers"`
 }
 
 // SummaryResp lists the servers for which the responder holds a different

@@ -40,6 +40,9 @@
 #     ServerAccumulator clones, never by re-testing a history they roll back
 #   - a snapshot holds records only (ADR 0017): nothing serializes an
 #     accumulator; boot and fault-in replay the history into a fresh one
+#   - the store faults in its own stubs (ADR 0019): one fault-in path and
+#     one per-server single-flight, in internal/store; nothing above the
+#     store rebuilds a server
 #   - per-package non-test line budget (scripts/loc-budget.txt): a package
 #     grows only in a diff that raises its line
 #
@@ -309,6 +312,20 @@ shim_defs() { sources | xargs grep -nE 'func \([^)]*\) (AppendState|RestoreServe
 check "the two core shims are the only AppendState / RestoreServerAccumulator (ADR 0017)" \
     "[ \"\$(shim_defs | wc -l)\" -eq 2 ] && ! shim_defs | grep -v '^./internal/core/incremental\.go:' | grep -q . \
      && [ \"\$(grep -cE '^// Deprecated: a snapshot holds records only' internal/core/incremental.go)\" -eq 2 ]"
+
+# --- the store faults in its own stubs (ADR 0019) -----------------------------
+# A budget comes with the loader that brings a stub back, and every store
+# entry point that meets a stub faults it in through one single-flight map
+# keyed by server. The repserver-side rebuilder, its wiring and the ledger's
+# own write retry stay deleted; nothing outside internal/store keeps a
+# per-server map of waits.
+for sym in Rebuilder RebuildServer ErrNoRebuild viewResident faultWait ReinstateServer; do
+    check "$sym stays deleted (ADR 0019)" "absent '\b$sym\b'"
+done
+singleflight='map\[(string|feedback\.EntityID)\](chan struct\{\}|\*fault\b)'
+check "one per-server fault-in single-flight map, in internal/store (ADR 0019)" \
+    "! sources | grep -v '^./internal/store/' | xargs grep -nE \"\$singleflight\" | grep -q . \
+     && [ \"\$(sources internal/store | xargs grep -hE \"^\\s+\\w+\\s+\$singleflight\" | wc -l)\" -eq 1 ]"
 
 # --- per-package LOC ratchet --------------------------------------------------
 # Each package's non-test lines (as sources counts them) must stay at or below
