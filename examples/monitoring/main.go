@@ -32,7 +32,7 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	monitor, err := honestplayer.NewMonitor(assessor, "provider-7", 10, 0.9)
+	monitor, err := honestplayer.NewMonitor(assessor, "provider-7", 10)
 	if err != nil {
 		return err
 	}

@@ -14,7 +14,11 @@
 //     multi-testing over history suffixes, and collusion-resilient testing
 //     over issuer-reordered histories.
 //  2. Trust functions: only servers that pass phase 1 receive a trust value
-//     (average, weighted/EWMA, Beta, time-decay, sliding window).
+//     (average, weighted/EWMA, Beta).
+//
+// Every tester and trust function exported here is one a node serves
+// (trustd's -scheme and -trust), so each has the incremental form a node
+// keeps per server (ADR 0020).
 //
 // The package also ships the substrates a deployment needs: a deterministic
 // statistics kit, a concurrent deduplicating feedback store, a TCP
@@ -87,10 +91,6 @@ type (
 	Weighted = trust.Weighted
 	// Beta is the Beta reputation system's posterior mean.
 	Beta = trust.Beta
-	// TimeDecay weights feedback geometrically by age.
-	TimeDecay = trust.TimeDecay
-	// SlidingWindow averages only the most recent W transactions.
-	SlidingWindow = trust.SlidingWindow
 )
 
 // NewWeighted returns the weighted trust function with the given λ.
@@ -127,42 +127,6 @@ func NewCollusionTester(cfg TesterConfig) (Tester, error) { return behavior.NewC
 // NewCollusionMultiTester returns the collusion-resilient multi tester.
 func NewCollusionMultiTester(cfg TesterConfig) (Tester, error) {
 	return behavior.NewCollusionMulti(cfg)
-}
-
-// MultiValueTester is the §3.1 multinomial extension for ratings with more
-// than two levels.
-type MultiValueTester = behavior.MultiValue
-
-// NewMultiValueTester returns a tester for rating levels in [0, levels).
-func NewMultiValueTester(cfg TesterConfig, levels int) (*MultiValueTester, error) {
-	return behavior.NewMultiValue(cfg, levels)
-}
-
-// PartitionFunc assigns a transaction to a category for partitioned
-// testing.
-type PartitionFunc = behavior.PartitionFunc
-
-// CategoryVerdict is one category's outcome within a partitioned test.
-type CategoryVerdict = behavior.CategoryVerdict
-
-// PartitionedTester applies an inner tester per transaction category (the
-// §3.1/§4 temporal / regional extension).
-type PartitionedTester = behavior.Partitioned
-
-// NewPartitionedTester wraps an inner tester with a category partition.
-func NewPartitionedTester(inner Tester, partition PartitionFunc) (*PartitionedTester, error) {
-	return behavior.NewPartitioned(inner, partition)
-}
-
-// PiecewiseTester tests each fixed-length segment of the history against
-// its own B(m, p̂) — the §3.1 "dynamic cases" extension tolerating slow
-// drift in an honest player's quality.
-type PiecewiseTester = behavior.Piecewise
-
-// NewPiecewiseTester returns a piecewise-stationary tester with segments of
-// segmentLen transactions.
-func NewPiecewiseTester(cfg TesterConfig, segmentLen int) (*PiecewiseTester, error) {
-	return behavior.NewPiecewise(cfg, segmentLen)
 }
 
 // CUSUM is an online change-point detector: O(1) per transaction, fastest
@@ -206,8 +170,8 @@ type MonitorAlert = core.Alert
 
 // NewMonitor creates a continuous monitor for one server; interval is the
 // number of transactions between re-assessments.
-func NewMonitor(assessor *TwoPhase, server EntityID, interval int, threshold float64) (*Monitor, error) {
-	return core.NewMonitor(assessor, server, interval, threshold)
+func NewMonitor(assessor *TwoPhase, server EntityID, interval int) (*Monitor, error) {
+	return core.NewMonitor(assessor, server, interval)
 }
 
 // WithShortHistoryPolicy overrides the default RejectShort policy.

@@ -177,69 +177,6 @@ func TestFacadeScenario(t *testing.T) {
 	}
 }
 
-func TestFacadeMultiValueTester(t *testing.T) {
-	mv, err := honestplayer.NewMultiValueTester(testerCfg(), 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rng := honestplayer.NewRNG(5)
-	seq := make([]int, 400)
-	for i := range seq {
-		switch {
-		case rng.Bernoulli(0.8):
-			seq[i] = 0
-		case rng.Bernoulli(0.7):
-			seq[i] = 1
-		default:
-			seq[i] = 2
-		}
-	}
-	v, err := mv.TestLevels(seq)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(v.Suffixes) != 3 {
-		t.Fatalf("suffixes = %d", len(v.Suffixes))
-	}
-}
-
-func TestFacadePartitionedTester(t *testing.T) {
-	single, err := honestplayer.NewSingleTester(testerCfg())
-	if err != nil {
-		t.Fatal(err)
-	}
-	part, err := honestplayer.NewPartitionedTester(single, func(f honestplayer.Feedback) string {
-		if f.Time.Unix()%2 == 0 {
-			return "even"
-		}
-		return "odd"
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	rng := honestplayer.NewRNG(6)
-	h := honestplayer.NewHistory("s")
-	for i := 0; i < 400; i++ {
-		if err := h.AppendOutcome("c", rng.Bernoulli(0.9), time.Unix(int64(i), 0)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	cats, err := part.TestByCategory(h)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(cats) != 2 {
-		t.Fatalf("categories = %d", len(cats))
-	}
-	v, err := part.Test(h)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !v.Honest {
-		t.Fatalf("honest partitioned server flagged: %+v", v.Worst())
-	}
-}
-
 func TestFacadeGossipPair(t *testing.T) {
 	assessor, err := honestplayer.NewTwoPhase(nil, honestplayer.Average{})
 	if err != nil {
@@ -275,26 +212,7 @@ func TestFacadeGossipPair(t *testing.T) {
 	}
 }
 
-func TestFacadePiecewiseAndCUSUM(t *testing.T) {
-	pw, err := honestplayer.NewPiecewiseTester(testerCfg(), 100)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rng := honestplayer.NewRNG(7)
-	h := honestplayer.NewHistory("s")
-	for i := 0; i < 300; i++ {
-		if err := h.AppendOutcome("c", rng.Bernoulli(0.9), time.Unix(int64(i), 0)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	v, err := pw.Test(h)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(v.Suffixes) != 3 {
-		t.Fatalf("segments = %d", len(v.Suffixes))
-	}
-
+func TestFacadeCUSUM(t *testing.T) {
 	c, err := honestplayer.NewCUSUM(0.95, 0.5, 8)
 	if err != nil {
 		t.Fatal(err)

@@ -106,15 +106,7 @@ func TestServerAccumulatorClone(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	decay, err := trust.NewTimeDecay(0.9)
-	if err != nil {
-		t.Fatal(err)
-	}
-	window, err := trust.NewSlidingWindow(20)
-	if err != nil {
-		t.Fatal(err)
-	}
-	funcs := []trust.Func{trust.Average{}, weighted, trust.Beta{}, decay, window}
+	funcs := []trust.Func{trust.Average{}, weighted, trust.Beta{}}
 
 	type copyOf struct {
 		sa *ServerAccumulator

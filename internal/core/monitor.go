@@ -19,11 +19,12 @@ type Alert struct {
 	Assessment Assessment `json:"assessment"`
 }
 
-// Monitor watches one server's transaction stream, re-running the
-// two-phase assessment every Interval transactions and recording an Alert
-// whenever the suspicious status flips. It is the continuous-deployment
-// shape of the paper's mechanism: an online marketplace does not assess
-// once, it re-assesses as feedback arrives.
+// Monitor watches one server's transaction stream, re-assessing it every
+// Interval transactions and recording an Alert whenever the suspicious
+// status flips. It is the continuous-deployment shape of the paper's
+// mechanism: an online marketplace does not assess once, it re-assesses as
+// feedback arrives. Like a serving node, it keeps a ServerAccumulator in
+// step with the history and reads its verdicts from it (ADR 0016).
 //
 // Use a tester with FamilywiseCorrection enabled for monitoring — the
 // uncorrected multi test's per-suffix false positives compound over
@@ -31,10 +32,9 @@ type Alert struct {
 //
 // Monitor is not safe for concurrent use.
 type Monitor struct {
-	assessor  *TwoPhase
-	history   *feedback.History
-	interval  int
-	threshold float64
+	history  *feedback.History
+	acc      *ServerAccumulator
+	interval int
 
 	sinceAssess int
 	suspicious  bool
@@ -43,24 +43,21 @@ type Monitor struct {
 }
 
 // NewMonitor creates a monitor for one server. interval is how many
-// transactions pass between re-assessments (1 = every transaction);
-// threshold is the acceptance threshold recorded in alerts.
-func NewMonitor(assessor *TwoPhase, server feedback.EntityID, interval int, threshold float64) (*Monitor, error) {
+// transactions pass between re-assessments (1 = every transaction). The
+// assessor must support incremental assessment (SupportsIncremental); every
+// built-in combination does.
+func NewMonitor(assessor *TwoPhase, server feedback.EntityID, interval int) (*Monitor, error) {
 	if assessor == nil {
 		return nil, errors.New("core: nil assessor")
 	}
 	if interval < 1 {
 		return nil, fmt.Errorf("core: monitor interval %d", interval)
 	}
-	if threshold < 0 || threshold > 1 {
-		return nil, fmt.Errorf("core: monitor threshold %v", threshold)
+	acc, err := assessor.NewServerAccumulator(server)
+	if err != nil {
+		return nil, err
 	}
-	return &Monitor{
-		assessor:  assessor,
-		history:   feedback.NewHistory(server),
-		interval:  interval,
-		threshold: threshold,
-	}, nil
+	return &Monitor{history: feedback.NewHistory(server), acc: acc, interval: interval}, nil
 }
 
 // History exposes the accumulated history (read-only use).
@@ -78,7 +75,7 @@ func (m *Monitor) Alerts() []Alert {
 }
 
 // Record appends one transaction outcome. When the re-assessment interval
-// elapses it runs the assessor and returns the assessment (nil otherwise).
+// elapses it returns the assessment of the history so far (nil otherwise).
 // Histories too short to behaviour-test do not raise alerts — a brand-new
 // server is handled by the short-history policy at transaction time, not by
 // the monitor.
@@ -86,12 +83,13 @@ func (m *Monitor) Record(client feedback.EntityID, good bool, at time.Time) (*As
 	if err := m.history.AppendOutcome(client, good, at); err != nil {
 		return nil, err
 	}
+	m.acc.Append(m.history.At(m.history.Len() - 1))
 	m.sinceAssess++
 	if m.sinceAssess < m.interval {
 		return nil, nil
 	}
 	m.sinceAssess = 0
-	a, err := m.assessor.Assess(m.history)
+	a, err := m.acc.Assess()
 	if err != nil {
 		return nil, err
 	}

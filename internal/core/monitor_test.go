@@ -1,10 +1,13 @@
 package core
 
 import (
+	"fmt"
+	"reflect"
 	"testing"
 	"time"
 
 	"honestplayer/internal/behavior"
+	"honestplayer/internal/feedback"
 	"honestplayer/internal/stats"
 	"honestplayer/internal/trust"
 )
@@ -28,19 +31,58 @@ func monitorAssessor(t *testing.T) *TwoPhase {
 
 func TestNewMonitorValidation(t *testing.T) {
 	tp := monitorAssessor(t)
-	if _, err := NewMonitor(nil, "s", 1, 0.9); err == nil {
+	if _, err := NewMonitor(nil, "s", 1); err == nil {
 		t.Error("nil assessor must fail")
 	}
-	if _, err := NewMonitor(tp, "s", 0, 0.9); err == nil {
+	if _, err := NewMonitor(tp, "s", 0); err == nil {
 		t.Error("interval 0 must fail")
 	}
-	if _, err := NewMonitor(tp, "s", 1, 2); err == nil {
-		t.Error("threshold > 1 must fail")
+	plain, err := NewTwoPhase(nil, plainFunc{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := NewMonitor(plain, "s", 1); err == nil {
+		t.Error("an assessor without an incremental form must fail")
+	}
+}
+
+// TestMonitorMatchesBatchAssess is the monitor's engine check: at interval 1
+// every assessment it returns, through the short history, the honest phase,
+// a burst and the recovery, DeepEquals TwoPhase.Assess over that prefix.
+func TestMonitorMatchesBatchAssess(t *testing.T) {
+	tp := monitorAssessor(t)
+	m, err := NewMonitor(tp, "s", 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := stats.NewRNG(11)
+	flagged := false
+	for i := 0; i < 600; i++ {
+		good := rng.Bernoulli(0.93)
+		if i >= 300 && i < 330 {
+			good = false // burst
+		}
+		client := feedback.EntityID(fmt.Sprintf("c%d", rng.Intn(20)))
+		got, err := m.Record(client, good, time.Unix(int64(i), 0))
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := tp.Assess(m.History())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got == nil || !reflect.DeepEqual(*got, want) {
+			t.Fatalf("record %d: monitor %+v, batch %+v", i+1, got, want)
+		}
+		flagged = flagged || got.Suspicious && !got.ShortHistory
+	}
+	if !flagged {
+		t.Fatal("the burst was never flagged")
 	}
 }
 
 func TestMonitorIntervalGates(t *testing.T) {
-	m, err := NewMonitor(monitorAssessor(t), "s", 10, 0.9)
+	m, err := NewMonitor(monitorAssessor(t), "s", 10)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -63,7 +105,7 @@ func TestMonitorIntervalGates(t *testing.T) {
 }
 
 func TestMonitorFlagsHibernatorAndRecords(t *testing.T) {
-	m, err := NewMonitor(monitorAssessor(t), "s", 10, 0.9)
+	m, err := NewMonitor(monitorAssessor(t), "s", 10)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -104,7 +146,7 @@ func TestMonitorFlagsHibernatorAndRecords(t *testing.T) {
 }
 
 func TestMonitorShortHistoryNoAlert(t *testing.T) {
-	m, err := NewMonitor(monitorAssessor(t), "s", 1, 0.9)
+	m, err := NewMonitor(monitorAssessor(t), "s", 1)
 	if err != nil {
 		t.Fatal(err)
 	}

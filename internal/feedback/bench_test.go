@@ -145,8 +145,8 @@ func outcomeView(b *testing.B, n int) *History {
 var sinkInt int
 
 // BenchmarkGoodInRange reads 1024 fixed ranges of a 5000-record view — the
-// history length of the assess_deep workload — the way GoodCount and the
-// sliding-window trust function do.
+// history length of the assess_deep workload — GoodCount's read, at
+// arbitrary bounds.
 func BenchmarkGoodInRange(b *testing.B) {
 	const n = 5000
 	h := outcomeView(b, n)

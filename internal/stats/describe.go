@@ -91,18 +91,6 @@ func Mean(xs []float64) float64 {
 	return sum / float64(len(xs))
 }
 
-// MeanInt returns the arithmetic mean of integer samples, or 0 when empty.
-func MeanInt(xs []int) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	sum := 0
-	for _, x := range xs {
-		sum += x
-	}
-	return float64(sum) / float64(len(xs))
-}
-
 // WilsonInterval returns the Wilson score interval for a Bernoulli success
 // probability given good successes out of n trials at normal quantile z
 // (1.96 for 95%). Unlike the naive ±z·√(p̂(1−p̂)/n) interval it behaves at

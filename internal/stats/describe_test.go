@@ -94,15 +94,6 @@ func TestMean(t *testing.T) {
 	}
 }
 
-func TestMeanInt(t *testing.T) {
-	if MeanInt(nil) != 0 {
-		t.Error("MeanInt(nil) must be 0")
-	}
-	if got := MeanInt([]int{1, 2}); got != 1.5 {
-		t.Errorf("MeanInt = %v, want 1.5", got)
-	}
-}
-
 func TestWilsonInterval(t *testing.T) {
 	lo, hi, err := WilsonInterval(90, 100, 1.96)
 	if err != nil {

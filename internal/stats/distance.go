@@ -7,8 +7,8 @@ import (
 
 // L1HistDistance returns the L¹ distance between the empirical frequency
 // distribution of h and the PMF of b. The two supports must match. This is
-// the hot path of behaviour testing, so it avoids the intermediate slices of
-// Freqs/PMFTable.
+// the hot path of behaviour testing, so it reads the counts in place and
+// builds no frequency or PMF slice.
 func L1HistDistance(h *Histogram, b *Binomial) (float64, error) {
 	if h.Max() != b.N() {
 		return 0, fmt.Errorf("%w: histogram support [0,%d] vs B(%d,·)", ErrInvalidDistribution, h.Max(), b.N())

@@ -65,23 +65,6 @@ func (h *Histogram) Remove(v int) error {
 	return nil
 }
 
-// AddCount records n observations of value v in O(1), the bulk counterpart
-// of Add. The incremental assessment engine uses it to materialise a suffix
-// histogram from checkpoint differences in O(support) instead of O(windows).
-// It returns an error when v is outside the support or n is negative.
-func (h *Histogram) AddCount(v int, n int64) error {
-	if v < 0 || v >= len(h.counts) {
-		return fmt.Errorf("%w: observation %d outside [0, %d]", ErrInvalidDistribution, v, h.Max())
-	}
-	if n < 0 {
-		return fmt.Errorf("%w: negative count %d for value %d", ErrInvalidDistribution, n, v)
-	}
-	h.counts[v] += n
-	h.total += n
-	h.sum += n * int64(v)
-	return nil
-}
-
 // Count returns the number of observations of value v (0 outside support).
 func (h *Histogram) Count(v int) int64 {
 	if v < 0 || v >= len(h.counts) {
@@ -102,27 +85,6 @@ func (h *Histogram) Mean() float64 {
 		return 0
 	}
 	return float64(h.sum) / float64(h.total)
-}
-
-// Freq returns the empirical frequency of value v: count(v) / total. It is
-// 0 for an empty histogram.
-func (h *Histogram) Freq(v int) float64 {
-	if h.total == 0 {
-		return 0
-	}
-	return float64(h.Count(v)) / float64(h.total)
-}
-
-// Freqs returns the full empirical frequency table indexed by value.
-func (h *Histogram) Freqs() []float64 {
-	out := make([]float64, len(h.counts))
-	if h.total == 0 {
-		return out
-	}
-	for i, c := range h.counts {
-		out[i] = float64(c) / float64(h.total)
-	}
-	return out
 }
 
 // Reset clears all observations, keeping the support.

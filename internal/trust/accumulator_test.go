@@ -17,15 +17,7 @@ func accumulatorFuncs(t *testing.T) []Func {
 	if err != nil {
 		t.Fatalf("NewWeighted: %v", err)
 	}
-	d, err := NewTimeDecay(0.9)
-	if err != nil {
-		t.Fatalf("NewTimeDecay: %v", err)
-	}
-	sw, err := NewSlidingWindow(25)
-	if err != nil {
-		t.Fatalf("NewSlidingWindow: %v", err)
-	}
-	return []Func{Average{}, w, Beta{}, d, sw}
+	return []Func{Average{}, w, Beta{}}
 }
 
 // TestAccumulatorMatchesEvaluate checks Value against Evaluate at every

@@ -26,15 +26,7 @@ func benchFuncs(b *testing.B) []TrackerFunc {
 	if err != nil {
 		b.Fatal(err)
 	}
-	d, err := NewTimeDecay(0.95)
-	if err != nil {
-		b.Fatal(err)
-	}
-	sw, err := NewSlidingWindow(100)
-	if err != nil {
-		b.Fatal(err)
-	}
-	return []TrackerFunc{Average{}, w, Beta{}, d, sw}
+	return []TrackerFunc{Average{}, w, Beta{}}
 }
 
 func BenchmarkEvaluate(b *testing.B) {

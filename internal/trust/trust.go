@@ -5,9 +5,8 @@
 //
 // The two functions evaluated in the paper — the average trust function and
 // the weighted (EWMA) trust function of Fan et al. — are implemented
-// together with the Beta reputation system, a time-decay function, and a
-// sliding-window average, which serve as additional baselines and ablation
-// points.
+// together with the Beta reputation system, the third function a node
+// serves (trustd -trust beta).
 package trust
 
 import (
@@ -206,141 +205,3 @@ func (t *betaTracker) Value() float64 {
 }
 
 func (t *betaTracker) clone() Tracker { c := *t; return &c }
-
-// TimeDecay assigns geometrically decaying weights to feedbacks by age:
-// the i-th most recent feedback has weight Decay^i, normalised to sum to 1
-// (the Σw_i = 1 family of §6). Decay = 1 degenerates to Average.
-type TimeDecay struct {
-	// Decay in (0, 1] is the per-step weight ratio.
-	Decay float64
-}
-
-var _ TrackerFunc = TimeDecay{}
-
-// NewTimeDecay validates the decay factor.
-func NewTimeDecay(decay float64) (TimeDecay, error) {
-	if math.IsNaN(decay) || decay <= 0 || decay > 1 {
-		return TimeDecay{}, fmt.Errorf("%w: decay=%v", ErrInvalidParam, decay)
-	}
-	return TimeDecay{Decay: decay}, nil
-}
-
-// Name implements Func.
-func (d TimeDecay) Name() string { return fmt.Sprintf("timedecay(γ=%g)", d.Decay) }
-
-// Evaluate implements Func.
-func (d TimeDecay) Evaluate(h *feedback.History) (float64, error) {
-	if h.Len() == 0 {
-		return 0, ErrEmptyHistory
-	}
-	t := d.NewTracker()
-	for i := 0; i < h.Len(); i++ {
-		t.Update(h.RatingAt(i).Good())
-	}
-	return t.Value(), nil
-}
-
-// NewTracker implements TrackerFunc.
-func (d TimeDecay) NewTracker() Tracker { return &decayTracker{decay: d.Decay} }
-
-// decayTracker maintains numerator Σ γ^age(i)·f_i and denominator Σ γ^age(i)
-// incrementally: on each update both are multiplied by γ and the newest
-// feedback enters with weight 1.
-type decayTracker struct {
-	decay    float64
-	num, den float64
-}
-
-func (t *decayTracker) Update(good bool) {
-	t.num *= t.decay
-	t.den *= t.decay
-	if good {
-		t.num++
-	}
-	t.den++
-}
-
-func (t *decayTracker) Value() float64 {
-	if t.den == 0 {
-		return math.NaN()
-	}
-	return t.num / t.den
-}
-
-func (t *decayTracker) clone() Tracker { c := *t; return &c }
-
-// SlidingWindow is the most-recent-W average: feedbacks older than the
-// window are discarded entirely. The paper notes this opens the door to
-// periodic attacks; it is included as an ablation baseline.
-type SlidingWindow struct {
-	// W is the window length in transactions.
-	W int
-}
-
-var _ TrackerFunc = SlidingWindow{}
-
-// NewSlidingWindow validates the window length.
-func NewSlidingWindow(w int) (SlidingWindow, error) {
-	if w <= 0 {
-		return SlidingWindow{}, fmt.Errorf("%w: window=%d", ErrInvalidParam, w)
-	}
-	return SlidingWindow{W: w}, nil
-}
-
-// Name implements Func.
-func (s SlidingWindow) Name() string { return fmt.Sprintf("window(W=%d)", s.W) }
-
-// Evaluate implements Func.
-func (s SlidingWindow) Evaluate(h *feedback.History) (float64, error) {
-	if h.Len() == 0 {
-		return 0, ErrEmptyHistory
-	}
-	lo := h.Len() - s.W
-	if lo < 0 {
-		lo = 0
-	}
-	n := h.Len() - lo
-	return float64(h.GoodInRange(lo, h.Len())) / float64(n), nil
-}
-
-// NewTracker implements TrackerFunc.
-func (s SlidingWindow) NewTracker() Tracker {
-	return &windowTracker{w: s.W, buf: make([]bool, 0, s.W)}
-}
-
-type windowTracker struct {
-	w    int
-	buf  []bool // ring buffer of the last w outcomes
-	head int
-	n    int
-	good int
-}
-
-func (t *windowTracker) Update(good bool) {
-	if t.n < t.w {
-		t.buf = append(t.buf, good)
-		t.n++
-	} else {
-		if t.buf[t.head] {
-			t.good--
-		}
-		t.buf[t.head] = good
-		t.head = (t.head + 1) % t.w
-	}
-	if good {
-		t.good++
-	}
-}
-
-func (t *windowTracker) Value() float64 {
-	if t.n == 0 {
-		return math.NaN()
-	}
-	return float64(t.good) / float64(t.n)
-}
-
-func (t *windowTracker) clone() Tracker {
-	c := *t
-	c.buf = append(make([]bool, 0, t.w), t.buf...)
-	return &c
-}

@@ -47,9 +47,7 @@ func TestAverageEvaluate(t *testing.T) {
 func TestEmptyHistoryErrors(t *testing.T) {
 	empty := feedback.NewHistory("s")
 	w, _ := NewWeighted(0.5)
-	d, _ := NewTimeDecay(0.9)
-	sw, _ := NewSlidingWindow(10)
-	for _, f := range []Func{Average{}, w, Beta{}, d, sw} {
+	for _, f := range []Func{Average{}, w, Beta{}} {
 		if _, err := f.Evaluate(empty); !errors.Is(err, ErrEmptyHistory) {
 			t.Errorf("%s on empty history: %v", f.Name(), err)
 		}
@@ -108,63 +106,8 @@ func TestBetaEvaluate(t *testing.T) {
 	}
 }
 
-func TestTimeDecayDegeneratesToAverage(t *testing.T) {
-	d, err := NewTimeDecay(1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	h := historyOf(t, []bool{true, false, true, true, false})
-	got, err := d.Evaluate(h)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, _ := Average{}.Evaluate(h)
-	if math.Abs(got-want) > 1e-12 {
-		t.Fatalf("decay(1) = %v, average = %v", got, want)
-	}
-}
-
-func TestTimeDecayValidation(t *testing.T) {
-	for _, bad := range []float64{0, -0.5, 1.1, math.NaN()} {
-		if _, err := NewTimeDecay(bad); !errors.Is(err, ErrInvalidParam) {
-			t.Errorf("NewTimeDecay(%v) = %v", bad, err)
-		}
-	}
-}
-
-func TestSlidingWindowEvaluate(t *testing.T) {
-	sw, err := NewSlidingWindow(2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Only last 2 outcomes count: {false, true} -> 0.5.
-	got, err := sw.Evaluate(historyOf(t, []bool{true, true, false, true}))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got != 0.5 {
-		t.Fatalf("window = %v, want 0.5", got)
-	}
-	// Short history: uses what exists.
-	got, err = sw.Evaluate(historyOf(t, []bool{true}))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got != 1 {
-		t.Fatalf("window short = %v, want 1", got)
-	}
-}
-
-func TestSlidingWindowValidation(t *testing.T) {
-	if _, err := NewSlidingWindow(0); !errors.Is(err, ErrInvalidParam) {
-		t.Errorf("NewSlidingWindow(0) = %v", err)
-	}
-}
-
 func TestNames(t *testing.T) {
 	w, _ := NewWeighted(0.5)
-	d, _ := NewTimeDecay(0.9)
-	sw, _ := NewSlidingWindow(5)
 	for _, tc := range []struct {
 		f    Func
 		want string
@@ -172,8 +115,6 @@ func TestNames(t *testing.T) {
 		{Average{}, "average"},
 		{w, "weighted(λ=0.5)"},
 		{Beta{}, "beta"},
-		{d, "timedecay(γ=0.9)"},
-		{sw, "window(W=5)"},
 	} {
 		if got := tc.f.Name(); got != tc.want {
 			t.Errorf("Name = %q, want %q", got, tc.want)
@@ -188,15 +129,7 @@ func allTrackerFuncs(t *testing.T) []TrackerFunc {
 	if err != nil {
 		t.Fatal(err)
 	}
-	d, err := NewTimeDecay(0.8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sw, err := NewSlidingWindow(7)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return []TrackerFunc{Average{}, w, Beta{}, d, sw}
+	return []TrackerFunc{Average{}, w, Beta{}}
 }
 
 // Property: every tracker agrees with its Func's Evaluate on random

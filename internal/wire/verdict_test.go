@@ -59,12 +59,6 @@ func testerVerdicts(t *testing.T) map[string]core.Assessment {
 		"multi+familywise": must(behavior.NewMulti(family)),
 		"collusion":        must(behavior.NewCollusion(cfg)),
 		"collusion-multi":  must(behavior.NewCollusionMulti(cfg)),
-		"piecewise":        must(behavior.NewPiecewise(cfg, 200)),
-		// Categories of unequal length: the merged table's Transactions
-		// column restarts at each category.
-		"partition-merged": must(behavior.NewPartitioned(multi, func(f feedback.Feedback) string {
-			return []string{"day", "day", "night"}[f.Time.Unix()%3]
-		})),
 	}
 	hist := honestHistory(t, "srv", 1230, 0.93, 7)
 	out := make(map[string]core.Assessment)
@@ -82,21 +76,6 @@ func testerVerdicts(t *testing.T) map[string]core.Assessment {
 		}
 		out[name] = a
 	}
-
-	mv, err := behavior.NewMultiValue(cfg, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rng := rand.New(rand.NewSource(3))
-	levels := make([]int, 600)
-	for i := range levels {
-		levels[i] = rng.Intn(3)
-	}
-	v, err := mv.TestLevels(levels)
-	if err != nil {
-		t.Fatal(err)
-	}
-	out["multivalue"] = core.Assessment{Server: "srv", Trust: 0.5, Tester: mv.Name(), TrustFunc: "average", Verdict: v, Suspicious: !v.Honest}
 
 	tp, err := core.NewTwoPhase(multi, trust.Average{})
 	if err != nil {

@@ -43,8 +43,13 @@
 #   - the store faults in its own stubs (ADR 0019): one fault-in path and
 #     one per-server single-flight, in internal/store; nothing above the
 #     store rebuilds a server
+#   - the library ships only assessors a node serves or an experiment runs
+#     (ADR 0020): the five deleted testers and trust functions, their facade
+#     names and examples/multilevel stay out; core.Monitor reads its
+#     accumulator
 #   - per-package non-test line budget (scripts/loc-budget.txt): a package
-#     grows only in a diff that raises its line
+#     grows only in a diff that raises its line, and a deleted package's line
+#     goes with it
 #
 # Run from anywhere: bash scripts/guardrails.sh
 # =============================================================================
@@ -289,9 +294,9 @@ check "internal/eigentrust and examples/p2prank stay deleted (ADR 0016)" \
      && absent 'honestplayer/internal/eigentrust|\b(EigenTrust\w+|ComputeEigenTrust)\b'"
 check "the six unused statistics stay deleted (ADR 0016)" \
     "absent '\b(L1Distance|L2Distance|ChiSquareStat|KSStat|L1SampleDistance|BinomialMLE)\b'"
-for pkg in attack sim; do
-    check "internal/$pkg judges no history with Accept or Assess (ADR 0016)" \
-        "absent '\.Assess\([^)]|\.Accept\([^)]*,' internal/$pkg"
+for src in internal/attack internal/sim internal/core/monitor.go; do
+    check "$src judges no history with Accept or Assess (ADR 0016)" \
+        "absent '\.Assess\([^)]|\.Accept\([^)]*,' $src"
 done
 
 # --- a snapshot holds records only (ADR 0017) ----------------------------------
@@ -327,19 +332,38 @@ check "one per-server fault-in single-flight map, in internal/store (ADR 0019)" 
     "! sources | grep -v '^./internal/store/' | xargs grep -nE \"\$singleflight\" | grep -q . \
      && [ \"\$(sources internal/store | xargs grep -hE \"^\\s+\\w+\\s+\$singleflight\" | wc -l)\" -eq 1 ]"
 
+# --- only served or measured assessors (ADR 0020) -----------------------------
+# No trustd flag, core.Spec, experiment or golden named the §3.1 sketch testers
+# (multi-value, category, piecewise) or the time-decay and sliding-window trust
+# functions, and none of the testers had an incremental form. They, their
+# facade names, the example that ran them and four test-only statistics stay
+# deleted; Monitor takes no threshold it never read.
+for sym in MultiValue NewMultiValue MultiValueTester NewMultiValueTester Partitioned NewPartitioned \
+           PartitionedTester NewPartitionedTester PartitionFunc CategoryVerdict Piecewise NewPiecewise \
+           PiecewiseTester NewPiecewiseTester TimeDecay NewTimeDecay decayTracker SlidingWindow \
+           NewSlidingWindow windowTracker MeanInt AddCount; do
+    check "$sym stays deleted (ADR 0020)" "absent '\b$sym\b'"
+done
+check "Histogram.Freq and Histogram.Freqs stay deleted (ADR 0020)" "absent '\bFreqs?\(' internal/stats"
+check "examples/multilevel stays deleted (ADR 0020)" "[ ! -e examples/multilevel ]"
+check "NewMonitor takes no threshold (ADR 0020)" "absent 'func NewMonitor\([^)]*threshold'"
+
 # --- per-package LOC ratchet --------------------------------------------------
 # Each package's non-test lines (as sources counts them) must stay at or below
-# its line in scripts/loc-budget.txt, and every package needs a line. A PR
-# that grows a package raises its budget in the same diff.
+# its line in scripts/loc-budget.txt, every package needs a line, and every
+# line needs a package. A PR that grows a package raises its budget in the
+# same diff; one that deletes a package deletes its line.
 loc_counts() {
     sources | xargs wc -l | awk '$2 != "total" { d = $2; sub(/\/[^\/]*$/, "", d); n[d] += $1 }
         END { for (d in n) print d, n[d] }' | sort
 }
 loc_within_budget() {
     awk 'NR == FNR { if ($1 !~ /^#/ && NF == 2) budget[$1] = $2; next }
+         { seen[$1] = 1 }
          !($1 in budget) { print "     " $1 ": " $2 " lines, no budget line"; bad = 1; next }
          $2 > budget[$1] { print "     " $1 ": " $2 " lines, budget " budget[$1]; bad = 1 }
-         END { exit bad }' scripts/loc-budget.txt <(loc_counts)
+         END { for (d in budget) if (!(d in seen)) { print "     " d ": budget line, no sources"; bad = 1 }
+               exit bad }' scripts/loc-budget.txt <(loc_counts)
 }
 check "every package within its non-test line budget (scripts/loc-budget.txt)" "loc_within_budget"
 
