@@ -130,6 +130,15 @@ func MemoStatsFor(t Tester) MemoStats {
 	return MemoStats{}
 }
 
+// ConfigFor returns the effective configuration of t — its window size and
+// calibrator among it — and false for a tester without an incremental form.
+func ConfigFor(t Tester) (Config, bool) {
+	if sh := sharedOf(t); sh != nil {
+		return sh.cfg, true
+	}
+	return Config{}, false
+}
+
 // NewAccumulatorFor returns an accumulator that reproduces t.Test
 // incrementally, or (nil, false) when t's scheme has no incremental form.
 // All built-in testers are supported. Accumulators of one tester share its

@@ -28,11 +28,13 @@ import (
 	"time"
 
 	"honestplayer/internal/assesscache"
+	"honestplayer/internal/behavior"
 	"honestplayer/internal/cluster"
 	"honestplayer/internal/core"
 	"honestplayer/internal/feedback"
 	"honestplayer/internal/metrics"
 	"honestplayer/internal/service"
+	"honestplayer/internal/stats"
 	"honestplayer/internal/store"
 	"honestplayer/internal/wire"
 )
@@ -341,6 +343,16 @@ func (s *Server) registerMetrics() {
 	reg.Gauge("incremental.memo_bytes", func() any { return s.cfg.Assessor.MemoStats().Bytes })
 	reg.Gauge("incremental.memo_entries", func() any { return s.cfg.Assessor.MemoStats().Entries })
 	reg.Gauge("incremental.memo_rotations", func() any { return s.cfg.Assessor.MemoStats().Rotations })
+	// The threshold grid the tester calibrates on first touch: its points so
+	// far, and which kernel draws them at this node's window size (ADR 0007).
+	tcfg, _ := behavior.ConfigFor(s.cfg.Assessor.Tester())
+	reg.Gauge("calibration.points", func() any {
+		if tcfg.Calibrator == nil {
+			return 0
+		}
+		return tcfg.Calibrator.CacheSize()
+	})
+	reg.Gauge("calibration.kernel", func() any { return stats.CalibrationKernel(tcfg.WindowSize) })
 
 	s.cfg.Store.RegisterMetrics(reg)
 	s.Cluster().RegisterMetrics(reg)

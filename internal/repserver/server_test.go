@@ -1151,3 +1151,41 @@ func testConcurrentShutdownHonoursOwnContext(t *testing.T, connect func(*Server)
 		t.Fatalf("post-drain shutdown: %v", err)
 	}
 }
+
+// TestCalibrationMetrics: /metricz counts the threshold-grid points the
+// tester has calibrated and names the kernel that drew them; a tester
+// without a calibrator reports none and the scalar loop.
+func TestCalibrationMetrics(t *testing.T) {
+	srv, err := New("127.0.0.1:0", Config{Assessor: testAssessor(t)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = srv.Close() })
+	if got := srv.Metrics().Value("calibration.points"); got != 0 {
+		t.Fatalf("calibration.points before any assess = %v", got)
+	}
+	for i := 0; i < 60; i++ {
+		if _, err := srv.cfg.Store.Add(rec("srv", feedback.EntityID(rune('a'+i%4)), true, int64(i)+1)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := srv.Assess(context.Background(), wire.AssessRequest{Server: "srv", Threshold: 0.5}); err != nil {
+		t.Fatal(err)
+	}
+	if got, _ := srv.Metrics().Value("calibration.points").(int); got == 0 {
+		t.Fatal("calibration.points did not move after an assess")
+	}
+	if got, want := srv.Metrics().Value("calibration.kernel"), stats.CalibrationKernel(behavior.DefaultWindowSize); got != want {
+		t.Fatalf("calibration.kernel = %v, want %v", got, want)
+	}
+
+	blocked, bt := blockingServer(t, Config{})
+	close(bt.release)
+	t.Cleanup(func() { _ = blocked.Close() })
+	if got := blocked.Metrics().Value("calibration.points"); got != 0 {
+		t.Fatalf("calibration.points without a calibrator = %v", got)
+	}
+	if got := blocked.Metrics().Value("calibration.kernel"); got != "scalar" {
+		t.Fatalf("calibration.kernel without a calibrator = %v", got)
+	}
+}

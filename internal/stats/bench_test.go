@@ -66,10 +66,13 @@ func BenchmarkL1HistDistance(b *testing.B) {
 // design choice: threshold estimation cost scales linearly in replicates.
 // The windows= cases (default 1000 replicates, m = 10) report ns/window, the
 // unit of the cost model in CalibrateL1's comment: 10 generator steps, a
-// tally increment and 1/windows of a distance — the floor ADR 0007 records
-// is ~16.6 ns.
+// tally increment and 1/windows of a distance. On a 2-vCPU AVX-512 Xeon that
+// is ~25–40 ns on the scalar loop (-tags purego) and ~4–6 ns on the
+// eight-lane kernel from 542 windows up (ADR 0007). replicates=33 and
+// windows=4 are the smallest points the lanes take (minLaneUniforms,
+// minLaneReplicate): compare them across the two builds.
 func BenchmarkCalibrateL1(b *testing.B) {
-	for _, replicates := range []int{100, 500, 1000} {
+	for _, replicates := range []int{33, 100, 500, 1000} {
 		b.Run(fmt.Sprintf("replicates=%d", replicates), func(b *testing.B) {
 			cfg := CalibrationConfig{Seed: 1, Replicates: replicates}
 			b.ReportAllocs()
@@ -80,7 +83,7 @@ func BenchmarkCalibrateL1(b *testing.B) {
 			}
 		})
 	}
-	for _, windows := range []int{50, 542, 4096} {
+	for _, windows := range []int{4, 50, 542, 4096} {
 		b.Run(fmt.Sprintf("windows=%d", windows), func(b *testing.B) {
 			cfg := CalibrationConfig{Seed: 1}
 			for i := 0; i < b.N; i++ {

@@ -1,6 +1,7 @@
 package stats
 
 import (
+	"errors"
 	"math"
 	"testing"
 )
@@ -53,6 +54,11 @@ func TestCalibrateL1Validation(t *testing.T) {
 	}
 	if _, err := CalibrateL1(10, 10, 2, cfg); err == nil {
 		t.Error("pHat>1 must fail")
+	}
+	for _, bad := range []CalibrationConfig{{Replicates: -5}, {Replicates: 10, Confidence: 1.5}} {
+		if _, err := CalibrateL1(10, 10, 0.9, bad); !errors.Is(err, ErrInvalidDistribution) {
+			t.Errorf("CalibrateL1 with %+v: err = %v, want ErrInvalidDistribution", bad, err)
+		}
 	}
 }
 
