@@ -336,6 +336,13 @@ func TestCompatMatrix(t *testing.T) {
 				directAddr, door, _ := deploy(t, deployment.nodes, nil)
 				ids := roles(door)
 				want := play(t, dial(t, directAddr), ids)
+				// Multi verdicts of several suffixes: chains on the direct
+				// connection (ADR 0006's amendment), JSON across the skew.
+				for _, a := range want.Assess {
+					if len(a.Assessment.Verdict.Suffixes) < 2 {
+						t.Fatalf("%s: %d suffixes, no chain to carry", a.Assessment.Server, len(a.Assessment.Verdict.Suffixes))
+					}
+				}
 
 				skewAddr, _, relays := deploy(t, deployment.nodes, &dir)
 				c := dial(t, skewAddr)

@@ -214,8 +214,8 @@ func FuzzSubmitBatch(f *testing.F) {
 // fuzzRows builds a verdict table from fuzz bytes, 28 per row: a control
 // byte steers each field between what a tester writes (counts in step, PHat
 // on the g/Transactions grid, thresholds in runs, Pass following from the
-// floats) and arbitrary bit patterns, so the fuzzer reaches every mix of
-// derived and explicit columns.
+// floats, rows one window apart as in a chain) and arbitrary bit patterns,
+// so the fuzzer reaches every mix of derived and explicit columns.
 func fuzzRows(data []byte) []behavior.SuffixResult {
 	var rows []behavior.SuffixResult
 	var prev behavior.SuffixResult
@@ -242,6 +242,13 @@ func fuzzRows(data []byte) []behavior.SuffixResult {
 		if ctl&4 != 0 {
 			s.Threshold = prev.Threshold
 		}
+		if ctl&64 != 0 && prev.Windows > 1 && prev.Transactions == 10*prev.Windows {
+			// One window shorter than prev, as Scheme 2's next suffix is.
+			good := int(prev.PHat*float64(prev.Transactions)+0.5) - int(data[1])%11
+			s.Windows = prev.Windows - 1
+			s.Transactions = 10 * s.Windows
+			s.PHat = float64(max(good, 0)) / float64(s.Transactions)
+		}
 		if ctl&8 != 0 {
 			s.Pass = s.Distance <= s.Threshold
 		}
@@ -251,12 +258,55 @@ func fuzzRows(data []byte) []behavior.SuffixResult {
 	return rows
 }
 
+// seedTables are real verdict tables for the fuzzers to start from: multi's
+// and collusion-multi's over seeded honest histories of 200, 1000 and 5000
+// records, which are chains, and three that break a chain: a stride of two
+// windows, Single's one row of 500 windows, and a multi table missing a row.
+func seedTables(tb testing.TB) [][]behavior.SuffixResult {
+	tb.Helper()
+	cfg := behavior.Config{Calibrator: testCalibrator()}
+	multi, err := behavior.NewMulti(cfg)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	collusion, err := behavior.NewCollusionMulti(cfg)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	wide := cfg
+	wide.Stride = 2 * behavior.DefaultWindowSize
+	stride2m, err := behavior.NewMulti(wide)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	single, err := behavior.NewSingle(cfg)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	test := func(tester behavior.Tester, records int) []behavior.SuffixResult {
+		v, err := tester.Test(honestHistory(tb, "srv", records, 0.93, int64(records)))
+		if err != nil {
+			tb.Fatal(err)
+		}
+		return v.Suffixes
+	}
+	var tables [][]behavior.SuffixResult
+	for _, records := range []int{200, 1000, 5000} {
+		tables = append(tables, test(multi, records), test(collusion, records))
+	}
+	skipped := test(multi, 1000)
+	return append(tables, test(stride2m, 1000), test(single, 5000), append(skipped[:40:40], skipped[41:]...))
+}
+
 // FuzzVerdictTable drives the verdict-table codec from both ends. As bytes
 // off the wire: no panic, no more rows than the bytes could back, and
 // anything accepted re-encodes to the bytes it came from. As rows to send:
 // whatever the floats and counts hold, the table that arrives has the same
 // bits in every field.
 func FuzzVerdictTable(f *testing.F) {
+	for _, rows := range seedTables(f) {
+		f.Add(appendVerdictTable(nil, rows))
+	}
 	f.Add(appendVerdictTable(nil, testAssessment().Verdict.Suffixes))
 	f.Add(appendVerdictTable(nil, []behavior.SuffixResult{
 		{Transactions: 7, Windows: 3, PHat: math.NaN(), Distance: math.Inf(1), Threshold: math.Copysign(0, -1), Pass: true},
@@ -268,7 +318,11 @@ func FuzzVerdictTable(f *testing.F) {
 		r := &breader{buf: data}
 		if rows, err := r.verdictTable(); err == nil {
 			used := data[:len(data)-len(r.buf)]
-			if len(rows)*10 > len(used) {
+			least := 20 // half-bytes a row takes at least: 3 in a chain
+			if _, k := binary.Uvarint(used); len(rows) > 0 && used[k]&tableChain != 0 {
+				least = 3
+			}
+			if len(rows)*least > 2*len(used) {
 				t.Fatalf("%d rows out of %d bytes", len(rows), len(used))
 			}
 			if again := appendVerdictTable(nil, rows); !bytes.Equal(again, used) {
@@ -292,6 +346,20 @@ func FuzzAssessBatchResponse(f *testing.F) {
 			}
 			f.Add(typ == TypeFwdAssessBR, []byte(env.Payload))
 		}
+	}
+	for i, rows := range seedTables(f) {
+		a := testAssessment()
+		a.Verdict.Suffixes = rows
+		items := []AssessBatchItem{{Server: a.Server, AssessResponse: AssessResponse{Assessment: a}}}
+		var payload any = AssessBatchResponse{Items: items}
+		if i%2 == 1 {
+			payload = FwdAssessBatchResponse{Node: "n2", Items: items}
+		}
+		buf, _, err := appendBinaryPayload(nil, payload)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(i%2 == 1, buf)
 	}
 	f.Add(false, binary.AppendUvarint(nil, MaxFrame))
 	f.Add(true, []byte{1, 'n', 0xff, 0x01, 0, 0})

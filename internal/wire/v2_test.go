@@ -424,10 +424,11 @@ func TestV2RetiredCodesStayReserved(t *testing.T) {
 	}
 }
 
-// TestSubmitBatchGoldenFrame pins submit.batch on the wire as revision 6
-// lays it out: the v2 header, then the records as one feedback.AppendBatch
-// column batch with dictionaries that start empty at the frame, its times
-// divided by their differences' greatest common divisor (ADR 0014).
+// TestSubmitBatchGoldenFrame pins submit.batch on the wire as revision 7
+// lays it out, as revision 6 did: the v2 header, then the records as one
+// feedback.AppendBatch column batch with dictionaries that start empty at
+// the frame, its times divided by their differences' greatest common
+// divisor (ADR 0014).
 func TestSubmitBatchGoldenFrame(t *testing.T) {
 	req := BatchRequest{Records: []feedback.Feedback{
 		{Time: time.Unix(0, 100).UTC(), Server: "s1", Client: "c1", Rating: feedback.Positive},
@@ -445,8 +446,8 @@ func TestSubmitBatchGoldenFrame(t *testing.T) {
 		0b101, // good
 	}
 	var buf bytes.Buffer
-	if err := WriteHello(&buf); err != nil || !bytes.Equal(buf.Bytes(), []byte{0xB2, 'W', '2', 6, '\n'}) {
-		t.Fatalf("hello = %x, %v; the layout below is revision 6's", buf.Bytes(), err)
+	if err := WriteHello(&buf); err != nil || !bytes.Equal(buf.Bytes(), []byte{0xB2, 'W', '2', 7, '\n'}) {
+		t.Fatalf("hello = %x, %v; the layout below is revision 7's", buf.Bytes(), err)
 	}
 	buf.Reset()
 	env, err := V2Codec.Encode(TypeSubmitB, 9, req)

@@ -16,7 +16,8 @@
 #     table under a per-process seed, not a map of id strings (ADR 0012)
 #   - a snapshot section is a history's columns, never records (ADR 0005)
 #   - a verdict's suffix results cross the wire as columns, through one
-#     assessment codec (ADR 0006)
+#     assessment codec (ADR 0006); a chain's distances are residuals against
+#     a predictor built from + − × ÷ alone, with no product fused into an add
 #   - record batches are columns through one codec (ADR 0008): the ledger
 #     writes blocks, the wire writes batches, neither frames a record alone
 #   - one time column (ADR 0014): a batch's and a section's times are coded
@@ -149,6 +150,18 @@ check "behavior.SuffixResult stays inside internal/wire/verdict.go (ADR 0006)" \
 check "one verdict-table decoder and one assessment decoder (ADR 0006)" \
     "[ \"\$(sources | xargs grep -hE 'func \(r \*breader\) (verdictTable|assessment)\(' | wc -l)\" -eq 2 ] \
      && absent 'Verdict\.Suffixes\s*=\s*append' internal/wire"
+# A receiver rebuilds a chain's distances from the predictor's bits, so the
+# predictor must compute the same bits on every GOARCH: no math.Exp or
+# math.Log (their kernels differ by architecture, ADR 0007), and no product
+# fused into an add, which arm64, ppc64le and s390x do unless float64() rounds
+# it first. `return x*y + z` compiles to FMADDD under GOARCH=arm64, and
+# `float64(x*y) + z` to FMULD and FADDD; the compiler's listing tags each
+# instruction, inlined ones too, with its source line in predict.go.
+check "internal/wire calls no math.Exp, Log, Lgamma or Pow (ADR 0006)" \
+    "absent 'math\.(Exp|Log|Lgamma|Pow)[0-9a-z]*\(' internal/wire"
+predictor_arm64=$(GOARCH=arm64 go build -gcflags=-S ./internal/wire 2>&1 | grep 'predict\.go:' || true)
+check "the chain predictor has no fused multiply-add on arm64 (ADR 0006)" \
+    "grep -qw FMULD <<<\"\$predictor_arm64\" && ! grep -qwE 'FMADDD|FMSUBD|FNMADDD|FNMSUBD' <<<\"\$predictor_arm64\""
 
 # --- record batches are columns, one codec (ADR 0008) -------------------------
 # The row writer (appendRecord: one AppendBinary payload, length and CRC per
