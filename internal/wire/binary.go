@@ -351,7 +351,8 @@ func appendFwdAssessBatchResponse(buf []byte, p FwdAssessBatchResponse) []byte {
 // remaining length, and uvarint-borne counts are sanity-checked against the
 // bytes left so a corrupt frame can never force a large allocation.
 type breader struct {
-	buf []byte
+	buf  []byte
+	rows int // verdict rows decoded so far, against maxFrameRows
 }
 
 func (r *breader) bool() (bool, error) {
