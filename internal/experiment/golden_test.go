@@ -10,9 +10,8 @@ import (
 
 var update = flag.Bool("update", false, "rewrite testdata/quick-seed1 from this build instead of comparing")
 
-// TestQuickSeed1Goldens is the paper-fidelity gate: Figs. 3–8 and the two
-// ablations that consult an assessor per transaction (ablation-cusum,
-// ablation-lambda) at `reprobench -quick -seed 1 -csv` scale must come out
+// TestQuickSeed1Goldens is the paper-fidelity gate: Figs. 3–8 and every
+// ablation at `reprobench -quick -seed 1 -csv` scale must come out
 // byte for byte as committed (reprobench writes exactly Result.CSV()). The
 // figures are pure functions of the seed — through every calibrated ε, so
 // through the calibration stream ADR 0007 fixes — and a refactor or a cheaper
@@ -26,7 +25,7 @@ func TestQuickSeed1Goldens(t *testing.T) {
 		// FMA-contracted on others; the last bit may differ.
 		t.Skipf("goldens were recorded on amd64, not %s", runtime.GOARCH)
 	}
-	for _, id := range append(FigureIDs(), "ablation-cusum", "ablation-lambda") {
+	for _, id := range append(FigureIDs(), AblationIDs()...) {
 		if id == "fig9" {
 			continue
 		}
