@@ -11,45 +11,30 @@ import (
 // familywise correction for multi-testing, and the Monte-Carlo replicate
 // count behind the threshold calibration.
 
-// AblationWindowConfig parameterises the window-size ablation: detection
-// rate of a periodic attacker and pass rate of honest players as the
-// window size m varies around the paper's choice of 10.
-type AblationWindowConfig struct {
-	// WindowSizes are the m values to compare; nil means {5, 10, 20, 50}.
-	WindowSizes []int
-	// HistoryLen is the tested history length; zero means 600.
-	HistoryLen int
-	// AttackWindow is the periodic attacker's window; zero means 20.
-	AttackWindow int
-	// Trials per point; zero means 150.
-	Trials int
-	// Seed drives all randomness.
-	Seed uint64
-	// CalibrationReplicates tunes ε estimation; zero means 500.
-	CalibrationReplicates int
+// windowParams parameterises the window-size ablation: detection rate of a
+// periodic attacker and pass rate of honest players as the window size m
+// varies around the paper's choice of 10.
+type windowParams struct {
+	windowSizes []int // the m values to compare
+	trials      int   // histories of each kind per point
+	replicates  int   // Monte-Carlo replicates per calibrated ε
 }
 
-func (c AblationWindowConfig) withDefaults() AblationWindowConfig {
-	if c.WindowSizes == nil {
-		c.WindowSizes = []int{5, 10, 20, 50}
+func windowScale(quick bool) windowParams {
+	p := windowParams{windowSizes: []int{5, 10, 20, 50}, trials: 150, replicates: 500}
+	if quick {
+		p.trials, p.replicates = 40, 200
 	}
-	if c.HistoryLen == 0 {
-		c.HistoryLen = 600
-	}
-	if c.AttackWindow == 0 {
-		c.AttackWindow = 20
-	}
-	if c.Trials == 0 {
-		c.Trials = 150
-	}
-	return c
+	return p
 }
 
-// RunAblationWindow measures how the window size m trades attacker
+// runAblationWindow measures how the window size m trades attacker
 // detection against honest-player false positives.
-func RunAblationWindow(cfg AblationWindowConfig) (*Result, error) {
-	cfg = cfg.withDefaults()
-	cal := newCalibrator(cfg.Seed+5000, cfg.CalibrationReplicates)
+func runAblationWindow(p windowParams, seed uint64) (*Result, error) {
+	// Tested histories are 600 transactions; the periodic attacker's window
+	// is 20.
+	const historyLen, attackWindow = 600, 20
+	cal := newCalibrator(seed+5000, p.replicates)
 	res := &Result{
 		ID:     "ablation-window",
 		Title:  "Window size m: attacker detection vs. honest false positives (single test)",
@@ -58,15 +43,15 @@ func RunAblationWindow(cfg AblationWindowConfig) (*Result, error) {
 	}
 	detect := Series{Name: "periodic-attacker detection"}
 	falsePos := Series{Name: "honest false positive"}
-	rng := stats.NewRNG(cfg.Seed)
-	for _, m := range cfg.WindowSizes {
+	rng := stats.NewRNG(seed)
+	for _, m := range p.windowSizes {
 		tester, err := behavior.NewSingle(behavior.Config{WindowSize: m, Calibrator: cal})
 		if err != nil {
 			return nil, err
 		}
 		detected, flaggedHonest := 0, 0
-		for trial := 0; trial < cfg.Trials; trial++ {
-			att, err := attack.GenPeriodic("a", cfg.HistoryLen, cfg.AttackWindow, 0.1, rng)
+		for trial := 0; trial < p.trials; trial++ {
+			att, err := attack.GenPeriodic("a", historyLen, attackWindow, 0.1, rng)
 			if err != nil {
 				return nil, err
 			}
@@ -77,7 +62,7 @@ func RunAblationWindow(cfg AblationWindowConfig) (*Result, error) {
 			if !v.Honest {
 				detected++
 			}
-			hon, err := attack.GenHonest("h", cfg.HistoryLen, 0.9, 100, rng)
+			hon, err := attack.GenHonest("h", historyLen, 0.9, 100, rng)
 			if err != nil {
 				return nil, err
 			}
@@ -89,49 +74,39 @@ func RunAblationWindow(cfg AblationWindowConfig) (*Result, error) {
 				flaggedHonest++
 			}
 		}
-		detect.Points = append(detect.Points, Point{X: float64(m), Y: float64(detected) / float64(cfg.Trials)})
-		falsePos.Points = append(falsePos.Points, Point{X: float64(m), Y: float64(flaggedHonest) / float64(cfg.Trials)})
+		detect.Points = append(detect.Points, Point{X: float64(m), Y: float64(detected) / float64(p.trials)})
+		falsePos.Points = append(falsePos.Points, Point{X: float64(m), Y: float64(flaggedHonest) / float64(p.trials)})
 	}
 	res.Series = append(res.Series, detect, falsePos)
 	return res, nil
 }
 
-// AblationCorrectionConfig parameterises the familywise-correction
-// ablation: honest-player pass rate of the multi tester with and without
-// the Bonferroni correction, as history length grows (and with it the
-// number of tested suffixes).
-type AblationCorrectionConfig struct {
-	// HistorySizes in transactions; nil means {200, 400, 800, 1600}.
-	HistorySizes []int
-	// Trials per point; zero means 100.
-	Trials int
-	// Seed drives all randomness.
-	Seed uint64
-	// CalibrationReplicates tunes ε estimation; zero means 2000 (the
-	// corrected quantiles sit deep in the tail).
-	CalibrationReplicates int
+// correctionParams parameterises the familywise-correction ablation:
+// honest-player pass rate of the multi tester with and without the
+// Bonferroni correction, as history length grows (and with it the number of
+// tested suffixes).
+type correctionParams struct {
+	historySizes []int // in transactions
+	trials       int   // honest histories per point
+	// replicates per calibrated ε: the corrected quantiles sit deep in the
+	// tail.
+	replicates int
 }
 
-func (c AblationCorrectionConfig) withDefaults() AblationCorrectionConfig {
-	if c.HistorySizes == nil {
-		c.HistorySizes = []int{200, 400, 800, 1600}
+func correctionScale(quick bool) correctionParams {
+	p := correctionParams{historySizes: []int{200, 400, 800, 1600}, trials: 100, replicates: 2000}
+	if quick {
+		p.historySizes, p.trials, p.replicates = []int{200, 800}, 30, 1000
 	}
-	if c.Trials == 0 {
-		c.Trials = 100
-	}
-	if c.CalibrationReplicates == 0 {
-		c.CalibrationReplicates = 2000
-	}
-	return c
+	return p
 }
 
-// RunAblationCorrection measures the honest-player pass rate of
+// runAblationCorrection measures the honest-player pass rate of
 // multi-testing with and without the familywise correction. Without it the
 // per-suffix 5% false-positive chance compounds and the pass rate collapses
 // as histories grow; with it the pass rate stays near the configured 95%.
-func RunAblationCorrection(cfg AblationCorrectionConfig) (*Result, error) {
-	cfg = cfg.withDefaults()
-	cal := newCalibrator(cfg.Seed+6000, cfg.CalibrationReplicates)
+func runAblationCorrection(p correctionParams, seed uint64) (*Result, error) {
+	cal := newCalibrator(seed+6000, p.replicates)
 	res := &Result{
 		ID:     "ablation-correction",
 		Title:  "Honest pass rate of multi-testing: familywise correction on/off",
@@ -146,7 +121,7 @@ func RunAblationCorrection(cfg AblationCorrectionConfig) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	rng := stats.NewRNG(cfg.Seed)
+	rng := stats.NewRNG(seed)
 	for _, tc := range []struct {
 		name   string
 		tester behavior.Tester
@@ -155,9 +130,9 @@ func RunAblationCorrection(cfg AblationCorrectionConfig) (*Result, error) {
 		{"bonferroni-corrected", corrected},
 	} {
 		series := Series{Name: tc.name}
-		for _, n := range cfg.HistorySizes {
+		for _, n := range p.historySizes {
 			pass := 0
-			for trial := 0; trial < cfg.Trials; trial++ {
+			for trial := 0; trial < p.trials; trial++ {
 				h, err := attack.GenHonest("h", n, 0.9, 100, rng)
 				if err != nil {
 					return nil, err
@@ -170,7 +145,7 @@ func RunAblationCorrection(cfg AblationCorrectionConfig) (*Result, error) {
 					pass++
 				}
 			}
-			series.Points = append(series.Points, Point{X: float64(n), Y: float64(pass) / float64(cfg.Trials)})
+			series.Points = append(series.Points, Point{X: float64(n), Y: float64(pass) / float64(p.trials)})
 		}
 		res.Series = append(res.Series, series)
 	}
@@ -179,43 +154,26 @@ func RunAblationCorrection(cfg AblationCorrectionConfig) (*Result, error) {
 	return res, nil
 }
 
-// AblationReplicatesConfig parameterises the calibration-replicates
-// ablation: stability of the ε estimate as the Monte-Carlo budget grows.
-type AblationReplicatesConfig struct {
-	// ReplicateCounts to compare; nil means {50, 100, 250, 500, 1000, 2000}.
-	ReplicateCounts []int
-	// Windows of the calibrated test; zero means 50.
-	Windows int
-	// PHat of the calibrated test; zero means 0.9.
-	PHat float64
-	// Resamples is how many independent ε estimates feed the spread; zero
-	// means 20.
-	Resamples int
-	// Seed drives all randomness.
-	Seed uint64
+// replicatesParams parameterises the calibration-replicates ablation:
+// stability of the ε estimate as the Monte-Carlo budget grows.
+type replicatesParams struct {
+	replicateCounts []int // the budgets to compare
+	resamples       int   // independent ε estimates behind each spread
 }
 
-func (c AblationReplicatesConfig) withDefaults() AblationReplicatesConfig {
-	if c.ReplicateCounts == nil {
-		c.ReplicateCounts = []int{50, 100, 250, 500, 1000, 2000}
+func replicatesScale(quick bool) replicatesParams {
+	p := replicatesParams{replicateCounts: []int{50, 100, 250, 500, 1000, 2000}, resamples: 20}
+	if quick {
+		p.replicateCounts, p.resamples = []int{50, 200, 1000}, 8
 	}
-	if c.Windows == 0 {
-		c.Windows = 50
-	}
-	if c.PHat == 0 {
-		c.PHat = 0.9
-	}
-	if c.Resamples == 0 {
-		c.Resamples = 20
-	}
-	return c
+	return p
 }
 
-// RunAblationReplicates measures the mean and spread (P95−P05) of the ε
+// runAblationReplicates measures the mean and spread (P95−P05) of the ε
 // estimate as a function of the Monte-Carlo replicate count, justifying the
-// default of 1000.
-func RunAblationReplicates(cfg AblationReplicatesConfig) (*Result, error) {
-	cfg = cfg.withDefaults()
+// default of 1000. The calibrated test has 50 windows at p̂ = 0.9.
+func runAblationReplicates(p replicatesParams, seed uint64) (*Result, error) {
+	const windows, pHat = 50, 0.9
 	res := &Result{
 		ID:     "ablation-replicates",
 		Title:  "Calibration replicates vs. threshold stability",
@@ -224,11 +182,11 @@ func RunAblationReplicates(cfg AblationReplicatesConfig) (*Result, error) {
 	}
 	meanSeries := Series{Name: "epsilon mean"}
 	spreadSeries := Series{Name: "epsilon spread (P95-P05)"}
-	for _, reps := range cfg.ReplicateCounts {
-		eps := make([]float64, cfg.Resamples)
+	for _, reps := range p.replicateCounts {
+		eps := make([]float64, p.resamples)
 		for i := range eps {
-			v, err := stats.CalibrateL1(DefaultWindowSize, cfg.Windows, cfg.PHat, stats.CalibrationConfig{
-				Seed:       cfg.Seed + uint64(i)*7919 + uint64(reps),
+			v, err := stats.CalibrateL1(windowSize, windows, pHat, stats.CalibrationConfig{
+				Seed:       seed + uint64(i)*7919 + uint64(reps),
 				Replicates: reps,
 			})
 			if err != nil {

@@ -12,52 +12,30 @@ import (
 	"honestplayer/internal/trust"
 )
 
-// AblationCUSUMConfig parameterises the change-detection ablation: how fast
-// the online CUSUM detector and the windowed multi-test flag a hibernating
-// turn, as a function of the post-turn quality.
-type AblationCUSUMConfig struct {
-	// PostQualities are the post-turn success probabilities; nil means
-	// {0, 0.2, 0.4, 0.6}.
-	PostQualities []float64
-	// Prep is the honest prefix length; zero means 400.
-	Prep int
-	// PrepP is the honest quality; zero means 0.95.
-	PrepP float64
-	// MaxDelay bounds the measured delay; zero means 300.
-	MaxDelay int
-	// Trials per point; zero means 100.
-	Trials int
-	// Seed drives all randomness.
-	Seed uint64
-	// CalibrationReplicates tunes ε estimation; zero means 500.
-	CalibrationReplicates int
+// cusumParams parameterises the change-detection ablation: how fast the
+// online CUSUM detector and the windowed multi-test flag a hibernating turn,
+// as a function of the post-turn quality.
+type cusumParams struct {
+	postQualities []float64 // post-turn success probabilities
+	trials        int       // attackers per point
+	replicates    int       // Monte-Carlo replicates per calibrated ε
 }
 
-func (c AblationCUSUMConfig) withDefaults() AblationCUSUMConfig {
-	if c.PostQualities == nil {
-		c.PostQualities = []float64{0, 0.2, 0.4, 0.6}
+func cusumScale(quick bool) cusumParams {
+	p := cusumParams{postQualities: []float64{0, 0.2, 0.4, 0.6}, trials: 100, replicates: 500}
+	if quick {
+		p.postQualities, p.trials, p.replicates = []float64{0, 0.4}, 20, 200
 	}
-	if c.Prep == 0 {
-		c.Prep = 400
-	}
-	if c.PrepP == 0 {
-		c.PrepP = 0.95
-	}
-	if c.MaxDelay == 0 {
-		c.MaxDelay = 300
-	}
-	if c.Trials == 0 {
-		c.Trials = 100
-	}
-	return c
+	return p
 }
 
-// RunAblationCUSUM measures the mean detection delay (transactions after
-// the behaviour change; undetected runs count as MaxDelay) of the CUSUM
-// detector versus the windowed multi-test.
-func RunAblationCUSUM(cfg AblationCUSUMConfig) (*Result, error) {
-	cfg = cfg.withDefaults()
-	cal := newCalibrator(cfg.Seed+7000, cfg.CalibrationReplicates)
+// runAblationCUSUM measures the mean detection delay (transactions after the
+// behaviour change; undetected runs count as maxDelay) of the CUSUM detector
+// versus the windowed multi-test. Each attacker is honest at prepTrust for
+// 400 transactions, then turns.
+func runAblationCUSUM(p cusumParams, seed uint64) (*Result, error) {
+	const prep, maxDelay = 400, 300
+	cal := newCalibrator(seed+7000, p.replicates)
 	multi, err := behavior.NewMulti(behavior.Config{Calibrator: cal})
 	if err != nil {
 		return nil, err
@@ -66,19 +44,19 @@ func RunAblationCUSUM(cfg AblationCUSUMConfig) (*Result, error) {
 		ID:     "ablation-cusum",
 		Title:  "Detection delay after a hibernating turn: CUSUM vs. multi-testing",
 		XLabel: "post-turn quality",
-		YLabel: fmt.Sprintf("mean detection delay (transactions, cap %d)", cfg.MaxDelay),
+		YLabel: fmt.Sprintf("mean detection delay (transactions, cap %d)", maxDelay),
 	}
 	cusumSeries := Series{Name: "cusum(p1=0.5,h=12)"}
 	multiSeries := Series{Name: "multi-testing (per transaction)"}
-	rng := stats.NewRNG(cfg.Seed)
-	for _, q := range cfg.PostQualities {
+	rng := stats.NewRNG(seed)
+	for _, q := range p.postQualities {
 		cusumTotal, multiTotal := 0, 0
-		for trial := 0; trial < cfg.Trials; trial++ {
-			h, err := attack.PrepareHistory("a", cfg.Prep, cfg.PrepP, 50, rng)
+		for trial := 0; trial < p.trials; trial++ {
+			h, err := attack.PrepareHistory("a", prep, prepTrust, 50, rng)
 			if err != nil {
 				return nil, err
 			}
-			detector, err := behavior.NewCUSUM(cfg.PrepP, 0.5, 12)
+			detector, err := behavior.NewCUSUM(prepTrust, 0.5, 12)
 			if err != nil {
 				return nil, err
 			}
@@ -92,17 +70,17 @@ func RunAblationCUSUM(cfg AblationCUSUMConfig) (*Result, error) {
 				// post-turn measurement.
 				detector.Reset()
 			}
-			cusumDelay, multiDelay := cfg.MaxDelay, cfg.MaxDelay
-			for d := 1; d <= cfg.MaxDelay; d++ {
+			cusumDelay, multiDelay := maxDelay, maxDelay
+			for d := 1; d <= maxDelay; d++ {
 				good := rng.Bernoulli(q)
-				if err := h.AppendOutcome("v", good, logical(cfg.Prep+d)); err != nil {
+				if err := h.AppendOutcome("v", good, logical(prep+d)); err != nil {
 					return nil, err
 				}
 				acc.Append(h.At(h.Len() - 1))
-				if cusumDelay == cfg.MaxDelay && detector.Observe(good) {
+				if cusumDelay == maxDelay && detector.Observe(good) {
 					cusumDelay = d
 				}
-				if multiDelay == cfg.MaxDelay {
+				if multiDelay == maxDelay {
 					v, err := acc.Test()
 					if err != nil && !errors.Is(err, behavior.ErrInsufficientHistory) {
 						return nil, err
@@ -111,7 +89,7 @@ func RunAblationCUSUM(cfg AblationCUSUMConfig) (*Result, error) {
 						multiDelay = d
 					}
 				}
-				if cusumDelay < cfg.MaxDelay && multiDelay < cfg.MaxDelay {
+				if cusumDelay < maxDelay && multiDelay < maxDelay {
 					break
 				}
 			}
@@ -119,9 +97,9 @@ func RunAblationCUSUM(cfg AblationCUSUMConfig) (*Result, error) {
 			multiTotal += multiDelay
 		}
 		cusumSeries.Points = append(cusumSeries.Points, Point{
-			X: q, Y: float64(cusumTotal) / float64(cfg.Trials)})
+			X: q, Y: float64(cusumTotal) / float64(p.trials)})
 		multiSeries.Points = append(multiSeries.Points, Point{
-			X: q, Y: float64(multiTotal) / float64(cfg.Trials)})
+			X: q, Y: float64(multiTotal) / float64(p.trials)})
 	}
 	res.Series = append(res.Series, cusumSeries, multiSeries)
 	res.Notes = append(res.Notes,
@@ -129,47 +107,31 @@ func RunAblationCUSUM(cfg AblationCUSUMConfig) (*Result, error) {
 	return res, nil
 }
 
-// AblationLambdaConfig parameterises the λ-sensitivity ablation of the
-// weighted trust function: attacker cost as λ varies, with and without
-// Scheme-2 behaviour testing.
-type AblationLambdaConfig struct {
-	// Lambdas to sweep; nil means {0.1, 0.3, 0.5, 0.7, 0.9}.
-	Lambdas []float64
-	// Prep is the preparation length; zero means 400.
-	Prep int
-	// GoalBad is M; zero means 20.
-	GoalBad int
-	// Trials per point; zero means 3.
-	Trials int
-	// Seed drives all randomness.
-	Seed uint64
-	// CalibrationReplicates tunes ε estimation; zero means 500.
-	CalibrationReplicates int
+// lambdaParams parameterises the λ-sensitivity ablation of the weighted
+// trust function: attacker cost as λ varies, with and without Scheme-2
+// behaviour testing.
+type lambdaParams struct {
+	lambdas    []float64 // the λ values to sweep
+	goalBad    int       // M
+	trials     int       // seeded runs averaged per point
+	replicates int       // Monte-Carlo replicates per calibrated ε
 }
 
-func (c AblationLambdaConfig) withDefaults() AblationLambdaConfig {
-	if c.Lambdas == nil {
-		c.Lambdas = []float64{0.1, 0.3, 0.5, 0.7, 0.9}
+func lambdaScale(quick bool) lambdaParams {
+	p := lambdaParams{lambdas: []float64{0.1, 0.3, 0.5, 0.7, 0.9}, goalBad: 20, trials: 3, replicates: 500}
+	if quick {
+		p.lambdas, p.goalBad, p.trials, p.replicates = []float64{0.1, 0.5, 0.9}, 10, 1, 200
 	}
-	if c.Prep == 0 {
-		c.Prep = 400
-	}
-	if c.GoalBad == 0 {
-		c.GoalBad = DefaultGoalBad
-	}
-	if c.Trials == 0 {
-		c.Trials = 3
-	}
-	return c
+	return p
 }
 
-// RunAblationLambda measures the strategic attacker's cost against the
-// weighted function across λ, bare and with Scheme-2 testing. The paper
-// fixes λ = 0.5; the sweep shows how much of Fig. 4's baseline cost comes
-// from that choice.
-func RunAblationLambda(cfg AblationLambdaConfig) (*Result, error) {
-	cfg = cfg.withDefaults()
-	cal := newCalibrator(cfg.Seed+8000, cfg.CalibrationReplicates)
+// runAblationLambda measures the strategic attacker's cost against the
+// weighted function across λ, bare and with Scheme-2 testing, after a
+// 400-transaction preparation. The paper fixes λ = 0.5; the sweep shows how
+// much of Fig. 4's baseline cost comes from that choice.
+func runAblationLambda(p lambdaParams, seed uint64) (*Result, error) {
+	const prep = 400
+	cal := newCalibrator(seed+8000, p.replicates)
 	multi, err := behavior.NewMulti(behavior.Config{Calibrator: cal})
 	if err != nil {
 		return nil, err
@@ -178,11 +140,11 @@ func RunAblationLambda(cfg AblationLambdaConfig) (*Result, error) {
 		ID:     "ablation-lambda",
 		Title:  "Weighted-function λ sweep: attacker cost, bare vs. scheme2",
 		XLabel: "lambda",
-		YLabel: fmt.Sprintf("good transactions to launch %d attacks", cfg.GoalBad),
+		YLabel: fmt.Sprintf("good transactions to launch %d attacks", p.goalBad),
 	}
 	bare := Series{Name: "weighted"}
 	tested := Series{Name: "scheme2+weighted"}
-	for _, lambda := range cfg.Lambdas {
+	for _, lambda := range p.lambdas {
 		fn, err := trust.NewWeighted(lambda)
 		if err != nil {
 			return nil, err
@@ -196,15 +158,15 @@ func RunAblationLambda(cfg AblationLambdaConfig) (*Result, error) {
 				return nil, err
 			}
 			total := 0
-			for trial := 0; trial < cfg.Trials; trial++ {
-				rng := stats.NewRNG(cfg.Seed ^ (uint64(trial+1) * 7919))
-				h, err := attack.PrepareHistory("a", cfg.Prep, DefaultPrepP, 50, rng)
+			for trial := 0; trial < p.trials; trial++ {
+				rng := stats.NewRNG(seed ^ (uint64(trial+1) * 7919))
+				h, err := attack.PrepareHistory("a", prep, prepTrust, 50, rng)
 				if err != nil {
 					return nil, err
 				}
 				s := &attack.Strategic{
-					Assessor: assessor, Threshold: DefaultThreshold,
-					GoalBad: cfg.GoalBad, MaxSteps: 500 * cfg.GoalBad,
+					Assessor: assessor, Threshold: trustThreshold,
+					GoalBad: p.goalBad, MaxSteps: 500 * p.goalBad,
 				}
 				cost, err := s.Run(h)
 				if err != nil && !errors.Is(err, attack.ErrGoalUnreachable) {
@@ -213,7 +175,7 @@ func RunAblationLambda(cfg AblationLambdaConfig) (*Result, error) {
 				total += cost.Good
 			}
 			tc.series.Points = append(tc.series.Points, Point{
-				X: lambda, Y: float64(total) / float64(cfg.Trials)})
+				X: lambda, Y: float64(total) / float64(p.trials)})
 		}
 	}
 	res.Series = append(res.Series, bare, tested)

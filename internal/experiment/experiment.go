@@ -1,7 +1,8 @@
 // Package experiment regenerates every figure of the paper's evaluation
-// (Figs. 3–9). Each experiment is a pure function of its configuration —
-// seeds included — and returns a Result carrying the same series the paper
-// plots, renderable as an ASCII table or CSV.
+// (Figs. 3–9) and the ablations behind DESIGN.md's choices. The registry is
+// the package's only entry point: each experiment is a pure function of its
+// scale (full or Quick) and its seed, and returns a Result carrying the same
+// series the paper plots, renderable as an ASCII table or CSV.
 //
 // Absolute numbers depend on the machine (Fig. 9) and on stochastic detail
 // the paper does not pin down; the reproduced artefact is the *shape* of
@@ -138,29 +139,16 @@ func formatFloat(v float64) string {
 	return strconv.FormatFloat(v, 'g', 5, 64)
 }
 
-// Shared experiment defaults, straight from §5.
+// Shared experiment constants, straight from §5.
 const (
-	// DefaultThreshold is the clients' trust threshold.
-	DefaultThreshold = 0.9
-	// DefaultPrepP is the attacker's trustworthiness during preparation.
-	DefaultPrepP = 0.95
-	// DefaultGoalBad is the number of attacks (M) the adversary wants.
-	DefaultGoalBad = 20
-	// DefaultWindowSize is the transaction window m.
-	DefaultWindowSize = 10
-	// DefaultLambda is the weighted trust function's λ.
-	DefaultLambda = 0.5
+	trustThreshold = 0.9  // the clients' trust threshold
+	prepTrust      = 0.95 // the attacker's trustworthiness during preparation
+	windowSize     = 10   // the transaction window m
+	weightedLambda = 0.5  // the weighted trust function's λ
 )
 
-// defaultPrepSizes is the x axis of Figs. 3–6: the size of the attacker's
-// initial (preparation) history.
-func defaultPrepSizes() []int { return []int{100, 200, 300, 400, 500, 600, 700, 800} }
-
 // newCalibrator builds the shared threshold calibrator used by an
-// experiment run. Replicates are configurable to trade precision for speed.
+// experiment run.
 func newCalibrator(seed uint64, replicates int) *stats.Calibrator {
-	if replicates == 0 {
-		replicates = 500
-	}
 	return stats.NewCalibrator(stats.CalibrationConfig{Seed: seed, Replicates: replicates}, 0)
 }

@@ -81,12 +81,11 @@ func TestRunUnknownFigure(t *testing.T) {
 }
 
 func TestRunFig8Shape(t *testing.T) {
-	res, err := RunFig8(ThresholdConfig{
-		HistorySizes: []int{100, 400, 1600},
-		PHats:        []float64{0.9},
-		Replicates:   300,
-		Seed:         1,
-	})
+	res, err := runFig8(thresholdParams{
+		historySizes: []int{100, 400, 1600},
+		pHats:        []float64{0.9},
+		replicates:   300,
+	}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -104,12 +103,11 @@ func TestRunFig8Shape(t *testing.T) {
 }
 
 func TestRunFig7Shape(t *testing.T) {
-	res, err := RunFig7(DetectionConfig{
-		WindowSizes:           []int{10, 80},
-		Trials:                60,
-		Seed:                  2,
-		CalibrationReplicates: 300,
-	})
+	res, err := runFig7(detectionParams{
+		windowSizes: []int{10, 80},
+		trials:      60,
+		replicates:  300,
+	}, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -133,13 +131,12 @@ func TestRunFig7Shape(t *testing.T) {
 }
 
 func TestRunFig3QuickShape(t *testing.T) {
-	res, err := RunFig3(CostConfig{
-		PrepSizes:             []int{100, 600},
-		GoalBad:               10,
-		Trials:                1,
-		Seed:                  3,
-		CalibrationReplicates: 200,
-	})
+	res, err := runFig3(costParams{
+		prepSizes:  []int{100, 600},
+		goalBad:    10,
+		trials:     1,
+		replicates: 200,
+	}, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -170,13 +167,12 @@ func TestRunFig3QuickShape(t *testing.T) {
 }
 
 func TestRunFig5QuickShape(t *testing.T) {
-	res, err := RunFig5(CollusionConfig{
-		PrepSizes:             []int{300},
-		GoalBad:               10,
-		Trials:                1,
-		Seed:                  4,
-		CalibrationReplicates: 200,
-	})
+	res, err := runFig5(costParams{
+		prepSizes:  []int{300},
+		goalBad:    10,
+		trials:     1,
+		replicates: 200,
+	}, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -200,13 +196,12 @@ func TestRunFig5QuickShape(t *testing.T) {
 }
 
 func TestRunFig9Small(t *testing.T) {
-	res, err := RunFig9(PerfConfig{
-		HistorySizes:          []int{20000, 40000},
-		NaiveSizes:            []int{2000, 4000},
-		Repeats:               1,
-		Seed:                  5,
-		CalibrationReplicates: 100,
-	})
+	res, err := runFig9(perfParams{
+		historySizes: []int{20000, 40000},
+		naiveSizes:   []int{2000, 4000},
+		repeats:      1,
+		replicates:   100,
+	}, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -223,12 +218,11 @@ func TestRunFig9Small(t *testing.T) {
 }
 
 func TestRunAblationCorrectionShape(t *testing.T) {
-	res, err := RunAblationCorrection(AblationCorrectionConfig{
-		HistorySizes:          []int{200, 1200},
-		Trials:                40,
-		Seed:                  9,
-		CalibrationReplicates: 1000,
-	})
+	res, err := runAblationCorrection(correctionParams{
+		historySizes: []int{200, 1200},
+		trials:       40,
+		replicates:   1000,
+	}, 9)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -254,11 +248,10 @@ func TestRunAblationCorrectionShape(t *testing.T) {
 }
 
 func TestRunAblationReplicatesShape(t *testing.T) {
-	res, err := RunAblationReplicates(AblationReplicatesConfig{
-		ReplicateCounts: []int{50, 1000},
-		Resamples:       10,
-		Seed:            11,
-	})
+	res, err := runAblationReplicates(replicatesParams{
+		replicateCounts: []int{50, 1000},
+		resamples:       10,
+	}, 11)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -278,12 +271,11 @@ func TestRunAblationReplicatesShape(t *testing.T) {
 }
 
 func TestRunAblationWindowShape(t *testing.T) {
-	res, err := RunAblationWindow(AblationWindowConfig{
-		WindowSizes:           []int{10, 50},
-		Trials:                30,
-		Seed:                  13,
-		CalibrationReplicates: 200,
-	})
+	res, err := runAblationWindow(windowParams{
+		windowSizes: []int{10, 50},
+		trials:      30,
+		replicates:  200,
+	}, 13)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -328,12 +320,11 @@ func TestPlot(t *testing.T) {
 }
 
 func TestRunAblationCUSUMShape(t *testing.T) {
-	res, err := RunAblationCUSUM(AblationCUSUMConfig{
-		PostQualities:         []float64{0},
-		Trials:                15,
-		Seed:                  17,
-		CalibrationReplicates: 200,
-	})
+	res, err := runAblationCUSUM(cusumParams{
+		postQualities: []float64{0},
+		trials:        15,
+		replicates:    200,
+	}, 17)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -349,13 +340,12 @@ func TestRunAblationCUSUMShape(t *testing.T) {
 }
 
 func TestRunAblationLambdaShape(t *testing.T) {
-	res, err := RunAblationLambda(AblationLambdaConfig{
-		Lambdas:               []float64{0.5},
-		GoalBad:               5,
-		Trials:                1,
-		Seed:                  19,
-		CalibrationReplicates: 200,
-	})
+	res, err := runAblationLambda(lambdaParams{
+		lambdas:    []float64{0.5},
+		goalBad:    5,
+		trials:     1,
+		replicates: 200,
+	}, 19)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -374,13 +364,12 @@ func TestRunAblationLambdaShape(t *testing.T) {
 }
 
 func TestRunFig4QuickShape(t *testing.T) {
-	res, err := RunFig4(CostConfig{
-		PrepSizes:             []int{200},
-		GoalBad:               5,
-		Trials:                1,
-		Seed:                  21,
-		CalibrationReplicates: 200,
-	})
+	res, err := runFig4(costParams{
+		prepSizes:  []int{200},
+		goalBad:    5,
+		trials:     1,
+		replicates: 200,
+	}, 21)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -404,13 +393,12 @@ func TestRunFig4QuickShape(t *testing.T) {
 }
 
 func TestRunFig6QuickShape(t *testing.T) {
-	res, err := RunFig6(CollusionConfig{
-		PrepSizes:             []int{200},
-		GoalBad:               5,
-		Trials:                1,
-		Seed:                  23,
-		CalibrationReplicates: 200,
-	})
+	res, err := runFig6(costParams{
+		prepSizes:  []int{200},
+		goalBad:    5,
+		trials:     1,
+		replicates: 200,
+	}, 23)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -9,48 +9,35 @@ import (
 	"honestplayer/internal/stats"
 )
 
-// DetectionConfig parameterises the Fig. 7 detection-rate experiment: a
+// detectionParams parameterises the Fig. 7 detection-rate experiment: a
 // periodic attacker keeps its reputation at ≈ 0.9 by launching N·0.1 attacks
 // within every attack window of N transactions; the figure plots the
 // fraction of such attackers the behaviour test flags, as the window size N
 // grows (and the pattern approaches genuine Bernoulli behaviour).
-type DetectionConfig struct {
-	// WindowSizes is the x axis; nil means {10, 20, …, 80}.
-	WindowSizes []int
-	// BadFrac is the attack fraction per window; zero means 0.1.
-	BadFrac float64
-	// HistoryLen is the attacker's total history length; zero means 600.
-	HistoryLen int
-	// Trials is the number of attacker histories per point; zero means 200.
-	Trials int
-	// Seed drives all randomness.
-	Seed uint64
-	// CalibrationReplicates tunes the Monte-Carlo ε estimation; zero means
-	// 500.
-	CalibrationReplicates int
+type detectionParams struct {
+	windowSizes []int // the x axis
+	trials      int   // attacker histories per point
+	replicates  int   // Monte-Carlo replicates per calibrated ε
 }
 
-func (c DetectionConfig) withDefaults() DetectionConfig {
-	if c.WindowSizes == nil {
-		c.WindowSizes = []int{10, 20, 30, 40, 50, 60, 70, 80}
+func detectionScale(quick bool) detectionParams {
+	p := detectionParams{windowSizes: []int{10, 20, 30, 40, 50, 60, 70, 80}, trials: 200, replicates: 500}
+	if quick {
+		p.trials, p.replicates = 40, 200
 	}
-	if c.BadFrac == 0 {
-		c.BadFrac = 0.1
-	}
-	if c.HistoryLen == 0 {
-		c.HistoryLen = 600
-	}
-	if c.Trials == 0 {
-		c.Trials = 200
-	}
-	return c
+	return p
 }
 
-// RunFig7 regenerates Fig. 7: detection rate vs. attack window size.
-func RunFig7(cfg DetectionConfig) (*Result, error) {
-	cfg = cfg.withDefaults()
-	cal := newCalibrator(cfg.Seed+3000, cfg.CalibrationReplicates)
-	bcfg := behavior.Config{WindowSize: DefaultWindowSize, Calibrator: cal}
+// Each Fig. 7 attacker has a 600-transaction history, 10 % of it attacks.
+const (
+	detectionHistoryLen = 600
+	detectionBadFrac    = 0.1
+)
+
+// runFig7 regenerates Fig. 7: detection rate vs. attack window size.
+func runFig7(p detectionParams, seed uint64) (*Result, error) {
+	cal := newCalibrator(seed+3000, p.replicates)
+	bcfg := behavior.Config{WindowSize: windowSize, Calibrator: cal}
 	single, err := behavior.NewSingle(bcfg)
 	if err != nil {
 		return nil, err
@@ -67,20 +54,20 @@ func RunFig7(cfg DetectionConfig) (*Result, error) {
 		YLabel: "detection rate",
 	}
 	testers := []behavior.Tester{single, multi}
-	rng := stats.NewRNG(cfg.Seed)
+	rng := stats.NewRNG(seed)
 	for _, tester := range testers {
 		series := Series{Name: tester.Name()}
-		for _, window := range cfg.WindowSizes {
+		for _, window := range p.windowSizes {
 			detected := 0
-			for trial := 0; trial < cfg.Trials; trial++ {
-				h, err := attack.GenPeriodic("attacker", cfg.HistoryLen, window, cfg.BadFrac, rng)
+			for trial := 0; trial < p.trials; trial++ {
+				h, err := attack.GenPeriodic("attacker", detectionHistoryLen, window, detectionBadFrac, rng)
 				if err != nil {
 					return nil, err
 				}
 				v, err := tester.Test(h)
 				if err != nil {
 					if errors.Is(err, behavior.ErrInsufficientHistory) {
-						return nil, fmt.Errorf("history length %d too short: %w", cfg.HistoryLen, err)
+						return nil, fmt.Errorf("history length %d too short: %w", detectionHistoryLen, err)
 					}
 					return nil, err
 				}
@@ -90,7 +77,7 @@ func RunFig7(cfg DetectionConfig) (*Result, error) {
 			}
 			series.Points = append(series.Points, Point{
 				X: float64(window),
-				Y: float64(detected) / float64(cfg.Trials),
+				Y: float64(detected) / float64(p.trials),
 			})
 		}
 		res.Series = append(res.Series, series)

@@ -4,63 +4,46 @@ import (
 	"honestplayer/internal/stats"
 )
 
-// ThresholdConfig parameterises the Fig. 8 experiment: how the calibrated
+// thresholdParams parameterises the Fig. 8 experiment: how the calibrated
 // 95 %-confidence distribution-distance threshold ε shrinks (converges) as
 // the initial history size grows.
-type ThresholdConfig struct {
-	// HistorySizes is the x axis in transactions; nil means
-	// {100, 200, …, 2000}.
-	HistorySizes []int
-	// PHats are the estimated trustworthiness values to calibrate at; nil
-	// means {0.90, 0.95}.
-	PHats []float64
-	// WindowSize is m; zero means 10.
-	WindowSize int
-	// Replicates is the Monte-Carlo sample-set count; zero means 1000 (the
-	// paper's "reasonably large" number).
-	Replicates int
-	// Seed drives the calibration streams.
-	Seed uint64
+type thresholdParams struct {
+	historySizes []int     // the x axis, in transactions
+	pHats        []float64 // estimated trustworthiness values to calibrate at
+	replicates   int       // Monte-Carlo sample sets per ε
 }
 
-func (c ThresholdConfig) withDefaults() ThresholdConfig {
-	if c.HistorySizes == nil {
-		for n := 100; n <= 2000; n += 100 {
-			c.HistorySizes = append(c.HistorySizes, n)
-		}
+func thresholdScale(quick bool) thresholdParams {
+	// 1000 replicates is the paper's "reasonably large" number.
+	p := thresholdParams{pHats: []float64{0.90, 0.95}, replicates: stats.DefaultReplicates}
+	for n := 100; n <= 2000; n += 100 {
+		p.historySizes = append(p.historySizes, n)
 	}
-	if c.PHats == nil {
-		c.PHats = []float64{0.90, 0.95}
+	if quick {
+		p.historySizes, p.replicates = []int{100, 200, 400, 800, 1600}, 300
 	}
-	if c.WindowSize == 0 {
-		c.WindowSize = DefaultWindowSize
-	}
-	if c.Replicates == 0 {
-		c.Replicates = stats.DefaultReplicates
-	}
-	return c
+	return p
 }
 
-// RunFig8 regenerates Fig. 8: distribution distance (the 95 % threshold ε)
+// runFig8 regenerates Fig. 8: distribution distance (the 95 % threshold ε)
 // vs. initial history size, showing the fast convergence the paper reports.
-func RunFig8(cfg ThresholdConfig) (*Result, error) {
-	cfg = cfg.withDefaults()
+func runFig8(p thresholdParams, seed uint64) (*Result, error) {
 	res := &Result{
 		ID:     "fig8",
 		Title:  "Distribution distance vs. initial history size",
 		XLabel: "initial history size",
 		YLabel: "95% distance threshold (epsilon)",
 	}
-	for _, p := range cfg.PHats {
-		series := Series{Name: formatFloat(p)}
-		for _, n := range cfg.HistorySizes {
-			windows := n / cfg.WindowSize
+	for _, pHat := range p.pHats {
+		series := Series{Name: formatFloat(pHat)}
+		for _, n := range p.historySizes {
+			windows := n / windowSize
 			if windows < 1 {
 				continue
 			}
-			eps, err := stats.CalibrateL1(cfg.WindowSize, windows, p, stats.CalibrationConfig{
-				Seed:       cfg.Seed,
-				Replicates: cfg.Replicates,
+			eps, err := stats.CalibrateL1(windowSize, windows, pHat, stats.CalibrationConfig{
+				Seed:       seed,
+				Replicates: p.replicates,
 			})
 			if err != nil {
 				return nil, err

@@ -10,53 +10,38 @@ import (
 	"honestplayer/internal/stats"
 )
 
-// PerfConfig parameterises the Fig. 9 performance experiment: wall-clock
+// perfParams parameterises the Fig. 9 performance experiment: wall-clock
 // time of single- and (optimised) multi-behaviour testing on histories of
 // 100 000 – 800 000 transactions, plus the naive O(n²) multi-testing
 // ablation at smaller sizes.
-type PerfConfig struct {
-	// HistorySizes is the x axis; nil means {100k, 200k, …, 800k}.
-	HistorySizes []int
-	// NaiveSizes is the x axis of the O(n²) ablation; nil means
-	// {10k, 20k, 30k, 40k}. Empty slice disables the ablation.
-	NaiveSizes []int
-	// Repeats measures each point this many times and keeps the minimum
-	// (steady-state) duration; zero means 3.
-	Repeats int
-	// Seed drives the honest history generation.
-	Seed uint64
-	// CalibrationReplicates tunes the Monte-Carlo ε estimation; zero means
-	// 300 (the threshold cache is pre-warmed outside the timed region).
-	CalibrationReplicates int
+type perfParams struct {
+	historySizes []int // the x axis
+	naiveSizes   []int // the x axis of the O(n²) ablation
+	repeats      int   // timings per point; the minimum (steady state) is kept
+	// replicates per calibrated ε; the threshold cache is pre-warmed
+	// outside the timed region.
+	replicates int
 }
 
-func (c PerfConfig) withDefaults() PerfConfig {
-	if c.HistorySizes == nil {
-		for n := 100000; n <= 800000; n += 100000 {
-			c.HistorySizes = append(c.HistorySizes, n)
-		}
+func perfScale(quick bool) perfParams {
+	p := perfParams{naiveSizes: []int{10000, 20000, 30000, 40000}, repeats: 3, replicates: 300}
+	for n := 100000; n <= 800000; n += 100000 {
+		p.historySizes = append(p.historySizes, n)
 	}
-	if c.NaiveSizes == nil {
-		c.NaiveSizes = []int{10000, 20000, 30000, 40000}
+	if quick {
+		p.historySizes, p.naiveSizes, p.repeats = []int{50000, 100000, 200000}, []int{5000, 10000}, 1
 	}
-	if c.Repeats == 0 {
-		c.Repeats = 3
-	}
-	if c.CalibrationReplicates == 0 {
-		c.CalibrationReplicates = 300
-	}
-	return c
+	return p
 }
 
-// RunFig9 regenerates Fig. 9: behaviour-testing running time vs. initial
+// runFig9 regenerates Fig. 9: behaviour-testing running time vs. initial
 // history size. The paper's claim is the complexity shape — O(n) for the
 // single test and for multi-testing with the intermediate-statistics
 // optimisation — which is hardware-independent even though the absolute
 // milliseconds are not.
-func RunFig9(cfg PerfConfig) (*Result, error) {
-	cfg = cfg.withDefaults()
-	cal := newCalibrator(cfg.Seed+4000, cfg.CalibrationReplicates)
-	bcfg := behavior.Config{WindowSize: DefaultWindowSize, Calibrator: cal}
+func runFig9(p perfParams, seed uint64) (*Result, error) {
+	cal := newCalibrator(seed+4000, p.replicates)
+	bcfg := behavior.Config{WindowSize: windowSize, Calibrator: cal}
 	single, err := behavior.NewSingle(bcfg)
 	if err != nil {
 		return nil, err
@@ -77,7 +62,7 @@ func RunFig9(cfg PerfConfig) (*Result, error) {
 		YLabel: "running time (ms)",
 	}
 
-	rng := stats.NewRNG(cfg.Seed)
+	rng := stats.NewRNG(seed)
 	timed := func(tester behavior.Tester, h *feedback.History) (float64, error) {
 		// Warm the threshold cache outside the timed region: Fig. 9
 		// measures testing time, not one-off calibration.
@@ -85,7 +70,7 @@ func RunFig9(cfg PerfConfig) (*Result, error) {
 			return 0, err
 		}
 		best := time.Duration(0)
-		for r := 0; r < cfg.Repeats; r++ {
+		for r := 0; r < p.repeats; r++ {
 			start := time.Now()
 			if _, err := tester.Test(h); err != nil {
 				return 0, err
@@ -100,7 +85,7 @@ func RunFig9(cfg PerfConfig) (*Result, error) {
 
 	singleSeries := Series{Name: "single testing"}
 	multiSeries := Series{Name: "multi testing (optimised)"}
-	for _, n := range cfg.HistorySizes {
+	for _, n := range p.historySizes {
 		h, err := attack.GenHonest("server", n, 0.9, 1000, rng)
 		if err != nil {
 			return nil, err
@@ -118,22 +103,20 @@ func RunFig9(cfg PerfConfig) (*Result, error) {
 	}
 	res.Series = append(res.Series, singleSeries, multiSeries)
 
-	if len(cfg.NaiveSizes) > 0 {
-		naiveSeries := Series{Name: "multi testing (naive O(n^2))"}
-		for _, n := range cfg.NaiveSizes {
-			h, err := attack.GenHonest("server", n, 0.9, 1000, rng)
-			if err != nil {
-				return nil, err
-			}
-			ms, err := timed(naive, h)
-			if err != nil {
-				return nil, fmt.Errorf("naive n=%d: %w", n, err)
-			}
-			naiveSeries.Points = append(naiveSeries.Points, Point{X: float64(n), Y: ms})
+	naiveSeries := Series{Name: "multi testing (naive O(n^2))"}
+	for _, n := range p.naiveSizes {
+		h, err := attack.GenHonest("server", n, 0.9, 1000, rng)
+		if err != nil {
+			return nil, err
 		}
-		res.Series = append(res.Series, naiveSeries)
-		res.Notes = append(res.Notes,
-			"naive multi-testing is run only at smaller sizes; its quadratic growth makes 800k-transaction histories impractical, which is the point of the optimisation")
+		ms, err := timed(naive, h)
+		if err != nil {
+			return nil, fmt.Errorf("naive n=%d: %w", n, err)
+		}
+		naiveSeries.Points = append(naiveSeries.Points, Point{X: float64(n), Y: ms})
 	}
+	res.Series = append(res.Series, naiveSeries)
+	res.Notes = append(res.Notes,
+		"naive multi-testing is run only at smaller sizes; its quadratic growth makes 800k-transaction histories impractical, which is the point of the optimisation")
 	return res, nil
 }

@@ -5,9 +5,8 @@ import (
 	"sort"
 )
 
-// Options tunes a registry run without figure-specific configuration:
-// experiments scale their workloads down in Quick mode so the whole suite
-// finishes in seconds instead of minutes.
+// Options selects a registry run: experiments scale their workloads down in
+// Quick mode so the whole suite finishes in seconds instead of minutes.
 type Options struct {
 	// Seed drives all randomness.
 	Seed uint64
@@ -21,62 +20,29 @@ type Runner func(Options) (*Result, error)
 // Registry maps figure IDs to their runners.
 func Registry() map[string]Runner {
 	return map[string]Runner{
-		"fig3": func(o Options) (*Result, error) { return RunFig3(costConfig(o)) },
-		"fig4": func(o Options) (*Result, error) { return RunFig4(costConfig(o)) },
-		"fig5": func(o Options) (*Result, error) { return RunFig5(collusionConfig(o)) },
-		"fig6": func(o Options) (*Result, error) { return RunFig6(collusionConfig(o)) },
-		"fig7": func(o Options) (*Result, error) { return RunFig7(detectionConfig(o)) },
-		"fig8": func(o Options) (*Result, error) { return RunFig8(thresholdConfig(o)) },
-		"fig9": func(o Options) (*Result, error) { return RunFig9(perfConfig(o)) },
-		"ablation-window": func(o Options) (*Result, error) {
-			cfg := AblationWindowConfig{Seed: o.Seed}
-			if o.Quick {
-				cfg.Trials = 40
-				cfg.CalibrationReplicates = 200
-			}
-			return RunAblationWindow(cfg)
-		},
-		"ablation-correction": func(o Options) (*Result, error) {
-			cfg := AblationCorrectionConfig{Seed: o.Seed}
-			if o.Quick {
-				cfg.Trials = 30
-				cfg.HistorySizes = []int{200, 800}
-				cfg.CalibrationReplicates = 1000
-			}
-			return RunAblationCorrection(cfg)
-		},
-		"ablation-cusum": func(o Options) (*Result, error) {
-			cfg := AblationCUSUMConfig{Seed: o.Seed}
-			if o.Quick {
-				cfg.Trials = 20
-				cfg.PostQualities = []float64{0, 0.4}
-				cfg.CalibrationReplicates = 200
-			}
-			return RunAblationCUSUM(cfg)
-		},
-		"ablation-lambda": func(o Options) (*Result, error) {
-			cfg := AblationLambdaConfig{Seed: o.Seed}
-			if o.Quick {
-				cfg.Trials = 1
-				cfg.Lambdas = []float64{0.1, 0.5, 0.9}
-				cfg.GoalBad = 10
-				cfg.CalibrationReplicates = 200
-			}
-			return RunAblationLambda(cfg)
-		},
-		"ablation-replicates": func(o Options) (*Result, error) {
-			cfg := AblationReplicatesConfig{Seed: o.Seed}
-			if o.Quick {
-				cfg.ReplicateCounts = []int{50, 200, 1000}
-				cfg.Resamples = 8
-			}
-			return RunAblationReplicates(cfg)
-		},
+		"fig3":                runner(costScale, runFig3),
+		"fig4":                runner(costScale, runFig4),
+		"fig5":                runner(costScale, runFig5),
+		"fig6":                runner(costScale, runFig6),
+		"fig7":                runner(detectionScale, runFig7),
+		"fig8":                runner(thresholdScale, runFig8),
+		"fig9":                runner(perfScale, runFig9),
+		"ablation-window":     runner(windowScale, runAblationWindow),
+		"ablation-correction": runner(correctionScale, runAblationCorrection),
+		"ablation-cusum":      runner(cusumScale, runAblationCUSUM),
+		"ablation-lambda":     runner(lambdaScale, runAblationLambda),
+		"ablation-replicates": runner(replicatesScale, runAblationReplicates),
 	}
 }
 
-// IDs returns every registered experiment ID, sorted: the paper figures
-// first, then the ablations.
+// runner binds an experiment to the registry: scale gives its parameters at
+// full or Quick size, and run takes them with the run's seed.
+func runner[P any](scale func(quick bool) P, run func(P, uint64) (*Result, error)) Runner {
+	return func(o Options) (*Result, error) { return run(scale(o.Quick), o.Seed) }
+}
+
+// IDs returns every registered experiment ID, sorted: the ablations first,
+// then the paper figures.
 func IDs() []string {
 	reg := Registry()
 	ids := make([]string, 0, len(reg))
@@ -107,54 +73,4 @@ func Run(id string, opts Options) (*Result, error) {
 		return nil, fmt.Errorf("experiment: unknown figure %q (have %v)", id, IDs())
 	}
 	return r(opts)
-}
-
-func costConfig(o Options) CostConfig {
-	cfg := CostConfig{Seed: o.Seed}
-	if o.Quick {
-		cfg.PrepSizes = []int{100, 300, 500, 800}
-		cfg.Trials = 1
-		cfg.GoalBad = 10
-		cfg.CalibrationReplicates = 200
-	}
-	return cfg
-}
-
-func collusionConfig(o Options) CollusionConfig {
-	cfg := CollusionConfig{Seed: o.Seed}
-	if o.Quick {
-		cfg.PrepSizes = []int{100, 300, 500, 800}
-		cfg.Trials = 1
-		cfg.GoalBad = 10
-		cfg.CalibrationReplicates = 200
-	}
-	return cfg
-}
-
-func detectionConfig(o Options) DetectionConfig {
-	cfg := DetectionConfig{Seed: o.Seed}
-	if o.Quick {
-		cfg.Trials = 40
-		cfg.CalibrationReplicates = 200
-	}
-	return cfg
-}
-
-func thresholdConfig(o Options) ThresholdConfig {
-	cfg := ThresholdConfig{Seed: o.Seed}
-	if o.Quick {
-		cfg.HistorySizes = []int{100, 200, 400, 800, 1600}
-		cfg.Replicates = 300
-	}
-	return cfg
-}
-
-func perfConfig(o Options) PerfConfig {
-	cfg := PerfConfig{Seed: o.Seed}
-	if o.Quick {
-		cfg.HistorySizes = []int{50000, 100000, 200000}
-		cfg.NaiveSizes = []int{5000, 10000}
-		cfg.Repeats = 1
-	}
-	return cfg
 }

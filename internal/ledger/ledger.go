@@ -121,19 +121,12 @@ type commitWaiter struct {
 // The returned slice materializes the whole log; server boot paths should
 // prefer OpenStoreOptions, which streams the replay into a store instead.
 func Open(path string) (*Ledger, []feedback.Feedback, error) {
-	return OpenContext(context.Background(), path)
-}
-
-// OpenContext is Open with a cancellable replay: a large ledger replay
-// aborts promptly (with ctx's error) when the context is cancelled, e.g. a
-// node told to shut down mid-startup.
-func OpenContext(ctx context.Context, path string) (*Ledger, []feedback.Feedback, error) {
 	l, err := openLedger(path, DefaultSegmentBytes)
 	if err != nil {
 		return nil, nil, err
 	}
 	var recs []feedback.Feedback
-	if err := l.replayFrom(ctx, 0, func(batch []feedback.Feedback) error {
+	if err := l.replayFrom(context.Background(), 0, func(batch []feedback.Feedback) error {
 		recs = append(recs, batch...)
 		return nil
 	}); err != nil {

@@ -97,18 +97,7 @@ type PersistentStore struct {
 // OpenStore opens the ledger at path and builds the in-memory store from
 // it.
 func OpenStore(path string) (*PersistentStore, error) {
-	return OpenStoreSharded(path, store.DefaultShards)
-}
-
-// OpenStoreSharded is OpenStore with an explicit shard count for the
-// in-memory store.
-func OpenStoreSharded(path string, shards int) (*PersistentStore, error) {
-	return OpenStoreShardedContext(context.Background(), path, shards)
-}
-
-// OpenStoreShardedContext is OpenStoreSharded with a cancellable replay.
-func OpenStoreShardedContext(ctx context.Context, path string, shards int) (*PersistentStore, error) {
-	return OpenStoreOptions(ctx, path, Options{Shards: shards})
+	return OpenStoreOptions(context.Background(), path, Options{})
 }
 
 // OpenStoreOptions opens the ledger at path and boots the store: it seeds

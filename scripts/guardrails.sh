@@ -49,6 +49,9 @@
 #     (ADR 0020): the five deleted testers and trust functions, their facade
 #     names and examples/multilevel stay out; core.Monitor reads its
 #     accumulator
+#   - experiments are configured by the registry alone (ADR 0020): no
+#     exported Config type, Run(Fig|Ablation) function or withDefaults in
+#     internal/experiment
 #   - per-package non-test line budget (scripts/loc-budget.txt): a package
 #     grows only in a diff that raises its line, and a deleted package's line
 #     goes with it
@@ -368,6 +371,17 @@ done
 check "Histogram.Freq and Histogram.Freqs stay deleted (ADR 0020)" "absent '\bFreqs?\(' internal/stats"
 check "examples/multilevel stays deleted (ADR 0020)" "[ ! -e examples/multilevel ]"
 check "NewMonitor takes no threshold (ADR 0020)" "absent 'func NewMonitor\([^)]*threshold'"
+
+# --- experiments are configured by the registry alone (ADR 0020) -------------
+# Options{Seed, Quick} is the one way in: each experiment's full and Quick
+# parameters are one unexported struct beside its runner, and a value no
+# scale or test varies is a constant, not a zero-means-default field.
+check "no exported Config type in internal/experiment (ADR 0020)" \
+    "absent '^type [A-Z]\w*Config\b' internal/experiment"
+check "no exported Run(Fig|Ablation) function in internal/experiment (ADR 0020)" \
+    "absent '^func Run(Fig|Ablation)' internal/experiment"
+check "no withDefaults in internal/experiment (ADR 0020)" \
+    "absent '\bwithDefaults\b' internal/experiment"
 
 # --- per-package LOC ratchet --------------------------------------------------
 # Each package's non-test lines (as sources counts them, assembly included) must stay at or below
