@@ -183,8 +183,6 @@ func WithShortHistoryPolicy(p ShortHistoryPolicy) core.Option {
 type (
 	// RNG is the deterministic random generator all simulations use.
 	RNG = stats.RNG
-	// Binomial is the honest-player window distribution B(n, p).
-	Binomial = stats.Binomial
 	// Calibrator caches Monte-Carlo-calibrated distance thresholds.
 	Calibrator = stats.Calibrator
 	// CalibrationConfig tunes threshold calibration.
@@ -193,9 +191,6 @@ type (
 
 // NewRNG returns a deterministic generator for the given seed.
 func NewRNG(seed uint64) *RNG { return stats.NewRNG(seed) }
-
-// NewBinomial returns the distribution B(n, p).
-func NewBinomial(n int, p float64) (*Binomial, error) { return stats.NewBinomial(n, p) }
 
 // NewCalibrator returns a caching threshold calibrator (pResolution 0 means
 // 0.01).

@@ -174,45 +174,76 @@ type Tester interface {
 	Test(h *feedback.History) (Verdict, error)
 }
 
-// testWindowCounts runs the core distribution test over a set of per-window
-// good counts: estimate p̂, compare the empirical distribution against
-// B(m, p̂), fetch ε from the calibrator.
-func testWindowCounts(cfg Config, counts []int) (SuffixResult, error) {
-	m := cfg.WindowSize
-	res := SuffixResult{Transactions: len(counts) * m, Windows: len(counts)}
-	h := stats.MustHistogram(m)
-	if err := h.AddAll(counts); err != nil {
-		return res, err
-	}
-	return testHistogram(cfg, h, 0)
+// scorer is what one Test call's suffix scores share: the window size, the
+// calibrator's threshold plane at the call's per-suffix confidence, and the
+// source of B(m, p̂). An accumulator reads its tester's PMF memo; a
+// reference tester refills one scratch table per suffix and never touches
+// the memo, so its memory stays a function of the history it tests.
+type scorer struct {
+	m       int
+	plane   stats.Plane
+	memo    *pmfMemo  // the accumulator's source, nil for a reference tester
+	scratch []float64 // a reference tester's source: m+1 entries
 }
 
-// testHistogram is testWindowCounts on an already-built histogram; it is
-// the shared hot path of the single and optimised multi testers. A zero
-// confidence selects the calibrator's configured level.
-func testHistogram(cfg Config, h *stats.Histogram, confidence float64) (SuffixResult, error) {
-	m := cfg.WindowSize
-	k := int(h.Total())
-	res := SuffixResult{Transactions: k * m, Windows: k}
-	res.PHat = float64(h.Sum()) / float64(m*k)
-	ref, err := stats.NewBinomial(m, res.PHat)
-	if err != nil {
-		return res, err
-	}
-	res.Distance, err = stats.L1HistDistance(h, ref)
-	if err != nil {
-		return res, err
-	}
+// newScorer resolves cfg's threshold plane at confidence — zero selects the
+// calibrator's configured level — and takes B(m, p̂) from memo, or from a
+// scratch table when memo is nil.
+func newScorer(cfg Config, confidence float64, memo *pmfMemo) (scorer, error) {
 	if confidence == 0 {
-		res.Threshold, err = cfg.Calibrator.Threshold(m, k, res.PHat)
+		confidence = cfg.Calibrator.Config().Confidence
+	}
+	plane, err := cfg.Calibrator.Plane(cfg.WindowSize, confidence)
+	if err != nil {
+		return scorer{}, err
+	}
+	sc := scorer{m: cfg.WindowSize, plane: plane, memo: memo}
+	if memo == nil {
+		sc.scratch = make([]float64, cfg.WindowSize+1)
+	}
+	return sc, nil
+}
+
+// score is the distribution test of one suffix, the one place phase 1
+// computes it: hist is the suffix's window histogram (m+1 buckets), k its
+// window count and sum its good-count total. It estimates p̂, measures the
+// L¹ distance of hist from B(m, p̂), and compares it with the plane's ε. The
+// result is written in place so multi-tests fill their suffix slice without
+// copying.
+func (sc *scorer) score(res *SuffixResult, hist []uint32, k int, sum int64) error {
+	res.Transactions = k * sc.m
+	res.Windows = k
+	res.PHat = float64(sum) / float64(sc.m*k)
+	pmf := sc.scratch
+	var err error
+	if sc.memo != nil {
+		pmf, err = sc.memo.get(res.PHat)
 	} else {
-		res.Threshold, err = cfg.Calibrator.ThresholdAt(m, k, res.PHat, confidence)
+		err = stats.BinomialPMFInto(pmf, sc.m, res.PHat)
 	}
 	if err != nil {
-		return res, err
+		return err
+	}
+	if res.Distance, err = stats.L1CountsDistance(hist, int64(k), pmf); err != nil {
+		return err
+	}
+	if res.Threshold, err = sc.plane.Threshold(k, res.PHat); err != nil {
+		return err
 	}
 	res.Pass = res.Distance <= res.Threshold
-	return res, nil
+	return nil
+}
+
+// scoreWindows scores the suffix whose window good-counts are counts,
+// tallying them into hist, the caller's m+1 bucket scratch.
+func (sc *scorer) scoreWindows(res *SuffixResult, counts []int, hist []uint32) error {
+	clear(hist)
+	var sum int64
+	for _, c := range counts {
+		hist[c]++
+		sum += int64(c)
+	}
+	return sc.score(res, hist, len(counts), sum)
 }
 
 // suffixConfidence returns the per-suffix confidence for a multi-test over
@@ -257,16 +288,24 @@ func (s *Single) Config() Config { return s.cfg }
 // refinement — it guarantees the most recent transactions are always
 // inside a tested window — and is what makes the optimised multi-testing
 // suffixes share window boundaries with the full history.
-func (s *Single) Test(h *feedback.History) (Verdict, error) {
-	counts, err := h.WindowCountsFromEnd(s.cfg.WindowSize)
+func (s *Single) Test(h *feedback.History) (Verdict, error) { return testWhole(s.cfg, h) }
+
+// testWhole is Scheme 1 over h: one test over all of its end-aligned
+// windows.
+func testWhole(cfg Config, h *feedback.History) (Verdict, error) {
+	counts, err := h.WindowCountsFromEnd(cfg.WindowSize)
 	if err != nil {
 		return Verdict{}, err
 	}
-	if len(counts) < s.cfg.MinWindows {
-		return Verdict{}, fmt.Errorf("%w: %d windows < %d", ErrInsufficientHistory, len(counts), s.cfg.MinWindows)
+	if len(counts) < cfg.MinWindows {
+		return Verdict{}, fmt.Errorf("%w: %d windows < %d", ErrInsufficientHistory, len(counts), cfg.MinWindows)
 	}
-	res, err := testWindowCounts(s.cfg, counts)
+	sc, err := newScorer(cfg, 0, nil)
 	if err != nil {
+		return Verdict{}, err
+	}
+	var res SuffixResult
+	if err := sc.scoreWindows(&res, counts, make([]uint32, cfg.WindowSize+1)); err != nil {
 		return Verdict{}, err
 	}
 	return Verdict{Honest: res.Pass, Suffixes: []SuffixResult{res}}, nil
@@ -305,46 +344,36 @@ func (m *Multi) Test(h *feedback.History) (Verdict, error) {
 	if err != nil {
 		return Verdict{}, err
 	}
-	if len(counts) < cfg.MinWindows {
-		return Verdict{}, fmt.Errorf("%w: %d windows < %d", ErrInsufficientHistory, len(counts), cfg.MinWindows)
-	}
-	windowsPerStride := cfg.Stride / cfg.WindowSize
-
-	// Shortest admissible suffix first: the most recent MinWindows..
-	// windows, growing toward the full history. The histogram gains
-	// windows incrementally; each suffix test is O(m).
-	hist := stats.MustHistogram(cfg.WindowSize)
 	total := len(counts)
-	// Suffix window counts are counts[total-w:]; enumerate the admissible
-	// suffix sizes w: total, total-ws, total-2·ws, … >= MinWindows, where
-	// ws = windowsPerStride. Build from the smallest upward.
-	var sizes []int
-	for w := total; w >= cfg.MinWindows; w -= windowsPerStride {
-		sizes = append(sizes, w)
+	if total < cfg.MinWindows {
+		return Verdict{}, fmt.Errorf("%w: %d windows < %d", ErrInsufficientHistory, total, cfg.MinWindows)
 	}
-	// Reverse iterate: smallest first.
-	confidence := cfg.suffixConfidence(len(sizes))
-	results := make([]SuffixResult, len(sizes))
+	// Suffix i spans the most recent total − i·windowsPerStride windows.
+	windowsPerStride := cfg.Stride / cfg.WindowSize
+	numSuffixes := (total-cfg.MinWindows)/windowsPerStride + 1
+	sc, err := newScorer(cfg, cfg.suffixConfidence(numSuffixes), nil)
+	if err != nil {
+		return Verdict{}, err
+	}
+	// Shortest suffix first, growing toward the full history: the histogram
+	// gains the windows each longer suffix adds, so each suffix test is O(m)
+	// past its stride.
+	hist := make([]uint32, cfg.WindowSize+1)
+	var sum int64
 	next := total // index one past the last window not yet in hist
-	for i := len(sizes) - 1; i >= 0; i-- {
-		w := sizes[i]
-		for next > total-w {
+	v := Verdict{Honest: true, Suffixes: make([]SuffixResult, numSuffixes)}
+	for i := numSuffixes - 1; i >= 0; i-- {
+		for next > i*windowsPerStride {
 			next--
-			if err := hist.Add(counts[next]); err != nil {
-				return Verdict{}, err
-			}
+			hist[counts[next]]++
+			sum += int64(counts[next])
 		}
-		res, err := testHistogram(cfg, hist, confidence)
-		if err != nil {
+		res := &v.Suffixes[i]
+		if err := sc.score(res, hist, total-i*windowsPerStride, sum); err != nil {
 			return Verdict{}, err
 		}
-		results[i] = res
-	}
-	v := Verdict{Honest: true, Suffixes: results}
-	for _, r := range results {
-		if !r.Pass {
+		if !res.Pass {
 			v.Honest = false
-			break
 		}
 	}
 	return v, nil
@@ -356,7 +385,6 @@ func (m *Multi) Test(h *feedback.History) (Verdict, error) {
 // baseline of the Fig. 9 performance experiment.
 type MultiNaive struct {
 	*accShared
-	single *Single
 }
 
 var _ Tester = (*MultiNaive)(nil)
@@ -367,31 +395,53 @@ func NewMultiNaive(cfg Config) (*MultiNaive, error) {
 	if err != nil {
 		return nil, err
 	}
-	single, err := NewSingle(cfg)
-	if err != nil {
-		return nil, err
-	}
-	return &MultiNaive{newAccShared(cfg, accMultiNaive, "multi-naive"), single}, nil
+	return &MultiNaive{newAccShared(cfg, accMultiNaive, "multi-naive")}, nil
 }
 
 // Name implements Tester.
 func (m *MultiNaive) Name() string { return m.name }
 
-// Test implements Tester.
+// Test implements Tester. MultiNaive is the paper-exact reference: its
+// suffixes are never familywise-corrected.
 func (m *MultiNaive) Test(h *feedback.History) (Verdict, error) {
-	cfg := m.cfg
-	usable := (h.Len() / cfg.WindowSize) * cfg.WindowSize
-	if usable/cfg.WindowSize < cfg.MinWindows {
-		return Verdict{}, fmt.Errorf("%w: %d windows < %d", ErrInsufficientHistory, usable/cfg.WindowSize, cfg.MinWindows)
+	return testEachSuffix(m.cfg, h, false)
+}
+
+// testEachSuffix tests every stride-aligned suffix of h from scratch: the
+// most recent usable, usable−k, … transactions, each windowed from its own
+// end — re-ordered by issuer first when collusion is set (§4), in which
+// case the familywise correction applies.
+func testEachSuffix(cfg Config, h *feedback.History, collusion bool) (Verdict, error) {
+	m := cfg.WindowSize
+	usableWindows := h.Len() / m
+	if usableWindows < cfg.MinWindows {
+		return Verdict{}, fmt.Errorf("%w: %d windows < %d", ErrInsufficientHistory, usableWindows, cfg.MinWindows)
 	}
+	confidence := 0.0
+	if collusion {
+		confidence = cfg.suffixConfidence((usableWindows-cfg.MinWindows)/(cfg.Stride/m) + 1)
+	}
+	sc, err := newScorer(cfg, confidence, nil)
+	if err != nil {
+		return Verdict{}, err
+	}
+	hist := make([]uint32, m+1)
 	v := Verdict{Honest: true}
-	for n := usable; n/cfg.WindowSize >= cfg.MinWindows; n -= cfg.Stride {
-		sub, err := m.single.Test(h.SuffixView(n))
+	for n := usableWindows * m; n/m >= cfg.MinWindows; n -= cfg.Stride {
+		suffix := h.SuffixView(n)
+		if collusion {
+			suffix = suffix.CollusionOrder()
+		}
+		counts, err := suffix.WindowCountsFromEnd(m)
 		if err != nil {
 			return Verdict{}, err
 		}
-		v.Suffixes = append(v.Suffixes, sub.Suffixes...)
-		if !sub.Honest {
+		var res SuffixResult
+		if err := sc.scoreWindows(&res, counts, hist); err != nil {
+			return Verdict{}, err
+		}
+		v.Suffixes = append(v.Suffixes, res)
+		if !res.Pass {
 			v.Honest = false
 		}
 	}

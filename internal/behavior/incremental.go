@@ -6,7 +6,6 @@ import (
 	"sort"
 
 	"honestplayer/internal/feedback"
-	"honestplayer/internal/stats"
 )
 
 // This file implements the incremental assessment engine's phase-1 side: an
@@ -26,12 +25,13 @@ import (
 // window histogram the batch tester would have built. A multi-test starts
 // from a copy of it and, walking suffixes longest-first, takes out the
 // windows that leave each next suffix — they sit m apart in the window
-// string — so every suffix histogram costs O(stride windows) to reach. The
-// per-suffix distribution test then reuses the exact arithmetic of
-// testHistogram, with the two expensive pure steps memoised outside the
-// accumulator, on their exact inputs: binomial PMF construction in the
-// tester's shared memo (memo.go), threshold calibration on the calibrator's
-// grid. The accumulator itself holds nothing but history-dependent counters.
+// string — so every suffix histogram costs O(stride windows) to reach.
+// Each suffix histogram then goes through scorer.score (behavior.go), the
+// one suffix score the batch testers call too: accumulator and reference
+// differ only in where the windows come from and where B(m, p̂) comes from.
+// The accumulator reads the PMF from its tester's shared memo (memo.go) and
+// ε from the calibrator's grid, both pure functions of their exact inputs,
+// so it holds nothing but history-dependent counters.
 //
 // The collusion testers re-order each suffix by feedback issuer before
 // windowing, which no fixed window table survives. For those the accumulator
@@ -279,17 +279,6 @@ func (a *Accumulator) Test() (Verdict, error) {
 	}
 }
 
-// plane resolves the calibrator's threshold plane for a per-suffix
-// confidence the way the batch testHistogram does: zero selects the
-// calibrator's configured level (the Threshold shorthand), anything else is
-// used as-is (ThresholdAt).
-func (a *Accumulator) plane(confidence float64) (stats.Plane, error) {
-	if confidence == 0 {
-		confidence = a.cfg.Calibrator.Config().Confidence
-	}
-	return a.cfg.Calibrator.Plane(a.cfg.WindowSize, confidence)
-}
-
 // testSingle mirrors Single.Test: one test over all end-aligned windows.
 func (a *Accumulator) testSingle() (Verdict, error) {
 	m := a.cfg.WindowSize
@@ -297,12 +286,12 @@ func (a *Accumulator) testSingle() (Verdict, error) {
 	if k < a.cfg.MinWindows {
 		return Verdict{}, fmt.Errorf("%w: %d windows < %d", ErrInsufficientHistory, k, a.cfg.MinWindows)
 	}
-	plane, err := a.plane(0)
+	sc, err := newScorer(a.cfg, 0, a.memo)
 	if err != nil {
 		return Verdict{}, err
 	}
 	var res SuffixResult
-	if err := a.testCounts(&res, a.phase(a.n%m), k, int64(a.sums[a.n%m]), plane); err != nil {
+	if err := sc.score(&res, a.phase(a.n%m), k, int64(a.sums[a.n%m])); err != nil {
 		return Verdict{}, err
 	}
 	return Verdict{Honest: res.Pass, Suffixes: []SuffixResult{res}}, nil
@@ -323,7 +312,7 @@ func (a *Accumulator) testMulti(corrected bool) (Verdict, error) {
 	if corrected {
 		confidence = a.cfg.suffixConfidence(numSuffixes)
 	}
-	plane, err := a.plane(confidence)
+	sc, err := newScorer(a.cfg, confidence, a.memo)
 	if err != nil {
 		return Verdict{}, err
 	}
@@ -335,7 +324,7 @@ func (a *Accumulator) testMulti(corrected bool) (Verdict, error) {
 	v := Verdict{Honest: true, Suffixes: make([]SuffixResult, numSuffixes)}
 	for i := range v.Suffixes {
 		res := &v.Suffixes[i]
-		if err := a.testCounts(res, hist, k-i*ws, sum, plane); err != nil {
+		if err := sc.score(res, hist, k-i*ws, sum); err != nil {
 			return Verdict{}, err
 		}
 		if !res.Pass {
@@ -361,12 +350,12 @@ func (a *Accumulator) testCollusion() (Verdict, error) {
 	if k < a.cfg.MinWindows {
 		return Verdict{}, fmt.Errorf("%w: %d windows < %d", ErrInsufficientHistory, k, a.cfg.MinWindows)
 	}
-	plane, err := a.plane(0)
+	sc, err := newScorer(a.cfg, 0, a.memo)
 	if err != nil {
 		return Verdict{}, err
 	}
 	var res SuffixResult
-	if err := a.testReordered(&res, 0, make([]int, 0, k), make([]uint32, m+1), plane); err != nil {
+	if err := sc.scoreWindows(&res, a.collusionCounts(0, make([]int, 0, k)), make([]uint32, m+1)); err != nil {
 		return Verdict{}, err
 	}
 	return Verdict{Honest: res.Pass, Suffixes: []SuffixResult{res}}, nil
@@ -385,7 +374,7 @@ func (a *Accumulator) testCollusionMulti() (Verdict, error) {
 	}
 	strideWindows := cfg.Stride / m
 	numSuffixes := (usableWindows-cfg.MinWindows)/strideWindows + 1
-	plane, err := a.plane(cfg.suffixConfidence(numSuffixes))
+	sc, err := newScorer(cfg, cfg.suffixConfidence(numSuffixes), a.memo)
 	if err != nil {
 		return Verdict{}, err
 	}
@@ -393,7 +382,7 @@ func (a *Accumulator) testCollusionMulti() (Verdict, error) {
 	buf, hist := make([]int, 0, usableWindows), make([]uint32, m+1)
 	for np := usable; np/m >= cfg.MinWindows; np -= cfg.Stride {
 		var res SuffixResult
-		if err := a.testReordered(&res, a.n-np, buf, hist, plane); err != nil {
+		if err := sc.scoreWindows(&res, a.collusionCounts(a.n-np, buf[:0]), hist); err != nil {
 			return Verdict{}, err
 		}
 		v.Suffixes = append(v.Suffixes, res)
@@ -402,19 +391,6 @@ func (a *Accumulator) testCollusionMulti() (Verdict, error) {
 		}
 	}
 	return v, nil
-}
-
-// testReordered runs the distribution test over the issuer-re-ordered suffix
-// starting at global record index s. buf and hist are the caller's scratch.
-func (a *Accumulator) testReordered(res *SuffixResult, s int, buf []int, hist []uint32, plane stats.Plane) error {
-	counts := a.collusionCounts(s, buf[:0])
-	clear(hist)
-	var sum int64
-	for _, c := range counts {
-		hist[c]++
-		sum += int64(c)
-	}
-	return a.testCounts(res, hist, len(counts), sum, plane)
 }
 
 // collusionCounts computes the end-aligned window good-counts of the
@@ -477,30 +453,4 @@ func (a *Accumulator) collusionCounts(s int, counts []int) []int {
 		}
 	}
 	return counts
-}
-
-// testCounts is testHistogram over one suffix's window histogram: k is the
-// suffix's window count and sum its good-count total. The result is written
-// in place so multi-tests fill their suffix slice without copying. The
-// expensive pure steps — B(m, p̂) construction and threshold calibration —
-// come from the shared memo and the calibrator's grid; every arithmetic step
-// mirrors testHistogram, so the result is bit-identical to the batch
-// tester's.
-func (a *Accumulator) testCounts(res *SuffixResult, hist []uint32, k int, sum int64, plane stats.Plane) error {
-	m := a.cfg.WindowSize
-	res.Transactions = k * m
-	res.Windows = k
-	res.PHat = float64(sum) / float64(m*k)
-	pmf, err := a.memo.get(res.PHat)
-	if err != nil {
-		return err
-	}
-	if res.Distance, err = stats.L1CountsDistance(hist, int64(k), pmf); err != nil {
-		return err
-	}
-	if res.Threshold, err = plane.Threshold(k, res.PHat); err != nil {
-		return err
-	}
-	res.Pass = res.Distance <= res.Threshold
-	return nil
 }

@@ -121,8 +121,8 @@ func newPMFMemo(m, arenaCap int) *pmfMemo {
 
 // get returns the PMF table of B(m, p̂). The returned slice is shared and
 // must not be written. The fill is stats.BinomialPMFInto, the same code path
-// NewBinomial uses, so memoising on the exact p̂ bits changes nothing about
-// results.
+// a reference tester's scratch table takes, so memoising on the exact p̂ bits
+// changes nothing about results.
 func (c *pmfMemo) get(pHat float64) ([]float64, error) {
 	key := pmfKey(pHat)
 	if t := c.tables.Load(); t != nil {

@@ -212,3 +212,45 @@ func TestWideWindowString(t *testing.T) {
 	got, gotErr := acc.Test()
 	requireSameOutcome(t, "wide", h.Len(), got, gotErr, want, wantErr)
 }
+
+// TestReferenceTestersLeaveTheMemo: a reference tester takes B(m, p̂) from a
+// scratch table of its own, so however many histories it tests, its memo
+// stays empty — a node recomputing verdicts grows no shared state.
+func TestReferenceTestersLeaveTheMemo(t *testing.T) {
+	cfg := behavior.Config{Calibrator: fastCalibrator(56), FamilywiseCorrection: true}
+	single, _ := behavior.NewSingle(cfg)
+	multi, _ := behavior.NewMulti(cfg)
+	collusion, _ := behavior.NewCollusionMulti(cfg)
+	for _, tester := range []behavior.Tester{single, multi, collusion} {
+		for i := 0; i < 4; i++ {
+			if _, err := tester.Test(honestHistory(t, i, 600)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if st := behavior.MemoStatsFor(tester); st.Entries != 0 || st.Bytes != 0 {
+			t.Errorf("%s: memo holds %d entries, %d B after reference tests", tester.Name(), st.Entries, st.Bytes)
+		}
+	}
+}
+
+// TestMultiTestAllocations: a Scheme-2 test over 10,000 records allocates per
+// call, not per suffix — its window counts, one histogram, one PMF scratch
+// table and the verdict, nothing for each of its ~1,000 suffixes.
+func TestMultiTestAllocations(t *testing.T) {
+	tester, err := behavior.NewMulti(behavior.Config{Calibrator: fastCalibrator(57)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := honestHistory(t, 3, 10000)
+	if _, err := tester.Test(h); err != nil { // calibrates the grid points
+		t.Fatal(err)
+	}
+	allocs := testing.AllocsPerRun(5, func() {
+		if _, err := tester.Test(h); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > 32 {
+		t.Fatalf("Multi.Test over %d records: %v allocs per call, want ≤ 32", h.Len(), allocs)
+	}
+}

@@ -122,10 +122,24 @@ func (tp *TwoPhase) TrustFunc() trust.Func { return tp.fn }
 
 // Assess runs the two-phase assessment on the server's history.
 func (tp *TwoPhase) Assess(h *feedback.History) (Assessment, error) {
-	a := Assessment{Server: h.Server(), TrustFunc: tp.fn.Name()}
+	return tp.assess(h.Server(), func() (behavior.Verdict, error) { return tp.tester.Test(h) },
+		func() (float64, int, int, error) {
+			value, err := tp.fn.Evaluate(h)
+			return value, h.Len(), h.GoodCount(), err
+		})
+}
+
+// assess builds an Assessment of server from its two phases, for
+// TwoPhase.Assess and ServerAccumulator.Assess alike. test is phase 1 and
+// runs only when the assessor has a tester; evaluate is phase 2, yielding the
+// trust value and the record and good counts its Wilson interval is taken
+// over, and never runs for a suspicious server.
+func (tp *TwoPhase) assess(server feedback.EntityID, test func() (behavior.Verdict, error),
+	evaluate func() (value float64, n, good int, err error)) (Assessment, error) {
+	a := Assessment{Server: server, TrustFunc: tp.fn.Name()}
 	if tp.tester != nil {
 		a.Tester = tp.tester.Name()
-		v, err := tp.tester.Test(h)
+		v, err := test()
 		switch {
 		case errors.Is(err, behavior.ErrInsufficientHistory):
 			a.ShortHistory = true
@@ -143,13 +157,13 @@ func (tp *TwoPhase) Assess(h *feedback.History) (Assessment, error) {
 			}
 		}
 	}
-	value, err := tp.fn.Evaluate(h)
+	value, n, good, err := evaluate()
 	if err != nil {
 		return a, fmt.Errorf("trust function: %w", err)
 	}
 	a.Trust = value
-	if h.Len() > 0 {
-		lo, hi, err := stats.WilsonInterval(h.GoodCount(), h.Len(), 1.96)
+	if n > 0 {
+		lo, hi, err := stats.WilsonInterval(good, n, 1.96)
 		if err != nil {
 			return a, fmt.Errorf("trust interval: %w", err)
 		}
@@ -163,6 +177,11 @@ func (tp *TwoPhase) Assess(h *feedback.History) (Assessment, error) {
 // its trust value meets the threshold.
 func (tp *TwoPhase) Accept(h *feedback.History, threshold float64) (bool, Assessment, error) {
 	a, err := tp.Assess(h)
+	return accept(a, err, threshold)
+}
+
+// accept is a client's decision on an assessment, for both Accept methods.
+func accept(a Assessment, err error, threshold float64) (bool, Assessment, error) {
 	if err != nil {
 		return false, a, err
 	}

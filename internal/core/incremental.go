@@ -1,12 +1,10 @@
 package core
 
 import (
-	"errors"
 	"fmt"
 
 	"honestplayer/internal/behavior"
 	"honestplayer/internal/feedback"
-	"honestplayer/internal/stats"
 	"honestplayer/internal/trust"
 )
 
@@ -109,52 +107,21 @@ func (sa *ServerAccumulator) Append(f feedback.Feedback) {
 
 // Assess produces the two-phase assessment over the records consumed so
 // far. It mirrors TwoPhase.Assess on the equivalent history exactly,
-// including the short-history policy and error wrapping.
+// including the short-history policy and error wrapping: both build it with
+// the same TwoPhase.assess.
 func (sa *ServerAccumulator) Assess() (Assessment, error) {
-	a := Assessment{Server: sa.server, TrustFunc: sa.tp.fn.Name()}
-	if sa.beh != nil {
-		a.Tester = sa.tp.tester.Name()
-		v, err := sa.beh.Test()
-		switch {
-		case errors.Is(err, behavior.ErrInsufficientHistory):
-			a.ShortHistory = true
-			if sa.tp.policy == RejectShort {
-				a.Suspicious = true
-				return a, nil
-			}
-		case err != nil:
-			return a, fmt.Errorf("behaviour test: %w", err)
-		default:
-			a.Verdict = v
-			if !v.Honest {
-				a.Suspicious = true
-				return a, nil
-			}
-		}
-	}
-	value, err := sa.tr.Value()
-	if err != nil {
-		return a, fmt.Errorf("trust function: %w", err)
-	}
-	a.Trust = value
-	if n, good := sa.tr.Counts(); n > 0 {
-		lo, hi, err := stats.WilsonInterval(good, n, 1.96)
-		if err != nil {
-			return a, fmt.Errorf("trust interval: %w", err)
-		}
-		a.TrustLow, a.TrustHigh = lo, hi
-	}
-	return a, nil
+	return sa.tp.assess(sa.server, sa.beh.Test, func() (float64, int, int, error) {
+		value, err := sa.tr.Value()
+		n, good := sa.tr.Counts()
+		return value, n, good, err
+	})
 }
 
 // Accept is the incremental counterpart of TwoPhase.Accept: Assess plus the
 // client's trust-threshold decision.
 func (sa *ServerAccumulator) Accept(threshold float64) (bool, Assessment, error) {
 	a, err := sa.Assess()
-	if err != nil {
-		return false, a, err
-	}
-	return !a.Suspicious && a.Trust >= threshold, a, nil
+	return accept(a, err, threshold)
 }
 
 // AppendState returns buf unchanged and false: an accumulator is a pure

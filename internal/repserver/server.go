@@ -43,6 +43,10 @@ import (
 // before force-closing their connections.
 const DefaultDrainTimeout = 5 * time.Second
 
+// maxHistoryChunk caps the records of one history response: a request for
+// more, or for none in particular, gets the most recent maxHistoryChunk.
+const maxHistoryChunk = 10000
+
 // Recorder is the write path every record entering the node takes (see
 // applyBatch). The default writes to the in-memory store; deployments
 // wanting durability pass a ledger.PersistentStore (whose Store() must also
@@ -64,8 +68,6 @@ type Config struct {
 	Recorder Recorder
 	// Logger receives connection-level errors; nil disables logging.
 	Logger *log.Logger
-	// MaxHistoryChunk caps records per history response; zero means 10000.
-	MaxHistoryChunk int
 	// AssessCacheSize bounds the assessment cache in entries; zero disables
 	// caching (every TypeAssess recomputes, the seed behaviour).
 	AssessCacheSize int
@@ -181,9 +183,6 @@ func New(addr string, cfg Config) (*Server, error) {
 	}
 	if cfg.Recorder == nil {
 		cfg.Recorder = cfg.Store
-	}
-	if cfg.MaxHistoryChunk == 0 {
-		cfg.MaxHistoryChunk = 10000
 	}
 	if cfg.DrainTimeout == 0 {
 		cfg.DrainTimeout = DefaultDrainTimeout
@@ -710,8 +709,8 @@ func (s *Server) history(ctx context.Context, req wire.HistoryRequest) (wire.His
 	recs := h.Records()
 	total := len(recs)
 	limit := req.Limit
-	if limit <= 0 || limit > s.cfg.MaxHistoryChunk {
-		limit = s.cfg.MaxHistoryChunk
+	if limit <= 0 || limit > maxHistoryChunk {
+		limit = maxHistoryChunk
 	}
 	if len(recs) > limit {
 		recs = recs[len(recs)-limit:]

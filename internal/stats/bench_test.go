@@ -25,38 +25,29 @@ func BenchmarkBinomialSample(b *testing.B) {
 	for _, n := range []int{10, 100, 1000} {
 		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
 			r := NewRNG(1)
-			dist := MustBinomial(n, 0.9)
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				_ = dist.Sample(r)
+				_ = r.Binomial(n, 0.9)
 			}
 		})
 	}
 }
 
-func BenchmarkNewBinomial(b *testing.B) {
-	for _, n := range []int{10, 100} {
-		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				if _, err := NewBinomial(n, 0.9); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
+// BenchmarkL1CountsDistance is one suffix's distance at the default window
+// size, over a 100-window histogram.
+func BenchmarkL1CountsDistance(b *testing.B) {
+	pmf := make([]float64, 11)
+	if err := BinomialPMFInto(pmf, 10, 0.9); err != nil {
+		b.Fatal(err)
 	}
-}
-
-func BenchmarkL1HistDistance(b *testing.B) {
-	dist := MustBinomial(10, 0.9)
-	h := MustHistogram(10)
+	hist := make([]uint32, 11)
 	r := NewRNG(1)
 	for i := 0; i < 100; i++ {
-		_ = h.Add(dist.Sample(r))
+		hist[r.Binomial(10, 0.9)]++
 	}
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, err := L1HistDistance(h, dist); err != nil {
+		if _, err := L1CountsDistance(hist, 100, pmf); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -98,7 +89,8 @@ func BenchmarkCalibrateL1(b *testing.B) {
 }
 
 // BenchmarkBinomialPMFInto is one PMF fill at the default window size: what
-// a miss in the accumulators' PMF memo, and every ReestimateP replicate, pays.
+// a miss in the accumulators' PMF memo, and every suffix of a reference
+// tester, pays.
 func BenchmarkBinomialPMFInto(b *testing.B) {
 	for _, n := range []int{10, 64} {
 		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {

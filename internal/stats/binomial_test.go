@@ -8,6 +8,17 @@ import (
 	"testing/quick"
 )
 
+// pmfOf is BinomialPMFInto into a fresh table.
+func pmfOf(t testing.TB, n int, p float64) []float64 {
+	t.Helper()
+	pmf := make([]float64, n+1)
+	if err := BinomialPMFInto(pmf, n, p); err != nil {
+		t.Fatal(err)
+	}
+	return pmf
+}
+
+// TestNewBinomialValidation holds BinomialPMFInto to the domain of B(n, p).
 func TestNewBinomialValidation(t *testing.T) {
 	tests := []struct {
 		name string
@@ -26,9 +37,9 @@ func TestNewBinomialValidation(t *testing.T) {
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
-			_, err := NewBinomial(tt.n, tt.p)
+			err := BinomialPMFInto(make([]float64, max(tt.n+1, 0)), tt.n, tt.p)
 			if (err == nil) != tt.ok {
-				t.Fatalf("NewBinomial(%d, %v) error = %v, want ok=%v", tt.n, tt.p, err, tt.ok)
+				t.Fatalf("BinomialPMFInto(B(%d, %v)) error = %v, want ok=%v", tt.n, tt.p, err, tt.ok)
 			}
 			if err != nil && !errors.Is(err, ErrInvalidDistribution) {
 				t.Fatalf("error %v does not wrap ErrInvalidDistribution", err)
@@ -39,7 +50,7 @@ func TestNewBinomialValidation(t *testing.T) {
 
 func TestBinomialPMFKnownValues(t *testing.T) {
 	// B(10, 0.9): closed-form reference values.
-	b := MustBinomial(10, 0.9)
+	pmf := pmfOf(t, 10, 0.9)
 	tests := []struct {
 		k    int
 		want float64
@@ -50,16 +61,34 @@ func TestBinomialPMFKnownValues(t *testing.T) {
 		{0, math.Pow(0.1, 10)},
 	}
 	for _, tt := range tests {
-		if got := b.PMF(tt.k); math.Abs(got-tt.want) > 1e-12 {
+		if got := pmf[tt.k]; math.Abs(got-tt.want) > 1e-12 {
 			t.Errorf("PMF(%d) = %v, want %v", tt.k, got, tt.want)
 		}
 	}
 }
 
+// TestBinomialPMFOutOfSupport: a table covers exactly [0, n], and a point
+// mass leaves no stale entry of the buffer it is written over.
 func TestBinomialPMFOutOfSupport(t *testing.T) {
-	b := MustBinomial(5, 0.5)
-	if b.PMF(-1) != 0 || b.PMF(6) != 0 {
-		t.Error("PMF outside support must be 0")
+	for _, size := range []int{5, 7} {
+		if err := BinomialPMFInto(make([]float64, size), 5, 0.5); !errors.Is(err, ErrInvalidDistribution) {
+			t.Errorf("B(5, .5) into %d entries: err = %v, want ErrInvalidDistribution", size, err)
+		}
+	}
+	for _, p := range []float64{0, 1} {
+		pmf := pmfOf(t, 5, 0.5)
+		if err := BinomialPMFInto(pmf, 5, p); err != nil {
+			t.Fatal(err)
+		}
+		for k, v := range pmf {
+			want := 0.0
+			if float64(k) == 5*p {
+				want = 1
+			}
+			if v != want {
+				t.Errorf("B(5, %v) pmf[%d] = %v, want %v", p, k, v, want)
+			}
+		}
 	}
 }
 
@@ -68,10 +97,9 @@ func TestBinomialPMFSumsToOne(t *testing.T) {
 		n int
 		p float64
 	}{{1, 0.5}, {10, 0.9}, {10, 0.95}, {50, 0.01}, {200, 0.7}, {10, 0}, {10, 1}} {
-		b := MustBinomial(tc.n, tc.p)
 		sum := 0.0
-		for k := 0; k <= tc.n; k++ {
-			sum += b.PMF(k)
+		for _, v := range pmfOf(t, tc.n, tc.p) {
+			sum += v
 		}
 		if math.Abs(sum-1) > 1e-9 {
 			t.Errorf("B(%d,%v): PMF sums to %v", tc.n, tc.p, sum)
@@ -83,13 +111,12 @@ func TestBinomialPMFNormalisationProperty(t *testing.T) {
 	f := func(nRaw uint8, pRaw uint16) bool {
 		n := int(nRaw % 64)
 		p := float64(pRaw) / math.MaxUint16
-		b := MustBinomial(n, p)
 		sum := 0.0
-		for k := 0; k <= n; k++ {
-			if b.PMF(k) < 0 {
+		for _, v := range pmfOf(t, n, p) {
+			if v < 0 {
 				return false
 			}
-			sum += b.PMF(k)
+			sum += v
 		}
 		return math.Abs(sum-1) < 1e-9
 	}
@@ -98,77 +125,46 @@ func TestBinomialPMFNormalisationProperty(t *testing.T) {
 	}
 }
 
+// TestBinomialCDFMonotone: the running sum of the table climbs to 1.
 func TestBinomialCDFMonotone(t *testing.T) {
-	b := MustBinomial(30, 0.42)
 	prev := 0.0
-	for k := 0; k <= 30; k++ {
-		c := b.CDF(k)
-		if c < prev-1e-15 {
+	for k, v := range pmfOf(t, 30, 0.42) {
+		c := prev + v
+		if c < prev {
 			t.Fatalf("CDF not monotone at k=%d: %v < %v", k, c, prev)
 		}
 		prev = c
 	}
-	if math.Abs(b.CDF(30)-1) > 1e-9 {
-		t.Fatalf("CDF(n) = %v, want 1", b.CDF(30))
-	}
-	if b.CDF(-1) != 0 {
-		t.Fatal("CDF(-1) must be 0")
-	}
-	if b.CDF(1000) != 1 {
-		t.Fatal("CDF beyond support must be 1")
+	if math.Abs(prev-1) > 1e-9 {
+		t.Fatalf("CDF(n) = %v, want 1", prev)
 	}
 }
 
-func TestBinomialQuantile(t *testing.T) {
-	b := MustBinomial(10, 0.5)
-	if got := b.Quantile(0.5); got != 5 {
-		t.Errorf("median of B(10,.5) = %d, want 5", got)
-	}
-	if got := b.Quantile(0); got != 0 {
-		t.Errorf("Quantile(0) = %d, want 0", got)
-	}
-	if got := b.Quantile(1); got != 10 {
-		t.Errorf("Quantile(1) = %d, want 10", got)
-	}
-}
-
-func TestBinomialQuantileCDFInverse(t *testing.T) {
-	b := MustBinomial(20, 0.8)
-	for _, q := range []float64{0.01, 0.1, 0.25, 0.5, 0.75, 0.9, 0.99} {
-		k := b.Quantile(q)
-		if b.CDF(k) < q {
-			t.Errorf("CDF(Quantile(%v)) = %v < %v", q, b.CDF(k), q)
-		}
-		if k > 0 && b.CDF(k-1) >= q {
-			t.Errorf("Quantile(%v) = %d not minimal", q, k)
-		}
-	}
-}
-
+// TestBinomialMoments: the table's mean and variance are n·p and n·p·(1−p).
 func TestBinomialMoments(t *testing.T) {
-	b := MustBinomial(40, 0.3)
-	if got, want := b.Mean(), 12.0; math.Abs(got-want) > 1e-12 {
-		t.Errorf("Mean = %v, want %v", got, want)
+	mean, second := 0.0, 0.0
+	for k, v := range pmfOf(t, 40, 0.3) {
+		mean += float64(k) * v
+		second += float64(k*k) * v
 	}
-	if got, want := b.Variance(), 8.4; math.Abs(got-want) > 1e-12 {
+	if want := 12.0; math.Abs(mean-want) > 1e-9 {
+		t.Errorf("Mean = %v, want %v", mean, want)
+	}
+	if got, want := second-mean*mean, 8.4; math.Abs(got-want) > 1e-9 {
 		t.Errorf("Variance = %v, want %v", got, want)
-	}
-	if got, want := b.StdDev(), math.Sqrt(8.4); math.Abs(got-want) > 1e-12 {
-		t.Errorf("StdDev = %v, want %v", got, want)
 	}
 }
 
 func TestBinomialSampleMatchesPMF(t *testing.T) {
 	// χ² goodness of fit between sampler and PMF.
-	b := MustBinomial(10, 0.9)
 	rng := NewRNG(99)
 	const draws = 100000
 	obs := make([]int64, 11)
 	for i := 0; i < draws; i++ {
-		obs[b.Sample(rng)]++
+		obs[rng.Binomial(10, 0.9)]++
 	}
 	// Conservative bound: well under the χ² 0.999 quantile for <=10 dof.
-	if stat := chiSquare(obs, b.PMFTable(), 5); stat > 35 {
+	if stat := chiSquare(obs, pmfOf(t, 10, 0.9), 5); stat > 35 {
 		t.Fatalf("sampler vs PMF χ² = %v, too large", stat)
 	}
 }
@@ -200,42 +196,19 @@ func chiSquare(observed []int64, expected []float64, minExpected float64) float6
 	return stat
 }
 
+// TestBinomialSampleN: a batch of draws tallies every variate once, inside
+// the support, and returns their sum.
 func TestBinomialSampleN(t *testing.T) {
-	b := MustBinomial(10, 0.5)
-	rng := NewRNG(1)
-	xs := b.SampleN(rng, 500)
-	if len(xs) != 500 {
-		t.Fatalf("SampleN returned %d values", len(xs))
+	tally := make([]int64, 11)
+	sum := NewRNG(1).BinomialTally(tally, 10, 0.5, 500)
+	var n, s int64
+	for k, c := range tally {
+		n += c
+		s += int64(k) * c
 	}
-	for _, x := range xs {
-		if x < 0 || x > 10 {
-			t.Fatalf("sample %d out of support", x)
-		}
+	if n != 500 || s != sum {
+		t.Fatalf("BinomialTally: %d variates summing to %d, returned sum %d; want 500 variates", n, s, sum)
 	}
-}
-
-func TestBinomialString(t *testing.T) {
-	if got := MustBinomial(10, 0.9).String(); got != "B(10, 0.9)" {
-		t.Errorf("String() = %q", got)
-	}
-}
-
-func TestBinomialPMFTableIsCopy(t *testing.T) {
-	b := MustBinomial(5, 0.5)
-	tab := b.PMFTable()
-	tab[0] = 99
-	if b.PMF(0) == 99 {
-		t.Fatal("PMFTable exposed internal state")
-	}
-}
-
-func TestMustBinomialPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("MustBinomial(-1, .5) did not panic")
-		}
-	}()
-	MustBinomial(-1, 0.5)
 }
 
 // pmfByLgammaPerK is BinomialPMFInto's fill as it stood before the

@@ -26,11 +26,6 @@ type CalibrationConfig struct {
 	// Replicates is the number of sample sets generated (paper: "reasonably
 	// large"). Zero means DefaultReplicates.
 	Replicates int
-	// ReestimateP, when true, re-estimates p̂ from each generated sample set
-	// before measuring its distance, mirroring how the tester estimates p̂
-	// from the history under test. The paper's description measures distance
-	// to the fixed B(m, p̂); false (the default) matches the paper.
-	ReestimateP bool
 	// Seed feeds the deterministic generator. The replicate stream is a pure
 	// function of (Seed, m, numWindows, pHat), so results are reproducible
 	// and cache hits are indistinguishable from recomputation.
@@ -92,13 +87,12 @@ type calibPoint struct {
 	pHat          float64
 	seed          uint64
 	pmf           []float64
-	reestimate    bool
 }
 
 // newCalibPoint fails, as BinomialPMFInto does, on a pHat outside [0, 1].
 func newCalibPoint(m, numWindows int, pHat float64, cfg CalibrationConfig) (*calibPoint, error) {
 	pt := &calibPoint{m: m, numWindows: numWindows, pHat: pHat, pmf: make([]float64, m+1),
-		seed: calibSeed(cfg.Seed, m, numWindows, pHat), reestimate: cfg.ReestimateP}
+		seed: calibSeed(cfg.Seed, m, numWindows, pHat)}
 	return pt, BinomialPMFInto(pt.pmf, m, pHat)
 }
 
@@ -109,24 +103,18 @@ func (pt *calibPoint) fillScalar(dists []float64) error {
 	tally := make([]int64, pt.m+1)
 	for r := range dists {
 		clear(tally)
-		sum := rng.BinomialTally(tally, pt.m, pt.pHat, pt.numWindows)
+		rng.BinomialTally(tally, pt.m, pt.pHat, pt.numWindows)
 		var err error
-		if dists[r], err = pt.distance(tally, sum); err != nil {
+		if dists[r], err = pt.distance(tally); err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
-// distance is one replicate's L¹ distance from B(m, p̂) — with ReestimateP,
-// from B(m, p̂ of the replicate) — given its window tally and variate sum.
-func (pt *calibPoint) distance(tally []int64, sum int64) (float64, error) {
-	if pt.reestimate {
-		pr := float64(sum) / float64(pt.m*pt.numWindows)
-		if err := BinomialPMFInto(pt.pmf, pt.m, pr); err != nil {
-			return 0, err
-		}
-	}
+// distance is one replicate's L¹ distance from the fixed B(m, p̂), given its
+// window tally.
+func (pt *calibPoint) distance(tally []int64) (float64, error) {
 	return L1CountsDistance(tally, int64(pt.numWindows), pt.pmf)
 }
 
@@ -250,17 +238,10 @@ func (c *Calibrator) Config() CalibrationConfig { return c.cfg }
 
 // Threshold returns the cached or freshly computed ε for a test over
 // numWindows windows of m transactions with estimated trustworthiness pHat,
-// at the calibrator's configured confidence.
+// at the calibrator's configured confidence: Plane(m, confidence) asked for
+// one point.
 func (c *Calibrator) Threshold(m, numWindows int, pHat float64) (float64, error) {
-	return c.ThresholdAt(m, numWindows, pHat, c.cfg.Confidence)
-}
-
-// ThresholdAt is Threshold at an explicit confidence level, used by
-// multi-testers applying a familywise correction across suffixes. The
-// achievable quantile resolution is limited by the replicate count;
-// confidences beyond it degrade to the sample maximum.
-func (c *Calibrator) ThresholdAt(m, numWindows int, pHat, confidence float64) (float64, error) {
-	p, err := c.Plane(m, confidence)
+	p, err := c.Plane(m, c.cfg.Confidence)
 	if err != nil {
 		return 0, err
 	}
@@ -279,7 +260,11 @@ type Plane struct {
 }
 
 // Plane resolves (m, confidence) to its grid plane. Confidences are
-// bucketed to 1e-4; all levels in a bucket share its thresholds.
+// bucketed to 1e-4; all levels in a bucket share its thresholds. A
+// multi-tester applying a familywise correction across suffixes asks for a
+// level above the configured one; the achievable quantile resolution is
+// limited by the replicate count, and confidences beyond it degrade to the
+// sample maximum.
 func (c *Calibrator) Plane(m int, confidence float64) (Plane, error) {
 	if math.IsNaN(confidence) || confidence <= 0 || confidence >= 1 {
 		return Plane{}, fmt.Errorf("%w: confidence=%v", ErrInvalidDistribution, confidence)

@@ -5,14 +5,15 @@ import (
 	"testing"
 )
 
-func TestL1HistDistance(t *testing.T) {
-	b := MustBinomial(10, 0.9)
-	h := MustHistogram(10)
-	// A point mass at 9 vs B(10, 0.9).
-	for i := 0; i < 100; i++ {
-		_ = h.Add(9)
+func TestL1CountsDistance(t *testing.T) {
+	pmf := make([]float64, 11)
+	if err := BinomialPMFInto(pmf, 10, 0.9); err != nil {
+		t.Fatal(err)
 	}
-	got, err := L1HistDistance(h, b)
+	// A point mass at 9 vs B(10, 0.9).
+	counts := make([]uint32, 11)
+	counts[9] = 100
+	got, err := L1CountsDistance(counts, 100, pmf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -22,19 +23,22 @@ func TestL1HistDistance(t *testing.T) {
 		if k == 9 {
 			emp = 1
 		}
-		want += math.Abs(emp - b.PMF(k))
+		want += math.Abs(emp - pmf[k])
 	}
 	if math.Abs(got-want) > 1e-12 {
 		t.Fatalf("L1 = %v, want %v", got, want)
 	}
 }
 
-func TestL1HistDistanceErrors(t *testing.T) {
-	b := MustBinomial(10, 0.9)
-	if _, err := L1HistDistance(MustHistogram(5), b); err == nil {
+func TestL1CountsDistanceErrors(t *testing.T) {
+	pmf := make([]float64, 11)
+	if err := BinomialPMFInto(pmf, 10, 0.9); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := L1CountsDistance(make([]int64, 6), 1, pmf); err == nil {
 		t.Fatal("support mismatch must fail")
 	}
-	if _, err := L1HistDistance(MustHistogram(10), b); err == nil {
+	if _, err := L1CountsDistance(make([]int64, 11), 0, pmf); err == nil {
 		t.Fatal("empty histogram must fail")
 	}
 }

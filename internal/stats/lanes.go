@@ -136,13 +136,8 @@ func (pt *calibPoint) fillLanes(dists []float64) error {
 			}
 		}
 		for j := 0; j < lanes && j*per+i < len(dists); j++ {
-			t := tallies[j*(m+1) : (j+1)*(m+1)]
-			var sum int64
-			for k, c := range t {
-				sum += int64(k) * c
-			}
 			var err error
-			if dists[j*per+i], err = pt.distance(t, sum); err != nil {
+			if dists[j*per+i], err = pt.distance(tallies[j*(m+1) : (j+1)*(m+1)]); err != nil {
 				return err
 			}
 		}

@@ -128,11 +128,7 @@ func TestCalibrateL1LanesMatchScalar(t *testing.T) {
 		if i%3 == 0 {
 			p = ps[rng.Intn(len(ps))]
 		}
-		cfg := CalibrationConfig{
-			Seed:        rng.Uint64(),
-			Replicates:  reps[rng.Intn(len(reps))],
-			ReestimateP: rng.Intn(3) == 0,
-		}
+		cfg := CalibrationConfig{Seed: rng.Uint64(), Replicates: reps[rng.Intn(len(reps))]}
 		if rng.Intn(2) == 0 {
 			cfg.Confidence = []float64{0.5, 0.9, 0.999, 0.9999}[rng.Intn(4)]
 		}

@@ -399,7 +399,7 @@ func TestUniformThresholdMatchesFloatCompare(t *testing.T) {
 
 // NaN is not a probability: both entry points return 0 successes and leave
 // the stream alone (the float compare used to burn n uniforms to say 0;
-// NewBinomial and CalibrateL1 reject NaN, so no caller's stream moved).
+// BinomialPMFInto and CalibrateL1 reject NaN, so no caller's stream moved).
 func TestBinomialNaNDrawsNothing(t *testing.T) {
 	for _, n := range []int{10, 64, 70} {
 		r, fresh := NewRNG(7), NewRNG(7)

@@ -49,21 +49,33 @@ func TestPredictorGolden(t *testing.T) {
 // math.Log fits a varint of two bytes — and exact at the point masses.
 func TestPredictorTracksTheTesters(t *testing.T) {
 	for _, tc := range predictorCases[:8] {
-		h := stats.MustHistogram(len(tc.hist) - 1)
+		counts := make([]int64, len(tc.hist))
 		for k, c := range tc.hist {
-			for range int(c) {
-				if err := h.Add(k); err != nil {
-					t.Fatal(err)
-				}
-			}
+			counts[k] = int64(c)
 		}
-		d, err := stats.L1HistDistance(h, stats.MustBinomial(len(tc.hist)-1, tc.p))
-		if err != nil {
-			t.Fatal(err)
-		}
+		d := testerDistance(t, counts, tc.p)
 		off := predictionError(d, tc.want)
 		if off >= 1<<14 || (tc.p == 0 || tc.p == 1) && off != 0 {
 			t.Errorf("%s: prediction %#016x is %d (zig-zag) from the tester's %#016x", tc.name, tc.want, off, math.Float64bits(d))
 		}
 	}
+}
+
+// testerDistance is the distance a behaviour tester computes for the window
+// histogram counts against B(len(counts)−1, p).
+func testerDistance[C int64 | uint32](t testing.TB, counts []C, p float64) float64 {
+	t.Helper()
+	pmf := make([]float64, len(counts))
+	if err := stats.BinomialPMFInto(pmf, len(counts)-1, p); err != nil {
+		t.Fatal(err)
+	}
+	var total int64
+	for _, c := range counts {
+		total += int64(c)
+	}
+	d, err := stats.L1CountsDistance(counts, total, pmf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return d
 }

@@ -463,19 +463,14 @@ func chainRows(t testing.TB, m, minWindows int, counts ...int) []behavior.Suffix
 	t.Helper()
 	var rows []behavior.SuffixResult
 	for w := len(counts); w >= minWindows; w-- {
-		h := stats.MustHistogram(m)
+		hist := make([]uint32, m+1)
 		good := 0
 		for _, c := range counts[len(counts)-w:] {
-			if err := h.Add(c); err != nil {
-				t.Fatal(err)
-			}
+			hist[c]++
 			good += c
 		}
 		s := behavior.SuffixResult{Transactions: w * m, Windows: w, PHat: float64(good) / float64(w*m), Threshold: 0.3}
-		var err error
-		if s.Distance, err = stats.L1HistDistance(h, stats.MustBinomial(m, s.PHat)); err != nil {
-			t.Fatal(err)
-		}
+		s.Distance = testerDistance(t, hist, s.PHat)
 		s.Pass = s.Distance <= s.Threshold
 		rows = append(rows, s)
 	}

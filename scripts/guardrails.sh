@@ -52,6 +52,10 @@
 #   - experiments are configured by the registry alone (ADR 0020): no
 #     exported Config type, Run(Fig|Ablation) function or withDefaults in
 #     internal/experiment
+#   - phase 1 scores a suffix in one place (ADR 0016): the reference testers
+#     and the accumulators share one scoring function, core one Assessment
+#     builder; stats.Histogram, the Binomial type, L1HistDistance,
+#     ThresholdAt and ReestimateP stay deleted
 #   - per-package non-test line budget (scripts/loc-budget.txt): a package
 #     grows only in a diff that raises its line, and a deleted package's line
 #     goes with it
@@ -382,6 +386,26 @@ check "no exported Run(Fig|Ablation) function in internal/experiment (ADR 0020)"
     "absent '^func Run(Fig|Ablation)' internal/experiment"
 check "no withDefaults in internal/experiment (ADR 0020)" \
     "absent '\bwithDefaults\b' internal/experiment"
+
+# --- one suffix score, one Assessment builder (ADR 0016) ----------------------
+# The reference testers and the accumulators score a suffix with one
+# function and differ only in where the windows and B(m, p̂) come from; core
+# builds every Assessment in one place. The batch-only statistics types, the
+# distance and threshold entry points only they called, and the calibration
+# knob nothing set stay deleted.
+check "stats.Histogram, NewHistogram and MustHistogram stay deleted (ADR 0016)" \
+    "absent '\b(stats\.Histogram|NewHistogram|MustHistogram)\b' && absent '^type Histogram\b' internal/stats"
+check "the Binomial type, NewBinomial and MustBinomial stay deleted (ADR 0016)" \
+    "absent '\btype Binomial\b|\b(NewBinomial|MustBinomial)\b|\bstats\.Binomial\b'"
+for sym in L1HistDistance ThresholdAt ReestimateP; do
+    check "$sym stays deleted (ADR 0016)" "absent '\b$sym\b'"
+done
+check "no testHistogram in internal/behavior (ADR 0016)" "absent '\btestHistogram\b' internal/behavior"
+check "one suffix score: internal/behavior measures a distance in one place (ADR 0016)" \
+    "[ \"\$(sources internal/behavior | xargs grep -hE 'L1CountsDistance\(|\.Threshold\(' | wc -l)\" -eq 2 ] \
+     && [ \"\$(sources internal/behavior | xargs grep -lE 'L1CountsDistance\(|\.Threshold\(')\" = internal/behavior/behavior.go ]"
+check "one Assessment builder in internal/core (ADR 0016)" \
+    "[ \"\$(sources internal/core | xargs grep -hE '\bAssessment\{' | wc -l)\" -eq 1 ]"
 
 # --- per-package LOC ratchet --------------------------------------------------
 # Each package's non-test lines (as sources counts them, assembly included) must stay at or below
