@@ -38,6 +38,12 @@ const (
 	DefaultMinWindows = 4
 )
 
+// MaxWindowSize is the largest window a tester accepts. Up to it B(m, p̂)
+// stays within 1e-12 of the exact PMF in L¹; beyond it q^m can underflow
+// where the distribution still has mass (stats.BinomialPMFInto). It is also
+// the widest window a verdict chain carries on the wire.
+const MaxWindowSize = 255
+
 // Errors returned by testers.
 var (
 	// ErrInsufficientHistory reports a history too short to test: fewer
@@ -103,8 +109,8 @@ func (c Config) withDefaults() (Config, error) {
 	if c.Calibrator == nil {
 		c.Calibrator = stats.NewCalibrator(stats.CalibrationConfig{}, 0)
 	}
-	if c.WindowSize < 1 {
-		return c, fmt.Errorf("%w: window size %d", ErrBadConfig, c.WindowSize)
+	if c.WindowSize < 1 || c.WindowSize > MaxWindowSize {
+		return c, fmt.Errorf("%w: window size %d outside [1, %d]", ErrBadConfig, c.WindowSize, MaxWindowSize)
 	}
 	if c.MinWindows < 1 {
 		return c, fmt.Errorf("%w: min windows %d", ErrBadConfig, c.MinWindows)

@@ -65,6 +65,7 @@ func TestConfigValidation(t *testing.T) {
 		cfg  Config
 	}{
 		{"negative window", Config{WindowSize: -1}},
+		{"window above the most", Config{WindowSize: MaxWindowSize + 1}},
 		{"negative minwindows", Config{MinWindows: -2}},
 		{"stride not multiple", Config{WindowSize: 10, Stride: 15}},
 		{"negative stride", Config{WindowSize: 10, Stride: -10}},

@@ -113,7 +113,7 @@ type Accumulator struct {
 	prefRing []uint32 // good-count prefix over the last m+1 positions (ring)
 	counts   []uint32 // per-phase window histograms: m rows of m+1 buckets
 	sums     []uint32 // per-phase sum of window good-counts
-	wins     []byte   // good count of every completed window, winWidth bytes each
+	wins     []byte   // good count of every completed window (m <= MaxWindowSize fits a byte)
 
 	clients map[feedback.EntityID]*clientSeries // collusion modes
 }
@@ -189,30 +189,6 @@ func (a *Accumulator) Len() int { return a.n }
 // GoodCount returns the running number of good transactions ΣG.
 func (a *Accumulator) GoodCount() int { return a.goodTotal }
 
-// winWidth is the bytes one window good-count (≤ m) takes in a window
-// string: one byte at every practical window size.
-func winWidth(m int) int {
-	switch {
-	case m < 1<<8:
-		return 1
-	case m < 1<<16:
-		return 2
-	}
-	return 4
-}
-
-// winAt reads entry i of a window string of the given width (little endian).
-func winAt(wins []byte, width, i int) int {
-	if width == 1 {
-		return int(wins[i])
-	}
-	v := 0
-	for b := width - 1; b >= 0; b-- {
-		v = v<<8 | int(wins[i*width+b])
-	}
-	return v
-}
-
 // phase returns the window histogram of phase φ.
 func (a *Accumulator) phase(phi int) []uint32 {
 	stride := a.cfg.WindowSize + 1
@@ -252,10 +228,7 @@ func (a *Accumulator) Append(f feedback.Feedback) {
 	c := uint32(a.goodTotal) - a.prefRing[(a.n-m)%(m+1)]
 	a.phase(a.n % m)[c]++
 	a.sums[a.n%m] += c
-	for w := winWidth(m); w > 0; w-- {
-		a.wins = append(a.wins, byte(c))
-		c >>= 8
-	}
+	a.wins = append(a.wins, byte(c))
 }
 
 // Test evaluates the maintained statistics exactly as the corresponding
@@ -319,7 +292,6 @@ func (a *Accumulator) testMulti(corrected bool) (Verdict, error) {
 	phi := a.n % m
 	hist := slices.Clone(a.phase(phi))
 	sum := int64(a.sums[phi])
-	width := winWidth(m)
 	oldest := phi // window-string entry of the oldest window still in hist
 	v := Verdict{Honest: true, Suffixes: make([]SuffixResult, numSuffixes)}
 	for i := range v.Suffixes {
@@ -334,7 +306,7 @@ func (a *Accumulator) testMulti(corrected bool) (Verdict, error) {
 			break
 		}
 		for end := oldest + ws*m; oldest < end; oldest += m {
-			c := winAt(a.wins, width, oldest)
+			c := a.wins[oldest]
 			hist[c]--
 			sum -= int64(c)
 		}

@@ -23,8 +23,8 @@ import (
 // never written again. The table doubles while its load passes half, up to
 // the Config.ArenaCap-derived size; at the cap the current generation retires
 // to prev and a freshly allocated one takes over. Lookups that miss the fresh
-// table migrate their entry from prev with a copy — an order of magnitude
-// cheaper than a Lgamma/Exp refill — while entries idle for a whole
+// table migrate their entry from prev with a copy — cheaper than the ~2m
+// multiplications of a refill — while entries idle for a whole
 // generation fall off with it. Growth and rotation never recycle buffers, so
 // readers still holding slices of a retired array keep valid data. Any
 // eviction or migration policy is result-neutral, the PMF being a pure

@@ -195,10 +195,10 @@ func TestNewAccumulatorAllocation(t *testing.T) {
 	runtime.KeepAlive(keep)
 }
 
-// TestWideWindowString covers window good-counts that need two bytes each
-// (m > 255), through appends and reads.
+// TestWideWindowString covers the widest window a tester takes, whose good
+// counts use the window string's whole byte, through appends and reads.
 func TestWideWindowString(t *testing.T) {
-	cfg := behavior.Config{WindowSize: 300, MinWindows: 2, Stride: 600, Calibrator: fastCalibrator(55)}
+	cfg := behavior.Config{WindowSize: behavior.MaxWindowSize, MinWindows: 2, Stride: 2 * behavior.MaxWindowSize, Calibrator: fastCalibrator(55)}
 	tester, err := behavior.NewMulti(cfg)
 	if err != nil {
 		t.Fatal(err)

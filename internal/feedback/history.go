@@ -10,6 +10,7 @@ import (
 	"sort"
 	"strings"
 	"time"
+	"unsafe"
 )
 
 // History errors.
@@ -446,8 +447,8 @@ func (h *History) view(lo int) *History {
 func (h *History) SnapshotView() *History { return h.view(0) }
 
 // histStruct is a History's own size: 2 string headers, 8 slice headers and
-// 6 words.
-const histStruct = 272
+// 6 words (4 of them 64-bit): 272 B with 64-bit words, 152 B with 32-bit.
+const histStruct = int(unsafe.Sizeof(History{}))
 
 // SizeBytes returns the approximate resident heap footprint of this history:
 // the struct, the capacity of its columns, and the client dictionary — the
@@ -457,7 +458,7 @@ const histStruct = 272
 // The memory-budget governor uses this as the history half of a server's
 // resident size.
 func (h *History) SizeBytes() int {
-	const builderStruct = 32
+	const builderStruct = int(unsafe.Sizeof(strings.Builder{}))
 	n := histStruct + cap(h.t32)*4 + cap(h.t64)*8 + cap(h.client16)*2 + cap(h.client32)*4 +
 		cap(h.bits)*8 + cap(h.rank)*4 + cap(h.ends)*4 + cap(h.table)*4
 	if h.b != nil {

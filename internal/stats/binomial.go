@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"sync/atomic"
 )
 
 // ErrInvalidDistribution reports parameters outside the valid domain of a
@@ -12,9 +11,18 @@ import (
 var ErrInvalidDistribution = errors.New("stats: invalid distribution parameters")
 
 // BinomialPMFInto fills dst, which must have length n+1, with the PMF of
-// B(n, p), computed in log space for numerical stability. It is the one
-// fill code path: the behaviour testers' scratch tables, the accumulators'
-// PMF memo and the calibration points all hold its bits.
+// B(n, p). It is the one PMF: the behaviour testers' scratch tables, the
+// accumulators' PMF memo, the calibration points and the wire's verdict
+// chains all hold its bits.
+//
+// The fill is the multiplicative recurrence P(k+1) = P(k)·(p/q)·(n−k)/(k+1),
+// walked up from q^n and down from p^n at once so that the two halves meet
+// at n/2. It uses + − × ÷ alone, which IEEE-754 rounds the same on every
+// platform, and wraps every product in float64(), which the Go spec makes
+// round on its own rather than fuse into an add: the bits are the same on
+// every GOARCH (ADR 0007). p ∈ {0, 1} are exact point masses. Past n = 255
+// a tail power can underflow where its half still holds mass, so the
+// behaviour testers refuse larger windows.
 func BinomialPMFInto(dst []float64, n int, p float64) error {
 	if n < 0 || math.IsNaN(p) || p < 0 || p > 1 {
 		return fmt.Errorf("%w: B(%d, %v)", ErrInvalidDistribution, n, p)
@@ -22,47 +30,34 @@ func BinomialPMFInto(dst []float64, n int, p float64) error {
 	if len(dst) != n+1 {
 		return fmt.Errorf("%w: pmf buffer length %d for B(%d,·)", ErrInvalidDistribution, len(dst), n)
 	}
-	switch {
-	case p == 0:
+	if p == 0 || p == 1 {
 		clear(dst)
-		dst[0] = 1
-	case p == 1:
-		clear(dst)
-		dst[n] = 1
-	default:
-		logP, logQ := math.Log(p), math.Log1p(-p)
-		for k, lc := range logChoose(n) {
-			dst[k] = math.Exp(lc + float64(k)*logP + float64(n-k)*logQ)
+		dst[int(p)*n] = 1
+		return nil
+	}
+	q := 1 - p
+	lo, hi := pow(q, n), pow(p, n)
+	up, down := p/q, q/p
+	dst[0], dst[n] = lo, hi
+	for j, k := 0, n; j < n/2; j, k = j+1, k-1 {
+		r := float64(n-j) / float64(j+1)
+		lo = float64(lo * float64(up*r))
+		if hi != 0 { // where q/p overflows, p^n has underflowed: 0·∞ is no PMF entry
+			hi = float64(hi * float64(down*r))
 		}
+		dst[j+1], dst[k-1] = lo, hi
 	}
 	return nil
 }
 
-// logChooseTables caches logChoose(n) for the window sizes in use: the three
-// Lgamma terms of a PMF entry depend on (n, k) only, and were two thirds of
-// a fill's time. A pure function of n, so racing builders publish equal
-// tables and a hit is one atomic load — no lock, nothing per server (ADR
-// 0002). Larger n are computed per call, as every n used to be.
-var logChooseTables [257]atomic.Pointer[[]float64]
-
-// logChoose returns log C(n, k) for k = 0..n, each as (lgN − lgK) − lgNK in
-// that order, so BinomialPMFInto's sum reproduces the uncached expression
-// lgN − lgK − lgNK + k·logP + (n−k)·logQ bit for bit.
-func logChoose(n int) []float64 {
-	if n < len(logChooseTables) {
-		if lc := logChooseTables[n].Load(); lc != nil {
-			return *lc
+// pow returns x^e by squaring, every product rounded on its own.
+func pow(x float64, e int) float64 {
+	y := 1.0
+	for ; e > 0; e >>= 1 {
+		if e&1 != 0 {
+			y = float64(y * x)
 		}
+		x = float64(x * x)
 	}
-	lc := make([]float64, n+1)
-	lgN, _ := math.Lgamma(float64(n) + 1)
-	for k := range lc {
-		lgK, _ := math.Lgamma(float64(k) + 1)
-		lgNK, _ := math.Lgamma(float64(n-k) + 1)
-		lc[k] = lgN - lgK - lgNK
-	}
-	if n < len(logChooseTables) {
-		logChooseTables[n].Store(&lc)
-	}
-	return lc
+	return y
 }

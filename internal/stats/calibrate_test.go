@@ -235,10 +235,12 @@ func TestCalibratorLargeWindowExtrapolation(t *testing.T) {
 	}
 }
 
-// TestCalibrateL1GoldenBits pins ε bit for bit. The values were recorded
+// TestCalibrateL1GoldenBits pins ε bit for bit. The draws were recorded
 // before the tally kernel, when each window was one Binomial variate added to
 // a histogram: the calibration stream is part of the reproduction contract
-// (ADR 0007), so a cheaper kernel must land on the same bits.
+// (ADR 0007), so a cheaper kernel must land on the same bits. The values were
+// re-pinned once, on the same draws, when the PMF became platform-exact:
+// since then they are the same on every GOARCH.
 func TestCalibrateL1GoldenBits(t *testing.T) {
 	def := CalibrationConfig{Seed: 1}
 	cases := []struct {
@@ -248,38 +250,38 @@ func TestCalibrateL1GoldenBits(t *testing.T) {
 		want       uint64
 	}{
 		{10, 4, 0, def, 0x0},
-		{10, 4, 0.01, def, 0x3fea274b187171fe},
-		{10, 4, 0.37, def, 0x3ff5e317c820ca76},
-		{10, 4, 0.9, def, 0x3ff30170f4b837e7},
-		{10, 4, 0.99, def, 0x3fdf77ef8ddbc48d},
+		{10, 4, 0.01, def, 0x3fea274b187171fd},
+		{10, 4, 0.37, def, 0x3ff5e317c820ca71},
+		{10, 4, 0.9, def, 0x3ff30170f4b837e4},
+		{10, 4, 0.99, def, 0x3fdf77ef8ddbc489},
 		{10, 4, 1, def, 0x0},
 		{10, 5, 0, def, 0x0},
-		{10, 5, 0.01, def, 0x3fe3c0e4b20b0b98},
-		{10, 5, 0.37, def, 0x3ff47f7b094e5777},
-		{10, 5, 0.9, def, 0x3ff16aa2efbaaab7},
+		{10, 5, 0.01, def, 0x3fe3c0e4b20b0b97},
+		{10, 5, 0.37, def, 0x3ff47f7b094e5773},
+		{10, 5, 0.9, def, 0x3ff16aa2efbaaab9},
 		{10, 5, 0.99, def, 0x3fe3c0e4b20b0b95},
 		{10, 5, 1, def, 0x0},
 		{10, 47, 0, def, 0x0},
-		{10, 47, 0.01, def, 0x3fc4303cb8ebe8a2},
-		{10, 47, 0.37, def, 0x3fdc164c8513a355},
-		{10, 47, 0.9, def, 0x3fd65a48c7341d41},
+		{10, 47, 0.01, def, 0x3fc4303cb8ebe89d},
+		{10, 47, 0.37, def, 0x3fdc164c8513a363},
+		{10, 47, 0.9, def, 0x3fd65a48c7341d46},
 		{10, 47, 0.99, def, 0x3fc4303cb8ebe89c},
 		{10, 47, 1, def, 0x0},
 		{10, 542, 0, def, 0x0},
-		{10, 542, 0.01, def, 0x3fa97b4e56e9c7fc},
-		{10, 542, 0.37, def, 0x3fc087a3e9db0d67},
-		{10, 542, 0.9, def, 0x3fbb437b2e3b1404},
-		{10, 542, 0.99, def, 0x3fa9a55f6fad7102},
+		{10, 542, 0.01, def, 0x3fa97b4e56e9c7e6},
+		{10, 542, 0.37, def, 0x3fc087a3e9db0d5b},
+		{10, 542, 0.9, def, 0x3fbb437b2e3b13e5},
+		{10, 542, 0.99, def, 0x3fa9a55f6fad7101},
 		{10, 542, 1, def, 0x0},
 		{10, 4096, 0, def, 0x0},
-		{10, 4096, 0.01, def, 0x3f9218c3df277346},
-		{10, 4096, 0.37, def, 0x3fa878c6c489d8f4},
-		{10, 4096, 0.9, def, 0x3fa3a81147bdbc1e},
-		{10, 4096, 0.99, def, 0x3f932dc51d73294e},
+		{10, 4096, 0.01, def, 0x3f9218c3df27736c},
+		{10, 4096, 0.37, def, 0x3fa878c6c489d86e},
+		{10, 4096, 0.9, def, 0x3fa3a81147bdbc2e},
+		{10, 4096, 0.99, def, 0x3f932dc51d732955},
 		{10, 4096, 1, def, 0x0},
-		{10, 47, 0.9, CalibrationConfig{Seed: 1, Confidence: 0.999}, 0x3fe039637c48612f},
-		{64, 20, 0.37, def, 0x3fedf6af205c980c}, // largest n drawn by direct simulation
-		{70, 47, 0.9, def, 0x3fe0f1e9fe5c6ca1},  // n > 64: CDF inversion per variate
+		{10, 47, 0.9, CalibrationConfig{Seed: 1, Confidence: 0.999}, 0x3fe039637c48612b},
+		{64, 20, 0.37, def, 0x3fedf6af205c9890}, // largest n drawn by direct simulation
+		{70, 47, 0.9, def, 0x3fe0f1e9fe5c6c7e},  // n > 64: CDF inversion per variate
 	}
 	for _, c := range cases {
 		eps, err := CalibrateL1(c.m, c.windows, c.p, c.cfg)
@@ -299,8 +301,8 @@ func TestCalibrateL1GoldenBits(t *testing.T) {
 		windows int
 		want    uint64
 	}{
-		{3*DefaultMaxCalibrationWindows + 17, 0x3f96dc1d1e0e0f9d},
-		{49, 0x3fd65a48c7341d41},
+		{3*DefaultMaxCalibrationWindows + 17, 0x3f96dc1d1e0e0f88},
+		{49, 0x3fd65a48c7341d46},
 	} {
 		eps, err := cal.Threshold(10, c.windows, 0.9)
 		if err != nil {

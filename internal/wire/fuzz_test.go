@@ -318,9 +318,9 @@ func FuzzVerdictTable(f *testing.F) {
 		r := &breader{buf: data}
 		if rows, err := r.verdictTable(); err == nil {
 			used := data[:len(data)-len(r.buf)]
-			least := 20 // half-bytes a row takes at least: 3 in a chain
+			least := 20 // half-bytes a row takes at least: 1 in a chain
 			if _, k := binary.Uvarint(used); len(rows) > 0 && used[k]&tableChain != 0 {
-				least = 3
+				least = 1
 			}
 			if len(rows)*least > 2*len(used) {
 				t.Fatalf("%d rows out of %d bytes", len(rows), len(used))

@@ -46,10 +46,12 @@ import (
 // response's flags byte and 5 does not (ADR 0010); 5 wrote a record batch's
 // times as nanosecond differences and 6 divides them by their greatest
 // common divisor (ADR 0014); 6 wrote every verdict table's distances raw and
-// 7 writes a chain's as residuals against a predictor (ADR 0006's
-// amendment). No revision reads another's binary payloads: ends of
-// different revisions speak BridgeCodec (ADR 0009).
-const VersionV2 = 7
+// 7 a chain's as residuals against a predictor (ADR 0006's amendment); 8
+// writes a chain with no distance column, every Distance rebuilt from the
+// window counts by the platform-exact PMF (ADR 0006's second amendment). No
+// revision reads another's binary payloads: ends of different revisions
+// speak BridgeCodec (ADR 0009).
+const VersionV2 = 8
 
 // HelloMagic is the first byte of a client hello. A connection that opens
 // with any other byte is closed.
@@ -306,10 +308,12 @@ func ReadV2Into(r io.Reader, buf []byte) (Envelope, []byte, error) {
 		}
 		return Envelope{}, buf, fmt.Errorf("read frame: %w", err)
 	}
-	body := int(binary.BigEndian.Uint32(hdr[:4]))
-	if body > MaxFrame {
+	// Compared unsigned: on a 32-bit int a prefix of 0xffffffff converts to −1.
+	length := binary.BigEndian.Uint32(hdr[:4])
+	if length > MaxFrame {
 		return Envelope{}, buf, ErrFrameTooLarge
 	}
+	body := int(length)
 	if body < v2BodyMin {
 		return Envelope{}, buf, fmt.Errorf("%w: body %d below header", ErrBadMessage, body)
 	}

@@ -446,8 +446,8 @@ func TestSubmitBatchGoldenFrame(t *testing.T) {
 		0b101, // good
 	}
 	var buf bytes.Buffer
-	if err := WriteHello(&buf); err != nil || !bytes.Equal(buf.Bytes(), []byte{0xB2, 'W', '2', 7, '\n'}) {
-		t.Fatalf("hello = %x, %v; the layout below is revision 7's", buf.Bytes(), err)
+	if err := WriteHello(&buf); err != nil || !bytes.Equal(buf.Bytes(), []byte{0xB2, 'W', '2', 8, '\n'}) {
+		t.Fatalf("hello = %x, %v; the layout below is revision 8's", buf.Bytes(), err)
 	}
 	buf.Reset()
 	env, err := V2Codec.Encode(TypeSubmitB, 9, req)

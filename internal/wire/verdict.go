@@ -7,6 +7,7 @@ import (
 	"slices"
 
 	"honestplayer/internal/behavior"
+	"honestplayer/internal/stats"
 )
 
 // The verdict table is behavior.Verdict.Suffixes in its binary form: columns,
@@ -31,9 +32,10 @@ import (
 //	              padding bits zero
 //
 // A chain — Scheme 2's consecutive suffixes, each row one window longer than
-// the next and holding one window's good count more — writes its
-// transactions, windows, good and distance columns as what they were
-// computed from (tableChain, ADR 0006's amendment):
+// the next and holding one window's good count more, every Distance the one
+// a tester computes from those windows — writes its transactions, windows,
+// good and distance columns as the window counts they were computed from
+// (tableChain, ADR 0006's amendment):
 //
 //	windows       uvarint: the first row's Windows, each row one fewer
 //	m             uvarint window size, 1..255
@@ -41,12 +43,12 @@ import (
 //	              from the second-shortest row up, the count of the window
 //	              each row adds: Windows of the first row in all, nibbles
 //	              (low first, a zero pad) when m <= 15, else bytes
-//	distance      from the shortest row up, the zig-zag varint of Distance's
-//	              bits minus the bits the predictor (predict.go) gives that
-//	              row's rebuilt histogram
 //
-// The shortest row's counts are chainBase's pick, which the decoder makes
-// again from the rows it decoded.
+// The decoder rebuilds every Distance from the counts as a tester computes
+// it: stats.L1CountsDistance of the row's window histogram from
+// stats.BinomialPMFInto's B(m, p̂), arithmetic whose bits are the same on
+// every platform. The shortest row's counts are chainBase's pick, which the
+// decoder makes again from the rows it decoded.
 //
 // The encoding is lossless for any rows — NaN payloads, −0, ±Inf, negative
 // or unordered counts — because the encoder derives a column only after
@@ -62,11 +64,11 @@ const (
 
 // maxFrameRows bounds the verdict rows of one frame, all its tables
 // together, at the number MaxFrame holds at the raw columns' 10 B a row. A
-// row decodes to 48 B, and a chain writes one in as little as 1.5 B: without
-// the bound a hostile frame of chains would allocate 32 times its size, with
-// it no frame allocates more for its rows than one of raw tables could. An
-// encoder refuses a payload past it as too large (Codec.Encode), as it
-// refuses one past MaxFrame.
+// row decodes to 48 B, and a chain writes one in as little as half a byte:
+// without the bound a hostile frame of chains would allocate 96 times its
+// size, with it no frame allocates more for its rows than one of raw tables
+// could. An encoder refuses a payload past it as too large (Codec.Encode),
+// as it refuses one past MaxFrame.
 const maxFrameRows = MaxFrame / 10
 
 // verdictRows is the number of verdict rows a payload carries.
@@ -95,10 +97,6 @@ func verdictRows(payload any) int {
 	return n
 }
 
-// maxChainWindow is the largest window size a chain carries, so that a count
-// fits a byte and a PMF stays small on a receiver.
-const maxChainWindow = 255
-
 // goodCount returns the g for which float64(g)/float64(s.Transactions) has
 // PHat's bits. Transactions is held to 31 bits so that g is the only such
 // integer and the division is exact IEEE arithmetic on every platform.
@@ -117,19 +115,21 @@ func goodCount(s *behavior.SuffixResult) (int, bool) {
 
 // tableShape reports which columns of rows (at least one) have to ride
 // explicitly, the m the Windows column derives from when it does not, and
-// for a chain the predictor whose best is the shortest row's window
-// histogram, chainBase's pick. A chain is at least
-// two rows whose Windows and PHat derive, each one window longer than the
-// next with between 0 and m good transactions more, at most maxChainWindow
-// wide, and a base search within maxBases.
-func tableShape(rows []behavior.SuffixResult) (shape byte, m int, chain *predictor) {
+// for a chain the chain whose base is the shortest row's window histogram,
+// chainBase's pick. A chain is at least two rows whose Windows and PHat
+// derive, each one window longer than the next with between 0 and m good
+// transactions more, at most behavior.MaxWindowSize wide, and whose every
+// Distance rebuilds from a base among the first maxBases. A decoder passes
+// the base it rebuilt rows from as rebuilt, which the search then takes
+// without a second walk.
+func tableShape(rows []behavior.SuffixResult, rebuilt []uint32) (shape byte, m int, ch *chain) {
 	if w := rows[0].Windows; w > 0 && rows[0].Transactions%w == 0 {
 		m = rows[0].Transactions / w
 	}
 	if m <= 0 || m > math.MaxInt32 {
 		shape |= tableWindows
 	}
-	steps, prev := len(rows) >= 2 && m <= maxChainWindow, 0
+	steps, prev := len(rows) >= 2 && m <= behavior.MaxWindowSize, 0
 	for i := range rows {
 		s := &rows[i]
 		if shape&tableWindows == 0 && (s.Transactions%m != 0 || s.Transactions/m != s.Windows) {
@@ -150,14 +150,116 @@ func tableShape(rows []behavior.SuffixResult) (shape byte, m int, chain *predict
 	if shape&tableWindows != 0 {
 		return shape, 0, nil
 	}
-	if last := &rows[len(rows)-1]; steps && shape&tablePHat == 0 {
-		pr := newPredictor(m)
-		if !chainBase(pr, last.Windows, prev, last.PHat, last.Distance) {
-			return shape, m, nil
+	if steps && shape&tablePHat == 0 {
+		ch := newChain(m)
+		if ch.rebuilt = rebuilt; chainBase(ch, rows, prev) {
+			return shape | tableChain, m, ch
 		}
-		return shape | tableChain, m, pr
 	}
 	return shape, m, nil
+}
+
+// maxBases caps the base search: a table whose shortest row has more
+// candidate histograms than this is written as raw columns.
+const maxBases = 4096
+
+// chain is what a chain is walked with at either end, held as a tester holds
+// it: B(m, p̂) for the last p̂ filled, the histogram of the row at hand, the
+// shortest row's (the base) and eachBase's candidate for it.
+type chain struct {
+	pmf                []float64
+	filled             uint64 // the bits of the p̂ pmf holds
+	hist, base, candid []uint32
+	rebuilt            []uint32 // a base the rows were rebuilt from: no walk needed
+}
+
+// newChain returns a chain for window size m.
+func newChain(m int) *chain {
+	h := make([]uint32, 3*(m+1))
+	return &chain{pmf: make([]float64, m+1), filled: math.MaxUint64,
+		hist: h[:m+1], base: h[m+1 : 2*(m+1)], candid: h[2*(m+1):]}
+}
+
+// distance is the Distance a tester computes for c.hist, w windows, at p:
+// the same two calls, so the same bits on every platform. p is a row's
+// g/Transactions and w at least one, which neither call refuses.
+func (c *chain) distance(w int, p float64) float64 {
+	if math.Float64bits(p) != c.filled {
+		_ = stats.BinomialPMFInto(c.pmf, len(c.pmf)-1, p)
+		c.filled = math.Float64bits(p)
+	}
+	d, _ := stats.L1CountsDistance(c.hist, int64(w), c.pmf)
+	return d
+}
+
+// rebuilds reports whether every row's Distance rebuilds, bit for bit, with
+// c.candid as the shortest row's histogram and each longer row adding the
+// window of the good transactions it holds more.
+func (c *chain) rebuilds(rows []behavior.SuffixResult) bool {
+	if c.rebuilt != nil && slices.Equal(c.candid, c.rebuilt) {
+		return true
+	}
+	copy(c.hist, c.candid)
+	for i, prev := len(rows)-1, 0; i >= 0; i-- {
+		s := &rows[i]
+		g := int(s.PHat*float64(s.Transactions) + 0.5) // goodCount, which tableShape checked
+		if i < len(rows)-1 {
+			c.hist[g-prev]++
+		}
+		prev = g
+		if math.Float64bits(c.distance(s.Windows, s.PHat)) != math.Float64bits(s.Distance) {
+			return false
+		}
+	}
+	return true
+}
+
+// chainBase sets c.base to the first histogram, in eachBase's order, of the
+// shortest row's windows over [0, m] with its g good transactions among
+// them, from which every row's Distance rebuilds. It reports false when
+// none of the first maxBases does.
+func chainBase(c *chain, rows []behavior.SuffixResult, g int) bool {
+	seen, found := 0, false
+	eachBase(c.candid, 0, rows[len(rows)-1].Windows, g, func() bool {
+		if found = c.rebuilds(rows); found {
+			copy(c.base, c.candid)
+		}
+		seen++
+		return !found && seen < maxBases
+	})
+	return found
+}
+
+// eachBase calls visit with hist holding, in turn, every way to spread w
+// windows over the values v..m with g good transactions among them: the
+// fewest windows at v first, then recursively. It stops, reporting false,
+// when visit does.
+func eachBase(hist []uint32, v, w, g int, visit func() bool) bool {
+	m := len(hist) - 1
+	for v < m && w*(v+1) <= g && w*m-g < m-v {
+		v++ // no window can take the value v
+	}
+	if v == m {
+		if w*m != g {
+			return true
+		}
+		hist[m] = uint32(w)
+		ok := visit()
+		hist[m] = 0
+		return ok
+	}
+	// c windows at v leave w−c windows in [v+1, m] to hold g − c·v, which
+	// they can exactly when (w−c)(v+1) <= g − c·v <= (w−c)·m.
+	lo, hi := max(0, w*(v+1)-g), min(w, (w*m-g)/(m-v))
+	for c := lo; c <= hi; c++ {
+		hist[v] = uint32(c)
+		if !eachBase(hist, v+1, w-c, g-c*v, visit) {
+			hist[v] = 0
+			return false
+		}
+	}
+	hist[v] = 0
+	return true
 }
 
 func appendVerdictTable(buf []byte, rows []behavior.SuffixResult) []byte {
@@ -166,10 +268,10 @@ func appendVerdictTable(buf []byte, rows []behavior.SuffixResult) []byte {
 	if n == 0 {
 		return buf
 	}
-	shape, m, chain := tableShape(rows)
+	shape, m, ch := tableShape(rows, nil)
 	buf = append(buf, shape)
-	if chain != nil {
-		buf = appendChain(buf, rows, chain)
+	if ch != nil {
+		buf = appendChain(buf, rows, ch)
 	} else {
 		buf = appendRawColumns(buf, rows, shape, m)
 	}
@@ -233,11 +335,11 @@ func countWidth(m int) int {
 	return 8
 }
 
-// appendChain writes a chain's windows, m, counts and distance residuals,
-// walking the rows from the shortest up as a receiver rebuilds them; pr is
-// tableShape's, its best the shortest row's histogram.
-func appendChain(buf []byte, rows []behavior.SuffixResult, pr *predictor) []byte {
-	n, m := len(rows), len(pr.ratio)
+// appendChain writes a chain's windows, m and counts, walking the rows from
+// the shortest up as a receiver rebuilds them; ch is tableShape's, its base
+// the shortest row's histogram.
+func appendChain(buf []byte, rows []behavior.SuffixResult, ch *chain) []byte {
+	n, m := len(rows), len(ch.base)-1
 	buf = binary.AppendUvarint(buf, uint64(rows[0].Windows))
 	buf = binary.AppendUvarint(buf, uint64(m))
 	width, at, k := countWidth(m), len(buf), 0
@@ -246,25 +348,18 @@ func appendChain(buf []byte, rows []behavior.SuffixResult, pr *predictor) []byte
 		buf[at+k*width/8] |= byte(c) << (k * width % 8)
 		k++
 	}
-	for v, c := range pr.best {
-		for range int(c) {
+	for v, c := range ch.base {
+		for range c {
 			put(v)
 		}
 	}
-	hist := pr.hist
-	copy(hist, pr.best)
-	prev := 0
-	for i := n - 1; i >= 0; i-- {
+	for i, prev := n-1, 0; i >= 0; i-- {
 		s := &rows[i]
 		g := int(s.PHat*float64(s.Transactions) + 0.5) // goodCount, which tableShape checked
 		if i < n-1 {
 			put(g - prev)
-			hist[g-prev]++
 		}
 		prev = g
-		pr.fill(s.PHat)
-		pred := pr.distance(hist, s.Windows)
-		buf = binary.AppendVarint(buf, int64(math.Float64bits(s.Distance)-pred))
 	}
 	return buf
 }
@@ -279,10 +374,15 @@ func (r *breader) delta(prev int) (int, error) {
 // table its encoder would have written differently is refused, so whatever
 // is accepted re-encodes to the same bytes. No rows decode to a nil slice.
 func (r *breader) verdictTable() ([]behavior.SuffixResult, error) {
-	n, err := r.count(1)
-	if err != nil || n == 0 {
+	count, err := r.uvarint()
+	if err != nil || count == 0 {
 		return nil, err
 	}
+	// A chain writes a row in as little as one count nibble.
+	if count > 2*uint64(len(r.buf)) {
+		return nil, fmt.Errorf("verdict table: %d rows in %d bytes", count, len(r.buf))
+	}
+	n := int(count)
 	if n > maxFrameRows-r.rows {
 		return nil, fmt.Errorf("verdict table: %d rows where the frame has room for %d", n, maxFrameRows-r.rows)
 	}
@@ -302,9 +402,9 @@ func (r *breader) verdictTable() ([]behavior.SuffixResult, error) {
 		return nil, fmt.Errorf("verdict table: %d rows in %d bytes", n, len(r.buf))
 	}
 	rows := make([]behavior.SuffixResult, n)
-	var read *predictor // a chain's, its best the base as written
+	var read *chain // a chain's, its base as written
 	if shape&tableChain != 0 {
-		read = newPredictor(m)
+		read = newChain(m)
 		err = r.chainColumns(rows, windows, read)
 	} else {
 		m, err = r.rawColumns(rows, shape)
@@ -343,12 +443,16 @@ func (r *breader) verdictTable() ([]behavior.SuffixResult, error) {
 			rows[i].Pass = rows[i].Distance <= rows[i].Threshold
 		}
 	}
-	s, mm, chain := tableShape(rows)
+	var rebuilt []uint32
+	if read != nil {
+		rebuilt = read.base
+	}
+	s, mm, ch := tableShape(rows, rebuilt)
 	if s != shape || mm != m {
 		return nil, fmt.Errorf("verdict table: shape %#x (m=%d) where the encoder writes %#x (m=%d)", shape, m, s, mm)
 	}
-	if chain != nil && !slices.Equal(chain.best, read.best) {
-		return nil, fmt.Errorf("verdict table: chain base %v where the encoder writes %v", read.best, chain.best)
+	if ch != nil && !slices.Equal(ch.base, read.base) {
+		return nil, fmt.Errorf("verdict table: chain base %v where the encoder writes %v", read.base, ch.base)
 	}
 	return rows, nil
 }
@@ -401,8 +505,8 @@ func (r *breader) rawColumns(rows []behavior.SuffixResult, shape byte) (m int, e
 }
 
 // chainHead reads a chain's first-row window count and m, and refuses them
-// before n rows are allocated unless the bytes left can back the chain: its
-// counts and a residual byte a row.
+// before n rows are allocated unless the bytes left can back the chain's
+// counts.
 func (r *breader) chainHead(n int) (windows, m int, err error) {
 	if windows, err = r.int(); err != nil {
 		return 0, 0, err
@@ -410,20 +514,20 @@ func (r *breader) chainHead(n int) (windows, m int, err error) {
 	if m, err = r.int(); err != nil {
 		return 0, 0, err
 	}
-	if m == 0 || m > maxChainWindow || windows < n || windows > math.MaxInt32/m {
+	if m == 0 || m > behavior.MaxWindowSize || windows < n || windows > math.MaxInt32/m {
 		return 0, 0, fmt.Errorf("verdict table: chain of %d rows from %d windows of %d", n, windows, m)
 	}
-	if need := (windows*countWidth(m)+7)/8 + n; len(r.buf) < need {
+	if need := (windows*countWidth(m) + 7) / 8; len(r.buf) < need {
 		return 0, 0, fmt.Errorf("verdict table: chain of %d rows in %d bytes", n, len(r.buf))
 	}
 	return windows, m, nil
 }
 
 // chainColumns rebuilds a chain's rows but their thresholds, from the
-// shortest up, with pr, whose best it leaves holding the shortest row's
+// shortest up, with ch, whose base it leaves holding the shortest row's
 // window histogram as written.
-func (r *breader) chainColumns(rows []behavior.SuffixResult, windows int, pr *predictor) error {
-	n, m := len(rows), len(pr.ratio)
+func (r *breader) chainColumns(rows []behavior.SuffixResult, windows int, ch *chain) error {
+	n, m := len(rows), len(ch.base)-1
 	width := countWidth(m)
 	counts := r.buf[:(windows*width+7)/8]
 	r.buf = r.buf[len(counts):]
@@ -439,7 +543,7 @@ func (r *breader) chainColumns(rows []behavior.SuffixResult, windows int, pr *pr
 		}
 		return c, nil
 	}
-	w, g, hist := windows-n+1, 0, pr.hist
+	w, g, hist := windows-n+1, 0, ch.hist
 	for prev := 0; k < w; {
 		c, err := next()
 		if err != nil {
@@ -451,7 +555,7 @@ func (r *breader) chainColumns(rows []behavior.SuffixResult, windows int, pr *pr
 		hist[c]++
 		g, prev = g+c, c
 	}
-	copy(pr.best, hist)
+	copy(ch.base, hist)
 	for i := n - 1; i >= 0; i-- {
 		if i < n-1 {
 			c, err := next()
@@ -465,12 +569,7 @@ func (r *breader) chainColumns(rows []behavior.SuffixResult, windows int, pr *pr
 		s := &rows[i]
 		s.Windows, s.Transactions = w, w*m
 		s.PHat = float64(g) / float64(s.Transactions)
-		pr.fill(s.PHat)
-		zz, err := r.uvarint()
-		if err != nil {
-			return err
-		}
-		s.Distance = math.Float64frombits(pr.distance(hist, w) + uint64(int64(zz>>1)^-int64(zz&1)))
+		s.Distance = ch.distance(w, s.PHat)
 	}
 	return nil
 }

@@ -16,8 +16,9 @@
 #     table under a per-process seed, not a map of id strings (ADR 0012)
 #   - a snapshot section is a history's columns, never records (ADR 0005)
 #   - a verdict's suffix results cross the wire as columns, through one
-#     assessment codec (ADR 0006); a chain's distances are residuals against
-#     a predictor built from + − × ÷ alone, with no product fused into an add
+#     assessment codec (ADR 0006); a chain's distances are rebuilt by the
+#     receiver, from the one PMF, built from + − × ÷ alone with no product
+#     fused into an add (ADR 0007)
 #   - record batches are columns through one codec (ADR 0008): the ledger
 #     writes blocks, the wire writes batches, neither frames a record alone
 #   - one time column (ADR 0014): a batch's and a section's times are coded
@@ -30,7 +31,7 @@
 #   - one door into a node (ADR 0003): only internal/repserver listens
 #   - one framing (ADR 0009): the binary frame is the only way onto a node;
 #     the JSON line framing and every knob that selected it stay deleted
-#   - one generator step, one log-choose builder (ADR 0007): the Monte-Carlo
+#   - one generator step, no Lgamma (ADR 0007): the Monte-Carlo
 #     kernels get cheaper per uniform, never by a second copy of the stream;
 #     the eight-lane kernel is the one assembly file, pinned by a differential
 #   - one read path on a cluster (ADR 0010): no fan-out, digest-verify or
@@ -157,18 +158,22 @@ check "behavior.SuffixResult stays inside internal/wire/verdict.go (ADR 0006)" \
 check "one verdict-table decoder and one assessment decoder (ADR 0006)" \
     "[ \"\$(sources | xargs grep -hE 'func \(r \*breader\) (verdictTable|assessment)\(' | wc -l)\" -eq 2 ] \
      && absent 'Verdict\.Suffixes\s*=\s*append' internal/wire"
-# A receiver rebuilds a chain's distances from the predictor's bits, so the
-# predictor must compute the same bits on every GOARCH: no math.Exp or
-# math.Log (their kernels differ by architecture, ADR 0007), and no product
-# fused into an add, which arm64, ppc64le and s390x do unless float64() rounds
-# it first. `return x*y + z` compiles to FMADDD under GOARCH=arm64, and
-# `float64(x*y) + z` to FMULD and FADDD; the compiler's listing tags each
-# instruction, inlined ones too, with its source line in predict.go.
-check "internal/wire calls no math.Exp, Log, Lgamma or Pow (ADR 0006)" \
-    "absent 'math\.(Exp|Log|Lgamma|Pow)[0-9a-z]*\(' internal/wire"
-predictor_arm64=$(GOARCH=arm64 go build -gcflags=-S ./internal/wire 2>&1 | grep 'predict\.go:' || true)
-check "the chain predictor has no fused multiply-add on arm64 (ADR 0006)" \
-    "grep -qw FMULD <<<\"\$predictor_arm64\" && ! grep -qwE 'FMADDD|FMSUBD|FNMADDD|FNMSUBD' <<<\"\$predictor_arm64\""
+# A receiver rebuilds a chain's distances as a tester computes them, with
+# stats.BinomialPMFInto and stats.L1CountsDistance, so those must compute the
+# same bits on every GOARCH: no math.Exp, Log, Lgamma or Pow (their kernels
+# differ by architecture, ADR 0007), and no product fused into an add, which
+# arm64, ppc64le and s390x do unless float64() rounds it first. `return x*y
+# + z` compiles to FMADDD under GOARCH=arm64, and `float64(x*y) + z` to FMULD
+# and FADDD; the compiler's listing tags each instruction, inlined ones too,
+# with its source line.
+for dir in internal/wire internal/stats/binomial.go internal/stats/distance.go; do
+    check "$dir calls no math.Exp, Log, Lgamma or Pow (ADR 0006, 0007)" \
+        "absent 'math\.(Exp|Log|Lgamma|Pow)[0-9a-z]*\(' $dir"
+done
+pmf_arm64=$(GOARCH=arm64 go build -gcflags=-S ./internal/stats 2>&1 | grep -E '(binomial|distance)\.go:' || true)
+check "the PMF and the L1 distance have no fused multiply-add on arm64 (ADR 0006, 0007)" \
+    "grep -qw FMULD <<<\"\$pmf_arm64\" && grep -qw FDIVD <<<\"\$pmf_arm64\" \
+     && ! grep -qwE 'FMADDD|FMSUBD|FNMADDD|FNMSUBD' <<<\"\$pmf_arm64\""
 
 # --- record batches are columns, one codec (ADR 0008) -------------------------
 # The row writer (appendRecord: one AppendBinary payload, length and CRC per
@@ -262,7 +267,7 @@ check "no newline framing: no bufio ReadSlice (ADR 0009)" \
 # --- stream-identical Monte-Carlo (ADR 0007) ----------------------------------
 # A batch kernel must repeat the generator's step, not re-derive it: a copy
 # of xoshiro inside calibrate.go is a second stream waiting to diverge. And
-# the PMF fill's Lgamma terms live in the log-choose table's builder only.
+# the one PMF is built from + − × ÷ (above): no Lgamma term is left anywhere.
 check "the xoshiro step lives in internal/stats/rng.go and its lane kernel only (ADR 0007)" \
     "! sources | grep -vE '^./internal/stats/(rng\.go|lanes_amd64\.s)\$' | xargs grep -n 'rotl(' | grep -q ."
 # The lane kernel is the one assembly file, and a differential holds it to
@@ -271,11 +276,8 @@ check "the xoshiro step lives in internal/stats/rng.go and its lane kernel only 
 check "one assembly file: internal/stats/lanes_amd64.s (ADR 0007)" \
     "[ \"\$(find . -name '*.s' ! -path './.git/*' | tr '\n' ' ')\" = './internal/stats/lanes_amd64.s ' ] \
      && grep -q '^func TestCalibrateL1LanesMatchScalar(' internal/stats/lanes_test.go"
-lgamma_in() { grep -c 'math\.Lgamma(' || true; }
-check "math.Lgamma is called only by the log-choose table builder (ADR 0007)" \
-    "! sources | grep -v '^./internal/stats/binomial\.go\$' | xargs grep -n 'math\.Lgamma(' | grep -q . \
-     && [ \"\$(lgamma_in < internal/stats/binomial.go)\" -eq \
-          \"\$(sed -n '/^func logChoose(/,/^}/p' internal/stats/binomial.go | lgamma_in)\" ]"
+check "no math.Lgamma in internal/stats, or anywhere else (ADR 0007)" \
+    "absent 'math\.Lgamma\('"
 
 # --- one read path on a cluster (ADR 0010) ------------------------------------
 # A clustered read is the owner's answer — or, while the owner is unreachable,
