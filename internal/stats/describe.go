@@ -40,7 +40,7 @@ func Describe(xs []float64) (Summary, error) {
 	ss := 0.0
 	for _, x := range xs {
 		d := x - s.Mean
-		ss += d * d
+		ss += float64(d * d)
 	}
 	if len(xs) > 1 {
 		s.Variance = ss / float64(len(xs)-1)
@@ -72,11 +72,11 @@ func Quantile(sorted []float64, q float64) float64 {
 	if q >= 1 {
 		return sorted[n-1]
 	}
-	pos := q * float64(n-1)
+	pos := float64(q * float64(n-1)) // each product rounded: ε is the same on every GOARCH
 	lo := int(math.Floor(pos))
 	hi := lo + 1
 	frac := pos - float64(lo)
-	return sorted[lo]*(1-frac) + sorted[hi]*frac
+	return float64(sorted[lo]*(1-frac)) + float64(sorted[hi]*frac)
 }
 
 // Mean returns the arithmetic mean of xs, or 0 for an empty sample.
@@ -105,7 +105,7 @@ func WilsonInterval(good, n int, z float64) (lo, hi float64, err error) {
 	z2 := z * z
 	denom := 1 + z2/nn
 	center := (p + z2/(2*nn)) / denom
-	half := z / denom * math.Sqrt(p*(1-p)/nn+z2/(4*nn*nn))
+	half := float64(z / denom * math.Sqrt(p*(1-p)/nn+z2/(4*nn*nn))) // not fused into center ± half
 	lo, hi = center-half, center+half
 	if lo < 0 {
 		lo = 0

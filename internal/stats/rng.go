@@ -185,7 +185,7 @@ func (r *RNG) Binomial(n int, p float64) int {
 	k := 0
 	for u > cdf && k < n {
 		k++
-		pmf *= (float64(n-k+1) / float64(k)) * (p / (1 - p))
+		pmf = float64(pmf * ((float64(n-k+1) / float64(k)) * (p / (1 - p)))) // not fused into cdf
 		cdf += pmf
 	}
 	return k

@@ -151,7 +151,7 @@ func (t *ewmaTracker) Update(good bool) {
 	if good {
 		f = 1
 	}
-	t.value = t.lambda*f + (1-t.lambda)*t.value
+	t.value = float64(t.lambda*f) + float64((1-t.lambda)*t.value) // no fused multiply-add
 	t.updated = true
 }
 

@@ -67,9 +67,9 @@ func appendBinaryPayload(buf []byte, payload any) ([]byte, bool, error) {
 	case *AssessRequest:
 		return appendAssessRequest(buf, *p), true, nil
 	case AssessResponse:
-		return appendAssessResponse(buf, p, ""), true, nil
+		return appendSingleAssessResponse(buf, p), true, nil
 	case *AssessResponse:
-		return appendAssessResponse(buf, *p, ""), true, nil
+		return appendSingleAssessResponse(buf, *p), true, nil
 	case AssessBatchRequest:
 		return appendAssessBatchRequest(buf, p), true, nil
 	case *AssessBatchRequest:
@@ -105,6 +105,7 @@ func appendBinaryPayload(buf []byte, payload any) ([]byte, bool, error) {
 // must be consumed; anything else is a protocol violation.
 func decodeBinaryPayload(t MsgType, buf []byte, out any) error {
 	r := &breader{buf: buf}
+	defer r.release()
 	var err error
 	switch o := out.(type) {
 	case *SubmitRequest:
@@ -249,8 +250,8 @@ const (
 )
 
 // appendAssessment encodes a inside an item that already named the server
-// item ("" outside a batch).
-func appendAssessment(buf []byte, a core.Assessment, item feedback.EntityID) []byte {
+// item ("" outside a batch), its thresholds in the frame's dictionary d.
+func appendAssessment(buf []byte, a core.Assessment, item feedback.EntityID, d *thresholds) []byte {
 	var flags byte
 	if a.Suspicious {
 		flags |= asmtFlagSuspicious
@@ -278,12 +279,12 @@ func appendAssessment(buf []byte, a core.Assessment, item feedback.EntityID) []b
 	buf = appendString(buf, a.Tester)
 	buf = appendString(buf, a.TrustFunc)
 	if hasVerdict {
-		buf = appendVerdictTable(buf, a.Verdict.Suffixes)
+		buf = appendVerdictTable(buf, a.Verdict.Suffixes, d)
 	}
 	return buf
 }
 
-func appendAssessResponse(buf []byte, p AssessResponse, item feedback.EntityID) []byte {
+func appendAssessResponse(buf []byte, p AssessResponse, item feedback.EntityID, d *thresholds) []byte {
 	var flags byte
 	if p.Accept {
 		flags |= assessFlagAccept
@@ -295,7 +296,14 @@ func appendAssessResponse(buf []byte, p AssessResponse, item feedback.EntityID) 
 		flags |= assessFlagIncremental
 	}
 	buf = append(buf, flags)
-	return appendAssessment(buf, p.Assessment, item)
+	return appendAssessment(buf, p.Assessment, item, d)
+}
+
+// appendSingleAssessResponse encodes an assess.resp, a frame of its own.
+func appendSingleAssessResponse(buf []byte, p AssessResponse) []byte {
+	d := getThresholds()
+	defer d.put()
+	return appendAssessResponse(buf, p, "", d)
 }
 
 func appendAssessBatchRequest(buf []byte, p AssessBatchRequest) []byte {
@@ -306,7 +314,11 @@ func appendAssessBatchRequest(buf []byte, p AssessBatchRequest) []byte {
 	return appendFloat(buf, p.Threshold)
 }
 
+// appendAssessBatchResponse encodes an assess.batch.resp, or the items of a
+// fwd.assess.batch.resp, whose tables share one threshold dictionary.
 func appendAssessBatchResponse(buf []byte, p AssessBatchResponse) []byte {
+	d := getThresholds()
+	defer d.put()
 	buf = binary.AppendUvarint(buf, uint64(len(p.Items)))
 	for _, item := range p.Items {
 		buf = appendString(buf, string(item.Server))
@@ -315,7 +327,7 @@ func appendAssessBatchResponse(buf []byte, p AssessBatchResponse) []byte {
 			buf = appendErrorResponse(buf, *item.Error)
 		} else {
 			buf = append(buf, 0)
-			buf = appendAssessResponse(buf, item.AssessResponse, item.Server)
+			buf = appendAssessResponse(buf, item.AssessResponse, item.Server, d)
 		}
 	}
 	return buf
@@ -352,7 +364,15 @@ func appendFwdAssessBatchResponse(buf []byte, p FwdAssessBatchResponse) []byte {
 // bytes left so a corrupt frame can never force a large allocation.
 type breader struct {
 	buf  []byte
-	rows int // verdict rows decoded so far, against maxFrameRows
+	rows int         // verdict rows decoded so far, against maxFrameRows
+	dict *thresholds // the frame's threshold literals so far, nil before the first
+}
+
+// release returns the frame's threshold dictionary, whose frame has ended.
+func (r *breader) release() {
+	if r.dict != nil {
+		r.dict.put()
+	}
 }
 
 func (r *breader) bool() (bool, error) {

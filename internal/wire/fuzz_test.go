@@ -260,7 +260,8 @@ func fuzzRows(data []byte) []behavior.SuffixResult {
 
 // seedTables are real verdict tables for the fuzzers to start from: multi's
 // and collusion-multi's over seeded honest histories of 200, 1000 and 5000
-// records, which are chains, and three that break a chain: a stride of two
+// records, multi's of which are chains, a chain of 16-transaction windows
+// (counts past a nibble), and three that break a chain: a stride of two
 // windows, Single's one row of 500 windows, and a multi table missing a row.
 func seedTables(tb testing.TB) [][]behavior.SuffixResult {
 	tb.Helper()
@@ -295,20 +296,28 @@ func seedTables(tb testing.TB) [][]behavior.SuffixResult {
 		tables = append(tables, test(multi, records), test(collusion, records))
 	}
 	skipped := test(multi, 1000)
-	return append(tables, test(stride2m, 1000), test(single, 5000), append(skipped[:40:40], skipped[41:]...))
+	wide16 := chainRows(tb, 16, 4, 16, 15, 9, 16, 14, 16, 12, 16)
+	return append(tables, wide16, test(stride2m, 1000), test(single, 5000), append(skipped[:40:40], skipped[41:]...))
 }
 
 // FuzzVerdictTable drives the verdict-table codec from both ends. As bytes
-// off the wire: no panic, no more rows than the bytes could back, and
-// anything accepted re-encodes to the bytes it came from. As rows to send:
-// whatever the floats and counts hold, the table that arrives has the same
-// bits in every field.
+// off the wire — tables one after another, as a frame's items carry them,
+// under one threshold dictionary: no panic, no more rows than the bytes could
+// back, and every table accepted re-encodes to the bytes it came from. As
+// rows to send: whatever the floats and counts hold, the table that arrives
+// has the same bits in every field.
 func FuzzVerdictTable(f *testing.F) {
-	for _, rows := range seedTables(f) {
-		f.Add(appendVerdictTable(nil, rows))
+	tables := seedTables(f)
+	d := getThresholds()
+	var frame []byte
+	for _, rows := range tables {
+		f.Add(encodeTable(rows))
+		frame = appendVerdictTable(frame, rows, d) // later tables refer to earlier literals
 	}
-	f.Add(appendVerdictTable(nil, testAssessment().Verdict.Suffixes))
-	f.Add(appendVerdictTable(nil, []behavior.SuffixResult{
+	d.put()
+	f.Add(frame)
+	f.Add(encodeTable(testAssessment().Verdict.Suffixes))
+	f.Add(encodeTable([]behavior.SuffixResult{
 		{Transactions: 7, Windows: 3, PHat: math.NaN(), Distance: math.Inf(1), Threshold: math.Copysign(0, -1), Pass: true},
 	}))
 	f.Add(bytes.Repeat([]byte{0x0f, 0xff, 0xf6, 0, 7}, 40)) // rows in step, on the grid
@@ -316,17 +325,26 @@ func FuzzVerdictTable(f *testing.F) {
 	f.Add([]byte{0xff, 0xff, 0xff, 0xff, 0x0f, 0})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		r := &breader{buf: data}
-		if rows, err := r.verdictTable(); err == nil {
-			used := data[:len(data)-len(r.buf)]
-			least := 20 // half-bytes a row takes at least: 1 in a chain
+		defer r.release()
+		d := getThresholds()
+		defer d.put()
+		var again []byte
+		for len(r.buf) > 0 {
+			at := len(data) - len(r.buf)
+			rows, err := r.verdictTable()
+			if err != nil {
+				break
+			}
+			used := data[at : len(data)-len(r.buf)]
+			least := 80 // bits a row takes at least: 1 in a chain
 			if _, k := binary.Uvarint(used); len(rows) > 0 && used[k]&tableChain != 0 {
 				least = 1
 			}
-			if len(rows)*least > 2*len(used) {
+			if len(rows)*least > 8*len(used) {
 				t.Fatalf("%d rows out of %d bytes", len(rows), len(used))
 			}
-			if again := appendVerdictTable(nil, rows); !bytes.Equal(again, used) {
-				t.Fatalf("accepted %x, which encodes as %x", used, again)
+			if again = appendVerdictTable(again, rows, d); !bytes.Equal(again, data[:len(data)-len(r.buf)]) {
+				t.Fatalf("accepted %x, which encodes as %x", data[:len(data)-len(r.buf)], again)
 			}
 		}
 		checkTable(t, fuzzRows(data))
@@ -347,10 +365,12 @@ func FuzzAssessBatchResponse(f *testing.F) {
 			f.Add(typ == TypeFwdAssessBR, []byte(env.Payload))
 		}
 	}
+	var all []AssessBatchItem // every table in one frame, sharing thresholds
 	for i, rows := range seedTables(f) {
 		a := testAssessment()
 		a.Verdict.Suffixes = rows
 		items := []AssessBatchItem{{Server: a.Server, AssessResponse: AssessResponse{Assessment: a}}}
+		all = append(all, items...)
 		var payload any = AssessBatchResponse{Items: items}
 		if i%2 == 1 {
 			payload = FwdAssessBatchResponse{Node: "n2", Items: items}
@@ -360,6 +380,14 @@ func FuzzAssessBatchResponse(f *testing.F) {
 			f.Fatal(err)
 		}
 		f.Add(i%2 == 1, buf)
+	}
+	for _, payload := range []any{AssessBatchResponse{Items: all}, FwdAssessBatchResponse{Node: "n2", Items: all}} {
+		buf, _, err := appendBinaryPayload(nil, payload)
+		if err != nil {
+			f.Fatal(err)
+		}
+		_, fwd := payload.(FwdAssessBatchResponse)
+		f.Add(fwd, buf)
 	}
 	f.Add(false, binary.AppendUvarint(nil, MaxFrame))
 	f.Add(true, []byte{1, 'n', 0xff, 0x01, 0, 0})

@@ -48,10 +48,12 @@ import (
 // common divisor (ADR 0014); 6 wrote every verdict table's distances raw and
 // 7 a chain's as residuals against a predictor (ADR 0006's amendment); 8
 // writes a chain with no distance column, every Distance rebuilt from the
-// window counts by the platform-exact PMF (ADR 0006's second amendment). No
+// window counts by the platform-exact PMF (ADR 0006's second amendment); 9
+// writes each threshold once per frame and refers to it after, and a
+// chain's window counts as Rice codes (ADR 0006's third amendment). No
 // revision reads another's binary payloads: ends of different revisions
 // speak BridgeCodec (ADR 0009).
-const VersionV2 = 8
+const VersionV2 = 9
 
 // HelloMagic is the first byte of a client hello. A connection that opens
 // with any other byte is closed.

@@ -424,8 +424,8 @@ func TestV2RetiredCodesStayReserved(t *testing.T) {
 	}
 }
 
-// TestSubmitBatchGoldenFrame pins submit.batch on the wire as revision 7
-// lays it out, as revision 6 did: the v2 header, then the records as one
+// TestSubmitBatchGoldenFrame pins submit.batch on the wire as revision 9
+// lays it out, as revisions 6 to 8 did: the v2 header, then the records as one
 // feedback.AppendBatch column batch with dictionaries that start empty at
 // the frame, its times divided by their differences' greatest common
 // divisor (ADR 0014).
@@ -446,8 +446,8 @@ func TestSubmitBatchGoldenFrame(t *testing.T) {
 		0b101, // good
 	}
 	var buf bytes.Buffer
-	if err := WriteHello(&buf); err != nil || !bytes.Equal(buf.Bytes(), []byte{0xB2, 'W', '2', 8, '\n'}) {
-		t.Fatalf("hello = %x, %v; the layout below is revision 8's", buf.Bytes(), err)
+	if err := WriteHello(&buf); err != nil || !bytes.Equal(buf.Bytes(), []byte{0xB2, 'W', '2', 9, '\n'}) {
+		t.Fatalf("hello = %x, %v; the layout below is revision 9's", buf.Bytes(), err)
 	}
 	buf.Reset()
 	env, err := V2Codec.Encode(TypeSubmitB, 9, req)

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"slices"
+	"sync"
 
 	"honestplayer/internal/behavior"
 	"honestplayer/internal/stats"
@@ -25,8 +26,10 @@ import (
 //	              float64(g)/float64(Transactions) is PHat bit for bit;
 //	              with tablePHat n × 8 B of PHat instead
 //	distance      n × 8 B
-//	threshold     (8 B value, uvarint run length) pairs covering n rows,
-//	              neighbouring runs differing in their bits
+//	threshold     (uvarint ref, uvarint run length) pairs covering n rows,
+//	              neighbouring runs differing in their bits; ref 0 is
+//	              followed by 8 B of bits the frame has not written yet,
+//	              ref i names the frame's i-th such literal (thresholds)
 //	pass          nothing when every row has Pass == (Distance <= Threshold);
 //	              with tablePass ⌈n/8⌉ bytes, bit i%8 of byte i/8 for row i,
 //	              padding bits zero
@@ -35,20 +38,23 @@ import (
 // the next and holding one window's good count more, every Distance the one
 // a tester computes from those windows — writes its transactions, windows,
 // good and distance columns as the window counts they were computed from
-// (tableChain, ADR 0006's amendment):
+// (tableChain, ADR 0006's amendments):
 //
 //	windows       uvarint: the first row's Windows, each row one fewer
 //	m             uvarint window size, 1..255
+//	k             byte: the Rice parameter, 0..7 (riceParam)
 //	counts        the shortest row's window counts in ascending order, then,
 //	              from the second-shortest row up, the count of the window
-//	              each row adds: Windows of the first row in all, nibbles
-//	              (low first, a zero pad) when m <= 15, else bytes
+//	              each row adds: Windows of the first row in all, each c
+//	              as the Rice code of m − c — (m−c)>>k one bits, a zero
+//	              bit, the k low bits — packed low bit first, a zero pad
 //
 // The decoder rebuilds every Distance from the counts as a tester computes
 // it: stats.L1CountsDistance of the row's window histogram from
 // stats.BinomialPMFInto's B(m, p̂), arithmetic whose bits are the same on
 // every platform. The shortest row's counts are chainBase's pick, which the
-// decoder makes again from the rows it decoded.
+// decoder makes again from the rows it decoded, and k riceParam's, which it
+// works out again from the counts.
 //
 // The encoding is lossless for any rows — NaN payloads, −0, ±Inf, negative
 // or unordered counts — because the encoder derives a column only after
@@ -64,8 +70,8 @@ const (
 
 // maxFrameRows bounds the verdict rows of one frame, all its tables
 // together, at the number MaxFrame holds at the raw columns' 10 B a row. A
-// row decodes to 48 B, and a chain writes one in as little as half a byte:
-// without the bound a hostile frame of chains would allocate 96 times its
+// row decodes to 48 B, and a chain writes one in as little as one bit:
+// without the bound a hostile frame of chains would allocate 384 times its
 // size, with it no frame allocates more for its rows than one of raw tables
 // could. An encoder refuses a payload past it as too large (Codec.Encode),
 // as it refuses one past MaxFrame.
@@ -216,8 +222,9 @@ func (c *chain) rebuilds(rows []behavior.SuffixResult) bool {
 
 // chainBase sets c.base to the first histogram, in eachBase's order, of the
 // shortest row's windows over [0, m] with its g good transactions among
-// them, from which every row's Distance rebuilds. It reports false when
-// none of the first maxBases does.
+// them, from which every row's Distance rebuilds, and c.hist to the first
+// row's histogram unless it took c.rebuilt. It reports false when none of
+// the first maxBases does.
 func chainBase(c *chain, rows []behavior.SuffixResult, g int) bool {
 	seen, found := 0, false
 	eachBase(c.candid, 0, rows[len(rows)-1].Windows, g, func() bool {
@@ -262,7 +269,36 @@ func eachBase(hist []uint32, v, w, g int, visit func() bool) bool {
 	return true
 }
 
-func appendVerdictTable(buf []byte, rows []behavior.SuffixResult) []byte {
+// thresholds is a frame's threshold dictionary: the bits of every threshold
+// literal the frame has written, in order, so that a later run names one by
+// its place. Each table's ε comes from one calibrator grid, so a batch
+// repeats a few dozen values in every item. It lives exactly as long as the
+// frame (ADR 0008): an encoder takes one per payload (getThresholds), a
+// decoder keeps one in its breader, and nothing carries it to the next.
+type thresholds struct {
+	ref  map[uint64]uint64 // a literal's bits → its ref, from 1
+	bits []uint64          // ref − 1 → the literal's bits
+}
+
+var frameThresholds = sync.Pool{New: func() any { return &thresholds{ref: make(map[uint64]uint64)} }}
+
+// getThresholds returns an empty dictionary for one frame; put gives it back.
+func getThresholds() *thresholds { return frameThresholds.Get().(*thresholds) }
+
+func (d *thresholds) put() {
+	clear(d.ref)
+	d.bits = d.bits[:0]
+	frameThresholds.Put(d)
+}
+
+func (d *thresholds) add(bits uint64) {
+	d.bits = append(d.bits, bits)
+	d.ref[bits] = uint64(len(d.bits))
+}
+
+// appendVerdictTable writes rows, its threshold literals joining d, the
+// dictionary of the frame it is part of.
+func appendVerdictTable(buf []byte, rows []behavior.SuffixResult, d *thresholds) []byte {
 	n := len(rows)
 	buf = binary.AppendUvarint(buf, uint64(n))
 	if n == 0 {
@@ -280,7 +316,12 @@ func appendVerdictTable(buf []byte, rows []behavior.SuffixResult) []byte {
 		for end < n && math.Float64bits(rows[end].Threshold) == bits {
 			end++
 		}
-		buf = binary.BigEndian.AppendUint64(buf, bits)
+		if ref, ok := d.ref[bits]; ok {
+			buf = binary.AppendUvarint(buf, ref)
+		} else {
+			buf = binary.BigEndian.AppendUint64(append(buf, 0), bits)
+			d.add(bits)
+		}
 		buf = binary.AppendUvarint(buf, uint64(end-i))
 		i = end
 	}
@@ -327,37 +368,75 @@ func appendRawColumns(buf []byte, rows []behavior.SuffixResult, shape byte, m in
 	return buf
 }
 
-// countWidth is the bits a chain spends on each window count.
-func countWidth(m int) int {
-	if m <= 15 {
-		return 4
+// maxRice is the largest Rice parameter: m − c < 2⁸, so k = 7 spends at
+// most 9 bits on a count, which no larger k beats.
+const maxRice = 7
+
+// riceBits is the bits the Rice code with parameter k spends on the counts
+// hist holds: for each count c, (m−c)>>k one bits, a zero bit and k more.
+func riceBits(hist []uint32, k int) uint64 {
+	m, n := len(hist)-1, uint64(0)
+	for c, f := range hist {
+		n += uint64(f) * uint64((m-c)>>k+1+k)
 	}
-	return 8
+	return n
 }
 
-// appendChain writes a chain's windows, m and counts, walking the rows from
-// the shortest up as a receiver rebuilds them; ch is tableShape's, its base
-// the shortest row's histogram.
+// riceParam is the k whose Rice code spends the fewest bits on the counts
+// hist holds, the smallest on a tie. The bits are convex in k — k + 1 saves
+// ⌈(x>>k)/2⌉ on each x and costs one — so the first k that the next does not
+// beat is the one.
+func riceParam(hist []uint32) int {
+	k, least := 0, riceBits(hist, 0)
+	for ; k < maxRice; k++ {
+		n := riceBits(hist, k+1)
+		if n >= least {
+			break
+		}
+		least = n
+	}
+	return k
+}
+
+// putRice sets the bits of the Rice code of x with parameter k in counts,
+// zeroed, from bit pos on, low bit first — x>>k one bits, the zero that ends
+// them, then x's k low bits — and returns the bit after it.
+func putRice(counts []byte, pos, x, k int) int {
+	for range x >> k {
+		counts[pos/8] |= 1 << (pos % 8)
+		pos++
+	}
+	pos++
+	for i := range k {
+		counts[pos/8] |= byte(x>>i&1) << (pos % 8)
+		pos++
+	}
+	return pos
+}
+
+// appendChain writes a chain's windows, m, k and counts, walking the rows
+// from the shortest up as a receiver rebuilds them; ch is tableShape's, its
+// base the shortest row's histogram.
 func appendChain(buf []byte, rows []behavior.SuffixResult, ch *chain) []byte {
 	n, m := len(rows), len(ch.base)-1
 	buf = binary.AppendUvarint(buf, uint64(rows[0].Windows))
 	buf = binary.AppendUvarint(buf, uint64(m))
-	width, at, k := countWidth(m), len(buf), 0
-	buf = append(buf, make([]byte, (rows[0].Windows*width+7)/8)...)
-	put := func(c int) {
-		buf[at+k*width/8] |= byte(c) << (k * width % 8)
-		k++
-	}
+	// The counts written are the first row's windows, whose histogram
+	// chainBase left in ch.hist, and it picks k.
+	k := riceParam(ch.hist)
+	buf = append(buf, byte(k))
+	at, pos := len(buf), 0
+	buf = append(buf, make([]byte, (riceBits(ch.hist, k)+7)/8)...)
 	for v, c := range ch.base {
 		for range c {
-			put(v)
+			pos = putRice(buf[at:], pos, m-v, k)
 		}
 	}
 	for i, prev := n-1, 0; i >= 0; i-- {
 		s := &rows[i]
 		g := int(s.PHat*float64(s.Transactions) + 0.5) // goodCount, which tableShape checked
 		if i < n-1 {
-			put(g - prev)
+			pos = putRice(buf[at:], pos, m-(g-prev), k)
 		}
 		prev = g
 	}
@@ -378,8 +457,8 @@ func (r *breader) verdictTable() ([]behavior.SuffixResult, error) {
 	if err != nil || count == 0 {
 		return nil, err
 	}
-	// A chain writes a row in as little as one count nibble.
-	if count > 2*uint64(len(r.buf)) {
+	// A chain writes a row in as little as one bit of window count.
+	if count > 8*uint64(len(r.buf)) {
 		return nil, fmt.Errorf("verdict table: %d rows in %d bytes", count, len(r.buf))
 	}
 	n := int(count)
@@ -413,7 +492,7 @@ func (r *breader) verdictTable() ([]behavior.SuffixResult, error) {
 		return nil, err
 	}
 	for i := 0; i < n; {
-		v, err := r.float()
+		v, err := r.threshold()
 		if err != nil {
 			return nil, err
 		}
@@ -455,6 +534,36 @@ func (r *breader) verdictTable() ([]behavior.SuffixResult, error) {
 		return nil, fmt.Errorf("verdict table: chain base %v where the encoder writes %v", read.base, ch.base)
 	}
 	return rows, nil
+}
+
+// threshold reads a threshold run's value: a ref into the frame's
+// dictionary, or 0 and a literal the dictionary does not hold yet, which
+// joins it.
+func (r *breader) threshold() (float64, error) {
+	ref, err := r.uvarint()
+	if err != nil {
+		return 0, err
+	}
+	if r.dict == nil {
+		r.dict = getThresholds()
+	}
+	d := r.dict
+	if ref > uint64(len(d.bits)) {
+		return 0, fmt.Errorf("verdict table: threshold ref %d past the frame's %d", ref, len(d.bits))
+	}
+	if ref > 0 {
+		return math.Float64frombits(d.bits[ref-1]), nil
+	}
+	v, err := r.float()
+	if err != nil {
+		return 0, err
+	}
+	bits := math.Float64bits(v)
+	if dup := d.ref[bits]; dup != 0 {
+		return 0, fmt.Errorf("verdict table: threshold literal %#x repeats ref %d", bits, dup)
+	}
+	d.add(bits)
+	return v, nil
 }
 
 // rawColumns reads the transactions, windows, good and distance columns of
@@ -506,7 +615,7 @@ func (r *breader) rawColumns(rows []behavior.SuffixResult, shape byte) (m int, e
 
 // chainHead reads a chain's first-row window count and m, and refuses them
 // before n rows are allocated unless the bytes left can back the chain's
-// counts.
+// counts at one bit each, the least a Rice code takes.
 func (r *breader) chainHead(n int) (windows, m int, err error) {
 	if windows, err = r.int(); err != nil {
 		return 0, 0, err
@@ -517,34 +626,51 @@ func (r *breader) chainHead(n int) (windows, m int, err error) {
 	if m == 0 || m > behavior.MaxWindowSize || windows < n || windows > math.MaxInt32/m {
 		return 0, 0, fmt.Errorf("verdict table: chain of %d rows from %d windows of %d", n, windows, m)
 	}
-	if need := (windows*countWidth(m) + 7) / 8; len(r.buf) < need {
+	if uint64(windows) > 8*uint64(len(r.buf)) {
 		return 0, 0, fmt.Errorf("verdict table: chain of %d rows in %d bytes", n, len(r.buf))
 	}
 	return windows, m, nil
 }
 
-// chainColumns rebuilds a chain's rows but their thresholds, from the
-// shortest up, with ch, whose base it leaves holding the shortest row's
-// window histogram as written.
+// chainColumns reads a chain's Rice parameter and counts and rebuilds its
+// rows but their thresholds, from the shortest up, with ch, whose base it
+// leaves holding the shortest row's window histogram as written.
 func (r *breader) chainColumns(rows []behavior.SuffixResult, windows int, ch *chain) error {
 	n, m := len(rows), len(ch.base)-1
-	width := countWidth(m)
-	counts := r.buf[:(windows*width+7)/8]
-	r.buf = r.buf[len(counts):]
-	if windows*width%8 != 0 && counts[len(counts)-1]>>4 != 0 {
-		return fmt.Errorf("verdict table: chain count padding")
+	b, err := r.byte()
+	if err != nil {
+		return err
 	}
-	k := 0
-	next := func() (int, error) {
-		c := int(counts[k*width/8]>>(k*width%8)) & (1<<width - 1)
-		k++
-		if c > m {
-			return 0, fmt.Errorf("verdict table: window count %d above %d", c, m)
+	k := int(b)
+	if k > maxRice {
+		return fmt.Errorf("verdict table: Rice parameter %d", k)
+	}
+	counts, pos := r.buf, 0
+	next := func() (int, error) { // a count c: the Rice code of m − c
+		x := 0
+		for {
+			if pos+k >= 8*len(counts) { // no room for a zero and k bits
+				return 0, fmt.Errorf("verdict table: window counts run past the payload")
+			}
+			one := counts[pos/8]>>(pos%8)&1 != 0
+			if pos++; !one {
+				break
+			}
+			if x += 1 << k; x > m {
+				return 0, fmt.Errorf("verdict table: window count below 0")
+			}
 		}
-		return c, nil
+		for i := range k {
+			x |= int(counts[pos/8]>>(pos%8)&1) << i
+			pos++
+		}
+		if x > m {
+			return 0, fmt.Errorf("verdict table: window count below 0")
+		}
+		return m - x, nil
 	}
 	w, g, hist := windows-n+1, 0, ch.hist
-	for prev := 0; k < w; {
+	for i, prev := 0, 0; i < w; i++ {
 		c, err := next()
 		if err != nil {
 			return err
@@ -570,6 +696,14 @@ func (r *breader) chainColumns(rows []behavior.SuffixResult, windows int, ch *ch
 		s.Windows, s.Transactions = w, w*m
 		s.PHat = float64(g) / float64(s.Transactions)
 		s.Distance = ch.distance(w, s.PHat)
+	}
+	used := (pos + 7) / 8
+	if pos%8 != 0 && counts[used-1]>>(pos%8) != 0 {
+		return fmt.Errorf("verdict table: chain count padding")
+	}
+	r.buf = r.buf[used:]
+	if best := riceParam(hist); k != best {
+		return fmt.Errorf("verdict table: Rice parameter %d where the encoder writes %d", k, best)
 	}
 	return nil
 }

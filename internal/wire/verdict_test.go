@@ -156,12 +156,14 @@ var testerShapes = map[string]byte{
 }
 
 // TestVerdictTableBytes pins what the columns buy on seeded honest histories
-// spread over the benchmark's range of p: the row layout took 28.7 B per
-// suffix at any depth, the raw columns 10.8 B at 497 rows and 16.1 B at 17,
-// chains with distance residuals 2.58 B and 7.74 B. A chain spends half a
-// byte on each row's window count and nothing on its distance; the rest is
-// the threshold runs, which is why a short table, whose thresholds change
-// bucket nearly every row, pays more per suffix.
+// spread over the benchmark's range of p, each table a frame of its own: the
+// row layout took 28.7 B per suffix at any depth, the raw columns 10.8 B at
+// 497 rows and 16.1 B at 17, chains with distance residuals 2.58 B and 7.74
+// B, chains with none 1.29 B and 6.65 B. A chain spends a bit or two on
+// each row's window count and nothing on its distance; the rest is the
+// threshold runs, which is why a short table, whose thresholds change bucket
+// nearly every row, pays more per suffix — alone in its frame it shares no
+// literal (TestAssessBatchFrameBytes has the frames a node sends).
 func TestVerdictTableBytes(t *testing.T) {
 	multi, err := behavior.NewMulti(behavior.Config{Calibrator: testCalibrator()})
 	if err != nil {
@@ -171,7 +173,7 @@ func TestVerdictTableBytes(t *testing.T) {
 	for _, tc := range []struct {
 		records, suffixes int
 		most              float64
-	}{{5000, 497, 1.40}, {1000, 97, 3.00}, {200, 17, 7.00}} {
+	}{{5000, 497, 0.90}, {1000, 97, 2.55}, {200, 17, 6.90}} {
 		total := 0
 		for _, p := range ps {
 			v, err := multi.Test(honestHistory(t, "srv", tc.records, p, 1))
@@ -181,12 +183,63 @@ func TestVerdictTableBytes(t *testing.T) {
 			if len(v.Suffixes) != tc.suffixes {
 				t.Fatalf("%d records: %d suffixes, want %d", tc.records, len(v.Suffixes), tc.suffixes)
 			}
-			total += len(appendVerdictTable(nil, v.Suffixes))
+			total += len(encodeTable(v.Suffixes))
 		}
 		per := float64(total) / float64(tc.suffixes*len(ps))
 		t.Logf("%d suffixes: %.2f B per suffix", tc.suffixes, per)
 		if per > tc.most {
 			t.Errorf("%d suffixes: %.2f B per suffix, want <= %.2f", tc.suffixes, per, tc.most)
+		}
+	}
+}
+
+// TestAssessBatchFrameBytes pins the assess.batch.resp payload per item that
+// trustd's default assessor sends for the benchmark's two batch shapes —
+// 256 servers of 200 records (assess_wide) and 8 of 5000 (assess_deep's
+// histories) — over the benchmark's mix of histories: 80 % honest with p in
+// [0.90, 0.99], 10 % hibernating and 10 % periodic attackers. Revision 8
+// sent 165.6 B and 674.4 B an item, revision 9 86.8 B and 461.5 B.
+func TestAssessBatchFrameBytes(t *testing.T) {
+	tp, err := core.DefaultSpec.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		servers, records int
+		most             float64
+	}{{256, 200, 90}, {8, 5000, 470}} {
+		var resp AssessBatchResponse
+		for i := range tc.servers {
+			id := feedback.EntityID(fmt.Sprintf("srv-%d", i))
+			rng := stats.NewRNG(uint64(tc.records + i))
+			p := 0.90 + 0.09*rng.Float64()
+			var h *feedback.History
+			switch i % 10 {
+			case 3:
+				burst := max(tc.records/20, 10)
+				h, err = attack.GenHibernating(id, tc.records-burst, p, burst, rng)
+			case 7:
+				h, err = attack.GenPeriodic(id, tc.records, 10, 0.3, rng)
+			default:
+				h, err = attack.GenHonest(id, tc.records, p, 50, rng)
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			a, err := tp.Assess(h)
+			if err != nil {
+				t.Fatal(err)
+			}
+			resp.Items = append(resp.Items, AssessBatchItem{Server: id, AssessResponse: AssessResponse{Assessment: a, Accept: !a.Suspicious}})
+		}
+		got, size := roundTrip(t, TypeAssessBR, resp)
+		if !reflect.DeepEqual(got, resp) {
+			t.Fatalf("%d x %d records: the batch changed on the wire", tc.servers, tc.records)
+		}
+		per := float64(size) / float64(tc.servers)
+		t.Logf("%d x %d records: %.1f B per item", tc.servers, tc.records, per)
+		if per > tc.most {
+			t.Errorf("%d x %d records: %.1f B per item, want <= %.0f", tc.servers, tc.records, per, tc.most)
 		}
 	}
 }
@@ -260,11 +313,18 @@ func sameBits(a, b []behavior.SuffixResult) bool {
 	return true
 }
 
+// encodeTable is appendVerdictTable for a table that is a frame of its own.
+func encodeTable(rows []behavior.SuffixResult) []byte {
+	d := getThresholds()
+	defer d.put()
+	return appendVerdictTable(nil, rows, d)
+}
+
 // checkTable encodes rows, decodes them back bit for bit, and returns the
 // shape the encoder chose.
 func checkTable(t testing.TB, rows []behavior.SuffixResult) byte {
 	t.Helper()
-	enc := appendVerdictTable(nil, rows)
+	enc := encodeTable(rows)
 	r := &breader{buf: enc}
 	got, err := r.verdictTable()
 	if err != nil || len(r.buf) != 0 {
@@ -344,45 +404,95 @@ func TestVerdictTableFallbacks(t *testing.T) {
 // that merely means the same.
 func TestVerdictTableStrict(t *testing.T) {
 	f := func(v float64) []byte { return appendFloat(nil, v) }
-	cat := func(parts ...[]byte) []byte {
-		var out []byte
-		for _, p := range parts {
-			out = append(out, p...)
-		}
-		return out
-	}
+	lit := func(v float64, run byte) []byte { return slices.Concat([]byte{0}, f(v), []byte{run}) }
 	// Two rows: Transactions 40, 20; Windows 4, 2; good 38, 18.
-	good := cat([]byte{2, 0, 80, 39, 10, 76, 39}, f(0.1), f(0.3), f(0.2), []byte{2})
+	cols := slices.Concat([]byte{80, 39, 10, 76, 39}, f(0.1), f(0.3))
+	table := func(shape byte, rest ...[]byte) []byte {
+		return slices.Concat(append([]byte{2, shape}, cols...), slices.Concat(rest...))
+	}
+	good := table(0, lit(0.2, 2))
 	if rows, err := (&breader{buf: good}).verdictTable(); err != nil || len(rows) != 2 || rows[1].PHat != 0.9 || rows[1].Pass {
 		t.Fatalf("reference table: %+v, %v", rows, err)
 	}
 	for name, bad := range map[string][]byte{
-		"truncated":              good[:len(good)-1],
-		"unknown shape bit":      cat([]byte{2, 16, 80, 39, 10, 76, 39}, f(0.1), f(0.3), f(0.2), []byte{2}),
-		"windows the long way":   cat([]byte{2, tableWindows, 80, 39, 8, 3, 76, 39}, f(0.1), f(0.3), f(0.2), []byte{2}),
-		"phat the long way":      cat([]byte{2, tablePHat, 80, 39, 10}, f(0.95), f(0.9), f(0.1), f(0.3), f(0.2), []byte{2}),
-		"pass the long way":      cat([]byte{2, tablePass, 80, 39, 10, 76, 39}, f(0.1), f(0.3), f(0.2), []byte{2, 1}),
-		"window size zero":       cat([]byte{2, 0, 80, 39, 0, 76, 39}, f(0.1), f(0.3), f(0.2), []byte{2}),
-		"window size not exact":  cat([]byte{2, 0, 80, 39, 7, 76, 39}, f(0.1), f(0.3), f(0.2), []byte{2}),
-		"good above transaction": cat([]byte{2, 0, 80, 39, 10, 90, 39}, f(0.1), f(0.3), f(0.2), []byte{2}),
-		"threshold runs split":   cat([]byte{2, 0, 80, 39, 10, 76, 39}, f(0.1), f(0.3), f(0.2), []byte{1}, f(0.2), []byte{1}),
-		"threshold run of zero":  cat([]byte{2, 0, 80, 39, 10, 76, 39}, f(0.1), f(0.3), f(0.2), []byte{0}),
-		"threshold run too long": cat([]byte{2, 0, 80, 39, 10, 76, 39}, f(0.1), f(0.3), f(0.2), []byte{3}),
-		"long varint":            cat([]byte{2, 0, 0xd0, 0x00, 39, 10, 76, 39}, f(0.1), f(0.3), f(0.2), []byte{2}),
-		"count beyond the bytes": {200, 0, 80, 39},
+		"truncated":                good[:len(good)-1],
+		"unknown shape bit":        table(16, lit(0.2, 2)),
+		"windows the long way":     slices.Concat([]byte{2, tableWindows, 80, 39, 8, 3, 76, 39}, f(0.1), f(0.3), lit(0.2, 2)),
+		"phat the long way":        slices.Concat([]byte{2, tablePHat, 80, 39, 10}, f(0.95), f(0.9), f(0.1), f(0.3), lit(0.2, 2)),
+		"pass the long way":        table(tablePass, lit(0.2, 2), []byte{1}),
+		"window size zero":         slices.Concat([]byte{2, 0, 80, 39, 0, 76, 39}, f(0.1), f(0.3), lit(0.2, 2)),
+		"window size not exact":    slices.Concat([]byte{2, 0, 80, 39, 7, 76, 39}, f(0.1), f(0.3), lit(0.2, 2)),
+		"good above transaction":   slices.Concat([]byte{2, 0, 80, 39, 10, 90, 39}, f(0.1), f(0.3), lit(0.2, 2)),
+		"threshold runs split":     table(0, lit(0.2, 1), []byte{1, 1}),
+		"a literal already listed": table(0, lit(0.2, 1), lit(0.2, 1)),
+		"a ref past the list":      table(0, lit(0.2, 1), []byte{2, 1}),
+		"a ref to an empty list":   table(0, []byte{1, 2}),
+		"threshold run of zero":    table(0, lit(0.2, 0)),
+		"threshold run too long":   table(0, lit(0.2, 3)),
+		"long varint":              slices.Concat([]byte{2, 0, 0xd0, 0x00, 39, 10, 76, 39}, f(0.1), f(0.3), lit(0.2, 2)),
+		"long ref":                 table(0, lit(0.2, 1), []byte{0x81, 0x00, 1}),
+		"count beyond the bytes":   {200, 0, 80, 39},
 	} {
 		if rows, err := (&breader{buf: bad}).verdictTable(); err == nil {
 			t.Errorf("%s: accepted as %+v", name, rows)
 		}
 	}
 	// Padding bits of the pass bitmap.
-	odd := []behavior.SuffixResult{{Transactions: 10, Windows: 1, PHat: 0.5, Distance: 1}}
-	enc := appendVerdictTable(nil, odd)
-	odd[0].Pass = true
-	enc = appendVerdictTable(enc[:0], odd)
+	odd := []behavior.SuffixResult{{Transactions: 10, Windows: 1, PHat: 0.5, Distance: 1, Pass: true}}
+	enc := encodeTable(odd)
 	enc[len(enc)-1] |= 0x80
 	if _, err := (&breader{buf: enc}).verdictTable(); err == nil {
 		t.Error("set padding bits accepted")
+	}
+}
+
+// TestThresholdDictionary: a frame writes each threshold's bits once, and
+// every later run that holds them, in its own table or another, names the
+// literal by its place. The dictionary is the frame's: a table read alone
+// cannot refer into another's, and a new frame starts empty.
+func TestThresholdDictionary(t *testing.T) {
+	first := chainRows(t, 10, 4, 9, 10, 7, 10, 10, 8, 10)
+	first[1].Threshold, first[2].Threshold = 0.25, 0.25
+	second := chainRows(t, 10, 2, 10, 10, 9)
+	second[0].Threshold = 0.25
+	d := getThresholds()
+	defer d.put()
+	one := appendVerdictTable(nil, first, d)
+	two := appendVerdictTable(nil, second, d)
+	// first: literal 0.3, literal 0.25, ref 1. second: ref 2, ref 1.
+	if want := slices.Concat([]byte{0}, appendFloat(nil, 0.3), []byte{1, 0}, appendFloat(nil, 0.25), []byte{2, 1, 1}); !bytes.HasSuffix(one, want) {
+		t.Errorf("first table's runs: %x, want a suffix %x", one, want)
+	}
+	if want := []byte{2, 1, 1, 1}; !bytes.HasSuffix(two, want) {
+		t.Errorf("second table's runs: %x, want a suffix %x", two, want)
+	}
+	r := &breader{buf: slices.Concat(one, two)}
+	defer r.release()
+	for i, want := range [][]behavior.SuffixResult{first, second} {
+		if got, err := r.verdictTable(); err != nil || !sameBits(got, want) {
+			t.Fatalf("table %d of the frame: %+v, %v", i, got, err)
+		}
+	}
+	if got, err := (&breader{buf: two}).verdictTable(); err == nil || !strings.Contains(err.Error(), "past the frame") {
+		t.Errorf("the second table alone: %+v, %v", got, err)
+	}
+	// Through the codec: the batch repeats one table in every item, so every
+	// item after the first writes its runs as refs.
+	a := core.Assessment{Server: "s0", Verdict: behavior.Verdict{Suffixes: first}}
+	var batch AssessBatchResponse
+	for i := range 4 {
+		a.Server = feedback.EntityID(fmt.Sprint("s", i))
+		batch.Items = append(batch.Items, AssessBatchItem{Server: a.Server, AssessResponse: AssessResponse{Assessment: a}})
+	}
+	got, size := roundTrip(t, TypeAssessBR, batch)
+	if !reflect.DeepEqual(got, batch) {
+		t.Fatalf("batch changed on the wire: %+v", got)
+	}
+	// Each item after the first writes its two runs as one-byte refs, not
+	// as a 0 and 8 B of bits, and the batch writes its item count once.
+	_, alone := roundTrip(t, TypeAssessBR, AssessBatchResponse{Items: batch.Items[:1]})
+	if want := 4*alone - 3 - 3*2*8; size != want {
+		t.Errorf("4 items in %d B, want %d: the literals were not shared", size, want)
 	}
 }
 
@@ -397,7 +507,8 @@ func allocatedBy(fn func()) uint64 {
 }
 
 // chainHead is a chain's row count, shape, first-row window count and m of
-// 10 for n rows: zeros behind it decode as rows of all-bad windows.
+// 10 for n rows: zeros behind it are k = 0 and one-bit codes of m − c = 0,
+// rows of all-good windows.
 func chainHead(n int) []byte {
 	count := binary.AppendUvarint(nil, uint64(n))
 	return slices.Concat(count, []byte{tableChain}, count, []byte{10})
@@ -431,11 +542,16 @@ func TestHostileCountsAllocateWithinFrame(t *testing.T) {
 		// Rows are 48 B in memory and at least 10 B on the wire.
 		"verdict table rows": {TypeAssessR, new(AssessResponse), frame(asmt(binary.AppendUvarint(nil, (MaxFrame-200)/10)...)...), 6 * MaxFrame},
 		"verdict table lies": {TypeAssessR, new(AssessResponse), frame(asmt(count...)...), 64 << 10},
-		// A chain row is at least half a byte of window count: believed that
-		// far, and no further than maxFrameRows.
+		// A chain row is at least one bit of window count: a chain's rows
+		// are believed as far as eight a byte, and no further than
+		// maxFrameRows.
 		"verdict chain lies":     {TypeAssessR, new(AssessResponse), frame(asmt(chainHead(MaxFrame - 100)...)...), 64 << 10},
 		"verdict chain rows":     {TypeAssessR, new(AssessResponse), frame(asmt(chainHead(maxFrameRows)...)...), 6 * MaxFrame},
 		"verdict chain too long": {TypeAssessR, new(AssessResponse), frame(asmt(chainHead(maxFrameRows + 1)...)...), 64 << 10},
+		"verdict chain past eight rows a byte": {TypeAssessR, new(AssessResponse),
+			append(asmt(chainHead(8*(1<<12)+8*10)...), make([]byte, 1<<12)...), 64 << 10},
+		"verdict chain at eight rows a byte": {TypeAssessR, new(AssessResponse),
+			append(asmt(chainHead(8*(1<<12))...), make([]byte, 1<<12)...), 8*48<<12 + 64<<10},
 	} {
 		var err error
 		got := allocatedBy(func() { err = decodeBinaryPayload(tc.typ, tc.frame, tc.dest) })
@@ -648,17 +764,33 @@ func TestPredictorGolden(t *testing.T) {
 	}
 }
 
+// riceCounts is window counts c of a chain of window size m, each as the
+// Rice code of m − c with parameter k.
+func riceCounts(m, k int, counts ...int) []byte {
+	bits := 0
+	for _, c := range counts {
+		bits += (m-c)>>k + 1 + k
+	}
+	buf, pos := make([]byte, (bits+7)/8), 0
+	for _, c := range counts {
+		pos = putRice(buf, pos, m-c, k)
+	}
+	return buf
+}
+
 // TestVerdictChainStrict: a chain is accepted only as its encoder writes it.
 func TestVerdictChainStrict(t *testing.T) {
 	// Windows of good counts 9, 10, 7, 10, 10, 8, 10, oldest first; rows of
 	// 7, 6, 5 and 4 windows.
 	rows := chainRows(t, 10, 4, 9, 10, 7, 10, 10, 8, 10)
-	good := appendVerdictTable(nil, rows)
-	counts := []byte{8 | 10<<4, 10 | 10<<4, 7 | 10<<4, 9} // base 8 10 10 10, then 7 10 9
-	if !bytes.Equal(good[:8], append([]byte{4, tableChain, 7, 10}, counts...)) {
-		t.Fatalf("chain head %x", good[:8])
+	good := encodeTable(rows)
+	// Base 8 10 10 10, then 7 10 9: m − c is 2 0 0 0 3 0 1, which k = 0
+	// writes in 13 bits (k = 1 would take 16) as 110 0 0 0 1110 0 10, low
+	// bit first.
+	if !bytes.Equal(good[:7], []byte{4, tableChain, 7, 10, 0, 0b11000011, 0b01001}) {
+		t.Fatalf("chain head %x", good[:7])
 	}
-	if len(good) != 8+9 { // then one threshold run: no distance column
+	if len(good) != 7+10 { // then one threshold run, a literal: no distance column
 		t.Fatalf("chain of %d B: %x", len(good), good)
 	}
 	if got, err := (&breader{buf: good}).verdictTable(); err != nil || !sameBits(got, rows) {
@@ -667,22 +799,33 @@ func TestVerdictChainStrict(t *testing.T) {
 	with := func(at int, b ...byte) []byte {
 		return append(append(slices.Clone(good[:at]), b...), good[at+len(b):]...)
 	}
+	counts := func(k int, c ...int) []byte {
+		return slices.Concat(good[:4], []byte{byte(k)}, riceCounts(10, k, c...), good[7:])
+	}
+	if !bytes.Equal(counts(0, 8, 10, 10, 10, 7, 10, 9), good) {
+		t.Fatal("riceCounts does not write what the encoder does")
+	}
 
-	raw := slices.Concat([]byte{4, 0}, appendRawColumns(nil, rows, 0, 10), appendFloat(nil, 0.3), []byte{4})
-	for name, bad := range map[string][]byte{
-		"truncated":                  good[:len(good)-1],
-		"counts cut short":           good[:7],
-		"written the long way round": raw,
-		"windows below rows":         with(2, 3),
-		"window size zero":           with(3, 0),
-		"window size above 255":      slices.Concat(good[:3], binary.AppendUvarint(nil, 256), good[4:]),
-		"base out of order":          with(4, 10|8<<4),
-		"count above m":              with(6, 11|10<<4),
-		"padding nibble set":         with(7, 9|1<<4),
-		"counts beyond the bytes":    {4, tableChain, 0xc8, 0x01, 10, 0, 0, 0, 0, 0, 0},
+	raw := slices.Concat([]byte{4, 0}, appendRawColumns(nil, rows, 0, 10), []byte{0}, appendFloat(nil, 0.3), []byte{4})
+	for name, bad := range map[string]struct {
+		buf  []byte
+		want string
+	}{
+		"truncated":                  {good[:len(good)-1], ""},
+		"a unary run past the bytes": {good[:6], "past the payload"},
+		"written the long way round": {raw, "shape"},
+		"windows below rows":         {with(2, 3), "chain of"},
+		"window size zero":           {with(3, 0), "chain of"},
+		"window size above 255":      {slices.Concat(good[:3], binary.AppendUvarint(nil, 256), good[4:]), "chain of"},
+		"a wrong k":                  {counts(1, 8, 10, 10, 10, 7, 10, 9), "Rice parameter 1 where the encoder writes 0"},
+		"k above 7":                  {with(4, 8), "Rice parameter 8"},
+		"base out of order":          {counts(0, 10, 8, 10, 10, 7, 10, 9), "out of order"},
+		"count below 0":              {with(5, 0xff, 0xff), "below 0"},
+		"padding bits set":           {with(6, 0b01001|1<<5), "padding"},
+		"counts beyond the bytes":    {[]byte{4, tableChain, 0xc8, 0x01, 10, 0, 0, 0, 0, 0, 0, 0}, "chain of"},
 	} {
-		if got, err := (&breader{buf: bad}).verdictTable(); err == nil {
-			t.Errorf("%s: accepted as %+v", name, got)
+		if got, err := (&breader{buf: bad.buf}).verdictTable(); err == nil || !strings.Contains(err.Error(), bad.want) {
+			t.Errorf("%s: accepted as %+v, or refused with %v, want %q", name, got, err, bad.want)
 		}
 	}
 
@@ -690,11 +833,11 @@ func TestVerdictChainStrict(t *testing.T) {
 	// 1 1 2 4 are equally far from it, and so are both with the window of 2
 	// the longer row adds: either base rebuilds both rows. The search takes
 	// 1 1 2 4; the same rows written from 0 2 3 3 are refused.
-	twin := appendVerdictTable(nil, chainRows(t, 4, 4, 2, 0, 2, 3, 3))
-	if !bytes.Equal(twin[:7], []byte{2, tableChain, 5, 4, 1 | 1<<4, 2 | 4<<4, 2}) {
-		t.Fatalf("twin chain head %x", twin[:7])
+	twin := encodeTable(chainRows(t, 4, 4, 2, 0, 2, 3, 3))
+	if want := slices.Concat([]byte{2, tableChain, 5, 4, 1}, riceCounts(4, 1, 1, 1, 2, 4, 2)); !bytes.Equal(twin[:7], want) {
+		t.Fatalf("twin chain head %x, want %x", twin[:7], want)
 	}
-	skipped := slices.Concat(twin[:4], []byte{0 | 2<<4, 3 | 3<<4, 2}, twin[7:])
+	skipped := slices.Concat(twin[:5], riceCounts(4, 1, 0, 2, 3, 3, 2), twin[7:])
 	if got, err := (&breader{buf: skipped}).verdictTable(); err == nil || !strings.Contains(err.Error(), "chain base") {
 		t.Errorf("a base the search skips: %+v, %v", got, err)
 	}

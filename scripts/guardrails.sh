@@ -17,8 +17,9 @@
 #   - a snapshot section is a history's columns, never records (ADR 0005)
 #   - a verdict's suffix results cross the wire as columns, through one
 #     assessment codec (ADR 0006); a chain's distances are rebuilt by the
-#     receiver, from the one PMF, built from + − × ÷ alone with no product
-#     fused into an add (ADR 0007)
+#     receiver, from the one PMF, built from + − × ÷ alone, and no product
+#     on a verdict's path — stats, trust, core, behavior — is fused into an
+#     add (ADR 0007)
 #   - record batches are columns through one codec (ADR 0008): the ledger
 #     writes blocks, the wire writes batches, neither frames a record alone
 #   - one time column (ADR 0014): a batch's and a section's times are coded
@@ -159,21 +160,28 @@ check "one verdict-table decoder and one assessment decoder (ADR 0006)" \
     "[ \"\$(sources | xargs grep -hE 'func \(r \*breader\) (verdictTable|assessment)\(' | wc -l)\" -eq 2 ] \
      && absent 'Verdict\.Suffixes\s*=\s*append' internal/wire"
 # A receiver rebuilds a chain's distances as a tester computes them, with
-# stats.BinomialPMFInto and stats.L1CountsDistance, so those must compute the
+# stats.BinomialPMFInto and stats.L1CountsDistance, so those — and
+# Plane.Threshold, which scales each ε — must compute the
 # same bits on every GOARCH: no math.Exp, Log, Lgamma or Pow (their kernels
 # differ by architecture, ADR 0007), and no product fused into an add, which
 # arm64, ppc64le and s390x do unless float64() rounds it first. `return x*y
 # + z` compiles to FMADDD under GOARCH=arm64, and `float64(x*y) + z` to FMULD
 # and FADDD; the compiler's listing tags each instruction, inlined ones too,
 # with its source line.
-for dir in internal/wire internal/stats/binomial.go internal/stats/distance.go; do
+for dir in internal/wire internal/stats/binomial.go internal/stats/distance.go internal/stats/calibrate.go; do
     check "$dir calls no math.Exp, Log, Lgamma or Pow (ADR 0006, 0007)" \
         "absent 'math\.(Exp|Log|Lgamma|Pow)[0-9a-z]*\(' $dir"
 done
-pmf_arm64=$(GOARCH=arm64 go build -gcflags=-S ./internal/stats 2>&1 | grep -E '(binomial|distance)\.go:' || true)
-check "the PMF and the L1 distance have no fused multiply-add on arm64 (ADR 0006, 0007)" \
+# Every ε (stats.Quantile over the calibration stream), every Wilson bound
+# and every trust value is on the verdict's path as well, so the rule covers
+# each non-test file of the four packages that compute a verdict; the listing
+# must show the PMF's and the distance's own FMULD and FDIVD, so an empty or
+# cached-away listing cannot pass.
+verdict_arm64=$(GOARCH=arm64 go build -gcflags=-S ./internal/stats ./internal/trust ./internal/core ./internal/behavior 2>&1 || true)
+pmf_arm64=$(grep -E 'internal/stats/(binomial|distance)\.go:' <<<"$verdict_arm64" || true)
+check "stats, trust, core and behavior have no fused multiply-add on arm64 (ADR 0006, 0007)" \
     "grep -qw FMULD <<<\"\$pmf_arm64\" && grep -qw FDIVD <<<\"\$pmf_arm64\" \
-     && ! grep -qwE 'FMADDD|FMSUBD|FNMADDD|FNMSUBD' <<<\"\$pmf_arm64\""
+     && ! grep -qwE 'F(N?)M(ADD|SUB)[DS]' <<<\"\$verdict_arm64\""
 
 # --- record batches are columns, one codec (ADR 0008) -------------------------
 # The row writer (appendRecord: one AppendBinary payload, length and CRC per
