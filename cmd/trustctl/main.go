@@ -329,8 +329,6 @@ func memStatus(args []string, out io.Writer) error {
 	fmt.Fprintf(out, "memory budget: %s\n", fmtBytes(life("budget_bytes")))
 	fmt.Fprintf(out, "  resident: %d servers, %s accounted (%.1f%% of budget)\n",
 		life("resident"), fmtBytes(life("resident_bytes")), 100*float64(life("resident_bytes"))/budget)
-	fmt.Fprintf(out, "  shared:   %s memo state, charged once (%.1f%% of budget)\n",
-		fmtBytes(life("shared_bytes")), 100*float64(life("shared_bytes"))/budget)
 	fmt.Fprintf(out, "  evicted:  %d servers\n", life("evicted"))
 	fmt.Fprintf(out, "  evictions %d, reinstates %d\n", life("evictions"), life("reinstates"))
 	fmt.Fprintf(out, "  fault-in waits %d, errors %d\n", life("fault_waits"), life("fault_errors"))

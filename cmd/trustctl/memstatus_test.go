@@ -42,7 +42,6 @@ func TestMemStatus(t *testing.T) {
 	}
 	want := `memory budget: 48.00 KiB
   resident: 69 servers, 47.62 KiB accounted (99.2% of budget)
-  shared:   0 B memo state, charged once (0.0% of budget)
   evicted:  51 servers
   evictions 54, reinstates 3
   fault-in waits 0, errors 0
@@ -81,7 +80,7 @@ top resident servers by accounted bytes:
 // and no top_resident; mem-status says the lifecycle is off.
 func TestMemStatusDisabled(t *testing.T) {
 	url := serveMetricz(t, []byte(`{"connections": 1, "lifecycle": {"enabled": false, "resident": 3,
-		"evicted": 0, "resident_bytes": 2124, "shared_bytes": 0, "budget_bytes": 0, "evictions": 0,
+		"evicted": 0, "resident_bytes": 2124, "budget_bytes": 0, "evictions": 0,
 		"reinstates": 0, "fault_waits": 0, "fault_errors": 0}}`))
 	var out strings.Builder
 	if err := run([]string{"mem-status", "-metrics", url}, &out); err != nil {

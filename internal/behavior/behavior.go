@@ -70,19 +70,6 @@ type Config struct {
 	// Calibrator supplies the distance threshold ε. Nil means a private
 	// calibrator with default settings.
 	Calibrator *stats.Calibrator
-	// ArenaCap caps the tester's binomial PMF memo, in entries per
-	// generation (rounded up to a power of two, minimum 16). Zero means
-	// DefaultArenaCap; negative is invalid. The memo belongs to the tester
-	// and is shared by every accumulator minted from it, so the cap is a
-	// node-wide bound, paid once however many servers the node tracks: at
-	// the default cap of 32768 entries and m = 10 a slot is one key plus
-	// m+1 = 11 float64s, so one generation is 32768 × 96 B = 3 MiB and a
-	// node whose p̂ churn keeps both generations live tops out at 6 MiB.
-	// The memo starts at 1024 slots (96 KiB) on the first incremental read
-	// and doubles on demand. Smaller caps trade recompute churn (generation
-	// rotation) for memory; results are unaffected either way, since the
-	// cached PMF is a pure function of its key.
-	ArenaCap int
 	// FamilywiseCorrection applies a Bonferroni correction across the
 	// suffixes of a multi-test: with k suffixes each individual test runs at
 	// confidence 1 − (1−c)/k so the whole multi-test keeps an honest-player
@@ -118,12 +105,6 @@ func (c Config) withDefaults() (Config, error) {
 	if c.Stride < 1 || c.Stride%c.WindowSize != 0 {
 		return c, fmt.Errorf("%w: stride %d not a positive multiple of window size %d",
 			ErrBadConfig, c.Stride, c.WindowSize)
-	}
-	if c.ArenaCap < 0 {
-		return c, fmt.Errorf("%w: arena cap %d", ErrBadConfig, c.ArenaCap)
-	}
-	if c.ArenaCap == 0 {
-		c.ArenaCap = DefaultArenaCap
 	}
 	return c, nil
 }
@@ -181,21 +162,19 @@ type Tester interface {
 }
 
 // scorer is what one Test call's suffix scores share: the window size, the
-// calibrator's threshold plane at the call's per-suffix confidence, and the
-// source of B(m, p̂). An accumulator reads its tester's PMF memo; a
-// reference tester refills one scratch table per suffix and never touches
-// the memo, so its memory stays a function of the history it tests.
+// calibrator's threshold plane at the call's per-suffix confidence, and one
+// m+1 scratch table that each suffix refills with B(m, p̂). Accumulators and
+// reference testers score through the same scorer, so they differ only in
+// where their windows come from.
 type scorer struct {
 	m       int
 	plane   stats.Plane
-	memo    *pmfMemo  // the accumulator's source, nil for a reference tester
-	scratch []float64 // a reference tester's source: m+1 entries
+	scratch []float64
 }
 
 // newScorer resolves cfg's threshold plane at confidence — zero selects the
-// calibrator's configured level — and takes B(m, p̂) from memo, or from a
-// scratch table when memo is nil.
-func newScorer(cfg Config, confidence float64, memo *pmfMemo) (scorer, error) {
+// calibrator's configured level — and allocates the call's PMF scratch.
+func newScorer(cfg Config, confidence float64) (scorer, error) {
 	if confidence == 0 {
 		confidence = cfg.Calibrator.Config().Confidence
 	}
@@ -203,11 +182,7 @@ func newScorer(cfg Config, confidence float64, memo *pmfMemo) (scorer, error) {
 	if err != nil {
 		return scorer{}, err
 	}
-	sc := scorer{m: cfg.WindowSize, plane: plane, memo: memo}
-	if memo == nil {
-		sc.scratch = make([]float64, cfg.WindowSize+1)
-	}
-	return sc, nil
+	return scorer{m: cfg.WindowSize, plane: plane, scratch: make([]float64, cfg.WindowSize+1)}, nil
 }
 
 // score is the distribution test of one suffix, the one place phase 1
@@ -220,17 +195,11 @@ func (sc *scorer) score(res *SuffixResult, hist []uint32, k int, sum int64) erro
 	res.Transactions = k * sc.m
 	res.Windows = k
 	res.PHat = float64(sum) / float64(sc.m*k)
-	pmf := sc.scratch
-	var err error
-	if sc.memo != nil {
-		pmf, err = sc.memo.get(res.PHat)
-	} else {
-		err = stats.BinomialPMFInto(pmf, sc.m, res.PHat)
-	}
+	err := stats.BinomialPMFInto(sc.scratch, sc.m, res.PHat)
 	if err != nil {
 		return err
 	}
-	if res.Distance, err = stats.L1CountsDistance(hist, int64(k), pmf); err != nil {
+	if res.Distance, err = stats.L1CountsDistance(hist, int64(k), sc.scratch); err != nil {
 		return err
 	}
 	if res.Threshold, err = sc.plane.Threshold(k, res.PHat); err != nil {
@@ -277,7 +246,7 @@ func NewSingle(cfg Config) (*Single, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Single{newAccShared(cfg, accSingle, "single")}, nil
+	return &Single{&accShared{cfg, accSingle, "single"}}, nil
 }
 
 // Name implements Tester.
@@ -306,7 +275,7 @@ func testWhole(cfg Config, h *feedback.History) (Verdict, error) {
 	if len(counts) < cfg.MinWindows {
 		return Verdict{}, fmt.Errorf("%w: %d windows < %d", ErrInsufficientHistory, len(counts), cfg.MinWindows)
 	}
-	sc, err := newScorer(cfg, 0, nil)
+	sc, err := newScorer(cfg, 0)
 	if err != nil {
 		return Verdict{}, err
 	}
@@ -334,7 +303,7 @@ func NewMulti(cfg Config) (*Multi, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Multi{newAccShared(cfg, accMulti, "multi")}, nil
+	return &Multi{&accShared{cfg, accMulti, "multi"}}, nil
 }
 
 // Name implements Tester.
@@ -357,7 +326,7 @@ func (m *Multi) Test(h *feedback.History) (Verdict, error) {
 	// Suffix i spans the most recent total − i·windowsPerStride windows.
 	windowsPerStride := cfg.Stride / cfg.WindowSize
 	numSuffixes := (total-cfg.MinWindows)/windowsPerStride + 1
-	sc, err := newScorer(cfg, cfg.suffixConfidence(numSuffixes), nil)
+	sc, err := newScorer(cfg, cfg.suffixConfidence(numSuffixes))
 	if err != nil {
 		return Verdict{}, err
 	}
@@ -401,7 +370,7 @@ func NewMultiNaive(cfg Config) (*MultiNaive, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &MultiNaive{newAccShared(cfg, accMultiNaive, "multi-naive")}, nil
+	return &MultiNaive{&accShared{cfg, accMultiNaive, "multi-naive"}}, nil
 }
 
 // Name implements Tester.
@@ -427,7 +396,7 @@ func testEachSuffix(cfg Config, h *feedback.History, collusion bool) (Verdict, e
 	if collusion {
 		confidence = cfg.suffixConfidence((usableWindows-cfg.MinWindows)/(cfg.Stride/m) + 1)
 	}
-	sc, err := newScorer(cfg, confidence, nil)
+	sc, err := newScorer(cfg, confidence)
 	if err != nil {
 		return Verdict{}, err
 	}

@@ -170,7 +170,8 @@ func BenchmarkCollusionTest(b *testing.B) {
 }
 
 // BenchmarkAccumulatorTest measures the incremental read: one Test over an
-// n-record accumulator whose tester's memo and calibrator grid are warm.
+// n-record accumulator whose calibrator grid is warm. Each suffix refills
+// the call's PMF scratch table.
 func BenchmarkAccumulatorTest(b *testing.B) {
 	for _, n := range []int{200, 5000, 100000} {
 		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {

@@ -25,7 +25,7 @@ func NewCollusion(cfg Config) (*Collusion, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Collusion{newAccShared(cfg, accCollusion, "collusion")}, nil
+	return &Collusion{&accShared{cfg, accCollusion, "collusion"}}, nil
 }
 
 // NewCollusionMulti returns a collusion-resilient multi-tester: suffixes of
@@ -36,7 +36,7 @@ func NewCollusionMulti(cfg Config) (*Collusion, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Collusion{newAccShared(cfg, accCollusionMulti, "collusion-multi")}, nil
+	return &Collusion{&accShared{cfg, accCollusionMulti, "collusion-multi"}}, nil
 }
 
 // Name implements Tester.

@@ -28,10 +28,10 @@ import (
 // string — so every suffix histogram costs O(stride windows) to reach.
 // Each suffix histogram then goes through scorer.score (behavior.go), the
 // one suffix score the batch testers call too: accumulator and reference
-// differ only in where the windows come from and where B(m, p̂) comes from.
-// The accumulator reads the PMF from its tester's shared memo (memo.go) and
-// ε from the calibrator's grid, both pure functions of their exact inputs,
-// so it holds nothing but history-dependent counters.
+// differ only in where the windows come from. B(m, p̂) is refilled into the
+// call's scratch table and ε read from the calibrator's grid, both pure
+// functions of their exact inputs, so the accumulator holds nothing but
+// history-dependent counters.
 //
 // The collusion testers re-order each suffix by feedback issuer before
 // windowing, which no fixed window table survives. For those the accumulator
@@ -52,16 +52,11 @@ const (
 )
 
 // accShared is what a tester and all accumulators minted from it have in
-// common: the configuration and identity, and the PMF memo.
+// common: the configuration and identity.
 type accShared struct {
 	cfg  Config
 	mode accMode
 	name string
-	memo *pmfMemo
-}
-
-func newAccShared(cfg Config, mode accMode, name string) *accShared {
-	return &accShared{cfg: cfg, mode: mode, name: name, memo: newPMFMemo(cfg.WindowSize, cfg.ArenaCap)}
 }
 
 // sharedOf returns the accumulator side of a built-in tester, or nil.
@@ -121,15 +116,6 @@ type Accumulator struct {
 // SupportsAccumulator reports whether NewAccumulatorFor can mirror t.
 func SupportsAccumulator(t Tester) bool { return sharedOf(t) != nil }
 
-// MemoStatsFor reports the shared PMF memo of t, zero for a tester without
-// an incremental form.
-func MemoStatsFor(t Tester) MemoStats {
-	if sh := sharedOf(t); sh != nil {
-		return sh.memo.stats()
-	}
-	return MemoStats{}
-}
-
 // ConfigFor returns the effective configuration of t — its window size and
 // calibrator among it — and false for a tester without an incremental form.
 func ConfigFor(t Tester) (Config, bool) {
@@ -141,8 +127,8 @@ func ConfigFor(t Tester) (Config, bool) {
 
 // NewAccumulatorFor returns an accumulator that reproduces t.Test
 // incrementally, or (nil, false) when t's scheme has no incremental form.
-// All built-in testers are supported. Accumulators of one tester share its
-// PMF memo; what is allocated here is a function of the window size alone.
+// All built-in testers are supported. What is allocated here is a function of
+// the window size alone.
 func NewAccumulatorFor(t Tester) (*Accumulator, bool) {
 	sh := sharedOf(t)
 	if sh == nil {
@@ -160,8 +146,8 @@ func NewAccumulatorFor(t Tester) (*Accumulator, bool) {
 }
 
 // Clone returns an independent copy of the accumulator: appending to either
-// leaves the other's Test as it was. The configuration and the PMF memo stay
-// shared, as they are among all accumulators of one tester.
+// leaves the other's Test as it was. The configuration stays shared, as it
+// is among all accumulators of one tester.
 func (a *Accumulator) Clone() *Accumulator {
 	c := *a
 	c.prefRing = slices.Clone(a.prefRing)
@@ -259,7 +245,7 @@ func (a *Accumulator) testSingle() (Verdict, error) {
 	if k < a.cfg.MinWindows {
 		return Verdict{}, fmt.Errorf("%w: %d windows < %d", ErrInsufficientHistory, k, a.cfg.MinWindows)
 	}
-	sc, err := newScorer(a.cfg, 0, a.memo)
+	sc, err := newScorer(a.cfg, 0)
 	if err != nil {
 		return Verdict{}, err
 	}
@@ -285,7 +271,7 @@ func (a *Accumulator) testMulti(corrected bool) (Verdict, error) {
 	if corrected {
 		confidence = a.cfg.suffixConfidence(numSuffixes)
 	}
-	sc, err := newScorer(a.cfg, confidence, a.memo)
+	sc, err := newScorer(a.cfg, confidence)
 	if err != nil {
 		return Verdict{}, err
 	}
@@ -322,7 +308,7 @@ func (a *Accumulator) testCollusion() (Verdict, error) {
 	if k < a.cfg.MinWindows {
 		return Verdict{}, fmt.Errorf("%w: %d windows < %d", ErrInsufficientHistory, k, a.cfg.MinWindows)
 	}
-	sc, err := newScorer(a.cfg, 0, a.memo)
+	sc, err := newScorer(a.cfg, 0)
 	if err != nil {
 		return Verdict{}, err
 	}
@@ -346,7 +332,7 @@ func (a *Accumulator) testCollusionMulti() (Verdict, error) {
 	}
 	strideWindows := cfg.Stride / m
 	numSuffixes := (usableWindows-cfg.MinWindows)/strideWindows + 1
-	sc, err := newScorer(cfg, cfg.suffixConfidence(numSuffixes), a.memo)
+	sc, err := newScorer(cfg, cfg.suffixConfidence(numSuffixes))
 	if err != nil {
 		return Verdict{}, err
 	}

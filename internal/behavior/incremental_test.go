@@ -107,6 +107,7 @@ func diffHistories(t *testing.T) map[string]*feedback.History {
 func TestAccumulatorMatchesBatchEveryPrefix(t *testing.T) {
 	configs := map[string]behavior.Config{
 		"defaults":    {Calibrator: fastCalibrator(1)},
+		"familywise":  {Calibrator: fastCalibrator(8), FamilywiseCorrection: true},
 		"small":       {WindowSize: 5, MinWindows: 2, Stride: 5, Calibrator: fastCalibrator(2)},
 		"wide-stride": {WindowSize: 4, MinWindows: 3, Stride: 12, Calibrator: fastCalibrator(3), FamilywiseCorrection: true},
 	}
@@ -285,50 +286,4 @@ func FuzzIncrementalDifferential(f *testing.F) {
 			}
 		}
 	})
-}
-
-// TestAccumulatorTinyArenaCap runs the differential sweep with the PMF arena
-// capped near its floor, so the table saturates and rotates generations many
-// times within one history. Rotation is result-neutral by construction (the
-// PMF is a pure function of its key); this pins that down against the batch
-// tester bit for bit, and checks the cap validation and defaulting on the
-// way.
-func TestAccumulatorTinyArenaCap(t *testing.T) {
-	if _, err := behavior.NewMulti(behavior.Config{ArenaCap: -1, Calibrator: fastCalibrator(30)}); err == nil {
-		t.Fatal("negative ArenaCap must be rejected")
-	}
-	def, err := behavior.NewMulti(behavior.Config{Calibrator: fastCalibrator(30)})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := def.Config().ArenaCap; got != behavior.DefaultArenaCap {
-		t.Fatalf("defaulted ArenaCap = %d, want %d", got, behavior.DefaultArenaCap)
-	}
-
-	cfg := behavior.Config{ArenaCap: 16, Calibrator: fastCalibrator(31), FamilywiseCorrection: true}
-	full, err := attack.GenHonest("srv-tiny-arena", 400, 0.82, 9, stats.NewRNG(32))
-	if err != nil {
-		t.Fatalf("GenHonest: %v", err)
-	}
-	for _, testerName := range []string{"single", "multi", "multi-naive"} {
-		tester := diffTesters(t, cfg)[testerName]
-		acc, ok := behavior.NewAccumulatorFor(tester)
-		if !ok {
-			t.Fatalf("%s: no accumulator", testerName)
-		}
-		prefix := feedback.NewHistory(full.Server())
-		for i := 0; i < full.Len(); i++ {
-			rec := full.At(i)
-			acc.Append(rec)
-			if err := prefix.Append(rec); err != nil {
-				t.Fatalf("append: %v", err)
-			}
-			if (i+1)%13 != 0 && i+1 != full.Len() {
-				continue
-			}
-			gotV, gotErr := acc.Test()
-			wantV, wantErr := tester.Test(prefix)
-			requireSameOutcome(t, "tiny-arena/"+testerName, i+1, gotV, gotErr, wantV, wantErr)
-		}
-	}
 }

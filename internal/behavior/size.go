@@ -17,8 +17,7 @@ const (
 // SizeBytes returns the approximate resident heap footprint of the
 // accumulator: the per-phase window histograms and sums, the window string
 // (one byte per record at m ≤ 255), and the collusion modes' per-client
-// index. Memo state is not in it — the PMF memo belongs to the tester and
-// the threshold grid to the calibrator, each reported once (MemoStatsFor).
+// index. The threshold grid is not in it: it belongs to the calibrator.
 // The estimate is computed from capacities — all variable-size members grow
 // in uniform strides — so the cost is O(1) regardless of how much history
 // the accumulator has consumed. It is an accounting figure, not an exact

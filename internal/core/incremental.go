@@ -36,11 +36,6 @@ func (tp *TwoPhase) SupportsIncremental() bool {
 	return tp.tester == nil || behavior.SupportsAccumulator(tp.tester)
 }
 
-// MemoStats reports the memo state all of this assessor's accumulators share
-// — the tester's PMF memo — which no ServerAccumulator.SizeBytes includes.
-// It is zero when phase 1 is disabled.
-func (tp *TwoPhase) MemoStats() behavior.MemoStats { return behavior.MemoStatsFor(tp.tester) }
-
 // NewServerAccumulator mints an empty incremental assessment state for one
 // server. It fails when the assessor's components have no incremental form;
 // use SupportsIncremental to check up front.
@@ -62,7 +57,7 @@ func (tp *TwoPhase) NewServerAccumulator(server feedback.EntityID) (*ServerAccum
 
 // Clone returns an independent copy: appending to either leaves the other's
 // verdicts as they were, so a clone answers "what if these records were
-// appended" (ADR 0016). The assessor, its PMF memo and calibrator stay shared.
+// appended" (ADR 0016). The assessor and its calibrator stay shared.
 func (sa *ServerAccumulator) Clone() *ServerAccumulator {
 	c := *sa
 	c.tr = sa.tr.Clone()
@@ -85,8 +80,7 @@ func (sa *ServerAccumulator) Len() int {
 // accumulator's state: the wrapper plus its trust tracker and (when phase 1
 // is enabled) the behaviour accumulator's counters. The memory-budget
 // governor charges this against the node-wide budget as the accumulator half
-// of a server's resident size; the memo state the accumulators share is
-// charged once (MemoStats).
+// of a server's resident size.
 func (sa *ServerAccumulator) SizeBytes() int {
 	const saStruct = 48 // ServerAccumulator struct: 3 pointers + string header
 	size := saStruct + sa.tr.SizeBytes()

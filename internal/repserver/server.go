@@ -222,7 +222,6 @@ func New(addr string, cfg Config) (*Server, error) {
 			}
 			return sa
 		})
-		cfg.Store.SetSharedBytes(func() int64 { return assessor.MemoStats().Bytes })
 	}
 	srv.pipeline = srv.buildPipeline()
 	return srv, nil
@@ -336,12 +335,6 @@ func (s *Server) registerMetrics() {
 	reg.Gauge("incremental.servers_tracked", func() any { return s.cfg.Store.AccumulatorsTracked() })
 	reg.Counter("incremental.served", &s.nIncremental)
 	reg.Counter("incremental.fallbacks", &s.nFallback)
-	// The PMF memo all accumulators share. No server's accounted size
-	// includes it; under a memory budget it is charged once, as
-	// lifecycle.shared_bytes.
-	reg.Gauge("incremental.memo_bytes", func() any { return s.cfg.Assessor.MemoStats().Bytes })
-	reg.Gauge("incremental.memo_entries", func() any { return s.cfg.Assessor.MemoStats().Entries })
-	reg.Gauge("incremental.memo_rotations", func() any { return s.cfg.Assessor.MemoStats().Rotations })
 	// The threshold grid the tester calibrates on first touch: its points so
 	// far, and which kernel draws them at this node's window size (ADR 0007).
 	tcfg, _ := behavior.ConfigFor(s.cfg.Assessor.Tester())

@@ -89,8 +89,7 @@ func BenchmarkCalibrateL1(b *testing.B) {
 }
 
 // BenchmarkBinomialPMFInto is one PMF fill at the default window size: what
-// a miss in the accumulators' PMF memo, and every suffix of a reference
-// tester, pays.
+// every suffix of a behaviour test pays, accumulator or reference tester.
 func BenchmarkBinomialPMFInto(b *testing.B) {
 	for _, n := range []int{10, 64} {
 		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {

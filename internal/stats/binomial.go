@@ -12,8 +12,7 @@ var ErrInvalidDistribution = errors.New("stats: invalid distribution parameters"
 
 // BinomialPMFInto fills dst, which must have length n+1, with the PMF of
 // B(n, p). It is the one PMF: the behaviour testers' scratch tables, the
-// accumulators' PMF memo, the calibration points and the wire's verdict
-// chains all hold its bits.
+// calibration points and the wire's verdict chains all hold its bits.
 //
 // The fill is the multiplicative recurrence P(k+1) = P(k)·(p/q)·(n−k)/(k+1),
 // walked up from q^n and down from p^n at once so that the two halves meet

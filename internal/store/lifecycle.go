@@ -68,8 +68,8 @@ type EvictGuard func(server feedback.EntityID) bool
 type EvictPreference func(server feedback.EntityID) bool
 
 // RegisterMetrics declares the lifecycle block in reg — whether a loader is
-// installed, resident and evicted servers, the resident and shared bytes
-// that count against the budget (0 = unlimited), evictions, reinstates (one
+// installed, resident and evicted servers, the resident bytes and the
+// budget they count against (0 = unlimited), evictions, reinstates (one
 // per completed fault-in), fault-ins that waited on another caller's load of
 // the same server, and fault-ins that failed — and, under a budget,
 // top_resident, the ten largest resident servers.
@@ -78,7 +78,6 @@ func (s *Store) RegisterMetrics(reg *metrics.Registry) {
 	reg.Gauge("lifecycle.resident", func() any { return s.residentCount.Load() })
 	reg.Gauge("lifecycle.evicted", func() any { return s.evictedCount.Load() })
 	reg.Gauge("lifecycle.resident_bytes", func() any { return s.residentBytes.Load() })
-	reg.Gauge("lifecycle.shared_bytes", func() any { return s.sharedBytes() })
 	reg.Gauge("lifecycle.budget_bytes", func() any { return s.budget.Load() })
 	reg.Counter("lifecycle.evictions", &s.evictions)
 	reg.Counter("lifecycle.reinstates", &s.reinstates)
@@ -114,26 +113,6 @@ func (s *Store) SetBudget(bytes int64, load Loader) {
 	s.maybeEvict()
 }
 
-// SetSharedBytes installs the reporter of memory that serves every resident
-// server at once — the assessor's memo state — and therefore sits in no
-// server's accounted size. The governor charges it against the budget as a
-// term eviction cannot shrink: servers are evicted until their accounted
-// bytes fit in what the shared bytes leave. A nil reporter charges nothing.
-func (s *Store) SetSharedBytes(fn func() int64) {
-	if fn == nil {
-		s.shared.Store(nil)
-		return
-	}
-	s.shared.Store(&fn)
-}
-
-func (s *Store) sharedBytes() int64 {
-	if fn := s.shared.Load(); fn != nil {
-		return (*fn)()
-	}
-	return 0
-}
-
 // SetEvictGuard installs the pin check consulted (under the shard lock)
 // before each eviction. A nil guard pins nothing.
 func (s *Store) SetEvictGuard(g EvictGuard) {
@@ -163,7 +142,7 @@ func (s *Store) maybeEvict() {
 	if b <= 0 {
 		return
 	}
-	if b -= s.sharedBytes(); s.residentBytes.Load() > b {
+	if s.residentBytes.Load() > b {
 		s.EvictUntil(b)
 	}
 }

@@ -275,34 +275,6 @@ func TestBudgetEnforced(t *testing.T) {
 	}
 }
 
-// TestBudgetChargesSharedBytes: memory that serves every server at once is
-// charged to the budget as a term eviction cannot shrink — the servers get
-// what it leaves, and a growing shared term evicts them on the next write.
-func TestBudgetChargesSharedBytes(t *testing.T) {
-	st := newBacked(4)
-	for i := 0; i < 64; i++ {
-		fillServer(t, st, feedback.EntityID(fmt.Sprintf("s%02d", i)), 6)
-	}
-	budget := st.ResidentBytes() // everything fits, exactly
-	var shared atomic.Int64
-	st.SetSharedBytes(shared.Load)
-	st.SetBudget(budget, nil)
-	if life := lifecycle(st.Store); life["evicted"] != 0 || life["shared_bytes"] != 0 {
-		t.Fatalf("nothing shared yet, lifecycle = %v", life)
-	}
-	shared.Store(budget / 2)
-	for i := 0; lifecycle(st.Store)["evicted"] == 0 && i < 64; i++ {
-		id := feedback.EntityID(fmt.Sprintf("s%02d", i))
-		if _, err := st.Add(rec(id, "cx", true, 1000+int64(i))); err != nil {
-			t.Fatalf("add: %v", err)
-		}
-	}
-	life := lifecycle(st.Store)
-	if life["shared_bytes"] != budget/2 || life["evicted"] == 0 || life["resident_bytes"]+life["shared_bytes"] > budget {
-		t.Fatalf("resident + shared over budget %d, lifecycle = %v", budget, life)
-	}
-}
-
 // clearTouched resets every clock bit, simulating entries the sweep has
 // already given their second chance.
 func clearTouched(st *Store) {
@@ -389,7 +361,7 @@ func lifecycle(st *Store) map[string]int64 {
 	reg := metrics.New()
 	st.RegisterMetrics(reg)
 	life := map[string]int64{}
-	for _, k := range []string{"enabled", "resident", "evicted", "resident_bytes", "shared_bytes", "budget_bytes",
+	for _, k := range []string{"enabled", "resident", "evicted", "resident_bytes", "budget_bytes",
 		"evictions", "reinstates", "fault_waits", "fault_errors"} {
 		switch v := reg.Value("lifecycle." + k).(type) {
 		case bool:

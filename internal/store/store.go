@@ -154,7 +154,6 @@ type Store struct {
 	// hand, and the in-flight fault-ins, one per server.
 	residentBytes atomic.Int64
 	budget        atomic.Int64
-	shared        atomic.Pointer[func() int64] // see SetSharedBytes
 	residentCount atomic.Int64
 	evictedCount  atomic.Int64
 	evictions     atomic.Uint64

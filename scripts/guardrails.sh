@@ -9,6 +9,9 @@
 #   - dependency direction: core/behavior never import wire/repserver/ledger,
 #     and nothing outside bench/ imports bench
 #   - what an ADR deleted stays deleted
+#   - nothing pure in (m, p̂) is memoised (ADR 0002): B(m, p̂) is one scratch
+#     table per Test call, and the tester-wide PMF memo, its cap and the
+#     store's charge for it stay deleted
 #   - histories are columnar and are their own dedup index (ADR 0004)
 #   - a history's rating is one good-bit under a popcount rank index, and
 #     views stay safe by the append-only layout, not by atomics (ADR 0011)
@@ -114,6 +117,13 @@ check "wire type fwd.submit stays deleted (ADR 0001)" "absent '\"fwd\.submit\"'"
 check "flag -arena-cap stays deleted (ADR 0001)" "absent '\"arena-cap\"'"
 for sym in appendJSONLine kGrid BatchRecorder GossipPeers MissingFrom ReserveFor loadSorted lessFeedback; do
     check "$sym stays deleted" "absent '\b$sym\b'"
+done
+# 0002 (amended): each Test call refills one m+1 scratch table with B(m, p̂);
+# the PMF memo, the knob that capped it, its statistics, the store's charge
+# for it and their /metricz keys stay deleted. Substrings, so DefaultArenaCap
+# and MemoStatsFor are caught too.
+for sym in pmfMemo ArenaCap MemoStats SetSharedBytes memo_bytes shared_bytes; do
+    check "$sym stays deleted (ADR 0002)" "absent '$sym'"
 done
 check "no seen map[Hash] dedup set in internal/store (ADR 0004)" \
     "absent '\bseen\s+map\[Hash\]' internal/store"
@@ -399,7 +409,7 @@ check "no withDefaults in internal/experiment (ADR 0020)" \
 
 # --- one suffix score, one Assessment builder (ADR 0016) ----------------------
 # The reference testers and the accumulators score a suffix with one
-# function and differ only in where the windows and B(m, p̂) come from; core
+# function and differ only in where the windows come from; core
 # builds every Assessment in one place. The batch-only statistics types, the
 # distance and threshold entry points only they called, and the calibration
 # knob nothing set stay deleted.
