@@ -64,6 +64,12 @@ type Assessment struct {
 	// transactions is far less certain than the same value over 10 000.
 	TrustLow  float64 `json:"trustLow"`
 	TrustHigh float64 `json:"trustHigh"`
+	// Records and Good are the history's length and good count when it was
+	// judged — what every assessment was computed over, suspicious and short
+	// ones included. Under the average trust function Trust is Good/Records
+	// and the interval is TrustInterval(Good, Records).
+	Records int `json:"records"`
+	Good    int `json:"good"`
 	// Verdict carries the per-suffix behaviour-test details when phase 1
 	// ran; it is omitted from the wire encoding when phase 1 never ran
 	// (no tester, or a short history), keeping trust-only responses lean.
@@ -122,21 +128,28 @@ func (tp *TwoPhase) TrustFunc() trust.Func { return tp.fn }
 
 // Assess runs the two-phase assessment on the server's history.
 func (tp *TwoPhase) Assess(h *feedback.History) (Assessment, error) {
-	return tp.assess(h.Server(), func() (behavior.Verdict, error) { return tp.tester.Test(h) },
-		func() (float64, int, int, error) {
-			value, err := tp.fn.Evaluate(h)
-			return value, h.Len(), h.GoodCount(), err
-		})
+	return tp.assess(h.Server(), h.Len(), h.GoodCount(),
+		func() (behavior.Verdict, error) { return tp.tester.Test(h) },
+		func() (float64, error) { return tp.fn.Evaluate(h) })
 }
 
-// assess builds an Assessment of server from its two phases, for
-// TwoPhase.Assess and ServerAccumulator.Assess alike. test is phase 1 and
-// runs only when the assessor has a tester; evaluate is phase 2, yielding the
-// trust value and the record and good counts its Wilson interval is taken
-// over, and never runs for a suspicious server.
-func (tp *TwoPhase) assess(server feedback.EntityID, test func() (behavior.Verdict, error),
-	evaluate func() (value float64, n, good int, err error)) (Assessment, error) {
-	a := Assessment{Server: server, TrustFunc: tp.fn.Name()}
+// trustZ is the normal quantile of an assessment's 95% trust interval.
+const trustZ = 1.96
+
+// TrustInterval is the 95% Wilson score interval an assessment of good out
+// of n records carries around its trust value: TrustLow and TrustHigh.
+func TrustInterval(good, n int) (lo, hi float64, err error) {
+	return stats.WilsonInterval(good, n, trustZ)
+}
+
+// assess builds an Assessment of server, whose history holds n records of
+// which good are good, from its two phases, for TwoPhase.Assess and
+// ServerAccumulator.Assess alike. test is phase 1 and runs only when the
+// assessor has a tester; evaluate is phase 2, yielding the trust value, and
+// never runs for a suspicious server.
+func (tp *TwoPhase) assess(server feedback.EntityID, n, good int, test func() (behavior.Verdict, error),
+	evaluate func() (float64, error)) (Assessment, error) {
+	a := Assessment{Server: server, TrustFunc: tp.fn.Name(), Records: n, Good: good}
 	if tp.tester != nil {
 		a.Tester = tp.tester.Name()
 		v, err := test()
@@ -157,13 +170,13 @@ func (tp *TwoPhase) assess(server feedback.EntityID, test func() (behavior.Verdi
 			}
 		}
 	}
-	value, n, good, err := evaluate()
+	value, err := evaluate()
 	if err != nil {
 		return a, fmt.Errorf("trust function: %w", err)
 	}
 	a.Trust = value
 	if n > 0 {
-		lo, hi, err := stats.WilsonInterval(good, n, 1.96)
+		lo, hi, err := TrustInterval(good, n)
 		if err != nil {
 			return a, fmt.Errorf("trust interval: %w", err)
 		}

@@ -104,11 +104,8 @@ func (sa *ServerAccumulator) Append(f feedback.Feedback) {
 // including the short-history policy and error wrapping: both build it with
 // the same TwoPhase.assess.
 func (sa *ServerAccumulator) Assess() (Assessment, error) {
-	return sa.tp.assess(sa.server, sa.beh.Test, func() (float64, int, int, error) {
-		value, err := sa.tr.Value()
-		n, good := sa.tr.Counts()
-		return value, n, good, err
-	})
+	n, good := sa.tr.Counts()
+	return sa.tp.assess(sa.server, n, good, sa.beh.Test, sa.tr.Value)
 }
 
 // Accept is the incremental counterpart of TwoPhase.Accept: Assess plus the

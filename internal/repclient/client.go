@@ -193,7 +193,7 @@ func (c *Client) SubmitBatchReportCtx(ctx context.Context, recs []feedback.Feedb
 	if len(recs) == 0 {
 		return wire.BatchResponse{}, nil
 	}
-	out := wire.BatchResponse{Items: make([]wire.SubmitBatchItem, 0, len(recs))}
+	items := make([]wire.SubmitBatchItem, 0, len(recs))
 	for start := 0; start < len(recs); start += wire.MaxSubmitBatch {
 		chunk := recs[start:min(start+wire.MaxSubmitBatch, len(recs))]
 		var resp wire.BatchResponse
@@ -206,15 +206,9 @@ func (c *Client) SubmitBatchReportCtx(ctx context.Context, recs []feedback.Feedb
 			return wire.BatchResponse{}, fmt.Errorf("repclient: submit batch returned %d items for %d records",
 				len(resp.Items), len(chunk))
 		}
-		out.Stored += resp.Stored
-		out.Duplicates += resp.Duplicates
-		for _, rej := range resp.Rejected {
-			rej.Index += start
-			out.Rejected = append(out.Rejected, rej)
-		}
-		out.Items = append(out.Items, resp.Items...)
+		items = append(items, resp.Items...)
 	}
-	return out, nil
+	return wire.NewBatchResponse(items), nil
 }
 
 // SubmitBatch stores many records in one round trip, reporting how many

@@ -122,10 +122,9 @@ func splitByOwner[T any](items []T, route func(T) (owner string, here bool)) (lo
 // clusterBatch serves submitted records on a clustered node: records are
 // split by owner, the local group applied (and replicated) in place, the
 // remote groups forwarded to their owners concurrently as fwd.submit.batch
-// frames. Per-record rejections are remapped to request positions; an owner
-// that is unreachable, or answers without one item per record, rejects its
-// whole group, preserving the batch invariant
-// Stored + Duplicates + len(Rejected) == len(Records).
+// frames. Per-record items are remapped to request positions; an owner that
+// is unreachable, or answers without one item per record, fails its whole
+// group, preserving the batch invariant len(Items) == len(Records).
 func (s *Server) clusterBatch(ctx context.Context, cl *cluster.Cluster, recs []feedback.Feedback, batchFrame bool) (wire.BatchResponse, error) {
 	if err := ctx.Err(); err != nil {
 		return wire.BatchResponse{}, err
@@ -168,39 +167,22 @@ func (s *Server) clusterBatch(ctx context.Context, cl *cluster.Cluster, recs []f
 		results = append(results, <-resCh)
 	}
 
-	out := wire.BatchResponse{Items: make([]wire.SubmitBatchItem, len(recs))}
+	items := make([]wire.SubmitBatchItem, len(recs))
 	for _, r := range results {
 		if r.err != nil {
-			// The whole group failed at its owner: report every record as
-			// rejected so the response still accounts for each one.
+			// The whole group failed at its owner: every record fails its
+			// slot, so the response still accounts for each one.
 			e := forwardedErr(r.err)
-			reason := fmt.Sprintf("%s: %s", e.Code, e.Message)
 			for _, pos := range r.g.idx {
-				out.Rejected = append(out.Rejected, wire.BatchReject{Index: pos, Reason: reason})
-				out.Items[pos].Error = e
+				items[pos].Error = e
 			}
 			continue
 		}
-		out.Stored += r.resp.Stored
-		out.Duplicates += r.resp.Duplicates
-		for _, rej := range r.resp.Rejected {
-			out.Rejected = append(out.Rejected, wire.BatchReject{Index: r.g.idx[rej.Index], Reason: rej.Reason})
-		}
 		for i, item := range r.resp.Items {
-			out.Items[r.g.idx[i]] = item
+			items[r.g.idx[i]] = item
 		}
 	}
-	sortRejected(out.Rejected)
-	return out, nil
-}
-
-// sortRejected restores request order in a merged rejection report.
-func sortRejected(rejected []wire.BatchReject) {
-	for i := 1; i < len(rejected); i++ {
-		for j := i; j > 0 && rejected[j-1].Index > rejected[j].Index; j-- {
-			rejected[j-1], rejected[j] = rejected[j], rejected[j-1]
-		}
-	}
+	return wire.NewBatchResponse(items), nil
 }
 
 // clusterAssessItems assesses servers on a clustered node: locally held

@@ -2,12 +2,15 @@ package repserver
 
 import (
 	"context"
+	"fmt"
+	"math/rand"
 	"reflect"
 	"strings"
 	"testing"
 
 	"honestplayer/internal/core"
 	"honestplayer/internal/feedback"
+	"honestplayer/internal/store"
 	"honestplayer/internal/wire"
 )
 
@@ -151,4 +154,77 @@ func TestNewIncrementalRequiresSupport(t *testing.T) {
 		t.Fatal(err)
 	}
 	_ = srv.Close()
+}
+
+// TestEnginesAgreeOnCounts: the recompute engine, the assessment cache and
+// the incremental engine each say what they judged — Records and Good, the
+// store's count of the server's records — on honest, suspicious and short
+// histories alike, and through the wire their assessments DeepEqual.
+func TestEnginesAgreeOnCounts(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	histories := map[feedback.EntityID]func(i int) bool{
+		"honest":     func(int) bool { return rng.Float64() < 0.93 },
+		"suspicious": func(i int) bool { return i/10%2 == 0 }, // windows all good or all bad
+		"short":      func(int) bool { return true },
+	}
+	lengths := map[feedback.EntityID]int{"honest": 200, "suspicious": 200, "short": 6}
+	servers := []feedback.EntityID{"honest", "suspicious", "short"}
+	answers := map[string][]wire.AssessBatchItem{}
+	for name, cfg := range map[string]Config{
+		"recompute":   {},
+		"cached":      {AssessCacheSize: 64},
+		"incremental": {Incremental: true},
+	} {
+		st := store.New()
+		cfg.Assessor, cfg.Store = testAssessor(t), st
+		srv, err := New("127.0.0.1:0", cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		srv.Start()
+		t.Cleanup(func() { _ = srv.Close() })
+		rng.Seed(1) // every engine sees the same histories
+		for _, server := range servers {
+			recs := make([]feedback.Feedback, lengths[server])
+			for i := range recs {
+				recs[i] = rec(server, feedback.EntityID(fmt.Sprint("c", i%20)), histories[server](i), int64(i)+1)
+			}
+			if _, err := srv.Seed(recs); err != nil {
+				t.Fatal(err)
+			}
+		}
+		c := dial(t, srv)
+		var items []wire.AssessBatchItem
+		for range 2 { // the second answer is the cache's
+			if items, err = c.AssessBatch(servers, 0.5); err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+		}
+		for i, item := range items {
+			a := item.Assessment
+			if item.Error != nil {
+				t.Fatalf("%s, %s: %+v", name, servers[i], item.Error)
+			}
+			if item.Cached != (name == "cached") || item.Incremental != (name == "incremental") {
+				t.Errorf("%s, %s: cached %v, incremental %v", name, servers[i], item.Cached, item.Incremental)
+			}
+			h, err := st.History(servers[i])
+			if err != nil {
+				t.Fatal(err)
+			}
+			if a.Records != h.Len() || a.Good != h.GoodCount() || a.Records != lengths[servers[i]] {
+				t.Errorf("%s, %s: judged %d good of %d, the store holds %d of %d", name, servers[i], a.Good, a.Records, h.GoodCount(), h.Len())
+			}
+			if a.Suspicious != (servers[i] != "honest") || a.ShortHistory != (servers[i] == "short") {
+				t.Errorf("%s, %s: suspicious %v, short %v", name, servers[i], a.Suspicious, a.ShortHistory)
+			}
+			items[i].Cached, items[i].Incremental = false, false
+		}
+		answers[name] = items
+	}
+	for _, name := range []string{"cached", "incremental"} {
+		if !reflect.DeepEqual(answers[name], answers["recompute"]) {
+			t.Errorf("%s answers\n%+v\nrecompute answers\n%+v", name, answers[name], answers["recompute"])
+		}
+	}
 }

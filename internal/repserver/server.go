@@ -662,24 +662,18 @@ func (s *Server) routeSubmit(ctx context.Context, recs []feedback.Feedback, batc
 // of a batch submit: bad records fail their own item slot, never the batch.
 // Items[i] always answers Records[i]; len(Items) == len(Records).
 func (s *Server) applyBatch(ctx context.Context, recs []feedback.Feedback, batchFrame bool) (wire.BatchResponse, error) {
-	resp := wire.BatchResponse{Items: make([]wire.SubmitBatchItem, len(recs))}
 	if err := ctx.Err(); err != nil {
 		return wire.BatchResponse{}, err
 	}
-	results := s.cfg.Recorder.AddBatch(recs, s.cfg.BatchWorkers)
-	for i, r := range results {
+	items := make([]wire.SubmitBatchItem, len(recs))
+	for i, r := range s.cfg.Recorder.AddBatch(recs, s.cfg.BatchWorkers) {
 		if r.Err != nil {
-			resp.Items[i].Error = storeError(r.Err)
-			resp.Rejected = append(resp.Rejected, wire.BatchReject{Index: i, Reason: r.Err.Error()})
-			continue
-		}
-		resp.Items[i].Stored = r.Stored
-		if r.Stored {
-			resp.Stored++
+			items[i].Error = storeError(r.Err)
 		} else {
-			resp.Duplicates++
+			items[i].Stored = r.Stored
 		}
 	}
+	resp := wire.NewBatchResponse(items)
 	if batchFrame {
 		s.nSubBatches.Add(1)
 		s.nSubItems.Add(uint64(len(recs)))

@@ -49,9 +49,11 @@ func appendBinaryPayload(buf []byte, payload any) ([]byte, bool, error) {
 		b, err := appendRecords(buf, p.Records)
 		return b, true, err
 	case BatchResponse:
-		return appendBatchResponse(buf, p), true, nil
+		b, err := appendBatchResponse(buf, p)
+		return b, true, err
 	case *BatchResponse:
-		return appendBatchResponse(buf, *p), true, nil
+		b, err := appendBatchResponse(buf, *p)
+		return b, true, err
 	case HistoryRequest:
 		return appendHistoryRequest(buf, p), true, nil
 	case *HistoryRequest:
@@ -190,13 +192,12 @@ const (
 	submitItemError     byte = 2
 )
 
-func appendBatchResponse(buf []byte, p BatchResponse) []byte {
-	buf = binary.AppendUvarint(buf, uint64(p.Stored))
-	buf = binary.AppendUvarint(buf, uint64(p.Duplicates))
-	buf = binary.AppendUvarint(buf, uint64(len(p.Rejected)))
-	for _, rej := range p.Rejected {
-		buf = binary.AppendUvarint(buf, uint64(rej.Index))
-		buf = appendString(buf, rej.Reason)
+// appendBatchResponse writes p's items, from which the receiver derives its
+// totals (NewBatchResponse); it refuses a p whose totals are not its items',
+// which the wire could not carry.
+func appendBatchResponse(buf []byte, p BatchResponse) ([]byte, error) {
+	if !p.derived() {
+		return buf, fmt.Errorf("%w: submit.batch.resp totals disagree with its %d items", ErrBadMessage, len(p.Items))
 	}
 	buf = binary.AppendUvarint(buf, uint64(len(p.Items)))
 	for _, item := range p.Items {
@@ -210,7 +211,7 @@ func appendBatchResponse(buf []byte, p BatchResponse) []byte {
 			buf = append(buf, submitItemDuplicate)
 		}
 	}
-	return buf
+	return buf, nil
 }
 
 func appendHistoryRequest(buf []byte, p HistoryRequest) []byte {
@@ -246,12 +247,52 @@ const (
 	// asmtFlagServer: the assessed server is not the enclosing batch item's
 	// and rides explicitly. A batch item names its server once.
 	asmtFlagServer byte = 1 << 4
-	asmtFlagsKnown      = asmtFlagSuspicious | asmtFlagShortHistory | asmtFlagVerdict | asmtFlagHonest | asmtFlagServer
+	// asmtFlagNames: Tester and TrustFunc ride as two strings. Without it
+	// they are the names the frame's previous assessment carried.
+	asmtFlagNames byte = 1 << 5
+	// asmtFlagTrust and asmtFlagBounds: Trust, and TrustLow with TrustHigh,
+	// ride as raw bits because they are not what the counts derive.
+	asmtFlagTrust  byte = 1 << 6
+	asmtFlagBounds byte = 1 << 7
 )
 
+// derivedTrust is the Trust, TrustLow and TrustHigh an assessment of good
+// out of records carries when the average trust function judged it: g/n
+// and core.TrustInterval, or zeros for a suspicious server or no records.
+func derivedTrust(suspicious bool, records, good int) (trust, lo, hi float64) {
+	if suspicious || records <= 0 {
+		return 0, 0, 0
+	}
+	lo, hi, err := core.TrustInterval(good, records)
+	if err != nil {
+		return 0, 0, 0
+	}
+	return float64(good) / float64(records), lo, hi
+}
+
+func sameFloat(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }
+
 // appendAssessment encodes a inside an item that already named the server
-// item ("" outside a batch), its thresholds in the frame's dictionary d.
-func appendAssessment(buf []byte, a core.Assessment, item feedback.EntityID, d *thresholds) []byte {
+// item ("" outside a batch), its thresholds and names in the frame's
+// dictionaries d. The header is the counts the assessment was computed
+// over (ADR 0006's fourth amendment):
+//
+//	flags     byte: asmtFlag*
+//	server    string, with asmtFlagServer
+//	records   uvarint Records
+//	good      uvarint Good, at most Records
+//	trust     8 B, with asmtFlagTrust: a Trust that is not derivedTrust's
+//	bounds    2 × 8 B, with asmtFlagBounds: TrustLow and TrustHigh, when
+//	          either is not derivedTrust's
+//	names     two strings, with asmtFlagNames: Tester and TrustFunc, when
+//	          the frame's previous assessment carried others or there is
+//	          none
+//	verdict   the verdict table, with asmtFlagVerdict
+func appendAssessment(buf []byte, a core.Assessment, item feedback.EntityID, d *frameDict) []byte {
+	trust, lo, hi := derivedTrust(a.Suspicious, a.Records, a.Good)
+	rawTrust := !sameFloat(a.Trust, trust)
+	rawBounds := !sameFloat(a.TrustLow, lo) || !sameFloat(a.TrustHigh, hi)
+	named := !d.sameNames(a.Tester, a.TrustFunc)
 	var flags byte
 	if a.Suspicious {
 		flags |= asmtFlagSuspicious
@@ -269,22 +310,40 @@ func appendAssessment(buf []byte, a core.Assessment, item feedback.EntityID, d *
 			flags |= asmtFlagHonest
 		}
 	}
+	if named {
+		flags |= asmtFlagNames
+	}
+	if rawTrust {
+		flags |= asmtFlagTrust
+	}
+	if rawBounds {
+		flags |= asmtFlagBounds
+	}
 	buf = append(buf, flags)
 	if a.Server != item {
 		buf = appendString(buf, string(a.Server))
 	}
-	buf = appendFloat(buf, a.Trust)
-	buf = appendFloat(buf, a.TrustLow)
-	buf = appendFloat(buf, a.TrustHigh)
-	buf = appendString(buf, a.Tester)
-	buf = appendString(buf, a.TrustFunc)
+	buf = binary.AppendUvarint(buf, uint64(a.Records))
+	buf = binary.AppendUvarint(buf, uint64(a.Good))
+	if rawTrust {
+		buf = appendFloat(buf, a.Trust)
+	}
+	if rawBounds {
+		buf = appendFloat(buf, a.TrustLow)
+		buf = appendFloat(buf, a.TrustHigh)
+	}
+	if named {
+		buf = appendString(buf, a.Tester)
+		buf = appendString(buf, a.TrustFunc)
+		d.name(a.Tester, a.TrustFunc)
+	}
 	if hasVerdict {
 		buf = appendVerdictTable(buf, a.Verdict.Suffixes, d)
 	}
 	return buf
 }
 
-func appendAssessResponse(buf []byte, p AssessResponse, item feedback.EntityID, d *thresholds) []byte {
+func appendAssessResponse(buf []byte, p AssessResponse, item feedback.EntityID, d *frameDict) []byte {
 	var flags byte
 	if p.Accept {
 		flags |= assessFlagAccept
@@ -301,7 +360,7 @@ func appendAssessResponse(buf []byte, p AssessResponse, item feedback.EntityID, 
 
 // appendSingleAssessResponse encodes an assess.resp, a frame of its own.
 func appendSingleAssessResponse(buf []byte, p AssessResponse) []byte {
-	d := getThresholds()
+	d := getFrameDict()
 	defer d.put()
 	return appendAssessResponse(buf, p, "", d)
 }
@@ -315,9 +374,9 @@ func appendAssessBatchRequest(buf []byte, p AssessBatchRequest) []byte {
 }
 
 // appendAssessBatchResponse encodes an assess.batch.resp, or the items of a
-// fwd.assess.batch.resp, whose tables share one threshold dictionary.
+// fwd.assess.batch.resp, whose assessments share the frame's dictionaries.
 func appendAssessBatchResponse(buf []byte, p AssessBatchResponse) []byte {
-	d := getThresholds()
+	d := getFrameDict()
 	defer d.put()
 	buf = binary.AppendUvarint(buf, uint64(len(p.Items)))
 	for _, item := range p.Items {
@@ -364,11 +423,19 @@ func appendFwdAssessBatchResponse(buf []byte, p FwdAssessBatchResponse) []byte {
 // bytes left so a corrupt frame can never force a large allocation.
 type breader struct {
 	buf  []byte
-	rows int         // verdict rows decoded so far, against maxFrameRows
-	dict *thresholds // the frame's threshold literals so far, nil before the first
+	rows int        // verdict rows decoded so far, against maxFrameRows
+	dict *frameDict // the frame's dictionaries, nil before their first use
 }
 
-// release returns the frame's threshold dictionary, whose frame has ended.
+// frame returns the frame's dictionaries.
+func (r *breader) frame() *frameDict {
+	if r.dict == nil {
+		r.dict = getFrameDict()
+	}
+	return r.dict
+}
+
+// release returns the frame's dictionaries, whose frame has ended.
 func (r *breader) release() {
 	if r.dict != nil {
 		r.dict.put()
@@ -481,53 +548,30 @@ func (r *breader) records() ([]feedback.Feedback, error) {
 }
 
 func (r *breader) batchResponse(o *BatchResponse) error {
-	var err error
-	if o.Stored, err = r.int(); err != nil {
+	n, err := r.batchCount(1, MaxSubmitBatch) // a kind byte
+	if err != nil || n == 0 {
 		return err
 	}
-	if o.Duplicates, err = r.int(); err != nil {
-		return err
-	}
-	n, err := r.batchCount(2, MaxSubmitBatch) // an index byte and an empty reason
-	if err != nil {
-		return err
-	}
-	for i := 0; i < n; i++ {
-		var rej BatchReject
-		if rej.Index, err = r.int(); err != nil {
-			return err
-		}
-		if rej.Reason, err = r.string(); err != nil {
-			return err
-		}
-		o.Rejected = append(o.Rejected, rej)
-	}
-	ni, err := r.batchCount(1, MaxSubmitBatch) // a kind byte
-	if err != nil {
-		return err
-	}
-	if ni == 0 {
-		return nil
-	}
-	o.Items = make([]SubmitBatchItem, ni)
-	for i := range o.Items {
+	items := make([]SubmitBatchItem, n)
+	for i := range items {
 		kind, err := r.byte()
 		if err != nil {
 			return err
 		}
 		switch kind {
 		case submitItemStored:
-			o.Items[i].Stored = true
+			items[i].Stored = true
 		case submitItemDuplicate:
 		case submitItemError:
-			o.Items[i].Error = new(ErrorResponse)
-			if err := r.errorResponse(o.Items[i].Error); err != nil {
+			items[i].Error = new(ErrorResponse)
+			if err := r.errorResponse(items[i].Error); err != nil {
 				return err
 			}
 		default:
 			return fmt.Errorf("item %d: kind byte %d", i, kind)
 		}
 	}
+	*o = NewBatchResponse(items)
 	return nil
 }
 
@@ -567,7 +611,7 @@ func (r *breader) assessment(o *core.Assessment, item feedback.EntityID) error {
 	if err != nil {
 		return err
 	}
-	if flags&^asmtFlagsKnown != 0 || flags&(asmtFlagVerdict|asmtFlagHonest) == asmtFlagHonest {
+	if flags&(asmtFlagVerdict|asmtFlagHonest) == asmtFlagHonest {
 		return fmt.Errorf("assessment flags %#x", flags)
 	}
 	o.Suspicious = flags&asmtFlagSuspicious != 0
@@ -582,21 +626,52 @@ func (r *breader) assessment(o *core.Assessment, item feedback.EntityID) error {
 			return fmt.Errorf("assessment repeats its item's server")
 		}
 	}
-	if o.Trust, err = r.float(); err != nil {
+	if o.Records, err = r.int(); err != nil {
 		return err
 	}
-	if o.TrustLow, err = r.float(); err != nil {
+	if o.Good, err = r.int(); err != nil {
 		return err
 	}
-	if o.TrustHigh, err = r.float(); err != nil {
-		return err
+	if o.Good > o.Records {
+		return fmt.Errorf("assessment of %d good records out of %d", o.Good, o.Records)
 	}
-	if o.Tester, err = r.string(); err != nil {
-		return err
+	trust, lo, hi := derivedTrust(o.Suspicious, o.Records, o.Good)
+	o.Trust, o.TrustLow, o.TrustHigh = trust, lo, hi
+	if flags&asmtFlagTrust != 0 {
+		if o.Trust, err = r.float(); err != nil {
+			return err
+		}
+		if sameFloat(o.Trust, trust) {
+			return fmt.Errorf("raw trust %v derives from its counts", o.Trust)
+		}
 	}
-	if o.TrustFunc, err = r.string(); err != nil {
-		return err
+	if flags&asmtFlagBounds != 0 {
+		if o.TrustLow, err = r.float(); err != nil {
+			return err
+		}
+		if o.TrustHigh, err = r.float(); err != nil {
+			return err
+		}
+		if sameFloat(o.TrustLow, lo) && sameFloat(o.TrustHigh, hi) {
+			return fmt.Errorf("raw trust interval [%v, %v] derives from its counts", lo, hi)
+		}
 	}
+	d := r.frame()
+	if flags&asmtFlagNames != 0 {
+		if o.Tester, err = r.string(); err != nil {
+			return err
+		}
+		if o.TrustFunc, err = r.string(); err != nil {
+			return err
+		}
+		if d.sameNames(o.Tester, o.TrustFunc) {
+			return fmt.Errorf("names %q, %q repeat the previous assessment's", o.Tester, o.TrustFunc)
+		}
+		d.name(o.Tester, o.TrustFunc)
+	} else if !d.named {
+		return fmt.Errorf("assessment refers to the names of none before it")
+	}
+	o.Tester, o.TrustFunc = d.tester, d.trustFunc
 	o.Verdict = behavior.Verdict{Honest: flags&asmtFlagHonest != 0}
 	if flags&asmtFlagVerdict == 0 {
 		return nil

@@ -7,10 +7,15 @@ import (
 	"errors"
 	"math"
 	"reflect"
+	"slices"
 	"testing"
 
+	"honestplayer/internal/attack"
 	"honestplayer/internal/behavior"
+	"honestplayer/internal/core"
 	"honestplayer/internal/feedback"
+	"honestplayer/internal/stats"
+	"honestplayer/internal/trust"
 )
 
 // FuzzRead drives a bridged connection's read path — the frame reader, the
@@ -170,16 +175,17 @@ func FuzzSubmitBatch(f *testing.F) {
 	}})
 	f.Add(false, []byte{2, 2, 0, 0, 1, 's', 1, 0, 1, 'c', 0, 0})         // a slot past the dictionary's end
 	f.Add(false, []byte{2, 2, 0, 0, 1, 's', 1, 1, 's', 0, 1, 'c', 0, 0}) // an id introduced twice
-	addPayload(TypeSubmitBR, BatchResponse{Stored: 3})
-	addPayload(TypeSubmitBR, BatchResponse{
-		Stored: 1, Duplicates: 1,
-		Rejected: []BatchReject{{Index: 2, Reason: "zero time"}},
-		Items: []SubmitBatchItem{
-			{Stored: true},
-			{Stored: false},
-			{Error: &ErrorResponse{Code: CodeInvalidFeedback, Message: "zero time"}},
-		},
-	})
+	addPayload(TypeSubmitBR, NewBatchResponse([]SubmitBatchItem{{Stored: true}, {Stored: true}, {Stored: true}}))
+	addPayload(TypeSubmitBR, NewBatchResponse([]SubmitBatchItem{
+		{Stored: true},
+		{Stored: false},
+		{Error: &ErrorResponse{Code: CodeInvalidFeedback, Message: "zero time"}},
+	}))
+	addPayload(TypeSubmitBR, NewBatchResponse([]SubmitBatchItem{ // every record refused, one by its group's owner
+		{Error: &ErrorResponse{Code: CodeUnavailable, Message: "owner n2 down"}},
+		{Error: &ErrorResponse{Code: CodeInvalidFeedback, Message: ""}},
+		{Error: &ErrorResponse{Code: CodeUnavailable, Message: "owner n2 down"}},
+	}))
 	f.Add(false, []byte{0xff, 0xff, 0xff, 0xff, 0xff})
 	f.Add(true, []byte{0x03, 0x00, 0x01, 0x02})
 	f.Fuzz(func(t *testing.T, isResp bool, data []byte) {
@@ -308,7 +314,7 @@ func seedTables(tb testing.TB) [][]behavior.SuffixResult {
 // has the same bits in every field.
 func FuzzVerdictTable(f *testing.F) {
 	tables := seedTables(f)
-	d := getThresholds()
+	d := getFrameDict()
 	var frame []byte
 	for _, rows := range tables {
 		f.Add(encodeTable(rows))
@@ -326,7 +332,7 @@ func FuzzVerdictTable(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		r := &breader{buf: data}
 		defer r.release()
-		d := getThresholds()
+		d := getFrameDict()
 		defer d.put()
 		var again []byte
 		for len(r.buf) > 0 {
@@ -389,6 +395,51 @@ func FuzzAssessBatchResponse(f *testing.F) {
 		_, fwd := payload.(FwdAssessBatchResponse)
 		f.Add(fwd, buf)
 	}
+	// Headers of every kind: a suspicious assessment, a weighted one whose
+	// trust rides raw, one over no records whose floats all ride raw, and a
+	// frame of them all in which names change and repeat.
+	multi, err := behavior.NewMulti(behavior.Config{Calibrator: testCalibrator()})
+	if err != nil {
+		f.Fatal(err)
+	}
+	weighted, err := trust.NewWeighted(0.9)
+	if err != nil {
+		f.Fatal(err)
+	}
+	periodic, err := attack.GenPeriodic("srv", 200, 10, 0.3, stats.NewRNG(7))
+	if err != nil {
+		f.Fatal(err)
+	}
+	var kinds []AssessBatchItem
+	for _, tc := range []struct {
+		fn trust.Func
+		h  *feedback.History
+	}{{trust.Average{}, periodic}, {weighted, honestHistory(f, "srv", 200, 0.93, 3)}, {trust.Average{}, honestHistory(f, "srv", 200, 0.95, 4)}} {
+		tp, err := core.NewTwoPhase(multi, tc.fn)
+		if err != nil {
+			f.Fatal(err)
+		}
+		a, err := tp.Assess(tc.h)
+		if err != nil {
+			f.Fatal(err)
+		}
+		kinds = append(kinds, AssessBatchItem{Server: "srv", AssessResponse: AssessResponse{Assessment: a}})
+	}
+	noRecords := testAssessment()
+	noRecords.Verdict = behavior.Verdict{}
+	kinds = append(kinds, AssessBatchItem{Server: "srv", AssessResponse: AssessResponse{Assessment: noRecords}})
+	for i := range kinds {
+		buf, _, err := appendBinaryPayload(nil, AssessBatchResponse{Items: kinds[i : i+1]})
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(false, buf)
+	}
+	buf, _, err := appendBinaryPayload(nil, FwdAssessBatchResponse{Node: "n2", Items: slices.Concat(kinds, kinds)})
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(true, buf)
 	f.Add(false, binary.AppendUvarint(nil, MaxFrame))
 	f.Add(true, []byte{1, 'n', 0xff, 0x01, 0, 0})
 	f.Fuzz(func(t *testing.T, fwd bool, data []byte) {

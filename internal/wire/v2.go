@@ -50,10 +50,13 @@ import (
 // writes a chain with no distance column, every Distance rebuilt from the
 // window counts by the platform-exact PMF (ADR 0006's second amendment); 9
 // writes each threshold once per frame and refers to it after, and a
-// chain's window counts as Rice codes (ADR 0006's third amendment). No
+// chain's window counts as Rice codes (ADR 0006's third amendment); 10
+// writes an assessment's trust value and interval as the record and good
+// counts they derive from, its tester and trust function once per frame, and
+// a submit.batch.resp as its items alone (ADR 0006's fourth amendment). No
 // revision reads another's binary payloads: ends of different revisions
 // speak BridgeCodec (ADR 0009).
-const VersionV2 = 9
+const VersionV2 = 10
 
 // HelloMagic is the first byte of a client hello. A connection that opens
 // with any other byte is closed.

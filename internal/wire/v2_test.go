@@ -55,14 +55,12 @@ func v2Payloads() map[MsgType]any {
 		TypeSubmit:  SubmitRequest{Feedback: testRecord(1)},
 		TypeSubmitR: SubmitResponse{Stored: true},
 		TypeSubmitB: BatchRequest{Records: []feedback.Feedback{testRecord(1), testRecord(2), testRecord(3)}},
-		TypeSubmitBR: BatchResponse{Stored: 2, Duplicates: 1, Rejected: []BatchReject{
-			{Index: 3, Reason: "zero time"}, {Index: 5, Reason: "missing server"},
-		}, Items: []SubmitBatchItem{
+		TypeSubmitBR: NewBatchResponse([]SubmitBatchItem{
 			{Stored: true},
 			{Stored: false}, // duplicate: not stored, no error
 			{Error: &ErrorResponse{Code: CodeInvalidFeedback, Message: "zero time"}},
 			{Stored: true},
-		}},
+		}),
 		TypeHistory:  HistoryRequest{Server: "srv-a", Limit: 25},
 		TypeHistoryR: HistoryResponse{Records: []feedback.Feedback{testRecord(4), testRecord(5)}, Total: 99},
 		TypeAssess:   AssessRequest{Server: "srv-a", Threshold: 0.875},
@@ -74,7 +72,7 @@ func v2Payloads() map[MsgType]any {
 		}},
 		TypeError:      ErrorResponse{Code: CodeBadRequest, Message: "boom"},
 		TypeFwdBatch:   FwdBatchRequest{Node: "n2", Records: []feedback.Feedback{testRecord(1), testRecord(2)}},
-		TypeFwdBatchR:  BatchResponse{Stored: 2},
+		TypeFwdBatchR:  NewBatchResponse([]SubmitBatchItem{{Stored: true}, {Stored: true}}),
 		TypeFwdAssessB: FwdAssessBatchRequest{Node: "n1", Servers: []feedback.EntityID{"a", "b"}, Threshold: 0.9},
 		TypeFwdAssessBR: FwdAssessBatchResponse{Node: "n3", Items: []AssessBatchItem{
 			{Server: "a", AssessResponse: AssessResponse{
@@ -424,8 +422,8 @@ func TestV2RetiredCodesStayReserved(t *testing.T) {
 	}
 }
 
-// TestSubmitBatchGoldenFrame pins submit.batch on the wire as revision 9
-// lays it out, as revisions 6 to 8 did: the v2 header, then the records as one
+// TestSubmitBatchGoldenFrame pins submit.batch on the wire as revision 10
+// lays it out, as revisions 6 to 9 did: the v2 header, then the records as one
 // feedback.AppendBatch column batch with dictionaries that start empty at
 // the frame, its times divided by their differences' greatest common
 // divisor (ADR 0014).
@@ -446,8 +444,8 @@ func TestSubmitBatchGoldenFrame(t *testing.T) {
 		0b101, // good
 	}
 	var buf bytes.Buffer
-	if err := WriteHello(&buf); err != nil || !bytes.Equal(buf.Bytes(), []byte{0xB2, 'W', '2', 9, '\n'}) {
-		t.Fatalf("hello = %x, %v; the layout below is revision 9's", buf.Bytes(), err)
+	if err := WriteHello(&buf); err != nil || !bytes.Equal(buf.Bytes(), []byte{0xB2, 'W', '2', 10, '\n'}) {
+		t.Fatalf("hello = %x, %v; the layout below is revision 10's", buf.Bytes(), err)
 	}
 	buf.Reset()
 	env, err := V2Codec.Encode(TypeSubmitB, 9, req)
@@ -515,26 +513,30 @@ func TestRecordBatchCarriers(t *testing.T) {
 }
 
 // TestFrameDictionariesStartEmpty: the dictionaries' storage is recycled
-// between frames, their contents never — the same records encode to the same
-// bytes however many frames came before, and each frame decodes on its own.
+// between frames, their contents never — the same records, thresholds and
+// names encode to the same bytes however many frames came before, and each
+// frame decodes on its own.
 func TestFrameDictionariesStartEmpty(t *testing.T) {
-	req := BatchRequest{Records: []feedback.Feedback{testRecord(1), testRecord(2), testRecord(5)}}
-	first, err := V2Codec.Encode(TypeSubmitB, 1, req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 3; i++ {
-		again, err := V2Codec.Encode(TypeSubmitB, 1, req)
-		if err != nil || !bytes.Equal(again.Payload, first.Payload) {
-			t.Fatalf("frame %d of the same records: %x (%v), want %x", i+2, again.Payload, err, first.Payload)
+	payloads := v2Payloads()
+	for _, typ := range []MsgType{TypeSubmitB, TypeAssessR, TypeAssessBR} {
+		sent := payloads[typ]
+		first, err := V2Codec.Encode(typ, 1, sent)
+		if err != nil {
+			t.Fatal(err)
 		}
-		var back BatchRequest
-		if err := DecodePayload(again, &back); err != nil || !reflect.DeepEqual(back, req) {
-			t.Fatalf("frame %d: decoded %+v, %v", i+2, back, err)
-		}
-		// A refused frame in between leaves nothing behind either.
-		if err := decodeBinaryPayload(TypeSubmitB, again.Payload[:len(again.Payload)-1], new(BatchRequest)); err == nil {
-			t.Fatal("truncated frame accepted")
+		for i := 0; i < 3; i++ {
+			again, err := V2Codec.Encode(typ, 1, sent)
+			if err != nil || !bytes.Equal(again.Payload, first.Payload) {
+				t.Fatalf("%s frame %d of the same payload: %x (%v), want %x", typ, i+2, again.Payload, err, first.Payload)
+			}
+			back := newPayload(sent)
+			if err := DecodePayload(again, back); err != nil || !reflect.DeepEqual(reflect.ValueOf(back).Elem().Interface(), sent) {
+				t.Fatalf("%s frame %d: decoded %+v, %v", typ, i+2, back, err)
+			}
+			// A refused frame in between leaves nothing behind either.
+			if err := decodeBinaryPayload(typ, again.Payload[:len(again.Payload)-1], newPayload(sent)); err == nil {
+				t.Fatalf("%s: truncated frame accepted", typ)
+			}
 		}
 	}
 }

@@ -29,7 +29,7 @@ import (
 //	threshold     (uvarint ref, uvarint run length) pairs covering n rows,
 //	              neighbouring runs differing in their bits; ref 0 is
 //	              followed by 8 B of bits the frame has not written yet,
-//	              ref i names the frame's i-th such literal (thresholds)
+//	              ref i names the frame's i-th such literal (frameDict)
 //	pass          nothing when every row has Pass == (Distance <= Threshold);
 //	              with tablePass ⌈n/8⌉ bytes, bit i%8 of byte i/8 for row i,
 //	              padding bits zero
@@ -269,36 +269,52 @@ func eachBase(hist []uint32, v, w, g int, visit func() bool) bool {
 	return true
 }
 
-// thresholds is a frame's threshold dictionary: the bits of every threshold
-// literal the frame has written, in order, so that a later run names one by
-// its place. Each table's ε comes from one calibrator grid, so a batch
-// repeats a few dozen values in every item. It lives exactly as long as the
-// frame (ADR 0008): an encoder takes one per payload (getThresholds), a
+// frameDict is a frame's dictionaries (ADR 0008): the bits of every
+// threshold literal the frame has written, in order, so that a later run
+// names one by its place, and the names its latest assessment wrote, so that
+// the next says "the same" instead. Each table's ε comes from one calibrator
+// grid and every assessment from one assessor, so a batch repeats a few
+// dozen thresholds and one pair of names in every item. It lives exactly as
+// long as the frame: an encoder takes one per payload (getFrameDict), a
 // decoder keeps one in its breader, and nothing carries it to the next.
-type thresholds struct {
+type frameDict struct {
 	ref  map[uint64]uint64 // a literal's bits → its ref, from 1
 	bits []uint64          // ref − 1 → the literal's bits
+
+	named             bool // an assessment of the frame has written names
+	tester, trustFunc string
 }
 
-var frameThresholds = sync.Pool{New: func() any { return &thresholds{ref: make(map[uint64]uint64)} }}
+var frameDictPool = sync.Pool{New: func() any { return &frameDict{ref: make(map[uint64]uint64)} }}
 
-// getThresholds returns an empty dictionary for one frame; put gives it back.
-func getThresholds() *thresholds { return frameThresholds.Get().(*thresholds) }
+// getFrameDict returns empty dictionaries for one frame; put gives them back.
+func getFrameDict() *frameDict { return frameDictPool.Get().(*frameDict) }
 
-func (d *thresholds) put() {
+func (d *frameDict) put() {
 	clear(d.ref)
 	d.bits = d.bits[:0]
-	frameThresholds.Put(d)
+	d.named, d.tester, d.trustFunc = false, "", ""
+	frameDictPool.Put(d)
 }
 
-func (d *thresholds) add(bits uint64) {
+func (d *frameDict) add(bits uint64) {
 	d.bits = append(d.bits, bits)
 	d.ref[bits] = uint64(len(d.bits))
 }
 
+// sameNames reports whether tester and trustFunc are the names the frame's
+// latest assessment wrote.
+func (d *frameDict) sameNames(tester, trustFunc string) bool {
+	return d.named && tester == d.tester && trustFunc == d.trustFunc
+}
+
+func (d *frameDict) name(tester, trustFunc string) {
+	d.named, d.tester, d.trustFunc = true, tester, trustFunc
+}
+
 // appendVerdictTable writes rows, its threshold literals joining d, the
 // dictionary of the frame it is part of.
-func appendVerdictTable(buf []byte, rows []behavior.SuffixResult, d *thresholds) []byte {
+func appendVerdictTable(buf []byte, rows []behavior.SuffixResult, d *frameDict) []byte {
 	n := len(rows)
 	buf = binary.AppendUvarint(buf, uint64(n))
 	if n == 0 {
@@ -544,10 +560,7 @@ func (r *breader) threshold() (float64, error) {
 	if err != nil {
 		return 0, err
 	}
-	if r.dict == nil {
-		r.dict = getThresholds()
-	}
-	d := r.dict
+	d := r.frame()
 	if ref > uint64(len(d.bits)) {
 		return 0, fmt.Errorf("verdict table: threshold ref %d past the frame's %d", ref, len(d.bits))
 	}

@@ -197,8 +197,11 @@ func TestVerdictTableBytes(t *testing.T) {
 // trustd's default assessor sends for the benchmark's two batch shapes —
 // 256 servers of 200 records (assess_wide) and 8 of 5000 (assess_deep's
 // histories) — over the benchmark's mix of histories: 80 % honest with p in
-// [0.90, 0.99], 10 % hibernating and 10 % periodic attackers. Revision 8
-// sent 165.6 B and 674.4 B an item, revision 9 86.8 B and 461.5 B.
+// [0.90, 0.99], 10 % hibernating and 10 % periodic attackers, and the
+// assess.resp of one server of 1000 records (mixed_skew's single frames),
+// which writes its names. Revision 8 sent 165.6 B and 674.4 B an item,
+// revision 9 86.8 B, 461.5 B and 245.0 B, revision 10 52.8 B, 429.2 B and
+// 225.0 B: a header of three floats and two names became two counts.
 func TestAssessBatchFrameBytes(t *testing.T) {
 	tp, err := core.DefaultSpec.Build()
 	if err != nil {
@@ -207,7 +210,7 @@ func TestAssessBatchFrameBytes(t *testing.T) {
 	for _, tc := range []struct {
 		servers, records int
 		most             float64
-	}{{256, 200, 90}, {8, 5000, 470}} {
+	}{{256, 200, 55}, {8, 5000, 450}, {1, 1000, 233}} {
 		var resp AssessBatchResponse
 		for i := range tc.servers {
 			id := feedback.EntityID(fmt.Sprintf("srv-%d", i))
@@ -232,9 +235,14 @@ func TestAssessBatchFrameBytes(t *testing.T) {
 			}
 			resp.Items = append(resp.Items, AssessBatchItem{Server: id, AssessResponse: AssessResponse{Assessment: a, Accept: !a.Suspicious}})
 		}
-		got, size := roundTrip(t, TypeAssessBR, resp)
-		if !reflect.DeepEqual(got, resp) {
-			t.Fatalf("%d x %d records: the batch changed on the wire", tc.servers, tc.records)
+		var sent any = resp
+		typ := TypeAssessBR
+		if tc.servers == 1 {
+			sent, typ = resp.Items[0].AssessResponse, TypeAssessR
+		}
+		got, size := roundTrip(t, typ, sent)
+		if !reflect.DeepEqual(got, sent) {
+			t.Fatalf("%d x %d records: the %s changed on the wire", tc.servers, tc.records, typ)
 		}
 		per := float64(size) / float64(tc.servers)
 		t.Logf("%d x %d records: %.1f B per item", tc.servers, tc.records, per)
@@ -315,7 +323,7 @@ func sameBits(a, b []behavior.SuffixResult) bool {
 
 // encodeTable is appendVerdictTable for a table that is a frame of its own.
 func encodeTable(rows []behavior.SuffixResult) []byte {
-	d := getThresholds()
+	d := getFrameDict()
 	defer d.put()
 	return appendVerdictTable(nil, rows, d)
 }
@@ -455,7 +463,7 @@ func TestThresholdDictionary(t *testing.T) {
 	first[1].Threshold, first[2].Threshold = 0.25, 0.25
 	second := chainRows(t, 10, 2, 10, 10, 9)
 	second[0].Threshold = 0.25
-	d := getThresholds()
+	d := getFrameDict()
 	defer d.put()
 	one := appendVerdictTable(nil, first, d)
 	two := appendVerdictTable(nil, second, d)
@@ -489,9 +497,10 @@ func TestThresholdDictionary(t *testing.T) {
 		t.Fatalf("batch changed on the wire: %+v", got)
 	}
 	// Each item after the first writes its two runs as one-byte refs, not
-	// as a 0 and 8 B of bits, and the batch writes its item count once.
+	// as a 0 and 8 B of bits, and its names not at all, not as two empty
+	// strings; the batch writes its item count once.
 	_, alone := roundTrip(t, TypeAssessBR, AssessBatchResponse{Items: batch.Items[:1]})
-	if want := 4*alone - 3 - 3*2*8; size != want {
+	if want := 4*alone - 3 - 3*2*8 - 3*2; size != want {
 		t.Errorf("4 items in %d B, want %d: the literals were not shared", size, want)
 	}
 }
@@ -522,9 +531,9 @@ func TestHostileCountsAllocateWithinFrame(t *testing.T) {
 	frame := func(head ...byte) []byte { return append(head, make([]byte, MaxFrame-64)...) }
 	count := binary.AppendUvarint(nil, MaxFrame-100)
 	asmt := func(table ...byte) []byte {
-		// assess.resp up to its verdict table: flags, assessment flags,
-		// three floats, two empty strings.
-		return append(append([]byte{0, asmtFlagVerdict | asmtFlagHonest}, make([]byte, 26)...), table...)
+		// assess.resp up to its verdict table: flags, assessment flags, no
+		// records, two empty names.
+		return append([]byte{0, asmtFlagVerdict | asmtFlagHonest | asmtFlagNames, 0, 0, 0, 0}, table...)
 	}
 	for name, tc := range map[string]struct {
 		typ   MsgType
@@ -532,13 +541,12 @@ func TestHostileCountsAllocateWithinFrame(t *testing.T) {
 		frame []byte
 		most  uint64
 	}{
-		"assess.batch.resp items":   {TypeAssessBR, new(AssessBatchResponse), frame(count...), 64 << 10},
-		"assess.batch.resp at cap":  {TypeAssessBR, new(AssessBatchResponse), frame(binary.AppendUvarint(nil, MaxAssessBatch)...), 128 << 10},
-		"fwd.assess.batch.resp":     {TypeFwdAssessBR, new(FwdAssessBatchResponse), frame(append([]byte{1, 'n'}, count...)...), 64 << 10},
-		"assess.batch servers":      {TypeAssessB, new(AssessBatchRequest), frame(count...), 64 << 10},
-		"submit.batch.resp items":   {TypeSubmitBR, new(BatchResponse), frame(append([]byte{0, 0, 0}, count...)...), 64 << 10},
-		"submit.batch.resp rejects": {TypeSubmitBR, new(BatchResponse), frame(append([]byte{0, 0}, count...)...), 64 << 10},
-		"submit.batch records":      {TypeSubmitB, new(BatchRequest), frame(count...), 64 << 10},
+		"assess.batch.resp items":  {TypeAssessBR, new(AssessBatchResponse), frame(count...), 64 << 10},
+		"assess.batch.resp at cap": {TypeAssessBR, new(AssessBatchResponse), frame(binary.AppendUvarint(nil, MaxAssessBatch)...), 128 << 10},
+		"fwd.assess.batch.resp":    {TypeFwdAssessBR, new(FwdAssessBatchResponse), frame(append([]byte{1, 'n'}, count...)...), 64 << 10},
+		"assess.batch servers":     {TypeAssessB, new(AssessBatchRequest), frame(count...), 64 << 10},
+		"submit.batch.resp items":  {TypeSubmitBR, new(BatchResponse), frame(count...), 64 << 10},
+		"submit.batch records":     {TypeSubmitB, new(BatchRequest), frame(count...), 64 << 10},
 		// Rows are 48 B in memory and at least 10 B on the wire.
 		"verdict table rows": {TypeAssessR, new(AssessResponse), frame(asmt(binary.AppendUvarint(nil, (MaxFrame-200)/10)...)...), 6 * MaxFrame},
 		"verdict table lies": {TypeAssessR, new(AssessResponse), frame(asmt(count...)...), 64 << 10},
@@ -575,7 +583,7 @@ func TestBatchCapsOnDecode(t *testing.T) {
 	for typ, over := range map[MsgType]any{
 		TypeAssessB:  AssessBatchRequest{Servers: servers},
 		TypeAssessBR: AssessBatchResponse{Items: items},
-		TypeSubmitBR: BatchResponse{Items: make([]SubmitBatchItem, MaxSubmitBatch+1)},
+		TypeSubmitBR: NewBatchResponse(make([]SubmitBatchItem, MaxSubmitBatch+1)),
 	} {
 		env, err := V2Codec.Encode(typ, 1, over)
 		if err != nil {

@@ -10,6 +10,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"slices"
 
 	"honestplayer/internal/core"
 	"honestplayer/internal/feedback"
@@ -177,8 +178,9 @@ type SubmitBatchItem struct {
 // BatchResponse acknowledges a batch submission with a per-record report.
 // Items align with the request: Items[i] is the outcome for Records[i],
 // always with len(Items) == len(Records). The aggregate counters are
-// derived from the items and kept for at-a-glance callers:
-// Stored + Duplicates + len(Rejected) always equals the request size.
+// derived from the items (NewBatchResponse) and kept for at-a-glance
+// callers: Stored + Duplicates + len(Rejected) always equals the request
+// size. The binary payload carries the items alone.
 type BatchResponse struct {
 	// Stored is the number of new records.
 	Stored int `json:"stored"`
@@ -188,6 +190,29 @@ type BatchResponse struct {
 	Rejected []BatchReject `json:"rejected,omitempty"`
 	// Items is the per-record report, aligned with the request records.
 	Items []SubmitBatchItem `json:"items,omitempty"`
+}
+
+// NewBatchResponse returns the report of items, its totals derived from
+// them: a rejection's Reason is its item's Error.Message.
+func NewBatchResponse(items []SubmitBatchItem) BatchResponse {
+	resp := BatchResponse{Items: items}
+	for i, item := range items {
+		switch {
+		case item.Error != nil:
+			resp.Rejected = append(resp.Rejected, BatchReject{Index: i, Reason: item.Error.Message})
+		case item.Stored:
+			resp.Stored++
+		default:
+			resp.Duplicates++
+		}
+	}
+	return resp
+}
+
+// derived reports whether p's totals are the ones its items derive.
+func (p BatchResponse) derived() bool {
+	want := NewBatchResponse(p.Items)
+	return p.Stored == want.Stored && p.Duplicates == want.Duplicates && slices.Equal(p.Rejected, want.Rejected)
 }
 
 // HistoryRequest fetches a server's records.
