@@ -25,7 +25,6 @@
 //	trustd -addr 127.0.0.1:7700 -scheme multi -trust average
 //	trustd -addr :7700 -peers host2:7700,host3:7700 -interval 1s
 //	trustd -addr :7700 -request-timeout 2s -drain-timeout 10s -metrics-addr 127.0.0.1:7780
-//	trustd -addr :7700 -incremental        # O(windows) assessments under writes
 //	trustd -addr :7700 -node-id a -replicas 2 -interval 1s \
 //	    -peers a=host1:7700,b=host2:7700,c=host3:7700
 package main
@@ -48,7 +47,6 @@ import (
 
 	"honestplayer/internal/cluster"
 	"honestplayer/internal/core"
-	"honestplayer/internal/feedback"
 	"honestplayer/internal/gossip"
 	"honestplayer/internal/ledger"
 	"honestplayer/internal/repserver"
@@ -83,12 +81,13 @@ func run(ctx context.Context, args []string) error {
 		snapOnStop   = fs.Bool("snapshot-on-shutdown", false, "write a final snapshot during graceful shutdown")
 		seed         = fs.Uint64("seed", core.DefaultSpec.Seed, "seed for threshold calibration")
 		shards       = fs.Int("shards", store.DefaultShards, "feedback store shard count (writes to different servers never contend)")
-		cacheSize    = fs.Int("assess-cache", 4096, "assessment cache entries (0 disables caching)")
 		reqTimeout   = fs.Duration("request-timeout", 10*time.Second, "per-request deadline; exceeding it yields a deadline_exceeded error frame (0 disables)")
 		drain        = fs.Duration("drain-timeout", repserver.DefaultDrainTimeout, "grace period for in-flight requests at shutdown")
 		slowLog      = fs.Duration("slow-log", 0, "log requests slower than this (0 disables)")
 		metricsAddr  = fs.String("metrics-addr", "", "HTTP listen address serving GET /metricz stats (empty disables)")
-		incremental  = fs.Bool("incremental", false, "serve assessments from per-server incremental accumulators (O(windows) per assess, bit-identical to a full recompute; replayed ledgers are folded in at startup)")
+		// Deprecated: -incremental is parsed and ignored; every assessment is
+		// recomputed over the stored history (ADR 0016's amendment).
+		_            = fs.Bool("incremental", false, "deprecated and ignored: every assessment is recomputed over the stored history")
 		batchWorkers = fs.Int("batch-workers", 0, "worker pool size for assess.batch shard fan-out (0 = GOMAXPROCS)")
 		memBudget    = fs.String("mem-budget", "", "node-wide resident memory budget for server state, e.g. 512MiB or 1G (empty disables; requires -ledger): idle servers are evicted to stubs and rebuilt on demand")
 	)
@@ -118,9 +117,9 @@ func run(ctx context.Context, args []string) error {
 	logger := log.New(stderr, "trustd ", log.LstdFlags)
 	st := store.NewSharded(*shards)
 	serverCfg := repserver.Config{
-		Assessor: assessor, Store: st, Logger: logger, AssessCacheSize: *cacheSize,
+		Assessor: assessor, Store: st, Logger: logger,
 		RequestTimeout: *reqTimeout, DrainTimeout: *drain, SlowLogThreshold: *slowLog,
-		Incremental: *incremental, BatchWorkers: *batchWorkers,
+		BatchWorkers: *batchWorkers,
 	}
 	var ps *ledger.PersistentStore
 	if *ledgerPath != "" {
@@ -130,17 +129,6 @@ func run(ctx context.Context, args []string) error {
 			SnapshotEvery: *snapEvery,
 			Logf:          logger.Printf,
 			MemBudget:     budgetBytes,
-		}
-		if *incremental && assessor.SupportsIncremental() {
-			// Boot and fault-in then replay each history into a fresh
-			// accumulator as they seed it.
-			opts.AccumulatorFactory = func(server feedback.EntityID) store.Accumulator {
-				sa, err := assessor.NewServerAccumulator(server)
-				if err != nil {
-					return nil
-				}
-				return sa
-			}
 		}
 		ps, err = ledger.OpenStoreOptions(ctx, *ledgerPath, opts)
 		if err != nil {

@@ -170,8 +170,8 @@ func TestOldLedgerRefused(t *testing.T) {
 }
 
 // TestRunIncremental drives a full startup/shutdown cycle with the
-// incremental engine enabled; run must come up (installing the per-server
-// accumulator factory) and exit cleanly when the context ends.
+// deprecated -incremental flag: it still parses (and is ignored), so run must
+// come up and exit cleanly when the context ends.
 func TestRunIncremental(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 500*time.Millisecond)
 	defer cancel()

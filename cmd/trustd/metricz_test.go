@@ -27,7 +27,7 @@ var metriczConfigs = []struct {
 	{"bare", func(*testing.T, string) []string { return nil }},
 	{"durable", func(t *testing.T, _ string) []string {
 		return []string{"-ledger", filepath.Join(t.TempDir(), "ledger"), "-mem-budget", "64MiB",
-			"-incremental", "-snapshot-every", "50"}
+			"-snapshot-every", "50"}
 	}},
 	{"cluster", func(_ *testing.T, addr string) []string {
 		return []string{"-node-id", "a", "-peers", "a=" + addr}

@@ -1,13 +1,8 @@
-// Streaming: the incremental assessment engine under a live write stream.
-// A reputation server runs with Incremental enabled, so every stored
-// feedback record is folded into a per-server accumulator as it arrives and
-// each assess request is answered in O(windows) from the accumulator —
-// bit-identical to recomputing over the whole history, but without touching
-// it. Two providers are streamed side by side: an honest seller and a
-// hibernating attacker that builds reputation and then spends it. The
+// Streaming: two-phase assessment under a live write stream. Two providers
+// are streamed side by side into a reputation server: an honest seller and
+// a hibernating attacker that builds reputation and then spends it. The
 // client re-assesses both every 200 transactions; the attacker's burst is
-// flagged while its trust ratio still looks healthy. The final stats dump
-// shows the engine's counters: every assessment was served incrementally.
+// flagged while its trust ratio still looks healthy.
 package main
 
 import (
@@ -39,9 +34,8 @@ func run() error {
 		return err
 	}
 	srv, err := honestplayer.NewServer("127.0.0.1:0", honestplayer.ServerConfig{
-		Assessor:    assessor,
-		Store:       honestplayer.NewShardedStore(4),
-		Incremental: true,
+		Assessor: assessor,
+		Store:    honestplayer.NewShardedStore(4),
 	})
 	if err != nil {
 		return err
@@ -82,8 +76,8 @@ func run() error {
 		{"sleeper-agent", attacker},
 	}
 
-	fmt.Println("  txn | honest-seller              | sleeper-agent")
-	fmt.Println("------+----------------------------+----------------------------")
+	fmt.Println("  txn | honest-seller                     | sleeper-agent")
+	fmt.Println("------+-----------------------------------+-----------------------------------")
 	for i := 0; i < 1200; i++ {
 		for _, p := range providers {
 			rating := honestplayer.Negative
@@ -112,19 +106,14 @@ func run() error {
 			if resp.Assessment.Suspicious {
 				status = "SUSPICIOUS"
 			}
-			fmt.Printf(" %s trust=%.3f incr=%-5v |", status, resp.Assessment.Trust, resp.Incremental)
+			a := resp.Assessment
+			fmt.Printf(" %s good=%.3f trust=%.3f |", status, float64(a.Good)/float64(a.Records), a.Trust)
 		}
 		fmt.Println()
 	}
 
-	m := srv.Metrics()
-	fmt.Printf("\nengine stats: tracked=%v served=%v fallbacks=%v\n", m.Value("incremental.servers_tracked"),
-		m.Value("incremental.served"), m.Value("incremental.fallbacks"))
 	fmt.Println()
-	fmt.Println("Every assess was answered from the per-server accumulator (incr=true,")
-	fmt.Println("fallbacks=0): appends cost amortised O(1) and assessments O(windows),")
-	fmt.Println("independent of how long the history has grown. The sleeper agent's")
-	fmt.Println("burst at transaction 800 is caught by the behaviour test while its")
-	fmt.Println("overall good ratio still looks healthy.")
+	fmt.Println("The sleeper agent's burst at transaction 800 is caught by the behaviour")
+	fmt.Println("test while its overall good ratio still looks healthy.")
 	return nil
 }

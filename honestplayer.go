@@ -17,8 +17,8 @@
 //     (average, weighted/EWMA, Beta).
 //
 // Every tester and trust function exported here is one a node serves
-// (trustd's -scheme and -trust), so each has the incremental form a node
-// keeps per server (ADR 0020).
+// (trustd's -scheme and -trust), and each has the incremental form the
+// simulator and core.Monitor keep per server (ADR 0020).
 //
 // The package also ships the substrates a deployment needs: a deterministic
 // statistics kit, a concurrent deduplicating feedback store, a TCP
@@ -321,7 +321,7 @@ func OpenLedger(path string) (*Ledger, []Feedback, error) { return ledger.Open(p
 func OpenPersistentStore(path string) (*PersistentStore, error) { return ledger.OpenStore(path) }
 
 // LedgerOptions configures a persistent store open: shard count, segment
-// roll-over size, snapshot cadence, and incremental-accumulator capture.
+// roll-over size, snapshot cadence and memory budget.
 type LedgerOptions = ledger.Options
 
 // OpenPersistentStoreOptions opens a ledger-backed feedback store with

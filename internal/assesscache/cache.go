@@ -12,6 +12,9 @@
 // counter — invalidates every cached assessment of that server without the
 // store and cache ever needing to talk to each other. Capacity is bounded
 // by an LRU policy.
+//
+// Deprecated: no node serves from it (ADR 0016's amendment); the benchmark's
+// traced replay is its one importer.
 package assesscache
 
 import (

@@ -164,8 +164,7 @@ func (c *Cluster) IsOwner(server feedback.EntityID) bool {
 
 // Owns reports whether the local node is in server's replica set — i.e.
 // whether local state for server should exist at all. It is the predicate
-// behind store scoping, accumulator materialization, and anti-entropy
-// scoping.
+// behind store scoping, eviction preference and anti-entropy scoping.
 func (c *Cluster) Owns(server feedback.EntityID) bool {
 	for _, id := range c.ReplicaSet(server) {
 		if id == c.self.ID {

@@ -2,12 +2,15 @@ package compat
 
 import (
 	"bufio"
+	"context"
 	"encoding/binary"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
 	"net"
 	"reflect"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -470,6 +473,146 @@ func TestPreviousVersionPeers(t *testing.T) {
 		_, _, err := c.History("s", 1)
 		if !errors.Is(err, wire.ErrBadVersion) || !errors.Is(err, repclient.ErrConnBroken) || errors.Is(err, wire.ErrBadMessage) {
 			t.Fatalf("binary answer across the skew: err = %v, want ErrBadVersion, connection-fatal", err)
+		}
+	})
+}
+
+// revision10Node is a node one codec revision behind, revision 10, with the
+// bridge: it acks its own revision and answers every request on JSON, as a
+// revision-10 node answers this build. Its answers are srv's, with the
+// cached and incremental markers a revision-10 node set on an assessment
+// spliced into every assess.batch item.
+func revision10Node(t *testing.T, srv *repserver.Server) string {
+	t.Helper()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = ln.Close() })
+	go func() {
+		for {
+			conn, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			go func() {
+				defer func() { _ = conn.Close() }()
+				r := bufio.NewReader(conn)
+				if _, err := wire.ReadHello(r); err != nil {
+					return
+				}
+				if _, err := conn.Write([]byte{wire.HelloMagic, 'W', '2', 10}); err != nil {
+					return
+				}
+				for {
+					env, err := wire.ReadV2(r)
+					if err != nil {
+						return
+					}
+					var resp wire.Envelope
+					if env.Type == wire.TypeAssessB {
+						resp = markedAnswer(t, srv, env)
+					} else {
+						resp = wire.Envelope{Type: wire.TypePong, ID: env.ID}
+					}
+					if wire.WriteV2(conn, resp) != nil {
+						return
+					}
+				}
+			}()
+		}
+	}()
+	return ln.Addr().String()
+}
+
+// markedAnswer is srv's assess.batch answer to env as revision-10 JSON:
+// every served item carries "cached": true and "incremental": true.
+func markedAnswer(t *testing.T, srv *repserver.Server, env wire.Envelope) wire.Envelope {
+	var req wire.AssessBatchRequest
+	if err := wire.DecodePayload(env, &req); err != nil {
+		t.Error(err)
+	}
+	answer, err := srv.AssessBatch(context.Background(), req)
+	if err != nil {
+		t.Error(err)
+	}
+	var doc struct {
+		Items []map[string]any `json:"items"`
+	}
+	raw, _ := json.Marshal(answer)
+	if err := json.Unmarshal(raw, &doc); err != nil {
+		t.Error(err)
+	}
+	for _, item := range doc.Items {
+		if item["error"] == nil {
+			item["cached"], item["incremental"] = true, true
+		}
+	}
+	payload, _ := json.Marshal(doc)
+	return wire.Envelope{Type: wire.TypeAssessBR, ID: env.ID, Payload: payload}
+}
+
+// TestRevision11EngineMarkers is the skew cell of revision 11, which drops
+// an assess response's cached and incremental markers: a revision-10 node's
+// answers carrying them decode, across the bridge, to the answers of this
+// build's own node, and this build's answers to a revision-10 client carry
+// neither key, which a revision-10 decoder reads as false.
+func TestRevision11EngineMarkers(t *testing.T) {
+	srv := newServer(t)
+	srv.Start()
+	ids := []feedback.EntityID{"marked-a", "marked-b", "ghost"}
+	for _, id := range ids[:2] {
+		if _, err := srv.Seed(history(id, 120)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want, err := dial(t, srv.Addr()).AssessBatch(ids, threshold)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	t.Run("revision10_node_vs_this_client", func(t *testing.T) {
+		got, err := dial(t, revision10Node(t, srv)).AssessBatch(ids, threshold)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("a revision-10 answer decodes to\n%+v\nwant\n%+v", got, want)
+		}
+	})
+	t.Run("revision10_client_vs_this_server", func(t *testing.T) {
+		conn, err := net.Dial("tcp", srv.Addr())
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer func() { _ = conn.Close() }()
+		_ = conn.SetDeadline(time.Now().Add(3 * time.Second))
+		if _, err := conn.Write([]byte{wire.HelloMagic, 'W', '2', 10, '\n'}); err != nil {
+			t.Fatal(err)
+		}
+		r := bufio.NewReader(conn)
+		if _, err := wire.ReadAck(r); err != nil {
+			t.Fatal(err)
+		}
+		env, err := wire.BridgeCodec.Encode(wire.TypeAssessB, 1, wire.AssessBatchRequest{Servers: ids, Threshold: threshold})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := wire.WriteV2(conn, env); err != nil {
+			t.Fatal(err)
+		}
+		resp, err := wire.ReadV2(r)
+		if err != nil || resp.Type != wire.TypeAssessBR || resp.Binary {
+			t.Fatalf("answer %+v, %v; want a JSON assess.batch.resp", resp, err)
+		}
+		for _, key := range []string{`"cached"`, `"incremental"`} {
+			if strings.Contains(string(resp.Payload), key) {
+				t.Fatalf("the answer to a revision-10 client names %s: %s", key, resp.Payload)
+			}
+		}
+		var got wire.AssessBatchResponse
+		if err := wire.DecodePayload(resp, &got); err != nil || !reflect.DeepEqual(got.Items, want) {
+			t.Fatalf("decoded %+v, %v; want %+v", got.Items, err, want)
 		}
 	})
 }

@@ -14,11 +14,11 @@ import (
 // would compute over the history consumed so far — the same Honest flag,
 // p̂ values, distances, trust value, Wilson bounds, and errors, bit for bit.
 //
-// The store layer owns one accumulator per server and feeds it under the
-// shard write lock; assessments run under the shard read lock. Outside that
-// arrangement the caller must guarantee that Append never runs concurrently
-// with anything else (concurrent Assess/Accept calls are safe with each
-// other).
+// Its users are the reproduction's what-if clones (internal/attack),
+// sim.Run and Monitor; a serving node keeps none and recomputes every
+// verdict (ADR 0016's amendment). The caller must guarantee that Append
+// never runs concurrently with anything else (concurrent Assess/Accept
+// calls are safe with each other).
 type ServerAccumulator struct {
 	tp     *TwoPhase
 	server feedback.EntityID
@@ -78,9 +78,7 @@ func (sa *ServerAccumulator) Len() int {
 
 // SizeBytes returns the approximate resident heap footprint of the
 // accumulator's state: the wrapper plus its trust tracker and (when phase 1
-// is enabled) the behaviour accumulator's counters. The memory-budget
-// governor charges this against the node-wide budget as the accumulator half
-// of a server's resident size.
+// is enabled) the behaviour accumulator's counters.
 func (sa *ServerAccumulator) SizeBytes() int {
 	const saStruct = 48 // ServerAccumulator struct: 3 pointers + string header
 	size := saStruct + sa.tr.SizeBytes()

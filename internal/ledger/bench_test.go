@@ -65,8 +65,7 @@ func BenchmarkReplay(b *testing.B) {
 }
 
 // BenchmarkSnapshotBoot measures a full snapshot+tail open of a 200k-record
-// ledger under the multi tester trustd -incremental serves by default: every
-// section is decoded and replayed into a fresh accumulator.
+// ledger: every section is decoded into a resident history.
 func BenchmarkSnapshotBoot(b *testing.B) {
 	dir := filepath.Join(b.TempDir(), "led")
 	opts, _ := assessorOptions(b, "multi", "average", 4, 8<<20, 0)
@@ -115,8 +114,8 @@ func BenchmarkSnapshotBoot(b *testing.B) {
 
 // BenchmarkRebuildServer measures one fault-in through the store: a
 // 5000-record server from a pool of 100 clients, evicted with every record in
-// the newest snapshot, is read back from its section and replayed into a
-// fresh accumulator by the read that meets its stub.
+// the newest snapshot, is read back from its section by the read that meets
+// its stub.
 func BenchmarkRebuildServer(b *testing.B) {
 	for _, scheme := range []string{"multi", "collusion-multi"} {
 		b.Run(scheme, func(b *testing.B) {

@@ -10,7 +10,7 @@ package ledger
 // and the tail overlap by design, exactly like boot, and the history's own
 // order finds the duplicates). gatherServer is the store's Loader: the store
 // verifies what it returns against the evicted stub's Checksum before
-// swapping it in and replaying it into a fresh accumulator, so a corrupt
+// swapping it in, so a corrupt
 // section read or a lost record can never silently resurface as wrong state
 // — it surfaces as a failed fault-in.
 //

@@ -61,8 +61,8 @@ func lifecycleMetric(st *store.Store, key string) any {
 
 // TestRebuildBitIdentical: evicting a server and rebuilding it on demand
 // must restore exactly the state a never-evicted twin holds — records,
-// versions, checksums, and (in incremental mode, for every tester mode and
-// trust function) accumulator assessments. Records deliberately span a
+// versions, checksums, and (under "incremental", for every tester mode and
+// trust function) the assessment of each history. Records deliberately span a
 // snapshot and a post-snapshot tail so the rebuild has to merge both sources.
 func TestRebuildBitIdentical(t *testing.T) {
 	t.Run("trustonly", func(t *testing.T) {
@@ -110,7 +110,7 @@ func checkRebuild(t *testing.T, opts Options, tp *core.TwoPhase) {
 // newest snapshot section and the in-memory tail only.
 func TestRebuildAcrossRotation(t *testing.T) {
 	dir := filepath.Join(t.TempDir(), "led")
-	opts, tp := incrementalOptions(t, 2, 1<<20, 0)
+	opts, tp := averageOptions(t, 2, 1<<20, 0)
 	opts.MemBudget = 1 << 40
 
 	ps, err := OpenStoreOptions(context.Background(), dir, opts)
@@ -157,7 +157,7 @@ func TestRebuildAcrossRotation(t *testing.T) {
 // needed — boot from the newest snapshot alone reproduces everything.
 func TestSnapshotWithEvictedServers(t *testing.T) {
 	dir := filepath.Join(t.TempDir(), "led")
-	opts, tp := incrementalOptions(t, 2, 1<<20, 0)
+	opts, tp := averageOptions(t, 2, 1<<20, 0)
 	opts.MemBudget = 1 << 40
 
 	ps, err := OpenStoreOptions(context.Background(), dir, opts)

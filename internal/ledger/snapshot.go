@@ -24,9 +24,9 @@ package ledger
 //
 // A section is the serialized form of the resident history (ADR 0005): the
 // writer copies columns out, boot and rebuild-on-demand decode columns in,
-// and no per-record struct exists on either side. An accumulator is a pure
-// function of the history, so boot and rebuild replay the decoded columns
-// into a fresh one instead of reading it from the file.
+// and no per-record struct exists on either side. Nothing else about a
+// server is stored: the node keeps no per-server assessment state (ADR
+// 0016's amendment).
 //
 // Snapshots are written to snapshot.tmp and renamed into place
 // (snapshot.<seq>, zero-padded), so a crash mid-write leaves at worst a

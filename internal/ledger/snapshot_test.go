@@ -23,16 +23,15 @@ import (
 	"honestplayer/internal/trust"
 )
 
-// incrementalOptions wires a real TwoPhase assessor (average trust, no
-// behaviour tester) into Options the way trustd -incremental does.
-func incrementalOptions(t testing.TB, shards int, segBytes int64, every uint64) (Options, *core.TwoPhase) {
+// averageOptions is assessorOptions with no behaviour tester and the
+// average trust function.
+func averageOptions(t testing.TB, shards int, segBytes int64, every uint64) (Options, *core.TwoPhase) {
 	return assessorOptions(t, "none", "average", shards, segBytes, every)
 }
 
-// assessorOptions wires a TwoPhase assessor — scheme's tester (none: no
-// phase 1) on a small seeded calibrator, then the trust function trustName —
-// into Options the way trustd -incremental does: as the accumulator factory
-// that boot and rebuild-on-demand replay every history into.
+// assessorOptions returns Options for a ledger and a TwoPhase assessor —
+// scheme's tester (none: no phase 1) on a small seeded calibrator, then the
+// trust function trustName — whose verdicts storeFingerprint records.
 func assessorOptions(t testing.TB, scheme, trustName string, shards int, segBytes int64, every uint64) (Options, *core.TwoPhase) {
 	t.Helper()
 	cfg := behavior.Config{Calibrator: stats.NewCalibrator(stats.CalibrationConfig{Replicates: 100, Seed: 3}, 0)}
@@ -65,19 +64,7 @@ func assessorOptions(t testing.TB, scheme, trustName string, shards int, segByte
 	if err != nil {
 		t.Fatal(err)
 	}
-	opts := Options{
-		Shards:        shards,
-		SegmentBytes:  segBytes,
-		SnapshotEvery: every,
-		AccumulatorFactory: func(server feedback.EntityID) store.Accumulator {
-			acc, err := tp.NewServerAccumulator(server)
-			if err != nil {
-				return nil
-			}
-			return acc
-		},
-	}
-	return opts, tp
+	return Options{Shards: shards, SegmentBytes: segBytes, SnapshotEvery: every}, tp
 }
 
 // forEachAssessor runs check once per tester mode — none, single, multi,
@@ -116,7 +103,7 @@ func workload(t *testing.T, ps *PersistentStore, n, offset int) {
 
 // storeFingerprint captures everything that defines a store's logical state:
 // per-server records, versions, checksums, and (when an assessor is given)
-// the assessment each server's accumulator produces.
+// the assessment of each server's history.
 func storeFingerprint(t *testing.T, st *store.Store, tp *core.TwoPhase) map[string]any {
 	t.Helper()
 	fp := map[string]any{}
@@ -128,17 +115,12 @@ func storeFingerprint(t *testing.T, st *store.Store, tp *core.TwoPhase) map[stri
 		fp[key+"/version"] = st.Version(srv)
 		fp[key+"/checksum"] = st.ServerChecksum(srv)
 		if tp != nil {
-			ok := st.ViewAccumulator(srv, func(acc store.Accumulator, version uint64) {
-				sa := acc.(*core.ServerAccumulator)
-				a, err := sa.Assess()
-				if err != nil {
-					t.Fatalf("assess %q: %v", srv, err)
-				}
-				fp[key+"/assessment"] = a
-				fp[key+"/accversion"] = version
-			})
-			if !ok {
-				t.Fatalf("server %q has no accumulator", srv)
+			h, err := st.History(srv)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if fp[key+"/assessment"], err = tp.Assess(h); err != nil {
+				t.Fatalf("assess %q: %v", srv, err)
 			}
 		}
 	}
@@ -147,8 +129,8 @@ func storeFingerprint(t *testing.T, st *store.Store, tp *core.TwoPhase) map[stri
 }
 
 // TestSnapshotBootMatchesFullReplay: a node booted from snapshot + tail must
-// hold bit-identical store state (records, checksums, versions, incremental
-// assessments) to the store that wrote them, and so must one that replays
+// hold bit-identical store state (records, checksums, versions, and the
+// assessments of them) to the store that wrote them, and so must one that replays
 // the whole ledger, for every tester mode and trust function.
 func TestSnapshotBootMatchesFullReplay(t *testing.T) {
 	forEachAssessor(t, checkSnapshotBoot)
@@ -220,7 +202,7 @@ func checkSnapshotBoot(t *testing.T, scheme, trustName string) {
 // state.
 func TestKillDuringSnapshotFallsBack(t *testing.T) {
 	dir := filepath.Join(t.TempDir(), "led")
-	opts, tp := incrementalOptions(t, 2, 4096, 0)
+	opts, tp := averageOptions(t, 2, 4096, 0)
 	ps, err := OpenStoreOptions(context.Background(), dir, opts)
 	if err != nil {
 		t.Fatal(err)
@@ -510,7 +492,7 @@ func TestSnapshotSectionBytesPerRecord(t *testing.T) {
 // matches a pre-crash fingerprint.
 func TestKillDuringRollOverStoreState(t *testing.T) {
 	dir := filepath.Join(t.TempDir(), "led")
-	opts, tp := incrementalOptions(t, 2, 1024, 0)
+	opts, tp := averageOptions(t, 2, 1024, 0)
 	ps, err := OpenStoreOptions(context.Background(), dir, opts)
 	if err != nil {
 		t.Fatal(err)
@@ -556,7 +538,7 @@ func TestKillDuringRollOverStoreState(t *testing.T) {
 // retention keeps only the newest files.
 func TestAutomaticSnapshots(t *testing.T) {
 	dir := filepath.Join(t.TempDir(), "led")
-	opts, _ := incrementalOptions(t, 2, 1<<20, 50)
+	opts, _ := averageOptions(t, 2, 1<<20, 50)
 	ps, err := OpenStoreOptions(context.Background(), dir, opts)
 	if err != nil {
 		t.Fatal(err)
@@ -577,8 +559,8 @@ func TestAutomaticSnapshots(t *testing.T) {
 	}
 }
 
-// TestSnapshotWithoutAccumulators: stores without incremental accumulators
-// snapshot history only and still boot correctly.
+// TestSnapshotWithoutAccumulators: a store opened with no options but its
+// shard count snapshots its histories and boots from them.
 func TestSnapshotWithoutAccumulators(t *testing.T) {
 	dir := filepath.Join(t.TempDir(), "led")
 	ps, err := OpenStoreOptions(context.Background(), dir, Options{Shards: 2})
@@ -612,7 +594,7 @@ func TestSnapshotWithoutAccumulators(t *testing.T) {
 // results without disturbing the ledger.
 func TestLedgerInfo(t *testing.T) {
 	dir := filepath.Join(t.TempDir(), "led")
-	opts, _ := incrementalOptions(t, 2, 1024, 0)
+	opts, _ := averageOptions(t, 2, 1024, 0)
 	ps, err := OpenStoreOptions(context.Background(), dir, opts)
 	if err != nil {
 		t.Fatal(err)

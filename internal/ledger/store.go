@@ -23,7 +23,7 @@ import (
 )
 
 // Options configures OpenStoreOptions. The zero value is valid: default
-// shard count and segment size, no automatic snapshots, no accumulators.
+// shard count and segment size, no automatic snapshots.
 type Options struct {
 	// Shards is the in-memory store's shard count (0 = store.DefaultShards).
 	Shards int
@@ -33,9 +33,9 @@ type Options struct {
 	// appends since the last one (0 disables automatic snapshots; Snapshot
 	// can still be called directly).
 	SnapshotEvery uint64
-	// AccumulatorFactory, when set, is installed on the store so servers get
-	// incremental accumulators (see store.SetAccumulatorFactory). Boot and
-	// rebuild-on-demand mint them through it and replay each history.
+	// AccumulatorFactory is ignored.
+	//
+	// Deprecated: the store keeps no accumulators (ADR 0016's amendment).
 	AccumulatorFactory store.AccumulatorFactory
 	// EncodeAccumulator is ignored.
 	//
@@ -50,10 +50,10 @@ type Options struct {
 	// skipped, truncation repairs, background snapshot failures).
 	Logf func(format string, args ...any)
 	// MemBudget, when positive, enables the resident-state lifecycle: the
-	// store's accounted footprint (histories + accumulators, see
-	// store.SetBudget) is kept at or under this many bytes by evicting idle
-	// servers to stubs, and the store faults evicted servers back in from the
-	// newest snapshot plus the in-memory tail index (gatherServer). Boot
+	// store's accounted footprint (its histories, see store.SetBudget) is
+	// kept at or under this many bytes by evicting idle servers to stubs,
+	// and the store faults evicted servers back in from the newest snapshot
+	// plus the in-memory tail index (gatherServer). Boot
 	// seeds fully resident, snapshots once if it had to full-replay (so the
 	// tail index starts empty), then trims to the budget.
 	MemBudget int64
@@ -155,9 +155,6 @@ func OpenStoreOptions(ctx context.Context, path string, opts Options) (*Persiste
 	}
 	if st == nil {
 		st = store.NewSharded(shards)
-		if opts.AccumulatorFactory != nil {
-			st.SetAccumulatorFactory(opts.AccumulatorFactory)
-		}
 		ps.bootMode = "replay"
 	}
 
@@ -205,15 +202,11 @@ func OpenStoreOptions(ctx context.Context, path string, opts Options) (*Persiste
 	return ps, nil
 }
 
-// seedFromSnapshot builds a candidate store from a decoded snapshot, each
-// server's accumulator replayed from its history. Any seeding failure
-// discards the candidate so boot can fall back to an older snapshot or full
-// replay.
+// seedFromSnapshot builds a candidate store from a decoded snapshot. Any
+// seeding failure discards the candidate so boot can fall back to an older
+// snapshot or full replay.
 func (ps *PersistentStore) seedFromSnapshot(sd *snapshotData, shards int) (*store.Store, bool) {
 	cand := store.NewSharded(shards)
-	if ps.opts.AccumulatorFactory != nil {
-		cand.SetAccumulatorFactory(ps.opts.AccumulatorFactory)
-	}
 	for _, hist := range sd.servers {
 		if err := cand.SeedServer(hist); err != nil {
 			ps.logf("ledger: snapshot %d rejected: %v", sd.seq, err)

@@ -7,21 +7,17 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"honestplayer/internal/assesscache"
 	"honestplayer/internal/cluster"
-	"honestplayer/internal/core"
 	"honestplayer/internal/feedback"
 	"honestplayer/internal/service"
-	"honestplayer/internal/store"
 	"honestplayer/internal/wire"
 )
 
 // The assess path. Every verdict this node computes — single assess,
-// assess.batch and fwd.assess.batch — comes out of assessGroup, which serves
-// each item in the same order: incremental accumulator, then version-stamped
-// cache, then two-phase recompute. A single assess is a batch of one, routed
-// like any batch item (ADR 0010), so its verdict is bit-identical to the
-// same server's item in a batch through any door.
+// assess.batch and fwd.assess.batch — comes out of assessGroup, which runs
+// the two-phase assessment over the server's stored history. A single assess
+// is a batch of one, routed like any batch item (ADR 0010), so its verdict is
+// bit-identical to the same server's item in a batch through any door.
 
 // assess serves TypeAssess as an assess.batch of one: the same routing and
 // replica failover, the same error codes as the server would get as a batch
@@ -34,8 +30,7 @@ func (s *Server) assess(ctx context.Context, req wire.AssessRequest) (wire.Asses
 // Assess runs one assessment against local state, exactly as a TypeAssess
 // request would be served on a single node minus the wire decode and socket
 // I/O. It is the entry point for embedders and benchmark harnesses that need
-// the serving semantics — incremental accumulator, cache, version checks —
-// without a network round trip.
+// the serving semantics without a network round trip.
 func (s *Server) Assess(ctx context.Context, req wire.AssessRequest) (wire.AssessResponse, error) {
 	return s.assessOne(ctx, nil, req)
 }
@@ -169,76 +164,38 @@ func (s *Server) assessItems(ctx context.Context, servers []feedback.EntityID, t
 	return items
 }
 
-// assessGroup serves one shard group in two passes. Pass one holds the shard
-// read lock once for the whole group (evicted servers are faulted in and
-// viewed again, see store.ViewResident): items with a live incremental
-// accumulator are answered in place — each read is O(windows), takes no
-// further locks and allocates nothing per item — everything else just
-// captures its snapshot and version. Pass two runs the cache probes and two-phase recomputes for
-// the captured items after the lock is released, so they never stall the
-// shard's writers.
-//
-// The cache key carries the store's per-server version, read atomically with
-// the history snapshot. Any accepted write bumps the version, so a stale
-// cached assessment can never be served: its version no longer matches and
-// the lookup falls through to recomputation.
+// assessGroup serves one shard group in one pass: it captures each server's
+// snapshot under a single shard read lock (evicted servers are faulted in and
+// viewed again, see store.ViewResident), then runs the two-phase assessment
+// over each snapshot after the lock is released, so a recompute never stalls
+// the shard's writers. The node keeps no per-server assessment state: every
+// verdict is TwoPhase.Accept over the stored history (ADR 0016's amendment).
 func (s *Server) assessGroup(ctx context.Context, threshold float64, g *shardGroup, items []wire.AssessBatchItem) {
-	type fallback struct {
-		pos     int
-		snap    *feedback.History
-		version uint64
-	}
-	var falls []fallback
-	var served uint64
+	snaps := make([]*feedback.History, len(g.servers))
 	s.cfg.Store.ViewResident(ctx, g.shard, g.servers,
-		func(i int, acc store.Accumulator, snap *feedback.History, version uint64) {
-			item := &items[g.pos[i]]
-			sa, ok := acc.(*core.ServerAccumulator)
-			if !ok || !s.cfg.Incremental {
-				falls = append(falls, fallback{pos: g.pos[i], snap: snap, version: version})
-				return
-			}
-			accept, a, err := sa.Accept(threshold)
-			if err != nil {
-				item.Error = &wire.ErrorResponse{Code: wire.CodeAssessmentFailed, Message: err.Error()}
-				return
-			}
-			item.AssessResponse = wire.AssessResponse{Assessment: a, Accept: accept, Incremental: true}
-			served++
-		},
+		func(i int, snap *feedback.History) { snaps[i] = snap },
 		func(i int, err error) { items[g.pos[i]].Error = storeError(err) })
-	s.nIncremental.Add(served)
-
-	for _, f := range falls {
-		item := &items[f.pos]
+	for i, snap := range snaps {
+		item := &items[g.pos[i]]
 		if ctx.Err() != nil {
 			// The request-level check reports the expiry; no point starting
 			// more recomputes for a response nobody will see.
 			return
 		}
-		if f.snap == nil || f.snap.Len() == 0 {
+		if item.Error != nil {
+			continue
+		}
+		if snap == nil || snap.Len() == 0 {
 			item.Error = &wire.ErrorResponse{
 				Code:    wire.CodeUnknownServer,
 				Message: fmt.Sprintf("no records for %q", item.Server),
 			}
 			continue
 		}
-		if s.cfg.Incremental {
-			s.nFallback.Add(1)
-		}
-		if s.cache != nil {
-			if res, ok := s.cache.Get(item.Server, f.version, threshold); ok {
-				item.AssessResponse = wire.AssessResponse{Assessment: res.Assessment, Accept: res.Accept, Cached: true}
-				continue
-			}
-		}
-		accept, a, err := s.cfg.Assessor.Accept(f.snap, threshold)
+		accept, a, err := s.cfg.Assessor.Accept(snap, threshold)
 		if err != nil {
 			item.Error = &wire.ErrorResponse{Code: wire.CodeAssessmentFailed, Message: err.Error()}
 			continue
-		}
-		if s.cache != nil {
-			s.cache.Put(item.Server, f.version, threshold, assesscache.Result{Assessment: a, Accept: accept})
 		}
 		item.AssessResponse = wire.AssessResponse{Assessment: a, Accept: accept}
 	}

@@ -20,19 +20,15 @@ import (
 // TestAssessBatchMatchesSequential is the batch path's differential
 // guarantee under concurrent writes: with the store state frozen, an
 // assess.batch response must DeepEqual the N sequential single-assess
-// responses, item for item, including per-item errors and the Cached /
-// Incremental flags. Writers run between comparisons behind a world lock —
+// responses, item for item, including per-item errors. Writers run between
+// comparisons behind a world lock —
 // each write holds it shared, each comparison holds it exclusively — so the
 // comparison sees one consistent state while the workload still interleaves
 // writes with batches exactly as a live server would.
 func TestAssessBatchMatchesSequential(t *testing.T) {
 	for _, workers := range []int{0, 1} {
 		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
-			srv, err := New("127.0.0.1:0", Config{
-				Assessor:     testAssessor(t),
-				Incremental:  true,
-				BatchWorkers: workers,
-			})
+			srv, err := New("127.0.0.1:0", Config{Assessor: testAssessor(t), BatchWorkers: workers})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -122,21 +118,21 @@ func TestAssessBatchMatchesSequential(t *testing.T) {
 	}
 }
 
-// TestAssessBatchNeverStale hammers the version-stamped assessment cache
-// with concurrent assess.batch reads and feedback writes, and proves no
+// TestAssessBatchNeverStale hammers the batch read path with concurrent
+// assess.batch reads and feedback writes, and proves no
 // batch item ever reflects a history older than what was fully written when
 // the batch started. The assessor is trust-only (Average), so a response's
 // trust value t over a server seeded with A positives and fed only negatives
 // pins the history length the verdict was computed from at n = A/t; that n
 // must fall between the writes completed before the batch and the writes
-// started after it. A stale cached verdict lands below the lower bound. Run
+// started after it. A stale verdict lands below the lower bound. Run
 // under -race this also checks the locking of the whole batch read path.
 func TestAssessBatchNeverStale(t *testing.T) {
 	tp, err := core.NewTwoPhase(nil, trust.Average{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv, err := New("127.0.0.1:0", Config{Assessor: tp, AssessCacheSize: 1024})
+	srv, err := New("127.0.0.1:0", Config{Assessor: tp})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -212,109 +208,55 @@ func TestAssessBatchNeverStale(t *testing.T) {
 	wg.Wait()
 }
 
-// TestAssessBatchFlags pins the Cached / Incremental wire flags across every
-// serving path, batch and single: accumulator serves mark Incremental,
-// cache hits mark Cached, fallback recomputes mark neither, and a write
-// invalidates the cache entry for exactly the written server.
+// TestAssessBatchFlags: an answer's one flag is Accept, on every serving
+// path, batch and single, whatever the deprecated engine settings say. With
+// Incremental or AssessCacheSize set, a node answers each item — first,
+// repeated, and after a write to one of the servers — as TwoPhase.Accept
+// over its snapshot.
 func TestAssessBatchFlags(t *testing.T) {
-	ctx := context.Background()
-	seed := func(t *testing.T, srv *Server, s feedback.EntityID) {
-		t.Helper()
-		for i := 0; i < 60; i++ {
-			if _, err := srv.Seed([]feedback.Feedback{rec(s, feedback.EntityID(rune('a'+i%4)), true, int64(i)+1)}); err != nil {
+	for name, cfg := range map[string]Config{
+		"incremental": {Incremental: true},
+		"cache":       {AssessCacheSize: 64},
+	} {
+		t.Run(name, func(t *testing.T) {
+			cfg.Assessor = testAssessor(t)
+			srv, err := New("127.0.0.1:0", cfg)
+			if err != nil {
 				t.Fatal(err)
 			}
-		}
-	}
-	batchFlags := func(t *testing.T, srv *Server, servers []feedback.EntityID) []wire.AssessResponse {
-		t.Helper()
-		resp, err := srv.AssessBatch(ctx, wire.AssessBatchRequest{Servers: servers, Threshold: 0.5})
-		if err != nil {
-			t.Fatal(err)
-		}
-		out := make([]wire.AssessResponse, len(resp.Items))
-		for i, item := range resp.Items {
-			if item.Error != nil {
-				t.Fatalf("item %q: %+v", item.Server, item.Error)
+			srv.Start()
+			t.Cleanup(func() { _ = srv.Close() })
+			ids := []feedback.EntityID{"a", "b"}
+			for _, id := range ids {
+				if _, err := srv.Seed(honestHistory(id, 60)); err != nil {
+					t.Fatal(err)
+				}
 			}
-			out[i] = item.AssessResponse
-		}
-		return out
-	}
-
-	t.Run("incremental", func(t *testing.T) {
-		srv, err := New("127.0.0.1:0", Config{Assessor: testAssessor(t), Incremental: true})
-		if err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(func() { _ = srv.Close() })
-		seed(t, srv, "a")
-		seed(t, srv, "b")
-		for _, got := range batchFlags(t, srv, []feedback.EntityID{"a", "b"}) {
-			if !got.Incremental || got.Cached {
-				t.Fatalf("accumulator-served batch item flags = incremental:%v cached:%v", got.Incremental, got.Cached)
+			c := dial(t, srv)
+			for round := 0; round < 3; round++ {
+				if round == 2 {
+					if _, err := srv.Seed([]feedback.Feedback{rec("a", "z", false, 1000)}); err != nil {
+						t.Fatal(err)
+					}
+				}
+				items, err := c.AssessBatch(ids, referenceThreshold)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for i, item := range items {
+					if item.Error != nil {
+						t.Fatalf("round %d, %q: %+v", round, ids[i], item.Error)
+					}
+					wantReference(t, srv, srv.Store(), ids[i], item.AssessResponse)
+					single, err := c.Assess(ids[i], referenceThreshold)
+					if err != nil {
+						t.Fatal(err)
+					}
+					wantReference(t, srv, srv.Store(), ids[i], single)
+				}
 			}
-		}
-		single, err := srv.Assess(ctx, wire.AssessRequest{Server: "a", Threshold: 0.5})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !single.Incremental || single.Cached {
-			t.Fatalf("accumulator-served single flags = incremental:%v cached:%v", single.Incremental, single.Cached)
-		}
-	})
-
-	t.Run("cache", func(t *testing.T) {
-		srv, err := New("127.0.0.1:0", Config{Assessor: testAssessor(t), AssessCacheSize: 64})
-		if err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(func() { _ = srv.Close() })
-		seed(t, srv, "a")
-		seed(t, srv, "b")
-
-		// First serve of "a" is a single-path recompute that populates the
-		// cache; "b" has never been assessed.
-		single, err := srv.Assess(ctx, wire.AssessRequest{Server: "a", Threshold: 0.5})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if single.Cached || single.Incremental {
-			t.Fatalf("first single serve flags = %+v", single)
-		}
-
-		got := batchFlags(t, srv, []feedback.EntityID{"a", "b"})
-		if !got[0].Cached || got[0].Incremental {
-			t.Fatalf("cache-hit batch item flags = %+v", got[0])
-		}
-		if got[1].Cached || got[1].Incremental {
-			t.Fatalf("fallback batch item flags = %+v", got[1])
-		}
-
-		// The batch recompute of "b" must itself populate the cache...
-		got = batchFlags(t, srv, []feedback.EntityID{"a", "b"})
-		if !got[0].Cached || !got[1].Cached {
-			t.Fatalf("second batch flags = %+v", got)
-		}
-		// ...and a write to "a" invalidates exactly "a".
-		if _, err := srv.Seed([]feedback.Feedback{rec("a", "z", false, 1000)}); err != nil {
-			t.Fatal(err)
-		}
-		got = batchFlags(t, srv, []feedback.EntityID{"a", "b"})
-		if got[0].Cached {
-			t.Fatal("batch served a stale cache entry after a write")
-		}
-		if !got[1].Cached {
-			t.Fatalf("unwritten server lost its cache entry: %+v", got[1])
-		}
-		single, err = srv.Assess(ctx, wire.AssessRequest{Server: "a", Threshold: 0.5})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !single.Cached {
-			t.Fatal("single serve after batch recompute should hit the cache")
-		}
-	})
+		})
+	}
 }
 
 // TestAssessBatchValidation covers the request-level rejections and the

@@ -72,9 +72,9 @@ func benchHistoryRecs(server feedback.EntityID, n int) []feedback.Feedback {
 	return recs
 }
 
-func benchServer(b *testing.B, cacheSize int) *Server {
+func benchServer(b *testing.B) *Server {
 	b.Helper()
-	srv, err := New("127.0.0.1:0", Config{Assessor: benchAssessor(b), AssessCacheSize: cacheSize})
+	srv, err := New("127.0.0.1:0", Config{Assessor: benchAssessor(b)})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -82,16 +82,17 @@ func benchServer(b *testing.B, cacheSize int) *Server {
 	return srv
 }
 
-// benchAssess measures the server-side assess path (request decode and
-// socket I/O excluded) against a 10k-record history.
-func benchAssess(b *testing.B, cacheSize int) {
-	srv := benchServer(b, cacheSize)
+// BenchmarkAssessUncached is the serving path: every request re-runs the
+// full two-phase test over a 10k-record history (request decode and socket
+// I/O excluded).
+func BenchmarkAssessUncached(b *testing.B) {
+	srv := benchServer(b)
 	if _, err := srv.Seed(benchHistoryRecs("srv", 10000)); err != nil {
 		b.Fatal(err)
 	}
 	req := wire.AssessRequest{Server: "srv", Threshold: 0.9}
 	ctx := context.Background()
-	// Warm up calibration (and the cache, when enabled) outside the timer.
+	// Warm up calibration outside the timer.
 	if _, err := srv.Assess(ctx, req); err != nil {
 		b.Fatalf("assess: %v", err)
 	}
@@ -104,125 +105,97 @@ func benchAssess(b *testing.B, cacheSize int) {
 	}
 }
 
-// BenchmarkAssessUncached is the seed serving path: every request re-runs
-// the full two-phase test over the whole history.
-func BenchmarkAssessUncached(b *testing.B) { benchAssess(b, 0) }
-
-// BenchmarkAssessCached serves repeated assessments of an unchanged
-// history from the assessment cache.
-func BenchmarkAssessCached(b *testing.B) { benchAssess(b, 1024) }
-
 // BenchmarkAssessMixed interleaves writes with assessments (1 submit per 9
-// assessments, round-robin over 8 servers), so the cache is repeatedly
-// invalidated and refilled — the realistic steady-state mix.
+// assessments, round-robin over 8 servers).
 func BenchmarkAssessMixed(b *testing.B) {
-	for _, cacheSize := range []int{0, 1024} {
-		b.Run(fmt.Sprintf("cache=%d", cacheSize), func(b *testing.B) {
-			ctx := context.Background()
-			const servers = 8
-			srv := benchServer(b, cacheSize)
-			for s := 0; s < servers; s++ {
-				name := feedback.EntityID(fmt.Sprintf("srv%d", s))
-				if _, err := srv.Seed(benchHistoryRecs(name, 2000)); err != nil {
-					b.Fatal(err)
-				}
-				if _, err := srv.Assess(ctx, wire.AssessRequest{Server: name, Threshold: 0.9}); err != nil {
-					b.Fatalf("assess: %v", err)
-				}
+	ctx := context.Background()
+	const servers = 8
+	srv := benchServer(b)
+	for s := 0; s < servers; s++ {
+		name := feedback.EntityID(fmt.Sprintf("srv%d", s))
+		if _, err := srv.Seed(benchHistoryRecs(name, 2000)); err != nil {
+			b.Fatal(err)
+		}
+		if _, err := srv.Assess(ctx, wire.AssessRequest{Server: name, Threshold: 0.9}); err != nil {
+			b.Fatalf("assess: %v", err)
+		}
+	}
+	next := int64(100000)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		name := feedback.EntityID(fmt.Sprintf("srv%d", i%servers))
+		if i%10 == 0 {
+			next++
+			f := feedback.Feedback{
+				Time:   time.Unix(next, 0).UTC(),
+				Server: name,
+				Client: feedback.EntityID(fmt.Sprintf("c%d", i%25)),
+				Rating: feedback.Positive,
 			}
-			next := int64(100000)
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				name := feedback.EntityID(fmt.Sprintf("srv%d", i%servers))
-				if i%10 == 0 {
-					next++
-					f := feedback.Feedback{
-						Time:   time.Unix(next, 0).UTC(),
-						Server: name,
-						Client: feedback.EntityID(fmt.Sprintf("c%d", i%25)),
-						Rating: feedback.Positive,
-					}
-					if _, err := srv.Seed([]feedback.Feedback{f}); err != nil {
-						b.Fatal(err)
-					}
-					continue
-				}
-				if _, err := srv.Assess(ctx, wire.AssessRequest{Server: name, Threshold: 0.9}); err != nil {
-					b.Fatalf("assess: %v", err)
-				}
+			if _, err := srv.Seed([]feedback.Feedback{f}); err != nil {
+				b.Fatal(err)
 			}
-		})
+			continue
+		}
+		if _, err := srv.Assess(ctx, wire.AssessRequest{Server: name, Threshold: 0.9}); err != nil {
+			b.Fatalf("assess: %v", err)
+		}
 	}
 }
 
-// BenchmarkAssessAfterAppend measures the write-then-assess pattern — the
-// workload where every write invalidates the assessment cache — with and
-// without the incremental engine, against a 10k-record history.
+// BenchmarkAssessAfterAppend measures the paper's write-then-assess
+// pattern, in which every verdict sees a changed history, against a
+// 10k-record history.
 func BenchmarkAssessAfterAppend(b *testing.B) {
-	for _, mode := range []struct {
-		name        string
-		incremental bool
-		cacheSize   int
-	}{
-		{"recompute", false, 1024},
-		{"incremental", true, 0},
-	} {
-		b.Run(mode.name, func(b *testing.B) {
-			cal := benchCalibrator()
-			srv, err := New("127.0.0.1:0", Config{
-				Assessor:        benchAssessorWith(b, cal),
-				AssessCacheSize: mode.cacheSize,
-				Incremental:     mode.incremental,
-			})
-			if err != nil {
-				b.Fatal(err)
-			}
-			b.Cleanup(func() { _ = srv.Close() })
-			if _, err := srv.Seed(benchHistoryRecs("srv", 10000)); err != nil {
-				b.Fatal(err)
-			}
-			// Suffix p̂ over this workload spans ≈0.945 (whole history) to 1.0
-			// (suffixes of appended-only windows); cover the surrounding p̂
-			// buckets and every window bucket the history can grow into.
-			prewarmCalibration(b, cal, 10, 2048, 0.93, 1.0)
-			ctx := context.Background()
-			req := wire.AssessRequest{Server: "srv", Threshold: 0.9}
-			next := int64(1 << 30)
-			// Steady-state warm-up: run the append+assess workload outside
-			// the timer so per-server caches reach their steady hit rates.
-			for i := 0; i < 200; i++ {
-				next++
-				f := feedback.Feedback{
-					Time:   time.Unix(next, 0).UTC(),
-					Server: "srv",
-					Client: feedback.EntityID(fmt.Sprintf("c%d", i%25)),
-					Rating: feedback.Positive,
-				}
-				if _, err := srv.Seed([]feedback.Feedback{f}); err != nil {
-					b.Fatal(err)
-				}
-				if _, err := srv.Assess(ctx, req); err != nil {
-					b.Fatalf("assess: %v", err)
-				}
-			}
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				next++
-				f := feedback.Feedback{
-					Time:   time.Unix(next, 0).UTC(),
-					Server: "srv",
-					Client: feedback.EntityID(fmt.Sprintf("c%d", i%25)),
-					Rating: feedback.Positive,
-				}
-				if _, err := srv.Seed([]feedback.Feedback{f}); err != nil {
-					b.Fatal(err)
-				}
-				if _, err := srv.Assess(ctx, req); err != nil {
-					b.Fatalf("assess: %v", err)
-				}
-			}
-		})
+	cal := benchCalibrator()
+	srv, err := New("127.0.0.1:0", Config{Assessor: benchAssessorWith(b, cal)})
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.Cleanup(func() { _ = srv.Close() })
+	if _, err := srv.Seed(benchHistoryRecs("srv", 10000)); err != nil {
+		b.Fatal(err)
+	}
+	// Suffix p̂ over this workload spans ≈0.945 (whole history) to 1.0
+	// (suffixes of appended-only windows); cover the surrounding p̂
+	// buckets and every window bucket the history can grow into.
+	prewarmCalibration(b, cal, 10, 2048, 0.93, 1.0)
+	ctx := context.Background()
+	req := wire.AssessRequest{Server: "srv", Threshold: 0.9}
+	next := int64(1 << 30)
+	// Steady-state warm-up: run the append+assess workload outside
+	// the timer.
+	for i := 0; i < 200; i++ {
+		next++
+		f := feedback.Feedback{
+			Time:   time.Unix(next, 0).UTC(),
+			Server: "srv",
+			Client: feedback.EntityID(fmt.Sprintf("c%d", i%25)),
+			Rating: feedback.Positive,
+		}
+		if _, err := srv.Seed([]feedback.Feedback{f}); err != nil {
+			b.Fatal(err)
+		}
+		if _, err := srv.Assess(ctx, req); err != nil {
+			b.Fatalf("assess: %v", err)
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		next++
+		f := feedback.Feedback{
+			Time:   time.Unix(next, 0).UTC(),
+			Server: "srv",
+			Client: feedback.EntityID(fmt.Sprintf("c%d", i%25)),
+			Rating: feedback.Positive,
+		}
+		if _, err := srv.Seed([]feedback.Feedback{f}); err != nil {
+			b.Fatal(err)
+		}
+		if _, err := srv.Assess(ctx, req); err != nil {
+			b.Fatalf("assess: %v", err)
+		}
 	}
 }

@@ -49,22 +49,11 @@ func startCluster(t *testing.T, n, r int, cfg func() Config) []*Server {
 	return servers
 }
 
-// stripRouting clears the fields that legitimately differ between a local
-// answer and a forwarded one: the serving-path markers (cache hit,
-// incremental accumulator) of whichever node computed it. What remains — the
-// assessment values and the accept verdict — must be identical no matter
-// which node answered.
-func stripRouting(r wire.AssessResponse) wire.AssessResponse {
-	r.Cached = false
-	r.Incremental = false
-	return r
-}
-
 // TestClusterE2E: a 3-node cluster with replica factor 2. All traffic enters
 // through node 1; ownership is partitioned, replicas converge synchronously,
 // and a verdict obtained through ANY node equals the owner's own verdict.
-// The incremental variant additionally exercises accumulator scoping: nodes
-// only materialize accumulators for servers in their replica set.
+// The incremental variant sets the deprecated Incremental setting, which
+// changes nothing.
 func TestClusterE2E(t *testing.T) {
 	t.Run("recompute", func(t *testing.T) {
 		testClusterE2E(t, func() Config { return Config{Assessor: testAssessor(t)} })
@@ -132,7 +121,6 @@ func testClusterE2E(t *testing.T, cfg func() Config) {
 			if err != nil {
 				t.Fatalf("assess %q via node %d: %v", id, i+1, err)
 			}
-			got = stripRouting(got)
 			if i == 0 {
 				want = got
 				continue
@@ -157,7 +145,7 @@ func testClusterE2E(t *testing.T, cfg func() Config) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got, want := stripRouting(item.AssessResponse), stripRouting(single); !reflect.DeepEqual(got, want) {
+		if got, want := item.AssessResponse, single; !reflect.DeepEqual(got, want) {
 			t.Fatalf("batch item %q diverges from single assess:\n got %+v\nwant %+v", ids[i], got, want)
 		}
 	}

@@ -228,7 +228,7 @@ func runOnePath(t *testing.T, servers []*Server, connect func(*Server) *repclien
 			if err != nil {
 				out[i].Code = codeOf(t, err)
 			} else {
-				out[i].Verdict = stripRouting(resp)
+				out[i].Verdict = resp
 			}
 		case step.assess:
 			items, err := c.AssessBatch([]feedback.EntityID{id}, 0.7)
@@ -238,7 +238,7 @@ func runOnePath(t *testing.T, servers []*Server, connect func(*Server) *repclien
 			if items[0].Error != nil {
 				out[i].Code = items[0].Error.Code
 			} else {
-				out[i].Verdict = stripRouting(items[0].AssessResponse)
+				out[i].Verdict = items[0].AssessResponse
 			}
 		case !asBatch:
 			stored, err := c.Submit(step.rec(id))

@@ -27,7 +27,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"honestplayer/internal/assesscache"
 	"honestplayer/internal/behavior"
 	"honestplayer/internal/cluster"
 	"honestplayer/internal/core"
@@ -68,16 +67,15 @@ type Config struct {
 	Recorder Recorder
 	// Logger receives connection-level errors; nil disables logging.
 	Logger *log.Logger
-	// AssessCacheSize bounds the assessment cache in entries; zero disables
-	// caching (every TypeAssess recomputes, the seed behaviour).
+	// AssessCacheSize is ignored: the node keeps no assessment cache.
+	//
+	// Deprecated: every verdict is recomputed over the stored history (ADR
+	// 0016's amendment).
 	AssessCacheSize int
-	// Incremental enables the incremental assessment engine: the server
-	// installs a per-server accumulator factory on the Store and answers
-	// TypeAssess from the accumulators in O(windows) instead of re-running
-	// the two-phase assessment over the whole history. The batch path (and
-	// the assesscache) remains as fallback. Requires an assessor whose
-	// tester and trust function have incremental forms (all built-ins do);
-	// New fails otherwise.
+	// Incremental is ignored: the node keeps no per-server accumulators.
+	//
+	// Deprecated: every verdict is recomputed over the stored history (ADR
+	// 0016's amendment).
 	Incremental bool
 	// BatchWorkers bounds the worker pool one TypeAssessB request fans its
 	// shard groups out over; zero means runtime.GOMAXPROCS(0). One worker
@@ -123,7 +121,6 @@ func (c *conn) setBusy(b bool) (closing bool) {
 type Server struct {
 	cfg      Config
 	listener net.Listener
-	cache    *assesscache.Cache // nil when AssessCacheSize is zero
 
 	pipeline service.Handler // registry dispatch wrapped in interceptors
 	perType  *service.Metrics
@@ -153,30 +150,23 @@ type Server struct {
 	sumVersion uint64
 	sums       map[string]store.Checksum
 
-	// Counters registered in reg (see registerMetrics). nFallback counts
-	// assesses of known servers the engine, while on, left to the cache or a
-	// recompute; nBatchItems the servers assess.batch frames named; the
-	// nSub* counters submit.batch frames served locally, their records and
-	// the items that failed their slot.
-	nConns       atomic.Uint64
-	nRequests    atomic.Uint64
-	nErrors      atomic.Uint64
-	nIncremental atomic.Uint64
-	nFallback    atomic.Uint64
-	nBatchItems  atomic.Uint64
-	nSubBatches  atomic.Uint64
-	nSubItems    atomic.Uint64
-	nSubRejects  atomic.Uint64
+	// Counters registered in reg (see registerMetrics). nBatchItems counts
+	// the servers assess.batch frames named; the nSub* counters submit.batch
+	// frames served locally, their records and the items that failed their
+	// slot.
+	nConns      atomic.Uint64
+	nRequests   atomic.Uint64
+	nErrors     atomic.Uint64
+	nBatchItems atomic.Uint64
+	nSubBatches atomic.Uint64
+	nSubItems   atomic.Uint64
+	nSubRejects atomic.Uint64
 }
 
 // New creates a server listening on addr (e.g. "127.0.0.1:0").
 func New(addr string, cfg Config) (*Server, error) {
 	if cfg.Assessor == nil {
 		return nil, errors.New("repserver: nil assessor")
-	}
-	if cfg.Incremental && !cfg.Assessor.SupportsIncremental() {
-		return nil, fmt.Errorf("repserver: assessor %s does not support incremental assessment",
-			cfg.Assessor.Name())
 	}
 	if cfg.Store == nil {
 		cfg.Store = store.New()
@@ -201,28 +191,7 @@ func New(addr string, cfg Config) (*Server, error) {
 		baseCtx:  ctx,
 		cancel:   cancel,
 	}
-	if cfg.AssessCacheSize > 0 {
-		srv.cache = assesscache.New(cfg.AssessCacheSize)
-	}
 	srv.registerMetrics()
-	if cfg.Incremental {
-		assessor := cfg.Assessor
-		cfg.Store.SetAccumulatorFactory(func(server feedback.EntityID) store.Accumulator {
-			// On a clustered node, accumulators only materialize for servers
-			// in the local replica set — assessment state for servers this
-			// node would forward anyway is wasted memory.
-			if cl := srv.clusterRef.Load(); cl != nil && !cl.Owns(server) {
-				return nil
-			}
-			sa, err := assessor.NewServerAccumulator(server)
-			if err != nil {
-				// SupportsIncremental was verified above; per-server minting
-				// cannot fail after that.
-				panic(err)
-			}
-			return sa
-		})
-	}
 	srv.pipeline = srv.buildPipeline()
 	return srv, nil
 }
@@ -230,19 +199,13 @@ func New(addr string, cfg Config) (*Server, error) {
 // SetCluster attaches (or, with nil, detaches) the node's cluster view.
 // Call it before serving traffic: requests observe the attachment
 // atomically, but ownership of records accepted before it cannot be
-// re-routed retroactively. Attaching drops accumulators for servers outside
-// the local replica set.
+// re-routed retroactively.
 func (s *Server) SetCluster(cl *cluster.Cluster) {
 	s.clusterRef.Store(cl)
 	cl.RegisterMetrics(s.reg)
 	s.sumMu.Lock()
 	s.sums = nil // scoped to the previous ownership
 	s.sumMu.Unlock()
-	if s.cfg.Incremental && cl != nil {
-		s.cfg.Store.RetainAccumulators(func(server feedback.EntityID) bool {
-			return cl.Owns(server)
-		})
-	}
 	// Under a memory budget, spend residency on the replica set: servers
 	// this node merely forwards for are evicted first.
 	if cl != nil {
@@ -320,21 +283,11 @@ func (s *Server) registerMetrics() {
 		}
 		return nil
 	})
-	reg.Gauge("cache", func() any {
-		if s.cache == nil {
-			return assesscache.Stats{} // caching disabled: every counter zero
-		}
-		return s.cache.Stats()
-	})
 	reg.Counter("batch_items", &s.nBatchItems)
 	reg.Counter("submit_batches", &s.nSubBatches)
 	reg.Counter("submit_batch_items", &s.nSubItems)
 	reg.Counter("submit_batch_rejects", &s.nSubRejects)
 
-	reg.Gauge("incremental.enabled", func() any { return s.cfg.Incremental })
-	reg.Gauge("incremental.servers_tracked", func() any { return s.cfg.Store.AccumulatorsTracked() })
-	reg.Counter("incremental.served", &s.nIncremental)
-	reg.Counter("incremental.fallbacks", &s.nFallback)
 	// The threshold grid the tester calibrates on first touch: its points so
 	// far, and which kernel draws them at this node's window size (ADR 0007).
 	tcfg, _ := behavior.ConfigFor(s.cfg.Assessor.Tester())

@@ -14,7 +14,6 @@ import (
 	"testing"
 	"time"
 
-	"honestplayer/internal/assesscache"
 	"honestplayer/internal/behavior"
 	"honestplayer/internal/core"
 	"honestplayer/internal/feedback"
@@ -850,71 +849,6 @@ func TestSubmitBatchItemsCapAndChunking(t *testing.T) {
 	}
 	if srv.Store().ServerLen("many") != len(many)-1 {
 		t.Fatalf("store has %d, want %d", srv.Store().ServerLen("many"), len(many)-1)
-	}
-}
-
-// TestAssessCacheEndToEnd drives the caching hot path over the wire: a
-// repeated assessment is served from the cache, and a write to the assessed
-// server invalidates it (a stale entry must not survive a write).
-func TestAssessCacheEndToEnd(t *testing.T) {
-	srv, err := New("127.0.0.1:0", Config{Assessor: testAssessor(t), AssessCacheSize: 64})
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv.Start()
-	t.Cleanup(func() {
-		if err := srv.Close(); err != nil {
-			t.Errorf("close: %v", err)
-		}
-	})
-	c := dial(t, srv)
-	for i := 0; i < 60; i++ {
-		if _, err := c.Submit(rec("cached", feedback.EntityID(rune('a'+i%20)), true, int64(i))); err != nil {
-			t.Fatal(err)
-		}
-	}
-
-	first, err := c.Assess("cached", 0.9)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if first.Cached {
-		t.Fatal("first assessment cannot be cached")
-	}
-	second, err := c.Assess("cached", 0.9)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !second.Cached {
-		t.Fatal("repeat assessment not served from cache")
-	}
-	if second.Assessment.Trust != first.Assessment.Trust ||
-		second.Assessment.Suspicious != first.Assessment.Suspicious ||
-		second.Accept != first.Accept {
-		t.Fatalf("cached answer differs: %+v vs %+v", second, first)
-	}
-	// A different threshold is a different decision — never reuse blindly.
-	if resp, err := c.Assess("cached", 0.1); err != nil || resp.Cached {
-		t.Fatalf("different threshold served from cache: %+v %v", resp, err)
-	}
-
-	// A write to the server invalidates its cached assessments.
-	if _, err := c.Submit(rec("cached", "zz", true, 1000)); err != nil {
-		t.Fatal(err)
-	}
-	third, err := c.Assess("cached", 0.9)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if third.Cached {
-		t.Fatal("stale assessment served after write")
-	}
-	if srv.Store().ServerLen("cached") != 61 {
-		t.Fatalf("store not updated before reassessment")
-	}
-
-	if st := srv.Metrics().Value("cache").(assesscache.Stats); st.Hits != 1 || st.Misses != 3 || st.Invalidations != 1 {
-		t.Fatalf("cache stats = %+v", st)
 	}
 }
 

@@ -1,8 +1,8 @@
 package store
 
 // Resident ↔ evicted lifecycle: the memory-budget governor. Every entry
-// self-reports its resident footprint (history bytes + accumulator bytes,
-// see Accumulator.SizeBytes and feedback.History.SizeBytes); the store keeps
+// self-reports its resident footprint (its history's bytes, see
+// feedback.History.SizeBytes, plus a fixed overhead); the store keeps
 // the node-wide sum and, when a budget is set, evicts idle servers down to a
 // compact stub — version counter and Checksum (record count and XOR digest)
 // — until the sum fits. Evicted state is NOT lost: the budget comes with a
@@ -51,10 +51,10 @@ const maxFaultAttempts = 4
 type Loader func(server feedback.EntityID) (*feedback.History, error)
 
 // entryOverhead is the accounted fixed cost of one resident entry beyond the
-// self-reported sizes: the entry struct (80 B), its byServ map slot (~40 B),
+// self-reported sizes: the entry struct (64 B), its byServ map slot (~40 B),
 // the server ID's bytes, and the memoized read view (160 B). Dedup costs
 // nothing extra — the history is the index.
-const entryOverhead = 288
+const entryOverhead = 272
 
 // EvictGuard reports whether a server is temporarily unevictable. The
 // persistence layer pins servers between accepting a write into the store
@@ -150,7 +150,7 @@ func (s *Store) maybeEvict() {
 // EvictUntil evicts idle servers until the accounted resident footprint is
 // at most budget, returning how many servers it evicted; without a loader it
 // evicts none. Victims drop their history (with it, their dedup index),
-// memoized snapshot and accumulator, keeping only the compact stub. The sweep
+// memoized snapshot, keeping only the compact stub. The sweep
 // escalates through three passes — idle preferred victims, any idle server,
 // then any unpinned server — clearing touched bits as it passes (clock /
 // second chance). Each pass walks the shards in rotation from the sweep's
@@ -217,10 +217,6 @@ func (s *Store) EvictUntil(budget int64) int {
 func (s *Store) evictLocked(e *entry) {
 	e.hist = nil
 	e.snap.Store(nil)
-	if e.acc != nil {
-		e.acc = nil
-		s.accTracked.Add(-1)
-	}
 	s.residentBytes.Add(-int64(e.sizeBytes))
 	e.sizeBytes = 0
 	s.residentCount.Add(-1)
@@ -307,12 +303,11 @@ func (s *Store) faultIn(ctx context.Context, server feedback.EntityID, attempt i
 }
 
 // reinstate swaps a loaded history back into server's stub, taking ownership
-// of it, and replays it into a factory-minted accumulator as SeedServer
-// does. The history is verified first: its records must strictly increase in
+// of it, as SeedServer does. The history is verified first: its records must strictly increase in
 // (time, hash), as Add would have stored them, and its Checksum must be the
-// stub's, making a reinstated server bit-identical to one that never left.
-// The preserved version counter keeps assessment-cache entries valid across
-// the round-trip. A server found resident is left alone.
+// stub's, making a reinstated server bit-identical to one that never left;
+// its version counter is kept across the round-trip. A server found
+// resident is left alone.
 func (s *Store) reinstate(server feedback.EntityID, hist *feedback.History) error {
 	if hist.Server() != server {
 		return fmt.Errorf("loaded the history of %q", hist.Server())
@@ -343,9 +338,6 @@ func (s *Store) reinstate(server feedback.EntityID, hist *feedback.History) erro
 // e must be resident.
 func (s *Store) resizeLocked(e *entry) {
 	n := entryOverhead + e.hist.SizeBytes()
-	if e.acc != nil {
-		n += e.acc.SizeBytes()
-	}
 	s.residentBytes.Add(int64(n - e.sizeBytes))
 	e.sizeBytes = n
 }

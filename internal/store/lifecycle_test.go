@@ -217,7 +217,7 @@ func TestFaultInSingleFlight(t *testing.T) {
 	cancel()
 	var viewed, failed error
 	st.ViewResident(ctx, st.ShardIndex("srv"), []feedback.EntityID{"srv"},
-		func(int, Accumulator, *feedback.History, uint64) {
+		func(int, *feedback.History) {
 			viewed = errors.New("viewed a server still loading")
 		},
 		func(_ int, err error) { failed = err })

@@ -18,10 +18,6 @@ import (
 // produced — and the server must not already hold records; violations are
 // reported as errors, and leave the store as it was, so the caller can fall
 // back to a full replay.
-//
-// With an accumulator factory installed, a fresh accumulator is minted and
-// replayed over hist, matching what the equivalent Add sequence would have
-// built.
 func (s *Store) SeedServer(hist *feedback.History) error {
 	if hist.Len() == 0 {
 		return nil
@@ -45,16 +41,8 @@ func (s *Store) SeedServer(hist *feedback.History) error {
 	return nil
 }
 
-// adoptLocked makes e, whose history was just loaded whole, resident, with a
-// factory-minted accumulator replayed over the history.
+// adoptLocked makes e, whose history was just loaded whole, resident.
 func (s *Store) adoptLocked(e *entry) {
-	if fp := s.accFactory.Load(); fp != nil {
-		if acc := (*fp)(e.hist.Server()); acc != nil {
-			replayAccumulator(acc, e.hist)
-			e.acc = acc
-			s.accTracked.Add(1)
-		}
-	}
 	e.touched.Store(true)
 	s.resizeLocked(e)
 	s.residentCount.Add(1)

@@ -40,15 +40,11 @@ func histOf(t *testing.T, server feedback.EntityID, recs []feedback.Feedback) *f
 }
 
 // TestSeedServerMatchesAdd proves a seeded store is indistinguishable from
-// one built through Add: same histories, versions, checksums, dedup state,
-// and accumulator feed.
+// one built through Add: same histories, versions, checksums and dedup
+// state.
 func TestSeedServerMatchesAdd(t *testing.T) {
 	recs := seedRecs("srv-seed", 25)
 	added := NewSharded(4)
-	var addFeed []feedback.Feedback
-	added.SetAccumulatorFactory(func(feedback.EntityID) Accumulator {
-		return accFn(func(f feedback.Feedback) { addFeed = append(addFeed, f) })
-	})
 	for _, f := range recs {
 		if ok, err := added.Add(f); !ok || err != nil {
 			t.Fatalf("Add: %v %v", ok, err)
@@ -56,10 +52,6 @@ func TestSeedServerMatchesAdd(t *testing.T) {
 	}
 
 	seeded := NewSharded(4)
-	var seedFeed []feedback.Feedback
-	seeded.SetAccumulatorFactory(func(feedback.EntityID) Accumulator {
-		return accFn(func(f feedback.Feedback) { seedFeed = append(seedFeed, f) })
-	})
 	if err := seeded.SeedServer(histOf(t, "srv-seed", recs)); err != nil {
 		t.Fatalf("SeedServer: %v", err)
 	}
@@ -76,39 +68,9 @@ func TestSeedServerMatchesAdd(t *testing.T) {
 	if added.Len() != seeded.Len() || added.GlobalVersion() != seeded.GlobalVersion() {
 		t.Fatal("totals differ")
 	}
-	if !reflect.DeepEqual(addFeed, seedFeed) {
-		t.Fatal("accumulator feeds differ")
-	}
 	// Duplicates of seeded records must be suppressed exactly like Add's.
 	if ok, err := seeded.Add(recs[3]); ok || err != nil {
 		t.Fatalf("duplicate accepted after seed: %v %v", ok, err)
-	}
-}
-
-// TestSeedServerWithAccumulator checks the accumulator a seed mints is
-// counted, replays the seeded history once, and then takes only post-seed
-// appends.
-func TestSeedServerWithAccumulator(t *testing.T) {
-	recs := seedRecs("srv-acc", 11)
-	s := NewSharded(2)
-	var feed []feedback.Feedback
-	s.SetAccumulatorFactory(func(feedback.EntityID) Accumulator {
-		return accFn(func(f feedback.Feedback) { feed = append(feed, f) })
-	})
-	if err := s.SeedServer(histOf(t, "srv-acc", recs[:10])); err != nil {
-		t.Fatal(err)
-	}
-	if len(feed) != 10 {
-		t.Fatalf("seeded accumulator was fed %d of 10 records", len(feed))
-	}
-	if s.AccumulatorsTracked() != 1 {
-		t.Fatalf("tracked = %d", s.AccumulatorsTracked())
-	}
-	if ok, err := s.Add(recs[10]); !ok || err != nil {
-		t.Fatalf("Add after seed: %v %v", ok, err)
-	}
-	if len(feed) != 11 || !feed[10].Time.Equal(recs[10].Time) {
-		t.Fatalf("accumulator missed the post-seed append: %v", feed)
 	}
 }
 
@@ -175,10 +137,3 @@ func TestSnapshotShard(t *testing.T) {
 		t.Fatalf("walked %d servers, want %d", len(got), len(servers))
 	}
 }
-
-// accFn adapts a function to the Accumulator interface.
-type accFn func(feedback.Feedback)
-
-func (a accFn) Append(f feedback.Feedback) { a(f) }
-
-func (a accFn) SizeBytes() int { return 0 }

@@ -5,10 +5,9 @@
 //
 // The store is sharded by server ID, so writes against different servers
 // proceed without contention, and every server carries a monotonic version
-// counter bumped on each accepted write. The version lets read paths — the
-// assessment cache above all — detect "history unchanged since I last
-// looked" in O(1) and reuse prior work instead of recomputing over the full
-// record list.
+// counter bumped on each accepted write, so "history unchanged since I last
+// looked" is an O(1) check. The store holds records only: no per-server
+// assessment state rides beside a history (ADR 0016's amendment).
 package store
 
 import (
@@ -57,29 +56,22 @@ func hashRecord(nanos int64, r feedback.Rating, server, client feedback.EntityID
 	return Hash(h.Sum64())
 }
 
-// Accumulator consumes a server's accepted writes in history (time) order.
-// The store feeds it under the shard write lock, so implementations need no
-// internal synchronisation against writers; read access goes through
-// ViewAccumulator, which holds the shard read lock. The incremental
-// assessment engine (core.ServerAccumulator) is the intended implementation.
+// Accumulator is what SetAccumulatorFactory used to mint per server.
 //
-// SizeBytes self-reports the accumulator's approximate resident heap
-// footprint; the memory-budget governor charges it against the node-wide
-// budget alongside the server's history bytes. It is called under the shard
-// lock after each accepted write, so it must be cheap — O(window size), not
-// O(history length).
+// Deprecated: the store keeps no accumulators (ADR 0016's amendment).
 type Accumulator interface {
 	Append(feedback.Feedback)
 	SizeBytes() int
 }
 
-// AccumulatorFactory mints the per-server accumulator the store maintains
-// once a factory is installed via SetAccumulatorFactory.
+// AccumulatorFactory is what SetAccumulatorFactory used to install.
+//
+// Deprecated: the store keeps no accumulators (ADR 0016's amendment).
 type AccumulatorFactory func(server feedback.EntityID) Accumulator
 
 // entry is one server's state within a shard: the working history, a
-// memoized read snapshot, the version, a running content checksum, and the
-// optional incremental accumulator. An entry is either resident (hist set)
+// memoized read snapshot, the version and a running content checksum. An
+// entry is either resident (hist set)
 // or an evicted stub (hist nil; version and sum stay) — see lifecycle.go.
 type entry struct {
 	// hist is the store-owned working history, mutated only under the
@@ -98,12 +90,8 @@ type entry struct {
 	// incrementally so gossip checksums cost O(servers) instead of
 	// O(records), and kept through an eviction to verify the rebuild.
 	sum Checksum
-	// acc is the incremental assessment accumulator, nil until a factory is
-	// installed. Mutated only under the shard write lock; rebuilt from the
-	// history on the rare out-of-order insert.
-	acc Accumulator
-	// sizeBytes is the accounted resident footprint (entryOverhead + history
-	// + accumulator), maintained by resizeLocked; 0 for stubs.
+	// sizeBytes is the accounted resident footprint (entryOverhead +
+	// history), maintained by resizeLocked; 0 for stubs.
 	sizeBytes int
 	// touched is the clock (second-chance) bit: reads and writes set it, the
 	// eviction sweep clears it and only evicts entries found clear. Atomic
@@ -141,12 +129,6 @@ type Store struct {
 	total atomic.Int64
 	// global counts accepted writes store-wide; read via GlobalVersion.
 	global atomic.Uint64
-	// accFactory mints per-server incremental accumulators; nil pointer
-	// means the engine is off. Atomic so Add can read it under only its own
-	// shard lock while SetAccumulatorFactory installs it store-wide.
-	accFactory atomic.Pointer[AccumulatorFactory]
-	// accTracked counts servers currently carrying a live accumulator.
-	accTracked atomic.Int64
 
 	// Lifecycle governor state (see lifecycle.go): the accounted resident
 	// footprint and its budget, resident/evicted populations, cumulative
@@ -246,50 +228,14 @@ func (s *Store) addLocked(sh *shard, f feedback.Feedback, h Hash) (bool, error) 
 		s.residentCount.Add(1)
 	} else if e.hist == nil {
 		// A stub cannot accept writes: its records, which are the dedup
-		// index, are gone and its accumulator would silently miss the
-		// record. The caller faults the server in and retries.
+		// index, are gone. The caller faults the server in and retries.
 		return false, errStub
 	}
-	hist, inOrder, dup, err := merge(e.hist, f, h)
+	hist, dup, err := merge(e.hist, f, h)
 	if dup || err != nil {
 		return false, err
 	}
 	e.hist = hist
-	fp := s.accFactory.Load()
-	switch {
-	case e.acc == nil:
-		// Factory installed after this server gained records (or the
-		// server is new): mint and catch up on the whole history. The
-		// factory may decline (nil) — e.g. a cluster node refusing to
-		// materialize accumulators for servers it does not own.
-		if fp != nil {
-			if acc := (*fp)(f.Server); acc != nil {
-				e.acc = acc
-				s.accTracked.Add(1)
-				replayAccumulator(e.acc, e.hist)
-			}
-		}
-	case inOrder:
-		e.acc.Append(f)
-	default:
-		// Out-of-order insert: accumulators are strictly append-only, so
-		// rebuild by replaying the re-ordered history — the insert above
-		// already paid O(n) on this path. Without a factory (one being
-		// removed, whose sweep has not reached this shard yet) the
-		// accumulator cannot be rebuilt and is dropped.
-		if fp != nil {
-			if acc := (*fp)(f.Server); acc != nil {
-				e.acc = acc
-				replayAccumulator(e.acc, e.hist)
-			} else {
-				e.acc = nil
-				s.accTracked.Add(-1)
-			}
-		} else {
-			e.acc = nil
-			s.accTracked.Add(-1)
-		}
-	}
 	e.snap.Store(nil)
 	e.version++
 	e.sum.Count++
@@ -307,22 +253,22 @@ func (s *Store) addLocked(sh *shard, f feedback.Feedback, h Hash) (bool, error) 
 // when it already holds f. An invalid f, or one for another server, is an
 // error. The persistence layer merges a rebuilt server's tail records with it.
 func Merge(h *feedback.History, f feedback.Feedback) (*feedback.History, error) {
-	out, _, _, err := merge(h, f, HashOf(f))
+	out, _, err := merge(h, f, HashOf(f))
 	return out, err
 }
 
-func merge(h *feedback.History, f feedback.Feedback, hash Hash) (out *feedback.History, inOrder, dup bool, err error) {
+func merge(h *feedback.History, f feedback.Feedback, hash Hash) (out *feedback.History, dup bool, err error) {
 	pos, dup := locate(h, f.Time.UnixNano(), hash)
 	if dup {
-		return h, false, true, nil
+		return h, true, nil
 	}
 	if pos < h.Len() {
 		out, err = insertSorted(h, pos, f)
-		return out, false, false, err
+		return out, false, err
 	}
 	// Append fast path: in-place, amortised O(1). Outstanding snapshots are
 	// unaffected — the append writes past their length.
-	return h, true, false, h.Append(f)
+	return h, false, h.Append(f)
 }
 
 // locate finds where a record with the given time and content hash belongs
@@ -389,8 +335,8 @@ type AddResult struct {
 
 // addGroup is the unit of batch-insert fan-out: the batch positions of all
 // records living on one shard, in batch order. Grouping is what lets the
-// batch feed a whole shard's records — dedup, history, accumulator, version
-// — under a single write-lock acquisition. stubs is set when one of the
+// batch apply a whole shard's records — dedup, history, version — under a
+// single write-lock acquisition. stubs is set when one of the
 // group's records met an evicted server.
 type addGroup struct {
 	sh     *shard
@@ -404,8 +350,7 @@ type addGroup struct {
 // groups are fanned out across at most workers goroutines (workers <= 0
 // means GOMAXPROCS). Results[i] always reports Records[i]'s outcome, with
 // the same semantics as len(recs) sequential Add calls: the insert order
-// within a shard is the batch order, so dedup and accumulator state end up
-// identical. A record addressed to an evicted server is applied again, in
+// within a shard is the batch order, so dedup state ends up identical. A record addressed to an evicted server is applied again, in
 // batch order, once Add's fault-in made the server resident. Eviction
 // pressure is resolved once at the end, like Add does after its insert.
 func (s *Store) AddBatch(recs []feedback.Feedback, workers int) []AddResult {
@@ -537,110 +482,34 @@ func (s *Store) peek(server feedback.EntityID) (*feedback.History, uint64) {
 	return e.snapshot(), e.version
 }
 
-// SetAccumulatorFactory installs (or, with nil, removes) the per-server
-// incremental accumulator factory. Servers that already hold records get an
-// accumulator immediately, replayed over their existing history, so the
-// factory may be installed before or after seeding. Concurrent writes are
-// safe: a write that races ahead of the installation sweep mints its own
-// accumulator and the sweep skips it.
-func (s *Store) SetAccumulatorFactory(f AccumulatorFactory) {
-	if f == nil {
-		s.accFactory.Store(nil)
-		for i := range s.shards {
-			sh := &s.shards[i]
-			sh.mu.Lock()
-			for _, e := range sh.byServ {
-				if e.acc != nil {
-					e.acc = nil
-					s.accTracked.Add(-1)
-					s.resizeLocked(e)
-				}
-			}
-			sh.mu.Unlock()
-		}
-		return
-	}
-	s.accFactory.Store(&f)
-	for i := range s.shards {
-		sh := &s.shards[i]
-		sh.mu.Lock()
-		for srv, e := range sh.byServ {
-			if e.acc == nil && e.hist != nil {
-				if acc := f(srv); acc != nil {
-					e.acc = acc
-					s.accTracked.Add(1)
-					replayAccumulator(e.acc, e.hist)
-					s.resizeLocked(e)
-				}
-			}
-		}
-		sh.mu.Unlock()
-	}
-}
+// SetAccumulatorFactory does nothing.
+//
+// Deprecated: the store keeps no accumulators (ADR 0016's amendment).
+func (s *Store) SetAccumulatorFactory(AccumulatorFactory) {}
 
-// RetainAccumulators drops the accumulators of every server for which keep
-// returns false. A cluster node calls it when its ownership view attaches
-// (or changes) so accumulator memory is only spent on servers the node
-// owns or replicates; dropped servers keep their records and fall back to
-// the batch assessment path, re-minting an accumulator on their next write
-// only if the installed factory then accepts them.
-func (s *Store) RetainAccumulators(keep func(feedback.EntityID) bool) {
-	for i := range s.shards {
-		sh := &s.shards[i]
-		sh.mu.Lock()
-		for srv, e := range sh.byServ {
-			if e.acc != nil && !keep(srv) {
-				e.acc = nil
-				s.accTracked.Add(-1)
-				s.resizeLocked(e)
-			}
-		}
-		sh.mu.Unlock()
-	}
-}
-
-// replayAccumulator feeds an entire history to a fresh accumulator.
-func replayAccumulator(acc Accumulator, h *feedback.History) {
-	for i := 0; i < h.Len(); i++ {
-		acc.Append(h.At(i))
-	}
-}
-
-// ViewAccumulator runs view with the server's accumulator and current
-// version under the shard's read lock, returning false (without calling
-// view) when the server is unknown or carries no accumulator. The callback
-// must treat the accumulator read-only and must not call back into the
-// store: it runs under the shard lock, so writes to this server's shard
-// wait for it.
-func (s *Store) ViewAccumulator(server feedback.EntityID, view func(acc Accumulator, version uint64)) bool {
-	sh := s.shardOf(server)
-	sh.mu.RLock()
-	defer sh.mu.RUnlock()
-	e := sh.byServ[server]
-	if e == nil || e.acc == nil {
-		return false
-	}
-	e.touched.Store(true)
-	view(e.acc, e.version)
-	return true
+// ViewAccumulator reports false without calling view.
+//
+// Deprecated: the store keeps no accumulators (ADR 0016's amendment).
+func (s *Store) ViewAccumulator(feedback.EntityID, func(acc Accumulator, version uint64)) bool {
+	return false
 }
 
 // ViewShard serves a group of servers that all live on shard idx under a
 // single read-lock acquisition: view is invoked once per server, in order,
-// with the position i into servers, the server's accumulator (nil when none
-// is installed), its memoized history snapshot, and its version. Unknown
-// servers get (nil, nil, 0); evicted servers get (nil, nil, version) with a
-// non-zero version — ViewResident faults those in. It panics if any server
-// maps to a different shard — silent misrouting would report known servers
-// as unknown.
+// with the position i into servers, a nil acc (see below), the server's
+// memoized history snapshot, and its version. Unknown servers get (nil, 0);
+// evicted servers get (nil, version) with a non-zero version — ViewResident
+// faults those in. It panics if any server maps to a different shard —
+// silent misrouting would report known servers as unknown.
 //
-// The same contracts as ViewAccumulator and Snapshot apply: accumulators
-// are read-only inside view, snapshots are shared immutable views, and view
-// must not call back into the store. Because the whole group holds the
-// shard read lock, writes to this shard wait for the slowest item; callers
-// should keep per-item work O(windows) (accumulator reads) and defer
-// anything heavier until after ViewShard returns, using the captured
-// snapshot + version instead.
+// The same contract as Snapshot applies: snapshots are shared immutable
+// views, and view must not call back into the store. Because the whole
+// group holds the shard read lock, writes to this shard wait for the
+// slowest item; callers capture the snapshot and do anything heavier after
+// ViewShard returns.
+//
+// The acc argument is always nil: the store keeps no accumulators (ADR
+// 0016's amendment), and the argument goes with the deprecated Accumulator.
 func (s *Store) ViewShard(idx int, servers []feedback.EntityID, view func(i int, acc Accumulator, snap *feedback.History, version uint64)) {
 	sh := &s.shards[idx]
 	sh.mu.RLock()
@@ -659,7 +528,7 @@ func (s *Store) ViewShard(idx int, servers []feedback.EntityID, view func(i int,
 			continue
 		}
 		e.touched.Store(true)
-		view(i, e.acc, e.snapshot(), e.version)
+		view(i, nil, e.snapshot(), e.version)
 	}
 }
 
@@ -668,15 +537,14 @@ func (s *Store) ViewShard(idx int, servers []feedback.EntityID, view func(i int,
 // ends when ctx does — and viewed again, up to maxFaultAttempts times; one
 // that cannot be made resident goes to fail instead. Both callbacks get the
 // server's position in servers, and view runs under the shard read lock with
-// ViewShard's contract.
+// ViewShard's contract; an unknown server is viewed with a nil snapshot.
 func (s *Store) ViewResident(ctx context.Context, idx int, servers []feedback.EntityID,
-	view func(i int, acc Accumulator, snap *feedback.History, version uint64),
-	fail func(i int, err error)) {
+	view func(i int, snap *feedback.History), fail func(i int, err error)) {
 	var pos []int // pos[j] is where the round's j-th server sits in servers; nil on the first round (identity)
 	round := servers
 	for attempt := 0; len(round) > 0; attempt++ {
 		var stubs []int
-		s.ViewShard(idx, round, func(j int, acc Accumulator, snap *feedback.History, version uint64) {
+		s.ViewShard(idx, round, func(j int, _ Accumulator, snap *feedback.History, version uint64) {
 			if pos != nil {
 				j = pos[j]
 			}
@@ -684,7 +552,7 @@ func (s *Store) ViewResident(ctx context.Context, idx int, servers []feedback.En
 				stubs = append(stubs, j)
 				return
 			}
-			view(j, acc, snap, version)
+			view(j, snap)
 		})
 		pos, round = nil, nil
 		for _, i := range stubs {
@@ -696,10 +564,6 @@ func (s *Store) ViewResident(ctx context.Context, idx int, servers []feedback.En
 		}
 	}
 }
-
-// AccumulatorsTracked returns the number of servers carrying a live
-// incremental accumulator.
-func (s *Store) AccumulatorsTracked() int { return int(s.accTracked.Load()) }
 
 // Version returns the server's current version counter: 0 when the server
 // is unknown, otherwise the number of accepted writes to it. It does not

@@ -233,12 +233,11 @@ func appendAssessRequest(buf []byte, p AssessRequest) []byte {
 	return appendFloat(buf, p.Threshold)
 }
 
-// Assessment / AssessResponse flag bits.
+// Assessment / AssessResponse flag bits. An AssessResponse's flags byte has
+// one bit; revisions before 11 also had a cached and an incremental bit
+// (1 << 1 and 1 << 2), which revision 11 refuses.
 const (
-	assessFlagAccept      byte = 1 << 0
-	assessFlagCached      byte = 1 << 1
-	assessFlagIncremental byte = 1 << 2
-	assessFlagsKnown           = assessFlagAccept | assessFlagCached | assessFlagIncremental
+	assessFlagAccept byte = 1 << 0
 
 	asmtFlagSuspicious   byte = 1 << 0
 	asmtFlagShortHistory byte = 1 << 1
@@ -347,12 +346,6 @@ func appendAssessResponse(buf []byte, p AssessResponse, item feedback.EntityID, 
 	var flags byte
 	if p.Accept {
 		flags |= assessFlagAccept
-	}
-	if p.Cached {
-		flags |= assessFlagCached
-	}
-	if p.Incremental {
-		flags |= assessFlagIncremental
 	}
 	buf = append(buf, flags)
 	return appendAssessment(buf, p.Assessment, item, d)
@@ -690,12 +683,10 @@ func (r *breader) assessResponse(o *AssessResponse, item feedback.EntityID) erro
 	if err != nil {
 		return err
 	}
-	if flags&^assessFlagsKnown != 0 {
+	if flags&^assessFlagAccept != 0 {
 		return fmt.Errorf("assess response flags %#x", flags)
 	}
 	o.Accept = flags&assessFlagAccept != 0
-	o.Cached = flags&assessFlagCached != 0
-	o.Incremental = flags&assessFlagIncremental != 0
 	return r.assessment(&o.Assessment, item)
 }
 

@@ -442,6 +442,9 @@ func FuzzAssessBatchResponse(f *testing.F) {
 	f.Add(true, buf)
 	f.Add(false, binary.AppendUvarint(nil, MaxFrame))
 	f.Add(true, []byte{1, 'n', 0xff, 0x01, 0, 0})
+	for _, frame := range engineBitFrames(f) {
+		f.Add(false, frame)
+	}
 	f.Fuzz(func(t *testing.T, fwd bool, data []byte) {
 		typ, dest := TypeAssessBR, any(new(AssessBatchResponse))
 		if fwd {
@@ -501,4 +504,51 @@ func FuzzNegotiate(f *testing.F) {
 			t.Fatalf("bridged connection handed on a binary %s payload", env.Type)
 		}
 	})
+}
+
+// engineBitFrames returns one-item assess.batch.resp payloads whose item
+// flags byte sets, besides accept, the bit that revisions before 11 wrote
+// for an answer from the assessment cache (1 << 1) and the one for an answer
+// from an accumulator (1 << 2). The flags byte is the one byte in which the
+// item's accepted and rejected encodings differ.
+func engineBitFrames(tb testing.TB) [][]byte {
+	tb.Helper()
+	encode := func(accept bool) []byte {
+		buf, _, err := appendBinaryPayload(nil, AssessBatchResponse{Items: []AssessBatchItem{
+			{Server: "srv", AssessResponse: AssessResponse{Assessment: testAssessment(), Accept: accept}},
+		}})
+		if err != nil {
+			tb.Fatal(err)
+		}
+		return buf
+	}
+	yes, no := encode(true), encode(false)
+	at := -1
+	for i := range yes {
+		if yes[i] != no[i] {
+			if at >= 0 || yes[i] != no[i]|assessFlagAccept {
+				tb.Fatalf("accepted and rejected items differ beyond the flags byte: %x, %x", yes, no)
+			}
+			at = i
+		}
+	}
+	var frames [][]byte
+	for _, bit := range []byte{1 << 1, 1 << 2} {
+		frame := slices.Clone(yes)
+		frame[at] |= bit
+		frames = append(frames, frame)
+	}
+	return frames
+}
+
+// TestAssessResponseRefusesEngineBits: since revision 11 an assess
+// response's flags byte has the accept bit alone, and the decoder refuses
+// the cached and incremental bits a revision-10 encoder could set.
+func TestAssessResponseRefusesEngineBits(t *testing.T) {
+	for _, frame := range engineBitFrames(t) {
+		var got AssessBatchResponse
+		if err := decodeBinaryPayload(TypeAssessBR, frame, &got); err == nil {
+			t.Fatalf("decoded %x as %+v", frame, got)
+		}
+	}
 }

@@ -53,10 +53,12 @@ import (
 // chain's window counts as Rice codes (ADR 0006's third amendment); 10
 // writes an assessment's trust value and interval as the record and good
 // counts they derive from, its tester and trust function once per frame, and
-// a submit.batch.resp as its items alone (ADR 0006's fourth amendment). No
-// revision reads another's binary payloads: ends of different revisions
-// speak BridgeCodec (ADR 0009).
-const VersionV2 = 10
+// a submit.batch.resp as its items alone (ADR 0006's fourth amendment); 11
+// drops an assess response's cached and incremental bits, the markers of
+// engines a node no longer has (ADR 0016's amendment). No revision reads
+// another's binary payloads: ends of different revisions speak BridgeCodec
+// (ADR 0009).
+const VersionV2 = 11
 
 // HelloMagic is the first byte of a client hello. A connection that opens
 // with any other byte is closed.

@@ -64,7 +64,7 @@ func v2Payloads() map[MsgType]any {
 		TypeHistory:  HistoryRequest{Server: "srv-a", Limit: 25},
 		TypeHistoryR: HistoryResponse{Records: []feedback.Feedback{testRecord(4), testRecord(5)}, Total: 99},
 		TypeAssess:   AssessRequest{Server: "srv-a", Threshold: 0.875},
-		TypeAssessR:  AssessResponse{Assessment: testAssessment(), Accept: true, Incremental: true},
+		TypeAssessR:  AssessResponse{Assessment: testAssessment(), Accept: true},
 		TypeAssessB:  AssessBatchRequest{Servers: []feedback.EntityID{"a", "b", "c"}, Threshold: 0.9},
 		TypeAssessBR: AssessBatchResponse{Items: []AssessBatchItem{
 			{Server: "a", AssessResponse: AssessResponse{Assessment: testAssessment(), Accept: true}},
@@ -75,9 +75,7 @@ func v2Payloads() map[MsgType]any {
 		TypeFwdBatchR:  NewBatchResponse([]SubmitBatchItem{{Stored: true}, {Stored: true}}),
 		TypeFwdAssessB: FwdAssessBatchRequest{Node: "n1", Servers: []feedback.EntityID{"a", "b"}, Threshold: 0.9},
 		TypeFwdAssessBR: FwdAssessBatchResponse{Node: "n3", Items: []AssessBatchItem{
-			{Server: "a", AssessResponse: AssessResponse{
-				Assessment: testAssessment(), Accept: true, Cached: true, Incremental: true,
-			}},
+			{Server: "a", AssessResponse: AssessResponse{Assessment: testAssessment(), Accept: true}},
 			{Server: "b", Error: &ErrorResponse{Code: CodeUnavailable, Message: "owner down"}},
 		}},
 	}
@@ -422,8 +420,8 @@ func TestV2RetiredCodesStayReserved(t *testing.T) {
 	}
 }
 
-// TestSubmitBatchGoldenFrame pins submit.batch on the wire as revision 10
-// lays it out, as revisions 6 to 9 did: the v2 header, then the records as one
+// TestSubmitBatchGoldenFrame pins submit.batch on the wire as revision 11
+// lays it out, as revisions 6 to 10 did: the v2 header, then the records as one
 // feedback.AppendBatch column batch with dictionaries that start empty at
 // the frame, its times divided by their differences' greatest common
 // divisor (ADR 0014).
@@ -444,8 +442,8 @@ func TestSubmitBatchGoldenFrame(t *testing.T) {
 		0b101, // good
 	}
 	var buf bytes.Buffer
-	if err := WriteHello(&buf); err != nil || !bytes.Equal(buf.Bytes(), []byte{0xB2, 'W', '2', 10, '\n'}) {
-		t.Fatalf("hello = %x, %v; the layout below is revision 10's", buf.Bytes(), err)
+	if err := WriteHello(&buf); err != nil || !bytes.Equal(buf.Bytes(), []byte{0xB2, 'W', '2', 11, '\n'}) {
+		t.Fatalf("hello = %x, %v; the layout below is revision 11's", buf.Bytes(), err)
 	}
 	buf.Reset()
 	env, err := V2Codec.Encode(TypeSubmitB, 9, req)

@@ -237,17 +237,12 @@ type AssessRequest struct {
 	Threshold float64 `json:"threshold"`
 }
 
-// AssessResponse carries the assessment outcome.
+// AssessResponse carries the assessment outcome: the two-phase assessment
+// of the server's stored history and the accept decision at the request's
+// threshold.
 type AssessResponse struct {
 	Assessment core.Assessment `json:"assessment"`
 	Accept     bool            `json:"accept"`
-	// Cached reports that the server answered from its assessment cache
-	// (the history was unchanged since the assessment was computed).
-	Cached bool `json:"cached,omitempty"`
-	// Incremental reports that the server answered from its incremental
-	// per-server assessment engine instead of a batch recompute. The result
-	// is identical either way; the flag exists for observability.
-	Incremental bool `json:"incremental,omitempty"`
 }
 
 // AssessBatchRequest asks the server to assess many candidate servers in
@@ -260,8 +255,8 @@ type AssessBatchRequest struct {
 
 // AssessBatchItem is one server's outcome within a batch response. Exactly
 // one of the two shapes is populated: on success Error is nil and the
-// embedded AssessResponse carries the assessment (with the same Cached /
-// Incremental semantics as a single assess response); on failure Error
+// embedded AssessResponse carries the assessment, as a single assess
+// response does; on failure Error
 // holds the per-item error — an unknown server fails its own slot, never
 // the batch.
 type AssessBatchItem struct {

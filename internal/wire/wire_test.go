@@ -191,11 +191,11 @@ func TestAssessBatchRoundTrip(t *testing.T) {
 }
 
 func TestAssessBatchResponsePerItemError(t *testing.T) {
-	// A mixed response: one served item (with flags), one failed slot. The
+	// A mixed response: one served item, one failed slot. The
 	// per-item error must survive the round trip without disturbing its
 	// siblings, and a successful item must not grow an error field.
 	resp := AssessBatchResponse{Items: []AssessBatchItem{
-		{Server: "s1", AssessResponse: AssessResponse{Accept: true, Incremental: true}},
+		{Server: "s1", AssessResponse: AssessResponse{Accept: true}},
 		{Server: "ghost", Error: &ErrorResponse{Code: CodeUnknownServer, Message: `no records for "ghost"`}},
 	}}
 	got := bridgeTrip(t, TypeAssessBR, 4, resp)
@@ -207,7 +207,7 @@ func TestAssessBatchResponsePerItemError(t *testing.T) {
 		t.Fatalf("items = %d", len(decoded.Items))
 	}
 	ok, bad := decoded.Items[0], decoded.Items[1]
-	if ok.Error != nil || !ok.Accept || !ok.Incremental || ok.Cached {
+	if ok.Error != nil || !ok.Accept {
 		t.Fatalf("served item = %+v", ok)
 	}
 	if bad.Error == nil || bad.Error.Code != CodeUnknownServer || bad.Accept {

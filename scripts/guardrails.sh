@@ -46,7 +46,10 @@
 #     append-only (ADR 0016): the attackers and the marketplace judge through
 #     ServerAccumulator clones, never by re-testing a history they roll back
 #   - a snapshot holds records only (ADR 0017): nothing serializes an
-#     accumulator; boot and fault-in replay the history into a fresh one
+#     accumulator, and boot and fault-in replay none
+#   - one engine on the node, the reference (ADR 0016's amendment): the
+#     serving layers keep no accumulator and no assessment cache, and the
+#     accumulator entry points the benchmark compiles against are inert shims
 #   - the store faults in its own stubs (ADR 0019): one fault-in path and
 #     one per-server single-flight, in internal/store; nothing above the
 #     store rebuilds a server
@@ -348,8 +351,9 @@ for src in internal/attack internal/sim internal/core/monitor.go; do
 done
 
 # --- a snapshot holds records only (ADR 0017) ----------------------------------
-# An accumulator is a pure function of the history it consumed, so boot and
-# rebuild-on-demand replay the decoded columns into a fresh one. The codecs in
+# An accumulator is a pure function of the history it consumed, so nothing
+# serializes one (and since ADR 0016's amendment, boot and rebuild-on-demand
+# replay into none). The codecs in
 # behavior, trust and core stay deleted; the ledger reads neither deprecated
 # Options field; ServerAccumulator.AppendState and
 # TwoPhase.RestoreServerAccumulator survive only as the inert shims bench/
@@ -365,6 +369,30 @@ shim_defs() { sources | xargs grep -nE 'func \([^)]*\) (AppendState|RestoreServe
 check "the two core shims are the only AppendState / RestoreServerAccumulator (ADR 0017)" \
     "[ \"\$(shim_defs | wc -l)\" -eq 2 ] && ! shim_defs | grep -v '^./internal/core/incremental\.go:' | grep -q . \
      && [ \"\$(grep -cE '^// Deprecated: a snapshot holds records only' internal/core/incremental.go)\" -eq 2 ]"
+
+# --- one engine on the node, the reference (ADR 0016's amendment) --------------
+# trustd answers every verdict with TwoPhase.Accept over the stored history:
+# the serving layers mint, feed, replay and read no accumulator, the
+# assessment cache has no importer but the benchmark, and the store's two
+# accumulator entry points are the shims bench/ compiles against.
+check "non-test code outside bench/ does not import internal/assesscache (ADR 0016's amendment)" \
+    "! sources | grep -v '^./internal/assesscache/' | xargs grep -n '\"honestplayer/internal/assesscache\"' | grep -q ."
+for dir in internal/repserver internal/store internal/ledger cmd/trustd; do
+    check "$dir names no ServerAccumulator (ADR 0016's amendment)" \
+        "absent '\b(New)?ServerAccumulator\b' $dir"
+done
+# body_of NAME: the source of the one method NAME, from its func line to its
+# closing brace (the func line alone when the body is {}).
+body_of() {
+    sources | xargs awk -v name="$1" '$0 ~ "^func \\([^)]*\\) " name "\\(" { p = 1 }
+        p { print } p && (/^}/ || /\{\}$/) { p = 0 }'
+}
+inert_factory() { [ "$(body_of SetAccumulatorFactory)" = 'func (s *Store) SetAccumulatorFactory(AccumulatorFactory) {}' ]; }
+inert_view() {
+    [ "$(body_of ViewAccumulator | wc -l)" -eq 3 ] && [ "$(body_of ViewAccumulator | sed -n 2p)" = $'\treturn false' ]
+}
+check "Store.SetAccumulatorFactory has no body (ADR 0016's amendment)" "inert_factory"
+check "Store.ViewAccumulator only returns false (ADR 0016's amendment)" "inert_view"
 
 # --- the store faults in its own stubs (ADR 0019) -----------------------------
 # A budget comes with the loader that brings a stub back, and every store
