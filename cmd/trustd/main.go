@@ -37,6 +37,7 @@ import (
 	"fmt"
 	"io"
 	"log"
+	"net"
 	"net/http"
 	"os"
 	"os/signal"
@@ -162,8 +163,12 @@ func run(ctx context.Context, args []string) error {
 			metrics.Value("lifecycle.resident"), metrics.Value("lifecycle.resident_bytes"), metrics.Value("lifecycle.evicted"))
 	}
 
-	// abort closes the bound server when the rest of start-up fails.
+	// abort closes the bound servers when the rest of start-up fails.
+	var metricsSrv *http.Server
 	abort := func(err error) error {
+		if metricsSrv != nil {
+			_ = metricsSrv.Close()
+		}
 		if closeErr := srv.Close(); closeErr != nil {
 			logger.Printf("close server: %v", closeErr)
 		}
@@ -185,15 +190,13 @@ func run(ctx context.Context, args []string) error {
 		srv.SetCluster(cl)
 	}
 
-	srv.Start()
-	logger.Printf("reputation server (%s) listening on %s (request timeout %s, drain %s)",
-		assessor.Name(), srv.Addr(), *reqTimeout, *drain)
-	if cl != nil {
-		logger.Printf("cluster node %q of %d (replicas %d)", cl.Self(), cl.Size(), cl.Replicas())
-	}
-
-	var metricsSrv *http.Server
+	// The metrics port is bound before the node serves, so that a taken
+	// one stops start-up instead of leaving a node without /metricz.
 	if *metricsAddr != "" {
+		ln, err := net.Listen("tcp", *metricsAddr)
+		if err != nil {
+			return abort(fmt.Errorf("-metrics-addr: %w", err))
+		}
 		mux := http.NewServeMux()
 		mux.HandleFunc("/metricz", func(w http.ResponseWriter, r *http.Request) {
 			w.Header().Set("Content-Type", "application/json")
@@ -203,13 +206,20 @@ func run(ctx context.Context, args []string) error {
 				logger.Printf("metricz encode: %v", err)
 			}
 		})
-		metricsSrv = &http.Server{Addr: *metricsAddr, Handler: mux}
+		metricsSrv = &http.Server{Handler: mux}
 		go func() {
-			if err := metricsSrv.ListenAndServe(); err != nil && !errors.Is(err, http.ErrServerClosed) {
+			if err := metricsSrv.Serve(ln); err != nil && !errors.Is(err, http.ErrServerClosed) {
 				logger.Printf("metrics server: %v", err)
 			}
 		}()
-		logger.Printf("metrics on http://%s/metricz", *metricsAddr)
+		logger.Printf("metrics on http://%s/metricz", ln.Addr())
+	}
+
+	srv.Start()
+	logger.Printf("reputation server (%s) listening on %s (request timeout %s, drain %s)",
+		assessor.Name(), srv.Addr(), *reqTimeout, *drain)
+	if cl != nil {
+		logger.Printf("cluster node %q of %d (replicas %d)", cl.Self(), cl.Size(), cl.Replicas())
 	}
 
 	var reconciler *gossip.Reconciler

@@ -8,6 +8,7 @@ import (
 	"errors"
 	"hash/crc32"
 	"io"
+	"net"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -177,5 +178,31 @@ func TestRunIncremental(t *testing.T) {
 	defer cancel()
 	if err := run(ctx, []string{"-addr", "127.0.0.1:0", "-scheme", "multi", "-incremental"}); err != nil {
 		t.Fatalf("run: %v", err)
+	}
+}
+
+// TestMetricsAddrTaken: a -metrics-addr another process holds stops
+// start-up with an error naming the flag, instead of leaving a node that
+// serves without /metricz; the log never claims the endpoint.
+func TestMetricsAddrTaken(t *testing.T) {
+	held, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() { _ = held.Close() }()
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	var logged lockedBuffer
+	defer func(w io.Writer) { stderr = w }(stderr)
+	stderr = &logged
+	err = run(ctx, []string{"-addr", "127.0.0.1:0", "-scheme", "none", "-metrics-addr", held.Addr().String()})
+	if err == nil || !strings.Contains(err.Error(), "-metrics-addr") {
+		t.Fatalf("run with a held metrics port: err = %v, want one naming -metrics-addr", err)
+	}
+	if ctx.Err() != nil {
+		t.Fatal("run served until its context ended")
+	}
+	if strings.Contains(logged.String(), "metrics on") {
+		t.Errorf("the log claims the held port:\n%s", logged.String())
 	}
 }

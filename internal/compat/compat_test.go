@@ -617,6 +617,45 @@ func TestRevision11EngineMarkers(t *testing.T) {
 	})
 }
 
+// TestRevision12KeyedThresholds is the skew cell of revision 12, which
+// writes no threshold for a verdict row whose calibration grid point the
+// frame has already bound: across the bridge both ends speak JSON, so a
+// revision-11 client of this node and this client of a revision-11 node
+// read every verdict of a wide batch — tables that share grid points, of
+// several lengths — as a revision-12 connection reads it.
+func TestRevision12KeyedThresholds(t *testing.T) {
+	srv := newServer(t)
+	srv.Start()
+	var ids []feedback.EntityID
+	for i := range 24 {
+		id := feedback.EntityID(fmt.Sprintf("keyed-%d", i))
+		if _, err := srv.Seed(history(id, 100+10*i)); err != nil {
+			t.Fatal(err)
+		}
+		ids = append(ids, id)
+	}
+	want, err := dial(t, srv.Addr()).AssessBatch(ids, threshold)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, item := range want {
+		if item.Error != nil || len(item.Assessment.Verdict.Suffixes) < 2 {
+			t.Fatalf("%s: %+v, want a verdict table of several rows", item.Server, item)
+		}
+	}
+	relay := newSkewRelay(t, srv.Addr(), direction{"revision11", 11, 11})
+	got, err := dial(t, relay.addr).AssessBatch(ids, threshold)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("across the revision-11 bridge:\n got %+v\nwant %+v", got, want)
+	}
+	if binary, frames := relay.stats(11); binary != 0 || frames != 1 {
+		t.Errorf("%d binary payloads, %d assess.batch frames crossed the bridge; want 0 and 1", binary, frames)
+	}
+}
+
 // TestJSONLineIsClosedAtTheDoor: the JSON line framing is gone, so a JSON
 // line at the door is closed unanswered and counted in errors; a connection
 // closed before its first byte — a readiness probe — is not an error.

@@ -155,10 +155,6 @@ type Calibrator struct {
 	pResolution float64
 	pStride     int // p̂ buckets per plane row: bucketP(1) + 1
 
-	maxWindows int
-	wIndex     []uint8 // window count (≤ maxWindows) -> dense bucket index
-	wBuckets   []int   // dense bucket index -> bucket representative
-
 	planes atomic.Pointer[map[planeKey]*gridPlane]
 	points atomic.Int64 // grid points calibrated so far
 
@@ -173,6 +169,50 @@ type Calibrator struct {
 // shrinks like 1/√w). Direct calibration at 100 000+ windows would cost
 // minutes per grid point for a threshold change within estimation noise.
 const DefaultMaxCalibrationWindows = 4096
+
+// DefaultPResolution is the p̂ bucket width of a Calibrator given none.
+const DefaultPResolution = 0.01
+
+// The window grid, shared by every Calibrator: gridIndex takes a window
+// count up to DefaultMaxCalibrationWindows to its bucket's index, and
+// gridBuckets an index to the bucket's representative, the window count its
+// points are calibrated at.
+var gridIndex, gridBuckets = windowGrid()
+
+func windowGrid() (index []uint8, buckets []int) {
+	index = make([]uint8, DefaultMaxCalibrationWindows+1)
+	for w := 1; w <= DefaultMaxCalibrationWindows; w++ {
+		if b := bucketWindows(w); len(buckets) == 0 || b != buckets[len(buckets)-1] {
+			buckets = append(buckets, b)
+		}
+		index[w] = uint8(len(buckets) - 1)
+	}
+	return index, buckets
+}
+
+// GridPoint is the point of a Calibrator's grid that a threshold query lands
+// on: the window bucket and the p̂ bucket whose Monte-Carlo ε answers it and,
+// past DefaultMaxCalibrationWindows, the window count that ε is scaled to by
+// 1/√w. Queries of one Plane at the same GridPoint get the same ε, bit for
+// bit, so a receiver that knows a threshold's GridPoint and plane knows the
+// threshold.
+type GridPoint struct {
+	Window int // the window bucket's index, from 0
+	P      int // the p̂ bucket: p̂ over the resolution, rounded
+	Scaled int // the window count past DefaultMaxCalibrationWindows, else 0
+}
+
+// GridPointOf is the GridPoint of a query over numWindows windows, at least
+// one, at an estimated trustworthiness pHat that is not NaN, on a grid of p̂
+// resolution pResolution. Plane.Threshold resolves every query through it.
+func GridPointOf(numWindows int, pHat, pResolution float64) GridPoint {
+	g := GridPoint{P: bucketP(pHat, pResolution)}
+	if numWindows > DefaultMaxCalibrationWindows {
+		g.Scaled, numWindows = numWindows, DefaultMaxCalibrationWindows
+	}
+	g.Window = int(gridIndex[numWindows])
+	return g
+}
 
 type planeKey struct {
 	m          int
@@ -204,32 +244,17 @@ type calibCall struct {
 }
 
 // NewCalibrator returns a Calibrator with the given Monte-Carlo
-// configuration. pResolution is the p̂ bucket width; zero means 0.01.
+// configuration. pResolution is the p̂ bucket width; zero means
+// DefaultPResolution.
 func NewCalibrator(cfg CalibrationConfig, pResolution float64) *Calibrator {
 	if pResolution <= 0 {
-		pResolution = 0.01
+		pResolution = DefaultPResolution
 	}
-	c := &Calibrator{
+	return &Calibrator{
 		cfg:         cfg.withDefaults(),
 		pResolution: pResolution,
+		pStride:     bucketP(1, pResolution) + 1,
 		inflight:    make(map[calibKey]*calibCall),
-	}
-	c.pStride = c.bucketP(1) + 1
-	c.setMaxWindows(DefaultMaxCalibrationWindows)
-	return c
-}
-
-// setMaxWindows builds the window-count → bucket table up to max. It must
-// run before the first query.
-func (c *Calibrator) setMaxWindows(max int) {
-	c.maxWindows = max
-	c.wIndex = make([]uint8, max+1)
-	c.wBuckets = c.wBuckets[:0]
-	for w := 1; w <= max; w++ {
-		if b := bucketWindows(w); len(c.wBuckets) == 0 || b != c.wBuckets[len(c.wBuckets)-1] {
-			c.wBuckets = append(c.wBuckets, b)
-		}
-		c.wIndex[w] = uint8(len(c.wBuckets) - 1)
 	}
 }
 
@@ -296,7 +321,7 @@ func (c *Calibrator) addPlane(key planeKey) *gridPlane {
 	for k, v := range old {
 		next[k] = v
 	}
-	grid := &gridPlane{rows: make([]atomic.Pointer[[]atomic.Uint64], len(c.wBuckets))}
+	grid := &gridPlane{rows: make([]atomic.Pointer[[]atomic.Uint64], len(gridBuckets))}
 	next[key] = grid
 	c.planes.Store(&next)
 	return grid
@@ -312,20 +337,19 @@ func (p Plane) Threshold(numWindows int, pHat float64) (float64, error) {
 	if numWindows <= 0 || math.IsNaN(pHat) {
 		return 0, fmt.Errorf("%w: windows=%d pHat=%v", ErrInvalidDistribution, numWindows, pHat)
 	}
-	// Beyond the Monte-Carlo budget, calibrate at maxWindows and apply the
-	// 1/√w extrapolation.
+	// Beyond the Monte-Carlo budget, calibrate at its last bucket and apply
+	// the 1/√w extrapolation.
+	g := GridPointOf(numWindows, pHat, c.pResolution)
 	scale := 1.0
-	if numWindows > c.maxWindows {
-		scale = math.Sqrt(float64(c.maxWindows) / float64(numWindows))
-		numWindows = c.maxWindows
+	if g.Scaled > 0 {
+		scale = math.Sqrt(float64(DefaultMaxCalibrationWindows) / float64(g.Scaled))
 	}
-	wIdx, pBucket := int(c.wIndex[numWindows]), c.bucketP(pHat)
-	if row := p.grid.rows[wIdx].Load(); row != nil {
-		if v := (*row)[pBucket].Load(); v != 0 {
+	if row := p.grid.rows[g.Window].Load(); row != nil {
+		if v := (*row)[g.P].Load(); v != 0 {
 			return math.Float64frombits(^v) * scale, nil
 		}
 	}
-	eps, err := c.calibrate(p, wIdx, pBucket)
+	eps, err := c.calibrate(p, g.Window, g.P)
 	if err != nil {
 		return 0, err
 	}
@@ -376,21 +400,22 @@ func (c *Calibrator) calibrate(p Plane, wIdx, pBucket int) (float64, error) {
 	}
 	cfg := c.cfg
 	cfg.Confidence = p.confidence
-	call.eps, call.err = CalibrateL1(p.key.m, c.wBuckets[wIdx], pGrid, cfg)
+	call.eps, call.err = CalibrateL1(p.key.m, gridBuckets[wIdx], pGrid, cfg)
 	return call.eps, call.err
 }
 
 // CacheSize returns the number of grid points calibrated so far.
 func (c *Calibrator) CacheSize() int { return int(c.points.Load()) }
 
-func (c *Calibrator) bucketP(pHat float64) int {
+// bucketP is pHat's bucket at resolution res, pHat clamped to [0, 1].
+func bucketP(pHat, res float64) int {
 	if pHat < 0 {
 		pHat = 0
 	}
 	if pHat > 1 {
 		pHat = 1
 	}
-	return int(math.Round(pHat / c.pResolution))
+	return int(math.Round(pHat / res))
 }
 
 // bucketWindows rounds the window count to a geometric grid (ratio ≈ 1.25)

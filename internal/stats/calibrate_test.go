@@ -214,14 +214,64 @@ func TestBucketWindows(t *testing.T) {
 	}
 }
 
-func TestCalibratorLargeWindowExtrapolation(t *testing.T) {
-	c := NewCalibrator(CalibrationConfig{Seed: 7, Replicates: 100}, 0)
-	c.setMaxWindows(64)
-	base, err := c.Threshold(10, 64, 0.9)
+// TestGridPointOf: the grid point of a query is its window count's bucket,
+// its p̂ over the resolution rounded, and past the calibrated windows the
+// count itself; queries of one plane at one grid point get one ε, bit for
+// bit, which is what a wire receiver that keys thresholds on it relies on.
+func TestGridPointOf(t *testing.T) {
+	for w := 1; w <= DefaultMaxCalibrationWindows; w++ {
+		g := GridPointOf(w, 0.5, DefaultPResolution)
+		if gridBuckets[g.Window] != bucketWindows(w) || g.Scaled != 0 || g.P != 50 {
+			t.Fatalf("GridPointOf(%d) = %+v, bucket %d; want bucket %d", w, g, gridBuckets[g.Window], bucketWindows(w))
+		}
+	}
+	last := len(gridBuckets) - 1
+	for _, tc := range []struct {
+		w    int
+		p    float64
+		res  float64
+		want GridPoint
+	}{
+		{4097, 0.9, 0.01, GridPoint{Window: last, P: 90, Scaled: 4097}},
+		{1 << 20, 0.9, 0.01, GridPoint{Window: last, P: 90, Scaled: 1 << 20}},
+		{3, -0.5, 0.01, GridPoint{Window: 2, P: 0}},
+		{3, 1.5, 0.01, GridPoint{Window: 2, P: 100}},
+		{3, 0.905, 0.02, GridPoint{Window: 2, P: 45}},
+		{3, 0.915, 0.02, GridPoint{Window: 2, P: 46}},
+	} {
+		if got := GridPointOf(tc.w, tc.p, tc.res); got != tc.want {
+			t.Errorf("GridPointOf(%d, %v, %v) = %+v, want %+v", tc.w, tc.p, tc.res, got, tc.want)
+		}
+	}
+	c := NewCalibrator(CalibrationConfig{Seed: 3, Replicates: 50}, 0)
+	plane, err := c.Plane(10, DefaultConfidence)
 	if err != nil {
 		t.Fatal(err)
 	}
-	big, err := c.Threshold(10, 64*4, 0.9)
+	bits := map[GridPoint]uint64{}
+	for w := 1; w <= 60; w++ {
+		for g := 0; g <= 10*w; g++ {
+			p := float64(g) / float64(10*w)
+			eps, err := plane.Threshold(w, p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			pt := GridPointOf(w, p, DefaultPResolution)
+			if b, ok := bits[pt]; ok && b != math.Float64bits(eps) {
+				t.Fatalf("%d windows at %v: ε %v, another query at %+v got %v", w, p, eps, pt, math.Float64frombits(b))
+			}
+			bits[pt] = math.Float64bits(eps)
+		}
+	}
+}
+
+func TestCalibratorLargeWindowExtrapolation(t *testing.T) {
+	c := NewCalibrator(CalibrationConfig{Seed: 7, Replicates: 100}, 0)
+	base, err := c.Threshold(10, DefaultMaxCalibrationWindows, 0.9)
+	if err != nil {
+		t.Fatal(err)
+	}
+	big, err := c.Threshold(10, DefaultMaxCalibrationWindows*4, 0.9)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -5,6 +5,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"math"
 	"reflect"
 	"slices"
@@ -306,6 +307,29 @@ func seedTables(tb testing.TB) [][]behavior.SuffixResult {
 	return append(tables, wide16, test(stride2m, 1000), test(single, 5000), append(skipped[:40:40], skipped[41:]...))
 }
 
+// keyedSeedFrames is frames of tables that exercise the grid-key bindings:
+// familywise tables of two lengths, the second binding keys the third meets
+// under another threshold and so writing runs; one table twice, the second
+// writing no threshold; and a chain past the calibrated windows, whose
+// longest rows have no key.
+func keyedSeedFrames(tb testing.TB) [][][]behavior.SuffixResult {
+	tb.Helper()
+	family, err := behavior.NewMulti(behavior.Config{Calibrator: testCalibrator(), FamilywiseCorrection: true})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	var familywise [][]behavior.SuffixResult
+	for i, n := range []int{200, 1000, 200} {
+		v, err := family.Test(honestHistory(tb, "srv", n, 0.95, int64(i)))
+		if err != nil {
+			tb.Fatal(err)
+		}
+		familywise = append(familywise, v.Suffixes)
+	}
+	twice := chainRows(tb, 10, 4, 9, 10, 7, 10, 10, 8, 10)
+	return [][][]behavior.SuffixResult{familywise, {twice, twice}, {allGood(stats.DefaultMaxCalibrationWindows + 4)}}
+}
+
 // FuzzVerdictTable drives the verdict-table codec from both ends. As bytes
 // off the wire — tables one after another, as a frame's items carry them,
 // under one threshold dictionary: no panic, no more rows than the bytes could
@@ -322,6 +346,14 @@ func FuzzVerdictTable(f *testing.F) {
 	}
 	d.put()
 	f.Add(frame)
+	for _, tables := range keyedSeedFrames(f) {
+		d, frame := getFrameDict(), []byte(nil)
+		for _, rows := range tables {
+			frame = appendVerdictTable(frame, rows, d)
+		}
+		d.put()
+		f.Add(frame)
+	}
 	f.Add(encodeTable(testAssessment().Verdict.Suffixes))
 	f.Add(encodeTable([]behavior.SuffixResult{
 		{Transactions: 7, Windows: 3, PHat: math.NaN(), Distance: math.Inf(1), Threshold: math.Copysign(0, -1), Pass: true},
@@ -386,6 +418,19 @@ func FuzzAssessBatchResponse(f *testing.F) {
 			f.Fatal(err)
 		}
 		f.Add(i%2 == 1, buf)
+	}
+	for _, tables := range keyedSeedFrames(f) {
+		var items []AssessBatchItem
+		for i, rows := range tables {
+			a := testAssessment()
+			a.Server, a.Verdict.Suffixes = feedback.EntityID(fmt.Sprint("s", i)), rows
+			items = append(items, AssessBatchItem{Server: a.Server, AssessResponse: AssessResponse{Assessment: a}})
+		}
+		buf, _, err := appendBinaryPayload(nil, AssessBatchResponse{Items: items})
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(false, buf)
 	}
 	for _, payload := range []any{AssessBatchResponse{Items: all}, FwdAssessBatchResponse{Node: "n2", Items: all}} {
 		buf, _, err := appendBinaryPayload(nil, payload)

@@ -1,0 +1,307 @@
+package wire
+
+import (
+	"encoding/binary"
+	"encoding/hex"
+	"fmt"
+	"math"
+	"reflect"
+	"strings"
+	"testing"
+
+	"honestplayer/internal/behavior"
+	"honestplayer/internal/core"
+	"honestplayer/internal/feedback"
+	"honestplayer/internal/stats"
+	"honestplayer/internal/trust"
+)
+
+// frameTables encodes tables as the verdict tables of one frame and returns
+// each table's shape; the frame must decode back to them bit for bit.
+func frameTables(t *testing.T, tables ...[]behavior.SuffixResult) []byte {
+	t.Helper()
+	d := getFrameDict()
+	defer d.put()
+	var frame, shapes []byte
+	for _, rows := range tables {
+		at := len(frame)
+		frame = appendVerdictTable(frame, rows, d)
+		shapes = append(shapes, frame[at+len(binary.AppendUvarint(nil, uint64(len(rows))))])
+	}
+	r := &breader{buf: frame}
+	defer r.release()
+	for i, want := range tables {
+		if got, err := r.verdictTable(); err != nil || !sameBits(got, want) {
+			t.Fatalf("table %d of the frame: %+v, %v", i, got, err)
+		}
+	}
+	if len(r.buf) != 0 {
+		t.Fatalf("%d bytes left after the frame's tables", len(r.buf))
+	}
+	return shapes
+}
+
+// TestGridSlotsHoldTheGrid: every grid point a row can key on has a slot of
+// its own below gridSlots, and a row past the grid's windows has none.
+func TestGridSlotsHoldTheGrid(t *testing.T) {
+	points := map[uint32]stats.GridPoint{}
+	for w := 1; w <= stats.DefaultMaxCalibrationWindows; w++ {
+		for g := 0; g <= 200; g++ {
+			row := behavior.SuffixResult{Transactions: 10 * w, Windows: w, PHat: float64(g) / 200}
+			pt := stats.GridPointOf(w, row.PHat, stats.DefaultPResolution)
+			slot := rowSlot(&row)
+			if other, ok := points[slot]; slot >= uint32(gridSlots) || ok && other != pt {
+				t.Fatalf("%d windows at %v: slot %d of %d, taken by %+v", w, row.PHat, slot, gridSlots, other)
+			}
+			points[slot] = pt
+		}
+	}
+	if len(points) != gridSlots {
+		t.Errorf("%d grid points in %d slots", len(points), gridSlots)
+	}
+	row := behavior.SuffixResult{Transactions: 10 * (stats.DefaultMaxCalibrationWindows + 1),
+		Windows: stats.DefaultMaxCalibrationWindows + 1, PHat: 1}
+	if slot := rowSlot(&row); slot != noSlot {
+		t.Fatalf("a row past the grid keys on slot %d", slot)
+	}
+}
+
+// TestKeyedFallbacks: tables whose rows the frame's bindings do not predict
+// arrive intact as threshold runs, and the tables around them stay keyed.
+func TestKeyedFallbacks(t *testing.T) {
+	t.Run("familywise tables of two lengths", func(t *testing.T) {
+		// The Bonferroni level depends on a table's row count, so a 17-row
+		// and a 97-row table read different planes at the same grid points.
+		family, err := behavior.NewMulti(behavior.Config{Calibrator: testCalibrator(), FamilywiseCorrection: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var tables [][]behavior.SuffixResult
+		for i, n := range []int{200, 1000, 200} {
+			v, err := family.Test(honestHistory(t, "srv", n, 0.95, int64(i)))
+			if err != nil {
+				t.Fatal(err)
+			}
+			tables = append(tables, v.Suffixes)
+		}
+		shapes := frameTables(t, tables...)
+		// The 97-row table's keys miss the first table's, and it binds
+		// those the third, at the 17-row level, then meets.
+		if want := []byte{tableChain | tableKeyed, tableChain | tableKeyed, tableChain}; string(shapes) != string(want) {
+			t.Errorf("shapes %x, want %x", shapes, want)
+		}
+		tp, err := core.NewTwoPhase(family, trust.Average{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var batch AssessBatchResponse
+		for i, rows := range tables {
+			id := feedback.EntityID(fmt.Sprint("s", i))
+			a := core.Assessment{Server: id, Tester: tp.Name(), Verdict: behavior.Verdict{Honest: true, Suffixes: rows}}
+			batch.Items = append(batch.Items, AssessBatchItem{Server: id, AssessResponse: AssessResponse{Assessment: a}})
+		}
+		if got, _ := roundTrip(t, TypeAssessBR, batch); !reflect.DeepEqual(got, batch) {
+			t.Error("the batch changed on the wire")
+		}
+	})
+	t.Run("two window sizes", func(t *testing.T) {
+		// A frame keys the tables of its first keyed table's window size.
+		ten := chainRows(t, 10, 4, 9, 10, 7, 10, 10, 8, 10)
+		sixteen := chainRows(t, 16, 4, 16, 15, 9, 16, 14, 16)
+		for i := range sixteen {
+			sixteen[i].Threshold = 0.7
+		}
+		shapes := frameTables(t, ten, sixteen, ten)
+		if want := []byte{tableChain | tableKeyed, tableChain, tableChain | tableKeyed}; string(shapes) != string(want) {
+			t.Errorf("shapes %x, want %x", shapes, want)
+		}
+		// The second written keyed, as it is alone in a frame, is refused.
+		r := &breader{buf: append(encodeTable(ten), encodeTable(sixteen)...)}
+		defer r.release()
+		if _, err := r.verdictTable(); err != nil {
+			t.Fatal(err)
+		}
+		if got, err := r.verdictTable(); err == nil || !strings.Contains(err.Error(), "keyed at m=16 in a frame keyed at m=10") {
+			t.Errorf("a keyed table of another window size: %+v, %v", got, err)
+		}
+	})
+	t.Run("rows past the calibrated windows", func(t *testing.T) {
+		// 4100 windows: the four longest rows' ε is scaled to their own
+		// window counts, so each writes its threshold; the rest are keyed.
+		// So many windows spread too many ways for a chain's base search:
+		// the rows ride as raw columns.
+		multi, err := behavior.NewMulti(behavior.Config{
+			Calibrator: stats.NewCalibrator(stats.CalibrationConfig{Seed: 1, Replicates: 20}, 0),
+			MinWindows: 4095,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		v, err := multi.Test(honestHistory(t, "srv", 41000, 0.95, 1))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(v.Suffixes) != 6 || v.Suffixes[0].Windows != stats.DefaultMaxCalibrationWindows+4 {
+			t.Fatalf("%d rows from %d windows", len(v.Suffixes), v.Suffixes[0].Windows)
+		}
+		if shapes := frameTables(t, v.Suffixes, v.Suffixes); shapes[0] != tableKeyed || shapes[1] != tableKeyed {
+			t.Errorf("shapes %x, want two keyed tables", shapes)
+		}
+		// Alone, every row writes a value; again in the same frame, only the
+		// four past the grid do, as refs to the literals the first wrote.
+		d := getFrameDict()
+		defer d.put()
+		appendVerdictTable(nil, v.Suffixes, d)
+		if !d.keyTable(v.Suffixes, 10) || len(d.fresh) != 4 {
+			t.Errorf("the table again writes %d thresholds, want 4", len(d.fresh))
+		}
+	})
+	t.Run("calibrator at p̂ resolution 0.02", func(t *testing.T) {
+		cal := stats.NewCalibrator(stats.CalibrationConfig{Seed: 1, Replicates: 200}, 0.02)
+		// Two rows of 20 windows whose p̂ share a bucket of 0.01 but not one
+		// of 0.02: one grid key under two thresholds.
+		var rows []behavior.SuffixResult
+		for g := 170; g <= 200 && len(rows) < 2; g++ {
+			p := float64(g) / 200
+			if len(rows) == 1 {
+				q := rows[0].PHat
+				if stats.GridPointOf(20, p, stats.DefaultPResolution) != stats.GridPointOf(20, q, stats.DefaultPResolution) ||
+					stats.GridPointOf(20, p, 0.02) == stats.GridPointOf(20, q, 0.02) {
+					rows = rows[:0]
+				}
+			}
+			eps, err := cal.Threshold(10, 20, p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			rows = append(rows, behavior.SuffixResult{Transactions: 200, Windows: 20, PHat: p, Distance: 0.1, Threshold: eps, Pass: 0.1 <= eps})
+		}
+		if len(rows) != 2 || rows[0].Threshold == rows[1].Threshold {
+			t.Fatalf("no two rows on one key under two thresholds: %+v", rows)
+		}
+		if shapes := frameTables(t, rows); shapes[0] != 0 {
+			t.Errorf("shape %#x, want threshold runs", shapes[0])
+		}
+		// Whole verdicts under that calibrator arrive bit for bit.
+		multi, err := behavior.NewMulti(behavior.Config{Calibrator: cal})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var tables [][]behavior.SuffixResult
+		for i, p := range []float64{0.90, 0.93, 0.95, 0.97} {
+			v, err := multi.Test(honestHistory(t, "srv", 1000, p, int64(i)))
+			if err != nil {
+				t.Fatal(err)
+			}
+			tables = append(tables, v.Suffixes)
+		}
+		// Their rows straddle the coarser buckets, so none keys.
+		if shapes := frameTables(t, tables...); string(shapes) != string([]byte{tableChain, tableChain, tableChain, tableChain}) {
+			t.Errorf("shapes %x, want four chains with threshold runs", shapes)
+		}
+	})
+}
+
+// TestKeyedFrameGolden pins a keyed assess.batch.resp of four items, byte
+// for byte: the first binds four grid keys, the second repeats its table
+// and writes no threshold, the third finds two of its keys bound and binds
+// two more, and the fourth carries a threshold its key is not bound to and
+// writes its runs. The keys are stats.GridPointOf's arithmetic, so a receiver on
+// another GOARCH that keys one row differently fails here.
+func TestKeyedFrameGolden(t *testing.T) {
+	with := func(rows []behavior.SuffixResult, thresholds ...float64) []behavior.SuffixResult {
+		for i := range rows {
+			rows[i].Threshold = thresholds[i]
+			rows[i].Pass = rows[i].Distance <= rows[i].Threshold
+		}
+		return rows
+	}
+	tables := [][]behavior.SuffixResult{
+		with(chainRows(t, 10, 4, 9, 10, 7, 10, 10, 8, 10), 0.5, 0.25, 0.25, 0.125),
+		with(chainRows(t, 10, 4, 9, 10, 7, 10, 10, 8, 10), 0.5, 0.25, 0.25, 0.125),
+		with(chainRows(t, 10, 2, 7, 10, 10, 8, 10), 0.25, 0.125, 0.5, 0.0625),
+		with(chainRows(t, 10, 6, 9, 10, 7, 10, 10, 8, 10), 0.5, 0.375),
+	}
+	var batch AssessBatchResponse
+	for i, rows := range tables {
+		id := feedback.EntityID(fmt.Sprint("s", i))
+		a := core.Assessment{Server: id, Records: rows[0].Transactions, Tester: "multi", TrustFunc: "average",
+			Verdict: behavior.Verdict{Honest: i%2 == 0, Suffixes: rows}}
+		a.Good = int(math.Round(rows[0].PHat * float64(rows[0].Transactions)))
+		a.Trust, a.TrustLow, a.TrustHigh = derivedTrust(false, a.Records, a.Good)
+		batch.Items = append(batch.Items, AssessBatchItem{Server: id, AssessResponse: AssessResponse{Assessment: a, Accept: true}})
+	}
+	env, err := V2Codec.Encode(TypeAssessBR, 1, batch)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const want = "" +
+		"04" + // items
+		"027330" + "00" + "01" + "2c" + "46" + "40" + // s0: kind, accept, verdict+honest+names, 70 records, 64 good
+		"056d756c7469" + "07617665726167" + "65" + // "multi", "average"
+		"0418070a00c309" + // 4 rows, a keyed chain of 7 windows down, m 10, k 0, counts
+		"003fe0000000000000" + "003fd0000000000000" + "02" + "003fc0000000000000" + // 0.5, 0.25, ref 2, 0.125
+		"027331" + "00" + "01" + "04" + "46" + "40" + // s1: verdict, no names
+		"0418070a00c309" + // the same chain, every key bound: no threshold
+		"027332" + "00" + "01" + "0c" + "32" + "2d" + // s2: 50 records, 45 good
+		"0418050a00c301" + // rows of 5 and 4 windows are bound, 3 and 2 are not
+		"01" + "003fb0000000000000" + // ref 1 (0.5), 0.0625
+		"027333" + "00" + "01" + "04" + "46" + "40" + // s3
+		"0208070a003708" + // 2 rows, a chain whose 6-window row has 0.375, not its key's 0.25
+		"0101" + "003fd800000000000001" // runs: ref 1 × 1, 0.375 × 1
+	if got := hex.EncodeToString(env.Payload); got != want {
+		t.Errorf("frame moved:\n got %s\nwant %s", got, want)
+	}
+	if got, _ := roundTrip(t, TypeAssessBR, batch); !reflect.DeepEqual(got, batch) {
+		t.Fatalf("the frame changed on the wire: %+v", got)
+	}
+}
+
+// TestAssessBatchFrameAllocs pins the allocations of one 256 × 200-record
+// assess.batch.resp, the benchmark's wide frame: the encoder allocates
+// nothing — its chain and keying scratch are the pooled frame dictionary's
+// — and the decoder a table and a server name an item. Revision 11 made
+// 786 and 1796, three for a chain on every table at each end and three more
+// for the decoder's second.
+func TestAssessBatchFrameAllocs(t *testing.T) {
+	multi, err := behavior.NewMulti(behavior.Config{Calibrator: testCalibrator()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	tp, err := core.NewTwoPhase(multi, trust.Average{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const servers = 256
+	resp := AssessBatchResponse{Items: make([]AssessBatchItem, servers)}
+	for i := range resp.Items {
+		id := feedback.EntityID(fmt.Sprintf("server-%04d", i))
+		a, err := tp.Assess(honestHistory(t, id, 200, 0.90+0.09*float64(i%8)/7, int64(i)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Items[i] = AssessBatchItem{Server: id, AssessResponse: AssessResponse{Assessment: a, Accept: true}}
+	}
+	env, err := V2Codec.Encode(TypeAssessBR, 1, resp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	buf := make([]byte, 0, len(env.Payload))
+	// Under the race detector a pool drops a quarter of what it is given,
+	// so now and then a frame pays for a new dictionary and the growth of
+	// its map and slices: the bounds are per frame, not per item.
+	enc := testing.AllocsPerRun(10, func() { buf = appendAssessBatchResponse(buf[:0], resp) })
+	dec := testing.AllocsPerRun(10, func() {
+		var out AssessBatchResponse
+		if err := DecodePayload(env, &out); err != nil {
+			t.Fatal(err)
+		}
+	})
+	t.Logf("%d items: %.0f allocations to encode, %.0f to decode", servers, enc, dec)
+	if enc > 64 {
+		t.Errorf("encode: %.0f allocations, want <= 64", enc)
+	}
+	if most := float64(2*servers + 64); dec > most {
+		t.Errorf("decode: %.0f allocations, want <= %.0f", dec, most)
+	}
+}

@@ -55,10 +55,12 @@ import (
 // counts they derive from, its tester and trust function once per frame, and
 // a submit.batch.resp as its items alone (ADR 0006's fourth amendment); 11
 // drops an assess response's cached and incremental bits, the markers of
-// engines a node no longer has (ADR 0016's amendment). No revision reads
+// engines a node no longer has (ADR 0016's amendment); 12 writes no
+// threshold for a verdict row whose calibration grid point the frame has
+// already bound (ADR 0006's fifth amendment). No revision reads
 // another's binary payloads: ends of different revisions speak BridgeCodec
 // (ADR 0009).
-const VersionV2 = 11
+const VersionV2 = 12
 
 // HelloMagic is the first byte of a client hello. A connection that opens
 // with any other byte is closed.

@@ -420,8 +420,8 @@ func TestV2RetiredCodesStayReserved(t *testing.T) {
 	}
 }
 
-// TestSubmitBatchGoldenFrame pins submit.batch on the wire as revision 11
-// lays it out, as revisions 6 to 10 did: the v2 header, then the records as one
+// TestSubmitBatchGoldenFrame pins submit.batch on the wire as revision 12
+// lays it out, as revisions 6 to 11 did: the v2 header, then the records as one
 // feedback.AppendBatch column batch with dictionaries that start empty at
 // the frame, its times divided by their differences' greatest common
 // divisor (ADR 0014).
@@ -442,8 +442,8 @@ func TestSubmitBatchGoldenFrame(t *testing.T) {
 		0b101, // good
 	}
 	var buf bytes.Buffer
-	if err := WriteHello(&buf); err != nil || !bytes.Equal(buf.Bytes(), []byte{0xB2, 'W', '2', 11, '\n'}) {
-		t.Fatalf("hello = %x, %v; the layout below is revision 11's", buf.Bytes(), err)
+	if err := WriteHello(&buf); err != nil || !bytes.Equal(buf.Bytes(), []byte{0xB2, 'W', '2', 12, '\n'}) {
+		t.Fatalf("hello = %x, %v; the layout below is revision 12's", buf.Bytes(), err)
 	}
 	buf.Reset()
 	env, err := V2Codec.Encode(TypeSubmitB, 9, req)

@@ -26,10 +26,13 @@ import (
 //	              float64(g)/float64(Transactions) is PHat bit for bit;
 //	              with tablePHat n × 8 B of PHat instead
 //	distance      n × 8 B
-//	threshold     (uvarint ref, uvarint run length) pairs covering n rows,
-//	              neighbouring runs differing in their bits; ref 0 is
-//	              followed by 8 B of bits the frame has not written yet,
-//	              ref i names the frame's i-th such literal (frameDict)
+//	threshold     with tableKeyed, one value for each row that binds a grid
+//	              key (below) or has none, in row order, and nothing for
+//	              the rest; without it (value, uvarint run length) pairs
+//	              covering n rows, neighbouring runs differing in their
+//	              bits. A value is a uvarint ref: 0 is followed by 8 B of
+//	              bits the frame has not written yet, i names the frame's
+//	              i-th such literal (frameDict)
 //	pass          nothing when every row has Pass == (Distance <= Threshold);
 //	              with tablePass ⌈n/8⌉ bytes, bit i%8 of byte i/8 for row i,
 //	              padding bits zero
@@ -56,6 +59,22 @@ import (
 // decoder makes again from the rows it decoded, and k riceParam's, which it
 // works out again from the counts.
 //
+// A row's grid key is the calibration grid point its threshold query lands
+// on, stats.GridPointOf(Windows, PHat) at the default p̂ resolution: a
+// calibrator answers every query of one plane at one grid point with the
+// same ε, so a batch's tables repeat a few hundred thresholds, each under
+// one key. A frame binds a key to the threshold of the first row that has
+// it, and a table whose Windows and PHat derive, of the window size of the
+// frame's keyed tables, and whose every row carries its key's binding is
+// keyed (tableKeyed, ADR 0006's fifth amendment): both ends compute every
+// row's key from the columns before the thresholds, so the table writes a
+// threshold only for the rows that bind a key. A row past
+// stats.DefaultMaxCalibrationWindows, whose ε is scaled to its own window
+// count, has no key and always writes its threshold, so that a frame's
+// bindings are one table the size of the grid, whatever its rows. A table
+// that is not keyed — another window size or p̂ resolution, familywise
+// tables of different lengths, hostile rows — writes its threshold runs.
+//
 // The encoding is lossless for any rows — NaN payloads, −0, ±Inf, negative
 // or unordered counts — because the encoder derives a column only after
 // checking that every row reproduces, and the decoder accepts exactly the
@@ -66,6 +85,7 @@ const (
 	tablePHat    byte = 1 << 1
 	tablePass    byte = 1 << 2
 	tableChain   byte = 1 << 3
+	tableKeyed   byte = 1 << 4
 )
 
 // maxFrameRows bounds the verdict rows of one frame, all its tables
@@ -127,8 +147,8 @@ func goodCount(s *behavior.SuffixResult) (int, bool) {
 // transactions more, at most behavior.MaxWindowSize wide, and whose every
 // Distance rebuilds from a base among the first maxBases. A decoder passes
 // the base it rebuilt rows from as rebuilt, which the search then takes
-// without a second walk.
-func tableShape(rows []behavior.SuffixResult, rebuilt []uint32) (shape byte, m int, ch *chain) {
+// without a second walk. The chain is the frame's scratch, d.chain.
+func tableShape(rows []behavior.SuffixResult, rebuilt []uint32, d *frameDict) (shape byte, m int, ch *chain) {
 	if w := rows[0].Windows; w > 0 && rows[0].Transactions%w == 0 {
 		m = rows[0].Transactions / w
 	}
@@ -157,7 +177,7 @@ func tableShape(rows []behavior.SuffixResult, rebuilt []uint32) (shape byte, m i
 		return shape, 0, nil
 	}
 	if steps && shape&tablePHat == 0 {
-		ch := newChain(m)
+		ch := d.chain(m)
 		if ch.rebuilt = rebuilt; chainBase(ch, rows, prev) {
 			return shape | tableChain, m, ch
 		}
@@ -270,19 +290,29 @@ func eachBase(hist []uint32, v, w, g int, visit func() bool) bool {
 }
 
 // frameDict is a frame's dictionaries (ADR 0008): the bits of every
-// threshold literal the frame has written, in order, so that a later run
-// names one by its place, and the names its latest assessment wrote, so that
-// the next says "the same" instead. Each table's ε comes from one calibrator
-// grid and every assessment from one assessor, so a batch repeats a few
-// dozen thresholds and one pair of names in every item. It lives exactly as
-// long as the frame: an encoder takes one per payload (getFrameDict), a
-// decoder keeps one in its breader, and nothing carries it to the next.
+// threshold literal the frame has written, in order, so that a later value
+// names one by its place, the threshold each grid key is bound to, and the
+// names its latest assessment wrote, so that the next says "the same"
+// instead. Each table's ε comes from one calibrator grid and every
+// assessment from one assessor, so a batch repeats a few dozen thresholds
+// and one pair of names in every item. It lives exactly as long as the
+// frame: an encoder takes one per payload (getFrameDict), a decoder keeps
+// one in its breader, and nothing carries it to the next. Its scratch — the
+// chain and the rows keyTable picks — is reused from table to table.
 type frameDict struct {
 	ref  map[uint64]uint64 // a literal's bits → its ref, from 1
 	bits []uint64          // ref − 1 → the literal's bits
 
+	keyM    int      // the window size of the frame's keyed tables, 0 before the first
+	keyBits []uint64 // a grid key's slot (rowSlot) → the threshold bits it is bound to
+	keySet  []uint64 // bit slot%64 of word slot/64: the slot's key is bound
+
 	named             bool // an assessment of the frame has written names
 	tester, trustFunc string
+
+	fresh   []int    // keyTable's pick: the rows of a keyed table that write a threshold
+	ch      *chain   // the chain scratch, for window size len(ch.pmf) − 1
+	rebuilt []uint32 // a decoded chain's base, as written
 }
 
 var frameDictPool = sync.Pool{New: func() any { return &frameDict{ref: make(map[uint64]uint64)} }}
@@ -293,8 +323,122 @@ func getFrameDict() *frameDict { return frameDictPool.Get().(*frameDict) }
 func (d *frameDict) put() {
 	clear(d.ref)
 	d.bits = d.bits[:0]
+	d.keyM = 0
+	clear(d.keySet)
 	d.named, d.tester, d.trustFunc = false, "", ""
 	frameDictPool.Put(d)
+}
+
+// chain returns the frame's chain scratch for window size m, its
+// histograms zeroed.
+func (d *frameDict) chain(m int) *chain {
+	if d.ch == nil || len(d.ch.pmf) != m+1 {
+		d.ch = newChain(m)
+	} else {
+		clear(d.ch.hist)
+		clear(d.ch.base)
+		clear(d.ch.candid)
+	}
+	return d.ch
+}
+
+// The calibration grid at the default p̂ resolution, as rowSlot numbers its
+// points: gridP p̂ buckets to a window bucket, gridSlots points in all.
+var (
+	gridP     = stats.GridPointOf(1, 1, stats.DefaultPResolution).P + 1
+	gridSlots = gridP * (stats.GridPointOf(stats.DefaultMaxCalibrationWindows, 1, stats.DefaultPResolution).Window + 1)
+)
+
+// noSlot is the slot of a row that has no grid key.
+const noSlot = ^uint32(0)
+
+// rowSlot is the grid key of a row whose Windows and PHat derive, under its
+// table's window size: the row's stats.GridPoint at the default p̂
+// resolution, Window·gridP + P, or noSlot for a row past the calibrated
+// range.
+// Such a row has at least one window and a PHat in [0, 1]; a row a decoder
+// has not checked yet may not, and has no key either.
+func rowSlot(s *behavior.SuffixResult) uint32 {
+	if s.Windows < 1 || !(s.PHat >= 0 && s.PHat <= 1) {
+		return noSlot
+	}
+	g := stats.GridPointOf(s.Windows, s.PHat, stats.DefaultPResolution)
+	if g.Scaled != 0 {
+		return noSlot
+	}
+	return uint32(g.Window*gridP + g.P)
+}
+
+// keys reports whether the frame can key a table of window size m — it
+// keys those of its first keyed table's size, and any size before that —
+// and readies the key slots.
+func (d *frameDict) keys(m int) bool {
+	if d.keyM != 0 && d.keyM != m {
+		return false
+	}
+	if d.keyBits == nil {
+		d.keyBits, d.keySet = make([]uint64, gridSlots), make([]uint64, (gridSlots+63)/64)
+	}
+	return true
+}
+
+func (d *frameDict) bound(slot uint32) (uint64, bool) {
+	return d.keyBits[slot], d.keySet[slot/64]>>(slot%64)&1 != 0
+}
+
+func (d *frameDict) bind(slot uint32, bits uint64) {
+	d.keyBits[slot] = bits
+	d.keySet[slot/64] |= 1 << (slot % 64)
+}
+
+// keyTable reports whether the rows of a table of window size m, whose
+// Windows and PHat derive, are keyed: the frame keys tables of m — the
+// first keyed table's m, or none yet — and every row carries the threshold
+// its grid key is bound to, a key the frame has not bound yet binding to
+// the first row that has it. d.fresh is then the rows that write a
+// threshold: those that bound a key and those with none. A table that is
+// not keyed binds nothing.
+func (d *frameDict) keyTable(rows []behavior.SuffixResult, m int) bool {
+	if !d.keys(m) {
+		return false
+	}
+	d.fresh = d.fresh[:0]
+	prev := noSlot
+	for i := range rows {
+		slot, bits := rowSlot(&rows[i]), math.Float64bits(rows[i].Threshold)
+		keyed := true
+		if slot == noSlot {
+			d.fresh = append(d.fresh, i)
+		} else if slot == prev { // bound to the row before, which had it too
+			keyed = bits == math.Float64bits(rows[i-1].Threshold)
+		} else if b, ok := d.bound(slot); !ok {
+			d.bind(slot, bits)
+			d.fresh = append(d.fresh, i)
+		} else {
+			keyed = b == bits
+		}
+		if !keyed {
+			for _, i := range d.fresh {
+				if slot := rowSlot(&rows[i]); slot != noSlot {
+					d.keySet[slot/64] &^= 1 << (slot % 64)
+				}
+			}
+			return false
+		}
+		prev = slot
+	}
+	d.keyM = m
+	return true
+}
+
+// appendThreshold writes a threshold value: the ref of a literal the frame
+// has written, or 0 and the bits, which join the frame's literals.
+func (d *frameDict) appendThreshold(buf []byte, bits uint64) []byte {
+	if ref, ok := d.ref[bits]; ok {
+		return binary.AppendUvarint(buf, ref)
+	}
+	d.add(bits)
+	return binary.BigEndian.AppendUint64(append(buf, 0), bits)
 }
 
 func (d *frameDict) add(bits uint64) {
@@ -312,44 +456,57 @@ func (d *frameDict) name(tester, trustFunc string) {
 	d.named, d.tester, d.trustFunc = true, tester, trustFunc
 }
 
-// appendVerdictTable writes rows, its threshold literals joining d, the
-// dictionary of the frame it is part of.
+// appendVerdictTable writes rows, its threshold literals and grid keys
+// joining d, the dictionaries of the frame it is part of.
 func appendVerdictTable(buf []byte, rows []behavior.SuffixResult, d *frameDict) []byte {
 	n := len(rows)
 	buf = binary.AppendUvarint(buf, uint64(n))
 	if n == 0 {
 		return buf
 	}
-	shape, m, ch := tableShape(rows, nil)
+	shape, m, ch := tableShape(rows, nil, d)
+	if shape&(tableWindows|tablePHat) == 0 && d.keyTable(rows, m) {
+		shape |= tableKeyed
+	}
 	buf = append(buf, shape)
 	if ch != nil {
 		buf = appendChain(buf, rows, ch)
 	} else {
 		buf = appendRawColumns(buf, rows, shape, m)
 	}
-	for i := 0; i < n; {
+	if shape&tableKeyed != 0 {
+		for _, i := range d.fresh {
+			buf = d.appendThreshold(buf, math.Float64bits(rows[i].Threshold))
+		}
+	}
+	for i := 0; i < n && shape&tableKeyed == 0; {
 		bits, end := math.Float64bits(rows[i].Threshold), i+1
 		for end < n && math.Float64bits(rows[end].Threshold) == bits {
 			end++
 		}
-		if ref, ok := d.ref[bits]; ok {
-			buf = binary.AppendUvarint(buf, ref)
-		} else {
-			buf = binary.BigEndian.AppendUint64(append(buf, 0), bits)
-			d.add(bits)
-		}
+		buf = d.appendThreshold(buf, bits)
 		buf = binary.AppendUvarint(buf, uint64(end-i))
 		i = end
 	}
 	if shape&tablePass != 0 {
 		bitmap := len(buf)
-		buf = append(buf, make([]byte, (n+7)/8)...)
+		buf = appendZeros(buf, (n+7)/8)
 		for i := range rows {
 			if rows[i].Pass {
 				buf[bitmap+i/8] |= 1 << (i % 8)
 			}
 		}
 	}
+	return buf
+}
+
+// appendZeros extends buf by n zero bytes, in place when it has room, as
+// append(buf, make([]byte, n)...) does only where the compiler rewrites it
+// (not under the race detector).
+func appendZeros(buf []byte, n int) []byte {
+	at := len(buf)
+	buf = slices.Grow(buf, n)[:at+n]
+	clear(buf[at:])
 	return buf
 }
 
@@ -442,7 +599,7 @@ func appendChain(buf []byte, rows []behavior.SuffixResult, ch *chain) []byte {
 	k := riceParam(ch.hist)
 	buf = append(buf, byte(k))
 	at, pos := len(buf), 0
-	buf = append(buf, make([]byte, (riceBits(ch.hist, k)+7)/8)...)
+	buf = appendZeros(buf, int(riceBits(ch.hist, k)+7)/8)
 	for v, c := range ch.base {
 		for range c {
 			pos = putRice(buf[at:], pos, m-v, k)
@@ -486,6 +643,9 @@ func (r *breader) verdictTable() ([]behavior.SuffixResult, error) {
 	if err != nil {
 		return nil, err
 	}
+	if shape&tableKeyed != 0 && shape&(tableWindows|tablePHat) != 0 {
+		return nil, fmt.Errorf("verdict table: shape %#x keys rows whose columns ride", shape)
+	}
 	windows, m := 0, 0
 	if shape&tableChain != 0 {
 		if windows, m, err = r.chainHead(n); err != nil {
@@ -497,9 +657,10 @@ func (r *breader) verdictTable() ([]behavior.SuffixResult, error) {
 		return nil, fmt.Errorf("verdict table: %d rows in %d bytes", n, len(r.buf))
 	}
 	rows := make([]behavior.SuffixResult, n)
+	d := r.frame()
 	var read *chain // a chain's, its base as written
 	if shape&tableChain != 0 {
-		read = newChain(m)
+		read = d.chain(m)
 		err = r.chainColumns(rows, windows, read)
 	} else {
 		m, err = r.rawColumns(rows, shape)
@@ -507,22 +668,13 @@ func (r *breader) verdictTable() ([]behavior.SuffixResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	for i := 0; i < n; {
-		v, err := r.threshold()
-		if err != nil {
-			return nil, err
-		}
-		run, err := r.uvarint()
-		if err != nil {
-			return nil, err
-		}
-		if run == 0 || run > uint64(n-i) || i > 0 && math.Float64bits(v) == math.Float64bits(rows[i-1].Threshold) {
-			return nil, fmt.Errorf("verdict table: threshold run of %d at row %d of %d", run, i, n)
-		}
-		for ; run > 0; run-- {
-			rows[i].Threshold = v
-			i++
-		}
+	if shape&tableKeyed != 0 {
+		err = r.keyedThresholds(rows, m)
+	} else {
+		err = r.thresholdRuns(rows, shape, m)
+	}
+	if err != nil {
+		return nil, err
 	}
 	if shape&tablePass != 0 {
 		bitmap := (n + 7) / 8
@@ -540,21 +692,82 @@ func (r *breader) verdictTable() ([]behavior.SuffixResult, error) {
 	}
 	var rebuilt []uint32
 	if read != nil {
-		rebuilt = read.base
+		d.rebuilt = append(d.rebuilt[:0], read.base...)
+		rebuilt = d.rebuilt
 	}
-	s, mm, ch := tableShape(rows, rebuilt)
-	if s != shape || mm != m {
-		return nil, fmt.Errorf("verdict table: shape %#x (m=%d) where the encoder writes %#x (m=%d)", shape, m, s, mm)
+	s, mm, ch := tableShape(rows, rebuilt, d)
+	if s != shape&^tableKeyed || mm != m {
+		return nil, fmt.Errorf("verdict table: shape %#x (m=%d) where the encoder writes %#x (m=%d)", shape&^tableKeyed, m, s, mm)
 	}
-	if ch != nil && !slices.Equal(ch.base, read.base) {
-		return nil, fmt.Errorf("verdict table: chain base %v where the encoder writes %v", read.base, ch.base)
+	if ch != nil && !slices.Equal(ch.base, rebuilt) {
+		return nil, fmt.Errorf("verdict table: chain base %v where the encoder writes %v", rebuilt, ch.base)
 	}
 	return rows, nil
 }
 
-// threshold reads a threshold run's value: a ref into the frame's
-// dictionary, or 0 and a literal the dictionary does not hold yet, which
-// joins it.
+// keyedThresholds reads a keyed table's thresholds into rows, whose other
+// columns it has read: a value for each row that binds its grid key or has
+// none, the binding for the rest.
+func (r *breader) keyedThresholds(rows []behavior.SuffixResult, m int) error {
+	d := r.frame()
+	if !d.keys(m) {
+		return fmt.Errorf("verdict table: keyed at m=%d in a frame keyed at m=%d", m, d.keyM)
+	}
+	d.keyM = m
+	prev := noSlot
+	for i := range rows {
+		slot, bits, ok := rowSlot(&rows[i]), uint64(0), false
+		switch {
+		case slot == noSlot:
+		case slot == prev:
+			bits, ok = math.Float64bits(rows[i-1].Threshold), true
+		default:
+			bits, ok = d.bound(slot)
+		}
+		if !ok {
+			v, err := r.threshold()
+			if err != nil {
+				return err
+			}
+			if bits = math.Float64bits(v); slot != noSlot {
+				d.bind(slot, bits)
+			}
+		}
+		rows[i].Threshold, prev = math.Float64frombits(bits), slot
+	}
+	return nil
+}
+
+// thresholdRuns reads the threshold runs of a table of the given shape and
+// window size m into rows, whose other columns it has read, and refuses
+// them when the table would have been keyed.
+func (r *breader) thresholdRuns(rows []behavior.SuffixResult, shape byte, m int) error {
+	n := len(rows)
+	for i := 0; i < n; {
+		v, err := r.threshold()
+		if err != nil {
+			return err
+		}
+		run, err := r.uvarint()
+		if err != nil {
+			return err
+		}
+		if run == 0 || run > uint64(n-i) || i > 0 && math.Float64bits(v) == math.Float64bits(rows[i-1].Threshold) {
+			return fmt.Errorf("verdict table: threshold run of %d at row %d of %d", run, i, n)
+		}
+		for ; run > 0; run-- {
+			rows[i].Threshold = v
+			i++
+		}
+	}
+	if shape&(tableWindows|tablePHat) == 0 && r.frame().keyTable(rows, m) {
+		return fmt.Errorf("verdict table: threshold runs where the encoder keys the rows")
+	}
+	return nil
+}
+
+// threshold reads a threshold value: a ref into the frame's dictionary, or
+// 0 and a literal the dictionary does not hold yet, which joins it.
 func (r *breader) threshold() (float64, error) {
 	ref, err := r.uvarint()
 	if err != nil {

@@ -133,7 +133,10 @@ func TestVerdictTableEveryTester(t *testing.T) {
 			}
 		}
 		if rows := a.Verdict.Suffixes; len(rows) > 0 {
-			if shape, _, _ := tableShape(rows, nil); shape != testerShapes[name] {
+			d := getFrameDict()
+			shape, _, _ := tableShape(rows, nil, d)
+			d.put()
+			if shape != testerShapes[name] {
 				t.Errorf("%s: shape %#x, want %#x", name, shape, testerShapes[name])
 			}
 		}
@@ -159,11 +162,13 @@ var testerShapes = map[string]byte{
 // spread over the benchmark's range of p, each table a frame of its own: the
 // row layout took 28.7 B per suffix at any depth, the raw columns 10.8 B at
 // 497 rows and 16.1 B at 17, chains with distance residuals 2.58 B and 7.74
-// B, chains with none 1.29 B and 6.65 B. A chain spends a bit or two on
-// each row's window count and nothing on its distance; the rest is the
-// threshold runs, which is why a short table, whose thresholds change bucket
-// nearly every row, pays more per suffix — alone in its frame it shares no
-// literal (TestAssessBatchFrameBytes has the frames a node sends).
+// B, chains with none 1.29 B and 6.65 B, keyed chains 0.73 B and 6.11 B. A
+// chain spends a bit or two on each row's window count and nothing on its
+// distance; the rest is the thresholds, one for each grid point the rows
+// land on, which is why a short table, whose rows change grid point nearly
+// every row, pays more per suffix — alone in its frame it shares no literal
+// and finds no key bound (TestAssessBatchFrameBytes has the frames a node
+// sends).
 func TestVerdictTableBytes(t *testing.T) {
 	multi, err := behavior.NewMulti(behavior.Config{Calibrator: testCalibrator()})
 	if err != nil {
@@ -173,7 +178,7 @@ func TestVerdictTableBytes(t *testing.T) {
 	for _, tc := range []struct {
 		records, suffixes int
 		most              float64
-	}{{5000, 497, 0.90}, {1000, 97, 2.55}, {200, 17, 6.90}} {
+	}{{5000, 497, 0.78}, {1000, 97, 2.25}, {200, 17, 6.35}} {
 		total := 0
 		for _, p := range ps {
 			v, err := multi.Test(honestHistory(t, "srv", tc.records, p, 1))
@@ -194,14 +199,17 @@ func TestVerdictTableBytes(t *testing.T) {
 }
 
 // TestAssessBatchFrameBytes pins the assess.batch.resp payload per item that
-// trustd's default assessor sends for the benchmark's two batch shapes —
-// 256 servers of 200 records (assess_wide) and 8 of 5000 (assess_deep's
-// histories) — over the benchmark's mix of histories: 80 % honest with p in
-// [0.90, 0.99], 10 % hibernating and 10 % periodic attackers, and the
-// assess.resp of one server of 1000 records (mixed_skew's single frames),
-// which writes its names. Revision 8 sent 165.6 B and 674.4 B an item,
-// revision 9 86.8 B, 461.5 B and 245.0 B, revision 10 52.8 B, 429.2 B and
-// 225.0 B: a header of three floats and two names became two counts.
+// trustd's default assessor sends for the benchmark's three batch shapes —
+// 256 servers of 200 records (assess_wide), 8 of 5000 (assess_deep's
+// histories) and 64 of 200 (cluster3) — over the benchmark's mix of
+// histories: 80 % honest with p in [0.90, 0.99], 10 % hibernating and 10 %
+// periodic attackers, and the assess.resp of one server of 1000 records
+// (mixed_skew's single frames), which writes its names. Revision 8 sent
+// 165.6 B and 674.4 B an item, revision 9 86.8 B, 461.5 B and 245.0 B,
+// revision 10 52.8 B, 429.2 B and 225.0 B (a header of three floats and two
+// names became two counts; 63.1 B at 64 × 200), revision 12 30.4 B, 373.2
+// B, 202.0 B and 42.2 B: a row whose grid key the frame has bound writes no
+// threshold.
 func TestAssessBatchFrameBytes(t *testing.T) {
 	tp, err := core.DefaultSpec.Build()
 	if err != nil {
@@ -210,7 +218,7 @@ func TestAssessBatchFrameBytes(t *testing.T) {
 	for _, tc := range []struct {
 		servers, records int
 		most             float64
-	}{{256, 200, 55}, {8, 5000, 450}, {1, 1000, 233}} {
+	}{{256, 200, 32}, {8, 5000, 390}, {1, 1000, 210}, {64, 200, 44}} {
 		var resp AssessBatchResponse
 		for i := range tc.servers {
 			id := feedback.EntityID(fmt.Sprintf("srv-%d", i))
@@ -253,10 +261,12 @@ func TestAssessBatchFrameBytes(t *testing.T) {
 }
 
 // TestTesterTablesAreChains: the tables a multi tester writes — Multi.Test's
-// and a ServerAccumulator's — cross as chains, with every Distance rebuilt
-// by the receiver and none sent, on seeded histories: honest ones over the
+// and a ServerAccumulator's — cross as keyed chains, with every Distance
+// rebuilt by the receiver and none sent, and a threshold sent only for the
+// rows that bind a grid key, on seeded histories: honest ones over the
 // benchmark's range of p, a hibernating attacker's and a periodic one's. A
-// silent fall-back to raw columns fails here, not on the benchmark.
+// silent fall-back to raw columns or to threshold runs fails here, not on
+// the benchmark.
 func TestTesterTablesAreChains(t *testing.T) {
 	multi, err := behavior.NewMulti(behavior.Config{Calibrator: testCalibrator()})
 	if err != nil {
@@ -296,8 +306,8 @@ func TestTesterTablesAreChains(t *testing.T) {
 			t.Fatal(err)
 		}
 		for engine, rows := range map[string][]behavior.SuffixResult{"Multi.Test": v.Suffixes, "accumulator": a.Verdict.Suffixes} {
-			if shape := checkTable(t, rows); shape != tableChain {
-				t.Errorf("%s, %s: %d rows in shape %#x, want a chain", name, engine, len(rows), shape)
+			if shape := checkTable(t, rows); shape != tableChain|tableKeyed {
+				t.Errorf("%s, %s: %d rows in shape %#x, want a keyed chain", name, engine, len(rows), shape)
 			}
 		}
 	}
@@ -353,7 +363,9 @@ func checkTable(t testing.TB, rows []behavior.SuffixResult) byte {
 
 // TestVerdictTableFallbacks: the encoder checks every row before deriving a
 // column, so tables no tester writes still arrive intact — each the long way
-// round for exactly the columns that needed it.
+// round for exactly the columns that needed it. Every table whose Windows
+// and PHat derive is keyed but those whose rows hold one grid key under two
+// thresholds, which write their runs.
 func TestVerdictTableFallbacks(t *testing.T) {
 	nan := math.Float64frombits(0x7ff8000000000123)
 	row := behavior.SuffixResult{Transactions: 40, Windows: 4, PHat: 0.95, Distance: 0.1, Threshold: 0.2, Pass: true}
@@ -370,7 +382,7 @@ func TestVerdictTableFallbacks(t *testing.T) {
 	}{
 		{"empty", nil, 0},
 		{"empty non-nil", []behavior.SuffixResult{}, 0},
-		{"derived", with(func(*behavior.SuffixResult) {}), 0},
+		{"derived", with(func(*behavior.SuffixResult) {}), tableKeyed},
 		{"windows not a multiple", with(func(s *behavior.SuffixResult) { s.Windows = 5 }), tableWindows},
 		{"ragged transactions", with(func(s *behavior.SuffixResult) { s.Transactions = 41 }), tableWindows | tablePHat},
 		{"zero windows first", []behavior.SuffixResult{{Transactions: 10, PHat: 0.5, Pass: true}}, tableWindows},
@@ -381,12 +393,18 @@ func TestVerdictTableFallbacks(t *testing.T) {
 		{"phat -0", with(func(s *behavior.SuffixResult) { s.PHat = math.Copysign(0, -1) }), tablePHat},
 		{"phat above one", with(func(s *behavior.SuffixResult) { s.PHat = 1.5 }), tablePHat},
 		{"zero transactions", with(func(s *behavior.SuffixResult) { s.Transactions, s.Windows, s.PHat = 0, 0, nan }), tablePHat},
-		{"pass disagrees", with(func(s *behavior.SuffixResult) { s.Pass = false }), tablePass},
-		{"distance nan", with(func(s *behavior.SuffixResult) { s.Distance, s.Pass = nan, false }), 0},
-		{"distance nan passing", with(func(s *behavior.SuffixResult) { s.Distance = nan }), tablePass},
+		{"pass disagrees", with(func(s *behavior.SuffixResult) { s.Pass = false }), tablePass | tableKeyed},
+		{"distance nan", with(func(s *behavior.SuffixResult) { s.Distance, s.Pass = nan, false }), tableKeyed},
+		{"distance nan passing", with(func(s *behavior.SuffixResult) { s.Distance = nan }), tablePass | tableKeyed},
+		// Rows 1 and 2 are one grid point with two thresholds.
 		{"threshold inf and -0", with(func(s *behavior.SuffixResult) {
 			s.Threshold, s.Distance = math.Inf(1), math.Copysign(0, -1)
 		}), 0},
+		{"threshold nan", with(func(s *behavior.SuffixResult) { s.Threshold, s.Pass = nan, false }), 0},
+		{"one grid point, nan thresholds", []behavior.SuffixResult{
+			{Transactions: 40, Windows: 4, PHat: 0.95, Distance: 0.1, Threshold: nan},
+			{Transactions: 40, Windows: 4, PHat: 0.95, Distance: 0.1, Threshold: nan},
+		}, tableKeyed},
 		{"everything", with(func(s *behavior.SuffixResult) {
 			*s = behavior.SuffixResult{Transactions: 7, Windows: 3, PHat: math.Inf(-1), Distance: nan, Threshold: nan, Pass: true}
 		}), tableWindows | tablePHat | tablePass},
@@ -403,8 +421,8 @@ func TestVerdictTableFallbacks(t *testing.T) {
 		nine[i] = row
 		nine[i].Pass = i%2 == 0
 	}
-	if got := checkTable(t, nine); got != tablePass {
-		t.Errorf("nine rows: shape %#x, want %#x", got, tablePass)
+	if got := checkTable(t, nine); got != tablePass|tableKeyed {
+		t.Errorf("nine rows: shape %#x, want %#x", got, tablePass|tableKeyed)
 	}
 }
 
@@ -413,33 +431,55 @@ func TestVerdictTableFallbacks(t *testing.T) {
 func TestVerdictTableStrict(t *testing.T) {
 	f := func(v float64) []byte { return appendFloat(nil, v) }
 	lit := func(v float64, run byte) []byte { return slices.Concat([]byte{0}, f(v), []byte{run}) }
-	// Two rows: Transactions 40, 20; Windows 4, 2; good 38, 18.
+	// Two rows on two grid points, so keyed: Transactions 40, 20; Windows 4,
+	// 2; good 38, 18. The first row binds its key to a literal, the second
+	// its own to a ref to it.
 	cols := slices.Concat([]byte{80, 39, 10, 76, 39}, f(0.1), f(0.3))
 	table := func(shape byte, rest ...[]byte) []byte {
 		return slices.Concat(append([]byte{2, shape}, cols...), slices.Concat(rest...))
 	}
-	good := table(0, lit(0.2, 2))
-	if rows, err := (&breader{buf: good}).verdictTable(); err != nil || len(rows) != 2 || rows[1].PHat != 0.9 || rows[1].Pass {
+	keyed := slices.Concat([]byte{0}, f(0.2), []byte{1})
+	good := table(tableKeyed, keyed)
+	if rows, err := (&breader{buf: good}).verdictTable(); err != nil || len(rows) != 2 || rows[1].PHat != 0.9 || rows[1].Pass || rows[1].Threshold != 0.2 {
 		t.Fatalf("reference table: %+v, %v", rows, err)
 	}
+	// Three rows whose first two are one grid point — 7 and 6 windows share
+	// a bucket, and each row is 90 % good — under two thresholds, so
+	// threshold runs: Transactions 70, 60, 50; good 63, 54, 45.
+	runs := func(rest ...[]byte) []byte {
+		return slices.Concat([]byte{3, 0, 0x8c, 0x01, 19, 19, 10, 126, 17, 17}, f(0.1), f(0.3), f(0.5), slices.Concat(rest...))
+	}
+	goodRuns := runs(lit(0.2, 1), lit(0.3, 2))
+	if rows, err := (&breader{buf: goodRuns}).verdictTable(); err != nil || len(rows) != 3 || rows[2].Threshold != 0.3 || rows[2].Pass {
+		t.Fatalf("reference runs: %+v, %v", rows, err)
+	}
 	for name, bad := range map[string][]byte{
-		"truncated":                good[:len(good)-1],
-		"unknown shape bit":        table(16, lit(0.2, 2)),
-		"windows the long way":     slices.Concat([]byte{2, tableWindows, 80, 39, 8, 3, 76, 39}, f(0.1), f(0.3), lit(0.2, 2)),
-		"phat the long way":        slices.Concat([]byte{2, tablePHat, 80, 39, 10}, f(0.95), f(0.9), f(0.1), f(0.3), lit(0.2, 2)),
-		"pass the long way":        table(tablePass, lit(0.2, 2), []byte{1}),
-		"window size zero":         slices.Concat([]byte{2, 0, 80, 39, 0, 76, 39}, f(0.1), f(0.3), lit(0.2, 2)),
-		"window size not exact":    slices.Concat([]byte{2, 0, 80, 39, 7, 76, 39}, f(0.1), f(0.3), lit(0.2, 2)),
-		"good above transaction":   slices.Concat([]byte{2, 0, 80, 39, 10, 90, 39}, f(0.1), f(0.3), lit(0.2, 2)),
-		"threshold runs split":     table(0, lit(0.2, 1), []byte{1, 1}),
-		"a literal already listed": table(0, lit(0.2, 1), lit(0.2, 1)),
-		"a ref past the list":      table(0, lit(0.2, 1), []byte{2, 1}),
-		"a ref to an empty list":   table(0, []byte{1, 2}),
-		"threshold run of zero":    table(0, lit(0.2, 0)),
-		"threshold run too long":   table(0, lit(0.2, 3)),
-		"long varint":              slices.Concat([]byte{2, 0, 0xd0, 0x00, 39, 10, 76, 39}, f(0.1), f(0.3), lit(0.2, 2)),
-		"long ref":                 table(0, lit(0.2, 1), []byte{0x81, 0x00, 1}),
-		"count beyond the bytes":   {200, 0, 80, 39},
+		"truncated":              good[:len(good)-1],
+		"unknown shape bit":      table(32|tableKeyed, keyed),
+		"windows the long way":   slices.Concat([]byte{2, tableWindows, 80, 39, 8, 3, 76, 39}, f(0.1), f(0.3), lit(0.2, 2)),
+		"phat the long way":      slices.Concat([]byte{2, tablePHat, 80, 39, 10}, f(0.95), f(0.9), f(0.1), f(0.3), lit(0.2, 2)),
+		"pass the long way":      table(tablePass|tableKeyed, keyed, []byte{1}),
+		"window size zero":       slices.Concat([]byte{2, tableKeyed, 80, 39, 0, 76, 39}, f(0.1), f(0.3), keyed),
+		"window size not exact":  slices.Concat([]byte{2, tableKeyed, 80, 39, 7, 76, 39}, f(0.1), f(0.3), keyed),
+		"good above transaction": slices.Concat([]byte{2, tableKeyed, 80, 39, 10, 90, 39}, f(0.1), f(0.3), keyed),
+		"long varint":            slices.Concat([]byte{2, tableKeyed, 0xd0, 0x00, 39, 10, 76, 39}, f(0.1), f(0.3), keyed),
+		"count beyond the bytes": {200, 0, 80, 39},
+		// Keyed thresholds.
+		"runs that would key":             table(0, lit(0.2, 2)),
+		"keyed with windows the long way": slices.Concat([]byte{2, tableWindows | tableKeyed, 80, 39, 8, 3, 76, 39}, f(0.1), f(0.3), keyed),
+		"keyed with phat the long way":    slices.Concat([]byte{2, tablePHat | tableKeyed, 80, 39, 10}, f(0.95), f(0.9), f(0.1), f(0.3), keyed),
+		"a keyed literal already listed":  table(tableKeyed, []byte{0}, f(0.2), []byte{0}, f(0.2)),
+		"a keyed ref past the list":       table(tableKeyed, []byte{0}, f(0.2), []byte{2}),
+		"a keyed ref to an empty list":    table(tableKeyed, []byte{1, 1}),
+		"a long keyed ref":                table(tableKeyed, []byte{0}, f(0.2), []byte{0x81, 0x00}),
+		// Threshold runs.
+		"threshold runs split":     runs(lit(0.2, 1), lit(0.3, 1), []byte{2, 1}),
+		"a literal already listed": runs(lit(0.2, 1), lit(0.3, 1), lit(0.3, 1)),
+		"a ref past the list":      runs(lit(0.2, 1), []byte{2, 2}),
+		"a ref to an empty list":   runs([]byte{1, 1}, lit(0.3, 2)),
+		"threshold run of zero":    runs(lit(0.2, 0), lit(0.3, 2)),
+		"threshold run too long":   runs(lit(0.2, 1), lit(0.3, 3)),
+		"runs cut short":           runs(lit(0.2, 1), lit(0.3, 1)),
 	} {
 		if rows, err := (&breader{buf: bad}).verdictTable(); err == nil {
 			t.Errorf("%s: accepted as %+v", name, rows)
@@ -455,24 +495,37 @@ func TestVerdictTableStrict(t *testing.T) {
 }
 
 // TestThresholdDictionary: a frame writes each threshold's bits once, and
-// every later run that holds them, in its own table or another, names the
-// literal by its place. The dictionary is the frame's: a table read alone
+// every later value that holds them, in its own table or another, names the
+// literal by its place; a row whose grid key the frame has bound writes no
+// threshold at all. The dictionaries are the frame's: a table read alone
 // cannot refer into another's, and a new frame starts empty.
 func TestThresholdDictionary(t *testing.T) {
+	// Rows of 7, 6, 5 and 4 windows, 91, 92, 90 and 95 % good: four grid
+	// points.
 	first := chainRows(t, 10, 4, 9, 10, 7, 10, 10, 8, 10)
 	first[1].Threshold, first[2].Threshold = 0.25, 0.25
-	second := chainRows(t, 10, 2, 10, 10, 9)
-	second[0].Threshold = 0.25
+	// Rows of 5 and 4 windows — first's last two grid points — then 3 and
+	// 2, 93 and 90 % good: two more.
+	second := chainRows(t, 10, 2, 7, 10, 10, 8, 10)
+	for i, v := range []float64{0.25, 0.3, 0.25, 0.3} {
+		second[i].Threshold = v
+	}
 	d := getFrameDict()
 	defer d.put()
 	one := appendVerdictTable(nil, first, d)
 	two := appendVerdictTable(nil, second, d)
-	// first: literal 0.3, literal 0.25, ref 1. second: ref 2, ref 1.
-	if want := slices.Concat([]byte{0}, appendFloat(nil, 0.3), []byte{1, 0}, appendFloat(nil, 0.25), []byte{2, 1, 1}); !bytes.HasSuffix(one, want) {
-		t.Errorf("first table's runs: %x, want a suffix %x", one, want)
+	// first: literal 0.3, literal 0.25, ref 2, ref 1. second: its first two
+	// rows are bound, then ref 2, ref 1.
+	if want := slices.Concat([]byte{0}, appendFloat(nil, 0.3), []byte{0}, appendFloat(nil, 0.25), []byte{2, 1}); !bytes.HasSuffix(one, want) {
+		t.Errorf("first table's thresholds: %x, want a suffix %x", one, want)
 	}
-	if want := []byte{2, 1, 1, 1}; !bytes.HasSuffix(two, want) {
-		t.Errorf("second table's runs: %x, want a suffix %x", two, want)
+	// The second table's chain is 7 B: row count, shape, windows, m, k and
+	// two bytes of counts.
+	if want := []byte{tableChain | tableKeyed, 5, 10}; !bytes.Equal(two[1:4], want) {
+		t.Errorf("second table's head: %x, want %x after the row count", two[:4], want)
+	}
+	if want := []byte{2, 1}; len(two) != 7+len(want) || !bytes.HasSuffix(two, want) {
+		t.Errorf("second table: %x, want its chain and then %x", two, want)
 	}
 	r := &breader{buf: slices.Concat(one, two)}
 	defer r.release()
@@ -485,7 +538,7 @@ func TestThresholdDictionary(t *testing.T) {
 		t.Errorf("the second table alone: %+v, %v", got, err)
 	}
 	// Through the codec: the batch repeats one table in every item, so every
-	// item after the first writes its runs as refs.
+	// item after the first finds its keys bound and writes no threshold.
 	a := core.Assessment{Server: "s0", Verdict: behavior.Verdict{Suffixes: first}}
 	var batch AssessBatchResponse
 	for i := range 4 {
@@ -496,12 +549,12 @@ func TestThresholdDictionary(t *testing.T) {
 	if !reflect.DeepEqual(got, batch) {
 		t.Fatalf("batch changed on the wire: %+v", got)
 	}
-	// Each item after the first writes its two runs as one-byte refs, not
-	// as a 0 and 8 B of bits, and its names not at all, not as two empty
-	// strings; the batch writes its item count once.
+	// Each item after the first writes none of the two literals (a 0 and 8
+	// B of bits each) and two refs the first writes, and its names not at
+	// all, not as two empty strings; the batch writes its item count once.
 	_, alone := roundTrip(t, TypeAssessBR, AssessBatchResponse{Items: batch.Items[:1]})
-	if want := 4*alone - 3 - 3*2*8 - 3*2; size != want {
-		t.Errorf("4 items in %d B, want %d: the literals were not shared", size, want)
+	if want := 4*alone - 3 - 3*(2*9+2) - 3*2; size != want {
+		t.Errorf("4 items in %d B, want %d: the bindings were not shared", size, want)
 	}
 }
 
@@ -687,6 +740,7 @@ func extremes(n int) []int {
 
 // TestVerdictChains: which tables are chains — those whose every Distance is
 // the one a tester computes — and that every table arrives bit for bit.
+// Every table here is keyed too: one threshold, so no grid key meets two.
 func TestVerdictChains(t *testing.T) {
 	nan := math.Float64frombits(0x7ff8000000000123)
 	base := []int{9, 10, 7, 10, 10, 8, 10, 9}
@@ -700,35 +754,35 @@ func TestVerdictChains(t *testing.T) {
 		rows []behavior.SuffixResult
 		want byte
 	}{
-		{"chain", chain(func([]behavior.SuffixResult) {}), tableChain},
-		{"pass disagrees", chain(func(r []behavior.SuffixResult) { r[2].Pass = !r[2].Pass }), tableChain | tablePass},
+		{"chain", chain(func([]behavior.SuffixResult) {}), tableChain | tableKeyed},
+		{"pass disagrees", chain(func(r []behavior.SuffixResult) { r[2].Pass = !r[2].Pass }), tableChain | tablePass | tableKeyed},
 		// A Distance no tester computes keeps the table raw.
-		{"distance nan", chain(func(r []behavior.SuffixResult) { r[1].Distance, r[1].Pass = nan, false }), 0},
-		{"shortest distance inf", chain(func(r []behavior.SuffixResult) { r[4].Distance, r[4].Pass = math.Inf(1), false }), 0},
-		{"distance -0", chain(func(r []behavior.SuffixResult) { r[0].Distance, r[0].Pass = math.Copysign(0, -1), true }), 0},
-		{"two rows", chainRows(t, 10, 7, base...), tableChain},
-		{"all good", chainRows(t, 10, 4, 10, 10, 10, 10, 10, 10), tableChain},
-		{"all bad", chainRows(t, 10, 4, 0, 0, 0, 0, 0), tableChain},
+		{"distance nan", chain(func(r []behavior.SuffixResult) { r[1].Distance, r[1].Pass = nan, false }), tableKeyed},
+		{"shortest distance inf", chain(func(r []behavior.SuffixResult) { r[4].Distance, r[4].Pass = math.Inf(1), false }), tableKeyed},
+		{"distance -0", chain(func(r []behavior.SuffixResult) { r[0].Distance, r[0].Pass = math.Copysign(0, -1), true }), tableKeyed},
+		{"two rows", chainRows(t, 10, 7, base...), tableChain | tableKeyed},
+		{"all good", chainRows(t, 10, 4, 10, 10, 10, 10, 10, 10), tableChain | tableKeyed},
+		{"all bad", chainRows(t, 10, 4, 0, 0, 0, 0, 0), tableChain | tableKeyed},
 		// The one base rebuilds +0, not the −0 the row holds.
-		{"all good, shortest distance -0", negZero(chainRows(t, 10, 1, 10, 10)), 0},
-		{"all bad, shortest distance -0", negZero(chainRows(t, 10, 1, 0, 0)), 0},
-		{"window of one", chainRows(t, 1, 4, 1, 0, 1, 1, 1, 0), tableChain},
-		{"window of 16, byte counts", chainRows(t, 16, 4, 16, 15, 9, 16, 14, 16), tableChain},
-		{"window of 255", chainRows(t, 255, 4, 250, 255, 241, 255, 249), tableChain},
-		{"window of 256", chainRows(t, 256, 4, 250, 255, 241, 255, 249), 0},
-		{"one row", chainRows(t, 10, 8, base...), 0},
+		{"all good, shortest distance -0", negZero(chainRows(t, 10, 1, 10, 10)), tableKeyed},
+		{"all bad, shortest distance -0", negZero(chainRows(t, 10, 1, 0, 0)), tableKeyed},
+		{"window of one", chainRows(t, 1, 4, 1, 0, 1, 1, 1, 0), tableChain | tableKeyed},
+		{"window of 16, byte counts", chainRows(t, 16, 4, 16, 15, 9, 16, 14, 16), tableChain | tableKeyed},
+		{"window of 255", chainRows(t, 255, 4, 250, 255, 241, 255, 249), tableChain | tableKeyed},
+		{"window of 256", chainRows(t, 256, 4, 250, 255, 241, 255, 249), tableKeyed},
+		{"one row", chainRows(t, 10, 8, base...), tableKeyed},
 		{"stride 2m", chain(func(r []behavior.SuffixResult) {
 			copy(r, []behavior.SuffixResult{r[0], r[2], r[4]})
-		})[:3], 0},
-		{"a skipped window", append(chain(func([]behavior.SuffixResult) {})[:2:2], chain(func([]behavior.SuffixResult) {})[3:]...), 0},
+		})[:3], tableKeyed},
+		{"a skipped window", append(chain(func([]behavior.SuffixResult) {})[:2:2], chain(func([]behavior.SuffixResult) {})[3:]...), tableKeyed},
 		{"good delta above m", chain(func(r []behavior.SuffixResult) {
 			r[0].PHat = float64(75) / 80 // 11 more than the 7 newest windows hold
-		}), 0},
-		{"good falls", chain(func(r []behavior.SuffixResult) { r[0].PHat = float64(60) / 80 }), 0},
+		}), tableKeyed},
+		{"good falls", chain(func(r []behavior.SuffixResult) { r[0].PHat = float64(60) / 80 }), tableKeyed},
 		// 40 windows holding 200 good transactions, which spread over them
 		// in far more than maxBases ways, half all bad and half all good:
 		// eachBase reaches that spread only past the cap.
-		{"base search past the cap", chainRows(t, 10, 40, extremes(41)...), 0},
+		{"base search past the cap", chainRows(t, 10, 40, extremes(41)...), tableKeyed},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			if got := checkTable(t, tc.rows); got != tc.want {
@@ -795,10 +849,12 @@ func TestVerdictChainStrict(t *testing.T) {
 	// Base 8 10 10 10, then 7 10 9: m − c is 2 0 0 0 3 0 1, which k = 0
 	// writes in 13 bits (k = 1 would take 16) as 110 0 0 0 1110 0 10, low
 	// bit first.
-	if !bytes.Equal(good[:7], []byte{4, tableChain, 7, 10, 0, 0b11000011, 0b01001}) {
+	if !bytes.Equal(good[:7], []byte{4, tableChain | tableKeyed, 7, 10, 0, 0b11000011, 0b01001}) {
 		t.Fatalf("chain head %x", good[:7])
 	}
-	if len(good) != 7+10 { // then one threshold run, a literal: no distance column
+	// Then no distance column, and one threshold for each of the rows' four
+	// grid points: a literal, then three refs to it.
+	if want := slices.Concat([]byte{0}, appendFloat(nil, 0.3), []byte{1, 1, 1}); !bytes.Equal(good[7:], want) {
 		t.Fatalf("chain of %d B: %x", len(good), good)
 	}
 	if got, err := (&breader{buf: good}).verdictTable(); err != nil || !sameBits(got, rows) {
@@ -814,7 +870,7 @@ func TestVerdictChainStrict(t *testing.T) {
 		t.Fatal("riceCounts does not write what the encoder does")
 	}
 
-	raw := slices.Concat([]byte{4, 0}, appendRawColumns(nil, rows, 0, 10), []byte{0}, appendFloat(nil, 0.3), []byte{4})
+	raw := slices.Concat([]byte{4, tableKeyed}, appendRawColumns(nil, rows, 0, 10), good[7:])
 	for name, bad := range map[string]struct {
 		buf  []byte
 		want string
@@ -842,7 +898,7 @@ func TestVerdictChainStrict(t *testing.T) {
 	// the longer row adds: either base rebuilds both rows. The search takes
 	// 1 1 2 4; the same rows written from 0 2 3 3 are refused.
 	twin := encodeTable(chainRows(t, 4, 4, 2, 0, 2, 3, 3))
-	if want := slices.Concat([]byte{2, tableChain, 5, 4, 1}, riceCounts(4, 1, 1, 1, 2, 4, 2)); !bytes.Equal(twin[:7], want) {
+	if want := slices.Concat([]byte{2, tableChain | tableKeyed, 5, 4, 1}, riceCounts(4, 1, 1, 1, 2, 4, 2)); !bytes.Equal(twin[:7], want) {
 		t.Fatalf("twin chain head %x, want %x", twin[:7], want)
 	}
 	skipped := slices.Concat(twin[:5], riceCounts(4, 1, 0, 2, 3, 3, 2), twin[7:])

@@ -22,7 +22,8 @@
 #     assessment codec (ADR 0006); a chain's distances are rebuilt by the
 #     receiver, from the one PMF, built from + − × ÷ alone, and no product
 #     on a verdict's path — stats, trust, core, behavior — is fused into an
-#     add (ADR 0007)
+#     add (ADR 0007); a keyed threshold's grid point is stats.GridPointOf's,
+#     which the codec calls and never re-implements (ADR 0006)
 #   - record batches are columns through one codec (ADR 0008): the ledger
 #     writes blocks, the wire writes batches, neither frames a record alone
 #   - one time column (ADR 0014): a batch's and a section's times are coded
@@ -32,7 +33,8 @@
 #   - one on-disk format (ADR 0015): a node refuses older ledgers, whose
 #     layouts only internal/ledger/migrate.go reads; nothing is written
 #     that nothing reads
-#   - one door into a node (ADR 0003): only internal/repserver listens
+#   - one door into a node (ADR 0003): only internal/repserver listens, but
+#     for trustd's -metrics-addr HTTP endpoint
 #   - one framing (ADR 0009): the binary frame is the only way onto a node;
 #     the JSON line framing and every knob that selected it stay deleted
 #   - one generator step, no Lgamma (ADR 0007): the Monte-Carlo
@@ -172,6 +174,13 @@ check "behavior.SuffixResult stays inside internal/wire/verdict.go (ADR 0006)" \
 check "one verdict-table decoder and one assessment decoder (ADR 0006)" \
     "[ \"\$(sources | xargs grep -hE 'func \(r \*breader\) (verdictTable|assessment)\(' | wc -l)\" -eq 2 ] \
      && absent 'Verdict\.Suffixes\s*=\s*append' internal/wire"
+# A keyed table's thresholds are predicted from each row's calibration grid
+# point, which stats.GridPointOf computes for Plane.Threshold and the codec
+# alike (ADR 0006's fifth amendment): internal/wire rounds no p̂ and
+# buckets no window count of its own, and calls the one function.
+check "internal/wire keys a threshold through stats.GridPointOf alone (ADR 0006)" \
+    "absent '1\.25|math\.(Round|Floor|Ceil|Trunc)\(|\bbucket(Windows|P)\b|\b0\.0[0-9]+\b' internal/wire \
+     && sources internal/wire | xargs grep -hE '^[^/]*stats\.GridPointOf\(' | grep -q ."
 # A receiver rebuilds a chain's distances as a tester computes them, with
 # stats.BinomialPMFInto and stats.L1CountsDistance, so those — and
 # Plane.Threshold, which scales each ε — must compute the
@@ -268,8 +277,12 @@ check "internal/ledger reads the unscaled time column only in migrate.go (ADR 00
     "! sources internal/ledger | grep -v '/migrate\.go\$' | xargs grep -n 'Unscaled' | grep -q ."
 
 # --- one door into a node (ADR 0003) -----------------------------------------
-check "net.Listen only in internal/repserver" \
-    "! sources | grep -v '^./internal/repserver/' | xargs grep -n 'net\.Listen\b' | grep -q ."
+# The one other listener is trustd's -metrics-addr HTTP endpoint, bound
+# before the node serves so that a taken port stops start-up; it carries no
+# node traffic.
+check "net.Listen only in internal/repserver, and for trustd's -metrics-addr" \
+    "! sources | grep -v '^./internal/repserver/' | xargs grep -n 'net\.Listen\b' \
+       | grep -v '^./cmd/trustd/main\.go:[0-9]*:.*net\.Listen(\"tcp\", \*metricsAddr)' | grep -q ."
 check "internal/gossip imports neither net nor bufio" \
     "absent '^\s*\"(net|bufio)\"' internal/gossip"
 
