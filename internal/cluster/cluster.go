@@ -262,10 +262,10 @@ func Forward[T any](ctx context.Context, c *Cluster, node string, call func(cont
 	return resp, err
 }
 
-// ForwardBatch hands records to node in one frame.
-func (c *Cluster) ForwardBatch(ctx context.Context, node string, recs []feedback.Feedback, replica bool) (wire.BatchResponse, error) {
+// ForwardBatch hands a batch of records to node in one frame.
+func (c *Cluster) ForwardBatch(ctx context.Context, node string, b *feedback.Batch, replica bool) (wire.BatchResponse, error) {
 	return Forward(ctx, c, node, func(ctx context.Context, cl *repclient.Client) (wire.BatchResponse, error) {
-		return cl.ForwardBatchCtx(ctx, c.self.ID, recs, replica)
+		return cl.ForwardBatchCtx(ctx, c.self.ID, b, replica)
 	})
 }
 

@@ -19,6 +19,7 @@ import (
 	"honestplayer/internal/cluster"
 	"honestplayer/internal/core"
 	"honestplayer/internal/feedback"
+	"honestplayer/internal/ledger"
 	"honestplayer/internal/repclient"
 	"honestplayer/internal/repserver"
 	"honestplayer/internal/stats"
@@ -165,6 +166,12 @@ func history(server feedback.EntityID, n int) []feedback.Feedback {
 // average trust — on an ephemeral port, not yet serving.
 func newServer(t *testing.T) *repserver.Server {
 	t.Helper()
+	return newServerWith(t, repserver.Config{})
+}
+
+// newServerWith is newServer over cfg's store and recorder.
+func newServerWith(t *testing.T, cfg repserver.Config) *repserver.Server {
+	t.Helper()
 	tester, err := behavior.NewMulti(behavior.Config{
 		Calibrator: stats.NewCalibrator(stats.CalibrationConfig{Seed: 1, Replicates: 200}, 0),
 	})
@@ -175,7 +182,8 @@ func newServer(t *testing.T) *repserver.Server {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv, err := repserver.New("127.0.0.1:0", repserver.Config{Assessor: assessor})
+	cfg.Assessor = assessor
+	srv, err := repserver.New("127.0.0.1:0", cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -687,5 +695,58 @@ func TestJSONLineIsClosedAtTheDoor(t *testing.T) {
 	}
 	if got := srv.Metrics().Value("errors"); got != uint64(1) {
 		t.Fatalf("errors = %v, want 1: the JSON line counts, the probe does not", got)
+	}
+}
+
+// TestOverlongIDRefusedAtDurableDoor: a bridged client's submit.batch is
+// JSON, which bounds no id, so a record whose client id is above the 1,024
+// bytes every record encoding carries reaches the node. At a ledger-backed
+// door it fails its own slot with invalid_feedback, on the retry too, while
+// its sibling is stored once; the history holds the sibling alone, before
+// and after a restart. It used to be served from memory, never persisted,
+// and acknowledged as a duplicate on retry.
+func TestOverlongIDRefusedAtDurableDoor(t *testing.T) {
+	dir := t.TempDir()
+	ps, err := ledger.OpenStoreOptions(context.Background(), dir, ledger.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := newServerWith(t, repserver.Config{Store: ps.Store(), Recorder: ps})
+	srv.Start()
+	relay := newSkewRelay(t, srv.Addr(), directions[0])
+	c := dial(t, relay.addr)
+	sibling := feedback.Feedback{Time: time.Unix(1, 0).UTC(), Server: "s", Client: "c", Rating: feedback.Positive}
+	recs := []feedback.Feedback{
+		{Time: time.Unix(1, 0).UTC(), Server: "s", Client: feedback.EntityID(strings.Repeat("x", 2000)), Rating: feedback.Positive},
+		sibling,
+	}
+	for attempt := range 2 {
+		resp, err := c.SubmitBatchReport(recs)
+		if err != nil {
+			t.Fatalf("attempt %d: %v", attempt, err)
+		}
+		if e := resp.Items[0].Error; e == nil || e.Code != wire.CodeInvalidFeedback {
+			t.Fatalf("attempt %d: overlong record answered %+v, want invalid_feedback", attempt, resp.Items[0])
+		}
+		if item := resp.Items[1]; item.Error != nil || item.Stored != (attempt == 0) {
+			t.Fatalf("attempt %d: sibling answered %+v", attempt, item)
+		}
+	}
+	if binary, frames := relay.stats(5); binary != 0 || frames != 2 { // 5: submit.batch
+		t.Fatalf("%d of %d submit.batch frames crossed in binary, want 0 of 2", binary, frames)
+	}
+	if recs, _, err := c.History("s", 0); err != nil || !reflect.DeepEqual(recs, []feedback.Feedback{sibling}) {
+		t.Fatalf("history %v, %v; want the sibling alone", recs, err)
+	}
+	if err := errors.Join(srv.Close(), ps.Close()); err != nil {
+		t.Fatal(err)
+	}
+	ps, err = ledger.OpenStoreOptions(context.Background(), dir, ledger.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ps.Close()
+	if got := ps.Store().Records("s"); !reflect.DeepEqual(got, []feedback.Feedback{sibling}) {
+		t.Fatalf("after a restart the store holds %v", got)
 	}
 }

@@ -62,9 +62,6 @@ func AppendBinary(buf []byte, f Feedback) ([]byte, error) {
 	if err := f.Validate(); err != nil {
 		return nil, err
 	}
-	if len(f.Server) > maxEntityLen || len(f.Client) > maxEntityLen {
-		return nil, fmt.Errorf("%w: entity id above %d bytes", ErrRecordTooLarge, maxEntityLen)
-	}
 	buf = binary.BigEndian.AppendUint64(buf, uint64(f.Time.UnixNano()))
 	buf = append(buf, byte(f.Rating))
 	buf = binary.BigEndian.AppendUint16(buf, uint16(len(f.Server)))

@@ -445,6 +445,8 @@ func TestValidateTimeRange(t *testing.T) {
 		time.Unix(0, 0),
 		time.Date(1700, 1, 1, 0, 0, 0, 0, time.UTC),
 		time.Date(2262, 4, 11, 23, 47, 16, 854775807, time.UTC),
+		time.Unix(0, math.MinInt64),
+		time.Unix(0, math.MaxInt64).In(time.FixedZone("y", -7200)),
 		time.Date(2024, 5, 6, 7, 8, 9, 10, time.FixedZone("x", 3600)),
 	} {
 		ok.Time = at
@@ -456,6 +458,8 @@ func TestValidateTimeRange(t *testing.T) {
 		{},
 		time.Date(2300, 1, 1, 0, 0, 0, 0, time.UTC),
 		time.Date(2262, 4, 11, 23, 47, 16, 854775808, time.UTC),
+		time.Unix(0, math.MinInt64).Add(-1),
+		time.Unix(0, math.MaxInt64).Add(1).In(time.FixedZone("y", -7200)),
 		time.Date(1600, 1, 1, 0, 0, 0, 0, time.UTC),
 	} {
 		ok.Time = at
@@ -467,6 +471,15 @@ func TestValidateTimeRange(t *testing.T) {
 		}
 		if _, err := AppendBinary(nil, ok); !errors.Is(err, ErrTimeRange) {
 			t.Errorf("%v: AppendBinary = %v, want ErrTimeRange", at, err)
+		}
+	}
+	// The bounds checked on seconds and nanoseconds are the round trip's.
+	for _, edge := range []time.Time{time.Unix(0, math.MinInt64), time.Unix(0, math.MaxInt64), {}, time.Unix(0, 0)} {
+		for _, d := range []time.Duration{-time.Second - 1, -time.Second, -2, -1, 0, 1, 2, time.Second, time.Second + 1, 1 << 62, -1 << 62} {
+			at := edge.Add(d)
+			if got, want := nanosHold(at), time.Unix(0, at.UnixNano()).Equal(at); got != want {
+				t.Errorf("%v: nanosHold = %v, the round trip says %v", at, got, want)
+			}
 		}
 	}
 }
@@ -507,6 +520,26 @@ func TestDecodedColumnsTakeAppends(t *testing.T) {
 	}
 	if _, _, err := DecodeColumns("", h.AppendColumns(nil)); !errors.Is(err, ErrEmptyEntity) {
 		t.Fatalf("decode for an empty server: %v", err)
+	}
+}
+
+// TestDecodedColumnsKeepLongIDs: a snapshot written before ids were
+// bounded may hold a client id no record may now carry; its history still
+// decodes, so boot does not fall back past that snapshot.
+func TestDecodedColumnsKeepLongIDs(t *testing.T) {
+	long := EntityID(bytes.Repeat([]byte{'h'}, maxEntityLen+1))
+	if err := NewHistory("srv").AppendOutcome(long, true, time.Unix(1, 0)); !errors.Is(err, ErrRecordTooLarge) {
+		t.Fatalf("append of a %d-byte id: %v", len(long), err)
+	}
+	h := NewHistory("srv")
+	slot, err := h.Intern(long)
+	if err != nil {
+		t.Fatal(err)
+	}
+	h.AppendSlot(time.Unix(1, 0).UnixNano(), slot, true)
+	got, _, err := DecodeColumns("srv", h.AppendColumns(nil))
+	if err != nil || got.Len() != 1 || got.ClientAt(0) != long {
+		t.Fatalf("decode: %v", err)
 	}
 }
 

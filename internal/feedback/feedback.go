@@ -68,7 +68,9 @@ var (
 	ErrTimeRange = errors.New("feedback: time out of range")
 )
 
-// Validate reports whether the feedback record is well-formed.
+// Validate reports whether the feedback record is well-formed: a binary
+// rating, both ids present and at most maxEntityLen bytes — what every
+// encoding of a record can carry — and a time unix nanoseconds hold.
 func (f Feedback) Validate() error {
 	if !f.Rating.Valid() {
 		return fmt.Errorf("%w: %d", ErrInvalidRating, int(f.Rating))
@@ -79,10 +81,21 @@ func (f Feedback) Validate() error {
 	if f.Client == "" {
 		return fmt.Errorf("%w: client", ErrEmptyEntity)
 	}
-	if !time.Unix(0, f.Time.UnixNano()).Equal(f.Time) {
+	if len(f.Server) > maxEntityLen || len(f.Client) > maxEntityLen {
+		return fmt.Errorf("%w: entity id above %d bytes", ErrRecordTooLarge, maxEntityLen)
+	}
+	if !nanosHold(f.Time) {
 		return fmt.Errorf("%w: %s", ErrTimeRange, f.Time.Format(time.RFC3339))
 	}
 	return nil
+}
+
+// nanosHold reports whether unix nanoseconds hold t: whether t lies in
+// [-9223372037 s + 145224192 ns, 9223372036 s + 854775807 ns].
+func nanosHold(t time.Time) bool {
+	sec, ns := t.Unix(), t.Nanosecond()
+	return sec > -9223372037 && sec < 9223372036 ||
+		sec == 9223372036 && ns <= 854775807 || sec == -9223372037 && ns >= 145224192
 }
 
 // Good reports whether this feedback marks a good transaction.

@@ -20,6 +20,9 @@ var (
 	ErrServerMismatch = errors.New("feedback: server mismatch")
 	// ErrBadWindow reports an invalid window size.
 	ErrBadWindow = errors.New("feedback: invalid window size")
+	// ErrHistoryFull reports a client dictionary that cannot grow: a
+	// limit of the history, not a fault of the record.
+	ErrHistoryFull = errors.New("feedback: history full")
 )
 
 // wideSlots is the dictionary size above which client slots need 32 bits.
@@ -215,11 +218,29 @@ func (h *History) Append(f Feedback) error {
 	if f.Server != h.server {
 		return fmt.Errorf("%w: history %q, feedback %q", ErrServerMismatch, h.server, f.Server)
 	}
-	if uint64(len(h.names))+uint64(len(f.Client)) > math.MaxUint32 {
-		return fmt.Errorf("%w: client dictionary past 4 GiB", ErrRecordTooLarge)
+	slot, err := h.Intern(f.Client)
+	if err != nil {
+		return err
 	}
-	h.push(f.Time.UnixNano(), h.intern(f.Client), f.Good())
+	h.push(f.Time.UnixNano(), slot, f.Good())
 	return nil
+}
+
+// Intern returns the dictionary slot of c, a valid client id, adding it on
+// first appearance. A writer that appends many records of one client looks
+// it up once and appends them with AppendSlot.
+func (h *History) Intern(c EntityID) (uint32, error) {
+	if uint64(len(h.names))+uint64(len(c)) > math.MaxUint32 {
+		return 0, fmt.Errorf("%w: client dictionary past 4 GiB", ErrHistoryFull)
+	}
+	return h.intern(c), nil
+}
+
+// AppendSlot adds the record of the client in slot, which Intern returned,
+// at the given unix nanoseconds as the newest record. Nothing is validated:
+// it is Append for a record already known valid, such as a Batch's.
+func (h *History) AppendSlot(nanos int64, slot uint32, good bool) {
+	h.push(nanos, slot, good)
 }
 
 // intern returns c's dictionary slot, adding it on first appearance. The

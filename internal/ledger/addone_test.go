@@ -2,10 +2,13 @@ package ledger
 
 import (
 	"context"
+	"errors"
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
+	"time"
 
 	"honestplayer/internal/feedback"
 )
@@ -121,5 +124,47 @@ func TestPersistentAddIsBatchOfOne(t *testing.T) {
 				t.Fatal("lifecycle on but nothing in the tail index")
 			}
 		})
+	}
+}
+
+// TestOverlongIDRefused: a record whose id is above the 1,024 bytes every
+// record encoding carries is refused by the one validation, before the
+// store sees it. It used to be stored in memory, refused by the ledger
+// ("stored in memory but not persisted"), acknowledged as a duplicate on
+// retry and lost at the next restart. Now each attempt fails its own slot
+// with the validation error the node answers as invalid_feedback, nothing
+// of it is held, its valid sibling is stored once, and a restart finds
+// exactly that sibling.
+func TestOverlongIDRefused(t *testing.T) {
+	dir := filepath.Join(t.TempDir(), "led")
+	ps, err := OpenStoreOptions(context.Background(), dir, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	long := feedback.EntityID(strings.Repeat("c", 2000))
+	sibling := feedback.Feedback{Time: time.Unix(1, 0).UTC(), Server: "srv", Client: "c", Rating: feedback.Positive}
+	recs := []feedback.Feedback{{Time: time.Unix(1, 0).UTC(), Server: "srv", Client: long, Rating: feedback.Positive}, sibling}
+	for attempt := range 2 {
+		res := ps.AddBatch(recs, 0)
+		if !errors.Is(res[0].Err, feedback.ErrRecordTooLarge) || res[0].Stored {
+			t.Fatalf("attempt %d: overlong record answered %+v, want ErrRecordTooLarge", attempt, res[0])
+		}
+		if res[1].Err != nil || res[1].Stored != (attempt == 0) {
+			t.Fatalf("attempt %d: sibling answered %+v", attempt, res[1])
+		}
+		if got := ps.Store().Records("srv"); !reflect.DeepEqual(got, []feedback.Feedback{sibling}) {
+			t.Fatalf("attempt %d: the store holds %v", attempt, got)
+		}
+	}
+	if err := ps.Close(); err != nil {
+		t.Fatal(err)
+	}
+	ps, err = OpenStoreOptions(context.Background(), dir, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ps.Close()
+	if got := ps.Store().Records("srv"); !reflect.DeepEqual(got, []feedback.Feedback{sibling}) {
+		t.Fatalf("after a restart the store holds %v", got)
 	}
 }

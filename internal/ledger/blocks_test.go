@@ -145,8 +145,8 @@ func TestDictionaryAcrossAdoptTruncated(t *testing.T) {
 			t.Fatal(err)
 		}
 		var got []feedback.Feedback
-		if err := l.replayFrom(context.Background(), 0, func(b []feedback.Feedback) error {
-			got = append(got, b...)
+		if err := l.replayFrom(context.Background(), 0, func(b *feedback.Batch) error {
+			got = append(got, b.Records()...)
 			return nil
 		}); err != nil {
 			t.Fatal(err)
@@ -367,8 +367,8 @@ func TestReplayBoundedBySegmentDensity(t *testing.T) {
 	defer func() { _ = l.Close() }()
 	before := heapAlloc()
 	var peak, n uint64
-	if err := l.replayFrom(context.Background(), 0, func(batch []feedback.Feedback) error {
-		n += uint64(len(batch))
+	if err := l.replayFrom(context.Background(), 0, func(batch *feedback.Batch) error {
+		n += uint64(batch.Len())
 		if grown := heapAlloc() - before; grown > peak && grown < 1<<40 {
 			peak = grown
 		}

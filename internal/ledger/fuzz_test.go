@@ -145,13 +145,13 @@ func FuzzSegmentReplay(f *testing.F) {
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var emitted uint64
-		sc, err := scanSegment(data, func(batch []feedback.Feedback) error {
-			for _, r := range batch {
+		sc, err := scanSegment(data, func(batch *feedback.Batch) error {
+			for _, r := range batch.Records() {
 				if verr := r.Validate(); verr != nil {
 					t.Fatalf("scan emitted invalid record: %v", verr)
 				}
 			}
-			emitted += uint64(len(batch))
+			emitted += uint64(batch.Len())
 			return nil
 		})
 		if err != nil {
@@ -250,8 +250,8 @@ func FuzzMigrateReplay(f *testing.F) {
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var emitted []feedback.Feedback
-		sc, err := scanAny(data, func(batch []feedback.Feedback) error {
-			for _, r := range batch {
+		sc, err := scanAny(data, func(batch *feedback.Batch) error {
+			for _, r := range batch.Records() {
 				if verr := r.Validate(); verr != nil {
 					t.Fatalf("scan emitted invalid record: %v", verr)
 				}

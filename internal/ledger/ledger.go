@@ -109,8 +109,8 @@ const groupBuckets = 11
 // commitWaiter is one appender's stake in a group commit: its records and
 // the channel the leader delivers the group's shared result on.
 type commitWaiter struct {
-	recs []feedback.Feedback
-	done chan error
+	batch *feedback.Batch
+	done  chan error
 }
 
 // Open opens (creating if needed) the ledger directory at path, replays every
@@ -126,8 +126,8 @@ func Open(path string) (*Ledger, []feedback.Feedback, error) {
 		return nil, nil, err
 	}
 	var recs []feedback.Feedback
-	if err := l.replayFrom(context.Background(), 0, func(batch []feedback.Feedback) error {
-		recs = append(recs, batch...)
+	if err := l.replayFrom(context.Background(), 0, func(b *feedback.Batch) error {
+		recs = append(recs, b.Records()...)
 		return nil
 	}); err != nil {
 		cerr := l.Close()
@@ -283,35 +283,36 @@ func (l *Ledger) openActive(idx uint64) error {
 // records are coalesced into one encode + one Write + one Flush issued by a
 // single leader, so N concurrent appends cost one flush syscall instead of N.
 func (l *Ledger) Append(rec feedback.Feedback) error {
-	if err := rec.Validate(); err != nil {
-		return err
-	}
-	return l.commit([]feedback.Feedback{rec})
+	return l.AppendBatch([]feedback.Feedback{rec})
 }
 
 // AppendBatch durably appends all records as one group (plus whatever
-// concurrent appenders joined the same commit). All-or-nothing: every record
-// is validated before anything is queued, and the group's single Write+Flush
-// either persists the whole batch or fails it whole.
+// concurrent appenders joined the same commit): the []Feedback edge of the
+// ledger's one write, which packs recs into a batch. All-or-nothing: a
+// record Validate refuses fails the batch before anything is queued, and
+// the group's single Write+Flush either persists the whole batch or fails
+// it whole.
 func (l *Ledger) AppendBatch(recs []feedback.Feedback) error {
-	if len(recs) == 0 {
-		return nil
-	}
-	for i := range recs {
-		if err := recs[i].Validate(); err != nil {
+	b, errs := feedback.Pack(recs)
+	for i, err := range errs {
+		if err != nil {
 			return fmt.Errorf("record %d: %w", i, err)
 		}
 	}
-	return l.commit(recs)
+	return l.commit(b)
 }
 
-// commit enqueues recs for the group committer and waits for the result.
+// commit enqueues b for the group committer and waits for the result; an
+// empty batch is no write.
 // The first appender to arrive while no leader is active becomes the leader:
 // it repeatedly drains the whole queue and commits it as one group, handing
 // each waiter the group's shared error, until the queue is empty. Everyone
 // else just waits — their records ride the leader's flush.
-func (l *Ledger) commit(recs []feedback.Feedback) error {
-	w := &commitWaiter{recs: recs, done: make(chan error, 1)}
+func (l *Ledger) commit(b *feedback.Batch) error {
+	if b.Len() == 0 {
+		return nil
+	}
+	w := &commitWaiter{batch: b, done: make(chan error, 1)}
 	l.qmu.Lock()
 	l.queue = append(l.queue, w)
 	if l.committing {
@@ -334,12 +335,13 @@ func (l *Ledger) commit(recs []feedback.Feedback) error {
 	return <-w.done
 }
 
-// commitGroup encodes the queued records as one block — their columns,
+// commitGroup encodes the queued batches, in queue order, as one block —
+// their columns, the refs remapped onto the segment's dictionaries,
 // length-prefixed and checksummed, the checksum folded into a chain computed
 // locally so a failed write never advances the in-memory one — and issues a
 // single Write+Flush for it. A Write or Flush failure poisons the ledger (see
-// the poisoned field). Encode failures cannot poison: the codec refuses a
-// batch before it writes a byte or touches the dictionaries.
+// the poisoned field). A batch holds valid records only, so encoding cannot
+// fail.
 func (l *Ledger) commitGroup(group []*commitWaiter) error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -349,22 +351,11 @@ func (l *Ledger) commitGroup(group []*commitWaiter) error {
 	if l.poisoned != nil {
 		return l.poisoned
 	}
-	recs := group[0].recs
-	if len(group) > 1 {
-		// A block is one batch: the appenders' records in queue order.
-		recs = nil
-		for _, w := range group {
-			recs = append(recs, w.recs...)
-		}
+	bs, n := make([]*feedback.Batch, len(group)), uint64(0)
+	for i, w := range group {
+		bs[i], n = w.batch, n+uint64(w.batch.Len())
 	}
-	n := uint64(len(recs))
-	if n == 0 {
-		return nil
-	}
-	block, err := appendBlock(l.buf[:0], recs, &l.dict)
-	if err != nil {
-		return fmt.Errorf("ledger: encode: %w", err)
-	}
+	block := appendBlock(l.buf[:0], bs, &l.dict)
 	l.buf = block
 	if cap(block) > maxKeptBuf {
 		l.buf = nil

@@ -160,7 +160,7 @@ func Migrate(from, to string) (Migration, error) {
 		if err != nil {
 			return m, errors.Join(err, l.Close())
 		}
-		sc, err := scanAny(data, l.AppendBatch)
+		sc, err := scanAny(data, l.commit)
 		if err != nil {
 			return m, errors.Join(fmt.Errorf("ledger: migrate %s: %w", path, err), l.Close())
 		}
@@ -177,7 +177,7 @@ func Migrate(from, to string) (Migration, error) {
 
 // scanAny is scanSegment for every layout a segment has had: JSON lines, v1
 // rows, v2 blocks and the current ones.
-func scanAny(data []byte, emit func([]feedback.Feedback) error) (segScan, error) {
+func scanAny(data []byte, emit func(*feedback.Batch) error) (segScan, error) {
 	s := segScanner{emit: emit}
 	var err error
 	switch oldKind(data) {
@@ -217,10 +217,9 @@ func (s *segScanner) scanRows(data []byte) error {
 			break
 		}
 		f, leftover, err := feedback.DecodeBinary(payload)
-		if err != nil || len(leftover) != 0 {
+		if err != nil || len(leftover) != 0 || s.batch.Append(f) != nil {
 			break
 		}
-		s.batch = append(s.batch, f)
 		s.records++
 		s.chain = crc32.Update(s.chain, castagnoli, payload)
 		s.intact += int64(end + 4)
@@ -242,10 +241,9 @@ func (s *segScanner) scanJSON(data []byte) error {
 		}
 		if line := bytes.Trim(rest[:nl], " \t\r"); len(line) != 0 {
 			var f feedback.Feedback
-			if json.Unmarshal(line, &f) != nil || f.Validate() != nil {
+			if json.Unmarshal(line, &f) != nil || s.batch.Append(f) != nil {
 				break
 			}
-			s.batch = append(s.batch, f)
 			s.records++
 			if err := s.flush(replayBatch); err != nil {
 				return err

@@ -37,7 +37,7 @@ const maxReplayWorkers = 8
 // segStream is one segment being decoded by a worker: its record batches in
 // order and, once batches is closed, how the scan ended.
 type segStream struct {
-	batches chan []feedback.Feedback
+	batches chan *feedback.Batch
 	scan    segScan
 	err     error
 }
@@ -45,7 +45,7 @@ type segStream struct {
 // streamSegment starts the worker that decodes segment idx. The worker stops
 // early when ctx is cancelled and has exited when wg is done.
 func (l *Ledger) streamSegment(ctx context.Context, wg *sync.WaitGroup, idx uint64, verifyOnly bool) *segStream {
-	st := &segStream{batches: make(chan []feedback.Feedback, 1)}
+	st := &segStream{batches: make(chan *feedback.Batch, 1)}
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
@@ -55,9 +55,9 @@ func (l *Ledger) streamSegment(ctx context.Context, wg *sync.WaitGroup, idx uint
 			st.err = err
 			return
 		}
-		var send func([]feedback.Feedback) error
+		var send func(*feedback.Batch) error
 		if !verifyOnly {
-			send = func(batch []feedback.Feedback) error {
+			send = func(batch *feedback.Batch) error {
 				select {
 				case st.batches <- batch:
 					return nil
@@ -77,7 +77,7 @@ func (l *Ledger) streamSegment(ctx context.Context, wg *sync.WaitGroup, idx uint
 // any Append. Corrupt content never fails the replay — it truncates the
 // ledger to its longest verified prefix — but emit errors and ctx
 // cancellation abort it.
-func (l *Ledger) replayFrom(ctx context.Context, from uint64, emit func([]feedback.Feedback) error) error {
+func (l *Ledger) replayFrom(ctx context.Context, from uint64, emit func(*feedback.Batch) error) error {
 	segs, err := l.listSegments()
 	if err != nil {
 		return err

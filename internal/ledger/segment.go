@@ -50,20 +50,18 @@ var (
 // footerSize is the byte length of a sealed segment's footer.
 const footerSize = 1 + 8 + 8 + 8 + 4 + 4 + 8
 
-// appendBlock appends one block holding recs to buf, extending d.
-func appendBlock(buf []byte, recs []feedback.Feedback, d *feedback.BatchDicts) ([]byte, error) {
+// appendBlock appends one block holding bs, one after another, to buf,
+// extending d.
+func appendBlock(buf []byte, bs []*feedback.Batch, d *feedback.BatchDicts) []byte {
 	// The length goes in front of a payload it is not known before: encode
 	// past the widest length, then close the gap.
 	start := len(buf)
 	var head [binary.MaxVarintLen64]byte
-	buf, err := feedback.AppendBatch(append(buf, head[:]...), recs, d)
-	if err != nil {
-		return nil, err
-	}
+	buf = feedback.AppendBatches(append(buf, head[:]...), d, bs...)
 	payload := buf[start+len(head):]
 	k := binary.PutUvarint(head[:], uint64(len(payload)))
 	buf = append(append(buf[:start], head[:k]...), payload...)
-	return binary.LittleEndian.AppendUint32(buf, crc32.Checksum(buf[start+k:], castagnoli)), nil
+	return binary.LittleEndian.AppendUint32(buf, crc32.Checksum(buf[start+k:], castagnoli))
 }
 
 // appendFooter appends a sealed-segment footer to buf.
@@ -99,25 +97,25 @@ type segScan struct {
 const replayBatch = 4096
 
 // segScanner is a scan in progress: the result so far and the decoded
-// records not yet handed to emit.
+// records not yet handed to emit, as one batch over the blocks they came in.
 type segScanner struct {
 	segScan
-	batch []feedback.Feedback
-	emit  func([]feedback.Feedback) error
+	batch feedback.Batch
+	emit  func(*feedback.Batch) error
 }
 
 // flush hands emit the pending records once there are at least min of them.
 func (s *segScanner) flush(min int) error {
 	if s.emit == nil {
-		s.batch = s.batch[:0]
+		s.batch.Reset()
 		return nil
 	}
-	if len(s.batch) < min {
+	if s.batch.Len() < min {
 		return nil
 	}
 	batch := s.batch
-	s.batch = make([]feedback.Feedback, 0, replayBatch)
-	return s.emit(batch)
+	s.batch = feedback.Batch{}
+	return s.emit(&batch)
 }
 
 // scanSegment decodes a segment file's full contents and reports how far the
@@ -126,7 +124,7 @@ func (s *segScanner) flush(min int) error {
 // never split) that emit owns from then on; a nil emit only verifies. It
 // never returns an error for malformed content — corruption only shortens
 // the intact prefix — but does propagate emit's error, aborting the scan.
-func scanSegment(data []byte, emit func([]feedback.Feedback) error) (segScan, error) {
+func scanSegment(data []byte, emit func(*feedback.Batch) error) (segScan, error) {
 	s := segScanner{emit: emit}
 	var err error
 	if len(data) >= len(segMagic) && [8]byte(data[:8]) == segMagic {
@@ -173,12 +171,11 @@ func (s *segScanner) scanBlocks(data []byte) error {
 		if crc32.Checksum(payload, castagnoli) != binary.LittleEndian.Uint32(sum) {
 			break
 		}
-		before := len(s.batch)
-		var err error
-		if s.batch, err = feedback.DecodeBatch(payload, &s.dict, s.batch); err != nil || len(s.batch) == before {
+		before := s.batch.Len()
+		if err := s.batch.Decode(payload, &s.dict); err != nil || s.batch.Len() == before {
 			break // not a canonical batch, or an empty one, which no writer frames
 		}
-		s.records += uint64(len(s.batch) - before)
+		s.records += uint64(s.batch.Len() - before)
 		s.blocks++
 		s.chain = crc32.Update(s.chain, castagnoli, sum)
 		s.intact += int64(end + 4)

@@ -14,6 +14,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -158,19 +159,19 @@ func OpenStoreOptions(ctx context.Context, path string, opts Options) (*Persiste
 		ps.bootMode = "replay"
 	}
 
-	// With the lifecycle on, tail-replayed records double as the tail index
-	// (records past the snapshot horizon must be rebuildable from memory,
-	// since the snapshot file doesn't hold them). A store-level duplicate —
-	// the seal/scan overlap a snapshot boot replays through — is filtered by
-	// Add returning false, keeping the index duplicate-free.
-	if err := l.replayFrom(ctx, from, func(batch []feedback.Feedback) error {
-		for _, f := range batch {
-			added, err := st.Add(f)
-			if err != nil {
-				return fmt.Errorf("ledger: replay into store: %w", err)
+	// Each decoded batch goes through the store's one write, Apply. With the
+	// lifecycle on, tail-replayed records double as the tail index (records
+	// past the snapshot horizon must be rebuildable from memory, since the
+	// snapshot file doesn't hold them). A store-level duplicate — the
+	// seal/scan overlap a snapshot boot replays through — is not stored,
+	// keeping the index duplicate-free.
+	if err := l.replayFrom(ctx, from, func(b *feedback.Batch) error {
+		for i, r := range st.Apply(b, 1) {
+			if r.Err != nil {
+				return fmt.Errorf("ledger: replay into store: %w", r.Err)
 			}
-			if added && opts.MemBudget > 0 {
-				ps.tailAdd(f)
+			if r.Stored && opts.MemBudget > 0 {
+				ps.tailAdd(b.At(i))
 			}
 		}
 		return nil
@@ -227,65 +228,69 @@ func (ps *PersistentStore) Add(rec feedback.Feedback) (bool, error) {
 	return r.Stored, r.Err
 }
 
-// AddBatch is the one durable write path: records are inserted into the
-// store shard-grouped (one shard-lock acquisition per shard, fanned over at
-// most workers goroutines), and everything newly stored is appended to the
+// AddBatch is the []Feedback edge of Apply (store.AddRecords): results[i]
+// reports recs[i], a record Validate refuses failing its own slot.
+func (ps *PersistentStore) AddBatch(recs []feedback.Feedback, workers int) []store.AddResult {
+	return store.AddRecords(recs, func(b *feedback.Batch) []store.AddResult { return ps.Apply(b, workers) })
+}
+
+// Apply is the one durable write path: b's records are inserted into the
+// store one server run at a time (store.Apply, shard groups fanned over at
+// most workers goroutines), and the newly stored ones are appended to the
 // ledger as one group commit — one encode pass, one Write+Flush — instead
 // of one flush per record, kicking off a background snapshot when the
-// configured interval is due. Results[i] reports recs[i]'s outcome: stored
-// or duplicate, its validation error, or "stored in memory but not
-// persisted" when the ledger append fails after the store accepted it.
-// With the lifecycle enabled, every distinct server in the batch is pinned
-// against eviction from before the store accepts the write until its
-// records are both in the ledger and in the tail index — evicting inside
-// that window would mint a stub whose records cannot all be rebuilt yet. A
-// write that hits an evicted server is the store's to fault in; the pins
-// keep the loaded server resident until its records land.
-func (ps *PersistentStore) AddBatch(recs []feedback.Feedback, workers int) []store.AddResult {
-	if len(recs) == 0 {
+// configured interval is due. Results[i] reports record i: stored or
+// duplicate, or "stored in memory but not persisted" when the ledger
+// append fails after the store accepted it. With the lifecycle enabled,
+// every distinct server in the batch is pinned against eviction from
+// before the store accepts the write until its records are both in the
+// ledger and in the tail index — evicting inside that window would mint a
+// stub whose records cannot all be rebuilt yet. A write that hits an
+// evicted server is the store's to fault in; the pins keep the loaded
+// server resident until its records land.
+func (ps *PersistentStore) Apply(b *feedback.Batch, workers int) []store.AddResult {
+	if b.Len() == 0 {
 		return nil
 	}
 	lifecycle := ps.opts.MemBudget > 0
 	if lifecycle {
-		pinned := make(map[feedback.EntityID]struct{}, len(recs))
-		for _, rec := range recs {
-			if _, ok := pinned[rec.Server]; !ok {
-				pinned[rec.Server] = struct{}{}
-				ps.pin(rec.Server)
-			}
+		for _, srv := range b.Servers() {
+			ps.pin(srv)
 		}
 		defer func() {
-			for srv := range pinned {
+			for _, srv := range b.Servers() {
 				ps.unpin(srv)
 			}
 		}()
 	}
-	results := ps.store.AddBatch(recs, workers)
-	var (
-		newRecs []feedback.Feedback
-		newIdx  []int
-	)
-	for i, r := range results {
-		if r.Stored && r.Err == nil {
-			newRecs = append(newRecs, recs[i])
-			newIdx = append(newIdx, i)
+	results := ps.store.Apply(b, workers)
+	stored := b
+	if slices.ContainsFunc(results, func(r store.AddResult) bool { return !r.Stored }) {
+		var rows []int
+		for i, r := range results {
+			if r.Stored {
+				rows = append(rows, i)
+			}
 		}
+		if rows == nil {
+			return results
+		}
+		stored = b.Select(rows)
 	}
-	if len(newRecs) == 0 {
-		return results
-	}
-	if err := ps.ledger.AppendBatch(newRecs); err != nil {
-		for _, i := range newIdx {
-			results[i].Err = fmt.Errorf("stored in memory but not persisted: %w", err)
+	if err := ps.ledger.commit(stored); err != nil {
+		for i := range results {
+			if results[i].Stored {
+				results[i].Err = fmt.Errorf("stored in memory but not persisted: %w", err)
+			}
 		}
 		return results
 	}
 	if lifecycle {
-		for _, rec := range newRecs {
-			ps.tailAdd(rec)
+		for i := range stored.Len() {
+			ps.tailAdd(stored.At(i))
 		}
 	}
-	if every := ps.opts.SnapshotEvery; every > 0 && ps.sinceSnap.Add(uint64(len(newRecs))) >= every {
+	if every := ps.opts.SnapshotEvery; every > 0 && ps.sinceSnap.Add(uint64(stored.Len())) >= every {
 		ps.snapshotAsync()
 	}
 	return results

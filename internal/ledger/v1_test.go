@@ -58,10 +58,11 @@ func blockSegment(tb testing.TB, magic [8]byte, dict feedback.BatchDicts, groups
 		n     uint64
 	)
 	for _, g := range groups {
-		var err error
-		if buf, err = appendBlock(buf, g, &dict); err != nil {
-			tb.Fatal(err)
+		b, errs := feedback.Pack(g)
+		if errs != nil {
+			tb.Fatal(errs)
 		}
+		buf = appendBlock(buf, []*feedback.Batch{b}, &dict)
 		chain = crc32.Update(chain, castagnoli, buf[len(buf)-4:])
 		n += uint64(len(g))
 	}

@@ -193,7 +193,7 @@ func (c *Client) SubmitBatchReportCtx(ctx context.Context, recs []feedback.Feedb
 	if len(recs) == 0 {
 		return wire.BatchResponse{}, nil
 	}
-	items := make([]wire.SubmitBatchItem, 0, len(recs))
+	var items []wire.SubmitBatchItem
 	for start := 0; start < len(recs); start += wire.MaxSubmitBatch {
 		chunk := recs[start:min(start+wire.MaxSubmitBatch, len(recs))]
 		var resp wire.BatchResponse
@@ -205,6 +205,9 @@ func (c *Client) SubmitBatchReportCtx(ctx context.Context, recs []feedback.Feedb
 			// mismatch means the report cannot be aligned with the request.
 			return wire.BatchResponse{}, fmt.Errorf("repclient: submit batch returned %d items for %d records",
 				len(resp.Items), len(chunk))
+		}
+		if len(recs) <= wire.MaxSubmitBatch {
+			return wire.NewBatchResponse(resp.Items), nil // one chunk: its items are the report
 		}
 		items = append(items, resp.Items...)
 	}

@@ -15,12 +15,12 @@ import (
 // transport — pipelining, poisoning, redial — so a node-to-node link gets
 // the same failure semantics as a client link.
 
-// ForwardBatchCtx hands a slice of records to the peer in one frame, with
+// ForwardBatchCtx hands a batch of records to the peer in one frame, with
 // the same per-record report as a client batch submit. Replica marks a
 // replication write (stored without further fan-out).
-func (c *Client) ForwardBatchCtx(ctx context.Context, node string, recs []feedback.Feedback, replica bool) (wire.BatchResponse, error) {
+func (c *Client) ForwardBatchCtx(ctx context.Context, node string, b *feedback.Batch, replica bool) (wire.BatchResponse, error) {
 	var resp wire.BatchResponse
-	req := wire.FwdBatchRequest{Node: node, Records: recs, Replica: replica}
+	req := wire.FwdBatchRequest{Node: node, Records: wire.RecordBatch{Batch: b}, Replica: replica}
 	err := c.muxRoundTrip(ctx, wire.TypeFwdBatch, wire.TypeFwdBatchR, req, &resp)
 	return resp, err
 }

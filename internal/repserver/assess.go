@@ -3,13 +3,11 @@ package repserver
 import (
 	"context"
 	"fmt"
-	"runtime"
-	"sync"
-	"sync/atomic"
 
 	"honestplayer/internal/cluster"
 	"honestplayer/internal/feedback"
 	"honestplayer/internal/service"
+	"honestplayer/internal/store"
 	"honestplayer/internal/wire"
 )
 
@@ -132,35 +130,9 @@ func (s *Server) assessItems(ctx context.Context, servers []feedback.EntityID, t
 		g.servers = append(g.servers, srv)
 	}
 
-	workers := s.cfg.BatchWorkers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > len(groups) {
-		workers = len(groups)
-	}
-	if workers <= 1 {
-		for _, g := range groups {
-			s.assessGroup(ctx, threshold, g, items)
-		}
-		return items
-	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	wg.Add(workers)
-	for w := 0; w < workers; w++ {
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= len(groups) {
-					return
-				}
-				s.assessGroup(ctx, threshold, groups[i], items)
-			}
-		}()
-	}
-	wg.Wait()
+	store.FanOut(len(groups), s.cfg.BatchWorkers, func() func(int) {
+		return func(i int) { s.assessGroup(ctx, threshold, groups[i], items) }
+	})
 	return items
 }
 

@@ -2,13 +2,17 @@ package repserver
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"testing"
 	"time"
 
+	"honestplayer/internal/attack"
 	"honestplayer/internal/behavior"
 	"honestplayer/internal/core"
 	"honestplayer/internal/feedback"
+	"honestplayer/internal/ledger"
+	"honestplayer/internal/service"
 	"honestplayer/internal/stats"
 	"honestplayer/internal/trust"
 	"honestplayer/internal/wire"
@@ -198,4 +202,67 @@ func BenchmarkAssessAfterAppend(b *testing.B) {
 			b.Fatalf("assess: %v", err)
 		}
 	}
+}
+
+// seedingFrames is the seeding shape of the ingest_durable workload: 512
+// servers of 586 records — honest players over 50 clients, one record a
+// second — sent as submit.batch frames of up to 256 records of one server,
+// encoded as a client encodes them.
+func seedingFrames(b *testing.B) (frames []wire.Envelope, records int) {
+	b.Helper()
+	rng := stats.NewRNG(1)
+	for i := 0; i < 512; i++ {
+		h, err := attack.GenHonest(feedback.EntityID(fmt.Sprintf("srv-%d", i)), 586, 0.9+0.09*rng.Float64(), 50, rng)
+		if err != nil {
+			b.Fatal(err)
+		}
+		recs := h.Records()
+		for start := 0; start < len(recs); start += wire.MaxSubmitBatch {
+			chunk := recs[start:min(start+wire.MaxSubmitBatch, len(recs))]
+			env, err := wire.V2Codec.Encode(wire.TypeSubmitB, uint64(len(frames)+1), wire.BatchRequest{Records: chunk})
+			if err != nil {
+				b.Fatal(err)
+			}
+			frames = append(frames, env)
+			records += len(chunk)
+		}
+	}
+	return frames, records
+}
+
+// BenchmarkDurableIngest drives the seeding shape through a durable node in
+// process, one frame after another as one connection sends them: frame
+// decode, the store's server runs and the ledger's group commit, with a
+// snapshot at the workload's -snapshot-every. It reports ns/record.
+func BenchmarkDurableIngest(b *testing.B) {
+	frames, records := seedingFrames(b)
+	ctx := service.WithCodec(context.Background(), wire.V2Codec)
+	b.ResetTimer()
+	for range b.N {
+		b.StopTimer()
+		ps, err := ledger.OpenStoreOptions(context.Background(), b.TempDir(), ledger.Options{SnapshotEvery: 250000})
+		if err != nil {
+			b.Fatal(err)
+		}
+		srv, err := New("127.0.0.1:0", Config{Assessor: benchAssessor(b), Store: ps.Store(), Recorder: ps})
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.StartTimer()
+		for _, env := range frames {
+			resp, err := srv.pipeline(ctx, env)
+			if err != nil || resp.Type != wire.TypeSubmitBR {
+				b.Fatalf("frame %d: %s, %v", env.ID, resp.Type, err)
+			}
+		}
+		b.StopTimer()
+		if err := errors.Join(srv.Close(), ps.Close()); err != nil {
+			b.Fatal(err)
+		}
+		if got := ps.Store().Len(); got != records {
+			b.Fatalf("stored %d records of %d", got, records)
+		}
+		b.StartTimer()
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*records), "ns/record")
 }

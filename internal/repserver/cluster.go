@@ -50,47 +50,56 @@ func (s *Server) nodeID() string {
 // replica set has converged — but best-effort: an unreachable replica is
 // logged and counted, not surfaced, because the owner's copy is already
 // durable and anti-entropy gossip repairs the replica later.
-func (s *Server) replicate(ctx context.Context, recs []feedback.Feedback) {
+func (s *Server) replicate(ctx context.Context, b *feedback.Batch) {
 	cl := s.clusterRef.Load()
-	if cl == nil || cl.Size() <= 1 || cl.Replicas() <= 1 || len(recs) == 0 {
+	if cl == nil || cl.Size() <= 1 || cl.Replicas() <= 1 || b.Len() == 0 {
 		return
 	}
-	byPeer := make(map[string][]feedback.Feedback)
-	for _, rec := range recs {
-		// Replica sets are per record, not per owner: two servers with the
-		// same owner can have different successor nodes on the ring.
-		for _, id := range cl.ReplicaSet(rec.Server) {
+	// Replica sets are per server, not per owner: two servers with the same
+	// owner can have different successor nodes on the ring.
+	sets := make([][]string, len(b.Servers()))
+	for r, srv := range b.Servers() {
+		sets[r] = cl.ReplicaSet(srv)
+	}
+	byPeer := make(map[string][]int)
+	for i := range b.Len() {
+		for _, id := range sets[b.ServerRef(i)] {
 			if id != cl.Self() {
-				byPeer[id] = append(byPeer[id], rec)
+				byPeer[id] = append(byPeer[id], i)
 			}
 		}
 	}
 	var wg sync.WaitGroup
-	for id, group := range byPeer {
+	for id, rows := range byPeer {
 		wg.Add(1)
-		go func(id string, group []feedback.Feedback) {
+		go func(id string, group *feedback.Batch) {
 			defer wg.Done()
 			if _, err := cl.ForwardBatch(ctx, id, group, true); err != nil {
-				s.logf("cluster: replicate %d records to %s: %v", len(group), id, err)
+				s.logf("cluster: replicate %d records to %s: %v", group.Len(), id, err)
 			}
-		}(id, group)
+		}(id, b.Select(rows))
 	}
 	wg.Wait()
 }
 
-// acceptedRecords filters out the records a batch apply rejected, so
+// accepted is the batch of rb's records a batch apply did not reject, so
 // replication only carries records the owner actually holds.
-func acceptedRecords(recs []feedback.Feedback, resp wire.BatchResponse) []feedback.Feedback {
+func accepted(rb wire.RecordBatch, resp wire.BatchResponse) *feedback.Batch {
 	if len(resp.Rejected) == 0 {
-		return recs
+		return rb.Batch
 	}
-	out := make([]feedback.Feedback, 0, len(recs)-len(resp.Rejected))
-	for i, rec := range recs {
-		if resp.Items[i].Error == nil {
-			out = append(out, rec)
+	var rows []int
+	k := 0
+	for i, item := range resp.Items {
+		if rb.Invalid != nil && rb.Invalid[i] != nil {
+			continue
 		}
+		if item.Error == nil {
+			rows = append(rows, k)
+		}
+		k++
 	}
-	return out
+	return rb.Batch.Select(rows)
 }
 
 // ownerGroup is one node's slice of a batch request, with the original
@@ -122,36 +131,67 @@ func splitByOwner[T any](items []T, route func(T) (owner string, here bool)) (lo
 // clusterBatch serves submitted records on a clustered node: records are
 // split by owner, the local group applied (and replicated) in place, the
 // remote groups forwarded to their owners concurrently as fwd.submit.batch
-// frames. Per-record items are remapped to request positions; an owner that
-// is unreachable, or answers without one item per record, fails its whole
-// group, preserving the batch invariant len(Items) == len(Records).
-func (s *Server) clusterBatch(ctx context.Context, cl *cluster.Cluster, recs []feedback.Feedback, batchFrame bool) (wire.BatchResponse, error) {
+// frames, each group a batch of its records. An invalid record fails its
+// slot here. Per-record items are remapped to request positions; an owner
+// that is unreachable, or answers without one item per record, fails its
+// whole group, preserving the batch invariant len(Items) == rb.Len().
+func (s *Server) clusterBatch(ctx context.Context, cl *cluster.Cluster, rb wire.RecordBatch, batchFrame bool) (wire.BatchResponse, error) {
 	if err := ctx.Err(); err != nil {
 		return wire.BatchResponse{}, err
 	}
-	local, remote := splitByOwner(recs, func(rec feedback.Feedback) (string, bool) {
-		owner := cl.Owner(rec.Server)
+	b := rb.Batch
+	items := make([]wire.SubmitBatchItem, rb.Len())
+	pos := make([]int, 0, b.Len()) // the request position of each batch row
+	for i := range items {
+		if rb.Invalid != nil && rb.Invalid[i] != nil {
+			items[i].Error = storeError(rb.Invalid[i])
+		} else {
+			pos = append(pos, i)
+		}
+	}
+	if n := len(items) - len(pos); n > 0 && batchFrame {
+		s.nSubItems.Add(uint64(n))
+		s.nSubRejects.Add(uint64(n))
+	}
+	owners := make([]string, len(b.Servers()))
+	for r, srv := range b.Servers() {
+		owners[r] = cl.Owner(srv)
+	}
+	rows := make([]int, b.Len())
+	for k := range rows {
+		rows[k] = k
+	}
+	local, remote := splitByOwner(rows, func(k int) (string, bool) {
+		owner := owners[b.ServerRef(k)]
 		return owner, owner == cl.Self()
 	})
+	// batchOf is the batch of a group's rows.
+	batchOf := func(g *ownerGroup[int]) *feedback.Batch {
+		if len(g.items) == b.Len() {
+			return b
+		}
+		return b.Select(g.items)
+	}
 
 	type result struct {
-		g    *ownerGroup[feedback.Feedback]
+		g    *ownerGroup[int]
 		resp wire.BatchResponse
 		err  error
 	}
 	results := make([]result, 0, len(remote)+1)
 	resCh := make(chan result, len(remote))
 	for owner, g := range remote {
-		go func(owner string, g *ownerGroup[feedback.Feedback]) {
-			resp, err := cl.ForwardBatch(ctx, owner, g.items, false)
+		go func(owner string, g *ownerGroup[int], group *feedback.Batch) {
+			resp, err := cl.ForwardBatch(ctx, owner, group, false)
 			if err == nil && len(resp.Items) != len(g.items) {
 				err = fmt.Errorf("owner %s returned %d items for %d records", owner, len(resp.Items), len(g.items))
 			}
 			resCh <- result{g: g, resp: resp, err: err}
-		}(owner, g)
+		}(owner, g, batchOf(g))
 	}
 	if len(local.items) > 0 {
-		resp, err := s.applyBatch(ctx, local.items, batchFrame)
+		group := wire.RecordBatch{Batch: batchOf(&local)}
+		resp, err := s.applyBatch(ctx, group, batchFrame)
 		if err != nil {
 			// Only context expiry aborts applyBatch; drain the fan-out before
 			// reporting it.
@@ -160,26 +200,25 @@ func (s *Server) clusterBatch(ctx context.Context, cl *cluster.Cluster, recs []f
 			}
 			return wire.BatchResponse{}, err
 		}
-		s.replicate(ctx, acceptedRecords(local.items, resp))
+		s.replicate(ctx, accepted(group, resp))
 		results = append(results, result{g: &local, resp: resp})
 	}
 	for range remote {
 		results = append(results, <-resCh)
 	}
 
-	items := make([]wire.SubmitBatchItem, len(recs))
 	for _, r := range results {
 		if r.err != nil {
 			// The whole group failed at its owner: every record fails its
 			// slot, so the response still accounts for each one.
 			e := forwardedErr(r.err)
-			for _, pos := range r.g.idx {
-				items[pos].Error = e
+			for _, k := range r.g.items {
+				items[pos[k]].Error = e
 			}
 			continue
 		}
-		for i, item := range r.resp.Items {
-			items[r.g.idx[i]] = item
+		for j, item := range r.resp.Items {
+			items[pos[r.g.items[j]]] = item
 		}
 	}
 	return wire.NewBatchResponse(items), nil
@@ -259,14 +298,15 @@ func (s *Server) forwardAssess(ctx context.Context, cl *cluster.Cluster, wg *syn
 // this owner, a non-owner's single submit as a batch of one, or a
 // replication write.
 func (s *Server) fwdBatch(ctx context.Context, req wire.FwdBatchRequest) (wire.BatchResponse, error) {
-	resp, err := s.applyBatch(ctx, req.Records, true)
+	rb := withBatch(req.Records)
+	resp, err := s.applyBatch(ctx, rb, true)
 	if err != nil {
 		return wire.BatchResponse{}, err
 	}
 	if !req.Replica {
 		// We are the owner of forwarded writes: fan them out to the replica
 		// set. Replica writes stop here by construction.
-		s.replicate(ctx, acceptedRecords(req.Records, resp))
+		s.replicate(ctx, accepted(rb, resp))
 	}
 	return resp, nil
 }

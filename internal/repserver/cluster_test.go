@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"net"
 	"reflect"
+	"slices"
 	"testing"
 	"time"
 
@@ -548,5 +549,77 @@ func TestClusterShortPeerReportFailsItsGroup(t *testing.T) {
 	}
 	if items[1].Error != nil || items[1].Server != mine {
 		t.Fatalf("door's assess item = %+v, want a verdict", items[1])
+	}
+}
+
+// TestClusterBatchInvalidRecordsFailAtTheDoor: a submit.batch whose records
+// span every owner, with records no encoding carries among them — a client
+// sends such a frame as JSON — answers through a cluster door exactly as a
+// single node does: each invalid record fails its own slot, at the door,
+// and every valid one lands on its replica set, its item at its request
+// position.
+func TestClusterBatchInvalidRecordsFailAtTheDoor(t *testing.T) {
+	servers := startCluster(t, 3, 2, func() Config { return Config{Assessor: testAssessor(t)} })
+	single, err := New("127.0.0.1:0", Config{Assessor: testAssessor(t)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	single.Start()
+	t.Cleanup(func() { _ = single.Close() })
+
+	var recs []feedback.Feedback
+	for i := range 24 {
+		recs = append(recs, rec(feedback.EntityID(fmt.Sprintf("door-%02d", i%8)), "alice", i%3 != 0, int64(i+1)))
+	}
+	bad := feedback.Feedback{Server: "door-00", Client: "alice", Rating: feedback.Positive} // the zero time
+	recs = slices.Insert(recs, 0, bad)
+	recs = slices.Insert(recs, 13, feedback.Feedback{Time: time.Unix(5, 0), Server: "door-03", Client: "bob"})
+	recs = append(recs, bad)
+	want, err := dial(t, single).SubmitBatchReport(recs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := dial(t, servers[0]).SubmitBatchReport(recs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("door answered %+v, a single node %+v", got, want)
+	}
+	if got.Stored != 24 || len(got.Rejected) != 3 || got.Rejected[1].Index != 13 {
+		t.Fatalf("door answered %+v, want 24 stored and records 0, 13 and 26 refused", got)
+	}
+	for i := range 8 {
+		id := feedback.EntityID(fmt.Sprintf("door-%02d", i))
+		for _, node := range servers[0].Cluster().ReplicaSet(id) {
+			srv := servers[node[1]-'1']
+			if h, _ := srv.Store().Snapshot(id); h.Len() != 3 {
+				t.Fatalf("replica %s holds %d records of %q, want 3", node, h.Len(), id)
+			}
+		}
+	}
+}
+
+// TestClusterBatchWithoutRecordsKey: a bridged peer's JSON submit.batch or
+// fwd.submit.batch without a "records" key is a batch of no records on a
+// node with replicas to push to: an empty answer, not an internal error.
+func TestClusterBatchWithoutRecordsKey(t *testing.T) {
+	servers := startCluster(t, 3, 2, func() Config { return Config{Assessor: testAssessor(t)} })
+	ctx := service.WithCodec(context.Background(), wire.BridgeCodec)
+	for _, c := range []struct {
+		req, resp wire.MsgType
+		payload   string
+	}{
+		{wire.TypeSubmitB, wire.TypeSubmitBR, `{}`},
+		{wire.TypeFwdBatch, wire.TypeFwdBatchR, `{"node":"n2"}`},
+	} {
+		resp, err := servers[0].pipeline(ctx, wire.Envelope{Type: c.req, ID: 1, Payload: []byte(c.payload)})
+		if err != nil || resp.Type != c.resp {
+			t.Fatalf("%s %s: answered %s %s, %v", c.req, c.payload, resp.Type, resp.Payload, err)
+		}
+		var got wire.BatchResponse
+		if err := wire.DecodePayload(resp, &got); err != nil || len(got.Items) != 0 || got.Stored != 0 {
+			t.Fatalf("%s %s: answered %+v, %v", c.req, c.payload, got, err)
+		}
 	}
 }

@@ -73,8 +73,8 @@ func TestSingleSubmitFaultsIn(t *testing.T) {
 // when its ledger append fails after the store accepted the record.
 type failingRecorder struct{}
 
-func (failingRecorder) AddBatch(recs []feedback.Feedback, _ int) []store.AddResult {
-	out := make([]store.AddResult, len(recs))
+func (failingRecorder) Apply(b *feedback.Batch, _ int) []store.AddResult {
+	out := make([]store.AddResult, b.Len())
 	for i := range out {
 		out[i].Err = fmt.Errorf("stored in memory but not persisted: %w", errors.New("disk full"))
 	}

@@ -51,10 +51,10 @@ const maxHistoryChunk = 10000
 // wanting durability pass a ledger.PersistentStore (whose Store() must also
 // back Config.Store so reads see the writes).
 type Recorder interface {
-	// AddBatch stores records with at most workers concurrent shard groups
-	// (workers <= 0 means GOMAXPROCS); result i reports whether record i was
-	// new, or why it was not stored.
-	AddBatch(recs []feedback.Feedback, workers int) []store.AddResult
+	// Apply stores a batch's records with at most workers concurrent shard
+	// groups (workers <= 0 means GOMAXPROCS); result i reports whether
+	// record i was new, or why it was not stored.
+	Apply(b *feedback.Batch, workers int) []store.AddResult
 }
 
 // Config parameterises a Server.
@@ -578,7 +578,7 @@ func (s *Server) handlePing(ctx context.Context, env wire.Envelope) (wire.Envelo
 // codes as the record would get in a submit.batch frame, with its item slot
 // unwrapped into the single response.
 func (s *Server) submit(ctx context.Context, req wire.SubmitRequest) (wire.SubmitResponse, error) {
-	resp, err := s.routeSubmit(ctx, []feedback.Feedback{req.Feedback}, false)
+	resp, err := s.routeSubmit(ctx, pack([]feedback.Feedback{req.Feedback}), false)
 	if err != nil {
 		return wire.SubmitResponse{}, err
 	}
@@ -588,48 +588,72 @@ func (s *Server) submit(ctx context.Context, req wire.SubmitRequest) (wire.Submi
 	return wire.SubmitResponse{Stored: resp.Items[0].Stored}, nil
 }
 
-func (s *Server) submitBatch(ctx context.Context, req wire.BatchRequest) (wire.BatchResponse, error) {
-	if len(req.Records) > wire.MaxSubmitBatch {
+func (s *Server) submitBatch(ctx context.Context, req wire.BatchView) (wire.BatchResponse, error) {
+	if n := req.Records.Len(); n > wire.MaxSubmitBatch {
 		return wire.BatchResponse{}, service.Errorf(wire.CodeBadRequest,
-			"batch of %d records exceeds max %d", len(req.Records), wire.MaxSubmitBatch)
+			"batch of %d records exceeds max %d", n, wire.MaxSubmitBatch)
 	}
-	return s.routeSubmit(ctx, req.Records, true)
+	return s.routeSubmit(ctx, withBatch(req.Records), true)
+}
+
+// withBatch returns rb holding a batch, empty if rb held none: a JSON
+// payload without its "records" key decodes to no batch at all.
+func withBatch(rb wire.RecordBatch) wire.RecordBatch {
+	if rb.Batch == nil {
+		rb.Batch = new(feedback.Batch)
+	}
+	return rb
+}
+
+// pack is the []Feedback edge of the write path: recs as a RecordBatch,
+// its invalid records left out of the batch and failing their own slots.
+func pack(recs []feedback.Feedback) wire.RecordBatch {
+	b, errs := feedback.Pack(recs)
+	return wire.RecordBatch{Batch: b, Invalid: errs}
 }
 
 // routeSubmit applies client-submitted records: split by owner on a
 // clustered node, stored in place otherwise. batchFrame says whether the
 // records arrived in a batch frame, which is what the submit_batch* counters
 // count.
-func (s *Server) routeSubmit(ctx context.Context, recs []feedback.Feedback, batchFrame bool) (wire.BatchResponse, error) {
+func (s *Server) routeSubmit(ctx context.Context, rb wire.RecordBatch, batchFrame bool) (wire.BatchResponse, error) {
 	if cl := s.clusterRef.Load(); cl != nil && cl.Size() > 1 {
-		return s.clusterBatch(ctx, cl, recs, batchFrame)
+		return s.clusterBatch(ctx, cl, rb, batchFrame)
 	}
-	return s.applyBatch(ctx, recs, batchFrame)
+	return s.applyBatch(ctx, rb, batchFrame)
 }
 
 // applyBatch is the one door records enter a node through — client frames,
 // fwd.submit.batch hand-overs and replica pushes, anti-entropy deltas and
-// Seed alike: one Recorder.AddBatch call, so every record is shard-grouped
-// over the bounded worker pool and, on a durable node, pinned,
-// group-committed and tail-indexed. It reports per record with the semantics
-// of a batch submit: bad records fail their own item slot, never the batch.
-// Items[i] always answers Records[i]; len(Items) == len(Records).
-func (s *Server) applyBatch(ctx context.Context, recs []feedback.Feedback, batchFrame bool) (wire.BatchResponse, error) {
+// Seed alike: one Recorder.Apply call, so every record is applied one
+// server run at a time over the bounded worker pool and, on a durable node,
+// pinned, group-committed and tail-indexed. It reports per record with the
+// semantics of a batch submit: bad records fail their own item slot, never
+// the batch. Items[i] always answers the list's record i; len(Items) ==
+// rb.Len().
+func (s *Server) applyBatch(ctx context.Context, rb wire.RecordBatch, batchFrame bool) (wire.BatchResponse, error) {
 	if err := ctx.Err(); err != nil {
 		return wire.BatchResponse{}, err
 	}
-	items := make([]wire.SubmitBatchItem, len(recs))
-	for i, r := range s.cfg.Recorder.AddBatch(recs, s.cfg.BatchWorkers) {
-		if r.Err != nil {
+	results := s.cfg.Recorder.Apply(rb.Batch, s.cfg.BatchWorkers)
+	items := make([]wire.SubmitBatchItem, rb.Len())
+	k := 0
+	for i := range items {
+		if rb.Invalid != nil && rb.Invalid[i] != nil {
+			items[i].Error = storeError(rb.Invalid[i])
+			continue
+		}
+		if r := results[k]; r.Err != nil {
 			items[i].Error = storeError(r.Err)
 		} else {
 			items[i].Stored = r.Stored
 		}
+		k++
 	}
 	resp := wire.NewBatchResponse(items)
 	if batchFrame {
 		s.nSubBatches.Add(1)
-		s.nSubItems.Add(uint64(len(recs)))
+		s.nSubItems.Add(uint64(len(items)))
 		s.nSubRejects.Add(uint64(len(resp.Rejected)))
 	}
 	return resp, nil
@@ -666,7 +690,7 @@ func (s *Server) history(ctx context.Context, req wire.HistoryRequest) (wire.His
 func storeError(err error) *wire.ErrorResponse {
 	switch {
 	case errors.Is(err, feedback.ErrInvalidRating), errors.Is(err, feedback.ErrEmptyEntity),
-		errors.Is(err, feedback.ErrTimeRange):
+		errors.Is(err, feedback.ErrTimeRange), errors.Is(err, feedback.ErrRecordTooLarge):
 		return &wire.ErrorResponse{Code: wire.CodeInvalidFeedback, Message: err.Error()}
 	case errors.Is(err, store.ErrEvicted):
 		return &wire.ErrorResponse{Code: wire.CodeUnavailable, Message: err.Error()}
@@ -680,7 +704,7 @@ func storeError(err error) *wire.ErrorResponse {
 // many were new; a rejected record is reported as the error, and does not
 // keep the others from being stored.
 func (s *Server) Seed(recs []feedback.Feedback) (int, error) {
-	resp, err := s.applyBatch(s.baseCtx, recs, false)
+	resp, err := s.applyBatch(s.baseCtx, pack(recs), false)
 	if err != nil {
 		return 0, err
 	}

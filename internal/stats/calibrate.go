@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"sort"
 	"sync"
 	"sync/atomic"
 )
@@ -76,8 +75,7 @@ func CalibrateL1(m, numWindows int, pHat float64, cfg CalibrationConfig) (float6
 	if err := fill(dists); err != nil {
 		return 0, err
 	}
-	sort.Float64s(dists)
-	return Quantile(dists, cfg.Confidence), nil
+	return SelectQuantile(dists, cfg.Confidence), nil
 }
 
 // calibPoint is one CalibrateL1 call's grid point: its stream, and the PMF

@@ -2,7 +2,10 @@ package stats
 
 import (
 	"errors"
+	"fmt"
 	"math"
+	"slices"
+	"sort"
 	"testing"
 )
 
@@ -360,6 +363,68 @@ func TestCalibrateL1GoldenBits(t *testing.T) {
 		}
 		if got := math.Float64bits(eps); got != c.want {
 			t.Errorf("Threshold(10, %d, 0.9) = %#x (%v), want %#x", c.windows, got, eps, c.want)
+		}
+	}
+}
+
+// TestSelectQuantileIsSortQuantile: taking ε by selection lands on the bits
+// a full sort and Quantile do, over a sweep of grid points on the kernel
+// CalibrateL1 picks and on the scalar one, and over samples built to meet
+// the selection's edges: ties, sorted and reversed runs, a single value.
+func TestSelectQuantileIsSortQuantile(t *testing.T) {
+	check := func(name string, xs []float64, q float64) {
+		t.Helper()
+		sorted := slices.Clone(xs)
+		sort.Float64s(sorted)
+		want := Quantile(sorted, q)
+		if got := SelectQuantile(slices.Clone(xs), q); math.Float64bits(got) != math.Float64bits(want) {
+			t.Errorf("%s, q=%v: selected %v (%#x), sorted %v (%#x)", name, q, got, math.Float64bits(got), want, math.Float64bits(want))
+		}
+	}
+	cfg := CalibrationConfig{Seed: 7}.withDefaults()
+	for _, m := range []int{5, 10} {
+		for _, windows := range []int{1, 4, 47, 200} {
+			for _, p := range []float64{0.01, 0.5, 0.9, 0.97, 0.99} {
+				pt, err := newCalibPoint(m, windows, p, cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				fills := map[string]func([]float64) error{"scalar": pt.fillScalar}
+				if takesLanes(m, windows, cfg.Replicates, p) {
+					fills["lanes"] = pt.fillLanes
+				}
+				for kernel, fill := range fills {
+					dists := make([]float64, cfg.Replicates)
+					if err := fill(dists); err != nil {
+						t.Fatal(err)
+					}
+					for _, q := range []float64{cfg.Confidence, 0.5, 0.99, 0, 1} {
+						check(fmt.Sprintf("%s m=%d w=%d p=%v", kernel, m, windows, p), dists, q)
+					}
+				}
+			}
+		}
+	}
+	rising := make([]float64, 100)
+	for i := range rising {
+		rising[i] = float64(i / 3)
+	}
+	falling := slices.Clone(rising)
+	slices.Reverse(falling)
+	same := make([]float64, 50)
+	for i := range same {
+		same[i] = 3
+	}
+	for name, xs := range map[string][]float64{
+		"one":      {0.25},
+		"two":      {2, 1},
+		"ties":     {1, 1, 1, 1, 1, 0, 2, 1, 1},
+		"rising":   rising,
+		"falling":  falling,
+		"all same": same,
+	} {
+		for _, q := range []float64{0, 0.3, 0.5, 0.95, 1} {
+			check(name, xs, q)
 		}
 	}
 }

@@ -79,6 +79,70 @@ func Quantile(sorted []float64, q float64) float64 {
 	return float64(sorted[lo]*(1-frac)) + float64(sorted[hi]*frac)
 }
 
+// SelectQuantile is Quantile(sort.Float64s(xs), q), bit for bit, for xs
+// without NaNs, by selection instead of a sort: it reorders xs so that the
+// one or two order statistics Quantile reads sit where sorting would put
+// them, and reads them there.
+func SelectQuantile(xs []float64, q float64) float64 {
+	n := len(xs)
+	if n <= 1 || q <= 0 || q >= 1 {
+		k := 0
+		if n > 1 && q >= 1 {
+			k = n - 1
+		}
+		if n > 0 {
+			selectNth(xs, k)
+		}
+		return Quantile(xs, q)
+	}
+	lo := int(math.Floor(float64(q * float64(n-1)))) // as Quantile rounds it
+	selectNth(xs, lo)
+	// Everything after lo is at least xs[lo]: the next order statistic is
+	// the least of it.
+	next := lo + 1
+	for i := lo + 2; i < n; i++ {
+		if xs[i] < xs[next] {
+			next = i
+		}
+	}
+	xs[lo+1], xs[next] = xs[next], xs[lo+1]
+	return Quantile(xs, q)
+}
+
+// selectNth reorders xs so that xs[k] is the value sorting would put there,
+// with nothing greater before it and nothing smaller after it. It
+// partitions three ways, so the many equal distances a calibration draws
+// cost one pass.
+func selectNth(xs []float64, k int) {
+	lo, hi := 0, len(xs) // k is in [lo, hi)
+	for hi-lo > 1 {
+		a, b, c := xs[lo], xs[lo+(hi-lo)/2], xs[hi-1]
+		p := max(min(a, b), min(max(a, b), c)) // the median of three
+		lt, i, gt := lo, lo, hi
+		for i < gt {
+			switch x := xs[i]; {
+			case x < p:
+				xs[lt], xs[i] = x, xs[lt]
+				lt++
+				i++
+			case x > p:
+				gt--
+				xs[gt], xs[i] = x, xs[gt]
+			default:
+				i++
+			}
+		}
+		switch {
+		case k < lt:
+			hi = lt
+		case k >= gt:
+			lo = gt
+		default:
+			return
+		}
+	}
+}
+
 // Mean returns the arithmetic mean of xs, or 0 for an empty sample.
 func Mean(xs []float64) float64 {
 	if len(xs) == 0 {

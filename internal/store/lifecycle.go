@@ -34,11 +34,6 @@ import (
 // stub, or the server was evicted again as often as one operation retries.
 var ErrEvicted = errors.New("store: server state evicted")
 
-// errStub is what the insert path returns for a record addressed to a stub;
-// the entry points fault the server in and retry, so it never leaves the
-// package.
-var errStub = errors.New("store: write to a stub")
-
 // maxFaultAttempts bounds the fault-in retries of one operation. A server
 // evicted again this many times within it means the budget is far too small
 // for the working set (eviction thrash); failing is more honest than

@@ -13,8 +13,8 @@ package store
 import (
 	"context"
 	"fmt"
-	"hash/fnv"
 	"runtime"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -31,29 +31,15 @@ const DefaultShards = 16
 // suppression and gossip set reconciliation.
 type Hash uint64
 
-// HashOf returns the content hash of a feedback record.
+// HashOf returns f's content hash, feedback.ContentHash.
 func HashOf(f feedback.Feedback) Hash {
-	return hashRecord(f.Time.UnixNano(), f.Rating, f.Server, f.Client)
+	return Hash(feedback.ContentHash(f.Time.UnixNano(), f.Rating, f.Server, f.Client))
 }
 
 // HashAt returns the content hash of h's i-th record, HashOf(h.At(i)),
 // straight from the columns.
 func HashAt(h *feedback.History, i int) Hash {
-	return hashRecord(h.NanosAt(i), h.RatingAt(i), h.Server(), h.ClientAt(i))
-}
-
-func hashRecord(nanos int64, r feedback.Rating, server, client feedback.EntityID) Hash {
-	h := fnv.New64a()
-	var buf [8]byte
-	for i := 0; i < 8; i++ {
-		buf[i] = byte(nanos >> (8 * i))
-	}
-	_, _ = h.Write(buf[:])
-	_, _ = h.Write([]byte{byte(r)})
-	_, _ = h.Write([]byte(server))
-	_, _ = h.Write([]byte{0})
-	_, _ = h.Write([]byte(client))
-	return Hash(h.Sum64())
+	return Hash(feedback.ContentHash(h.NanosAt(i), h.RatingAt(i), h.Server(), h.ClientAt(i)))
 }
 
 // Accumulator is what SetAccumulatorFactory used to mint per server.
@@ -178,73 +164,20 @@ func (s *Store) shardOf(server feedback.EntityID) *shard {
 // records. Batch readers group servers by shard index so all items of one
 // shard can be served under a single lock acquisition (see ViewShard).
 func (s *Store) ShardIndex(server feedback.EntityID) int {
-	h := fnv.New64a()
-	_, _ = h.Write([]byte(server))
-	return int(h.Sum64() % uint64(len(s.shards)))
+	h := uint64(14695981039346656037) // FNV-1a, 64-bit
+	for i := 0; i < len(server); i++ {
+		h = (h ^ uint64(server[i])) * 1099511628211
+	}
+	return int(h % uint64(len(s.shards)))
 }
 
-// Add inserts a feedback record. It returns false when an identical record
-// (same content hash) was already present, and an error when the record is
-// invalid or its server is evicted and cannot be faulted back in
-// (ErrEvicted).
+// Add inserts a feedback record as an AddBatch of one. It returns false
+// when an identical record (same content hash) was already present, and an
+// error when the record is invalid or its server is evicted and cannot be
+// faulted back in (ErrEvicted).
 func (s *Store) Add(f feedback.Feedback) (bool, error) {
-	ok, err := s.addResident(f)
-	if ok {
-		s.maybeEvict()
-	}
-	return ok, err
-}
-
-// addResident is add that faults a stub in — waiting without a context —
-// and applies the record again, up to maxFaultAttempts times.
-func (s *Store) addResident(f feedback.Feedback) (bool, error) {
-	ok, err := s.add(f)
-	for attempt := 0; err == errStub; attempt++ {
-		if err = s.faultIn(context.Background(), f.Server, attempt); err == nil {
-			ok, err = s.add(f)
-		}
-	}
-	return ok, err
-}
-
-func (s *Store) add(f feedback.Feedback) (bool, error) {
-	if err := f.Validate(); err != nil {
-		return false, err
-	}
-	h := HashOf(f)
-	sh := s.shardOf(f.Server)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	return s.addLocked(sh, f, h)
-}
-
-// addLocked is the insert body shared by add and AddBatch. The caller holds
-// sh's write lock and has already validated f and computed its hash.
-func (s *Store) addLocked(sh *shard, f feedback.Feedback, h Hash) (bool, error) {
-	e := sh.byServ[f.Server]
-	if e == nil {
-		e = &entry{hist: feedback.NewHistory(f.Server)}
-		sh.byServ[f.Server] = e
-		s.residentCount.Add(1)
-	} else if e.hist == nil {
-		// A stub cannot accept writes: its records, which are the dedup
-		// index, are gone. The caller faults the server in and retries.
-		return false, errStub
-	}
-	hist, dup, err := merge(e.hist, f, h)
-	if dup || err != nil {
-		return false, err
-	}
-	e.hist = hist
-	e.snap.Store(nil)
-	e.version++
-	e.sum.Count++
-	e.sum.XOR ^= uint64(h)
-	e.touched.Store(true)
-	s.resizeLocked(e)
-	s.total.Add(1)
-	s.global.Add(1)
-	return true, nil
+	r := s.AddBatch([]feedback.Feedback{f}, 1)[0]
+	return r.Stored, r.Err
 }
 
 // Merge puts f where it belongs in h, which is sorted by (time, hash), and
@@ -253,22 +186,16 @@ func (s *Store) addLocked(sh *shard, f feedback.Feedback, h Hash) (bool, error) 
 // when it already holds f. An invalid f, or one for another server, is an
 // error. The persistence layer merges a rebuilt server's tail records with it.
 func Merge(h *feedback.History, f feedback.Feedback) (*feedback.History, error) {
-	out, _, err := merge(h, f, HashOf(f))
-	return out, err
-}
-
-func merge(h *feedback.History, f feedback.Feedback, hash Hash) (out *feedback.History, dup bool, err error) {
-	pos, dup := locate(h, f.Time.UnixNano(), hash)
+	pos, dup := locate(h, f.Time.UnixNano(), HashOf(f))
 	if dup {
-		return h, true, nil
+		return h, nil
 	}
 	if pos < h.Len() {
-		out, err = insertSorted(h, pos, f)
-		return out, false, err
+		return insertSorted(h, pos, f)
 	}
 	// Append fast path: in-place, amortised O(1). Outstanding snapshots are
 	// unaffected — the append writes past their length.
-	return h, false, h.Append(f)
+	return h, h.Append(f)
 }
 
 // locate finds where a record with the given time and content hash belongs
@@ -333,100 +260,173 @@ type AddResult struct {
 	Err error
 }
 
-// addGroup is the unit of batch-insert fan-out: the batch positions of all
-// records living on one shard, in batch order. Grouping is what lets the
-// batch apply a whole shard's records — dedup, history, version — under a
-// single write-lock acquisition. stubs is set when one of the
-// group's records met an evicted server.
-type addGroup struct {
-	sh     *shard
-	pos    []int
-	hashes []Hash
-	stubs  bool
+// AddBatch inserts records through Apply: the []Feedback edge of the write
+// path (AddRecords). Results[i] reports recs[i]'s outcome, with the same
+// semantics as len(recs) sequential Add calls.
+func (s *Store) AddBatch(recs []feedback.Feedback, workers int) []AddResult {
+	return AddRecords(recs, func(b *feedback.Batch) []AddResult { return s.Apply(b, workers) })
 }
 
-// AddBatch inserts records grouped by shard: records of the same shard are
-// applied in batch order under one shard-lock acquisition, and the shard
-// groups are fanned out across at most workers goroutines (workers <= 0
-// means GOMAXPROCS). Results[i] always reports Records[i]'s outcome, with
-// the same semantics as len(recs) sequential Add calls: the insert order
-// within a shard is the batch order, so dedup state ends up identical. A record addressed to an evicted server is applied again, in
-// batch order, once Add's fault-in made the server resident. Eviction
-// pressure is resolved once at the end, like Add does after its insert.
-func (s *Store) AddBatch(recs []feedback.Feedback, workers int) []AddResult {
-	results := make([]AddResult, len(recs))
-	byShard := make(map[*shard]*addGroup)
-	groups := make([]*addGroup, 0, len(s.shards))
-	for i, f := range recs {
-		if err := f.Validate(); err != nil {
-			results[i].Err = err
-			continue
+// AddRecords is the []Feedback edge of a batch write: it packs recs' valid
+// records into one batch for apply and reports per record of recs, a record
+// Validate refuses failing its own slot.
+func AddRecords(recs []feedback.Feedback, apply func(*feedback.Batch) []AddResult) []AddResult {
+	b, errs := feedback.Pack(recs)
+	res := apply(b)
+	for i, err := range errs { // errs is nil when every record is valid
+		if err != nil {
+			res = slices.Insert(res, i, AddResult{Err: err})
 		}
-		sh := s.shardOf(f.Server)
-		g := byShard[sh]
-		if g == nil {
-			g = &addGroup{sh: sh}
-			byShard[sh] = g
-			groups = append(groups, g)
-		}
-		g.pos = append(g.pos, i)
-		g.hashes = append(g.hashes, HashOf(f))
 	}
+	return res
+}
 
-	apply := func(g *addGroup) {
-		g.sh.mu.Lock()
-		defer g.sh.mu.Unlock()
-		for j, i := range g.pos {
-			results[i].Stored, results[i].Err = s.addLocked(g.sh, recs[i], g.hashes[j])
-			g.stubs = g.stubs || results[i].Err == errStub
+// Apply inserts b's records one server run — a stretch of consecutive
+// records of one server — at a time, each shard's runs under one
+// acquisition of its lock, the shards fanned out across at most workers
+// goroutines (FanOut). Results[i] reports record i with the semantics of
+// b.Len() sequential Add calls: a server's records go in in batch order.
+// Eviction pressure is resolved once at the end.
+func (s *Store) Apply(b *feedback.Batch, workers int) []AddResult {
+	results := make([]AddResult, b.Len())
+	shardOf := make([]int, len(b.Servers())) // server ref → shard index + 1
+	runs := make([][][2]int, len(s.shards))  // by shard, in batch order
+	for lo, hi := 0, 0; lo < b.Len(); lo = hi {
+		r := b.ServerRef(lo)
+		for hi = lo + 1; hi < b.Len() && b.ServerRef(hi) == r; hi++ {
 		}
+		if shardOf[r] == 0 {
+			shardOf[r] = s.ShardIndex(b.Servers()[r]) + 1
+		}
+		runs[shardOf[r]-1] = append(runs[shardOf[r]-1], [2]int{lo, hi})
 	}
+	runs = slices.DeleteFunc(runs, func(rs [][2]int) bool { return len(rs) == 0 })
+	FanOut(len(runs), workers, func() func(int) {
+		slots := make([]uint32, len(b.Clients()))
+		return func(i int) { s.applyRuns(b, runs[i], results, slots) }
+	})
+	if slices.ContainsFunc(results, func(r AddResult) bool { return r.Stored }) {
+		s.maybeEvict()
+	}
+	return results
+}
+
+// FanOut calls, for each i in [0, n), the function worker returns: one
+// per goroutine, at most workers of them (workers <= 0 means GOMAXPROCS),
+// the caller's among them.
+func FanOut(n, workers int, worker func() func(i int)) {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	if workers > len(groups) {
-		workers = len(groups)
-	}
-	if workers <= 1 {
-		for _, g := range groups {
-			apply(g)
+	var next atomic.Int64
+	run := func() {
+		do := worker()
+		for i := int(next.Add(1)) - 1; i < n; i = int(next.Add(1)) - 1 {
+			do(i)
 		}
-	} else {
-		var next atomic.Int64
-		var wg sync.WaitGroup
-		wg.Add(workers)
-		for w := 0; w < workers; w++ {
-			go func() {
-				defer wg.Done()
-				for {
-					i := int(next.Add(1)) - 1
-					if i >= len(groups) {
-						return
-					}
-					apply(groups[i])
+	}
+	var wg sync.WaitGroup
+	for range min(workers, n) - 1 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			run()
+		}()
+	}
+	if n > 0 {
+		run()
+	}
+	wg.Wait()
+}
+
+// applyRuns inserts runs, the runs of b whose servers one shard holds,
+// under one acquisition of its write lock. A run addressed to an evicted
+// server is applied again, in batch order, once a fault-in — waiting
+// without a context — made the server resident, up to maxFaultAttempts
+// times.
+func (s *Store) applyRuns(b *feedback.Batch, runs [][2]int, results []AddResult, slots []uint32) {
+	sh := s.shardOf(b.Servers()[b.ServerRef(runs[0][0])])
+	for attempt := 0; len(runs) > 0; attempt++ {
+		var stubs [][2]int
+		sh.mu.Lock()
+		for _, run := range runs {
+			if s.insertRun(sh, b, run[0], run[1], results, slots) {
+				stubs = append(stubs, run)
+			}
+		}
+		sh.mu.Unlock()
+		runs = stubs[:0]
+		for _, run := range stubs {
+			if err := s.faultIn(context.Background(), b.Servers()[b.ServerRef(run[0])], attempt); err != nil {
+				for i := run[0]; i < run[1]; i++ {
+					results[i].Err = err
 				}
-			}()
-		}
-		wg.Wait()
-	}
-	for _, g := range groups {
-		if !g.stubs {
-			continue
-		}
-		for _, i := range g.pos {
-			if results[i].Err == errStub {
-				results[i].Stored, results[i].Err = s.addResident(recs[i])
+			} else {
+				runs = append(runs, run)
 			}
 		}
 	}
+}
 
-	for i := range results {
-		if results[i].Stored {
-			s.maybeEvict()
-			break
-		}
+// insertRun inserts the records [lo, hi) of b, one server's, under its
+// shard's write lock; it reports a stub, which cannot accept writes: its
+// records, the dedup index, are gone. slots, zero on entry and on return,
+// caches the history's slot + 1 of each client ref the run meets, so a
+// client is interned once per run.
+func (s *Store) insertRun(sh *shard, b *feedback.Batch, lo, hi int, results []AddResult, slots []uint32) bool {
+	server := b.Servers()[b.ServerRef(lo)]
+	e := sh.byServ[server]
+	if e == nil {
+		e = &entry{hist: feedback.NewHistory(server)}
+		sh.byServ[server] = e
+		s.residentCount.Add(1)
+	} else if e.hist == nil {
+		return true
 	}
-	return results
+	h, added := e.hist, 0
+	for i := lo; i < hi; i++ {
+		nanos, c, hash := b.NanosAt(i), b.ClientRef(i), Hash(b.Hash(i))
+		pos, dup := locate(h, nanos, hash)
+		switch {
+		case dup:
+			continue
+		case pos < h.Len():
+			out, err := insertSorted(h, pos, b.At(i))
+			if err != nil {
+				results[i] = AddResult{Err: err}
+				continue
+			}
+			h = out
+			clear(slots) // slots of the history h replaced
+		default:
+			if slots[c] == 0 {
+				slot, err := h.Intern(b.Clients()[c])
+				if err != nil {
+					results[i] = AddResult{Err: err}
+					continue
+				}
+				slots[c] = slot + 1
+			}
+			h.AppendSlot(nanos, slots[c]-1, b.GoodAt(i))
+		}
+		results[i] = AddResult{Stored: true}
+		e.sum.XOR ^= uint64(hash)
+		added++
+	}
+	for i := lo; i < hi; i++ {
+		slots[b.ClientRef(i)] = 0
+	}
+	if added > 0 {
+		e.hist = h
+		e.snap.Store(nil)
+		e.version += uint64(added)
+		e.sum.Count += added
+		e.touched.Store(true)
+		s.resizeLocked(e)
+		s.total.Add(int64(added))
+		s.global.Add(uint64(added))
+	}
+	return false
 }
 
 // History returns the server's transaction history in time order, faulting

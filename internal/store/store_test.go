@@ -1,7 +1,10 @@
 package store
 
 import (
+	"encoding/binary"
+	"hash/fnv"
 	"reflect"
+	"strings"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -33,6 +36,50 @@ func TestHashOfDistinguishes(t *testing.T) {
 	}
 	if HashOf(a) != HashOf(rec("s", "c", true, 1)) {
 		t.Error("identical records must hash equal")
+	}
+}
+
+// TestHashOfIsFNV1a pins the content hash to hash/fnv's FNV-1a over the
+// time's eight bytes, little-endian, the rating byte, the server id, a zero
+// byte and the client id — the values gossip peers and stubs compare — and
+// the hashes a batch and a history compute from their columns to HashOf.
+func TestHashOfIsFNV1a(t *testing.T) {
+	reference := func(f feedback.Feedback) Hash {
+		h := fnv.New64a()
+		_ = binary.Write(h, binary.LittleEndian, f.Time.UnixNano())
+		_, _ = h.Write([]byte{byte(f.Rating)})
+		_, _ = h.Write([]byte(string(f.Server) + "\x00" + string(f.Client)))
+		return Hash(h.Sum64())
+	}
+	var recs []feedback.Feedback
+	for i := range 11 {
+		recs = append(recs, feedback.Feedback{
+			Time:   time.Unix(int64(i)*7919-40000, int64(i)*104729).UTC(),
+			Server: "srv-7",
+			Client: feedback.EntityID(strings.Repeat("c", 1+i*i%7)),
+			Rating: feedback.Rating(1 + i%2),
+		})
+	}
+	for _, f := range recs {
+		if got, want := HashOf(f), reference(f); got != want {
+			t.Fatalf("HashOf(%v) = %#x, FNV-1a says %#x", f, got, want)
+		}
+	}
+	// A batch and a history hash from their columns.
+	b, errs := feedback.Pack(recs)
+	if errs != nil {
+		t.Fatal(errs)
+	}
+	h := feedback.NewHistory("srv-7")
+	for _, f := range recs {
+		if err := h.Append(f); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i, f := range recs {
+		if want := HashOf(f); Hash(b.Hash(i)) != want || HashAt(h, i) != want {
+			t.Fatalf("record %d: batch %#x, history %#x, HashOf %#x", i, b.Hash(i), HashAt(h, i), want)
+		}
 	}
 }
 

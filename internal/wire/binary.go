@@ -20,6 +20,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"slices"
 	"sync"
 
 	"honestplayer/internal/behavior"
@@ -116,6 +117,8 @@ func decodeBinaryPayload(t MsgType, buf []byte, out any) error {
 		o.Stored, err = r.bool()
 	case *BatchRequest:
 		o.Records, err = r.records()
+	case *BatchView:
+		err = r.recordBatch(&o.Records)
 	case *BatchResponse:
 		err = r.batchResponse(o)
 	case *HistoryRequest:
@@ -178,11 +181,32 @@ var frameDicts = sync.Pool{New: func() any { return new(feedback.BatchDicts) }}
 // last column has no length of its own.
 func appendRecords(buf []byte, recs []feedback.Feedback) ([]byte, error) {
 	d := frameDicts.Get().(*feedback.BatchDicts)
-	buf, err := feedback.AppendBatch(buf, recs, d)
+	buf, err := feedback.AppendBatch(slices.Grow(buf, batchBytes(len(recs))), recs, d)
 	d.Reset()
 	frameDicts.Put(d)
 	return buf, err
 }
+
+// appendRecordBatch is appendRecords for a batch: the same bytes for the
+// same records.
+func appendRecordBatch(buf []byte, rb RecordBatch) ([]byte, error) {
+	if rb.Invalid != nil {
+		return buf, fmt.Errorf("%w: a record batch with invalid records", ErrBadMessage)
+	}
+	var bs []*feedback.Batch
+	if rb.Batch != nil {
+		bs = append(bs, rb.Batch)
+	}
+	d := frameDicts.Get().(*feedback.BatchDicts)
+	buf = feedback.AppendBatches(slices.Grow(buf, batchBytes(rb.Len())), d, bs...)
+	d.Reset()
+	frameDicts.Put(d)
+	return buf, nil
+}
+
+// batchBytes is room for a record batch of n records in one allocation,
+// most of the time: a few bytes a record and some ids in full.
+func batchBytes(n int) int { return 6*n + 128 }
 
 // Submit-batch item kind bytes: a stored record and a duplicate need no
 // body at all, so the common all-stored response encodes one byte per item.
@@ -199,7 +223,7 @@ func appendBatchResponse(buf []byte, p BatchResponse) ([]byte, error) {
 	if !p.derived() {
 		return buf, fmt.Errorf("%w: submit.batch.resp totals disagree with its %d items", ErrBadMessage, len(p.Items))
 	}
-	buf = binary.AppendUvarint(buf, uint64(len(p.Items)))
+	buf = binary.AppendUvarint(slices.Grow(buf, len(p.Items)+binary.MaxVarintLen64), uint64(len(p.Items)))
 	for _, item := range p.Items {
 		switch {
 		case item.Error != nil:
@@ -398,7 +422,7 @@ func appendErrorResponse(buf []byte, p ErrorResponse) []byte {
 func appendFwdBatchRequest(buf []byte, p FwdBatchRequest) ([]byte, error) {
 	buf = appendString(buf, p.Node)
 	buf = appendBool(buf, p.Replica)
-	return appendRecords(buf, p.Records)
+	return appendRecordBatch(buf, p.Records)
 }
 
 func appendFwdAssessBatchRequest(buf []byte, p FwdAssessBatchRequest) []byte {
@@ -538,6 +562,19 @@ func (r *breader) records() ([]feedback.Feedback, error) {
 	frameDicts.Put(d)
 	r.buf = nil
 	return recs, err
+}
+
+// recordBatch decodes the record batch that is the rest of the payload
+// into a batch of its own.
+func (r *breader) recordBatch(o *RecordBatch) error {
+	d := frameDicts.Get().(*feedback.BatchDicts)
+	b := new(feedback.Batch)
+	err := b.Decode(r.buf, d)
+	d.Reset()
+	frameDicts.Put(d)
+	r.buf = nil
+	o.Batch, o.Invalid = b, nil
+	return err
 }
 
 func (r *breader) batchResponse(o *BatchResponse) error {
@@ -763,8 +800,7 @@ func (r *breader) fwdBatchRequest(o *FwdBatchRequest) error {
 	if o.Replica, err = r.bool(); err != nil {
 		return err
 	}
-	o.Records, err = r.records()
-	return err
+	return r.recordBatch(&o.Records)
 }
 
 func (r *breader) fwdAssessBatchRequest(o *FwdAssessBatchRequest) error {

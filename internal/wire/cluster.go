@@ -11,12 +11,12 @@ package wire
 
 import "honestplayer/internal/feedback"
 
-// FwdBatchRequest hands a slice of feedback records to a peer node, all
+// FwdBatchRequest hands a batch of feedback records to a peer node, all
 // owned (or replicated) by that peer; a single forwarded submit is a batch
 // of one.
 type FwdBatchRequest struct {
-	Node    string              `json:"node"`
-	Records []feedback.Feedback `json:"records"`
+	Node    string      `json:"node"`
+	Records RecordBatch `json:"records"`
 	// Replica marks a replication write: the receiver stores the records
 	// because it is in the servers' replica sets, and must not replicate
 	// them onward (only the owner fans out to replicas, exactly once).

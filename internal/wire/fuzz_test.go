@@ -113,7 +113,7 @@ func FuzzReadV2(f *testing.F) {
 	// The three carriers of a record batch (ADR 0008), ids repeating.
 	recs := []feedback.Feedback{testRecord(1), testRecord(2), testRecord(5), testRecord(6)}
 	addFrame(TypeSubmitB, 3, BatchRequest{Records: recs})
-	addFrame(TypeFwdBatch, 4, FwdBatchRequest{Node: "n1", Records: recs, Replica: true})
+	addFrame(TypeFwdBatch, 4, FwdBatchRequest{Node: "n1", Records: packed(recs...), Replica: true})
 	addFrame(TypeHistoryR, 5, HistoryResponse{Total: 9, Records: recs})
 	addFrame(TypeError, 0, ErrorResponse{Code: CodeBadRequest, Message: "bad"})
 	f.Add([]byte{0, 0, 0, 10, 1, 0, 0, 0, 0, 0, 0, 0, 0, 1})
@@ -153,8 +153,9 @@ func FuzzReadV2(f *testing.F) {
 }
 
 // FuzzSubmitBatch drives the submit.batch payload codecs — BatchRequest on
-// the way in, BatchResponse (aggregates, rejects, and the per-item slots)
-// on the way out — over arbitrary payload bytes. Invariants: no panic, no
+// the way in, and BatchView, the node's decode of the same bytes, beside
+// it; BatchResponse (aggregates, rejects, and the per-item slots) on the
+// way out — over arbitrary payload bytes. Invariants: no panic, no
 // out-of-bounds allocation from hostile counts (the codec carries any count;
 // MaxSubmitBatch is the server's concern), and whatever decodes must survive
 // a lossless re-encode/decode round trip.
@@ -197,7 +198,20 @@ func FuzzSubmitBatch(f *testing.F) {
 			dest = new(BatchResponse)
 		}
 		env := Envelope{Type: typ, ID: 1, Payload: data, Binary: true}
-		if err := DecodePayload(env, dest); err != nil {
+		err := DecodePayload(env, dest)
+		if !isResp {
+			// The node's view of the same bytes: the same records, or the
+			// same refusal.
+			var view BatchView
+			verr := DecodePayload(env, &view)
+			if (err == nil) != (verr == nil) {
+				t.Fatalf("BatchRequest decode: %v, BatchView decode: %v", err, verr)
+			}
+			if err == nil && !reflect.DeepEqual(view.Records.Batch.Records(), append([]feedback.Feedback{}, dest.(*BatchRequest).Records...)) {
+				t.Fatalf("BatchView decoded %v, BatchRequest %v", view.Records.Batch.Records(), dest.(*BatchRequest).Records)
+			}
+		}
+		if err != nil {
 			return
 		}
 		reenc, err := V2Codec.Encode(typ, 1, dest)

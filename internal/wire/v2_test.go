@@ -71,7 +71,7 @@ func v2Payloads() map[MsgType]any {
 			{Server: "b", Error: &ErrorResponse{Code: CodeUnknownServer, Message: `no records for "b"`}},
 		}},
 		TypeError:      ErrorResponse{Code: CodeBadRequest, Message: "boom"},
-		TypeFwdBatch:   FwdBatchRequest{Node: "n2", Records: []feedback.Feedback{testRecord(1), testRecord(2)}},
+		TypeFwdBatch:   FwdBatchRequest{Node: "n2", Records: packed(testRecord(1), testRecord(2))},
 		TypeFwdBatchR:  NewBatchResponse([]SubmitBatchItem{{Stored: true}, {Stored: true}}),
 		TypeFwdAssessB: FwdAssessBatchRequest{Node: "n1", Servers: []feedback.EntityID{"a", "b"}, Threshold: 0.9},
 		TypeFwdAssessBR: FwdAssessBatchResponse{Node: "n3", Items: []AssessBatchItem{
@@ -79,6 +79,33 @@ func v2Payloads() map[MsgType]any {
 			{Server: "b", Error: &ErrorResponse{Code: CodeUnavailable, Message: "owner down"}},
 		}},
 	}
+}
+
+// packed is the RecordBatch of recs, which must be valid.
+func packed(recs ...feedback.Feedback) RecordBatch {
+	b, errs := feedback.Pack(recs)
+	if errs != nil {
+		panic(errs)
+	}
+	return RecordBatch{Batch: b}
+}
+
+// asRows returns p, or what p points to, with every RecordBatch as the list
+// of its records: what DeepEqual can compare.
+func asRows(p any) any {
+	records := func(rb RecordBatch) []feedback.Feedback {
+		if rb.Batch == nil {
+			return nil
+		}
+		return rb.Batch.Records()
+	}
+	switch v := p.(type) {
+	case *FwdBatchRequest:
+		return asRows(*v)
+	case FwdBatchRequest:
+		return []any{v.Node, v.Replica, records(v.Records), v.Records.Invalid}
+	}
+	return p
 }
 
 // newPayload returns a zero destination of the same concrete type as p.
@@ -185,7 +212,7 @@ func TestV2FrameRoundTrip(t *testing.T) {
 		if err := DecodePayload(got, out); err != nil {
 			t.Fatalf("%s: decode: %v", typ, err)
 		}
-		if got := reflect.ValueOf(out).Elem().Interface(); !reflect.DeepEqual(got, payload) {
+		if got := reflect.ValueOf(out).Elem().Interface(); !reflect.DeepEqual(asRows(got), asRows(payload)) {
 			t.Fatalf("%s: round trip:\n got %+v\nwant %+v", typ, got, payload)
 		}
 	}
@@ -272,7 +299,7 @@ func TestCrossCodecFidelity(t *testing.T) {
 		// Compare the time fields by instant, everything else structurally:
 		// both decoders normalise times to UTC, so DeepEqual holds for the
 		// payloads above (all timestamps are constructed in UTC).
-		if !reflect.DeepEqual(fromJSON, fromBin) {
+		if !reflect.DeepEqual(asRows(fromJSON), asRows(fromBin)) {
 			t.Fatalf("%s: codecs disagree:\n json %+v\n  v2  %+v", typ, fromJSON, fromBin)
 		}
 	}
@@ -477,11 +504,11 @@ func TestRecordBatchCarriers(t *testing.T) {
 	}
 	for typ, payload := range map[MsgType]any{
 		TypeSubmitB:  BatchRequest{Records: recs},
-		TypeFwdBatch: FwdBatchRequest{Node: "n1", Records: recs, Replica: true},
+		TypeFwdBatch: FwdBatchRequest{Node: "n1", Records: packed(recs...), Replica: true},
 		TypeHistoryR: HistoryResponse{Total: 900, Records: recs},
 	} {
 		got, size := roundTrip(t, typ, payload)
-		if !reflect.DeepEqual(got, payload) {
+		if !reflect.DeepEqual(asRows(got), asRows(payload)) {
 			t.Errorf("%s did not round-trip", typ)
 		}
 		// Rows spent 13 B of framing and both ids in full on every record:
@@ -506,6 +533,45 @@ func TestRecordBatchCarriers(t *testing.T) {
 	} {
 		if got, _ := roundTrip(t, typ, payload); !reflect.DeepEqual(got, payload) {
 			t.Errorf("empty %s did not round-trip: %+v", typ, got)
+		}
+	}
+}
+
+// TestBatchViewReadsBatchRequest: the node decodes a submit.batch into
+// BatchView, its records one column batch: from a binary payload, the
+// records a BatchRequest decodes to and, written back, the same bytes; from
+// a bridged client's JSON, the valid records in the batch and each invalid
+// one's error at its position.
+func TestBatchViewReadsBatchRequest(t *testing.T) {
+	recs := []feedback.Feedback{testRecord(1), testRecord(2), testRecord(5), testRecord(1)}
+	env, err := V2Codec.Encode(TypeSubmitB, 1, BatchRequest{Records: recs})
+	if err != nil || !env.Binary {
+		t.Fatalf("binary encode: %v", err)
+	}
+	var view BatchView
+	if err := DecodePayload(env, &view); err != nil || !reflect.DeepEqual(view.Records.Batch.Records(), recs) || view.Records.Invalid != nil {
+		t.Fatalf("binary BatchView: %+v, %v", view, err)
+	}
+	again, err := V2Codec.Encode(TypeSubmitB, 1, BatchRequest{Records: view.Records.Batch.Records()})
+	if err != nil || !bytes.Equal(again.Payload, env.Payload) {
+		t.Fatalf("BatchView re-encodes to %x (%v), want %x", again.Payload, err, env.Payload)
+	}
+	bad := append([]feedback.Feedback{{Server: "s", Client: "c", Rating: feedback.Positive}}, recs...)
+	bad = append(bad, feedback.Feedback{Time: time.Unix(1, 0).UTC(), Server: "s", Client: "c", Rating: 3})
+	jenv, err := BridgeCodec.Encode(TypeSubmitB, 1, BatchRequest{Records: bad})
+	if err != nil {
+		t.Fatal(err)
+	}
+	view = BatchView{}
+	if err := DecodePayload(jenv, &view); err != nil {
+		t.Fatal(err)
+	}
+	if view.Records.Len() != len(bad) || !reflect.DeepEqual(view.Records.Batch.Records(), recs) {
+		t.Fatalf("JSON BatchView holds %d records, batch %v", view.Records.Len(), view.Records.Batch.Records())
+	}
+	for i, err := range view.Records.Invalid {
+		if invalid := i == 0 || i == len(bad)-1; invalid != (err != nil) {
+			t.Errorf("record %d: invalid = %v", i, err)
 		}
 	}
 }

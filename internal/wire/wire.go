@@ -157,6 +157,56 @@ type BatchRequest struct {
 	Records []feedback.Feedback `json:"records"`
 }
 
+// BatchView is a submit.batch request as the node decodes it: the same
+// payload as BatchRequest, its records one RecordBatch.
+type BatchView struct {
+	Records RecordBatch `json:"records"`
+}
+
+// RecordBatch is a list of records as a node carries them: one column
+// batch (ADR 0021). A binary payload decodes straight into Batch, valid by
+// construction. A JSON payload — a bridged peer's — is a list of records,
+// of which Batch takes the valid ones; Invalid is then nil, or says for
+// each record of the list why it is not in Batch.
+type RecordBatch struct {
+	Batch   *feedback.Batch
+	Invalid []error
+}
+
+// Len returns the number of records the list holds, valid or not.
+func (rb RecordBatch) Len() int {
+	if rb.Invalid != nil {
+		return len(rb.Invalid)
+	}
+	if rb.Batch == nil {
+		return 0
+	}
+	return rb.Batch.Len()
+}
+
+// MarshalJSON writes the batch as the list of its records. A list with
+// invalid records has no encoding: it is only ever decoded.
+func (rb RecordBatch) MarshalJSON() ([]byte, error) {
+	if rb.Invalid != nil {
+		return nil, errors.New("a record batch with invalid records")
+	}
+	var recs []feedback.Feedback
+	if rb.Batch != nil {
+		recs = rb.Batch.Records()
+	}
+	return json.Marshal(recs)
+}
+
+// UnmarshalJSON reads a list of records into the batch.
+func (rb *RecordBatch) UnmarshalJSON(data []byte) error {
+	var recs []feedback.Feedback
+	if err := json.Unmarshal(data, &recs); err != nil {
+		return err
+	}
+	rb.Batch, rb.Invalid = feedback.Pack(recs)
+	return nil
+}
+
 // BatchReject reports one record of a batch that was not stored.
 type BatchReject struct {
 	// Index is the record's position in the request.

@@ -26,6 +26,8 @@
 #     which the codec calls and never re-implements (ADR 0006)
 #   - record batches are columns through one codec (ADR 0008): the ledger
 #     writes blocks, the wire writes batches, neither frames a record alone
+#   - one batch type from frame to block (ADR 0021): internal/store and
+#     internal/ledger build []feedback.Feedback only at their named edges
 #   - one time column (ADR 0014): a batch's and a section's times are coded
 #     by feedback's appendTimes/decodeTimes, and nowhere else
 #   - a history's times are resident at the width they need (ADR 0018): a
@@ -223,8 +225,25 @@ records_fn() { sed -n '/^func appendRecords(/,/^}/p' internal/wire/binary.go; }
 check "wire.appendRecords is the batch codec, not a per-record loop (ADR 0008)" \
     "records_fn | grep -q 'feedback\.AppendBatch(' && ! records_fn | grep -qE 'AppendBinary|for '"
 check "one caller of the batch codec per container: ledger block, wire frame (ADR 0008)" \
-    "[ \"\$(sources | xargs grep -lE 'feedback\.(Append|Decode)Batch\(' | sort | tr '\n' ' ')\" = \
+    "[ \"\$(sources | grep -v '^\./internal/feedback/' \
+           | xargs grep -lE 'feedback\.(AppendBatch|AppendBatches|DecodeBatch)\(|\.Decode\([^,()]+, [^,()]+\)' | sort | tr '\n' ' ')\" = \
        './internal/ledger/segment.go ./internal/wire/binary.go ' ]"
+
+# --- one batch type from frame to block (ADR 0021) ---------------------------
+# A decoded record batch is what the write path carries: the store applies
+# it one server run at a time, the ledger remaps its refs onto a segment's
+# dictionaries, replay applies each decoded block. Rows are built at the
+# edges alone — a write of one record (Add, Append), the reads bench and the
+# tools make of a whole log or history (Open, Records) and the tail index,
+# which ROADMAP 4(b) replaces — so the list below only shrinks.
+feedback_rows() {
+    awk '/^func / { fn = $0; sub(/^func (\([^)]*\) )?/, "", fn); sub(/\(.*/, "", fn) }
+         /\[\]feedback\.Feedback(\{|\(nil\))|make\((map\[string\])?\[\]feedback\.Feedback|\.Records\(\)/ {
+             f = FILENAME; sub(/^\.\//, "", f); print f ":" fn }' "$@" | sort -u | tr '\n' ' '
+}
+check "internal/store and internal/ledger build []feedback.Feedback only at their edges (ADR 0021)" \
+    "[ \"\$(feedback_rows \$(sources internal/store; sources internal/ledger))\" = \
+       'internal/ledger/ledger.go:Append internal/ledger/ledger.go:Open internal/ledger/rebuild.go:sources internal/ledger/rebuild.go:tailAdd internal/ledger/store.go:Add internal/store/store.go:Add internal/store/store.go:Records ' ]"
 check "no second definition of the batch columns (ADR 0008)" \
     "absent '\bBatchDicts\b.*struct|zig-?zag' internal/ledger \
      && ! sources internal/wire | grep -v '/verdict\.go\$' | xargs grep -nE 'AppendVarint\(|zig-?zag' | grep -q ."
