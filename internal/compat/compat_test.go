@@ -664,6 +664,61 @@ func TestRevision12KeyedThresholds(t *testing.T) {
 	}
 }
 
+// TestRevision13ConnectionBindings is the skew cell of revision 13, which
+// binds a calibration grid point for as long as the connection lives: a
+// binary connection keeps its threshold bindings from frame to frame, and a
+// bridged one keeps none, its payloads JSON. A revision-12 client of this
+// node, and this client of a revision-12 node, read a 24-server batch and
+// then a run of single assess frames on one connection exactly as a
+// revision-13 connection reads them, and no binary payload crosses.
+func TestRevision13ConnectionBindings(t *testing.T) {
+	srv := newServer(t)
+	srv.Start()
+	var ids []feedback.EntityID
+	for i := range 24 {
+		id := feedback.EntityID(fmt.Sprintf("bound-%d", i))
+		if _, err := srv.Seed(history(id, 100+10*i)); err != nil {
+			t.Fatal(err)
+		}
+		ids = append(ids, id)
+	}
+	read := func(c *repclient.Client) ([]wire.AssessBatchItem, []wire.AssessResponse) {
+		batch, err := c.AssessBatch(ids, threshold)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var singles []wire.AssessResponse
+		for _, id := range ids {
+			resp, err := c.Assess(id, threshold)
+			if err != nil {
+				t.Fatal(err)
+			}
+			singles = append(singles, resp)
+		}
+		return batch, singles
+	}
+	wantBatch, wantSingles := read(dial(t, srv.Addr()))
+	for _, item := range wantBatch {
+		if item.Error != nil || len(item.Assessment.Verdict.Suffixes) < 2 {
+			t.Fatalf("%s: %+v, want a verdict table of several rows", item.Server, item)
+		}
+	}
+	for _, dir := range directions {
+		if dir.offer != 12 && dir.ack != 12 {
+			t.Fatalf("%s: no end of revision 12", dir.name)
+		}
+		relay := newSkewRelay(t, srv.Addr(), dir)
+		batch, singles := read(dial(t, relay.addr))
+		if !reflect.DeepEqual(batch, wantBatch) || !reflect.DeepEqual(singles, wantSingles) {
+			t.Fatalf("%s: the bridge read other verdicts than a revision-13 connection", dir.name)
+		}
+		binary, batches := relay.stats(12) // assess.batch.resp
+		if _, answers := relay.stats(10); binary != 0 || batches != 1 || answers != len(ids) {
+			t.Errorf("%s: %d binary payloads, %d assess.batch.resp and %d assess.resp frames crossed; want 0, 1 and %d", dir.name, binary, batches, answers, len(ids))
+		}
+	}
+}
+
 // TestJSONLineIsClosedAtTheDoor: the JSON line framing is gone, so a JSON
 // line at the door is closed unanswered and counted in errors; a connection
 // closed before its first byte — a readiness probe — is not an error.

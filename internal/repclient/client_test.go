@@ -6,11 +6,14 @@ import (
 	"encoding/binary"
 	"errors"
 	"net"
+	"reflect"
 	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
 
+	"honestplayer/internal/behavior"
+	"honestplayer/internal/core"
 	"honestplayer/internal/feedback"
 	"honestplayer/internal/wire"
 )
@@ -431,5 +434,77 @@ func TestAssessBatchItemCountMismatch(t *testing.T) {
 	_, err = c.AssessBatch([]feedback.EntityID{"a", "b"}, 0.5)
 	if err == nil || !strings.Contains(err.Error(), "items") {
 		t.Fatalf("mismatched item count error = %v", err)
+	}
+}
+
+// TestConnectionBindingsFollowTheFrames: a verdict frame's threshold
+// bindings join the connection's as the frame is read, whether or not its
+// caller still waits — a caller that timed out leaves the next frame, which
+// leans on its bindings, decodable — and a redialed connection starts with
+// none: its first verdict carries its own.
+func TestConnectionBindingsFollowTheFrames(t *testing.T) {
+	verdict := func(rows ...behavior.SuffixResult) wire.AssessResponse {
+		return wire.AssessResponse{Accept: true, Assessment: core.Assessment{
+			Server: "s", Records: 40, Good: 38, Trust: 0.95, Tester: "multi", TrustFunc: "average",
+			Verdict: behavior.Verdict{Honest: true, Suffixes: rows},
+		}}
+	}
+	four := behavior.SuffixResult{Transactions: 40, Windows: 4, PHat: 0.95, Distance: 0.12, Threshold: 0.2, Pass: true}
+	two := behavior.SuffixResult{Transactions: 20, Windows: 2, PHat: 0.9, Distance: 0.3, Threshold: 0.25}
+	answers := map[feedback.EntityID]wire.AssessResponse{
+		"slow": verdict(four, two), // binds both rows' grid points
+		"same": verdict(four, two), // binds nothing after "slow"
+	}
+	bound := make(chan bool, 4) // whether each "same" frame carried a binding section
+	addr := multiV2Server(t, func(n int, conn net.Conn, reader *bufio.Reader) {
+		codec := wire.CodecFor(wire.VersionV2) // the connection's own bindings, as repserver keeps them
+		for {
+			env, err := wire.ReadV2(reader)
+			if err != nil {
+				return
+			}
+			var req wire.AssessRequest
+			if err := wire.DecodePayload(env, &req); err != nil || req.Server == "hangup" {
+				return
+			}
+			if req.Server == "slow" {
+				time.Sleep(300 * time.Millisecond) // past the caller's timeout
+			}
+			resp, err := codec.Encode(wire.TypeAssessR, env.ID, answers[req.Server])
+			if err != nil || wire.WriteV2(conn, resp) != nil || codec.Commit(resp) != nil {
+				return
+			}
+			if req.Server == "same" {
+				bound <- resp.Bindings
+			}
+		}
+	})
+	c, err := Dial(addr, WithTimeout(100*time.Millisecond))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() { _ = c.Close() }()
+
+	if _, err := c.Assess("slow", 0.9); !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("slow: err = %v, want a timeout", err)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	got, err := c.AssessCtx(ctx, "same", 0.9)
+	if err != nil || !reflect.DeepEqual(got, answers["same"]) {
+		t.Fatalf("the frame after a timed-out caller's: %+v, %v", got, err)
+	}
+	if <-bound {
+		t.Fatal("the server bound again what the timed-out caller's frame bound")
+	}
+	if _, err := c.AssessCtx(ctx, "hangup", 0.9); !errors.Is(err, ErrConnBroken) {
+		t.Fatalf("hangup: err = %v, want ErrConnBroken", err)
+	}
+	got, err = c.AssessCtx(ctx, "same", 0.9)
+	if err != nil || !reflect.DeepEqual(got, answers["same"]) {
+		t.Fatalf("the first verdict after a redial: %+v, %v", got, err)
+	}
+	if !<-bound {
+		t.Fatal("the first verdict on a redialed connection carried no bindings")
 	}
 }

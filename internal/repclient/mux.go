@@ -218,6 +218,14 @@ func (m *mux) demux(reader *bufio.Reader) {
 			}
 			return
 		}
+		// The frame's threshold bindings join the connection's before anyone
+		// decodes it, its caller's own goroutine included, and whether or not
+		// a caller still waits for it: the server committed them when it
+		// wrote the frame.
+		if cerr := m.codec.Commit(env); cerr != nil {
+			m.fail(fmt.Errorf("%w: read response: %w", ErrConnBroken, cerr))
+			return
+		}
 		m.mu.Lock()
 		ch := m.pending[env.ID]
 		delete(m.pending, env.ID)
@@ -297,7 +305,13 @@ func (c *Client) muxRoundTrip(ctx context.Context, reqType, respType wire.MsgTyp
 		if r.err != nil {
 			return c.transportErr(ctx, reqType, r.err)
 		}
-		return decodeMuxResponse(r.env, respType, out)
+		err := decodeMuxResponse(m.codec, r.env, respType, out)
+		if r.env.Binary && errors.Is(err, wire.ErrBadMessage) {
+			// The codec refused the frame, and with it the connection's
+			// threshold bindings: the next call redials.
+			m.fail(fmt.Errorf("%w: decode response: %w", ErrConnBroken, err))
+		}
+		return err
 	case <-ctx.Done():
 		// Abandon the request: drop the pending slot so the late response
 		// (if any) is discarded by id, and leave the connection healthy for
@@ -313,10 +327,10 @@ func (c *Client) muxRoundTrip(ctx context.Context, reqType, respType wire.MsgTyp
 // decodeMuxResponse converts a demultiplexed response envelope into the
 // caller's typed result: a TypeError frame becomes a *wire.ErrorResponse
 // error, an unexpected type is an error without poisoning the connection.
-func decodeMuxResponse(env wire.Envelope, respType wire.MsgType, out any) error {
+func decodeMuxResponse(codec wire.Codec, env wire.Envelope, respType wire.MsgType, out any) error {
 	if env.Type == wire.TypeError {
 		var e wire.ErrorResponse
-		if err := wire.DecodePayload(env, &e); err != nil {
+		if err := codec.DecodePayload(env, &e); err != nil {
 			return err
 		}
 		return &e
@@ -327,7 +341,7 @@ func decodeMuxResponse(env wire.Envelope, respType wire.MsgType, out any) error 
 	if out == nil {
 		return nil
 	}
-	return wire.DecodePayload(env, out)
+	return codec.DecodePayload(env, out)
 }
 
 // handshake runs the client half of the handshake on a fresh connection:

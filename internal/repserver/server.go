@@ -541,8 +541,17 @@ func (s *Server) serve(c *conn, reader *bufio.Reader, codec wire.Codec) {
 			// the response is on the wire: the request is answered with an
 			// error it can be matched to, and the connection lives on.
 			s.nErrors.Add(1)
-			err = wire.WriteV2(bw, service.ErrorEnvelopeCodec(codec, env.ID,
-				service.Errorf(wire.CodeResponseTooLarge, "%s response: %v (limit %d)", resp.Type, err, wire.MaxFrame)))
+			resp = service.ErrorEnvelopeCodec(codec, env.ID,
+				service.Errorf(wire.CodeResponseTooLarge, "%s response: %v (limit %d)", resp.Type, err, wire.MaxFrame))
+			err = wire.WriteV2(bw, resp)
+		}
+		if err == nil {
+			// The frame is on its way: its threshold bindings are the
+			// connection's now, and only now. A response never written — a
+			// handler the deadline abandoned, one too large to frame —
+			// binds nothing, and the client commits the same frames in the
+			// same order.
+			err = codec.Commit(resp)
 		}
 		if err != nil {
 			s.nErrors.Add(1)

@@ -11,6 +11,7 @@ import (
 	"net"
 	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -855,7 +856,10 @@ func TestSubmitBatchItemsCapAndChunking(t *testing.T) {
 // TestRequestDeadlineExceeded drives the acceptance criterion end to end: a
 // TypeAssess request whose handler stalls past RequestTimeout must yield a
 // deadline_exceeded error frame — not a hung connection — and the
-// connection must stay usable afterwards.
+// connection must stay usable afterwards. A handler the deadline abandoned
+// that encodes its verdict anyway, against the connection's threshold
+// bindings, is never written, so it binds nothing: the next verdict carries
+// its own bindings and reads as the reference assessor's.
 func TestRequestDeadlineExceeded(t *testing.T) { eachFraming(t, testRequestDeadlineExceeded) }
 
 func testRequestDeadlineExceeded(t *testing.T, connect func(*Server) *repclient.Client) {
@@ -894,6 +898,55 @@ func testRequestDeadlineExceeded(t *testing.T, connect func(*Server) *repclient.
 	if ping := perType[string(wire.TypePing)]; ping.Requests == 0 || ping.Errors != 0 {
 		t.Fatalf("ping metrics = %+v", ping)
 	}
+
+	// The assess handlers give up once their context ends, so the late
+	// verdict comes from a handler that answers through Server.Assess.
+	late, err := New("127.0.0.1:0", Config{Assessor: testAssessor(t)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := late.Seed(honestHistory("late", 200)); err != nil {
+		t.Fatal(err)
+	}
+	release, encoded := make(chan struct{}), make(chan struct{})
+	var first, released sync.Once
+	answer := typed(wire.TypeAssessR, func(_ context.Context, req wire.AssessRequest) (wire.AssessResponse, error) {
+		return late.Assess(context.Background(), req)
+	})
+	served := late.pipeline
+	late.pipeline = service.Chain(func(ctx context.Context, env wire.Envelope) (wire.Envelope, error) {
+		stall := false
+		if env.Type == wire.TypeAssess {
+			first.Do(func() { stall = true })
+		}
+		if !stall {
+			return served(ctx, env)
+		}
+		<-release
+		defer close(encoded)
+		return answer(ctx, env)
+	}, service.Deadline(80*time.Millisecond))
+	late.Start()
+	t.Cleanup(func() {
+		released.Do(func() { close(release) })
+		if err := late.Close(); err != nil {
+			t.Errorf("close: %v", err)
+		}
+	})
+	lc := connect(late)
+	if _, err := lc.Assess("late", referenceThreshold); !errors.As(err, &remote) || remote.Code != wire.CodeDeadlineExceeded {
+		t.Fatalf("err = %v, want %s error frame", err, wire.CodeDeadlineExceeded)
+	}
+	released.Do(func() { close(release) })
+	<-encoded
+	got, err := lc.Assess("late", referenceThreshold)
+	if err != nil {
+		t.Fatalf("the verdict after an abandoned one: %v", err)
+	}
+	if len(got.Assessment.Verdict.Suffixes) == 0 {
+		t.Fatal("a verdict without suffixes binds nothing")
+	}
+	wantReference(t, late, late.Store(), "late", got)
 }
 
 // TestGracefulShutdownDrainsInFlight verifies the drain path: a request in

@@ -345,46 +345,53 @@ func keyedSeedFrames(tb testing.TB) [][][]behavior.SuffixResult {
 }
 
 // FuzzVerdictTable drives the verdict-table codec from both ends. As bytes
-// off the wire — tables one after another, as a frame's items carry them,
-// under one threshold dictionary: no panic, no more rows than the bytes could
-// back, and every table accepted re-encodes to the bytes it came from. As
-// rows to send: whatever the floats and counts hold, the table that arrives
-// has the same bits in every field.
+// off the wire — a frame's binding section, then tables one after another,
+// as a frame's items carry them, under one threshold dictionary: no panic,
+// no more rows than the bytes could back, and every table accepted
+// re-encodes to the bytes it came from, the section too once every table is
+// and every binding read. As rows to send: whatever the floats and counts
+// hold, the table that arrives has the same bits in every field.
 func FuzzVerdictTable(f *testing.F) {
-	tables := seedTables(f)
-	d := getFrameDict()
-	var frame []byte
-	for _, rows := range tables {
-		f.Add(encodeTable(rows))
-		frame = appendVerdictTable(frame, rows, d) // later tables refer to earlier literals
-	}
-	d.put()
-	f.Add(frame)
-	for _, tables := range keyedSeedFrames(f) {
-		d, frame := getFrameDict(), []byte(nil)
+	frameOf := func(tables ...[]behavior.SuffixResult) (sec, frame []byte) {
+		d := getFrameDict(nil)
+		defer d.put()
 		for _, rows := range tables {
-			frame = appendVerdictTable(frame, rows, d)
+			frame = appendVerdictTable(frame, rows, d) // later tables refer to earlier literals and bindings
 		}
-		d.put()
-		f.Add(frame)
+		sec, _ = d.headBindings(nil, 0)
+		return sec, frame
 	}
-	f.Add(encodeTable(testAssessment().Verdict.Suffixes))
-	f.Add(encodeTable([]behavior.SuffixResult{
+	add := func(sec, frame []byte) { f.Add(sec, frame) }
+	tables := seedTables(f)
+	for _, rows := range tables {
+		add(encodeTable(rows))
+	}
+	add(frameOf(tables...))
+	for _, tables := range keyedSeedFrames(f) {
+		add(frameOf(tables...))
+	}
+	add(encodeTable(testAssessment().Verdict.Suffixes))
+	add(encodeTable([]behavior.SuffixResult{
 		{Transactions: 7, Windows: 3, PHat: math.NaN(), Distance: math.Inf(1), Threshold: math.Copysign(0, -1), Pass: true},
 	}))
-	f.Add(bytes.Repeat([]byte{0x0f, 0xff, 0xf6, 0, 7}, 40)) // rows in step, on the grid
-	f.Add(bytes.Repeat([]byte{0x20, 0x7f, 0xf8, 1}, 21))
-	f.Add([]byte{0xff, 0xff, 0xff, 0xff, 0x0f, 0})
-	f.Fuzz(func(t *testing.T, data []byte) {
-		r := &breader{buf: data}
+	f.Add([]byte(nil), bytes.Repeat([]byte{0x0f, 0xff, 0xf6, 0, 7}, 40)) // rows in step, on the grid
+	f.Add([]byte(nil), bytes.Repeat([]byte{0x20, 0x7f, 0xf8, 1}, 21))
+	f.Add([]byte(nil), []byte{0xff, 0xff, 0xff, 0xff, 0x0f, 0})
+	f.Fuzz(func(t *testing.T, sec, data []byte) {
+		r := &breader{buf: sec}
 		defer r.release()
-		d := getFrameDict()
+		if len(sec) > 0 && (r.bindings() != nil || len(r.buf) != 0) {
+			return
+		}
+		r.buf = data
+		d := getFrameDict(nil)
 		defer d.put()
 		var again []byte
+		accepted := true
 		for len(r.buf) > 0 {
 			at := len(data) - len(r.buf)
 			rows, err := r.verdictTable()
-			if err != nil {
+			if accepted = err == nil; !accepted {
 				break
 			}
 			used := data[at : len(data)-len(r.buf)]
@@ -397,6 +404,11 @@ func FuzzVerdictTable(f *testing.F) {
 			}
 			if again = appendVerdictTable(again, rows, d); !bytes.Equal(again, data[:len(data)-len(r.buf)]) {
 				t.Fatalf("accepted %x, which encodes as %x", data[:len(data)-len(r.buf)], again)
+			}
+		}
+		if accepted && r.frame().unread() == nil {
+			if bound, _ := d.headBindings(nil, 0); !bytes.Equal(bound, sec) {
+				t.Fatalf("accepted the binding section %x, which encodes as %x", sec, bound)
 			}
 		}
 		checkTable(t, fuzzRows(data))
@@ -414,7 +426,7 @@ func FuzzAssessBatchResponse(f *testing.F) {
 			if err != nil {
 				f.Fatal(err)
 			}
-			f.Add(typ == TypeFwdAssessBR, []byte(env.Payload))
+			f.Add(typ == TypeFwdAssessBR, env.Bindings, []byte(env.Payload))
 		}
 	}
 	var all []AssessBatchItem // every table in one frame, sharing thresholds
@@ -427,11 +439,11 @@ func FuzzAssessBatchResponse(f *testing.F) {
 		if i%2 == 1 {
 			payload = FwdAssessBatchResponse{Node: "n2", Items: items}
 		}
-		buf, _, err := appendBinaryPayload(nil, payload)
+		buf, bound, _, err := appendBinaryPayload(nil, payload, nil)
 		if err != nil {
 			f.Fatal(err)
 		}
-		f.Add(i%2 == 1, buf)
+		f.Add(i%2 == 1, bound, buf)
 	}
 	for _, tables := range keyedSeedFrames(f) {
 		var items []AssessBatchItem
@@ -440,19 +452,19 @@ func FuzzAssessBatchResponse(f *testing.F) {
 			a.Server, a.Verdict.Suffixes = feedback.EntityID(fmt.Sprint("s", i)), rows
 			items = append(items, AssessBatchItem{Server: a.Server, AssessResponse: AssessResponse{Assessment: a}})
 		}
-		buf, _, err := appendBinaryPayload(nil, AssessBatchResponse{Items: items})
+		buf, bound, _, err := appendBinaryPayload(nil, AssessBatchResponse{Items: items}, nil)
 		if err != nil {
 			f.Fatal(err)
 		}
-		f.Add(false, buf)
+		f.Add(false, bound, buf)
 	}
 	for _, payload := range []any{AssessBatchResponse{Items: all}, FwdAssessBatchResponse{Node: "n2", Items: all}} {
-		buf, _, err := appendBinaryPayload(nil, payload)
+		buf, bound, _, err := appendBinaryPayload(nil, payload, nil)
 		if err != nil {
 			f.Fatal(err)
 		}
 		_, fwd := payload.(FwdAssessBatchResponse)
-		f.Add(fwd, buf)
+		f.Add(fwd, bound, buf)
 	}
 	// Headers of every kind: a suspicious assessment, a weighted one whose
 	// trust rides raw, one over no records whose floats all ride raw, and a
@@ -488,36 +500,37 @@ func FuzzAssessBatchResponse(f *testing.F) {
 	noRecords.Verdict = behavior.Verdict{}
 	kinds = append(kinds, AssessBatchItem{Server: "srv", AssessResponse: AssessResponse{Assessment: noRecords}})
 	for i := range kinds {
-		buf, _, err := appendBinaryPayload(nil, AssessBatchResponse{Items: kinds[i : i+1]})
+		buf, bound, _, err := appendBinaryPayload(nil, AssessBatchResponse{Items: kinds[i : i+1]}, nil)
 		if err != nil {
 			f.Fatal(err)
 		}
-		f.Add(false, buf)
+		f.Add(false, bound, buf)
 	}
-	buf, _, err := appendBinaryPayload(nil, FwdAssessBatchResponse{Node: "n2", Items: slices.Concat(kinds, kinds)})
+	buf, bound, _, err := appendBinaryPayload(nil, FwdAssessBatchResponse{Node: "n2", Items: slices.Concat(kinds, kinds)}, nil)
 	if err != nil {
 		f.Fatal(err)
 	}
-	f.Add(true, buf)
-	f.Add(false, binary.AppendUvarint(nil, MaxFrame))
-	f.Add(true, []byte{1, 'n', 0xff, 0x01, 0, 0})
-	for _, frame := range engineBitFrames(f) {
-		f.Add(false, frame)
+	f.Add(true, bound, buf)
+	f.Add(false, false, binary.AppendUvarint(nil, MaxFrame))
+	f.Add(true, false, []byte{1, 'n', 0xff, 0x01, 0, 0})
+	frames, bound := engineBitFrames(f)
+	for _, frame := range frames {
+		f.Add(false, bound, frame)
 	}
-	f.Fuzz(func(t *testing.T, fwd bool, data []byte) {
+	f.Fuzz(func(t *testing.T, fwd, bound bool, data []byte) {
 		typ, dest := TypeAssessBR, any(new(AssessBatchResponse))
 		if fwd {
 			typ, dest = TypeFwdAssessBR, new(FwdAssessBatchResponse)
 		}
-		if err := decodeBinaryPayload(typ, data, dest); err != nil {
+		if err := decodeBinaryPayload(typ, data, bound, dest, nil); err != nil {
 			return
 		}
 		items := reflect.ValueOf(dest).Elem().FieldByName("Items").Len()
 		if items > MaxAssessBatch || items*4 > len(data) {
 			t.Fatalf("%d items out of %d bytes", items, len(data))
 		}
-		again, ok, err := appendBinaryPayload(nil, dest)
-		if !ok || err != nil || !bytes.Equal(again, data) {
+		again, rebound, ok, err := appendBinaryPayload(nil, dest, nil)
+		if !ok || err != nil || rebound != bound || !bytes.Equal(again, data) {
 			t.Fatalf("accepted %x, which encodes as %x (%v)", data, again, err)
 		}
 	})
@@ -555,11 +568,11 @@ func FuzzNegotiate(f *testing.F) {
 			t.Fatalf("opening %q negotiated revision %d", data, rev)
 		}
 		codec := CodecFor(rev)
-		if (codec == V2Codec) != (rev == VersionV2) {
+		if codec.bridge == (rev == VersionV2) || codec.bridge == (codec.conn != nil) {
 			t.Fatalf("revision %d selects %+v", rev, codec)
 		}
 		// After a good hello the connection carries frames in that codec.
-		if env, _, err := codec.ReadFrame(r, nil); err == nil && codec == BridgeCodec && env.Binary {
+		if env, _, err := codec.ReadFrame(r, nil); err == nil && codec.bridge && env.Binary {
 			t.Fatalf("bridged connection handed on a binary %s payload", env.Type)
 		}
 	})
@@ -568,20 +581,22 @@ func FuzzNegotiate(f *testing.F) {
 // engineBitFrames returns one-item assess.batch.resp payloads whose item
 // flags byte sets, besides accept, the bit that revisions before 11 wrote
 // for an answer from the assessment cache (1 << 1) and the one for an answer
-// from an accumulator (1 << 2). The flags byte is the one byte in which the
-// item's accepted and rejected encodings differ.
-func engineBitFrames(tb testing.TB) [][]byte {
+// from an accumulator (1 << 2), and whether a binding section heads them.
+// The flags byte is the one byte in which the item's accepted and rejected
+// encodings differ.
+func engineBitFrames(tb testing.TB) ([][]byte, bool) {
 	tb.Helper()
-	encode := func(accept bool) []byte {
-		buf, _, err := appendBinaryPayload(nil, AssessBatchResponse{Items: []AssessBatchItem{
+	encode := func(accept bool) ([]byte, bool) {
+		buf, bound, _, err := appendBinaryPayload(nil, AssessBatchResponse{Items: []AssessBatchItem{
 			{Server: "srv", AssessResponse: AssessResponse{Assessment: testAssessment(), Accept: accept}},
-		}})
+		}}, nil)
 		if err != nil {
 			tb.Fatal(err)
 		}
-		return buf
+		return buf, bound
 	}
-	yes, no := encode(true), encode(false)
+	yes, bound := encode(true)
+	no, _ := encode(false)
 	at := -1
 	for i := range yes {
 		if yes[i] != no[i] {
@@ -597,16 +612,17 @@ func engineBitFrames(tb testing.TB) [][]byte {
 		frame[at] |= bit
 		frames = append(frames, frame)
 	}
-	return frames
+	return frames, bound
 }
 
 // TestAssessResponseRefusesEngineBits: since revision 11 an assess
 // response's flags byte has the accept bit alone, and the decoder refuses
 // the cached and incremental bits a revision-10 encoder could set.
 func TestAssessResponseRefusesEngineBits(t *testing.T) {
-	for _, frame := range engineBitFrames(t) {
+	frames, bound := engineBitFrames(t)
+	for _, frame := range frames {
 		var got AssessBatchResponse
-		if err := decodeBinaryPayload(TypeAssessBR, frame, &got); err == nil {
+		if err := decodeBinaryPayload(TypeAssessBR, frame, bound, &got, nil); err == nil {
 			t.Fatalf("decoded %x as %+v", frame, got)
 		}
 	}

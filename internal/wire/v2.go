@@ -20,14 +20,17 @@
 //
 //	uint32  big-endian length of the body (type + flags + id + payload)
 //	uint8   type code (see v2Codes)
-//	uint8   flags (bit 0: payload is JSON bytes, not the binary codec)
+//	uint8   flags (bit 0: payload is JSON bytes, not the binary codec;
+//	        bit 1: a binding section heads the binary payload)
 //	uint64  big-endian request id
 //	bytes   payload
 //
 // Frames carry no version — the codec is fixed at the handshake. The body
 // length is bounded by MaxFrame. Responses echo the request id, and id 0 is
 // unattributable and connection-fatal. Many requests may be outstanding per
-// connection: a response is matched to its request by id, not by order.
+// connection: a response is matched to its request by id, not by order. The
+// one state a binary connection keeps from frame to frame is its threshold
+// bindings, which grow in the order the frames cross (Codec.Commit).
 package wire
 
 import (
@@ -57,10 +60,12 @@ import (
 // drops an assess response's cached and incremental bits, the markers of
 // engines a node no longer has (ADR 0016's amendment); 12 writes no
 // threshold for a verdict row whose calibration grid point the frame has
-// already bound (ADR 0006's fifth amendment). No revision reads
-// another's binary payloads: ends of different revisions speak BridgeCodec
-// (ADR 0009).
-const VersionV2 = 12
+// already bound (ADR 0006's fifth amendment); 13 binds a grid point for as
+// long as the connection lives, in a binding section at the head of the
+// payload of the frame that binds it first (the sixth amendment). No
+// revision reads another's binary payloads: ends of different revisions
+// speak BridgeCodec (ADR 0009).
+const VersionV2 = 13
 
 // HelloMagic is the first byte of a client hello. A connection that opens
 // with any other byte is closed.
@@ -84,6 +89,11 @@ const (
 // binary one the types without a binary codec (the gossip exchange above
 // all).
 const flagJSONPayload byte = 1 << 0
+
+// flagBindings marks a binary payload headed by a binding section: the
+// threshold bindings the frame adds to its connection's (ADR 0006's sixth
+// amendment).
+const flagBindings byte = 1 << 1
 
 // Type codes for the v2 frame header. Codes are part of the wire contract:
 // never renumber, only append.
@@ -130,14 +140,19 @@ var v2Types = func() map[byte]MsgType {
 // Codec is the payload encoding of one connection, fixed at the handshake
 // (CodecFor). Both codecs write the same frame; the negotiated one rides the
 // request context so handlers answer in it (service.WithCodec /
-// service.CodecFrom).
+// service.CodecFrom). A binary connection's codec holds its threshold
+// bindings: verdicts cross a connection one way, server to client, so the
+// server's end encodes against the table and the client's decodes against
+// it, each end adding a frame's bindings at its one ordered point (Commit).
 type Codec struct {
 	bridge bool
+	conn   *bindings // nil: every frame stands alone
 }
 
 var (
 	// V2Codec encodes payloads with the per-type binary codecs, falling back
-	// to JSON payload bytes for types without one.
+	// to JSON payload bytes for types without one. Its frames stand alone:
+	// each binds every grid point its verdicts key on.
 	V2Codec = Codec{}
 	// BridgeCodec encodes every payload as JSON: the codec of a connection
 	// whose two ends run different codec revisions.
@@ -145,9 +160,14 @@ var (
 )
 
 // CodecFor returns the codec to speak to a peer of codec revision peer:
-// binary when it is this build's, the JSON bridge otherwise.
+// binary, with bindings of its own, when it is this build's, the JSON bridge
+// otherwise. Each connection takes its own: a redial starts fresh bindings
+// at both ends.
 func CodecFor(peer byte) Codec {
-	return Codec{bridge: peer != VersionV2}
+	if peer != VersionV2 {
+		return BridgeCodec
+	}
+	return Codec{conn: new(bindings)}
 }
 
 // Encode marshals a payload into an envelope in the codec's encoding.
@@ -166,8 +186,8 @@ func (c Codec) Encode(t MsgType, id uint64, payload any) (Envelope, error) {
 		if rows := verdictRows(payload); rows > maxFrameRows {
 			return env, &ErrorResponse{Code: CodeResponseTooLarge, Message: fmt.Sprintf("%s: %d verdict rows, above a frame's %d", t, rows, maxFrameRows)}
 		}
-		if buf, ok, err := appendBinaryPayload(nil, payload); ok && err == nil {
-			env.Payload, env.Binary = buf, true
+		if buf, bound, ok, err := appendBinaryPayload(nil, payload, c.conn); ok && err == nil {
+			env.Payload, env.Binary, env.Bindings = buf, true, bound
 			return env, nil
 		}
 	}
@@ -177,6 +197,61 @@ func (c Codec) Encode(t MsgType, id uint64, payload any) (Envelope, error) {
 	}
 	env.Payload = raw
 	return env, nil
+}
+
+// DecodePayload unmarshals an envelope's payload into out, dispatching on the
+// payload encoding: the per-type binary codec for a binary payload, JSON for
+// a JSON-flagged one. A binary verdict's keyed rows read their thresholds
+// from the payload's binding section and the connection's bindings, which
+// hold every binding of the frames Commit has seen; a frame decodes on any
+// goroutine, at any time after its own Commit. A payload that does not
+// decode breaks the connection's bindings, as a refused Commit does.
+func (c Codec) DecodePayload(env Envelope, out any) error {
+	if env.Binary {
+		return decodeBinaryPayload(env.Type, env.Payload, env.Bindings, out, c.conn)
+	}
+	if env.Bindings {
+		return fmt.Errorf("%w: %s: a binding section on a JSON payload", ErrBadMessage, env.Type)
+	}
+	if err := json.Unmarshal(env.Payload, out); err != nil {
+		return fmt.Errorf("%w: %s payload: %v", ErrBadMessage, env.Type, err)
+	}
+	return nil
+}
+
+// Commit adds the bindings of env's frame to the connection's. The writer
+// of a frame commits it once WriteV2 has taken it — never a frame it encoded
+// and did not write — and the reader before it hands the frame on to be
+// decoded, so that both ends' tables hold the bindings of the same frames,
+// added in the order the connection carried them. A slot is bound once:
+// Commit refuses a binding section that binds a slot past the grid, binds a
+// bound slot to other bits or is longer than the grid, and then every later
+// Commit and DecodePayload on the connection fails. On a bridged
+// connection, on V2Codec and for a frame with no binding section it does
+// nothing.
+func (c Codec) Commit(env Envelope) error {
+	if c.conn == nil {
+		return nil
+	}
+	if err := c.conn.usable(); err != nil || !env.Bindings {
+		return err
+	}
+	r := &breader{buf: env.Payload, conn: c.conn}
+	defer r.release()
+	var err error
+	if env.Binary {
+		err = r.bindingSection(env.Type)
+	} else {
+		err = errors.New("a binding section on a JSON payload")
+	}
+	if err != nil {
+		c.conn.broken.Store(true)
+		return fmt.Errorf("%w: %s binding section: %v", ErrBadMessage, env.Type, err)
+	}
+	for i, slot := range r.dict.secSlots {
+		c.conn.bind(slot, r.dict.secBits[i])
+	}
+	return nil
 }
 
 // ReadFrame reads one frame, as ReadV2Into does. On a bridged connection a
@@ -274,6 +349,9 @@ func WriteV2(w io.Writer, env Envelope) error {
 	if !env.Binary && len(env.Payload) > 0 {
 		flags |= flagJSONPayload
 	}
+	if env.Bindings {
+		flags |= flagBindings
+	}
 	bp := frameBufPool.Get().(*[]byte)
 	buf := (*bp)[:0]
 	buf = binary.BigEndian.AppendUint32(buf, uint32(body))
@@ -348,6 +426,7 @@ func ReadV2Into(r io.Reader, buf []byte) (Envelope, []byte, error) {
 	if n > 0 {
 		env.Payload = buf
 		env.Binary = flags&flagJSONPayload == 0
+		env.Bindings = flags&flagBindings != 0
 	}
 	return env, buf, nil
 }

@@ -178,12 +178,8 @@ func TestHelloSkewSelectsBridge(t *testing.T) {
 		if err != nil || got != rev {
 			t.Fatalf("ack of revision %d: got %d, %v", rev, got, err)
 		}
-		want := BridgeCodec
-		if rev == VersionV2 {
-			want = V2Codec
-		}
-		if CodecFor(rev) != want {
-			t.Fatalf("revision %d selects %+v", rev, CodecFor(rev))
+		if c := CodecFor(rev); c.bridge != (rev != VersionV2) || (c.conn != nil) != (rev == VersionV2) {
+			t.Fatalf("revision %d selects %+v", rev, c)
 		}
 	}
 }
@@ -336,13 +332,13 @@ func TestBinaryDecodeStrictness(t *testing.T) {
 	// Trailing garbage after a complete payload is a protocol violation.
 	withTrailing := append(append([]byte(nil), env.Payload...), 0xFF)
 	var req AssessRequest
-	if err := decodeBinaryPayload(TypeAssess, withTrailing, &req); err == nil {
+	if err := decodeBinaryPayload(TypeAssess, withTrailing, false, &req, nil); err == nil {
 		t.Fatal("trailing bytes accepted")
 	}
 	// Every truncation of a valid payload must fail, never panic.
 	for cut := 0; cut < len(env.Payload); cut++ {
 		var req AssessRequest
-		if err := decodeBinaryPayload(TypeAssess, env.Payload[:cut], &req); err == nil {
+		if err := decodeBinaryPayload(TypeAssess, env.Payload[:cut], false, &req, nil); err == nil {
 			t.Fatalf("truncation at %d accepted", cut)
 		}
 	}
@@ -350,7 +346,7 @@ func TestBinaryDecodeStrictness(t *testing.T) {
 	// hold must be rejected without allocating for it.
 	huge := []byte{0xff, 0xff, 0xff, 0xff, 0x0f} // uvarint ~4e9
 	var batch BatchRequest
-	if err := decodeBinaryPayload(TypeSubmitB, huge, &batch); err == nil {
+	if err := decodeBinaryPayload(TypeSubmitB, huge, false, &batch, nil); err == nil {
 		t.Fatal("oversized count accepted")
 	}
 }
@@ -469,8 +465,8 @@ func TestSubmitBatchGoldenFrame(t *testing.T) {
 		0b101, // good
 	}
 	var buf bytes.Buffer
-	if err := WriteHello(&buf); err != nil || !bytes.Equal(buf.Bytes(), []byte{0xB2, 'W', '2', 12, '\n'}) {
-		t.Fatalf("hello = %x, %v; the layout below is revision 12's", buf.Bytes(), err)
+	if err := WriteHello(&buf); err != nil || !bytes.Equal(buf.Bytes(), []byte{0xB2, 'W', '2', 13, '\n'}) {
+		t.Fatalf("hello = %x, %v; the layout below is revision 13's", buf.Bytes(), err)
 	}
 	buf.Reset()
 	env, err := V2Codec.Encode(TypeSubmitB, 9, req)
@@ -521,7 +517,7 @@ func TestRecordBatchCarriers(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, bad := range [][]byte{append(append([]byte(nil), env.Payload...), 0), env.Payload[:len(env.Payload)-1]} {
-			if err := decodeBinaryPayload(typ, bad, newPayload(payload)); !errors.Is(err, ErrBadMessage) {
+			if err := decodeBinaryPayload(typ, bad, false, newPayload(payload), nil); !errors.Is(err, ErrBadMessage) {
 				t.Errorf("%s with %d of %d payload bytes: err = %v", typ, len(bad), len(env.Payload), err)
 			}
 		}
@@ -598,7 +594,7 @@ func TestFrameDictionariesStartEmpty(t *testing.T) {
 				t.Fatalf("%s frame %d: decoded %+v, %v", typ, i+2, back, err)
 			}
 			// A refused frame in between leaves nothing behind either.
-			if err := decodeBinaryPayload(typ, again.Payload[:len(again.Payload)-1], newPayload(sent)); err == nil {
+			if err := decodeBinaryPayload(typ, again.Payload[:len(again.Payload)-1], again.Bindings, newPayload(sent), nil); err == nil {
 				t.Fatalf("%s: truncated frame accepted", typ)
 			}
 		}

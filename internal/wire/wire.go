@@ -136,6 +136,10 @@ type Envelope struct {
 	// Binary marks Payload as the per-type binary encoding rather than JSON
 	// (frame flag bit 0 clear).
 	Binary bool
+	// Bindings marks a binary Payload headed by a binding section, the
+	// threshold bindings the frame adds to its connection's (frame flag bit
+	// 1; Codec.Commit).
+	Bindings bool
 }
 
 // SubmitRequest submits one feedback record.
@@ -363,15 +367,9 @@ func (e *ErrorResponse) Error() string {
 	return fmt.Sprintf("wire: remote error %s: %s", e.Code, e.Message)
 }
 
-// DecodePayload unmarshals an envelope's payload into out, dispatching on
-// the payload encoding: the per-type binary codec for a binary payload, JSON
-// for a JSON-flagged one.
+// DecodePayload unmarshals an envelope's payload into out as V2Codec
+// decodes it: a binary frame standing alone, its binding section all the
+// bindings its verdicts read.
 func DecodePayload(env Envelope, out any) error {
-	if env.Binary {
-		return decodeBinaryPayload(env.Type, env.Payload, out)
-	}
-	if err := json.Unmarshal(env.Payload, out); err != nil {
-		return fmt.Errorf("%w: %s payload: %v", ErrBadMessage, env.Type, err)
-	}
-	return nil
+	return V2Codec.DecodePayload(env, out)
 }

@@ -23,7 +23,10 @@
 #     receiver, from the one PMF, built from + − × ÷ alone, and no product
 #     on a verdict's path — stats, trust, core, behavior — is fused into an
 #     add (ADR 0007); a keyed threshold's grid point is stats.GridPointOf's,
-#     which the codec calls and never re-implements (ADR 0006)
+#     which the codec calls and never re-implements, and a connection's
+#     threshold bindings commit at its one ordered point at each end:
+#     repserver's serve after a frame is written, repclient's demux before a
+#     frame is routed (ADR 0006)
 #   - record batches are columns through one codec (ADR 0008): the ledger
 #     writes blocks, the wire writes batches, neither frames a record alone
 #   - one batch type from frame to block (ADR 0021): internal/store and
@@ -183,6 +186,19 @@ check "one verdict-table decoder and one assessment decoder (ADR 0006)" \
 check "internal/wire keys a threshold through stats.GridPointOf alone (ADR 0006)" \
     "absent '1\.25|math\.(Round|Floor|Ceil|Trunc)\(|\bbucket(Windows|P)\b|\b0\.0[0-9]+\b' internal/wire \
      && sources internal/wire | xargs grep -hE '^[^/]*stats\.GridPointOf\(' | grep -q ."
+# A connection's threshold bindings are a table both ends keep in step
+# (ADR 0006's sixth amendment): the writer commits a frame's bindings once
+# the frame is written — never a response it encoded and did not send, such
+# as an abandoned handler's — and the reader before it routes the frame to
+# its caller. Outside internal/wire a codec's Commit is called in those two
+# places alone.
+commit_sites() {
+    sources | grep -v '^\./internal/wire/' | xargs awk '
+        /^func / { fn = $0; sub(/^func (\([^)]*\) )?/, "", fn); sub(/[(\[].*/, "", fn) }
+        /\.Commit\(/ { print FILENAME ":" fn }' | sort
+}
+check "threshold bindings commit only in repserver's serve and repclient's demux (ADR 0006)" \
+    "[ \"\$(commit_sites | tr '\n' ' ')\" = './internal/repclient/mux.go:demux ./internal/repserver/server.go:serve ' ]"
 # A receiver rebuilds a chain's distances as a tester computes them, with
 # stats.BinomialPMFInto and stats.L1CountsDistance, so those — and
 # Plane.Threshold, which scales each ε — must compute the
