@@ -703,10 +703,9 @@ func TestRevision13ConnectionBindings(t *testing.T) {
 			t.Fatalf("%s: %+v, want a verdict table of several rows", item.Server, item)
 		}
 	}
-	for _, dir := range directions {
-		if dir.offer != 12 && dir.ack != 12 {
-			t.Fatalf("%s: no end of revision 12", dir.name)
-		}
+	// One end of revision 12, the other as far from it as the directions
+	// put this build's neighbours.
+	for _, dir := range []direction{{"older_client", 12, wire.VersionV2 + 1}, {"newer_client", wire.VersionV2 + 1, 12}} {
 		relay := newSkewRelay(t, srv.Addr(), dir)
 		batch, singles := read(dial(t, relay.addr))
 		if !reflect.DeepEqual(batch, wantBatch) || !reflect.DeepEqual(singles, wantSingles) {
@@ -715,6 +714,73 @@ func TestRevision13ConnectionBindings(t *testing.T) {
 		binary, batches := relay.stats(12) // assess.batch.resp
 		if _, answers := relay.stats(10); binary != 0 || batches != 1 || answers != len(ids) {
 			t.Errorf("%s: %d binary payloads, %d assess.batch.resp and %d assess.resp frames crossed; want 0, 1 and %d", dir.name, binary, batches, answers, len(ids))
+		}
+	}
+}
+
+// TestRevision14ConnectionMirrors is the skew cell of revision 14, which
+// mirrors on a connection the good bits of the histories its verdicts
+// judge: a binary connection's chains over bits it has carried ride with no
+// window counts, and a bridged one keeps no mirror, its payloads JSON. A
+// revision-13 client of this node, and this client of a revision-13 node,
+// run the paper's loop — a batch of verdicts, then for each server a report
+// and a verdict, one report landing mid-history — and read every verdict
+// exactly as a revision-14 connection to a node seeded alike reads it, and
+// no binary payload crosses.
+func TestRevision14ConnectionMirrors(t *testing.T) {
+	var ids []feedback.EntityID
+	for i := range 8 {
+		ids = append(ids, feedback.EntityID(fmt.Sprintf("mirrored-%d", i)))
+	}
+	loop := func(t *testing.T, addr func(*repserver.Server) string) (verdicts []any) {
+		srv := newServer(t)
+		srv.Start()
+		for i, id := range ids {
+			if _, err := srv.Seed(history(id, 300+20*i)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		c := dial(t, addr(srv))
+		for round := range 3 {
+			batch, err := c.AssessBatch(ids, threshold)
+			if err != nil {
+				t.Fatal(err)
+			}
+			verdicts = append(verdicts, batch)
+			for i, id := range ids {
+				at := int64(1000 + round)
+				if round == 1 && i == 2 {
+					at = 7 // mid-history: the store rebuilds it
+				}
+				rec := feedback.Feedback{Time: time.Unix(at, 0).UTC(), Server: id, Client: "loop", Rating: feedback.Rating(1 + (round+i)%2)}
+				if _, err := c.Submit(rec); err != nil {
+					t.Fatal(err)
+				}
+				resp, err := c.Assess(id, threshold)
+				if err != nil {
+					t.Fatal(err)
+				}
+				verdicts = append(verdicts, resp)
+			}
+		}
+		return verdicts
+	}
+	want := loop(t, func(srv *repserver.Server) string { return srv.Addr() })
+	for _, dir := range directions {
+		if dir.offer != 13 && dir.ack != 13 {
+			t.Fatalf("%s: no end of revision 13", dir.name)
+		}
+		var relay *skewRelay
+		got := loop(t, func(srv *repserver.Server) string {
+			relay = newSkewRelay(t, srv.Addr(), dir)
+			return relay.addr
+		})
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("%s: the bridge read other verdicts than a revision-14 connection", dir.name)
+		}
+		binary, batches := relay.stats(12) // assess.batch.resp
+		if _, answers := relay.stats(10); binary != 0 || batches != 3 || answers != 3*len(ids) {
+			t.Errorf("%s: %d binary payloads, %d assess.batch.resp and %d assess.resp frames crossed; want 0, 3 and %d", dir.name, binary, batches, answers, 3*len(ids))
 		}
 	}
 }

@@ -9,6 +9,7 @@ import (
 	"slices"
 	"sort"
 	"strings"
+	"sync"
 	"time"
 	"unsafe"
 )
@@ -95,12 +96,38 @@ type History struct {
 	// holding slot+1 (0 is free), a power of two at most ¾ full.
 	b     *strings.Builder
 	table []uint32
+	// lineage names the columns' line of descent: appends and whole views
+	// keep it, and a history built afresh — empty, decoded, rebuilt around
+	// an out-of-order record, cloned — draws a new one. Two histories of one
+	// lineage hold the same records up to the shorter's length. A suffix
+	// view, whose first record is not its history's, has none: 0.
+	lineage uint64
 }
 
-// NewHistory returns an empty history for the given server.
-func NewHistory(server EntityID) *History {
-	return &History{server: server, rank: []uint32{0}}
+// lineages draws every history's lineage, from 1.
+var lineages struct {
+	sync.Mutex
+	last uint64
 }
+
+// newLineage returns a lineage no history has had.
+func newLineage() uint64 {
+	lineages.Lock()
+	defer lineages.Unlock()
+	lineages.last++
+	return lineages.last
+}
+
+// NewHistory returns an empty history for the given server, of a lineage
+// of its own.
+func NewHistory(server EntityID) *History {
+	return &History{server: server, rank: []uint32{0}, lineage: newLineage()}
+}
+
+// Lineage returns h's lineage: equal and non-zero for two histories only
+// when one holds the other's records as its first ones, which is what
+// appending to a history and viewing it whole keep, and nothing else does.
+func (h *History) Lineage() uint64 { return h.lineage }
 
 // Server returns the server this history belongs to.
 func (h *History) Server() EntityID { return h.server }
@@ -431,20 +458,25 @@ func (h *History) AppendOutcome(client EntityID, good bool, at time.Time) error 
 
 // view returns a read-only history over records [lo, Len()) that shares the
 // columns and the dictionary and carries neither builder nor table. Its
-// first word is the one record lo sits in; off says where.
+// first word is the one record lo sits in; off says where. A whole view
+// keeps h's lineage, a suffix view has none.
 func (h *History) view(lo int) *History {
-	p := h.off + lo
+	p, lineage := h.off+lo, h.lineage
+	if lo > 0 {
+		lineage = 0
+	}
 	v := &History{
-		server: h.server,
-		base:   h.base,
-		scale:  h.scale,
-		inv:    h.inv,
-		bits:   h.bits[p>>6:],
-		last:   h.last,
-		off:    p & 63,
-		rank:   h.rank[p>>6:],
-		names:  h.names,
-		ends:   h.ends,
+		server:  h.server,
+		base:    h.base,
+		scale:   h.scale,
+		inv:     h.inv,
+		bits:    h.bits[p>>6:],
+		last:    h.last,
+		off:     p & 63,
+		rank:    h.rank[p>>6:],
+		names:   h.names,
+		ends:    h.ends,
+		lineage: lineage,
 	}
 	if h.t64 != nil {
 		v.t64 = h.t64[lo:]
@@ -468,7 +500,7 @@ func (h *History) view(lo int) *History {
 func (h *History) SnapshotView() *History { return h.view(0) }
 
 // histStruct is a History's own size: 2 string headers, 8 slice headers and
-// 6 words (4 of them 64-bit): 272 B with 64-bit words, 152 B with 32-bit.
+// 7 words (5 of them 64-bit): 280 B with 64-bit words, 160 B with 32-bit.
 const histStruct = int(unsafe.Sizeof(History{}))
 
 // SizeBytes returns the approximate resident heap footprint of this history:
@@ -525,9 +557,11 @@ func (h *History) Records() []Feedback {
 	return out
 }
 
-// Clone returns an independent deep copy.
+// Clone returns an independent deep copy, of a lineage of its own: its
+// appends are not h's.
 func (h *History) Clone() *History {
 	c := h.view(0)
+	c.lineage = newLineage()
 	c.t32 = slices.Clone(c.t32)
 	c.t64 = slices.Clone(c.t64)
 	c.client16 = slices.Clone(c.client16)

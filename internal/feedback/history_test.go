@@ -289,3 +289,39 @@ func TestHistoryString(t *testing.T) {
 		t.Fatalf("String = %q", s)
 	}
 }
+
+// TestHistoryLineage: appending and viewing a history whole keep its
+// lineage; a history built afresh — new, a clone, one rebuilt like it, a
+// reordering — draws one of its own, and a suffix view has none.
+func TestHistoryLineage(t *testing.T) {
+	h := buildHistory(t, "s", []bool{true, false, true})
+	l := h.Lineage()
+	if l == 0 || buildHistory(t, "s", nil).Lineage() == l {
+		t.Fatalf("new histories share lineage %d", l)
+	}
+	view := h.SnapshotView()
+	if err := h.AppendOutcome("c", true, time.Unix(9, 0)); err != nil {
+		t.Fatal(err)
+	}
+	if h.Lineage() != l || view.Lineage() != l {
+		t.Fatalf("append and view: lineages %d and %d, want %d", h.Lineage(), view.Lineage(), l)
+	}
+	if got := h.SuffixView(2).Lineage(); got != 0 {
+		t.Fatalf("a suffix view has lineage %d", got)
+	}
+	if got := h.SuffixView(h.Len()).Lineage(); got != l {
+		t.Fatalf("a suffix view of the whole history has lineage %d, want %d", got, l)
+	}
+	seen := map[uint64]string{l: "the history"}
+	for name, other := range map[string]*History{
+		"a clone":             h.Clone(),
+		"a clone of the view": view.Clone(),
+		"NewHistoryLike":      NewHistoryLike(h, 4),
+		"CollusionOrder":      h.CollusionOrder(),
+	} {
+		if prev, dup := seen[other.Lineage()]; dup || other.Lineage() == 0 {
+			t.Fatalf("%s has lineage %d, as %s", name, other.Lineage(), prev)
+		}
+		seen[other.Lineage()] = name
+	}
+}

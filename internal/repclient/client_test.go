@@ -471,7 +471,7 @@ func TestConnectionBindingsFollowTheFrames(t *testing.T) {
 				time.Sleep(300 * time.Millisecond) // past the caller's timeout
 			}
 			resp, err := codec.Encode(wire.TypeAssessR, env.ID, answers[req.Server])
-			if err != nil || wire.WriteV2(conn, resp) != nil || codec.Commit(resp) != nil {
+			if err != nil || wire.WriteV2(conn, resp) != nil || codec.Commit(&resp) != nil {
 				return
 			}
 			if req.Server == "same" {

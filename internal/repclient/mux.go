@@ -218,11 +218,12 @@ func (m *mux) demux(reader *bufio.Reader) {
 			}
 			return
 		}
-		// The frame's threshold bindings join the connection's before anyone
-		// decodes it, its caller's own goroutine included, and whether or not
-		// a caller still waits for it: the server committed them when it
-		// wrote the frame.
-		if cerr := m.codec.Commit(env); cerr != nil {
+		// The frame's threshold bindings and mirrored bits join the
+		// connection's before anyone decodes it, its caller's own goroutine
+		// included, and whether or not a caller still waits for it: the
+		// server committed them when it wrote the frame. The frame keeps its
+		// own view of the bits, which later frames leave as they are.
+		if cerr := m.codec.Commit(&env); cerr != nil {
 			m.fail(fmt.Errorf("%w: read response: %w", ErrConnBroken, cerr))
 			return
 		}

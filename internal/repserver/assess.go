@@ -27,10 +27,13 @@ func (s *Server) assess(ctx context.Context, req wire.AssessRequest) (wire.Asses
 
 // Assess runs one assessment against local state, exactly as a TypeAssess
 // request would be served on a single node minus the wire decode and socket
-// I/O. It is the entry point for embedders and benchmark harnesses that need
-// the serving semantics without a network round trip.
+// I/O: the response a client decodes, which carries no judged history. It
+// is the entry point for embedders and benchmark harnesses that need the
+// serving semantics without a network round trip.
 func (s *Server) Assess(ctx context.Context, req wire.AssessRequest) (wire.AssessResponse, error) {
-	return s.assessOne(ctx, nil, req)
+	resp, err := s.assessOne(ctx, nil, req)
+	resp.Judged = nil
+	return resp, err
 }
 
 func (s *Server) assessOne(ctx context.Context, cl *cluster.Cluster, req wire.AssessRequest) (wire.AssessResponse, error) {
@@ -52,7 +55,11 @@ func (s *Server) routeAssessBatch(ctx context.Context, req wire.AssessBatchReque
 // TypeAssessB request would be served on a single node minus the wire decode
 // and socket I/O — the batch counterpart of Assess.
 func (s *Server) AssessBatch(ctx context.Context, req wire.AssessBatchRequest) (wire.AssessBatchResponse, error) {
-	return s.assessBatch(ctx, nil, req)
+	resp, err := s.assessBatch(ctx, nil, req)
+	for i := range resp.Items {
+		resp.Items[i].Judged = nil
+	}
+	return resp, err
 }
 
 // assessBatch serves one assess batch. Per-server failures (unknown server,
@@ -169,6 +176,6 @@ func (s *Server) assessGroup(ctx context.Context, threshold float64, g *shardGro
 			item.Error = &wire.ErrorResponse{Code: wire.CodeAssessmentFailed, Message: err.Error()}
 			continue
 		}
-		item.AssessResponse = wire.AssessResponse{Assessment: a, Accept: accept}
+		item.AssessResponse = wire.AssessResponse{Assessment: a, Accept: accept, Judged: snap}
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"path/filepath"
 	"reflect"
+	"sync"
 	"testing"
 
 	"honestplayer/internal/feedback"
@@ -49,17 +50,25 @@ func seedReference(t *testing.T, srv *Server) []feedback.EntityID {
 // assessor's by construction, whichever way it left the node.
 func wantReference(t *testing.T, srv *Server, st *store.Store, id feedback.EntityID, got wire.AssessResponse) {
 	t.Helper()
+	if err := isReference(srv, st, id, got); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// isReference is wantReference for any goroutine: it returns the mismatch.
+func isReference(srv *Server, st *store.Store, id feedback.EntityID, got wire.AssessResponse) error {
 	snap, _ := st.Snapshot(id)
 	if snap == nil || snap.Len() == 0 {
-		t.Fatalf("%q: no history to judge", id)
+		return fmt.Errorf("%q: no history to judge", id)
 	}
 	accept, a, err := srv.cfg.Assessor.Accept(snap, referenceThreshold)
 	if err != nil {
-		t.Fatal(err)
+		return err
 	}
 	if want := (wire.AssessResponse{Assessment: a, Accept: accept}); !reflect.DeepEqual(got, want) {
-		t.Fatalf("%q: the node answered\n%+v\nthe reference assessor\n%+v", id, got, want)
+		return fmt.Errorf("%q: the node answered\n%+v\nthe reference assessor\n%+v", id, got, want)
 	}
+	return nil
 }
 
 // assessBatchItems assesses ids in one assess.batch frame through srv's door.
@@ -102,8 +111,10 @@ func durableServer(t *testing.T, dir string, opts ledger.Options) (*Server, *led
 // TestVerdictIsReference: every way a verdict leaves a node — a single
 // assess, an assess.batch item, a cluster owner's fwd.assess.batch answer
 // relayed by a door, a server faulted back in under a memory budget, one
-// seeded by a snapshot boot and one whose history took an out-of-order
-// insert — answers exactly TwoPhase.Accept over store.Snapshot.
+// seeded by a snapshot boot, one whose history took an out-of-order insert,
+// and a stream of verdicts pipelined on one connection, each after a report,
+// one report out of order — answers exactly TwoPhase.Accept over
+// store.Snapshot.
 func TestVerdictIsReference(t *testing.T) {
 	for _, tc := range []struct {
 		name string
@@ -210,6 +221,42 @@ func TestVerdictIsReference(t *testing.T) {
 				}
 				wantReference(t, srv, srv.Store(), id, got)
 			}
+		}},
+		{"pipelined", func(t *testing.T) {
+			// The paper's loop on one connection: each server's verdict
+			// follows the report before it, the servers' loops pipelined,
+			// so the connection mirrors every history the verdicts judge
+			// and callers decode their frames as later frames commit. One
+			// report lands mid-history: the next verdict on that server
+			// carries its bits from the first record again.
+			srv := startServer(t)
+			c := dial(t, srv)
+			var wg sync.WaitGroup
+			for _, id := range seedReference(t, srv) {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					for round := range 30 {
+						at := int64(1000 + round)
+						if round == 12 && id == "honest" {
+							at = 0
+						}
+						if _, err := c.Submit(rec(id, feedback.EntityID(fmt.Sprint("loop-", round)), round%4 != 0, at)); err != nil {
+							t.Error(err)
+							return
+						}
+						got, err := c.Assess(id, referenceThreshold)
+						if err == nil {
+							err = isReference(srv, srv.Store(), id, got)
+						}
+						if err != nil {
+							t.Errorf("round %d: %v", round, err)
+							return
+						}
+					}
+				}()
+			}
+			wg.Wait()
 		}},
 	} {
 		t.Run(tc.name, tc.run)

@@ -546,12 +546,12 @@ func (s *Server) serve(c *conn, reader *bufio.Reader, codec wire.Codec) {
 			err = wire.WriteV2(bw, resp)
 		}
 		if err == nil {
-			// The frame is on its way: its threshold bindings are the
-			// connection's now, and only now. A response never written — a
-			// handler the deadline abandoned, one too large to frame —
-			// binds nothing, and the client commits the same frames in the
-			// same order.
-			err = codec.Commit(resp)
+			// The frame is on its way: its threshold bindings and mirrored
+			// bits are the connection's now, and only now. A response never
+			// written — a handler the deadline abandoned, one too large to
+			// frame — commits nothing, and the client commits the same
+			// frames in the same order.
+			err = codec.Commit(&resp)
 		}
 		if err != nil {
 			s.nErrors.Add(1)

@@ -376,3 +376,53 @@ func lifecycle(st *Store) map[string]int64 {
 	}
 	return life
 }
+
+// TestLineageFollowsRebuilds: a server's snapshots keep one lineage while
+// its history only grows at the end, and draw another when the store
+// rebuilds it — around an out-of-order record, or faulted back in after an
+// eviction by a loader that gathers the records afresh, as the ledger's does.
+func TestLineageFollowsRebuilds(t *testing.T) {
+	b := newBacked(4)
+	b.SetBudget(0, func(server feedback.EntityID) (*feedback.History, error) {
+		twin, err := b.twin.History(server)
+		if err != nil {
+			return nil, err
+		}
+		h := feedback.NewHistory(server)
+		for _, r := range twin.Records() {
+			if err := h.Append(r); err != nil {
+				return nil, err
+			}
+		}
+		return h, nil
+	})
+	const s = feedback.EntityID("srv")
+	fillServer(t, b, s, 20)
+	lineage := func() uint64 {
+		h, err := b.History(s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return h.Lineage()
+	}
+	first := lineage()
+	if _, err := b.Add(rec(s, "c-end", true, 100)); err != nil {
+		t.Fatal(err)
+	}
+	if got := lineage(); got != first {
+		t.Fatalf("an append at the end: lineage %d, want %d", got, first)
+	}
+	if _, err := b.Add(rec(s, "c-early", false, 0)); err != nil {
+		t.Fatal(err)
+	}
+	rebuilt := lineage()
+	if rebuilt == first {
+		t.Fatalf("an out-of-order insert kept lineage %d", first)
+	}
+	if !b.EvictServer(s) {
+		t.Fatal("not evicted")
+	}
+	if got := lineage(); got == rebuilt || got == first {
+		t.Fatalf("a fault-in kept lineage %d", got)
+	}
+}

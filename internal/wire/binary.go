@@ -28,28 +28,32 @@ import (
 	"honestplayer/internal/feedback"
 )
 
-// appendBinaryPayload appends the binary encoding of payload to buf, its
-// verdict rows keyed against conn, the connection's bindings (nil: the frame
-// stands alone). It reports whether a binding section heads the payload
-// (flagBindings) and whether the payload has a binary codec at all; callers
-// fall back to JSON payload bytes when it does not.
-func appendBinaryPayload(buf []byte, payload any, conn *bindings) (_ []byte, bound, ok bool, err error) {
+// encodeBinary sets env's payload to the binary encoding of payload, its
+// verdict rows keyed against conn, the connection's bindings, and its chains
+// mirrored against mir, the connection's mirror (both nil: the frame stands
+// alone). It sets the flags of the sections that head the payload, and
+// reports whether the payload has a binary codec at all; callers fall back
+// to JSON payload bytes when it does not.
+func encodeBinary(env *Envelope, payload any, conn *bindings, mir *mirror) (ok bool, err error) {
 	switch payload.(type) {
 	case AssessResponse, *AssessResponse, AssessBatchResponse, *AssessBatchResponse, FwdAssessBatchResponse, *FwdAssessBatchResponse:
 	default: // no assessment, so no dictionaries
-		buf, ok, err = appendPayload(buf, payload, nil)
-		return buf, false, ok, err
+		env.Payload, ok, err = appendPayload(env.Payload, payload, nil)
+		return ok, err
 	}
 	d := getFrameDict(conn)
 	defer d.put()
-	at := len(buf)
-	buf, ok, err = appendPayload(buf, payload, d)
-	buf, bound = d.headBindings(buf, at)
-	return buf, bound, ok, err
+	d.mir = mir
+	at := len(env.Payload)
+	buf, ok, err := appendPayload(env.Payload, payload, d)
+	buf, env.mirror = d.headMirror(buf, at)
+	env.Payload, env.Bindings = d.headBindings(buf, at)
+	env.Mirror = env.mirror != nil
+	return ok, err
 }
 
-// appendPayload is appendBinaryPayload past the binding section, the
-// frame's dictionaries d, nil for a payload that carries no assessment.
+// appendPayload is encodeBinary past the sections that head the payload,
+// the frame's dictionaries d, nil for a payload that carries no assessment.
 func appendPayload(buf []byte, payload any, d *frameDict) ([]byte, bool, error) {
 	switch p := payload.(type) {
 	case SubmitRequest:
@@ -122,18 +126,27 @@ func appendPayload(buf []byte, payload any, d *frameDict) ([]byte, bool, error) 
 	return buf, false, nil
 }
 
-// decodeBinaryPayload decodes a binary payload into out, which must be a
+// decodeBinary decodes env's binary payload into out, which must be a
 // pointer to the payload struct matching the frame type, its keyed verdict
-// rows reading their thresholds from the payload's binding section, which
-// bound says heads it, and from conn, the connection's bindings (nil: the
-// frame stands alone). The whole buffer must be consumed; anything else is a
-// protocol violation, and breaks conn.
-func decodeBinaryPayload(t MsgType, buf []byte, bound bool, out any, conn *bindings) error {
-	r := &breader{buf: buf, conn: conn}
+// rows reading their thresholds from the payload's binding section and from
+// conn, the connection's bindings, and its mirrored chains their counts from
+// the bits Commit gave the frame (conn nil: the frame stands alone). The
+// whole buffer must be consumed; anything else is a protocol violation, and
+// breaks conn.
+func decodeBinary(env Envelope, out any, conn *bindings) error {
+	t := env.Type
+	r := &breader{buf: env.Payload, conn: conn}
 	defer r.release()
 	err := conn.usable()
-	if err == nil && bound {
+	if err == nil && env.Bindings {
 		err = r.bindingSection(t)
+	}
+	if err == nil && env.Mirror {
+		if f := env.mirror; conn == nil || f == nil || f.size == 0 || f.size > len(r.buf) {
+			err = errMirror
+		} else {
+			r.frame().views, r.buf = f.views, r.buf[f.size:]
+		}
 	}
 	if err == nil {
 		switch o := out.(type) {
@@ -189,11 +202,20 @@ func decodeBinaryPayload(t MsgType, buf []byte, bound bool, out any, conn *bindi
 // bindingSection reads the binding section heading a payload of type t,
 // which only a type that carries verdicts has.
 func (r *breader) bindingSection(t MsgType) error {
+	if err := verdictType(t); err != nil {
+		return err
+	}
+	return r.bindings()
+}
+
+// verdictType refuses a section on a payload of type t unless t carries
+// verdicts.
+func verdictType(t MsgType) error {
 	switch t {
 	case TypeAssessR, TypeAssessBR, TypeFwdAssessBR:
-		return r.bindings()
+		return nil
 	}
-	return fmt.Errorf("a binding section on a %s payload", t)
+	return fmt.Errorf("a section on a %s payload", t)
 }
 
 // Append helpers.
@@ -301,10 +323,15 @@ func appendAssessRequest(buf []byte, p AssessRequest) []byte {
 }
 
 // Assessment / AssessResponse flag bits. An AssessResponse's flags byte has
-// one bit; revisions before 11 also had a cached and an incremental bit
-// (1 << 1 and 1 << 2), which revision 11 refuses.
+// two bits; revisions 4 to 10 also had a cached and an incremental bit
+// (1 << 1 and 1 << 2), which revisions 11 to 13 refuse.
 const (
 	assessFlagAccept byte = 1 << 0
+	// assessFlagMirrored: the assessment's Records and Good are its mirror
+	// row's bits — how many, how many good — and ride as nothing; its
+	// verdict is the chain that reads that row (ADR 0006's seventh
+	// amendment).
+	assessFlagMirrored byte = 1 << 1
 
 	asmtFlagSuspicious   byte = 1 << 0
 	asmtFlagShortHistory byte = 1 << 1
@@ -345,8 +372,8 @@ func sameFloat(a, b float64) bool { return math.Float64bits(a) == math.Float64bi
 //
 //	flags     byte: asmtFlag*
 //	server    string, with asmtFlagServer
-//	records   uvarint Records
-//	good      uvarint Good, at most Records
+//	records   uvarint Records, unless assessFlagMirrored
+//	good      uvarint Good, at most Records, unless assessFlagMirrored
 //	trust     8 B, with asmtFlagTrust: a Trust that is not derivedTrust's
 //	bounds    2 × 8 B, with asmtFlagBounds: TrustLow and TrustHigh, when
 //	          either is not derivedTrust's
@@ -389,8 +416,10 @@ func appendAssessment(buf []byte, a core.Assessment, item feedback.EntityID, d *
 	if a.Server != item {
 		buf = appendString(buf, string(a.Server))
 	}
+	d.counts[0] = len(buf)
 	buf = binary.AppendUvarint(buf, uint64(a.Records))
 	buf = binary.AppendUvarint(buf, uint64(a.Good))
+	d.counts[1] = len(buf)
 	if rawTrust {
 		buf = appendFloat(buf, a.Trust)
 	}
@@ -414,8 +443,22 @@ func appendAssessResponse(buf []byte, p AssessResponse, item feedback.EntityID, 
 	if p.Accept {
 		flags |= assessFlagAccept
 	}
+	at, rows := len(buf), len(d.mirRows)
 	buf = append(buf, flags)
-	return appendAssessment(buf, p.Assessment, item, d)
+	d.source(p.Judged)
+	buf = appendAssessment(buf, p.Assessment, item, d)
+	if len(d.mirRows) > rows && mirrorCounts(p.Assessment, d.src) {
+		buf[at] |= assessFlagMirrored
+		buf = append(buf[:d.counts[0]], buf[d.counts[1]:]...)
+	}
+	d.src = nil
+	return buf
+}
+
+// mirrorCounts reports whether a's Records and Good are how many of src's
+// bits there are and how many are good.
+func mirrorCounts(a core.Assessment, src goodSource) bool {
+	return a.Records == src.Len() && a.Good == src.GoodInRange(0, a.Records)
 }
 
 func appendAssessBatchRequest(buf []byte, p AssessBatchRequest) []byte {
@@ -665,8 +708,9 @@ func (r *breader) assessRequest(o *AssessRequest) error {
 }
 
 // assessment decodes what appendAssessment wrote inside an item naming the
-// server item ("" outside a batch).
-func (r *breader) assessment(o *core.Assessment, item feedback.EntityID) error {
+// server item ("" outside a batch), its Records and Good src's bits when
+// the response's flags say so (src non-nil).
+func (r *breader) assessment(o *core.Assessment, item feedback.EntityID, src goodSource) error {
 	flags, err := r.byte()
 	if err != nil {
 		return err
@@ -686,10 +730,12 @@ func (r *breader) assessment(o *core.Assessment, item feedback.EntityID) error {
 			return fmt.Errorf("assessment repeats its item's server")
 		}
 	}
-	if o.Records, err = r.int(); err != nil {
+	if src != nil {
+		o.Records = src.Len()
+		o.Good = src.GoodInRange(0, o.Records)
+	} else if o.Records, err = r.int(); err != nil {
 		return err
-	}
-	if o.Good, err = r.int(); err != nil {
+	} else if o.Good, err = r.int(); err != nil {
 		return err
 	}
 	if o.Good > o.Records {
@@ -750,11 +796,29 @@ func (r *breader) assessResponse(o *AssessResponse, item feedback.EntityID) erro
 	if err != nil {
 		return err
 	}
-	if flags&^assessFlagAccept != 0 {
+	if flags&^(assessFlagAccept|assessFlagMirrored) != 0 {
 		return fmt.Errorf("assess response flags %#x", flags)
 	}
 	o.Accept = flags&assessFlagAccept != 0
-	return r.assessment(&o.Assessment, item)
+	d := r.frame()
+	row := d.nViews // the mirror row the assessment's chain reads, if any
+	var src goodSource
+	if flags&assessFlagMirrored != 0 {
+		if row == len(d.views) {
+			return fmt.Errorf("mirrored counts with no mirror row")
+		}
+		src = &d.views[row]
+	}
+	if err := r.assessment(&o.Assessment, item, src); err != nil {
+		return err
+	}
+	// The counts derive from the row exactly when the chain reads it and
+	// they are its bits'.
+	read := d.nViews > row && mirrorCounts(o.Assessment, &d.views[row])
+	if read != (src != nil) {
+		return fmt.Errorf("assessment counts %d/%d written %v, where the encoder writes them %v", o.Assessment.Good, o.Assessment.Records, src == nil, !read)
+	}
+	return nil
 }
 
 func (r *breader) assessBatchRequest(o *AssessBatchRequest) error {

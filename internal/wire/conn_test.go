@@ -10,10 +10,12 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"honestplayer/internal/behavior"
 	"honestplayer/internal/core"
 	"honestplayer/internal/feedback"
+	"honestplayer/internal/stats"
 )
 
 // connection is the two ends of one binary connection as repserver and
@@ -39,7 +41,7 @@ func (c *connection) send(t testing.TB, typ MsgType, id uint64, payload any) Env
 	if err := WriteV2(&c.wire, env); err != nil {
 		t.Fatal(err)
 	}
-	if err := c.server.Commit(env); err != nil {
+	if err := c.server.Commit(&env); err != nil {
 		t.Fatalf("%s: commit at the server: %v", typ, err)
 	}
 	return env
@@ -52,7 +54,7 @@ func (c *connection) receive(t testing.TB) Envelope {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := c.client.Commit(env); err != nil {
+	if err := c.client.Commit(&env); err != nil {
 		t.Fatalf("%s: commit at the client: %v", env.Type, err)
 	}
 	return env
@@ -234,11 +236,11 @@ func TestConnectionRefusesHostileBindings(t *testing.T) {
 	for name, env := range hostile {
 		conn := CodecFor(VersionV2)
 		if strings.Contains(name, "other bits") {
-			if err := conn.Commit(valid); err != nil {
+			if err := conn.Commit(&valid); err != nil {
 				t.Fatal(err)
 			}
 		}
-		err := conn.Commit(env)
+		err := conn.Commit(&env)
 		if err == nil {
 			err = conn.DecodePayload(env, new(AssessResponse))
 		}
@@ -246,7 +248,7 @@ func TestConnectionRefusesHostileBindings(t *testing.T) {
 			t.Errorf("%s: accepted", name)
 			continue
 		}
-		if cerr, derr := conn.Commit(valid), conn.DecodePayload(valid, new(AssessResponse)); cerr == nil || derr == nil {
+		if cerr, derr := conn.Commit(&valid), conn.DecodePayload(valid, new(AssessResponse)); cerr == nil || derr == nil {
 			t.Errorf("%s: refused (%v), then a valid frame: commit %v, decode %v", name, err, cerr, derr)
 		}
 	}
@@ -265,13 +267,17 @@ func newVerdictPayload(t MsgType) any {
 }
 
 // FuzzConnectionFrames feeds three payloads, each a verdict frame of the
-// type and section flag kinds gives it, into one connection's reader,
-// committing each and decoding it: no panic, no frame allocating more than
-// TestVerdictRowsPerFrame's bound, and a connection that refused a frame
-// refuses every frame after it.
+// type and section flags kinds gives it, into one connection's reader,
+// committing each before the one before it decodes, as a client's demux
+// commits frames ahead of their callers: no panic, no frame allocating more
+// than TestVerdictRowsPerFrame's bound, and a connection that refused a
+// frame refuses every frame after it. The seeds mix binding and mirror
+// sections: resets, appends, and a frame the writer encoded, never wrote
+// and encoded again.
 func FuzzConnectionFrames(f *testing.F) {
 	types := []MsgType{TypeAssessR, TypeAssessBR, TypeFwdAssessBR}
-	// kinds' bit i is frame i's section flag, bits 4+2i and 5+2i its type.
+	// kinds' bit i is frame i's binding flag, bit 10+i its mirror flag,
+	// bits 4+2i and 5+2i its type.
 	add := func(envs ...Envelope) {
 		var kinds uint16
 		var payloads [3][]byte
@@ -279,6 +285,9 @@ func FuzzConnectionFrames(f *testing.F) {
 			payloads[i] = env.Payload
 			if env.Bindings {
 				kinds |= 1 << i
+			}
+			if env.Mirror {
+				kinds |= 1 << (10 + i)
 			}
 			kinds |= uint16(slices.Index(types, env.Type)) << (4 + 2*i)
 		}
@@ -304,26 +313,388 @@ func FuzzConnectionFrames(f *testing.F) {
 	}
 	add(keyed...)
 	add(valid, keyed[1], keyed[2])
+	mirrors, mirrorHostile := mirrorStream(f)
+	add(mirrors[:3]...)
+	add(mirrors[2:5]...)
+	add(mirrors[0], mirrors[3], mirrors[4])
+	for _, env := range mirrorHostile {
+		if len(env.Payload) < 1<<16 { // not the quarter-megabyte one past the bits bound
+			add(mirrors[0], env, mirrors[1])
+		}
+	}
 	f.Fuzz(func(t *testing.T, kinds uint16, first, second, third []byte) {
 		conn := CodecFor(VersionV2)
+		envs := make([]Envelope, 3)
 		refused := false
-		for i, payload := range [][]byte{first, second, third} {
-			typ := types[int(kinds>>(4+2*i)&3)%3]
-			env := Envelope{Type: typ, ID: uint64(i + 1), Payload: payload, Binary: true, Bindings: kinds>>i&1 != 0}
+		step := func(i int, op func(*Envelope) error) {
 			var before, after runtime.MemStats
 			runtime.ReadMemStats(&before)
-			err := conn.Commit(env)
-			if err == nil {
-				err = conn.DecodePayload(env, newVerdictPayload(typ))
-			}
+			err := op(&envs[i])
 			runtime.ReadMemStats(&after)
 			if refused && err == nil {
 				t.Fatalf("frame %d accepted on a connection that refused one", i)
 			}
 			refused = refused || err != nil
 			if got, most := after.TotalAlloc-before.TotalAlloc, uint64(maxFrameRows)*48+1<<20; got > most {
-				t.Fatalf("frame %d of %d B allocated %d B, want <= %d", i, len(payload), got, most)
+				t.Fatalf("frame %d allocated %d B, want <= %d", i, got, most)
 			}
 		}
+		commit := func(env *Envelope) error { return conn.Commit(env) }
+		decode := func(env *Envelope) error { return conn.DecodePayload(*env, newVerdictPayload(env.Type)) }
+		for i, payload := range [][]byte{first, second, third} {
+			typ := types[int(kinds>>(4+2*i)&3)%3]
+			envs[i] = Envelope{Type: typ, ID: uint64(i + 1), Payload: payload, Binary: true,
+				Bindings: kinds>>i&1 != 0, Mirror: kinds>>(10+i)&1 != 0}
+			step(i, commit)
+			if i > 0 {
+				step(i-1, decode)
+			}
+		}
+		step(2, decode)
 	})
+}
+
+// mirrorStream is the frames a writer sends one connection's reader on
+// verdicts that mirror: a batch of four servers that carries their bits
+// whole, a single verdict after one more record, a batch whose first item
+// appends and whose server repeats, a frame encoded, never written and
+// encoded again after a server's history was rebuilt (a reset), and a
+// verdict on a server the connection has not carried. Each decodes to what
+// was sent, after every frame of the stream has committed. hostile is frames a reader must
+// refuse after the first, each breaking the connection.
+func mirrorStream(tb testing.TB) (frames []Envelope, hostile map[string]Envelope) {
+	tb.Helper()
+	tp, err := core.DefaultSpec.Build()
+	if err != nil {
+		tb.Fatal(err)
+	}
+	hists := benchHistories(tb, 5, 200)
+	c := newConnection()
+	var want []any
+	send := func(typ MsgType, items ...AssessBatchItem) Envelope {
+		var sent, read []AssessBatchItem
+		for _, item := range items {
+			sent = append(sent, item)
+			item.Judged = nil
+			read = append(read, item)
+		}
+		var payload, back any = AssessBatchResponse{Items: sent}, AssessBatchResponse{Items: read}
+		if typ == TypeAssessR {
+			payload, back = sent[0].AssessResponse, read[0].AssessResponse
+		}
+		env := c.send(tb, typ, uint64(len(frames)+1), payload)
+		if !env.Mirror {
+			tb.Fatalf("frame %d carries no mirror section", len(frames))
+		}
+		frames, want = append(frames, c.receive(tb)), append(want, back)
+		return env
+	}
+	item := func(h *feedback.History) AssessBatchItem {
+		sent, _ := judge(tb, tp, h)
+		return sent
+	}
+	send(TypeAssessBR, item(hists[0]), item(hists[1]), item(hists[2]), item(hists[3]))
+	grow(tb, hists[0], true)
+	send(TypeAssessR, item(hists[0]))
+	grow(tb, hists[1], false)
+	send(TypeAssessBR, item(hists[1]), item(hists[2]), item(hists[1]))
+	// hists[2] rebuilt around a record older than its first, as the store
+	// rebuilds a history for an out-of-order report: every bit moves.
+	rebuilt := feedback.NewHistory(hists[2].Server())
+	early := hists[2].At(0)
+	early.Time, early.Client, early.Rating = early.Time.Add(-time.Second), "c-early", feedback.Negative
+	for _, r := range append([]feedback.Feedback{early}, hists[2].Records()...) {
+		if err := rebuilt.Append(r); err != nil {
+			tb.Fatal(err)
+		}
+	}
+	lost, err := c.server.Encode(TypeAssessBR, 4, AssessBatchResponse{Items: []AssessBatchItem{item(rebuilt)}})
+	if err != nil || !lost.Mirror {
+		tb.Fatalf("the abandoned frame: mirror=%v, %v", lost.Mirror, err)
+	}
+	if sent := send(TypeAssessBR, item(rebuilt)); !bytes.Equal(sent.Payload, lost.Payload) {
+		tb.Fatalf("the frame after an abandoned one: %x, where the abandoned had %x", sent.Payload, lost.Payload)
+	}
+	send(TypeAssessR, item(hists[4]))
+	for i, env := range frames {
+		out := newPayload(want[i])
+		if err := c.client.DecodePayload(env, out); err != nil || !reflect.DeepEqual(reflect.ValueOf(out).Elem().Interface(), want[i]) {
+			tb.Fatalf("mirror frame %d: %v", i, err)
+		}
+	}
+	// After the first frame: slot 0 holds hists[0]'s bits, slots 4 and up
+	// none. frames[1] appends one bit to slot 0.
+	bind, _, rest := splitSections(tb, frames[1])
+	with := func(sec []byte) Envelope {
+		env := frames[1]
+		env.Payload, env.mirror = slices.Concat(bind, sec, rest), nil
+		return env
+	}
+	bits := frames[1].Payload[len(bind)+3] // the one bit frames[1] appends
+	// Two resets, each of half the bound and one bit more.
+	a := binary.AppendUvarint(nil, maxMirrorBits/2)
+	over := slices.Concat([]byte{0, 2, 0<<2 | opReset}, a, []byte{4<<2 | opReset}, a, make([]byte, maxMirrorBits/8+1))
+	return frames, map[string]Envelope{
+		"bits for a slot never bound":            with([]byte{0, 1, 4<<2 | 1, bits}),
+		"a slot past the bound":                  with(slices.Concat([]byte{0, 1}, binary.AppendUvarint(nil, maxMirrorSlots<<2|opReset), []byte{0, bits})),
+		"a zero-bit append no chain reads":       with([]byte{0, 2, 0<<2 | 1, 1<<2 | 0, bits}),
+		"an eviction of a slot holding nothing":  with([]byte{1, 7, 1, 0<<2 | 1, bits}),
+		"an eviction of a slot the frame writes": with([]byte{1, 0, 1, 0<<2 | 1, bits}),
+		"bits past the section":                  with([]byte{0, 1, 0<<2 | opAppend, 7, bits}),
+		"set padding bits":                       with([]byte{0, 1, 0<<2 | 1, bits | 0x80}),
+		"slots past the bits bound":              with(over),
+	}
+}
+
+// splitSections splits a committed frame's payload into its binding
+// section, its mirror section and the rest.
+func splitSections(tb testing.TB, env Envelope) (bind, mir, rest []byte) {
+	tb.Helper()
+	r := &breader{buf: env.Payload}
+	defer r.release()
+	if env.Bindings {
+		if err := r.bindings(); err != nil {
+			tb.Fatal(err)
+		}
+	}
+	at := len(env.Payload) - len(r.buf)
+	return env.Payload[:at], env.Payload[at : at+env.mirror.size], env.Payload[at+env.mirror.size:]
+}
+
+// TestConnectionRefusesHostileMirrors: each hostile mirror section is
+// refused — at Commit, or at Decode for a row no chain reads — and breaks
+// the connection: the valid frame after it is refused too.
+func TestConnectionRefusesHostileMirrors(t *testing.T) {
+	frames, hostile := mirrorStream(t)
+	for name, env := range hostile {
+		conn := CodecFor(VersionV2)
+		first := frames[0]
+		first.mirror = nil
+		if err := conn.Commit(&first); err != nil {
+			t.Fatal(err)
+		}
+		err := conn.Commit(&env)
+		if err == nil {
+			err = conn.DecodePayload(env, new(AssessResponse))
+		}
+		if err == nil {
+			t.Errorf("%s: accepted", name)
+			continue
+		}
+		t.Logf("%s: %v", name, err)
+		next := frames[1]
+		next.mirror = nil
+		if cerr := conn.Commit(&next); cerr == nil {
+			t.Errorf("%s: refused (%v), then a valid frame committed", name, err)
+		}
+	}
+	// A mirror section on a frame that stands alone, or that its reader
+	// did not commit, has no bits to read.
+	if err := V2Codec.DecodePayload(frames[0], new(AssessBatchResponse)); err == nil {
+		t.Error("V2Codec decoded a mirror section")
+	}
+	uncommitted := frames[0]
+	uncommitted.mirror = nil
+	if err := CodecFor(VersionV2).DecodePayload(uncommitted, new(AssessBatchResponse)); err == nil {
+		t.Error("a mirror section decoded without its Commit")
+	}
+}
+
+// judge assesses h, the item carrying the view it judged as repserver's
+// assessGroup does, and returns it with what a reader decodes: the same
+// item, its Judged nil.
+func judge(t testing.TB, tp *core.TwoPhase, h *feedback.History) (sent, read AssessBatchItem) {
+	t.Helper()
+	snap := h.SnapshotView()
+	accept, a, err := tp.Accept(snap, 0.9)
+	if err != nil {
+		t.Fatal(err)
+	}
+	read = AssessBatchItem{Server: h.Server(), AssessResponse: AssessResponse{Assessment: a, Accept: accept}}
+	sent = read
+	sent.Judged = snap
+	return sent, read
+}
+
+// grow appends one record to h, a second past its newest.
+func grow(t testing.TB, h *feedback.History, good bool) {
+	t.Helper()
+	if err := h.AppendOutcome("c-new", good, h.At(h.Len()-1).Time.Add(time.Second)); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestConnectionMirrorBytes pins the assess.batch.resp a node sends the
+// paper's loop on long histories, assess_deep's load: 8 servers of 5,000
+// records a frame, one new record each between frames — good at the rate
+// of the server's history, as the benchmark rates them — 50 frames on one
+// connection. Every frame decodes to what was sent; the first carries each
+// server's bits whole, and the 2nd to 50th only the records added since,
+// their chains no window counts. A never-written encode of each frame, run
+// as the next frames commit, changes none of it.
+func TestConnectionMirrorBytes(t *testing.T) {
+	tp, err := core.DefaultSpec.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	hists := benchHistories(t, 8, 5000)
+	rng := stats.NewRNG(54)
+	c := newConnection()
+	// A handler the deadline abandoned encodes each frame again, never to
+	// write it, as later frames commit.
+	abandoned := make(chan AssessBatchResponse, 1)
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for sent := range abandoned {
+			if _, err := c.server.Encode(TypeAssessBR, 999, sent); err != nil {
+				t.Error(err)
+			}
+		}
+	}()
+	defer func() { close(abandoned); wg.Wait() }()
+	total, first := 0, 0
+	for f := range 50 {
+		var sent, want AssessBatchResponse
+		for _, h := range hists {
+			if f > 0 {
+				grow(t, h, rng.Bernoulli(h.GoodRatio()))
+			}
+			s, r := judge(t, tp, h)
+			sent.Items, want.Items = append(sent.Items, s), append(want.Items, r)
+		}
+		env := c.send(t, TypeAssessBR, uint64(f+1), sent)
+		if !env.Mirror {
+			t.Fatalf("frame %d carries no mirror section", f)
+		}
+		// Alone in its frame a verdict is the same bytes with its judged
+		// history as without: nothing to mirror against.
+		alone, err := V2Codec.Encode(TypeAssessBR, 1, sent)
+		if bare, _ := V2Codec.Encode(TypeAssessBR, 1, want); err != nil || alone.Mirror || !bytes.Equal(alone.Payload, bare.Payload) {
+			t.Fatalf("frame %d alone: mirror=%v, %v", f, alone.Mirror, err)
+		}
+		abandoned <- sent
+		var back AssessBatchResponse
+		if err := c.client.DecodePayload(c.receive(t), &back); err != nil || !reflect.DeepEqual(back, want) {
+			t.Fatalf("frame %d: %v", f, err)
+		}
+		if f == 0 {
+			first = len(env.Payload)
+		} else {
+			total += len(env.Payload)
+		}
+	}
+	per := float64(total) / 49 / 8
+	t.Logf("assess.batch.resp of 8 × 5000 records: first frame %.1f B per item, 2..50 %.1f B per item", float64(first)/8, per)
+	if most := 30.0; per > most {
+		t.Errorf("%.1f B per item, want <= %.0f", per, most)
+	}
+}
+
+// TestBindingRowsOnFirstTouch: a connection's bindings hold a row of grid
+// slots only for the window buckets its verdicts reach — a connection
+// carrying only 200-record verdicts, whose rows span 20 windows down to 4,
+// the 8 of 35 that hold those counts.
+func TestBindingRowsOnFirstTouch(t *testing.T) {
+	tp, err := core.DefaultSpec.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	items := benchMix(t, tp, 16, 200)
+	reached := map[uint32]bool{}
+	for _, item := range items {
+		for i := range item.Assessment.Verdict.Suffixes {
+			reached[rowSlot(&item.Assessment.Verdict.Suffixes[i])/uint32(gridP)] = true
+		}
+	}
+	c := newConnection()
+	c.send(t, TypeAssessBR, 1, AssessBatchResponse{Items: items})
+	c.receive(t)
+	for end, b := range map[string]*bindings{"server": c.server.conn, "client": c.client.conn} {
+		held := 0
+		for i := range b.rows {
+			if b.rows[i].Load() != nil {
+				held++
+				if !reached[uint32(i)] {
+					t.Errorf("the %s's bindings hold window bucket %d, which no row reaches", end, i)
+				}
+			}
+		}
+		if held != 8 || len(reached) != 8 || len(b.rows) != 35 {
+			t.Errorf("the %s's bindings hold %d of %d window buckets; the rows reach %d, want 8 of 35", end, held, len(b.rows), len(reached))
+		}
+	}
+}
+
+// TestConnectionMirrorEvicts: a connection whose verdicts span more bits
+// or more servers than it mirrors evicts the slots written least recently —
+// with an eviction for bits, by resetting a slot for another server when
+// every slot is taken — and every frame still decodes to what was sent,
+// also a verdict on a server whose slot was evicted, which sends its bits
+// again.
+func TestConnectionMirrorEvicts(t *testing.T) {
+	if testing.Short() {
+		t.Skip("thousands of histories")
+	}
+	tp, err := core.DefaultSpec.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name                    string
+		servers, records, batch int
+	}{
+		{"bits", maxMirrorBits/20000 + 8, 20000, 32},
+		{"slots", maxMirrorSlots + 40, 60, MaxAssessBatch},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			hists := make([]*feedback.History, tc.servers)
+			for i := range hists {
+				hists[i] = honestHistory(t, feedback.EntityID(fmt.Sprint("s", i)), tc.records, 0.95, int64(i))
+			}
+			c := newConnection()
+			evicted, reused := 0, 0
+			send := func(hs []*feedback.History) {
+				var sent, want AssessBatchResponse
+				for _, h := range hs {
+					s, r := judge(t, tp, h)
+					sent.Items, want.Items = append(sent.Items, s), append(want.Items, r)
+				}
+				m := c.server.mirror
+				env, err := c.server.Encode(TypeAssessBR, 1, sent)
+				if err != nil || !env.Mirror || len(env.mirror.rows) != len(hs) {
+					t.Fatalf("a frame of %d verdicts mirrors %d: %v", len(hs), len(env.mirror.rows), err)
+				}
+				for _, r := range env.mirror.rows {
+					if r.reset && int(r.slot) < len(m.sent) && m.sent[r.slot].n > 0 && m.sent[r.slot].server != r.server {
+						reused++
+					}
+				}
+				evicted += len(env.mirror.evict)
+				if err := WriteV2(&c.wire, env); err != nil {
+					t.Fatal(err)
+				}
+				if err := c.server.Commit(&env); err != nil {
+					t.Fatal(err)
+				}
+				var back AssessBatchResponse
+				if err := c.client.DecodePayload(c.receive(t), &back); err != nil || !reflect.DeepEqual(back, want) {
+					t.Fatalf("%v", err)
+				}
+			}
+			for lo := 0; lo < len(hists); lo += tc.batch {
+				send(hists[lo:min(lo+tc.batch, len(hists))])
+			}
+			send(hists[:3]) // evicted first, so their bits ride again
+			if evicted+reused == 0 {
+				t.Fatalf("%d servers of %d records: nothing evicted", tc.servers, tc.records)
+			}
+			m := c.server.mirror
+			if m.total > maxMirrorBits || c.client.mirror.heldTotal != m.total || len(m.sent) > maxMirrorSlots {
+				t.Fatalf("the server mirrors %d bits in %d slots, the client %d bits", m.total, len(m.sent), c.client.mirror.heldTotal)
+			}
+			t.Logf("%d evictions, %d slots reset for another server; %d bits mirrored", evicted, reused, m.total)
+		})
+	}
 }

@@ -21,7 +21,8 @@
 //	uint32  big-endian length of the body (type + flags + id + payload)
 //	uint8   type code (see v2Codes)
 //	uint8   flags (bit 0: payload is JSON bytes, not the binary codec;
-//	        bit 1: a binding section heads the binary payload)
+//	        bit 1: a binding section heads the binary payload;
+//	        bit 2: a mirror section heads it, after any binding section)
 //	uint64  big-endian request id
 //	bytes   payload
 //
@@ -29,8 +30,9 @@
 // length is bounded by MaxFrame. Responses echo the request id, and id 0 is
 // unattributable and connection-fatal. Many requests may be outstanding per
 // connection: a response is matched to its request by id, not by order. The
-// one state a binary connection keeps from frame to frame is its threshold
-// bindings, which grow in the order the frames cross (Codec.Commit).
+// state a binary connection keeps from frame to frame is its threshold
+// bindings and its history mirror, which change in the order the frames
+// cross (Codec.Commit).
 package wire
 
 import (
@@ -62,10 +64,12 @@ import (
 // threshold for a verdict row whose calibration grid point the frame has
 // already bound (ADR 0006's fifth amendment); 13 binds a grid point for as
 // long as the connection lives, in a binding section at the head of the
-// payload of the frame that binds it first (the sixth amendment). No
-// revision reads another's binary payloads: ends of different revisions
-// speak BridgeCodec (ADR 0009).
-const VersionV2 = 13
+// payload of the frame that binds it first (the sixth amendment); 14 mirrors
+// the good bits of the histories a connection's verdicts judged, so that a
+// chain over bits the connection has carried writes no window counts (the
+// seventh amendment). No revision reads another's binary payloads: ends of
+// different revisions speak BridgeCodec (ADR 0009).
+const VersionV2 = 14
 
 // HelloMagic is the first byte of a client hello. A connection that opens
 // with any other byte is closed.
@@ -94,6 +98,11 @@ const flagJSONPayload byte = 1 << 0
 // threshold bindings the frame adds to its connection's (ADR 0006's sixth
 // amendment).
 const flagBindings byte = 1 << 1
+
+// flagMirror marks a binary payload that carries a mirror section, after
+// any binding section: the good bits the frame adds to its connection's
+// history mirror (ADR 0006's seventh amendment).
+const flagMirror byte = 1 << 2
 
 // Type codes for the v2 frame header. Codes are part of the wire contract:
 // never renumber, only append.
@@ -141,12 +150,14 @@ var v2Types = func() map[byte]MsgType {
 // (CodecFor). Both codecs write the same frame; the negotiated one rides the
 // request context so handlers answer in it (service.WithCodec /
 // service.CodecFrom). A binary connection's codec holds its threshold
-// bindings: verdicts cross a connection one way, server to client, so the
-// server's end encodes against the table and the client's decodes against
-// it, each end adding a frame's bindings at its one ordered point (Commit).
+// bindings and its history mirror: verdicts cross a connection one way,
+// server to client, so the server's end encodes against the tables and the
+// client's decodes against them, each end adding a frame's sections at its
+// one ordered point (Commit).
 type Codec struct {
 	bridge bool
 	conn   *bindings // nil: every frame stands alone
+	mirror *mirror   // nil with conn
 }
 
 var (
@@ -160,14 +171,14 @@ var (
 )
 
 // CodecFor returns the codec to speak to a peer of codec revision peer:
-// binary, with bindings of its own, when it is this build's, the JSON bridge
-// otherwise. Each connection takes its own: a redial starts fresh bindings
-// at both ends.
+// binary, with bindings and a mirror of its own, when it is this build's,
+// the JSON bridge otherwise. Each connection takes its own: a redial starts
+// fresh tables at both ends.
 func CodecFor(peer byte) Codec {
 	if peer != VersionV2 {
 		return BridgeCodec
 	}
-	return Codec{conn: new(bindings)}
+	return Codec{conn: newBindings(), mirror: new(mirror)}
 }
 
 // Encode marshals a payload into an envelope in the codec's encoding.
@@ -186,9 +197,10 @@ func (c Codec) Encode(t MsgType, id uint64, payload any) (Envelope, error) {
 		if rows := verdictRows(payload); rows > maxFrameRows {
 			return env, &ErrorResponse{Code: CodeResponseTooLarge, Message: fmt.Sprintf("%s: %d verdict rows, above a frame's %d", t, rows, maxFrameRows)}
 		}
-		if buf, bound, ok, err := appendBinaryPayload(nil, payload, c.conn); ok && err == nil {
-			env.Payload, env.Binary, env.Bindings = buf, true, bound
-			return env, nil
+		bin := env
+		if ok, err := encodeBinary(&bin, payload, c.conn, c.mirror); ok && err == nil {
+			bin.Binary = true
+			return bin, nil
 		}
 	}
 	raw, err := json.Marshal(payload)
@@ -203,15 +215,16 @@ func (c Codec) Encode(t MsgType, id uint64, payload any) (Envelope, error) {
 // payload encoding: the per-type binary codec for a binary payload, JSON for
 // a JSON-flagged one. A binary verdict's keyed rows read their thresholds
 // from the payload's binding section and the connection's bindings, which
-// hold every binding of the frames Commit has seen; a frame decodes on any
-// goroutine, at any time after its own Commit. A payload that does not
-// decode breaks the connection's bindings, as a refused Commit does.
+// hold every binding of the frames Commit has seen, and its mirrored chains
+// their counts from the bits Commit gave the envelope; a frame decodes on
+// any goroutine, at any time after its own Commit. A payload that does not
+// decode breaks the connection's tables, as a refused Commit does.
 func (c Codec) DecodePayload(env Envelope, out any) error {
 	if env.Binary {
-		return decodeBinaryPayload(env.Type, env.Payload, env.Bindings, out, c.conn)
+		return decodeBinary(env, out, c.conn)
 	}
-	if env.Bindings {
-		return fmt.Errorf("%w: %s: a binding section on a JSON payload", ErrBadMessage, env.Type)
+	if env.Bindings || env.Mirror {
+		return fmt.Errorf("%w: %s: a section on a JSON payload", ErrBadMessage, env.Type)
 	}
 	if err := json.Unmarshal(env.Payload, out); err != nil {
 		return fmt.Errorf("%w: %s payload: %v", ErrBadMessage, env.Type, err)
@@ -219,39 +232,62 @@ func (c Codec) DecodePayload(env Envelope, out any) error {
 	return nil
 }
 
-// Commit adds the bindings of env's frame to the connection's. The writer
-// of a frame commits it once WriteV2 has taken it — never a frame it encoded
-// and did not write — and the reader before it hands the frame on to be
-// decoded, so that both ends' tables hold the bindings of the same frames,
-// added in the order the connection carried them. A slot is bound once:
+// Commit adds the sections of env's frame to the connection's tables. The
+// writer of a frame commits it once WriteV2 has taken it — never a frame it
+// encoded and did not write — and the reader before it hands the frame on to
+// be decoded, so that both ends' tables hold the sections of the same
+// frames, added in the order the connection carried them. At the reader,
+// Commit gives env the bits each row of its mirror section leaves in its
+// slot, which env decodes with whenever it does. A grid slot is bound once:
 // Commit refuses a binding section that binds a slot past the grid, binds a
-// bound slot to other bits or is longer than the grid, and then every later
-// Commit and DecodePayload on the connection fails. On a bridged
-// connection, on V2Codec and for a frame with no binding section it does
-// nothing.
-func (c Codec) Commit(env Envelope) error {
+// bound slot to other bits or is longer than the grid, and a mirror section
+// mirrorSection refuses, and then every later Commit and DecodePayload on
+// the connection fails. On a bridged connection, on V2Codec and for a frame
+// with no section it does nothing.
+func (c Codec) Commit(env *Envelope) error {
 	if c.conn == nil {
 		return nil
 	}
-	if err := c.conn.usable(); err != nil || !env.Bindings {
+	if err := c.conn.usable(); err != nil || !env.Bindings && !env.Mirror {
 		return err
 	}
 	r := &breader{buf: env.Payload, conn: c.conn}
 	defer r.release()
-	var err error
-	if env.Binary {
-		err = r.bindingSection(env.Type)
-	} else {
-		err = errors.New("a binding section on a JSON payload")
-	}
+	err := c.commit(r, env)
 	if err != nil {
 		c.conn.broken.Store(true)
-		return fmt.Errorf("%w: %s binding section: %v", ErrBadMessage, env.Type, err)
+		return fmt.Errorf("%w: %s section: %v", ErrBadMessage, env.Type, err)
 	}
 	for i, slot := range r.dict.secSlots {
 		c.conn.bind(slot, r.dict.secBits[i])
 	}
 	return nil
+}
+
+// commit reads env's sections with r and commits its mirror section: the
+// writer's plan, or the section read into the reader's slots.
+func (c Codec) commit(r *breader, env *Envelope) error {
+	if !env.Binary {
+		return errors.New("a section on a JSON payload")
+	}
+	if err := verdictType(env.Type); err != nil {
+		return err
+	}
+	r.frame()
+	if env.Bindings {
+		if err := r.bindings(); err != nil {
+			return err
+		}
+	}
+	if !env.Mirror {
+		return nil
+	}
+	if f := env.mirror; f != nil && len(f.rows) > 0 {
+		return c.mirror.commitSent(f)
+	}
+	f, err := r.mirrorSection(c.mirror)
+	env.mirror = f
+	return err
 }
 
 // ReadFrame reads one frame, as ReadV2Into does. On a bridged connection a
@@ -352,6 +388,9 @@ func WriteV2(w io.Writer, env Envelope) error {
 	if env.Bindings {
 		flags |= flagBindings
 	}
+	if env.Mirror {
+		flags |= flagMirror
+	}
 	bp := frameBufPool.Get().(*[]byte)
 	buf := (*bp)[:0]
 	buf = binary.BigEndian.AppendUint32(buf, uint32(body))
@@ -427,6 +466,7 @@ func ReadV2Into(r io.Reader, buf []byte) (Envelope, []byte, error) {
 		env.Payload = buf
 		env.Binary = flags&flagJSONPayload == 0
 		env.Bindings = flags&flagBindings != 0
+		env.Mirror = flags&flagMirror != 0
 	}
 	return env, buf, nil
 }

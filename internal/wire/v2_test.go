@@ -6,7 +6,10 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"os"
 	"reflect"
+	"regexp"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -111,6 +114,21 @@ func asRows(p any) any {
 // newPayload returns a zero destination of the same concrete type as p.
 func newPayload(p any) any {
 	return reflect.New(reflect.TypeOf(p)).Interface()
+}
+
+// appendBinaryPayload appends the binary encoding of payload to buf, keyed
+// against conn and mirroring nothing, and reports whether a binding section
+// heads it and whether the payload has a binary codec.
+func appendBinaryPayload(buf []byte, payload any, conn *bindings) (_ []byte, bound, ok bool, err error) {
+	env := Envelope{Payload: buf}
+	ok, err = encodeBinary(&env, payload, conn, nil)
+	return env.Payload, env.Bindings, ok, err
+}
+
+// decodeBinaryPayload decodes a binary payload of type t, headed by a
+// binding section when bound says so, against conn.
+func decodeBinaryPayload(t MsgType, buf []byte, bound bool, out any, conn *bindings) error {
+	return decodeBinary(Envelope{Type: t, Payload: buf, Binary: true, Bindings: bound}, out, conn)
 }
 
 func TestHelloRoundTrip(t *testing.T) {
@@ -465,8 +483,8 @@ func TestSubmitBatchGoldenFrame(t *testing.T) {
 		0b101, // good
 	}
 	var buf bytes.Buffer
-	if err := WriteHello(&buf); err != nil || !bytes.Equal(buf.Bytes(), []byte{0xB2, 'W', '2', 13, '\n'}) {
-		t.Fatalf("hello = %x, %v; the layout below is revision 13's", buf.Bytes(), err)
+	if err := WriteHello(&buf); err != nil || !bytes.Equal(buf.Bytes(), []byte{0xB2, 'W', '2', 14, '\n'}) {
+		t.Fatalf("hello = %x, %v; the layout below is revision 14's", buf.Bytes(), err)
 	}
 	buf.Reset()
 	env, err := V2Codec.Encode(TypeSubmitB, 9, req)
@@ -598,5 +616,36 @@ func TestFrameDictionariesStartEmpty(t *testing.T) {
 				t.Fatalf("%s: truncated frame accepted", typ)
 			}
 		}
+	}
+}
+
+// TestProtocolDocRevision: docs/PROTOCOL.md's handshake names this build's
+// revision as the current one, and its table of revisions ends with it.
+func TestProtocolDocRevision(t *testing.T) {
+	doc, err := os.ReadFile("../../docs/PROTOCOL.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	current := regexp.MustCompile("currently \\*\\*`(\\d+)`\\*\\*").FindSubmatch(doc)
+	if current == nil {
+		t.Fatal("PROTOCOL.md names no current revision")
+	}
+	// The table opens with its header row and runs to the first line that
+	// is not a row.
+	_, table, ok := strings.Cut(string(doc), "| revision |")
+	if !ok {
+		t.Fatal("PROTOCOL.md has no table of revisions")
+	}
+	last := ""
+	for _, line := range strings.Split(table, "\n")[1:] {
+		if !strings.HasPrefix(line, "|") {
+			break
+		}
+		last = line
+	}
+	row := regexp.MustCompile(`^\| (\d+) \|`).FindStringSubmatch(last)
+	want := strconv.Itoa(VersionV2)
+	if string(current[1]) != want || row == nil || row[1] != want {
+		t.Fatalf("PROTOCOL.md: currently %s, last table row %q; wire.VersionV2 is %s", current[1], last, want)
 	}
 }

@@ -90,6 +90,7 @@ const (
 	tablePass    byte = 1 << 2
 	tableChain   byte = 1 << 3
 	tableKeyed   byte = 1 << 4
+	tableMirror  byte = 1 << 5
 )
 
 // maxFrameRows bounds the verdict rows of one frame, all its tables
@@ -146,7 +147,8 @@ func goodCount(s *behavior.SuffixResult) (int, bool) {
 // tableShape reports which columns of rows (at least one) have to ride
 // explicitly, the m the Windows column derives from when it does not, and
 // for a chain the chain whose base is the shortest row's window histogram,
-// chainBase's pick. A chain is at least two rows whose Windows and PHat
+// chainBase's pick — or, when d.src's good bits give the chain, a mirrored
+// chain, which carries no counts (mirror.go). A chain is at least two rows whose Windows and PHat
 // derive, each one window longer than the next with between 0 and m good
 // transactions more, at most behavior.MaxWindowSize wide, and whose every
 // Distance rebuilds from a base among the first maxBases. A decoder passes
@@ -182,11 +184,70 @@ func tableShape(rows []behavior.SuffixResult, rebuilt []uint32, d *frameDict) (s
 	}
 	if steps && shape&tablePHat == 0 {
 		ch := d.chain(m)
-		if ch.rebuilt = rebuilt; chainBase(ch, rows, prev) {
+		ch.rebuilt = rebuilt
+		if d.src != nil {
+			if mirrored(ch, rows, d.src) {
+				return shape | tableChain | tableMirror, m, ch
+			}
+			clear(ch.candid)
+		}
+		if chainBase(ch, rows, prev) {
 			return shape | tableChain, m, ch
 		}
 	}
 	return shape, m, nil
+}
+
+// mirrored reports whether rows, a chain of window size m, are the chain
+// whose window counts src's bits give, its windows ending at src's newest
+// record: every row's good count the bits' and every Distance the one its
+// windows' histogram gives. It leaves ch.candid holding the shortest row's
+// histogram, which ch.rebuilt — a decoder's, built from src — spares the
+// walk over the rows.
+func mirrored(ch *chain, rows []behavior.SuffixResult, src goodSource) bool {
+	n, m, k := src.Len(), len(ch.pmf)-1, len(rows)
+	w0, short := rows[0].Windows, rows[k-1].Windows
+	if w0 > n/m {
+		return false
+	}
+	g := 0
+	for j := 1; j <= w0; j++ {
+		c := src.GoodInRange(n-j*m, n-(j-1)*m)
+		g += c
+		if j <= short {
+			ch.candid[c]++
+		}
+		if j >= short {
+			s := &rows[w0-j]
+			if int(s.PHat*float64(s.Transactions)+0.5) != g { // goodCount, which tableShape checked
+				return false
+			}
+		}
+	}
+	return ch.rebuilds(rows)
+}
+
+// mirrorColumns rebuilds a mirrored chain's rows but their thresholds from
+// src, whose bits hold the chain's windows (chainHead), the windows ending
+// at its newest record, and leaves ch.base holding the shortest row's
+// histogram.
+func mirrorColumns(rows []behavior.SuffixResult, windows int, ch *chain, src goodSource) {
+	n, m, k := src.Len(), len(ch.pmf)-1, len(rows)
+	short, g := windows-k+1, 0
+	for j := 1; j <= windows; j++ {
+		c := src.GoodInRange(n-j*m, n-(j-1)*m)
+		ch.hist[c]++
+		g += c
+		if j == short {
+			copy(ch.base, ch.hist)
+		}
+		if j >= short {
+			s := &rows[windows-j]
+			s.Windows, s.Transactions = j, j*m
+			s.PHat = float64(g) / float64(s.Transactions)
+			s.Distance = ch.distance(j, s.PHat)
+		}
+	}
 }
 
 // maxBases caps the base search: a table whose shortest row has more
@@ -296,14 +357,24 @@ func eachBase(hist []uint32, v, w, g int, visit func() bool) bool {
 // bindings binds calibration grid slots (rowSlot) to threshold bits, each
 // slot once (ADR 0006's fifth and sixth amendments). A connection's table
 // lives as long as the connection (Codec.Commit), a frame's own as long as
-// the frame. It is the calibrator's gridPlane idiom: atomic slots holding
-// the bitwise complement of a threshold's bits, zero for a slot not bound
-// yet, allocated on the first binding. One goroutine binds and any number
-// read; a slot reads as unbound or as the bits it is bound to for good, so a
-// reader needs no lock and sees no order but that.
+// the frame. It is the calibrator's gridPlane idiom: one row of gridP
+// atomic slots per window bucket, allocated on the first binding in it,
+// each slot holding the bitwise complement of a threshold's bits, zero for a
+// slot not bound yet. A connection whose verdicts span few window counts
+// holds few rows. One goroutine binds and any number read; a slot reads as
+// unbound or as the bits it is bound to for good, so a reader needs no lock
+// and sees no order but that.
 type bindings struct {
-	slots  atomic.Pointer[[]atomic.Uint64]
-	broken atomic.Bool // a frame was refused: the far end's table may differ
+	rows   []atomic.Pointer[[]atomic.Uint64] // by window bucket, slot / gridP
+	broken atomic.Bool                       // a frame was refused: the far end's table may differ
+}
+
+// newBindings returns a table that binds nothing yet.
+func newBindings() *bindings { return &bindings{rows: bindingRows()} }
+
+// bindingRows is a table's rows, none allocated.
+func bindingRows() []atomic.Pointer[[]atomic.Uint64] {
+	return make([]atomic.Pointer[[]atomic.Uint64], gridSlots/gridP)
 }
 
 // unbindable is the one threshold a slot cannot hold, the NaN whose
@@ -311,8 +382,8 @@ type bindings struct {
 const unbindable = ^uint64(0)
 
 func (b *bindings) lookup(slot uint32) (uint64, bool) {
-	if s := b.slots.Load(); s != nil {
-		if v := (*s)[slot].Load(); v != 0 {
+	if row := b.rows[slot/uint32(gridP)].Load(); row != nil {
+		if v := (*row)[slot%uint32(gridP)].Load(); v != 0 {
 			return ^v, true
 		}
 	}
@@ -320,16 +391,19 @@ func (b *bindings) lookup(slot uint32) (uint64, bool) {
 }
 
 func (b *bindings) bind(slot uint32, bits uint64) {
-	s := b.slots.Load()
-	if s == nil {
-		t := make([]atomic.Uint64, gridSlots)
-		s = &t
-		b.slots.Store(s)
+	at := &b.rows[slot/uint32(gridP)]
+	row := at.Load()
+	if row == nil {
+		r := make([]atomic.Uint64, gridP)
+		row = &r
+		at.Store(row)
 	}
-	(*s)[slot].Store(^bits)
+	(*row)[slot%uint32(gridP)].Store(^bits)
 }
 
-func (b *bindings) unbind(slot uint32) { (*b.slots.Load())[slot].Store(0) }
+func (b *bindings) unbind(slot uint32) {
+	(*b.rows[slot/uint32(gridP)].Load())[slot%uint32(gridP)].Store(0)
+}
 
 // errBroken refuses a frame on a connection that refused one before.
 var errBroken = errors.New("the connection's threshold bindings are broken by a frame refused before")
@@ -376,14 +450,35 @@ type frameDict struct {
 	named             bool // an assessment of the frame has written names
 	tester, trustFunc string
 
+	// The connection's mirror (mirror.go), nil for a frame that stands
+	// alone, and the good bits the table at hand may be rebuilt from.
+	mir *mirror
+	src goodSource
+	// An encoder's section so far: its rows and evictions, the bits the
+	// slots hold with them (−1 before the first source), and the row, the
+	// evictions and the bits the item at hand plans.
+	mirRows   []mirrorRow
+	mirEvict  []uint32
+	mirTaken  map[uint32]bool // the slots of mirRows and mirEvict
+	mirTotal  int
+	plan      mirrorRow
+	planEvict []uint32
+	planNeed  int
+	// A decoder's: the bits of each row of the frame's section, and how
+	// many its mirrored chains have read.
+	views  []goodBits
+	nViews int
+
+	counts  [2]int   // where an encoder wrote the assessment's Records and Good
 	fresh   []int    // keyTable's pick: the rows of a keyed table that write a threshold
-	sec     []byte   // an encoder's binding section, before it heads the payload
+	sec     []byte   // an encoder's section, before it heads the payload
 	ch      *chain   // the chain scratch, for window size len(ch.pmf) − 1
 	rebuilt []uint32 // a decoded chain's base, as written
 }
 
 var frameDictPool = sync.Pool{New: func() any {
-	return &frameDict{ref: make(map[uint64]uint64), secRef: make(map[uint64]uint64)}
+	return &frameDict{ref: make(map[uint64]uint64), secRef: make(map[uint64]uint64), own: bindings{rows: bindingRows()},
+		mirTaken: make(map[uint32]bool), mirTotal: -1}
 }}
 
 // getFrameDict returns empty dictionaries for one frame on a connection
@@ -405,6 +500,11 @@ func (d *frameDict) put() {
 	d.secVals = d.secVals[:0]
 	clear(d.secRef)
 	d.conn = nil
+	clear(d.mirRows) // their histories
+	clear(d.mirTaken)
+	d.mir, d.src, d.plan = nil, nil, mirrorRow{}
+	d.mirRows, d.mirEvict, d.planEvict = d.mirRows[:0], d.mirEvict[:0], d.planEvict[:0]
+	d.mirTotal, d.views, d.nViews = -1, nil, 0
 	d.named, d.tester, d.trustFunc = false, "", ""
 	frameDictPool.Put(d)
 }
@@ -593,11 +693,16 @@ func (d *frameDict) headBindings(buf []byte, at int) ([]byte, bool) {
 		slot, prev = int(next), b
 	}
 	d.sec = sec
+	return insertAt(buf, at, sec), true
+}
+
+// insertAt inserts sec into buf at position at.
+func insertAt(buf []byte, at int, sec []byte) []byte {
 	n := len(buf)
 	buf = slices.Grow(buf, len(sec))[:n+len(sec)]
 	copy(buf[at+len(sec):], buf[at:n])
 	copy(buf[at:], sec)
-	return buf, true
+	return buf
 }
 
 // bindings reads a binding section. It refuses a section longer than the
@@ -700,10 +805,14 @@ func (r *breader) bindingBits(form byte, prev uint64) (uint64, error) {
 }
 
 // unread refuses a binding section that binds a slot none of the frame's
-// keyed rows read, which no encoder writes.
+// keyed rows read, and a mirror section with a row no chain of the frame
+// reads, which no encoder writes.
 func (d *frameDict) unread() error {
 	if d.nRead != len(d.secSlots) {
 		return fmt.Errorf("binding section binds %d slots, of which the frame's keyed rows read %d", len(d.secSlots), d.nRead)
+	}
+	if d.nViews != len(d.views) {
+		return fmt.Errorf("mirror section of %d rows, of which the frame's chains read %d", len(d.views), d.nViews)
 	}
 	return nil
 }
@@ -746,9 +855,14 @@ func appendVerdictTable(buf []byte, rows []behavior.SuffixResult, d *frameDict) 
 		shape |= tableKeyed
 	}
 	buf = append(buf, shape)
-	if ch != nil {
+	switch {
+	case shape&tableMirror != 0: // the counts are the mirror's
+		buf = binary.AppendUvarint(buf, uint64(d.src.Len()/m-rows[0].Windows))
+		buf = binary.AppendUvarint(buf, uint64(m))
+		d.mirrorRow()
+	case ch != nil:
 		buf = appendChain(buf, rows, ch)
-	} else {
+	default:
 		buf = appendRawColumns(buf, rows, shape, m)
 	}
 	if shape&tableKeyed != 0 {
@@ -907,25 +1021,35 @@ func (r *breader) verdictTable() ([]behavior.SuffixResult, error) {
 	if err != nil || count == 0 {
 		return nil, err
 	}
-	// A chain writes a row in as little as one bit of window count.
-	if count > 8*uint64(len(r.buf)) {
-		return nil, fmt.Errorf("verdict table: %d rows in %d bytes", count, len(r.buf))
-	}
-	n := int(count)
-	if n > maxFrameRows-r.rows {
-		return nil, fmt.Errorf("verdict table: %d rows where the frame has room for %d", n, maxFrameRows-r.rows)
-	}
-	r.rows += n
 	shape, err := r.byte()
 	if err != nil {
 		return nil, err
 	}
+	// A chain writes a row in as little as one bit of window count, a
+	// mirrored one in none: its rows are at most the windows of its bits.
+	if shape&tableMirror == 0 && count > 8*uint64(len(r.buf)) {
+		return nil, fmt.Errorf("verdict table: %d rows in %d bytes", count, len(r.buf))
+	}
+	if count > uint64(maxFrameRows-r.rows) {
+		return nil, fmt.Errorf("verdict table: %d rows where the frame has room for %d", count, maxFrameRows-r.rows)
+	}
+	n := int(count)
+	r.rows += n
 	if shape&tableKeyed != 0 && shape&(tableWindows|tablePHat) != 0 {
 		return nil, fmt.Errorf("verdict table: shape %#x keys rows whose columns ride", shape)
 	}
+	d := r.frame()
+	var src goodSource
+	if shape&tableMirror != 0 {
+		if shape&tableChain == 0 || d.nViews == len(d.views) {
+			return nil, fmt.Errorf("verdict table: shape %#x mirrors a chain no mirror row backs", shape)
+		}
+		src = &d.views[d.nViews]
+		d.nViews++
+	}
 	windows, m := 0, 0
 	if shape&tableChain != 0 {
-		if windows, m, err = r.chainHead(n); err != nil {
+		if windows, m, err = r.chainHead(n, src); err != nil {
 			return nil, err
 		}
 	} else if n > len(r.buf)/(1+1+8) {
@@ -934,12 +1058,15 @@ func (r *breader) verdictTable() ([]behavior.SuffixResult, error) {
 		return nil, fmt.Errorf("verdict table: %d rows in %d bytes", n, len(r.buf))
 	}
 	rows := make([]behavior.SuffixResult, n)
-	d := r.frame()
-	var read *chain // a chain's, its base as written
-	if shape&tableChain != 0 {
+	var read *chain // a chain's, its base as written or mirrored
+	switch {
+	case src != nil:
+		read = d.chain(m)
+		mirrorColumns(rows, windows, read, src)
+	case shape&tableChain != 0:
 		read = d.chain(m)
 		err = r.chainColumns(rows, windows, read)
-	} else {
+	default:
 		m, err = r.rawColumns(rows, shape)
 	}
 	if err != nil {
@@ -972,11 +1099,13 @@ func (r *breader) verdictTable() ([]behavior.SuffixResult, error) {
 		d.rebuilt = append(d.rebuilt[:0], read.base...)
 		rebuilt = d.rebuilt
 	}
+	d.src = src
 	s, mm, ch := tableShape(rows, rebuilt, d)
+	d.src = nil
 	if s != shape&^tableKeyed || mm != m {
 		return nil, fmt.Errorf("verdict table: shape %#x (m=%d) where the encoder writes %#x (m=%d)", shape&^tableKeyed, m, s, mm)
 	}
-	if ch != nil && !slices.Equal(ch.base, rebuilt) {
+	if ch != nil && s&tableMirror == 0 && !slices.Equal(ch.base, rebuilt) {
 		return nil, fmt.Errorf("verdict table: chain base %v where the encoder writes %v", rebuilt, ch.base)
 	}
 	return rows, nil
@@ -1113,18 +1242,29 @@ func (r *breader) rawColumns(rows []behavior.SuffixResult, shape byte) (m int, e
 
 // chainHead reads a chain's first-row window count and m, and refuses them
 // before n rows are allocated unless the bytes left can back the chain's
-// counts at one bit each, the least a Rice code takes.
-func (r *breader) chainHead(n int) (windows, m int, err error) {
+// counts at one bit each, the least a Rice code takes. A chain mirrored
+// from src writes, for the window count, how many fewer windows it has than
+// src's bits hold.
+func (r *breader) chainHead(n int, src goodSource) (windows, m int, err error) {
 	if windows, err = r.int(); err != nil {
 		return 0, 0, err
 	}
 	if m, err = r.int(); err != nil {
 		return 0, 0, err
 	}
-	if m == 0 || m > behavior.MaxWindowSize || windows < n || windows > math.MaxInt32/m {
+	if m == 0 || m > behavior.MaxWindowSize {
+		return 0, 0, fmt.Errorf("verdict table: chain of window size %d", m)
+	}
+	if src != nil {
+		if windows > src.Len()/m {
+			return 0, 0, fmt.Errorf("verdict table: a mirrored chain %d windows short of the %d its bits hold", windows, src.Len()/m)
+		}
+		windows = src.Len()/m - windows
+	}
+	if windows < n || windows > math.MaxInt32/m {
 		return 0, 0, fmt.Errorf("verdict table: chain of %d rows from %d windows of %d", n, windows, m)
 	}
-	if uint64(windows) > 8*uint64(len(r.buf)) {
+	if src == nil && uint64(windows) > 8*uint64(len(r.buf)) {
 		return 0, 0, fmt.Errorf("verdict table: chain of %d rows in %d bytes", n, len(r.buf))
 	}
 	return windows, m, nil

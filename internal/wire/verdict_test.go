@@ -253,6 +253,20 @@ func TestAssessBatchFrameBytes(t *testing.T) {
 func benchMix(t testing.TB, tp *core.TwoPhase, servers, records int) []AssessBatchItem {
 	t.Helper()
 	items := make([]AssessBatchItem, 0, servers)
+	for _, h := range benchHistories(t, servers, records) {
+		a, err := tp.Assess(h)
+		if err != nil {
+			t.Fatal(err)
+		}
+		items = append(items, AssessBatchItem{Server: h.Server(), AssessResponse: AssessResponse{Assessment: a, Accept: !a.Suspicious}})
+	}
+	return items
+}
+
+// benchHistories is benchMix's histories.
+func benchHistories(t testing.TB, servers, records int) []*feedback.History {
+	t.Helper()
+	hists := make([]*feedback.History, 0, servers)
 	for i := range servers {
 		id := feedback.EntityID(fmt.Sprintf("srv-%d", i))
 		rng := stats.NewRNG(uint64(records + i))
@@ -271,13 +285,9 @@ func benchMix(t testing.TB, tp *core.TwoPhase, servers, records int) []AssessBat
 		if err != nil {
 			t.Fatal(err)
 		}
-		a, err := tp.Assess(h)
-		if err != nil {
-			t.Fatal(err)
-		}
-		items = append(items, AssessBatchItem{Server: id, AssessResponse: AssessResponse{Assessment: a, Accept: !a.Suspicious}})
+		hists = append(hists, h)
 	}
-	return items
+	return hists
 }
 
 // TestTesterTablesAreChains: the tables a multi tester writes — Multi.Test's

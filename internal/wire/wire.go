@@ -140,6 +140,13 @@ type Envelope struct {
 	// threshold bindings the frame adds to its connection's (frame flag bit
 	// 1; Codec.Commit).
 	Bindings bool
+	// Mirror marks a binary Payload that carries a mirror section, the good
+	// bits the frame adds to its connection's history mirror (frame flag
+	// bit 2; Codec.Commit).
+	Mirror bool
+	// mirror is what the section does to the connection: the writer's plan
+	// from Encode, the reader's views from Commit.
+	mirror *mirrorFrame
 }
 
 // SubmitRequest submits one feedback record.
@@ -297,6 +304,12 @@ type AssessRequest struct {
 type AssessResponse struct {
 	Assessment core.Assessment `json:"assessment"`
 	Accept     bool            `json:"accept"`
+	// Judged is the history the assessment judged, beside it and never on
+	// the wire itself: a connection's encoder mirrors its good bits, so that
+	// the chain of a server the connection has carried before rides without
+	// its window counts (ADR 0006's seventh amendment). Nil when unknown —
+	// a decoded or forwarded assessment — which the encoder writes whole.
+	Judged *feedback.History `json:"-"`
 }
 
 // AssessBatchRequest asks the server to assess many candidate servers in
