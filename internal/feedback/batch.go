@@ -23,9 +23,10 @@ import (
 //
 // An id reference is a uvarint v read against a dictionary holding n ids:
 // v < n is the id in slot v; v == n introduces an id — its length and bytes
-// follow — which takes slot n while n < MaxBatchDict and is not remembered
-// otherwise. An id the dictionary holds is always written as its slot, so an
-// introduced id is never one already there.
+// follow, or what the dictionaries' Names spells it as — which takes slot n
+// while n < MaxBatchDict and is not remembered otherwise. An id the
+// dictionary holds is always written as its slot, so an introduced id is
+// never one already there.
 //
 // The dictionaries outlive the batch: they belong to whatever contains it —
 // a ledger segment, whose blocks share them from the header on, or a wire
@@ -59,6 +60,19 @@ type BatchDicts struct {
 	// v2 holds (ADR 0014), for both encoding and decoding. Nothing writes
 	// such a container any more; a reader sets it to replay one.
 	Unscaled bool
+	// Names, when set, spells the id an intro introduces in place of its
+	// length and bytes, for both encoding and decoding: a wire connection
+	// spells it as a ref into its name table (ADR 0008's amendment). The
+	// slots stay the dictionaries' own. Reset clears it.
+	Names Names
+}
+
+// Names spells the ids a run of batches introduces (BatchDicts.Names).
+// ReadName reads what AppendName wrote from the front of buf and returns the
+// rest; the decoder checks the id as it checks one spelled in full.
+type Names interface {
+	AppendName(buf []byte, id EntityID) []byte
+	ReadName(buf []byte) (EntityID, []byte, error)
 }
 
 // Len reports how many server and client ids the dictionaries hold.
@@ -75,6 +89,7 @@ func (d *BatchDicts) Reset() {
 	d.clients.reset()
 	d.rows.Reset()
 	d.Unscaled = false
+	d.Names = nil
 }
 
 // maxKeptDict is the dictionary size above which Reset frees instead of
@@ -139,10 +154,13 @@ func (d *batchDict) truncate(n int) {
 	d.refs = d.refs[:n]
 }
 
-// appendIntro appends the introduction of id: the next slot, its length
-// and its bytes.
-func (d *batchDict) appendIntro(buf []byte, id EntityID) []byte {
+// appendIntro appends the introduction of id: the next slot, then its
+// length and its bytes, or names' spelling of it.
+func (d *batchDict) appendIntro(buf []byte, id EntityID, names Names) []byte {
 	buf = binary.AppendUvarint(buf, uint64(len(d.ids)))
+	if names != nil {
+		return names.AppendName(buf, id)
+	}
 	buf = binary.AppendUvarint(buf, uint64(len(id)))
 	return append(buf, id...)
 }
@@ -151,7 +169,7 @@ func (d *batchDict) appendIntro(buf []byte, id EntityID) []byte {
 // Each distinct id is looked up in d once: remap[r] is 0 until ref r is
 // met, then its slot + 1, or unremembered for an id the full dictionary
 // spells out at every use.
-func (d *batchDict) appendRefs(buf []byte, ids []EntityID, refs []uint32, remap []uint32) []byte {
+func (d *batchDict) appendRefs(buf []byte, ids []EntityID, refs []uint32, remap []uint32, names Names) []byte {
 	const unremembered = math.MaxUint32
 	clear(remap)
 	for _, r := range refs {
@@ -161,7 +179,7 @@ func (d *batchDict) appendRefs(buf []byte, ids []EntityID, refs []uint32, remap 
 			if slot, ok := d.slot[id]; ok {
 				s = slot + 1
 			} else {
-				buf = d.appendIntro(buf, id)
+				buf = d.appendIntro(buf, id, names)
 				s = unremembered
 				if d.remember(id) {
 					s = uint32(len(d.ids))
@@ -172,7 +190,7 @@ func (d *batchDict) appendRefs(buf []byte, ids []EntityID, refs []uint32, remap 
 			remap[r] = s
 		}
 		if s == unremembered {
-			buf = d.appendIntro(buf, ids[r])
+			buf = d.appendIntro(buf, ids[r], names)
 		} else {
 			buf = binary.AppendUvarint(buf, uint64(s-1))
 		}
@@ -200,10 +218,10 @@ func AppendBatches(buf []byte, d *BatchDicts, bs ...*Batch) []byte {
 	buf = binary.AppendUvarint(buf, uint64(n))
 	buf = appendTimes(buf, 0, 1, ts, !d.Unscaled)
 	for _, b := range bs {
-		buf = d.servers.appendRefs(buf, b.servers.ids, b.server, d.scratch(len(b.servers.ids)))
+		buf = d.servers.appendRefs(buf, b.servers.ids, b.server, d.scratch(len(b.servers.ids)), d.Names)
 	}
 	for _, b := range bs {
-		buf = d.clients.appendRefs(buf, b.clients.ids, b.client, d.scratch(len(b.clients.ids)))
+		buf = d.clients.appendRefs(buf, b.clients.ids, b.client, d.scratch(len(b.clients.ids)), d.Names)
 	}
 	bits := len(buf)
 	buf = append(buf, make([]byte, (n+7)/8)...)
@@ -488,12 +506,12 @@ func (b *Batch) decode(buf []byte, d *BatchDicts) error {
 	}
 	b.server, b.client = b.server[:n0+n], b.client[:n0+n]
 	for i := n0; i < n0+n; i++ {
-		if b.server[i], buf, err = b.servers.decodeRef(&d.servers, d.epoch, buf); err != nil {
+		if b.server[i], buf, err = b.servers.decodeRef(&d.servers, d.epoch, buf, d.Names); err != nil {
 			return fmt.Errorf("record %d server: %w", i-n0, err)
 		}
 	}
 	for i := n0; i < n0+n; i++ {
-		if b.client[i], buf, err = b.clients.decodeRef(&d.clients, d.epoch, buf); err != nil {
+		if b.client[i], buf, err = b.clients.decodeRef(&d.clients, d.epoch, buf, d.Names); err != nil {
 			return fmt.Errorf("record %d client: %w", i-n0, err)
 		}
 	}
@@ -517,8 +535,9 @@ func (b *Batch) decode(buf []byte, d *BatchDicts) error {
 // decodeRef decodes one id reference against d and returns the batch ref
 // of its id: a slot's ref from d's refs column when this epoch has met it,
 // else a new one; an id the full dictionary does not remember, through
-// the batch's own index.
-func (x *batchIDs) decodeRef(d *batchDict, epoch uint32, buf []byte) (uint32, []byte, error) {
+// the batch's own index. An intro's id is spelled as names spells it, or
+// in full when names is nil.
+func (x *batchIDs) decodeRef(d *batchDict, epoch uint32, buf []byte, names Names) (uint32, []byte, error) {
 	var slot uint64
 	if len(buf) > 0 && buf[0] < 0x80 && int(buf[0]) < len(d.ids) { // a one-byte slot
 		slot, buf = uint64(buf[0]), buf[1:]
@@ -533,18 +552,14 @@ func (x *batchIDs) decodeRef(d *batchDict, epoch uint32, buf []byte) (uint32, []
 		} else if v < n {
 			slot = v
 		} else {
-			size, rest, err := columnUvarint(buf)
+			id, rest, err := readIntro(buf, names)
 			if err != nil {
 				return 0, nil, err
 			}
-			if size == 0 || size > maxEntityLen || size > uint64(len(rest)) {
-				return 0, nil, fmt.Errorf("%w: id of %d bytes, %d left", ErrCorruptRecord, size, len(rest))
+			if _, known := d.slot[id]; known {
+				return 0, nil, fmt.Errorf("%w: id %q introduced twice", ErrCorruptRecord, id)
 			}
-			if _, known := d.slot[EntityID(rest[:size])]; known {
-				return 0, nil, fmt.Errorf("%w: id %q introduced twice", ErrCorruptRecord, rest[:size])
-			}
-			id := EntityID(rest[:size])
-			buf = rest[size:]
+			buf = rest
 			if !d.remember(id) {
 				return x.ref(id), buf, nil
 			}
@@ -558,4 +573,24 @@ func (x *batchIDs) decodeRef(d *batchDict, epoch uint32, buf []byte) (uint32, []
 	x.ids = append(x.ids, d.ids[slot])
 	d.refs[slot] = uint64(epoch)<<32 | uint64(r)
 	return r, buf, nil
+}
+
+// readIntro reads the id an intro introduces: its length and bytes, or
+// names' spelling of it. Either way it is 1 to maxEntityLen bytes.
+func readIntro(buf []byte, names Names) (EntityID, []byte, error) {
+	if names != nil {
+		id, rest, err := names.ReadName(buf)
+		if err == nil && (id == "" || len(id) > maxEntityLen) {
+			err = fmt.Errorf("%w: id of %d bytes", ErrCorruptRecord, len(id))
+		}
+		return id, rest, err
+	}
+	size, rest, err := columnUvarint(buf)
+	if err != nil {
+		return "", nil, err
+	}
+	if size == 0 || size > maxEntityLen || size > uint64(len(rest)) {
+		return "", nil, fmt.Errorf("%w: id of %d bytes, %d left", ErrCorruptRecord, size, len(rest))
+	}
+	return EntityID(rest[:size]), rest[size:], nil
 }

@@ -33,13 +33,34 @@ func TestDialFailure(t *testing.T) {
 	}
 }
 
-// reply writes one response frame in the binary codec.
+// reply writes one response frame in the binary codec, standing alone: a
+// payload without names.
 func reply(conn net.Conn, typ wire.MsgType, id uint64, payload any) error {
-	env, err := wire.V2Codec.Encode(typ, id, payload)
+	return replyIn(conn, wire.V2Codec, typ, id, payload)
+}
+
+// replyIn writes one response frame in codec, a fake server's end of the
+// connection, and commits it as repserver does once it is written.
+func replyIn(conn net.Conn, codec wire.Codec, typ wire.MsgType, id uint64, payload any) error {
+	env, err := codec.Encode(typ, id, payload)
 	if err != nil {
 		return err
 	}
-	return wire.WriteV2(conn, env)
+	if err := wire.WriteV2(conn, env); err != nil {
+		return err
+	}
+	return codec.Commit(&env)
+}
+
+// readIn reads one request frame at a fake server's end of the connection,
+// whose codec is codec, committing it before anything decodes it, as
+// repserver does.
+func readIn(reader *bufio.Reader, codec wire.Codec) (wire.Envelope, error) {
+	env, err := wire.ReadV2(reader)
+	if err == nil {
+		err = codec.Commit(&env)
+	}
+	return env, err
 }
 
 // multiV2Server accepts connections until the test ends, completes the
@@ -330,13 +351,14 @@ func TestCtxCancellationInterruptsBlockedRead(t *testing.T) {
 func batchEchoServer(t *testing.T, chunkSizes *[]int) string {
 	t.Helper()
 	return fakeV2Server(t, func(conn net.Conn, reader *bufio.Reader) {
+		codec := wire.CodecFor(wire.VersionV2)
 		for {
-			env, err := wire.ReadV2(reader)
+			env, err := readIn(reader, codec)
 			if err != nil {
 				return
 			}
 			var req wire.AssessBatchRequest
-			if err := wire.DecodePayload(env, &req); err != nil {
+			if err := codec.DecodePayload(env, &req); err != nil {
 				return
 			}
 			*chunkSizes = append(*chunkSizes, len(req.Servers))
@@ -349,7 +371,7 @@ func batchEchoServer(t *testing.T, chunkSizes *[]int) string {
 				}
 				resp.Items[i].Accept = true
 			}
-			if err := reply(conn, wire.TypeAssessBR, env.ID, resp); err != nil {
+			if err := replyIn(conn, codec, wire.TypeAssessBR, env.ID, resp); err != nil {
 				return
 			}
 		}
@@ -424,7 +446,7 @@ func TestAssessBatchItemCountMismatch(t *testing.T) {
 			return
 		}
 		// One item short: the client must refuse to misalign the rest.
-		_ = reply(conn, wire.TypeAssessBR, env.ID, wire.AssessBatchResponse{Items: []wire.AssessBatchItem{{Server: "a"}}})
+		_ = replyIn(conn, wire.CodecFor(wire.VersionV2), wire.TypeAssessBR, env.ID, wire.AssessBatchResponse{Items: []wire.AssessBatchItem{{Server: "a"}}})
 	})
 	c, err := Dial(addr, WithTimeout(time.Second))
 	if err != nil {
@@ -457,14 +479,14 @@ func TestConnectionBindingsFollowTheFrames(t *testing.T) {
 	}
 	bound := make(chan bool, 4) // whether each "same" frame carried a binding section
 	addr := multiV2Server(t, func(n int, conn net.Conn, reader *bufio.Reader) {
-		codec := wire.CodecFor(wire.VersionV2) // the connection's own bindings, as repserver keeps them
+		codec := wire.CodecFor(wire.VersionV2) // the connection's own bindings and names, as repserver keeps them
 		for {
-			env, err := wire.ReadV2(reader)
+			env, err := readIn(reader, codec)
 			if err != nil {
 				return
 			}
 			var req wire.AssessRequest
-			if err := wire.DecodePayload(env, &req); err != nil || req.Server == "hangup" {
+			if err := codec.DecodePayload(env, &req); err != nil || req.Server == "hangup" {
 				return
 			}
 			if req.Server == "slow" {

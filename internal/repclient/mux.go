@@ -156,11 +156,16 @@ func (m *mux) unregister(id uint64) {
 }
 
 // send buffers one frame and kicks the flusher. A write failure poisons
-// the mux (the stream may hold a half-written frame).
+// the mux (the stream may hold a half-written frame). A written frame's
+// name bindings are the connection's from then on: frames encoded after
+// the commit leave them out, and are written after this one.
 func (m *mux) send(env wire.Envelope) error {
 	m.wmu.Lock()
 	err := wire.WriteV2(m.bw, env)
 	m.wmu.Unlock()
+	if err == nil {
+		err = m.codec.Commit(&env)
+	}
 	if err != nil {
 		m.fail(fmt.Errorf("%w: write request: %v", ErrConnBroken, err))
 		return err
@@ -218,11 +223,12 @@ func (m *mux) demux(reader *bufio.Reader) {
 			}
 			return
 		}
-		// The frame's threshold bindings and mirrored bits join the
+		// The frame's names, threshold bindings and mirrored bits join the
 		// connection's before anyone decodes it, its caller's own goroutine
 		// included, and whether or not a caller still waits for it: the
 		// server committed them when it wrote the frame. The frame keeps its
-		// own view of the bits, which later frames leave as they are.
+		// own view of the bits, which later frames leave as they are, and
+		// its place among the frames, up to which its names read.
 		if cerr := m.codec.Commit(&env); cerr != nil {
 			m.fail(fmt.Errorf("%w: read response: %w", ErrConnBroken, cerr))
 			return

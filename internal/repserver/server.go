@@ -487,6 +487,12 @@ func (s *Server) serve(c *conn, reader *bufio.Reader, codec wire.Codec) {
 		}
 		env, buf, err := codec.ReadFrame(reader, frameBuf)
 		frameBuf = buf
+		if err == nil {
+			// The frame's names join the connection's table before a
+			// handler decodes it: the client committed them when it wrote
+			// it. A name section Commit refuses is a protocol violation.
+			err = codec.Commit(&env)
+		}
 		var herr error
 		if errors.Is(err, wire.ErrUnknownType) {
 			// Read whole, so the stream is still in step: answer this frame
@@ -562,13 +568,14 @@ func (s *Server) serve(c *conn, reader *bufio.Reader, codec wire.Codec) {
 }
 
 // typed adapts a function from a decoded request payload to a response
-// payload into a service.Handler: a payload that does not decode is a
-// bad_request, fn's error becomes the error frame, and its response is
-// encoded in the connection's codec under respType.
+// payload into a service.Handler: the payload decodes in the connection's
+// codec, its names against the connection's table, and one that does not
+// decode is a bad_request; fn's error becomes the error frame, and its
+// response is encoded in the connection's codec under respType.
 func typed[Req, Resp any](respType wire.MsgType, fn func(context.Context, Req) (Resp, error)) service.Handler {
 	return func(ctx context.Context, env wire.Envelope) (wire.Envelope, error) {
 		var req Req
-		if err := wire.DecodePayload(env, &req); err != nil {
+		if err := service.CodecFrom(ctx).DecodePayload(env, &req); err != nil {
 			return wire.Envelope{}, service.Errorf(wire.CodeBadRequest, "%v", err)
 		}
 		resp, err := fn(ctx, req)

@@ -187,7 +187,8 @@ func rawConn(t *testing.T, srv *Server, rev byte) (net.Conn, *bufio.Reader) {
 	return conn, r
 }
 
-// send writes one request frame in codec.
+// send writes one request frame in codec and commits it, as repclient
+// does once a frame is written.
 func send(t *testing.T, conn net.Conn, codec wire.Codec, typ wire.MsgType, id uint64, payload any) {
 	t.Helper()
 	env, err := codec.Encode(typ, id, payload)
@@ -195,6 +196,9 @@ func send(t *testing.T, conn net.Conn, codec wire.Codec, typ wire.MsgType, id ui
 		t.Fatal(err)
 	}
 	if err := wire.WriteV2(conn, env); err != nil {
+		t.Fatal(err)
+	}
+	if err := codec.Commit(&env); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -121,14 +121,14 @@ func newPayload(p any) any {
 // heads it and whether the payload has a binary codec.
 func appendBinaryPayload(buf []byte, payload any, conn *bindings) (_ []byte, bound, ok bool, err error) {
 	env := Envelope{Payload: buf}
-	ok, err = encodeBinary(&env, payload, conn, nil)
+	ok, err = encodeBinary(&env, payload, Codec{conn: conn})
 	return env.Payload, env.Bindings, ok, err
 }
 
 // decodeBinaryPayload decodes a binary payload of type t, headed by a
 // binding section when bound says so, against conn.
 func decodeBinaryPayload(t MsgType, buf []byte, bound bool, out any, conn *bindings) error {
-	return decodeBinary(Envelope{Type: t, Payload: buf, Binary: true, Bindings: bound}, out, conn)
+	return decodeBinary(Envelope{Type: t, Payload: buf, Binary: true, Bindings: bound}, out, conn, nil)
 }
 
 func TestHelloRoundTrip(t *testing.T) {
@@ -462,7 +462,9 @@ func TestV2RetiredCodesStayReserved(t *testing.T) {
 }
 
 // TestSubmitBatchGoldenFrame pins submit.batch on the wire as revision 12
-// lays it out, as revisions 6 to 11 did: the v2 header, then the records as one
+// lays it out, as revisions 6 to 11 did and a frame that stands alone still
+// does (a connection spells the ids its intros introduce as name refs): the
+// v2 header, then the records as one
 // feedback.AppendBatch column batch with dictionaries that start empty at
 // the frame, its times divided by their differences' greatest common
 // divisor (ADR 0014).
@@ -483,8 +485,8 @@ func TestSubmitBatchGoldenFrame(t *testing.T) {
 		0b101, // good
 	}
 	var buf bytes.Buffer
-	if err := WriteHello(&buf); err != nil || !bytes.Equal(buf.Bytes(), []byte{0xB2, 'W', '2', 14, '\n'}) {
-		t.Fatalf("hello = %x, %v; the layout below is revision 14's", buf.Bytes(), err)
+	if err := WriteHello(&buf); err != nil || !bytes.Equal(buf.Bytes(), []byte{0xB2, 'W', '2', 15, '\n'}) {
+		t.Fatalf("hello = %x, %v; the layout below is revision 15's", buf.Bytes(), err)
 	}
 	buf.Reset()
 	env, err := V2Codec.Encode(TypeSubmitB, 9, req)

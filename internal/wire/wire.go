@@ -144,9 +144,21 @@ type Envelope struct {
 	// bits the frame adds to its connection's history mirror (frame flag
 	// bit 2; Codec.Commit).
 	Mirror bool
+	// Names marks a binary Payload headed by a name section, the names the
+	// frame binds in its connection's table of the direction it crosses
+	// (frame flag bit 3; Codec.Commit).
+	Names bool
 	// mirror is what the section does to the connection: the writer's plan
 	// from Encode, the reader's views from Commit.
 	mirror *mirrorFrame
+	// sender is the name table the frame was encoded against, nil for one
+	// read off the wire, and carried the slots its name section binds,
+	// which the writer's Commit marks the reader's.
+	sender  *nameSender
+	carried []uint32
+	// nameSeq is the frame's place among the binary frames its reader's
+	// Commit saw, up to which its name refs read the table.
+	nameSeq uint64
 }
 
 // SubmitRequest submits one feedback record.
