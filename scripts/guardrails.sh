@@ -186,19 +186,30 @@ check "one verdict-table decoder and one assessment decoder (ADR 0006)" \
 check "internal/wire keys a threshold through stats.GridPointOf alone (ADR 0006)" \
     "absent '1\.25|math\.(Round|Floor|Ceil|Trunc)\(|\bbucket(Windows|P)\b|\b0\.0[0-9]+\b' internal/wire \
      && sources internal/wire | xargs grep -hE '^[^/]*stats\.GridPointOf\(' | grep -q ."
-# A connection's threshold bindings are a table both ends keep in step
-# (ADR 0006's sixth amendment): the writer commits a frame's bindings once
-# the frame is written — never a response it encoded and did not send, such
-# as an abandoned handler's — and the reader before it routes the frame to
-# its caller. Outside internal/wire a codec's Commit is called in those two
-# places alone.
+# A connection's threshold bindings, mirror and name tables are tables both
+# ends keep in step (ADR 0006's sixth to eighth amendments): the writer
+# commits a frame once the frame is written — never one it encoded and did
+# not send, such as an abandoned handler's response or a cancelled caller's
+# request — and the reader before it routes or dispatches the frame. Outside
+# internal/wire a codec's Commit is called in those places alone: repserver's
+# serve for the requests it reads and the responses it writes, repclient's
+# send for a request and its demux for a response.
 commit_sites() {
     sources | grep -v '^\./internal/wire/' | xargs awk '
         /^func / { fn = $0; sub(/^func (\([^)]*\) )?/, "", fn); sub(/[(\[].*/, "", fn) }
         /\.Commit\(/ { print FILENAME ":" fn }' | sort
 }
-check "threshold bindings commit only in repserver's serve and repclient's demux (ADR 0006)" \
-    "[ \"\$(commit_sites | tr '\n' ' ')\" = './internal/repclient/mux.go:demux ./internal/repserver/server.go:serve ' ]"
+check "connection tables commit only in repserver's serve and repclient's send and demux (ADR 0006)" \
+    "[ \"\$(commit_sites | tr '\n' ' ')\" = './internal/repclient/mux.go:demux ./internal/repclient/mux.go:send ./internal/repserver/server.go:serve ./internal/repserver/server.go:serve ' ]"
+# A name crosses a connection once (ADR 0006's eighth amendment): every
+# entity id and tester or trust-function name a binary payload writes goes
+# through the name table's one writer, whose literal path alone spells it,
+# and no intro of a record batch is written in internal/wire but through it.
+check "internal/wire spells a name only on the name table's literal path (ADR 0006)" \
+    "! sources internal/wire | grep -v '/names\.go\$' \
+       | xargs grep -nE 'appendString\([a-z]+, (string\(|[a-zA-Z.]*(Tester|TrustFunc|Server|Client)\b)|AppendUvarint\([a-z]+, uint64\(len\((id|name|s\.Server|s\.Client)\)\)\)' \
+       | grep -q . \
+     && grep -q 'appendString(buf, name)' internal/wire/names.go"
 # A receiver rebuilds a chain's distances as a tester computes them, with
 # stats.BinomialPMFInto and stats.L1CountsDistance, so those — and
 # Plane.Threshold, which scales each ε — must compute the
