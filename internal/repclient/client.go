@@ -123,7 +123,8 @@ func (c *Client) connectLocked(ctx context.Context) error {
 	return nil
 }
 
-// Close releases the connection. It is idempotent.
+// Close releases the connection. It is idempotent, and a connection the
+// demux already closed — the peer hung up — is released, not an error.
 func (c *Client) Close() error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -131,7 +132,10 @@ func (c *Client) Close() error {
 		return nil
 	}
 	c.closed = true
-	return c.mux.nc.Close()
+	if err := c.mux.nc.Close(); !errors.Is(err, net.ErrClosed) {
+		return err
+	}
+	return nil
 }
 
 // redialLocked replaces a poisoned connection, re-running the handshake —
