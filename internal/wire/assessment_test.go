@@ -138,20 +138,20 @@ func TestAssessmentHeaderStrict(t *testing.T) {
 		if tc.typ == TypeAssessBR {
 			out = new(AssessBatchResponse)
 		}
-		err := decodeBinaryPayload(tc.typ, tc.payload, false, out, nil)
+		err := decodeBinaryPayload(tc.typ, tc.payload, false, out)
 		switch {
 		case tc.refusal == "" && err != nil:
 			t.Errorf("%s: refused: %v", tc.name, err)
 		case tc.refusal != "" && (err == nil || !strings.Contains(err.Error(), tc.refusal)):
 			t.Errorf("%s: err = %v, want a refusal naming %q", tc.name, err, tc.refusal)
 		case err == nil:
-			if again, _, _, err := appendBinaryPayload(nil, out, nil); err != nil || !slices.Equal(again, tc.payload) {
+			if again, _, _, err := appendBinaryPayload(nil, out); err != nil || !slices.Equal(again, tc.payload) {
 				t.Errorf("%s: accepted %x, which encodes as %x (%v)", tc.name, tc.payload, again, err)
 			}
 		}
 	}
 	var got AssessResponse
-	if err := decodeBinaryPayload(TypeAssessR, named, false, &got, nil); err != nil {
+	if err := decodeBinaryPayload(TypeAssessR, named, false, &got); err != nil {
 		t.Fatal(err)
 	}
 	want := core.Assessment{Trust: 0.9, TrustLow: lo, TrustHigh: hi, Records: 200, Good: 180, Tester: "multi", TrustFunc: "average"}
@@ -191,7 +191,7 @@ func TestSubmitBatchResponseItemsOnly(t *testing.T) {
 		"a reason not the message": {Stored: 2, Duplicates: 1, Rejected: []BatchReject{{Index: 2, Reason: "unavailable: owner n2 down"}}, Items: items},
 		"a rejection misplaced":    {Stored: 2, Duplicates: 1, Rejected: []BatchReject{{Index: 1, Reason: "owner n2 down"}}, Items: items},
 	} {
-		if _, _, _, err := appendBinaryPayload(nil, bad, nil); err == nil {
+		if _, _, _, err := appendBinaryPayload(nil, bad); err == nil {
 			t.Errorf("%s: totals that disagree with the items encoded", name)
 		}
 		// What the binary form refuses rides as JSON, which carries it.

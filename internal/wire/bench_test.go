@@ -78,7 +78,7 @@ func BenchmarkAssessBatchResponse(b *testing.B) {
 			b.ReportAllocs()
 			buf := make([]byte, 0, len(env.Payload))
 			for i := 0; i < b.N; i++ {
-				buf, _, _, _ = appendBinaryPayload(buf[:0], resp, nil)
+				buf, _, _, _ = appendBinaryPayload(buf[:0], resp)
 			}
 			b.ReportMetric(perVerdict, "B/verdict")
 		})

@@ -358,7 +358,7 @@ func FuzzVerdictTable(f *testing.F) {
 		for _, rows := range tables {
 			frame = appendVerdictTable(frame, rows, d) // later tables refer to earlier literals and bindings
 		}
-		sec, _ = d.headBindings(nil, 0)
+		sec = d.appendBindings(nil, nil)
 		return sec, frame
 	}
 	add := func(sec, frame []byte) { f.Add(sec, frame) }
@@ -380,7 +380,7 @@ func FuzzVerdictTable(f *testing.F) {
 	f.Fuzz(func(t *testing.T, sec, data []byte) {
 		r := &breader{buf: sec}
 		defer r.release()
-		if len(sec) > 0 && (r.bindings() != nil || len(r.buf) != 0) {
+		if len(sec) > 0 && (r.bindingSection() != nil || len(r.buf) != 0) {
 			return
 		}
 		r.buf = data
@@ -407,7 +407,7 @@ func FuzzVerdictTable(f *testing.F) {
 			}
 		}
 		if accepted && r.frame().unread() == nil {
-			if bound, _ := d.headBindings(nil, 0); !bytes.Equal(bound, sec) {
+			if bound := d.appendBindings(nil, nil); !bytes.Equal(bound, sec) {
 				t.Fatalf("accepted the binding section %x, which encodes as %x", sec, bound)
 			}
 		}
@@ -439,7 +439,7 @@ func FuzzAssessBatchResponse(f *testing.F) {
 		if i%2 == 1 {
 			payload = FwdAssessBatchResponse{Node: "n2", Items: items}
 		}
-		buf, bound, _, err := appendBinaryPayload(nil, payload, nil)
+		buf, bound, _, err := appendBinaryPayload(nil, payload)
 		if err != nil {
 			f.Fatal(err)
 		}
@@ -452,14 +452,14 @@ func FuzzAssessBatchResponse(f *testing.F) {
 			a.Server, a.Verdict.Suffixes = feedback.EntityID(fmt.Sprint("s", i)), rows
 			items = append(items, AssessBatchItem{Server: a.Server, AssessResponse: AssessResponse{Assessment: a}})
 		}
-		buf, bound, _, err := appendBinaryPayload(nil, AssessBatchResponse{Items: items}, nil)
+		buf, bound, _, err := appendBinaryPayload(nil, AssessBatchResponse{Items: items})
 		if err != nil {
 			f.Fatal(err)
 		}
 		f.Add(false, bound, buf)
 	}
 	for _, payload := range []any{AssessBatchResponse{Items: all}, FwdAssessBatchResponse{Node: "n2", Items: all}} {
-		buf, bound, _, err := appendBinaryPayload(nil, payload, nil)
+		buf, bound, _, err := appendBinaryPayload(nil, payload)
 		if err != nil {
 			f.Fatal(err)
 		}
@@ -500,13 +500,13 @@ func FuzzAssessBatchResponse(f *testing.F) {
 	noRecords.Verdict = behavior.Verdict{}
 	kinds = append(kinds, AssessBatchItem{Server: "srv", AssessResponse: AssessResponse{Assessment: noRecords}})
 	for i := range kinds {
-		buf, bound, _, err := appendBinaryPayload(nil, AssessBatchResponse{Items: kinds[i : i+1]}, nil)
+		buf, bound, _, err := appendBinaryPayload(nil, AssessBatchResponse{Items: kinds[i : i+1]})
 		if err != nil {
 			f.Fatal(err)
 		}
 		f.Add(false, bound, buf)
 	}
-	buf, bound, _, err := appendBinaryPayload(nil, FwdAssessBatchResponse{Node: "n2", Items: slices.Concat(kinds, kinds)}, nil)
+	buf, bound, _, err := appendBinaryPayload(nil, FwdAssessBatchResponse{Node: "n2", Items: slices.Concat(kinds, kinds)})
 	if err != nil {
 		f.Fatal(err)
 	}
@@ -522,14 +522,14 @@ func FuzzAssessBatchResponse(f *testing.F) {
 		if fwd {
 			typ, dest = TypeFwdAssessBR, new(FwdAssessBatchResponse)
 		}
-		if err := decodeBinaryPayload(typ, data, bound, dest, nil); err != nil {
+		if err := decodeBinaryPayload(typ, data, bound, dest); err != nil {
 			return
 		}
 		items := reflect.ValueOf(dest).Elem().FieldByName("Items").Len()
 		if items > MaxAssessBatch || items*4 > len(data) {
 			t.Fatalf("%d items out of %d bytes", items, len(data))
 		}
-		again, rebound, ok, err := appendBinaryPayload(nil, dest, nil)
+		again, rebound, ok, err := appendBinaryPayload(nil, dest)
 		if !ok || err != nil || rebound != bound || !bytes.Equal(again, data) {
 			t.Fatalf("accepted %x, which encodes as %x (%v)", data, again, err)
 		}
@@ -568,7 +568,7 @@ func FuzzNegotiate(f *testing.F) {
 			t.Fatalf("opening %q negotiated revision %d", data, rev)
 		}
 		codec := CodecFor(rev)
-		if codec.bridge == (rev == VersionV2) || codec.bridge == (codec.conn != nil) {
+		if codec.bridge == (rev == VersionV2) || codec.bridge == (codec.st != nil) {
 			t.Fatalf("revision %d selects %+v", rev, codec)
 		}
 		// After a good hello the connection carries frames in that codec.
@@ -589,7 +589,7 @@ func engineBitFrames(tb testing.TB) ([][]byte, bool) {
 	encode := func(accept bool) ([]byte, bool) {
 		buf, bound, _, err := appendBinaryPayload(nil, AssessBatchResponse{Items: []AssessBatchItem{
 			{Server: "srv", AssessResponse: AssessResponse{Assessment: testAssessment(), Accept: accept}},
-		}}, nil)
+		}})
 		if err != nil {
 			tb.Fatal(err)
 		}
@@ -622,7 +622,7 @@ func TestAssessResponseRefusesEngineBits(t *testing.T) {
 	frames, bound := engineBitFrames(t)
 	for _, frame := range frames {
 		var got AssessBatchResponse
-		if err := decodeBinaryPayload(TypeAssessBR, frame, bound, &got, nil); err == nil {
+		if err := decodeBinaryPayload(TypeAssessBR, frame, bound, &got); err == nil {
 			t.Fatalf("decoded %x as %+v", frame, got)
 		}
 	}

@@ -28,7 +28,7 @@ func frameTables(t *testing.T, tables ...[]behavior.SuffixResult) []byte {
 		frame = appendVerdictTable(frame, rows, d)
 		shapes = append(shapes, frame[at+len(binary.AppendUvarint(nil, uint64(len(rows))))])
 	}
-	sec, _ := d.headBindings(nil, 0)
+	sec := d.appendBindings(nil, nil)
 	got, err := decodeTables(sec, frame)
 	if err != nil || len(got) != len(tables) {
 		t.Fatalf("the frame's %d tables: %d decoded, %v", len(tables), len(got), err)
@@ -304,7 +304,7 @@ func TestAssessBatchFrameAllocs(t *testing.T) {
 	// Under the race detector a pool drops a quarter of what it is given,
 	// so now and then a frame pays for a new dictionary and the growth of
 	// its map and slices: the bounds are per frame, not per item.
-	enc := testing.AllocsPerRun(10, func() { buf, _, _, _ = appendBinaryPayload(buf[:0], resp, nil) })
+	enc := testing.AllocsPerRun(10, func() { buf, _, _, _ = appendBinaryPayload(buf[:0], resp) })
 	dec := testing.AllocsPerRun(10, func() {
 		var out AssessBatchResponse
 		if err := DecodePayload(env, &out); err != nil {

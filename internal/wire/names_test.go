@@ -348,10 +348,10 @@ func TestMirrorResetSpellings(t *testing.T) {
 		h := honestHistory(t, "srv", n, tc.p, 7)
 		d := getFrameDict(nil)
 		d.mirRows = append(d.mirRows, mirrorRow{reset: true, n: n, server: h.Server(), lineage: h.Lineage(), h: h})
-		sec, _ := d.headMirror(nil, 0)
+		sec := d.appendMirror(nil, new(sections))
 		d.put()
-		r := &breader{buf: sec}
-		f, err := r.mirrorSection(new(mirror))
+		r, f := &breader{buf: sec}, new(sections)
+		err := r.mirrorSection(&newConnState(connLimits).in, f)
 		r.release()
 		if err != nil || len(r.buf) != 0 {
 			t.Fatalf("p = %.2f: %v, %d bytes left", tc.p, err, len(r.buf))

@@ -368,8 +368,15 @@ func encodeTable(rows []behavior.SuffixResult) (sec, table []byte) {
 	d := getFrameDict(nil)
 	defer d.put()
 	table = appendVerdictTable(nil, rows, d)
-	sec, _ = d.headBindings(nil, 0)
-	return sec, table
+	return d.appendBindings(nil, nil), table
+}
+
+// bindingSection reads the binding section heading r's payload as the
+// decoder of a frame that stands alone does.
+func (r *breader) bindingSection() error {
+	d := r.frame()
+	d.read = &d.alone
+	return r.bindings(nil, d.read)
 }
 
 // decodeTables reads the verdict tables of one frame as a payload's decoder
@@ -379,7 +386,7 @@ func decodeTables(sec, tables []byte) ([][]behavior.SuffixResult, error) {
 	r := &breader{buf: sec}
 	defer r.release()
 	if len(sec) > 0 {
-		if err := r.bindings(); err != nil {
+		if err := r.bindingSection(); err != nil {
 			return nil, err
 		}
 		if len(r.buf) != 0 {
@@ -684,7 +691,7 @@ func TestThresholdDictionary(t *testing.T) {
 			binds[rowSlot(&rows[i])] = rows[i].Threshold
 		}
 	}
-	sec, _ := d.headBindings(nil, 0)
+	sec := d.appendBindings(nil, nil)
 	if want := bindingSection(binds); len(binds) != 6 || !bytes.Equal(sec, want) {
 		t.Errorf("binding section %x, want %x: six keys", sec, want)
 	}
@@ -790,7 +797,7 @@ func TestHostileCountsAllocateWithinFrame(t *testing.T) {
 			append(asmt(chainHead(8*(1<<12))...), make([]byte, 1<<12)...), 8*48<<12 + 64<<10},
 	} {
 		var err error
-		got := allocatedBy(func() { err = decodeBinaryPayload(tc.typ, tc.frame, false, tc.dest, nil) })
+		got := allocatedBy(func() { err = decodeBinaryPayload(tc.typ, tc.frame, false, tc.dest) })
 		if err == nil {
 			t.Errorf("%s: hostile frame accepted", name)
 		}
@@ -1119,11 +1126,11 @@ func TestVerdictRowsPerFrame(t *testing.T) {
 	if _, err := V2Codec.Encode(TypeAssessBR, 1, over); !errors.As(err, &tooLarge) || tooLarge.Code != CodeResponseTooLarge {
 		t.Errorf("a batch of %d rows: encode err = %v", maxFrameRows+1, err)
 	}
-	buf, bound, _, err := appendBinaryPayload(nil, over, nil)
+	buf, bound, _, err := appendBinaryPayload(nil, over)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got := allocatedBy(func() { err = decodeBinaryPayload(TypeAssessBR, buf, bound, new(AssessBatchResponse), nil) })
+	got := allocatedBy(func() { err = decodeBinaryPayload(TypeAssessBR, buf, bound, new(AssessBatchResponse)) })
 	if err == nil || !strings.Contains(err.Error(), "room for") {
 		t.Errorf("a batch of %d rows decoded: err = %v", maxFrameRows+1, err)
 	}

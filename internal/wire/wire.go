@@ -136,29 +136,12 @@ type Envelope struct {
 	// Binary marks Payload as the per-type binary encoding rather than JSON
 	// (frame flag bit 0 clear).
 	Binary bool
-	// Bindings marks a binary Payload headed by a binding section, the
-	// threshold bindings the frame adds to its connection's (frame flag bit
-	// 1; Codec.Commit).
-	Bindings bool
-	// Mirror marks a binary Payload that carries a mirror section, the good
-	// bits the frame adds to its connection's history mirror (frame flag
-	// bit 2; Codec.Commit).
-	Mirror bool
-	// Names marks a binary Payload headed by a name section, the names the
-	// frame binds in its connection's table of the direction it crosses
-	// (frame flag bit 3; Codec.Commit).
-	Names bool
-	// mirror is what the section does to the connection: the writer's plan
-	// from Encode, the reader's views from Commit.
-	mirror *mirrorFrame
-	// sender is the name table the frame was encoded against, nil for one
-	// read off the wire, and carried the slots its name section binds,
-	// which the writer's Commit marks the reader's.
-	sender  *nameSender
-	carried []uint32
-	// nameSeq is the frame's place among the binary frames its reader's
-	// Commit saw, up to which its name refs read the table.
-	nameSeq uint64
+	// Names, Bindings and Mirror mark a binary Payload headed by a name
+	// section, a binding section and a mirror section (frame flag bits 3, 1
+	// and 2): what the frame adds to its connection's state.
+	Names, Bindings, Mirror bool
+	// plan is what the frame does to its connection (Codec.Commit).
+	plan framePlan
 }
 
 // SubmitRequest submits one feedback record.
@@ -319,7 +302,7 @@ type AssessResponse struct {
 	// Judged is the history the assessment judged, beside it and never on
 	// the wire itself: a connection's encoder mirrors its good bits, so that
 	// the chain of a server the connection has carried before rides without
-	// its window counts (ADR 0006's seventh amendment). Nil when unknown —
+	// its window counts (ADR 0006). Nil when unknown —
 	// a decoded or forwarded assessment — which the encoder writes whole.
 	Judged *feedback.History `json:"-"`
 }
