@@ -157,8 +157,8 @@ func (m *mux) unregister(id uint64) {
 
 // send buffers one frame and kicks the flusher. A write failure poisons
 // the mux (the stream may hold a half-written frame). A written frame's
-// name bindings are the connection's from then on: frames encoded after
-// the commit leave them out, and are written after this one.
+// plan is the connection's from then on: frames encoded after the commit
+// plan against it, and are written after this one.
 func (m *mux) send(env wire.Envelope) error {
 	m.wmu.Lock()
 	err := wire.WriteV2(m.bw, env)
@@ -223,12 +223,11 @@ func (m *mux) demux(reader *bufio.Reader) {
 			}
 			return
 		}
-		// The frame's names, threshold bindings and mirrored bits join the
-		// connection's before anyone decodes it, its caller's own goroutine
-		// included, and whether or not a caller still waits for it: the
-		// server committed them when it wrote the frame. The frame keeps its
-		// own view of the bits, which later frames leave as they are, and
-		// its place among the frames, up to which its names read.
+		// The frame joins the connection's state before anyone decodes it,
+		// its caller's own goroutine included, and whether or not a caller
+		// still waits for it: the server committed it when it wrote it. Its
+		// plan keeps its place among the frames and its own view of the
+		// mirrored bits, which later frames leave as they are.
 		if cerr := m.codec.Commit(&env); cerr != nil {
 			m.fail(fmt.Errorf("%w: read response: %w", ErrConnBroken, cerr))
 			return
@@ -315,7 +314,7 @@ func (c *Client) muxRoundTrip(ctx context.Context, reqType, respType wire.MsgTyp
 		err := decodeMuxResponse(m.codec, r.env, respType, out)
 		if r.env.Binary && errors.Is(err, wire.ErrBadMessage) {
 			// The codec refused the frame, and with it the connection's
-			// threshold bindings: the next call redials.
+			// state: the next call redials.
 			m.fail(fmt.Errorf("%w: decode response: %w", ErrConnBroken, err))
 		}
 		return err

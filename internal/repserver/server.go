@@ -488,9 +488,9 @@ func (s *Server) serve(c *conn, reader *bufio.Reader, codec wire.Codec) {
 		env, buf, err := codec.ReadFrame(reader, frameBuf)
 		frameBuf = buf
 		if err == nil {
-			// The frame's names join the connection's table before a
-			// handler decodes it: the client committed them when it wrote
-			// it. A name section Commit refuses is a protocol violation.
+			// The frame joins the connection's state before a handler
+			// decodes it: the client committed it when it wrote it. A
+			// section Commit refuses is a protocol violation.
 			err = codec.Commit(&env)
 		}
 		var herr error
@@ -552,11 +552,10 @@ func (s *Server) serve(c *conn, reader *bufio.Reader, codec wire.Codec) {
 			err = wire.WriteV2(bw, resp)
 		}
 		if err == nil {
-			// The frame is on its way: its threshold bindings and mirrored
-			// bits are the connection's now, and only now. A response never
-			// written — a handler the deadline abandoned, one too large to
-			// frame — commits nothing, and the client commits the same
-			// frames in the same order.
+			// The frame is on its way: its plan is the connection's now,
+			// and only now. A response never written — a handler the
+			// deadline abandoned, one too large to frame — commits nothing,
+			// and the client commits the same frames in the same order.
 			err = codec.Commit(&resp)
 		}
 		if err != nil {
@@ -569,7 +568,7 @@ func (s *Server) serve(c *conn, reader *bufio.Reader, codec wire.Codec) {
 
 // typed adapts a function from a decoded request payload to a response
 // payload into a service.Handler: the payload decodes in the connection's
-// codec, its names against the connection's table, and one that does not
+// codec, against the connection's state, and one that does not
 // decode is a bad_request; fn's error becomes the error frame, and its
 // response is encoded in the connection's codec under respType.
 func typed[Req, Resp any](respType wire.MsgType, fn func(context.Context, Req) (Resp, error)) service.Handler {
