@@ -181,14 +181,14 @@ check "one verdict-table decoder and one assessment decoder (ADR 0006)" \
      && absent 'Verdict\.Suffixes\s*=\s*append' internal/wire"
 # A keyed table's thresholds are predicted from each row's calibration grid
 # point, which stats.GridPointOf computes for Plane.Threshold and the codec
-# alike (ADR 0006's fifth amendment): internal/wire rounds no p̂ and
+# alike (ADR 0006): internal/wire rounds no p̂ and
 # buckets no window count of its own, and calls the one function.
 check "internal/wire keys a threshold through stats.GridPointOf alone (ADR 0006)" \
     "absent '1\.25|math\.(Round|Floor|Ceil|Trunc)\(|\bbucket(Windows|P)\b|\b0\.0[0-9]+\b' internal/wire \
      && sources internal/wire | xargs grep -hE '^[^/]*stats\.GridPointOf\(' | grep -q ."
-# A connection's threshold bindings, mirror and name tables are tables both
-# ends keep in step (ADR 0006's sixth to eighth amendments): the writer
-# commits a frame once the frame is written — never one it encoded and did
+# A connection's state — its grid bindings, mirror and name tables — is
+# kept in step at both ends (ADR 0006): the writer commits a frame's plan
+# once the frame is written — never one it encoded and did
 # not send, such as an abandoned handler's response or a cancelled caller's
 # request — and the reader before it routes or dispatches the frame. Outside
 # internal/wire a codec's Commit is called in those places alone: repserver's
@@ -201,7 +201,7 @@ commit_sites() {
 }
 check "connection tables commit only in repserver's serve and repclient's send and demux (ADR 0006)" \
     "[ \"\$(commit_sites | tr '\n' ' ')\" = './internal/repclient/mux.go:demux ./internal/repclient/mux.go:send ./internal/repserver/server.go:serve ./internal/repserver/server.go:serve ' ]"
-# A name crosses a connection once (ADR 0006's eighth amendment): every
+# A name crosses a connection once (ADR 0006): every
 # entity id and tester or trust-function name a binary payload writes goes
 # through the name table's one writer, whose literal path alone spells it,
 # and no intro of a record batch is written in internal/wire but through it.
