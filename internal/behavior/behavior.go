@@ -263,11 +263,8 @@ func (s *Single) Config() Config { return s.cfg }
 // refinement — it guarantees the most recent transactions are always
 // inside a tested window — and is what makes the optimised multi-testing
 // suffixes share window boundaries with the full history.
-func (s *Single) Test(h *feedback.History) (Verdict, error) { return testWhole(s.cfg, h) }
-
-// testWhole is Scheme 1 over h: one test over all of its end-aligned
-// windows.
-func testWhole(cfg Config, h *feedback.History) (Verdict, error) {
+func (s *Single) Test(h *feedback.History) (Verdict, error) {
+	cfg := s.cfg
 	counts, err := h.WindowCountsFromEnd(cfg.WindowSize)
 	if err != nil {
 		return Verdict{}, err
@@ -374,40 +371,26 @@ func NewMultiNaive(cfg Config) (*MultiNaive, error) {
 }
 
 // Name implements Tester.
-func (m *MultiNaive) Name() string { return m.name }
+func (mn *MultiNaive) Name() string { return mn.name }
 
-// Test implements Tester. MultiNaive is the paper-exact reference: its
-// suffixes are never familywise-corrected.
-func (m *MultiNaive) Test(h *feedback.History) (Verdict, error) {
-	return testEachSuffix(m.cfg, h, false)
-}
-
-// testEachSuffix tests every stride-aligned suffix of h from scratch: the
-// most recent usable, usable−k, … transactions, each windowed from its own
-// end — re-ordered by issuer first when collusion is set (§4), in which
-// case the familywise correction applies.
-func testEachSuffix(cfg Config, h *feedback.History, collusion bool) (Verdict, error) {
-	m := cfg.WindowSize
+// Test implements Tester: every stride-aligned suffix of h — the most recent
+// usable, usable−k, … transactions — is windowed from its own end and tested
+// from scratch. MultiNaive is the paper-exact reference: its suffixes are
+// never familywise-corrected.
+func (mn *MultiNaive) Test(h *feedback.History) (Verdict, error) {
+	cfg, m := mn.cfg, mn.cfg.WindowSize
 	usableWindows := h.Len() / m
 	if usableWindows < cfg.MinWindows {
 		return Verdict{}, fmt.Errorf("%w: %d windows < %d", ErrInsufficientHistory, usableWindows, cfg.MinWindows)
 	}
-	confidence := 0.0
-	if collusion {
-		confidence = cfg.suffixConfidence((usableWindows-cfg.MinWindows)/(cfg.Stride/m) + 1)
-	}
-	sc, err := newScorer(cfg, confidence)
+	sc, err := newScorer(cfg, 0)
 	if err != nil {
 		return Verdict{}, err
 	}
 	hist := make([]uint32, m+1)
 	v := Verdict{Honest: true}
 	for n := usableWindows * m; n/m >= cfg.MinWindows; n -= cfg.Stride {
-		suffix := h.SuffixView(n)
-		if collusion {
-			suffix = suffix.CollusionOrder()
-		}
-		counts, err := suffix.WindowCountsFromEnd(m)
+		counts, err := h.SuffixView(n).WindowCountsFromEnd(m)
 		if err != nil {
 			return Verdict{}, err
 		}

@@ -140,6 +140,21 @@ func BenchmarkStrideAblation(b *testing.B) {
 	}
 }
 
+// uniformHistory is n records of p = 0.9, each from one of clients drawn
+// uniformly.
+func uniformHistory(b *testing.B, n, clients int) *feedback.History {
+	b.Helper()
+	rng := stats.NewRNG(2)
+	h := feedback.NewHistory("s")
+	for i := 0; i < n; i++ {
+		c := feedback.EntityID(fmt.Sprintf("c%d", rng.Intn(clients)))
+		if err := h.AppendOutcome(c, rng.Bernoulli(0.9), time.Unix(int64(i), 0)); err != nil {
+			b.Fatal(err)
+		}
+	}
+	return h
+}
+
 // BenchmarkCollusionTest measures the issuer-reordering overhead of the
 // collusion-resilient single test.
 func BenchmarkCollusionTest(b *testing.B) {
@@ -149,14 +164,7 @@ func BenchmarkCollusionTest(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			rng := stats.NewRNG(2)
-			h := feedback.NewHistory("s")
-			for i := 0; i < n; i++ {
-				c := feedback.EntityID(fmt.Sprintf("c%d", rng.Intn(100)))
-				if err := h.AppendOutcome(c, rng.Bernoulli(0.9), time.Unix(int64(i), 0)); err != nil {
-					b.Fatal(err)
-				}
-			}
+			h := uniformHistory(b, n, 100)
 			warm(b, tester, h)
 			b.ReportAllocs()
 			b.ResetTimer()
@@ -166,6 +174,41 @@ func BenchmarkCollusionTest(b *testing.B) {
 				}
 			}
 		})
+	}
+}
+
+// BenchmarkCollusionMultiTest is BenchmarkMultiTest for the
+// collusion-resilient multi-test, at the 5,000 records of the assess_deep
+// workload from a few clients and from many: one verdict of the tester over
+// the history, and one of an accumulator fed the same records.
+func BenchmarkCollusionMultiTest(b *testing.B) {
+	for _, clients := range []int{20, 500} {
+		tester, err := NewCollusionMulti(Config{Calibrator: benchCal})
+		if err != nil {
+			b.Fatal(err)
+		}
+		h := uniformHistory(b, 5000, clients)
+		acc, _ := NewAccumulatorFor(tester)
+		for i := 0; i < h.Len(); i++ {
+			acc.Append(h.At(i))
+		}
+		warm(b, tester, h)
+		for _, form := range []struct {
+			name string
+			test func() (Verdict, error)
+		}{
+			{"tester", func() (Verdict, error) { return tester.Test(h) }},
+			{"accumulator", acc.Test},
+		} {
+			b.Run(fmt.Sprintf("%s/n=5000/clients=%d", form.name, clients), func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					if _, err := form.test(); err != nil {
+						b.Fatal(err)
+					}
+				}
+			})
+		}
 	}
 }
 

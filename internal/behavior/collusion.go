@@ -1,6 +1,10 @@
 package behavior
 
-import "honestplayer/internal/feedback"
+import (
+	"fmt"
+
+	"honestplayer/internal/feedback"
+)
 
 // Collusion implements the collusion-resilient behaviour testing of §4: the
 // feedback sequence is re-ordered by issuer — groups with more feedbacks
@@ -43,9 +47,40 @@ func NewCollusionMulti(cfg Config) (*Collusion, error) {
 func (c *Collusion) Name() string { return c.name }
 
 // Test implements Tester.
-func (c *Collusion) Test(h *feedback.History) (Verdict, error) {
-	if c.mode == accCollusion {
-		return testWhole(c.cfg, h.CollusionOrder())
+func (c *Collusion) Test(h *feedback.History) (Verdict, error) { return c.testCollusion(h) }
+
+// testCollusion is Collusion.Test, which the collusion modes' accumulators
+// run over their own records: the single test over the whole history
+// re-ordered by issuer, the multi-test over each stride-aligned suffix
+// re-ordered, every suffix's windows from History.CollusionWindows.
+func (sh *accShared) testCollusion(h *feedback.History) (Verdict, error) {
+	cfg, m := sh.cfg, sh.cfg.WindowSize
+	k := h.Len() / m
+	if k < cfg.MinWindows {
+		return Verdict{}, fmt.Errorf("%w: %d windows < %d", ErrInsufficientHistory, k, cfg.MinWindows)
 	}
-	return testEachSuffix(c.cfg, h, true)
+	n, suffixes, confidence := h.Len(), 1, 0.0
+	if sh.mode == accCollusionMulti {
+		n, suffixes = k*m, (k-cfg.MinWindows)/(cfg.Stride/m)+1
+		confidence = cfg.suffixConfidence(suffixes)
+	}
+	sc, err := newScorer(cfg, confidence)
+	if err != nil {
+		return Verdict{}, err
+	}
+	v := Verdict{Honest: true, Suffixes: make([]SuffixResult, suffixes)}
+	hist, i := make([]uint32, m+1), 0
+	h.CollusionWindows(m, n, cfg.Stride, func(counts []int) bool {
+		res := &v.Suffixes[i]
+		if err = sc.scoreWindows(res, counts, hist); err != nil {
+			return false
+		}
+		v.Honest = v.Honest && res.Pass
+		i++
+		return i < suffixes
+	})
+	if err != nil {
+		return Verdict{}, err
+	}
+	return v, nil
 }

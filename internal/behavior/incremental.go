@@ -3,7 +3,6 @@ package behavior
 import (
 	"fmt"
 	"slices"
-	"sort"
 
 	"honestplayer/internal/feedback"
 )
@@ -34,11 +33,11 @@ import (
 // history-dependent counters.
 //
 // The collusion testers re-order each suffix by feedback issuer before
-// windowing, which no fixed window table survives. For those the accumulator
-// maintains a per-client index (global record positions plus a good-count
-// prefix, O(1) per append) and computes each re-ordered window count
-// directly from group overlap arithmetic — O(clients·log n + windows) per
-// suffix instead of materialising and re-scanning the re-ordered history.
+// windowing, which no fixed window table survives. For those the
+// accumulator keeps the records themselves — a feedback.History, so client
+// slots and good-bits — and recomputes through Collusion.Test: testers and
+// accumulators share one collusion window source, History.CollusionWindows,
+// as they share scorer.score.
 
 // accMode selects which batch tester the accumulator reproduces.
 type accMode int
@@ -74,19 +73,12 @@ func sharedOf(t Tester) *accShared {
 	return nil
 }
 
-// clientSeries is one feedback issuer's records: global history positions in
-// time order plus a good-count prefix, which is all the collusion re-ordering
-// needs — a re-ordered window's good count is a sum of per-group ranges.
-type clientSeries struct {
-	idx  []int // global record indices, ascending
-	good []int // good[i] = good records among idx[:i]; len(good) == len(idx)+1
-}
-
 // Accumulator maintains per-server behaviour statistics incrementally:
 // Append consumes one feedback in O(1), and Test reproduces the
 // corresponding batch tester's Verdict — Honest flag, per-suffix p̂,
 // distances, thresholds, and errors — bit-identically, at a read cost of
-// O(m · #suffixes) independent of the history length.
+// O(m · #suffixes) independent of the history length; the collusion modes
+// recompute over their records.
 //
 // Concurrency contract: Append must not run concurrently with anything, and
 // Test must not run concurrently with Append; Test never writes accumulator
@@ -110,7 +102,7 @@ type Accumulator struct {
 	sums     []uint32 // per-phase sum of window good-counts
 	wins     []byte   // good count of every completed window (m <= MaxWindowSize fits a byte)
 
-	clients map[feedback.EntityID]*clientSeries // collusion modes
+	hist *feedback.History // collusion modes: the records, of no server
 }
 
 // SupportsAccumulator reports whether NewAccumulatorFor can mirror t.
@@ -136,7 +128,7 @@ func NewAccumulatorFor(t Tester) (*Accumulator, bool) {
 	}
 	a := &Accumulator{accShared: sh}
 	if m := sh.cfg.WindowSize; sh.mode == accCollusion || sh.mode == accCollusionMulti {
-		a.clients = make(map[feedback.EntityID]*clientSeries)
+		a.hist = feedback.NewHistory("")
 	} else {
 		a.prefRing = make([]uint32, m+1)
 		a.counts = make([]uint32, m*(m+1))
@@ -154,11 +146,8 @@ func (a *Accumulator) Clone() *Accumulator {
 	c.counts = slices.Clone(a.counts)
 	c.sums = slices.Clone(a.sums)
 	c.wins = slices.Clone(a.wins)
-	if a.clients != nil {
-		c.clients = make(map[feedback.EntityID]*clientSeries, len(a.clients))
-		for id, cs := range a.clients {
-			c.clients[id] = &clientSeries{idx: slices.Clone(cs.idx), good: slices.Clone(cs.good)}
-		}
+	if a.hist != nil {
+		c.hist = a.hist.Clone()
 	}
 	return &c
 }
@@ -191,18 +180,12 @@ func (a *Accumulator) Append(f feedback.Feedback) {
 		a.goodTotal++
 	}
 	m := a.cfg.WindowSize
-	if a.clients != nil {
-		cs := a.clients[f.Client]
-		if cs == nil {
-			cs = &clientSeries{good: []int{0}}
-			a.clients[f.Client] = cs
+	if a.hist != nil {
+		slot, err := a.hist.Intern(f.Client)
+		if err != nil { // 4 GiB of client ids, which the records' own history refused first
+			panic(err)
 		}
-		cs.idx = append(cs.idx, a.n-1)
-		g := cs.good[len(cs.good)-1]
-		if f.Good() {
-			g++
-		}
-		cs.good = append(cs.good, g)
+		a.hist.AppendSlot(f.Time.UnixNano(), slot, f.Good())
 		return
 	}
 	a.prefRing[a.n%(m+1)] = uint32(a.goodTotal)
@@ -231,10 +214,8 @@ func (a *Accumulator) Test() (Verdict, error) {
 		// MultiNaive is the paper-exact reference: identical suffixes, never
 		// familywise-corrected.
 		return a.testMulti(false)
-	case accCollusion:
-		return a.testCollusion()
 	default:
-		return a.testCollusionMulti()
+		return a.testCollusion(a.hist)
 	}
 }
 
@@ -298,117 +279,4 @@ func (a *Accumulator) testMulti(corrected bool) (Verdict, error) {
 		}
 	}
 	return v, nil
-}
-
-// testCollusion mirrors Collusion.Test (single variant): the whole history
-// re-ordered by issuer, end-aligned windows, one test.
-func (a *Accumulator) testCollusion() (Verdict, error) {
-	m := a.cfg.WindowSize
-	k := a.n / m
-	if k < a.cfg.MinWindows {
-		return Verdict{}, fmt.Errorf("%w: %d windows < %d", ErrInsufficientHistory, k, a.cfg.MinWindows)
-	}
-	sc, err := newScorer(a.cfg, 0)
-	if err != nil {
-		return Verdict{}, err
-	}
-	var res SuffixResult
-	if err := sc.scoreWindows(&res, a.collusionCounts(0, make([]int, 0, k)), make([]uint32, m+1)); err != nil {
-		return Verdict{}, err
-	}
-	return Verdict{Honest: res.Pass, Suffixes: []SuffixResult{res}}, nil
-}
-
-// testCollusionMulti mirrors Collusion.Test (multi variant): every
-// stride-aligned time suffix, each re-ordered by issuer and tested.
-func (a *Accumulator) testCollusionMulti() (Verdict, error) {
-	cfg := a.cfg
-	m := cfg.WindowSize
-	usable := (a.n / m) * m
-	usableWindows := usable / m
-	if usableWindows < cfg.MinWindows {
-		return Verdict{}, fmt.Errorf("%w: %d windows < %d",
-			ErrInsufficientHistory, usableWindows, cfg.MinWindows)
-	}
-	strideWindows := cfg.Stride / m
-	numSuffixes := (usableWindows-cfg.MinWindows)/strideWindows + 1
-	sc, err := newScorer(cfg, cfg.suffixConfidence(numSuffixes))
-	if err != nil {
-		return Verdict{}, err
-	}
-	v := Verdict{Honest: true}
-	buf, hist := make([]int, 0, usableWindows), make([]uint32, m+1)
-	for np := usable; np/m >= cfg.MinWindows; np -= cfg.Stride {
-		var res SuffixResult
-		if err := sc.scoreWindows(&res, a.collusionCounts(a.n-np, buf[:0]), hist); err != nil {
-			return Verdict{}, err
-		}
-		v.Suffixes = append(v.Suffixes, res)
-		if !res.Pass {
-			v.Honest = false
-		}
-	}
-	return v, nil
-}
-
-// collusionCounts computes the end-aligned window good-counts of the
-// issuer-re-ordered suffix starting at global record index s, appending them
-// to counts. It never materialises the re-ordered sequence: groups are
-// enumerated in CollusionOrder order (larger groups first, client ID ties),
-// and each window's good count is assembled from per-group prefix ranges.
-func (a *Accumulator) collusionCounts(s int, counts []int) []int {
-	m := a.cfg.WindowSize
-	length := a.n - s
-	type group struct {
-		cs  *clientSeries
-		id  feedback.EntityID
-		pos int // first index in cs.idx belonging to the suffix
-		cnt int // records of this client inside the suffix
-	}
-	groups := make([]group, 0, len(a.clients))
-	for id, cs := range a.clients {
-		pos := sort.SearchInts(cs.idx, s)
-		if cnt := len(cs.idx) - pos; cnt > 0 {
-			groups = append(groups, group{cs: cs, id: id, pos: pos, cnt: cnt})
-		}
-	}
-	sort.Slice(groups, func(i, j int) bool {
-		if groups[i].cnt != groups[j].cnt {
-			return groups[i].cnt > groups[j].cnt
-		}
-		return groups[i].id < groups[j].id
-	})
-	// End-aligned windows over the re-ordered sequence: the first
-	// length mod m re-ordered positions fall outside every window.
-	off := length % m
-	cursor := 0
-	winGood, winFill := 0, 0
-	for _, g := range groups {
-		apos, rem := g.pos, g.cnt
-		if cursor < off {
-			skip := off - cursor
-			if skip > rem {
-				skip = rem
-			}
-			cursor += skip
-			apos += skip
-			rem -= skip
-		}
-		for rem > 0 {
-			take := m - winFill
-			if take > rem {
-				take = rem
-			}
-			winGood += g.cs.good[apos+take] - g.cs.good[apos]
-			winFill += take
-			cursor += take
-			apos += take
-			rem -= take
-			if winFill == m {
-				counts = append(counts, winGood)
-				winGood, winFill = 0, 0
-			}
-		}
-	}
-	return counts
 }

@@ -135,42 +135,59 @@ func heapAlloc() uint64 {
 // TestSizeBytesTracksHeap: the accounted size of a population of
 // accumulators is what the heap actually grew by, within a quarter — with
 // the calibrator's grid out of the per-server figure, nothing large is left
-// to mis-state.
+// to mis-state. The collusion modes' figure is their history's, here of
+// records from many clients.
 func TestSizeBytesTracksHeap(t *testing.T) {
-	tester, err := behavior.NewMulti(behavior.Config{Calibrator: fastCalibrator(53)})
+	multi, err := behavior.NewMulti(behavior.Config{Calibrator: fastCalibrator(53)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	collusion, err := behavior.NewCollusionMulti(behavior.Config{Calibrator: fastCalibrator(53)})
 	if err != nil {
 		t.Fatal(err)
 	}
 	const servers, records = 1000, 200
-	h := honestHistory(t, 1, records)
-	warm, _ := behavior.NewAccumulatorFor(tester)
-	for j := 0; j < records; j++ {
-		warm.Append(h.At(j))
-	}
-	if _, err := warm.Test(); err != nil { // calibrate the grid before measuring
+	many, err := attack.GenHonest("srv-many", records, 0.9, 150, stats.NewRNG(61))
+	if err != nil {
 		t.Fatal(err)
 	}
-	accs := make([]*behavior.Accumulator, servers)
-	before := heapAlloc()
-	for i := range accs {
-		accs[i], _ = behavior.NewAccumulatorFor(tester)
+	for _, row := range []struct {
+		tester behavior.Tester
+		h      *feedback.History
+		most   int // accounted bytes per accumulator
+	}{
+		{multi, honestHistory(t, 1, records), 4096},
+		{collusion, many, 5120},
+	} {
+		warm, _ := behavior.NewAccumulatorFor(row.tester)
 		for j := 0; j < records; j++ {
-			accs[i].Append(h.At(j))
+			warm.Append(row.h.At(j))
 		}
+		if _, err := warm.Test(); err != nil { // calibrate the grid before measuring
+			t.Fatal(err)
+		}
+		accs := make([]*behavior.Accumulator, servers)
+		before := heapAlloc()
+		for i := range accs {
+			accs[i], _ = behavior.NewAccumulatorFor(row.tester)
+			for j := 0; j < records; j++ {
+				accs[i].Append(row.h.At(j))
+			}
+		}
+		grown := float64(heapAlloc() - before)
+		accounted := 0
+		for _, a := range accs {
+			accounted += a.SizeBytes()
+		}
+		t.Logf("%s: accounted %d B, heap grew %.0f B", row.tester.Name(), accounted, grown)
+		if ratio := float64(accounted) / grown; ratio < 0.75 || ratio > 1.25 {
+			t.Fatalf("%s: accounted %d B for %d accumulators, heap grew %.0f B (ratio %.2f)", row.tester.Name(), accounted, servers, grown, ratio)
+		}
+		if per := accounted / servers; per > row.most {
+			t.Fatalf("%s: %d B accounted per %d-record accumulator", row.tester.Name(), per, records)
+		}
+		runtime.KeepAlive(accs)
 	}
-	grown := float64(heapAlloc() - before)
-	accounted := 0
-	for _, a := range accs {
-		accounted += a.SizeBytes()
-	}
-	t.Logf("accounted %d B, heap grew %.0f B", accounted, grown)
-	if ratio := float64(accounted) / grown; ratio < 0.75 || ratio > 1.25 {
-		t.Fatalf("accounted %d B for %d accumulators, heap grew %.0f B (ratio %.2f)", accounted, servers, grown, ratio)
-	}
-	if per := accounted / servers; per > 4096 {
-		t.Fatalf("%d B accounted per %d-record accumulator", per, records)
-	}
-	runtime.KeepAlive(accs)
 }
 
 // TestNewAccumulatorAllocation: minting an accumulator on a warm tester
@@ -231,6 +248,35 @@ func TestMultiTestAllocations(t *testing.T) {
 	})
 	if allocs > 32 {
 		t.Fatalf("Multi.Test over %d records: %v allocs per call, want ≤ 32", h.Len(), allocs)
+	}
+}
+
+// TestCollusionMultiTestAllocations: a collusion-resilient multi-test over
+// 5,000 records allocates per call, not per suffix or per client — the
+// window source's client ranking, prefix layout, sort buckets and window
+// counts, one histogram, one PMF scratch table and the verdict, nothing for
+// each of its ~500 suffixes.
+func TestCollusionMultiTestAllocations(t *testing.T) {
+	tester, err := behavior.NewCollusionMulti(behavior.Config{Calibrator: fastCalibrator(59)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, clients := range []int{20, 500} {
+		h, err := attack.GenHonest("srv", 5000, 0.9, clients, stats.NewRNG(60))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := tester.Test(h); err != nil { // calibrates the grid points
+			t.Fatal(err)
+		}
+		allocs := testing.AllocsPerRun(5, func() {
+			if _, err := tester.Test(h); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if allocs > 12 {
+			t.Fatalf("CollusionMulti.Test over %d records of %d clients: %v allocs per call, want ≤ 12", h.Len(), clients, allocs)
+		}
 	}
 }
 

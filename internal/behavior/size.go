@@ -3,21 +3,18 @@ package behavior
 // Resident-size self-reporting for the memory-budget governor. SizeBytes must
 // be cheap enough to run on every accepted write (the store recomputes a
 // server's accounted size under the shard lock after each append), so it
-// derives the footprint from lengths and capacities in O(1) — it never walks
-// the client collections, whose element sizes are uniform.
+// derives the footprint from lengths and capacities in O(1).
 
 const (
-	szAccStruct     = 128 // Accumulator struct itself (counters, slice headers)
-	szClientSeries  = 56  // clientSeries struct + map entry overhead
-	szMapEntry      = 48  // approximate per-entry overhead of a small map
-	szIntSliceEntry = 8
-	szCounter       = 4 // an entry of prefRing, counts or sums
+	szAccStruct = 128 // Accumulator struct itself (counters, slice headers)
+	szCounter   = 4   // an entry of prefRing, counts or sums
 )
 
 // SizeBytes returns the approximate resident heap footprint of the
 // accumulator: the per-phase window histograms and sums, the window string
-// (one byte per record at m ≤ 255), and the collusion modes' per-client
-// index. The threshold grid is not in it: it belongs to the calibrator.
+// (one byte per record at m ≤ 255), and the collusion modes' history of
+// their records. The threshold grid is not in it: it belongs to the
+// calibrator.
 // The estimate is computed from capacities — all variable-size members grow
 // in uniform strides — so the cost is O(1) regardless of how much history
 // the accumulator has consumed. It is an accounting figure, not an exact
@@ -27,12 +24,8 @@ func (a *Accumulator) SizeBytes() int {
 	size := szAccStruct
 	size += (cap(a.prefRing) + cap(a.counts) + cap(a.sums)) * szCounter
 	size += cap(a.wins)
-	if a.clients != nil {
-		// Each record contributes one idx entry and one good entry to exactly
-		// one client's series, so the series payloads sum to ~2 ints per
-		// record; per-client struct overhead is uniform.
-		size += len(a.clients) * (szClientSeries + szMapEntry + 2*szIntSliceEntry)
-		size += a.n * 2 * szIntSliceEntry
+	if a.hist != nil {
+		size += a.hist.SizeBytes()
 	}
 	return size
 }

@@ -102,17 +102,6 @@ func BenchmarkHistoryAt(b *testing.B) {
 	}
 }
 
-func BenchmarkGroupByIssuer(b *testing.B) {
-	h := benchHistory(b, 10000)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if len(h.GroupByIssuer()) != 50 {
-			b.Fatal("lost a group")
-		}
-	}
-}
-
 func BenchmarkWindowCountsFromEnd(b *testing.B) {
 	h := NewHistory("s")
 	for i := 0; i < 100000; i++ {
@@ -177,12 +166,19 @@ func BenchmarkWindowCounts(b *testing.B) {
 	}
 }
 
-func BenchmarkCollusionReorder(b *testing.B) {
+// BenchmarkCollusionWindows is the window table of a collusion-resilient
+// single test: 10,000 records of 50 clients re-ordered by issuer, m = 10.
+func BenchmarkCollusionWindows(b *testing.B) {
 	h := benchHistory(b, 10000)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_ = h.CollusionOrder()
+		h.CollusionWindows(10, h.Len(), 10, func(counts []int) bool {
+			if len(counts) != 1000 {
+				b.Fatalf("%d windows", len(counts))
+			}
+			return false
+		})
 	}
 }
 

@@ -6,29 +6,67 @@ import (
 	"fmt"
 	"math"
 	"reflect"
+	"slices"
 	"sort"
 	"sync"
 	"testing"
 	"time"
 )
 
-// naiveGroups is GroupByIssuer over a plain record slice: a map of index
-// lists, sorted by size descending, then client.
-func naiveGroups(ref []Feedback) []IssuerGroup {
-	by := make(map[EntityID][]int)
-	for i, f := range ref {
-		by[f.Client] = append(by[f.Client], i)
-	}
-	var out []IssuerGroup
-	for c, idx := range by {
-		out = append(out, IssuerGroup{Client: c, Indices: idx})
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if len(out[i].Indices) != len(out[j].Indices) {
-			return len(out[i].Indices) > len(out[j].Indices)
+// naiveOrder is the re-order of §4 over a plain record slice: a map of
+// each client's records, the clients sorted by their count, descending, then
+// by ID.
+func naiveOrder(ref []Feedback) []Feedback {
+	by := make(map[EntityID][]Feedback)
+	var clients []EntityID
+	for _, f := range ref {
+		if by[f.Client] == nil {
+			clients = append(clients, f.Client)
 		}
-		return out[i].Client < out[j].Client
+		by[f.Client] = append(by[f.Client], f)
+	}
+	sort.Slice(clients, func(i, j int) bool {
+		a, b := clients[i], clients[j]
+		if len(by[a]) != len(by[b]) {
+			return len(by[a]) > len(by[b])
+		}
+		return a < b
 	})
+	out := make([]Feedback, 0, len(ref))
+	for _, c := range clients {
+		out = append(out, by[c]...)
+	}
+	return out
+}
+
+// CollusionOrder returns a new history of h's records in naiveOrder, its time
+// column started in h's form: the definition CollusionWindows is held to.
+func (h *History) CollusionOrder() *History {
+	out := NewHistoryLike(h, h.Len())
+	for _, f := range naiveOrder(h.Records()) {
+		if err := out.Append(f); err != nil {
+			panic(err)
+		}
+	}
+	return out
+}
+
+// suffixWindows returns every suffix's counts CollusionWindows yields.
+func suffixWindows(h *History, m, n, stride int) [][]int {
+	var out [][]int
+	h.CollusionWindows(m, n, stride, func(counts []int) bool {
+		out = append(out, slices.Clone(counts))
+		return true
+	})
+	return out
+}
+
+// naiveCollusionWindows is suffixWindows over a plain record slice.
+func naiveCollusionWindows(ref []Feedback, m, n, stride int) [][]int {
+	var out [][]int
+	for ; n > 0; n -= stride {
+		out = append(out, naiveWindows(naiveOrder(ref[len(ref)-n:]), m, true))
+	}
 	return out
 }
 
@@ -82,18 +120,14 @@ func sameAs(t *testing.T, what string, h *History, ref []Feedback) {
 	if h.GoodCount() != good || h.DistinctClients() != len(clients) {
 		t.Fatalf("%s: GoodCount %d DistinctClients %d, want %d and %d", what, h.GoodCount(), h.DistinctClients(), good, len(clients))
 	}
-	groups := naiveGroups(ref)
-	if got := h.GroupByIssuer(); len(got)+len(groups) > 0 && !reflect.DeepEqual(got, groups) {
-		t.Fatalf("%s: GroupByIssuer %v, want %v", what, got, groups)
-	}
-	var ordered []Feedback
-	for _, g := range groups {
-		for _, i := range g.Indices {
-			ordered = append(ordered, ref[i])
+	for _, m := range []int{1, 3, 10} {
+		for _, stride := range []int{1, 7} {
+			stride = max(stride, len(ref)/8) // at most nine suffixes of a long history
+			got, want := suffixWindows(h, m, len(ref), stride), naiveCollusionWindows(ref, m, len(ref), stride)
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("%s: CollusionWindows(%d, %d, %d) %v, want %v", what, m, len(ref), stride, got, want)
+			}
 		}
-	}
-	if got := h.CollusionOrder().Records(); len(got)+len(ordered) > 0 && !reflect.DeepEqual(got, ordered) {
-		t.Fatalf("%s: CollusionOrder %v, want %v", what, got, ordered)
 	}
 	dec, rest, err := DecodeColumns(h.Server(), h.AppendColumns(nil))
 	if err != nil || len(rest) != 0 || dec.Len() != len(ref) {
@@ -258,15 +292,15 @@ func TestSnapshotViewsUnderAppend(t *testing.T) {
 		if view.GoodCount() != good {
 			t.Errorf("view of %d: GoodCount %d, want %d", len(want), view.GoodCount(), good)
 		}
-		if got := view.GroupByIssuer(); !reflect.DeepEqual(got, naiveGroups(want)) {
-			t.Errorf("view of %d: GroupByIssuer %v", len(want), got)
+		if got := suffixWindows(view, 3, len(want), len(want)); !reflect.DeepEqual(got, naiveCollusionWindows(want, 3, len(want), len(want))) {
+			t.Errorf("view of %d: CollusionWindows %v", len(want), got)
 		}
 		half := view.SuffixView(len(want) / 2)
 		if got, wantGood := half.GoodCount(), view.GoodInRange(len(want)-len(want)/2, len(want)); got != wantGood {
 			t.Errorf("view of %d: suffix GoodCount %d, want %d", len(want), got, wantGood)
 		}
-		if half.CollusionOrder().Len() != len(want)/2 {
-			t.Errorf("view of %d: suffix collusion order lost records", len(want))
+		if got := suffixWindows(half, 2, half.Len(), half.Len()); !reflect.DeepEqual(got, naiveCollusionWindows(want, 2, half.Len(), half.Len())) {
+			t.Errorf("view of %d: suffix CollusionWindows %v", len(want), got)
 		}
 	}
 	var wg sync.WaitGroup

@@ -7,7 +7,6 @@ import (
 	"math"
 	"math/bits"
 	"slices"
-	"sort"
 	"strings"
 	"sync"
 	"time"
@@ -100,7 +99,8 @@ type History struct {
 	// keep it, and a history built afresh — empty, decoded, rebuilt around
 	// an out-of-order record, cloned — draws a new one. Two histories of one
 	// lineage hold the same records up to the shorter's length. A suffix
-	// view, whose first record is not its history's, has none: 0.
+	// view, whose first record is not its history's, has none: 0; nor has a
+	// history of no server, which no store or connection holds.
 	lineage uint64
 }
 
@@ -110,8 +110,12 @@ var lineages struct {
 	last uint64
 }
 
-// newLineage returns a lineage no history has had.
-func newLineage() uint64 {
+// newLineage returns a lineage no history has had for a history of server,
+// or none for a history of no server.
+func newLineage(server EntityID) uint64 {
+	if server == "" {
+		return 0
+	}
 	lineages.Lock()
 	defer lineages.Unlock()
 	lineages.last++
@@ -119,9 +123,11 @@ func newLineage() uint64 {
 }
 
 // NewHistory returns an empty history for the given server, of a lineage
-// of its own.
+// of its own. A history of no server, "", takes records through AppendSlot
+// alone — an accumulator's copy of the records it consumed is one — and has
+// no lineage.
 func NewHistory(server EntityID) *History {
-	return &History{server: server, rank: []uint32{0}, lineage: newLineage()}
+	return &History{server: server, rank: []uint32{0}, lineage: newLineage(server)}
 }
 
 // Lineage returns h's lineage: equal and non-zero for two histories only
@@ -561,7 +567,7 @@ func (h *History) Records() []Feedback {
 // appends are not h's.
 func (h *History) Clone() *History {
 	c := h.view(0)
-	c.lineage = newLineage()
+	c.lineage = newLineage(c.server)
 	c.t32 = slices.Clone(c.t32)
 	c.t64 = slices.Clone(c.t64)
 	c.client16 = slices.Clone(c.client16)
@@ -627,78 +633,95 @@ func (h *History) SuffixView(n int) *History {
 	return h.view(h.Len() - n)
 }
 
-// IssuerGroup is the set of feedbacks a single client issued, in time order.
-type IssuerGroup struct {
-	Client  EntityID
-	Indices []int // positions in the original history, ascending
-}
-
-// GroupByIssuer partitions the history by feedback issuer and returns the
-// groups ordered by descending size; groups of equal size are ordered by
-// client ID for determinism. This is the re-ordering key of the
-// collusion-resilient test (§4).
-func (h *History) GroupByIssuer() []IssuerGroup {
-	sizes, distinct := h.clientCounts()
-	// One backing array holds every group's indices; slot maps a dictionary
-	// entry to its group.
-	indices := make([]int, h.Len())
-	slot := make([]int, len(sizes))
-	groups := make([]IssuerGroup, 0, distinct)
-	off := 0
-	for c, n := range sizes {
-		if n == 0 {
-			continue // in the dictionary, but not in this view
-		}
-		slot[c] = len(groups)
-		groups = append(groups, IssuerGroup{Client: h.client(uint32(c)), Indices: indices[off : off : off+n]})
-		off += n
-	}
+// CollusionWindows yields, longest first, the window good-counts of h's
+// most recent n, n−stride, n−2·stride, … records, each re-ordered as the
+// collusion-resilient test of §4 reads it: grouped by client, larger groups
+// first, groups of one size in client ID order, each in time order. Its
+// windows are of m records and end at its last position. It stops when
+// yield returns false or no record is left; counts is reused between calls.
+// m and stride are positive, and n is at most h.Len().
+//
+// Clients are ranked by ID once and each one's good-count prefix laid out in
+// one array. Suffixes nest, so the next one only moves the first position of
+// the clients of the records it drops; a counting sort on group sizes,
+// stable in rank, then orders its groups.
+func (h *History) CollusionWindows(m, n, stride int, yield func(counts []int) bool) {
 	if h.wide() {
-		groupIndices(groups, slot, h.client32)
+		collusionWindows(h, h.client32[h.Len()-n:], m, stride, yield)
 	} else {
-		groupIndices(groups, slot, h.client16)
+		collusionWindows(h, h.client16[h.Len()-n:], m, stride, yield)
 	}
-	sort.Slice(groups, func(i, j int) bool {
-		if len(groups[i].Indices) != len(groups[j].Indices) {
-			return len(groups[i].Indices) > len(groups[j].Indices)
-		}
-		return groups[i].Client < groups[j].Client
-	})
-	return groups
 }
 
-// CollusionOrder returns a new history containing the same records
-// re-ordered for collusion-resilient testing: grouped by issuer, larger
-// groups first, time order within each group (records within a group keep
-// their original relative order, which is time order for an append-only
-// history). Its time column starts in h's form.
-func (h *History) CollusionOrder() *History {
-	out := NewHistoryLike(h, h.Len())
-	for _, g := range h.GroupByIssuer() {
-		c := out.intern(g.Client)
-		for _, i := range g.Indices {
-			out.push(h.NanosAt(i), c, h.RatingAt(i).Good())
+// collusionWindows is CollusionWindows over the slots of its longest suffix.
+func collusionWindows[S uint16 | uint32](h *History, slots []S, m, stride int, yield func([]int) bool) {
+	n, p := len(slots), h.off+h.Len()-len(slots) // p: the good-bit of slots[0]'s record
+	sizes := make([]int, len(h.ends))
+	byID := make([]uint32, 0, countSlots(sizes, slots))
+	for s, size := range sizes {
+		if size > 0 {
+			byID = append(byID, uint32(s))
 		}
 	}
-	return out
-}
-
-// groupIndices appends each record's position to its client's group.
-func groupIndices[S uint16 | uint32](groups []IssuerGroup, slot []int, slots []S) {
-	for i, c := range slots {
-		g := &groups[slot[c]]
-		g.Indices = append(g.Indices, i)
+	slices.SortFunc(byID, func(a, b uint32) int { return strings.Compare(string(h.client(a)), string(h.client(b))) })
+	// Client r's group in the suffix has hi[r]-lo[r] records, of which
+	// prefix[lo[r]+j]-prefix[lo[r]] among the first j are good.
+	rank := make([]uint32, len(h.ends))
+	lo, hi := make([]int, len(byID)), make([]int, len(byID))
+	most, next := 0, 0
+	for r, s := range byID {
+		rank[s], lo[r], hi[r] = uint32(r), next, next
+		next += sizes[s] + 1
+		most = max(most, sizes[s])
 	}
-}
-
-// clientCounts returns how many records each dictionary entry issued, and
-// how many entries issued any.
-func (h *History) clientCounts() (sizes []int, distinct int) {
-	sizes = make([]int, len(h.ends))
-	if h.wide() {
-		return sizes, countSlots(sizes, h.client32)
+	prefix := make([]uint32, next)
+	for i, s := range slots {
+		r, q := rank[s], p+i
+		prefix[hi[r]+1] = prefix[hi[r]] + uint32(h.word(q>>6)>>(q&63)&1)
+		hi[r]++
 	}
-	return sizes, countSlots(sizes, h.client16)
+	bucket, order, counts := make([]int, most+1), make([]int, len(byID)), make([]int, 0, n/m)
+	for length, dropped := n, 0; length > 0; length -= stride {
+		for ; dropped < n-length; dropped++ {
+			lo[rank[slots[dropped]]]++
+		}
+		// Counting sort, largest group first: bucket[size] becomes the
+		// position of the size's first group, then its next free one.
+		top := 0
+		for r := range lo {
+			bucket[hi[r]-lo[r]]++
+			top = max(top, hi[r]-lo[r])
+		}
+		groups := 0
+		for size := top; size > 0; size-- {
+			groups, bucket[size] = groups+bucket[size], groups
+		}
+		for r := range lo {
+			if size := hi[r] - lo[r]; size > 0 {
+				order[bucket[size]] = r
+				bucket[size]++
+			}
+		}
+		clear(bucket[:top+1])
+		counts = counts[:0]
+		skip, fill, good := length%m, 0, uint32(0)
+		for _, r := range order[:groups] {
+			a := lo[r] + min(skip, hi[r]-lo[r])
+			skip -= a - lo[r]
+			for a < hi[r] {
+				take := min(m-fill, hi[r]-a)
+				good += prefix[a+take] - prefix[a]
+				a, fill = a+take, fill+take
+				if fill == m {
+					counts = append(counts, int(good))
+					fill, good = 0, 0
+				}
+			}
+		}
+		if !yield(counts) {
+			return
+		}
+	}
 }
 
 // countSlots adds each record to its slot's size and returns how many
@@ -716,8 +739,11 @@ func countSlots[S uint16 | uint32](sizes []int, slots []S) (distinct int) {
 // DistinctClients returns the number of distinct feedback issuers (the size
 // of the supporter base plus detractors).
 func (h *History) DistinctClients() int {
-	_, distinct := h.clientCounts()
-	return distinct
+	sizes := make([]int, len(h.ends))
+	if h.wide() {
+		return countSlots(sizes, h.client32)
+	}
+	return countSlots(sizes, h.client16)
 }
 
 // String implements fmt.Stringer.

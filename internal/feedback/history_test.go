@@ -2,6 +2,7 @@ package feedback
 
 import (
 	"errors"
+	"reflect"
 	"testing"
 	"testing/quick"
 	"time"
@@ -136,46 +137,42 @@ func TestHistoryClone(t *testing.T) {
 	}
 }
 
-func TestGroupByIssuer(t *testing.T) {
+// TestCollusionWindowsGroupOrder: at m = 1 the windows are the re-ordered
+// outcomes — larger groups first, each in time order.
+func TestCollusionWindowsGroupOrder(t *testing.T) {
 	h := NewHistory("s")
 	seq := []struct {
 		c EntityID
 		g bool
 	}{
-		{"a", true}, {"b", true}, {"a", false}, {"c", true}, {"a", true}, {"b", false},
+		{"a", true}, {"b", true}, {"a", false}, {"c", false}, {"a", false}, {"b", false},
 	}
 	for i, e := range seq {
 		if err := h.AppendOutcome(e.c, e.g, time.Unix(int64(i), 0)); err != nil {
 			t.Fatal(err)
 		}
 	}
-	groups := h.GroupByIssuer()
-	if len(groups) != 3 {
-		t.Fatalf("groups = %d", len(groups))
+	// a: + − −, b: + −, c: −; the suffix of 4: a: − −, b: −, c: −; of 2: a: −, b: −.
+	want := [][]int{{1, 0, 0, 1, 0, 0}, {0, 0, 0, 0}, {0, 0}}
+	if got := suffixWindows(h, 1, 6, 2); !reflect.DeepEqual(got, want) {
+		t.Fatalf("windows %v, want %v", got, want)
 	}
-	if groups[0].Client != "a" || len(groups[0].Indices) != 3 {
-		t.Fatalf("largest group = %+v", groups[0])
-	}
-	if groups[1].Client != "b" || groups[2].Client != "c" {
-		t.Fatalf("group order: %v, %v", groups[1].Client, groups[2].Client)
-	}
-	// Indices within a group ascend (time order).
-	for _, g := range groups {
-		for i := 1; i < len(g.Indices); i++ {
-			if g.Indices[i-1] >= g.Indices[i] {
-				t.Fatalf("group %s indices not ascending: %v", g.Client, g.Indices)
-			}
-		}
+	// Windows end at the last position: the first n mod m fall in none.
+	if got := suffixWindows(h, 4, 6, 6); !reflect.DeepEqual(got, [][]int{{1}}) {
+		t.Fatalf("windows of 4 %v", got)
 	}
 }
 
-func TestGroupByIssuerTieBreak(t *testing.T) {
+// TestCollusionWindowsTieBreak: groups of one size go in client ID order,
+// whichever came first and whatever the dictionary's order.
+func TestCollusionWindowsTieBreak(t *testing.T) {
 	h := NewHistory("s")
 	_ = h.AppendOutcome("z", true, time.Unix(0, 0))
-	_ = h.AppendOutcome("a", true, time.Unix(1, 0))
-	groups := h.GroupByIssuer()
-	if groups[0].Client != "a" || groups[1].Client != "z" {
-		t.Fatalf("tie break not by client id: %v", groups)
+	_ = h.AppendOutcome("a", false, time.Unix(1, 0))
+	_ = h.AppendOutcome("B", true, time.Unix(2, 0))
+	_ = h.AppendOutcome("a", false, time.Unix(3, 0))
+	if got := suffixWindows(h, 1, 4, 1); !reflect.DeepEqual(got, [][]int{{0, 0, 1, 1}, {0, 0, 1}, {1, 0}, {0}}) {
+		t.Fatalf("tie break not by client id: %v", got)
 	}
 }
 
@@ -292,7 +289,8 @@ func TestHistoryString(t *testing.T) {
 
 // TestHistoryLineage: appending and viewing a history whole keep its
 // lineage; a history built afresh — new, a clone, one rebuilt like it, a
-// reordering — draws one of its own, and a suffix view has none.
+// reordering — draws one of its own, and a suffix view has none, nor has a
+// history of no server.
 func TestHistoryLineage(t *testing.T) {
 	h := buildHistory(t, "s", []bool{true, false, true})
 	l := h.Lineage()
@@ -311,6 +309,9 @@ func TestHistoryLineage(t *testing.T) {
 	}
 	if got := h.SuffixView(h.Len()).Lineage(); got != l {
 		t.Fatalf("a suffix view of the whole history has lineage %d, want %d", got, l)
+	}
+	if a, b := NewHistory(""), NewHistory("").Clone(); a.Lineage() != 0 || b.Lineage() != 0 {
+		t.Fatalf("a history of no server and its clone have lineages %d and %d", a.Lineage(), b.Lineage())
 	}
 	seen := map[uint64]string{l: "the history"}
 	for name, other := range map[string]*History{

@@ -71,6 +71,10 @@
 #     and the accumulators share one scoring function, core one Assessment
 #     builder; stats.Histogram, the Binomial type, L1HistDistance,
 #     ThresholdAt and ReestimateP stay deleted
+#   - phase 1 has one collusion window source (ADR 0016):
+#     History.CollusionWindows; CollusionOrder, GroupByIssuer, IssuerGroup,
+#     clientSeries and collusionCounts stay out of non-test code, and
+#     internal/behavior holds no map
 #   - per-package non-test line budget (scripts/loc-budget.txt): a package
 #     grows only in a diff that raises its line, and a deleted package's line
 #     goes with it
@@ -513,6 +517,17 @@ check "one suffix score: internal/behavior measures a distance in one place (ADR
      && [ \"\$(sources internal/behavior | xargs grep -lE 'L1CountsDistance\(|\.Threshold\(')\" = internal/behavior/behavior.go ]"
 check "one Assessment builder in internal/core (ADR 0016)" \
     "[ \"\$(sources internal/core | xargs grep -hE '\bAssessment\{' | wc -l)\" -eq 1 ]"
+
+# --- one collusion window source (ADR 0016's collusion-window amendment) ---
+# The collusion testers and the accumulators' collusion modes read every
+# suffix's issuer-re-ordered windows from History.CollusionWindows, as they
+# share scorer.score: no materialised re-order, group list or per-client
+# series is left beside it (the test-only CollusionOrder is the definition
+# the kernel is held to), and internal/behavior keeps no map.
+for sym in CollusionOrder GroupByIssuer IssuerGroup clientSeries collusionCounts; do
+    check "$sym stays out of non-test code (ADR 0016)" "absent '\b$sym\b'"
+done
+check "internal/behavior holds no map (ADR 0016)" "absent 'map\[' internal/behavior"
 
 # --- per-package LOC ratchet --------------------------------------------------
 # Each package's non-test lines (as sources counts them, assembly included) must stay at or below
