@@ -17,8 +17,8 @@
 //     (average, weighted/EWMA, Beta).
 //
 // Every tester and trust function exported here is one a node serves
-// (trustd's -scheme and -trust), and each has the incremental form the
-// simulator and core.Monitor keep per server (ADR 0020).
+// (trustd's -scheme and -trust), and every caller, node or simulator,
+// judges a history by recomputing over it (ADR 0016).
 //
 // The package also ships the substrates a deployment needs: a deterministic
 // statistics kit, a concurrent deduplicating feedback store, a TCP

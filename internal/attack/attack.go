@@ -128,9 +128,7 @@ func logicalTime(i int) time.Time {
 //
 // Otherwise it provides a good service.
 type Strategic struct {
-	// Assessor is the exact two-phase assessor the defenders run. It must
-	// have an incremental form (core.TwoPhase.SupportsIncremental), as every
-	// built-in tester and trust function does.
+	// Assessor is the exact two-phase assessor the defenders run.
 	Assessor *core.TwoPhase
 	// Threshold is the clients' trust threshold (paper: 0.9).
 	Threshold float64
@@ -158,47 +156,22 @@ func (s *Strategic) validate() error {
 	return nil
 }
 
-// accumulate returns the assessment state of h's records. An attack run keeps
-// it in step with h and asks its what-ifs of clones (ADR 0016). An assessor
-// without an incremental form is ErrBadParams.
-func accumulate(tp *core.TwoPhase, h *feedback.History) (*core.ServerAccumulator, error) {
-	sa, err := tp.NewServerAccumulator(h.Server())
-	if err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrBadParams, err)
-	}
-	for i := 0; i < h.Len(); i++ {
-		sa.Append(h.At(i))
-	}
-	return sa, nil
-}
-
-// step appends a transaction to h and to its assessment state sa.
-func step(h *feedback.History, sa *core.ServerAccumulator, c feedback.EntityID, good bool) error {
-	if err := h.AppendOutcome(c, good, logicalTime(h.Len())); err != nil {
-		return err
-	}
-	sa.Append(h.At(h.Len() - 1))
-	return nil
-}
-
-// cheatAllowed evaluates the strategic cheating rule against the assessment
-// state sa: the victim accepts (current trust meets the threshold and the
-// current history is not suspicious) and the post-cheat history H′ stays
-// consistent with the honest-player model. When the rule holds it returns
-// H′'s state, a clone of sa holding the bad record; otherwise nil. The
-// hypothetical record goes to the clone only, never to a history.
-func cheatAllowed(sa *core.ServerAccumulator, victim feedback.EntityID, threshold float64) (*core.ServerAccumulator, error) {
-	accepted, _, err := sa.Accept(threshold)
+// cheatAllowed evaluates the strategic cheating rule on h: the victim
+// accepts (current trust meets the threshold and h is not suspicious) and
+// the post-cheat history H′ stays consistent with the honest-player model.
+// H′ is a fork of h (History.Clone, of a lineage of its own), so the
+// hypothetical record never reaches h.
+func cheatAllowed(tp *core.TwoPhase, h *feedback.History, victim feedback.EntityID, threshold float64) (bool, error) {
+	accepted, _, err := tp.Accept(h, threshold)
 	if err != nil || !accepted {
-		return nil, err
+		return false, err
 	}
-	cheated := sa.Clone()
-	cheated.Append(feedback.Feedback{Time: logicalTime(sa.Len()), Server: sa.Server(), Client: victim, Rating: feedback.Negative})
-	a, err := cheated.Assess()
-	if err != nil || a.Suspicious {
-		return nil, err
+	cheated := h.Clone()
+	if err := cheated.AppendOutcome(victim, false, logicalTime(h.Len())); err != nil {
+		return false, err
 	}
-	return cheated, nil
+	a, err := tp.Assess(cheated)
+	return err == nil && !a.Suspicious, err
 }
 
 // Run mutates h through the attack phase until GoalBad bad transactions
@@ -209,30 +182,24 @@ func (s *Strategic) Run(h *feedback.History) (Cost, error) {
 	if err := s.validate(); err != nil {
 		return Cost{}, err
 	}
-	sa, err := accumulate(s.Assessor, h)
-	if err != nil {
-		return Cost{}, err
-	}
 	var cost Cost
 	for cost.Bad < s.GoalBad {
 		if cost.Steps >= s.maxSteps() {
 			return cost, fmt.Errorf("%w after %d steps (%d/%d bad)", ErrGoalUnreachable, cost.Steps, cost.Bad, s.GoalBad)
 		}
 		victim := feedback.EntityID("victim-" + strconv.Itoa(cost.Steps))
-		cheated, err := cheatAllowed(sa, victim, s.Threshold)
+		cheat, err := cheatAllowed(s.Assessor, h, victim, s.Threshold)
 		if err != nil {
 			return cost, err
 		}
 		// Cheat when the hypothetical bad transaction stays under the radar;
 		// otherwise invest a good service.
-		if err := h.AppendOutcome(victim, cheated == nil, logicalTime(h.Len())); err != nil {
+		if err := h.AppendOutcome(victim, !cheat, logicalTime(h.Len())); err != nil {
 			return cost, err
 		}
-		if cheated != nil {
-			sa = cheated
+		if cheat {
 			cost.Bad++
 		} else {
-			sa.Append(h.At(h.Len() - 1))
 			cost.Good++
 		}
 		cost.Steps++

@@ -46,8 +46,8 @@ func multiTester(t *testing.T) behavior.Tester {
 	return m
 }
 
-// plainFunc is a trust function without a tracker, so no accumulator mirrors
-// an assessor built on it.
+// plainFunc is a trust function of this package's tests alone, whose value
+// never meets a 0.9 threshold.
 type plainFunc struct{}
 
 func (plainFunc) Name() string                                { return "plain" }
@@ -118,12 +118,16 @@ func TestStrategicValidation(t *testing.T) {
 		{Assessor: nil, Threshold: 0.9, GoalBad: 1},
 		{Assessor: assessor(t, nil, trust.Average{}), Threshold: -1, GoalBad: 1},
 		{Assessor: assessor(t, nil, trust.Average{}), Threshold: 0.9, GoalBad: 0},
-		{Assessor: assessor(t, nil, plainFunc{}), Threshold: 0.9, GoalBad: 1},
 	}
 	for i, s := range tests {
 		if _, err := s.Run(h); !errors.Is(err, ErrBadParams) {
 			t.Errorf("case %d: %v", i, err)
 		}
+	}
+	// Any assessor runs: one that never trusts exhausts the step budget.
+	plain := Strategic{Assessor: assessor(t, nil, plainFunc{}), Threshold: 0.9, GoalBad: 1, MaxSteps: 5}
+	if _, err := plain.Run(h); !errors.Is(err, ErrGoalUnreachable) {
+		t.Errorf("plain trust function: %v", err)
 	}
 }
 

@@ -39,8 +39,7 @@ type ClientSource interface {
 //     unlock a cheat, and the attacker is forced to genuinely serve
 //     clients outside its ring.
 type Colluding struct {
-	// Assessor is the deployed two-phase assessor. It must have an
-	// incremental form (core.TwoPhase.SupportsIncremental).
+	// Assessor is the deployed two-phase assessor.
 	Assessor *core.TwoPhase
 	// Threshold is the clients' trust threshold (paper: 0.9).
 	Threshold float64
@@ -76,56 +75,57 @@ func (c *Colluding) validate() error {
 // comfortably covers the repair horizons that occur in practice.
 const lookaheadDepth = 12
 
-// decide picks the attacker's next action against the arriving victim, given
-// the assessment state sa of its history. For a Cheat it also returns the
-// post-cheat state.
-func (c *Colluding) decide(sa *core.ServerAccumulator, victim feedback.EntityID) (Action, *core.ServerAccumulator, error) {
+// decide picks the attacker's next action against the arriving victim,
+// given its history h.
+func (c *Colluding) decide(h *feedback.History, victim feedback.EntityID) (Action, error) {
 	// 1. Direct cheat: victim accepts now and H′ stays unsuspicious.
-	cheated, err := cheatAllowed(sa, victim, c.Threshold)
+	cheat, err := cheatAllowed(c.Assessor, h, victim, c.Threshold)
 	if err != nil {
-		return 0, nil, err
+		return 0, err
 	}
-	if cheated != nil {
-		return Cheat, cheated, nil
+	if cheat {
+		return Cheat, nil
 	}
 	// 2. Unlock race: fakes vs. genuine services.
-	byFakes, err := c.stepsToUnlock(sa, victim, func(i int) feedback.EntityID {
+	byFakes, err := c.stepsToUnlock(h, victim, func(i int) feedback.EntityID {
 		return c.Colluders[i%len(c.Colluders)]
 	})
 	if err != nil {
-		return 0, nil, err
+		return 0, err
 	}
 	if byFakes <= lookaheadDepth {
-		byGoods, err := c.stepsToUnlock(sa, victim, func(i int) feedback.EntityID {
+		byGoods, err := c.stepsToUnlock(h, victim, func(i int) feedback.EntityID {
 			return feedback.EntityID("probe-" + strconv.Itoa(i))
 		})
 		if err != nil {
-			return 0, nil, err
+			return 0, err
 		}
 		if byFakes <= byGoods {
-			return ColludeFake, nil, nil
+			return ColludeFake, nil
 		}
-		return ServeGood, nil, nil
+		return ServeGood, nil
 	}
 	// Fakes cannot unlock a cheat within the horizon: only genuine service
 	// to clients outside the ring repairs the issuer-ordered distribution
 	// (and grows the supporter base).
-	return ServeGood, nil, nil
+	return ServeGood, nil
 }
 
 // stepsToUnlock returns the smallest number of positive feedbacks from the
 // issuer sequence client(0), client(1), … after which a cheat on victim
 // becomes allowed, or lookaheadDepth+1 when the horizon is exhausted. The
-// feedbacks go to one clone of sa, which is then dropped.
-func (c *Colluding) stepsToUnlock(sa *core.ServerAccumulator, victim feedback.EntityID, client func(int) feedback.EntityID) (int, error) {
-	probe := sa.Clone()
+// feedbacks go to one fork of h, which is then dropped.
+func (c *Colluding) stepsToUnlock(h *feedback.History, victim feedback.EntityID, client func(int) feedback.EntityID) (int, error) {
+	probe := h.Clone()
 	for i := 1; i <= lookaheadDepth; i++ {
-		probe.Append(feedback.Feedback{Time: logicalTime(probe.Len()), Server: probe.Server(), Client: client(i - 1), Rating: feedback.Positive})
-		cheated, err := cheatAllowed(probe, victim, c.Threshold)
+		if err := probe.AppendOutcome(client(i-1), true, logicalTime(probe.Len())); err != nil {
+			return 0, err
+		}
+		cheat, err := cheatAllowed(c.Assessor, probe, victim, c.Threshold)
 		if err != nil {
 			return 0, err
 		}
-		if cheated != nil {
+		if cheat {
 			return i, nil
 		}
 	}
@@ -143,10 +143,6 @@ func (c *Colluding) Run(h *feedback.History, clients ClientSource) (Cost, error)
 	if clients == nil {
 		return Cost{}, fmt.Errorf("%w: nil client source", ErrBadParams)
 	}
-	sa, err := accumulate(c.Assessor, h)
-	if err != nil {
-		return Cost{}, err
-	}
 	var cost Cost
 	colluderIdx := 0
 	for cost.Bad < c.GoalBad {
@@ -155,28 +151,25 @@ func (c *Colluding) Run(h *feedback.History, clients ClientSource) (Cost, error)
 				ErrGoalUnreachable, cost.Steps, cost.Bad, c.GoalBad)
 		}
 		victim := clients.Next(h.GoodRatio())
-		action, cheated, err := c.decide(sa, victim)
+		action, err := c.decide(h, victim)
 		if err != nil {
+			return cost, err
+		}
+		client := victim
+		if action == ColludeFake {
+			client = c.Colluders[colluderIdx%len(c.Colluders)]
+		}
+		if err := h.AppendOutcome(client, action != Cheat, logicalTime(h.Len())); err != nil {
 			return cost, err
 		}
 		switch action {
 		case Cheat:
-			if err := h.AppendOutcome(victim, false, logicalTime(h.Len())); err != nil {
-				return cost, err
-			}
-			sa = cheated
 			clients.Observe(victim, false)
 			cost.Bad++
 		case ColludeFake:
-			if err := step(h, sa, c.Colluders[colluderIdx%len(c.Colluders)], true); err != nil {
-				return cost, err
-			}
 			colluderIdx++
 			cost.Colluded++
 		case ServeGood:
-			if err := step(h, sa, victim, true); err != nil {
-				return cost, err
-			}
 			clients.Observe(victim, true)
 			cost.Good++
 		}

@@ -37,12 +37,16 @@ func TestColludingValidation(t *testing.T) {
 		{Assessor: assessor(t, nil, trust.Average{}), Threshold: 2, GoalBad: 1, Colluders: colluders(5)},
 		{Assessor: assessor(t, nil, trust.Average{}), Threshold: 0.9, GoalBad: 0, Colluders: colluders(5)},
 		{Assessor: assessor(t, nil, trust.Average{}), Threshold: 0.9, GoalBad: 1, Colluders: []feedback.EntityID{"A", ""}},
-		{Assessor: assessor(t, nil, plainFunc{}), Threshold: 0.9, GoalBad: 1, Colluders: colluders(5)},
 	}
 	for i, c := range tests {
 		if _, err := c.Run(h, src); !errors.Is(err, ErrBadParams) {
 			t.Errorf("case %d: %v", i, err)
 		}
+	}
+	// Any assessor runs: one that never trusts exhausts the step budget.
+	plain := Colluding{Assessor: assessor(t, nil, plainFunc{}), Threshold: 0.9, GoalBad: 1, Colluders: colluders(5), MaxSteps: 5}
+	if _, err := plain.Run(h.Clone(), src); !errors.Is(err, ErrGoalUnreachable) {
+		t.Errorf("plain trust function: %v", err)
 	}
 	ok := Colluding{Assessor: assessor(t, nil, trust.Average{}), Threshold: 0.9, GoalBad: 1, Colluders: colluders(5)}
 	if _, err := ok.Run(h, nil); !errors.Is(err, ErrBadParams) {

@@ -161,11 +161,41 @@ type Tester interface {
 	Test(h *feedback.History) (Verdict, error)
 }
 
+// accShared is what every built-in tester carries: its effective
+// configuration and its name. ConfigFor reads it.
+type accShared struct {
+	cfg  Config
+	name string
+}
+
+// sharedOf returns the shared config of a built-in tester, or nil.
+func sharedOf(t Tester) *accShared {
+	switch tt := t.(type) {
+	case *Single:
+		return tt.accShared
+	case *Multi:
+		return tt.accShared
+	case *MultiNaive:
+		return tt.accShared
+	case *Collusion:
+		return tt.accShared
+	}
+	return nil
+}
+
+// ConfigFor returns the effective configuration of t — its window size and
+// calibrator among it — and false for a tester this package did not build.
+func ConfigFor(t Tester) (Config, bool) {
+	if sh := sharedOf(t); sh != nil {
+		return sh.cfg, true
+	}
+	return Config{}, false
+}
+
 // scorer is what one Test call's suffix scores share: the window size, the
 // calibrator's threshold plane at the call's per-suffix confidence, and one
-// m+1 scratch table that each suffix refills with B(m, p̂). Accumulators and
-// reference testers score through the same scorer, so they differ only in
-// where their windows come from.
+// m+1 scratch table that each suffix refills with B(m, p̂). Every tester
+// scores through it, so they differ only in where their windows come from.
 type scorer struct {
 	m       int
 	plane   stats.Plane
@@ -246,7 +276,7 @@ func NewSingle(cfg Config) (*Single, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Single{&accShared{cfg, accSingle, "single"}}, nil
+	return &Single{&accShared{cfg, "single"}}, nil
 }
 
 // Name implements Tester.
@@ -300,7 +330,7 @@ func NewMulti(cfg Config) (*Multi, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Multi{&accShared{cfg, accMulti, "multi"}}, nil
+	return &Multi{&accShared{cfg, "multi"}}, nil
 }
 
 // Name implements Tester.
@@ -367,7 +397,7 @@ func NewMultiNaive(cfg Config) (*MultiNaive, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &MultiNaive{&accShared{cfg, accMultiNaive, "multi-naive"}}, nil
+	return &MultiNaive{&accShared{cfg, "multi-naive"}}, nil
 }
 
 // Name implements Tester.

@@ -179,8 +179,7 @@ func BenchmarkCollusionTest(b *testing.B) {
 
 // BenchmarkCollusionMultiTest is BenchmarkMultiTest for the
 // collusion-resilient multi-test, at the 5,000 records of the assess_deep
-// workload from a few clients and from many: one verdict of the tester over
-// the history, and one of an accumulator fed the same records.
+// workload from a few clients and from many.
 func BenchmarkCollusionMultiTest(b *testing.B) {
 	for _, clients := range []int{20, 500} {
 		tester, err := NewCollusionMulti(Config{Calibrator: benchCal})
@@ -188,52 +187,11 @@ func BenchmarkCollusionMultiTest(b *testing.B) {
 			b.Fatal(err)
 		}
 		h := uniformHistory(b, 5000, clients)
-		acc, _ := NewAccumulatorFor(tester)
-		for i := 0; i < h.Len(); i++ {
-			acc.Append(h.At(i))
-		}
 		warm(b, tester, h)
-		for _, form := range []struct {
-			name string
-			test func() (Verdict, error)
-		}{
-			{"tester", func() (Verdict, error) { return tester.Test(h) }},
-			{"accumulator", acc.Test},
-		} {
-			b.Run(fmt.Sprintf("%s/n=5000/clients=%d", form.name, clients), func(b *testing.B) {
-				b.ReportAllocs()
-				for i := 0; i < b.N; i++ {
-					if _, err := form.test(); err != nil {
-						b.Fatal(err)
-					}
-				}
-			})
-		}
-	}
-}
-
-// BenchmarkAccumulatorTest measures the incremental read: one Test over an
-// n-record accumulator whose calibrator grid is warm. Each suffix refills
-// the call's PMF scratch table.
-func BenchmarkAccumulatorTest(b *testing.B) {
-	for _, n := range []int{200, 5000, 100000} {
-		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
-			tester, err := NewMulti(Config{Calibrator: benchCal})
-			if err != nil {
-				b.Fatal(err)
-			}
-			h := benchHistory(b, n)
-			acc, _ := NewAccumulatorFor(tester)
-			for i := 0; i < h.Len(); i++ {
-				acc.Append(h.At(i))
-			}
-			if _, err := acc.Test(); err != nil {
-				b.Fatal(err)
-			}
+		b.Run(fmt.Sprintf("tester/n=5000/clients=%d", clients), func(b *testing.B) {
 			b.ReportAllocs()
-			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := acc.Test(); err != nil {
+				if _, err := tester.Test(h); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -18,6 +18,7 @@ import (
 // holding the cheated clients' feedback, which deviates from B(m, p̂).
 type Collusion struct {
 	*accShared
+	multi bool // test every stride-aligned suffix, not the whole history alone
 }
 
 var _ Tester = (*Collusion)(nil)
@@ -29,7 +30,7 @@ func NewCollusion(cfg Config) (*Collusion, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Collusion{&accShared{cfg, accCollusion, "collusion"}}, nil
+	return &Collusion{&accShared{cfg, "collusion"}, false}, nil
 }
 
 // NewCollusionMulti returns a collusion-resilient multi-tester: suffixes of
@@ -40,27 +41,23 @@ func NewCollusionMulti(cfg Config) (*Collusion, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Collusion{&accShared{cfg, accCollusionMulti, "collusion-multi"}}, nil
+	return &Collusion{&accShared{cfg, "collusion-multi"}, true}, nil
 }
 
 // Name implements Tester.
 func (c *Collusion) Name() string { return c.name }
 
-// Test implements Tester.
-func (c *Collusion) Test(h *feedback.History) (Verdict, error) { return c.testCollusion(h) }
-
-// testCollusion is Collusion.Test, which the collusion modes' accumulators
-// run over their own records: the single test over the whole history
+// Test implements Tester: the single test over the whole history
 // re-ordered by issuer, the multi-test over each stride-aligned suffix
 // re-ordered, every suffix's windows from History.CollusionWindows.
-func (sh *accShared) testCollusion(h *feedback.History) (Verdict, error) {
-	cfg, m := sh.cfg, sh.cfg.WindowSize
+func (c *Collusion) Test(h *feedback.History) (Verdict, error) {
+	cfg, m := c.cfg, c.cfg.WindowSize
 	k := h.Len() / m
 	if k < cfg.MinWindows {
 		return Verdict{}, fmt.Errorf("%w: %d windows < %d", ErrInsufficientHistory, k, cfg.MinWindows)
 	}
 	n, suffixes, confidence := h.Len(), 1, 0.0
-	if sh.mode == accCollusionMulti {
+	if c.multi {
 		n, suffixes = k*m, (k-cfg.MinWindows)/(cfg.Stride/m)+1
 		confidence = cfg.suffixConfidence(suffixes)
 	}

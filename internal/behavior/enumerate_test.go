@@ -5,8 +5,8 @@ package behavior
 // every issuer assignment, so every tie between group sizes — against a
 // definition of the §4 re-order that shares no code with the testers. Each
 // suffix's records are sorted by a plain stable sort, rebuilt into a fresh
-// history, windowed from its end and scored; the testers, an accumulator fed
-// record by record and a clone of it must all give that verdict, bit for bit.
+// history, windowed from its end and scored; the testers must give that
+// verdict, bit for bit.
 
 import (
 	"flag"
@@ -119,10 +119,9 @@ func collusionForms(t testing.TB) []collusionForm {
 	return forms
 }
 
-// requireForms checks every form's tester over h, and its accumulator in
-// accs and a clone of that, against the oracle. The oracle's re-ordered
-// windows are built once per window size and suffix.
-func requireForms(t testing.TB, forms []collusionForm, h *feedback.History, accs []*Accumulator) {
+// requireForms checks every form's tester over h against the oracle. The
+// oracle's re-ordered windows are built once per window size and suffix.
+func requireForms(t testing.TB, forms []collusionForm, h *feedback.History) {
 	recs := h.Records()
 	memo := make(map[[2]int][]int)
 	windows := func(m, n int) []int {
@@ -136,7 +135,7 @@ func requireForms(t testing.TB, forms []collusionForm, h *feedback.History, accs
 		}
 		return counts
 	}
-	for i, form := range forms {
+	for _, form := range forms {
 		cfg := form.tester.cfg
 		want, wantErr := collusionOracle(cfg, form.multi, len(recs), windows)
 		check := func(what string, got Verdict, gotErr error) {
@@ -147,28 +146,21 @@ func requireForms(t testing.TB, forms []collusionForm, h *feedback.History, accs
 		}
 		got, err := form.tester.Test(h)
 		check("Test", got, err)
-		if accs != nil {
-			got, err = accs[i].Test()
-			check("the accumulator", got, err)
-			got, err = accs[i].Clone().Test()
-			check("a clone of the accumulator", got, err)
-		}
 	}
 }
 
 // TestCollusionEnumeration walks every history of up to -collusion-len
 // records over the clients a, b and c depth first: each child appends one
-// record to a clone of its parent's history and accumulators — the last
-// child to the parent's own — so every history costs one append and every
-// accumulator was fed record by record through clones forked at each prefix.
+// record to a clone of its parent's history — the last child to the
+// parent's own — so every history costs one append.
 func TestCollusionEnumeration(t *testing.T) {
 	forms := collusionForms(t)
 	clients := []feedback.EntityID{"a", "b", "c"}
 	nodes := 0
-	var walk func(h *feedback.History, accs []*Accumulator)
-	walk = func(h *feedback.History, accs []*Accumulator) {
+	var walk func(h *feedback.History)
+	walk = func(h *feedback.History) {
 		if h.Len() > 0 {
-			requireForms(t, forms, h, accs)
+			requireForms(t, forms, h)
 			nodes++
 		}
 		if h.Len() == *collusionLen {
@@ -176,12 +168,9 @@ func TestCollusionEnumeration(t *testing.T) {
 		}
 		const choices = 6 // a client and an outcome
 		for c := 0; c < choices; c++ {
-			child, childAccs := h, accs
+			child := h
 			if c < choices-1 {
-				child, childAccs = h.Clone(), make([]*Accumulator, len(accs))
-				for i, acc := range accs {
-					childAccs[i] = acc.Clone()
-				}
+				child = h.Clone()
 			}
 			f := feedback.Feedback{Time: time.Unix(int64(h.Len())+1, 0), Server: "srv", Client: clients[c/2], Rating: feedback.Negative}
 			if c%2 == 1 {
@@ -190,25 +179,18 @@ func TestCollusionEnumeration(t *testing.T) {
 			if err := child.Append(f); err != nil {
 				t.Fatal(err)
 			}
-			for _, acc := range childAccs {
-				acc.Append(f)
-			}
-			walk(child, childAccs)
+			walk(child)
 		}
 	}
-	accs := make([]*Accumulator, len(forms))
-	for i, form := range forms {
-		accs[i], _ = NewAccumulatorFor(form.tester)
-	}
-	walk(feedback.NewHistory("srv"), accs)
+	walk(feedback.NewHistory("srv"))
 	t.Logf("%d histories of up to %d records", nodes, *collusionLen)
 }
 
-// TestCollusionWideAndOffset holds the testers and accumulators to the
-// oracle where the enumeration's histories do not reach: a history whose
-// dictionary outgrows 16-bit client slots, and suffix views whose first
-// record sits inside a good-bit word and whose dictionary holds clients none
-// of their records names.
+// TestCollusionWideAndOffset holds the testers to the oracle where the
+// enumeration's histories do not reach: a history whose dictionary outgrows
+// 16-bit client slots, and suffix views whose first record sits inside a
+// good-bit word and whose dictionary holds clients none of their records
+// names.
 func TestCollusionWideAndOffset(t *testing.T) {
 	cal := stats.NewCalibrator(stats.CalibrationConfig{Replicates: 40, Seed: 18}, 0)
 	rng := stats.NewRNG(19)
@@ -240,16 +222,8 @@ func TestCollusionWideAndOffset(t *testing.T) {
 		t.Fatal(err)
 	}
 	forms = append(forms, collusionForm{single, false})
-	accs := make([]*Accumulator, len(forms))
-	for i, form := range forms {
-		accs[i], _ = NewAccumulatorFor(form.tester)
-		for j := 0; j < h.Len(); j++ {
-			accs[i].Append(h.At(j))
-		}
-	}
-	requireForms(t, forms, h, accs)
-
-	requireForms(t, forms, h.SuffixView(19_999), nil)
+	requireForms(t, forms, h)
+	requireForms(t, forms, h.SuffixView(19_999))
 
 	small := feedback.NewHistory("srv")
 	for i := 0; i < 300; i++ {
@@ -259,6 +233,6 @@ func TestCollusionWideAndOffset(t *testing.T) {
 		}
 	}
 	for _, length := range []int{201, 137} {
-		requireForms(t, collusionForms(t), small.SuffixView(length), nil)
+		requireForms(t, collusionForms(t), small.SuffixView(length))
 	}
 }

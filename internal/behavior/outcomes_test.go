@@ -4,31 +4,20 @@ package behavior_test
 // binary outcome sequence of up to -outcome-len records, walked depth first
 // so that every history costs one append. At every prefix the O(n) Multi
 // must give the verdict of the O(n²) MultiNaive that re-tests each suffix
-// from scratch, bit for bit, and so must an accumulator fed record by record,
-// its clone, and a ServerAccumulator's assessment next to TwoPhase.Assess.
+// from scratch, bit for bit.
 
 import (
 	"flag"
-	"fmt"
 	"reflect"
 	"testing"
 	"time"
 
 	"honestplayer/internal/behavior"
-	"honestplayer/internal/core"
 	"honestplayer/internal/feedback"
 	"honestplayer/internal/stats"
-	"honestplayer/internal/trust"
 )
 
 var outcomeLen = flag.Int("outcome-len", 14, "longest history TestOutcomeEnumeration walks")
-
-// outcomePair is one Scheme-2 geometry under check: the optimised tester,
-// the reference it must equal, and their accumulators.
-type outcomePair struct {
-	multi, naive behavior.Tester
-	accs         [2]*behavior.Accumulator
-}
 
 // firstFailing returns the index of v's first failing suffix, or -1.
 func firstFailing(v behavior.Verdict) int {
@@ -40,46 +29,13 @@ func firstFailing(v behavior.Verdict) int {
 	return -1
 }
 
-// outcomeState is what the walk forks at each prefix: the history, each
-// pair's accumulators, and one ServerAccumulator per trust function.
-type outcomeState struct {
-	h    *feedback.History
-	accs [][2]*behavior.Accumulator
-	sas  []*core.ServerAccumulator
-}
-
-func (s outcomeState) clone() outcomeState {
-	c := outcomeState{h: s.h.Clone(), accs: make([][2]*behavior.Accumulator, len(s.accs)), sas: make([]*core.ServerAccumulator, len(s.sas))}
-	for i, a := range s.accs {
-		c.accs[i] = [2]*behavior.Accumulator{a[0].Clone(), a[1].Clone()}
-	}
-	for i, sa := range s.sas {
-		c.sas[i] = sa.Clone()
-	}
-	return c
-}
-
-func (s outcomeState) append(f feedback.Feedback) error {
-	if err := s.h.Append(f); err != nil {
-		return err
-	}
-	for _, a := range s.accs {
-		a[0].Append(f)
-		a[1].Append(f)
-	}
-	for _, sa := range s.sas {
-		sa.Append(f)
-	}
-	return nil
-}
-
 // TestOutcomeEnumeration walks every outcome sequence of up to -outcome-len
-// records of one client: each child appends one record to a clone of its
-// parent's state — the last child to the parent's own.
+// records of one client, with windows of 2, 3 and 4 and strides of one and
+// two windows on one pinned calibrator: each child appends one record to a
+// clone of its parent's history — the last child to the parent's own.
 func TestOutcomeEnumeration(t *testing.T) {
 	cal := stats.NewCalibrator(stats.CalibrationConfig{Replicates: 40, Seed: 23}, 0)
-	var pairs []outcomePair
-	var root outcomeState
+	var multis, naives []behavior.Tester
 	for m := 2; m <= 4; m++ {
 		for _, windows := range []int{1, 2} {
 			cfg := behavior.Config{WindowSize: m, MinWindows: 1, Stride: windows * m, Calibrator: cal}
@@ -91,83 +47,42 @@ func TestOutcomeEnumeration(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			pairs = append(pairs, outcomePair{multi: multi, naive: naive})
-			var accs [2]*behavior.Accumulator
-			for i, tester := range []behavior.Tester{multi, naive} {
-				accs[i], _ = behavior.NewAccumulatorFor(tester)
-			}
-			root.accs = append(root.accs, accs)
+			multis, naives = append(multis, multi), append(naives, naive)
 		}
 	}
-	weighted, err := trust.NewWeighted(0.5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var assessors []*core.TwoPhase
-	for _, fn := range []trust.Func{trust.Average{}, weighted, trust.Beta{}} {
-		tp, err := core.NewTwoPhase(pairs[0].multi, fn)
-		if err != nil {
-			t.Fatal(err)
-		}
-		sa, err := tp.NewServerAccumulator("srv")
-		if err != nil {
-			t.Fatal(err)
-		}
-		assessors, root.sas = append(assessors, tp), append(root.sas, sa)
-	}
-	root.h = feedback.NewHistory("srv")
-
-	check := func(s outcomeState) {
-		for i, p := range pairs {
-			want, wantErr := p.naive.Test(s.h)
-			same := func(what string, got behavior.Verdict, gotErr error) {
-				if (gotErr == nil) != (wantErr == nil) || gotErr != nil && gotErr.Error() != wantErr.Error() ||
-					!reflect.DeepEqual(got, want) || firstFailing(got) != firstFailing(want) {
-					t.Fatalf("%s of %s over %v:\n got %+v (%v)\nwant %+v (%v)", what, p.multi.Name(), s.h.Outcomes(), got, gotErr, want, wantErr)
-				}
-			}
-			got, err := p.multi.Test(s.h)
-			same(fmt.Sprintf("Multi.Test (m=%d)", i/2+2), got, err)
-			for j, acc := range s.accs[i] {
-				got, err = acc.Test()
-				same(fmt.Sprintf("accumulator %d", j), got, err)
-				got, err = acc.Clone().Test()
-				same(fmt.Sprintf("clone of accumulator %d", j), got, err)
-			}
-		}
-		for i, tp := range assessors {
-			want, wantErr := tp.Assess(s.h)
-			got, gotErr := s.sas[i].Assess()
-			if (gotErr == nil) != (wantErr == nil) || gotErr != nil && gotErr.Error() != wantErr.Error() || !reflect.DeepEqual(got, want) {
-				t.Fatalf("ServerAccumulator of %s over %v:\n got %+v (%v)\nwant %+v (%v)", tp.Name(), s.h.Outcomes(), got, gotErr, want, wantErr)
+	check := func(h *feedback.History) {
+		for i, multi := range multis {
+			want, wantErr := naives[i].Test(h)
+			got, gotErr := multi.Test(h)
+			if (gotErr == nil) != (wantErr == nil) || gotErr != nil && gotErr.Error() != wantErr.Error() ||
+				!reflect.DeepEqual(got, want) || firstFailing(got) != firstFailing(want) {
+				cfg, _ := behavior.ConfigFor(multi)
+				t.Fatalf("Multi (m=%d, stride %d) over %v:\n got %+v (%v)\nwant %+v (%v)",
+					cfg.WindowSize, cfg.Stride, h.Outcomes(), got, gotErr, want, wantErr)
 			}
 		}
 	}
 	nodes := 0
-	var walk func(s outcomeState)
-	walk = func(s outcomeState) {
-		if s.h.Len() > 0 {
-			check(s)
+	var walk func(h *feedback.History)
+	walk = func(h *feedback.History) {
+		if h.Len() > 0 {
+			check(h)
 			nodes++
 		}
-		if s.h.Len() == *outcomeLen {
+		if h.Len() == *outcomeLen {
 			return
 		}
 		for _, good := range []bool{false, true} {
-			child := s
+			child := h
 			if !good {
-				child = s.clone()
+				child = h.Clone()
 			}
-			f := feedback.Feedback{Time: time.Unix(int64(s.h.Len())+1, 0), Server: "srv", Client: "c", Rating: feedback.Negative}
-			if good {
-				f.Rating = feedback.Positive
-			}
-			if err := child.append(f); err != nil {
+			if err := child.AppendOutcome("c", good, time.Unix(int64(h.Len())+1, 0)); err != nil {
 				t.Fatal(err)
 			}
 			walk(child)
 		}
 	}
-	walk(root)
+	walk(feedback.NewHistory("srv"))
 	t.Logf("%d histories of up to %d records", nodes, *outcomeLen)
 }

@@ -1,12 +1,11 @@
 package behavior_test
 
-// Tests for what accumulators of one tester share (the configuration and the
-// calibrator's grid) and for what each keeps to itself (counters only).
+// Tests for what the callers of one tester share — its configuration and
+// the calibrator's grid — and for what one Test call allocates.
 
 import (
 	"fmt"
 	"reflect"
-	"runtime"
 	"sync"
 	"testing"
 
@@ -15,6 +14,12 @@ import (
 	"honestplayer/internal/feedback"
 	"honestplayer/internal/stats"
 )
+
+// fastCalibrator keeps Monte-Carlo cost low; determinism, not accuracy, is
+// what these tests need.
+func fastCalibrator(seed uint64) *stats.Calibrator {
+	return stats.NewCalibrator(stats.CalibrationConfig{Replicates: 120, Seed: seed}, 0)
+}
 
 // honestHistory generates one honest server's history, seeded by i.
 func honestHistory(t testing.TB, i, n int) *feedback.History {
@@ -26,29 +31,48 @@ func honestHistory(t testing.TB, i, n int) *feedback.History {
 	return h
 }
 
-// TestAccumulatorsOfOneTesterConcurrent hammers what one tester's
-// accumulators share from every side at once: 8 goroutines read 64
-// accumulators, and further accumulators of the same tester take appends
-// meanwhile, all over one calibrator grid. Every verdict must equal the
-// batch tester's.
-func TestAccumulatorsOfOneTesterConcurrent(t *testing.T) {
+// TestOneTesterConcurrent hammers what a node's verdicts share from every
+// side at once: 8 goroutines test 64 histories with one tester, and two
+// writers append to histories of their own and test every prefix meanwhile,
+// all over one calibrator grid. Every verdict must equal the one computed
+// alone.
+func TestOneTesterConcurrent(t *testing.T) {
 	tester, err := behavior.NewMulti(behavior.Config{Calibrator: fastCalibrator(51), FamilywiseCorrection: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	const readers, accs, records = 8, 64, 130
-	hists := make([]*feedback.History, accs)
-	readAccs := make([]*behavior.Accumulator, accs)
-	want := make([]behavior.Verdict, accs)
+	const readers, servers, records = 8, 64, 130
+	hists := make([]*feedback.History, servers)
+	want := make([]behavior.Verdict, servers)
+	prefixes := make([][]behavior.Verdict, 2)
 	for i := range hists {
 		hists[i] = honestHistory(t, i, records)
-		readAccs[i], _ = behavior.NewAccumulatorFor(tester)
-		for j := 0; j < records; j++ {
-			readAccs[i].Append(hists[i].At(j))
-		}
 		if want[i], err = tester.Test(hists[i]); err != nil {
 			t.Fatal(err)
 		}
+	}
+	// grow appends hists[g] to a history of its own record by record and
+	// tests every prefix.
+	grow := func(g int, each func(n int, v behavior.Verdict) bool) {
+		h := feedback.NewHistory(hists[g].Server())
+		for j := 0; j < records; j++ {
+			if err := h.Append(hists[g].At(j)); err != nil {
+				t.Error(err)
+				return
+			}
+			v, _ := tester.Test(h)
+			if !each(j+1, v) {
+				return
+			}
+		}
+	}
+	for g := range prefixes {
+		grow(g, func(_ int, v behavior.Verdict) bool { prefixes[g] = append(prefixes[g], v); return true })
+	}
+	// A fresh tester on a fresh calibrator of the same seed, so the
+	// concurrent calls below also calibrate the grid points they meet.
+	if tester, err = behavior.NewMulti(behavior.Config{Calibrator: fastCalibrator(51), FamilywiseCorrection: true}); err != nil {
+		t.Fatal(err)
 	}
 	var wg sync.WaitGroup
 	for g := 0; g < readers; g++ {
@@ -56,177 +80,53 @@ func TestAccumulatorsOfOneTesterConcurrent(t *testing.T) {
 		go func(g int) {
 			defer wg.Done()
 			for round := 0; round < 4; round++ {
-				for i := range readAccs {
-					i = (i + g*accs/readers) % accs
-					got, err := readAccs[i].Test()
+				for i := range hists {
+					i = (i + g*servers/readers) % servers
+					got, err := tester.Test(hists[i])
 					if err != nil || !reflect.DeepEqual(got, want[i]) {
-						t.Errorf("reader %d, accumulator %d: verdict %+v (%v), batch %+v", g, i, got, err, want[i])
+						t.Errorf("reader %d, history %d: verdict %+v (%v), alone %+v", g, i, got, err, want[i])
 						return
 					}
 				}
 			}
 		}(g)
 	}
-	// Writers own their accumulators (the store's contract: one writer per
-	// accumulator, no reads meanwhile) but share the tester's grid.
-	for g := 0; g < 2; g++ {
+	for g := range prefixes {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
-			acc, _ := behavior.NewAccumulatorFor(tester)
-			prefix := feedback.NewHistory(hists[g].Server())
-			for j := 0; j < records; j++ {
-				rec := hists[g].At(j)
-				acc.Append(rec)
-				if err := prefix.Append(rec); err != nil {
-					t.Error(err)
-					return
+			grow(g, func(n int, got behavior.Verdict) bool {
+				if !reflect.DeepEqual(got, prefixes[g][n-1]) {
+					t.Errorf("writer %d at n=%d: verdict %+v, alone %+v", g, n, got, prefixes[g][n-1])
+					return false
 				}
-				got, gotErr := acc.Test()
-				wantV, wantErr := tester.Test(prefix)
-				if (gotErr == nil) != (wantErr == nil) || !reflect.DeepEqual(got, wantV) {
-					t.Errorf("writer %d at n=%d: verdict %+v (%v), batch %+v (%v)", g, j+1, got, gotErr, wantV, wantErr)
-					return
-				}
-			}
+				return true
+			})
 		}(g)
 	}
 	wg.Wait()
 }
 
-// TestConcurrentTestSameAccumulator: Test writes nothing, so two calls on
-// one accumulator may overlap and must agree.
-func TestConcurrentTestSameAccumulator(t *testing.T) {
-	for name, tester := range diffTesters(t, behavior.Config{Calibrator: fastCalibrator(52)}) {
-		h := honestHistory(t, 3, 170)
-		acc, _ := behavior.NewAccumulatorFor(tester)
-		for j := 0; j < h.Len(); j++ {
-			acc.Append(h.At(j))
-		}
-		want, err := tester.Test(h)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var wg sync.WaitGroup
-		for g := 0; g < 2; g++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for round := 0; round < 20; round++ {
-					if got, err := acc.Test(); err != nil || !reflect.DeepEqual(got, want) {
-						t.Errorf("%s: verdict %+v (%v), batch %+v", name, got, err, want)
-						return
-					}
-				}
-			}()
-		}
-		wg.Wait()
-	}
-}
-
-// heapAlloc returns the live heap after a forced collection.
-func heapAlloc() uint64 {
-	runtime.GC()
-	var ms runtime.MemStats
-	runtime.ReadMemStats(&ms)
-	return ms.HeapAlloc
-}
-
-// TestSizeBytesTracksHeap: the accounted size of a population of
-// accumulators is what the heap actually grew by, within a quarter — with
-// the calibrator's grid out of the per-server figure, nothing large is left
-// to mis-state. The collusion modes' figure is their history's, here of
-// records from many clients.
-func TestSizeBytesTracksHeap(t *testing.T) {
-	multi, err := behavior.NewMulti(behavior.Config{Calibrator: fastCalibrator(53)})
-	if err != nil {
-		t.Fatal(err)
-	}
-	collusion, err := behavior.NewCollusionMulti(behavior.Config{Calibrator: fastCalibrator(53)})
-	if err != nil {
-		t.Fatal(err)
-	}
-	const servers, records = 1000, 200
-	many, err := attack.GenHonest("srv-many", records, 0.9, 150, stats.NewRNG(61))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, row := range []struct {
-		tester behavior.Tester
-		h      *feedback.History
-		most   int // accounted bytes per accumulator
-	}{
-		{multi, honestHistory(t, 1, records), 4096},
-		{collusion, many, 5120},
-	} {
-		warm, _ := behavior.NewAccumulatorFor(row.tester)
-		for j := 0; j < records; j++ {
-			warm.Append(row.h.At(j))
-		}
-		if _, err := warm.Test(); err != nil { // calibrate the grid before measuring
-			t.Fatal(err)
-		}
-		accs := make([]*behavior.Accumulator, servers)
-		before := heapAlloc()
-		for i := range accs {
-			accs[i], _ = behavior.NewAccumulatorFor(row.tester)
-			for j := 0; j < records; j++ {
-				accs[i].Append(row.h.At(j))
-			}
-		}
-		grown := float64(heapAlloc() - before)
-		accounted := 0
-		for _, a := range accs {
-			accounted += a.SizeBytes()
-		}
-		t.Logf("%s: accounted %d B, heap grew %.0f B", row.tester.Name(), accounted, grown)
-		if ratio := float64(accounted) / grown; ratio < 0.75 || ratio > 1.25 {
-			t.Fatalf("%s: accounted %d B for %d accumulators, heap grew %.0f B (ratio %.2f)", row.tester.Name(), accounted, servers, grown, ratio)
-		}
-		if per := accounted / servers; per > row.most {
-			t.Fatalf("%s: %d B accounted per %d-record accumulator", row.tester.Name(), per, records)
-		}
-		runtime.KeepAlive(accs)
-	}
-}
-
-// TestNewAccumulatorAllocation: minting an accumulator on a warm tester
-// allocates the fixed phase tables and nothing else.
-func TestNewAccumulatorAllocation(t *testing.T) {
-	tester, err := behavior.NewMulti(behavior.Config{Calibrator: fastCalibrator(54)})
-	if err != nil {
-		t.Fatal(err)
-	}
-	const mints = 200
-	var before, after runtime.MemStats
-	keep := make([]*behavior.Accumulator, mints)
-	runtime.ReadMemStats(&before)
-	for i := range keep {
-		keep[i], _ = behavior.NewAccumulatorFor(tester)
-	}
-	runtime.ReadMemStats(&after)
-	if per := (after.TotalAlloc - before.TotalAlloc) / mints; per >= 4096 {
-		t.Fatalf("NewAccumulatorFor allocates %d B", per)
-	}
-	runtime.KeepAlive(keep)
-}
-
-// TestWideWindowString covers the widest window a tester takes, whose good
-// counts use the window string's whole byte, through appends and reads.
-func TestWideWindowString(t *testing.T) {
+// TestWidestWindow: at MaxWindowSize, whose window good counts span the
+// whole byte a verdict chain carries, Multi equals the MultiNaive reference.
+func TestWidestWindow(t *testing.T) {
 	cfg := behavior.Config{WindowSize: behavior.MaxWindowSize, MinWindows: 2, Stride: 2 * behavior.MaxWindowSize, Calibrator: fastCalibrator(55)}
-	tester, err := behavior.NewMulti(cfg)
+	multi, err := behavior.NewMulti(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	naive, err := behavior.NewMultiNaive(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	h := honestHistory(t, 7, 2500)
-	acc, _ := behavior.NewAccumulatorFor(tester)
-	for j := 0; j < h.Len(); j++ {
-		acc.Append(h.At(j))
+	want, err := naive.Test(h)
+	if err != nil {
+		t.Fatal(err)
 	}
-	want, wantErr := tester.Test(h)
-	got, gotErr := acc.Test()
-	requireSameOutcome(t, "wide", h.Len(), got, gotErr, want, wantErr)
+	if got, err := multi.Test(h); err != nil || !reflect.DeepEqual(got, want) {
+		t.Fatalf("Multi over %d records at m=%d: %+v (%v), MultiNaive %+v", h.Len(), cfg.WindowSize, got, err, want)
+	}
 }
 
 // TestMultiTestAllocations: a Scheme-2 test over 10,000 records allocates per
@@ -277,31 +177,5 @@ func TestCollusionMultiTestAllocations(t *testing.T) {
 		if allocs > 12 {
 			t.Fatalf("CollusionMulti.Test over %d records of %d clients: %v allocs per call, want ≤ 12", h.Len(), clients, allocs)
 		}
-	}
-}
-
-// TestAccumulatorTestAllocations: an accumulator's Scheme-2 test over 5,000
-// records allocates per call, not per suffix — its PMF scratch table, one
-// histogram and the verdict, nothing for each of its ~500 suffixes.
-func TestAccumulatorTestAllocations(t *testing.T) {
-	tester, err := behavior.NewMulti(behavior.Config{Calibrator: fastCalibrator(58)})
-	if err != nil {
-		t.Fatal(err)
-	}
-	h := honestHistory(t, 4, 5000)
-	acc, _ := behavior.NewAccumulatorFor(tester)
-	for j := 0; j < h.Len(); j++ {
-		acc.Append(h.At(j))
-	}
-	if _, err := acc.Test(); err != nil { // calibrates the grid points
-		t.Fatal(err)
-	}
-	allocs := testing.AllocsPerRun(5, func() {
-		if _, err := acc.Test(); err != nil {
-			t.Fatal(err)
-		}
-	})
-	if allocs > 3 {
-		t.Fatalf("Accumulator.Test over %d records: %v allocs per call, want ≤ 3", h.Len(), allocs)
 	}
 }

@@ -126,13 +126,6 @@ func (tp *TwoPhase) Tester() behavior.Tester { return tp.tester }
 // TrustFunc returns the phase-2 trust function.
 func (tp *TwoPhase) TrustFunc() trust.Func { return tp.fn }
 
-// Assess runs the two-phase assessment on the server's history.
-func (tp *TwoPhase) Assess(h *feedback.History) (Assessment, error) {
-	return tp.assess(h.Server(), h.Len(), h.GoodCount(),
-		func() (behavior.Verdict, error) { return tp.tester.Test(h) },
-		func() (float64, error) { return tp.fn.Evaluate(h) })
-}
-
 // trustZ is the normal quantile of an assessment's 95% trust interval.
 const trustZ = 1.96
 
@@ -142,17 +135,15 @@ func TrustInterval(good, n int) (lo, hi float64, err error) {
 	return stats.WilsonInterval(good, n, trustZ)
 }
 
-// assess builds an Assessment of server, whose history holds n records of
-// which good are good, from its two phases, for TwoPhase.Assess and
-// ServerAccumulator.Assess alike. test is phase 1 and runs only when the
-// assessor has a tester; evaluate is phase 2, yielding the trust value, and
-// never runs for a suspicious server.
-func (tp *TwoPhase) assess(server feedback.EntityID, n, good int, test func() (behavior.Verdict, error),
-	evaluate func() (float64, error)) (Assessment, error) {
-	a := Assessment{Server: server, TrustFunc: tp.fn.Name(), Records: n, Good: good}
+// Assess runs the two-phase assessment on the server's history: phase 1
+// runs only when the assessor has a tester, and phase 2, which yields the
+// trust value, never runs for a suspicious server.
+func (tp *TwoPhase) Assess(h *feedback.History) (Assessment, error) {
+	n, good := h.Len(), h.GoodCount()
+	a := Assessment{Server: h.Server(), TrustFunc: tp.fn.Name(), Records: n, Good: good}
 	if tp.tester != nil {
 		a.Tester = tp.tester.Name()
-		v, err := test()
+		v, err := tp.tester.Test(h)
 		switch {
 		case errors.Is(err, behavior.ErrInsufficientHistory):
 			a.ShortHistory = true
@@ -170,7 +161,7 @@ func (tp *TwoPhase) assess(server feedback.EntityID, n, good int, test func() (b
 			}
 		}
 	}
-	value, err := evaluate()
+	value, err := tp.fn.Evaluate(h)
 	if err != nil {
 		return a, fmt.Errorf("trust function: %w", err)
 	}
@@ -190,11 +181,6 @@ func (tp *TwoPhase) assess(server feedback.EntityID, n, good int, test func() (b
 // its trust value meets the threshold.
 func (tp *TwoPhase) Accept(h *feedback.History, threshold float64) (bool, Assessment, error) {
 	a, err := tp.Assess(h)
-	return accept(a, err, threshold)
-}
-
-// accept is a client's decision on an assessment, for both Accept methods.
-func accept(a Assessment, err error, threshold float64) (bool, Assessment, error) {
 	if err != nil {
 		return false, a, err
 	}

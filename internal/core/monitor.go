@@ -23,8 +23,8 @@ type Alert struct {
 // Interval transactions and recording an Alert whenever the suspicious
 // status flips. It is the continuous-deployment shape of the paper's
 // mechanism: an online marketplace does not assess once, it re-assesses as
-// feedback arrives. Like a serving node, it keeps a ServerAccumulator in
-// step with the history and reads its verdicts from it (ADR 0016).
+// feedback arrives. Like a serving node, it keeps the history and answers
+// each re-assessment with TwoPhase.Assess over it (ADR 0016).
 //
 // Use a tester with FamilywiseCorrection enabled for monitoring — the
 // uncorrected multi test's per-suffix false positives compound over
@@ -32,8 +32,8 @@ type Alert struct {
 //
 // Monitor is not safe for concurrent use.
 type Monitor struct {
+	assessor *TwoPhase
 	history  *feedback.History
-	acc      *ServerAccumulator
 	interval int
 
 	sinceAssess int
@@ -43,9 +43,7 @@ type Monitor struct {
 }
 
 // NewMonitor creates a monitor for one server. interval is how many
-// transactions pass between re-assessments (1 = every transaction). The
-// assessor must support incremental assessment (SupportsIncremental); every
-// built-in combination does.
+// transactions pass between re-assessments (1 = every transaction).
 func NewMonitor(assessor *TwoPhase, server feedback.EntityID, interval int) (*Monitor, error) {
 	if assessor == nil {
 		return nil, errors.New("core: nil assessor")
@@ -53,11 +51,7 @@ func NewMonitor(assessor *TwoPhase, server feedback.EntityID, interval int) (*Mo
 	if interval < 1 {
 		return nil, fmt.Errorf("core: monitor interval %d", interval)
 	}
-	acc, err := assessor.NewServerAccumulator(server)
-	if err != nil {
-		return nil, err
-	}
-	return &Monitor{history: feedback.NewHistory(server), acc: acc, interval: interval}, nil
+	return &Monitor{assessor: assessor, history: feedback.NewHistory(server), interval: interval}, nil
 }
 
 // History exposes the accumulated history (read-only use).
@@ -83,13 +77,12 @@ func (m *Monitor) Record(client feedback.EntityID, good bool, at time.Time) (*As
 	if err := m.history.AppendOutcome(client, good, at); err != nil {
 		return nil, err
 	}
-	m.acc.Append(m.history.At(m.history.Len() - 1))
 	m.sinceAssess++
 	if m.sinceAssess < m.interval {
 		return nil, nil
 	}
 	m.sinceAssess = 0
-	a, err := m.acc.Assess()
+	a, err := m.assessor.Assess(m.history)
 	if err != nil {
 		return nil, err
 	}

@@ -60,9 +60,7 @@ func runAblationCUSUM(p cusumParams, seed uint64) (*Result, error) {
 			if err != nil {
 				return nil, err
 			}
-			acc, _ := behavior.NewAccumulatorFor(multi) // every built-in tester has one
 			for i := 0; i < h.Len(); i++ {
-				acc.Append(h.At(i))
 				detector.Observe(h.At(i).Good())
 			}
 			if detector.Alarmed() {
@@ -76,12 +74,11 @@ func runAblationCUSUM(p cusumParams, seed uint64) (*Result, error) {
 				if err := h.AppendOutcome("v", good, logical(prep+d)); err != nil {
 					return nil, err
 				}
-				acc.Append(h.At(h.Len() - 1))
 				if cusumDelay == maxDelay && detector.Observe(good) {
 					cusumDelay = d
 				}
 				if multiDelay == maxDelay {
-					v, err := acc.Test()
+					v, err := multi.Test(h)
 					if err != nil && !errors.Is(err, behavior.ErrInsufficientHistory) {
 						return nil, err
 					}
@@ -103,7 +100,7 @@ func runAblationCUSUM(p cusumParams, seed uint64) (*Result, error) {
 	}
 	res.Series = append(res.Series, cusumSeries, multiSeries)
 	res.Notes = append(res.Notes,
-		"with end-aligned windows the multi-test also reacts per transaction and detects slightly faster; CUSUM reads one statistic per transaction, the multi-test's accumulator one window histogram per suffix")
+		"with end-aligned windows the multi-test also reacts per transaction and detects slightly faster; CUSUM updates one statistic per transaction, the multi-test re-tests every suffix of the history")
 	return res, nil
 }
 

@@ -124,8 +124,7 @@ func newLineage(server EntityID) uint64 {
 
 // NewHistory returns an empty history for the given server, of a lineage
 // of its own. A history of no server, "", takes records through AppendSlot
-// alone — an accumulator's copy of the records it consumed is one — and has
-// no lineage.
+// alone, and has no lineage.
 func NewHistory(server EntityID) *History {
 	return &History{server: server, rank: []uint32{0}, lineage: newLineage(server)}
 }

@@ -130,12 +130,11 @@ type Metrics struct {
 	Histories    map[feedback.EntityID]*feedback.History `json:"-"`
 }
 
-// serverState is the mutable runtime of one provider: its history and, in
-// step with it, the assessment state clients consult (ADR 0016).
+// serverState is the mutable runtime of one provider: its history, which
+// clients assess (ADR 0016).
 type serverState struct {
 	spec    ServerSpec
 	history *feedback.History
-	acc     *core.ServerAccumulator
 	served  int
 	metrics ServerMetrics
 }
@@ -166,9 +165,7 @@ func (s *serverState) outcome(rng *stats.RNG) bool {
 // service, assesses every provider with the given assessor, and transacts
 // with the acceptable provider of highest trust (ties broken at random).
 // The transaction outcome is produced by the provider's behaviour model and
-// fed back into its history. Each provider's verdicts come from its own
-// accumulator, so the assessor must have an incremental form
-// (core.TwoPhase.SupportsIncremental), as every built-in one does.
+// fed back into its history, which the assessor judges at the next step.
 func Run(cfg Config, assessor *core.TwoPhase) (*Metrics, error) {
 	if assessor == nil {
 		return nil, errors.New("sim: nil assessor")
@@ -188,11 +185,7 @@ func Run(cfg Config, assessor *core.TwoPhase) (*Metrics, error) {
 		if err := spec.validate(); err != nil {
 			return nil, err
 		}
-		acc, err := assessor.NewServerAccumulator(spec.ID)
-		if err != nil {
-			return nil, err
-		}
-		states = append(states, &serverState{spec: spec, history: feedback.NewHistory(spec.ID), acc: acc,
+		states = append(states, &serverState{spec: spec, history: feedback.NewHistory(spec.ID),
 			metrics: ServerMetrics{Kind: spec.Kind}})
 	}
 
@@ -202,7 +195,6 @@ func Run(cfg Config, assessor *core.TwoPhase) (*Metrics, error) {
 			return err
 		}
 		clock++
-		st.acc.Append(st.history.At(st.history.Len() - 1))
 		return nil
 	}
 	colluder := func(st *serverState) feedback.EntityID {
@@ -265,7 +257,7 @@ func Run(cfg Config, assessor *core.TwoPhase) (*Metrics, error) {
 			bestTrust float64
 		)
 		for _, st := range states {
-			ok, a, err := st.acc.Accept(cfg.Threshold)
+			ok, a, err := assessor.Accept(st.history, cfg.Threshold)
 			if err != nil {
 				return nil, fmt.Errorf("assess %s: %w", st.spec.ID, err)
 			}

@@ -20,13 +20,13 @@ func benchHistory(b *testing.B, n int) *feedback.History {
 	return h
 }
 
-func benchFuncs(b *testing.B) []TrackerFunc {
+func benchFuncs(b *testing.B) []Func {
 	b.Helper()
 	w, err := NewWeighted(0.5)
 	if err != nil {
 		b.Fatal(err)
 	}
-	return []TrackerFunc{Average{}, w, Beta{}}
+	return []Func{Average{}, w, Beta{}}
 }
 
 func BenchmarkEvaluate(b *testing.B) {
@@ -38,18 +38,6 @@ func BenchmarkEvaluate(b *testing.B) {
 				if _, err := fn.Evaluate(h); err != nil {
 					b.Fatal(err)
 				}
-			}
-		})
-	}
-}
-
-func BenchmarkTrackerUpdate(b *testing.B) {
-	for _, fn := range benchFuncs(b) {
-		b.Run(fn.Name(), func(b *testing.B) {
-			tr := fn.NewTracker()
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				tr.Update(i%10 != 0)
 			}
 		})
 	}

@@ -122,51 +122,27 @@ func TestNames(t *testing.T) {
 	}
 }
 
-// allTrackerFuncs enumerates every TrackerFunc for shared property tests.
-func allTrackerFuncs(t *testing.T) []TrackerFunc {
-	t.Helper()
+// TestEvaluateWithinUnitInterval: every function's value at every prefix of
+// a random history lies in [0, 1].
+func TestEvaluateWithinUnitInterval(t *testing.T) {
 	w, err := NewWeighted(0.5)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return []TrackerFunc{Average{}, w, Beta{}}
-}
-
-// Property: every tracker agrees with its Func's Evaluate on random
-// histories, stays within [0,1], and a clone keeps its value while the
-// original moves on.
-func TestTrackersMatchEvaluate(t *testing.T) {
-	for _, tf := range allTrackerFuncs(t) {
-		tf := tf
-		t.Run(tf.Name(), func(t *testing.T) {
+	for _, fn := range []Func{Average{}, w, Beta{}} {
+		t.Run(fn.Name(), func(t *testing.T) {
 			f := func(raw []bool) bool {
-				if len(raw) == 0 {
-					return true
-				}
 				h := feedback.NewHistory("s")
-				tr := tf.NewTracker()
 				for i, g := range raw {
 					if err := h.AppendOutcome("c", g, time.Unix(int64(i), 0)); err != nil {
 						return false
 					}
-					tr.Update(g)
-					v := tr.Value()
-					if math.IsNaN(v) || v < 0 || v > 1 {
+					v, err := fn.Evaluate(h)
+					if err != nil || math.IsNaN(v) || v < 0 || v > 1 {
 						return false
 					}
 				}
-				want, err := tf.Evaluate(h)
-				if err != nil {
-					return false
-				}
-				if math.Abs(tr.Value()-want) > 1e-9 {
-					return false
-				}
-				clone := tr.clone()
-				for _, g := range raw {
-					tr.Update(!g)
-				}
-				return math.Abs(clone.Value()-want) < 1e-9
+				return true
 			}
 			if err := quick.Check(f, &quick.Config{MaxCount: 150}); err != nil {
 				t.Error(err)
@@ -175,28 +151,19 @@ func TestTrackersMatchEvaluate(t *testing.T) {
 	}
 }
 
-func TestTrackerValueNaNBeforeUpdate(t *testing.T) {
-	for _, tf := range allTrackerFuncs(t) {
-		if !math.IsNaN(tf.NewTracker().Value()) {
-			t.Errorf("%s: fresh tracker Value not NaN", tf.Name())
-		}
-	}
-}
-
 // Paper check: with the weighted function at λ=0.5, a trust value above 0.9
 // drops below 0.9 after a single bad transaction, so an attacker can never
 // cheat twice in a row (§5.1).
 func TestWeightedNoTwoConsecutiveAttacks(t *testing.T) {
 	w, _ := NewWeighted(0.5)
-	tr := w.NewTracker()
-	for i := 0; i < 100; i++ {
-		tr.Update(true)
+	outcomes := make([]bool, 100)
+	for i := range outcomes {
+		outcomes[i] = true
 	}
-	if tr.Value() < 0.9 {
-		t.Fatalf("long good streak value %v < 0.9", tr.Value())
+	if v, err := w.Evaluate(historyOf(t, outcomes)); err != nil || v < 0.9 {
+		t.Fatalf("long good streak value %v (%v) < 0.9", v, err)
 	}
-	tr.Update(false)
-	if tr.Value() >= 0.9 {
-		t.Fatalf("one bad transaction left trust at %v, expected < 0.9", tr.Value())
+	if v, err := w.Evaluate(historyOf(t, append(outcomes, false))); err != nil || v >= 0.9 {
+		t.Fatalf("one bad transaction left trust at %v (%v), expected < 0.9", v, err)
 	}
 }

@@ -291,7 +291,7 @@ func benchHistories(t testing.TB, servers, records int) []*feedback.History {
 }
 
 // TestTesterTablesAreChains: the tables a multi tester writes — Multi.Test's
-// and a ServerAccumulator's — cross as keyed chains, with every Distance
+// and TwoPhase.Assess's — cross as keyed chains, with every Distance
 // rebuilt by the receiver and none sent, and a threshold sent only for the
 // rows that bind a grid key, on seeded histories: honest ones over the
 // benchmark's range of p, a hibernating attacker's and a periodic one's. A
@@ -324,18 +324,11 @@ func TestTesterTablesAreChains(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		sa, err := tp.NewServerAccumulator(h.Server())
+		a, err := tp.Assess(h)
 		if err != nil {
 			t.Fatal(err)
 		}
-		for i := 0; i < h.Len(); i++ {
-			sa.Append(h.At(i))
-		}
-		a, err := sa.Assess()
-		if err != nil {
-			t.Fatal(err)
-		}
-		for engine, rows := range map[string][]behavior.SuffixResult{"Multi.Test": v.Suffixes, "accumulator": a.Verdict.Suffixes} {
+		for engine, rows := range map[string][]behavior.SuffixResult{"Multi.Test": v.Suffixes, "TwoPhase.Assess": a.Verdict.Suffixes} {
 			if shape := checkTable(t, rows); shape != tableChain|tableKeyed {
 				t.Errorf("%s, %s: %d rows in shape %#x, want a keyed chain", name, engine, len(rows), shape)
 			}

@@ -49,9 +49,10 @@
 #     merge; fwd.* is batch-only
 #   - one metrics registry (ADR 0013): each layer registers its own /metricz
 #     keys; no stitched Stats structs, no wrapper or mirror of the document
-#   - one engine answers every repeated or what-if verdict, and a history is
-#     append-only (ADR 0016): the attackers and the marketplace judge through
-#     ServerAccumulator clones, never by re-testing a history they roll back
+#   - one engine answers every verdict, and a history is append-only (ADR
+#     0016 and its fourth amendment): the attackers, the marketplace, the
+#     monitor and the node recompute over a history, a what-if asks a
+#     History.Clone, and the accumulator names live only in core's shim file
 #   - a snapshot holds records only (ADR 0017): nothing serializes an
 #     accumulator, and boot and fault-in replay none
 #   - one engine on the node, the reference (ADR 0016's amendment): the
@@ -62,14 +63,12 @@
 #     store rebuilds a server
 #   - the library ships only assessors a node serves or an experiment runs
 #     (ADR 0020): the five deleted testers and trust functions, their facade
-#     names and examples/multilevel stay out; core.Monitor reads its
-#     accumulator
+#     names and examples/multilevel stay out
 #   - experiments are configured by the registry alone (ADR 0020): no
 #     exported Config type, Run(Fig|Ablation) function or withDefaults in
 #     internal/experiment
-#   - phase 1 scores a suffix in one place (ADR 0016): the reference testers
-#     and the accumulators share one scoring function, core one Assessment
-#     builder; stats.Histogram, the Binomial type, L1HistDistance,
+#   - phase 1 scores a suffix in one place (ADR 0016): every tester scores
+#     through one function, core builds an Assessment in one place; stats.Histogram, the Binomial type, L1HistDistance,
 #     ThresholdAt and ReestimateP stay deleted
 #   - phase 1 has one collusion window source (ADR 0016):
 #     History.CollusionWindows; CollusionOrder, GroupByIssuer, IssuerGroup,
@@ -396,10 +395,13 @@ for pkg in stats feedback trust behavior core; do
         "absent '\"honestplayer/internal/metrics\"' internal/$pkg"
 done
 
-# --- one engine for repeated verdicts, append-only histories (ADR 0016) -------
-# The attackers and the marketplace simulation keep a core.ServerAccumulator
-# in step with each history and ask clones of it what a record would change;
-# a history loses no record, and the dead surface that went with it stays out.
+# --- one engine for every verdict, append-only histories (ADR 0016) ----------
+# The attackers, the marketplace simulation and the monitor judge a history
+# with TwoPhase.Accept / Assess, and ask a History.Clone what a record would
+# change; a history loses no record, and the dead surface that went with it
+# stays out. The incremental engine is gone (the fourth amendment): outside
+# core's shim file, which bench/ compiles against, non-test code names none
+# of its entry points, and the behavior and trust halves stay deleted.
 check "RemoveLast stays deleted (ADR 0016)" "absent '\bRemoveLast\b'"
 check "feedback.ErrEmptyHistory stays deleted (ADR 0016)" "absent '\bErrEmptyHistory\b' internal/feedback"
 check "wouldAccept stays deleted (ADR 0016)" "absent '\bwouldAccept\b'"
@@ -408,9 +410,12 @@ check "internal/eigentrust and examples/p2prank stay deleted (ADR 0016)" \
      && absent 'honestplayer/internal/eigentrust|\b(EigenTrust\w+|ComputeEigenTrust)\b'"
 check "the six unused statistics stay deleted (ADR 0016)" \
     "absent '\b(L1Distance|L2Distance|ChiSquareStat|KSStat|L1SampleDistance|BinomialMLE)\b'"
-for src in internal/attack internal/sim internal/core/monitor.go; do
-    check "$src judges no history with Accept or Assess (ADR 0016)" \
-        "absent '\.Assess\([^)]|\.Accept\([^)]*,' $src"
+check "outside internal/core/shim.go nothing names the accumulator engine (ADR 0016's fourth amendment)" \
+    "! sources | grep -v '^./internal/core/shim\.go$' \
+       | xargs grep -nE '\b(ServerAccumulator|NewAccumulatorFor|SupportsAccumulator|SupportsIncremental|TrackerFunc)\b' | grep -q ."
+for sym in 'type Accumulator struct' 'type Tracker interface' NewTracker accMode; do
+    check "$sym stays out of internal/behavior and internal/trust (ADR 0016's fourth amendment)" \
+        "absent '\b$sym\b' internal/behavior && absent '\b$sym\b' internal/trust"
 done
 
 # --- a snapshot holds records only (ADR 0017) ----------------------------------
@@ -430,8 +435,8 @@ check "internal/ledger reads no accState, EncodeAccumulator or RestoreAccumulato
     "absent '\baccState\b|\.(EncodeAccumulator|RestoreAccumulator)\b' internal/ledger"
 shim_defs() { sources | xargs grep -nE 'func \([^)]*\) (AppendState|RestoreServerAccumulator)\('; }
 check "the two core shims are the only AppendState / RestoreServerAccumulator (ADR 0017)" \
-    "[ \"\$(shim_defs | wc -l)\" -eq 2 ] && ! shim_defs | grep -v '^./internal/core/incremental\.go:' | grep -q . \
-     && [ \"\$(grep -cE '^// Deprecated: a snapshot holds records only' internal/core/incremental.go)\" -eq 2 ]"
+    "[ \"\$(shim_defs | wc -l)\" -eq 2 ] && ! shim_defs | grep -v '^./internal/core/shim\.go:' | grep -q . \
+     && [ \"\$(grep -cE '^// Deprecated: a snapshot holds records only' internal/core/shim.go)\" -eq 2 ]"
 
 # --- one engine on the node, the reference (ADR 0016's amendment) --------------
 # trustd answers every verdict with TwoPhase.Accept over the stored history:
@@ -499,9 +504,9 @@ check "no withDefaults in internal/experiment (ADR 0020)" \
     "absent '\bwithDefaults\b' internal/experiment"
 
 # --- one suffix score, one Assessment builder (ADR 0016) ----------------------
-# The reference testers and the accumulators score a suffix with one
-# function and differ only in where the windows come from; core
-# builds every Assessment in one place. The batch-only statistics types, the
+# Every tester scores a suffix with one function and differs from the
+# others only in where the windows come from; core builds every Assessment
+# in one place. The batch-only statistics types, the
 # distance and threshold entry points only they called, and the calibration
 # knob nothing set stay deleted.
 check "stats.Histogram, NewHistogram and MustHistogram stay deleted (ADR 0016)" \
@@ -519,11 +524,11 @@ check "one Assessment builder in internal/core (ADR 0016)" \
     "[ \"\$(sources internal/core | xargs grep -hE '\bAssessment\{' | wc -l)\" -eq 1 ]"
 
 # --- one collusion window source (ADR 0016's collusion-window amendment) ---
-# The collusion testers and the accumulators' collusion modes read every
-# suffix's issuer-re-ordered windows from History.CollusionWindows, as they
-# share scorer.score: no materialised re-order, group list or per-client
-# series is left beside it (the test-only CollusionOrder is the definition
-# the kernel is held to), and internal/behavior keeps no map.
+# The collusion testers read every suffix's issuer-re-ordered windows from
+# History.CollusionWindows, as they share scorer.score: no materialised
+# re-order, group list or per-client series is left beside it (the
+# test-only CollusionOrder is the definition the kernel is held to), and
+# internal/behavior keeps no map.
 for sym in CollusionOrder GroupByIssuer IssuerGroup clientSeries collusionCounts; do
     check "$sym stays out of non-test code (ADR 0016)" "absent '\b$sym\b'"
 done
