@@ -296,8 +296,8 @@ func parseSize(s string) (int64, error) {
 	if err != nil {
 		return 0, fmt.Errorf("invalid size %q", s)
 	}
-	if n < 0 {
-		return 0, fmt.Errorf("negative size")
+	if n < 0 || n > (1<<63-1)/mult {
+		return 0, fmt.Errorf("size %q outside [0, 2^63) bytes", s)
 	}
 	return n * mult, nil
 }

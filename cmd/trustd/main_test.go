@@ -8,6 +8,7 @@ import (
 	"errors"
 	"hash/crc32"
 	"io"
+	"math"
 	"net"
 	"os"
 	"path/filepath"
@@ -204,5 +205,52 @@ func TestMetricsAddrTaken(t *testing.T) {
 	}
 	if strings.Contains(logged.String(), "metrics on") {
 		t.Errorf("the log claims the held port:\n%s", logged.String())
+	}
+}
+
+// TestParseSize: -mem-budget's sizes, binary units, and every size whose
+// byte count leaves int64 refused rather than wrapped.
+func TestParseSize(t *testing.T) {
+	for _, tc := range []struct {
+		in   string
+		want int64
+		fail bool
+	}{
+		{in: "", want: 0},
+		{in: "0", want: 0},
+		{in: "0G", want: 0},
+		{in: "512", want: 512},
+		{in: "512B", want: 512},
+		{in: "1k", want: 1 << 10},
+		{in: "1KB", want: 1 << 10},
+		{in: "1KiB", want: 1 << 10},
+		{in: "64MiB", want: 64 << 20},
+		{in: "3mb", want: 3 << 20},
+		{in: " 2 G ", want: 2 << 30},
+		{in: "1 GiB", want: 1 << 30},
+		{in: "8589934591G", want: 8589934591 << 30},
+		{in: "9007199254740991K", want: 9007199254740991 << 10},
+		{in: "9223372036854775807", want: math.MaxInt64},
+		{in: "-1", fail: true},
+		{in: "-1K", fail: true},
+		{in: "K", fail: true},
+		{in: "1T", fail: true},
+		{in: "1.5G", fail: true},
+		{in: "9223372036854775808", fail: true},
+		{in: "17179869185G", fail: true}, // wrapped to 1 GiB
+		{in: "8589934592G", fail: true},  // wrapped to -2^63
+		{in: "9223372036854775807K", fail: true},
+		{in: "9007199254740992K", fail: true},
+	} {
+		got, err := parseSize(tc.in)
+		if tc.fail {
+			if err == nil {
+				t.Errorf("parseSize(%q) = %d, want an error", tc.in, got)
+			}
+			continue
+		}
+		if err != nil || got != tc.want {
+			t.Errorf("parseSize(%q) = %d, %v; want %d", tc.in, got, err, tc.want)
+		}
 	}
 }
