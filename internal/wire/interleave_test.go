@@ -2,6 +2,7 @@ package wire
 
 import (
 	"bytes"
+	"flag"
 	"fmt"
 	"maps"
 	"reflect"
@@ -14,10 +15,13 @@ import (
 	"honestplayer/internal/feedback"
 )
 
+var interleaveK = flag.Int("interleave-k", 3, "most frames a direction TestConnectionInterleavings schedules")
+
 // TestConnectionInterleavings checks the connection's order rules on a
 // bounded scope, with the test as the scheduler: it calls Encode, WriteV2
-// or a drop, Commit at both ends and DecodePayload in every order that k ≤ 3
-// frames a direction allow, and starts no goroutine. Down the connection go
+// or a drop, Commit at both ends and DecodePayload in every order that up to
+// -interleave-k frames a direction allow (3 by default, 4 in CI), and starts
+// no goroutine. Down the connection go
 // a node's verdicts on two servers whose histories grow or are rebuilt (a new
 // lineage), and a keyed verdict on two grid points. Up it go a client's
 // requests naming the two servers and two clients. Frame i is encoded before
@@ -52,7 +56,7 @@ func TestConnectionInterleavings(t *testing.T) {
 			x.sections(t, d)
 			x.misread = 0
 			schedules, served, refused := 0, 0, 0
-			eachWord(len(d.letters), 3, func(word []int) bool {
+			eachWord(len(d.letters), *interleaveK, func(word []int) bool {
 				eachSchedule(len(word), d.split, func(written []bool, steps []step) {
 					schedules++
 					switch x.run(t, d, word, written, steps) {
