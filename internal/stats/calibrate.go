@@ -48,13 +48,13 @@ func (c CalibrationConfig) withDefaults() CalibrationConfig {
 // cfg.Confidence quantile. An honest player therefore fails the test with
 // probability ≈ 1 − cfg.Confidence.
 //
-// Cost model: a call draws Replicates × numWindows × m uniforms (m ≤ 64; none
-// at pHat 0 or 1), which is all of its time. On a 2-vCPU AVX-512 Xeon a
-// uniform costs ~2.4 ns on the scalar loop and ~0.4 ns on the eight-lane
-// kernel that CPUs with AVX-512F run for m ≤ 11 (CalibrationKernel): a
-// default 500-window point at m = 10 is 5 M uniforms, ~12 ms scalar and ~2 ms
-// in lanes. Which uniforms, and in which order, is part of the reproduction
-// contract (ADR 0007); both paths keep it.
+// Cost model: Replicates × numWindows × m uniforms (m ≤ 64; none at pHat 0
+// or 1), ~2.4 ns each scalar and ~0.4 ns in the eight lanes AVX-512F CPUs run
+// for m ≤ 11 (CalibrationKernel), plus ~0.1 ms a call at 1,000 replicates for
+// the per-replicate distances, the lanes' xPow jumps and the quantile select:
+// BenchmarkCalibrateL1 at -cpu 1 reads 72–119 µs at 4 windows, ~16 µs of it
+// uniforms, and 273–356 µs at 50 (2-vCPU Xeon). Which uniforms, and in which
+// order, is part of the reproduction contract (ADR 0007); both paths keep it.
 func CalibrateL1(m, numWindows int, pHat float64, cfg CalibrationConfig) (float64, error) {
 	cfg = cfg.withDefaults()
 	if m <= 0 || numWindows <= 0 {
@@ -142,10 +142,9 @@ func calibSeed(seed uint64, m, numWindows int, pHat float64) uint64 {
 // its plane through a copy-on-write map, and a grid point to one atomic
 // slot. A miss calibrates the point exactly once — concurrent askers of the
 // same point park on the first one's Monte-Carlo run instead of repeating it.
-// That run is CalibrateL1 at the bucket representative — Replicates × windows
-// × m uniforms, each ~0.4 ns in lanes or ~2.4 ns scalar (see CalibrateL1) —
-// so a cold grid costs the sum of its points' windows times that: the first
-// request to touch a point pays it inline.
+// That run is CalibrateL1 at the bucket representative, so a cold grid costs
+// its uniforms plus ~0.1 ms a point (see CalibrateL1), the fixed part most of
+// a short history's grid: the first request to touch a point pays it inline.
 //
 // Calibrator is safe for concurrent use.
 type Calibrator struct {
