@@ -35,7 +35,10 @@ func honestHistory(t testing.TB, i, n int) *feedback.History {
 // side at once: 8 goroutines test 64 histories with one tester, and two
 // writers append to histories of their own and test every prefix meanwhile,
 // all over one calibrator grid. Every verdict must equal the one computed
-// alone.
+// alone first, which also fills the grid points: under the familywise
+// correction nearby confidences share a bucket, and the first asker of a
+// point decides it (TestCalibratorSingleFlight covers a cold grid's
+// concurrent fills).
 func TestOneTesterConcurrent(t *testing.T) {
 	tester, err := behavior.NewMulti(behavior.Config{Calibrator: fastCalibrator(51), FamilywiseCorrection: true})
 	if err != nil {
@@ -68,11 +71,6 @@ func TestOneTesterConcurrent(t *testing.T) {
 	}
 	for g := range prefixes {
 		grow(g, func(_ int, v behavior.Verdict) bool { prefixes[g] = append(prefixes[g], v); return true })
-	}
-	// A fresh tester on a fresh calibrator of the same seed, so the
-	// concurrent calls below also calibrate the grid points they meet.
-	if tester, err = behavior.NewMulti(behavior.Config{Calibrator: fastCalibrator(51), FamilywiseCorrection: true}); err != nil {
-		t.Fatal(err)
 	}
 	var wg sync.WaitGroup
 	for g := 0; g < readers; g++ {

@@ -101,9 +101,9 @@ type plainFunc struct{}
 func (plainFunc) Name() string                                  { return "plain" }
 func (plainFunc) Evaluate(h *feedback.History) (float64, error) { return 0.5, nil }
 
-// TestServerAccumulatorUnsupported: an assessor whose trust function the
-// deleted incremental engine could not mirror gets a shim all the same,
-// which answers as TwoPhase.Accept.
+// TestServerAccumulatorUnsupported: an assessor whose trust function is
+// none of package trust's gets a shim too, which answers as
+// TwoPhase.Accept.
 func TestServerAccumulatorUnsupported(t *testing.T) {
 	tp, err := NewTwoPhase(nil, plainFunc{})
 	if err != nil {
