@@ -290,19 +290,14 @@ func benchHistories(t testing.TB, servers, records int) []*feedback.History {
 	return hists
 }
 
-// TestTesterTablesAreChains: the tables a multi tester writes — Multi.Test's
-// and TwoPhase.Assess's — cross as keyed chains, with every Distance
-// rebuilt by the receiver and none sent, and a threshold sent only for the
-// rows that bind a grid key, on seeded histories: honest ones over the
-// benchmark's range of p, a hibernating attacker's and a periodic one's. A
-// silent fall-back to raw columns or to threshold runs fails here, not on
-// the benchmark.
+// TestTesterTablesAreChains: the tables a multi tester writes cross as
+// keyed chains, with every Distance rebuilt by the receiver and none sent,
+// and a threshold sent only for the rows that bind a grid key, on seeded
+// histories: honest ones over the benchmark's range of p, a hibernating
+// attacker's and a periodic one's. A silent fall-back to raw columns or to
+// threshold runs fails here, not on the benchmark.
 func TestTesterTablesAreChains(t *testing.T) {
 	multi, err := behavior.NewMulti(behavior.Config{Calibrator: testCalibrator()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	tp, err := core.NewTwoPhase(multi, trust.Average{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -324,14 +319,8 @@ func TestTesterTablesAreChains(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		a, err := tp.Assess(h)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for engine, rows := range map[string][]behavior.SuffixResult{"Multi.Test": v.Suffixes, "TwoPhase.Assess": a.Verdict.Suffixes} {
-			if shape := checkTable(t, rows); shape != tableChain|tableKeyed {
-				t.Errorf("%s, %s: %d rows in shape %#x, want a keyed chain", name, engine, len(rows), shape)
-			}
+		if shape := checkTable(t, v.Suffixes); shape != tableChain|tableKeyed {
+			t.Errorf("%s: %d rows in shape %#x, want a keyed chain", name, len(v.Suffixes), shape)
 		}
 	}
 }
