@@ -322,13 +322,23 @@ func (x *batchIDs) ref(id EntityID) uint32 {
 	return r
 }
 
+// truncate forgets every id past the first n. Forgetting them all (Reset)
+// clears the index in one call rather than deleting id by id; an index grown
+// past maxKeptDict ids is dropped instead, since clearing costs a map's
+// capacity and every later Reset would pay for it.
 func (x *batchIDs) truncate(n int) {
-	if x.indexed > n {
+	switch {
+	case x.indexed <= n:
+	case n > 0:
 		for _, id := range x.ids[n:x.indexed] {
 			delete(x.index, id)
 		}
-		x.indexed = n
+	case x.indexed > maxKeptDict:
+		x.index = nil
+	default:
+		clear(x.index)
 	}
+	x.indexed = min(x.indexed, n)
 	clear(x.ids[n:])
 	x.ids = x.ids[:n]
 }

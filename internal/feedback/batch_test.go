@@ -266,6 +266,44 @@ func TestHostileBatchCountAllocatesNothing(t *testing.T) {
 	}
 }
 
+// TestReusedScratchBatchEncodesAsFresh: AppendBatch's scratch batch is
+// reset and refilled for every call, so a run of batches — disjoint,
+// overlapping and repeated ids, and one batch with more ids than a reset
+// keeps an index for — encodes byte for byte as the same run does through
+// a fresh batch each time, against dictionaries in the same state.
+func TestReusedScratchBatchEncodesAsFresh(t *testing.T) {
+	ids := func(prefix string, from, to int) []EntityID {
+		var out []EntityID
+		for i := from; i < to; i++ {
+			out = append(out, EntityID(fmt.Sprintf("%s%d", prefix, i)))
+		}
+		return out
+	}
+	run := [][]Feedback{
+		batchOf(64, ids("s", 0, 4), ids("c", 0, 40)),
+		batchOf(64, ids("s", 4, 8), ids("c", 40, 80)),                      // disjoint
+		batchOf(64, ids("s", 2, 6), ids("c", 20, 60)),                      // overlapping
+		batchOf(64, ids("s", 2, 3), ids("c", 7, 8)),                        // one id each, repeated
+		batchOf(64, ids("s", 2, 6), ids("c", 20, 60)),                      // a batch again
+		batchOf(2*maxKeptDict, ids("s", 0, 9), ids("c", 0, 2*maxKeptDict)), // an index Reset drops
+		batchOf(64, ids("s", 0, 4), ids("c", 30, 50)),
+	}
+	var reused, fresh BatchDicts
+	for i, recs := range run {
+		got, err := AppendBatch(nil, recs, &reused)
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, errs := Pack(recs)
+		if errs != nil {
+			t.Fatal(errs)
+		}
+		if want := AppendBatches(nil, &fresh, b); !bytes.Equal(got, want) {
+			t.Fatalf("batch %d: the reused scratch batch encodes %x, a fresh one %x", i, got, want)
+		}
+	}
+}
+
 // TestBatchDictsReset: a reset BatchDicts is an empty one — the next
 // container's first batch introduces every id again — whether its storage
 // was kept or, past maxKeptDict ids, dropped.

@@ -57,13 +57,17 @@ func BenchmarkL1CountsDistance(b *testing.B) {
 // design choice: threshold estimation cost scales linearly in replicates.
 // The windows= cases (default 1000 replicates, m = 10) report ns/window, the
 // unit of the cost model in CalibrateL1's comment: 10 generator steps, a
-// tally increment and 1/windows of a distance. On a 2-vCPU AVX-512 Xeon that
-// is ~25–40 ns on the scalar loop (-tags purego) and ~4–6 ns on the
-// eight-lane kernel from 542 windows up (ADR 0007). replicates=33 and
-// windows=4 are the smallest points the lanes take (minLaneUniforms,
-// minLaneReplicate): compare them across the two builds.
+// tally increment and 1/windows of a distance, plus the point's fixed part
+// spread over its windows. On a 2-vCPU AVX-512 Xeon at -cpu 1 that is
+// ~25–40 ns on the scalar loop (-tags purego) and ~4–6 ns on the eight-lane
+// kernel from 542 windows up (ADR 0007); windows=8 and windows=19, the
+// buckets a short-history sweep asks most, run 46–59 and 82–102 µs a point
+// in lanes (76–95 and 115–152 before the fused distances and the jump
+// memo). replicates=8 and replicates=16 (at 50 windows) straddle
+// minLaneUniforms and windows=1 is a one-window replicate: compare them
+// across the two builds.
 func BenchmarkCalibrateL1(b *testing.B) {
-	for _, replicates := range []int{33, 100, 500, 1000} {
+	for _, replicates := range []int{8, 16, 33, 100, 500, 1000} {
 		b.Run(fmt.Sprintf("replicates=%d", replicates), func(b *testing.B) {
 			cfg := CalibrationConfig{Seed: 1, Replicates: replicates}
 			b.ReportAllocs()
@@ -74,7 +78,7 @@ func BenchmarkCalibrateL1(b *testing.B) {
 			}
 		})
 	}
-	for _, windows := range []int{4, 50, 542, 4096} {
+	for _, windows := range []int{1, 4, 8, 19, 50, 542, 4096} {
 		b.Run(fmt.Sprintf("windows=%d", windows), func(b *testing.B) {
 			cfg := CalibrationConfig{Seed: 1}
 			for i := 0; i < b.N; i++ {

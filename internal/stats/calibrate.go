@@ -50,10 +50,12 @@ func (c CalibrationConfig) withDefaults() CalibrationConfig {
 //
 // Cost model: Replicates × numWindows × m uniforms (m ≤ 64; none at pHat 0
 // or 1), ~2.4 ns each scalar and ~0.4 ns in the eight lanes AVX-512F CPUs run
-// for m ≤ 11 (CalibrationKernel), plus ~0.1 ms a call at 1,000 replicates for
-// the per-replicate distances, the lanes' xPow jumps and the quantile select:
-// BenchmarkCalibrateL1 at -cpu 1 reads 72–119 µs at 4 windows, ~16 µs of it
-// uniforms, and 273–356 µs at 50 (2-vCPU Xeon). Which uniforms, and in which
+// for m ≤ 11 (CalibrationKernel), plus ~20–25 µs a call on the lanes at 1,000
+// replicates: seven jumpBy walks from one memoised jump polynomial, the
+// distances (read off the packed tallies up to laneWindows windows), the
+// call's one allocation and the quantile select. BenchmarkCalibrateL1 at
+// -cpu 1 reads 31–52 µs at 4 windows, 46–59 µs at 8, about half of it
+// uniforms, and 222–267 µs at 50 (2-vCPU Xeon). Which uniforms, and in which
 // order, is part of the reproduction contract (ADR 0007); both paths keep it.
 func CalibrateL1(m, numWindows int, pHat float64, cfg CalibrationConfig) (float64, error) {
 	cfg = cfg.withDefaults()
@@ -67,45 +69,71 @@ func CalibrateL1(m, numWindows int, pHat float64, cfg CalibrationConfig) (float6
 	if err != nil {
 		return 0, err
 	}
-	dists := make([]float64, cfg.Replicates)
-	fill := pt.fillScalar
 	if takesLanes(m, numWindows, cfg.Replicates, pHat) {
-		fill = pt.fillLanes
+		err = pt.fillLanes(pt.dists)
+	} else {
+		err = pt.fillScalar(pt.dists)
 	}
-	if err := fill(dists); err != nil {
+	if err != nil {
 		return 0, err
 	}
-	return SelectQuantile(dists, cfg.Confidence), nil
+	return SelectQuantile(pt.dists, cfg.Confidence), nil
 }
 
-// calibPoint is one CalibrateL1 call's grid point: its stream, and the PMF
-// each replicate's tally is measured against.
+// calibPoint is one CalibrateL1 call's grid point: its stream, the PMF
+// each replicate's tally is measured against, and a distance per replicate.
 type calibPoint struct {
 	m, numWindows int
 	pHat          float64
 	seed          uint64
-	pmf           []float64
+	pmf, dists    []float64
 }
 
-// newCalibPoint fails, as BinomialPMFInto does, on a pHat outside [0, 1].
+// newCalibPoint fails, as BinomialPMFInto does, on a pHat outside [0, 1]. It
+// inlines, so CalibrateL1's point lives on its stack.
 func newCalibPoint(m, numWindows int, pHat float64, cfg CalibrationConfig) (*calibPoint, error) {
-	pt := &calibPoint{m: m, numWindows: numWindows, pHat: pHat, pmf: make([]float64, m+1),
-		seed: calibSeed(cfg.Seed, m, numWindows, pHat)}
-	return pt, BinomialPMFInto(pt.pmf, m, pHat)
+	pt := new(calibPoint)
+	return pt, pt.init(m, numWindows, pHat, cfg)
 }
+
+// init sets the point up with one allocation, which the PMF and the
+// distances share.
+func (pt *calibPoint) init(m, numWindows int, pHat float64, cfg CalibrationConfig) error {
+	buf := make([]float64, m+1+cfg.Replicates)
+	*pt = calibPoint{m: m, numWindows: numWindows, pHat: pHat, pmf: buf[: m+1 : m+1], dists: buf[m+1:],
+		seed: calibSeed(cfg.Seed, m, numWindows, pHat)}
+	return BinomialPMFInto(pt.pmf, m, pHat)
+}
+
+// maxStackTally is the widest window whose scalar tally needs no allocation.
+const maxStackTally = 64
 
 // fillScalar fills dists with one replicate's distance each, replicate after
-// replicate: the reference order of the calibration stream.
+// replicate: the reference order of the calibration stream. At p̂ 0 or 1 no
+// replicate draws a uniform and every one tallies all windows in one bucket,
+// so the first replicate's distance is every replicate's.
 func (pt *calibPoint) fillScalar(dists []float64) error {
 	rng := NewRNG(pt.seed)
-	tally := make([]int64, pt.m+1)
-	for r := range dists {
+	var stack [maxStackTally + 1]int64
+	tally := stack[:]
+	if pt.m > maxStackTally {
+		tally = make([]int64, pt.m+1)
+	}
+	tally = tally[:pt.m+1]
+	drawn := dists
+	if !(pt.pHat > 0 && pt.pHat < 1) && len(dists) > 1 {
+		drawn = dists[:1]
+	}
+	for r := range drawn {
 		clear(tally)
 		rng.BinomialTally(tally, pt.m, pt.pHat, pt.numWindows)
 		var err error
 		if dists[r], err = pt.distance(tally); err != nil {
 			return err
 		}
+	}
+	for r := len(drawn); r < len(dists); r++ {
+		dists[r] = dists[0]
 	}
 	return nil
 }
@@ -143,8 +171,9 @@ func calibSeed(seed uint64, m, numWindows int, pHat float64) uint64 {
 // slot. A miss calibrates the point exactly once — concurrent askers of the
 // same point park on the first one's Monte-Carlo run instead of repeating it.
 // That run is CalibrateL1 at the bucket representative, so a cold grid costs
-// its uniforms plus ~0.1 ms a point (see CalibrateL1), the fixed part most of
-// a short history's grid: the first request to touch a point pays it inline.
+// its uniforms plus ~20–25 µs a point (see CalibrateL1), the fixed part about
+// a third of a short history's grid: the first request to touch a point pays
+// it inline.
 //
 // Calibrator is safe for concurrent use.
 type Calibrator struct {

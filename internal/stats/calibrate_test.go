@@ -367,6 +367,34 @@ func TestCalibrateL1GoldenBits(t *testing.T) {
 	}
 }
 
+// TestCalibrateL1Allocations: a grid point allocates its distances, with
+// the PMF in the same block, and nothing else — on the fused lanes, the
+// unpacked lanes, the scalar loop and at p̂ = 1. A window past
+// maxStackTally adds its scalar tally.
+func TestCalibrateL1Allocations(t *testing.T) {
+	cfg := CalibrationConfig{Seed: 9}
+	for _, c := range []struct {
+		m, windows int
+		p          float64
+		want       float64
+	}{
+		{10, 8, 0.93, 1},
+		{10, 50, 0.93, 1},
+		{20, 8, 0.93, 1},
+		{10, 8, 1, 1},
+		{maxStackTally + 6, 4, 0.9, 2},
+	} {
+		allocs := testing.AllocsPerRun(5, func() {
+			if _, err := CalibrateL1(c.m, c.windows, c.p, cfg); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if allocs != c.want {
+			t.Errorf("CalibrateL1(%d, %d, %v): %v allocs per call, want %v", c.m, c.windows, c.p, allocs, c.want)
+		}
+	}
+}
+
 // TestSelectQuantileIsSortQuantile: taking ε by selection lands on the bits
 // a full sort and Quantile do, over a sweep of grid points on the kernel
 // CalibrateL1 picks and on the scalar one, and over samples built to meet

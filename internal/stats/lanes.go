@@ -21,12 +21,12 @@ const (
 	// laneWindows is the most windows one laneTally call folds into a
 	// tally: a five-bit field counts up to 31.
 	laneWindows = 31
-	// minLaneReplicate and minLaneUniforms are the smallest replicate
-	// (windows × m) and point (replicates × windows × m) the lanes take:
-	// below them, unpacking the tallies and jumping the lanes cost more than
-	// the kernel saves (BenchmarkCalibrateL1 runs both smallest points).
-	minLaneReplicate = 32
-	minLaneUniforms  = 1 << 14
+	// minLaneUniforms is the smallest point (replicates × windows × m) the
+	// lanes take: below it, jumping the lanes costs more than the kernel
+	// saves. Past it they win at every replicate size down to one window
+	// (BenchmarkCalibrateL1 runs the points either side of the gate and a
+	// one-window replicate).
+	minLaneUniforms = 1 << 12
 )
 
 // gf2poly is a polynomial over GF(2) of degree below 256: bit i%64 of word
@@ -71,6 +71,36 @@ func xPow(k uint64) gf2poly {
 	return p
 }
 
+// maxJumps bounds jumps: a calibrator's lane points share one exponent per
+// (replicates, window bucket, m), a few dozen in a process.
+const maxJumps = 64
+
+// jumps memoises x^k mod P by exponent k, at most maxJumps of them (a few
+// KB): a full memo starts over.
+var jumps struct {
+	sync.Mutex
+	poly map[uint64]gf2poly
+}
+
+// jumpPoly returns xPow(k), from jumps when an earlier point asked for k.
+// Racing first askers of one k each compute it and store equal values.
+func jumpPoly(k uint64) gf2poly {
+	jumps.Lock()
+	p, ok := jumps.poly[k]
+	jumps.Unlock()
+	if ok {
+		return p
+	}
+	p = xPow(k)
+	jumps.Lock()
+	defer jumps.Unlock()
+	if len(jumps.poly) >= maxJumps || jumps.poly == nil {
+		jumps.poly = make(map[uint64]gf2poly, maxJumps)
+	}
+	jumps.poly[k] = p
+	return p
+}
+
 // jumpBy returns the state poly(T)·s; for poly = xPow(k) that is the state k
 // Uint64 calls after s.
 func jumpBy(poly gf2poly, s [4]uint64) [4]uint64 {
@@ -90,7 +120,7 @@ func jumpBy(poly gf2poly, s [4]uint64) [4]uint64 {
 // takesLanes reports whether CalibrateL1 runs a point on the lane kernel.
 func takesLanes(m, numWindows, replicates int, pHat float64) bool {
 	return laneKernel && m <= laneMaxM && pHat > 0 && pHat < 1 && replicates >= lanes &&
-		numWindows*m >= minLaneReplicate && replicates*numWindows*m >= minLaneUniforms
+		replicates*numWindows*m >= minLaneUniforms
 }
 
 // CalibrationKernel names the kernel CalibrateL1 draws a window size m on in
@@ -109,7 +139,7 @@ func CalibrationKernel(m int) string {
 func (pt *calibPoint) fillLanes(dists []float64) error {
 	m := pt.m
 	per := (len(dists) + lanes - 1) / lanes
-	jump := xPow(uint64(per) * uint64(pt.numWindows) * uint64(m))
+	jump := jumpPoly(uint64(per) * uint64(pt.numWindows) * uint64(m))
 	var st [4][lanes]uint64
 	s := NewRNG(pt.seed).s
 	for j := 0; j < lanes; j++ {
@@ -121,14 +151,18 @@ func (pt *calibPoint) fillLanes(dists []float64) error {
 		}
 	}
 	thr := uniformThreshold(pt.pHat) << 11 // u>>11 < t ⇔ u < t<<11; t < 2^53
-	tallies := make([]int64, lanes*(m+1))
+	if pt.numWindows <= laneWindows {
+		pt.fillFused(dists, &st, thr, per)
+		return nil
+	}
+	var tallies [lanes][laneMaxM + 1]int64
 	var acc [lanes]uint64
 	for i := 0; i < per; i++ {
-		clear(tallies)
+		tallies = [lanes][laneMaxM + 1]int64{}
 		for left := pt.numWindows; left > 0; left -= laneWindows {
 			laneTally(&st, &acc, thr, m, min(left, laneWindows))
 			for j, a := range acc {
-				t := tallies[j*(m+1) : (j+1)*(m+1)]
+				t := tallies[j][:m+1]
 				for k := range t {
 					t[k] += int64(a & 31)
 					a >>= 5
@@ -137,10 +171,49 @@ func (pt *calibPoint) fillLanes(dists []float64) error {
 		}
 		for j := 0; j < lanes && j*per+i < len(dists); j++ {
 			var err error
-			if dists[j*per+i], err = pt.distance(tallies[j*(m+1) : (j+1)*(m+1)]); err != nil {
+			if dists[j*per+i], err = pt.distance(tallies[j][:m+1]); err != nil {
 				return err
 			}
 		}
 	}
 	return nil
+}
+
+// fillFused is fillLanes for numWindows ≤ laneWindows, where one laneTally
+// call tallies a replicate's every window: each lane's distance is read off
+// its packed tally through term[k][c], bucket k's l1Term at count c, summed
+// in bucket order — the additions L1CountsDistance makes, in its order, so
+// the same bits — with the eight lanes' sums interleaved.
+func (pt *calibPoint) fillFused(dists []float64, st *[4][lanes]uint64, thr uint64, per int) {
+	var term [laneMaxM + 1][laneWindows + 1]float64
+	total := float64(pt.numWindows)
+	for k, p := range pt.pmf {
+		for c := 0; c <= pt.numWindows; c++ {
+			term[k][c] = l1Term(float64(c), total, p)
+		}
+	}
+	rows := term[:pt.m+1]
+	var acc [lanes]uint64
+	for i := 0; i < per; i++ {
+		laneTally(st, &acc, thr, pt.m, pt.numWindows)
+		a0, a1, a2, a3, a4, a5, a6, a7 := acc[0], acc[1], acc[2], acc[3], acc[4], acc[5], acc[6], acc[7]
+		var d0, d1, d2, d3, d4, d5, d6, d7 float64
+		for k := range rows {
+			t := &rows[k]
+			d0 += t[a0&31]
+			d1 += t[a1&31]
+			d2 += t[a2&31]
+			d3 += t[a3&31]
+			d4 += t[a4&31]
+			d5 += t[a5&31]
+			d6 += t[a6&31]
+			d7 += t[a7&31]
+			a0, a1, a2, a3, a4, a5, a6, a7 = a0>>5, a1>>5, a2>>5, a3>>5, a4>>5, a5>>5, a6>>5, a7>>5
+		}
+		for j, d := range [lanes]float64{d0, d1, d2, d3, d4, d5, d6, d7} {
+			if r := j*per + i; r < len(dists) {
+				dists[r] = d
+			}
+		}
+	}
 }

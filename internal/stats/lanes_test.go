@@ -181,22 +181,94 @@ func TestCalibrationKernel(t *testing.T) {
 	}
 }
 
+// TestCalibrateL1LanesDense is the dense lanes-vs-scalar differential: every
+// m the kernel takes at every window count up to laneWindows + 2 — the fused
+// distances up to laneWindows, the unpacked tallies past it — at p̂ from
+// 2⁻⁶⁰ to 1 − 2⁻⁵³, and at replicate counts that fill the eight lanes or
+// leave some drawing replicates nobody reads: every replicate's distance has
+// fillScalar's bits. Under -short it takes every fifth (m, windows) pair.
+func TestCalibrateL1LanesDense(t *testing.T) {
+	if !laneKernel {
+		t.Skip("no lane kernel on this CPU or build (AVX-512F with OS ZMM state, amd64, not purego): nothing to compare")
+	}
+	ps := []float64{0x1p-60, 0.01, 0.5, 0.93, 1 - 0x1p-53}
+	reps := []int{8, 9, 1000, 1001}
+	pairs := 0
+	for m := 1; m <= laneMaxM; m++ {
+		for w := 1; w <= laneWindows+2; w++ {
+			if pairs++; testing.Short() && pairs%5 != 0 {
+				continue
+			}
+			for _, p := range ps {
+				for _, r := range reps {
+					cfg := CalibrationConfig{Seed: uint64(pairs), Replicates: r}.withDefaults()
+					pt, err := newCalibPoint(m, w, p, cfg)
+					if err != nil {
+						t.Fatal(err)
+					}
+					lane, scalar := make([]float64, r), make([]float64, r)
+					if err := pt.fillLanes(lane); err != nil {
+						t.Fatal(err)
+					}
+					if err := pt.fillScalar(scalar); err != nil {
+						t.Fatal(err)
+					}
+					for i := range lane {
+						if math.Float64bits(lane[i]) != math.Float64bits(scalar[i]) {
+							t.Fatalf("m=%d w=%d p=%v R=%d: replicate %d distance %v in lanes, %v scalar", m, w, p, r, i, lane[i], scalar[i])
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestJumpMemo: every exponent the memo holds maps to xPow's polynomial, and
+// calibrating more distinct exponents than maxJumps leaves it at its bound.
+func TestJumpMemo(t *testing.T) {
+	cfg := CalibrationConfig{Seed: 3, Replicates: lanes} // one replicate a lane: exponent windows × m
+	for w := 60; w < 60+2*maxJumps; w++ {
+		for _, m := range []int{7, 10} {
+			if _, err := CalibrateL1(m, w, 0.9, cfg); err != nil {
+				t.Fatal(err)
+			}
+			jumpPoly(uint64(w * m)) // the same exponents where no lane kernel runs
+		}
+	}
+	jumps.Lock()
+	defer jumps.Unlock()
+	if n := len(jumps.poly); n == 0 || n > maxJumps {
+		t.Fatalf("jump memo holds %d exponents, want 1 … %d", n, maxJumps)
+	}
+	for k, p := range jumps.poly {
+		if p != xPow(k) {
+			t.Errorf("memo x^%d = %#x, xPow gives %#x", k, p, xPow(k))
+		}
+	}
+}
+
 // TestCalibrateL1LanesConcurrent: calibrations racing on the lane path (the
-// Calibrator's first touches do) share only the jump table, and each lands
-// on the scalar loop's bits; run it under -race.
+// Calibrator's first touches do) share only the jump table and the jump
+// memo, and each lands on the scalar loop's bits — also when several are the
+// first to ask for one exponent, at four window counts × two p̂ on an emptied
+// memo; run it under -race.
 func TestCalibrateL1LanesConcurrent(t *testing.T) {
+	jumps.Lock()
+	jumps.poly = nil
+	jumps.Unlock()
 	cfg := CalibrationConfig{Seed: 5, Replicates: 200}
-	const askers = 4
+	const askers = 8
 	errs := make(chan error, askers)
 	for g := 0; g < askers; g++ {
-		go func(w int) {
-			got, err := CalibrateL1(10, w, 0.9, cfg)
-			want, werr := scalarEpsilon(10, w, 0.9, cfg)
+		go func(w int, p float64) {
+			got, err := CalibrateL1(10, w, p, cfg)
+			want, werr := scalarEpsilon(10, w, p, cfg)
 			if err == nil && werr == nil && math.Float64bits(got) != math.Float64bits(want) {
-				err = fmt.Errorf("w=%d: ε %v, scalar %v", w, got, want)
+				err = fmt.Errorf("w=%d p=%v: ε %v, scalar %v", w, p, got, want)
 			}
 			errs <- errors.Join(err, werr)
-		}(20 + g)
+		}(20+g%4, []float64{0.9, 0.5}[g/4])
 	}
 	for g := 0; g < askers; g++ {
 		if err := <-errs; err != nil {
