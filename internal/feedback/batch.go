@@ -299,11 +299,12 @@ type Batch struct {
 
 // batchIDs is one column's ids, each once, in order of first use. index
 // finds an id's ref for Append; it holds the first indexed ids and is
-// caught up on demand.
+// caught up on demand. peak is the most it has held, what it is sized for.
 type batchIDs struct {
 	ids     []EntityID
 	index   map[EntityID]uint32
 	indexed int
+	peak    int
 }
 
 // ref returns id's ref, adding id on first use.
@@ -322,21 +323,24 @@ func (x *batchIDs) ref(id EntityID) uint32 {
 	return r
 }
 
-// truncate forgets every id past the first n. Forgetting them all (Reset)
-// clears the index in one call rather than deleting id by id; an index grown
-// past maxKeptDict ids is dropped instead, since clearing costs a map's
-// capacity and every later Reset would pay for it.
+// truncate forgets every id past the first n. Clearing the index costs its
+// size and deleting costs the ids it holds, so forgetting them all (Reset)
+// clears it in one call when it holds at least a quarter of its peak and
+// deletes id by id otherwise: a small batch's Reset does not pay for the map
+// an earlier large batch grew (BenchmarkAppendBatch/large-then-small). An
+// index grown past maxKeptDict ids is dropped instead.
 func (x *batchIDs) truncate(n int) {
+	x.peak = max(x.peak, x.indexed)
 	switch {
 	case x.indexed <= n:
-	case n > 0:
+	case n == 0 && x.indexed > maxKeptDict:
+		x.index, x.peak = nil, 0
+	case n == 0 && 4*x.indexed >= x.peak:
+		clear(x.index)
+	default:
 		for _, id := range x.ids[n:x.indexed] {
 			delete(x.index, id)
 		}
-	case x.indexed > maxKeptDict:
-		x.index = nil
-	default:
-		clear(x.index)
 	}
 	x.indexed = min(x.indexed, n)
 	clear(x.ids[n:])

@@ -268,9 +268,10 @@ func TestHostileBatchCountAllocatesNothing(t *testing.T) {
 
 // TestReusedScratchBatchEncodesAsFresh: AppendBatch's scratch batch is
 // reset and refilled for every call, so a run of batches — disjoint,
-// overlapping and repeated ids, and one batch with more ids than a reset
-// keeps an index for — encodes byte for byte as the same run does through
-// a fresh batch each time, against dictionaries in the same state.
+// overlapping and repeated ids, one batch with more ids than a reset keeps
+// an index for, and small batches after a large one — encodes byte for byte
+// as the same run does through a fresh batch each time, against
+// dictionaries in the same state.
 func TestReusedScratchBatchEncodesAsFresh(t *testing.T) {
 	ids := func(prefix string, from, to int) []EntityID {
 		var out []EntityID
@@ -287,6 +288,9 @@ func TestReusedScratchBatchEncodesAsFresh(t *testing.T) {
 		batchOf(64, ids("s", 2, 6), ids("c", 20, 60)),                      // a batch again
 		batchOf(2*maxKeptDict, ids("s", 0, 9), ids("c", 0, 2*maxKeptDict)), // an index Reset drops
 		batchOf(64, ids("s", 0, 4), ids("c", 30, 50)),
+		batchOf(maxKeptDict, ids("s", 0, 9), ids("c", 0, maxKeptDict)), // an index Reset clears
+		batchOf(4, ids("s", 1, 3), ids("c", 5, 8)),                     // one Reset deletes id by id
+		batchOf(4, ids("s", 1, 3), ids("c", 6, 9)),
 	}
 	var reused, fresh BatchDicts
 	for i, recs := range run {

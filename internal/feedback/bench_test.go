@@ -331,14 +331,45 @@ func codecBatches(kind string) [][]Feedback {
 	return out
 }
 
+// mixedBatches is one batch of maxKeptDict records from as many clients,
+// then 128 two-record batches: the scratch batch's client index is sized by
+// the first and reset after each of the rest, holding one id (a batch
+// indexes every id but its last).
+func mixedBatches() [][]Feedback {
+	out := make([][]Feedback, 1, 129)
+	for i := 0; i < maxKeptDict+256; i++ {
+		rec := Feedback{
+			Time:   time.Unix(int64(i), 0).UTC(),
+			Server: EntityID(fmt.Sprintf("srv-%d", i%512)),
+			Client: EntityID(fmt.Sprintf("cli-%d", i%maxKeptDict)),
+			Rating: Rating(1 + i%2),
+		}
+		if i < maxKeptDict || i%2 == 1 {
+			out[len(out)-1] = append(out[len(out)-1], rec)
+		} else {
+			out = append(out, []Feedback{rec})
+		}
+	}
+	return out
+}
+
 // BenchmarkAppendBatch encodes 64-record batches into warm dictionaries, a
 // long segment's steady state, where the time column is the largest cost
 // left. Together with BenchmarkDecodeBatch and BenchmarkHistoryColumns it is
 // the guard on the gcd pass: ns/record at ns-jitter stamps, whose scale is 1.
+// large-then-small runs mixedBatches, the reset of an index one large batch
+// grew.
 func BenchmarkAppendBatch(b *testing.B) {
-	for _, kind := range []string{"seconds", "ns-jitter"} {
+	for _, kind := range []string{"seconds", "ns-jitter", "large-then-small"} {
 		b.Run(kind, func(b *testing.B) {
-			batches := codecBatches(kind)
+			batches := mixedBatches()
+			if kind != "large-then-small" {
+				batches = codecBatches(kind)
+			}
+			records := 0
+			for _, batch := range batches {
+				records += len(batch)
+			}
 			var d BatchDicts
 			var buf []byte
 			b.ReportAllocs()
@@ -351,7 +382,7 @@ func BenchmarkAppendBatch(b *testing.B) {
 					}
 				}
 			}
-			perRecord(b, 64*len(batches))
+			perRecord(b, records)
 		})
 	}
 }

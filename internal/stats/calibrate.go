@@ -109,9 +109,7 @@ func (pt *calibPoint) init(m, numWindows int, pHat float64, cfg CalibrationConfi
 const maxStackTally = 64
 
 // fillScalar fills dists with one replicate's distance each, replicate after
-// replicate: the reference order of the calibration stream. At p̂ 0 or 1 no
-// replicate draws a uniform and every one tallies all windows in one bucket,
-// so the first replicate's distance is every replicate's.
+// replicate: the reference order of the calibration stream.
 func (pt *calibPoint) fillScalar(dists []float64) error {
 	rng := NewRNG(pt.seed)
 	var stack [maxStackTally + 1]int64
@@ -120,20 +118,13 @@ func (pt *calibPoint) fillScalar(dists []float64) error {
 		tally = make([]int64, pt.m+1)
 	}
 	tally = tally[:pt.m+1]
-	drawn := dists
-	if !(pt.pHat > 0 && pt.pHat < 1) && len(dists) > 1 {
-		drawn = dists[:1]
-	}
-	for r := range drawn {
+	for r := range dists {
 		clear(tally)
 		rng.BinomialTally(tally, pt.m, pt.pHat, pt.numWindows)
 		var err error
 		if dists[r], err = pt.distance(tally); err != nil {
 			return err
 		}
-	}
-	for r := len(drawn); r < len(dists); r++ {
-		dists[r] = dists[0]
 	}
 	return nil
 }

@@ -71,12 +71,15 @@ func xPow(k uint64) gf2poly {
 	return p
 }
 
-// maxJumps bounds jumps: a calibrator's lane points share one exponent per
-// (replicates, window bucket, m), a few dozen in a process.
-const maxJumps = 64
+// maxJumps bounds jumps at one exponent per (window bucket, m ≤ laneMaxM),
+// 385: a Calibrator's whole lane grid at its one replicate count. The bench
+// workloads' seed-1 sweeps ask 8–23 exponents a process, all at m = 10; only
+// a process calibrating at several replicate counts, or calling CalibrateL1
+// off the grid, can fill the memo.
+var maxJumps = laneMaxM * len(gridBuckets)
 
-// jumps memoises x^k mod P by exponent k, at most maxJumps of them (a few
-// KB): a full memo starts over.
+// jumps memoises x^k mod P by exponent k, 40 bytes an exponent asked: a full
+// memo starts over.
 var jumps struct {
 	sync.Mutex
 	poly map[uint64]gf2poly
@@ -95,7 +98,7 @@ func jumpPoly(k uint64) gf2poly {
 	jumps.Lock()
 	defer jumps.Unlock()
 	if len(jumps.poly) >= maxJumps || jumps.poly == nil {
-		jumps.poly = make(map[uint64]gf2poly, maxJumps)
+		jumps.poly = make(map[uint64]gf2poly)
 	}
 	jumps.poly[k] = p
 	return p

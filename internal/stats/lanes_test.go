@@ -224,16 +224,38 @@ func TestCalibrateL1LanesDense(t *testing.T) {
 	}
 }
 
-// TestJumpMemo: every exponent the memo holds maps to xPow's polynomial, and
-// calibrating more distinct exponents than maxJumps leaves it at its bound.
+// TestJumpMemo: the memo holds a Calibrator's whole lane grid at one
+// replicate count without starting over; every exponent it holds maps to
+// xPow's polynomial; and calibrating at more distinct (R, windows, m) than
+// maxJumps leaves it at its bound.
 func TestJumpMemo(t *testing.T) {
-	cfg := CalibrationConfig{Seed: 3, Replicates: lanes} // one replicate a lane: exponent windows × m
-	for w := 60; w < 60+2*maxJumps; w++ {
+	jumps.Lock()
+	jumps.poly = nil
+	jumps.Unlock()
+	per := uint64(CalibrationConfig{}.withDefaults().Replicates+lanes-1) / lanes
+	var grid []uint64
+	for _, w := range gridBuckets {
+		for m := 1; m <= laneMaxM; m++ {
+			grid = append(grid, per*uint64(w*m))
+			jumpPoly(grid[len(grid)-1])
+		}
+	}
+	jumps.Lock()
+	for _, k := range grid {
+		if _, ok := jumps.poly[k]; !ok {
+			t.Errorf("the memo dropped x^%d within one grid of %d exponents (maxJumps %d)", k, len(grid), maxJumps)
+			break
+		}
+	}
+	jumps.Unlock()
+	for w := 60; w < 60+maxJumps/2; w++ {
 		for _, m := range []int{7, 10} {
-			if _, err := CalibrateL1(m, w, 0.9, cfg); err != nil {
-				t.Fatal(err)
+			for _, r := range []int{lanes, 2 * lanes} { // one and two replicates a lane: exponent r/8 × windows × m
+				if _, err := CalibrateL1(m, w, 0.9, CalibrationConfig{Seed: 3, Replicates: r}); err != nil {
+					t.Fatal(err)
+				}
+				jumpPoly(uint64(r / lanes * w * m)) // the same exponents where no lane kernel runs
 			}
-			jumpPoly(uint64(w * m)) // the same exponents where no lane kernel runs
 		}
 	}
 	jumps.Lock()
