@@ -4,11 +4,12 @@
 //
 // Requests are deadline-bounded (-request-timeout); shutdown on
 // SIGINT/SIGTERM is graceful, draining in-flight requests for up to
-// -drain-timeout before force-closing. With -metrics-addr an HTTP endpoint
-// serves GET /metricz: per-type request counts, error counts, and latency
-// quantiles as JSON, plus the write-path counters — submit.batch requests,
-// items, and rejects, and (with -ledger) the group-commit flush counters
-// with their group-size p50/p99.
+// -drain-timeout before force-closing. With -metrics-addr an HTTP/1.1
+// endpoint answers GET and HEAD /metricz, one response per connection:
+// per-type request counts, error counts, and latency quantiles as JSON, plus
+// the write-path counters — submit.batch requests, items, and rejects, and
+// (with -ledger) the group-commit flush counters with their group-size
+// p50/p99.
 //
 // A node has one listener (-addr): client frames, fwd.* hops between
 // cluster members and the anti-entropy exchange all arrive on it. With
@@ -38,7 +39,6 @@ import (
 	"io"
 	"log"
 	"net"
-	"net/http"
 	"os"
 	"os/signal"
 	"strconv"
@@ -50,6 +50,7 @@ import (
 	"honestplayer/internal/core"
 	"honestplayer/internal/gossip"
 	"honestplayer/internal/ledger"
+	"honestplayer/internal/metrics"
 	"honestplayer/internal/repserver"
 	"honestplayer/internal/store"
 )
@@ -85,7 +86,7 @@ func run(ctx context.Context, args []string) error {
 		reqTimeout   = fs.Duration("request-timeout", 10*time.Second, "per-request deadline; exceeding it yields a deadline_exceeded error frame (0 disables)")
 		drain        = fs.Duration("drain-timeout", repserver.DefaultDrainTimeout, "grace period for in-flight requests at shutdown")
 		slowLog      = fs.Duration("slow-log", 0, "log requests slower than this (0 disables)")
-		metricsAddr  = fs.String("metrics-addr", "", "HTTP listen address serving GET /metricz stats (empty disables)")
+		metricsAddr  = fs.String("metrics-addr", "", "HTTP listen address answering GET and HEAD /metricz (empty disables)")
 		// Deprecated: -incremental is parsed and ignored; every assessment is
 		// recomputed over the stored history (ADR 0016's amendment).
 		_            = fs.Bool("incremental", false, "deprecated and ignored: every assessment is recomputed over the stored history")
@@ -154,17 +155,17 @@ func run(ctx context.Context, args []string) error {
 	if err != nil {
 		return err
 	}
-	metrics := srv.Metrics()
+	reg := srv.Metrics()
 	if ps != nil {
-		ps.RegisterMetrics(metrics)
+		ps.RegisterMetrics(reg)
 	}
 	if budgetBytes > 0 {
 		logger.Printf("memory budget %d bytes: %v servers resident (%v bytes), %v evicted", budgetBytes,
-			metrics.Value("lifecycle.resident"), metrics.Value("lifecycle.resident_bytes"), metrics.Value("lifecycle.evicted"))
+			reg.Value("lifecycle.resident"), reg.Value("lifecycle.resident_bytes"), reg.Value("lifecycle.evicted"))
 	}
 
 	// abort closes the bound servers when the rest of start-up fails.
-	var metricsSrv *http.Server
+	var metricsSrv *metrics.Server
 	abort := func(err error) error {
 		if metricsSrv != nil {
 			_ = metricsSrv.Close()
@@ -197,21 +198,7 @@ func run(ctx context.Context, args []string) error {
 		if err != nil {
 			return abort(fmt.Errorf("-metrics-addr: %w", err))
 		}
-		mux := http.NewServeMux()
-		mux.HandleFunc("/metricz", func(w http.ResponseWriter, r *http.Request) {
-			w.Header().Set("Content-Type", "application/json")
-			enc := json.NewEncoder(w)
-			enc.SetIndent("", "  ")
-			if err := enc.Encode(metrics); err != nil {
-				logger.Printf("metricz encode: %v", err)
-			}
-		})
-		metricsSrv = &http.Server{Handler: mux}
-		go func() {
-			if err := metricsSrv.Serve(ln); err != nil && !errors.Is(err, http.ErrServerClosed) {
-				logger.Printf("metrics server: %v", err)
-			}
-		}()
+		metricsSrv = metrics.Serve(ln, reg, logger.Printf)
 		logger.Printf("metrics on http://%s/metricz", ln.Addr())
 	}
 
@@ -262,7 +249,7 @@ func run(ctx context.Context, args []string) error {
 		}
 	}
 	err = srv.Close()
-	if raw, jerr := json.Marshal(metrics); jerr == nil {
+	if raw, jerr := json.Marshal(reg); jerr == nil {
 		logger.Printf("final stats: %s", raw)
 	}
 	return err

@@ -52,10 +52,10 @@ func (c CalibrationConfig) withDefaults() CalibrationConfig {
 // or 1), ~2.4 ns each scalar and ~0.4 ns in the eight lanes AVX-512F CPUs run
 // for m ≤ 11 (CalibrationKernel), plus ~20–25 µs a call on the lanes at 1,000
 // replicates: seven jumpBy walks from one memoised jump polynomial, the
-// distances (read off the packed tallies up to laneWindows windows), the
+// distances (read off the packed tallies up to 2·laneWindows windows), the
 // call's one allocation and the quantile select. BenchmarkCalibrateL1 at
 // -cpu 1 reads 31–52 µs at 4 windows, 46–59 µs at 8, about half of it
-// uniforms, and 222–267 µs at 50 (2-vCPU Xeon). Which uniforms, and in which
+// uniforms, and 173–199 µs at 50 (2-vCPU Xeon). Which uniforms, and in which
 // order, is part of the reproduction contract (ADR 0007); both paths keep it.
 func CalibrateL1(m, numWindows int, pHat float64, cfg CalibrationConfig) (float64, error) {
 	cfg = cfg.withDefaults()

@@ -154,7 +154,7 @@ func (pt *calibPoint) fillLanes(dists []float64) error {
 		}
 	}
 	thr := uniformThreshold(pt.pHat) << 11 // u>>11 < t ⇔ u < t<<11; t < 2^53
-	if pt.numWindows <= laneWindows {
+	if pt.numWindows <= 2*laneWindows {
 		pt.fillFused(dists, &st, thr, per)
 		return nil
 	}
@@ -182,13 +182,15 @@ func (pt *calibPoint) fillLanes(dists []float64) error {
 	return nil
 }
 
-// fillFused is fillLanes for numWindows ≤ laneWindows, where one laneTally
-// call tallies a replicate's every window: each lane's distance is read off
-// its packed tally through term[k][c], bucket k's l1Term at count c, summed
-// in bucket order — the additions L1CountsDistance makes, in its order, so
-// the same bits — with the eight lanes' sums interleaved.
+// fillFused is fillLanes for numWindows ≤ 2·laneWindows, where one
+// laneTally call, or two, tally a replicate's every window: each lane's
+// distance is read off its packed tally through term[k][c], bucket k's
+// l1Term at count c, summed in bucket order — the additions
+// L1CountsDistance makes, in its order, so the same bits — with the eight
+// lanes' sums interleaved. Past laneWindows a second call tallies the rest
+// and fusedSums2 adds the two words' fields before each lookup.
 func (pt *calibPoint) fillFused(dists []float64, st *[4][lanes]uint64, thr uint64, per int) {
-	var term [laneMaxM + 1][laneWindows + 1]float64
+	var term [laneMaxM + 1][2*laneWindows + 1]float64
 	total := float64(pt.numWindows)
 	for k, p := range pt.pmf {
 		for c := 0; c <= pt.numWindows; c++ {
@@ -196,27 +198,62 @@ func (pt *calibPoint) fillFused(dists []float64, st *[4][lanes]uint64, thr uint6
 		}
 	}
 	rows := term[:pt.m+1]
-	var acc [lanes]uint64
+	var acc, more [lanes]uint64
+	var d [lanes]float64
 	for i := 0; i < per; i++ {
-		laneTally(st, &acc, thr, pt.m, pt.numWindows)
-		a0, a1, a2, a3, a4, a5, a6, a7 := acc[0], acc[1], acc[2], acc[3], acc[4], acc[5], acc[6], acc[7]
-		var d0, d1, d2, d3, d4, d5, d6, d7 float64
-		for k := range rows {
-			t := &rows[k]
-			d0 += t[a0&31]
-			d1 += t[a1&31]
-			d2 += t[a2&31]
-			d3 += t[a3&31]
-			d4 += t[a4&31]
-			d5 += t[a5&31]
-			d6 += t[a6&31]
-			d7 += t[a7&31]
-			a0, a1, a2, a3, a4, a5, a6, a7 = a0>>5, a1>>5, a2>>5, a3>>5, a4>>5, a5>>5, a6>>5, a7>>5
+		if pt.numWindows <= laneWindows {
+			laneTally(st, &acc, thr, pt.m, pt.numWindows)
+			d = fusedSums(rows, &acc)
+		} else {
+			laneTally(st, &acc, thr, pt.m, laneWindows)
+			laneTally(st, &more, thr, pt.m, pt.numWindows-laneWindows)
+			d = fusedSums2(rows, &acc, &more)
 		}
-		for j, d := range [lanes]float64{d0, d1, d2, d3, d4, d5, d6, d7} {
+		for j := range d {
 			if r := j*per + i; r < len(dists) {
-				dists[r] = d
+				dists[r] = d[j]
 			}
 		}
 	}
+}
+
+// fusedSums returns each lane's Σₖ rows[k][count k] off its packed tally.
+func fusedSums(rows [][2*laneWindows + 1]float64, acc *[lanes]uint64) [lanes]float64 {
+	a0, a1, a2, a3, a4, a5, a6, a7 := acc[0], acc[1], acc[2], acc[3], acc[4], acc[5], acc[6], acc[7]
+	var d0, d1, d2, d3, d4, d5, d6, d7 float64
+	for k := range rows {
+		t := &rows[k]
+		d0 += t[a0&31]
+		d1 += t[a1&31]
+		d2 += t[a2&31]
+		d3 += t[a3&31]
+		d4 += t[a4&31]
+		d5 += t[a5&31]
+		d6 += t[a6&31]
+		d7 += t[a7&31]
+		a0, a1, a2, a3, a4, a5, a6, a7 = a0>>5, a1>>5, a2>>5, a3>>5, a4>>5, a5>>5, a6>>5, a7>>5
+	}
+	return [lanes]float64{d0, d1, d2, d3, d4, d5, d6, d7}
+}
+
+// fusedSums2 is fusedSums over two packed tallies, bucket k's count the sum
+// of their fields k.
+func fusedSums2(rows [][2*laneWindows + 1]float64, acc, more *[lanes]uint64) [lanes]float64 {
+	a0, a1, a2, a3, a4, a5, a6, a7 := acc[0], acc[1], acc[2], acc[3], acc[4], acc[5], acc[6], acc[7]
+	b0, b1, b2, b3, b4, b5, b6, b7 := more[0], more[1], more[2], more[3], more[4], more[5], more[6], more[7]
+	var d0, d1, d2, d3, d4, d5, d6, d7 float64
+	for k := range rows {
+		t := &rows[k]
+		d0 += t[a0&31+b0&31]
+		d1 += t[a1&31+b1&31]
+		d2 += t[a2&31+b2&31]
+		d3 += t[a3&31+b3&31]
+		d4 += t[a4&31+b4&31]
+		d5 += t[a5&31+b5&31]
+		d6 += t[a6&31+b6&31]
+		d7 += t[a7&31+b7&31]
+		a0, a1, a2, a3, a4, a5, a6, a7 = a0>>5, a1>>5, a2>>5, a3>>5, a4>>5, a5>>5, a6>>5, a7>>5
+		b0, b1, b2, b3, b4, b5, b6, b7 = b0>>5, b1>>5, b2>>5, b3>>5, b4>>5, b5>>5, b6>>5, b7>>5
+	}
+	return [lanes]float64{d0, d1, d2, d3, d4, d5, d6, d7}
 }

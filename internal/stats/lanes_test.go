@@ -182,8 +182,9 @@ func TestCalibrationKernel(t *testing.T) {
 }
 
 // TestCalibrateL1LanesDense is the dense lanes-vs-scalar differential: every
-// m the kernel takes at every window count up to laneWindows + 2 — the fused
-// distances up to laneWindows, the unpacked tallies past it — at p̂ from
+// m the kernel takes at every window count up to 64 — the fused distances of
+// one packed tally up to laneWindows and of two up to 2·laneWindows, the
+// unpacked tallies past it — at p̂ from
 // 2⁻⁶⁰ to 1 − 2⁻⁵³, and at replicate counts that fill the eight lanes or
 // leave some drawing replicates nobody reads: every replicate's distance has
 // fillScalar's bits. Under -short it takes every fifth (m, windows) pair.
@@ -195,7 +196,7 @@ func TestCalibrateL1LanesDense(t *testing.T) {
 	reps := []int{8, 9, 1000, 1001}
 	pairs := 0
 	for m := 1; m <= laneMaxM; m++ {
-		for w := 1; w <= laneWindows+2; w++ {
+		for w := 1; w <= 64; w++ {
 			if pairs++; testing.Short() && pairs%5 != 0 {
 				continue
 			}

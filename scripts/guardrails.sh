@@ -74,6 +74,8 @@
 #     History.CollusionWindows; CollusionOrder, GroupByIssuer, IssuerGroup,
 #     clientSeries and collusionCounts stay out of non-test code, and
 #     internal/behavior holds no map
+#   - trustd serves /metricz on internal/metrics' own HTTP/1.1 responder:
+#     net/http, crypto/tls and crypto/x509 stay out of its build graph
 #   - per-package non-test line budget (scripts/loc-budget.txt): a package
 #     grows only in a diff that raises its line, and a deleted package's line
 #     goes with it
@@ -336,6 +338,15 @@ check "internal/ledger reads the unscaled time column only in migrate.go (ADR 00
 check "net.Listen only in internal/repserver, and for trustd's -metrics-addr" \
     "! sources | grep -v '^./internal/repserver/' | xargs grep -n 'net\.Listen\b' \
        | grep -v '^./cmd/trustd/main\.go:[0-9]*:.*net\.Listen(\"tcp\", \*metricsAddr)' | grep -q ."
+# trustd's one HTTP route is internal/metrics' own responder (ADR 0013's
+# responder amendment): net/http, and the TLS and X.509 code it drags in,
+# stay out of the node's build graph.
+trustd_links_no_http() {
+    local deps
+    deps=$(go list -deps ./cmd/trustd) || return 1
+    ! grep -qxE 'net/http|crypto/tls|crypto/x509' <<<"$deps"
+}
+check "cmd/trustd links none of net/http, crypto/tls, crypto/x509 (ADR 0013)" "trustd_links_no_http"
 check "internal/gossip imports neither net nor bufio" \
     "absent '^\s*\"(net|bufio)\"' internal/gossip"
 
