@@ -7,7 +7,7 @@ import (
 	"math"
 	"reflect"
 	"slices"
-	"sort"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -17,31 +17,42 @@ import (
 // sorted by their record count, descending, then by ID, and each client's
 // records laid out in that order, in time order.
 func naiveOrder(ref []Feedback) []Feedback {
-	count := make(map[EntityID]int)
-	var clients []EntityID
-	for _, f := range ref {
-		if count[f.Client] == 0 {
-			clients = append(clients, f.Client)
-		}
-		count[f.Client]++
+	type group struct {
+		client    EntityID
+		count, at int // its records, and where its next one goes
 	}
-	sort.Slice(clients, func(i, j int) bool {
-		a, b := clients[i], clients[j]
-		if count[a] != count[b] {
-			return count[a] > count[b]
+	var groups []group
+	index := make(map[EntityID]int) // a client's group
+	for _, f := range ref {
+		g, ok := index[f.Client]
+		if !ok {
+			g = len(groups)
+			index[f.Client] = g
+			groups = append(groups, group{client: f.Client})
 		}
-		return a < b
+		groups[g].count++
+	}
+	order := make([]int, len(groups))
+	for i := range order {
+		order[i] = i
+	}
+	slices.SortFunc(order, func(i, j int) int {
+		a, b := groups[i], groups[j]
+		if a.count != b.count {
+			return b.count - a.count
+		}
+		return strings.Compare(string(a.client), string(b.client))
 	})
-	next := make(map[EntityID]int, len(clients)) // where each client's next record goes
 	at := 0
-	for _, c := range clients {
-		next[c] = at
-		at += count[c]
+	for _, g := range order {
+		groups[g].at = at
+		at += groups[g].count
 	}
 	out := make([]Feedback, len(ref))
 	for _, f := range ref {
-		out[next[f.Client]] = f
-		next[f.Client]++
+		g := &groups[index[f.Client]]
+		out[g.at] = f
+		g.at++
 	}
 	return out
 }
@@ -104,15 +115,75 @@ func naiveWindows(ref []Feedback, m int, fromEnd bool) []int {
 	return out
 }
 
+// derived is what sameAs holds a history to that depends on the reference
+// slice alone. FuzzHistoryOps derives it once for each span of an input's
+// records it checks, however many histories and views of the span it holds
+// to it.
+type derived struct {
+	good, clients int
+	collusion     [][][]int // CollusionWindows of each of collusionChecks
+	windows       [][]int   // WindowCounts of each of windowChecks
+	columns       []byte    // columns that decoded to the slice
+}
+
+// collusionChecks are the (m, stride) pairs sameAs asks CollusionWindows of a
+// history of n records: at most nine suffixes of a long history, and past 55
+// records both strides are n/8, the same call, checked once.
+func collusionChecks(n int) [][2]int {
+	var out [][2]int
+	for _, m := range []int{1, 3, 10} {
+		for i, stride := range []int{1, 7} {
+			stride = max(stride, n/8)
+			if i > 0 && stride == max(1, n/8) {
+				continue
+			}
+			out = append(out, [2]int{m, stride})
+		}
+	}
+	return out
+}
+
+// windowChecks are the (m, fromEnd) pairs sameAs asks WindowCounts[FromEnd].
+var windowChecks = []struct {
+	m       int
+	fromEnd bool
+}{{1, false}, {1, true}, {3, false}, {3, true}, {10, false}, {10, true}}
+
+// derive computes the reference side of sameAs's checks over ref.
+func derive(ref []Feedback) *derived {
+	d := &derived{}
+	clients := make(map[EntityID]struct{})
+	for _, f := range ref {
+		if f.Good() {
+			d.good++
+		}
+		clients[f.Client] = struct{}{}
+	}
+	d.clients = len(clients)
+	orders := make(map[int][]Feedback)
+	for _, c := range collusionChecks(len(ref)) {
+		d.collusion = append(d.collusion, naiveCollusionWindows(ref, c[0], len(ref), c[1], orders))
+	}
+	for _, c := range windowChecks {
+		d.windows = append(d.windows, naiveWindows(ref, c.m, c.fromEnd))
+	}
+	return d
+}
+
 // sameAs holds every read accessor of h against the reference slice.
 func sameAs(t *testing.T, what string, h *History, ref []Feedback) {
+	t.Helper()
+	sameAsDerived(t, what, h, ref, derive(ref))
+}
+
+// sameAsDerived is sameAs with ref's side of the checks derived already.
+func sameAsDerived(t *testing.T, what string, h *History, ref []Feedback, d *derived) {
 	t.Helper()
 	if h.Len() != len(ref) {
 		t.Fatalf("%s: Len %d, want %d", what, h.Len(), len(ref))
 	}
 	recs, outcomes := h.Records(), h.Outcomes()
 	good := 0
-	clients := make(map[EntityID]struct{})
 	for i, want := range ref {
 		if got := h.At(i); got != want || recs[i] != want {
 			t.Fatalf("%s: record %d is %v (Records: %v), want %v", what, i, got, recs[i], want)
@@ -129,39 +200,32 @@ func sameAs(t *testing.T, what string, h *History, ref []Feedback) {
 		if got := h.GoodInRange(0, i+1); got != good {
 			t.Fatalf("%s: GoodInRange(0,%d) = %d, want %d", what, i+1, got, good)
 		}
-		clients[want.Client] = struct{}{}
 	}
-	if h.GoodCount() != good || h.DistinctClients() != len(clients) {
-		t.Fatalf("%s: GoodCount %d DistinctClients %d, want %d and %d", what, h.GoodCount(), h.DistinctClients(), good, len(clients))
+	if h.GoodCount() != d.good || h.DistinctClients() != d.clients {
+		t.Fatalf("%s: GoodCount %d DistinctClients %d, want %d and %d", what, h.GoodCount(), h.DistinctClients(), d.good, d.clients)
 	}
-	orders := make(map[int][]Feedback)
-	for _, m := range []int{1, 3, 10} {
-		for i, stride := range []int{1, 7} {
-			stride = max(stride, len(ref)/8) // at most nine suffixes of a long history
-			if i > 0 && stride == max(1, len(ref)/8) {
-				continue // past 55 records both strides are len/8: the same call, checked once
-			}
-			got, want := suffixWindows(h, m, len(ref), stride), naiveCollusionWindows(ref, m, len(ref), stride, orders)
-			if !reflect.DeepEqual(got, want) {
-				t.Fatalf("%s: CollusionWindows(%d, %d, %d) %v, want %v", what, m, len(ref), stride, got, want)
-			}
+	for i, c := range collusionChecks(len(ref)) {
+		if got := suffixWindows(h, c[0], len(ref), c[1]); !reflect.DeepEqual(got, d.collusion[i]) {
+			t.Fatalf("%s: CollusionWindows(%d, %d, %d) %v, want %v", what, c[0], len(ref), c[1], got, d.collusion[i])
 		}
 	}
-	dec, rest, err := DecodeColumns(h.Server(), h.AppendColumns(nil))
-	if err != nil || len(rest) != 0 || dec.Len() != len(ref) {
-		t.Fatalf("%s: column round trip: %v, %d bytes left", what, err, len(rest))
-	}
-	for i, want := range ref {
-		if got := dec.At(i); got != want {
-			t.Fatalf("%s: record %d decodes from the columns as %v, want %v", what, i, got, want)
+	// Columns byte-equal to ones that decoded to ref decode to ref.
+	if cols := h.AppendColumns(nil); !bytes.Equal(cols, d.columns) {
+		dec, rest, err := DecodeColumns(h.Server(), cols)
+		if err != nil || len(rest) != 0 || dec.Len() != len(ref) {
+			t.Fatalf("%s: column round trip: %v, %d bytes left", what, err, len(rest))
 		}
-	}
-	for _, m := range []int{1, 3, 10} {
-		for _, fromEnd := range []bool{false, true} {
-			got, err := h.windowCounts(m, fromEnd)
-			if err != nil || !reflect.DeepEqual(got, naiveWindows(ref, m, fromEnd)) {
-				t.Fatalf("%s: windows m=%d fromEnd=%v: %v (%v), want %v", what, m, fromEnd, got, err, naiveWindows(ref, m, fromEnd))
+		for i, want := range ref {
+			if got := dec.At(i); got != want {
+				t.Fatalf("%s: record %d decodes from the columns as %v, want %v", what, i, got, want)
 			}
+		}
+		d.columns = cols
+	}
+	for i, c := range windowChecks {
+		got, err := h.windowCounts(c.m, c.fromEnd)
+		if err != nil || !reflect.DeepEqual(got, d.windows[i]) {
+			t.Fatalf("%s: windows m=%d fromEnd=%v: %v (%v), want %v", what, c.m, c.fromEnd, got, err, d.windows[i])
 		}
 	}
 }
@@ -215,9 +279,22 @@ func FuzzHistoryOps(f *testing.F) {
 	f.Fuzz(func(t *testing.T, ops []byte) {
 		h := NewHistory("srv")
 		var ref []Feedback
+		// check holds hist to ref[lo:hi], deriving the reference side once a
+		// span: records only ever join ref's end, so a span's records are
+		// the same at every check.
+		memo := make(map[[2]int]*derived)
+		check := func(what string, hist *History, lo, hi int) {
+			t.Helper()
+			d := memo[[2]int{lo, hi}]
+			if d == nil {
+				d = derive(ref[lo:hi])
+				memo[[2]int{lo, hi}] = d
+			}
+			sameAsDerived(t, what, hist, ref[lo:hi], d)
+		}
 		type frozen struct {
 			view *History
-			ref  []Feedback
+			n    int // the records ref held when the view was taken
 		}
 		var views []frozen
 		first := time.Unix(1_700_000_000, 0).UTC()
@@ -264,26 +341,26 @@ func FuzzHistoryOps(f *testing.F) {
 			}
 			switch op % 4 {
 			case 0:
-				views = append(views, frozen{h.SnapshotView(), ref[:len(ref):len(ref)]})
+				views = append(views, frozen{h.SnapshotView(), len(ref)})
 			case 1:
 				n := int(op>>3) % (len(ref) + 2)
-				sameAs(t, "suffix view", h.SuffixView(n), ref[max(0, len(ref)-n):])
+				check("suffix view", h.SuffixView(n), max(0, len(ref)-n), len(ref))
 			case 2:
 				c := h.Clone()
-				sameAs(t, "clone", c, ref)
+				check("clone", c, 0, len(ref))
 				if err := c.AppendOutcome("only-in-clone", true, at); err != nil {
 					t.Fatal(err)
 				}
-				sameAs(t, "owner after clone grew", h, ref)
+				check("owner after clone grew", h, 0, len(ref))
 			case 3:
-				sameAs(t, "owner", h, ref)
+				check("owner", h, 0, len(ref))
 			}
 		}
-		sameAs(t, "owner at end", h, ref)
+		check("owner at end", h, 0, len(ref))
 		for _, v := range views {
-			sameAs(t, "snapshot view", v.view, v.ref)
+			check("snapshot view", v.view, 0, v.n)
 		}
-		sameAs(t, "rebuilt from records", historyOf(t, "srv", ref), ref)
+		check("rebuilt from records", historyOf(t, "srv", ref), 0, len(ref))
 	})
 }
 

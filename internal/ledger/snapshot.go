@@ -36,7 +36,6 @@ package ledger
 // replay — a bad snapshot can cost boot time, never correctness.
 
 import (
-	"bufio"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -94,13 +93,18 @@ func listSnapshots(dir string) ([]uint64, error) {
 	return out, nil
 }
 
+// snapFlushAt is what a snapshot gathers in its scratch before writing it
+// out: sections are assembled there anyway, so a snapshot needs no buffer
+// beside it, and writes of this size cost few calls.
+const snapFlushAt = 64 << 10
+
 // snapWriter streams a snapshot to its temp file, maintaining the running
 // checksum and byte position (so the caller can index server sections by
 // byte range for rebuild-on-demand), and atomically publishes it on finish.
+// scratch holds what is not yet written: whole sections, appended in place.
 type snapWriter struct {
 	dir     string
 	f       *os.File
-	w       *bufio.Writer
 	crc     uint32
 	pos     int64
 	scratch []byte
@@ -112,28 +116,39 @@ func beginSnapshot(dir string, seq, covered, records uint64) (*snapWriter, error
 	if err != nil {
 		return nil, fmt.Errorf("ledger: snapshot temp: %w", err)
 	}
-	sw := &snapWriter{dir: dir, f: f, w: bufio.NewWriterSize(f, 1<<20)}
-	buf := sw.scratch[:0]
-	buf = append(buf, snapMagic[:]...)
+	sw := &snapWriter{dir: dir, f: f}
+	buf := append(sw.scratch, snapMagic[:]...)
 	buf = binary.AppendUvarint(buf, snapVersion)
 	buf = binary.AppendUvarint(buf, seq)
 	buf = binary.AppendUvarint(buf, covered)
 	buf = binary.AppendUvarint(buf, records)
-	if err := sw.write(buf); err != nil {
+	if err := sw.add(buf); err != nil {
 		sw.abort()
 		return nil, err
 	}
 	return sw, nil
 }
 
-// write appends raw bytes, folding them into the checksum and position.
-func (sw *snapWriter) write(b []byte) error {
-	if _, err := sw.w.Write(b); err != nil {
+// add makes buf, which is scratch with bytes appended, the new scratch: it
+// folds the appended bytes into the checksum and position, and writes
+// scratch out once it holds snapFlushAt.
+func (sw *snapWriter) add(buf []byte) error {
+	sw.crc = crc32.Update(sw.crc, castagnoli, buf[len(sw.scratch):])
+	sw.pos += int64(len(buf) - len(sw.scratch))
+	sw.scratch = buf
+	if len(buf) < snapFlushAt {
+		return nil
+	}
+	return sw.flush()
+}
+
+// flush writes scratch out and empties it.
+func (sw *snapWriter) flush() error {
+	_, err := sw.f.Write(sw.scratch)
+	sw.scratch = sw.scratch[:0]
+	if err != nil {
 		return fmt.Errorf("ledger: snapshot write: %w", err)
 	}
-	sw.crc = crc32.Update(sw.crc, castagnoli, b)
-	sw.pos += int64(len(b))
-	sw.scratch = b[:0]
 	return nil
 }
 
@@ -143,29 +158,23 @@ func (sw *snapWriter) server(hist *feedback.History) error {
 	if len(id) == 0 {
 		return fmt.Errorf("%w: empty server id", ErrBadSnapshot)
 	}
-	buf := binary.AppendUvarint(sw.scratch[:0], uint64(len(id)))
+	buf := binary.AppendUvarint(sw.scratch, uint64(len(id)))
 	buf = append(buf, id...)
-	return sw.write(hist.AppendColumns(buf))
+	return sw.add(hist.AppendColumns(buf))
 }
 
 // finish writes the terminator and trailer, fsyncs, and renames the temp
 // file to snapshot.<seq>, returning the published file's size. The rename is
 // the commit point; on any failure the temp file is removed.
 func (sw *snapWriter) finish(seq uint64) (int64, error) {
-	buf := binary.AppendUvarint(sw.scratch[:0], 0)
-	if err := sw.write(buf); err != nil {
+	err := sw.add(binary.AppendUvarint(sw.scratch, 0))
+	if err == nil {
+		sw.scratch = append(binary.LittleEndian.AppendUint32(sw.scratch, sw.crc), snapEnd...)
+		err = sw.flush()
+	}
+	if err != nil {
 		sw.abort()
 		return 0, err
-	}
-	trailer := binary.LittleEndian.AppendUint32(nil, sw.crc)
-	trailer = append(trailer, snapEnd...)
-	if _, err := sw.w.Write(trailer); err != nil {
-		sw.abort()
-		return 0, fmt.Errorf("ledger: snapshot trailer: %w", err)
-	}
-	if err := sw.w.Flush(); err != nil {
-		sw.abort()
-		return 0, fmt.Errorf("ledger: snapshot flush: %w", err)
 	}
 	if err := sw.f.Sync(); err != nil {
 		sw.abort()
@@ -181,7 +190,7 @@ func (sw *snapWriter) finish(seq uint64) (int64, error) {
 		return 0, fmt.Errorf("ledger: snapshot publish: %w", err)
 	}
 	syncDir(sw.dir)
-	return sw.pos + int64(len(trailer)), nil
+	return sw.pos + 4 + int64(len(snapEnd)), nil
 }
 
 // abort closes (again, harmlessly, if finish already had) and removes the

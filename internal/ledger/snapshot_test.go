@@ -2,6 +2,7 @@ package ledger
 
 import (
 	"context"
+	"crypto/sha256"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -443,6 +444,10 @@ func checkOldSnapshotFallsBack(t *testing.T, version uint64, encode func(seq, co
 // snapshot at the benchmark's shape — 512 servers of 1074 records one second
 // apart, from a pool of 100 clients, no accumulator state: at most 3.5 B,
 // where version 2's unscaled times took 6.8 B and version 1 15.9 B.
+// snapshotImageSHA256 is the digest of TestSnapshotSectionBytesPerRecord's
+// snapshot file.
+const snapshotImageSHA256 = "75bbc3b85566db1a3e1447bd7bd392f6377e100d4a68347690042d2c8ee6fb7a"
+
 func TestSnapshotSectionBytesPerRecord(t *testing.T) {
 	const servers, perServer = 512, 1074
 	dir := filepath.Join(t.TempDir(), "led")
@@ -483,6 +488,16 @@ func TestSnapshotSectionBytesPerRecord(t *testing.T) {
 	}
 	if got := ledgerMetric(ps, "snapshot_bytes"); got != uint64(si.Size) {
 		t.Fatalf("snapshot_bytes counts %v, the file has %d", got, si.Size)
+	}
+	// The file's bytes, CRC included, are pinned: the writer may change how
+	// it writes them, in sections gathered up to snapFlushAt or otherwise,
+	// but not what it writes.
+	image, err := os.ReadFile(filepath.Join(dir, snapshotName(si.Seq)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sum := fmt.Sprintf("%x", sha256.Sum256(image)); sum != snapshotImageSHA256 {
+		t.Fatalf("the snapshot's SHA-256 is %s, want %s", sum, snapshotImageSHA256)
 	}
 	t.Logf("%.2f B per record, %d B file", si.SectionBytesPerRecord, si.Size)
 }

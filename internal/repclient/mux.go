@@ -18,11 +18,6 @@ import (
 // stops a single caller burst from queueing unbounded work on the server.
 const DefaultWindow = 64
 
-// muxBufSize sizes the per-connection buffered reader and writer. Large
-// buffers let a pipelined burst of requests (and the
-// server's burst of responses) move in few syscalls.
-const muxBufSize = 256 << 10
-
 // muxTimers pools the per-request timeout timers (see muxRoundTrip). Timers
 // are always returned stopped and drained (Go 1.22 timer-channel semantics).
 var muxTimers = sync.Pool{New: func() any {
@@ -50,13 +45,14 @@ type mux struct {
 	nc    net.Conn
 	codec wire.Codec // fixed at the handshake
 
-	// wmu serialises frame writes into bw. Senders never flush inline:
-	// they kick the flusher goroutine instead, so frames written while a
-	// flush syscall is in progress — or while the flusher is merely queued
-	// for CPU — leave in the next flush as one batch. Under concurrent load
-	// this collapses per-request write syscalls into per-burst ones.
-	wmu       sync.Mutex
-	bw        *bufio.Writer
+	// Senders append to burst under wmu and kick the flusher goroutine,
+	// which takes the burst under wmu and writes it outside: frames appended
+	// while a write is in progress, or while the flusher waits for CPU,
+	// leave in the next write as one burst, and no sender waits on a write.
+	// fmu orders the writes — the flusher's, and a sender's whose frame took
+	// the burst past wire.MaxBurst — as the bursts were taken.
+	wmu, fmu  sync.Mutex
+	burst     wire.Burst
 	flushKick chan struct{} // cap 1: a pending kick covers any number of frames
 
 	// slots is the in-flight window: a sender acquires a slot before
@@ -79,7 +75,6 @@ func newMux(nc net.Conn, reader *bufio.Reader, window int, codec wire.Codec) *mu
 	m := &mux{
 		nc:        nc,
 		codec:     codec,
-		bw:        bufio.NewWriterSize(nc, muxBufSize),
 		flushKick: make(chan struct{}, 1),
 		done:      make(chan struct{}),
 		slots:     make(chan struct{}, window),
@@ -155,16 +150,21 @@ func (m *mux) unregister(id uint64) {
 	m.mu.Unlock()
 }
 
-// send buffers one frame and kicks the flusher. A write failure poisons
-// the mux (the stream may hold a half-written frame). A written frame's
-// plan is the connection's from then on: frames encoded after the commit
-// plan against it, and are written after this one.
+// send appends one frame to the burst and kicks the flusher; a frame that
+// takes the burst past wire.MaxBurst writes it at once. A write failure
+// poisons the mux (the stream may hold a half-written frame). An appended
+// frame's plan is the connection's from then on: frames encoded after the
+// commit plan against it, and are written after this one.
 func (m *mux) send(env wire.Envelope) error {
 	m.wmu.Lock()
-	err := wire.WriteV2(m.bw, env)
+	err := m.burst.Append(env)
+	full := m.burst.Len() > wire.MaxBurst
 	m.wmu.Unlock()
 	if err == nil {
 		err = m.codec.Commit(&env)
+	}
+	if err == nil && full {
+		err = m.flush()
 	}
 	if err != nil {
 		m.fail(fmt.Errorf("%w: write request: %v", ErrConnBroken, err))
@@ -177,10 +177,21 @@ func (m *mux) send(env wire.Envelope) error {
 	return nil
 }
 
-// flusher drains flush kicks, pushing buffered frames to the socket. It is
-// the only goroutine that flushes, so every frame buffered between two of
-// its wake-ups — by any number of senders — leaves in one syscall. It exits
-// when a flush fails or when the mux is poisoned by anyone else.
+// flush takes the burst and writes it in one syscall.
+func (m *mux) flush() error {
+	m.fmu.Lock()
+	defer m.fmu.Unlock()
+	m.wmu.Lock()
+	b := m.burst
+	m.burst = wire.Burst{}
+	m.wmu.Unlock()
+	return b.Flush(m.nc)
+}
+
+// flusher drains flush kicks, pushing appended frames to the socket, so
+// every frame appended between two of its wake-ups — by any number of
+// senders — leaves in one syscall. It exits when a write fails or when the
+// mux is poisoned by anyone else.
 func (m *mux) flusher() {
 	for {
 		select {
@@ -192,10 +203,7 @@ func (m *mux) flusher() {
 		// append their frames first, so one syscall carries the whole burst
 		// (a scheduler pass costs far less than the write it saves).
 		runtime.Gosched()
-		m.wmu.Lock()
-		err := m.bw.Flush()
-		m.wmu.Unlock()
-		if err != nil {
+		if err := m.flush(); err != nil {
 			m.fail(fmt.Errorf("%w: flush request: %v", ErrConnBroken, err))
 			return
 		}
@@ -363,7 +371,7 @@ func handshake(nc net.Conn, timeout time.Duration) (*bufio.Reader, wire.Codec, e
 	if err := wire.WriteHello(nc); err != nil {
 		return nil, wire.Codec{}, err
 	}
-	reader := bufio.NewReaderSize(nc, muxBufSize)
+	reader := bufio.NewReader(nc)
 	rev, err := wire.ReadAck(reader)
 	if err != nil {
 		return nil, wire.Codec{}, err

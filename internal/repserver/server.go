@@ -275,6 +275,11 @@ func (s *Server) Metrics() *metrics.Registry { return s.reg }
 func (s *Server) registerMetrics() {
 	reg := s.reg
 	reg.Counter("connections", &s.nConns)
+	reg.Gauge("open_connections", func() any {
+		s.mu.Lock()
+		defer s.mu.Unlock()
+		return len(s.conns)
+	})
 	reg.Counter("requests", &s.nRequests)
 	reg.Counter("errors", &s.nErrors)
 	reg.Gauge("per_type", func() any {
@@ -425,10 +430,6 @@ func (s *Server) logf(format string, args ...any) {
 	}
 }
 
-// v2BufSize sizes the per-connection bufio writer: large enough that the
-// responses to a pipelined burst of frames leave in one syscall.
-const v2BufSize = 256 << 10
-
 // handle serves one connection: the hello, then frames. An opening that is
 // not a hello — a JSON line, say — is closed and counted in errors; a
 // connection closed before its first byte (a readiness probe) is not.
@@ -459,34 +460,40 @@ func (s *Server) handle(c *conn) {
 // survives them), and so does a response too large to frame and a frame of a
 // type this build does not know; other write failures end the connection.
 //
-// Responses go through a large buffered writer that is flushed only when no
-// further request is already buffered — a pipelined burst of N requests
-// costs ~one write syscall, not N — and once more when the loop ends,
-// whatever ended it.
+// Responses gather in a burst (wire.Burst) that is written only when no
+// further request is already buffered, or once it passes wire.MaxBurst — a
+// pipelined burst of N requests costs ~one write syscall, not N — and once
+// more when the loop ends, whatever ended it. Between bursts the connection
+// holds no write buffer.
 //
-// The read buffer is reused across frames (wire.ReadV2Into): the envelope's
-// payload aliases it and every handler fully decodes the payload before
-// returning. The one exception is a handler abandoned by the deadline
-// interceptor, to which the buffer is surrendered.
+// Each request is read into a buffer from the frame pool, taken once the
+// frame's first byte has arrived: the envelope's payload aliases it, and
+// every handler fully decodes the payload before returning, after which the
+// buffer goes back. The one exception is a handler abandoned by the deadline
+// interceptor, to which the buffer is surrendered: it never returns to the
+// pool.
 func (s *Server) serve(c *conn, reader *bufio.Reader, codec wire.Codec) {
-	bw := bufio.NewWriterSize(c.nc, v2BufSize)
-	defer func() { _ = bw.Flush() }()
+	var out wire.Burst
+	defer func() { _ = out.Flush(c.nc) }()
 	ctx := service.WithCodec(s.baseCtx, codec)
-	var frameBuf []byte
 	for {
 		if c.setBusy(false) {
 			return // draining and idle: stop before reading another request
 		}
 		// Flush before a read that may block: the client's pipeline stays
 		// full only while responses keep flowing.
-		if reader.Buffered() == 0 {
-			if err := bw.Flush(); err != nil {
+		if reader.Buffered() == 0 || out.Len() > wire.MaxBurst {
+			if err := out.Flush(c.nc); err != nil {
 				s.nErrors.Add(1)
 				return
 			}
 		}
-		env, buf, err := codec.ReadFrame(reader, frameBuf)
-		frameBuf = buf
+		if _, err := reader.Peek(1); err != nil {
+			return // closed between frames: the normal end of a connection
+		}
+		frameBuf := wire.FrameBuf()
+		env, buf, err := codec.ReadFrame(reader, *frameBuf)
+		*frameBuf = buf
 		if err == nil {
 			// The frame joins the connection's state before a handler
 			// decodes it: the client committed it when it wrote it. A
@@ -509,7 +516,7 @@ func (s *Server) serve(c *conn, reader *bufio.Reader, codec wire.Codec) {
 			if errors.Is(err, wire.ErrBadMessage) || errors.Is(err, wire.ErrBadVersion) ||
 				errors.Is(err, wire.ErrFrameTooLarge) {
 				s.nErrors.Add(1)
-				_ = wire.WriteV2(bw, service.ErrorEnvelopeCodec(codec, wire.UnattributableID,
+				_ = out.Append(service.ErrorEnvelopeCodec(codec, wire.UnattributableID,
 					service.Errorf(wire.CodeBadRequest, "%v", err)))
 			}
 			return
@@ -534,22 +541,22 @@ func (s *Server) serve(c *conn, reader *bufio.Reader, codec wire.Codec) {
 			s.nErrors.Add(1)
 			resp = service.ErrorEnvelopeCodec(codec, env.ID, herr)
 			// A deadline or cancellation error means the interceptor gave up
-			// on a handler that may still be reading env.Payload: the next
-			// frame gets a fresh buffer (TestRequestDeadlineExceeded pins the
+			// on a handler that may still be reading env.Payload: its buffer
+			// is the handler's (TestRequestDeadlineExceeded pins the
 			// hand-over under -race).
 			if errors.Is(herr, context.DeadlineExceeded) || errors.Is(herr, context.Canceled) {
 				frameBuf = nil
 			}
 		}
-		err = wire.WriteV2(bw, resp)
+		err = out.Append(resp)
 		if errors.Is(err, wire.ErrFrameTooLarge) {
-			// WriteV2 checks the size before the first byte, so nothing of
-			// the response is on the wire: the request is answered with an
+			// Append checks the size before the first byte, so nothing of
+			// the response is in the burst: the request is answered with an
 			// error it can be matched to, and the connection lives on.
 			s.nErrors.Add(1)
 			resp = service.ErrorEnvelopeCodec(codec, env.ID,
 				service.Errorf(wire.CodeResponseTooLarge, "%s response: %v (limit %d)", resp.Type, err, wire.MaxFrame))
-			err = wire.WriteV2(bw, resp)
+			err = out.Append(resp)
 		}
 		if err == nil {
 			// The frame is on its way: its plan is the connection's now,
@@ -562,6 +569,9 @@ func (s *Server) serve(c *conn, reader *bufio.Reader, codec wire.Codec) {
 			s.nErrors.Add(1)
 			s.logf("conn %s: write %s response: %v", c.nc.RemoteAddr(), env.Type, err)
 			return
+		}
+		if frameBuf != nil {
+			wire.PutFrameBuf(frameBuf)
 		}
 	}
 }

@@ -625,8 +625,8 @@ func TestStatsCounters(t *testing.T) {
 		}
 		return v
 	}
-	if c, r, e := num("connections"), num("requests"), num("errors"); c != 1 || r != 4 || e != 1 {
-		t.Fatalf("connections/requests/errors = %v/%v/%v, want 1/4/1", c, r, e)
+	if c, o, r, e := num("connections"), num("open_connections"), num("requests"), num("errors"); c != 1 || o != 1 || r != 4 || e != 1 {
+		t.Fatalf("connections/open_connections/requests/errors = %v/%v/%v/%v, want 1/1/4/1", c, o, r, e)
 	}
 	batchCounters := func() [4]float64 {
 		return [4]float64{num("submit_batches"), num("submit_batch_items"), num("submit_batch_rejects"), num("batch_items")}
@@ -909,12 +909,16 @@ func testRequestDeadlineExceeded(t *testing.T, connect func(*Server) *repclient.
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := late.Seed(honestHistory("late", 200)); err != nil {
-		t.Fatal(err)
+	for _, id := range []feedback.EntityID{"late", "decoy"} {
+		if _, err := late.Seed(honestHistory(id, 200)); err != nil {
+			t.Fatal(err)
+		}
 	}
 	release, encoded := make(chan struct{}), make(chan struct{})
 	var first, released sync.Once
+	var decoded feedback.EntityID // the server the abandoned handler read from its payload
 	answer := typed(wire.TypeAssessR, func(_ context.Context, req wire.AssessRequest) (wire.AssessResponse, error) {
+		decoded = req.Server
 		return late.Assess(context.Background(), req)
 	})
 	served := late.pipeline
@@ -941,8 +945,20 @@ func testRequestDeadlineExceeded(t *testing.T, connect func(*Server) *repclient.
 	if _, err := lc.Assess("late", referenceThreshold); !errors.As(err, &remote) || remote.Code != wire.CodeDeadlineExceeded {
 		t.Fatalf("err = %v, want %s error frame", err, wire.CodeDeadlineExceeded)
 	}
+	// The abandoned handler has not read its payload yet. The frames the
+	// connection reads meanwhile land in buffers of their own: had its
+	// buffer gone back to the frame pool, the next frame would be read into
+	// it, under the handler's feet.
+	for i := 0; i < 4; i++ {
+		if _, err := lc.Assess("decoy", referenceThreshold); err != nil {
+			t.Fatal(err)
+		}
+	}
 	released.Do(func() { close(release) })
 	<-encoded
+	if decoded != "late" {
+		t.Fatalf("the abandoned handler read a request for %q, want %q", decoded, "late")
+	}
 	got, err := lc.Assess("late", referenceThreshold)
 	if err != nil {
 		t.Fatalf("the verdict after an abandoned one: %v", err)

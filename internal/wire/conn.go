@@ -29,7 +29,7 @@ import (
 // frame flag is set (v2.go). The writer plans a frame's sections when it
 // encodes the frame, against the frames its direction has committed, and the
 // plan rides on the Envelope. Commit then applies it at the writer, after
-// WriteV2 has taken the frame — never a frame encoded and not written — and
+// the frame joins its burst — never a frame encoded and not written — and
 // at the reader reads the sections into the tables before the frame is handed
 // on to be decoded. So both ends hold the sections of the same frames, added
 // in the order the connection carried them, and a frame decodes on any

@@ -209,12 +209,13 @@ func (c Codec) DecodePayload(env Envelope, out any) error {
 }
 
 // Commit adds env's frame to the connection's state. The writer commits a
-// frame once WriteV2 has taken it — never a frame it encoded and did not
-// write — applying the plan Encode made; the reader commits it before it
-// hands the frame on to be decoded, reading its sections into the tables
-// and into the plan the frame decodes with. A section no encoder writes is
-// refused, and then every later Commit and DecodePayload on the connection
-// fails. On a bridged connection and on V2Codec, Commit refuses a name
+// frame once its burst has taken it (Burst.Append, WriteV2), applying the
+// plan Encode made — a burst leaves whole and in order or the connection
+// ends, so that append is the write — and never a frame it did not write;
+// the reader commits it before it hands the frame on to be decoded,
+// reading its sections into the tables and into the plan the frame decodes
+// with. A section no encoder writes is refused, and then every later Commit
+// and DecodePayload on the connection fails. On a bridged connection and on V2Codec, Commit refuses a name
 // section and does nothing else.
 func (c Codec) Commit(env *Envelope) error {
 	if c.st == nil {
@@ -303,25 +304,37 @@ func ReadHelloAck(r io.Reader) error {
 	return err
 }
 
-// maxPooledFrame bounds the frame buffers kept in the pool: occasional huge
-// frames (chunked histories) should not pin megabytes per idle connection.
-const maxPooledFrame = 1 << 20
+// MaxBurst bounds what a connection holds unsent — a writer writes its burst
+// once it passes MaxBurst — and the buffers the frame pool keeps: one grown
+// past it by a huge frame (a chunked history) is dropped, not pinned.
+const MaxBurst = 1 << 20
 
 var frameBufPool = sync.Pool{
 	New: func() any { b := make([]byte, 0, 4096); return &b },
 }
 
-// WriteV2 frames and writes one envelope with a single Write call,
-// assembling the frame in a pooled buffer. env.Binary selects the
-// payload-encoding flag; the writer does not re-encode the payload.
-func WriteV2(w io.Writer, env Envelope) error {
+// FrameBuf takes an empty buffer from the frame pool.
+func FrameBuf() *[]byte { return frameBufPool.Get().(*[]byte) }
+
+// PutFrameBuf hands bp back to the frame pool, unless it outgrew MaxBurst.
+func PutFrameBuf(bp *[]byte) {
+	if cap(*bp) <= MaxBurst {
+		*bp = (*bp)[:0]
+		frameBufPool.Put(bp)
+	}
+}
+
+// AppendV2 appends env's frame to buf. env.Binary selects the
+// payload-encoding flag; the payload is not re-encoded. A frame it refuses
+// leaves buf as it was.
+func AppendV2(buf []byte, env Envelope) ([]byte, error) {
 	code, ok := v2Codes[env.Type]
 	if !ok {
-		return fmt.Errorf("%w: type %q has no v2 code", ErrBadMessage, env.Type)
+		return buf, fmt.Errorf("%w: type %q has no v2 code", ErrBadMessage, env.Type)
 	}
 	body := v2BodyMin + len(env.Payload)
 	if body > MaxFrame {
-		return fmt.Errorf("%w: %d bytes", ErrFrameTooLarge, body)
+		return buf, fmt.Errorf("%w: %d bytes", ErrFrameTooLarge, body)
 	}
 	var flags byte
 	if !env.Binary && len(env.Payload) > 0 {
@@ -336,21 +349,57 @@ func WriteV2(w io.Writer, env Envelope) error {
 	if env.Names {
 		flags |= flagNames
 	}
-	bp := frameBufPool.Get().(*[]byte)
-	buf := (*bp)[:0]
 	buf = binary.BigEndian.AppendUint32(buf, uint32(body))
 	buf = append(buf, code, flags)
 	buf = binary.BigEndian.AppendUint64(buf, env.ID)
-	buf = append(buf, env.Payload...)
-	_, err := w.Write(buf)
-	if cap(buf) <= maxPooledFrame {
-		*bp = buf
-		frameBufPool.Put(bp)
+	return append(buf, env.Payload...), nil
+}
+
+// Burst gathers frames to leave a connection in one Write. The zero Burst
+// holds no buffer: the first Append takes one from the frame pool and Flush
+// hands it back, so an idle connection holds none.
+type Burst struct{ bp *[]byte }
+
+// Append appends env's frame to the burst, as AppendV2 does.
+func (b *Burst) Append(env Envelope) (err error) {
+	if b.bp == nil {
+		b.bp = FrameBuf()
 	}
+	*b.bp, err = AppendV2(*b.bp, env)
+	return err
+}
+
+// Len returns the bytes the burst holds.
+func (b *Burst) Len() int {
+	if b.bp == nil {
+		return 0
+	}
+	return len(*b.bp)
+}
+
+// Flush writes the burst's frames in one Write and hands its buffer back to
+// the pool, leaving the zero Burst. An empty burst writes nothing.
+func (b *Burst) Flush(w io.Writer) error {
+	if b.Len() == 0 {
+		return nil
+	}
+	_, err := w.Write(*b.bp)
+	PutFrameBuf(b.bp)
+	b.bp = nil
 	if err != nil {
 		return fmt.Errorf("write frame: %w", err)
 	}
 	return nil
+}
+
+// WriteV2 frames and writes one envelope with a single Write call: a burst
+// of one frame.
+func WriteV2(w io.Writer, env Envelope) error {
+	var b Burst
+	if err := b.Append(env); err != nil {
+		return err
+	}
+	return b.Flush(w)
 }
 
 // ReadV2 reads one frame into a freshly allocated envelope. The payload is

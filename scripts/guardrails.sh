@@ -27,6 +27,9 @@
 #     threshold bindings commit at its one ordered point at each end:
 #     repserver's serve after a frame is written, repclient's demux before a
 #     frame is routed (ADR 0006)
+#   - a connection holds a buffer only while a frame is in it: repserver and
+#     repclient write bursts from internal/wire's frame pool, never through a
+#     per-connection bufio writer
 #   - record batches are columns through one codec (ADR 0008): the ledger
 #     writes blocks, the wire writes batches, neither frames a record alone
 #   - one batch type from frame to block (ADR 0021): internal/store and
@@ -210,6 +213,12 @@ commit_sites() {
 }
 check "connection tables commit only in repserver's serve and repclient's send and demux (ADR 0006)" \
     "[ \"\$(commit_sites | tr '\n' ' ')\" = './internal/repclient/mux.go:demux ./internal/repclient/mux.go:send ./internal/repserver/server.go:serve ./internal/repserver/server.go:serve ' ]"
+# A connection holds a buffer only while a frame is in it: its frames leave
+# in bursts from internal/wire's frame pool (wire.Burst), so the serving and
+# client loops keep no per-connection bufio writer, which would pin its
+# buffer for the connection's life.
+check "no per-connection bufio writer in internal/repserver or internal/repclient (wire.Burst)" \
+    "absent 'bufio\.NewWriter' internal/repserver && absent 'bufio\.NewWriter' internal/repclient"
 # A name crosses a connection once (ADR 0006): every
 # entity id and tester or trust-function name a binary payload writes goes
 # through the name table's one writer, whose literal path alone spells it,
