@@ -2,8 +2,10 @@ package repclient
 
 import (
 	"bufio"
+	"bytes"
 	"context"
 	"errors"
+	"io"
 	"net"
 	"sync"
 	"testing"
@@ -328,6 +330,93 @@ func TestProtoV2RequiredFailsAgainstJSONServer(t *testing.T) {
 	if _, err := Dial(addr, WithTimeout(time.Second)); !errors.Is(err, wire.ErrNotV2) {
 		t.Fatalf("dial err = %v, want wire.ErrNotV2", err)
 	}
+}
+
+// gatedConn records every Write; the first one waits until open is closed.
+type gatedConn struct {
+	net.Conn
+	entered, open chan struct{}
+	mu            sync.Mutex
+	writes        [][]byte
+}
+
+func (c *gatedConn) Write(p []byte) (int, error) {
+	c.mu.Lock()
+	first := len(c.writes) == 0
+	c.writes = append(c.writes, bytes.Clone(p))
+	c.mu.Unlock()
+	if first {
+		close(c.entered)
+		<-c.open
+	}
+	return len(p), nil
+}
+
+func (c *gatedConn) Close() error { return nil }
+
+// TestMuxBurstBound: while the flusher's write is stalled, a sender whose
+// frame takes the burst past wire.MaxBurst writes the burst itself, after
+// the stalled write: no write carries more than the bound and the frame
+// that passed it, and the frames leave in the order they were sent.
+func TestMuxBurstBound(t *testing.T) {
+	pr, pw := io.Pipe() // the responses: none ever arrive
+	defer func() { _ = pw.Close() }()
+	nc := &gatedConn{entered: make(chan struct{}), open: make(chan struct{})}
+	m := newMux(nc, bufio.NewReader(pr), DefaultWindow, wire.V2Codec)
+	defer m.fail(errors.New("test over"))
+	const frames, size = 16, 300 << 10
+	frame := func(id uint64) wire.Envelope {
+		return wire.Envelope{Type: wire.TypePing, ID: id, Payload: make([]byte, size)}
+	}
+	if err := m.send(frame(1)); err != nil {
+		t.Fatal(err)
+	}
+	<-nc.entered // the flusher is writing frame 1
+	sent := make(chan error, 1)
+	go func() {
+		for id := uint64(2); id <= frames; id++ {
+			if err := m.send(frame(id)); err != nil {
+				sent <- err
+				return
+			}
+		}
+		sent <- nil
+	}()
+	for pending := 0; pending <= wire.MaxBurst; time.Sleep(time.Millisecond) {
+		m.wmu.Lock()
+		pending = m.burst.Len()
+		m.wmu.Unlock()
+	}
+	close(nc.open)
+	if err := <-sent; err != nil {
+		t.Fatal(err)
+	}
+	frameLen := size + 14 // and the length, type, flags and id before it
+	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(time.Millisecond) {
+		nc.mu.Lock()
+		written := len(bytes.Join(nc.writes, nil))
+		nc.mu.Unlock()
+		if written == frames*frameLen {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("%d of %d bytes written", written, frames*frameLen)
+		}
+	}
+	nc.mu.Lock()
+	defer nc.mu.Unlock()
+	for i, w := range nc.writes {
+		if len(w) > wire.MaxBurst+frameLen {
+			t.Fatalf("write %d carries %d B, past the %d B bound by more than a frame", i, len(w), wire.MaxBurst)
+		}
+	}
+	r := bytes.NewReader(bytes.Join(nc.writes, nil))
+	for id := uint64(1); id <= frames; id++ {
+		if env, err := wire.ReadV2(r); err != nil || env.ID != id {
+			t.Fatalf("frame %d on the wire: id %d, %v", id, env.ID, err)
+		}
+	}
+	t.Logf("%d frames of %d B in %d writes", frames, frameLen, len(nc.writes))
 }
 
 // fakeServer accepts one connection and runs handler on it.
