@@ -221,8 +221,8 @@ func (s *Server) SetCluster(cl *cluster.Cluster) {
 // server.
 func (s *Server) Cluster() *cluster.Cluster { return s.clusterRef.Load() }
 
-// buildPipeline registers the per-type handlers and wraps dispatch in the
-// interceptor chain. Order, outermost first: panic recovery (nothing above
+// buildPipeline maps each message type to its handler and wraps dispatch in
+// the interceptor chain. Order, outermost first: panic recovery (nothing above
 // it may be skipped), metrics and slow-log (outside the deadline so a
 // timed-out request is observed at its timeout with a deadline error, not
 // whenever the abandoned handler finishes), then deadline enforcement. The
@@ -230,21 +230,21 @@ func (s *Server) Cluster() *cluster.Cluster { return s.clusterRef.Load() }
 // that cancelling the server's base context during a forced shutdown
 // releases handle loops stuck on a stalled handler.
 func (s *Server) buildPipeline() service.Handler {
-	reg := service.NewRegistry()
-	reg.Register(wire.TypePing, s.handlePing)
-	reg.Register(wire.TypeSubmit, typed(wire.TypeSubmitR, s.submit))
-	reg.Register(wire.TypeSubmitB, typed(wire.TypeSubmitBR, s.submitBatch))
-	reg.Register(wire.TypeHistory, typed(wire.TypeHistoryR, s.history))
-	reg.Register(wire.TypeAssess, typed(wire.TypeAssessR, s.assess))
-	reg.Register(wire.TypeAssessB, typed(wire.TypeAssessBR, s.routeAssessBatch))
-	reg.Register(wire.TypeFwdBatch, typed(wire.TypeFwdBatchR, s.fwdBatch))
-	reg.Register(wire.TypeFwdAssessB, typed(wire.TypeFwdAssessBR, s.fwdAssessBatch))
-	reg.Register(wire.TypeClusterInfo, s.handleClusterInfo)
-	reg.Register(wire.TypeSummary, typed(wire.TypeSummaryR, s.gossipSummary))
-	reg.Register(wire.TypeDigest, typed(wire.TypeDelta, s.gossipDigest))
-
+	handlers := map[wire.MsgType]service.Handler{
+		wire.TypePing:        s.handlePing,
+		wire.TypeSubmit:      typed(wire.TypeSubmitR, s.submit),
+		wire.TypeSubmitB:     typed(wire.TypeSubmitBR, s.submitBatch),
+		wire.TypeHistory:     typed(wire.TypeHistoryR, s.history),
+		wire.TypeAssess:      typed(wire.TypeAssessR, s.assess),
+		wire.TypeAssessB:     typed(wire.TypeAssessBR, s.routeAssessBatch),
+		wire.TypeFwdBatch:    typed(wire.TypeFwdBatchR, s.fwdBatch),
+		wire.TypeFwdAssessB:  typed(wire.TypeFwdAssessBR, s.fwdAssessBatch),
+		wire.TypeClusterInfo: s.handleClusterInfo,
+		wire.TypeSummary:     typed(wire.TypeSummaryR, s.gossipSummary),
+		wire.TypeDigest:      typed(wire.TypeDelta, s.gossipDigest),
+	}
 	dispatch := func(ctx context.Context, env wire.Envelope) (wire.Envelope, error) {
-		h, ok := reg.Lookup(env.Type)
+		h, ok := handlers[env.Type]
 		if !ok {
 			return wire.Envelope{}, service.Errorf(wire.CodeUnknownType, "%s", env.Type)
 		}

@@ -181,7 +181,7 @@ func rawConn(t *testing.T, srv *Server, rev byte) (net.Conn, *bufio.Reader) {
 		t.Fatal(err)
 	}
 	r := bufio.NewReader(conn)
-	if err := wire.ReadHelloAck(r); err != nil {
+	if _, err := wire.ReadAck(r); err != nil {
 		t.Fatal(err)
 	}
 	return conn, r

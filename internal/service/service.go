@@ -1,22 +1,19 @@
 // Package service is the transport-agnostic request layer shared by the
-// serving stack: a handler registry keyed by message type, wrapped in a
-// composable interceptor chain (panic recovery, per-request deadline
-// enforcement, per-type metrics, slow-request logging).
+// serving stack: a handler per message type, wrapped in a composable
+// interceptor chain (panic recovery, per-request deadline enforcement,
+// per-type metrics, slow-request logging).
 //
-// The registry decouples "what a request does" from "how its bytes arrive":
-// handlers see only a context and an envelope, so the same pipeline serves
-// TCP today and can serve pooled/multiplexed transports later. Interceptors
-// compose like gRPC middleware — each wraps the next handler and may
-// short-circuit (the deadline interceptor abandons a stalled handler and
-// returns context.DeadlineExceeded while the handler goroutine winds down
-// on its own).
+// Handlers see only a context and an envelope, not how its bytes arrived.
+// Interceptors compose like gRPC middleware — each wraps the next handler
+// and may short-circuit (the deadline interceptor abandons a stalled handler
+// and returns context.DeadlineExceeded while the handler goroutine winds
+// down on its own).
 package service
 
 import (
 	"context"
 	"errors"
 	"fmt"
-	"sort"
 	"sync"
 	"time"
 
@@ -31,42 +28,6 @@ type Handler func(ctx context.Context, env wire.Envelope) (wire.Envelope, error)
 // Interceptor wraps a handler with cross-cutting behaviour. The first
 // interceptor passed to Chain is the outermost.
 type Interceptor func(next Handler) Handler
-
-// Registry maps message types to handlers.
-type Registry struct {
-	handlers map[wire.MsgType]Handler
-}
-
-// NewRegistry returns an empty registry.
-func NewRegistry() *Registry {
-	return &Registry{handlers: make(map[wire.MsgType]Handler)}
-}
-
-// Register binds a handler to a message type, replacing any previous
-// binding. Registration is not synchronised: register everything before
-// serving.
-func (r *Registry) Register(t wire.MsgType, h Handler) {
-	if h == nil {
-		panic("service: nil handler for " + string(t))
-	}
-	r.handlers[t] = h
-}
-
-// Lookup returns the handler for a message type.
-func (r *Registry) Lookup(t wire.MsgType) (Handler, bool) {
-	h, ok := r.handlers[t]
-	return h, ok
-}
-
-// Types returns the registered message types in sorted order.
-func (r *Registry) Types() []wire.MsgType {
-	out := make([]wire.MsgType, 0, len(r.handlers))
-	for t := range r.handlers {
-		out = append(out, t)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
-}
 
 // Chain wraps h in the given interceptors; the first interceptor is the
 // outermost (runs first on the way in, last on the way out).

@@ -16,34 +16,6 @@ func okHandler(t wire.MsgType) Handler {
 	}
 }
 
-func TestRegistry(t *testing.T) {
-	r := NewRegistry()
-	if _, ok := r.Lookup(wire.TypePing); ok {
-		t.Fatal("empty registry resolved a handler")
-	}
-	r.Register(wire.TypePing, okHandler(wire.TypePong))
-	r.Register(wire.TypeAssess, okHandler(wire.TypeAssessR))
-	h, ok := r.Lookup(wire.TypePing)
-	if !ok {
-		t.Fatal("registered handler not found")
-	}
-	resp, err := h(context.Background(), wire.Envelope{Type: wire.TypePing, ID: 7})
-	if err != nil || resp.Type != wire.TypePong || resp.ID != 7 {
-		t.Fatalf("resp = %+v, %v", resp, err)
-	}
-	types := r.Types()
-	if len(types) != 2 || types[0] != wire.TypeAssess || types[1] != wire.TypePing {
-		t.Fatalf("types = %v", types)
-	}
-	if got := func() (s string) {
-		defer func() { s, _ = recover().(string) }()
-		r.Register(wire.TypePong, nil)
-		return ""
-	}(); !strings.Contains(got, "nil handler") {
-		t.Fatalf("nil handler registration panic = %q", got)
-	}
-}
-
 func TestChainOrder(t *testing.T) {
 	var order []string
 	mk := func(name string) Interceptor {

@@ -17,7 +17,8 @@ import (
 
 // TestAssessmentHeader: every assessment the builder makes crosses as its
 // counts. Under the average trust function the header is the flags byte and
-// the two counts, with the names once per frame; a trust function whose
+// the two counts, with the names once per frame — literal in a frame of its
+// own, each a 0 byte and the string; a trust function whose
 // value is not Good/Records pays its own 8 B and no more; suspicious and
 // short assessments derive their zeros. None costs more than revision 9's
 // flags byte, three floats and two names.
@@ -68,11 +69,12 @@ func TestAssessmentHeader(t *testing.T) {
 			}
 
 			a.Verdict = behavior.Verdict{}
-			d := getFrameDict(nil)
+			d := loneDict()
 			first := len(appendAssessment(nil, a, a.Server, d))
 			again := len(appendAssessment(nil, a, a.Server, d))
 			d.put()
-			names := len(appendString(appendString(nil, a.Tester), a.TrustFunc))
+			raw := len(appendString(appendString(nil, a.Tester), a.TrustFunc))
+			names := len(appendLiteral(appendLiteral(nil, a.Tester), a.TrustFunc))
 			counts := len(binary.AppendUvarint(binary.AppendUvarint(nil, uint64(a.Records)), uint64(a.Good)))
 			want := 1 + counts
 			if !a.Suspicious && a.Trust != float64(a.Good)/float64(a.Records) {
@@ -86,7 +88,7 @@ func TestAssessmentHeader(t *testing.T) {
 			if first != want+names || again != want {
 				t.Errorf("%s on %s: header %d B, then %d B; want %d + %d B of names, then %d B", aname, hname, first, again, want, names, want)
 			}
-			if rev9 := 1 + 3*8 + names; first > rev9 {
+			if rev9 := 1 + 3*8 + raw; first > rev9 {
 				t.Errorf("%s on %s: header %d B, above revision 9's %d B", aname, hname, first, rev9)
 			}
 		}
@@ -99,7 +101,7 @@ func TestAssessmentHeader(t *testing.T) {
 // again, and no reference to names before any were written.
 func TestAssessmentHeaderStrict(t *testing.T) {
 	uv := func(v uint64) []byte { return binary.AppendUvarint(nil, v) }
-	names := appendString(appendString(nil, "multi"), "average")
+	names := appendLiteral(appendLiteral(nil, "multi"), "average")
 	lo, hi, err := core.TrustInterval(180, 200)
 	if err != nil {
 		t.Fatal(err)
@@ -111,7 +113,7 @@ func TestAssessmentHeaderStrict(t *testing.T) {
 	// batch is an assess.batch.resp of two items whose assessments have the
 	// flags and fields given.
 	batch := func(first, second []byte) []byte {
-		return slices.Concat([]byte{2}, appendString(nil, "a"), []byte{0}, first, appendString(nil, "b"), []byte{0}, second)
+		return slices.Concat([]byte{2}, appendLiteral(nil, "a"), []byte{0}, first, appendLiteral(nil, "b"), []byte{0}, second)
 	}
 	named := resp(asmtFlagNames, uv(200), uv(180), names)
 	for _, tc := range []struct {
@@ -132,7 +134,7 @@ func TestAssessmentHeaderStrict(t *testing.T) {
 		{"the same names first", TypeAssessR, resp(0, uv(200), uv(180)), "names of none"},
 		{"the same names after", TypeAssessBR, batch(named, resp(0, uv(200), uv(180))), ""},
 		{"names repeated as a literal", TypeAssessBR, batch(named, named), "repeat the previous"},
-		{"other names after", TypeAssessBR, batch(named, resp(asmtFlagNames, uv(200), uv(180), appendString(appendString(nil, "multi"), "beta"))), ""},
+		{"other names after", TypeAssessBR, batch(named, resp(asmtFlagNames, uv(200), uv(180), appendLiteral(appendLiteral(nil, "multi"), "beta"))), ""},
 	} {
 		var out any = new(AssessResponse)
 		if tc.typ == TypeAssessBR {

@@ -1,9 +1,9 @@
 // Binary payload codecs for protocol v2 frames.
 //
 // The hot request/response payloads — submit, submit.batch, history, assess,
-// assess.batch, and error frames — have hand-rolled binary encodings seeded
-// from the internal/feedback compact record codec (big-endian fixed-width
-// scalars, uvarint counts, length-prefixed strings); a list of records —
+// assess.batch, and error frames — have hand-rolled binary encodings
+// (big-endian fixed-width scalars, uvarint counts, length-prefixed strings,
+// names through the connection's name table); a list of records —
 // submit.batch, fwd.submit.batch, history.resp — is one feedback record batch
 // (ADR 0008). Message types without a binary codec ride v2 frames with JSON
 // payload bytes and the flagJSONPayload bit set, so every type can cross a v2
@@ -29,25 +29,12 @@ import (
 	"honestplayer/internal/feedback"
 )
 
-// encodeBinary sets env's payload to the binary encoding of payload in c,
-// headed by the sections the frame plans against the direction c writes
-// (V2Codec: the frame stands alone), and sets the sections' flags and the
-// frame's plan. It reports whether the payload has a binary codec at all;
-// callers fall back to JSON payload bytes when it does not.
-func encodeBinary(env *Envelope, payload any, c Codec) (ok bool, err error) {
-	verdicts := false
-	switch payload.(type) {
-	case AssessResponse, *AssessResponse, AssessBatchResponse, *AssessBatchResponse, FwdAssessBatchResponse, *FwdAssessBatchResponse:
-		verdicts = true
-	}
-	if !verdicts && c.st == nil { // no assessment and no connection, so no dictionaries
-		env.Payload, ok, err = appendPayload(env.Payload, payload, nil)
-		return ok, err
-	}
-	var dir *side
-	if c.st != nil {
-		dir = &c.st.out
-	}
+// encodeBinary sets env's payload to the binary encoding of payload, headed
+// by the sections the frame plans against dir, the direction it crosses, and
+// sets the sections' flags and the frame's plan. It reports whether the
+// payload has a binary codec at all; callers fall back to JSON payload bytes
+// when it does not.
+func encodeBinary(env *Envelope, payload any, dir *side) (ok bool, err error) {
 	d := getFrameDict(dir)
 	defer d.put()
 	at := len(env.Payload)
@@ -56,9 +43,8 @@ func encodeBinary(env *Envelope, payload any, c Codec) (ok bool, err error) {
 	return ok, err
 }
 
-// appendPayload is encodeBinary past the sections that head the payload,
-// the frame's dictionaries d, nil for a frame that stands alone and carries
-// no assessment.
+// appendPayload is encodeBinary past the sections that head the payload, in
+// the frame's dictionaries d.
 func appendPayload(buf []byte, payload any, d *frameDict) ([]byte, bool, error) {
 	switch p := payload.(type) {
 	case SubmitRequest:
@@ -135,8 +121,7 @@ func appendPayload(buf []byte, payload any, d *frameDict) ([]byte, bool, error) 
 // pointer to the payload struct matching the frame type: on st, the
 // connection end whose reader committed the frame, past the sections the
 // commit read, its keyed rows, mirrored chains and name refs reading the
-// tables as the frames up to its own left them; with st nil, a frame that
-// stands alone, after its binding section. The whole buffer must be
+// tables as the frames up to its own left them. The whole buffer must be
 // consumed; anything else is a protocol violation, and breaks st.
 func decodeBinary(env Envelope, out any, st *connState) error {
 	t := env.Type
@@ -182,7 +167,7 @@ func decodeBinary(env Envelope, out any, st *connState) error {
 			return fmt.Errorf("%w: no binary codec for %T (%s payload)", ErrBadMessage, out, t)
 		}
 	}
-	if err == nil && r.dict != nil {
+	if err == nil {
 		err = r.dict.unread()
 	}
 	if err == nil && len(r.buf) != 0 {
@@ -247,24 +232,17 @@ func appendRecordBatch(buf []byte, rb RecordBatch, fd *frameDict) ([]byte, error
 }
 
 // batchDicts returns the id dictionaries of a record batch of the frame
-// whose dictionaries d are (nil: a frame that stands alone and carries no
-// assessment), its intros spelled as the frame spells names; Reset and put
-// back in frameDicts when the batch is done.
+// whose dictionaries d are, its intros spelled as the frame spells names;
+// Reset and put back in frameDicts when the batch is done.
 func (d *frameDict) batchDicts() *feedback.BatchDicts {
 	bd := frameDicts.Get().(*feedback.BatchDicts)
-	if d != nil && d.dir != nil {
-		bd.Names = d
-	}
+	bd.Names = d
 	return bd
 }
 
-// appendRecord writes one record: the compact record codec
-// (feedback.AppendBinary) in a frame that stands alone, and on a connection
-// the same fields, its ids as names.
+// appendRecord writes one record: its time, its rating and its ids as
+// names.
 func (d *frameDict) appendRecord(buf []byte, f feedback.Feedback) ([]byte, error) {
-	if d == nil || d.dir == nil {
-		return feedback.AppendBinary(buf, f)
-	}
 	if err := f.Validate(); err != nil {
 		return nil, err
 	}
@@ -517,15 +495,7 @@ func appendFwdAssessBatchRequest(buf []byte, p FwdAssessBatchRequest, d *frameDi
 type breader struct {
 	buf  []byte
 	rows int        // verdict rows decoded so far, against maxFrameRows
-	dict *frameDict // the frame's dictionaries, nil before their first use
-}
-
-// frame returns the frame's dictionaries.
-func (r *breader) frame() *frameDict {
-	if r.dict == nil {
-		r.dict = getFrameDict(nil)
-	}
-	return r.dict
+	dict *frameDict // the frame's dictionaries, taken with the frame's head
 }
 
 // release returns the frame's dictionaries, whose frame has ended.
@@ -622,14 +592,6 @@ func (r *breader) string() (string, error) {
 
 // record reads what appendRecord wrote.
 func (r *breader) record() (feedback.Feedback, error) {
-	if r.dict == nil || r.dict.dir == nil {
-		f, rest, err := feedback.DecodeBinary(r.buf)
-		if err != nil {
-			return f, err
-		}
-		r.buf = rest
-		return f, nil
-	}
 	var f feedback.Feedback
 	if len(r.buf) < 8+1 {
 		return f, fmt.Errorf("short record")
@@ -788,7 +750,7 @@ func (r *breader) assessment(o *core.Assessment, item feedback.EntityID, src goo
 			return fmt.Errorf("raw trust interval [%v, %v] derives from its counts", lo, hi)
 		}
 	}
-	d := r.frame()
+	d := r.dict
 	if flags&asmtFlagNames != 0 {
 		if o.Tester, err = r.name(); err != nil {
 			return err
@@ -826,7 +788,7 @@ func (r *breader) assessResponse(o *AssessResponse, item feedback.EntityID) erro
 		return fmt.Errorf("assess response flags %#x", flags)
 	}
 	o.Accept = flags&assessFlagAccept != 0
-	d := r.frame()
+	d := r.dict
 	views, row := d.read.views, d.nViews // the mirror row the assessment's chain reads, if any
 	var src goodSource
 	if flags&assessFlagMirrored != 0 {

@@ -38,9 +38,12 @@ import (
 // frame breaks the connection: every later Commit and DecodePayload on it
 // fails, and its peer redials.
 //
-// A frame that stands alone (V2Codec) binds the grid points its rows use in
-// its own binding section, spells every name and mirrors nothing; a bridged
-// connection's payloads are JSON.
+// A codec without a connection (V2Codec) gives each frame a fresh state of
+// zero bounds, limits{}: its tables hold nothing and have no room, so the
+// frame binds the grid points its rows use in its own binding section,
+// spells every name literal and mirrors nothing, and its reader refuses a
+// name or a mirror section by the bounds every connection's reader checks.
+// A bridged connection's payloads are JSON.
 type connState struct {
 	broken  atomic.Bool // a frame was refused: the far end's tables may differ
 	out, in side        // the direction this end writes, and the one it reads
@@ -85,9 +88,9 @@ func newConnState(lim limits) *connState {
 // after an id-0 error, as for any malformed frame.
 var errBroken = fmt.Errorf("%w: the connection's tables are broken by a frame refused before", ErrBadMessage)
 
-// usable reports errBroken for a broken connection; nil is a frame's alone.
+// usable reports errBroken for a broken connection.
 func (st *connState) usable() error {
-	if st != nil && st.broken.Load() {
+	if st.broken.Load() {
 		return errBroken
 	}
 	return nil
@@ -95,10 +98,21 @@ func (st *connState) usable() error {
 
 // refuse breaks the connection over a frame it refused, and returns err.
 func (st *connState) refuse(err error) error {
-	if st != nil {
-		st.broken.Store(true)
-	}
+	st.broken.Store(true)
 	return err
+}
+
+// commit adds env's frame to the connection (Codec.Commit): it refuses a
+// frame on a broken connection, and breaks the connection over a frame
+// whose sections it refuses.
+func (st *connState) commit(env *Envelope) error {
+	if err := st.usable(); err != nil {
+		return err
+	}
+	if err := st.add(env); err != nil {
+		return st.refuse(fmt.Errorf("%w: %s section: %v", ErrBadMessage, env.Type, err))
+	}
+	return nil
 }
 
 // framePlan is what a frame does to its connection. At the writer it is the
@@ -126,10 +140,11 @@ type sections struct {
 	size  int
 }
 
-// commit adds env's frame to the connection: a frame this end encoded by its
-// plan, at the writer's side, and any other binary frame by the sections it
-// reads at the reader's, which become the plan the frame decodes with.
-func (st *connState) commit(env *Envelope) error {
+// add applies env's frame to the connection's tables: a frame this end
+// encoded by its plan, at the writer's side, and any other binary frame by
+// the sections it reads at the reader's, which become the plan the frame
+// decodes with.
+func (st *connState) add(env *Envelope) error {
 	p, in := &env.plan, &st.in
 	if p.side == &st.out {
 		return st.out.commitWritten(p.sections)
@@ -145,7 +160,7 @@ func (st *connState) commit(env *Envelope) error {
 	if !env.Names && !env.Bindings && !env.Mirror {
 		return nil
 	}
-	r := &breader{buf: env.Payload}
+	r := &breader{buf: env.Payload, dict: getFrameDict(in)}
 	defer r.release()
 	p.sections = new(sections)
 	if err := r.sections(env, in, p.sections); err != nil {
@@ -181,16 +196,12 @@ func (s *side) bind(p *sections) {
 	}
 }
 
-// sections reads the sections heading env's binary payload into p: at the
-// reader's Commit into s, binding the frame's names and mirror rows; for a
-// frame that stands alone (s nil), its binding section alone. It refuses
-// every section an encoder does not write.
+// sections reads the sections heading env's binary payload into p, at the
+// reader's Commit into s, binding the frame's names and mirror rows. It
+// refuses every section an encoder does not write.
 func (r *breader) sections(env *Envelope, s *side, p *sections) error {
 	start := len(r.buf)
 	if env.Names {
-		if s == nil {
-			return errors.New("a name section on a frame that stands alone")
-		}
 		if err := r.nameSection(s, p); err != nil {
 			return err
 		}
@@ -203,18 +214,11 @@ func (r *breader) sections(env *Envelope, s *side, p *sections) error {
 		}
 	}
 	if env.Bindings {
-		var grid *bindings
-		if s != nil {
-			grid = &s.grid
-		}
-		if err := r.bindings(grid, p); err != nil {
+		if err := r.bindings(&s.grid, p); err != nil {
 			return err
 		}
 	}
 	if env.Mirror {
-		if s == nil {
-			return errors.New("a mirror section on a frame that stands alone")
-		}
 		if err := r.mirrorSection(s, p); err != nil {
 			return err
 		}
@@ -228,22 +232,14 @@ func (r *breader) sections(env *Envelope, s *side, p *sections) error {
 var errUncommitted = errors.New("a frame the connection did not commit")
 
 // head moves r past the sections heading env's payload and gives the frame's
-// dictionaries what they hold: on a connection, what the reader's Commit
-// read; for a frame that stands alone, its binding section.
+// dictionaries what the reader's Commit read.
 func (r *breader) head(env Envelope, st *connState) error {
-	sectioned := env.Names || env.Bindings || env.Mirror
-	if st == nil {
-		if !sectioned {
-			return nil
-		}
-		return r.sections(&env, nil, r.frame().read)
-	}
 	p := env.plan
-	if p.side != &st.in || (p.sections != nil) != sectioned {
+	if p.side != &st.in || (p.sections != nil) != (env.Names || env.Bindings || env.Mirror) {
 		return errUncommitted
 	}
-	d := r.frame()
-	d.dir, d.seq = p.side, p.seq
+	d := getFrameDict(p.side)
+	r.dict, d.seq = d, p.seq
 	if p.sections != nil {
 		d.read = p.sections
 		if p.size > len(r.buf) {
@@ -275,17 +271,15 @@ func (d *frameDict) unread() error {
 
 // head writes the sections of the frame d encoded at the head of its
 // payload, buf[at:], in their order — names, bindings, mirror — sets env's
-// payload and section flags, and gives env its plan: on a connection, what
-// the frame's Commit applies at the writer.
+// payload and section flags, and gives env its plan, what the frame's Commit
+// applies at the writer.
 func (d *frameDict) head(env *Envelope, buf []byte, at int) {
 	env.Names, env.Bindings, env.Mirror = len(d.nameBinds) > 0, len(d.bound) > 0, len(d.mirRows) > 0
+	env.plan.side = d.dir
 	var p *sections
-	if d.dir != nil {
-		env.plan.side = d.dir
-		if env.Names || env.Bindings || env.Mirror {
-			p = new(sections)
-			env.plan.sections = p
-		}
+	if env.Names || env.Bindings || env.Mirror {
+		p = new(sections)
+		env.plan.sections = p
 	}
 	sec := d.appendNames(d.secBuf[:0], p)
 	sec = d.appendBindings(sec, p)

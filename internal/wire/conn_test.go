@@ -156,12 +156,13 @@ func TestConnectionBindingsStream(t *testing.T) {
 // TestConnectionFrameBytes pins the assess.resp a node sends a client that
 // asks before every transaction, mixed_skew's load: one server's verdict
 // over 1000 records a frame, the benchmark's mix of histories, 100 frames on
-// one connection. The first is the frame alone, which
-// TestAssessBatchFrameBytes holds to revision 12's size (190.0 B against
-// 202.0 B at 1000 records), but for its three names — server, tester and
-// trust function — each of which crosses once, in the name section, for a
-// slot distance and a ref more than its string costs, the section's count
-// one byte more; the second to the hundredth average 68.7 B, binding only
+// one connection. The first is the frame alone — a connection of its own,
+// 193 B at 1000 records: the 190 B of a frame that spelled its names bare
+// and a literal's 0 byte for each — but for its three names, server, tester
+// and trust function,
+// each of which crosses once, in the name section, for a slot distance
+// more than its literal costs, the section's count one byte more; the
+// second to the hundredth average 68.7 B, binding only
 // the grid keys no frame before them did, each binding its server's name,
 // new to the connection, and writing the tester and trust function as refs
 // (77.7 B at revision 14, which spelled them).
@@ -180,8 +181,8 @@ func TestConnectionFrameBytes(t *testing.T) {
 		}
 		if alone, err := V2Codec.Encode(TypeAssessR, uint64(i+1), item.AssessResponse); err != nil {
 			t.Fatal(err)
-		} else if names := 3; i == 0 && (!env.Names || len(env.plan.names) != names || len(env.Payload) != len(alone.Payload)+1+2*names) {
-			t.Fatalf("the first frame on a connection is %d B binding %d names, not the %d B it is alone and 1 + 2 B for each of %d names", len(env.Payload), len(env.plan.names), len(alone.Payload), names)
+		} else if names := 3; i == 0 && (!env.Names || len(env.plan.names) != names || len(env.Payload) != len(alone.Payload)+1+names) {
+			t.Fatalf("the first frame on a connection is %d B binding %d names, not the %d B it is alone and 1 + 1 B for each of %d names", len(env.Payload), len(env.plan.names), len(alone.Payload), names)
 		}
 		if i > 0 {
 			total += len(env.Payload)
@@ -474,9 +475,9 @@ func mirrorStream(tb testing.TB) (frames []Envelope, hostile map[string]Envelope
 // binding sections, its mirror section and the rest.
 func splitSections(tb testing.TB, env Envelope) (bind, mir, rest []byte) {
 	tb.Helper()
-	r := &breader{buf: env.Payload}
-	defer r.release()
 	scratch := newConnState(connLimits)
+	r := &breader{buf: env.Payload, dict: getFrameDict(&scratch.in)}
+	defer r.release()
 	if err := r.sections(&Envelope{Type: env.Type, Names: env.Names, Bindings: env.Bindings}, &scratch.in, new(sections)); err != nil {
 		tb.Fatal(err)
 	}

@@ -7,8 +7,12 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"os"
+	"path/filepath"
 	"reflect"
 	"slices"
+	"strconv"
+	"strings"
 	"testing"
 
 	"honestplayer/internal/attack"
@@ -175,8 +179,10 @@ func FuzzSubmitBatch(f *testing.F) {
 	addPayload(TypeSubmitB, BatchRequest{Records: []feedback.Feedback{
 		testRecord(1), testRecord(2), testRecord(3), testRecord(5), // 1 and 5 share a client: a slot
 	}})
-	f.Add(false, []byte{2, 2, 0, 0, 1, 's', 1, 0, 1, 'c', 0, 0})         // a slot past the dictionary's end
-	f.Add(false, []byte{2, 2, 0, 0, 1, 's', 1, 1, 's', 0, 1, 'c', 0, 0}) // an id introduced twice
+	// Two records at 1 ns, time scale 1: a slot past the dictionary's end,
+	// and an id introduced twice, each intro a literal name.
+	f.Add(false, []byte{2, 2, 1, 0, 0, 0, 1, 's', 2, 0, 0, 1, 'c', 0, 0})
+	f.Add(false, []byte{2, 2, 1, 0, 0, 0, 1, 's', 1, 0, 1, 's', 0, 0, 1, 'c', 0, 0})
 	addPayload(TypeSubmitBR, NewBatchResponse([]SubmitBatchItem{{Stored: true}, {Stored: true}, {Stored: true}}))
 	addPayload(TypeSubmitBR, NewBatchResponse([]SubmitBatchItem{
 		{Stored: true},
@@ -230,6 +236,48 @@ func FuzzSubmitBatch(f *testing.F) {
 			t.Fatalf("%s payload not lossless:\n first: %+v\nsecond: %+v", typ, dest, dest2)
 		}
 	})
+}
+
+// TestFuzzSeedsReachTheirChecks: each checked-in seed of a record batch or
+// a request decodes in today's layout, or is refused by the check its name
+// states, not by one before it.
+func TestFuzzSeedsReachTheirChecks(t *testing.T) {
+	seed := func(path string) (isResp bool, data []byte) {
+		raw, err := os.ReadFile(filepath.Join("testdata", "fuzz", path))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, line := range strings.Split(string(raw), "\n") {
+			switch {
+			case line == "bool(true)":
+				isResp = true
+			case strings.HasPrefix(line, "[]byte(") && strings.HasSuffix(line, ")"):
+				s, err := strconv.Unquote(line[len("[]byte(") : len(line)-1])
+				if err != nil {
+					t.Fatalf("%s: %v", path, err)
+				}
+				data = []byte(s)
+			}
+		}
+		return isResp, data
+	}
+	for name, dest := range map[string]any{"assess": new(AssessRequest), "submit": new(SubmitRequest), "submit-batch": new(BatchRequest)} {
+		_, data := seed("FuzzReadV2/" + name)
+		env, err := ReadV2(bytes.NewReader(data))
+		if err == nil {
+			err = DecodePayload(env, dest)
+		}
+		if err != nil {
+			t.Errorf("FuzzReadV2/%s: %v", name, err)
+		}
+	}
+	for name, refusal := range map[string]string{"seed_request_empty": "", "seed_request_small": "", "seed_request_id_twice": "introduced twice"} {
+		isResp, data := seed("FuzzSubmitBatch/" + name)
+		err := DecodePayload(Envelope{Type: TypeSubmitB, Payload: data, Binary: true}, new(BatchRequest))
+		if isResp || (refusal == "") != (err == nil) || err != nil && !strings.Contains(err.Error(), refusal) {
+			t.Errorf("FuzzSubmitBatch/%s: %v, want a refusal naming %q", name, err, refusal)
+		}
+	}
 }
 
 // fuzzRows builds a verdict table from fuzz bytes, 28 per row: a control
@@ -353,12 +401,12 @@ func keyedSeedFrames(tb testing.TB) [][][]behavior.SuffixResult {
 // hold, the table that arrives has the same bits in every field.
 func FuzzVerdictTable(f *testing.F) {
 	frameOf := func(tables ...[]behavior.SuffixResult) (sec, frame []byte) {
-		d := getFrameDict(nil)
+		d := loneDict()
 		defer d.put()
 		for _, rows := range tables {
 			frame = appendVerdictTable(frame, rows, d) // later tables refer to earlier literals and bindings
 		}
-		sec = d.appendBindings(nil, nil)
+		sec = d.appendBindings(nil, new(sections))
 		return sec, frame
 	}
 	add := func(sec, frame []byte) { f.Add(sec, frame) }
@@ -378,13 +426,13 @@ func FuzzVerdictTable(f *testing.F) {
 	f.Add([]byte(nil), bytes.Repeat([]byte{0x20, 0x7f, 0xf8, 1}, 21))
 	f.Add([]byte(nil), []byte{0xff, 0xff, 0xff, 0xff, 0x0f, 0})
 	f.Fuzz(func(t *testing.T, sec, data []byte) {
-		r := &breader{buf: sec}
+		r := loneReader(sec)
 		defer r.release()
 		if len(sec) > 0 && (r.bindingSection() != nil || len(r.buf) != 0) {
 			return
 		}
 		r.buf = data
-		d := getFrameDict(nil)
+		d := loneDict()
 		defer d.put()
 		var again []byte
 		accepted := true
@@ -406,8 +454,8 @@ func FuzzVerdictTable(f *testing.F) {
 				t.Fatalf("accepted %x, which encodes as %x", data[:len(data)-len(r.buf)], again)
 			}
 		}
-		if accepted && r.frame().unread() == nil {
-			if bound := d.appendBindings(nil, nil); !bytes.Equal(bound, sec) {
+		if accepted && r.dict.unread() == nil {
+			if bound := d.appendBindings(nil, new(sections)); !bytes.Equal(bound, sec) {
 				t.Fatalf("accepted the binding section %x, which encodes as %x", sec, bound)
 			}
 		}

@@ -20,7 +20,7 @@ import (
 // each table's shape; the frame must decode back to them bit for bit.
 func frameTables(t *testing.T, tables ...[]behavior.SuffixResult) []byte {
 	t.Helper()
-	d := getFrameDict(nil)
+	d := loneDict()
 	defer d.put()
 	var frame, shapes []byte
 	for _, rows := range tables {
@@ -28,7 +28,7 @@ func frameTables(t *testing.T, tables ...[]behavior.SuffixResult) []byte {
 		frame = appendVerdictTable(frame, rows, d)
 		shapes = append(shapes, frame[at+len(binary.AppendUvarint(nil, uint64(len(rows))))])
 	}
-	sec := d.appendBindings(nil, nil)
+	sec := d.appendBindings(nil, new(sections))
 	got, err := decodeTables(sec, frame)
 	if err != nil || len(got) != len(tables) {
 		t.Fatalf("the frame's %d tables: %d decoded, %v", len(tables), len(got), err)
@@ -153,7 +153,7 @@ func TestKeyedFallbacks(t *testing.T) {
 		// two on it — one grid point — bind its key; again in the same frame
 		// the two find it bound and the four write refs to the literals the
 		// first wrote.
-		d := getFrameDict(nil)
+		d := loneDict()
 		defer d.put()
 		appendVerdictTable(nil, v.Suffixes, d)
 		if len(d.bound) != 1 || !d.keyTable(v.Suffixes) || len(d.fresh) != 4 || len(d.bound) != 1 {
@@ -250,14 +250,14 @@ func TestKeyedFrameGolden(t *testing.T) {
 		"9f" + "02" + // step 15, +102 = 596 (7 windows, 91 %): a ref to the 2nd bits, 0.5
 		"09" + "04" + // step 0, +1 = 597 (6 windows, 92 %): a ref to the 4th, 0.25
 		"04" + // items
-		"027330" + "00" + "01" + "2c" + "46" + "40" + // s0: kind, accept, verdict+honest+names, 70 records, 64 good
-		"056d756c7469" + "07617665726167" + "65" + // "multi", "average"
+		"00027330" + "00" + "01" + "2c" + "46" + "40" + // s0 literal: kind, accept, verdict+honest+names, 70 records, 64 good
+		"00056d756c7469" + "0007617665726167" + "65" + // "multi", "average", literal
 		"0418070a00c309" + // 4 rows, a keyed chain of 7 windows down, m 10, k 0, counts: no threshold
-		"027331" + "00" + "01" + "04" + "46" + "40" + // s1: verdict, no names
+		"00027331" + "00" + "01" + "04" + "46" + "40" + // s1: verdict, no names
 		"0418070a00c309" + // the same chain
-		"027332" + "00" + "01" + "0c" + "32" + "2d" + // s2: 50 records, 45 good
+		"00027332" + "00" + "01" + "0c" + "32" + "2d" + // s2: 50 records, 45 good
 		"0418050a00c301" + // rows of 5 and 4 windows are bound before, 3 and 2 here
-		"027333" + "00" + "01" + "04" + "46" + "40" + // s3
+		"00027333" + "00" + "01" + "04" + "46" + "40" + // s3
 		"0208070a003708" + // 2 rows, a chain whose 6-window row has 0.375, not its key's 0.25
 		"003fe000000000000001" + "003fd800000000000001" // runs: 0.5 × 1, 0.375 × 1
 	if !env.Bindings {

@@ -178,12 +178,12 @@ type mirrorRow struct {
 // source sets the frame's mirror source to h, the history an assessment
 // judged, when the connection can mirror it: d.row is then the row a chain
 // over h adds to the section, d.rowEvict the slots it evicts first and
-// d.rowNeed the bits the two add to the slots. Any other history, and a
-// frame that stands alone, has no source.
+// d.rowNeed the bits the two add to the slots. Any other history, and one
+// past the bits the connection mirrors — any at zero bounds — has no source.
 func (d *frameDict) source(h *feedback.History) {
 	d.src, d.rowEvict = nil, d.rowEvict[:0]
 	s := d.dir
-	if s == nil || h == nil || h.Lineage() == 0 || h.Len() == 0 || h.Len() > s.mirrorBits {
+	if h == nil || h.Lineage() == 0 || h.Len() == 0 || h.Len() > s.mirrorBits {
 		return
 	}
 	s.mu.Lock()

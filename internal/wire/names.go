@@ -103,14 +103,11 @@ func (s *side) ref(name string) (slot uint32, sent, ok bool) {
 }
 
 // appendName writes name, an entity id or a tester or trust-function name,
-// as the frame's connection spells it: a ref into the connection's table
-// when the frame has one, the frame carrying the binding no committed frame
-// has carried yet, and otherwise the string itself. This is the one place a
-// name is written into a binary payload.
+// as the frame's connection spells it: a ref into the connection's table,
+// the frame carrying the binding no committed frame has carried yet, or a
+// literal when the table has no room for it. This is the one place a name
+// is written into a binary payload.
 func (d *frameDict) appendName(buf []byte, name string) []byte {
-	if d == nil || d.dir == nil {
-		return appendString(buf, name)
-	}
 	slot, sent, ok := d.dir.ref(name)
 	if !ok {
 		return appendString(append(buf, 0), name)
@@ -136,9 +133,7 @@ func (d *frameDict) appendNames(sec []byte, p *sections) []byte {
 		sec = appendString(sec, b.name)
 		next = b.slot + 1
 	}
-	if p != nil {
-		p.names = slices.Clone(d.nameBinds)
-	}
+	p.names = slices.Clone(d.nameBinds)
 	return sec
 }
 
@@ -200,10 +195,7 @@ func (r *breader) nameSection(s *side, p *sections) error {
 
 // name reads a name appendName wrote.
 func (r *breader) name() (string, error) {
-	d := r.dict // a frame on a connection took its dictionaries first
-	if d == nil || d.dir == nil {
-		return r.string()
-	}
+	d := r.dict
 	v, err := r.uvarint()
 	if err != nil {
 		return "", err

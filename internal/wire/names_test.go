@@ -223,6 +223,10 @@ func TestConnectionNamesConcurrent(t *testing.T) {
 	}
 }
 
+// appendLiteral appends name as a ref spells a name the table holds no slot
+// for: a 0 and the string.
+func appendLiteral(buf []byte, name string) []byte { return appendString(append(buf, 0), name) }
+
 // nameSection is the bytes of a name section binding each slot to its name,
 // the slots ascending.
 func nameSection(binds ...nameBinding) []byte {
@@ -346,7 +350,7 @@ func TestMirrorResetSpellings(t *testing.T) {
 		least, most int // the section's bytes
 	}{{0.99, 0, n / 8 / 3}, {0.5, n / 8, n/8 + 8}} {
 		h := honestHistory(t, "srv", n, tc.p, 7)
-		d := getFrameDict(nil)
+		d := loneDict()
 		d.mirRows = append(d.mirRows, mirrorRow{reset: true, n: n, server: h.Server(), lineage: h.Lineage(), h: h})
 		sec := d.appendMirror(nil, new(sections))
 		d.put()

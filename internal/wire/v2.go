@@ -131,17 +131,20 @@ var v2Types = func() map[byte]MsgType {
 // service.CodecFrom). A binary connection's codec holds its end's state
 // (conn.go): an end encodes against the direction it writes, and decodes
 // against the one it reads, the frames of each crossing at its one ordered
-// point (Commit).
+// point (Commit). A codec without a state — V2Codec, BridgeCodec — takes a
+// fresh one of zero bounds for each frame, so its frame is a connection of
+// one frame.
 type Codec struct {
 	bridge bool
-	st     *connState // nil: every frame stands alone
+	st     *connState // nil: a fresh state for each frame
 }
 
 var (
 	// V2Codec encodes payloads with the per-type binary codecs, falling back
-	// to JSON payload bytes for types without one. Its frames stand alone:
-	// each binds every grid point its verdicts key on and spells every
-	// name.
+	// to JSON payload bytes for types without one. Each of its frames is a
+	// connection of its own whose tables hold nothing: it binds every grid
+	// point its verdicts key on, spells every name literal and mirrors
+	// nothing.
 	V2Codec = Codec{}
 	// BridgeCodec encodes every payload as JSON: the codec of a connection
 	// whose two ends run different codec revisions.
@@ -157,6 +160,15 @@ func CodecFor(peer byte) Codec {
 		return BridgeCodec
 	}
 	return Codec{st: newConnState(connLimits)}
+}
+
+// state returns the connection state c's frames cross: its connection's, or
+// a fresh one of zero bounds for the one frame at hand.
+func (c Codec) state() *connState {
+	if c.st == nil {
+		return newConnState(limits{})
+	}
+	return c.st
 }
 
 // Encode marshals a payload into an envelope in the codec's encoding.
@@ -176,7 +188,7 @@ func (c Codec) Encode(t MsgType, id uint64, payload any) (Envelope, error) {
 			return env, &ErrorResponse{Code: CodeResponseTooLarge, Message: fmt.Sprintf("%s: %d verdict rows, above a frame's %d", t, rows, maxFrameRows)}
 		}
 		bin := env
-		if ok, err := encodeBinary(&bin, payload, c); ok && err == nil {
+		if ok, err := encodeBinary(&bin, payload, &c.state().out); ok && err == nil {
 			bin.Binary = true
 			return bin, nil
 		}
@@ -191,13 +203,20 @@ func (c Codec) Encode(t MsgType, id uint64, payload any) (Envelope, error) {
 
 // DecodePayload unmarshals an envelope's payload into out, dispatching on the
 // payload encoding: the per-type binary codec for a binary payload, JSON for
-// a JSON-flagged one. On a connection, a binary frame decodes after its
-// Commit — on any goroutine, at any time — against the tables as the frames
-// up to its own left them; a payload that does not decode breaks the
-// connection, as a refused Commit does.
+// a JSON-flagged one. A binary frame decodes after its Commit — on any
+// goroutine, at any time — against the tables as the frames up to its own
+// left them; a payload that does not decode breaks the connection, as a
+// refused Commit does. A codec without a state commits the frame into its
+// fresh one first.
 func (c Codec) DecodePayload(env Envelope, out any) error {
 	if env.Binary {
-		return decodeBinary(env, out, c.st)
+		st := c.state()
+		if c.st == nil { // the frame's own state has not seen it yet
+			if err := st.commit(&env); err != nil {
+				return err
+			}
+		}
+		return decodeBinary(env, out, st)
 	}
 	if env.Bindings || env.Mirror || env.Names {
 		return fmt.Errorf("%w: %s: a section on a JSON payload", ErrBadMessage, env.Type)
@@ -215,22 +234,11 @@ func (c Codec) DecodePayload(env Envelope, out any) error {
 // the reader commits it before it hands the frame on to be decoded,
 // reading its sections into the tables and into the plan the frame decodes
 // with. A section no encoder writes is refused, and then every later Commit
-// and DecodePayload on the connection fails. On a bridged connection and on V2Codec, Commit refuses a name
-// section and does nothing else.
+// and DecodePayload on the connection fails. A codec without a state
+// commits into a fresh one, whose zero bounds refuse a name or a mirror
+// section.
 func (c Codec) Commit(env *Envelope) error {
-	if c.st == nil {
-		if env.Names {
-			return fmt.Errorf("%w: %s: a name section on a connection without name tables", ErrBadMessage, env.Type)
-		}
-		return nil
-	}
-	if err := c.st.usable(); err != nil {
-		return err
-	}
-	if err := c.st.commit(env); err != nil {
-		return c.st.refuse(fmt.Errorf("%w: %s section: %v", ErrBadMessage, env.Type, err))
-	}
-	return nil
+	return c.state().commit(env)
 }
 
 // ReadFrame reads one frame, as ReadV2Into does. On a bridged connection a
@@ -295,13 +303,6 @@ func ReadAck(r io.Reader) (byte, error) {
 		return 0, fmt.Errorf("%w: malformed ack", ErrNotV2)
 	}
 	return ack[3], nil
-}
-
-// ReadHelloAck is ReadAck for a caller that needs only to know the reply was
-// an ack, of whichever revision.
-func ReadHelloAck(r io.Reader) error {
-	_, err := ReadAck(r)
-	return err
 }
 
 // MaxBurst bounds what a connection holds unsent — a writer writes its burst

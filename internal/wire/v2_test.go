@@ -12,6 +12,7 @@ import (
 	"regexp"
 	"strconv"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -118,18 +119,18 @@ func newPayload(p any) any {
 }
 
 // appendBinaryPayload appends the binary encoding of payload to buf as a
-// frame that stands alone, and reports whether a binding section heads it
-// and whether the payload has a binary codec.
+// frame of its own (V2Codec), and reports whether a binding section heads
+// it and whether the payload has a binary codec.
 func appendBinaryPayload(buf []byte, payload any) (_ []byte, bound, ok bool, err error) {
 	env := Envelope{Payload: buf}
-	ok, err = encodeBinary(&env, payload, V2Codec)
+	ok, err = encodeBinary(&env, payload, &V2Codec.state().out)
 	return env.Payload, env.Bindings, ok, err
 }
 
 // decodeBinaryPayload decodes a binary payload of type t, headed by a
-// binding section when bound says so, against conn.
+// binding section when bound says so, as a frame of its own.
 func decodeBinaryPayload(t MsgType, buf []byte, bound bool, out any) error {
-	return decodeBinary(Envelope{Type: t, Payload: buf, Binary: true, Bindings: bound}, out, nil)
+	return V2Codec.DecodePayload(Envelope{Type: t, Payload: buf, Binary: true, Bindings: bound}, out)
 }
 
 func TestHelloRoundTrip(t *testing.T) {
@@ -151,8 +152,8 @@ func TestHelloRoundTrip(t *testing.T) {
 	if err := WriteHelloAck(&buf); err != nil {
 		t.Fatal(err)
 	}
-	if err := ReadHelloAck(&buf); err != nil {
-		t.Fatal(err)
+	if rev, err := ReadAck(&buf); err != nil || rev != VersionV2 {
+		t.Fatalf("ack of revision %d, %v", rev, err)
 	}
 }
 
@@ -182,7 +183,7 @@ func TestReadHelloRejectsGarbage(t *testing.T) {
 }
 
 func TestReadHelloAckDetectsJSONFallback(t *testing.T) {
-	err := ReadHelloAck(strings.NewReader(`{"v":1,"type":"error","id":0,"payload":{}}` + "\n"))
+	_, err := ReadAck(strings.NewReader(`{"v":1,"type":"error","id":0,"payload":{}}` + "\n"))
 	if !errors.Is(err, ErrNotV2) {
 		t.Fatalf("got %v, want ErrNotV2", err)
 	}
@@ -230,6 +231,63 @@ func TestV2FrameRoundTrip(t *testing.T) {
 		if got := reflect.ValueOf(out).Elem().Interface(); !reflect.DeepEqual(asRows(got), asRows(payload)) {
 			t.Fatalf("%s: round trip:\n got %+v\nwant %+v", typ, got, payload)
 		}
+	}
+}
+
+// TestFramesAloneShareNothing: a V2Codec frame is a connection of its own,
+// so nothing one frame plans or binds reaches another. Every payload
+// encodes to the same frame twice in a row and from 8 goroutines at once,
+// each of which decodes what it encoded, and a frame of keyed verdicts
+// carries its binding section every time.
+func TestFramesAloneShareNothing(t *testing.T) {
+	payloads := v2Payloads()
+	frame := func(typ MsgType, payload any) ([]byte, Envelope, error) {
+		env, err := V2Codec.Encode(typ, 1, payload)
+		if err != nil {
+			return nil, env, err
+		}
+		buf, err := AppendV2(nil, env)
+		return buf, env, err
+	}
+	want := make(map[MsgType][]byte, len(payloads))
+	for typ, payload := range payloads {
+		first, env, err := frame(typ, payload)
+		if err != nil {
+			t.Fatalf("%s: %v", typ, err)
+		}
+		again, _, err := frame(typ, payload)
+		if err != nil || !bytes.Equal(again, first) {
+			t.Fatalf("%s: %x, then %x (%v)", typ, first, again, err)
+		}
+		if verdictRows(payload) > 0 && !env.Bindings {
+			t.Fatalf("%s: a keyed verdict frame without its binding section", typ)
+		}
+		want[typ] = first
+	}
+	var wg sync.WaitGroup
+	errs := make(chan error, 8*len(payloads))
+	for range 8 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for typ, payload := range payloads {
+				got, env, err := frame(typ, payload)
+				if err == nil && !bytes.Equal(got, want[typ]) {
+					err = fmt.Errorf("%x, want %x", got, want[typ])
+				}
+				if err == nil {
+					err = DecodePayload(env, newPayload(payload))
+				}
+				if err != nil {
+					errs <- fmt.Errorf("%s: %v", typ, err)
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Error(err)
 	}
 }
 
@@ -476,13 +534,13 @@ func TestSubmitBatchGoldenFrame(t *testing.T) {
 		{Time: time.Unix(0, 102).UTC(), Server: "s1", Client: "c2", Rating: feedback.Positive},
 	}}
 	want := []byte{
-		0, 0, 0, 35, // body length
+		0, 0, 0, 39, // body length
 		5, 0, // submit.batch, binary payload
 		0, 0, 0, 0, 0, 0, 0, 9, // id
 		3,                // records
 		0xc8, 1, 2, 6, 3, // times: zig-zag 100, scale 2, +6/2, -4/2
-		0, 2, 's', '1', 1, 2, 's', '2', 0, // servers: new "s1", new "s2", slot 0
-		0, 2, 'c', '1', 0, 1, 2, 'c', '2', // clients: new "c1", slot 0, new "c2"
+		0, 0, 2, 's', '1', 1, 0, 2, 's', '2', 0, // servers: new literal "s1", new literal "s2", slot 0
+		0, 0, 2, 'c', '1', 0, 1, 0, 2, 'c', '2', // clients: new literal "c1", slot 0, new literal "c2"
 		0b101, // good
 	}
 	var buf bytes.Buffer

@@ -362,9 +362,12 @@ func eachBase(hist []uint32, v, w, g int, visit func() bool) bool {
 // threshold's bits, zero for a slot not bound yet. A connection whose
 // verdicts span few window counts holds few rows. One goroutine binds and
 // any number read; a slot reads as unbound or as the bits it is bound to for
-// good, so a reader needs no lock and sees no order but that.
+// good, so a reader needs no lock and sees no order but that. A row points
+// into heads, the binder's, made at the first binding: a row is one
+// allocation.
 type bindings struct {
-	rows []atomic.Pointer[[]atomic.Uint64] // by window bucket, slot / gridP
+	rows  []atomic.Pointer[[]atomic.Uint64] // by window bucket, slot / gridP
+	heads [][]atomic.Uint64
 }
 
 // bindingRows is a table's rows, none allocated.
@@ -386,12 +389,15 @@ func (b *bindings) lookup(slot uint32) (uint64, bool) {
 }
 
 func (b *bindings) bind(slot uint32, bits uint64) {
-	at := &b.rows[slot/uint32(gridP)]
-	row := at.Load()
+	i := slot / uint32(gridP)
+	row := b.rows[i].Load()
 	if row == nil {
-		r := make([]atomic.Uint64, gridP)
-		row = &r
-		at.Store(row)
+		if b.heads == nil {
+			b.heads = make([][]atomic.Uint64, len(b.rows))
+		}
+		b.heads[i] = make([]atomic.Uint64, gridP)
+		row = &b.heads[i]
+		b.rows[i].Store(row)
 	}
 	(*row)[slot%uint32(gridP)].Store(^bits)
 }
@@ -428,7 +434,7 @@ type frameDict struct {
 	named             bool // an assessment of the frame has written names
 	tester, trustFunc string
 
-	dir *side  // the direction the frame crosses, nil for a frame that stands alone
+	dir *side  // the direction the frame crosses
 	seq uint64 // a decoder's: the frame's place among those dir committed
 
 	// An encoder's sections so far: the names the frame binds; the mirror
@@ -446,12 +452,11 @@ type frameDict struct {
 	rowEvict  []uint32
 	rowNeed   int
 
-	// A decoder's: what the frame's sections held — a frame that stands
-	// alone reads its binding section into alone — and which of their
-	// entries the frame has read: each name binding, how many grid
-	// bindings and how many mirror rows.
+	// A decoder's: what the frame's sections held — noSections for a frame
+	// that has none, and for an encoder — and which of their entries the
+	// frame has read: each name binding, how many grid bindings and how many
+	// mirror rows.
 	read     *sections
-	alone    sections
 	nameRead []bool
 	nRead    int
 	nViews   int
@@ -466,14 +471,16 @@ type frameDict struct {
 }
 
 var frameDictPool = sync.Pool{New: func() any {
-	d := &frameDict{ref: make(map[uint64]uint64), secRef: make(map[uint64]uint64), own: bindings{rows: bindingRows()},
-		mirTaken: make(map[uint32]bool), mirTotal: -1}
-	d.read = &d.alone
-	return d
+	return &frameDict{ref: make(map[uint64]uint64), secRef: make(map[uint64]uint64), own: bindings{rows: bindingRows()},
+		mirTaken: make(map[uint32]bool), mirTotal: -1, read: &noSections}
 }}
 
-// getFrameDict returns empty dictionaries for one frame crossing dir (nil:
-// the frame stands alone); put gives them back.
+// noSections is what a frame without sections holds in them. Nothing writes
+// to it.
+var noSections sections
+
+// getFrameDict returns empty dictionaries for one frame crossing dir; put
+// gives them back.
 func getFrameDict(dir *side) *frameDict {
 	d := frameDictPool.Get().(*frameDict)
 	d.dir = dir
@@ -497,8 +504,7 @@ func (d *frameDict) put() {
 	clear(d.mirTaken)
 	d.mirRows, d.mirEvict, d.rowEvict = d.mirRows[:0], d.mirEvict[:0], d.rowEvict[:0]
 	d.mirTotal, d.src, d.row = -1, nil, mirrorRow{}
-	d.alone = sections{grid: d.alone.grid[:0], bits: d.alone.bits[:0]}
-	d.read, d.nameRead, d.nRead, d.nViews = &d.alone, d.nameRead[:0], 0, 0
+	d.read, d.nameRead, d.nRead, d.nViews = &noSections, d.nameRead[:0], 0, 0
 	frameDictPool.Put(d)
 }
 
@@ -549,9 +555,6 @@ func rowSlot(s *behavior.SuffixResult) uint32 {
 func (d *frameDict) lookup(slot uint32) (uint64, bool) {
 	if bits, ok := d.own.lookup(slot); ok {
 		return bits, true
-	}
-	if d.dir == nil {
-		return 0, false
 	}
 	if _, ok := slices.BinarySearch(d.read.grid, slot); ok {
 		return 0, false
@@ -632,9 +635,9 @@ func (d *frameDict) keyTable(rows []behavior.SuffixResult) bool {
 // climb its rows' windows one bucket at a time at nearly the same p̂ and
 // its thresholds share their sign, exponent and top mantissa bits, so a
 // binding mostly costs its 7 B of XOR and a byte of head, where revision 12
-// wrote 1 + 8 B of literal in the row. A frame that stands alone (V2Codec)
-// binds every slot its keyed rows land on; on a connection, a frame binds
-// only the slots no frame before it did.
+// wrote 1 + 8 B of literal in the row. A frame binds only the slots no frame
+// before it on its connection did: every slot its keyed rows land on when it
+// is a connection of its own (V2Codec).
 const (
 	farStep = 24 // 0–3 for 1 to 4 slots on, 4–23 for a window bucket on
 	refForm = 9
@@ -654,14 +657,14 @@ func slotStep(dist int) byte {
 }
 
 // appendBindings appends the binding section of the frame d encoded, when it
-// binds a grid slot; p, the frame's plan (nil for a frame that stands
-// alone), records the slots and their bits.
+// binds a grid slot; p, the frame's plan, records the slots and their bits.
 func (d *frameDict) appendBindings(sec []byte, p *sections) []byte {
 	if len(d.bound) == 0 {
 		return sec
 	}
 	slices.Sort(d.bound)
 	sec = binary.AppendUvarint(sec, uint64(len(d.bound)))
+	p.grid, p.bits = make([]uint32, 0, len(d.bound)), make([]uint64, 0, len(d.bound))
 	slot, prev := -1, uint64(0)
 	for _, next := range d.bound {
 		b, _ := d.own.lookup(next)
@@ -684,20 +687,17 @@ func (d *frameDict) appendBindings(sec []byte, p *sections) []byte {
 			sec = append(sec[:len(sec)-8], sec[len(sec)-8+int(form):]...)
 		}
 		slot, prev = int(next), b
-		if p != nil {
-			p.grid, p.bits = append(p.grid, next), append(p.bits, b)
-		}
+		p.grid, p.bits = append(p.grid, next), append(p.bits, b)
 	}
 	return sec
 }
 
 // bindings reads a binding section into p. It refuses a section longer than
 // the grid, a slot past it, any form of a binding but the one an encoder
-// writes, the one threshold a slot cannot hold, and a slot grid — the
-// connection's bindings, nil for a frame that stands alone — has bound to
-// other bits.
+// writes, the one threshold a slot cannot hold, and a slot grid, the
+// connection's bindings, has bound to other bits.
 func (r *breader) bindings(grid *bindings, p *sections) error {
-	d := r.frame()
+	d := r.dict
 	n, err := r.count(1)
 	if err != nil {
 		return err
@@ -705,6 +705,7 @@ func (r *breader) bindings(grid *bindings, p *sections) error {
 	if n == 0 || n > gridSlots {
 		return fmt.Errorf("binding section of %d bindings for %d grid slots", n, gridSlots)
 	}
+	p.grid, p.bits = make([]uint32, 0, n), make([]uint64, 0, n)
 	slot, prev := -1, uint64(0)
 	for range n {
 		head, err := r.byte()
@@ -727,10 +728,8 @@ func (r *breader) bindings(grid *bindings, p *sections) error {
 		if bits == unbindable {
 			return fmt.Errorf("binding section: slot %d bound to %#x", slot, bits)
 		}
-		if grid != nil {
-			if b, ok := grid.lookup(uint32(slot)); ok && b != bits {
-				return fmt.Errorf("binding section rebinds slot %d from %#x to %#x", slot, b, bits)
-			}
+		if b, ok := grid.lookup(uint32(slot)); ok && b != bits {
+			return fmt.Errorf("binding section rebinds slot %d from %#x to %#x", slot, b, bits)
 		}
 		if _, seen := d.secRef[bits]; !seen {
 			d.secVals = append(d.secVals, bits)
@@ -764,7 +763,7 @@ func (r *breader) slotDistance(step byte) (int, error) {
 // bindingBits reads a binding's value of the given form, the bits before
 // being prev.
 func (r *breader) bindingBits(form byte, prev uint64) (uint64, error) {
-	d := r.frame()
+	d := r.dict
 	if form == refForm {
 		ref, err := r.uvarint()
 		if err != nil {
@@ -1065,7 +1064,7 @@ func (r *breader) verdictTable() ([]behavior.SuffixResult, error) {
 	if shape&tableKeyed != 0 && shape&(tableWindows|tablePHat) != 0 {
 		return nil, fmt.Errorf("verdict table: shape %#x keys rows whose columns ride", shape)
 	}
-	d := r.frame()
+	d := r.dict
 	var src goodSource
 	if shape&tableMirror != 0 {
 		if shape&tableChain == 0 || d.nViews == len(d.read.views) {
@@ -1142,7 +1141,7 @@ func (r *breader) verdictTable() ([]behavior.SuffixResult, error) {
 // columns it has read: a value for each row that has no grid key, its key's
 // binding for the rest.
 func (r *breader) keyedThresholds(rows []behavior.SuffixResult) error {
-	d := r.frame()
+	d := r.dict
 	prev := noSlot
 	for i := range rows {
 		slot, bits := rowSlot(&rows[i]), uint64(0)
@@ -1188,7 +1187,7 @@ func (r *breader) thresholdRuns(rows []behavior.SuffixResult, shape byte) error 
 			i++
 		}
 	}
-	if shape&(tableWindows|tablePHat) == 0 && r.frame().keyTable(rows) {
+	if shape&(tableWindows|tablePHat) == 0 && r.dict.keyTable(rows) {
 		return fmt.Errorf("verdict table: threshold runs where the encoder keys the rows")
 	}
 	return nil
@@ -1201,7 +1200,7 @@ func (r *breader) threshold() (float64, error) {
 	if err != nil {
 		return 0, err
 	}
-	d := r.frame()
+	d := r.dict
 	if ref > uint64(len(d.bits)) {
 		return 0, fmt.Errorf("verdict table: threshold ref %d past the frame's %d", ref, len(d.bits))
 	}

@@ -133,7 +133,7 @@ func TestVerdictTableEveryTester(t *testing.T) {
 			}
 		}
 		if rows := a.Verdict.Suffixes; len(rows) > 0 {
-			d := getFrameDict(nil)
+			d := loneDict()
 			shape, _, _ := tableShape(rows, nil, d)
 			d.put()
 			if shape != testerShapes[name] {
@@ -216,10 +216,12 @@ func TestVerdictTableBytes(t *testing.T) {
 // threshold), and revision 13, each frame alone, 29.7 B, 348.6 B, 190.0 B
 // and 40.2 B: a binding's head byte names its slot's step from the one
 // before, and its bits XOR the ones before drop their leading zero bytes.
-// The bounds are revision 12's, so that a frame alone — the first on a
-// connection, every V2Codec frame — costs no more than it did; on a
-// connection a frame binds only the keys no frame before it did
-// (TestConnectionFrameBytes).
+// Since a frame alone is a connection of its own whose table holds no name,
+// it spells each name literal, a 0 byte before the string: 30.7 B, 349.9 B,
+// 193.0 B and 41.2 B. The bounds are revision 12's, so that a frame alone —
+// every V2Codec frame — costs no more than it did; on a connection a frame
+// binds only the keys no frame before it did and writes a name as a ref
+// once it has crossed (TestConnectionFrameBytes).
 func TestAssessBatchFrameBytes(t *testing.T) {
 	tp, err := core.DefaultSpec.Build()
 	if err != nil {
@@ -343,29 +345,39 @@ func sameBits(a, b []behavior.SuffixResult) bool {
 	return true
 }
 
+// loneDict returns the dictionaries of a frame that is a connection of its
+// own, as V2Codec's frames are: one crossing a fresh state of zero bounds.
+func loneDict() *frameDict { return getFrameDict(&newConnState(limits{}).out) }
+
+// loneReader returns a reader of buf with the dictionaries of a frame that
+// is a connection of its own, before its sections are read.
+func loneReader(buf []byte) *breader {
+	d := getFrameDict(&newConnState(limits{}).in)
+	d.read = new(sections)
+	return &breader{buf: buf, dict: d}
+}
+
 // encodeTable is appendVerdictTable for a table that is a frame of its own:
 // the frame's binding section — nil when the table binds no grid key — and
 // the table.
 func encodeTable(rows []behavior.SuffixResult) (sec, table []byte) {
-	d := getFrameDict(nil)
+	d := loneDict()
 	defer d.put()
 	table = appendVerdictTable(nil, rows, d)
-	return d.appendBindings(nil, nil), table
+	return d.appendBindings(nil, new(sections)), table
 }
 
-// bindingSection reads the binding section heading r's payload as the
-// decoder of a frame that stands alone does.
+// bindingSection reads the binding section heading r's payload, r being a
+// loneReader, as the Commit of a frame of its own does.
 func (r *breader) bindingSection() error {
-	d := r.frame()
-	d.read = &d.alone
-	return r.bindings(nil, d.read)
+	return r.bindings(&r.dict.dir.grid, r.dict.read)
 }
 
 // decodeTables reads the verdict tables of one frame as a payload's decoder
 // does: its binding section sec (none when nil), then tables to the last
 // byte, every binding of the section read by a keyed row.
 func decodeTables(sec, tables []byte) ([][]behavior.SuffixResult, error) {
-	r := &breader{buf: sec}
+	r := loneReader(sec)
 	defer r.release()
 	if len(sec) > 0 {
 		if err := r.bindingSection(); err != nil {
@@ -384,7 +396,7 @@ func decodeTables(sec, tables []byte) ([][]behavior.SuffixResult, error) {
 		}
 		out = append(out, rows)
 	}
-	return out, r.frame().unread()
+	return out, r.dict.unread()
 }
 
 // readTable is decodeTables for a frame of one table.
@@ -655,7 +667,7 @@ func TestThresholdDictionary(t *testing.T) {
 	for i, v := range []float64{0.25, 0.3, 0.25, 0.3} {
 		second[i].Threshold = v
 	}
-	d := getFrameDict(nil)
+	d := loneDict()
 	defer d.put()
 	one := appendVerdictTable(nil, first, d)
 	two := appendVerdictTable(nil, second, d)
@@ -673,7 +685,7 @@ func TestThresholdDictionary(t *testing.T) {
 			binds[rowSlot(&rows[i])] = rows[i].Threshold
 		}
 	}
-	sec := d.appendBindings(nil, nil)
+	sec := d.appendBindings(nil, new(sections))
 	if want := bindingSection(binds); len(binds) != 6 || !bytes.Equal(sec, want) {
 		t.Errorf("binding section %x, want %x: six keys", sec, want)
 	}
@@ -691,7 +703,7 @@ func TestThresholdDictionary(t *testing.T) {
 		{Transactions: 60, Windows: 6, PHat: 0.9, Distance: 0.3, Threshold: 0.3, Pass: true},
 		{Transactions: 50, Windows: 5, PHat: 0.9, Distance: 0.5, Threshold: 0.3},
 	}
-	d2 := getFrameDict(nil)
+	d2 := loneDict()
 	defer d2.put()
 	a := appendVerdictTable(nil, runs, d2)
 	b := appendVerdictTable(nil, runs, d2)
@@ -714,10 +726,11 @@ func TestThresholdDictionary(t *testing.T) {
 		t.Fatalf("batch changed on the wire: %+v", gotBatch)
 	}
 	// Each item after the first writes no bindings and its names not at
-	// all, not as two empty strings; the batch writes its item count once.
+	// all, not as two empty literals of 2 B each; the batch writes its item
+	// count once.
 	_, alone := roundTrip(t, TypeAssessBR, AssessBatchResponse{Items: batch.Items[:1]})
 	firstSec, _ := encodeTable(first)
-	if want := 4*alone - 3 - 3*len(firstSec) - 3*2; size != want {
+	if want := 4*alone - 3 - 3*len(firstSec) - 3*4; size != want {
 		t.Errorf("4 items in %d B, want %d: the bindings were not shared", size, want)
 	}
 }

@@ -376,8 +376,8 @@ func (e *ErrorResponse) Error() string {
 }
 
 // DecodePayload unmarshals an envelope's payload into out as V2Codec
-// decodes it: a binary frame standing alone, its binding section all the
-// bindings its verdicts read.
+// decodes it: a binary frame as a connection of its own — committed into a
+// fresh state, its binding section all the bindings its verdicts read.
 func DecodePayload(env Envelope, out any) error {
 	return V2Codec.DecodePayload(env, out)
 }

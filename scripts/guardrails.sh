@@ -27,6 +27,9 @@
 #     threshold bindings commit at its one ordered point at each end:
 #     repserver's serve after a frame is written, repclient's demux before a
 #     frame is routed (ADR 0006)
+#   - one binary codec path: a frame alone is a connection of one frame,
+#     and internal/wire neither calls the single-record codec nor takes
+#     frame dictionaries without a direction (ADR 0006)
 #   - a connection holds a buffer only while a frame is in it: repserver and
 #     repclient write bursts from internal/wire's frame pool, never through a
 #     per-connection bufio writer
@@ -221,13 +224,20 @@ check "no per-connection bufio writer in internal/repserver or internal/repclien
     "absent 'bufio\.NewWriter' internal/repserver && absent 'bufio\.NewWriter' internal/repclient"
 # A name crosses a connection once (ADR 0006): every
 # entity id and tester or trust-function name a binary payload writes goes
-# through the name table's one writer, whose literal path alone spells it,
-# and no intro of a record batch is written in internal/wire but through it.
+# through the name table's one writer, whose literal path alone spells it —
+# a 0 and the string — and no intro of a record batch is written in
+# internal/wire but through it.
 check "internal/wire spells a name only on the name table's literal path (ADR 0006)" \
     "! sources internal/wire | grep -v '/names\.go\$' \
        | xargs grep -nE 'appendString\([a-z]+, (string\(|[a-zA-Z.]*(Tester|TrustFunc|Server|Client)\b)|AppendUvarint\([a-z]+, uint64\(len\((id|name|s\.Server|s\.Client)\)\)\)' \
        | grep -q . \
-     && grep -q 'appendString(buf, name)' internal/wire/names.go"
+     && grep -q 'appendString(append(buf, 0), name)' internal/wire/names.go"
+# One binary codec path (ADR 0006's amendment): a frame alone is a
+# connection of one frame, on a fresh state of zero bounds, so internal/wire
+# has no frame-alone branch — no compact single-record codec and no frame
+# dictionaries without the direction they cross.
+check "internal/wire has one binary codec path: no feedback.AppendBinary/DecodeBinary, no getFrameDict(nil) (ADR 0006)" \
+    "absent 'feedback\.(Append|Decode)Binary\(|getFrameDict\(nil\)' internal/wire"
 # A receiver rebuilds a chain's distances as a tester computes them, with
 # stats.BinomialPMFInto and stats.L1CountsDistance, so those — and
 # Plane.Threshold, which scales each ε — must compute the
