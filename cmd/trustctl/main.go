@@ -15,7 +15,7 @@
 //	trustctl ledger-migrate -from old.ledger -to /var/lib/trustd/ledger   # rewrite an older format
 //	trustctl mem-status -metrics http://127.0.0.1:7780  # memory lifecycle via /metricz
 //	trustctl -addr host1:7700,host2:7700,host3:7700 assess -server s1
-//	trustctl -addr host1:7700 cluster-status
+//	trustctl cluster-status -metrics http://host1:7780  # cluster view via /metricz
 //
 // A comma-separated -addr probes every address at dial time and talks to the
 // fastest responder, failing over to the others if it goes down.
@@ -58,19 +58,19 @@ func run(args []string, out io.Writer) error {
 	if len(rest) == 0 {
 		return fmt.Errorf("missing command: ping | submit | submit-batch | history | assess | assess-batch | cluster-status | mem-status | local-assess | ledger-info | ledger-migrate")
 	}
-	// local-assess, the ledger commands and mem-status need no wire
-	// connection (mem-status talks to the metrics HTTP endpoint instead).
-	if rest[0] == "local-assess" {
+	// local-assess, the ledger commands, mem-status and cluster-status need
+	// no wire connection (the last two read the metrics HTTP endpoint).
+	switch rest[0] {
+	case "local-assess":
 		return localAssess(rest[1:], out)
-	}
-	if rest[0] == "ledger-info" {
+	case "ledger-info":
 		return ledgerInfo(rest[1:], out)
-	}
-	if rest[0] == "ledger-migrate" {
+	case "ledger-migrate":
 		return ledgerMigrate(rest[1:], out)
-	}
-	if rest[0] == "mem-status" {
+	case "mem-status":
 		return memStatus(rest[1:], out)
+	case "cluster-status":
+		return clusterStatus(rest[1:], out)
 	}
 
 	// The flag bounds the whole command through the context-taking client
@@ -101,8 +101,6 @@ func run(args []string, out io.Writer) error {
 		return assess(ctx, client, rest[1:], out)
 	case "assess-batch":
 		return assessBatch(ctx, client, rest[1:], out)
-	case "cluster-status":
-		return clusterStatus(ctx, client, out)
 	default:
 		return fmt.Errorf("unknown command %q", rest[0])
 	}
@@ -267,18 +265,16 @@ func submitBatch(ctx context.Context, client *repclient.Client, args []string, o
 	return enc.Encode(resp)
 }
 
-// clusterStatus prints the contacted node's view of its cluster: membership
-// with addresses and measured RTTs, replica factor, and how many server IDs
-// the node currently owns. Against a single-node (unclustered) trustd the
-// response reports enabled=false.
-func clusterStatus(ctx context.Context, client *repclient.Client, out io.Writer) error {
-	resp, err := client.ClusterStatusCtx(ctx)
+// clusterStatus prints a trustd node's view of its cluster, the cluster
+// block of its /metricz document; an unclustered node's reads enabled false.
+func clusterStatus(args []string, out io.Writer) error {
+	doc, err := fetchMetricz(flag.NewFlagSet("cluster-status", flag.ContinueOnError), args)
 	if err != nil {
 		return err
 	}
 	enc := json.NewEncoder(out)
 	enc.SetIndent("", "  ")
-	return enc.Encode(resp)
+	return enc.Encode(doc.get("cluster"))
 }
 
 // memStatus fetches a trustd node's /metricz endpoint and prints the memory
@@ -286,30 +282,10 @@ func clusterStatus(ctx context.Context, client *repclient.Client, out io.Writer)
 // and fault-in activity, and the largest resident servers by accounted bytes.
 func memStatus(args []string, out io.Writer) error {
 	fs := flag.NewFlagSet("mem-status", flag.ContinueOnError)
-	var (
-		metrics = fs.String("metrics", "http://127.0.0.1:7780", "trustd metrics endpoint base URL (-metrics-addr)")
-		timeout = fs.Duration("timeout", 5*time.Second, "HTTP timeout")
-		asJSON  = fs.Bool("json", false, "emit the lifecycle section as JSON")
-	)
-	if err := fs.Parse(args); err != nil {
-		return err
-	}
-	url := strings.TrimSuffix(*metrics, "/") + "/metricz"
-	if !strings.Contains(*metrics, "://") {
-		url = "http://" + url
-	}
-	hc := &http.Client{Timeout: *timeout}
-	resp, err := hc.Get(url)
+	asJSON := fs.Bool("json", false, "emit the lifecycle section as JSON")
+	doc, err := fetchMetricz(fs, args)
 	if err != nil {
-		return fmt.Errorf("fetch %s: %w", url, err)
-	}
-	defer func() { _ = resp.Body.Close() }()
-	if resp.StatusCode != http.StatusOK {
-		return fmt.Errorf("fetch %s: %s", url, resp.Status)
-	}
-	var doc metricz
-	if err := json.NewDecoder(resp.Body).Decode(&doc); err != nil {
-		return fmt.Errorf("decode %s: %w", url, err)
+		return err
 	}
 	var led map[string]int64 // the ledger's snapshot sequence, when it has a block
 	if doc.get("ledger") != nil {
@@ -344,6 +320,35 @@ func memStatus(args []string, out io.Writer) error {
 		fmt.Fprintf(out, "  %-24v %10s  %d records\n", r["server"], fmtBytes(metricz(r).int("bytes")), metricz(r).int("records"))
 	}
 	return nil
+}
+
+// fetchMetricz adds the node's metrics endpoint and an HTTP timeout to a
+// command's flags fs, parses args, and fetches and decodes the node's
+// /metricz document.
+func fetchMetricz(fs *flag.FlagSet, args []string) (metricz, error) {
+	metrics := fs.String("metrics", "http://127.0.0.1:7780", "trustd metrics endpoint base URL (-metrics-addr)")
+	timeout := fs.Duration("timeout", 5*time.Second, "HTTP timeout")
+	if err := fs.Parse(args); err != nil {
+		return nil, err
+	}
+	url := strings.TrimSuffix(*metrics, "/") + "/metricz"
+	if !strings.Contains(*metrics, "://") {
+		url = "http://" + url
+	}
+	hc := &http.Client{Timeout: *timeout}
+	resp, err := hc.Get(url)
+	if err != nil {
+		return nil, fmt.Errorf("fetch %s: %w", url, err)
+	}
+	defer func() { _ = resp.Body.Close() }()
+	if resp.StatusCode != http.StatusOK {
+		return nil, fmt.Errorf("fetch %s: %s", url, resp.Status)
+	}
+	var doc metricz
+	if err := json.NewDecoder(resp.Body).Decode(&doc); err != nil {
+		return nil, fmt.Errorf("decode %s: %w", url, err)
+	}
+	return doc, nil
 }
 
 // metricz is a decoded /metricz document, read by key path. A key the node

@@ -105,3 +105,24 @@ func TestMemStatusDisabled(t *testing.T) {
 		t.Fatal("a metrics URL that answers 404 must fail")
 	}
 }
+
+// TestClusterStatus: cluster-status prints the /metricz cluster block, the
+// node's whole view of its cluster, and needs no wire connection.
+func TestClusterStatus(t *testing.T) {
+	url := serveMetricz(t, []byte(`{"connections": 4, "cluster": {"enabled": true, "node": "n2",
+		"replicas": 2, "vnodes": 64, "forwarded": 7, "forward_errors": 0,
+		"peers": {"n1": "10.0.0.1:7700", "n2": "10.0.0.2:7700"}}}`))
+	var out strings.Builder
+	if err := run([]string{"-addr", "127.0.0.1:1", "cluster-status", "-metrics", url}, &out); err != nil {
+		t.Fatal(err)
+	}
+	var got map[string]any
+	if err := json.Unmarshal([]byte(out.String()), &got); err != nil {
+		t.Fatalf("output: %v\n%s", err, out.String())
+	}
+	want := map[string]any{"enabled": true, "node": "n2", "replicas": 2.0, "vnodes": 64.0, "forwarded": 7.0,
+		"forward_errors": 0.0, "peers": map[string]any{"n1": "10.0.0.1:7700", "n2": "10.0.0.2:7700"}}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("cluster-status printed\n%s", out.String())
+	}
+}

@@ -225,6 +225,7 @@ func run(ctx context.Context, args []string) error {
 		if err != nil {
 			return abort(err)
 		}
+		reconciler.RegisterMetrics(reg)
 		reconciler.Start()
 		logger.Printf("anti-entropy as %q every %s", gcfg.Name, *interval)
 	}

@@ -32,6 +32,9 @@ var metriczConfigs = []struct {
 	{"cluster", func(_ *testing.T, addr string) []string {
 		return []string{"-node-id", "a", "-peers", "a=" + addr}
 	}},
+	{"gossip", func(_ *testing.T, addr string) []string {
+		return []string{"-interval", "10ms", "-peers", addr}
+	}},
 }
 
 // TestMetriczKeyTree scrapes the /metricz handler of a real trustd in each
@@ -175,8 +178,8 @@ func (n node) scrape(t *testing.T) map[string]any {
 }
 
 // flatten lists a decoded document's leaf paths: object keys joined by dots,
-// an array's elements as [], and every key under per_type (a request type)
-// or cluster.peer_rtt_ms (a peer ID) as *.
+// an array's elements as [], and every key under per_type (a request type),
+// cluster.peers or cluster.peer_rtt_ms (a peer ID) as *.
 func flatten(doc map[string]any) map[string]bool {
 	out := map[string]bool{}
 	var walk func(path string, v any)
@@ -184,7 +187,7 @@ func flatten(doc map[string]any) map[string]bool {
 		switch v := v.(type) {
 		case map[string]any:
 			for k, sub := range v {
-				if path == "per_type" || path == "cluster.peer_rtt_ms" {
+				if path == "per_type" || path == "cluster.peers" || path == "cluster.peer_rtt_ms" {
 					k = "*"
 				}
 				if path != "" {

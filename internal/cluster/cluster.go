@@ -294,11 +294,13 @@ func (c *Cluster) noteErr(node string, err error) {
 }
 
 // RegisterMetrics declares the cluster block of reg: node ID, replication
-// factor, the calls routed to a peer (forwarded) and those that failed at the
+// factor, virtual nodes per member, every member's address by ID (peers),
+// the calls routed to a peer (forwarded) and those that failed at the
 // transport level, not typed errors relayed back (forward_errors), and the
-// last RTT to each dialed peer. For a nil *Cluster, a node that is not
-// clustered, enabled is false and the counters zero. Registering again
-// replaces the block.
+// last RTT to each dialed peer. It is the node's whole view of its cluster,
+// which `trustctl cluster-status` prints. For a nil *Cluster, a node that
+// is not clustered, enabled is false and the counters zero. Registering
+// again replaces the block.
 func (c *Cluster) RegisterMetrics(reg *metrics.Registry) {
 	if c == nil {
 		c = &Cluster{}
@@ -306,42 +308,31 @@ func (c *Cluster) RegisterMetrics(reg *metrics.Registry) {
 	reg.Gauge("cluster.enabled", func() any { return c.ring != nil })
 	reg.Gauge("cluster.node", func() any { return metrics.OmitZero(c.self.ID) })
 	reg.Gauge("cluster.replicas", func() any { return metrics.OmitZero(c.replicas) })
+	reg.Gauge("cluster.vnodes", func() any { return metrics.OmitZero(c.vnodes) })
+	reg.Gauge("cluster.peers", func() any {
+		if c.ring == nil {
+			return nil
+		}
+		addrs := make(map[string]string, len(c.nodes))
+		for id, n := range c.nodes {
+			addrs[id] = n.Addr
+		}
+		return addrs
+	})
 	reg.Counter("cluster.forwarded", &c.forwarded)
 	reg.Counter("cluster.forward_errors", &c.forwardErrors)
 	reg.Gauge("cluster.peer_rtt_ms", func() any {
-		if ms := c.peerRTTMs(); len(ms) > 0 {
-			return ms
+		c.mu.Lock()
+		defer c.mu.Unlock()
+		if len(c.rtts) == 0 {
+			return nil
 		}
-		return nil
+		ms := make(map[string]float64, len(c.rtts))
+		for id, d := range c.rtts {
+			ms[id] = float64(d) / 1e6
+		}
+		return ms
 	})
-}
-
-// peerRTTMs is the last measured round trip to each dialed peer in
-// milliseconds.
-func (c *Cluster) peerRTTMs() map[string]float64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	ms := make(map[string]float64, len(c.rtts))
-	for id, d := range c.rtts {
-		ms[id] = float64(d) / 1e6
-	}
-	return ms
-}
-
-// Status describes the cluster for the cluster.info RPC.
-func (c *Cluster) Status(ownedServers int) wire.ClusterStatusResponse {
-	resp := wire.ClusterStatusResponse{
-		Enabled:  true,
-		Node:     c.self.ID,
-		Replicas: c.replicas,
-		VNodes:   c.vnodes,
-		Owned:    ownedServers,
-	}
-	rtts := c.peerRTTMs()
-	for _, n := range c.Nodes() {
-		resp.Peers = append(resp.Peers, wire.ClusterPeer{ID: n.ID, Addr: n.Addr, Self: n.ID == c.self.ID, RTTMs: rtts[n.ID]})
-	}
-	return resp
 }
 
 // ParseNodes parses a `-peers` membership spec: comma-separated `id=addr`

@@ -19,6 +19,7 @@ import (
 	"honestplayer/internal/cluster"
 	"honestplayer/internal/core"
 	"honestplayer/internal/feedback"
+	"honestplayer/internal/gossip"
 	"honestplayer/internal/ledger"
 	"honestplayer/internal/repclient"
 	"honestplayer/internal/repserver"
@@ -858,6 +859,51 @@ func TestRevision15ConnectionNames(t *testing.T) {
 		if _, answers := relay.stats(10); binary != 0 || batches != 3 || histories != 3*len(ids) || answers != 3*len(ids) {
 			t.Errorf("%s: %d binary payloads, %d assess.batch.resp, %d history.resp and %d assess.resp frames crossed; want 0, 3, %d and %d",
 				dir.name, binary, batches, histories, answers, 3*len(ids), 3*len(ids))
+		}
+	}
+}
+
+// TestRevision16GossipRoundTrip is the skew cell of revision 16, which made
+// the anti-entropy exchange one round trip of two binary payloads: a summary
+// of the initiator's checksums, answered with the stale servers and one
+// record batch of their histories. A reconciler of this build repairing
+// from a node a revision away, either way round, meets it on the bridge:
+// one summary and one answer cross, both JSON, and the round leaves the
+// initiator's store holding exactly the peer's records, as a direct round
+// does; the next round finds nothing stale.
+func TestRevision16GossipRoundTrip(t *testing.T) {
+	ids := []feedback.EntityID{"gossip-a", "gossip-b", "gossip-c"}
+	for _, dir := range directions {
+		src, dst := newServer(t), newServer(t)
+		src.Start()
+		dst.Start()
+		total := 0
+		for i, id := range ids {
+			if _, err := src.Seed(history(id, 150+25*i)); err != nil {
+				t.Fatal(err)
+			}
+			total += 150 + 25*i
+		}
+		relay := newSkewRelay(t, src.Addr(), dir)
+		r, err := gossip.New(gossip.Config{Name: "dst", Node: dst, Peers: []string{relay.addr}, Seed: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { _ = r.Close() })
+		if err := r.RoundOnce(); err != nil {
+			t.Fatalf("%s: %v", dir.name, err)
+		}
+		if !reflect.DeepEqual(dst.Summary(), src.Summary()) || r.Received() != uint64(total) {
+			t.Fatalf("%s: a round across the bridge pulled %d records of %d; stores differ: %v",
+				dir.name, r.Received(), total, !reflect.DeepEqual(dst.Summary(), src.Summary()))
+		}
+		if err := r.RoundOnce(); err != nil || r.InSyncRounds() != 1 {
+			t.Fatalf("%s: second round: %v, in-sync rounds %d", dir.name, err, r.InSyncRounds())
+		}
+		binary, summaries := relay.stats(15) // gossip.summary
+		if _, answers := relay.stats(16); binary != 0 || summaries != 2 || answers != 2 {
+			t.Errorf("%s: %d binary payloads, %d summaries and %d answers crossed; want 0, 2 and 2",
+				dir.name, binary, summaries, answers)
 		}
 	}
 }

@@ -5,20 +5,20 @@
 // eventually holds every record and can run two-phase trust assessment
 // locally.
 //
-// Reconciliation is a two-phase pull between reputation nodes. The
-// initiator — a Reconciler, an ordinary client of its peers' serving
-// listeners — first sends per-server checksums (gossip.summary); the peer
-// answers with the servers whose record sets differ (gossip.summary.resp).
-// Only for those does the initiator send the full hash digest
-// (gossip.digest, scoped), receiving the records it is missing
-// (gossip.delta), which it stores through its own node's write path. After
-// convergence a round costs one summary round trip. The initiator learns,
-// the responder doesn't — convergence comes from every node initiating
-// rounds. Records are content-addressed, so the exchange is idempotent and
-// commutative: histories converge to the same time-ordered sequence on
-// every node regardless of delivery order.
+// A round is one pull between reputation nodes, one round trip (ADR 0022).
+// The initiator — a Reconciler, an ordinary client of its peers' serving
+// listeners — sends its per-server checksums (gossip.summary); the peer
+// answers with the servers whose record sets differ and whose replica sets
+// hold the initiator, and with its whole histories of as many of them as
+// one record batch holds (gossip.summary.resp). The initiator stores the
+// batch through its own node's write path, which drops the records it holds
+// already; a server the batch left out stays stale for a later round. The
+// initiator learns, the responder doesn't — convergence comes from every
+// node initiating rounds. Records are content-addressed, so the exchange is
+// idempotent and commutative: histories converge to the same time-ordered
+// sequence on every node regardless of delivery order.
 //
-// The responder half is two request handlers in internal/repserver.
+// The responder half is a request handler in internal/repserver.
 package gossip
 
 import (
@@ -31,7 +31,7 @@ import (
 	"time"
 
 	"honestplayer/internal/cluster"
-	"honestplayer/internal/feedback"
+	"honestplayer/internal/metrics"
 	"honestplayer/internal/repclient"
 	"honestplayer/internal/stats"
 	"honestplayer/internal/store"
@@ -44,27 +44,25 @@ type Node interface {
 	// Summary returns the node's per-server checksums, scoped to its replica
 	// sets when clustered. The map is shared: read-only.
 	Summary() map[string]store.Checksum
-	// Hashes returns the content hashes of the records the node holds for
-	// servers, faulting evicted servers in.
-	Hashes(ctx context.Context, servers []string) ([]uint64, error)
-	// Seed stores records through the node's one write path, returning how
-	// many were new. A rejected record is reported as the error without
-	// discarding the rest.
-	Seed(recs []feedback.Feedback) (int, error)
+	// SeedBatch stores a record batch through the node's one write path,
+	// returning how many records were new. A rejected record is reported as
+	// the error without discarding the rest.
+	SeedBatch(rb wire.RecordBatch) (int, error)
 	// Cluster returns the node's cluster view; nil on a single node.
 	Cluster() *cluster.Cluster
 }
 
 // Config parameterises a Reconciler.
 type Config struct {
-	// Name identifies the node in digests and logs.
+	// Name identifies the node in summaries and logs; on a cluster it is
+	// the node's ID, which its peers look for in a server's replica set.
 	Name string
 	// Node is the local node whose store the reconciler repairs.
 	Node Node
 	// Peers are the serving addresses of the nodes to reconcile with; every
 	// record then converges to every node. A clustered Node ignores them:
 	// it reconciles with its ring neighbours over the cluster's pooled
-	// connections and pulls only servers in its own replica sets, so
+	// connections and is sent only servers in its own replica sets, so
 	// partitioned ownership is preserved under repair.
 	Peers []string
 	// Interval between background rounds; zero means 200ms.
@@ -90,9 +88,7 @@ type Reconciler struct {
 	rng   *stats.RNG
 	peers []string
 
-	rounds   atomic.Uint64
-	received atomic.Uint64
-	inSync   atomic.Uint64
+	rounds, received, inSync, roundErrors atomic.Uint64
 }
 
 // New creates a reconciler for cfg.Node. It opens no connection and starts
@@ -123,9 +119,20 @@ func (n *Reconciler) Rounds() uint64 { return n.rounds.Load() }
 // Received returns the number of records learned from peers.
 func (n *Reconciler) Received() uint64 { return n.received.Load() }
 
-// InSyncRounds returns the number of rounds that ended after the summary
-// exchange because nothing differed — the cheap steady-state case.
+// InSyncRounds returns the number of rounds in which nothing differed —
+// the cheap steady-state case.
 func (n *Reconciler) InSyncRounds() uint64 { return n.inSync.Load() }
+
+// RegisterMetrics declares the reconciler's block of reg: its completed
+// rounds, the records they pulled, the rounds that found nothing stale and
+// the background rounds that failed — a repair that never completes shows
+// there, not only in the log.
+func (n *Reconciler) RegisterMetrics(reg *metrics.Registry) {
+	reg.Counter("gossip.rounds", &n.rounds)
+	reg.Counter("gossip.received", &n.received)
+	reg.Counter("gossip.in_sync_rounds", &n.inSync)
+	reg.Counter("gossip.round_errors", &n.roundErrors)
+}
 
 // AddPeer registers another peer's serving address.
 func (n *Reconciler) AddPeer(addr string) {
@@ -146,9 +153,11 @@ func (n *Reconciler) Start() {
 			case <-n.baseCtx.Done():
 				return
 			case <-ticker.C:
-				err := n.RoundOnce()
-				if err != nil && n.baseCtx.Err() == nil && n.cfg.Logger != nil {
-					n.cfg.Logger.Printf("%s: gossip round: %v", n.cfg.Name, err)
+				if err := n.RoundOnce(); err != nil && n.baseCtx.Err() == nil {
+					n.roundErrors.Add(1)
+					if n.cfg.Logger != nil {
+						n.cfg.Logger.Printf("%s: gossip round: %v", n.cfg.Name, err)
+					}
 				}
 			}
 		}
@@ -163,25 +172,13 @@ func (n *Reconciler) Close() error {
 	return nil
 }
 
-// exchange runs one call of a round: against the cluster's pooled
-// connection to the peer node, counted with its forwards, when cl is set,
-// and against the round's own connection otherwise.
-func exchange[T any](ctx context.Context, cl *cluster.Cluster, peer string, own *repclient.Client, call func(context.Context, *repclient.Client) (T, error)) (T, error) {
-	if cl != nil {
-		return cluster.Forward(ctx, cl, peer, call)
-	}
-	return call(ctx, own)
-}
-
-// RoundOnce performs one anti-entropy exchange with a random peer. It
-// first exchanges per-server checksum summaries; only for servers whose
-// record sets differ does it send the (much larger) hash digest and pull
-// the missing records. After convergence a round therefore costs one
-// summary round trip. It is exported so tests and tools can drive
-// convergence deterministically.
+// RoundOnce performs one anti-entropy round trip with a random peer: it
+// sends the node's per-server checksums and stores the records the peer
+// answers with. It is exported so tests and tools can drive convergence
+// deterministically.
 func (n *Reconciler) RoundOnce() error { return n.RoundOnceCtx(n.baseCtx) }
 
-// RoundOnceCtx is RoundOnce bounded by ctx: its deadline bounds each round
+// RoundOnceCtx is RoundOnce bounded by ctx: its deadline bounds the round
 // trip, and cancellation (e.g. Close) aborts a round mid-exchange.
 func (n *Reconciler) RoundOnceCtx(ctx context.Context) error {
 	cl := n.cfg.Node.Cluster()
@@ -199,57 +196,36 @@ func (n *Reconciler) RoundOnceCtx(ctx context.Context) error {
 	if err := ctx.Err(); err != nil {
 		return err
 	}
-	var own *repclient.Client
-	if cl == nil {
-		var err error
+	summary := wire.SummaryMsg{Node: n.cfg.Name, Servers: n.cfg.Node.Summary()}
+	call := func(ctx context.Context, pc *repclient.Client) (wire.SummaryResp, error) {
+		return pc.GossipSummaryCtx(ctx, summary)
+	}
+	var sr wire.SummaryResp
+	var err error
+	if cl != nil {
+		// Against the cluster's pooled connection to the peer node, counted
+		// with its forwards.
+		sr, err = cluster.Forward(ctx, cl, peer, call)
+	} else {
+		var own *repclient.Client
 		if own, err = repclient.Dial(peer); err != nil {
 			return err
 		}
 		defer func() { _ = own.Close() }()
+		sr, err = call(ctx, own)
 	}
-
-	// Phase 1: summary exchange.
-	summary := wire.SummaryMsg{Node: n.cfg.Name, Servers: n.cfg.Node.Summary()}
-	sr, err := exchange(ctx, cl, peer, own, func(ctx context.Context, pc *repclient.Client) (wire.SummaryResp, error) {
-		return pc.GossipSummaryCtx(ctx, summary)
-	})
 	if err != nil {
 		return fmt.Errorf("summary exchange with %s: %w", peer, err)
-	}
-	if cl != nil {
-		// The peer reports every server whose record set differs from our
-		// (owned-only) summary — including servers we are not responsible
-		// for. Pull only our own.
-		kept := sr.Stale[:0]
-		for _, srv := range sr.Stale {
-			if cl.Owns(feedback.EntityID(srv)) {
-				kept = append(kept, srv)
-			}
-		}
-		sr.Stale = kept
 	}
 	if len(sr.Stale) == 0 {
 		n.inSync.Add(1)
 		n.rounds.Add(1)
 		return nil
 	}
-
-	// Phase 2: scoped digest for the out-of-sync servers.
-	hashes, err := n.cfg.Node.Hashes(ctx, sr.Stale)
-	if err != nil {
-		return fmt.Errorf("digest for %s: %w", peer, err)
-	}
-	digest := wire.DigestMsg{Node: n.cfg.Name, Servers: sr.Stale, Hashes: hashes}
-	delta, err := exchange(ctx, cl, peer, own, func(ctx context.Context, pc *repclient.Client) (wire.DeltaMsg, error) {
-		return pc.GossipDigestCtx(ctx, digest)
-	})
-	if err != nil {
-		return fmt.Errorf("digest exchange with %s: %w", peer, err)
-	}
-	added, err := n.cfg.Node.Seed(delta.Records)
+	added, err := n.cfg.Node.SeedBatch(sr.Records)
 	n.received.Add(uint64(added))
 	if err != nil {
-		return fmt.Errorf("store delta from %s: %w", peer, err)
+		return fmt.Errorf("store records from %s: %w", peer, err)
 	}
 	n.rounds.Add(1)
 	return nil

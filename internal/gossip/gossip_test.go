@@ -2,6 +2,7 @@ package gossip
 
 import (
 	"context"
+	"fmt"
 	"path/filepath"
 	"testing"
 	"time"
@@ -120,9 +121,10 @@ func TestTwoNodeConvergenceManualRounds(t *testing.T) {
 	if a.Received() == 0 || b.Received() == 0 {
 		t.Fatal("received counters did not move")
 	}
-	// The exchange was served by the ordinary request pipeline.
-	if pt, _ := b.srv.Metrics().Value("per_type").(service.Snapshot); pt["gossip.summary"].Requests == 0 || pt["gossip.digest"].Requests == 0 {
-		t.Fatalf("responder metrics missing the exchange: %+v", pt)
+	// The exchange was served by the ordinary request pipeline, one round
+	// trip for a's one round.
+	if pt, _ := b.srv.Metrics().Value("per_type").(service.Snapshot); pt["gossip.summary"].Requests != 1 || len(pt) != 1 {
+		t.Fatalf("responder metrics of the exchange: %+v", pt)
 	}
 }
 
@@ -235,8 +237,8 @@ func TestSummaryShortCircuitWhenInSync(t *testing.T) {
 	if b.Store().Len() != 10 {
 		t.Fatalf("in-sync round changed the store: %d", b.Store().Len())
 	}
-	if got := a.srv.Metrics().Value("per_type").(service.Snapshot)["gossip.digest"].Requests; got != 1 {
-		t.Fatalf("responder served %d digests over two rounds, want 1", got)
+	if got := a.srv.Metrics().Value("per_type").(service.Snapshot)["gossip.summary"].Requests; got != 2 {
+		t.Fatalf("responder served %d summaries over two rounds, want one round trip each", got)
 	}
 }
 
@@ -258,6 +260,39 @@ func TestScopedDigestOnlyTouchesStaleServers(t *testing.T) {
 	// Only srv2's record crossed the wire.
 	if a.Received() != 1 {
 		t.Fatalf("received = %d, want 1", a.Received())
+	}
+}
+
+// TestRoundOnceRepairsAStalePeer: a peer that missed 60,000 records over 100
+// servers converges through RoundOnce. Each round's answer holds as many
+// whole histories as fit one bound, so every round succeeds and moves some
+// servers, and the rest stay stale for the next; one answer of every
+// missing record would be above the frame bound, and so was the old
+// exchange's delta, on every round.
+func TestRoundOnceRepairsAStalePeer(t *testing.T) {
+	a := newNode(t, "a")
+	b := newNode(t, "b")
+	b.AddPeer(a.Addr())
+	const servers, each = 100, 600
+	recs := make([]feedback.Feedback, 0, servers*each)
+	for s := range servers {
+		for i := range each {
+			recs = append(recs, rec(feedback.EntityID(fmt.Sprintf("server-%03d", s)),
+				feedback.EntityID(fmt.Sprintf("client-%d", (s+i)%37)), i%9 != 0, int64(1_700_000_000+i*60)))
+		}
+	}
+	a.seed(t, recs...)
+	for round := 1; b.Store().Len() < len(recs); round++ {
+		if round > 10 {
+			t.Fatalf("%d of %d records after %d rounds", b.Store().Len(), len(recs), round-1)
+		}
+		if err := b.RoundOnce(); err != nil {
+			t.Fatalf("round %d: %v", round, err)
+		}
+	}
+	t.Logf("%d records over %d servers in %d rounds", len(recs), servers, b.Rounds())
+	if err := b.RoundOnce(); err != nil || b.InSyncRounds() != 1 || b.Received() != uint64(len(recs)) {
+		t.Fatalf("after convergence: %v, in-sync rounds %d, received %d", err, b.InSyncRounds(), b.Received())
 	}
 }
 

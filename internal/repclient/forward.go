@@ -8,12 +8,11 @@ import (
 )
 
 // Node-to-node calls. These are the internal RPC surface between trustd
-// nodes (wire types fwd.*, gossip.* and cluster.info): nodes use the fwd.*
-// calls to route requests to the owner of a server's history and the
-// gossip.* pair to pull records a replica missed, and trustctl uses
-// ClusterStatusCtx for `cluster-status`. They share the client's normal
-// transport — pipelining, poisoning, redial — so a node-to-node link gets
-// the same failure semantics as a client link.
+// nodes (wire types fwd.* and gossip.*): nodes use the fwd.* calls to route
+// requests to the owner of a server's history and the gossip.* pair to pull
+// records a replica missed. They share the client's normal transport —
+// pipelining, poisoning, redial — so a node-to-node link gets the same
+// failure semantics as a client link.
 
 // ForwardBatchCtx hands a batch of records to the peer in one frame, with
 // the same per-record report as a client batch submit. Replica marks a
@@ -36,33 +35,11 @@ func (c *Client) ForwardAssessBatchCtx(ctx context.Context, node string, servers
 	return resp.Items, nil
 }
 
-// GossipSummaryCtx opens an anti-entropy exchange: it sends the caller's
+// GossipSummaryCtx is an anti-entropy round trip: it sends the caller's
 // per-server checksums and returns the servers whose record sets differ on
-// the peer.
+// the peer, with the peer's records of as many of them as one answer holds.
 func (c *Client) GossipSummaryCtx(ctx context.Context, msg wire.SummaryMsg) (wire.SummaryResp, error) {
 	var resp wire.SummaryResp
 	err := c.muxRoundTrip(ctx, wire.TypeSummary, wire.TypeSummaryR, msg, &resp)
 	return resp, err
-}
-
-// GossipDigestCtx sends the content hashes the caller holds for the listed
-// servers and returns the peer's records of those servers that are missing
-// from them.
-func (c *Client) GossipDigestCtx(ctx context.Context, msg wire.DigestMsg) (wire.DeltaMsg, error) {
-	var resp wire.DeltaMsg
-	err := c.muxRoundTrip(ctx, wire.TypeDigest, wire.TypeDelta, msg, &resp)
-	return resp, err
-}
-
-// ClusterStatusCtx fetches the peer's view of its cluster. Single-node
-// servers answer Enabled=false.
-func (c *Client) ClusterStatusCtx(ctx context.Context) (wire.ClusterStatusResponse, error) {
-	var resp wire.ClusterStatusResponse
-	err := c.muxRoundTrip(ctx, wire.TypeClusterInfo, wire.TypeClusterInfoR, wire.ClusterStatusRequest{}, &resp)
-	return resp, err
-}
-
-// ClusterStatus is ClusterStatusCtx with the client's configured timeout.
-func (c *Client) ClusterStatus() (wire.ClusterStatusResponse, error) {
-	return c.ClusterStatusCtx(context.Background())
 }

@@ -207,10 +207,12 @@ func BenchmarkAssessAfterAppend(b *testing.B) {
 // seedingFrames is the seeding shape of the ingest_durable workload: 512
 // servers of 586 records — honest players over 50 clients, one record a
 // second — sent as submit.batch frames of up to 256 records of one server,
-// encoded as a client encodes them.
+// encoded and committed as a client encodes and writes them on one
+// connection, its ids crossing as the connection's name refs.
 func seedingFrames(b *testing.B) (frames []wire.Envelope, records int) {
 	b.Helper()
 	rng := stats.NewRNG(1)
+	client := wire.CodecFor(wire.VersionV2)
 	for i := 0; i < 512; i++ {
 		h, err := attack.GenHonest(feedback.EntityID(fmt.Sprintf("srv-%d", i)), 586, 0.9+0.09*rng.Float64(), 50, rng)
 		if err != nil {
@@ -219,7 +221,10 @@ func seedingFrames(b *testing.B) (frames []wire.Envelope, records int) {
 		recs := h.Records()
 		for start := 0; start < len(recs); start += wire.MaxSubmitBatch {
 			chunk := recs[start:min(start+wire.MaxSubmitBatch, len(recs))]
-			env, err := wire.V2Codec.Encode(wire.TypeSubmitB, uint64(len(frames)+1), wire.BatchRequest{Records: chunk})
+			env, err := client.Encode(wire.TypeSubmitB, uint64(len(frames)+1), wire.BatchRequest{Records: chunk})
+			if err == nil {
+				err = client.Commit(&env)
+			}
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -231,12 +236,12 @@ func seedingFrames(b *testing.B) (frames []wire.Envelope, records int) {
 }
 
 // BenchmarkDurableIngest drives the seeding shape through a durable node in
-// process, one frame after another as one connection sends them: frame
-// decode, the store's server runs and the ledger's group commit, with a
-// snapshot at the workload's -snapshot-every. It reports ns/record.
+// process, one frame after another as one connection carries them — each
+// committed at the node's end before it is served: frame decode, the
+// store's server runs and the ledger's group commit, with a snapshot at the
+// workload's -snapshot-every. It reports ns/record.
 func BenchmarkDurableIngest(b *testing.B) {
 	frames, records := seedingFrames(b)
-	ctx := service.WithCodec(context.Background(), wire.V2Codec)
 	b.ResetTimer()
 	for range b.N {
 		b.StopTimer()
@@ -248,9 +253,15 @@ func BenchmarkDurableIngest(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
+		conn := wire.CodecFor(wire.VersionV2)
+		ctx := service.WithCodec(context.Background(), conn)
 		b.StartTimer()
 		for _, env := range frames {
-			resp, err := srv.pipeline(ctx, env)
+			err := conn.Commit(&env)
+			var resp wire.Envelope
+			if err == nil {
+				resp, err = srv.pipeline(ctx, env)
+			}
 			if err != nil || resp.Type != wire.TypeSubmitBR {
 				b.Fatalf("frame %d: %s, %v", env.ID, resp.Type, err)
 			}

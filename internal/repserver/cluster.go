@@ -18,7 +18,6 @@ import (
 
 	"honestplayer/internal/cluster"
 	"honestplayer/internal/feedback"
-	"honestplayer/internal/service"
 	"honestplayer/internal/wire"
 )
 
@@ -317,13 +316,4 @@ func (s *Server) fwdAssessBatch(ctx context.Context, req wire.FwdAssessBatchRequ
 		return wire.FwdAssessBatchResponse{}, err
 	}
 	return wire.FwdAssessBatchResponse{Node: s.nodeID(), Items: resp.Items}, nil
-}
-
-func (s *Server) handleClusterInfo(ctx context.Context, env wire.Envelope) (wire.Envelope, error) {
-	owned := len(s.cfg.Store.Servers())
-	resp := wire.ClusterStatusResponse{Owned: owned}
-	if cl := s.clusterRef.Load(); cl != nil {
-		resp = cl.Status(owned)
-	}
-	return service.CodecFrom(ctx).Encode(wire.TypeClusterInfoR, env.ID, resp)
 }

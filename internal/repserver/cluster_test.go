@@ -193,27 +193,24 @@ func TestClusterUnknownServerRelayed(t *testing.T) {
 	}
 }
 
-// TestClusterStatusRPC: cluster.info reports membership from a clustered
-// node and enabled=false from a plain one.
-func TestClusterStatusRPC(t *testing.T) {
+// TestClusterStatusOnRegistry: a node's view of its cluster is the cluster
+// block of its registry (trustctl cluster-status prints it): membership by
+// ID with addresses from a clustered node, enabled false and no members
+// from a plain one.
+func TestClusterStatusOnRegistry(t *testing.T) {
 	servers := startCluster(t, 3, 2, func() Config { return Config{Assessor: testAssessor(t)} })
-	c := dial(t, servers[1])
-	status, err := c.ClusterStatus()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !status.Enabled || status.Node != "n2" || status.Replicas != 2 || len(status.Peers) != 3 {
-		t.Fatalf("cluster status = %+v", status)
+	reg := servers[1].Metrics()
+	peers, _ := reg.Value("cluster.peers").(map[string]string)
+	if reg.Value("cluster.enabled") != true || reg.Value("cluster.node") != "n2" || reg.Value("cluster.replicas") != 2 ||
+		reg.Value("cluster.vnodes") != cluster.DefaultVNodes || len(peers) != 3 || peers["n3"] != servers[2].Addr() {
+		t.Fatalf("cluster block: enabled %v node %v replicas %v vnodes %v peers %v", reg.Value("cluster.enabled"),
+			reg.Value("cluster.node"), reg.Value("cluster.replicas"), reg.Value("cluster.vnodes"), peers)
 	}
 
-	plain := startServer(t)
-	pc := dial(t, plain)
-	status, err = pc.ClusterStatus()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if status.Enabled {
-		t.Fatalf("plain server reports enabled cluster: %+v", status)
+	plain := startServer(t).Metrics()
+	if plain.Value("cluster.enabled") != false || plain.Value("cluster.peers") != nil || plain.Value("cluster.vnodes") != nil {
+		t.Fatalf("plain server's cluster block: enabled %v peers %v vnodes %v", plain.Value("cluster.enabled"),
+			plain.Value("cluster.peers"), plain.Value("cluster.vnodes"))
 	}
 }
 

@@ -1,19 +1,18 @@
 package repserver
 
 // Anti-entropy, the responder half (the initiator is internal/gossip, a
-// client of this listener): gossip.summary and gossip.digest are ordinary
-// requests in the service pipeline, so they get its recovery, metrics,
-// deadline and drain, ride either codec, and read histories from the store,
-// which faults an evicted server in — a peer can be repaired from a server
-// this node has evicted. Summary and Hashes are the same local reads, offered in process
-// to the node's own reconciler (they make *Server a gossip.Node).
+// client of this listener): gossip.summary is an ordinary request in the
+// service pipeline — recovery, metrics, deadline, drain, either codec — and
+// reads histories from the store, which faults an evicted server in.
+// Summary and SeedBatch, the node's own reconciler's local read and write,
+// make *Server a gossip.Node.
 
 import (
 	"context"
+	"slices"
 	"sort"
 
 	"honestplayer/internal/feedback"
-	"honestplayer/internal/service"
 	"honestplayer/internal/store"
 	"honestplayer/internal/wire"
 )
@@ -47,63 +46,40 @@ func (s *Server) Summary() map[string]store.Checksum {
 	return m
 }
 
-// eachRecord visits every record held for servers, in history order, as a
-// history and an index into it; it stops early when ctx ends.
-func (s *Server) eachRecord(ctx context.Context, servers []string, visit func(h *feedback.History, i int)) error {
-	for _, srv := range servers {
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		h, err := s.cfg.Store.History(feedback.EntityID(srv))
-		if err != nil {
-			return storeError(err)
-		}
-		for i := 0; i < h.Len(); i++ {
-			visit(h, i)
-		}
-	}
-	return nil
-}
-
-// Hashes returns the content hashes of every record held for servers — the
-// digest an anti-entropy round sends for the servers a peer reported stale.
-func (s *Server) Hashes(ctx context.Context, servers []string) ([]uint64, error) {
-	var hashes []uint64
-	err := s.eachRecord(ctx, servers, func(h *feedback.History, i int) {
-		hashes = append(hashes, uint64(store.HashAt(h, i)))
-	})
-	return hashes, err
-}
-
-// gossipSummary answers a peer's summary with the servers it should pull:
-// those whose local checksum differs from the peer's, or that the peer has
-// never seen.
-func (s *Server) gossipSummary(_ context.Context, req wire.SummaryMsg) (wire.SummaryResp, error) {
+// gossipSummary answers a peer's summary: the servers whose checksum here
+// differs from the peer's, or that it lacks, and on a cluster whose replica
+// sets hold the peer; and the whole histories of as many of them, in that
+// order, as fit maxHistoryChunk records, at least one. The rest stay stale
+// for the peer's next round.
+func (s *Server) gossipSummary(ctx context.Context, req wire.SummaryMsg) (wire.SummaryResp, error) {
+	cl := s.clusterRef.Load()
 	var stale []string
 	for srv, sum := range s.Summary() {
-		if remote, ok := req.Servers[srv]; !ok || remote != sum {
+		if remote, ok := req.Servers[srv]; ok && remote == sum {
+			continue
+		}
+		if cl == nil || slices.Contains(cl.ReplicaSet(feedback.EntityID(srv)), req.Node) {
 			stale = append(stale, srv)
 		}
 	}
 	sort.Strings(stale)
-	return wire.SummaryResp{Stale: stale}, nil
-}
-
-// gossipDigest answers a peer's digest with the records of the listed
-// servers whose content hashes the digest lacks.
-func (s *Server) gossipDigest(ctx context.Context, req wire.DigestMsg) (wire.DeltaMsg, error) {
-	if len(req.Servers) == 0 {
-		return wire.DeltaMsg{}, service.Errorf(wire.CodeBadRequest, "digest names no servers")
-	}
-	have := make(map[store.Hash]struct{}, len(req.Hashes))
-	for _, h := range req.Hashes {
-		have[store.Hash(h)] = struct{}{}
-	}
-	var missing []feedback.Feedback
-	err := s.eachRecord(ctx, req.Servers, func(h *feedback.History, i int) {
-		if _, ok := have[store.HashAt(h, i)]; !ok {
-			missing = append(missing, h.At(i))
+	b := new(feedback.Batch)
+	for _, srv := range stale {
+		if err := ctx.Err(); err != nil {
+			return wire.SummaryResp{}, err
 		}
-	})
-	return wire.DeltaMsg{Records: missing}, err
+		h, err := s.cfg.Store.History(feedback.EntityID(srv))
+		if err != nil {
+			return wire.SummaryResp{}, storeError(err)
+		}
+		if b.Len() > 0 && b.Len()+h.Len() > maxHistoryChunk {
+			break
+		}
+		for i := range h.Len() {
+			if err := b.Append(h.At(i)); err != nil {
+				return wire.SummaryResp{}, storeError(err)
+			}
+		}
+	}
+	return wire.SummaryResp{Stale: stale, Records: wire.RecordBatch{Batch: b}}, nil
 }

@@ -107,10 +107,10 @@ func TestClusterRepairEndToEnd(t *testing.T) {
 	}
 }
 
-// TestGossipExchangeSameOverEitherFraming: the anti-entropy pair is served
-// by the ordinary pipeline, so a bridged client and a binary one get the same
-// stale list and the same delta, an unscoped digest is a bad request on
-// both, and the exchange shows up in the per-type metrics.
+// TestGossipExchangeSameOverEitherFraming: the anti-entropy round trip is
+// served by the ordinary pipeline, so a bridged client and a binary one get
+// the same stale list and the same records — the whole history of each
+// stale server — and the exchange shows up in the per-type metrics.
 func TestGossipExchangeSameOverEitherFraming(t *testing.T) {
 	srv := startServer(t)
 	var held []feedback.Feedback
@@ -121,55 +121,43 @@ func TestGossipExchangeSameOverEitherFraming(t *testing.T) {
 	if _, err := srv.Seed(held); err != nil {
 		t.Fatal(err)
 	}
-	// The caller holds s1's first five records and s2 exactly.
-	have := []uint64{}
-	for _, f := range held[:5] {
-		have = append(have, uint64(store.HashOf(f)))
-	}
+	// The caller holds another record set of s1 and s2 exactly.
 	summary := wire.SummaryMsg{Node: "peer", Servers: map[string]store.Checksum{
 		"s1": {Count: 5, XOR: 1},
 		"s2": srv.Summary()["s2"],
 	}}
-	digest := wire.DigestMsg{Node: "peer", Servers: []string{"s1"}, Hashes: have}
 
 	type answer struct {
-		Stale []string
-		Delta []feedback.Feedback
-		Code  string
+		Stale   []string
+		Records []feedback.Feedback
 	}
 	var answers []answer
 	eachFraming(t, func(t *testing.T, connect func(*Server) *repclient.Client) {
-		c := connect(srv)
-		ctx := context.Background()
-		sr, err := c.GossipSummaryCtx(ctx, summary)
+		sr, err := connect(srv).GossipSummaryCtx(context.Background(), summary)
 		if err != nil {
 			t.Fatal(err)
 		}
-		delta, err := c.GossipDigestCtx(ctx, digest)
-		if err != nil {
-			t.Fatal(err)
-		}
-		_, err = c.GossipDigestCtx(ctx, wire.DigestMsg{Node: "legacy"})
-		answers = append(answers, answer{Stale: sr.Stale, Delta: delta.Records, Code: codeOf(t, err)})
+		answers = append(answers, answer{Stale: sr.Stale, Records: sr.Records.Batch.Records()})
 	})
-	want := answer{Stale: []string{"s1"}, Delta: held[5:12], Code: wire.CodeBadRequest}
+	want := answer{Stale: []string{"s1"}, Records: held[:12]}
 	for i, got := range answers {
 		if !reflect.DeepEqual(got, want) {
 			t.Fatalf("framing %d answered\n %+v\nwant\n %+v", i, got, want)
 		}
 	}
 	pt, _ := srv.Metrics().Value("per_type").(service.Snapshot)
-	if s, d := pt[string(wire.TypeSummary)], pt[string(wire.TypeDigest)]; s.Requests != 2 || d.Requests != 4 || d.Errors != 2 {
-		t.Fatalf("per_type rows: summary %+v digest %+v", s, d)
+	if s := pt[string(wire.TypeSummary)]; s.Requests != 2 || s.Errors != 0 {
+		t.Fatalf("per_type summary row: %+v", s)
 	}
 }
 
-// TestGossipDigestDeadline: a gossip.digest whose handler outlives
-// RequestTimeout — here stuck faulting an evicted server in — is answered
-// deadline_exceeded like any other request, and the connection stays usable.
-func TestGossipDigestDeadline(t *testing.T) { eachFraming(t, testGossipDigestDeadline) }
+// TestGossipSummaryDeadline: a gossip.summary whose handler outlives
+// RequestTimeout — here stuck faulting in the evicted history of a server
+// the peer lacks — is answered deadline_exceeded like any other request,
+// and the connection stays usable.
+func TestGossipSummaryDeadline(t *testing.T) { eachFraming(t, testGossipSummaryDeadline) }
 
-func testGossipDigestDeadline(t *testing.T, connect func(*Server) *repclient.Client) {
+func testGossipSummaryDeadline(t *testing.T, connect func(*Server) *repclient.Client) {
 	st := store.New()
 	release := make(chan struct{})
 	st.SetBudget(1<<30, func(feedback.EntityID) (*feedback.History, error) { // stalls until released
@@ -198,9 +186,9 @@ func testGossipDigestDeadline(t *testing.T, connect func(*Server) *repclient.Cli
 
 	c := connect(srv)
 	start := time.Now()
-	_, err = c.GossipDigestCtx(context.Background(), wire.DigestMsg{Node: "peer", Servers: []string{"cold"}})
+	_, err = c.GossipSummaryCtx(context.Background(), wire.SummaryMsg{Node: "peer"})
 	if code := codeOf(t, err); code != wire.CodeDeadlineExceeded {
-		t.Fatalf("stalled digest answered %q, want %s", code, wire.CodeDeadlineExceeded)
+		t.Fatalf("stalled summary answered %q, want %s", code, wire.CodeDeadlineExceeded)
 	}
 	if elapsed := time.Since(start); elapsed > 2*time.Second {
 		t.Fatalf("deadline reply took %s", elapsed)
@@ -208,7 +196,55 @@ func testGossipDigestDeadline(t *testing.T, connect func(*Server) *repclient.Cli
 	if err := c.Ping(); err != nil {
 		t.Fatalf("ping after deadline error: %v", err)
 	}
-	if d := srv.Metrics().Value("per_type").(service.Snapshot)[string(wire.TypeDigest)]; d.Requests != 1 || d.Errors != 1 {
-		t.Fatalf("digest metrics = %+v", d)
+	if s := srv.Metrics().Value("per_type").(service.Snapshot)[string(wire.TypeSummary)]; s.Requests != 1 || s.Errors != 1 {
+		t.Fatalf("summary metrics = %+v", s)
+	}
+}
+
+// TestGossipRepairBytes pins what a stale server's repair costs on a
+// connection: its whole history in the answer's one record batch, at most
+// 4.6 B a record for a 5,000-record server (revision 15's JSON digest cost
+// 20.4 B for every record the initiator held, and its delta 87 B for every
+// one it missed). It logs a summary's bytes per server as well.
+func TestGossipRepairBytes(t *testing.T) {
+	srv := startServer(t)
+	const n = 5000
+	if _, err := srv.Seed(honestHistory("stale-server", n)); err != nil {
+		t.Fatal(err)
+	}
+	resp, err := srv.gossipSummary(context.Background(), wire.SummaryMsg{Node: "peer",
+		Servers: map[string]store.Checksum{"stale-server": {Count: n - 1, XOR: 1}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	env, err := wire.CodecFor(wire.VersionV2).Encode(wire.TypeSummaryR, 1, resp)
+	if err != nil || !env.Binary || resp.Records.Len() != n {
+		t.Fatalf("answer of %d records, binary %v, %v", resp.Records.Len(), env.Binary, err)
+	}
+	frame, err := wire.AppendV2(nil, env)
+	if err != nil {
+		t.Fatal(err)
+	}
+	perRecord := float64(len(frame)) / n
+	t.Logf("repair of a %d-record server: %d B, %.2f B a record", n, len(frame), perRecord)
+	if perRecord > 4.6 {
+		t.Errorf("repair of a %d-record server: %.2f B a record, want at most 4.6", n, perRecord)
+	}
+
+	summary := wire.SummaryMsg{Node: "peer", Servers: map[string]store.Checksum{}}
+	for i := range 1000 {
+		summary.Servers[fmt.Sprintf("server-%04d", i)] = store.Checksum{Count: 100 + i, XOR: uint64(i) * 0x9e3779b97f4a7c15}
+	}
+	conn := wire.CodecFor(wire.VersionV2)
+	for _, round := range []string{"first", "next"} {
+		env, err := conn.Encode(wire.TypeSummary, 1, summary)
+		if err == nil {
+			err = conn.Commit(&env)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Logf("%s summary of %d servers with 11-byte names on a connection: %.2f B a server", round,
+			len(summary.Servers), float64(len(env.Payload))/float64(len(summary.Servers)))
 	}
 }

@@ -231,17 +231,15 @@ func (s *Server) Cluster() *cluster.Cluster { return s.clusterRef.Load() }
 // releases handle loops stuck on a stalled handler.
 func (s *Server) buildPipeline() service.Handler {
 	handlers := map[wire.MsgType]service.Handler{
-		wire.TypePing:        s.handlePing,
-		wire.TypeSubmit:      typed(wire.TypeSubmitR, s.submit),
-		wire.TypeSubmitB:     typed(wire.TypeSubmitBR, s.submitBatch),
-		wire.TypeHistory:     typed(wire.TypeHistoryR, s.history),
-		wire.TypeAssess:      typed(wire.TypeAssessR, s.assess),
-		wire.TypeAssessB:     typed(wire.TypeAssessBR, s.routeAssessBatch),
-		wire.TypeFwdBatch:    typed(wire.TypeFwdBatchR, s.fwdBatch),
-		wire.TypeFwdAssessB:  typed(wire.TypeFwdAssessBR, s.fwdAssessBatch),
-		wire.TypeClusterInfo: s.handleClusterInfo,
-		wire.TypeSummary:     typed(wire.TypeSummaryR, s.gossipSummary),
-		wire.TypeDigest:      typed(wire.TypeDelta, s.gossipDigest),
+		wire.TypePing:       s.handlePing,
+		wire.TypeSubmit:     typed(wire.TypeSubmitR, s.submit),
+		wire.TypeSubmitB:    typed(wire.TypeSubmitBR, s.submitBatch),
+		wire.TypeHistory:    typed(wire.TypeHistoryR, s.history),
+		wire.TypeAssess:     typed(wire.TypeAssessR, s.assess),
+		wire.TypeAssessB:    typed(wire.TypeAssessBR, s.routeAssessBatch),
+		wire.TypeFwdBatch:   typed(wire.TypeFwdBatchR, s.fwdBatch),
+		wire.TypeFwdAssessB: typed(wire.TypeFwdAssessBR, s.fwdAssessBatch),
+		wire.TypeSummary:    typed(wire.TypeSummaryR, s.gossipSummary),
 	}
 	dispatch := func(ctx context.Context, env wire.Envelope) (wire.Envelope, error) {
 		h, ok := handlers[env.Type]
@@ -649,13 +647,13 @@ func (s *Server) routeSubmit(ctx context.Context, rb wire.RecordBatch, batchFram
 }
 
 // applyBatch is the one door records enter a node through — client frames,
-// fwd.submit.batch hand-overs and replica pushes, anti-entropy deltas and
-// Seed alike: one Recorder.Apply call, so every record is applied one
-// server run at a time over the bounded worker pool and, on a durable node,
-// pinned, group-committed and tail-indexed. It reports per record with the
-// semantics of a batch submit: bad records fail their own item slot, never
-// the batch. Items[i] always answers the list's record i; len(Items) ==
-// rb.Len().
+// fwd.submit.batch hand-overs and replica pushes, anti-entropy rounds'
+// record batches and Seed alike: one Recorder.Apply call, so every record
+// is applied one server run at a time over the bounded worker pool and, on
+// a durable node, pinned, group-committed and tail-indexed. It reports per
+// record with the semantics of a batch submit: bad records fail their own
+// item slot, never the batch. Items[i] always answers the list's record i;
+// len(Items) == rb.Len().
 func (s *Server) applyBatch(ctx context.Context, rb wire.RecordBatch, batchFrame bool) (wire.BatchResponse, error) {
 	if err := ctx.Err(); err != nil {
 		return wire.BatchResponse{}, err
@@ -724,19 +722,22 @@ func storeError(err error) *wire.ErrorResponse {
 }
 
 // Seed loads records into the local store without a network hop or cluster
-// routing — bootstrapping from a file, or the records an anti-entropy round
-// pulled — through the same applyBatch as a submitted frame. It returns how
-// many were new; a rejected record is reported as the error, and does not
-// keep the others from being stored.
-func (s *Server) Seed(recs []feedback.Feedback) (int, error) {
-	resp, err := s.applyBatch(s.baseCtx, pack(recs), false)
+// routing — bootstrapping from a file, say — through the same applyBatch as
+// a submitted frame. It returns how many were new; a rejected record is
+// reported as the error, and does not keep the others from being stored.
+func (s *Server) Seed(recs []feedback.Feedback) (int, error) { return s.SeedBatch(pack(recs)) }
+
+// SeedBatch is Seed for a record batch — the records an anti-entropy round
+// pulled — which it stores without building a list of records.
+func (s *Server) SeedBatch(rb wire.RecordBatch) (int, error) {
+	resp, err := s.applyBatch(s.baseCtx, withBatch(rb), false)
 	if err != nil {
 		return 0, err
 	}
 	if len(resp.Rejected) > 0 {
 		r := resp.Rejected[0]
 		return resp.Stored, fmt.Errorf("repserver: seed rejected %d of %d records (first: record %d: %s)",
-			len(resp.Rejected), len(recs), r.Index, r.Reason)
+			len(resp.Rejected), rb.Len(), r.Index, r.Reason)
 	}
 	return resp.Stored, nil
 }

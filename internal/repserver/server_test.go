@@ -187,8 +187,9 @@ func rawConn(t *testing.T, srv *Server, rev byte) (net.Conn, *bufio.Reader) {
 	return conn, r
 }
 
-// send writes one request frame in codec and commits it, as repclient
-// does once a frame is written.
+// send writes one request frame in codec, the client end of conn's
+// connection (wire.CodecFor), and commits it, as repclient does once a
+// frame is written.
 func send(t *testing.T, conn net.Conn, codec wire.Codec, typ wire.MsgType, id uint64, payload any) {
 	t.Helper()
 	env, err := codec.Encode(typ, id, payload)
@@ -369,7 +370,7 @@ func TestMalformedFrameGetsErrorAndClose(t *testing.T) {
 func TestBadVersionFrameErrorIsUnattributable(t *testing.T) {
 	srv := startServer(t)
 	conn, r := rawConn(t, srv, wire.VersionV2+1)
-	send(t, conn, wire.V2Codec, wire.TypeAssess, 9, wire.AssessRequest{Server: "s", Threshold: 0.5})
+	send(t, conn, wire.CodecFor(wire.VersionV2), wire.TypeAssess, 9, wire.AssessRequest{Server: "s", Threshold: 0.5})
 	env, err := wire.ReadV2(r)
 	if err != nil {
 		t.Fatalf("expected error frame, got %v", err)
@@ -395,18 +396,19 @@ func TestBadVersionFrameErrorIsUnattributable(t *testing.T) {
 
 // TestUnknownMessageType: a frame whose type code this build has no name for
 // — one a newer peer added (99), or a retired one an older peer still sends
-// (18, a revision-4 door's fwd.assess) — is answered unknown_type under its
-// own id, and the connection, with every request pipelined behind it, keeps
+// (18, a revision-4 door's fwd.assess; 13 and 26, a revision-15 peer's
+// gossip.digest and cluster.info) — is answered unknown_type under its own
+// id, and the connection, with every request pipelined behind it, keeps
 // being served.
 func TestUnknownMessageType(t *testing.T) {
-	for _, code := range []byte{99, 18} {
+	for _, code := range []byte{99, 18, 13, 26} {
 		srv := startServer(t)
 		conn, r := rawConn(t, srv, wire.VersionV2)
 		unknown := []byte{0, 0, 0, 12, code, 1, 0, 0, 0, 0, 0, 0, 0, 5, '{', '}'}
 		if _, err := conn.Write(unknown); err != nil {
 			t.Fatal(err)
 		}
-		send(t, conn, wire.V2Codec, wire.TypePing, 6, nil)
+		send(t, conn, wire.CodecFor(wire.VersionV2), wire.TypePing, 6, nil)
 		resp, err := wire.ReadV2(r)
 		if err != nil {
 			t.Fatal(err)
@@ -810,8 +812,12 @@ func TestSubmitBatchItemsCapAndChunking(t *testing.T) {
 		over[i] = rec("over", "c", true, int64(100+i))
 	}
 	conn, r := rawConn(t, srv, wire.VersionV2)
-	send(t, conn, wire.V2Codec, wire.TypeSubmitB, 1, wire.BatchRequest{Records: over})
+	codec := wire.CodecFor(wire.VersionV2)
+	send(t, conn, codec, wire.TypeSubmitB, 1, wire.BatchRequest{Records: over})
 	got, err := wire.ReadV2(r)
+	if err == nil {
+		err = codec.Commit(&got)
+	}
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -819,7 +825,7 @@ func TestSubmitBatchItemsCapAndChunking(t *testing.T) {
 		t.Fatalf("over-cap frame got %s, want error", got.Type)
 	}
 	var werr wire.ErrorResponse
-	if err := wire.DecodePayload(got, &werr); err != nil {
+	if err := codec.DecodePayload(got, &werr); err != nil {
 		t.Fatal(err)
 	}
 	if werr.Code != wire.CodeBadRequest {

@@ -10,7 +10,10 @@
 // it lives here, implemented from scratch on top of package math only.
 package stats
 
-import "math"
+import (
+	"math"
+	"math/bits"
+)
 
 // RNG is a deterministic pseudo-random number generator based on
 // xoshiro256** seeded through splitmix64. Streams are fully determined by
@@ -90,30 +93,15 @@ func (r *RNG) Intn(n int) int {
 	// Lemire's multiply-shift rejection method: unbiased and fast.
 	un := uint64(n)
 	v := r.Uint64()
-	hi, lo := mul64(v, un)
+	hi, lo := bits.Mul64(v, un)
 	if lo < un {
 		threshold := -un % un
 		for lo < threshold {
 			v = r.Uint64()
-			hi, lo = mul64(v, un)
+			hi, lo = bits.Mul64(v, un)
 		}
 	}
 	return int(hi)
-}
-
-// mul64 returns the 128-bit product of x and y as (hi, lo).
-func mul64(x, y uint64) (hi, lo uint64) {
-	const mask32 = 1<<32 - 1
-	x0, x1 := x&mask32, x>>32
-	y0, y1 := y&mask32, y>>32
-	w0 := x0 * y0
-	t := x1*y0 + w0>>32
-	w1 := t & mask32
-	w2 := t >> 32
-	w1 += x0 * y1
-	hi = x1*y1 + w2 + w1>>32
-	lo = x * y
-	return hi, lo
 }
 
 // Bernoulli returns true with probability p. Values of p outside [0, 1] are

@@ -3,7 +3,6 @@ package stats
 import (
 	"math"
 	"testing"
-	"testing/quick"
 )
 
 func TestRNGDeterminism(t *testing.T) {
@@ -254,16 +253,6 @@ func TestRNGSplitIndependence(t *testing.T) {
 	}
 	if same > 0 {
 		t.Fatalf("parent and child streams matched %d/100 draws", same)
-	}
-}
-
-func TestMul64Property(t *testing.T) {
-	f := func(x, y uint32) bool {
-		hi, lo := mul64(uint64(x), uint64(y))
-		return hi == 0 && lo == uint64(x)*uint64(y)
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
 	}
 }
 

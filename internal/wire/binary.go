@@ -1,13 +1,11 @@
 // Binary payload codecs for protocol v2 frames.
 //
-// The hot request/response payloads — submit, submit.batch, history, assess,
-// assess.batch, and error frames — have hand-rolled binary encodings
-// (big-endian fixed-width scalars, uvarint counts, length-prefixed strings,
-// names through the connection's name table); a list of records —
-// submit.batch, fwd.submit.batch, history.resp — is one feedback record batch
-// (ADR 0008). Message types without a binary codec ride v2 frames with JSON
-// payload bytes and the flagJSONPayload bit set, so every type can cross a v2
-// connection.
+// Every payload has a hand-rolled binary encoding (big-endian fixed-width
+// scalars, uvarint counts, length-prefixed strings, names through the
+// connection's name table); a list of records — submit.batch,
+// fwd.submit.batch, history.resp, gossip.summary.resp — is one feedback
+// record batch (ADR 0008). A payload the binary form refuses rides the frame
+// as JSON bytes with the flagJSONPayload bit set.
 //
 // Encodings are strict on decode: trailing bytes, oversized counts,
 // non-shortest varints, unknown flag bits and truncated fields all fail with
@@ -27,6 +25,7 @@ import (
 	"honestplayer/internal/behavior"
 	"honestplayer/internal/core"
 	"honestplayer/internal/feedback"
+	"honestplayer/internal/store"
 )
 
 // encodeBinary sets env's payload to the binary encoding of payload, headed
@@ -113,6 +112,15 @@ func appendPayload(buf []byte, payload any, d *frameDict) ([]byte, bool, error) 
 		return appendAssessItems(appendString(buf, p.Node), p.Items, d), true, nil
 	case *FwdAssessBatchResponse:
 		return appendAssessItems(appendString(buf, p.Node), p.Items, d), true, nil
+	case SummaryMsg:
+		return appendSummary(buf, p, d), true, nil
+	case SummaryResp:
+		buf = binary.AppendUvarint(buf, uint64(len(p.Stale)))
+		for _, srv := range p.Stale {
+			buf = d.appendName(buf, srv)
+		}
+		b, err := appendRecordBatch(buf, p.Records, d)
+		return b, true, err
 	}
 	return buf, false, nil
 }
@@ -163,6 +171,10 @@ func decodeBinary(env Envelope, out any, st *connState) error {
 			err = r.fwdAssessBatchRequest(o)
 		case *FwdAssessBatchResponse:
 			err = r.fwdAssessBatchResponse(o)
+		case *SummaryMsg:
+			err = r.summary(o)
+		case *SummaryResp:
+			err = r.summaryResp(o)
 		default:
 			return fmt.Errorf("%w: no binary codec for %T (%s payload)", ErrBadMessage, out, t)
 		}
@@ -487,6 +499,28 @@ func appendFwdBatchRequest(buf []byte, p FwdBatchRequest, d *frameDict) ([]byte,
 func appendFwdAssessBatchRequest(buf []byte, p FwdAssessBatchRequest, d *frameDict) []byte {
 	buf = appendString(buf, p.Node)
 	return appendAssessBatchRequest(buf, AssessBatchRequest{Servers: p.Servers, Threshold: p.Threshold}, d)
+}
+
+// Anti-entropy payloads (ADR 0022). A summary is its node, then each
+// server's name and checksum in ascending name order — a string, a uvarint
+// n, and n × (name, uvarint Count, 8 B XOR) — and its answer the stale
+// servers, ascending — a uvarint n and n names — and one record batch.
+
+func appendSummary(buf []byte, p SummaryMsg, d *frameDict) []byte {
+	buf = appendString(buf, p.Node)
+	servers := make([]string, 0, len(p.Servers))
+	for srv := range p.Servers {
+		servers = append(servers, srv)
+	}
+	slices.Sort(servers)
+	buf = binary.AppendUvarint(buf, uint64(len(servers)))
+	for _, srv := range servers {
+		sum := p.Servers[srv]
+		buf = d.appendName(buf, srv)
+		buf = binary.AppendUvarint(buf, uint64(sum.Count))
+		buf = binary.BigEndian.AppendUint64(buf, sum.XOR)
+	}
+	return buf
 }
 
 // breader is a strict cursor over a binary payload: every read checks the
@@ -896,6 +930,59 @@ func (r *breader) fwdAssessBatchRequest(o *FwdAssessBatchRequest) error {
 	}
 	o.Servers, o.Threshold = inner.Servers, inner.Threshold
 	return nil
+}
+
+// nameAfter reads a name of a summary's servers or a stale list, which
+// ascend strictly as an encoder writes them: the i-th, after prev.
+func (r *breader) nameAfter(prev string, i int) (string, error) {
+	s, err := r.name()
+	if err == nil && i > 0 && s <= prev {
+		err = fmt.Errorf("server %q after %q", s, prev)
+	}
+	return s, err
+}
+
+func (r *breader) summary(o *SummaryMsg) error {
+	var err error
+	if o.Node, err = r.string(); err != nil {
+		return err
+	}
+	n, err := r.count(1 + 1 + 8) // a ref, a count and the XOR
+	if err != nil {
+		return err
+	}
+	o.Servers = make(map[string]store.Checksum, n)
+	srv := ""
+	for i := range n {
+		if srv, err = r.nameAfter(srv, i); err != nil {
+			return err
+		}
+		var sum store.Checksum
+		if sum.Count, err = r.int(); err != nil {
+			return err
+		}
+		if len(r.buf) < 8 {
+			return fmt.Errorf("short checksum")
+		}
+		sum.XOR = binary.BigEndian.Uint64(r.buf)
+		r.buf = r.buf[8:]
+		o.Servers[srv] = sum
+	}
+	return nil
+}
+
+func (r *breader) summaryResp(o *SummaryResp) error {
+	n, err := r.count(1) // a ref
+	if err != nil {
+		return err
+	}
+	o.Stale = make([]string, n)
+	for i := range o.Stale {
+		if o.Stale[i], err = r.nameAfter(o.Stale[max(i-1, 0)], i); err != nil {
+			return err
+		}
+	}
+	return r.recordBatch(&o.Records)
 }
 
 func (r *breader) fwdAssessBatchResponse(o *FwdAssessBatchResponse) error {

@@ -1,12 +1,12 @@
-// Cluster forwarding payloads (frame type codes 22–27).
+// Cluster forwarding payloads (frame type codes 22–25).
 //
 // These messages are exchanged only between trustd nodes of one cluster,
 // over the same frame clients use. Every fwd.* call takes a slice — records
 // or servers — and is answered from the receiving node's local state only;
 // the payloads have binary codecs (see binary.go), because a forwarded
 // assessment carries the full per-suffix verdict table, far too hot for JSON
-// at large histories. The cold cluster.info pair rides v2 as JSON via
-// flagJSONPayload.
+// at large histories. A node's view of its cluster is its /metricz
+// cluster block, not a message.
 package wire
 
 import "honestplayer/internal/feedback"
@@ -37,32 +37,4 @@ type FwdAssessBatchRequest struct {
 type FwdAssessBatchResponse struct {
 	Node  string            `json:"node"`
 	Items []AssessBatchItem `json:"items"`
-}
-
-// ClusterStatusRequest asks a node for its view of the cluster.
-type ClusterStatusRequest struct{}
-
-// ClusterPeer is one membership entry in a cluster status response.
-type ClusterPeer struct {
-	ID   string `json:"id"`
-	Addr string `json:"addr"`
-	// Self marks the answering node's own entry.
-	Self bool `json:"self,omitempty"`
-	// RTTMs is the answering node's last measured round-trip to the peer in
-	// milliseconds; 0 when never dialed.
-	RTTMs float64 `json:"rtt_ms,omitempty"`
-}
-
-// ClusterStatusResponse describes the answering node's cluster view. A
-// single-node (non-clustered) deployment answers Enabled=false with no
-// peers.
-type ClusterStatusResponse struct {
-	Enabled  bool          `json:"enabled"`
-	Node     string        `json:"node,omitempty"`
-	Replicas int           `json:"replicas,omitempty"`
-	VNodes   int           `json:"vnodes,omitempty"`
-	Peers    []ClusterPeer `json:"peers,omitempty"`
-	// Owned is the number of servers in the local store (all of which the
-	// node owns or replicates).
-	Owned int `json:"owned"`
 }

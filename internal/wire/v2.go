@@ -45,11 +45,11 @@ import (
 
 // VersionV2 is the revision of the payload codecs this build speaks, named in
 // the hello and the ack. Each revision changed the bytes of some binary
-// payload; ADR 0006 has a row for each from 7 on (14 to 15: names bind to
-// connection slots, and a mirror row that empties its slot may be its
-// gaps). No revision reads another's binary payloads: ends of different
-// revisions speak BridgeCodec (ADR 0009).
-const VersionV2 = 15
+// payload; ADR 0006 has a row for each from 7 on (15 to 16: the gossip
+// exchange is one round trip of two binary payloads, ADR 0022). No revision
+// reads another's binary payloads: ends of different revisions speak
+// BridgeCodec (ADR 0009).
+const VersionV2 = 16
 
 // HelloMagic is the first byte of a client hello. A connection that opens
 // with any other byte is closed.
@@ -70,8 +70,9 @@ const (
 
 // flagJSONPayload marks a frame whose payload is JSON bytes rather than the
 // per-type binary codec: every payload on a bridged connection, and on a
-// binary one the types without a binary codec (the gossip exchange above
-// all).
+// binary one only a payload the binary form refuses — an invalid record, or
+// a BatchResponse whose totals are not its items'. Every type but ping and
+// pong has a binary codec.
 const flagJSONPayload byte = 1 << 0
 
 // The section flags: a binary payload is headed by a name section, a
@@ -98,23 +99,20 @@ var v2Codes = map[MsgType]byte{
 	TypeAssessR:  10,
 	TypeAssessB:  11,
 	TypeAssessBR: 12,
-	TypeDigest:   13,
-	TypeDelta:    14,
+	// Codes 13 and 14 belonged to the retired gossip.digest/gossip.delta
+	// pair (ADR 0022) and stay reserved.
 	TypeSummary:  15,
 	TypeSummaryR: 16,
 	TypeError:    17,
-	// Cluster forwarding. The fwd.* payloads have binary codecs (their
-	// responses carry full verdict tables, far too hot for JSON); the
-	// cluster.info pair is cold and rides as JSON via flagJSONPayload.
-	// Codes 18 and 19 belonged to the retired single-server fwd.assess pair
-	// (ADR 0010), 20 and 21 to the retired single-record fwd.submit pair
-	// (ADR 0001); all four stay reserved.
-	TypeFwdBatch:     22,
-	TypeFwdBatchR:    23,
-	TypeFwdAssessB:   24,
-	TypeFwdAssessBR:  25,
-	TypeClusterInfo:  26,
-	TypeClusterInfoR: 27,
+	// Cluster forwarding. Codes 18 and 19 belonged to the retired
+	// single-server fwd.assess pair (ADR 0010), 20 and 21 to the retired
+	// single-record fwd.submit pair (ADR 0001), 26 and 27 to the retired
+	// cluster.info pair, whose answer is the node's /metricz cluster block
+	// now (ADR 0022); all six stay reserved.
+	TypeFwdBatch:    22,
+	TypeFwdBatchR:   23,
+	TypeFwdAssessB:  24,
+	TypeFwdAssessBR: 25,
 }
 
 var v2Types = func() map[byte]MsgType {
@@ -131,20 +129,20 @@ var v2Types = func() map[byte]MsgType {
 // service.CodecFrom). A binary connection's codec holds its end's state
 // (conn.go): an end encodes against the direction it writes, and decodes
 // against the one it reads, the frames of each crossing at its one ordered
-// point (Commit). A codec without a state — V2Codec, BridgeCodec — takes a
-// fresh one of zero bounds for each frame, so its frame is a connection of
-// one frame.
+// point (Commit). A codec without a state — V2Codec, BridgeCodec — gives
+// each frame a state of zero bounds, so its frame is a connection of one
+// frame.
 type Codec struct {
 	bridge bool
-	st     *connState // nil: a fresh state for each frame
+	st     *connState // nil: a state of zero bounds for each frame
 }
 
 var (
 	// V2Codec encodes payloads with the per-type binary codecs, falling back
-	// to JSON payload bytes for types without one. Each of its frames is a
-	// connection of its own whose tables hold nothing: it binds every grid
-	// point its verdicts key on, spells every name literal and mirrors
-	// nothing.
+	// to JSON payload bytes for a payload the binary form refuses. Each of
+	// its frames is a connection of its own whose tables hold nothing: it
+	// binds every grid point its verdicts key on, spells every name literal
+	// and mirrors nothing.
 	V2Codec = Codec{}
 	// BridgeCodec encodes every payload as JSON: the codec of a connection
 	// whose two ends run different codec revisions.
@@ -162,13 +160,45 @@ func CodecFor(peer byte) Codec {
 	return Codec{st: newConnState(connLimits)}
 }
 
-// state returns the connection state c's frames cross: its connection's, or
-// a fresh one of zero bounds for the one frame at hand.
+// alone is the state every frame alone is encoded against: nothing is
+// written to a writer's side of zero bounds — its names ride literal, its
+// frames bind their own grid points and mirror nothing — so the frames
+// share it as if each had its own.
+var alone = newConnState(limits{})
+
+// aloneStates recycles the states frames alone are read into.
+var aloneStates = sync.Pool{New: func() any { return newConnState(limits{}) }}
+
+// state returns the connection state c's frames are encoded against: its
+// connection's, or alone.
 func (c Codec) state() *connState {
 	if c.st == nil {
-		return newConnState(limits{})
+		return alone
 	}
 	return c.st
+}
+
+// readAlone commits env, a frame alone, into a state of zero bounds, and
+// decodes it there into out unless out is nil. The state goes back to
+// aloneStates with the grid points the frame's binding section bound — all
+// that a reader's side of zero bounds takes — unbound, unless the frame
+// broke it.
+func readAlone(env *Envelope, out any) error {
+	st := aloneStates.Get().(*connState)
+	err := st.commit(env)
+	if err == nil && out != nil {
+		err = decodeBinary(*env, out, st)
+	}
+	if !st.broken.Load() {
+		if p := env.plan; p.sections != nil {
+			for _, slot := range p.grid {
+				st.in.grid.unbind(slot)
+			}
+		}
+		st.in.seq = 0
+		aloneStates.Put(st)
+	}
+	return err
 }
 
 // Encode marshals a payload into an envelope in the codec's encoding.
@@ -206,17 +236,14 @@ func (c Codec) Encode(t MsgType, id uint64, payload any) (Envelope, error) {
 // a JSON-flagged one. A binary frame decodes after its Commit — on any
 // goroutine, at any time — against the tables as the frames up to its own
 // left them; a payload that does not decode breaks the connection, as a
-// refused Commit does. A codec without a state commits the frame into its
-// fresh one first.
+// refused Commit does. A codec without a state commits the frame into a
+// state of its own first.
 func (c Codec) DecodePayload(env Envelope, out any) error {
 	if env.Binary {
-		st := c.state()
-		if c.st == nil { // the frame's own state has not seen it yet
-			if err := st.commit(&env); err != nil {
-				return err
-			}
+		if c.st == nil {
+			return readAlone(&env, out)
 		}
-		return decodeBinary(env, out, st)
+		return decodeBinary(env, out, c.st)
 	}
 	if env.Bindings || env.Mirror || env.Names {
 		return fmt.Errorf("%w: %s: a section on a JSON payload", ErrBadMessage, env.Type)
@@ -235,10 +262,13 @@ func (c Codec) DecodePayload(env Envelope, out any) error {
 // reading its sections into the tables and into the plan the frame decodes
 // with. A section no encoder writes is refused, and then every later Commit
 // and DecodePayload on the connection fails. A codec without a state
-// commits into a fresh one, whose zero bounds refuse a name or a mirror
-// section.
+// commits into a state of its own, whose zero bounds refuse a name or a
+// mirror section.
 func (c Codec) Commit(env *Envelope) error {
-	return c.state().commit(env)
+	if c.st == nil {
+		return readAlone(env, nil)
+	}
+	return c.st.commit(env)
 }
 
 // ReadFrame reads one frame, as ReadV2Into does. On a bridged connection a

@@ -83,6 +83,10 @@ func v2Payloads() map[MsgType]any {
 			{Server: "a", AssessResponse: AssessResponse{Assessment: testAssessment(), Accept: true}},
 			{Server: "b", Error: &ErrorResponse{Code: CodeUnavailable, Message: "owner down"}},
 		}},
+		TypeSummary: SummaryMsg{Node: "n1", Servers: map[string]store.Checksum{
+			"srv-b": {Count: 2, XOR: 1 << 63}, "srv-a": {Count: 300, XOR: 0xfeed},
+		}},
+		TypeSummaryR: SummaryResp{Stale: []string{"srv-a", "srv-b"}, Records: packed(testRecord(1), testRecord(2))},
 	}
 }
 
@@ -109,6 +113,10 @@ func asRows(p any) any {
 		return asRows(*v)
 	case FwdBatchRequest:
 		return []any{v.Node, v.Replica, records(v.Records), v.Records.Invalid}
+	case *SummaryResp:
+		return asRows(*v)
+	case SummaryResp:
+		return []any{v.Stale, records(v.Records), v.Records.Invalid}
 	}
 	return p
 }
@@ -291,21 +299,22 @@ func TestFramesAloneShareNothing(t *testing.T) {
 	}
 }
 
-// TestV2JSONPayloadFallback covers types without a binary codec: they cross
-// a v2 connection as JSON payload bytes with the flag bit set. A summary's
-// bytes are pinned: its checksums are the store's, and a peer of another
-// build must read them.
+// TestV2JSONPayloadFallback covers payloads the binary form refuses: they
+// cross a binary connection as JSON payload bytes with the flag bit set — an
+// invalid record here, which the server, not the client codec, rejects. A
+// summary's JSON bytes are pinned as well: its checksums are the store's,
+// and a bridged peer of another build must read them.
 func TestV2JSONPayloadFallback(t *testing.T) {
-	msg := SummaryMsg{Node: "n1", Servers: map[string]store.Checksum{"s": {Count: 3, XOR: 1 << 63}}}
-	env, err := V2Codec.Encode(TypeSummary, 9, msg)
+	msg := SubmitRequest{Feedback: feedback.Feedback{Time: time.Unix(3, 0).UTC(), Server: "s", Client: "c", Rating: 7}}
+	env, err := V2Codec.Encode(TypeSubmit, 9, msg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if env.Binary {
-		t.Fatal("gossip summary should fall back to JSON payload")
+		t.Fatal("an invalid record should fall back to a JSON payload")
 	}
-	if want := `{"node":"n1","servers":{"s":{"count":3,"xor":9223372036854775808}}}`; string(env.Payload) != want {
-		t.Fatalf("summary payload %s, want %s", env.Payload, want)
+	if want := `{"feedback":{"time":"1970-01-01T00:00:03Z","server":"s","client":"c","rating":7}}`; string(env.Payload) != want {
+		t.Fatalf("submit payload %s, want %s", env.Payload, want)
 	}
 	var buf bytes.Buffer
 	if err := WriteV2(&buf, env); err != nil {
@@ -318,12 +327,66 @@ func TestV2JSONPayloadFallback(t *testing.T) {
 	if got.Binary {
 		t.Fatal("JSON flag lost in framing")
 	}
-	var out SummaryMsg
+	var out SubmitRequest
 	if err := DecodePayload(got, &out); err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(out, msg) {
 		t.Fatalf("got %+v, want %+v", out, msg)
+	}
+
+	summary := SummaryMsg{Node: "n1", Servers: map[string]store.Checksum{"s": {Count: 3, XOR: 1 << 63}}}
+	env, err = BridgeCodec.Encode(TypeSummary, 9, summary)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := `{"node":"n1","servers":{"s":{"count":3,"xor":9223372036854775808}}}`; env.Binary || string(env.Payload) != want {
+		t.Fatalf("bridged summary payload %s, want %s", env.Payload, want)
+	}
+	var back SummaryMsg
+	if err := DecodePayload(env, &back); err != nil || !reflect.DeepEqual(back, summary) {
+		t.Fatalf("bridged summary read back %+v, %v", back, err)
+	}
+}
+
+// TestEveryTypeEncodesBinary: on a same-revision connection every message
+// type but ping and pong has a binary codec, so flagJSONPayload marks only
+// a payload the binary form refuses (TestV2JSONPayloadFallback).
+func TestEveryTypeEncodesBinary(t *testing.T) {
+	payloads := v2Payloads()
+	for typ := range v2Codes {
+		if typ == TypePing || typ == TypePong {
+			continue
+		}
+		payload, ok := payloads[typ]
+		if !ok {
+			t.Errorf("%s: no payload in v2Payloads", typ)
+			continue
+		}
+		if env, err := CodecFor(VersionV2).Encode(typ, 1, payload); err != nil || !env.Binary {
+			t.Errorf("%s: binary %v, %v", typ, env.Binary, err)
+		}
+	}
+}
+
+// TestSummaryGoldenFrame pins a gossip.summary's bytes: the node, then each
+// server's name and checksum in ascending name order, whatever order the
+// map iterates in.
+func TestSummaryGoldenFrame(t *testing.T) {
+	msg := SummaryMsg{Node: "n1", Servers: map[string]store.Checksum{"s2": {Count: 1, XOR: 2}, "s1": {Count: 300, XOR: 1 << 63}}}
+	want := []byte{
+		2, 'n', '1', // node
+		2,              // servers
+		0, 2, 's', '1', // literal "s1"
+		0xac, 2, 0x80, 0, 0, 0, 0, 0, 0, 0, // count 300, XOR
+		0, 2, 's', '2', // literal "s2"
+		1, 0, 0, 0, 0, 0, 0, 0, 2, // count 1, XOR
+	}
+	for range 4 {
+		env, err := V2Codec.Encode(TypeSummary, 3, msg)
+		if err != nil || !env.Binary || !bytes.Equal(env.Payload, want) {
+			t.Fatalf("summary payload %x (%v), want %x", env.Payload, err, want)
+		}
 	}
 }
 
@@ -544,8 +607,8 @@ func TestSubmitBatchGoldenFrame(t *testing.T) {
 		0b101, // good
 	}
 	var buf bytes.Buffer
-	if err := WriteHello(&buf); err != nil || !bytes.Equal(buf.Bytes(), []byte{0xB2, 'W', '2', 15, '\n'}) {
-		t.Fatalf("hello = %x, %v; the layout below is revision 15's", buf.Bytes(), err)
+	if err := WriteHello(&buf); err != nil || !bytes.Equal(buf.Bytes(), []byte{0xB2, 'W', '2', 16, '\n'}) {
+		t.Fatalf("hello = %x, %v; the layout below is revision 16's", buf.Bytes(), err)
 	}
 	buf.Reset()
 	env, err := V2Codec.Encode(TypeSubmitB, 9, req)

@@ -52,8 +52,6 @@ const (
 	TypeAssessR  MsgType = "assess.resp"
 	TypeAssessB  MsgType = "assess.batch"
 	TypeAssessBR MsgType = "assess.batch.resp"
-	TypeDigest   MsgType = "gossip.digest"
-	TypeDelta    MsgType = "gossip.delta"
 	TypeSummary  MsgType = "gossip.summary"
 	TypeSummaryR MsgType = "gossip.summary.resp"
 	TypeError    MsgType = "error"
@@ -64,12 +62,10 @@ const (
 // again — which makes routing loops structurally impossible even under a
 // membership misconfiguration. See docs/CLUSTER.md.
 const (
-	TypeFwdBatch     MsgType = "fwd.submit.batch"
-	TypeFwdBatchR    MsgType = "fwd.submit.batch.resp"
-	TypeFwdAssessB   MsgType = "fwd.assess.batch"
-	TypeFwdAssessBR  MsgType = "fwd.assess.batch.resp"
-	TypeClusterInfo  MsgType = "cluster.info"
-	TypeClusterInfoR MsgType = "cluster.info.resp"
+	TypeFwdBatch    MsgType = "fwd.submit.batch"
+	TypeFwdBatchR   MsgType = "fwd.submit.batch.resp"
+	TypeFwdAssessB  MsgType = "fwd.assess.batch"
+	TypeFwdAssessBR MsgType = "fwd.assess.batch.resp"
 )
 
 // Error codes carried by ErrorResponse frames. Servers use these; clients
@@ -334,34 +330,22 @@ type AssessBatchResponse struct {
 	Items []AssessBatchItem `json:"items"`
 }
 
-// SummaryMsg opens an anti-entropy exchange: the per-server checksums of
-// everything the initiator holds, in the store's one record-set digest. The
-// peer answers with the servers whose record sets differ, so the (much
-// larger) hash digests are exchanged only for those.
+// SummaryMsg opens an anti-entropy exchange (gossip.summary): the node
+// that sends it and the store's checksum of every server it holds, scoped
+// to its replica sets on a cluster. The binary payload names the servers in
+// ascending order, so that equal summaries are equal bytes.
 type SummaryMsg struct {
 	Node    string                    `json:"node"`
 	Servers map[string]store.Checksum `json:"servers"`
 }
 
-// SummaryResp lists the servers for which the responder holds a different
-// record set than the summary sender (including servers the sender has
-// never seen).
+// SummaryResp answers a summary (gossip.summary.resp): Stale lists, in
+// ascending order, the servers whose record sets differ from the summary's
+// and whose replica sets hold its sender, and Records holds the responder's
+// whole histories of as many of them, in that order, as fit its bound.
 type SummaryResp struct {
-	Stale []string `json:"stale"`
-}
-
-// DigestMsg carries a gossip digest: the content hashes of the records the
-// sender holds for Servers, which scopes the digest and the resulting delta.
-// A digest that names no servers is a bad request.
-type DigestMsg struct {
-	Node    string   `json:"node"`
-	Servers []string `json:"servers,omitempty"`
-	Hashes  []uint64 `json:"hashes"`
-}
-
-// DeltaMsg carries the records the digest sender was missing.
-type DeltaMsg struct {
-	Records []feedback.Feedback `json:"records"`
+	Stale   []string    `json:"stale"`
+	Records RecordBatch `json:"records"`
 }
 
 // ErrorResponse reports a request failure.

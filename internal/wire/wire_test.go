@@ -153,7 +153,7 @@ func TestDecodePayloadError(t *testing.T) {
 
 func TestReadAcrossBufferBoundary(t *testing.T) {
 	// A frame longer than the bufio buffer must still be read whole.
-	env, err := BridgeCodec.Encode(TypeDelta, 1, DeltaMsg{Records: manyRecords(t, 500)})
+	env, err := BridgeCodec.Encode(TypeHistoryR, 1, HistoryResponse{Records: manyRecords(t, 500), Total: 500})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -166,12 +166,12 @@ func TestReadAcrossBufferBoundary(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var delta DeltaMsg
-	if err := DecodePayload(got, &delta); err != nil {
+	var hist HistoryResponse
+	if err := DecodePayload(got, &hist); err != nil {
 		t.Fatal(err)
 	}
-	if len(delta.Records) != 500 {
-		t.Fatalf("records = %d", len(delta.Records))
+	if len(hist.Records) != 500 {
+		t.Fatalf("records = %d", len(hist.Records))
 	}
 }
 

@@ -48,6 +48,9 @@
 #     for trustd's -metrics-addr HTTP endpoint
 #   - one framing (ADR 0009): the binary frame is the only way onto a node;
 #     the JSON line framing and every knob that selected it stay deleted
+#   - anti-entropy is one round trip of binary payloads (ADR 0022): the
+#     digest/delta pair and the cluster.info pair stay deleted, and
+#     internal/gossip builds no JSON
 #   - one generator step, no Lgamma (ADR 0007): the Monte-Carlo
 #     kernels get cheaper per uniform, never by a second copy of the stream;
 #     the eight-lane kernel is the one assembly file, pinned by a differential
@@ -380,6 +383,16 @@ check "no JSON line reader: wire.Read, wire.ReadRaw, wire.Parse (ADR 0009)" \
     "absent 'wire\.(Read|ReadRaw|Parse)\('"
 check "no newline framing: no bufio ReadSlice (ADR 0009)" \
     "absent '\.ReadSlice\('"
+
+# --- anti-entropy in one round trip (ADR 0022) ---------------------------------
+# A round is a summary answered with the stale servers and one record batch;
+# the second round trip, its JSON digest and delta, and the JSON-only
+# cluster.info pair — whose answer is the /metricz cluster block — are gone.
+for sym in DigestMsg DeltaMsg GossipDigestCtx ClusterStatusResponse handleClusterInfo; do
+    check "$sym stays deleted (ADR 0022)" "absent '\b$sym\b'"
+done
+check "internal/gossip does not import encoding/json (ADR 0022)" \
+    "absent '^\s*\"encoding/json\"' internal/gossip"
 
 # --- stream-identical Monte-Carlo (ADR 0007) ----------------------------------
 # A batch kernel must repeat the generator's step, not re-derive it: a copy
