@@ -91,7 +91,7 @@ func run(ctx context.Context, args []string) error {
 		// recomputed over the stored history (ADR 0016's amendment).
 		_            = fs.Bool("incremental", false, "deprecated and ignored: every assessment is recomputed over the stored history")
 		batchWorkers = fs.Int("batch-workers", 0, "worker pool size for assess.batch shard fan-out (0 = GOMAXPROCS)")
-		memBudget    = fs.String("mem-budget", "", "node-wide resident memory budget for server state, e.g. 512MiB or 1G (empty disables; requires -ledger): idle servers are evicted to stubs and rebuilt on demand")
+		memBudget    = fs.String("mem-budget", "", "node-wide resident memory budget for server state, e.g. 512MiB or 1G (empty disables; requires -ledger and -snapshot-every, which bounds the tail index): idle servers are evicted to stubs and rebuilt on demand")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -103,6 +103,9 @@ func run(ctx context.Context, args []string) error {
 	}
 	if budgetBytes > 0 && *ledgerPath == "" {
 		return errors.New("-mem-budget requires -ledger (evicted state is rebuilt from snapshots)")
+	}
+	if budgetBytes > 0 && *snapEvery == 0 {
+		return errors.New("-mem-budget requires -snapshot-every (only a snapshot rotates the tail index, which otherwise grows outside the budget)")
 	}
 
 	assessor, err := core.Spec{Scheme: *scheme, Trust: *trustName, Lambda: *lambda, Window: *window, Seed: *seed}.Build()
@@ -244,12 +247,15 @@ func run(ctx context.Context, args []string) error {
 			logger.Printf("close reconciler: %v", err)
 		}
 	}
+	// The server drains before the peer connections close: a forward or a
+	// replication push still in flight keeps its connection, and one begun
+	// during the drain finds the pool open and leaves nothing open after.
+	err = srv.Close()
 	if cl != nil {
 		if err := cl.Close(); err != nil {
 			logger.Printf("close cluster: %v", err)
 		}
 	}
-	err = srv.Close()
 	if raw, jerr := json.Marshal(reg); jerr == nil {
 		logger.Printf("final stats: %s", raw)
 	}

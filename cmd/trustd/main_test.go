@@ -208,6 +208,37 @@ func TestMetricsAddrTaken(t *testing.T) {
 	}
 }
 
+// TestMemBudgetNeedsSnapshots: -mem-budget is refused without -ledger and
+// without -snapshot-every — only a snapshot empties the ledger's tail index,
+// which the budget does not charge — before anything is opened.
+func TestMemBudgetNeedsSnapshots(t *testing.T) {
+	dir := filepath.Join(t.TempDir(), "ledger")
+	for _, tc := range []struct {
+		args []string
+		want string
+	}{
+		{[]string{"-mem-budget", "1MiB"}, "-mem-budget requires -ledger"},
+		{[]string{"-mem-budget", "1MiB", "-ledger", dir}, "-mem-budget requires -snapshot-every"},
+		{[]string{"-mem-budget", "1MiB", "-ledger", dir, "-snapshot-every", "0"}, "-mem-budget requires -snapshot-every"},
+	} {
+		if _, err := startAndStop(t, tc.args...); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%v: err = %v, want %q", tc.args, err, tc.want)
+		}
+	}
+	if _, err := os.Stat(dir); !errors.Is(err, os.ErrNotExist) {
+		t.Fatalf("a refused start touched the ledger directory: %v", err)
+	}
+	var logged lockedBuffer
+	defer func(w io.Writer) { stderr = w }(stderr)
+	stderr = &logged
+	ctx, cancel := context.WithTimeout(context.Background(), 300*time.Millisecond)
+	defer cancel()
+	err := run(ctx, []string{"-addr", "127.0.0.1:0", "-mem-budget", "1MiB", "-ledger", dir, "-snapshot-every", "100"})
+	if err != nil || !strings.Contains(logged.String(), "memory budget") {
+		t.Fatalf("-mem-budget with -ledger and -snapshot-every: %v\n%s", err, logged.String())
+	}
+}
+
 // TestParseSize: -mem-budget's sizes, binary units, and every size whose
 // byte count leaves int64 refused rather than wrapped.
 func TestParseSize(t *testing.T) {

@@ -7,7 +7,6 @@ import (
 	"log"
 	"sort"
 	"strings"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -54,8 +53,8 @@ const DefaultReplicas = 2
 // configuration does not.
 const DefaultDialTimeout = 5 * time.Second
 
-// Cluster is one node's runtime view of the cluster: the ring, lazily
-// dialed peer connections, and the routing counters. Safe for concurrent
+// Cluster is one node's runtime view of the cluster: the ring, one pool of
+// peer connections, and the routing counters. Safe for concurrent
 // use; a nil *Cluster is "not clustered" to RegisterMetrics.
 type Cluster struct {
 	self     Node
@@ -65,10 +64,7 @@ type Cluster struct {
 	vnodes   int
 	timeout  time.Duration
 	logger   *log.Logger
-
-	mu    sync.Mutex
-	conns map[string]*repclient.Client
-	rtts  map[string]time.Duration
+	pool     *repclient.Pool
 
 	forwarded     atomic.Uint64
 	forwardErrors atomic.Uint64
@@ -124,8 +120,7 @@ func New(cfg Config) (*Cluster, error) {
 		vnodes:   vnodes,
 		timeout:  timeout,
 		logger:   cfg.Logger,
-		conns:    make(map[string]*repclient.Client),
-		rtts:     make(map[string]time.Duration),
+		pool:     repclient.NewPool(repclient.WithTimeout(timeout)),
 	}, nil
 }
 
@@ -137,15 +132,6 @@ func (c *Cluster) Replicas() int { return c.replicas }
 
 // Size returns the membership size.
 func (c *Cluster) Size() int { return len(c.nodes) }
-
-// Nodes returns the membership sorted by ID.
-func (c *Cluster) Nodes() []Node {
-	out := make([]Node, 0, len(c.nodes))
-	for _, id := range c.ring.Nodes() {
-		out = append(out, c.nodes[id])
-	}
-	return out
-}
 
 // Owner returns the node ID owning server.
 func (c *Cluster) Owner(server feedback.EntityID) string {
@@ -181,8 +167,8 @@ func (c *Cluster) Neighbours() []string {
 	return c.ring.Successors(c.self.ID, 0)
 }
 
-// Peer returns a (cached) client connection to the given node, dialing and
-// RTT-probing it on first use. The returned client is shared: callers must
+// Peer returns the shared client connection to the given node from the
+// cluster's pool, which dials and RTT-probes it on first use. Callers must
 // not Close it.
 func (c *Cluster) Peer(node string) (*repclient.Client, error) {
 	if node == c.self.ID {
@@ -192,45 +178,16 @@ func (c *Cluster) Peer(node string) (*repclient.Client, error) {
 	if !ok {
 		return nil, fmt.Errorf("cluster: unknown node %q", node)
 	}
-	c.mu.Lock()
-	cl := c.conns[node]
-	c.mu.Unlock()
-	if cl != nil {
-		return cl, nil
-	}
-	start := time.Now()
-	cl, err := repclient.Dial(n.Addr, repclient.WithTimeout(c.timeout))
+	cl, err := c.pool.Get(n.Addr)
 	if err != nil {
-		return nil, fmt.Errorf("cluster: dial %s (%s): %w", node, n.Addr, err)
+		return nil, fmt.Errorf("cluster: peer %s (%s): %w", node, n.Addr, err)
 	}
-	if err := cl.Ping(); err != nil {
-		_ = cl.Close()
-		return nil, fmt.Errorf("cluster: ping %s (%s): %w", node, n.Addr, err)
-	}
-	rtt := time.Since(start)
-	c.mu.Lock()
-	if existing := c.conns[node]; existing != nil {
-		// Lost a dial race; keep the established connection.
-		c.mu.Unlock()
-		_ = cl.Close()
-		return existing, nil
-	}
-	c.conns[node] = cl
-	c.rtts[node] = rtt
-	c.mu.Unlock()
 	return cl, nil
 }
 
-// Close releases all peer connections.
-func (c *Cluster) Close() error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	for id, cl := range c.conns {
-		_ = cl.Close()
-		delete(c.conns, id)
-	}
-	return nil
-}
+// Close releases all peer connections; a later Peer fails with
+// repclient.ErrClosed and dials nothing.
+func (c *Cluster) Close() error { return c.pool.Close() }
 
 // callCtx bounds one forwarded call when the inbound request carried no
 // deadline of its own.
@@ -297,10 +254,10 @@ func (c *Cluster) noteErr(node string, err error) {
 // factor, virtual nodes per member, every member's address by ID (peers),
 // the calls routed to a peer (forwarded) and those that failed at the
 // transport level, not typed errors relayed back (forward_errors), and the
-// last RTT to each dialed peer. It is the node's whole view of its cluster,
-// which `trustctl cluster-status` prints. For a nil *Cluster, a node that
-// is not clustered, enabled is false and the counters zero. Registering
-// again replaces the block.
+// RTT each peer's first dial measured. It is the node's whole view of its
+// cluster, which `trustctl cluster-status` prints. For a nil *Cluster, a
+// node that is not clustered, enabled is false and the counters zero.
+// Registering again replaces the block.
 func (c *Cluster) RegisterMetrics(reg *metrics.Registry) {
 	if c == nil {
 		c = &Cluster{}
@@ -322,14 +279,17 @@ func (c *Cluster) RegisterMetrics(reg *metrics.Registry) {
 	reg.Counter("cluster.forwarded", &c.forwarded)
 	reg.Counter("cluster.forward_errors", &c.forwardErrors)
 	reg.Gauge("cluster.peer_rtt_ms", func() any {
-		c.mu.Lock()
-		defer c.mu.Unlock()
-		if len(c.rtts) == 0 {
+		if c.ring == nil {
 			return nil
 		}
-		ms := make(map[string]float64, len(c.rtts))
-		for id, d := range c.rtts {
-			ms[id] = float64(d) / 1e6
+		rtts, ms := c.pool.RTTs(), map[string]float64{}
+		for id, n := range c.nodes {
+			if d, ok := rtts[n.Addr]; ok {
+				ms[id] = float64(d) / 1e6
+			}
+		}
+		if len(ms) == 0 {
+			return nil
 		}
 		return ms
 	})

@@ -108,12 +108,6 @@ func keyHash(key string) uint64 {
 	return mix64(h.Sum64())
 }
 
-// Nodes returns the ring's node IDs, sorted.
-func (r *Ring) Nodes() []string { return append([]string(nil), r.nodes...) }
-
-// Size returns the number of nodes on the ring.
-func (r *Ring) Size() int { return len(r.nodes) }
-
 // ownerIndex returns the index into r.points of the first point at or after
 // the key's hash, wrapping past the highest point back to the first.
 func (r *Ring) ownerIndex(key string) int {

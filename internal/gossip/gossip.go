@@ -87,6 +87,9 @@ type Reconciler struct {
 	mu    sync.Mutex
 	rng   *stats.RNG
 	peers []string
+	// pool holds one connection per unclustered peer across rounds; a
+	// clustered node's rounds ride the cluster's pool.
+	pool *repclient.Pool
 
 	rounds, received, inSync, roundErrors atomic.Uint64
 }
@@ -110,6 +113,7 @@ func New(cfg Config) (*Reconciler, error) {
 		cancel:  cancel,
 		rng:     stats.NewRNG(cfg.Seed),
 		peers:   append([]string(nil), cfg.Peers...),
+		pool:    repclient.NewPool(),
 	}, nil
 }
 
@@ -164,12 +168,12 @@ func (n *Reconciler) Start() {
 	}()
 }
 
-// Close aborts any in-flight round and waits for the loop to exit. It is
-// idempotent.
+// Close aborts any in-flight round, waits for the loop to exit and closes
+// the connections to unclustered peers. It is idempotent.
 func (n *Reconciler) Close() error {
 	n.cancel()
 	n.wg.Wait()
-	return nil
+	return n.pool.Close()
 }
 
 // RoundOnce performs one anti-entropy round trip with a random peer: it
@@ -207,25 +211,22 @@ func (n *Reconciler) RoundOnceCtx(ctx context.Context) error {
 		// with its forwards.
 		sr, err = cluster.Forward(ctx, cl, peer, call)
 	} else {
-		var own *repclient.Client
-		if own, err = repclient.Dial(peer); err != nil {
-			return err
+		var pc *repclient.Client
+		if pc, err = n.pool.Get(peer); err == nil {
+			sr, err = call(ctx, pc)
 		}
-		defer func() { _ = own.Close() }()
-		sr, err = call(ctx, own)
 	}
 	if err != nil {
 		return fmt.Errorf("summary exchange with %s: %w", peer, err)
 	}
 	if len(sr.Stale) == 0 {
 		n.inSync.Add(1)
-		n.rounds.Add(1)
-		return nil
-	}
-	added, err := n.cfg.Node.SeedBatch(sr.Records)
-	n.received.Add(uint64(added))
-	if err != nil {
-		return fmt.Errorf("store records from %s: %w", peer, err)
+	} else {
+		added, err := n.cfg.Node.SeedBatch(sr.Records)
+		n.received.Add(uint64(added))
+		if err != nil {
+			return fmt.Errorf("store records from %s: %w", peer, err)
+		}
 	}
 	n.rounds.Add(1)
 	return nil

@@ -122,8 +122,9 @@ func TestTwoNodeConvergenceManualRounds(t *testing.T) {
 		t.Fatal("received counters did not move")
 	}
 	// The exchange was served by the ordinary request pipeline, one round
-	// trip for a's one round.
-	if pt, _ := b.srv.Metrics().Value("per_type").(service.Snapshot); pt["gossip.summary"].Requests != 1 || len(pt) != 1 {
+	// trip for a's one round, beside the ping that timed a's new connection.
+	if pt, _ := b.srv.Metrics().Value("per_type").(service.Snapshot); pt["gossip.summary"].Requests != 1 ||
+		pt["ping"].Requests != 1 || len(pt) != 2 {
 		t.Fatalf("responder metrics of the exchange: %+v", pt)
 	}
 }
@@ -239,6 +240,36 @@ func TestSummaryShortCircuitWhenInSync(t *testing.T) {
 	}
 	if got := a.srv.Metrics().Value("per_type").(service.Snapshot)["gossip.summary"].Requests; got != 2 {
 		t.Fatalf("responder served %d summaries over two rounds, want one round trip each", got)
+	}
+}
+
+// TestRoundOnceReusesItsConnection: an unclustered reconciler opens one
+// connection to a peer however many rounds it runs, and Close closes it.
+func TestRoundOnceReusesItsConnection(t *testing.T) {
+	a := newNode(t, "a")
+	b := newNode(t, "b")
+	a.AddPeer(b.Addr())
+	b.seed(t, rec("srv", "c", true, 1))
+	for round := 1; round <= 5; round++ {
+		if err := a.RoundOnce(); err != nil {
+			t.Fatalf("round %d: %v", round, err)
+		}
+	}
+	if a.Store().Len() != 1 || a.InSyncRounds() != 4 {
+		t.Fatalf("after five rounds: %d records, %d in-sync rounds", a.Store().Len(), a.InSyncRounds())
+	}
+	if got := b.srv.Metrics().Value("connections"); got != uint64(1) {
+		t.Fatalf("peer accepted %v connections over five rounds, want 1", got)
+	}
+	if err := a.Close(); err != nil {
+		t.Fatal(err)
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for b.srv.Metrics().Value("open_connections") != 0 {
+		if time.Now().After(deadline) {
+			t.Fatalf("peer holds %v open connections after the reconciler closed", b.srv.Metrics().Value("open_connections"))
+		}
+		time.Sleep(5 * time.Millisecond)
 	}
 }
 

@@ -56,7 +56,10 @@ type Options struct {
 	// and the store faults evicted servers back in from the newest snapshot
 	// plus the in-memory tail index (gatherServer). Boot
 	// seeds fully resident, snapshots once if it had to full-replay (so the
-	// tail index starts empty), then trims to the budget.
+	// tail index starts empty), then trims to the budget. The tail index
+	// grows with every stored record and only a snapshot empties it, so it
+	// stays bounded only beside a SnapshotEvery; trustd refuses -mem-budget
+	// without -snapshot-every.
 	MemBudget int64
 }
 

@@ -1,34 +1,23 @@
 package repclient
 
 import (
+	"cmp"
 	"context"
 	"fmt"
-	"sort"
+	"maps"
+	"math"
+	"slices"
 	"sync"
 	"time"
 )
 
-// Probe-based multi-node dialing. DialCluster measures the round trip to
-// every node at dial time (a full dial + handshake + ping, the
-// same work a real request pays), keeps the connection to the fastest node,
-// and remembers the others ranked by RTT as failover targets. When the
-// preferred connection breaks, the existing poisoned-connection machinery
-// redials — but through the ranked list instead of a single address, so
-// callers transparently land on the nearest surviving node.
-
-// probeResult is one node's measured dial outcome.
-type probeResult struct {
-	addr   string
-	client *Client
-	rtt    time.Duration
-	err    error
-}
-
 // DialCluster connects to the fastest-responding of several equivalent
-// nodes. Every address is probed concurrently (dial, handshake, ping,
-// measuring the full round trip); the fastest successful connection is kept
-// and the rest closed. Dialing fails only when every node is unreachable.
-// The returned client fails over across the surviving addresses on redial.
+// nodes. Every address is probed concurrently through one Pool (dial,
+// handshake, ping, measuring the full round trip — the work a first request
+// pays); the fastest connection is kept and the rest closed. Dialing fails
+// only when every node is unreachable. When the kept connection breaks, the
+// client redials through the other addresses in ascending RTT order, so
+// callers land on the nearest surviving node.
 func DialCluster(addrs []string, opts ...Option) (*Client, error) {
 	if len(addrs) == 0 {
 		return nil, fmt.Errorf("repclient: no addresses")
@@ -36,61 +25,34 @@ func DialCluster(addrs []string, opts ...Option) (*Client, error) {
 	if len(addrs) == 1 {
 		return Dial(addrs[0], opts...)
 	}
-	results := make([]probeResult, len(addrs))
+	p := NewPool(opts...)
+	errs := make([]error, len(addrs))
 	var wg sync.WaitGroup
 	for i, addr := range addrs {
 		wg.Add(1)
-		go func(i int, addr string) {
+		go func() {
 			defer wg.Done()
-			results[i] = probe(addr, opts)
-		}(i, addr)
+			_, errs[i] = p.Get(addr)
+		}()
 	}
 	wg.Wait()
-
-	best := -1
-	for i, r := range results {
-		if r.err != nil {
-			continue
-		}
-		if best < 0 || r.rtt < results[best].rtt {
-			best = i
+	rtts, best := p.RTTs(), ""
+	for a, d := range rtts {
+		if best == "" || d < rtts[best] {
+			best = a
 		}
 	}
-	if best < 0 {
-		return nil, fmt.Errorf("repclient: all %d nodes unreachable (first: %w)", len(addrs), results[0].err)
+	if best == "" {
+		return nil, fmt.Errorf("repclient: all %d nodes unreachable (first: %w)", len(addrs), errs[0])
 	}
-	c := results[best].client
+	// The winner leaves the pool, whose Close then closes the losers.
+	c := p.conns[best].c
+	delete(p.conns, best)
+	_ = p.Close()
 	c.mu.Lock()
-	c.addrs = append([]string(nil), addrs...)
-	c.rtts = make(map[string]time.Duration, len(addrs))
-	for _, r := range results {
-		if r.err == nil {
-			c.rtts[r.addr] = r.rtt
-		}
-		if r.client != nil && r.client != c {
-			// Close loser connections outside their own lock; they never
-			// escaped this function, so nothing else can be using them.
-			_ = r.client.mux.nc.Close()
-			r.client.closed = true
-		}
-	}
+	c.addrs, c.rtts = append([]string(nil), addrs...), rtts
 	c.mu.Unlock()
 	return c, nil
-}
-
-// probe dials one address and measures the full round trip including
-// the handshake and a ping — the realistic cost of a first request.
-func probe(addr string, opts []Option) probeResult {
-	start := time.Now()
-	c, err := Dial(addr, opts...)
-	if err != nil {
-		return probeResult{addr: addr, err: err}
-	}
-	if err := c.Ping(); err != nil {
-		_ = c.Close()
-		return probeResult{addr: addr, err: err}
-	}
-	return probeResult{addr: addr, client: c, rtt: time.Since(start)}
 }
 
 // Addr reports the address of the node the client currently talks to.
@@ -105,14 +67,7 @@ func (c *Client) Addr() string {
 func (c *Client) RTTs() map[string]time.Duration {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if c.rtts == nil {
-		return nil
-	}
-	out := make(map[string]time.Duration, len(c.rtts))
-	for a, d := range c.rtts {
-		out[a] = d
-	}
-	return out
+	return maps.Clone(c.rtts)
 }
 
 // failoverOrderLocked returns the addresses to try on a redial: the current
@@ -120,36 +75,21 @@ func (c *Client) RTTs() map[string]time.Duration {
 // rest by ascending probed RTT, unprobed addresses last. Called with c.mu
 // held.
 func (c *Client) failoverOrderLocked() []string {
-	order := make([]string, 0, len(c.addrs))
-	order = append(order, c.addr)
-	rest := make([]string, 0, len(c.addrs))
-	for _, a := range c.addrs {
-		if a != c.addr {
-			rest = append(rest, a)
+	rtt := func(a string) time.Duration {
+		if d, ok := c.rtts[a]; ok {
+			return d
 		}
+		return math.MaxInt64
 	}
-	sort.SliceStable(rest, func(i, j int) bool {
-		ri, iok := c.rtts[rest[i]]
-		rj, jok := c.rtts[rest[j]]
-		switch {
-		case iok && jok:
-			return ri < rj
-		case iok:
-			return true
-		default:
-			return false
-		}
-	})
-	return append(order, rest...)
+	rest := slices.DeleteFunc(slices.Clone(c.addrs), func(a string) bool { return a == c.addr })
+	slices.SortStableFunc(rest, func(a, b string) int { return cmp.Compare(rtt(a), rtt(b)) })
+	return append([]string{c.addr}, rest...)
 }
 
 // connectAnyLocked establishes a connection to any configured address in
 // failover order. On success c.addr is the connected address. Called with
 // c.mu held.
 func (c *Client) connectAnyLocked(ctx context.Context) error {
-	if len(c.addrs) <= 1 {
-		return c.connectLocked(ctx)
-	}
 	var firstErr error
 	for _, addr := range c.failoverOrderLocked() {
 		c.addr = addr

@@ -13,6 +13,7 @@ import (
 
 	"honestplayer/internal/cluster"
 	"honestplayer/internal/feedback"
+	"honestplayer/internal/repclient"
 	"honestplayer/internal/service"
 	"honestplayer/internal/stats"
 	"honestplayer/internal/wire"
@@ -190,6 +191,37 @@ func TestClusterUnknownServerRelayed(t *testing.T) {
 		if !errors.As(err, &typed) || typed.Code != wire.CodeUnknownServer {
 			t.Fatalf("assess unknown via node %d: got %v; want typed %s", i+1, err, wire.CodeUnknownServer)
 		}
+	}
+}
+
+// TestClusterClosedDialsNothing: a node's cluster view, once closed — the
+// last step of a node's shutdown, after the server drained — fails every
+// forward, over a pooled connection or to a peer never dialed, and opens
+// no connection to a peer.
+func TestClusterClosedDialsNothing(t *testing.T) {
+	servers := startCluster(t, 3, 2, func() Config { return Config{Assessor: testAssessor(t)} })
+	cl := servers[0].Cluster()
+	ctx := context.Background()
+	if _, err := cl.ForwardAssessBatch(ctx, "n2", []feedback.EntityID{"s"}, 0.9); err != nil {
+		t.Fatal(err)
+	}
+	conns := func() [2]any {
+		return [2]any{servers[1].Metrics().Value("connections"), servers[2].Metrics().Value("connections")}
+	}
+	before := conns()
+	if before != [2]any{uint64(1), uint64(0)} {
+		t.Fatalf("connections accepted by n2, n3 after one forward to n2: %v", before)
+	}
+	if err := cl.Close(); err != nil {
+		t.Fatal(err)
+	}
+	for _, node := range []string{"n2", "n3"} {
+		if _, err := cl.ForwardAssessBatch(ctx, node, []feedback.EntityID{"s"}, 0.9); !errors.Is(err, repclient.ErrClosed) {
+			t.Fatalf("forward to %s after Close: %v; want repclient.ErrClosed", node, err)
+		}
+	}
+	if after := conns(); after != before {
+		t.Fatalf("connections accepted by n2, n3: %v before Close, %v after", before, after)
 	}
 }
 

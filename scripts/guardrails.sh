@@ -51,6 +51,9 @@
 #   - anti-entropy is one round trip of binary payloads (ADR 0022): the
 #     digest/delta pair and the cluster.info pair stay deleted, and
 #     internal/gossip builds no JSON
+#   - one pool for every node-to-node connection (ADR 0022):
+#     gossip and cluster dial through repclient.Pool, and nothing outside
+#     repclient keeps its own map of clients
 #   - one generator step, no Lgamma (ADR 0007): the Monte-Carlo
 #     kernels get cheaper per uniform, never by a second copy of the stream;
 #     the eight-lane kernel is the one assembly file, pinned by a differential
@@ -393,6 +396,16 @@ for sym in DigestMsg DeltaMsg GossipDigestCtx ClusterStatusResponse handleCluste
 done
 check "internal/gossip does not import encoding/json (ADR 0022)" \
     "absent '^\s*\"encoding/json\"' internal/gossip"
+
+# --- one pool for every node-to-node connection (ADR 0022) --------------------
+# A node holds its peer connections in repclient.Pool, one shared client per
+# address: the cluster's forwards, replication pushes and rounds in one, an
+# unclustered reconciler's rounds in its own. Neither dials per call nor
+# keeps a second table of clients beside a pool.
+check "internal/gossip and internal/cluster call no repclient.Dial (repclient.Pool)" \
+    "absent 'repclient\.Dial\(' internal/gossip && absent 'repclient\.Dial\(' internal/cluster"
+check "no map of repclient clients outside internal/repclient (repclient.Pool)" \
+    "absent 'map\[string\]\*repclient\.Client'"
 
 # --- stream-identical Monte-Carlo (ADR 0007) ----------------------------------
 # A batch kernel must repeat the generator's step, not re-derive it: a copy
