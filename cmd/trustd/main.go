@@ -52,7 +52,6 @@ import (
 	"honestplayer/internal/ledger"
 	"honestplayer/internal/metrics"
 	"honestplayer/internal/repserver"
-	"honestplayer/internal/store"
 )
 
 // stderr receives the node's log, swappable in tests.
@@ -68,30 +67,27 @@ func main() {
 func run(ctx context.Context, args []string) error {
 	fs := flag.NewFlagSet("trustd", flag.ContinueOnError)
 	var (
-		addr         = fs.String("addr", "127.0.0.1:7700", "reputation server listen address")
-		scheme       = fs.String("scheme", core.DefaultSpec.Scheme, "behaviour testing: none | single | multi | collusion | collusion-multi")
-		trustName    = fs.String("trust", core.DefaultSpec.Trust, "trust function: average | weighted | beta")
-		lambda       = fs.Float64("lambda", core.DefaultSpec.Lambda, "lambda for the weighted trust function")
-		window       = fs.Int("window", core.DefaultSpec.Window, "transaction window size m")
-		peersArg     = fs.String("peers", "", "comma-separated serving addresses of the nodes to reconcile with; with -node-id, the full cluster membership as id=addr pairs")
-		nodeID       = fs.String("node-id", "", "this node's ID in a static cluster (empty = single-node mode; requires -peers membership including this ID)")
-		replicas     = fs.Int("replicas", cluster.DefaultReplicas, "replica count per server ID when clustered (owner + R-1 ring successors)")
-		interval     = fs.Duration("interval", 0, "anti-entropy round interval: pull missing records from a random peer this often (0 = never initiate; the node still answers its peers' rounds)")
-		ledgerPath   = fs.String("ledger", "", "segmented ledger directory for durable feedback storage (empty = in-memory only); a ledger an earlier revision wrote is refused unchanged: rewrite it with trustctl ledger-migrate")
-		segmentBytes = fs.Int64("segment-bytes", ledger.DefaultSegmentBytes, "ledger segment roll-over threshold in bytes")
-		snapEvery    = fs.Uint64("snapshot-every", 0, "write a store snapshot after this many durable appends, bounding boot-time replay (0 disables)")
-		snapOnStop   = fs.Bool("snapshot-on-shutdown", false, "write a final snapshot during graceful shutdown")
-		seed         = fs.Uint64("seed", core.DefaultSpec.Seed, "seed for threshold calibration")
-		shards       = fs.Int("shards", store.DefaultShards, "feedback store shard count (writes to different servers never contend)")
-		reqTimeout   = fs.Duration("request-timeout", 10*time.Second, "per-request deadline; exceeding it yields a deadline_exceeded error frame (0 disables)")
-		drain        = fs.Duration("drain-timeout", repserver.DefaultDrainTimeout, "grace period for in-flight requests at shutdown")
-		slowLog      = fs.Duration("slow-log", 0, "log requests slower than this (0 disables)")
-		metricsAddr  = fs.String("metrics-addr", "", "HTTP listen address answering GET and HEAD /metricz (empty disables)")
+		addr        = fs.String("addr", "127.0.0.1:7700", "reputation server listen address")
+		scheme      = fs.String("scheme", core.DefaultSpec.Scheme, "behaviour testing: none | single | multi | collusion | collusion-multi")
+		trustName   = fs.String("trust", core.DefaultSpec.Trust, "trust function: average | weighted | beta")
+		lambda      = fs.Float64("lambda", core.DefaultSpec.Lambda, "lambda for the weighted trust function")
+		window      = fs.Int("window", core.DefaultSpec.Window, "transaction window size m")
+		peersArg    = fs.String("peers", "", "comma-separated serving addresses of the nodes to reconcile with; with -node-id, the full cluster membership as id=addr pairs")
+		nodeID      = fs.String("node-id", "", "this node's ID in a static cluster (empty = single-node mode; requires -peers membership including this ID)")
+		replicas    = fs.Int("replicas", cluster.DefaultReplicas, "replica count per server ID when clustered (owner + R-1 ring successors)")
+		interval    = fs.Duration("interval", 0, "anti-entropy round interval: pull missing records from a random peer this often (0 = never initiate; the node still answers its peers' rounds)")
+		ledgerPath  = fs.String("ledger", "", "segmented ledger directory for durable feedback storage (empty = in-memory only); a ledger an earlier revision wrote is refused unchanged: rewrite it with trustctl ledger-migrate")
+		snapEvery   = fs.Uint64("snapshot-every", 0, "write a store snapshot after this many durable appends, bounding boot-time replay (0 disables)")
+		snapOnStop  = fs.Bool("snapshot-on-shutdown", false, "write a final snapshot during graceful shutdown")
+		seed        = fs.Uint64("seed", core.DefaultSpec.Seed, "seed for threshold calibration")
+		reqTimeout  = fs.Duration("request-timeout", 10*time.Second, "per-request deadline; exceeding it yields a deadline_exceeded error frame (0 disables)")
+		drain       = fs.Duration("drain-timeout", repserver.DefaultDrainTimeout, "grace period for in-flight requests at shutdown")
+		slowLog     = fs.Duration("slow-log", 0, "log requests slower than this (0 disables)")
+		metricsAddr = fs.String("metrics-addr", "", "HTTP listen address answering GET and HEAD /metricz (empty disables)")
 		// Deprecated: -incremental is parsed and ignored; every assessment is
 		// recomputed over the stored history (ADR 0016's amendment).
-		_            = fs.Bool("incremental", false, "deprecated and ignored: every assessment is recomputed over the stored history")
-		batchWorkers = fs.Int("batch-workers", 0, "worker pool size for assess.batch shard fan-out (0 = GOMAXPROCS)")
-		memBudget    = fs.String("mem-budget", "", "node-wide resident memory budget for server state, e.g. 512MiB or 1G (empty disables; requires -ledger and -snapshot-every, which bounds the tail index): idle servers are evicted to stubs and rebuilt on demand")
+		_         = fs.Bool("incremental", false, "deprecated and ignored: every assessment is recomputed over the stored history")
+		memBudget = fs.String("mem-budget", "", "node-wide resident memory budget for server state, e.g. 512MiB or 1G (empty disables; requires -ledger and -snapshot-every, which bounds the tail index): idle servers are evicted to stubs and rebuilt on demand")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -120,17 +116,13 @@ func run(ctx context.Context, args []string) error {
 	defer stopSignals()
 
 	logger := log.New(stderr, "trustd ", log.LstdFlags)
-	st := store.NewSharded(*shards)
 	serverCfg := repserver.Config{
-		Assessor: assessor, Store: st, Logger: logger,
+		Assessor: assessor, Logger: logger,
 		RequestTimeout: *reqTimeout, DrainTimeout: *drain, SlowLogThreshold: *slowLog,
-		BatchWorkers: *batchWorkers,
 	}
 	var ps *ledger.PersistentStore
 	if *ledgerPath != "" {
 		opts := ledger.Options{
-			Shards:        *shards,
-			SegmentBytes:  *segmentBytes,
 			SnapshotEvery: *snapEvery,
 			Logf:          logger.Printf,
 			MemBudget:     budgetBytes,

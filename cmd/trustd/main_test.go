@@ -20,6 +20,7 @@ import (
 
 	"honestplayer/internal/feedback"
 	"honestplayer/internal/ledger"
+	"honestplayer/internal/repclient"
 )
 
 // startAndStop runs trustd with args under a context that is already
@@ -179,6 +180,37 @@ func TestRunIncremental(t *testing.T) {
 	defer cancel()
 	if err := run(ctx, []string{"-addr", "127.0.0.1:0", "-scheme", "multi", "-incremental"}); err != nil {
 		t.Fatalf("run: %v", err)
+	}
+}
+
+// TestSnapshotOnShutdown: a node stopped with -snapshot-on-shutdown after a
+// submit boots again from the snapshot it wrote; without the flag, the next
+// boot replays the ledger. Either way the record is there.
+func TestSnapshotOnShutdown(t *testing.T) {
+	for _, tc := range []struct {
+		flags []string
+		want  string
+	}{{nil, "replay"}, {[]string{"-snapshot-on-shutdown"}, "snapshot"}} {
+		t.Run(tc.want, func(t *testing.T) {
+			dir := filepath.Join(t.TempDir(), "ledger")
+			flags := func(*testing.T, string) []string { return append([]string{"-ledger", dir}, tc.flags...) }
+			t.Run("first boot", func(t *testing.T) {
+				n := startNode(t, flags) // stopped when this subtest ends
+				cl, err := repclient.Dial(n.addr, repclient.WithTimeout(10*time.Second))
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer func() { _ = cl.Close() }()
+				rec := feedback.Feedback{Time: time.Unix(1700000000, 0).UTC(), Server: "s", Client: "c", Rating: feedback.Positive}
+				if stored, err := cl.Submit(rec); err != nil || !stored {
+					t.Fatalf("submit: stored %v, %v", stored, err)
+				}
+			})
+			led, _ := startNode(t, flags).scrape(t)["ledger"].(map[string]any)
+			if led["boot_mode"] != tc.want || led["records"] != 1.0 {
+				t.Fatalf("second boot: ledger.boot_mode %v, ledger.records %v; want %q and 1", led["boot_mode"], led["records"], tc.want)
+			}
+		})
 	}
 }
 

@@ -76,32 +76,6 @@ func TestGroupCommitCounters(t *testing.T) {
 	}
 }
 
-func TestGroupBucketAndQuantile(t *testing.T) {
-	for _, tc := range []struct {
-		n    uint64
-		want int
-	}{{1, 0}, {2, 1}, {3, 2}, {4, 2}, {5, 3}, {8, 3}, {9, 4}, {1024, 10}, {5000, 10}} {
-		if got := groupBucket(tc.n); got != tc.want {
-			t.Fatalf("groupBucket(%d) = %d, want %d", tc.n, got, tc.want)
-		}
-	}
-	var buckets [groupBuckets]uint64
-	if got := groupQuantile(&buckets, 0, 50); got != 0 {
-		t.Fatalf("empty histogram quantile = %d, want 0", got)
-	}
-	buckets[0] = 99 // 99 single-record flushes
-	buckets[4] = 1  // one 9–16-record flush
-	if got := groupQuantile(&buckets, 100, 50); got != 1 {
-		t.Fatalf("p50 = %d, want 1", got)
-	}
-	if got := groupQuantile(&buckets, 100, 99); got != 1 {
-		t.Fatalf("p99 = %d, want 1 (99 of 100 flushes are singles)", got)
-	}
-	if got := groupQuantile(&buckets, 100, 100); got != 16 {
-		t.Fatalf("p100 = %d, want 16", got)
-	}
-}
-
 // appendConcurrently runs appenders goroutines, each committing total records
 // through a mix of single Appends and 5-record AppendBatches, and returns the
 // overall record count. Every record is content-unique (disjoint time ranges
@@ -305,7 +279,7 @@ func TestPoisonedAfterWriteFailure(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Simulate the device failing under the ledger: close the segment file
-	// out from under the bufio writer, so the next Flush errors.
+	// out from under the ledger, so the next Write errors.
 	if err := l.f.Close(); err != nil {
 		t.Fatal(err)
 	}

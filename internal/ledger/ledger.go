@@ -22,7 +22,6 @@
 package ledger
 
 import (
-	"bufio"
 	"context"
 	"errors"
 	"fmt"
@@ -52,7 +51,6 @@ type Ledger struct {
 	segBytes int64
 
 	f        *os.File // active segment
-	w        *bufio.Writer
 	segIndex uint64
 	segSize  int64 // bytes written to the active segment (incl. header)
 	segRecs  uint64
@@ -71,25 +69,24 @@ type Ledger struct {
 	// Group commit: concurrent appenders enqueue their records under qmu;
 	// the first appender to find no leader active becomes the leader, drains
 	// the whole queue, and commits it as one group under l.mu — one encode
-	// pass, one Write, one Flush — while the followers wait on their done
+	// pass, one Write on the file — while the followers wait on their done
 	// channels. qmu is never held across I/O and never taken with l.mu held.
 	qmu        sync.Mutex
 	queue      []*commitWaiter
 	committing bool
 
-	// poisoned is the sticky first write/flush failure (guarded by l.mu).
-	// After a failed Write or Flush the bufio writer may have pushed an
-	// unknown prefix of the group to disk while the in-memory chain no longer
-	// matches the durable bytes, so every later append must fail fast rather
-	// than chain off an unwritten checksum. Reopening the ledger re-scans the
-	// segment and truncates whatever partial group landed.
+	// poisoned is the sticky first write failure (guarded by l.mu). After a
+	// failed Write an unknown prefix of the group may be on disk while the
+	// in-memory chain no longer matches the durable bytes, so every later
+	// append must fail fast rather than chain off an unwritten checksum.
+	// Reopening the ledger re-scans the segment and truncates whatever
+	// partial group landed.
 	poisoned error
 
-	// Group-commit counters (guarded by l.mu).
-	groupFlushes     uint64               // leader flushes (each = one Write+Flush)
-	coalescedFlushes uint64               // flushes that carried > 1 record
-	groupRecords     uint64               // records carried by all flushes
-	groupSizes       [groupBuckets]uint64 // power-of-two size histogram
+	// groupSizes holds the records each group's write carried: its count is
+	// the writes, its sum the records.
+	groupSizes       *metrics.Histogram
+	coalescedFlushes uint64 // writes that carried > 1 record (guarded by l.mu)
 
 	closed bool
 	buf    []byte // block scratch, dropped after a group above maxKeptBuf
@@ -100,11 +97,10 @@ type Ledger struct {
 // process.
 const maxKeptBuf = 1 << 20
 
-// groupBuckets is the size of the group-commit histogram: bucket i counts
-// flushes whose group size was in (2^(i-1), 2^i], so bucket 0 is exactly 1
-// record, bucket 1 is 2, bucket 2 is 3–4, … with the last bucket absorbing
-// everything larger.
-const groupBuckets = 11
+// groupBounds are the group-size histogram's bounds: a group of n records
+// counts under the least power of two at or above n, groups past 1024
+// under 1024.
+var groupBounds = []uint64{1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 1024}
 
 // commitWaiter is one appender's stake in a group commit: its records and
 // the channel the leader delivers the group's shared result on.
@@ -154,7 +150,7 @@ func openLedger(path string, segBytes int64) (*Ledger, error) {
 	if err := os.Mkdir(path, 0o755); err != nil && !errors.Is(err, os.ErrExist) {
 		return nil, fmt.Errorf("ledger: open %s: %w", path, err)
 	}
-	l := &Ledger{dir: path, segBytes: segBytes}
+	l := &Ledger{dir: path, segBytes: segBytes, groupSizes: metrics.HistogramOver(groupBounds)}
 	segs, err := l.listSegments()
 	if err != nil {
 		return nil, err
@@ -223,7 +219,6 @@ func (l *Ledger) startSegment(f *os.File, idx uint64) error {
 // the active segment.
 func (l *Ledger) setActive(f *os.File, idx uint64, sc segScan) {
 	l.f = f
-	l.w = bufio.NewWriter(f)
 	l.segIndex = idx
 	l.segSize = sc.intact
 	l.segRecs = sc.records
@@ -280,8 +275,8 @@ func (l *Ledger) openActive(idx uint64) error {
 
 // Append durably appends one record, rolling the active segment over when it
 // exceeds the configured threshold. Concurrent appenders group-commit: their
-// records are coalesced into one encode + one Write + one Flush issued by a
-// single leader, so N concurrent appends cost one flush syscall instead of N.
+// records are coalesced into one encode + one Write issued by a single
+// leader, so N concurrent appends cost one write syscall instead of N.
 func (l *Ledger) Append(rec feedback.Feedback) error {
 	return l.AppendBatch([]feedback.Feedback{rec})
 }
@@ -290,8 +285,8 @@ func (l *Ledger) Append(rec feedback.Feedback) error {
 // concurrent appenders joined the same commit): the []Feedback edge of the
 // ledger's one write, which packs recs into a batch. All-or-nothing: a
 // record Validate refuses fails the batch before anything is queued, and
-// the group's single Write+Flush either persists the whole batch or fails
-// it whole.
+// the group's single Write either persists the whole batch or fails it
+// whole.
 func (l *Ledger) AppendBatch(recs []feedback.Feedback) error {
 	b, errs := feedback.Pack(recs)
 	for i, err := range errs {
@@ -307,7 +302,7 @@ func (l *Ledger) AppendBatch(recs []feedback.Feedback) error {
 // The first appender to arrive while no leader is active becomes the leader:
 // it repeatedly drains the whole queue and commits it as one group, handing
 // each waiter the group's shared error, until the queue is empty. Everyone
-// else just waits — their records ride the leader's flush.
+// else just waits — their records ride the leader's write.
 func (l *Ledger) commit(b *feedback.Batch) error {
 	if b.Len() == 0 {
 		return nil
@@ -339,8 +334,8 @@ func (l *Ledger) commit(b *feedback.Batch) error {
 // their columns, the refs remapped onto the segment's dictionaries,
 // length-prefixed and checksummed, the checksum folded into a chain computed
 // locally so a failed write never advances the in-memory one — and issues a
-// single Write+Flush for it. A Write or Flush failure poisons the ledger (see
-// the poisoned field). A batch holds valid records only, so encoding cannot
+// single Write for it. A Write failure poisons the ledger (see the poisoned
+// field). A batch holds valid records only, so encoding cannot
 // fail.
 func (l *Ledger) commitGroup(group []*commitWaiter) error {
 	l.mu.Lock()
@@ -360,27 +355,21 @@ func (l *Ledger) commitGroup(group []*commitWaiter) error {
 	if cap(block) > maxKeptBuf {
 		l.buf = nil
 	}
-	if _, err := l.w.Write(block); err != nil {
+	if _, err := l.f.Write(block); err != nil {
 		l.poisoned = fmt.Errorf("ledger: poisoned by append error: %w", err)
 		return fmt.Errorf("ledger: append: %w", err)
-	}
-	if err := l.w.Flush(); err != nil {
-		l.poisoned = fmt.Errorf("ledger: poisoned by flush error: %w", err)
-		return fmt.Errorf("ledger: flush: %w", err)
 	}
 	l.chain = crc32.Update(l.chain, castagnoli, block[len(block)-4:])
 	l.segSize += int64(len(block))
 	l.segRecs += n
 	l.records += n
-	l.groupFlushes++
+	l.groupSizes.Observe(n)
 	if n > 1 {
 		l.coalescedFlushes++
 	}
-	l.groupRecords += n
-	l.groupSizes[groupBucket(n)]++
 	if l.segSize >= l.segBytes {
 		if err := l.rollOverLocked(); err != nil {
-			// The group's records flushed, but the seal is in an unknown
+			// The group's records are written, but the seal is in an unknown
 			// state; treat it like any other failed write.
 			l.poisoned = fmt.Errorf("ledger: poisoned by roll-over error: %w", err)
 			return err
@@ -389,23 +378,10 @@ func (l *Ledger) commitGroup(group []*commitWaiter) error {
 	return nil
 }
 
-// groupBucket maps a group size to its histogram bucket: ceil(log2(n)),
-// capped at the last bucket.
-func groupBucket(n uint64) int {
-	b := 0
-	for v := n - 1; v > 0; v >>= 1 {
-		b++
-	}
-	if b >= groupBuckets {
-		b = groupBuckets - 1
-	}
-	return b
-}
-
 // registerMetrics declares the log's keys of the ledger block.
-// group_commit.coalesced counts the flushes that carried more than one
-// record; size_p50 = 4 means half of all flushes carried at most 4 (the upper
-// bound of a power-of-two bucket).
+// group_commit.flushes counts the groups written and coalesced those that
+// carried more than one record; size_p50 = 4 means half of all groups
+// carried at most 4 (the upper bound of a power-of-two bucket).
 func (l *Ledger) registerMetrics(reg *metrics.Registry) {
 	locked := func(key string, read func() any) {
 		reg.Gauge("ledger."+key, func() any {
@@ -422,36 +398,20 @@ func (l *Ledger) registerMetrics(reg *metrics.Registry) {
 	locked("roll_overs", func() any { return l.rolls })
 	locked("ledger_truncations", func() any { return l.truncatedSegments })
 	locked("truncated_bytes", func() any { return l.truncatedBytes })
-	locked("group_commit.flushes", func() any { return l.groupFlushes })
+	locked("group_commit.flushes", func() any { return l.groupSizes.Count() })
 	locked("group_commit.coalesced", func() any { return l.coalescedFlushes })
-	locked("group_commit.records", func() any { return l.groupRecords })
-	locked("group_commit.size_p50", func() any { return groupQuantile(&l.groupSizes, l.groupFlushes, 50) })
-	locked("group_commit.size_p99", func() any { return groupQuantile(&l.groupSizes, l.groupFlushes, 99) })
-}
-
-// groupQuantile returns the upper bound (2^bucket) of the first histogram
-// bucket at which the cumulative flush count reaches pct percent of total.
-func groupQuantile(buckets *[groupBuckets]uint64, total uint64, pct uint64) uint64 {
-	if total == 0 {
-		return 0
+	locked("group_commit.records", func() any { return l.groupSizes.Sum() })
+	sizeAt := func(q float64) any {
+		_, hi, _ := l.groupSizes.Quantile(q)
+		return hi
 	}
-	need := (total*pct + 99) / 100
-	var cum uint64
-	for i, c := range buckets {
-		cum += c
-		if cum >= need {
-			return 1 << i
-		}
-	}
-	return 1 << (groupBuckets - 1)
+	locked("group_commit.size_p50", func() any { return sizeAt(0.50) })
+	locked("group_commit.size_p99", func() any { return sizeAt(0.99) })
 }
 
 // rollOverLocked seals the active segment — footer, fsync, close — and
 // starts the next one. Callers hold l.mu.
 func (l *Ledger) rollOverLocked() error {
-	if err := l.w.Flush(); err != nil {
-		return fmt.Errorf("ledger: roll-over flush: %w", err)
-	}
 	footer := appendFooter(nil, l.segRecs, uint64(l.segSize)-uint64(len(segMagic)), l.chain)
 	if _, err := l.f.Write(footer); err != nil {
 		return fmt.Errorf("ledger: seal segment %d: %w", l.segIndex, err)
@@ -473,7 +433,7 @@ func (l *Ledger) rollOverLocked() error {
 	return nil
 }
 
-// Sync flushes buffered data and fsyncs the active segment.
+// Sync fsyncs the active segment.
 func (l *Ledger) Sync() error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -483,17 +443,13 @@ func (l *Ledger) Sync() error {
 	if l.poisoned != nil {
 		return l.poisoned
 	}
-	if err := l.w.Flush(); err != nil {
-		l.poisoned = fmt.Errorf("ledger: poisoned by flush error: %w", err)
-		return fmt.Errorf("ledger: flush: %w", err)
-	}
 	if err := l.f.Sync(); err != nil {
 		return fmt.Errorf("ledger: sync: %w", err)
 	}
 	return nil
 }
 
-// Close flushes and closes the active segment. It is idempotent.
+// Close fsyncs and closes the active segment. It is idempotent.
 func (l *Ledger) Close() error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -501,15 +457,12 @@ func (l *Ledger) Close() error {
 		return nil
 	}
 	l.closed = true
-	ferr := l.w.Flush()
-	serr := l.f.Sync()
-	cerr := l.f.Close()
-	return errors.Join(ferr, serr, cerr)
+	return errors.Join(l.f.Sync(), l.f.Close())
 }
 
-// sealForSnapshot flushes buffered appends, seals the active segment if it
-// holds any records, and reports the index of the now-empty active segment
-// plus the total intact record count. Aligning the snapshot boundary to a
+// sealForSnapshot seals the active segment if it holds any records, and
+// reports the index of the now-empty active segment plus the total intact
+// record count. Aligning the snapshot boundary to a
 // segment boundary means tail replay after a snapshot boot starts exactly
 // at `segIndex` and never re-decodes snapshotted history. The snapshot
 // writer captures this BEFORE scanning store shards: any record accepted
@@ -523,10 +476,6 @@ func (l *Ledger) sealForSnapshot() (segIndex uint64, records uint64, err error) 
 	}
 	if l.poisoned != nil {
 		return 0, 0, l.poisoned
-	}
-	if err := l.w.Flush(); err != nil {
-		l.poisoned = fmt.Errorf("ledger: poisoned by flush error: %w", err)
-		return 0, 0, fmt.Errorf("ledger: flush: %w", err)
 	}
 	if l.segRecs > 0 {
 		if err := l.rollOverLocked(); err != nil {

@@ -184,9 +184,7 @@ func (l *Ledger) adoptTruncated(idx uint64, sc segScan, later []uint64) error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	discarded := sc.truncated
-	ferr := l.w.Flush()
-	cerr := l.f.Close()
-	if err := errors.Join(ferr, cerr); err != nil {
+	if err := l.f.Close(); err != nil {
 		return fmt.Errorf("ledger: close active during truncation: %w", err)
 	}
 	for _, j := range later {

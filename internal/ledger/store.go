@@ -240,8 +240,8 @@ func (ps *PersistentStore) AddBatch(recs []feedback.Feedback, workers int) []sto
 // Apply is the one durable write path: b's records are inserted into the
 // store one server run at a time (store.Apply, shard groups fanned over at
 // most workers goroutines), and the newly stored ones are appended to the
-// ledger as one group commit — one encode pass, one Write+Flush — instead
-// of one flush per record, kicking off a background snapshot when the
+// ledger as one group commit — one encode pass, one Write — instead of
+// one write per record, kicking off a background snapshot when the
 // configured interval is due. Results[i] reports record i: stored or
 // duplicate, or "stored in memory but not persisted" when the ledger
 // append fails after the store accepted it. With the lifecycle enabled,
@@ -320,7 +320,7 @@ func (ps *PersistentStore) snapshotAsync() {
 // sequence number.
 //
 // Consistency: the ledger seals its active segment and reports the fresh
-// (empty) active index first (flushed, under the ledger lock), then shards
+// (empty) active index first (under the ledger lock), then shards
 // are scanned. Add goes store-then-ledger, so every record the captured
 // position covers is already visible to the shard scan; records accepted
 // during the scan land in segments >= the covered segment, which tail

@@ -114,8 +114,9 @@ type shardGroup struct {
 }
 
 // assessItems assesses servers from local state: items are grouped by store
-// shard and the groups fanned out across a bounded worker pool
-// (Config.BatchWorkers, default GOMAXPROCS), each served by assessGroup.
+// shard and the groups fanned out across a pool of GOMAXPROCS workers, each
+// served by assessGroup; a shard's items are served by one worker under one
+// shard read-lock acquisition.
 func (s *Server) assessItems(ctx context.Context, servers []feedback.EntityID, threshold float64) []wire.AssessBatchItem {
 	items := make([]wire.AssessBatchItem, len(servers))
 	byShard := make(map[int]*shardGroup)
@@ -137,7 +138,7 @@ func (s *Server) assessItems(ctx context.Context, servers []feedback.EntityID, t
 		g.servers = append(g.servers, srv)
 	}
 
-	store.FanOut(len(groups), s.cfg.BatchWorkers, func() func(int) {
+	store.FanOut(len(groups), 0, func() func(int) {
 		return func(i int) { s.assessGroup(ctx, threshold, groups[i], items) }
 	})
 	return items

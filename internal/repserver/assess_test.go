@@ -26,95 +26,91 @@ import (
 // comparison sees one consistent state while the workload still interleaves
 // writes with batches exactly as a live server would.
 func TestAssessBatchMatchesSequential(t *testing.T) {
-	for _, workers := range []int{0, 1} {
-		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
-			srv, err := New("127.0.0.1:0", Config{Assessor: testAssessor(t), BatchWorkers: workers})
-			if err != nil {
-				t.Fatal(err)
-			}
-			t.Cleanup(func() { _ = srv.Close() })
+	srv, err := New("127.0.0.1:0", Config{Assessor: testAssessor(t)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = srv.Close() })
 
-			servers := make([]feedback.EntityID, 0, 12)
-			for i := 0; i < 10; i++ {
-				servers = append(servers, feedback.EntityID(fmt.Sprintf("srv-%02d", i)))
-			}
-			servers = append(servers, "ghost-a", "ghost-b")
+	servers := make([]feedback.EntityID, 0, 12)
+	for i := 0; i < 10; i++ {
+		servers = append(servers, feedback.EntityID(fmt.Sprintf("srv-%02d", i)))
+	}
+	servers = append(servers, "ghost-a", "ghost-b")
 
-			// world freezes the store for comparisons: writers hold it shared
-			// per write, the comparator exclusively per round.
-			var world sync.RWMutex
-			stop := make(chan struct{})
-			var wg sync.WaitGroup
-			for w := 0; w < 2; w++ {
-				wg.Add(1)
-				go func(w int) {
-					defer wg.Done()
-					client := feedback.EntityID(fmt.Sprintf("writer-%d", w))
-					for k := 0; ; k++ {
-						select {
-						case <-stop:
-							return
-						default:
-						}
-						world.RLock()
-						f := rec(servers[k%10], client, k%7 != 0, int64(10000*(w+1)+k))
-						if _, err := srv.Seed([]feedback.Feedback{f}); err != nil {
-							t.Errorf("add: %v", err)
-						}
-						world.RUnlock()
-					}
-				}(w)
+	// world freezes the store for comparisons: writers hold it shared
+	// per write, the comparator exclusively per round.
+	var world sync.RWMutex
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	for w := 0; w < 2; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			client := feedback.EntityID(fmt.Sprintf("writer-%d", w))
+			for k := 0; ; k++ {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				world.RLock()
+				f := rec(servers[k%10], client, k%7 != 0, int64(10000*(w+1)+k))
+				if _, err := srv.Seed([]feedback.Feedback{f}); err != nil {
+					t.Errorf("add: %v", err)
+				}
+				world.RUnlock()
 			}
+		}(w)
+	}
 
-			ctx := context.Background()
-			req := wire.AssessBatchRequest{Servers: servers, Threshold: 0.7}
-			for round := 0; round < 20; round++ {
-				world.Lock()
-				got, err := srv.AssessBatch(ctx, req)
-				if err != nil {
-					world.Unlock()
-					t.Fatalf("round %d: batch: %v", round, err)
-				}
-				if len(got.Items) != len(servers) {
-					world.Unlock()
-					t.Fatalf("round %d: %d items for %d servers", round, len(got.Items), len(servers))
-				}
-				for i, item := range got.Items {
-					if item.Server != servers[i] {
-						world.Unlock()
-						t.Fatalf("round %d: item %d answers %q, want %q", round, i, item.Server, servers[i])
-					}
-					single, serr := srv.Assess(ctx, wire.AssessRequest{Server: servers[i], Threshold: 0.7})
-					if serr != nil {
-						var proto *wire.ErrorResponse
-						if !errors.As(serr, &proto) {
-							world.Unlock()
-							t.Fatalf("round %d: single assess %q: unexpected error type %v", round, servers[i], serr)
-						}
-						if !reflect.DeepEqual(item.Error, proto) {
-							world.Unlock()
-							t.Fatalf("round %d: item %q error = %+v, single path = %+v", round, servers[i], item.Error, proto)
-						}
-						continue
-					}
-					if item.Error != nil {
-						world.Unlock()
-						t.Fatalf("round %d: item %q failed (%+v) but single path served %+v", round, servers[i], item.Error, single)
-					}
-					if !reflect.DeepEqual(item.AssessResponse, single) {
-						world.Unlock()
-						t.Fatalf("round %d: item %q mismatch:\nbatch:  %+v\nsingle: %+v", round, servers[i], item.AssessResponse, single)
-					}
-				}
+	ctx := context.Background()
+	req := wire.AssessBatchRequest{Servers: servers, Threshold: 0.7}
+	for round := 0; round < 20; round++ {
+		world.Lock()
+		got, err := srv.AssessBatch(ctx, req)
+		if err != nil {
+			world.Unlock()
+			t.Fatalf("round %d: batch: %v", round, err)
+		}
+		if len(got.Items) != len(servers) {
+			world.Unlock()
+			t.Fatalf("round %d: %d items for %d servers", round, len(got.Items), len(servers))
+		}
+		for i, item := range got.Items {
+			if item.Server != servers[i] {
 				world.Unlock()
+				t.Fatalf("round %d: item %d answers %q, want %q", round, i, item.Server, servers[i])
 			}
-			close(stop)
-			wg.Wait()
+			single, serr := srv.Assess(ctx, wire.AssessRequest{Server: servers[i], Threshold: 0.7})
+			if serr != nil {
+				var proto *wire.ErrorResponse
+				if !errors.As(serr, &proto) {
+					world.Unlock()
+					t.Fatalf("round %d: single assess %q: unexpected error type %v", round, servers[i], serr)
+				}
+				if !reflect.DeepEqual(item.Error, proto) {
+					world.Unlock()
+					t.Fatalf("round %d: item %q error = %+v, single path = %+v", round, servers[i], item.Error, proto)
+				}
+				continue
+			}
+			if item.Error != nil {
+				world.Unlock()
+				t.Fatalf("round %d: item %q failed (%+v) but single path served %+v", round, servers[i], item.Error, single)
+			}
+			if !reflect.DeepEqual(item.AssessResponse, single) {
+				world.Unlock()
+				t.Fatalf("round %d: item %q mismatch:\nbatch:  %+v\nsingle: %+v", round, servers[i], item.AssessResponse, single)
+			}
+		}
+		world.Unlock()
+	}
+	close(stop)
+	wg.Wait()
 
-			if got := srv.Metrics().Value("batch_items"); got != uint64(20*len(servers)) {
-				t.Fatalf("batch_items = %v, want %d", got, 20*len(servers))
-			}
-		})
+	if got := srv.Metrics().Value("batch_items"); got != uint64(20*len(servers)) {
+		t.Fatalf("batch_items = %v, want %d", got, 20*len(servers))
 	}
 }
 

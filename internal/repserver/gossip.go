@@ -19,16 +19,16 @@ import (
 
 // Summary returns the per-server checksums of the local store, restricted
 // on a clustered node to the servers in its replica sets, so partitioned
-// ownership is preserved under repair. The store bumps its global version
-// on every accepted write, so an unchanged version means the previous
-// summary is still exact and is returned as-is — the steady-state
+// ownership is preserved under repair. Every accepted write grows the
+// store's record count, so an unchanged count means the previous summary
+// is still exact and is returned as-is — the steady-state
 // (converged) case, for the rounds this node initiates and the ones it
 // answers alike. The returned map is shared; treat it as read-only.
 func (s *Server) Summary() map[string]store.Checksum {
-	v := s.cfg.Store.GlobalVersion()
+	n := s.cfg.Store.Len()
 	s.sumMu.Lock()
 	defer s.sumMu.Unlock()
-	if s.sums != nil && s.sumVersion == v {
+	if s.sums != nil && s.sumLen == n {
 		return s.sums
 	}
 	cl := s.clusterRef.Load()
@@ -40,9 +40,9 @@ func (s *Server) Summary() map[string]store.Checksum {
 		}
 	}
 	// Writes that landed while we walked the store make the summary fresher
-	// than v; stamping v just means the next call recomputes. Conservative
+	// than n; stamping n just means the next call recomputes. Conservative
 	// and correct.
-	s.sumVersion, s.sums = v, m
+	s.sumLen, s.sums = n, m
 	return m
 }
 

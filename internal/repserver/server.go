@@ -77,12 +77,6 @@ type Config struct {
 	// Deprecated: every verdict is recomputed over the stored history (ADR
 	// 0016's amendment).
 	Incremental bool
-	// BatchWorkers bounds the worker pool one TypeAssessB request fans its
-	// shard groups out over; zero means runtime.GOMAXPROCS(0). One worker
-	// serialises the batch (useful for deterministic profiling); the items
-	// of a single shard are always served by one worker under one shard
-	// read-lock acquisition regardless of the pool size.
-	BatchWorkers int
 	// RequestTimeout bounds each request's handler; a request exceeding it
 	// gets a deadline_exceeded error frame and the connection stays open.
 	// Zero means no per-request deadline.
@@ -144,11 +138,11 @@ type Server struct {
 	// local path.
 	clusterRef atomic.Pointer[cluster.Cluster]
 
-	// Cached anti-entropy summary (see gossip.go), valid while sumVersion is
-	// the store's global version.
-	sumMu      sync.Mutex
-	sumVersion uint64
-	sums       map[string]store.Checksum
+	// Cached anti-entropy summary (see gossip.go), valid while sumLen is
+	// the store's record count.
+	sumMu  sync.Mutex
+	sumLen int
+	sums   map[string]store.Checksum
 
 	// Counters registered in reg (see registerMetrics). nBatchItems counts
 	// the servers assess.batch frames named; the nSub* counters submit.batch
@@ -658,7 +652,7 @@ func (s *Server) applyBatch(ctx context.Context, rb wire.RecordBatch, batchFrame
 	if err := ctx.Err(); err != nil {
 		return wire.BatchResponse{}, err
 	}
-	results := s.cfg.Recorder.Apply(rb.Batch, s.cfg.BatchWorkers)
+	results := s.cfg.Recorder.Apply(rb.Batch, 0)
 	items := make([]wire.SubmitBatchItem, rb.Len())
 	k := 0
 	for i := range items {
@@ -693,16 +687,11 @@ func (s *Server) history(ctx context.Context, req wire.HistoryRequest) (wire.His
 	if err != nil {
 		return wire.HistoryResponse{}, storeError(err)
 	}
-	recs := h.Records()
-	total := len(recs)
 	limit := req.Limit
 	if limit <= 0 || limit > maxHistoryChunk {
 		limit = maxHistoryChunk
 	}
-	if len(recs) > limit {
-		recs = recs[len(recs)-limit:]
-	}
-	return wire.HistoryResponse{Records: recs, Total: total}, nil
+	return wire.HistoryResponse{Records: h.SuffixView(limit).Records(), Total: h.Len()}, nil
 }
 
 // storeError is the error frame for what the store or the Recorder reported

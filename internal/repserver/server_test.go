@@ -2,14 +2,18 @@ package repserver
 
 import (
 	"bufio"
+	"bytes"
 	"context"
 	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
+	"log"
 	"net"
 	"path/filepath"
+	"reflect"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -262,6 +266,82 @@ func TestSubmitAndHistory(t *testing.T) {
 	}
 	if total != 2 || len(recs) != 1 || recs[0].Client != "bob" {
 		t.Fatalf("limited history = %+v total=%d", recs, total)
+	}
+}
+
+// TestHistoryBuildsOnlyTheSuffix asks a 100,000-record server for its last
+// ten records: the answer is the tail of the whole history, and the handler
+// allocates under 1% of what materialising every record takes.
+func TestHistoryBuildsOnlyTheSuffix(t *testing.T) {
+	srv, err := New("127.0.0.1:0", Config{Assessor: testAssessor(t)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() { _ = srv.Close() }()
+	recs := make([]feedback.Feedback, 100_000)
+	for i := range recs {
+		recs[i] = rec("big", feedback.EntityID(fmt.Sprintf("c%d", i%50)), i%4 != 0, int64(i+1))
+	}
+	if n, err := srv.Store().AddAll(recs); err != nil || n != len(recs) {
+		t.Fatalf("AddAll = %d, %v", n, err)
+	}
+	req := wire.HistoryRequest{Server: "big", Limit: 10}
+	resp, err := srv.history(context.Background(), req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp.Total != len(recs) || !reflect.DeepEqual(resp.Records, recs[len(recs)-10:]) {
+		t.Fatalf("history = %d records of %d, %+v", len(resp.Records), resp.Total, resp.Records)
+	}
+	h, err := srv.Store().History("big")
+	if err != nil {
+		t.Fatal(err)
+	}
+	whole := allocatedBytes(func() { _ = h.Records() })
+	limited := allocatedBytes(func() { _, _ = srv.history(context.Background(), req) })
+	if limited*100 >= whole {
+		t.Fatalf("a limit-10 history allocates %d B, materialising the history %d B: want under 1%%", limited, whole)
+	}
+}
+
+// allocatedBytes is the heap f allocates, averaged over ten calls.
+func allocatedBytes(f func()) uint64 {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < 10; i++ {
+		f()
+	}
+	runtime.ReadMemStats(&after)
+	return (after.TotalAlloc - before.TotalAlloc) / 10
+}
+
+// TestSlowLog: a request at or past Config.SlowLogThreshold is logged
+// through Config.Logger as a slow request; one under it is not.
+func TestSlowLog(t *testing.T) {
+	for _, tc := range []struct {
+		threshold time.Duration
+		logged    bool
+	}{{time.Nanosecond, true}, {time.Hour, false}} {
+		var buf bytes.Buffer
+		srv, err := New("127.0.0.1:0", Config{Assessor: testAssessor(t), Logger: log.New(&buf, "", 0), SlowLogThreshold: tc.threshold})
+		if err != nil {
+			t.Fatal(err)
+		}
+		srv.Start()
+		c, err := repclient.Dial(srv.Addr(), repclient.WithTimeout(3*time.Second))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := c.Ping(); err != nil {
+			t.Fatal(err)
+		}
+		_ = c.Close()
+		if err := srv.Close(); err != nil { // waits for the handle loops: buf is settled
+			t.Fatal(err)
+		}
+		if got := strings.Contains(buf.String(), "slow request: ping"); got != tc.logged {
+			t.Errorf("threshold %v: slow ping logged %v, want %v; log:\n%s", tc.threshold, got, tc.logged, buf.String())
+		}
 	}
 }
 

@@ -5,59 +5,26 @@ import (
 	"sync/atomic"
 	"time"
 
+	"honestplayer/internal/metrics"
 	"honestplayer/internal/wire"
 )
 
-// latencyBuckets are the fixed upper bounds of the latency histogram,
-// exponential from 50µs to 10s. One more implicit +Inf bucket catches the
-// overflow. Fixed buckets keep Observe allocation-free and lock-free on the
-// hot path; quantiles are interpolated within a bucket, which is exact
-// enough for serving dashboards (a Prometheus-style trade).
-var latencyBuckets = [...]time.Duration{
-	50 * time.Microsecond,
-	100 * time.Microsecond,
-	250 * time.Microsecond,
-	500 * time.Microsecond,
-	1 * time.Millisecond,
-	2500 * time.Microsecond,
-	5 * time.Millisecond,
-	10 * time.Millisecond,
-	25 * time.Millisecond,
-	50 * time.Millisecond,
-	100 * time.Millisecond,
-	250 * time.Millisecond,
-	500 * time.Millisecond,
-	1 * time.Second,
-	2500 * time.Millisecond,
-	5 * time.Second,
-	10 * time.Second,
+const ms = uint64(time.Millisecond)
+
+// latencyBounds are the latency histogram's upper bounds in nanoseconds,
+// exponential from 50µs to 10s. Fixed buckets keep Observe allocation-free
+// and lock-free on the hot path; quantiles are interpolated within a bucket,
+// which is exact enough for serving dashboards (a Prometheus-style trade).
+var latencyBounds = []uint64{
+	ms / 20, ms / 10, ms / 4, ms / 2, ms, 5 * ms / 2, 5 * ms, 10 * ms, 25 * ms, 50 * ms,
+	100 * ms, 250 * ms, 500 * ms, 1000 * ms, 2500 * ms, 5000 * ms, 10000 * ms,
 }
 
-const numBuckets = len(latencyBuckets) + 1 // +Inf overflow
-
-// typeMetrics holds one message type's counters. All fields are atomics so
-// Observe never takes a lock after the typeMetrics exists.
+// typeMetrics is one message type's error count and latency histogram,
+// whose count is the type's requests and whose sum their total nanoseconds.
 type typeMetrics struct {
-	requests atomic.Uint64
-	errors   atomic.Uint64
-	totalNs  atomic.Uint64
-	buckets  [numBuckets]atomic.Uint64
-}
-
-func (tm *typeMetrics) observe(d time.Duration, isErr bool) {
-	if d < 0 {
-		d = 0
-	}
-	tm.requests.Add(1)
-	if isErr {
-		tm.errors.Add(1)
-	}
-	tm.totalNs.Add(uint64(d))
-	i := 0
-	for i < len(latencyBuckets) && d > latencyBuckets[i] {
-		i++
-	}
-	tm.buckets[i].Add(1)
+	errors  atomic.Uint64
+	latency *metrics.Histogram
 }
 
 // Metrics aggregates per-type request counters and latency histograms. The
@@ -82,12 +49,15 @@ func (m *Metrics) Observe(t wire.MsgType, d time.Duration, isErr bool) {
 		m.mu.Lock()
 		tm, ok = m.perType[t]
 		if !ok {
-			tm = &typeMetrics{}
+			tm = &typeMetrics{latency: metrics.HistogramOver(latencyBounds)}
 			m.perType[t] = tm
 		}
 		m.mu.Unlock()
 	}
-	tm.observe(d, isErr)
+	if isErr {
+		tm.errors.Add(1)
+	}
+	tm.latency.Observe(uint64(max(d, 0)))
 }
 
 // TypeSnapshot is one message type's counters at a point in time. Latency
@@ -113,65 +83,24 @@ type Snapshot map[string]TypeSnapshot
 // across types but each counter is individually consistent.
 func (m *Metrics) Snapshot() Snapshot {
 	m.mu.RLock()
-	types := make(map[wire.MsgType]*typeMetrics, len(m.perType))
+	defer m.mu.RUnlock()
+	out := make(Snapshot, len(m.perType))
 	for t, tm := range m.perType {
-		types[t] = tm
-	}
-	m.mu.RUnlock()
-
-	out := make(Snapshot, len(types))
-	for t, tm := range types {
-		var counts [numBuckets]uint64
-		var total uint64
-		for i := range counts {
-			counts[i] = tm.buckets[i].Load()
-			total += counts[i]
-		}
-		snap := TypeSnapshot{
-			Requests: tm.requests.Load(),
-			Errors:   tm.errors.Load(),
-		}
-		if total > 0 {
-			snap.MeanMs = float64(tm.totalNs.Load()) / float64(total) / 1e6
-			snap.P50Ms = quantile(counts, total, 0.50)
-			snap.P90Ms = quantile(counts, total, 0.90)
-			snap.P99Ms = quantile(counts, total, 0.99)
+		snap := TypeSnapshot{Requests: tm.latency.Count(), Errors: tm.errors.Load()}
+		if snap.Requests > 0 {
+			snap.MeanMs = float64(tm.latency.Sum()) / float64(snap.Requests) / 1e6
+			snap.P50Ms = quantileMs(tm.latency, 0.50)
+			snap.P90Ms = quantileMs(tm.latency, 0.90)
+			snap.P99Ms = quantileMs(tm.latency, 0.99)
 		}
 		out[string(t)] = snap
 	}
 	return out
 }
 
-// quantile estimates the q-quantile (0 < q < 1) in milliseconds from the
-// bucket counts.
-func quantile(counts [numBuckets]uint64, total uint64, q float64) float64 {
-	rank := q * float64(total)
-	var cum float64
-	for i, c := range counts {
-		if c == 0 {
-			continue
-		}
-		prev := cum
-		cum += float64(c)
-		if cum < rank {
-			continue
-		}
-		// The rank falls in bucket i: interpolate between its bounds.
-		hi := latencyBuckets[len(latencyBuckets)-1]
-		if i < len(latencyBuckets) {
-			hi = latencyBuckets[i]
-		}
-		var lo time.Duration
-		if i > 0 {
-			lo = latencyBuckets[i-1]
-		}
-		frac := (rank - prev) / float64(c)
-		if frac < 0 {
-			frac = 0
-		} else if frac > 1 {
-			frac = 1
-		}
-		return (float64(lo) + frac*float64(hi-lo)) / 1e6
-	}
-	return float64(latencyBuckets[len(latencyBuckets)-1]) / 1e6
+// quantileMs interpolates the q-quantile of h, in nanoseconds, within its
+// bucket and returns it in milliseconds.
+func quantileMs(h *metrics.Histogram, q float64) float64 {
+	lo, hi, frac := h.Quantile(q)
+	return (float64(lo) + frac*float64(hi-lo)) / 1e6
 }

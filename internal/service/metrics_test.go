@@ -106,3 +106,11 @@ func TestWithMetricsInterceptor(t *testing.T) {
 		t.Fatalf("snapshot = %+v", snap)
 	}
 }
+
+func TestMetricsObserveAllocatesNothing(t *testing.T) {
+	m := NewMetrics()
+	m.Observe(wire.TypeAssess, time.Millisecond, false) // the type's first request makes its histogram
+	if n := testing.AllocsPerRun(100, func() { m.Observe(wire.TypeAssess, time.Millisecond, true) }); n != 0 {
+		t.Fatalf("Observe allocates %v times a request, want 0", n)
+	}
+}

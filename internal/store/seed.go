@@ -33,11 +33,10 @@ func (s *Store) SeedServer(hist *feedback.History) error {
 	if err != nil {
 		return fmt.Errorf("store: seed of %q: %w", server, err)
 	}
-	e := &entry{hist: hist, version: uint64(hist.Len()), sum: sum}
+	e := &entry{hist: hist, sum: sum}
 	s.adoptLocked(e)
 	sh.byServ[server] = e
 	s.total.Add(int64(hist.Len()))
-	s.global.Add(uint64(hist.Len()))
 	return nil
 }
 
@@ -99,7 +98,7 @@ func (s *Store) SnapshotShard(idx int, view func(ShardEntry)) {
 	sort.Slice(servers, func(i, j int) bool { return servers[i] < servers[j] })
 	for _, srv := range servers {
 		e := sh.byServ[srv]
-		ent := ShardEntry{Server: srv, Checksum: e.sum, Version: e.version, SizeBytes: e.sizeBytes}
+		ent := ShardEntry{Server: srv, Checksum: e.sum, Version: uint64(e.sum.Count), SizeBytes: e.sizeBytes}
 		if e.hist != nil {
 			ent.Snap = e.snapshot()
 		}

@@ -65,7 +65,7 @@ func TestSeedServerMatchesAdd(t *testing.T) {
 	if ac, sc := added.ServerChecksum("srv-seed"), seeded.ServerChecksum("srv-seed"); ac != sc {
 		t.Fatalf("checksums differ: %+v vs %+v", ac, sc)
 	}
-	if added.Len() != seeded.Len() || added.GlobalVersion() != seeded.GlobalVersion() {
+	if added.Len() != seeded.Len() {
 		t.Fatal("totals differ")
 	}
 	// Duplicates of seeded records must be suppressed exactly like Add's.

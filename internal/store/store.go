@@ -56,9 +56,9 @@ type Accumulator interface {
 type AccumulatorFactory func(server feedback.EntityID) Accumulator
 
 // entry is one server's state within a shard: the working history, a
-// memoized read snapshot, the version and a running content checksum. An
-// entry is either resident (hist set)
-// or an evicted stub (hist nil; version and sum stay) — see lifecycle.go.
+// memoized read snapshot and a running content checksum. An entry is either
+// resident (hist set) or an evicted stub (hist nil; sum stays) — see
+// lifecycle.go.
 type entry struct {
 	// hist is the store-owned working history, mutated only under the
 	// shard's write lock: appended in place on the fast path, rebuilt on
@@ -69,12 +69,11 @@ type entry struct {
 	// the next read rebuilds it in O(1) via SnapshotView. Atomic because
 	// readers memoize under the shard's read lock.
 	snap atomic.Pointer[feedback.History]
-	// version counts accepted writes for this server; it starts at 1 for
-	// the first record so that 0 can mean "never seen".
-	version uint64
 	// sum is the record count and the XOR of all content hashes, maintained
 	// incrementally so gossip checksums cost O(servers) instead of
-	// O(records), and kept through an eviction to verify the rebuild.
+	// O(records), and kept through an eviction to verify the rebuild. The
+	// count is the server's version: every accepted write adds one record,
+	// so 0 means "never seen".
 	sum Checksum
 	// sizeBytes is the accounted resident footprint (entryOverhead +
 	// history), maintained by resizeLocked; 0 for stubs.
@@ -113,8 +112,6 @@ type Store struct {
 	shards []shard
 	// total counts stored (non-duplicate) records across all shards.
 	total atomic.Int64
-	// global counts accepted writes store-wide; read via GlobalVersion.
-	global atomic.Uint64
 
 	// Lifecycle governor state (see lifecycle.go): the accounted resident
 	// footprint and its budget, resident/evicted populations, cumulative
@@ -419,12 +416,10 @@ func (s *Store) insertRun(sh *shard, b *feedback.Batch, lo, hi int, results []Ad
 	if added > 0 {
 		e.hist = h
 		e.snap.Store(nil)
-		e.version += uint64(added)
 		e.sum.Count += added
 		e.touched.Store(true)
 		s.resizeLocked(e)
 		s.total.Add(int64(added))
-		s.global.Add(uint64(added))
 	}
 	return false
 }
@@ -476,10 +471,10 @@ func (s *Store) peek(server feedback.EntityID) (*feedback.History, uint64) {
 		return feedback.NewHistory(server), 0
 	}
 	if e.hist == nil {
-		return nil, e.version
+		return nil, uint64(e.sum.Count)
 	}
 	e.touched.Store(true)
-	return e.snapshot(), e.version
+	return e.snapshot(), uint64(e.sum.Count)
 }
 
 // SetAccumulatorFactory does nothing.
@@ -524,11 +519,11 @@ func (s *Store) ViewShard(idx int, servers []feedback.EntityID, view func(i int,
 			continue
 		}
 		if e.hist == nil {
-			view(i, nil, nil, e.version)
+			view(i, nil, nil, uint64(e.sum.Count))
 			continue
 		}
 		e.touched.Store(true)
-		view(i, nil, e.snapshot(), e.version)
+		view(i, nil, e.snapshot(), uint64(e.sum.Count))
 	}
 }
 
@@ -573,11 +568,6 @@ func (s *Store) Version(server feedback.EntityID) uint64 {
 	return v
 }
 
-// GlobalVersion counts accepted writes store-wide. Readers that derive
-// whole-store summaries (gossip checksums) use it to skip recomputation
-// when nothing changed.
-func (s *Store) GlobalVersion() uint64 { return s.global.Load() }
-
 // Records returns a copy of the server's records in time order, faulting an
 // evicted server in; nil when that fault-in fails.
 func (s *Store) Records(server feedback.EntityID) []feedback.Feedback {
@@ -603,7 +593,9 @@ func (s *Store) Servers() []feedback.EntityID {
 	return out
 }
 
-// Len returns the total number of stored records.
+// Len returns the total number of stored records. Records are never
+// removed, so readers that derive whole-store summaries (gossip checksums)
+// key on it to skip recomputation when nothing changed.
 func (s *Store) Len() int { return int(s.total.Load()) }
 
 // ServerLen returns the number of records for one server, resident or not

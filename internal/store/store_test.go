@@ -284,8 +284,8 @@ func TestStoreVersionCounter(t *testing.T) {
 	if v := s.Version("other"); v != 0 {
 		t.Fatalf("other server version = %d", v)
 	}
-	if g := s.GlobalVersion(); g != 2 {
-		t.Fatalf("global version = %d", g)
+	if g := s.Len(); g != 2 {
+		t.Fatalf("store-wide count = %d", g)
 	}
 }
 

@@ -60,7 +60,11 @@
 #   - one read path on a cluster (ADR 0010): no fan-out, digest-verify or
 #     merge; fwd.* is batch-only
 #   - one metrics registry (ADR 0013): each layer registers its own /metricz
-#     keys; no stitched Stats structs, no wrapper or mirror of the document
+#     keys; no stitched Stats structs, no wrapper or mirror of the document;
+#     a distribution is a metrics.Histogram its layer owns, and the
+#     hand-rolled bucket code it replaced stays deleted
+#   - the ledger writes each commit group with one Write on its file: no
+#     bufio in internal/ledger
 #   - one engine answers every verdict, and a history is append-only (ADR
 #     0016 and its fourth amendment): the attackers, the marketplace, the
 #     monitor and the node recompute over a history, a what-if asks a
@@ -448,6 +452,11 @@ check "no anonymous struct around the /metricz document in cmd/trustd (ADR 0013)
     "absent '^\s+(repserver|ledger|store)\.[A-Z]\w*\s*$|json:\"(ledger|top_resident)' cmd/trustd"
 check "no mirror of a /metricz block in cmd/trustctl (ADR 0013)" \
     "absent 'json:\"(lifecycle|fault_ins|snapshot_seq|top_resident)' cmd/trustctl"
+for sym in groupBucket groupQuantile numBuckets; do
+    check "$sym stays deleted: distributions are metrics.Histogram (ADR 0013)" "absent '\b$sym\b'"
+done
+check "no bufio in internal/ledger: a commit group is one Write on the file" \
+    "absent '\"bufio\"' internal/ledger"
 check "internal/metrics imports no honestplayer package (ADR 0013)" \
     "absent '\"honestplayer/' internal/metrics"
 for pkg in stats feedback trust behavior core; do
