@@ -4,8 +4,8 @@ package store
 // self-reports its resident footprint (its history's bytes, see
 // feedback.History.SizeBytes, plus a fixed overhead); the store keeps
 // the node-wide sum and, when a budget is set, evicts idle servers down to a
-// compact stub — version counter and Checksum (record count and XOR digest)
-// — until the sum fits. Evicted state is NOT lost: the budget comes with a
+// compact stub — its Checksum (record count, which is its version, and XOR
+// digest) — until the sum fits. Evicted state is NOT lost: the budget comes with a
 // Loader, the persistence layer's rebuild of one server from its snapshot
 // and tail, and every entry point that meets a stub faults it back in
 // through that loader (see faultIn) — verified against the stub's Checksum —
@@ -301,7 +301,7 @@ func (s *Store) faultIn(ctx context.Context, server feedback.EntityID, attempt i
 // of it, as SeedServer does. The history is verified first: its records must strictly increase in
 // (time, hash), as Add would have stored them, and its Checksum must be the
 // stub's, making a reinstated server bit-identical to one that never left;
-// its version counter is kept across the round-trip. A server found
+// its version, the stub's record count, is kept across the round-trip. A server found
 // resident is left alone.
 func (s *Store) reinstate(server feedback.EntityID, hist *feedback.History) error {
 	if hist.Server() != server {

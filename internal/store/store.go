@@ -4,8 +4,8 @@
 // duplicate suppression and deterministic time ordering.
 //
 // The store is sharded by server ID, so writes against different servers
-// proceed without contention, and every server carries a monotonic version
-// counter bumped on each accepted write, so "history unchanged since I last
+// proceed without contention, and a server's version is its record count,
+// which each accepted write grows, so "history unchanged since I last
 // looked" is an O(1) check. The store holds records only: no per-server
 // assessment state rides beside a history (ADR 0016's amendment).
 package store
