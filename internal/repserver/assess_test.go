@@ -26,6 +26,12 @@ import (
 // comparison sees one consistent state while the workload still interleaves
 // writes with batches exactly as a live server would.
 func TestAssessBatchMatchesSequential(t *testing.T) {
+	// workers=0 is the default pool, one worker per GOMAXPROCS: the only
+	// batch pool a server has, since its size is no longer configurable.
+	t.Run("workers=0", assessBatchMatchesSequential)
+}
+
+func assessBatchMatchesSequential(t *testing.T) {
 	srv, err := New("127.0.0.1:0", Config{Assessor: testAssessor(t)})
 	if err != nil {
 		t.Fatal(err)
