@@ -12,7 +12,6 @@
 //	trustctl submit-batch < records.jsonl                # records from stdin
 //	trustctl local-assess -file history.jsonl -scheme multi -trust average
 //	trustctl ledger-info -path /var/lib/trustd/ledger   # offline checksum audit
-//	trustctl ledger-migrate -from old.ledger -to /var/lib/trustd/ledger   # rewrite an older format
 //	trustctl mem-status -metrics http://127.0.0.1:7780  # memory lifecycle via /metricz
 //	trustctl -addr host1:7700,host2:7700,host3:7700 assess -server s1
 //	trustctl cluster-status -metrics http://host1:7780  # cluster view via /metricz
@@ -56,17 +55,15 @@ func run(args []string, out io.Writer) error {
 	}
 	rest := fs.Args()
 	if len(rest) == 0 {
-		return fmt.Errorf("missing command: ping | submit | submit-batch | history | assess | assess-batch | cluster-status | mem-status | local-assess | ledger-info | ledger-migrate")
+		return fmt.Errorf("missing command: ping | submit | submit-batch | history | assess | assess-batch | cluster-status | mem-status | local-assess | ledger-info")
 	}
-	// local-assess, the ledger commands, mem-status and cluster-status need
+	// local-assess, ledger-info, mem-status and cluster-status need
 	// no wire connection (the last two read the metrics HTTP endpoint).
 	switch rest[0] {
 	case "local-assess":
 		return localAssess(rest[1:], out)
 	case "ledger-info":
 		return ledgerInfo(rest[1:], out)
-	case "ledger-migrate":
-		return ledgerMigrate(rest[1:], out)
 	case "mem-status":
 		return memStatus(rest[1:], out)
 	case "cluster-status":
@@ -451,33 +448,6 @@ func localAssess(args []string, out io.Writer) error {
 		Assessment core.Assessment `json:"assessment"`
 	}{accept, a}); err != nil {
 		return err
-	}
-	return nil
-}
-
-// ledgerMigrate rewrites a ledger an earlier revision wrote — a single
-// JSON-lines file, or a directory with v2, v1 or JSON-lines segments — as a
-// new current-format directory, offline; the source is only read.
-func ledgerMigrate(args []string, out io.Writer) error {
-	fs := flag.NewFlagSet("ledger-migrate", flag.ContinueOnError)
-	var (
-		from = fs.String("from", "", "ledger to read (directory or single file)")
-		to   = fs.String("to", "", "new ledger directory to write (must not exist)")
-	)
-	if err := fs.Parse(args); err != nil {
-		return err
-	}
-	if *from == "" || *to == "" {
-		return fmt.Errorf("ledger-migrate: need -from and -to")
-	}
-	m, err := ledger.Migrate(*from, *to)
-	if err != nil {
-		return err
-	}
-	fmt.Fprintf(out, "%s: %d records from %d segments of %s\n", *to, m.Records, m.Segments, *from)
-	if m.DroppedBytes > 0 {
-		fmt.Fprintf(out, "  CORRUPTION: %d bytes fail verification; %d later segments not read (replay stops at the first corrupt segment)\n",
-			m.DroppedBytes, m.Skipped)
 	}
 	return nil
 }

@@ -2,11 +2,10 @@ package main
 
 import (
 	"context"
-	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
-	"hash/crc32"
+	"io/fs"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -424,70 +423,78 @@ func TestLedgerInfo(t *testing.T) {
 	}
 }
 
-// TestLedgerInfoMixedFormats: a directory holding segments earlier revisions
-// wrote — v1 rows, a v2 block, a v3 block — is refused by ledger-info, which
-// names ledger-migrate; that command rewrites it as one current-format
-// ledger holding the same records, which ledger-info then verifies.
+// TestLedgerInfoMixedFormats: ledger-info refuses a ledger in any layout an
+// earlier revision wrote — v1 rows, v2 blocks or JSON lines beside v3
+// blocks, a single file — with ledger.ErrOldFormat, whose advice names the
+// upgrade path, and leaves every file under it as it was.
 func TestLedgerInfoMixedFormats(t *testing.T) {
-	root := t.TempDir()
-	dir, migrated := filepath.Join(root, "led"), filepath.Join(root, "new")
-	if err := os.Mkdir(dir, 0o755); err != nil {
-		t.Fatal(err)
-	}
-	var want []feedback.Feedback
-	// segment frames one payload as segment idx under header version v:
-	// uvarint length, payload, CRC32-C.
-	segment := func(idx int, v byte, payload []byte) {
-		t.Helper()
-		seg := append([]byte{0xB5, 'H', 'P', 'S', 'E', 'G', v, 0x00}, byte(len(payload)))
-		seg = binary.LittleEndian.AppendUint32(append(seg, payload...), crc32.Checksum(payload, crc32.MakeTable(crc32.Castagnoli)))
-		if err := os.WriteFile(filepath.Join(dir, fmt.Sprintf("ledger.%06d", idx)), seg, 0o644); err != nil {
-			t.Fatal(err)
+	forEachOlderLayout(t, func(path string) error {
+		err := run([]string{"ledger-info", "-path", path}, &strings.Builder{})
+		if err != nil && !strings.Contains(err.Error(), "Upgrading an older ledger") {
+			t.Errorf("the refusal names no upgrade path: %v", err)
 		}
-	}
-	for i, v := range []byte{'1', '2', '3'} {
-		f := feedback.Feedback{Server: "s1", Client: "c1", Rating: feedback.Positive, Time: time.Unix(1700000000+int64(i), 0).UTC()}
-		want = append(want, f)
-		var payload []byte
-		var err error
-		if v == '1' {
-			payload, err = feedback.AppendBinary(nil, f) // a v1 row
-		} else {
-			payload, err = feedback.AppendBatch(nil, []feedback.Feedback{f}, &feedback.BatchDicts{Unscaled: v == '2'})
-		}
+		return err
+	})
+}
+
+// olderLayouts is internal/ledger's table of ledgers earlier revisions left,
+// one directory each holding the -ledger path "led" and whatever lies beside
+// it (internal/ledger's TestOldFormatRefusedReadOnly).
+const olderLayouts = "../../internal/ledger/testdata/older"
+
+// treeBytes reads every file under root by path relative to root; a
+// directory reads as nil.
+func treeBytes(t *testing.T, root string) map[string][]byte {
+	t.Helper()
+	out := map[string][]byte{}
+	err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
 		if err != nil {
-			t.Fatal(err)
+			return err
 		}
-		segment(i+1, v, payload)
-	}
-	var out strings.Builder
-	if err := run([]string{"ledger-info", "-path", dir}, &out); !errors.Is(err, ledger.ErrOldFormat) || !strings.Contains(err.Error(), "ledger-migrate") {
-		t.Fatalf("ledger-info on older segments: %v", err)
-	}
-	if err := run([]string{"ledger-migrate", "-from", dir, "-to", migrated}, &out); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(out.String(), "3 records from 3 segments") {
-		t.Fatalf("ledger-migrate printed:\n%s", out.String())
-	}
-	if err := run([]string{"ledger-migrate", "-from", dir, "-to", migrated}, &out); err == nil {
-		t.Fatal("ledger-migrate over an existing directory must fail")
-	}
-	out.Reset()
-	if err := run([]string{"ledger-info", "-path", migrated, "-v"}, &out); err != nil {
-		t.Fatal(err)
-	}
-	for _, want := range []string{"records: 3 verified", "all segments verify", "segment 000001: active, "} {
-		if !strings.Contains(out.String(), want) {
-			t.Fatalf("output missing %q:\n%s", want, out.String())
+		rel, err := filepath.Rel(root, path)
+		if err != nil || d.IsDir() {
+			out[rel] = nil
+			return err
 		}
-	}
-	l, got, err := ledger.Open(migrated)
+		out[rel], err = os.ReadFile(path)
+		return err
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer func() { _ = l.Close() }()
-	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("migrated ledger replays %v, want %v", got, want)
+	return out
+}
+
+// forEachOlderLayout copies each older layout to a directory of its own and
+// runs open on the led path in it, which must fail with ledger.ErrOldFormat
+// and leave every name and byte under that directory as it was.
+func forEachOlderLayout(t *testing.T, open func(path string) error) {
+	layouts, err := os.ReadDir(olderLayouts)
+	if err != nil || len(layouts) == 0 {
+		t.Fatalf("no older layouts (%v)", err)
+	}
+	for _, layout := range layouts {
+		t.Run(layout.Name(), func(t *testing.T) {
+			want := treeBytes(t, filepath.Join(olderLayouts, layout.Name()))
+			root := t.TempDir()
+			for rel, data := range want {
+				if data == nil {
+					continue // a directory, made for the files in it
+				}
+				path := filepath.Join(root, rel)
+				if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+					t.Fatal(err)
+				}
+				if err := os.WriteFile(path, data, 0o644); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := open(filepath.Join(root, "led")); !errors.Is(err, ledger.ErrOldFormat) {
+				t.Fatalf("%v, want ErrOldFormat", err)
+			}
+			if !reflect.DeepEqual(treeBytes(t, root), want) {
+				t.Fatal("the refused ledger changed")
+			}
+		})
 	}
 }

@@ -76,7 +76,7 @@ func run(ctx context.Context, args []string) error {
 		nodeID      = fs.String("node-id", "", "this node's ID in a static cluster (empty = single-node mode; requires -peers membership including this ID)")
 		replicas    = fs.Int("replicas", cluster.DefaultReplicas, "replica count per server ID when clustered (owner + R-1 ring successors)")
 		interval    = fs.Duration("interval", 0, "anti-entropy round interval: pull missing records from a random peer this often (0 = never initiate; the node still answers its peers' rounds)")
-		ledgerPath  = fs.String("ledger", "", "segmented ledger directory for durable feedback storage (empty = in-memory only); a ledger an earlier revision wrote is refused unchanged: rewrite it with trustctl ledger-migrate")
+		ledgerPath  = fs.String("ledger", "", "segmented ledger directory for durable feedback storage (empty = in-memory only); a ledger an earlier revision wrote is refused unchanged (see \"Upgrading an older ledger\" in docs/PERSISTENCE.md)")
 		snapEvery   = fs.Uint64("snapshot-every", 0, "write a store snapshot after this many durable appends, bounding boot-time replay (0 disables)")
 		snapOnStop  = fs.Bool("snapshot-on-shutdown", false, "write a final snapshot during graceful shutdown")
 		seed        = fs.Uint64("seed", core.DefaultSpec.Seed, "seed for threshold calibration")

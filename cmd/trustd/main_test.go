@@ -3,11 +3,10 @@ package main
 import (
 	"bytes"
 	"context"
-	"encoding/binary"
 	"encoding/json"
 	"errors"
-	"hash/crc32"
 	"io"
+	"io/fs"
 	"math"
 	"net"
 	"os"
@@ -116,57 +115,69 @@ func (l *lockedBuffer) String() string {
 // stops the node at start with ledger.ErrOldFormat, and every file under it
 // keeps its name and bytes.
 func TestOldLedgerRefused(t *testing.T) {
-	f := feedback.Feedback{Server: "s1", Client: "c1", Rating: feedback.Positive, Time: time.Unix(1700000000, 0).UTC()}
-	line, err := json.Marshal(f)
-	if err != nil {
-		t.Fatal(err)
-	}
-	line = append(line, '\n')
-	row, err := feedback.AppendBinary(nil, f)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// segment is one payload under header version v: uvarint length,
-	// payload, CRC32-C; a v2 or v3 payload is a batch of f.
-	segment := func(v byte, payload []byte) []byte {
-		if payload == nil {
-			if payload, err = feedback.AppendBatch(nil, []feedback.Feedback{f}, &feedback.BatchDicts{Unscaled: v == '2'}); err != nil {
-				t.Fatal(err)
-			}
+	forEachOlderLayout(t, func(path string) error {
+		_, err := startAndStop(t, "-scheme", "none", "-ledger", path)
+		return err
+	})
+}
+
+// olderLayouts is internal/ledger's table of ledgers earlier revisions left,
+// one directory each holding the -ledger path "led" and whatever lies beside
+// it (internal/ledger's TestOldFormatRefusedReadOnly).
+const olderLayouts = "../../internal/ledger/testdata/older"
+
+// treeBytes reads every file under root by path relative to root; a
+// directory reads as nil.
+func treeBytes(t *testing.T, root string) map[string][]byte {
+	t.Helper()
+	out := map[string][]byte{}
+	err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
 		}
-		seg := append([]byte{0xB5, 'H', 'P', 'S', 'E', 'G', v, 0x00}, byte(len(payload)))
-		return binary.LittleEndian.AppendUint32(append(seg, payload...), crc32.Checksum(payload, crc32.MakeTable(crc32.Castagnoli)))
+		rel, err := filepath.Rel(root, path)
+		if err != nil || d.IsDir() {
+			out[rel] = nil
+			return err
+		}
+		out[rel], err = os.ReadFile(path)
+		return err
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
-	for name, files := range map[string]map[string][]byte{
-		"JSON-lines file":      {".": line},
-		"JSON-lines directory": {"ledger.000001": line, "ledger.000002": segment('3', nil)},
-		"v1 directory":         {"ledger.000001": segment('1', row)},
-		"v2 directory":         {"ledger.000001": segment('2', nil), "snapshot.tmp": []byte("half a snapshot")},
-		"v2 beside v3":         {"ledger.000001": segment('2', nil), "ledger.000002": segment('3', nil)},
-	} {
-		t.Run(name, func(t *testing.T) {
-			path := filepath.Join(t.TempDir(), "led")
-			if files["."] == nil {
-				if err := os.Mkdir(path, 0o755); err != nil {
+	return out
+}
+
+// forEachOlderLayout copies each older layout to a directory of its own and
+// runs open on the led path in it, which must fail with ledger.ErrOldFormat
+// and leave every name and byte under that directory as it was.
+func forEachOlderLayout(t *testing.T, open func(path string) error) {
+	layouts, err := os.ReadDir(olderLayouts)
+	if err != nil || len(layouts) == 0 {
+		t.Fatalf("no older layouts (%v)", err)
+	}
+	for _, layout := range layouts {
+		t.Run(layout.Name(), func(t *testing.T) {
+			want := treeBytes(t, filepath.Join(olderLayouts, layout.Name()))
+			root := t.TempDir()
+			for rel, data := range want {
+				if data == nil {
+					continue // a directory, made for the files in it
+				}
+				path := filepath.Join(root, rel)
+				if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+					t.Fatal(err)
+				}
+				if err := os.WriteFile(path, data, 0o644); err != nil {
 					t.Fatal(err)
 				}
 			}
-			for name, data := range files {
-				if err := os.WriteFile(filepath.Join(path, name), data, 0o644); err != nil {
-					t.Fatal(err)
-				}
+			if err := open(filepath.Join(root, "led")); !errors.Is(err, ledger.ErrOldFormat) {
+				t.Fatalf("%v, want ErrOldFormat", err)
 			}
-			err := run(context.Background(), []string{"-addr", "127.0.0.1:0", "-scheme", "none", "-ledger", path})
-			if !errors.Is(err, ledger.ErrOldFormat) {
-				t.Fatalf("trustd -ledger on an older layout: %v, want ErrOldFormat", err)
-			}
-			for name, want := range files {
-				if got, err := os.ReadFile(filepath.Join(path, name)); err != nil || !bytes.Equal(got, want) {
-					t.Fatalf("%s changed (%v)", name, err)
-				}
-			}
-			if ents, err := os.ReadDir(path); files["."] == nil && (err != nil || len(ents) != len(files)) {
-				t.Fatalf("the directory holds %d files, want %d (%v)", len(ents), len(files), err)
+			if !reflect.DeepEqual(treeBytes(t, root), want) {
+				t.Fatal("the refused ledger changed")
 			}
 		})
 	}

@@ -46,8 +46,8 @@ import (
 const MaxBatchDict = 1 << 16
 
 // BatchDicts is the state a run of batches shares: the server and client ids
-// seen so far in the container, and the container's time layout. The zero
-// value is the empty state a container starts in.
+// seen so far in the container. The zero value is the empty state a
+// container starts in.
 type BatchDicts struct {
 	servers, clients batchDict
 	nanos            []int64  // scratch: the time column of a block of several batches
@@ -56,10 +56,6 @@ type BatchDicts struct {
 	// epoch names the Batch the dictionaries' refs columns currently map
 	// slots into (Batch.Decode).
 	epoch uint32
-	// Unscaled selects the time column without a scale that ledger segment
-	// v2 holds (ADR 0014), for both encoding and decoding. Nothing writes
-	// such a container any more; a reader sets it to replay one.
-	Unscaled bool
 	// Names, when set, spells the id an intro introduces in place of its
 	// length and bytes, for both encoding and decoding: a wire connection
 	// spells it as a ref into its name table (ADR 0008's amendment). The
@@ -88,7 +84,6 @@ func (d *BatchDicts) Reset() {
 	d.servers.reset()
 	d.clients.reset()
 	d.rows.Reset()
-	d.Unscaled = false
 	d.Names = nil
 }
 
@@ -216,7 +211,7 @@ func AppendBatches(buf []byte, d *BatchDicts, bs ...*Batch) []byte {
 		}
 	}
 	buf = binary.AppendUvarint(buf, uint64(n))
-	buf = appendTimes(buf, 0, 1, ts, !d.Unscaled)
+	buf = appendTimes(buf, 0, 1, ts)
 	for _, b := range bs {
 		buf = d.servers.appendRefs(buf, b.servers.ids, b.server, d.scratch(len(b.servers.ids)), d.Names)
 	}
@@ -515,7 +510,7 @@ func (b *Batch) decode(buf []byte, d *BatchDicts) error {
 	n0, n := b.Len(), int(count)
 	b.grow(n)
 	b.nanos = b.nanos[:n0+n]
-	if _, _, buf, err = decodeTimes(buf, b.nanos[n0:], !d.Unscaled); err != nil {
+	if _, _, buf, err = decodeTimes(buf, b.nanos[n0:]); err != nil {
 		return err
 	}
 	b.server, b.client = b.server[:n0+n], b.client[:n0+n]

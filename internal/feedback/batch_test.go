@@ -75,37 +75,29 @@ func TestBatchRoundTripSharesDictionary(t *testing.T) {
 	}
 }
 
-// TestBatchGoldenBytes pins the layout, and the unscaled time column of
-// ledger segment v2 beside it.
+// TestBatchGoldenBytes pins the layout.
 func TestBatchGoldenBytes(t *testing.T) {
 	recs := []Feedback{
 		{Time: time.Unix(0, 100).UTC(), Server: "s1", Client: "c1", Rating: Positive},
 		{Time: time.Unix(0, 106).UTC(), Server: "s2", Client: "c1", Rating: Negative},
 		{Time: time.Unix(0, 102).UTC(), Server: "s1", Client: "c2", Rating: Positive},
 	}
-	ids := []byte{
+	want := []byte{
+		3,                // three records
+		0xc8, 1, 2, 6, 3, // zig-zag 100, scale 2, +6/2, -4/2
 		0, 2, 's', '1', 1, 2, 's', '2', 0, // servers: new "s1", new "s2", slot 0
 		0, 2, 'c', '1', 0, 1, 2, 'c', '2', // clients: new "c1", slot 0, new "c2"
 		0b101, // good
 	}
-	for _, c := range []struct {
-		unscaled bool
-		times    []byte
-	}{
-		{false, []byte{0xc8, 1, 2, 6, 3}}, // zig-zag 100, scale 2, +6/2, -4/2
-		{true, []byte{0xc8, 1, 12, 7}},    // zig-zag 100, +6, -4
-	} {
-		want := append(append([]byte{3}, c.times...), ids...)
-		got, err := AppendBatch(nil, recs, &BatchDicts{Unscaled: c.unscaled})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(got, want) {
-			t.Fatalf("unscaled %v: layout moved:\n got %x\nwant %x", c.unscaled, got, want)
-		}
-		if back, err := DecodeBatch(got, &BatchDicts{Unscaled: c.unscaled}, nil); err != nil || !reflect.DeepEqual(back, recs) {
-			t.Fatalf("unscaled %v: decoded %v, %v", c.unscaled, back, err)
-		}
+	got, err := AppendBatch(nil, recs, new(BatchDicts))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatalf("layout moved:\n got %x\nwant %x", got, want)
+	}
+	if back, err := DecodeBatch(got, new(BatchDicts), nil); err != nil || !reflect.DeepEqual(back, recs) {
+		t.Fatalf("decoded %v, %v", back, err)
 	}
 }
 

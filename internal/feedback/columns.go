@@ -39,9 +39,9 @@ func (h *History) AppendColumns(buf []byte) []byte {
 		buf = append(buf, c...)
 	}
 	if h.t64 != nil {
-		buf = appendTimes(buf, 0, 1, h.t64, true)
+		buf = appendTimes(buf, 0, 1, h.t64)
 	} else {
-		buf = appendTimes(buf, h.base, h.scale, h.t32, true)
+		buf = appendTimes(buf, h.base, h.scale, h.t32)
 	}
 	for i := range n {
 		buf = binary.AppendUvarint(buf, uint64(h.slot(i)))
@@ -128,10 +128,10 @@ func DecodeColumns(server EntityID, buf []byte) (*History, []byte, error) {
 	if c := h.rehash(); c != "" {
 		return nil, nil, fmt.Errorf("%w: client %q twice in the dictionary", ErrCorruptRecord, c)
 	}
-	base, scale, rest, err := decodeTimes(buf, h.t32, true)
+	base, scale, rest, err := decodeTimes(buf, h.t32)
 	if err == errNarrow {
 		h.t32, h.t64 = nil, slices.Grow([]int64(nil), n)[:n]
-		_, _, rest, err = decodeTimes(buf, h.t64, true)
+		_, _, rest, err = decodeTimes(buf, h.t64)
 	}
 	if err != nil {
 		return nil, nil, err

@@ -169,46 +169,44 @@ func FuzzHistoryColumns(f *testing.F) {
 }
 
 // FuzzRecordBatch feeds arbitrary bytes to the record-batch decoder,
-// Batch.Decode, in either time layout. It must never panic and must refuse
-// a count its input cannot hold before allocating for it; a refused input
-// leaves the batch and the dictionaries as they were. Whatever it accepts
-// holds valid records only, re-encodes to exactly the input from the same
-// (empty) dictionaries, and encodes again — every id now a slot — to a
-// batch the decoder's own dictionaries read back, appended to the first.
+// Batch.Decode. It must never panic and must refuse a count its input
+// cannot hold before allocating for it; a refused input leaves the batch
+// and the dictionaries as they were. Whatever it accepts holds valid
+// records only, re-encodes to exactly the input from the same (empty)
+// dictionaries, and encodes again — every id now a slot — to a batch the
+// decoder's own dictionaries read back, appended to the first.
 func FuzzRecordBatch(f *testing.F) {
 	recs := batchOf(9, []EntityID{"srv-a", "srv-b"}, []EntityID{"a", "b", "c"})
-	for _, unscaled := range []bool{false, true} {
-		valid, err := AppendBatch(nil, recs, &BatchDicts{Unscaled: unscaled})
+	valid, err := AppendBatch(nil, recs, new(BatchDicts))
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(valid)
+	f.Add(valid[:len(valid)-1])
+	f.Add(append(append([]byte(nil), valid...), 0))
+	f.Add([]byte{0})
+	f.Add(binary.AppendUvarint(nil, 1<<40))                       // a hostile count
+	f.Add([]byte{2, 2, 0, 0, 1, 's', 1, 0, 1, 'c', 0, 0})         // the second record's server is a slot past the end
+	f.Add([]byte{2, 2, 0, 0, 1, 's', 1, 1, 's', 0, 1, 'c', 0, 0}) // an id introduced twice
+	// Scaled columns: stamps whole seconds and milliseconds apart, the
+	// extremes of the nanosecond range side by side, and the batch that
+	// names the same time twice.
+	for _, step := range []time.Duration{time.Second, time.Millisecond, math.MaxInt64, 0} {
+		spaced := append([]Feedback(nil), recs...)
+		for i := range spaced {
+			spaced[i].Time = time.Unix(0, math.MinInt64+int64(step)*int64(i%4)).UTC() // wraps
+		}
+		buf, err := AppendBatch(nil, spaced, new(BatchDicts))
 		if err != nil {
 			f.Fatal(err)
 		}
-		f.Add(unscaled, valid)
-		f.Add(unscaled, valid[:len(valid)-1])
-		f.Add(unscaled, append(append([]byte(nil), valid...), 0))
-		f.Add(unscaled, []byte{0})
-		f.Add(unscaled, binary.AppendUvarint(nil, 1<<40))                       // a hostile count
-		f.Add(unscaled, []byte{2, 2, 0, 0, 1, 's', 1, 0, 1, 'c', 0, 0})         // the second record's server is a slot past the end
-		f.Add(unscaled, []byte{2, 2, 0, 0, 1, 's', 1, 1, 's', 0, 1, 'c', 0, 0}) // an id introduced twice
-		// Scaled columns: stamps whole seconds and milliseconds apart, the
-		// extremes of the nanosecond range side by side, and the batch that
-		// names the same time twice.
-		for _, step := range []time.Duration{time.Second, time.Millisecond, math.MaxInt64, 0} {
-			spaced := append([]Feedback(nil), recs...)
-			for i := range spaced {
-				spaced[i].Time = time.Unix(0, math.MinInt64+int64(step)*int64(i%4)).UTC() // wraps
-			}
-			buf, err := AppendBatch(nil, spaced, &BatchDicts{Unscaled: unscaled})
-			if err != nil {
-				f.Fatal(err)
-			}
-			f.Add(unscaled, buf)
-		}
+		f.Add(buf)
 	}
-	f.Add(false, []byte{2, 2, 0, 2, 0, 1, 's', 0, 0, 1, 'c', 0, 0})          // scale 0
-	f.Add(false, []byte{2, 2, 2, 4, 0, 1, 's', 0, 0, 1, 'c', 0, 0})          // scale 2 for a delta of 8: not the gcd
-	f.Add(false, []byte{3, 2, 5, 0, 0, 0, 1, 's', 0, 0, 0, 1, 'c', 0, 0, 0}) // scale 5 over equal times
-	f.Fuzz(func(t *testing.T, unscaled bool, data []byte) {
-		dec := BatchDicts{Unscaled: unscaled}
+	f.Add([]byte{2, 2, 0, 2, 0, 1, 's', 0, 0, 1, 'c', 0, 0})          // scale 0
+	f.Add([]byte{2, 2, 2, 4, 0, 1, 's', 0, 0, 1, 'c', 0, 0})          // scale 2 for a delta of 8: not the gcd
+	f.Add([]byte{3, 2, 5, 0, 0, 0, 1, 's', 0, 0, 0, 1, 'c', 0, 0, 0}) // scale 5 over equal times
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var dec BatchDicts
 		var got Batch
 		if err := got.Decode(data, &dec); err != nil {
 			if s, c := dec.Len(); s != 0 || c != 0 || got.Len() != 0 || len(got.Servers()) != 0 || len(got.Clients()) != 0 {
@@ -226,7 +224,7 @@ func FuzzRecordBatch(f *testing.F) {
 				t.Fatalf("record %d of an accepted batch: %v", i, err)
 			}
 		}
-		enc := BatchDicts{Unscaled: unscaled}
+		var enc BatchDicts
 		if re := AppendBatches(nil, &enc, &got); !bytes.Equal(re, data) {
 			t.Fatalf("round trip mismatch:\n in: %x\nout: %x", data, re)
 		}

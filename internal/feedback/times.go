@@ -31,10 +31,6 @@ import (
 // delta whose product with the scale leaves int64, so whatever decodes
 // re-encodes to the same bytes.
 //
-// An unscaled column has no scale: its deltas are the differences
-// themselves. It is the layout of ledger segment v2 (ADR 0008), which stays
-// readable.
-//
 // A History holds its times as base + qs[i]·scale, wrapping (ADR 0018): raw
 // times are qs in []int64 with base 0 and scale 1, a narrow history's its
 // 32-bit quotients over its own base and scale. appendTimes reads either
@@ -42,14 +38,14 @@ import (
 // its bytes and a history's quotients with no []int64 in between.
 
 // appendTimes appends the time column of the times base + qs[i]·scale.
-func appendTimes[T int32 | int64](buf []byte, base int64, scale uint64, qs []T, scaled bool) []byte {
+func appendTimes[T int32 | int64](buf []byte, base int64, scale uint64, qs []T) []byte {
 	if len(qs) == 0 {
 		return buf
 	}
 	prev := base + int64(qs[0])*int64(scale)
 	buf = binary.AppendVarint(buf, prev)
 	col := uint64(1)
-	if scaled && len(qs) > 1 {
+	if len(qs) > 1 {
 		col = timeScale(base, scale, qs)
 		buf = binary.AppendUvarint(buf, col)
 	}
@@ -86,7 +82,7 @@ var errNarrow = errors.New("feedback: time quotient leaves int32")
 // the bytes after it. Into []int64 it writes the times themselves; into
 // []int32 each time's quotient over the scale, counted from the first time,
 // returning errNarrow at the first that leaves int32.
-func decodeTimes[T int32 | int64](buf []byte, qs []T, scaled bool) (first int64, scale uint64, rest []byte, err error) {
+func decodeTimes[T int32 | int64](buf []byte, qs []T) (first int64, scale uint64, rest []byte, err error) {
 	_, narrow := any(qs).([]int32)
 	if len(qs) == 0 {
 		return 0, 0, buf, nil
@@ -97,7 +93,7 @@ func decodeTimes[T int32 | int64](buf []byte, qs []T, scaled bool) (first int64,
 	}
 	first = int64(zz>>1) ^ -int64(zz&1) // undoes AppendVarint's zig-zag
 	scale = 1
-	if scaled && len(qs) > 1 {
+	if len(qs) > 1 {
 		if scale, buf, err = columnUvarint(buf); err != nil {
 			return 0, 0, nil, err
 		}
@@ -139,7 +135,7 @@ func decodeTimes[T int32 | int64](buf []byte, qs []T, scaled bool) (first int64,
 		}
 		qs[i] = T(at)
 	}
-	if scaled && (g > 1 || g == 0 && scale != 1) {
+	if g > 1 || g == 0 && scale != 1 {
 		return 0, 0, nil, fmt.Errorf("%w: time scale %d is not the deltas' greatest common divisor", ErrCorruptRecord, scale)
 	}
 	if g == 0 {

@@ -48,25 +48,24 @@ func column(first int64, rest ...uint64) []byte {
 func TestTimeColumnCanonical(t *testing.T) {
 	zz := func(q int64) uint64 { return uint64(q<<1) ^ uint64(q>>63) }
 	for _, c := range []struct {
-		name     string
-		n        int
-		bad, ok  []byte
-		okTimes  []int64
-		unscaled []byte // the same times in segment v2's layout
+		name    string
+		n       int
+		bad, ok []byte
+		okTimes []int64
 	}{
-		{"scale 0", 2, column(100, 0, zz(4)), column(100, 4, zz(1)), []int64{100, 104}, column(100, zz(4))},
-		{"scale not the gcd", 3, column(100, 2, zz(2), zz(-4)), column(100, 4, zz(1), zz(-2)), []int64{100, 104, 96}, column(100, zz(4), zz(-8))},
-		{"scale 1 under a common factor", 2, column(0, 1, zz(6)), column(0, 6, zz(1)), []int64{0, 6}, column(0, zz(6))},
-		{"scale at count 1", 1, column(7, 1), column(7), []int64{7}, column(7)},
-		{"scale 5 over equal times", 3, column(9, 5, 0, 0), column(9, 1, 0, 0), []int64{9, 9, 9}, column(9, 0, 0)},
-		{"quotient leaves int64", 3, column(0, 1<<61, zz(4), zz(-1)), column(0, 1<<61, zz(3), zz(-1)), []int64{0, 3 << 61, 1 << 62}, column(0, zz(3<<61), zz(-1<<61))},
-		{"negative quotient past MinInt64", 2, column(0, 1<<62, zz(-3)), column(0, 1<<62, zz(-1)), []int64{0, -1 << 62}, column(0, zz(-1<<62))},
+		{"scale 0", 2, column(100, 0, zz(4)), column(100, 4, zz(1)), []int64{100, 104}},
+		{"scale not the gcd", 3, column(100, 2, zz(2), zz(-4)), column(100, 4, zz(1), zz(-2)), []int64{100, 104, 96}},
+		{"scale 1 under a common factor", 2, column(0, 1, zz(6)), column(0, 6, zz(1)), []int64{0, 6}},
+		{"scale at count 1", 1, column(7, 1), column(7), []int64{7}},
+		{"scale 5 over equal times", 3, column(9, 5, 0, 0), column(9, 1, 0, 0), []int64{9, 9, 9}},
+		{"quotient leaves int64", 3, column(0, 1<<61, zz(4), zz(-1)), column(0, 1<<61, zz(3), zz(-1)), []int64{0, 3 << 61, 1 << 62}},
+		{"negative quotient past MinInt64", 2, column(0, 1<<62, zz(-3)), column(0, 1<<62, zz(-1)), []int64{0, -1 << 62}},
 	} {
 		for codec, wrap := range map[string]func(int, []byte) []byte{"batch": batchAround, "section": sectionAround} {
-			decode := func(in []byte, unscaled bool) ([]int64, error) {
+			decode := func(in []byte) ([]int64, error) {
 				var got []int64
 				if codec == "batch" {
-					recs, err := DecodeBatch(in, &BatchDicts{Unscaled: unscaled}, nil)
+					recs, err := DecodeBatch(in, new(BatchDicts), nil)
 					for _, r := range recs {
 						got = append(got, r.Time.UnixNano())
 					}
@@ -81,23 +80,15 @@ func TestTimeColumnCanonical(t *testing.T) {
 				}
 				return got, err
 			}
-			if _, err := decode(wrap(c.n, c.bad), false); !errors.Is(err, ErrCorruptRecord) {
+			if _, err := decode(wrap(c.n, c.bad)); !errors.Is(err, ErrCorruptRecord) {
 				t.Errorf("%s, %s: err = %v, want ErrCorruptRecord", c.name, codec, err)
 			}
-			if got, err := decode(wrap(c.n, c.ok), false); err != nil || !reflect.DeepEqual(got, c.okTimes) {
+			if got, err := decode(wrap(c.n, c.ok)); err != nil || !reflect.DeepEqual(got, c.okTimes) {
 				t.Errorf("%s, %s: the canonical column decoded to %v, %v; want %v", c.name, codec, got, err, c.okTimes)
 			}
-			if codec == "batch" {
-				if got, err := decode(wrap(c.n, c.unscaled), true); err != nil || !reflect.DeepEqual(got, c.okTimes) {
-					t.Errorf("%s: the unscaled column decoded to %v, %v; want %v", c.name, got, err, c.okTimes)
-				}
-			}
 		}
-		if got := appendTimes(nil, 0, 1, c.okTimes, true); !bytes.Equal(got, c.ok) {
+		if got := appendTimes(nil, 0, 1, c.okTimes); !bytes.Equal(got, c.ok) {
 			t.Errorf("%s: encoder wrote %x, want %x", c.name, got, c.ok)
-		}
-		if got := appendTimes(nil, 0, 1, c.okTimes, false); !bytes.Equal(got, c.unscaled) {
-			t.Errorf("%s: unscaled encoder wrote %x, want %x", c.name, got, c.unscaled)
 		}
 	}
 }
@@ -147,9 +138,9 @@ func TestTimeColumnExtremes(t *testing.T) {
 
 // TestTimeColumnSizes pins what the column costs: a 64-record batch shaped
 // like an ingest_durable frame — 64 servers of 512, clients drawn from a pool
-// of 100, whole seconds apart — takes at most 17 B per record, and stamps of nanosecond precision
-// cost one byte per batch and per section over the unscaled layout, nothing
-// more.
+// of 100, whole seconds apart — takes at most 17 B per record, and stamps of
+// nanosecond precision cost one byte per column over their differences
+// spelled out, nothing more.
 func TestTimeColumnSizes(t *testing.T) {
 	rng := stats.NewRNG(1)
 	recs := make([]Feedback, 64)
@@ -165,32 +156,17 @@ func TestTimeColumnSizes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	old, err := AppendBatch(nil, recs, &BatchDicts{Unscaled: true})
-	if err != nil {
-		t.Fatal(err)
-	}
 	if per := float64(len(frame)) / float64(len(recs)); per > 17 {
 		t.Errorf("a 64-record frame takes %.2f B per record, want at most 17", per)
 	}
-	t.Logf("64-record frame: %.2f B/record, unscaled %.2f", float64(len(frame))/64, float64(len(old))/64)
+	t.Logf("64-record frame: %.2f B/record", float64(len(frame))/64)
 
-	// A section's times are the same column as a batch's.
 	jitter := nsJitter(1100)
-	if s, u := len(appendTimes(nil, 0, 1, jitter, true)), len(appendTimes(nil, 0, 1, jitter, false)); s != u+1 {
-		t.Errorf("a column of %d nanosecond stamps takes %d B, the unscaled layout %d", len(jitter), s, u)
+	diffs := binary.AppendVarint(nil, jitter[0])
+	for i := 1; i < len(jitter); i++ {
+		diffs = binary.AppendVarint(diffs, jitter[i]-jitter[i-1])
 	}
-	for i := range recs {
-		recs[i].Time = time.Unix(0, jitter[i])
-	}
-	scaled, err := AppendBatch(nil, recs, new(BatchDicts))
-	if err != nil {
-		t.Fatal(err)
-	}
-	unscaled, err := AppendBatch(nil, recs, &BatchDicts{Unscaled: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(scaled) != len(unscaled)+1 {
-		t.Errorf("a batch of nanosecond stamps takes %d B, the unscaled layout %d", len(scaled), len(unscaled))
+	if s := len(appendTimes(nil, 0, 1, jitter)); s != len(diffs)+1 {
+		t.Errorf("a column of %d nanosecond stamps takes %d B, their differences %d", len(jitter), s, len(diffs))
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"fmt"
+	"hash/crc32"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -17,13 +18,13 @@ import (
 	"honestplayer/internal/core"
 	"honestplayer/internal/feedback"
 	"honestplayer/internal/stats"
+	"honestplayer/internal/store"
 	"honestplayer/internal/trust"
 )
 
 // TestSegmentBlockGoldenBytes pins the block framing: uvarint length, the
 // batch's columns, CRC32-C of the columns; the header before, and a footer
-// whose chain runs over the blocks' checksum bytes. The v2 segment beside it
-// is what the previous revision wrote for the same records.
+// whose chain runs over the blocks' checksum bytes.
 func TestSegmentBlockGoldenBytes(t *testing.T) {
 	recs := []feedback.Feedback{
 		{Time: time.Unix(0, 100).UTC(), Server: "s1", Client: "c1", Rating: feedback.Positive},
@@ -39,17 +40,9 @@ func TestSegmentBlockGoldenBytes(t *testing.T) {
 		19,               // payload length
 		2, 0xc8, 1, 3, 2, // two records; zig-zag 100, scale 3, +3/3
 	}, ids...), 0x0f, 0xb7, 0x5b, 0x56) // crc32c of the 19 payload bytes
-	wantV2 := append(append([]byte{
-		0xB5, 'H', 'P', 'S', 'E', 'G', '2', 0x00,
-		18,            // payload length
-		2, 0xc8, 1, 6, // two records; zig-zag 100, +3
-	}, ids...), 0x86, 0xa9, 0xd7, 0x57) // crc32c of the 18 payload bytes
 	got := segmentFile(t, [][]feedback.Feedback{recs}, false)
 	if !bytes.Equal(got, want) {
 		t.Fatalf("segment bytes moved:\n got %x\nwant %x", got, want)
-	}
-	if got := v2Segment(t, [][]feedback.Feedback{recs}, false); !bytes.Equal(got, wantV2) {
-		t.Fatalf("v2 segment bytes moved:\n got %x\nwant %x", got, wantV2)
 	}
 	// The ledger writes exactly this.
 	path := filepath.Join(t.TempDir(), "ledger")
@@ -66,6 +59,44 @@ func TestSegmentBlockGoldenBytes(t *testing.T) {
 	if onDisk, err := os.ReadFile(activeSegPath(t, path)); err != nil || !bytes.Equal(onDisk, want) {
 		t.Fatalf("ledger wrote %x (%v), want %x", onDisk, err, want)
 	}
+}
+
+// segmentFile is a whole current-format segment file, one block per group.
+func segmentFile(tb testing.TB, groups [][]feedback.Feedback, sealed bool) []byte {
+	tb.Helper()
+	buf := append([]byte(nil), segMagic[:]...)
+	var (
+		dict  feedback.BatchDicts
+		chain uint32
+		n     uint64
+	)
+	for _, g := range groups {
+		b, errs := feedback.Pack(g)
+		if errs != nil {
+			tb.Fatal(errs)
+		}
+		buf = appendBlock(buf, []*feedback.Batch{b}, &dict)
+		chain = crc32.Update(chain, castagnoli, buf[len(buf)-4:])
+		n += uint64(len(g))
+	}
+	if sealed {
+		buf = appendFooter(buf, n, uint64(len(buf)-len(segMagic)), chain)
+	}
+	return buf
+}
+
+// stream is a deterministic record stream over a few servers and clients.
+func stream(n int) []feedback.Feedback {
+	recs := make([]feedback.Feedback, n)
+	for i := range recs {
+		recs[i] = feedback.Feedback{
+			Time:   time.Unix(int64(1000+i/3), int64(i%5)).UTC(),
+			Server: feedback.EntityID(fmt.Sprintf("srv-%d", i%7)),
+			Client: feedback.EntityID(fmt.Sprintf("cli-%d", (i*5+1)%11)),
+			Rating: feedback.Rating(1 + i%4%2),
+		}
+	}
+	return recs
 }
 
 // groupsOf cuts recs into commit groups of 1..9 records.
@@ -448,14 +479,12 @@ func differentialStream(t *testing.T) []feedback.Feedback {
 }
 
 // TestBlocksMatchRowsDifferential: every record survives bit for bit. One
-// stream written as blocks by the ledger and as v1 rows by the writer this
-// package used to have, then migrated, replays to identical records, boots
-// identical stores and yields identical verdicts.
+// stream written as blocks by the ledger, across several sealed segments,
+// replays to the records written, and boots a store whose per-server
+// checksums and verdicts equal those of a store fed the same rows directly.
 func TestBlocksMatchRowsDifferential(t *testing.T) {
 	recs := differentialStream(t)
-	root := t.TempDir()
-
-	blocks := filepath.Join(root, "blocks")
+	blocks := filepath.Join(t.TempDir(), "blocks")
 	l, err := openLedger(blocks, 64<<10)
 	if err != nil {
 		t.Fatal(err)
@@ -474,44 +503,19 @@ func TestBlocksMatchRowsDifferential(t *testing.T) {
 	if l.sealedSegs < 2 {
 		t.Fatalf("block fixture holds %d sealed segments, want several", l.sealedSegs)
 	}
-	blockBytes := l.sealedBytes + l.segSize
+	t.Logf("%d records: %.1f B/record as blocks", len(recs), float64(l.sealedBytes+l.segSize)/float64(len(recs)))
 	if err := l.Close(); err != nil {
 		t.Fatal(err)
 	}
-
-	rows := filepath.Join(root, "v1")
-	if err := os.Mkdir(rows, 0o755); err != nil {
+	l, got, err := Open(blocks)
+	if err != nil {
 		t.Fatal(err)
 	}
-	var v1Bytes int64
-	for seg, rest := 1, recs; len(rest) > 0; seg++ {
-		n := min(12_000, len(rest))
-		data := v1Segment(t, rest[:n], n < len(rest))
-		if err := os.WriteFile(filepath.Join(rows, segmentName(uint64(seg))), data, 0o644); err != nil {
-			t.Fatal(err)
-		}
-		v1Bytes += int64(len(data))
-		rest = rest[n:]
+	if !reflect.DeepEqual(got, recs) {
+		t.Fatalf("replayed %d records that differ from the %d written", len(got), len(recs))
 	}
-	t.Logf("%d records: %.1f B/record as rows, %.1f B/record as blocks", len(recs),
-		float64(v1Bytes)/float64(len(recs)), float64(blockBytes)/float64(len(recs)))
-	// The rows reach a node through the migration.
-	if _, err := Migrate(rows, rows+".migrated"); err != nil {
+	if err := l.Close(); err != nil {
 		t.Fatal(err)
-	}
-	rows += ".migrated"
-
-	for _, dir := range []string{blocks, rows} {
-		l, got, err := Open(dir)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(got, recs) {
-			t.Fatalf("%s replayed %d records that differ from the %d written", filepath.Base(dir), len(got), len(recs))
-		}
-		if err := l.Close(); err != nil {
-			t.Fatal(err)
-		}
 	}
 
 	tester, err := behavior.NewMulti(behavior.Config{
@@ -523,15 +527,17 @@ func TestBlocksMatchRowsDifferential(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	boot := func(dir string) *PersistentStore {
-		ps, err := OpenStoreOptions(context.Background(), dir, Options{Shards: 4})
-		if err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(func() { _ = ps.Close() })
-		return ps
+	ps, err := OpenStoreOptions(context.Background(), blocks, Options{Shards: 4})
+	if err != nil {
+		t.Fatal(err)
 	}
-	a, b := boot(blocks).Store(), boot(rows).Store()
+	defer func() { _ = ps.Close() }()
+	a, b := ps.Store(), store.NewSharded(4)
+	for i, r := range b.AddBatch(recs, 1) {
+		if r.Err != nil {
+			t.Fatalf("row %d: %v", i, r.Err)
+		}
+	}
 	sums := a.Checksums()
 	if !reflect.DeepEqual(sums, b.Checksums()) {
 		t.Fatal("the two stores' per-server checksums differ")

@@ -23,6 +23,13 @@ func FuzzOpenReplay(f *testing.F) {
 	for _, seed := range segmentSeeds(f) {
 		f.Add(seed)
 	}
+	// The older layouts, down to their headers: checkCurrent reads no more.
+	body := segmentFile(f, seedGroups, false)[len(segMagic):]
+	for _, magic := range [][8]byte{segMagicV2, segMagicV1} {
+		f.Add(magic[:])
+		f.Add(append(magic[:], body...))
+	}
+	f.Add([]byte(`{"time":"2020-01-01T00:00:00Z","server":"s","client":"c","rating":2}` + "\n"))
 	tail := segmentFile(f, [][]feedback.Feedback{{seedRecord(20, "z")}}, false)
 	f.Fuzz(func(t *testing.T, data []byte) {
 		root := t.TempDir()
@@ -138,7 +145,7 @@ func segmentSeeds(tb testing.TB) [][]byte {
 // errors, and never yields an invalid record — and the dictionaries a scan
 // hands the writer are the intact prefix's, so what is appended after such a
 // boot replays beside it. Bytes an earlier revision's layout announces are
-// refused unread (FuzzMigrateReplay reads them).
+// refused unread.
 func FuzzSegmentReplay(f *testing.F) {
 	for _, seed := range segmentSeeds(f) {
 		f.Add(seed)
@@ -204,93 +211,6 @@ func FuzzSegmentReplay(f *testing.F) {
 		}
 		if err := l.Close(); err != nil {
 			t.Fatal(err)
-		}
-	})
-}
-
-// legacySeeds are the layouts of earlier revisions — JSON lines, v2 blocks
-// and v1 rows, sealed, torn and mixed with current blocks — and garbage
-// only the JSON reader looks at.
-func legacySeeds(tb testing.TB) [][]byte {
-	groups := seedGroups
-	seed := segmentFile(tb, groups, false)
-	seedV2 := v2Segment(tb, groups, false)
-	rows := []feedback.Feedback{seedRecord(0, "c"), seedRecord(1, "c")}
-	swap := func(data []byte, magic [8]byte) []byte {
-		return append(append([]byte(nil), magic[:]...), data[len(magic):]...)
-	}
-	v3Tail := segmentFile(tb, append(groups[:1:1], groups...), false)
-	return [][]byte{
-		[]byte(`{"time":"2020-01-01T00:00:00Z","server":"s","client":"c","rating":2}` + "\n"),
-		[]byte("garbage\n"),
-		[]byte(`{"time":"2020-01-01T02:00:00+02:00","server":"s","client":"c","rating":1}` + "\n\n \n" +
-			`{"time":"2020-01-01T00:00:01Z","server":"s","client":"d","rating":2}`),
-		seedV2,
-		v2Segment(tb, groups, true),
-		seedV2[:len(seedV2)-3],
-		swap(seed, segMagicV2),
-		swap(seedV2, segMagic),
-		append(v2Segment(tb, groups[:1], false), v3Tail[len(segmentFile(tb, groups[:1], false)):]...),
-		v1Segment(tb, rows, false),
-		v1Segment(tb, rows, true),
-		segMagicV2[:],
-		segMagicV1[:],
-	}
-}
-
-// FuzzMigrateReplay feeds arbitrary bytes through the migration's scanner —
-// JSON lines, v1 rows, v2 and v3 blocks — and migrates them as a one-segment
-// directory. The scan never panics, errors or emits an invalid record; a
-// node refuses the directory unchanged whenever the bytes announce an older
-// layout; and the migrated ledger replays exactly the records the scan
-// emitted, at the same instants.
-func FuzzMigrateReplay(f *testing.F) {
-	for _, seed := range legacySeeds(f) {
-		f.Add(seed)
-	}
-	f.Fuzz(func(t *testing.T, data []byte) {
-		var emitted []feedback.Feedback
-		sc, err := scanAny(data, func(batch *feedback.Batch) error {
-			for _, r := range batch.Records() {
-				if verr := r.Validate(); verr != nil {
-					t.Fatalf("scan emitted invalid record: %v", verr)
-				}
-				r.Time = r.Time.UTC() // what a batch decodes to
-				emitted = append(emitted, r)
-			}
-			return nil
-		})
-		if err != nil {
-			t.Fatalf("scan errored without an emit error: %v", err)
-		}
-		if uint64(len(emitted)) != sc.records || sc.intact+sc.truncated != sc.size {
-			t.Fatalf("emitted %d records of %+v", len(emitted), sc)
-		}
-		root := t.TempDir()
-		dir := filepath.Join(root, "led")
-		if err := os.Mkdir(dir, 0o755); err != nil {
-			t.Fatal(err)
-		}
-		writeFile(t, dir, segmentName(1), data)
-		if oldKind(data) != "" {
-			if _, _, err := Open(dir); !errors.Is(err, ErrOldFormat) {
-				t.Fatalf("Open of an older segment: %v, want ErrOldFormat", err)
-			}
-			if got, err := os.ReadFile(filepath.Join(dir, segmentName(1))); err != nil || !reflect.DeepEqual(got, data) {
-				t.Fatalf("a refused segment changed (%v)", err)
-			}
-		}
-		to := filepath.Join(root, "new")
-		if m, err := Migrate(dir, to); err != nil || m.Records != sc.records {
-			t.Fatalf("migrate: %+v, %v; the scan found %d records", m, err, sc.records)
-		}
-		l, got, err := Open(to)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer func() { _ = l.Close() }()
-		if len(got) != len(emitted) || len(got) > 0 && !reflect.DeepEqual(got, emitted) {
-			t.Fatalf("the migrated ledger replays %d records, the scan emitted %d", len(got), len(emitted))
 		}
 	})
 }

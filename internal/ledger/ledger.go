@@ -18,7 +18,7 @@
 // A ledger directory holds that one format (ADR 0015). A path that holds
 // what an earlier revision wrote — a single-file JSON-lines ledger, or a
 // directory with a v2, v1 or JSON-lines segment — is refused unchanged with
-// ErrOldFormat, and Migrate (trustctl ledger-migrate) rewrites it.
+// ErrOldFormat (oldformat.go).
 package ledger
 
 import (
@@ -112,7 +112,7 @@ type commitWaiter struct {
 // Open opens (creating if needed) the ledger directory at path, replays every
 // intact record, truncates any torn or corrupt tail, and returns the ledger
 // together with the replayed records in log order. A path in an older format
-// is refused with ErrOldFormat and left as it was: rewrite it with Migrate.
+// is refused with ErrOldFormat and left as it was.
 //
 // The returned slice materializes the whole log; server boot paths should
 // prefer OpenStoreOptions, which streams the replay into a store instead.

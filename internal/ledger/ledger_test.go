@@ -2,7 +2,6 @@ package ledger
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"os"
 	"path/filepath"
@@ -20,6 +19,14 @@ func rec(c feedback.EntityID, good bool, at int64) feedback.Feedback {
 		r = feedback.Positive
 	}
 	return feedback.Feedback{Time: time.Unix(at, 0).UTC(), Server: "srv", Client: c, Rating: r}
+}
+
+// writeFile writes data at dir/name.
+func writeFile(t *testing.T, dir, name string, data []byte) {
+	t.Helper()
+	if err := os.WriteFile(filepath.Join(dir, name), data, 0o644); err != nil {
+		t.Fatal(err)
+	}
 }
 
 func TestOpenEmptyAndAppendReplay(t *testing.T) {
@@ -351,48 +358,6 @@ func TestOutOfRangeTimeSameAcrossReopen(t *testing.T) {
 	}
 }
 
-// legacyLine is one wire-compatible JSON record for building PR-7 format
-// single-file ledgers.
-func legacyLine(t *testing.T, f feedback.Feedback) []byte {
-	t.Helper()
-	raw, err := json.Marshal(f)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return append(raw, '\n')
-}
-
-// TestLegacyEmptyLinesSkipped: blank lines in a JSON-lines ledger are no
-// records and no corruption.
-func TestLegacyEmptyLinesSkipped(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "l.jsonl")
-	data := append(legacyLine(t, rec("a", true, 1)), "\n \n\n"...)
-	data = append(data, legacyLine(t, rec("b", true, 2))...)
-	if err := os.WriteFile(path, data, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	migrateAndCheck(t, path, []feedback.Feedback{rec("a", true, 1), rec("b", true, 2)})
-}
-
-// TestLegacyMigration: a PR-7 single-file JSON ledger is refused by Open,
-// byte for byte untouched, and Migrate rewrites it as a ledger directory
-// that replays its records and takes appends.
-func TestLegacyMigration(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "legacy.jsonl")
-	recs := []feedback.Feedback{rec("a", true, 1), rec("b", false, 2), rec("c", true, 3)}
-	want := jsonLines(t, recs)
-	if err := os.WriteFile(path, want, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, _, err := Open(path); !errors.Is(err, ErrOldFormat) {
-		t.Fatalf("Open of a single-file ledger: %v, want ErrOldFormat", err)
-	}
-	if data, err := os.ReadFile(path); err != nil || string(data) != string(want) {
-		t.Fatalf("the refused file changed (%v)", err)
-	}
-	migrateAndCheck(t, path, recs)
-}
-
 // TestRollOverSealsAndUpgrades drives a ledger past its roll-over threshold
 // and checks segments seal with verifiable footers and replay sees
 // everything in order.
@@ -450,23 +415,6 @@ func TestRollOverSealsAndUpgrades(t *testing.T) {
 		if got[i].Time.Before(got[i-1].Time) {
 			t.Fatal("replay out of order across segments")
 		}
-	}
-}
-
-// TestMigratedLedgerUpgradesOnRollOver: a JSON-lines ledger whose last line
-// is torn migrates to the lines before it; the torn bytes are reported.
-func TestMigratedLedgerUpgradesOnRollOver(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "upg.jsonl")
-	var recs []feedback.Feedback
-	for i := 0; i < 5; i++ {
-		recs = append(recs, rec("a", true, int64(i+1)))
-	}
-	torn := `{"time":"2024-01-01T00:00:`
-	if err := os.WriteFile(path, append(jsonLines(t, recs), torn...), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if m := migrateAndCheck(t, path, recs); m.DroppedBytes != int64(len(torn)) || m.Skipped != 0 {
-		t.Fatalf("migration %+v, want %d bytes dropped", m, len(torn))
 	}
 }
 
@@ -549,28 +497,6 @@ func TestCorruptSealedSegmentTruncatesSuffix(t *testing.T) {
 	}
 	if uint64(len(got2)) != want+1 {
 		t.Fatalf("after repair+append: %d records, want %d", len(got2), want+1)
-	}
-}
-
-// TestCorruptLegacySegmentRetires: corruption inside a JSON-lines segment
-// that has binary successors degrades like any sealed segment — the intact
-// prefix is kept, later segments dropped.
-func TestCorruptLegacySegmentRetires(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "legacy")
-	if err := os.Mkdir(path, 0o755); err != nil {
-		t.Fatal(err)
-	}
-	var recs []feedback.Feedback
-	for i := 0; i < 5; i++ {
-		recs = append(recs, rec("a", true, int64(i+1)))
-	}
-	data := jsonLines(t, recs)
-	cut := len(jsonLines(t, recs[:3]))
-	data[cut] = '#' // the fourth line no longer parses
-	writeFile(t, path, segmentName(1), data)
-	writeFile(t, path, segmentName(2), segmentFile(t, [][]feedback.Feedback{{rec("a", true, 6)}}, false))
-	if m := migrateAndCheck(t, path, recs[:3]); m.Segments != 1 || m.Skipped != 1 || m.DroppedBytes != int64(len(data)-cut) {
-		t.Fatalf("migration %+v, want 1 segment read, %d bytes dropped, 1 skipped", m, len(data)-cut)
 	}
 }
 

@@ -28,8 +28,8 @@ package ledger
 // longest intact block prefix, which scanSegment reports without ever failing
 // on malformed input. A block is a whole commit group, so a torn tail never
 // keeps part of one. A file without the header — an empty one, a torn header
-// — holds nothing intact. The layouts of earlier revisions are read by
-// migrate.go alone, and a node refuses a directory that holds one.
+// — holds nothing intact. A node refuses a directory that holds a layout an
+// earlier revision wrote (oldformat.go) and reads none of them.
 
 import (
 	"encoding/binary"
@@ -124,20 +124,14 @@ func (s *segScanner) flush(min int) error {
 // never split) that emit owns from then on; a nil emit only verifies. It
 // never returns an error for malformed content — corruption only shortens
 // the intact prefix — but does propagate emit's error, aborting the scan.
+// A footer counts only when it vouches for exactly the intact prefix.
 func scanSegment(data []byte, emit func(*feedback.Batch) error) (segScan, error) {
 	s := segScanner{emit: emit}
+	s.size = int64(len(data))
 	var err error
 	if len(data) >= len(segMagic) && [8]byte(data[:8]) == segMagic {
 		err = s.scanBlocks(data)
 	}
-	return s.finish(data, err)
-}
-
-// finish ends a scan of data whose body walk returned err: it hands emit
-// the last records and takes a footer that vouches for exactly the intact
-// prefix.
-func (s *segScanner) finish(data []byte, err error) (segScan, error) {
-	s.size = int64(len(data))
 	if err == nil {
 		err = s.flush(1)
 	}
@@ -155,7 +149,7 @@ func (s *segScanner) finish(data []byte, err error) (segScan, error) {
 	return s.segScan, nil
 }
 
-// scanBlocks walks a segment's blocks (v2's too, for migrate.go).
+// scanBlocks walks a segment's blocks.
 func (s *segScanner) scanBlocks(data []byte) error {
 	s.intact = int64(len(segMagic))
 	for rest := data[s.intact:]; len(rest) > 0; rest = data[s.intact:] {

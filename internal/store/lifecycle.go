@@ -45,11 +45,11 @@ const maxFaultAttempts = 4
 // one in use; the store checks what it returns against the stub's Checksum.
 type Loader func(server feedback.EntityID) (*feedback.History, error)
 
-// entryOverhead is the accounted fixed cost of one resident entry beyond the
-// self-reported sizes: the entry struct (64 B), its byServ map slot (~40 B),
-// the server ID's bytes, and the memoized read view (160 B). Dedup costs
-// nothing extra — the history is the index.
-const entryOverhead = 272
+// entryOverhead is a resident entry's cost beyond its history's SizeBytes on
+// 64-bit platforms (TestEntryOverheadTerms): the entry, 48 B; its byServ slot
+// (a 24-B key and pointer, Swiss table 7/16–7/8 full), ~40 B; the server ID's
+// bytes, 16 B; the read view, a 280-B feedback.History in the 288-B class.
+const entryOverhead = 48 + 40 + 16 + 288
 
 // EvictGuard reports whether a server is temporarily unevictable. The
 // persistence layer pins servers between accepting a write into the store

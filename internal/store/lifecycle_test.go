@@ -9,6 +9,7 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+	"unsafe"
 
 	"honestplayer/internal/feedback"
 	"honestplayer/internal/metrics"
@@ -73,6 +74,24 @@ func fillServer(t *testing.T, st interface {
 		}
 	}
 	return recs
+}
+
+// TestEntryOverheadTerms: the sizes entryOverhead names are a 64-bit
+// platform's, so a field added to the entry or to a feedback.History fails
+// here instead of drifting the budget away from the heap.
+func TestEntryOverheadTerms(t *testing.T) {
+	if unsafe.Sizeof(uintptr(0)) != 8 {
+		t.Skip("entryOverhead is figured for 64-bit platforms")
+	}
+	if got := unsafe.Sizeof(entry{}); got != 48 {
+		t.Errorf("the entry struct is %d B, entryOverhead charges 48", got)
+	}
+	if got := unsafe.Sizeof(feedback.EntityID("")) + unsafe.Sizeof((*entry)(nil)); got != 24 {
+		t.Errorf("a byServ slot's key and value take %d B, entryOverhead figures 24", got)
+	}
+	if got := unsafe.Sizeof(feedback.History{}); got != 280 {
+		t.Errorf("a feedback.History header is %d B, entryOverhead charges 280 in the 288-B size class", got)
+	}
 }
 
 // TestEvictReinstateRoundTrip: an evicted server keeps its count and version

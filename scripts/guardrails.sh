@@ -41,9 +41,9 @@
 #     by feedback's appendTimes/decodeTimes, and nowhere else
 #   - a history's times are resident at the width they need (ADR 0018): a
 #     base, a scale and 32-bit quotients, raw int64 only once widened
-#   - one on-disk format (ADR 0015): a node refuses older ledgers, whose
-#     layouts only internal/ledger/migrate.go reads; nothing is written
-#     that nothing reads
+#   - one on-disk format (ADR 0015): a node refuses older ledgers unchanged
+#     and reads none of their layouts; the migration out of them stays
+#     deleted; nothing is written that nothing reads
 #   - one door into a node (ADR 0003): only internal/repserver listens, but
 #     for trustd's -metrics-addr HTTP endpoint
 #   - one framing (ADR 0009): the binary frame is the only way onto a node;
@@ -274,18 +274,14 @@ check "stats, trust, core and behavior have no fused multiply-add on arm64 (ADR 
 
 # --- record batches are columns, one codec (ADR 0008) -------------------------
 # The row writer (appendRecord: one AppendBinary payload, length and CRC per
-# record) is gone; the single-record codec survives for single submit frames,
-# for bench/ and for the v1 segment *reader* of the migration (ADR 0015),
-# which is one file. The batch layout is defined once, in
+# record) and the v1 row reader are gone; the single-record codec survives
+# for bench/'s probes alone. The batch layout is defined once, in
 # internal/feedback/batch.go: ledger and wire call it and neither walks a
 # time-delta or id-slot column of its own.
 check "appendRecord stays deleted from internal/ledger (ADR 0008)" \
     "absent 'appendRecord\(' internal/ledger"
-check "internal/ledger touches the single-record codec only in migrate.go (ADR 0008)" \
-    "! sources internal/ledger | grep -v '/migrate\.go\$' | xargs grep -nE 'feedback\.(Append|Decode)Binary(All)?\(' | grep -q . \
-     && ! grep -q 'feedback\.AppendBinary(' internal/ledger/migrate.go"
-check "the v1 segment magic lives in migrate.go only (ADR 0008)" \
-    "! sources internal/ledger | grep -v '/migrate\.go\$' | xargs grep -nE \"'G', '1'|HPSEG1\" | grep -q ."
+check "internal/ledger never calls feedback.AppendBinary/DecodeBinary (ADR 0008)" \
+    "absent 'feedback\.(Append|Decode)Binary' internal/ledger"
 records_fn() { sed -n '/^func appendRecords(/,/^}/p' internal/wire/binary.go; }
 check "wire.appendRecords is the batch codec, not a per-record loop (ADR 0008)" \
     "records_fn | grep -q 'feedback\.AppendBatch(' && ! records_fn | grep -qE 'AppendBinary|for '"
@@ -342,23 +338,27 @@ check "t64 is the only []int64 field in internal/feedback/history.go (ADR 0018)"
      && grep -qE '^\s+t32\s+\[\]int32$' internal/feedback/history.go"
 
 # --- one on-disk format, nothing write-only (ADR 0015) -------------------------
-# A node opens current-format segment directories only and refuses anything
-# older; the layouts of earlier revisions are read in internal/ledger/
-# migrate.go and nowhere else, behind trustctl ledger-migrate. The in-place
-# upgrade and the stub sidecar nothing read are gone, and the store's record
-# set is summarised by one value, Checksum.
+# A node opens current-format segment directories only, refuses anything
+# older unchanged, and reads none of the older layouts: the migration out of
+# them (Migrate, its scanners and trustctl ledger-migrate) and the unscaled
+# time column of v2 segments are gone. The older headers are named only
+# where oldKind tells them apart. The in-place upgrade and the stub sidecar
+# nothing read are gone, and the store's record set is summarised by one
+# value, Checksum.
 for sym in migrateToDir retireLegacy sealedAt segKind sniffKind stubMagic stubsName encodeStubs \
-           decodeStubs writeStubs AppendStub DecodeStub SetSnapshotSeq stubSnapSeq SnapSeq snapSeq countLocked; do
+           decodeStubs writeStubs AppendStub DecodeStub SetSnapshotSeq stubSnapSeq SnapSeq snapSeq countLocked \
+           Migrate Migration scanAny scanRows scanJSON maxRowLen Unscaled; do
     check "$sym stays deleted (ADR 0015)" "absent '\b$sym\b'"
 done
+check "trustctl ledger-migrate stays deleted (ADR 0015)" "absent 'ledger-migrate|ledgerMigrate' cmd/trustctl"
 check "Store.Stubs, Info.Legacy and SegmentInfo.Format stay deleted (ADR 0015)" \
     "absent 'func \(s \*Store\) Stubs\(|\.Stubs\(\)' && absent '^\s+(Legacy|Format)\s' internal/ledger"
 check "trustctl ledger-info prints no formats: line (ADR 0015)" "absent 'formats:' cmd/trustctl"
-check "the older layouts are read in internal/ledger/migrate.go only (ADR 0015)" \
-    "! sources | grep -v '^./internal/ledger/migrate\.go\$' | xargs grep -nE '\b(segMagicV1|segMagicV2|scanJSON|scanRows)\b' | grep -q . \
-     && [ \"\$(grep -cE '\b(segMagicV1|segMagicV2|scanJSON|scanRows)\b' internal/ledger/migrate.go)\" -gt 0 ]"
-check "internal/ledger reads the unscaled time column only in migrate.go (ADR 0015)" \
-    "! sources internal/ledger | grep -v '/migrate\.go\$' | xargs grep -n 'Unscaled' | grep -q ."
+oldkind_fn() { sed -n '/^func oldKind(/,/^}/p' internal/ledger/oldformat.go; }
+check "the older segment magics appear only beside oldKind (ADR 0015)" \
+    "! sources | grep -v '^\./internal/ledger/oldformat\.go\$' | xargs grep -nE \"\\b(segMagicV1|segMagicV2)\\b|'G', '[12]'|HPSEG[12]\" | grep -q . \
+     && [ \"\$(grep -cE '\bsegMagicV[12]\b' internal/ledger/oldformat.go)\" -eq 4 ] \
+     && [ \"\$(oldkind_fn | grep -cE '\bsegMagicV[12]\b')\" -eq 2 ]"
 
 # --- one door into a node (ADR 0003) -----------------------------------------
 # The one other listener is trustd's -metrics-addr HTTP endpoint, bound
